@@ -37,8 +37,11 @@ import (
 // -cancelpoll twins of the acceptance regimes behind the sub-phase
 // cancellation-poll overhead gate; v6 adds the shard section — the 2D
 // block-sharded coordinator against a direct Engine call, with the 1×1×1
-// grid held within 5% of direct behind the -gate.
-const benchSchema = "pbspgemm-bench/v6"
+// grid held within 5% of direct behind the -gate; v7 adds the DRAM-resident
+// er-dram regimes with their own expand gate, and measures the Triad roofs
+// over triadElems-sized arrays, so the yardstick is memory bandwidth on hosts
+// whose last-level cache would hold QuickTriad's default 16 MiB arrays.
+const benchSchema = "pbspgemm-bench/v7"
 
 type benchPhase struct {
 	Millis    float64 `json:"ms"`
@@ -137,6 +140,26 @@ const (
 	gatePatternRegime = "rmat-highcf-pattern"
 )
 
+// expandGate is one regime's floor on expand.pct_of_stream under -gate.
+type expandGate struct {
+	name string
+	pct  float64
+}
+
+// dramGateRegimes are the DRAM-resident regimes (BENCHMARK.json's er_lowcf
+// product: a 50 MB squeezed arena, 17 MB of pattern keys) and the share of
+// the one-thread Triad -gate holds their expand phase to. The line-aligned
+// flush is what keeps the squeezed expand bandwidth-bound once the arena has
+// left the private caches (52 % measured, 14 % with the unaligned flush it
+// replaced). The key-only expand moves a third of the bytes through the same
+// per-nonzero loop, so on 8-long B rows it is instruction-bound near 2 ns per
+// tuple — 35 % measured, 30–35 % before — and its bar sits below that.
+var dramGateRegimes = []expandGate{{"er-dram-squeezed", 40}, {"er-dram-pattern", 25}}
+
+// triadElems sizes the Triad arrays behind every pct_of_stream figure: three
+// 256 MiB arrays, the size BENCHMARK.json's stream.triad_1t_gbs uses.
+const triadElems = 1 << 25
+
 // batchedGateRegimes are the regimes -gate holds to batched ≤ scalar ns/op;
 // benchCases appends a scalarVariant of each.
 var batchedGateRegimes = []string{"er-lowcf-squeezed", gateFusedRegime}
@@ -166,6 +189,12 @@ func benchCases() []benchCase {
 		{"er-lowcf-pattern", "ER", 13, 8, 1, 2, core.LayoutAuto, 1, false, 0, "pattern", false, false},
 		{"rmat-highcf-f32", "RMAT", 10, 32, 1, 2, core.LayoutAuto, 1, false, 0, "f32", false, false},
 		{"er-lowcf-f32", "ER", 13, 8, 1, 2, core.LayoutAuto, 1, false, 0, "f32", false, false},
+		// The low-cf ER product at scale 16 — BENCHMARK.json's er_lowcf — where
+		// the tuple arena no longer fits the private caches and the squeezed
+		// one (50 MB) crosses the non-temporal flush threshold: the regimes
+		// behind the DRAM-resident expand gate.
+		{"er-dram-squeezed", "ER", 16, 8, 1, 2, core.LayoutSqueezed, 1, false, 0, "", false, false},
+		{"er-dram-pattern", "ER", 16, 8, 1, 2, core.LayoutAuto, 1, false, 0, "pattern", false, false},
 		// The same high-cf input through the memory-budgeted panel path, so
 		// both fused merge strategies stay visible in the trajectory: a
 		// shallow budget (~3 panels, run counts within fusedEmitMergeMaxRuns)
@@ -241,8 +270,8 @@ func runBench(cfg *config) {
 		Reps:   cfg.reps,
 		// The roofs the pct_of_stream figures divide by, measured on this
 		// host right before the regimes run.
-		StreamTriad1GBs: stream.QuickTriad(0, 1, cfg.reps),
-		StreamTriadNGBs: stream.QuickTriad(0, nthreads, cfg.reps),
+		StreamTriad1GBs: stream.QuickTriad(triadElems, 1, cfg.reps),
+		StreamTriadNGBs: stream.QuickTriad(triadElems, nthreads, cfg.reps),
 		StreamThreads:   nthreads,
 	}
 	fmt.Printf("stream triad: %.2f GB/s (1 thread), %.2f GB/s (%d threads)\n",
@@ -418,16 +447,26 @@ func gateBench(report *benchReport) {
 	}
 	// The paper's near-STREAM claim, tracked as a gate: on the acceptance
 	// regimes the expand phase must move at least half of Triad bandwidth
-	// (executed loads+stores vs the matching-thread-count Triad roof).
+	// (executed loads+stores vs the matching-thread-count Triad roof) — and
+	// where the claim is hard, on the DRAM-resident regimes whose flushed
+	// lines leave the private caches, still its bar's share of it.
+	expandGates := append([]expandGate(nil), dramGateRegimes...)
 	for _, name := range batchedGateRegimes {
-		r := byName[name]
-		if r.Expand.PctStream < 50 {
-			fmt.Fprintf(os.Stderr, "bench gate: %s expand at %.1f%% of stream Triad, want ≥ 50%%\n",
-				name, r.Expand.PctStream)
+		expandGates = append(expandGates, expandGate{name, 50})
+	}
+	for _, g := range expandGates {
+		r := byName[g.name]
+		if r == nil {
+			fmt.Fprintf(os.Stderr, "bench gate: expand-gated regime %s missing from the run\n", g.name)
+			os.Exit(1)
+		}
+		if r.Expand.PctStream < g.pct {
+			fmt.Fprintf(os.Stderr, "bench gate: %s expand at %.1f%% of stream Triad, want ≥ %.0f%%\n",
+				g.name, r.Expand.PctStream, g.pct)
 			failed = true
 		} else {
-			fmt.Printf("bench gate: %s expand at %.1f%% of stream Triad (≥ 50%%)\n",
-				name, r.Expand.PctStream)
+			fmt.Printf("bench gate: %s expand at %.1f%% of stream Triad (≥ %.0f%%)\n",
+				g.name, r.Expand.PctStream, g.pct)
 		}
 	}
 	// The sharded route must be free when the grid is degenerate: the 1×1×1

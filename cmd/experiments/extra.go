@@ -99,7 +99,7 @@ func runAblations(cfg *config) {
 	addPB("PB (fused default)", pbspgemm.Options{})
 	addPB("PB (unfused three-pass)", pbspgemm.Options{DisableFusion: true})
 	addPB("no blocking (nbins=1)", pbspgemm.Options{NBins: 1})
-	addPB("no local bins (1-tuple)", pbspgemm.Options{LocalBinBytes: 16})
+	addPB("smallest local bins (16 tuples, one line of keys)", pbspgemm.Options{LocalBinBytes: 16})
 	addPB("tiny cache budget (64 KiB)", pbspgemm.Options{L2CacheBytes: 64 << 10})
 
 	partRes, err := pbspgemm.MultiplyPartitioned(a, b, 2, pbspgemm.Options{})

@@ -258,3 +258,22 @@ func TestBenchCancelPollComparators(t *testing.T) {
 		}
 	}
 }
+
+// TestBenchCasesCarryDRAMRegimes: the DRAM-resident expand gate keys on its
+// regimes by name, and they must be BENCHMARK.json's er_lowcf product —
+// ER scale 16, ef 8 — single-threaded, fused and unbudgeted.
+func TestBenchCasesCarryDRAMRegimes(t *testing.T) {
+	byName := map[string]benchCase{}
+	for _, c := range benchCases() {
+		byName[c.name] = c
+	}
+	for _, g := range dramGateRegimes {
+		c, ok := byName[g.name]
+		if !ok {
+			t.Fatalf("DRAM gate regime %s missing", g.name)
+		}
+		if c.kind != "ER" || c.scale != 16 || c.ef != 8 || c.threadsCap != 1 || c.unfused || c.budget != 0 {
+			t.Fatalf("%s is not the single-threaded er_lowcf product: %+v", g.name, c)
+		}
+	}
+}

@@ -271,7 +271,7 @@ func (e *Engine) release(ws *kernel.Workspace, err error) {
 
 // multiply dispatches one resolved call through the kernel registry: Auto
 // first runs the roofline planner, then the chosen kernel multiplies on a
-// pooled workspace and the result is cloned out before the workspace
+// pooled workspace and the result is detached from it before the workspace
 // returns to the pool. It reports the executed algorithm (and whether the
 // planner chose it) for the per-algorithm metrics.
 func (e *Engine) multiply(cfg *config, a, b *CSR) (*Result, Algorithm, bool, error) {
@@ -319,10 +319,10 @@ func (e *Engine) multiply(cfg *config, a, b *CSR) (*Result, Algorithm, bool, err
 		e.release(ws, err)
 		return nil, alg, plan != nil, err
 	}
-	// Detach the result from the pooled workspace before another call can
-	// grab it.
+	// Take the product out of the pooled workspace before another call can
+	// grab it: the pool hands its output arrays over instead of copying them.
 	res := &Result{
-		C:         kr.C.Clone(),
+		C:         ws.DetachOutput(kr.C),
 		Algorithm: alg,
 		Flops:     kr.Flops,
 		CF:        kr.CF,

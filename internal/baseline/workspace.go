@@ -104,6 +104,21 @@ func (ws *Workspace) growOutput(c *matrix.CSR, nnz int64, shared bool) {
 	c.Val = matrix.GrowFloat64(&ws.outVal, nnz)
 }
 
+// DetachOutput hands the last call's pooled result over to the caller: when c
+// is this workspace's pooled result header, the returned CSR owns its arrays
+// and the pool slots are cleared, so the next call allocates fresh output
+// storage (what a Clone would have allocated, without the copy). Any other c
+// is returned unchanged.
+func (ws *Workspace) DetachOutput(c *matrix.CSR) *matrix.CSR {
+	if c != &ws.out {
+		return c
+	}
+	out := ws.out
+	ws.out = matrix.CSR{}
+	ws.outRowPtr, ws.outColIdx, ws.outVal = nil, nil, nil
+	return &out
+}
+
 // poll checks the caller's cancellation hook (nil means non-cancellable).
 func poll(cancel func() error) error {
 	if cancel == nil {

@@ -112,27 +112,34 @@ func TestBatchedMatchesScalarMatrix(t *testing.T) {
 
 // TestNTFlushBitIdentical forces the non-temporal flush path (normally gated
 // on the panel arena outgrowing the LLC) onto the small test inputs and
-// holds every layout to exact bit-identity against the scalar oracle. The
-// NT copy writes the same bytes as copy() — only the store type differs —
-// so results must be unchanged at any thread count.
+// holds every layout to exact bit-identity against one scalar oracle per
+// case: one thread, single-shot, default local bins, DisableBatch (the
+// scalar path never uses NT). The matrix crosses what moves the flush
+// schedule — thread count (where each worker's reserved ranges start),
+// LocalBinBytes (64 is a sub-line request that runs at 16 tuples) and
+// budgeted multi-panel runs (ranges re-planned per panel). Inputs are
+// integer-valued, so budgeted folds are exact too.
 func TestNTFlushBitIdentical(t *testing.T) {
 	old := ntMinArenaBytes
 	ntMinArenaBytes = 0
 	defer func() { ntMinArenaBytes = old }()
 	for _, tc := range batchedCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
-			for _, threads := range []int{1, 8} {
-				opt := Options{Threads: threads}
-				opt.DisableBatch = true // oracle: scalar path never uses NT
-				want := tc.run(t, opt)
-				opt.DisableBatch = false
-				got := tc.run(t, opt)
-				if want.Val == nil {
-					if !csrSameStructure(want, got) {
-						t.Fatalf("threads=%d: NT-flush structure differs from scalar", threads)
+			want := tc.run(t, Options{Threads: 1, DisableBatch: true})
+			for _, threads := range []int{1, 2, 3, 4, 8} {
+				for _, lbb := range []int{64, 512, 4096} {
+					for _, budget := range []int64{0, 64 << 10} {
+						got := tc.run(t, Options{Threads: threads, LocalBinBytes: lbb, MemoryBudgetBytes: budget})
+						if want.Val == nil {
+							if !csrSameStructure(want, got) {
+								t.Fatalf("threads=%d localBin=%d budget=%d: NT-flush structure differs from scalar",
+									threads, lbb, budget)
+							}
+						} else if !matrix.Equal(want, got, 0) {
+							t.Fatalf("threads=%d localBin=%d budget=%d: NT-flush result differs from scalar",
+								threads, lbb, budget)
+						}
 					}
-				} else if !matrix.Equal(want, got, 0) {
-					t.Fatalf("threads=%d: NT-flush result differs from scalar", threads)
 				}
 			}
 		})

@@ -403,40 +403,15 @@ func (l *kv[V]) expandRange(e *engine, t, lo int, cursors []int64) {
 	}
 }
 
-// flushLocalKV bulk-copies one split local bin into the worker's pre-reserved
-// range of the global bin and advances its private cursor. When nt is set
-// (batched build, panel arena beyond LLC — see expandPanel) it streams both
-// planes past the cache with non-temporal stores; otherwise it keeps copy()
-// plus a prefetch of this bin's next destination.
+// flushLocalKV moves one split local bin's pending tuples, plane by plane,
+// into the worker's pre-reserved range of the global bin (flushSpan,
+// flushPlane).
 func flushLocalKV[V Value](bin int32, bufK []uint32, bufV []V, lens []int32,
 	keys []uint32, vals []V, cursors []int64, capT int32, nt bool) {
 
-	n := lens[bin]
-	if n == 0 {
-		return
-	}
-	off := cursors[bin]
-	next := off + int64(n)
-	cursors[bin] = next
-	base := int64(bin) * int64(capT)
-	if nt && simd.HasNT {
-		var v V
-		vb := int(unsafe.Sizeof(v))
-		simd.NTCopyBytes(unsafe.Pointer(&keys[off]), unsafe.Pointer(&bufK[base]), int(n)*4)
-		simd.NTCopyBytes(unsafe.Pointer(&vals[off]), unsafe.Pointer(&bufV[base]), int(n)*vb)
-		lens[bin] = 0
-		return
-	}
-	copy(keys[off:next], bufK[base:base+int64(n)])
-	copy(vals[off:next], bufV[base:base+int64(n)])
-	lens[bin] = 0
-	// Warm the destination of this bin's NEXT flush while the local bin
-	// refills — the only access distance long enough for a software prefetch
-	// to beat the hardware prefetcher across the bin-strided global arena.
-	// No-op on purego/non-amd64 builds; cannot affect results.
-	if end := next + int64(n); end <= int64(len(keys)) {
-		simd.PrefetchRangeT0(unsafe.Pointer(&keys[next]), int(n)*4)
-	}
+	src, dst, n := flushSpan(bin, lens, cursors, capT)
+	flushPlane(keys[dst:], bufK[src:src+n], nt)
+	flushPlane(vals[dst:], bufV[src:src+n], nt)
 }
 
 func (l *kv[V]) sortSeg(e *engine, s sortSeg) {
@@ -717,24 +692,8 @@ func (patternOps) expandRange(e *engine, t, lo int, cursors []int64) {
 func flushLocalPattern(bin int32, bufK []uint32, lens []int32,
 	keys []uint32, cursors []int64, capT int32, nt bool) {
 
-	n := lens[bin]
-	if n == 0 {
-		return
-	}
-	off := cursors[bin]
-	next := off + int64(n)
-	cursors[bin] = next
-	base := int64(bin) * int64(capT)
-	if nt && simd.HasNT {
-		simd.NTCopyBytes(unsafe.Pointer(&keys[off]), unsafe.Pointer(&bufK[base]), int(n)*4)
-		lens[bin] = 0
-		return
-	}
-	copy(keys[off:next], bufK[base:base+int64(n)])
-	lens[bin] = 0
-	if end := next + int64(n); end <= int64(len(keys)) {
-		simd.PrefetchRangeT0(unsafe.Pointer(&keys[next]), int(n)*4)
-	}
+	src, dst, n := flushSpan(bin, lens, cursors, capT)
+	flushPlane(keys[dst:], bufK[src:src+n], nt)
 }
 
 func (patternOps) growScratch(e *engine, total int64) {

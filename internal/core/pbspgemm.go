@@ -12,8 +12,10 @@
 //     of A, forms outer products A(:,i)·B(i,:), and propagation-blocks the
 //     resulting (rowid, colid, value) tuples: tuples are appended to small
 //     thread-private local bins (default 512 B, Fig. 5) that are flushed to
-//     their global bin with a bulk copy when full, so global-memory writes
-//     always move full cache lines.
+//     their global bin with a bulk copy when full. Local bins hold a multiple
+//     of 16 tuples and each worker's first flush into a bin lands its cursor
+//     on a 16-tuple boundary (flushSpan), so every later flush moves whole
+//     64-byte lines to a line-aligned destination.
 //  3. Sort: each global bin is sorted independently (bins per thread,
 //     dynamic schedule) with an in-place American-flag radix sort on packed
 //     keys localRow<<colBits|colid. Because local row ids are small, high
@@ -148,8 +150,12 @@ type Options struct {
 	// NBins forces the number of global bins; 0 derives it from flop and
 	// L2CacheBytes as the symbolic phase does (Algorithm 3 line 6).
 	NBins int
-	// LocalBinBytes is the width of each thread-private local bin; 0 means
-	// DefaultLocalBinBytes (512).
+	// LocalBinBytes is the requested width of each thread-private local bin;
+	// 0 means DefaultLocalBinBytes (512). The capacity actually used is the
+	// request in tuples of the run's layout rounded down to a multiple of 16
+	// tuples, and never below 16 (LocalBinTuples): flushes then move whole
+	// cache lines. 512 B gives 32 wide or squeezed, 64 narrow and 128 pattern
+	// tuples; any request under one line of keys runs at 16.
 	LocalBinBytes int
 	// Threads is the worker count; 0 means GOMAXPROCS.
 	Threads int
@@ -788,12 +794,66 @@ func (e *engine) planBins() error {
 	e.key32 = e.layout != LayoutWide
 	e.tupleBytes = e.layout.TupleBytes()
 
-	capT := int32(int64(e.opt.LocalBinBytes) / e.tupleBytes)
-	if capT < 1 {
-		capT = 1
-	}
-	e.localCap = capT
+	e.localCap = LocalBinTuples(e.opt.LocalBinBytes, e.tupleBytes)
 	return nil
+}
+
+// flushAlign is the flush granularity in tuples: 16 four-byte keys are one
+// 64-byte cache line, 16 eight-byte values two, 16 wide pairs four.
+const flushAlign = 16
+
+// LocalBinTuples is the local-bin capacity a LocalBinBytes request gets at
+// the given per-tuple cost: rounded down to a multiple of flushAlign, and up
+// to flushAlign when the request is smaller than that.
+func LocalBinTuples(localBinBytes int, tupleBytes int64) int32 {
+	return int32(max(int64(localBinBytes)/tupleBytes&^(flushAlign-1), flushAlign))
+}
+
+// flushPhase is where in its local buffer a bin whose next tuple goes to
+// global offset cursor keeps that tuple: the cursor's offset within its
+// flushAlign group.
+func flushPhase(cursor int64) int32 { return int32(cursor & (flushAlign - 1)) }
+
+// flushSpan is the flush schedule of one (worker, bin) pair, shared by every
+// layout. A local bin fills from flushPhase(cursor) instead of from 0
+// (expandPanel seeds lens so), and a flush moves its tuples
+// [phase, lens[bin]) to the worker's cursor: src is their offset in the
+// worker's local planes, dst the cursor, n the count (0 when nothing is
+// pending). The first flush of a full bin is therefore short by phase and
+// leaves the cursor on a flushAlign boundary, where it stays — the capacity is
+// a multiple of flushAlign — so only the first flush and the final drain of a
+// reserved range move partial lines. Where flushes cut never changes the
+// order of tuples in a bin.
+func flushSpan(bin int32, lens []int32, cursors []int64, capT int32) (src, dst, n int64) {
+	dst = cursors[bin]
+	phase := flushPhase(dst)
+	n = int64(lens[bin] - phase)
+	cursors[bin] = dst + n
+	lens[bin] = flushPhase(dst + n)
+	return int64(bin)*int64(capT) + int64(phase), dst, n
+}
+
+// flushPlane copies one plane of a flushSpan to the global arena (the paper's
+// MemCopy); dst starts at the span's destination and src is exactly the span.
+// With nt set (see expandPanel) the whole lines go out as non-temporal stores,
+// which then fill write-combining buffers completely and skip the
+// read-for-ownership a plain store to a cold line pays; expandPanel fences
+// each worker after its last flush. Otherwise copy(), plus a prefetch of the
+// bin's next destination while the local bin refills (no-op on purego and
+// non-amd64 builds). Same bytes either way.
+func flushPlane[T any](dst, src []T, nt bool) {
+	if len(src) == 0 {
+		return
+	}
+	bytes := len(src) * int(unsafe.Sizeof(src[0]))
+	if nt && simd.HasNT {
+		simd.NTCopyBytes(unsafe.Pointer(&dst[0]), unsafe.Pointer(&src[0]), bytes)
+		return
+	}
+	copy(dst, src)
+	if len(dst) >= 2*len(src) {
+		simd.PrefetchRangeT0(unsafe.Pointer(&dst[len(src)]), bytes)
+	}
 }
 
 // Key32Fits reports whether the bin geometry Multiply-family entries would
@@ -932,31 +992,39 @@ func (e *engine) expandPanel(lo int) {
 	localTuples := int64(threads) * int64(nbins) * int64(e.localCap)
 	e.lay.growLocals(e, localTuples)
 	lens := matrix.GrowInt32(&e.ws.localLens, threads*nbins)
-	clear(lens)
+	// Every local bin starts filling at its cursor's phase (flushSpan).
+	// panelPlan left the lone worker's cursors in ws.cursors and the workers'
+	// rows of exclusive offsets in ws.perThread.
+	cursors := e.ws.cursors
+	if threads > 1 {
+		cursors = e.ws.perThread
+	}
+	for i, c := range cursors[:threads*nbins] {
+		lens[i] = flushPhase(c)
+	}
 	// Flush with non-temporal stores only when this panel's tuple arena
 	// clearly outgrows the LLC: that is where a plain store's
-	// read-for-ownership is real DRAM traffic NT stores avoid. On
-	// cache-resident panels plain stores win (the lines stay cached for the
-	// sort's read-back), so the threshold keeps small runs on the
-	// copy()+prefetch path. Same bytes either way — bit-identity holds.
+	// read-for-ownership is real DRAM traffic whole-line NT stores avoid
+	// (36 ms against copy()'s 48 on the 228 MB arena of BENCHMARK.json's
+	// rmat_skew product, 18 against 19 on er_lowcf's 50 MB). On smaller
+	// panels the two are a wash and the lines stay cached for the sort's
+	// read-back, so those keep copy().
 	e.ntFlush = e.batch && simd.HasNT &&
 		e.ws.binStart[nbins]*e.tupleBytes >= ntMinArenaBytes
 	// First-touch the panel's freshly grown bin ranges from their owning
 	// nodes before any worker writes tuples (no-op when NUMA is inactive).
 	e.firstTouchBins()
 	if threads == 1 {
-		// panelPlan left ws.cursors = binStart: the lone worker's cursors.
-		e.lay.expandRange(e, 0, lo, e.ws.cursors)
+		e.lay.expandRange(e, 0, lo, cursors)
 		e.fenceFlushes()
 	} else {
-		pt := e.ws.perThread
 		par.ParallelRun(threads, func(t int) {
 			// containWorker (not the par-level recover) so a panicking
 			// expand worker latches the abort and its siblings bail at
 			// their next sub-phase poll instead of finishing their ranges.
 			defer e.containWorker(t)
 			defer e.pinWorker(t)()
-			e.lay.expandRange(e, t, lo, pt[t*nbins:(t+1)*nbins])
+			e.lay.expandRange(e, t, lo, cursors[t*nbins:(t+1)*nbins])
 			// NT flush stores are weakly ordered: fence before the join so
 			// the sort phase (any worker) sees every tuple.
 			e.fenceFlushes()
@@ -1047,36 +1115,13 @@ func (e *engine) expandRangeWide(t, lo int, cursors []int64) {
 	}
 }
 
-// flushLocalBin bulk-copies one thread-private local bin into the worker's
-// pre-reserved range of the global bin and advances its private cursor.
-// When nt is set (batched build, panel arena beyond LLC — see expandPanel)
-// the copy streams past the cache with non-temporal stores: the flush
-// destination is cold, and a plain store would pay a read-for-ownership for
-// every line; expandPanel fences each worker after its last flush. Otherwise
-// it keeps copy() plus a prefetch of this bin's next destination.
+// flushLocalBin moves one wide local bin's pending tuples into the worker's
+// pre-reserved range of the global bin (flushSpan, flushPlane).
 func flushLocalBin(bin int32, buf []radix.Pair, lens []int32,
 	tuples []radix.Pair, cursors []int64, capT int32, nt bool) {
 
-	n := lens[bin]
-	if n == 0 {
-		return
-	}
-	off := cursors[bin]
-	next := off + int64(n)
-	cursors[bin] = next
-	base := int64(bin) * int64(capT)
-	if nt && simd.HasNT {
-		simd.NTCopyBytes(unsafe.Pointer(&tuples[off]), unsafe.Pointer(&buf[base]), int(n)*16)
-		lens[bin] = 0
-		return
-	}
-	copy(tuples[off:next], buf[base:base+int64(n)])
-	lens[bin] = 0
-	// Warm this bin's NEXT flush destination while the local bin refills
-	// (no-op on purego/non-amd64 builds; cannot affect results).
-	if end := next + int64(n); end <= int64(len(tuples)) {
-		simd.PrefetchRangeT0(unsafe.Pointer(&tuples[next]), int(n)*16)
-	}
+	src, dst, n := flushSpan(bin, lens, cursors, capT)
+	flushPlane(tuples[dst:], buf[src:src+n], nt)
 }
 
 // sortSeg is one unit of sort-phase work: tuples [start, end) of the current

@@ -138,6 +138,22 @@ func (ws *Workspace) TupleCapBytes() int64 {
 	return wide + keys + vals
 }
 
+// DetachOutput hands the last run's pooled result over to the caller. When c
+// is this workspace's pooled result header (what Multiply returns on a shared
+// workspace), the returned CSR owns its arrays and the pool slots are
+// cleared, so the next run allocates fresh output storage instead of
+// overwriting them: the same bytes a Clone would allocate, without the copy
+// and without a second resident C. Any other c is returned unchanged.
+func (ws *Workspace) DetachOutput(c *matrix.CSR) *matrix.CSR {
+	if c != &ws.out {
+		return c
+	}
+	out := ws.out
+	ws.out = matrix.CSR{}
+	ws.outRowPtr, ws.outColIdx, ws.outVal, ws.kvF64.outVal = nil, nil, nil, nil
+	return &out
+}
+
 // CSCOf converts a into the workspace's pooled CSC storage. The result
 // aliases workspace memory and is invalidated by the next CSCOf call.
 func (ws *Workspace) CSCOf(a *matrix.CSR) *matrix.CSC { return a.ToCSCInto(&ws.csc) }

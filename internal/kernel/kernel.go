@@ -67,7 +67,8 @@ type Opts struct {
 
 // Result is one multiplication's outcome. When the call ran on a non-nil
 // Workspace, C and the phase-stats pointers alias workspace memory and are
-// invalidated by the workspace's next call — Clone/copy to keep them.
+// invalidated by the workspace's next call — take C with
+// Workspace.DetachOutput (or Clone it) and copy the stats to keep them.
 type Result struct {
 	C       *matrix.CSR
 	Flops   int64
@@ -133,6 +134,23 @@ func (w *Workspace) result() *Result {
 	}
 	w.res = Result{}
 	return &w.res
+}
+
+// DetachOutput makes a Result's C caller-owned without copying it: whichever
+// sub-pool holds c as its pooled result hands the arrays over and forgets
+// them (regrowing on its next call); a c no pool owns is returned unchanged.
+// The Result's stats pointers still alias the workspace.
+func (w *Workspace) DetachOutput(c *matrix.CSR) *matrix.CSR {
+	if w == nil {
+		return c
+	}
+	if w.Core != nil {
+		c = w.Core.DetachOutput(c)
+	}
+	if w.Col != nil {
+		c = w.Col.DetachOutput(c)
+	}
+	return c
 }
 
 // Kernel is one SpGEMM implementation. Multiply computes C = A*B for

@@ -186,3 +186,46 @@ func TestKernelResultPooled(t *testing.T) {
 		t.Fatal("transient call differs from pooled call")
 	}
 }
+
+// TestDetachOutputHandsOver: DetachOutput makes a pooled result caller-owned
+// without copying it — same backing arrays, a header of its own — and the
+// workspace's next call regrows its output pool instead of overwriting what
+// it handed over. Kernels whose result was never pooled (the naive
+// outer-product, any call on a nil workspace) get their C back unchanged.
+func TestDetachOutputHandsOver(t *testing.T) {
+	a := gen.ER(128, 4, 1)
+	b := gen.ER(128, 4, 2)
+	a2 := gen.ER(128, 6, 3)
+	want := matrix.ReferenceMultiply(a, b)
+	ctx := context.Background()
+	for _, k := range All() {
+		t.Run(k.Name(), func(t *testing.T) {
+			ws := NewWorkspace()
+			r, err := k.Multiply(ctx, ws, a, b, Opts{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			pooled, col0, val0 := r.C, &r.C.ColIdx[0], &r.C.Val[0]
+			c := ws.DetachOutput(r.C)
+			if &c.ColIdx[0] != col0 || &c.Val[0] != val0 {
+				t.Fatal("DetachOutput copied the product instead of handing it over")
+			}
+			if k.Capabilities().WorkspaceReusing && c == pooled {
+				t.Fatal("detached result still is the pooled header")
+			}
+			if again := ws.DetachOutput(c); again != c {
+				t.Fatal("a result the pool no longer owns must come back unchanged")
+			}
+			if _, err := k.Multiply(ctx, ws, a2, a2, Opts{}); err != nil {
+				t.Fatal(err)
+			}
+			if !matrix.Equal(want, c, 1e-9) {
+				t.Fatal("detached result was clobbered by the workspace's next call")
+			}
+		})
+	}
+	var none *Workspace
+	if c := none.DetachOutput(want); c != want {
+		t.Fatal("nil workspace must return its argument")
+	}
+}

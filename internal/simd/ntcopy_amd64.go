@@ -5,11 +5,14 @@ package simd
 import "unsafe"
 
 // HasNT reports that this build can use non-temporal stores for the bin
-// flush copies. NT stores write full cache lines straight to memory without
-// the read-for-ownership a normal store to a cold line costs, cutting the
-// flush's DRAM traffic by a third (read+write → write) — and the flushed
-// tuples were never going to be re-read before the arena outgrows the cache
-// anyway.
+// flush copies. An NT store goes to memory through a write-combining buffer
+// and skips the read-for-ownership a normal store to a cold line costs — but
+// only a buffer that collects all 64 bytes of its line leaves as one line
+// write; a partly filled one is evicted as several partial writes, which is
+// slower than the plain store it replaced. The stores write whole lines only
+// when the caller hands NTCopyBytes a line-aligned destination and a
+// multiple of 64 bytes, which is what internal/core's flush schedule
+// (flushSpan) arranges for every flush but the first and last of a range.
 const HasNT = true
 
 //go:noescape
@@ -19,8 +22,9 @@ func ntCopyBytes(dst, src unsafe.Pointer, n int64)
 func storeFence()
 
 // NTCopyBytes copies bytes non-overlapping bytes from src to dst with
-// non-temporal stores on the 16-byte-aligned body (plain byte stores on the
-// unaligned head and tail). NT stores are weakly ordered: the writing
+// non-temporal stores on the 16-byte-aligned body, in 64-byte blocks from its
+// start (plain byte stores on the unaligned head and tail); a 64-byte-aligned
+// dst therefore gets one complete line per block. NT stores are weakly ordered: the writing
 // goroutine must call StoreFence before other goroutines read the data —
 // ordinary release/acquire synchronization alone does not order them.
 func NTCopyBytes(dst, src unsafe.Pointer, bytes int) {

@@ -147,9 +147,12 @@ func WithNBins(n int) Option {
 	}
 }
 
-// WithLocalBinBytes sets the thread-private local bin width in bytes
+// WithLocalBinBytes requests the thread-private local bin width in bytes
 // (float64 PB kernel only; masked/semiring paths ignore it); 0 means 512,
-// the paper's tuned value (Fig. 6a).
+// the paper's tuned value (Fig. 6a). The engine runs the request rounded
+// down to a multiple of 16 tuples of the run's layout — 512 B is 32 tuples
+// at 16 or 12 bytes each — and any request under 16 tuples at 16, so that
+// every steady-state flush moves whole cache lines.
 func WithLocalBinBytes(n int) Option {
 	return func(c *config) error {
 		if n < 0 {
