@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"time"
 
 	"pbspgemm/internal/core"
@@ -19,8 +20,8 @@ import (
 // GFLOPS, per-phase GB/s and allocs/op. CI runs `bench -json bench.json
 // -gate` on every push and uploads it as the bench-trajectory artifact, so
 // each PR leaves a comparable perf baseline behind; the committed
-// BENCH_PR4.json / BENCH_PR5.json are the one-off local baselines the
-// squeezed-tuple and fused-pipeline PRs were validated against. Regimes pin
+// BENCH_PR16.json is the run the current gates were set from (CI's
+// informational -baseline). Regimes pin
 // both tuple layouts on the low-cf ER workload (the squeezed pipeline's
 // headline case) and fused-vs-unfused on the high-cf R-MAT workload (the
 // fused pipeline's): -gate fails the run if fused ns/op regresses past
@@ -40,8 +41,10 @@ import (
 // grid held within 5% of direct behind the -gate; v7 adds the DRAM-resident
 // er-dram regimes with their own expand gate, and measures the Triad roofs
 // over triadElems-sized arrays, so the yardstick is memory bandwidth on hosts
-// whose last-level cache would hold QuickTriad's default 16 MiB arrays.
-const benchSchema = "pbspgemm-bench/v7"
+// whose last-level cache would hold QuickTriad's default 16 MiB arrays; v8
+// adds the rmat-dram regimes (BENCHMARK.json's rmat_skew product) and gates
+// the fused sort/fold phase's pct_of_stream beside expand's.
+const benchSchema = "pbspgemm-bench/v8"
 
 type benchPhase struct {
 	Millis    float64 `json:"ms"`
@@ -140,8 +143,8 @@ const (
 	gatePatternRegime = "rmat-highcf-pattern"
 )
 
-// expandGate is one regime's floor on expand.pct_of_stream under -gate.
-type expandGate struct {
+// phaseGate is one regime's floor on a phase's pct_of_stream under -gate.
+type phaseGate struct {
 	name string
 	pct  float64
 }
@@ -154,7 +157,20 @@ type expandGate struct {
 // replaced). The key-only expand moves a third of the bytes through the same
 // per-nonzero loop, so on 8-long B rows it is instruction-bound near 2 ns per
 // tuple — 35 % measured, 30–35 % before — and its bar sits below that.
-var dramGateRegimes = []expandGate{{"er-dram-squeezed", 40}, {"er-dram-pattern", 25}}
+var dramGateRegimes = []phaseGate{{"er-dram-squeezed", 40}, {"er-dram-pattern", 25}}
+
+// fuseGateRegimes are the floors -gate puts under fuse.pct_of_stream — the
+// fused sort/fold phase's one read-back of the tuples over its time, as a
+// share of the one-thread Triad. Each is 0.8 × what the run committed as
+// BENCH_PR16.json measured (53.4, 7.5, 24.4 and 14.1 %), and no lower than 1.5 ×
+// BENCH_PR14.json's figure where it has one (13.2 % on rmat-highcf-fused,
+// 4.5 % on er-dram-squeezed — which is what sets that floor). The er-dram
+// regime is the LSD on 26-bit keys; the rmat ones fold almost every bin
+// through the direct-address accumulator (rmat-dram is BENCHMARK.json's
+// rmat_skew product).
+var fuseGateRegimes = []phaseGate{
+	{gateFusedRegime, 42.7}, {"er-dram-squeezed", 6.8}, {"rmat-dram-squeezed", 19.5}, {"rmat-dram-pattern", 11.3},
+}
 
 // triadElems sizes the Triad arrays behind every pct_of_stream figure: three
 // 256 MiB arrays, the size BENCHMARK.json's stream.triad_1t_gbs uses.
@@ -195,6 +211,11 @@ func benchCases() []benchCase {
 		// behind the DRAM-resident expand gate.
 		{"er-dram-squeezed", "ER", 16, 8, 1, 2, core.LayoutSqueezed, 1, false, 0, "", false, false},
 		{"er-dram-pattern", "ER", 16, 8, 1, 2, core.LayoutAuto, 1, false, 0, "pattern", false, false},
+		// R-MAT scale 13, edge factor 16, squared — BENCHMARK.json's rmat_skew
+		// product: a 228 MB squeezed arena whose power-law bins reach a million
+		// tuples over an 18-bit key space, the dense fold's home ground.
+		{"rmat-dram-squeezed", "RMAT", 13, 16, 1, 1, core.LayoutSqueezed, 1, false, 0, "", false, false},
+		{"rmat-dram-pattern", "RMAT", 13, 16, 1, 1, core.LayoutAuto, 1, false, 0, "pattern", false, false},
 		// The same high-cf input through the memory-budgeted panel path, so
 		// both fused merge strategies stay visible in the trajectory: a
 		// shallow budget (~3 panels, run counts within fusedEmitMergeMaxRuns)
@@ -217,36 +238,34 @@ func benchCases() []benchCase {
 	}
 }
 
-// withScalarComparators appends the scalar-oracle twin of every
+// withTwins inserts variant(c) right after every batchedGateRegimes case c:
+// the two sides of an in-run ratio gate run back to back, in one heap and
+// cache state, instead of a dozen regimes apart.
+func withTwins(cases []benchCase, variant func(benchCase) benchCase) []benchCase {
+	out := make([]benchCase, 0, len(cases)+len(batchedGateRegimes))
+	for _, c := range cases {
+		out = append(out, c)
+		if slices.Contains(batchedGateRegimes, c.name) {
+			out = append(out, variant(c))
+		}
+	}
+	return out
+}
+
+// withScalarComparators adds the scalar-oracle twin of every
 // batchedGateRegimes entry, so each report carries the batched-vs-scalar
 // pairs -gate compares.
 func withScalarComparators(cases []benchCase) []benchCase {
-	for _, name := range batchedGateRegimes {
-		for _, c := range cases {
-			if c.name == name {
-				cases = append(cases, c.scalarVariant())
-				break
-			}
-		}
-	}
-	return cases
+	return withTwins(cases, benchCase.scalarVariant)
 }
 
-// withCancelPollComparators appends the no-op-hook twin of the acceptance
+// withCancelPollComparators adds the no-op-hook twin of the acceptance
 // regimes. The production configuration (Cancel nil, fault hooks compiled
 // out) only pays the polls' tuple-count arithmetic and an untaken nil check;
 // the twin calls a real hook at every poll window, so twin-vs-base bounds the
 // production overhead from above — that bound is what the -gate holds ≤ 1%.
 func withCancelPollComparators(cases []benchCase) []benchCase {
-	for _, name := range batchedGateRegimes {
-		for _, c := range cases {
-			if c.name == name {
-				cases = append(cases, c.cancelPollVariant())
-				break
-			}
-		}
-	}
-	return cases
+	return withTwins(cases, benchCase.cancelPollVariant)
 }
 
 func (c benchCase) generate() (*matrix.CSR, *matrix.CSR) {
@@ -307,7 +326,7 @@ func runBench(cfg *config) {
 }
 
 // diffBaseline prints the acceptance regimes' ns/op against a prior -json
-// report (e.g. the committed BENCH_PR8.json). Informational only: absolute
+// report (e.g. the committed BENCH_PR16.json). Informational only: absolute
 // ns/op is machine- and load-specific, so cross-run deltas are not gated —
 // the poll-overhead question is answered by the within-run cancelpoll pair
 // in gateBench, which shares one process, one arena and one thermal state.
@@ -450,23 +469,34 @@ func gateBench(report *benchReport) {
 	// (executed loads+stores vs the matching-thread-count Triad roof) — and
 	// where the claim is hard, on the DRAM-resident regimes whose flushed
 	// lines leave the private caches, still its bar's share of it.
-	expandGates := append([]expandGate(nil), dramGateRegimes...)
+	expandGates := append([]phaseGate(nil), dramGateRegimes...)
 	for _, name := range batchedGateRegimes {
-		expandGates = append(expandGates, expandGate{name, 50})
+		expandGates = append(expandGates, phaseGate{name, 50})
 	}
-	for _, g := range expandGates {
-		r := byName[g.name]
-		if r == nil {
-			fmt.Fprintf(os.Stderr, "bench gate: expand-gated regime %s missing from the run\n", g.name)
-			os.Exit(1)
-		}
-		if r.Expand.PctStream < g.pct {
-			fmt.Fprintf(os.Stderr, "bench gate: %s expand at %.1f%% of stream Triad, want ≥ %.0f%%\n",
-				g.name, r.Expand.PctStream, g.pct)
-			failed = true
-		} else {
-			fmt.Printf("bench gate: %s expand at %.1f%% of stream Triad (≥ %.0f%%)\n",
-				g.name, r.Expand.PctStream, g.pct)
+	// ... and the phase that is most of every PB op, the fused sort/fold, at
+	// its own floors (fuseGateRegimes).
+	for _, pg := range []struct {
+		phase string
+		gates []phaseGate
+		pct   func(*benchRegime) float64
+	}{
+		{"expand", expandGates, func(r *benchRegime) float64 { return r.Expand.PctStream }},
+		{"fuse", fuseGateRegimes, func(r *benchRegime) float64 { return r.Fuse.PctStream }},
+	} {
+		for _, g := range pg.gates {
+			r := byName[g.name]
+			if r == nil {
+				fmt.Fprintf(os.Stderr, "bench gate: %s-gated regime %s missing from the run\n", pg.phase, g.name)
+				os.Exit(1)
+			}
+			if got := pg.pct(r); got < g.pct {
+				fmt.Fprintf(os.Stderr, "bench gate: %s %s at %.1f%% of stream Triad, want ≥ %.1f%%\n",
+					g.name, pg.phase, got, g.pct)
+				failed = true
+			} else {
+				fmt.Printf("bench gate: %s %s at %.1f%% of stream Triad (≥ %.1f%%)\n",
+					g.name, pg.phase, got, g.pct)
+			}
 		}
 	}
 	// The sharded route must be free when the grid is degenerate: the 1×1×1
@@ -531,6 +561,10 @@ func runBenchCase(cfg *config, c benchCase) (benchRegime, error) {
 	}
 	flops, nnzc, cf := warm.Flops, warm.NNZC, warm.CF
 	layout, tb := warm.Layout, warm.TupleBytes
+	// Finish the collection the warm-up's growth (and the previous regime's
+	// garbage) set off before the clock and the malloc counter start: a cycle
+	// completing mid-measurement costs time and a runtime allocation or two.
+	runtime.GC()
 
 	reps := cfg.reps
 	if reps < 1 {

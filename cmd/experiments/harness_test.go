@@ -277,3 +277,29 @@ func TestBenchCasesCarryDRAMRegimes(t *testing.T) {
 		}
 	}
 }
+
+// TestBenchCasesCarryFuseGateRegimes: the fuse.pct_of_stream floors key on
+// their regimes by name; each must be single-threaded, fused and unbudgeted
+// (the phase stat is Stats.Fuse), and the rmat-dram pair must be
+// BENCHMARK.json's rmat_skew product — R-MAT scale 13, ef 16, squared.
+func TestBenchCasesCarryFuseGateRegimes(t *testing.T) {
+	byName := map[string]benchCase{}
+	for _, c := range benchCases() {
+		byName[c.name] = c
+	}
+	for _, g := range fuseGateRegimes {
+		c, ok := byName[g.name]
+		if !ok {
+			t.Fatalf("fuse gate regime %s missing", g.name)
+		}
+		if c.threadsCap != 1 || c.unfused || c.budget != 0 || g.pct <= 0 {
+			t.Fatalf("%s (floor %.1f) is not a single-threaded fused single-shot regime: %+v", g.name, g.pct, c)
+		}
+	}
+	for _, name := range []string{"rmat-dram-squeezed", "rmat-dram-pattern"} {
+		c := byName[name]
+		if c.kind != "RMAT" || c.scale != 13 || c.ef != 16 || c.seedA != c.seedB {
+			t.Fatalf("%s is not the rmat_skew product: %+v", name, c)
+		}
+	}
+}

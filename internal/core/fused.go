@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sync/atomic"
 
 	"pbspgemm/internal/faultinject"
@@ -10,48 +11,48 @@ import (
 	"pbspgemm/internal/radix"
 )
 
-// This file is the fused sort→compress→assemble pipeline (the engine's
-// default since PR 5; Options.DisableFusion restores the three-pass PR 4
-// path for ablations). Two fusions remove the passes that re-read the
-// dominant data structure from DRAM:
+// This file is the fused sort→fold→assemble pipeline (the engine's default;
+// Options.DisableFusion runs sort, compress and assemble as three passes, for
+// ablations and as the equivalence tests' oracle).
 //
-//   - The sort's last digit pass folds equal keys as buckets complete
-//     (radix.SortKeys32Fused / radix.SortPairsFused): the two-pointer
-//     compress — a full cold re-read of the sorted tuple buffer plus an
-//     nnz-sized write — disappears into the sort epilogue, where the leaf
-//     being folded is still cache-resident. The fused phase also tallies
-//     per-row output counts in the same breath, so assemble has exact
-//     per-bin offsets the moment sorting ends (sort-and-count), and a
-//     parallel prefix then fixes the row pointers.
-//   - On budgeted runs with shallow per-bin run counts the k-way merge
-//     emits masked column ids and folded values directly into the final CSR
-//     slices instead of an intermediate merged-run buffer: a cheap key-only
-//     counting walk first makes the per-bin output offsets exact, then the
-//     emitting walk writes each bin into its final slot — the merged
-//     intermediate (one full write plus one full read of nnz tuples) never
-//     exists. Deep merges (many panels) keep the intermediate: two
-//     O(k)-per-tuple select-min walks cost more than the buffer they save
-//     past a few runs per bin (fusedEmitMergeMaxRuns).
+// One bin is folded by one of two flat kernels of internal/radix, chosen per
+// bin by denseBin from the bin's tuple count, the packed key width
+// rowShift+colBits and the bin cache budget:
 //
-// Both fusions are bit-identical to the unfused path: the fused sorts run
-// exactly the unfused digit plan and fold in compress order, and the
-// emitting merge folds in exactly mergeBin's order (FuzzFusedVsUnfused and
-// TestFusedMatchesUnfusedBitIdentical pin this).
+//   - Dense bins (few key slots per tuple) fold through a pooled per-worker
+//     direct-address accumulator — radix.FoldDense: each tuple read once,
+//     each output written once, no sort at all.
+//   - Every other bin runs radix.SortFold, a fixed-pass LSD radix over
+//     key|index words that gathers each value once in the sweep that folds.
+//     The wide layout (64-bit keys) keeps radix.SortPairsFusedScratch.
 //
-// The phase is scheduled with work stealing (par.WorkSteal) rather than a
-// static or counter-dynamic bin assignment: a worker that meets an oversized
-// skewed bin runs the sort's own first partition pass and hands the buckets
-// to the other workers as spawned tasks, so a single hot R-MAT bin no longer
-// serializes the phase tail behind one worker. Split bins cannot fold inside
-// buckets safely in isolation (a bucket boundary may cut through a row, and
-// rows of one bin share rowCounts entries), so the worker finishing a split
-// bin's last bucket folds the whole — now sorted — bin with the classic
-// two-pointer compress, which is bit-identical to the fused whole-bin sort.
+// Both tally the bin's per-row output counts as they finish, so assemble has
+// exact offsets the moment the phase ends. Both are bit-identical to the
+// unfused path, and to each other, by one argument: a stable sort leaves
+// equal keys in arrival (expand) order, and every fold is the chain "first
+// value assigned, later ones added" over that order — which is what the
+// two-pointer compress runs over the stably sorted bin (FuzzFusedVsUnfused,
+// TestBothKernelsSameBytes and TestSpecialValuesThroughTheFold pin it).
+//
+// On budgeted runs with shallow per-bin run counts the k-way merge is fused
+// too: a key-only counting walk makes the per-bin output offsets exact, then
+// an emitting walk writes each bin straight into its final CSR slot, folding
+// in exactly mergeBin's order — the merged intermediate never exists. Deep
+// merges keep it: two O(k)-per-tuple select-min walks cost more than the
+// buffer they save past a few runs per bin (fusedEmitMergeMaxRuns).
+//
+// The phase is scheduled with work stealing (par.WorkSteal): a worker that
+// meets an oversized bin too sparse for the dense fold runs one stable
+// top-digit partition pass and hands the buckets to the other workers, which
+// sort them (SortFold, fold off) on the remaining bits. A bucket boundary may
+// cut through a row, so buckets do not fold; the worker finishing a split
+// bin's last bucket folds the whole, now sorted, bin with the two-pointer
+// compress.
 
 // sortTask is one unit of sort-phase work for the work-stealing scheduler: a
 // whole bin, or (bucket=true) one top-digit bucket of a partitioned
-// oversized bin, with arg carrying the remaining key bits (squeezed) or next
-// byte index (wide) to sort at.
+// oversized bin, with arg carrying the remaining key bits (key32 layouts) or
+// next byte index (wide) to sort at.
 type sortTask struct {
 	bin        int32
 	bucket     bool
@@ -66,18 +67,26 @@ type sortTask struct {
 func (e *engine) runSortPhase(fused bool, binOut, rowCounts []int64) {
 	threads := e.opt.Threads
 	bs := e.ws.binStart
-	// Size the per-worker stable-scatter scratch to the panel's largest bin:
-	// every task (whole bin, partition pass, or bucket) fits inside one bin,
-	// so a worker never needs more than maxSeg tuples of private ping-pong
-	// space. Grow-only, like every other pooled plane.
-	var maxSeg int64
+	// Size the per-worker scratch before any worker starts: sort planes for
+	// the panel's largest sorted bin (every task — whole bin, partition pass
+	// or bucket — fits inside one bin), and a direct-address accumulator and
+	// its occupancy bitmap if any bin folds dense. Grow-only, all of it.
+	var maxSeg, accSlots int64
 	for bin := 0; bin < e.nbins; bin++ {
-		if n := bs[bin+1] - bs[bin]; n > maxSeg {
+		n := bs[bin+1] - bs[bin]
+		if fused && e.denseBin(n) {
+			accSlots = int64(1) << e.keyBits()
+		} else if n > maxSeg {
 			maxSeg = n
 		}
 	}
+	if err := radix.CheckSegment(maxSeg); e.key32 && err != nil {
+		e.latchAbort(fmt.Errorf("core: a bin of the %s layout: %w", e.layout, err))
+		return
+	}
 	e.scratchStride = maxSeg
-	e.lay.growScratch(e, int64(threads)*maxSeg)
+	e.lay.growScratch(e, int64(threads)*maxSeg, accSlots)
+	growVals(&e.ws.accBits, int64(threads)*((accSlots+63)/64))
 	if threads == 1 {
 		for bin := 0; bin < e.nbins; bin++ {
 			if e.pollCancel() {
@@ -151,7 +160,7 @@ func (e *engine) runSortTask(worker int, t sortTask, spawn func(sortTask),
 		}
 		return
 	}
-	if t.end-t.start <= cutoff {
+	if n := t.end - t.start; n <= cutoff || fused && e.denseBin(n) {
 		if fused {
 			e.fuseWholeBin(worker, bin, binOut, rowCounts)
 		} else {
@@ -160,11 +169,11 @@ func (e *engine) runSortTask(worker int, t sortTask, spawn func(sortTask),
 		return
 	}
 
-	// Oversized skewed bin: run the sort's own first partition pass here and
-	// spawn the buckets; idle workers steal them, so neither the partition
-	// nor the bucket sorts serialize the phase. The layout provides the pass
-	// (PartitionTop32 / PartitionTop32Pattern / PartitionPairsTopByte); zero
-	// buckets means the pass alone finished the range.
+	// Oversized bin too sparse for the dense fold: run one stable top-digit
+	// partition pass here and spawn the buckets; idle workers steal them, so
+	// neither the partition nor the bucket sorts serialize the phase. The
+	// layout provides the pass (radix.PartitionTop / PartitionPairsScratch);
+	// zero buckets means the pass alone finished the range.
 	lo, hi := t.start, t.end
 	stride := radix.MaxPartitionBuckets + 1
 	bounds := partBounds[worker*stride : (worker+1)*stride]
@@ -193,16 +202,64 @@ func (e *engine) runSortTask(worker int, t sortTask, spawn func(sortTask),
 	}
 }
 
-// fuseWholeBin runs the fused sort+fold over one bin and tallies its row
-// counts (when rowCounts is non-nil; the budgeted path defers tallies to the
-// merge). The folded prefix lands at the bin's own binStart offset, exactly
-// where compressBin would leave it.
+// fuseWholeBin folds one bin with the layout's fused kernel and tallies its
+// row counts (when rowCounts is non-nil; the budgeted path defers tallies to
+// the merge) — inside the kernel, while the folded keys are hot, for the
+// key32 layouts. The folded prefix lands at the bin's own binStart offset, exactly where
+// compressBin would leave it.
 func (e *engine) fuseWholeBin(worker, bin int, binOut, rowCounts []int64) {
 	bs := e.ws.binStart
 	lo, hi := bs[bin], bs[bin+1]
-	n := e.lay.fuseBin(e, worker, lo, hi)
+	var rows []int64
+	if rowCounts != nil {
+		rows = rowCounts[int64(bin)<<e.rowShift+1:]
+	}
+	n := e.lay.fuseBin(e, worker, lo, hi, rows)
 	binOut[bin] = n
-	e.tallyRows(lo, n, rowCounts, bin)
+	if !e.key32 {
+		e.tallyRows(lo, n, rowCounts, bin)
+	}
+}
+
+// keyBits is the packed key width of the run's geometry; at most 32 on the
+// key32 layouts.
+func (e *engine) keyBits() uint { return e.rowShift + e.colBits }
+
+// segKeyBits is the key width a sort segment still varies on: the whole key
+// for a bin, the partition pass's remaining bits for a bucket.
+func (e *engine) segKeyBits(s sortSeg) int {
+	if s.arg < 0 {
+		return int(e.keyBits())
+	}
+	return s.arg
+}
+
+// The per-bin kernel rule's two constants. A bin folds through the
+// direct-address accumulator when its key space is at most denseSlotsPerTuple
+// slots per tuple and the accumulator (one value slot per key, and one bit)
+// is at most denseCacheFactor bin cache budgets. Both come from in-run pairs
+// of the fuse phase (one thread, 2 MiB of L2): BENCHMARK.json's rmat_skew
+// product (18-bit keys, 2 MiB accumulator) fuses in 98 / 77 / 74 ms at 4 /
+// 16 / 64 slots per tuple, and its scale-14 sibling (19-bit keys, 4 MiB) in
+// 848 / 260 ms at a factor of 2 / 4 — an accumulator spilling out of L2 still
+// beats passes that stream an oversized bin from the next level.
+// denseSlotsPerTuple is a variable so tests can force either kernel.
+var denseSlotsPerTuple int64 = 16
+
+const denseCacheFactor = 4
+
+// denseFold is the rule itself, a pure function of the bin's tuple count, the
+// packed key width, the layout's value width and the bin cache budget.
+func denseFold(n int64, keyBits uint, valBytes, l2CacheBytes int64) bool {
+	slots, budget := int64(1)<<keyBits, denseCacheFactor*l2CacheBytes
+	return slots <= denseSlotsPerTuple*n && slots*valBytes <= budget && slots/8 <= budget
+}
+
+// denseBin applies the rule to a bin of n tuples of this run: only the fused
+// key32 layouts have the kernel (their value is the tuple less its 4-byte
+// key); every other bin sorts.
+func (e *engine) denseBin(n int64) bool {
+	return e.key32 && denseFold(n, e.keyBits(), e.tupleBytes-4, int64(e.opt.L2CacheBytes))
 }
 
 // countMergeBins is the counting half of the fused k-way merge: per bin, a

@@ -12,8 +12,8 @@ import (
 // matrix: on ER and R-MAT inputs, budgeted and unbudgeted, at
 // Threads ∈ {1, 2, 8} and in both tuple layouts, the fused (default) output
 // must be bit-identical — structure and float64 values — to the unfused
-// PR 4 path. The fused sorts run the unfused digit plan pass for pass and
-// fold in compress order, so this holds with no tolerance at all.
+// PR 4 path. Every sort is stable and every fold runs in arrival order —
+// compress order — so this holds with no tolerance at all.
 func TestFusedMatchesUnfusedBitIdentical(t *testing.T) {
 	inputs := []struct {
 		name string

@@ -54,8 +54,8 @@ var ErrKeyWidth = errors.New("packed key exceeds 32 bits")
 // layoutOps is the per-layout half of the pipeline: every method is one
 // phase's element accesses over one layout's storage, called with the engine
 // whose geometry (bins, shifts, masks) drives it. Implementations must keep
-// the tuple ORDER identical across layouts — same digit plans, same fold
-// order — so the structural output is bit-identical layout to layout.
+// the tuple ORDER identical across layouts — stable sorts, arrival-order
+// folds — so the structural output is bit-identical layout to layout.
 type layoutOps interface {
 	// growTuples sizes the expanded-tuple buffer for n tuples.
 	growTuples(e *engine, n int64)
@@ -67,12 +67,13 @@ type layoutOps interface {
 	// expandRange is one worker's outer-product expansion with propagation
 	// blocking over panel columns [lo+colBounds[t], lo+colBounds[t+1]).
 	expandRange(e *engine, t, lo int, cursors []int64)
-	// growScratch sizes the layout's sort-phase ping-pong scratch planes to
-	// total tuples (threads × engine.scratchStride).
-	growScratch(e *engine, total int64)
-	// sortSeg sorts tuples [s.start, s.end) on worker s.worker's scratch;
-	// s.arg < 0 means a whole bin, otherwise the remaining key bits / byte
-	// index to recurse at.
+	// growScratch sizes the layout's per-worker sort-phase scratch: total
+	// tuples (threads × engine.scratchStride) of sort planes plus, when the
+	// panel has dense bins, accSlots (1<<keyBits) accumulator slots a worker.
+	growScratch(e *engine, total, accSlots int64)
+	// sortSeg stably sorts tuples [s.start, s.end) on worker s.worker's
+	// scratch; s.arg < 0 means a whole bin, otherwise the remaining key bits
+	// / byte index of a partitioned bucket.
 	sortSeg(e *engine, s sortSeg)
 	// partitionTop runs the sort's first splitting pass over [lo, hi) on the
 	// given worker's scratch, filling bounds (len ≥
@@ -80,9 +81,11 @@ type layoutOps interface {
 	// arg buckets continue sorting at. nbuckets == 0 means the range needs
 	// no further sorting.
 	partitionTop(e *engine, worker int, lo, hi int64, bounds []int64) (nbuckets, arg int)
-	// fuseBin runs the fused sort+fold over [lo, hi) on the given worker's
-	// scratch, leaving the folded prefix in place and returning its length.
-	fuseBin(e *engine, worker int, lo, hi int64) int64
+	// fuseBin folds the bin [lo, hi) on the given worker's scratch, leaving
+	// the sorted, folded prefix in place and returning its length. The key32
+	// layouts also tally the bin's rows into rows (rowCounts from the bin's
+	// first row on; nil skips it); the wide layout leaves that to the caller.
+	fuseBin(e *engine, worker int, lo, hi int64, rows []int64) int64
 	// compressBin folds duplicates of the sorted range [lo, hi) in place,
 	// returning the folded length.
 	compressBin(e *engine, lo, hi int64) int64
@@ -110,9 +113,11 @@ type layoutOps interface {
 	touchRange(e *engine, lo, hi int64)
 }
 
-// growVals is the grow-only sizing helper of the generic value planes, the V
-// counterpart of matrix.GrowFloat64.
-func growVals[V Value](buf *[]V, n int64) []V {
+// growVals is the grow-only sizing helper of the generic planes, the
+// counterpart of matrix.GrowFloat64: existing contents survive a reslice and
+// a reallocation starts zeroed, so a plane that is all-zero between uses (the
+// dense fold's accumulator) stays so.
+func growVals[V any](buf *[]V, n int64) []V {
 	if int64(cap(*buf)) < n {
 		*buf = make([]V, n)
 	}
@@ -209,7 +214,7 @@ func (wideOps) expandRange(e *engine, t, lo int, cursors []int64) {
 	e.expandRangeWide(t, lo, cursors)
 }
 
-func (wideOps) growScratch(e *engine, total int64) {
+func (wideOps) growScratch(e *engine, total, _ int64) {
 	radix.GrowPairs(&e.ws.scratchPairs, total)
 }
 
@@ -234,7 +239,7 @@ func (wideOps) partitionTop(e *engine, worker int, lo, hi int64, bounds []int64)
 	return radix.PartitionPairsScratch(e.ws.tuples[lo:hi], e.scratchPairsFor(worker, hi-lo), bounds, e.batch)
 }
 
-func (wideOps) fuseBin(e *engine, worker int, lo, hi int64) int64 {
+func (wideOps) fuseBin(e *engine, worker int, lo, hi int64, _ []int64) int64 {
 	return radix.SortPairsFusedScratch(e.ws.tuples[lo:hi], e.scratchPairsFor(worker, hi-lo), e.batch)
 }
 
@@ -289,6 +294,7 @@ type kv[V Value] struct {
 	mergedVals  []V
 	outVal      []V
 	scratchVals []V
+	accVals     []V // dense-fold accumulators, all-zero between bins
 
 	// Per-call bindings: the input value planes (parallel to a.RowIdx /
 	// b.ColIdx) and the result's value destination. Cleared after each run so
@@ -316,9 +322,11 @@ func (l *kv[V]) growLocals(e *engine, n int64) {
 
 func (l *kv[V]) resetRuns(e *engine) { l.runVals = l.runVals[:0] }
 
-func (l *kv[V]) growScratch(e *engine, total int64) {
+func (l *kv[V]) growScratch(e *engine, total, accSlots int64) {
 	radix.GrowUint32(&e.ws.scratchKeys, total)
+	growVals(&e.ws.scratchWords, 2*total)
 	growVals(&l.scratchVals, total)
+	growVals(&l.accVals, int64(e.opt.Threads)*accSlots)
 }
 
 // scratchKeysFor returns worker w's private slice of the shared key scratch
@@ -326,6 +334,19 @@ func (l *kv[V]) growScratch(e *engine, total int64) {
 func (e *engine) scratchKeysFor(w int, n int64) []uint32 {
 	off := int64(w) * e.scratchStride
 	return e.ws.scratchKeys[off : off+n]
+}
+
+// scratchWordsFor returns worker w's two private planes of key|index words.
+func (e *engine) scratchWordsFor(w int, n int64) (w0, w1 []uint64) {
+	off := 2 * int64(w) * e.scratchStride
+	return e.ws.scratchWords[off : off+n], e.ws.scratchWords[off+e.scratchStride : off+e.scratchStride+n]
+}
+
+// accBitsFor returns worker w's occupancy bitmap for a key space of slots
+// (runSortPhase sized the plane: one bit per slot per worker).
+func (e *engine) accBitsFor(w int, slots int64) []uint64 {
+	words := (slots + 63) / 64
+	return e.ws.accBits[int64(w)*words:][:words]
 }
 
 // expandRange mirrors expandRangeWide: same column walk, same propagation
@@ -415,16 +436,10 @@ func flushLocalKV[V Value](bin int32, bufK []uint32, bufV []V, lens []int32,
 }
 
 func (l *kv[V]) sortSeg(e *engine, s sortSeg) {
-	keys := e.ws.tupleKeys[s.start:s.end]
-	vals := l.tupleVals[s.start:s.end]
 	n := s.end - s.start
-	auxK := e.scratchKeysFor(s.worker, n)
-	auxV := l.scratchValsFor(e, s.worker, n)
-	if s.arg < 0 {
-		radix.SortKeys32Scratch(keys, vals, auxK, auxV, e.batch)
-	} else {
-		radix.SortKeys32BitsScratch(keys, vals, auxK, auxV, s.arg, e.batch)
-	}
+	w0, w1 := e.scratchWordsFor(s.worker, n)
+	radix.SortFold(e.ws.tupleKeys[s.start:s.end], l.tupleVals[s.start:s.end],
+		w0, w1, l.scratchValsFor(e, s.worker, n), e.segKeyBits(s), false, nil, 0)
 }
 
 func (l *kv[V]) scratchValsFor(e *engine, w int, n int64) []V {
@@ -434,14 +449,21 @@ func (l *kv[V]) scratchValsFor(e *engine, w int, n int64) []V {
 
 func (l *kv[V]) partitionTop(e *engine, worker int, lo, hi int64, bounds []int64) (int, int) {
 	n := hi - lo
-	return radix.PartitionTop32Scratch(e.ws.tupleKeys[lo:hi], l.tupleVals[lo:hi],
-		e.scratchKeysFor(worker, n), l.scratchValsFor(e, worker, n), bounds, e.batch)
+	return radix.PartitionTop(e.ws.tupleKeys[lo:hi], l.tupleVals[lo:hi],
+		e.scratchKeysFor(worker, n), l.scratchValsFor(e, worker, n), bounds)
 }
 
-func (l *kv[V]) fuseBin(e *engine, worker int, lo, hi int64) int64 {
+func (l *kv[V]) fuseBin(e *engine, worker int, lo, hi int64, rows []int64) int64 {
+	keys, vals := e.ws.tupleKeys[lo:hi], l.tupleVals[lo:hi]
 	n := hi - lo
-	return radix.SortKeys32FusedScratch(e.ws.tupleKeys[lo:hi], l.tupleVals[lo:hi],
-		e.scratchKeysFor(worker, n), l.scratchValsFor(e, worker, n), e.batch)
+	if e.denseBin(n) {
+		slots := int64(1) << e.keyBits()
+		acc := l.accVals[int64(worker)*slots:][:slots]
+		return int64(radix.FoldDense(keys, vals, acc, e.accBitsFor(worker, slots), rows, e.colBits))
+	}
+	w0, w1 := e.scratchWordsFor(worker, n)
+	return int64(radix.SortFold(keys, vals, w0, w1, l.scratchValsFor(e, worker, n),
+		int(e.keyBits()), true, rows, e.colBits))
 }
 
 // compressBin is the paper's two-pointer in-place merge over the split
@@ -696,28 +718,28 @@ func flushLocalPattern(bin int32, bufK []uint32, lens []int32,
 	flushPlane(keys[dst:], bufK[src:src+n], nt)
 }
 
-func (patternOps) growScratch(e *engine, total int64) {
+func (patternOps) growScratch(e *engine, total, _ int64) {
 	radix.GrowUint32(&e.ws.scratchKeys, total)
 }
 
 func (patternOps) sortSeg(e *engine, s sortSeg) {
-	keys := e.ws.tupleKeys[s.start:s.end]
-	aux := e.scratchKeysFor(s.worker, s.end-s.start)
-	if s.arg < 0 {
-		radix.SortKeys32PatternScratch(keys, aux, e.batch)
-	} else {
-		radix.SortKeys32BitsPatternScratch(keys, aux, s.arg, e.batch)
-	}
+	radix.SortFoldPattern(e.ws.tupleKeys[s.start:s.end],
+		e.scratchKeysFor(s.worker, s.end-s.start), e.segKeyBits(s), false, nil, 0)
 }
 
 func (patternOps) partitionTop(e *engine, worker int, lo, hi int64, bounds []int64) (int, int) {
-	return radix.PartitionTop32PatternScratch(e.ws.tupleKeys[lo:hi],
-		e.scratchKeysFor(worker, hi-lo), bounds, e.batch)
+	none := make([]struct{}, hi-lo) // the value plane of a key-only tuple: zero bytes
+	return radix.PartitionTop(e.ws.tupleKeys[lo:hi], none, e.scratchKeysFor(worker, hi-lo), none, bounds)
 }
 
-func (patternOps) fuseBin(e *engine, worker int, lo, hi int64) int64 {
-	return radix.SortKeys32FusedPatternScratch(e.ws.tupleKeys[lo:hi],
-		e.scratchKeysFor(worker, hi-lo), e.batch)
+// fuseBin: the fold is deduplication, so dense bins need only the bitmap.
+func (patternOps) fuseBin(e *engine, worker int, lo, hi int64, rows []int64) int64 {
+	keys := e.ws.tupleKeys[lo:hi]
+	if e.denseBin(hi - lo) {
+		return int64(radix.FoldDensePattern(keys, e.accBitsFor(worker, int64(1)<<e.keyBits()), rows, e.colBits))
+	}
+	return int64(radix.SortFoldPattern(keys, e.scratchKeysFor(worker, hi-lo),
+		int(e.keyBits()), true, rows, e.colBits))
 }
 
 // compressBin's fold over the pattern layout is deduplication: equal keys

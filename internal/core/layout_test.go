@@ -5,7 +5,6 @@ import (
 
 	"pbspgemm/internal/gen"
 	"pbspgemm/internal/matrix"
-	"pbspgemm/internal/radix"
 )
 
 // csrBitIdentical is the strict comparison the determinism guarantees are
@@ -369,38 +368,4 @@ func BenchmarkMultiply(b *testing.B) {
 			b.ReportMetric(float64(st.Flops)/sec/1e9, "GFLOPS")
 		})
 	}
-}
-
-// BenchmarkSortPhase isolates the sort phase's layout sensitivity: one
-// L2-sized bin of pre-expanded tuples per layout.
-func BenchmarkSortPhase(b *testing.B) {
-	const n = 64 << 10
-	r := gen.NewRNG(3)
-	keys := make([]uint32, n)
-	vals := make([]float64, n)
-	pairs := make([]radix.Pair, n)
-	for i := range keys {
-		k := uint32(r.Intn(1 << 22)) // squeezed-geometry keys
-		keys[i] = k
-		vals[i] = r.Float64()
-		pairs[i] = radix.Pair{Key: uint64(k), Val: vals[i]}
-	}
-	b.Run("layout=squeezed", func(b *testing.B) {
-		wk := make([]uint32, n)
-		wv := make([]float64, n)
-		b.SetBytes(n * SqueezedTupleBytes)
-		for i := 0; i < b.N; i++ {
-			copy(wk, keys)
-			copy(wv, vals)
-			radix.SortKeys32(wk, wv)
-		}
-	})
-	b.Run("layout=wide", func(b *testing.B) {
-		wp := make([]radix.Pair, n)
-		b.SetBytes(n * WideTupleBytes)
-		for i := 0; i < b.N; i++ {
-			copy(wp, pairs)
-			radix.SortPairsInPlace(wp)
-		}
-	})
 }

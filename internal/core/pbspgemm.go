@@ -16,15 +16,13 @@
 //     of 16 tuples and each worker's first flush into a bin lands its cursor
 //     on a 16-tuple boundary (flushSpan), so every later flush moves whole
 //     64-byte lines to a line-aligned destination.
-//  3. Sort: each global bin is sorted independently (bins per thread,
-//     dynamic schedule) with an in-place American-flag radix sort on packed
-//     keys localRow<<colBits|colid. Because local row ids are small, high
-//     key bytes are zero and the sorter performs the few passes a squeezed
-//     4-byte key would need (Section III-D).
-//  4. Compress: the paper's two-pointer in-place merge sums tuples with
-//     equal keys; a final parallel pass assembles canonical CSR (bins cover
-//     disjoint, ordered row ranges, so concatenating compressed bins is
-//     already CSR order).
+//  3. Sort and compress (Sections III-D, III-E): each global bin is sorted
+//     on its packed keys localRow<<colBits|colid and equal keys are summed,
+//     bin by bin under a dynamic schedule. Because local row ids are small
+//     the key fits 4 bytes for almost every matrix, and the two steps run
+//     fused, as one of internal/radix's two kernels (fused.go).
+//  4. Assemble: bins cover disjoint, ordered row ranges, so concatenating
+//     the folded bins is already canonical CSR order.
 //
 // Two execution-engine extensions go beyond the paper's single-shot design:
 //
@@ -199,8 +197,9 @@ type Options struct {
 	// mode actually run.
 	DisableFusion bool
 	// DisableBatch runs the portable scalar kernels instead of the batched
-	// (unsafe, pointer-stepped) implementations of the expand/scatter/fold
-	// inner loops in internal/simd. Output is bit-identical either way — the
+	// (unsafe, pointer-stepped) implementations in internal/simd: expand on
+	// every layout, sort and fold on the wide one (the key32 sort/fold
+	// kernels have one, safe, form). Output is bit-identical either way — the
 	// scalar kernels are the batched ones's oracle — so the switch exists for
 	// ablations, equivalence tests and debugging. Builds with the purego tag
 	// run scalar regardless. Stats.Kernel reports the kernel set actually
@@ -896,13 +895,11 @@ func PlanLayout(rows, bCols int32, flops int64, opt Options) Layout {
 }
 
 // colBitsFor is the packed-key width of a column id for a B with bCols
-// columns (at least 1 bit, matching symbolic()).
+// columns: the bits of the largest id, bCols-1 (at least 1 bit). A
+// power-of-two bCols wastes no bit, which halves the key space the dense fold
+// addresses and can spare the sparse one a pass.
 func colBitsFor(bCols int32) uint {
-	cb := uint(bits.Len32(uint32(bCols)))
-	if cb == 0 {
-		cb = 1
-	}
-	return cb
+	return uint(max(bits.Len32(uint32(max(bCols, 1)-1)), 1))
 }
 
 // panelPlan computes per-bin flop counts for columns [lo, hi) of A with one
@@ -1125,10 +1122,10 @@ func flushLocalBin(bin int32, buf []radix.Pair, lens []int32,
 }
 
 // sortSeg is one unit of sort-phase work: tuples [start, end) of the current
-// panel's buffer. arg < 0 marks a whole bin (the sorter derives its plan
-// from the keys' OR); otherwise the segment is a bucket of a partitioned
-// oversized bin and arg carries the remaining key bits (squeezed layout) or
-// the next byte index (wide layout) to recurse at. The sort phase itself —
+// panel's buffer. arg < 0 marks a whole bin; otherwise the segment is a
+// bucket of a partitioned oversized bin and arg carries the remaining key
+// bits (key32 layouts) or the next byte index (wide layout) to sort at. The
+// sort phase itself —
 // fused or not — is scheduled by runSortPhase (fused.go) over a
 // work-stealing queue, so oversized skewed bins are partitioned by whichever
 // worker meets them and their buckets spread across the pool, instead of

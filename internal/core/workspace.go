@@ -64,12 +64,16 @@ type Workspace struct {
 	localKeys []uint32
 	localLens []int32
 
-	// Sort-phase ping-pong scratch, flattened threads × maxBinTuples of the
-	// current panel (engine.scratchStride), per layout; each worker's slice
-	// is private, so the stable scatter sorts never contend. Value planes of
-	// the kv layouts live in their kv pools (kv.scratchVals).
+	// Sort-phase scratch, flattened threads × the current panel's largest
+	// sorted segment (engine.scratchStride), per layout; each worker's slice
+	// is private, so the stable scatter sorts never contend. scratchWords is
+	// the kv layouts' two key|index planes per worker, accBits the dense
+	// fold's occupancy bitmaps (threads × 1<<keyBits bits, all-zero between
+	// bins). Value planes live in the kv pools (kv.scratchVals, kv.accVals).
 	scratchPairs []radix.Pair
 	scratchKeys  []uint32
+	scratchWords []uint64
+	accBits      []uint64
 
 	// Sort-phase scheduler state: the pooled steal policy (counters reused
 	// across calls) plus the NUMA worker→node assignment and victim orders,

@@ -1,0 +1,357 @@
+package radix
+
+import (
+	"errors"
+	"fmt"
+	"math"
+	"math/bits"
+
+	"pbspgemm/internal/simd"
+)
+
+// The sparse-bin kernel: a fixed-pass stable LSD radix over the packed
+// 32-bit key. The digit plan is fixed before any tuple moves (lsdPlan), one
+// sweep over the key plane fills the histograms of every digit at once, and
+// a digit on which all tuples agree is skipped outright. The first scatter
+// reads the key plane and writes key<<32|index words; later passes move
+// those 8-byte words between the two scratch planes; the value plane stays
+// where expand left it until one final sweep gathers vals[index] — once —
+// in sorted order. Every tuple is touched a fixed number of times: no
+// recursion, no per-bucket dispatch, no insertion leaves.
+//
+// LSD passes are stable, so equal keys reach the final sweep in arrival
+// order and the fold there is the same left-to-right chain (first value
+// assigned, later ones added) as FoldDense and as a two-pointer compress
+// over any other stable sort of the bin: fold, sort-only + compress, and a
+// bin split across workers by PartitionTop all produce identical bytes.
+
+const (
+	// maxDigitBits caps a digit at 2048 buckets: two passes cover a 22-bit
+	// key and three any 32-bit key, while one pass's cursors (8 KiB) stay in
+	// L1. minDigitBits keeps short segments from planning a pass per few
+	// bits, and bounds the plan at maxPasses for any key of at most 32 bits.
+	maxDigitBits = 11
+	minDigitBits = 8
+	maxPasses    = 4
+	// bucketMask clamps a digit to its table: a no-op on values (a digit is
+	// at most maxDigitBits wide) that lets the compiler drop the bounds check
+	// from the histogram and scatter inner loops.
+	bucketMask = 1<<maxDigitBits - 1
+	// gatherBlock is how many values the final sweep gathers ahead of its
+	// fold (2 KiB of float64: a corner of L1).
+	gatherBlock = 256
+)
+
+// histograms holds one counter (then cursor) table per planned pass.
+type histograms [maxPasses][1 << maxDigitBits]uint32
+
+// maxSegment is the longest segment the index-carrying sort can address with
+// its 32-bit source index; a variable so tests can reach the limit.
+var maxSegment = uint64(math.MaxUint32)
+
+// ErrSegmentTooLarge reports a segment whose tuples a 32-bit source index
+// cannot number.
+var ErrSegmentTooLarge = errors.New("radix: segment too long for a 32-bit source index")
+
+// CheckSegment returns ErrSegmentTooLarge when a segment of n tuples is too
+// long for SortFold. Callers size their scratch from n anyway and check
+// there; SortFold itself panics on a violation rather than wrap an index.
+func CheckSegment(n int64) error {
+	if uint64(n) > maxSegment {
+		return fmt.Errorf("%w: %d", ErrSegmentTooLarge, n)
+	}
+	return nil
+}
+
+// lsdPlan splits keyBits into equal digits: as few passes as maxDigitBits
+// (or, for a short segment, about log2 n) allows, each ⌈keyBits/passes⌉ wide.
+func lsdPlan(n, keyBits int) (passes, digit int) {
+	w := min(max(bits.Len(uint(n))-1, minDigitBits), maxDigitBits)
+	passes = max((keyBits+w-1)/w, 1)
+	return passes, (keyBits + passes - 1) / passes
+}
+
+// count fills hist[p][d] with the number of keys whose p-th digit is d, for
+// every planned pass in one sweep, and returns the OR of key^keys[0] over the
+// segment: the bits on which the keys disagree. Keys that disagree at or
+// above keyBits break the caller's precondition (a packed key wider than the
+// engine planned) and panic rather than mis-sort.
+func (hist *histograms) count(keys []uint32, passes, digit, keyBits int) uint32 {
+	mask := uint32(1)<<digit - 1
+	s1, s2, s3 := uint(digit)&31, uint(2*digit)&31, uint(3*digit)&31
+	h0, h1, h2, h3 := &hist[0], &hist[1], &hist[2], &hist[3]
+	k0 := keys[0]
+	var diff uint32
+	switch passes {
+	case 1:
+		for _, k := range keys {
+			diff |= k ^ k0
+			h0[k&mask&bucketMask]++
+		}
+	case 2:
+		for _, k := range keys {
+			diff |= k ^ k0
+			h0[k&mask&bucketMask]++
+			h1[k>>s1&mask&bucketMask]++
+		}
+	case 3:
+		for _, k := range keys {
+			diff |= k ^ k0
+			h0[k&mask&bucketMask]++
+			h1[k>>s1&mask&bucketMask]++
+			h2[k>>s2&mask&bucketMask]++
+		}
+	default:
+		for _, k := range keys {
+			diff |= k ^ k0
+			h0[k&mask&bucketMask]++
+			h1[k>>s1&mask&bucketMask]++
+			h2[k>>s2&mask&bucketMask]++
+			h3[k>>s3&mask&bucketMask]++
+		}
+	}
+	if diff>>keyBits != 0 {
+		panic(fmt.Sprintf("radix: keys disagree above bit %d (diff %#x)", keyBits, diff))
+	}
+	return diff
+}
+
+// starts turns the first 1<<digit counts of one table into exclusive start
+// offsets in place.
+func starts(h *[1 << maxDigitBits]uint32, digit int) {
+	var sum uint32
+	for d, c := range h[:1<<digit] {
+		h[d] = sum
+		sum += c
+	}
+}
+
+// tally adds the folded keys' per-row counts to rows[key>>colBits] (rows ==
+// nil skips it). The keys are sorted, so a row is a run: it is counted in a
+// register and stored once, where an increment per key would chain each load
+// to the store before it.
+func tally(keys []uint32, rows []int64, colBits uint) {
+	if rows == nil || len(keys) == 0 {
+		return
+	}
+	row, count := keys[0]>>colBits, int64(0)
+	for _, k := range keys {
+		if r := k >> colBits; r != row {
+			rows[row] += count
+			row, count = r, 0
+		}
+		count++
+	}
+	rows[row] += count
+}
+
+// SortFold stably sorts keys/vals by the low keyBits bits of the key — all
+// keys must agree on the bits above — and, with fold set, folds equal keys
+// (first value assigned, later ones added in arrival order), leaving the
+// folded tuples in the prefix of keys/vals and tallying rows[key>>colBits]
+// for each (rows == nil skips the tally). w0, w1 and tmp are scratch planes
+// of at least len(keys); their contents are clobbered. Returns the tuple
+// count left in keys/vals: the folded count, or len(keys) when sort-only.
+func SortFold[V Numeric](keys []uint32, vals []V, w0, w1 []uint64, tmp []V, keyBits int, fold bool, rows []int64, colBits uint) int {
+	n := len(keys)
+	vals = vals[:n]
+	if n < 2 {
+		if fold {
+			tally(keys, rows, colBits)
+		}
+		return n
+	}
+	if uint64(n) > maxSegment {
+		panic(ErrSegmentTooLarge)
+	}
+	passes, digit := lsdPlan(n, keyBits)
+	var hist histograms
+	diff := hist.count(keys, passes, digit, keyBits)
+	if diff == 0 {
+		// Every key equal: arrival order is the sorted order.
+		if !fold {
+			return n
+		}
+		v := vals[0]
+		for _, x := range vals[1:] {
+			v += x
+		}
+		vals[0] = v
+		tally(keys[:1], rows, colBits)
+		return 1
+	}
+	mask := uint32(1)<<digit - 1
+	var cur, alt []uint64
+	for p := 0; p < passes; p++ {
+		shift := uint(p*digit) & 31
+		if diff>>shift&mask == 0 {
+			continue // all tuples agree on this digit
+		}
+		h := &hist[p]
+		starts(h, digit)
+		if cur == nil {
+			cur, alt = w0[:n], w1[:n]
+			for i, k := range keys {
+				d := k >> shift & mask & bucketMask
+				cur[h[d]] = uint64(k)<<32 | uint64(i)
+				h[d]++
+			}
+			continue
+		}
+		shift += 32 // < 64: the compiler drops the oversized-shift check
+		for _, w := range cur {
+			d := uint32(w>>shift) & mask & bucketMask
+			alt[h[d]] = w
+			h[d]++
+		}
+		cur, alt = alt, cur
+	}
+	// By now the value plane has left the private caches (two to four
+	// planes of tuples have streamed through since expand wrote it); fetching
+	// it back as one sequential stream is cheaper than the gather's misses.
+	simd.PrefetchSlice(vals)
+	tmp = tmp[:n]
+	if !fold {
+		for i, w := range cur {
+			keys[i], tmp[i] = uint32(w>>32), vals[uint32(w)]
+		}
+		copy(vals, tmp)
+		return n
+	}
+	// The gather is decoupled from the fold, a block at a time: a loop of
+	// independent loads keeps many of the value plane's cache misses in
+	// flight, which the fold's add chain and its equal-key branch would
+	// serialize.
+	var block [gatherBlock]V
+	out := 0
+	pk, acc := uint32(cur[0]>>32), vals[uint32(cur[0])]
+	for rest := cur[1:]; len(rest) > 0; {
+		ws := rest[:min(len(rest), gatherBlock)]
+		rest = rest[len(ws):]
+		for i, w := range ws {
+			block[i] = vals[uint32(w)]
+		}
+		for i, w := range ws {
+			k := uint32(w >> 32)
+			if k == pk {
+				acc += block[i]
+				continue
+			}
+			keys[out], tmp[out] = pk, acc
+			out++
+			pk, acc = k, block[i]
+		}
+	}
+	keys[out], tmp[out] = pk, acc
+	out++
+	copy(vals, tmp[:out])
+	tally(keys[:out], rows, colBits)
+	return out
+}
+
+// SortFoldPattern is SortFold for the key-only pattern layout: the passes
+// move bare 4-byte keys between keys and aux (at least len(keys) long,
+// clobbered) and the fold is deduplication.
+func SortFoldPattern(keys, aux []uint32, keyBits int, fold bool, rows []int64, colBits uint) int {
+	n := len(keys)
+	if n < 2 {
+		if fold {
+			tally(keys, rows, colBits)
+		}
+		return n
+	}
+	passes, digit := lsdPlan(n, keyBits)
+	var hist histograms
+	diff := hist.count(keys, passes, digit, keyBits)
+	mask := uint32(1)<<digit - 1
+	cur, alt := keys, aux[:n]
+	for p := 0; p < passes; p++ {
+		shift := uint(p*digit) & 31
+		if diff>>shift&mask == 0 {
+			continue
+		}
+		h := &hist[p]
+		starts(h, digit)
+		for _, k := range cur {
+			d := k >> shift & mask & bucketMask
+			alt[h[d]] = k
+			h[d]++
+		}
+		cur, alt = alt, cur
+	}
+	if !fold {
+		if &cur[0] != &keys[0] {
+			copy(keys, cur)
+		}
+		return n
+	}
+	// Dedup into the prefix of keys; in place when cur is keys (the write
+	// position never passes the read position).
+	out := 0
+	pk := cur[0]
+	for _, k := range cur[1:] {
+		if k == pk {
+			continue
+		}
+		keys[out] = pk
+		out++
+		pk = k
+	}
+	keys[out] = pk
+	tally(keys[:out+1], rows, colBits)
+	return out + 1
+}
+
+// MaxPartitionBuckets is the most buckets a partition pass can emit; callers
+// size its bounds slice to MaxPartitionBuckets+1.
+const MaxPartitionBuckets = maxBuckets
+
+// PartitionTop is the one stable top-digit pass that splits an oversized bin
+// across workers: a counting scatter on the highest digitBits bits the keys
+// actually differ on, through auxK/auxV (at least len(keys), clobbered) and
+// copied back, with the bucket starts written to bounds (len ≥
+// MaxPartitionBuckets+1). The caller finishes each bucket with SortFold on
+// restBits in sort-only mode and folds the whole bin afterwards; stability
+// makes that bit-identical to one SortFold call. nbuckets == 0 means the bin
+// is already sorted (all keys equal, or the pass consumed the last bits). The
+// key-only pattern layout passes []struct{} planes for vals and auxV.
+func PartitionTop[V any](keys []uint32, vals []V, auxK []uint32, auxV []V, bounds []int64) (nbuckets, restBits int) {
+	n := len(keys)
+	if n < 2 {
+		return 0, 0
+	}
+	var diff uint32
+	for _, k := range keys {
+		diff |= k ^ keys[0]
+	}
+	hi := bits.Len32(diff)
+	if hi == 0 {
+		return 0, 0
+	}
+	w := min(hi, digitBits)
+	shift, nb, mask := uint(hi-w), 1<<w, uint32(1)<<w-1
+	var cursor [maxBuckets]int64
+	for _, k := range keys {
+		cursor[k>>shift&mask]++
+	}
+	sum := int64(0)
+	for b := 0; b < nb; b++ {
+		c := cursor[b]
+		cursor[b], bounds[b] = sum, sum
+		sum += c
+	}
+	bounds[nb] = sum
+	vals, auxK, auxV = vals[:n], auxK[:n], auxV[:n]
+	for i, k := range keys {
+		d := k >> shift & mask
+		c := cursor[d]
+		auxK[c], auxV[c] = k, vals[i]
+		cursor[d] = c + 1
+	}
+	copy(keys, auxK)
+	copy(vals, auxV)
+	if shift == 0 {
+		return 0, 0
+	}
+	return nb, int(shift)
+}

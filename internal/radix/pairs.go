@@ -9,9 +9,9 @@ type Pair struct {
 	Val float64
 }
 
-// SortPairsInPlace sorts ps by Key ascending with the same in-place
-// American-flag byte radix as SortPairs, skipping all-zero high bytes
-// (the key-squeezing optimization).
+// SortPairsInPlace sorts ps by Key ascending with an in-place American-flag
+// byte radix (McIlroy/Bostic/McIlroy 1993), skipping all-zero high bytes
+// (the paper's key-squeezing observation: small packed keys need few passes).
 func SortPairsInPlace(ps []Pair) {
 	if len(ps) < 2 {
 		return
@@ -33,10 +33,7 @@ type flagStatePairs struct {
 }
 
 // flagPassPairs runs one complete American-flag byte pass — counting,
-// prefix, and (unless the byte is uniform) the swap permute. It is THE
-// pass: both the recursive sorter and PartitionPairsTopByte go through it,
-// so a bin split across workers sorts into exactly the bytes a whole-bin
-// sort produces.
+// prefix, and (unless the byte is uniform) the swap permute.
 func flagPassPairs(ps []Pair, byteIdx int, st *flagStatePairs) {
 	shift := uint(byteIdx * 8)
 	for i := range ps {
@@ -108,56 +105,6 @@ func insertionSortPairs(ps []Pair) {
 		}
 		ps[j+1] = p
 	}
-}
-
-// SortPairsAtByte performs one American-flag pass on the given byte position
-// and recurses downward — the wide-layout counterpart of the squeezed
-// SortKeys32Bits: callers that partitioned a slice with
-// PartitionPairsTopByte finish each bucket here, and the combined result is
-// bit-identical to SortPairsInPlace.
-func SortPairsAtByte(ps []Pair, byteIdx int) { sortPairsAtByte(ps, byteIdx) }
-
-// PartitionPairsTopByte is the wide-layout counterpart of the squeezed
-// PartitionTop32: the first splitting American-flag pass of
-// SortPairsInPlace (via flagPassPairs, the sorter's own pass), returning
-// bucket boundaries and the byte index the buckets still need sorting at
-// (negative: nothing left to sort).
-func PartitionPairsTopByte(ps []Pair) (bounds [257]int, nextByte int) {
-	if len(ps) < 2 {
-		return bounds, -1
-	}
-	var or uint64
-	for i := range ps {
-		or |= ps[i].Key
-	}
-	if or == 0 {
-		return bounds, -1
-	}
-	byteIdx := topByte(or)
-	for {
-		var st flagStatePairs
-		flagPassPairs(ps, byteIdx, &st)
-		if st.nonEmpty == 1 {
-			if byteIdx == 0 {
-				return bounds, -1 // every key identical
-			}
-			byteIdx--
-			continue
-		}
-		copy(bounds[:256], st.start[:])
-		bounds[256] = len(ps)
-		return bounds, byteIdx - 1
-	}
-}
-
-// PairsSorted reports whether ps is non-decreasing by Key.
-func PairsSorted(ps []Pair) bool {
-	for i := 1; i < len(ps); i++ {
-		if ps[i-1].Key > ps[i].Key {
-			return false
-		}
-	}
-	return true
 }
 
 // GrowPairs returns (*buf)[:n], reallocating only when capacity is short;

@@ -7,6 +7,10 @@ import (
 	"testing/quick"
 )
 
+func pairsSorted(ps []Pair) bool {
+	return sort.SliceIsSorted(ps, func(a, b int) bool { return ps[a].Key < ps[b].Key })
+}
+
 func TestSortPairsInPlaceMatchesStdlib(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	for _, n := range []int{0, 1, 2, 31, 32, 33, 500, 20000} {
@@ -18,7 +22,7 @@ func TestSortPairsInPlaceMatchesStdlib(t *testing.T) {
 			want := append([]Pair(nil), ps...)
 			sort.SliceStable(want, func(a, b int) bool { return want[a].Key < want[b].Key })
 			SortPairsInPlace(ps)
-			if !PairsSorted(ps) {
+			if !pairsSorted(ps) {
 				t.Fatalf("n=%d maxKey=%d: not sorted", n, maxKey)
 			}
 			for i := range ps {
@@ -48,7 +52,7 @@ func TestSortPairsInPlacePreservesPayloadMultiset(t *testing.T) {
 			seen[p.Val] = true
 			got += p.Val
 		}
-		return got == sum && PairsSorted(ps)
+		return got == sum && pairsSorted(ps)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
@@ -61,7 +65,7 @@ func TestSortPairsInPlaceAllEqual(t *testing.T) {
 		ps[i] = Pair{Key: 42, Val: float64(i)}
 	}
 	SortPairsInPlace(ps)
-	if !PairsSorted(ps) {
+	if !pairsSorted(ps) {
 		t.Fatal("equal keys broke sorting")
 	}
 }
@@ -80,26 +84,5 @@ func BenchmarkSortPairsInPlace64K(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		copy(work, src)
 		SortPairsInPlace(work)
-	}
-}
-
-func BenchmarkSortPairsParallelArrays64K(b *testing.B) {
-	// The same workload through the parallel-array variant, quantifying the
-	// packed layout's advantage (ablation for the tuple-layout choice).
-	r := rand.New(rand.NewSource(1))
-	srcK := make([]uint64, 1<<16)
-	srcV := make([]float64, 1<<16)
-	for i := range srcK {
-		srcK[i] = r.Uint64() & (1<<30 - 1)
-		srcV[i] = r.Float64()
-	}
-	wk := make([]uint64, len(srcK))
-	wv := make([]float64, len(srcV))
-	b.SetBytes(int64(len(srcK) * 16))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(wk, srcK)
-		copy(wv, srcV)
-		SortPairs(wk, wv)
 	}
 }

@@ -1,40 +1,44 @@
-// Package radix implements the in-place MSD radix sort ("American flag
-// sort", McIlroy/Bostic/McIlroy 1993) the paper uses to sort each global bin
-// of expanded tuples (Section III-D). Keys are packed (rowid, colid) pairs;
-// values travel with their keys as payloads.
+// Package radix holds the sort and fold kernels the engine runs over one
+// global bin of expanded tuples (the paper's Section III-D, "sort and merge
+// each bin in cache"). Keys are packed (localRow<<colBits | col) pairs.
 //
-// The paper's key-squeezing optimization — representing the in-bin local row
-// id in ~10 bits so the combined key fits 4 bytes and needs only four passes —
-// is realized here by skipping byte positions that are zero across the whole
-// slice: PB-SpGEMM packs keys as localRow<<colBits|col, so small local row
-// ids leave the high key bytes zero and the sorter automatically performs
-// only the passes a 4-byte key would need.
+// The key32 layouts (squeezed, narrow, pattern — a uint32 key plane beside an
+// optional value plane) are served by two flat kernels, chosen per bin by the
+// caller from the bin's tuple count and its packed key width:
+//
+//   - FoldDense / FoldDensePattern (dense.go), for a bin whose key space is
+//     no larger than a few slots per tuple: a direct-address accumulator —
+//     one value slot per key plus an occupancy bitmap — folds the tuples in
+//     arrival order and is then walked in key order. It is the radix sort
+//     whose one digit is the whole key, with the merge fused into it.
+//   - SortFold / SortFoldPattern (lsd.go), for every other bin: a fixed-pass
+//     stable LSD radix that sorts key<<32|index words and gathers each value
+//     once, in the final sweep that also folds equal neighbours. With fold
+//     off it is the stable sort behind the unfused pipeline and behind the
+//     buckets PartitionTop cuts an oversized bin into.
+//
+// Both fold an equal-key group as one chain in arrival order — the first
+// value assigned, each later one added — which is exactly what a two-pointer
+// compress does over a stably sorted bin. So dense, sparse, sort-only +
+// compress and split-across-workers all produce the same bytes, special
+// values (−0.0, NaN, ±Inf) and int32 wrap-around included.
+//
+// The wide layout's 16-byte Pair (a 64-bit key when localRow and col do not
+// fit 32 bits together) keeps its byte-digit sorts: the in-place American
+// flag sort of pairs.go for the ESC baseline and format conversion, and the
+// stable scratch-plane family of stablepairs.go for the engine.
 package radix
 
-// insertionCutoff is the sub-slice size below which insertion sort beats the
-// bucket machinery. 32 is the conventional choice for 16-byte elements.
+// insertionCutoff is the sub-slice size below which the Pair sorts switch to
+// insertion sort. 32 is the conventional choice for 16-byte elements.
 const insertionCutoff = 32
 
-// SortPairs sorts keys ascending, permuting vals identically, in place.
-func SortPairs(keys []uint64, vals []float64) {
-	if len(keys) != len(vals) {
-		panic("radix: keys and vals length mismatch")
-	}
-	if len(keys) < 2 {
-		return
-	}
-	// Find the highest byte position that is not uniformly zero. OR-ing all
-	// keys gives the occupied bit positions.
-	var or uint64
-	for _, k := range keys {
-		or |= k
-	}
-	if or == 0 {
-		return // all keys zero: already sorted
-	}
-	top := topByte(or)
-	sortAtByte(keys, vals, top)
-}
+// digitBits is the digit width of the Pair sorts and of the partition pass:
+// 256 buckets keep each pass's counter and cursor arrays inside L1.
+const digitBits = 8
+
+// maxBuckets sizes the per-pass counter arrays.
+const maxBuckets = 1 << digitBits
 
 // topByte returns the index (0 = least significant) of the most significant
 // non-zero byte of x.
@@ -49,107 +53,12 @@ func topByte(x uint64) int {
 	return b
 }
 
-// sortAtByte performs one American-flag pass on the given byte position and
-// recurses into buckets on the next lower byte.
-func sortAtByte(keys []uint64, vals []float64, byteIdx int) {
-	n := len(keys)
-	if n < 2 {
-		return
+// GrowUint32 returns (*buf)[:n], reallocating only when capacity is short;
+// contents are unspecified. Counterpart of GrowPairs for the key32 planes.
+func GrowUint32(buf *[]uint32, n int64) []uint32 {
+	if int64(cap(*buf)) < n {
+		*buf = make([]uint32, n)
 	}
-	if n <= insertionCutoff {
-		insertionSort(keys, vals)
-		return
-	}
-	shift := uint(byteIdx * 8)
-
-	// Count bucket sizes.
-	var count [256]int
-	for _, k := range keys {
-		count[(k>>shift)&0xff]++
-	}
-
-	// If everything landed in one bucket this byte is uninformative; recurse
-	// directly (common when keys were squeezed into fewer bytes).
-	var start [256]int
-	var end [256]int
-	sum := 0
-	nonEmpty := 0
-	for b := 0; b < 256; b++ {
-		start[b] = sum
-		sum += count[b]
-		end[b] = sum
-		if count[b] > 0 {
-			nonEmpty++
-		}
-	}
-	if nonEmpty == 1 {
-		if byteIdx > 0 {
-			sortAtByte(keys, vals, byteIdx-1)
-		}
-		return
-	}
-
-	// Permute in place: for each bucket, swap misplaced elements into their
-	// home bucket until this bucket's range is fully settled.
-	var cursor [256]int
-	copy(cursor[:], start[:])
-	for b := 0; b < 256; b++ {
-		for cursor[b] < end[b] {
-			k := keys[cursor[b]]
-			home := int((k >> shift) & 0xff)
-			if home == b {
-				cursor[b]++
-				continue
-			}
-			// Swap into the home bucket's next free slot.
-			j := cursor[home]
-			keys[cursor[b]], keys[j] = keys[j], k
-			vals[cursor[b]], vals[j] = vals[j], vals[cursor[b]]
-			cursor[home]++
-		}
-	}
-
-	if byteIdx == 0 {
-		return
-	}
-	for b := 0; b < 256; b++ {
-		if count[b] > 1 {
-			sortAtByte(keys[start[b]:end[b]], vals[start[b]:end[b]], byteIdx-1)
-		}
-	}
-}
-
-// insertionSort sorts a small slice of pairs.
-func insertionSort(keys []uint64, vals []float64) {
-	for i := 1; i < len(keys); i++ {
-		k, v := keys[i], vals[i]
-		j := i - 1
-		for j >= 0 && keys[j] > k {
-			keys[j+1] = keys[j]
-			vals[j+1] = vals[j]
-			j--
-		}
-		keys[j+1] = k
-		vals[j+1] = v
-	}
-}
-
-// IsSorted reports whether keys is non-decreasing.
-func IsSorted(keys []uint64) bool {
-	for i := 1; i < len(keys); i++ {
-		if keys[i-1] > keys[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Passes returns the number of byte passes SortPairs will need for keys whose
-// OR is x — the quantity the paper's key-squeezing argument minimizes (8
-// passes for raw 8-byte keys, 4 for squeezed 4-byte keys).
-func Passes(x uint64) int {
-	if x == 0 {
-		return 0
-	}
-	return topByte(x) + 1
+	*buf = (*buf)[:n]
+	return *buf
 }

@@ -1,9 +1,12 @@
 package radix
 
-// Wide-layout (16-byte Pair) twins of stable32.go, on whole-byte digits
-// like the original pair sorter. The legacy in-place SortPairsInPlace /
-// SortPairs in pairs.go stay untouched — they serve the ESC baseline and
-// format conversion, which have no scratch planes.
+// The wide layout's stable sort family, on whole-byte digits. Each splitting
+// pass is a STABLE counting scatter ping-ponging between the tuple buffer and
+// a caller-provided scratch plane, so equal keys keep their arrival (expand)
+// order at every level; that is what makes the wide layout's fused, unfused
+// and split-across-workers paths bit-identical at any thread count, exactly
+// as the key32 kernels are. The in-place SortPairsInPlace of pairs.go serves
+// the callers that have no scratch plane (ESC baseline, format conversion).
 
 // SortPairsStable stably sorts ps by Key. aux must be at least len(ps); its
 // contents are clobbered.

@@ -7,37 +7,11 @@ import "unsafe"
 // Batched unsafe kernels. Each mirrors its ...Scalar twin exactly — same
 // element order, same sequential fold chains — but works through raw
 // pointers so the compiler emits no bounds checks in the inner loop, and
-// unrolls the gather-heavy passes 8 wide so eight independent loads are in
+// unrolls the OR and counting passes 4 wide so four independent loads are in
 // flight per iteration. The caller contract (digits ≤ 255, cursors in
 // bounds) is inherited from scalar.go; these kernels do not re-check it.
 
 const Enabled = true
-
-// OrU32 is the batched OrU32Scalar.
-func OrU32(keys []uint32) uint32 {
-	n := len(keys)
-	if n == 0 {
-		return 0
-	}
-	kp := unsafe.Pointer(&keys[0])
-	var o0, o1, o2, o3, o4, o5, o6, o7 uint32
-	i := 0
-	for ; i+8 <= n; i += 8 {
-		o0 |= *(*uint32)(unsafe.Add(kp, uintptr(i)*4))
-		o1 |= *(*uint32)(unsafe.Add(kp, uintptr(i+1)*4))
-		o2 |= *(*uint32)(unsafe.Add(kp, uintptr(i+2)*4))
-		o3 |= *(*uint32)(unsafe.Add(kp, uintptr(i+3)*4))
-		o4 |= *(*uint32)(unsafe.Add(kp, uintptr(i+4)*4))
-		o5 |= *(*uint32)(unsafe.Add(kp, uintptr(i+5)*4))
-		o6 |= *(*uint32)(unsafe.Add(kp, uintptr(i+6)*4))
-		o7 |= *(*uint32)(unsafe.Add(kp, uintptr(i+7)*4))
-	}
-	or := o0 | o1 | o2 | o3 | o4 | o5 | o6 | o7
-	for ; i < n; i++ {
-		or |= keys[i]
-	}
-	return or
-}
 
 // OrPairs is the batched OrPairsScalar.
 func OrPairs(ps []Pair) uint64 {
@@ -59,38 +33,6 @@ func OrPairs(ps []Pair) uint64 {
 		or |= ps[i].Key
 	}
 	return or
-}
-
-// HistU32 is the batched HistU32Scalar.
-func HistU32(keys []uint32, shift uint, mask uint32, count *[256]int64) {
-	n := len(keys)
-	if n == 0 {
-		return
-	}
-	kp := unsafe.Pointer(&keys[0])
-	cp := unsafe.Pointer(&count[0])
-	i := 0
-	for ; i+8 <= n; i += 8 {
-		k0 := *(*uint32)(unsafe.Add(kp, uintptr(i)*4))
-		k1 := *(*uint32)(unsafe.Add(kp, uintptr(i+1)*4))
-		k2 := *(*uint32)(unsafe.Add(kp, uintptr(i+2)*4))
-		k3 := *(*uint32)(unsafe.Add(kp, uintptr(i+3)*4))
-		k4 := *(*uint32)(unsafe.Add(kp, uintptr(i+4)*4))
-		k5 := *(*uint32)(unsafe.Add(kp, uintptr(i+5)*4))
-		k6 := *(*uint32)(unsafe.Add(kp, uintptr(i+6)*4))
-		k7 := *(*uint32)(unsafe.Add(kp, uintptr(i+7)*4))
-		*(*int64)(unsafe.Add(cp, uintptr((k0>>shift)&mask)*8))++
-		*(*int64)(unsafe.Add(cp, uintptr((k1>>shift)&mask)*8))++
-		*(*int64)(unsafe.Add(cp, uintptr((k2>>shift)&mask)*8))++
-		*(*int64)(unsafe.Add(cp, uintptr((k3>>shift)&mask)*8))++
-		*(*int64)(unsafe.Add(cp, uintptr((k4>>shift)&mask)*8))++
-		*(*int64)(unsafe.Add(cp, uintptr((k5>>shift)&mask)*8))++
-		*(*int64)(unsafe.Add(cp, uintptr((k6>>shift)&mask)*8))++
-		*(*int64)(unsafe.Add(cp, uintptr((k7>>shift)&mask)*8))++
-	}
-	for ; i < n; i++ {
-		count[(keys[i]>>shift)&mask]++
-	}
 }
 
 // HistPairs is the batched HistPairsScalar.
@@ -117,47 +59,6 @@ func HistPairs(ps []Pair, shift uint, count *[256]int64) {
 	}
 }
 
-// ScatterKV is the batched ScatterKVScalar.
-func ScatterKV[V any](srcK []uint32, srcV []V, dstK []uint32, dstV []V, shift uint, mask uint32, cursor *[256]int64) {
-	n := len(srcK)
-	if n == 0 {
-		return
-	}
-	var zv V
-	vsz := unsafe.Sizeof(zv)
-	skp := unsafe.Pointer(&srcK[0])
-	svp := unsafe.Pointer(&srcV[0])
-	dkp := unsafe.Pointer(&dstK[0])
-	dvp := unsafe.Pointer(&dstV[0])
-	cp := unsafe.Pointer(&cursor[0])
-	for i := 0; i < n; i++ {
-		k := *(*uint32)(unsafe.Add(skp, uintptr(i)*4))
-		cb := (*int64)(unsafe.Add(cp, uintptr((k>>shift)&mask)*8))
-		c := uintptr(*cb)
-		*(*uint32)(unsafe.Add(dkp, c*4)) = k
-		*(*V)(unsafe.Add(dvp, c*vsz)) = *(*V)(unsafe.Add(svp, uintptr(i)*vsz))
-		*cb = int64(c + 1)
-	}
-}
-
-// ScatterK is the batched ScatterKScalar.
-func ScatterK(srcK []uint32, dstK []uint32, shift uint, mask uint32, cursor *[256]int64) {
-	n := len(srcK)
-	if n == 0 {
-		return
-	}
-	skp := unsafe.Pointer(&srcK[0])
-	dkp := unsafe.Pointer(&dstK[0])
-	cp := unsafe.Pointer(&cursor[0])
-	for i := 0; i < n; i++ {
-		k := *(*uint32)(unsafe.Add(skp, uintptr(i)*4))
-		cb := (*int64)(unsafe.Add(cp, uintptr((k>>shift)&mask)*8))
-		c := uintptr(*cb)
-		*(*uint32)(unsafe.Add(dkp, c*4)) = k
-		*cb = int64(c + 1)
-	}
-}
-
 // ScatterPairs is the batched ScatterPairsScalar.
 func ScatterPairs(src []Pair, dst []Pair, shift uint, cursor *[256]int64) {
 	n := len(src)
@@ -173,25 +74,6 @@ func ScatterPairs(src []Pair, dst []Pair, shift uint, cursor *[256]int64) {
 		c := uintptr(*cb)
 		*(*Pair)(unsafe.Add(dp, c*16)) = *p
 		*cb = int64(c + 1)
-	}
-}
-
-// AccumKV is the batched AccumKVScalar. The per-slot additions stay a single
-// sequential chain in arrival order — no reassociation — so the fold is
-// bit-identical to the scalar oracle.
-func AccumKV[V Value](keys []uint32, vals []V, mask uint32, acc *[256]V) {
-	n := len(keys)
-	if n == 0 {
-		return
-	}
-	var zv V
-	vsz := unsafe.Sizeof(zv)
-	kp := unsafe.Pointer(&keys[0])
-	vp := unsafe.Pointer(&vals[0])
-	ap := unsafe.Pointer(&acc[0])
-	for i := 0; i < n; i++ {
-		k := *(*uint32)(unsafe.Add(kp, uintptr(i)*4))
-		*(*V)(unsafe.Add(ap, uintptr(k&mask)*vsz)) += *(*V)(unsafe.Add(vp, uintptr(i)*vsz))
 	}
 }
 

@@ -15,3 +15,6 @@ func PrefetchNTA(p unsafe.Pointer) {}
 
 // PrefetchRangeT0 is a no-op on this build.
 func PrefetchRangeT0(p unsafe.Pointer, bytes int) {}
+
+// PrefetchSlice is a no-op on this build.
+func PrefetchSlice[T any](s []T) {}

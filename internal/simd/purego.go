@@ -10,32 +10,14 @@ const Enabled = false
 
 const level = "purego"
 
-func OrU32(keys []uint32) uint32 { return OrU32Scalar(keys) }
-
 func OrPairs(ps []Pair) uint64 { return OrPairsScalar(ps) }
-
-func HistU32(keys []uint32, shift uint, mask uint32, count *[256]int64) {
-	HistU32Scalar(keys, shift, mask, count)
-}
 
 func HistPairs(ps []Pair, shift uint, count *[256]int64) {
 	HistPairsScalar(ps, shift, count)
 }
 
-func ScatterKV[V any](srcK []uint32, srcV []V, dstK []uint32, dstV []V, shift uint, mask uint32, cursor *[256]int64) {
-	ScatterKVScalar(srcK, srcV, dstK, dstV, shift, mask, cursor)
-}
-
-func ScatterK(srcK []uint32, dstK []uint32, shift uint, mask uint32, cursor *[256]int64) {
-	ScatterKScalar(srcK, dstK, shift, mask, cursor)
-}
-
 func ScatterPairs(src []Pair, dst []Pair, shift uint, cursor *[256]int64) {
 	ScatterPairsScalar(src, dst, shift, cursor)
-}
-
-func AccumKV[V Value](keys []uint32, vals []V, mask uint32, acc *[256]V) {
-	AccumKVScalar(keys, vals, mask, acc)
 }
 
 func AccumPairs(ps []Pair, acc *[256]float64) {

@@ -6,18 +6,9 @@ package simd
 // floating-point additions (each accumulator is a single sequential chain in
 // arrival order; no reassociation).
 //
-// Shared caller contract for the sort kernels: digit values (k>>shift)&mask
-// index count/cursor/acc tables of 256 entries, so mask ≤ 255; cursor values
-// must be valid indices into dst for every element scattered.
-
-// OrU32Scalar returns the bitwise OR of all keys (0 for an empty slice).
-func OrU32Scalar(keys []uint32) uint32 {
-	var or uint32
-	for _, k := range keys {
-		or |= k
-	}
-	return or
-}
+// Shared caller contract for the sort kernels: byte digits (Key>>shift)&0xff
+// index count/cursor/acc tables of 256 entries; cursor values must be valid
+// indices into dst for every element scattered.
 
 // OrPairsScalar returns the bitwise OR of all pair keys.
 func OrPairsScalar(ps []Pair) uint64 {
@@ -28,38 +19,10 @@ func OrPairsScalar(ps []Pair) uint64 {
 	return or
 }
 
-// HistU32Scalar counts digit occurrences of (k>>shift)&mask into count.
-func HistU32Scalar(keys []uint32, shift uint, mask uint32, count *[256]int64) {
-	for _, k := range keys {
-		count[(k>>shift)&mask]++
-	}
-}
-
 // HistPairsScalar counts byte-digit occurrences of (Key>>shift)&0xff.
 func HistPairsScalar(ps []Pair, shift uint, count *[256]int64) {
 	for i := range ps {
 		count[(ps[i].Key>>shift)&0xff]++
-	}
-}
-
-// ScatterKVScalar stably scatters src tuples to dst positions taken from the
-// per-digit cursors, advancing each cursor. Equal-digit elements keep their
-// relative (arrival) order.
-func ScatterKVScalar[V any](srcK []uint32, srcV []V, dstK []uint32, dstV []V, shift uint, mask uint32, cursor *[256]int64) {
-	for i, k := range srcK {
-		c := cursor[(k>>shift)&mask]
-		dstK[c] = k
-		dstV[c] = srcV[i]
-		cursor[(k>>shift)&mask] = c + 1
-	}
-}
-
-// ScatterKScalar is ScatterKVScalar for the key-only (pattern) plane.
-func ScatterKScalar(srcK []uint32, dstK []uint32, shift uint, mask uint32, cursor *[256]int64) {
-	for _, k := range srcK {
-		c := cursor[(k>>shift)&mask]
-		dstK[c] = k
-		cursor[(k>>shift)&mask] = c + 1
 	}
 }
 
@@ -70,14 +33,6 @@ func ScatterPairsScalar(src []Pair, dst []Pair, shift uint, cursor *[256]int64) 
 		c := cursor[b]
 		dst[c] = src[i]
 		cursor[b] = c + 1
-	}
-}
-
-// AccumKVScalar folds values onto their last-digit accumulator slot in
-// arrival order: acc[k&mask] += v, one sequential chain per slot.
-func AccumKVScalar[V Value](keys []uint32, vals []V, mask uint32, acc *[256]V) {
-	for i, k := range keys {
-		acc[k&mask] += vals[i]
 	}
 }
 

@@ -1,9 +1,10 @@
-// Package simd holds the batched inner-loop kernels of the three hot phases
-// — expand's key-compute + scatter, the radix sort's counting and stable
-// scatter passes, and the fused accumulate-on-equal-key fold — batched over
-// 8-tuple groups so bounds checks amortize and the compiler sees straight-
-// line ILP. The package is the single dispatch point for hardware-specific
-// code:
+// Package simd holds the batched inner-loop kernels of expand (key-compute +
+// scatter, every layout) and of the wide layout's byte-digit sort (counting,
+// stable scatter, accumulate-on-equal-key fold), written over raw pointers so
+// bounds checks amortize and the compiler sees straight-line ILP. (The key32
+// layouts' sort/fold kernels are plain safe Go in internal/radix: an unsafe
+// unroll bought them under 10 %.) The package is the single dispatch point
+// for hardware-specific code:
 //
 //   - Default build (no tags): unsafe-batched pure Go. The loops are written
 //     so each 8-wide group compiles to branchless loads/stores; GOAMD64=v3

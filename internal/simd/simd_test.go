@@ -33,21 +33,12 @@ func TestBatchedMatchesScalarKernels(t *testing.T) {
 	for _, n := range []int{0, 1, 3, 7, 8, 9, 63, 64, 65, 1000} {
 		keys, vals := genKV(n, 23, uint64(n)+1)
 		ps := genPairs(n, uint64(n)+2)
-		const shift, mask = 7, uint32(0xff)
+		const shift = 7
 
-		if got, want := OrU32(keys), OrU32Scalar(keys); got != want {
-			t.Fatalf("n=%d OrU32: %x vs %x", n, got, want)
-		}
 		if got, want := OrPairs(ps), OrPairsScalar(ps); got != want {
 			t.Fatalf("n=%d OrPairs: %x vs %x", n, got, want)
 		}
 
-		var h1, h2 [256]int64
-		HistU32(keys, shift, mask, &h1)
-		HistU32Scalar(keys, shift, mask, &h2)
-		if h1 != h2 {
-			t.Fatalf("n=%d HistU32 mismatch", n)
-		}
 		var hp1, hp2 [256]int64
 		HistPairs(ps, shift, &hp1)
 		HistPairsScalar(ps, shift, &hp2)
@@ -65,27 +56,6 @@ func TestBatchedMatchesScalarKernels(t *testing.T) {
 			}
 			return c
 		}
-		c1, c2 := mkCursor(&h1), mkCursor(&h1)
-		dk1, dv1 := make([]uint32, n), make([]float64, n)
-		dk2, dv2 := make([]uint32, n), make([]float64, n)
-		ScatterKV(keys, vals, dk1, dv1, shift, mask, &c1)
-		ScatterKVScalar(keys, vals, dk2, dv2, shift, mask, &c2)
-		if c1 != c2 {
-			t.Fatalf("n=%d ScatterKV cursors mismatch", n)
-		}
-		for i := range dk1 {
-			if dk1[i] != dk2[i] || dv1[i] != dv2[i] {
-				t.Fatalf("n=%d ScatterKV[%d]: (%d,%v) vs (%d,%v)", n, i, dk1[i], dv1[i], dk2[i], dv2[i])
-			}
-		}
-		c1, c2 = mkCursor(&h1), mkCursor(&h1)
-		ScatterK(keys, dk1, shift, mask, &c1)
-		ScatterKScalar(keys, dk2, shift, mask, &c2)
-		for i := range dk1 {
-			if dk1[i] != dk2[i] {
-				t.Fatalf("n=%d ScatterK[%d]: %d vs %d", n, i, dk1[i], dk2[i])
-			}
-		}
 		cp1, cp2 := mkCursor(&hp1), mkCursor(&hp1)
 		dp1, dp2 := make([]Pair, n), make([]Pair, n)
 		ScatterPairs(ps, dp1, shift, &cp1)
@@ -96,12 +66,6 @@ func TestBatchedMatchesScalarKernels(t *testing.T) {
 			}
 		}
 
-		var a1, a2 [256]float64
-		AccumKV(keys, vals, mask, &a1)
-		AccumKVScalar(keys, vals, mask, &a2)
-		if a1 != a2 {
-			t.Fatalf("n=%d AccumKV mismatch", n)
-		}
 		var ap1, ap2 [256]float64
 		AccumPairs(ps, &ap1)
 		AccumPairsScalar(ps, &ap2)
@@ -141,26 +105,30 @@ func TestBatchedMatchesScalarKernels(t *testing.T) {
 	}
 }
 
+// TestBatchedMatchesScalarNarrow covers the expand kernel's 4-byte value
+// instantiations (the narrow layout).
 func TestBatchedMatchesScalarNarrow(t *testing.T) {
 	const n = 777
-	keys, f64s := genKV(n, 16, 9)
+	keys, f64s := genKV(n, 10, 9)
+	cols := make([]int32, n)
 	vals := make([]float32, n)
 	ints := make([]int32, n)
 	for i := range vals {
+		cols[i] = int32(keys[i])
 		vals[i] = float32(f64s[i])
 		ints[i] = int32(i * 3)
 	}
-	var a1, a2 [256]float32
-	AccumKV(keys, vals, 0xff, &a1)
-	AccumKVScalar(keys, vals, 0xff, &a2)
-	if a1 != a2 {
-		t.Fatal("AccumKV float32 mismatch")
-	}
-	var i1, i2 [256]int32
-	AccumKV(keys, ints, 0xff, &i1)
-	AccumKVScalar(keys, ints, 0xff, &i2)
-	if i1 != i2 {
-		t.Fatal("AccumKV int32 mismatch")
+	k1, k2 := make([]uint32, n), make([]uint32, n)
+	f1, f2 := make([]float32, n), make([]float32, n)
+	ExpandKV(k1, f1, 5<<10, cols, vals, 1.5)
+	ExpandKVScalar(k2, f2, 5<<10, cols, vals, 1.5)
+	i1, i2 := make([]int32, n), make([]int32, n)
+	ExpandKV(k1, i1, 5<<10, cols, ints, 7)
+	ExpandKVScalar(k2, i2, 5<<10, cols, ints, 7)
+	for i := range k1 {
+		if k1[i] != k2[i] || f1[i] != f2[i] || i1[i] != i2[i] {
+			t.Fatalf("ExpandKV narrow [%d] mismatch", i)
+		}
 	}
 }
 
@@ -170,6 +138,8 @@ func TestPrefetchSafe(t *testing.T) {
 	PrefetchNTA(unsafe.Pointer(&buf[0]))
 	PrefetchRangeT0(unsafe.Pointer(&buf[0]), len(buf))
 	PrefetchRangeT0(unsafe.Pointer(&buf[0]), 0)
+	PrefetchSlice(buf)
+	PrefetchSlice([]float64(nil))
 }
 
 func TestLevel(t *testing.T) {
