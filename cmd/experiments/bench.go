@@ -20,12 +20,13 @@ import (
 // GFLOPS, per-phase GB/s and allocs/op. CI runs `bench -json bench.json
 // -gate` on every push and uploads it as the bench-trajectory artifact, so
 // each PR leaves a comparable perf baseline behind; the committed
-// BENCH_PR16.json is the run the current gates were set from (CI's
-// informational -baseline). Regimes pin
-// both tuple layouts on the low-cf ER workload (the squeezed pipeline's
-// headline case) and fused-vs-unfused on the high-cf R-MAT workload (the
-// fused pipeline's): -gate fails the run if fused ns/op regresses past
-// unfused there, or if any single-threaded pooled regime allocates.
+// BENCH_PR17.json is one -gate run of the commit that set the current
+// gates (CI's informational -baseline). Regimes pin both tuple layouts on the
+// low-cf ER workload (the squeezed pipeline's headline case), fused-vs-unfused
+// on the high-cf R-MAT workload (the fused pipeline's) and that workload under
+// two memory budgets: -gate fails the run if fused ns/op regresses past
+// unfused there, if the deep budget costs more than 2.5 × the single-shot
+// product, or if any single-threaded pooled regime allocates.
 
 // benchSchema versions the JSON so future PRs can evolve the report without
 // breaking trajectory tooling. v2 adds the fused field and the fuse phase;
@@ -43,8 +44,11 @@ import (
 // over triadElems-sized arrays, so the yardstick is memory bandwidth on hosts
 // whose last-level cache would hold QuickTriad's default 16 MiB arrays; v8
 // adds the rmat-dram regimes (BENCHMARK.json's rmat_skew product) and gates
-// the fused sort/fold phase's pct_of_stream beside expand's.
-const benchSchema = "pbspgemm-bench/v8"
+// the fused sort/fold phase's pct_of_stream beside expand's; v9 drops the
+// scalar field and the -scalar comparator regimes (a build has one kernel
+// form), gates the deep budgeted regime against the single-shot one and makes
+// the 1×1-shard gate an absolute margin.
+const benchSchema = "pbspgemm-bench/v9"
 
 type benchPhase struct {
 	Millis    float64 `json:"ms"`
@@ -61,8 +65,7 @@ type benchRegime struct {
 	SeedB       uint64     `json:"seed_b"`
 	Layout      string     `json:"layout"`
 	Mode        string     `json:"mode,omitempty"` // "" (float64) | pattern | f32
-	Kernel      string     `json:"kernel"`         // Stats.Kernel: dispatched kernel set
-	Scalar      bool       `json:"scalar,omitempty"`
+	Kernel      string     `json:"kernel"`         // Stats.Kernel: the build's kernel set
 	CancelHook  bool       `json:"cancel_hook,omitempty"`
 	Fused       bool       `json:"fused"`
 	BudgetBytes int64      `json:"budget_bytes,omitempty"`
@@ -110,18 +113,9 @@ type benchCase struct {
 	layout     core.Layout
 	threadsCap int    // 0: cfg/default threads, 1: pin single-threaded
 	unfused    bool   // run the three-pass PR 4 pipeline instead of fused
-	budget     int64  // MemoryBudgetBytes; >0 exercises the panel/merge path
+	budget     int64  // MemoryBudgetBytes; >0 exercises the panel/gather path
 	mode       string // "" core.Multiply | "pattern" 4 B key-only | "f32" 8 B narrow
-	scalar     bool   // DisableBatch: run the scalar oracle kernels
 	cancelHook bool   // install a no-op Cancel hook: every sub-phase poll calls it
-}
-
-// scalarVariant is c with the batched kernels disabled — the oracle
-// comparator the batched-vs-scalar gate keys on.
-func (c benchCase) scalarVariant() benchCase {
-	c.name += "-scalar"
-	c.scalar = true
-	return c
 }
 
 // cancelPollVariant is c with a no-op cancellation hook installed, so every
@@ -133,15 +127,22 @@ func (c benchCase) cancelPollVariant() benchCase {
 	return c
 }
 
-// The names the -gate check keys on (see gateBench). The pattern regime runs
-// the same R-MAT input as the squeezed-float64 acceptance pair, so
-// gateFusedRegime doubles as its 12-byte comparator; the -scalar variants of
-// the batchedGateRegimes are the oracle side of the batched-kernel gate.
+// The names the -gate check keys on (see gateBench). The pattern regime and
+// the deep budgeted one run the same R-MAT input as the squeezed-float64
+// acceptance pair, so gateFusedRegime doubles as the 12-byte comparator of the
+// first and the single-shot comparator of the second.
 const (
-	gateFusedRegime   = "rmat-highcf-fused"
-	gateUnfusedRegime = "rmat-highcf-unfused"
-	gatePatternRegime = "rmat-highcf-pattern"
+	gateFusedRegime    = "rmat-highcf-fused"
+	gateUnfusedRegime  = "rmat-highcf-unfused"
+	gatePatternRegime  = "rmat-highcf-pattern"
+	gateBudgetedRegime = "rmat-highcf-budgeted-deep-fused"
 )
+
+// budgetGateFactor bounds what a deep memory budget may cost: the budgeted
+// regime's ns/op over the single-shot product's, same input, one thread. The
+// k-way merge the gathered fold replaced measured 6.7 in PR 16's committed
+// gate run (68.5 ms against 10.2); the fold measures about 1.8.
+const budgetGateFactor = 2.5
 
 // phaseGate is one regime's floor on a phase's pct_of_stream under -gate.
 type phaseGate struct {
@@ -161,10 +162,11 @@ var dramGateRegimes = []phaseGate{{"er-dram-squeezed", 40}, {"er-dram-pattern", 
 
 // fuseGateRegimes are the floors -gate puts under fuse.pct_of_stream — the
 // fused sort/fold phase's one read-back of the tuples over its time, as a
-// share of the one-thread Triad. Each is 0.8 × what the run committed as
-// BENCH_PR16.json measured (53.4, 7.5, 24.4 and 14.1 %), and no lower than 1.5 ×
-// BENCH_PR14.json's figure where it has one (13.2 % on rmat-highcf-fused,
-// 4.5 % on er-dram-squeezed — which is what sets that floor). The er-dram
+// share of the one-thread Triad. Provenance: each is 0.8 × what PR 16's
+// committed gate run measured (53.4, 7.5, 24.4 and 14.1 %), and no lower than
+// 1.5 × PR 14's figure where it had one (13.2 % on rmat-highcf-fused, 4.5 %
+// on er-dram-squeezed — which is what sets that floor); both files are gone,
+// the constants are what remains of them. The er-dram
 // regime is the LSD on 26-bit keys; the rmat ones fold almost every bin
 // through the direct-address accumulator (rmat-dram is BENCHMARK.json's
 // rmat_skew product).
@@ -176,96 +178,84 @@ var fuseGateRegimes = []phaseGate{
 // 256 MiB arrays, the size BENCHMARK.json's stream.triad_1t_gbs uses.
 const triadElems = 1 << 25
 
-// batchedGateRegimes are the regimes -gate holds to batched ≤ scalar ns/op;
-// benchCases appends a scalarVariant of each.
-var batchedGateRegimes = []string{"er-lowcf-squeezed", gateFusedRegime}
+// acceptanceRegimes are the two cache-resident regimes -gate holds to
+// cancel-poll overhead ≤ 1 % (against their -cancelpoll twins) and to
+// expand ≥ 50 % of Triad.
+var acceptanceRegimes = []string{"er-lowcf-squeezed", gateFusedRegime}
 
 func benchCases() []benchCase {
 	return []benchCase{
 		// Low-cf ER, both layouts: the PR 4 acceptance pair
 		// (BenchmarkMultiply's regime). Single-threaded so allocs/op asserts
 		// the pooled 0.
-		{"er-lowcf-squeezed", "ER", 13, 8, 1, 2, core.LayoutSqueezed, 1, false, 0, "", false, false},
-		{"er-lowcf-wide", "ER", 13, 8, 1, 2, core.LayoutWide, 1, false, 0, "", false, false},
+		{"er-lowcf-squeezed", "ER", 13, 8, 1, 2, core.LayoutSqueezed, 1, false, 0, "", false},
+		{"er-lowcf-wide", "ER", 13, 8, 1, 2, core.LayoutWide, 1, false, 0, "", false},
 		// High-cf R-MAT (cf ≈ 4.6, past the crossover — the regime where the
 		// compress pass the fusion removes carries the most bytes relative
 		// to output): the PR 5 fused-vs-unfused acceptance pair, plus the
 		// same pair on the wide layout so the allocs/op gate covers both
 		// layouts under fusion. Single-threaded, pooled.
-		{gateFusedRegime, "RMAT", 10, 32, 1, 2, core.LayoutSqueezed, 1, false, 0, "", false, false},
-		{gateUnfusedRegime, "RMAT", 10, 32, 1, 2, core.LayoutSqueezed, 1, true, 0, "", false, false},
-		{"rmat-highcf-wide-fused", "RMAT", 10, 32, 1, 2, core.LayoutWide, 1, false, 0, "", false, false},
-		{"rmat-highcf-wide-unfused", "RMAT", 10, 32, 1, 2, core.LayoutWide, 1, true, 0, "", false, false},
+		{gateFusedRegime, "RMAT", 10, 32, 1, 2, core.LayoutSqueezed, 1, false, 0, "", false},
+		{gateUnfusedRegime, "RMAT", 10, 32, 1, 2, core.LayoutSqueezed, 1, true, 0, "", false},
+		{"rmat-highcf-wide-fused", "RMAT", 10, 32, 1, 2, core.LayoutWide, 1, false, 0, "", false},
+		{"rmat-highcf-wide-unfused", "RMAT", 10, 32, 1, 2, core.LayoutWide, 1, true, 0, "", false},
 		// The Boolean/structural regime: the 4-byte pattern layout on the same
 		// high-cf input as the squeezed acceptance pair (its 12-byte
 		// comparator), and on the low-cf ER input. The 8-byte float32 narrow
 		// layout on both workloads. All single-threaded pooled, so the 0
 		// allocs/op gate covers every layout.
-		{gatePatternRegime, "RMAT", 10, 32, 1, 2, core.LayoutAuto, 1, false, 0, "pattern", false, false},
-		{"er-lowcf-pattern", "ER", 13, 8, 1, 2, core.LayoutAuto, 1, false, 0, "pattern", false, false},
-		{"rmat-highcf-f32", "RMAT", 10, 32, 1, 2, core.LayoutAuto, 1, false, 0, "f32", false, false},
-		{"er-lowcf-f32", "ER", 13, 8, 1, 2, core.LayoutAuto, 1, false, 0, "f32", false, false},
+		{gatePatternRegime, "RMAT", 10, 32, 1, 2, core.LayoutAuto, 1, false, 0, "pattern", false},
+		{"er-lowcf-pattern", "ER", 13, 8, 1, 2, core.LayoutAuto, 1, false, 0, "pattern", false},
+		{"rmat-highcf-f32", "RMAT", 10, 32, 1, 2, core.LayoutAuto, 1, false, 0, "f32", false},
+		{"er-lowcf-f32", "ER", 13, 8, 1, 2, core.LayoutAuto, 1, false, 0, "f32", false},
 		// The low-cf ER product at scale 16 — BENCHMARK.json's er_lowcf — where
 		// the tuple arena no longer fits the private caches and the squeezed
 		// one (50 MB) crosses the non-temporal flush threshold: the regimes
 		// behind the DRAM-resident expand gate.
-		{"er-dram-squeezed", "ER", 16, 8, 1, 2, core.LayoutSqueezed, 1, false, 0, "", false, false},
-		{"er-dram-pattern", "ER", 16, 8, 1, 2, core.LayoutAuto, 1, false, 0, "pattern", false, false},
+		{"er-dram-squeezed", "ER", 16, 8, 1, 2, core.LayoutSqueezed, 1, false, 0, "", false},
+		{"er-dram-pattern", "ER", 16, 8, 1, 2, core.LayoutAuto, 1, false, 0, "pattern", false},
 		// R-MAT scale 13, edge factor 16, squared — BENCHMARK.json's rmat_skew
 		// product: a 228 MB squeezed arena whose power-law bins reach a million
 		// tuples over an 18-bit key space, the dense fold's home ground.
-		{"rmat-dram-squeezed", "RMAT", 13, 16, 1, 1, core.LayoutSqueezed, 1, false, 0, "", false, false},
-		{"rmat-dram-pattern", "RMAT", 13, 16, 1, 1, core.LayoutAuto, 1, false, 0, "pattern", false, false},
-		// The same high-cf input through the memory-budgeted panel path, so
-		// both fused merge strategies stay visible in the trajectory: a
-		// shallow budget (~3 panels, run counts within fusedEmitMergeMaxRuns)
-		// exercises the merge that emits straight into the final CSR, a deep
-		// one (~8 panels) the intermediate-buffer fallback.
-		{"rmat-highcf-budgeted-fused", "RMAT", 10, 32, 1, 2, core.LayoutSqueezed, 1, false, 16 << 20, "", false, false},
-		{"rmat-highcf-budgeted-unfused", "RMAT", 10, 32, 1, 2, core.LayoutSqueezed, 1, true, 16 << 20, "", false, false},
-		{"rmat-highcf-budgeted-deep-fused", "RMAT", 10, 32, 1, 2, core.LayoutSqueezed, 1, false, 4 << 20, "", false, false},
-		{"rmat-highcf-budgeted-deep-unfused", "RMAT", 10, 32, 1, 2, core.LayoutSqueezed, 1, true, 4 << 20, "", false, false},
+		{"rmat-dram-squeezed", "RMAT", 13, 16, 1, 1, core.LayoutSqueezed, 1, false, 0, "", false},
+		{"rmat-dram-pattern", "RMAT", 13, 16, 1, 1, core.LayoutAuto, 1, false, 0, "pattern", false},
+		// The same high-cf input through the memory-budgeted panel path, at a
+		// shallow budget (~3 panels: a bin gathers two or three runs) and a
+		// deep one (~9 panels), fused and unfused; the deep fused one is the
+		// budget-overhead gate's regime.
+		{"rmat-highcf-budgeted-fused", "RMAT", 10, 32, 1, 2, core.LayoutSqueezed, 1, false, 16 << 20, "", false},
+		{"rmat-highcf-budgeted-unfused", "RMAT", 10, 32, 1, 2, core.LayoutSqueezed, 1, true, 16 << 20, "", false},
+		{gateBudgetedRegime, "RMAT", 10, 32, 1, 2, core.LayoutSqueezed, 1, false, 4 << 20, "", false},
+		{"rmat-highcf-budgeted-deep-unfused", "RMAT", 10, 32, 1, 2, core.LayoutSqueezed, 1, true, 4 << 20, "", false},
 		// Sparser ER (cf ≈ 1) and a denser one, auto layout, default threads.
-		{"er-sparse", "ER", 14, 4, 1, 2, core.LayoutAuto, 0, false, 0, "", false, false},
-		{"er-dense", "ER", 12, 16, 1, 2, core.LayoutAuto, 0, false, 0, "", false, false},
+		{"er-sparse", "ER", 14, 4, 1, 2, core.LayoutAuto, 0, false, 0, "", false},
+		{"er-dense", "ER", 12, 16, 1, 2, core.LayoutAuto, 0, false, 0, "", false},
 		// Skewed R-MAT regimes (Graph500 parameters).
-		{"rmat-ef8", "RMAT", 12, 8, 1, 2, core.LayoutAuto, 0, false, 0, "", false, false},
-		{"rmat-ef16", "RMAT", 11, 16, 1, 2, core.LayoutAuto, 0, false, 0, "", false, false},
+		{"rmat-ef8", "RMAT", 12, 8, 1, 2, core.LayoutAuto, 0, false, 0, "", false},
+		{"rmat-ef16", "RMAT", 11, 16, 1, 2, core.LayoutAuto, 0, false, 0, "", false},
 		// The acceptance pair at full thread count: the multi-threaded
-		// trajectory (and, on multi-node hosts, the NUMA-aware schedule).
-		{"er-lowcf-squeezed-mt", "ER", 13, 8, 1, 2, core.LayoutSqueezed, 0, false, 0, "", false, false},
-		{"rmat-highcf-fused-mt", "RMAT", 10, 32, 1, 2, core.LayoutSqueezed, 0, false, 0, "", false, false},
+		// trajectory.
+		{"er-lowcf-squeezed-mt", "ER", 13, 8, 1, 2, core.LayoutSqueezed, 0, false, 0, "", false},
+		{"rmat-highcf-fused-mt", "RMAT", 10, 32, 1, 2, core.LayoutSqueezed, 0, false, 0, "", false},
 	}
 }
 
-// withTwins inserts variant(c) right after every batchedGateRegimes case c:
-// the two sides of an in-run ratio gate run back to back, in one heap and
-// cache state, instead of a dozen regimes apart.
-func withTwins(cases []benchCase, variant func(benchCase) benchCase) []benchCase {
-	out := make([]benchCase, 0, len(cases)+len(batchedGateRegimes))
+// withCancelPollComparators inserts the no-op-hook twin of every
+// acceptanceRegimes case right after it: the two sides of an in-run ratio gate
+// run back to back, in one heap and cache state, instead of a dozen regimes
+// apart. The production configuration (Cancel nil, fault hooks compiled out)
+// only pays the polls' tuple-count arithmetic and an untaken nil check; the
+// twin calls a real hook at every poll window, so twin-vs-base bounds the
+// production overhead from above — that bound is what the -gate holds ≤ 1%.
+func withCancelPollComparators(cases []benchCase) []benchCase {
+	out := make([]benchCase, 0, len(cases)+len(acceptanceRegimes))
 	for _, c := range cases {
 		out = append(out, c)
-		if slices.Contains(batchedGateRegimes, c.name) {
-			out = append(out, variant(c))
+		if slices.Contains(acceptanceRegimes, c.name) {
+			out = append(out, c.cancelPollVariant())
 		}
 	}
 	return out
-}
-
-// withScalarComparators adds the scalar-oracle twin of every
-// batchedGateRegimes entry, so each report carries the batched-vs-scalar
-// pairs -gate compares.
-func withScalarComparators(cases []benchCase) []benchCase {
-	return withTwins(cases, benchCase.scalarVariant)
-}
-
-// withCancelPollComparators adds the no-op-hook twin of the acceptance
-// regimes. The production configuration (Cancel nil, fault hooks compiled
-// out) only pays the polls' tuple-count arithmetic and an untaken nil check;
-// the twin calls a real hook at every poll window, so twin-vs-base bounds the
-// production overhead from above — that bound is what the -gate holds ≤ 1%.
-func withCancelPollComparators(cases []benchCase) []benchCase {
-	return withTwins(cases, benchCase.cancelPollVariant)
 }
 
 func (c benchCase) generate() (*matrix.CSR, *matrix.CSR) {
@@ -297,7 +287,7 @@ func runBench(cfg *config) {
 		report.StreamTriad1GBs, report.StreamTriadNGBs, nthreads)
 	fmt.Printf("%-25s %8s %6s %10s %8s %8s %9s %9s %7s\n",
 		"regime", "layout", "fused", "ns/op", "GFLOPS", "cf", "expand", "fuse|sort", "allocs")
-	for _, c := range withCancelPollComparators(withScalarComparators(benchCases())) {
+	for _, c := range withCancelPollComparators(benchCases()) {
 		r, err := runBenchCase(cfg, c)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "bench %s: %v\n", c.name, err)
@@ -326,7 +316,7 @@ func runBench(cfg *config) {
 }
 
 // diffBaseline prints the acceptance regimes' ns/op against a prior -json
-// report (e.g. the committed BENCH_PR16.json). Informational only: absolute
+// report (e.g. the committed BENCH_PR17.json). Informational only: absolute
 // ns/op is machine- and load-specific, so cross-run deltas are not gated —
 // the poll-overhead question is answered by the within-run cancelpoll pair
 // in gateBench, which shares one process, one arena and one thermal state.
@@ -376,11 +366,10 @@ func fillPctStream(r *benchRegime, report *benchReport) {
 // gateBench is the CI regression gate: on the high-cf R-MAT acceptance pair
 // the fused pipeline must not be slower than the unfused PR 4 path, the
 // 4-byte pattern layout must beat the 12-byte squeezed float64 pipeline on
-// the same input by at least 10% (the Boolean-regime acceptance bar), the
-// batched kernels must not be slower than the scalar oracle on the
-// batchedGateRegimes pairs, and every single-threaded pooled regime (all
-// layouts, fused and unfused, batched and scalar) must run allocation-free
-// in steady state.
+// the same input by at least 10% (the Boolean-regime acceptance bar), a deep
+// memory budget must cost at most budgetGateFactor × the single-shot product,
+// and every single-threaded pooled regime (all layouts, fused and unfused,
+// single-shot and budgeted) must run allocation-free in steady state.
 func gateBench(report *benchReport) {
 	// The overhead gate certifies the production binary; a tagged build
 	// carries live injection hooks and measures the wrong thing.
@@ -393,8 +382,8 @@ func gateBench(report *benchReport) {
 		byName[report.Regimes[i].Name] = &report.Regimes[i]
 	}
 	fused, unfused := byName[gateFusedRegime], byName[gateUnfusedRegime]
-	pattern := byName[gatePatternRegime]
-	if fused == nil || unfused == nil || pattern == nil {
+	pattern, budgeted := byName[gatePatternRegime], byName[gateBudgetedRegime]
+	if fused == nil || unfused == nil || pattern == nil || budgeted == nil {
 		fmt.Fprintln(os.Stderr, "bench gate: acceptance regimes missing from the run")
 		os.Exit(1)
 	}
@@ -423,24 +412,15 @@ func gateBench(report *benchReport) {
 			pattern.NsPerOp, fused.NsPerOp,
 			100*(1-float64(pattern.NsPerOp)/float64(fused.NsPerOp)))
 	}
-	// The batched kernels must not be slower than the scalar oracle on the
-	// acceptance regimes (same 5% jitter headroom; the measured batched
-	// margin is 25-45%, so a real regression still trips).
-	for _, name := range batchedGateRegimes {
-		batched, scalar := byName[name], byName[name+"-scalar"]
-		if batched == nil || scalar == nil {
-			fmt.Fprintf(os.Stderr, "bench gate: batched/scalar pair %s missing from the run\n", name)
-			os.Exit(1)
-		}
-		if float64(batched.NsPerOp) > 1.05*float64(scalar.NsPerOp) {
-			fmt.Fprintf(os.Stderr, "bench gate: BATCHED REGRESSION on %s: batched %d ns/op > scalar %d ns/op\n",
-				name, batched.NsPerOp, scalar.NsPerOp)
-			failed = true
-		} else {
-			fmt.Printf("bench gate: %s batched %d ns/op ≤ scalar %d ns/op (%.1f%% faster)\n",
-				name, batched.NsPerOp, scalar.NsPerOp,
-				100*(1-float64(batched.NsPerOp)/float64(scalar.NsPerOp)))
-		}
+	// What a memory budget costs, on identical input and one thread: the deep
+	// budgeted run against the single-shot one (see budgetGateFactor).
+	if ratio := float64(budgeted.NsPerOp) / float64(fused.NsPerOp); ratio > budgetGateFactor {
+		fmt.Fprintf(os.Stderr, "bench gate: BUDGET OVERHEAD on %s: %d ns/op > %.1f × single-shot %d ns/op (%.2f×)\n",
+			gateBudgetedRegime, budgeted.NsPerOp, budgetGateFactor, fused.NsPerOp, ratio)
+		failed = true
+	} else {
+		fmt.Printf("bench gate: %s %d ns/op ≤ %.1f × single-shot %d ns/op (%.2f×)\n",
+			gateBudgetedRegime, budgeted.NsPerOp, budgetGateFactor, fused.NsPerOp, ratio)
 	}
 	// The fault-containment overhead gate: with the fault hooks compiled out
 	// (enforced above via faultinject.Enabled) and a no-op Cancel hook
@@ -448,7 +428,7 @@ func gateBench(report *benchReport) {
 	// twins. The hooked twin pays a real function call at every sub-phase poll
 	// window, so this bounds the production cost — poll arithmetic plus an
 	// untaken nil check — from above.
-	for _, name := range batchedGateRegimes {
+	for _, name := range acceptanceRegimes {
 		base, hooked := byName[name], byName[name+"-cancelpoll"]
 		if base == nil || hooked == nil {
 			fmt.Fprintf(os.Stderr, "bench gate: cancel-poll pair %s missing from the run\n", name)
@@ -470,7 +450,7 @@ func gateBench(report *benchReport) {
 	// where the claim is hard, on the DRAM-resident regimes whose flushed
 	// lines leave the private caches, still its bar's share of it.
 	expandGates := append([]phaseGate(nil), dramGateRegimes...)
-	for _, name := range batchedGateRegimes {
+	for _, name := range acceptanceRegimes {
 		expandGates = append(expandGates, phaseGate{name, 50})
 	}
 	// ... and the phase that is most of every PB op, the fused sort/fold, at
@@ -500,7 +480,8 @@ func gateBench(report *benchReport) {
 		}
 	}
 	// The sharded route must be free when the grid is degenerate: the 1×1×1
-	// coordinator within 5% of the direct Engine call measured alongside it.
+	// coordinator within a millisecond of the direct Engine call measured
+	// alongside it.
 	if gateShardBench(report) {
 		failed = true
 	}
@@ -522,7 +503,7 @@ func runBenchCase(cfg *config, c benchCase) (benchRegime, error) {
 	threads := pickThreads(cfg, c.threadsCap)
 	ws := core.NewWorkspace()
 	opt := core.Options{Threads: threads, Workspace: ws, ForceLayout: c.layout,
-		DisableFusion: c.unfused, MemoryBudgetBytes: c.budget, DisableBatch: c.scalar}
+		DisableFusion: c.unfused, MemoryBudgetBytes: c.budget}
 	if c.cancelHook {
 		opt.Cancel = func() error { return nil }
 	}
@@ -597,7 +578,6 @@ func runBenchCase(cfg *config, c benchCase) (benchRegime, error) {
 		Layout:      layout.String(),
 		Mode:        c.mode,
 		Kernel:      warm.Kernel,
-		Scalar:      c.scalar,
 		CancelHook:  c.cancelHook,
 		Fused:       !c.unfused,
 		BudgetBytes: c.budget,

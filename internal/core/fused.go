@@ -6,7 +6,6 @@ import (
 
 	"pbspgemm/internal/faultinject"
 	"pbspgemm/internal/matrix"
-	"pbspgemm/internal/numa"
 	"pbspgemm/internal/par"
 	"pbspgemm/internal/radix"
 )
@@ -34,12 +33,10 @@ import (
 // two-pointer compress runs over the stably sorted bin (FuzzFusedVsUnfused,
 // TestBothKernelsSameBytes and TestSpecialValuesThroughTheFold pin it).
 //
-// On budgeted runs with shallow per-bin run counts the k-way merge is fused
-// too: a key-only counting walk makes the per-bin output offsets exact, then
-// an emitting walk writes each bin straight into its final CSR slot, folding
-// in exactly mergeBin's order — the merged intermediate never exists. Deep
-// merges keep it: two O(k)-per-tuple select-min walks cost more than the
-// buffer they save past a few runs per bin (fusedEmitMergeMaxRuns).
+// A budgeted run folds twice with these kernels: each panel's bins into runs,
+// then each bin's gathered runs (panels.go). A run is duplicate-free and the
+// runs lie in panel order, so the same argument makes the second fold the
+// per-panel sums added in panel order, whichever kernel a bin gets.
 //
 // The phase is scheduled with work stealing (par.WorkSteal): a worker that
 // meets an oversized bin too sparse for the dense fold runs one stable
@@ -60,11 +57,13 @@ type sortTask struct {
 	arg        int
 }
 
-// runSortPhase executes the sort phase over the current panel's bins: fused
-// (sort+fold+tally, filling binOut and, when non-nil, rowCounts) or unfused
-// (sort only; compressBins runs separately). Threads==1 runs the bins
-// sequentially with no scheduler, allocation-free.
-func (e *engine) runSortPhase(fused bool, binOut, rowCounts []int64) {
+// runSortPhase executes the sort phase over the bins ws.binStart lays out:
+// fused (e.fused: sort+fold+tally, filling binOut and, when non-nil,
+// rowCounts) or unfused (sort only; compressBins runs separately, and the two
+// slices are not touched). Threads==1 runs the bins sequentially with no
+// scheduler, allocation-free.
+func (e *engine) runSortPhase(binOut, rowCounts []int64) {
+	fused := e.fused
 	threads := e.opt.Threads
 	bs := e.ws.binStart
 	// Size the per-worker scratch before any worker starts: sort planes for
@@ -115,19 +114,9 @@ func (e *engine) runSortPhase(fused bool, binOut, rowCounts []int64) {
 		seeds = append(seeds, sortTask{bin: int32(bin), start: lo, end: hi})
 	}
 	e.ws.sortTasks = seeds
-	// Pooled steal policy: ownership/steal counters always on (they feed
-	// Stats); NUMA victims and thread pinning only when a multi-node machine
-	// is active (numaplan.go).
+	// Pooled ownership/steal counters: they feed Stats.
 	pol := &e.ws.stealPol
 	pol.EnsureCounters(threads)
-	if e.numaM != nil {
-		m, nodes := e.numaM, e.workerNodes
-		pol.Victims, pol.NearLen = e.ws.polVictims, e.ws.polNearLen
-		pol.Setup = func(w int) func() { return numa.PinThread(m.NodeCPUs(nodes[w])) }
-	} else {
-		pol.Victims, pol.NearLen, pol.Setup = nil, nil, nil
-	}
-	pol.Place = nil
 	par.WorkStealPolicy(threads, seeds, pol, func(worker int, t sortTask, spawn func(sortTask)) {
 		// Contain per task, not per worker: an absorbed panic still reaches
 		// the scheduler's pending decrement, so the pool drains instead of
@@ -139,18 +128,18 @@ func (e *engine) runSortPhase(fused bool, binOut, rowCounts []int64) {
 		if faultinject.Enabled {
 			faultinject.Fire(faultinject.SiteSortTask, worker)
 		}
-		e.runSortTask(worker, t, spawn, fused, cutoff, pending, partBounds, binOut, rowCounts)
+		e.runSortTask(worker, t, spawn, cutoff, pending, partBounds, binOut, rowCounts)
 	})
-	o, s, ns := pol.Totals()
-	e.st.SortOwned += o // += : budgeted runs sort once per panel
+	o, s := pol.Totals()
+	e.st.SortOwned += o // += : budgeted runs sort once per panel, and once more
 	e.st.SortStolen += s
-	e.st.SortNearStolen += ns
 }
 
 // runSortTask executes one work-stealing task; see runSortPhase.
 func (e *engine) runSortTask(worker int, t sortTask, spawn func(sortTask),
-	fused bool, cutoff int64, pending []int32, partBounds []int64, binOut, rowCounts []int64) {
+	cutoff int64, pending []int32, partBounds []int64, binOut, rowCounts []int64) {
 
+	fused := e.fused
 	bin := int(t.bin)
 	if t.bucket {
 		e.lay.sortSeg(e, sortSeg{start: t.start, end: t.end, arg: t.arg, worker: worker})
@@ -203,8 +192,8 @@ func (e *engine) runSortTask(worker int, t sortTask, spawn func(sortTask),
 }
 
 // fuseWholeBin folds one bin with the layout's fused kernel and tallies its
-// row counts (when rowCounts is non-nil; the budgeted path defers tallies to
-// the merge) — inside the kernel, while the folded keys are hot, for the
+// row counts (when rowCounts is non-nil; a budgeted run's panels defer tallies
+// to the tail) — inside the kernel, while the folded keys are hot, for the
 // key32 layouts. The folded prefix lands at the bin's own binStart offset, exactly where
 // compressBin would leave it.
 func (e *engine) fuseWholeBin(worker, bin int, binOut, rowCounts []int64) {
@@ -260,197 +249,4 @@ func denseFold(n int64, keyBits uint, valBytes, l2CacheBytes int64) bool {
 // key); every other bin sorts.
 func (e *engine) denseBin(n int64) bool {
 	return e.key32 && denseFold(n, e.keyBits(), e.tupleBytes-4, int64(e.opt.L2CacheBytes))
-}
-
-// countMergeBins is the counting half of the fused k-way merge: per bin, a
-// key-only walk over the bin's runs counts the exact merged output size and
-// tallies per-row counts, without writing a tuple. With the counts exact, a
-// prefix sum gives every bin its final CSR slot before any value moves.
-func (e *engine) countMergeBins() {
-	matrix.GrowInt64Zero(&e.ws.rowCounts, int(e.a.NumRows)+1)
-	if e.opt.Threads == 1 {
-		for bin := 0; bin < e.nbins; bin++ {
-			if e.pollCancel() {
-				return
-			}
-			if faultinject.Enabled {
-				faultinject.Fire(faultinject.SiteMergeBin, 0)
-			}
-			e.countMergeBin(0, bin)
-		}
-	} else {
-		par.ForEachDynamic(e.nbins, e.opt.Threads, func(worker, bin int) {
-			defer e.containWorker(worker)
-			if e.pollCancel() {
-				return
-			}
-			if faultinject.Enabled {
-				faultinject.Fire(faultinject.SiteMergeBin, worker)
-			}
-			e.countMergeBin(worker, bin)
-		})
-	}
-}
-
-func (e *engine) countMergeBin(worker, bin int) {
-	ws := e.ws
-	group := ws.runIdx[ws.runIdxStart[bin]:ws.runIdxStart[bin+1]]
-	k := len(group)
-	firstRow := int32(int64(bin) << e.rowShift)
-	rowCounts := ws.rowCounts
-	var n int64
-	switch k {
-	case 0:
-	case 1:
-		// Runs are individually duplicate-free: the count is the run length.
-		r := group[0]
-		n = ws.runStart[r+1] - ws.runStart[r]
-		if e.key32 {
-			for _, key := range ws.runKeys[ws.runStart[r]:ws.runStart[r+1]] {
-				rowCounts[firstRow+int32(key>>e.colBits)+1]++
-			}
-		} else {
-			for i := ws.runStart[r]; i < ws.runStart[r+1]; i++ {
-				rowCounts[firstRow+int32(ws.runs[i].Key>>e.colBits)+1]++
-			}
-		}
-	default:
-		heads := ws.heads[worker*e.maxRunsPerBin : worker*e.maxRunsPerBin+k]
-		for i, r := range group {
-			heads[i] = ws.runStart[r]
-		}
-		if e.key32 {
-			var last uint32
-			for {
-				best := -1
-				var bestKey uint32
-				for i, r := range group {
-					h := heads[i]
-					if h == ws.runStart[r+1] {
-						continue // run exhausted
-					}
-					if key := ws.runKeys[h]; best < 0 || key < bestKey {
-						best, bestKey = i, key
-					}
-				}
-				if best < 0 {
-					break
-				}
-				heads[best]++
-				if n == 0 || bestKey != last {
-					n++
-					last = bestKey
-					rowCounts[firstRow+int32(bestKey>>e.colBits)+1]++
-				}
-			}
-		} else {
-			var last uint64
-			for {
-				best := -1
-				var bestKey uint64
-				for i, r := range group {
-					h := heads[i]
-					if h == ws.runStart[r+1] {
-						continue
-					}
-					if key := ws.runs[h].Key; best < 0 || key < bestKey {
-						best, bestKey = i, key
-					}
-				}
-				if best < 0 {
-					break
-				}
-				heads[best]++
-				if n == 0 || bestKey != last {
-					n++
-					last = bestKey
-					rowCounts[firstRow+int32(bestKey>>e.colBits)+1]++
-				}
-			}
-		}
-	}
-	ws.binOut[bin] = n
-}
-
-// emitMergeBins is the emitting half of the fused k-way merge: each bin
-// re-walks its runs and writes masked column ids and folded values directly
-// into its pre-computed slice of the final CSR — same walk, same fold order
-// as the unfused mergeBin, so the values are bit-identical. The per-layout
-// walks live in layout.go.
-func (e *engine) emitMergeBins(c *matrix.CSR, binOutStart []int64) {
-	if e.opt.Threads == 1 {
-		for bin := 0; bin < e.nbins; bin++ {
-			if e.pollCancel() {
-				return
-			}
-			if faultinject.Enabled {
-				faultinject.Fire(faultinject.SiteMergeBin, 0)
-			}
-			e.lay.emitMergeBin(e, c, binOutStart, 0, bin)
-		}
-	} else {
-		par.ForEachDynamic(e.nbins, e.opt.Threads, func(worker, bin int) {
-			defer e.containWorker(worker)
-			if e.pollCancel() {
-				return
-			}
-			if faultinject.Enabled {
-				faultinject.Fire(faultinject.SiteMergeBin, worker)
-			}
-			e.lay.emitMergeBin(e, c, binOutStart, worker, bin)
-		})
-	}
-}
-
-// emitMergeBinWide is the wide layout's emitting walk (wideOps.emitMergeBin).
-func (e *engine) emitMergeBinWide(c *matrix.CSR, binOutStart []int64, worker, bin int) {
-	ws := e.ws
-	group := ws.runIdx[ws.runIdxStart[bin]:ws.runIdxStart[bin+1]]
-	k := len(group)
-	dst := binOutStart[bin]
-	colMask := uint64(1)<<e.colBits - 1
-	switch k {
-	case 0:
-	case 1:
-		r := group[0]
-		s := ws.runStart[r]
-		n := ws.runStart[r+1] - s
-		for j := int64(0); j < n; j++ {
-			c.ColIdx[dst+j] = int32(ws.runs[s+j].Key & colMask)
-			c.Val[dst+j] = ws.runs[s+j].Val
-		}
-	default:
-		heads := ws.heads[worker*e.maxRunsPerBin : worker*e.maxRunsPerBin+k]
-		for i, r := range group {
-			heads[i] = ws.runStart[r]
-		}
-		var emitted int64
-		var last uint64
-		for {
-			best := -1
-			var bestKey uint64
-			for i, r := range group {
-				h := heads[i]
-				if h == ws.runStart[r+1] {
-					continue
-				}
-				if key := ws.runs[h].Key; best < 0 || key < bestKey {
-					best, bestKey = i, key
-				}
-			}
-			if best < 0 {
-				break
-			}
-			v := ws.runs[heads[best]].Val
-			heads[best]++
-			if emitted > 0 && bestKey == last {
-				c.Val[dst+emitted-1] += v
-			} else {
-				c.ColIdx[dst+emitted] = int32(bestKey & colMask)
-				c.Val[dst+emitted] = v
-				emitted++
-				last = bestKey
-			}
-		}
-	}
 }

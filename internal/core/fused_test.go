@@ -272,12 +272,10 @@ func BenchmarkFusedVsUnfused(b *testing.B) {
 	}
 }
 
-// TestFusedBudgetedMergeBranches pins both fused budgeted merge strategies
-// against the unfused path: a shallow budget (2-3 panels, so per-bin run
-// counts stay within fusedEmitMergeMaxRuns) exercises the emit-into-CSR
-// merge, a deep budget (many panels) the intermediate-buffer fallback —
-// both bit-identical to DisableFusion on the same budget.
-func TestFusedBudgetedMergeBranches(t *testing.T) {
+// TestFusedBudgetedShallowAndDeep holds the fused budgeted run to the unfused
+// one at a shallow budget (2-3 panels: a bin gathers two or three runs) and a
+// deep one (many panels, many runs per bin): bit-identical on the same budget.
+func TestFusedBudgetedShallowAndDeep(t *testing.T) {
 	a := gen.RMAT(9, 16, gen.Graph500Params, 51)
 	acsc := a.ToCSC()
 	b := gen.RMAT(9, 16, gen.Graph500Params, 52)
@@ -285,11 +283,10 @@ func TestFusedBudgetedMergeBranches(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
 		budget    int64
-		wantEmit  bool
 		minPanels int
 	}{
-		{"shallow-emit-merge", flops * WideTupleBytes / 2, true, 2},
-		{"deep-intermediate", flops * WideTupleBytes / 16, false, 8},
+		{"shallow", flops * WideTupleBytes / 2, 2},
+		{"deep", flops * WideTupleBytes / 16, 8},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, threads := range []int{1, 4} {
@@ -300,18 +297,13 @@ func TestFusedBudgetedMergeBranches(t *testing.T) {
 					t.Fatal(err)
 				}
 				opt.DisableFusion = false
-				ws := NewWorkspace()
-				opt.Workspace = ws
+				opt.Workspace = NewWorkspace()
 				got, st, err := Multiply(acsc, b, opt)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if st.NPanels < tc.minPanels {
 					t.Fatalf("budget %d produced %d panels, want ≥ %d", tc.budget, st.NPanels, tc.minPanels)
-				}
-				if gotEmit := ws.eng.emitMerge; gotEmit != tc.wantEmit {
-					t.Fatalf("emitMerge = %v, want %v (maxRunsPerBin %d)",
-						gotEmit, tc.wantEmit, ws.eng.maxRunsPerBin)
 				}
 				if !csrBitIdentical(want, got.Clone()) {
 					t.Fatalf("threads=%d: fused budgeted (%s) differs from unfused", threads, tc.name)

@@ -104,6 +104,30 @@ func key32Runners(a *matrix.CSC, b *matrix.CSR) []layoutRunner {
 	}
 }
 
+// foldRunners is every layout a fold can run on: the key32 ones plus the wide
+// layout forced onto the same input (its bins sort with the byte-digit family;
+// the per-bin kernel rule does not apply to it).
+func foldRunners(a *matrix.CSC, b *matrix.CSR) []layoutRunner {
+	return append(key32Runners(a, b), layoutRunner{"wide", func(opt Options) (product, error) {
+		opt.ForceLayout = LayoutWide
+		c, _, err := Multiply(a, b, opt)
+		if err != nil {
+			return product{}, err
+		}
+		return product{cloneStructure(c), valueBits(c.Val)}, nil
+	}})
+}
+
+// panelBudgets returns MemoryBudgetBytes values that tile a product of the
+// given flop count into one panel (no budget) and about 2, 9 and 34.
+func panelBudgets(flops int64) []int64 {
+	budgets := []int64{0}
+	for _, panels := range []int64{2, 9, 34} {
+		budgets = append(budgets, flops*tupleBytes/panels+tupleBytes)
+	}
+	return budgets
+}
+
 // scratchAtRest reports whether the dense fold's pooled accumulators and
 // bitmaps are all-zero, as every bin must leave them.
 func scratchAtRest(ws *Workspace) bool {
@@ -121,22 +145,27 @@ func scratchAtRest(ws *Workspace) bool {
 }
 
 // TestBothKernelsSameBytes runs the same bins through the dense fold, then
-// through the LSD, on every key32 layout × threads 1–4 × single-shot and
-// budgeted × fused and unfused, and holds every result to the bytes of the
-// layout's single-thread unfused run (per budget: panels regroup float sums).
+// through the LSD, on every layout × threads 1–4 × one panel and 3, 17 and ~36
+// (the budgets below, on this product) × fused and unfused, and holds every
+// result to the bytes of the layout's single-thread unfused run (per budget:
+// panels regroup float sums).
+// A budgeted run folds twice — each panel's bins, then each bin's gathered
+// runs — so both kernels also meet duplicates that straddle panel boundaries.
 // The sparse half shrinks the cache budget so bins over 4096 tuples also take
-// the partition + sort-only + compress path when threads > 1.
+// the partition + sort-only + compress path when threads > 1. The int32 plane
+// wraps around in products and sums alike.
 func TestBothKernelsSameBytes(t *testing.T) {
 	a, b := gen.RMAT(9, 16, gen.Graph500Params, 161), gen.RMAT(9, 16, gen.Graph500Params, 162)
 	for i := range a.Val {
 		// Fractions of mixed magnitude: the fold order shows in float32 and
-		// float64 sums. The int32 planes truncate them to small integers.
+		// float64 sums. The int32 planes truncate them to integers whose
+		// products pass 2^31.
 		a.Val[i] = (float64(i%13) - 4.75) * math.Pow(10, float64(i%5))
-		b.Val[i%len(b.Val)] = float64(i%7) + 1.3
+		b.Val[i%len(b.Val)] = (float64(i%7) + 1.3) * 30011
 	}
 	acsc := a.ToCSC()
-	for _, lr := range key32Runners(acsc, b) {
-		for _, budget := range []int64{0, 256 << 10} {
+	for _, lr := range foldRunners(acsc, b) {
+		for _, budget := range []int64{0, 2 << 20, 256 << 10, 120 << 10} {
 			base := Options{Threads: 1, NBins: 4, MemoryBudgetBytes: budget}
 			unfused := base
 			unfused.DisableFusion = true
@@ -167,7 +196,8 @@ func TestBothKernelsSameBytes(t *testing.T) {
 									t.Fatalf("threads=%d unfused=%v rep=%d: dense scratch left dirty", threads, disableFusion, rep)
 								}
 							}
-							if ranDense := cap(ws.accBits) > 0; ranDense != (dense && !disableFusion) {
+							wantDense := dense && !disableFusion && lr.name != "wide"
+							if ranDense := cap(ws.accBits) > 0; ranDense != wantDense {
 								t.Fatalf("threads=%d unfused=%v: dense kernel sized = %v", threads, disableFusion, ranDense)
 							}
 						}
@@ -227,11 +257,13 @@ func TestDenseScratchSurvivesCancel(t *testing.T) {
 }
 
 // TestSpecialValuesThroughTheFold pins −0.0, NaN and ±Inf through both
-// kernels on the squeezed and narrow layouts: every fused run is bit-identical
-// to the single-thread unfused one, and both agree with
-// matrix.ReferenceMultiply — bit for bit (one panel folds every entry in
-// Reference's ascending-k order) except that Reference, summing from +0,
-// cannot keep the sign of a zero. The pattern layout keeps every such entry.
+// kernels on the squeezed, narrow and wide layouts, in one panel and across
+// about 2, 9 and 34: every fused run is bit-identical to the single-thread
+// unfused one on the same budget, and both agree with
+// matrix.ReferenceMultiply — bit for bit (the finite values are small
+// multiples of 1/4, so no regrouping of a sum rounds) except that Reference,
+// summing from +0, cannot keep the sign of a zero. The pattern layout keeps
+// every such entry.
 // Rows 0–15 of A hold only −0.0 and B only positive values, so every entry
 // there is a group of −0.0 products that must come out −0.0 — the case a
 // zero-initialised accumulator (the fused path before PR 16) loses.
@@ -268,37 +300,47 @@ func TestSpecialValuesThroughTheFold(t *testing.T) {
 	}
 	const signBit = 1 << 63
 	acsc := a.ToCSC()
-	for _, lr := range key32Runners(acsc, b) {
+	budgets := panelBudgets(matrix.Flops(acsc, b))
+	for _, lr := range foldRunners(acsc, b) {
 		if lr.name == "narrow-i32" {
 			continue // no special values in int32
 		}
-		want, err := lr.run(Options{Threads: 1, NBins: 4, DisableFusion: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !csrSameStructure(want.c, ref) {
-			t.Fatalf("%s: structure differs from Reference", lr.name)
-		}
-		for i, bits := range want.bits {
-			if zero := bits&^signBit == 0; bits != refBits[i] && !(zero && refBits[i] == 0) {
-				t.Fatalf("%s: value %d is %#x, Reference has %#x", lr.name, i, bits, refBits[i])
-			} else if int64(i) < negZeroEnd && bits != signBit {
-				t.Fatalf("%s: entry %d of the −0.0 rows is %#x", lr.name, i, bits)
+		wants := make([]product, len(budgets))
+		for bi, budget := range budgets {
+			want, err := lr.run(Options{Threads: 1, NBins: 4, DisableFusion: true, MemoryBudgetBytes: budget})
+			if err != nil {
+				t.Fatal(err)
 			}
+			if !csrSameStructure(want.c, ref) {
+				t.Fatalf("%s budget=%d: structure differs from Reference", lr.name, budget)
+			}
+			for i, bits := range want.bits {
+				if zero := bits&^signBit == 0; bits != refBits[i] && !(zero && refBits[i] == 0) {
+					t.Fatalf("%s budget=%d: value %d is %#x, Reference has %#x", lr.name, budget, i, bits, refBits[i])
+				} else if int64(i) < negZeroEnd && bits != signBit {
+					t.Fatalf("%s budget=%d: entry %d of the −0.0 rows is %#x", lr.name, budget, i, bits)
+				}
+			}
+			wants[bi] = want
 		}
 		for _, mode := range []string{"dense", "sparse", "rule"} {
+			if lr.name == "wide" && mode != "rule" {
+				continue // the wide layout has one kernel
+			}
 			t.Run(lr.name+"/"+mode, func(t *testing.T) {
 				if mode != "rule" {
 					forceKernel(t, mode == "dense")
 				}
-				for _, threads := range []int{1, 3} {
-					for _, disableFusion := range []bool{false, true} {
-						got, err := lr.run(Options{Threads: threads, NBins: 4, DisableFusion: disableFusion})
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !got.same(want) {
-							t.Fatalf("threads=%d unfused=%v: differs from the single-thread unfused run", threads, disableFusion)
+				for bi, budget := range budgets {
+					for _, threads := range []int{1, 3} {
+						for _, disableFusion := range []bool{false, true} {
+							got, err := lr.run(Options{Threads: threads, NBins: 4, DisableFusion: disableFusion, MemoryBudgetBytes: budget})
+							if err != nil {
+								t.Fatal(err)
+							}
+							if !got.same(wants[bi]) {
+								t.Fatalf("budget=%d threads=%d unfused=%v: differs from the single-thread unfused run", budget, threads, disableFusion)
+							}
 						}
 					}
 				}

@@ -19,7 +19,7 @@ import (
 // tuple layout is a layoutOps implementation; the engine holds exactly one
 // per run (e.lay) and every phase dispatches element accesses through it
 // while all control flow — bin geometry, panel tiling, the work-stealing
-// sort scheduler, the budgeted merge plan — stays layout-independent, which
+// sort scheduler, the budgeted run grouping — stays layout-independent, which
 // is what makes the four layouts bit-identical in structure.
 //
 // The three implementations:
@@ -92,25 +92,22 @@ type layoutOps interface {
 	// appendRun copies the folded bin segment at [src, src+n) into the run
 	// arena.
 	appendRun(e *engine, src, n int64)
-	// growMerged sizes the merged-run buffer for n tuples.
-	growMerged(e *engine, n int64)
-	// mergeBin k-way merges one bin's runs into the merged buffer, folding
-	// duplicates and tallying rowCounts.
-	mergeBin(e *engine, worker, bin int)
-	// emitMergeBin is the fused merge's emitting walk: fold one bin's runs
-	// directly into the result's final slot.
-	emitMergeBin(e *engine, c *matrix.CSR, binOutStart []int64, worker, bin int)
-	// unpackBin writes one compressed bin into the result CSR; merged
-	// selects the merged-run buffer over the tuple buffer as the source.
-	unpackBin(e *engine, c *matrix.CSR, merged bool, srcOff, dstOff, n int64)
+	// swapGathered exchanges the tuple planes with the pooled planes a
+	// budgeted run gathers its runs into, so the run's tail works on those
+	// through the tuple planes' names while the budget-sized tuple buffer
+	// waits untouched; a second call puts both back. Nothing may hold the
+	// tuple planes (ws.tuples, ws.tupleKeys, the value plane) in a field or
+	// local across runBudgeted's tail: it would read the other buffer.
+	swapGathered(e *engine)
+	// gatherRun copies the run segment [src, src+n) of the run arena to the
+	// tuple planes at dst.
+	gatherRun(e *engine, src, dst, n int64)
+	// unpackBin writes the n folded tuples at srcOff of the tuple planes into
+	// the result CSR at dstOff.
+	unpackBin(e *engine, c *matrix.CSR, srcOff, dstOff, n int64)
 	// growOut installs the result's value storage (c.Val for the float64
 	// layouts, the layout's out plane for narrow, nothing for pattern).
 	growOut(e *engine, c *matrix.CSR, nnzc int64)
-	// touchRange first-touches the tuple storage of range [lo, hi) (one
-	// store per page of every plane the layout writes there) so NUMA
-	// first-touch placement lands the pages on the calling thread's node.
-	// Only called on ranges expand fully overwrites.
-	touchRange(e *engine, lo, hi int64)
 }
 
 // growVals is the grow-only sizing helper of the generic planes, the
@@ -229,18 +226,18 @@ func (wideOps) sortSeg(e *engine, s sortSeg) {
 	ps := e.ws.tuples[s.start:s.end]
 	aux := e.scratchPairsFor(s.worker, s.end-s.start)
 	if s.arg < 0 {
-		radix.SortPairsStable(ps, aux, e.batch)
+		radix.SortPairsStable(ps, aux)
 	} else {
-		radix.SortPairsAtByteStable(ps, aux, s.arg, e.batch)
+		radix.SortPairsAtByteStable(ps, aux, s.arg)
 	}
 }
 
 func (wideOps) partitionTop(e *engine, worker int, lo, hi int64, bounds []int64) (int, int) {
-	return radix.PartitionPairsScratch(e.ws.tuples[lo:hi], e.scratchPairsFor(worker, hi-lo), bounds, e.batch)
+	return radix.PartitionPairsScratch(e.ws.tuples[lo:hi], e.scratchPairsFor(worker, hi-lo), bounds)
 }
 
 func (wideOps) fuseBin(e *engine, worker int, lo, hi int64, _ []int64) int64 {
-	return radix.SortPairsFusedScratch(e.ws.tuples[lo:hi], e.scratchPairsFor(worker, hi-lo), e.batch)
+	return radix.SortPairsFusedScratch(e.ws.tuples[lo:hi], e.scratchPairsFor(worker, hi-lo))
 }
 
 func (wideOps) compressBin(e *engine, lo, hi int64) int64 {
@@ -251,19 +248,14 @@ func (wideOps) appendRun(e *engine, src, n int64) {
 	e.ws.runs = append(e.ws.runs, e.ws.tuples[src:src+n]...)
 }
 
-func (wideOps) growMerged(e *engine, n int64) { radix.GrowPairs(&e.ws.merged, n) }
+func (wideOps) swapGathered(e *engine) { e.ws.tuples, e.ws.gathered = e.ws.gathered, e.ws.tuples }
 
-func (wideOps) mergeBin(e *engine, worker, bin int) { e.mergeBinWide(worker, bin) }
-
-func (wideOps) emitMergeBin(e *engine, c *matrix.CSR, binOutStart []int64, worker, bin int) {
-	e.emitMergeBinWide(c, binOutStart, worker, bin)
+func (wideOps) gatherRun(e *engine, src, dst, n int64) {
+	copy(e.ws.tuples[dst:dst+n], e.ws.runs[src:src+n])
 }
 
-func (wideOps) unpackBin(e *engine, c *matrix.CSR, merged bool, srcOff, dstOff, n int64) {
+func (wideOps) unpackBin(e *engine, c *matrix.CSR, srcOff, dstOff, n int64) {
 	src := e.ws.tuples
-	if merged {
-		src = e.ws.merged
-	}
 	colMask := uint64(1)<<e.colBits - 1
 	for j := int64(0); j < n; j++ {
 		c.ColIdx[dstOff+j] = int32(src[srcOff+j].Key & colMask)
@@ -279,8 +271,6 @@ func (wideOps) growOut(e *engine, c *matrix.CSR, nnzc int64) {
 	}
 }
 
-func (wideOps) touchRange(e *engine, lo, hi int64) { touchPages(e.ws.tuples[lo:hi]) }
-
 // ---------------------------------------------------------------------------
 // kv[V]: the split key32 + V value-plane layouts (squeezed f64, narrow f32/i32).
 
@@ -291,7 +281,7 @@ type kv[V Value] struct {
 	tupleVals   []V
 	localVals   []V
 	runVals     []V
-	mergedVals  []V
+	gatherVals  []V
 	outVal      []V
 	scratchVals []V
 	accVals     []V // dense-fold accumulators, all-zero between bins
@@ -363,7 +353,6 @@ func (l *kv[V]) expandRange(e *engine, t, lo int, cursors []int64) {
 	lens := e.ws.localLens[t*e.nbins : (t+1)*e.nbins]
 	keys, vals := e.ws.tupleKeys, l.tupleVals
 	aVal, bVal := l.aVal, l.bVal
-	batch := e.batch
 	nt := e.ntFlush
 
 	var sincePoll int64
@@ -408,11 +397,7 @@ func (l *kv[V]) expandRange(e *engine, t, lo int, cursors []int64) {
 				}
 				dk := bufK[base+int64(ln) : base+int64(ln)+take]
 				dv := bufV[base+int64(ln) : base+int64(ln)+take]
-				if batch {
-					simd.ExpandKV(dk, dv, localRow, b.ColIdx[q:q+take], bVal[q:q+take], av)
-				} else {
-					simd.ExpandKVScalar(dk, dv, localRow, b.ColIdx[q:q+take], bVal[q:q+take], av)
-				}
+				simd.ExpandKV(dk, dv, localRow, b.ColIdx[q:q+take], bVal[q:q+take], av)
 				ln += int32(take)
 				q += take
 			}
@@ -493,128 +478,18 @@ func (l *kv[V]) appendRun(e *engine, src, n int64) {
 	l.runVals = append(l.runVals, l.tupleVals[src:src+n]...)
 }
 
-func (l *kv[V]) growMerged(e *engine, n int64) {
-	radix.GrowUint32(&e.ws.mergedKeys, n)
-	growVals(&l.mergedVals, n)
+func (l *kv[V]) swapGathered(e *engine) {
+	e.ws.tupleKeys, e.ws.gatherKeys = e.ws.gatherKeys, e.ws.tupleKeys
+	l.tupleVals, l.gatherVals = l.gatherVals, l.tupleVals
 }
 
-// mergeBin is mergeBinWide over the split run arena; see mergeBinWide for
-// the merge invariants (runs individually duplicate-free, compare against
-// the last written tuple).
-func (l *kv[V]) mergeBin(e *engine, worker, bin int) {
-	ws := e.ws
-	group := ws.runIdx[ws.runIdxStart[bin]:ws.runIdxStart[bin+1]]
-	k := len(group)
-	dstBase := ws.mergedStart[bin]
-	dst := dstBase
-
-	switch k {
-	case 0:
-		ws.binOut[bin] = 0
-		return
-	case 1:
-		r := group[0]
-		n := ws.runStart[r+1] - ws.runStart[r]
-		copy(ws.mergedKeys[dst:dst+n], ws.runKeys[ws.runStart[r]:ws.runStart[r+1]])
-		copy(l.mergedVals[dst:dst+n], l.runVals[ws.runStart[r]:ws.runStart[r+1]])
-		dst += n
-	default:
-		heads := ws.heads[worker*e.maxRunsPerBin : worker*e.maxRunsPerBin+k]
-		for i, r := range group {
-			heads[i] = ws.runStart[r]
-		}
-		for {
-			best := -1
-			var bestKey uint32
-			for i, r := range group {
-				h := heads[i]
-				if h == ws.runStart[r+1] {
-					continue // run exhausted
-				}
-				if key := ws.runKeys[h]; best < 0 || key < bestKey {
-					best, bestKey = i, key
-				}
-			}
-			if best < 0 {
-				break
-			}
-			h := heads[best]
-			heads[best]++
-			if dst > dstBase && ws.mergedKeys[dst-1] == ws.runKeys[h] {
-				l.mergedVals[dst-1] += l.runVals[h]
-			} else {
-				ws.mergedKeys[dst] = ws.runKeys[h]
-				l.mergedVals[dst] = l.runVals[h]
-				dst++
-			}
-		}
-	}
-	ws.binOut[bin] = dst - dstBase
-	firstRow := int32(int64(bin) << e.rowShift)
-	for i := dstBase; i < dst; i++ {
-		row := firstRow + int32(ws.mergedKeys[i]>>e.colBits)
-		ws.rowCounts[row+1]++
-	}
+func (l *kv[V]) gatherRun(e *engine, src, dst, n int64) {
+	copy(e.ws.tupleKeys[dst:dst+n], e.ws.runKeys[src:src+n])
+	copy(l.tupleVals[dst:dst+n], l.runVals[src:src+n])
 }
 
-func (l *kv[V]) emitMergeBin(e *engine, c *matrix.CSR, binOutStart []int64, worker, bin int) {
-	ws := e.ws
-	group := ws.runIdx[ws.runIdxStart[bin]:ws.runIdxStart[bin+1]]
-	k := len(group)
-	dst := binOutStart[bin]
-	cm := uint32(uint64(1)<<e.colBits - 1)
-	out := l.out
-	switch k {
-	case 0:
-	case 1:
-		r := group[0]
-		s := ws.runStart[r]
-		n := ws.runStart[r+1] - s
-		for j := int64(0); j < n; j++ {
-			c.ColIdx[dst+j] = int32(ws.runKeys[s+j] & cm)
-			out[dst+j] = l.runVals[s+j]
-		}
-	default:
-		heads := ws.heads[worker*e.maxRunsPerBin : worker*e.maxRunsPerBin+k]
-		for i, r := range group {
-			heads[i] = ws.runStart[r]
-		}
-		var emitted int64
-		var last uint32
-		for {
-			best := -1
-			var bestKey uint32
-			for i, r := range group {
-				h := heads[i]
-				if h == ws.runStart[r+1] {
-					continue
-				}
-				if key := ws.runKeys[h]; best < 0 || key < bestKey {
-					best, bestKey = i, key
-				}
-			}
-			if best < 0 {
-				break
-			}
-			v := l.runVals[heads[best]]
-			heads[best]++
-			if emitted > 0 && bestKey == last {
-				out[dst+emitted-1] += v
-			} else {
-				c.ColIdx[dst+emitted] = int32(bestKey & cm)
-				out[dst+emitted] = v
-				emitted++
-				last = bestKey
-			}
-		}
-	}
-}
-
-func (l *kv[V]) unpackBin(e *engine, c *matrix.CSR, merged bool, srcOff, dstOff, n int64) {
+func (l *kv[V]) unpackBin(e *engine, c *matrix.CSR, srcOff, dstOff, n int64) {
 	keys, vals := e.ws.tupleKeys, l.tupleVals
-	if merged {
-		keys, vals = e.ws.mergedKeys, l.mergedVals
-	}
 	cm := uint32(uint64(1)<<e.colBits - 1)
 	out := l.out
 	for j := int64(0); j < n; j++ {
@@ -629,11 +504,6 @@ func (l *kv[V]) growOut(e *engine, c *matrix.CSR, nnzc int64) {
 	} else {
 		l.out = make([]V, nnzc)
 	}
-}
-
-func (l *kv[V]) touchRange(e *engine, lo, hi int64) {
-	touchPages(e.ws.tupleKeys[lo:hi])
-	touchPages(l.tupleVals[lo:hi])
 }
 
 // ---------------------------------------------------------------------------
@@ -656,7 +526,6 @@ func (patternOps) expandRange(e *engine, t, lo int, cursors []int64) {
 	bufK := e.ws.localKeys[int64(t)*stride : int64(t+1)*stride]
 	lens := e.ws.localLens[t*e.nbins : (t+1)*e.nbins]
 	keys := e.ws.tupleKeys
-	batch := e.batch
 	nt := e.ntFlush
 
 	var sincePoll int64
@@ -694,14 +563,15 @@ func (patternOps) expandRange(e *engine, t, lo int, cursors []int64) {
 				if room := int64(capT - ln); take > room {
 					take = room
 				}
+				// ln and q advance before the kernel, not after: ExpandK inlines
+				// here, and with both updates behind it the register allocator
+				// parked a reload inside its loop (+20 % expand on R-MAT's long
+				// rows). Same chunks either way.
 				dk := bufK[base+int64(ln) : base+int64(ln)+take]
-				if batch {
-					simd.ExpandK(dk, localRow, b.ColIdx[q:q+take])
-				} else {
-					simd.ExpandKScalar(dk, localRow, b.ColIdx[q:q+take])
-				}
+				cols := b.ColIdx[q : q+take]
 				ln += int32(take)
 				q += take
+				simd.ExpandK(dk, localRow, cols)
 			}
 			lens[bin] = ln
 		}
@@ -764,115 +634,16 @@ func (patternOps) appendRun(e *engine, src, n int64) {
 	e.ws.runKeys = append(e.ws.runKeys, e.ws.tupleKeys[src:src+n]...)
 }
 
-func (patternOps) growMerged(e *engine, n int64) { radix.GrowUint32(&e.ws.mergedKeys, n) }
-
-// mergeBin k-way merges one bin's key-only runs, dropping duplicates.
-func (patternOps) mergeBin(e *engine, worker, bin int) {
-	ws := e.ws
-	group := ws.runIdx[ws.runIdxStart[bin]:ws.runIdxStart[bin+1]]
-	k := len(group)
-	dstBase := ws.mergedStart[bin]
-	dst := dstBase
-
-	switch k {
-	case 0:
-		ws.binOut[bin] = 0
-		return
-	case 1:
-		r := group[0]
-		n := ws.runStart[r+1] - ws.runStart[r]
-		copy(ws.mergedKeys[dst:dst+n], ws.runKeys[ws.runStart[r]:ws.runStart[r+1]])
-		dst += n
-	default:
-		heads := ws.heads[worker*e.maxRunsPerBin : worker*e.maxRunsPerBin+k]
-		for i, r := range group {
-			heads[i] = ws.runStart[r]
-		}
-		for {
-			best := -1
-			var bestKey uint32
-			for i, r := range group {
-				h := heads[i]
-				if h == ws.runStart[r+1] {
-					continue // run exhausted
-				}
-				if key := ws.runKeys[h]; best < 0 || key < bestKey {
-					best, bestKey = i, key
-				}
-			}
-			if best < 0 {
-				break
-			}
-			h := heads[best]
-			heads[best]++
-			if dst > dstBase && ws.mergedKeys[dst-1] == ws.runKeys[h] {
-				continue // duplicate key across panels: structural fold
-			}
-			ws.mergedKeys[dst] = ws.runKeys[h]
-			dst++
-		}
-	}
-	ws.binOut[bin] = dst - dstBase
-	firstRow := int32(int64(bin) << e.rowShift)
-	for i := dstBase; i < dst; i++ {
-		row := firstRow + int32(ws.mergedKeys[i]>>e.colBits)
-		ws.rowCounts[row+1]++
-	}
+func (patternOps) swapGathered(e *engine) {
+	e.ws.tupleKeys, e.ws.gatherKeys = e.ws.gatherKeys, e.ws.tupleKeys
 }
 
-func (patternOps) emitMergeBin(e *engine, c *matrix.CSR, binOutStart []int64, worker, bin int) {
-	ws := e.ws
-	group := ws.runIdx[ws.runIdxStart[bin]:ws.runIdxStart[bin+1]]
-	k := len(group)
-	dst := binOutStart[bin]
-	cm := uint32(uint64(1)<<e.colBits - 1)
-	switch k {
-	case 0:
-	case 1:
-		r := group[0]
-		s := ws.runStart[r]
-		n := ws.runStart[r+1] - s
-		for j := int64(0); j < n; j++ {
-			c.ColIdx[dst+j] = int32(ws.runKeys[s+j] & cm)
-		}
-	default:
-		heads := ws.heads[worker*e.maxRunsPerBin : worker*e.maxRunsPerBin+k]
-		for i, r := range group {
-			heads[i] = ws.runStart[r]
-		}
-		var emitted int64
-		var last uint32
-		for {
-			best := -1
-			var bestKey uint32
-			for i, r := range group {
-				h := heads[i]
-				if h == ws.runStart[r+1] {
-					continue
-				}
-				if key := ws.runKeys[h]; best < 0 || key < bestKey {
-					best, bestKey = i, key
-				}
-			}
-			if best < 0 {
-				break
-			}
-			heads[best]++
-			if emitted > 0 && bestKey == last {
-				continue
-			}
-			c.ColIdx[dst+emitted] = int32(bestKey & cm)
-			emitted++
-			last = bestKey
-		}
-	}
+func (patternOps) gatherRun(e *engine, src, dst, n int64) {
+	copy(e.ws.tupleKeys[dst:dst+n], e.ws.runKeys[src:src+n])
 }
 
-func (patternOps) unpackBin(e *engine, c *matrix.CSR, merged bool, srcOff, dstOff, n int64) {
+func (patternOps) unpackBin(e *engine, c *matrix.CSR, srcOff, dstOff, n int64) {
 	keys := e.ws.tupleKeys
-	if merged {
-		keys = e.ws.mergedKeys
-	}
 	cm := uint32(uint64(1)<<e.colBits - 1)
 	for j := int64(0); j < n; j++ {
 		c.ColIdx[dstOff+j] = int32(keys[srcOff+j] & cm)
@@ -882,5 +653,3 @@ func (patternOps) unpackBin(e *engine, c *matrix.CSR, merged bool, srcOff, dstOf
 func (patternOps) growOut(e *engine, c *matrix.CSR, nnzc int64) {
 	// Pattern results are structural: c.Val stays nil by design.
 }
-
-func (patternOps) touchRange(e *engine, lo, hi int64) { touchPages(e.ws.tupleKeys[lo:hi]) }

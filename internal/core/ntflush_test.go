@@ -1,0 +1,126 @@
+package core
+
+import (
+	"testing"
+
+	"pbspgemm/internal/gen"
+	"pbspgemm/internal/matrix"
+	"pbspgemm/internal/simd"
+)
+
+// layoutCase is one (input, layout-runner) cell of the flush matrix. run
+// executes the product under opt and returns a comparable result: the CSR
+// plus, for the narrow layout, its value plane folded back in.
+type layoutCase struct {
+	name string
+	run  func(t *testing.T, opt Options) *matrix.CSR
+}
+
+func layoutCases(t *testing.T) []layoutCase {
+	a := intValued(gen.ER(768, 8, 31))
+	b := intValued(gen.ER(768, 8, 32))
+	askew := intValued(gen.RMAT(9, 8, gen.Graph500Params, 33))
+	bskew := intValued(gen.RMAT(9, 8, gen.Graph500Params, 34))
+	acsc, askewcsc := a.ToCSC(), askew.ToCSC()
+	af32, bf32 := narrowPlanes[float32](acsc, b)
+
+	wide := func(acsc *matrix.CSC, b *matrix.CSR) func(*testing.T, Options) *matrix.CSR {
+		return func(t *testing.T, opt Options) *matrix.CSR {
+			opt.ForceLayout = LayoutWide
+			c, _, err := Multiply(acsc, b, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return c
+		}
+	}
+	squeezed := func(acsc *matrix.CSC, b *matrix.CSR) func(*testing.T, Options) *matrix.CSR {
+		return func(t *testing.T, opt Options) *matrix.CSR {
+			opt.ForceLayout = LayoutSqueezed
+			c, st, err := Multiply(acsc, b, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Layout != LayoutSqueezed {
+				t.Fatalf("squeezed run used layout %v", st.Layout)
+			}
+			return c
+		}
+	}
+	return []layoutCase{
+		{"wide/ER", wide(acsc, b)},
+		{"wide/RMAT", wide(askewcsc, bskew)},
+		{"squeezed/ER", squeezed(acsc, b)},
+		{"squeezed/RMAT", squeezed(askewcsc, bskew)},
+		{"pattern/ER", func(t *testing.T, opt Options) *matrix.CSR {
+			c, _, err := MultiplyPattern(acsc, b, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return c
+		}},
+		{"narrow-f32/ER", func(t *testing.T, opt Options) *matrix.CSR {
+			c, vals, _, err := MultiplyNarrow(acsc, af32, b, bf32, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Fold the value plane back into the CSR so matrix.Equal compares
+			// values too (exact: integer-valued inputs).
+			out := c.Clone()
+			out.Val = make([]float64, len(vals))
+			for i, v := range vals {
+				out.Val[i] = float64(v)
+			}
+			return out
+		}},
+	}
+}
+
+// TestNTFlushBitIdentical forces the non-temporal flush path (normally gated
+// on the panel arena outgrowing the LLC) onto the small test inputs and
+// holds every layout to exact bit-identity against one oracle per case: one
+// thread, single-shot, default local bins, run before the gate is forced (so
+// it flushes with plain copies). The matrix crosses what moves the flush
+// schedule — thread count (where each worker's reserved ranges start),
+// LocalBinBytes (64 is a sub-line request that runs at 16 tuples) and
+// budgeted multi-panel runs (ranges re-planned per panel). Inputs are
+// integer-valued, so budgeted folds are exact too.
+func TestNTFlushBitIdentical(t *testing.T) {
+	old := ntMinArenaBytes
+	defer func() { ntMinArenaBytes = old }()
+	for _, tc := range layoutCases(t) {
+		t.Run(tc.name, func(t *testing.T) {
+			ntMinArenaBytes = old
+			want := tc.run(t, Options{Threads: 1})
+			ntMinArenaBytes = 0
+			for _, threads := range []int{1, 2, 3, 4, 8} {
+				for _, lbb := range []int{64, 512, 4096} {
+					for _, budget := range []int64{0, 64 << 10} {
+						got := tc.run(t, Options{Threads: threads, LocalBinBytes: lbb, MemoryBudgetBytes: budget})
+						if want.Val == nil {
+							if !csrSameStructure(want, got) {
+								t.Fatalf("threads=%d localBin=%d budget=%d: NT-flush structure differs from the plain-copy run",
+									threads, lbb, budget)
+							}
+						} else if !matrix.Equal(want, got, 0) {
+							t.Fatalf("threads=%d localBin=%d budget=%d: NT-flush result differs from the plain-copy run",
+								threads, lbb, budget)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestStatsKernelReported: Stats.Kernel names the build's kernel set.
+func TestStatsKernelReported(t *testing.T) {
+	a := gen.ER(256, 4, 41)
+	_, st, err := Multiply(a.ToCSC(), a, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Kernel != simd.Level() {
+		t.Fatalf("Kernel = %q, want %q", st.Kernel, simd.Level())
+	}
+}

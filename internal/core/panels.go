@@ -10,16 +10,23 @@ import (
 
 // This file is the memory-budgeted execution path: A's columns are tiled
 // into panels whose expanded tuples fit Options.MemoryBudgetBytes, each
-// panel runs the expand-sort-compress pipeline of the single-shot algorithm,
-// and the per-(panel, bin) compressed sorted runs are k-way merged bin by
-// bin into the same canonical CSR the single-shot path produces.
+// panel runs the expand-sort-compress pipeline of the single-shot algorithm
+// and leaves one folded, sorted run per nonempty bin in the run arena. After
+// the last panel every bin's runs are gathered, in panel order, into one
+// contiguous segment, and the run ends in the single-shot tail: the same
+// sort/fold kernels and the same assemble, over the gathered bins.
+//
+// That tail produces the bytes a k-way merge of the runs would: a bin's
+// concatenated runs are tuples in arrival order, a run holds each key at most
+// once, and the stable kernels fold an equal-key group as "first value
+// assigned, later values added" — the per-panel sums, combined in panel order.
 //
 // The tuple buffer — the flops×16-byte allocation that makes the paper's
 // single-shot design infeasible when the expansion exceeds RAM — is bounded
-// by the largest panel. The run arena holds only compressed tuples, whose
-// total is at most Σ_p nnz(C_p) ≤ flops but is near nnz(C) whenever panels
-// capture duplicate folding, so the working set tracks the output rather
-// than the expansion.
+// by the largest panel. The run arena and the gathered planes hold only
+// compressed tuples, whose total is at most Σ_p nnz(C_p) ≤ flops but is near
+// nnz(C) whenever panels capture duplicate folding, so the working set tracks
+// the output rather than the expansion.
 
 // runBudgeted executes the multi-panel pipeline. Caller guarantees
 // npanels >= 2 and flops > 0.
@@ -34,7 +41,6 @@ func (e *engine) runBudgeted() (*matrix.CSR, error) {
 	e.lay.resetRuns(e)
 	ws.runStart = ws.runStart[:0]
 	ws.runBins = ws.runBins[:0]
-	matrix.GrowInt64(&ws.binOut, e.nbins)
 
 	for p := 0; p < e.npanels; p++ {
 		if err := e.canceled(); err != nil {
@@ -52,112 +58,35 @@ func (e *engine) runBudgeted() (*matrix.CSR, error) {
 		e.expandPanel(lo)
 		e.st.Expand += time.Since(t0)
 
-		if e.fused {
-			// Fused sort+fold; row tallies wait for the merge, when final
-			// per-row counts are known. appendRuns reads the folded
-			// prefixes exactly where compressPanel would leave them.
-			e.phase = "sort"
-			t0 = time.Now()
-			e.runSortPhase(true, ws.binOut, nil)
-			if err := e.canceled(); err != nil {
-				return nil, err
-			}
-			e.appendRuns()
-			e.st.Fuse += time.Since(t0)
-		} else {
-			e.phase = "sort"
-			t0 = time.Now()
-			e.runSortPhase(false, nil, nil)
-			e.st.Sort += time.Since(t0)
-			if err := e.canceled(); err != nil {
-				return nil, err
-			}
-
-			e.phase = "compress"
-			t0 = time.Now()
-			e.compressPanel()
-			if err := e.canceled(); err != nil {
-				return nil, err
-			}
-			e.appendRuns()
-			e.st.Compress += time.Since(t0)
+		// Row tallies wait for the tail, when a row's final count is known.
+		if err := e.foldBins(nil); err != nil {
+			return nil, err
 		}
+		t0 = time.Now()
+		e.appendRuns()
+		e.st.Merge += time.Since(t0)
 	}
 	ws.runStart = append(ws.runStart, e.runLen()) // closing boundary
 	if err := e.canceled(); err != nil {
 		return nil, err
 	}
 
+	// The tail: lay the bins out over the run totals, let the gathered planes
+	// stand in for the tuple planes (so the budget-capped tuple buffer is never
+	// grown past its largest panel), copy the runs in, and finish as a
+	// single-shot run does.
 	e.phase = "merge"
 	t0 := time.Now()
-	e.groupRuns()
-	e.st.Merge = time.Since(t0)
-	if e.emitMerge {
-		return e.mergeIntoCSR()
-	}
-
-	// Classic merge through the intermediate buffer — the unfused path, and
-	// the fused fallback when the per-bin run count is deep (see
-	// fusedEmitMergeMaxRuns).
-	t0 = time.Now()
-	e.mergeBins()
+	total := e.groupRuns()
+	e.lay.swapGathered(e)
+	defer e.lay.swapGathered(e) // on every exit, a worker's rethrown panic included
+	e.lay.growTuples(e, total)
+	e.gatherRuns()
 	e.st.Merge += time.Since(t0)
 	if err := e.canceled(); err != nil {
 		return nil, err
 	}
-
-	e.phase = "assemble"
-	t0 = time.Now()
-	c := e.assemble(ws.mergedStart, true)
-	e.st.Assemble = time.Since(t0)
-	if err := e.canceled(); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// fusedEmitMergeMaxRuns bounds the per-bin run count (the k of the k-way
-// merge) up to which the fused merge emits directly into the final CSR. The
-// emit-merge runs the O(k)-per-tuple select-min walk twice (count, then
-// emit) to learn exact output offsets; the classic merge walks once but
-// writes and re-reads the merged intermediate (~2 extra memory ops per
-// tuple). The walks' comparison cost scales with k while the buffer cost
-// does not, so past a few runs per bin the intermediate is the cheaper
-// trade (measured crossover ≈ 3-4 on the bench trajectory's budgeted
-// regimes).
-const fusedEmitMergeMaxRuns = 3
-
-// mergeIntoCSR is the fused budgeted epilogue for shallow merges: a
-// key-only counting merge makes every bin's output size (and the row
-// counts) exact, prefix sums fix the bin offsets and row pointers, and the
-// emitting merge then writes each bin's folded tuples directly into its
-// final slice of the result CSR — the intermediate merged-run buffer of the
-// unfused path never exists. groupRuns has already run.
-func (e *engine) mergeIntoCSR() (*matrix.CSR, error) {
-	ws := e.ws
-	t0 := time.Now()
-	e.countMergeBins()
-	e.st.Merge += time.Since(t0)
-	if err := e.canceled(); err != nil {
-		return nil, err
-	}
-
-	t0 = time.Now()
-	binOutStart := matrix.GrowInt64(&ws.binOutStart, e.nbins+1)
-	nnzc := par.PrefixSum(ws.binOut, binOutStart)
-	c := e.newResult(nnzc)
-	par.PrefixSumParallel(ws.rowCounts[1:int(e.a.NumRows)+1], c.RowPtr, e.opt.Threads)
-	e.st.Assemble = time.Since(t0)
-
-	t0 = time.Now()
-	e.emitMergeBins(c, binOutStart)
-	e.st.Merge += time.Since(t0)
-	// The emitting merge writes straight into c; an aborted emit leaves a
-	// partial result that must be discarded here.
-	if err := e.canceled(); err != nil {
-		return nil, err
-	}
-	return c, nil
+	return e.foldAndAssemble()
 }
 
 // runLen is the current length of the active layout's run arena.
@@ -166,13 +95,6 @@ func (e *engine) runLen() int64 {
 		return int64(len(e.ws.runKeys))
 	}
 	return int64(len(e.ws.runs))
-}
-
-// compressPanel folds duplicate keys within each sorted bin segment of the
-// current panel. Row tallies are deferred to the merge (a row's final count
-// is only known once all panels' runs are folded).
-func (e *engine) compressPanel() {
-	e.compressBins(e.ws.binOut, nil)
 }
 
 // appendRuns copies the current panel's nonempty compressed bin segments
@@ -192,63 +114,37 @@ func (e *engine) appendRuns() {
 	}
 }
 
-// groupRuns counting-sorts run ids by bin (runs were appended panel-major)
-// and lays out the merged-output offsets: bin b's merge writes into
-// merged[mergedStart[b]:mergedStart[b+1]], sized by the bin's total run
-// length (the no-folding upper bound). Fused runs with shallow per-bin run
-// counts skip the merged buffers entirely — their merge emits into the
-// final CSR (mergeIntoCSR) — and only need the run grouping and the
-// per-worker merge heads; deep fused merges fall back to the intermediate
-// (see fusedEmitMergeMaxRuns).
-func (e *engine) groupRuns() {
+// groupRuns counting-sorts run ids by bin (runs were appended panel-major, so
+// a bin's group stays in panel order) and lays the tail's bins out in
+// ws.binStart: bin b gathers into [binStart[b], binStart[b+1]), sized by its
+// total run length. Returns the total, the tail's tuple count.
+func (e *engine) groupRuns() int64 {
 	ws := e.ws
-	nruns := len(ws.runBins)
 	ris := matrix.GrowInt32(&ws.runIdxStart, e.nbins+1)
 	clear(ris)
-	for _, bin := range ws.runBins {
+	bs := matrix.GrowInt64Zero(&ws.binStart, e.nbins+1)
+	for r, bin := range ws.runBins {
 		ris[bin+1]++
+		bs[bin+1] += ws.runStart[r+1] - ws.runStart[r]
 	}
 	for bin := 0; bin < e.nbins; bin++ {
 		ris[bin+1] += ris[bin]
+		bs[bin+1] += bs[bin]
 	}
-	ri := matrix.GrowInt32(&ws.runIdx, nruns)
-	cur := matrix.GrowInt64(&ws.binFlops, e.nbins) // free scratch after panelPlan
-	for bin := 0; bin < e.nbins; bin++ {
-		cur[bin] = int64(ris[bin])
-	}
+	ri := matrix.GrowInt32(&ws.runIdx, len(ws.runBins))
+	cur := matrix.GrowInt32(&ws.localLens, e.nbins) // free scratch after the last expand
+	copy(cur, ris)
 	for r, bin := range ws.runBins {
 		ri[cur[bin]] = int32(r)
 		cur[bin]++
 	}
-
-	ms := matrix.GrowInt64(&ws.mergedStart, e.nbins+1)
-	ms[0] = 0
-	maxRuns := 0
-	for bin := 0; bin < e.nbins; bin++ {
-		var sum int64
-		group := ri[ris[bin]:ris[bin+1]]
-		for _, r := range group {
-			sum += ws.runStart[r+1] - ws.runStart[r]
-		}
-		ms[bin+1] = ms[bin] + sum
-		if len(group) > maxRuns {
-			maxRuns = len(group)
-		}
-	}
-	e.maxRunsPerBin = maxRuns
-	e.emitMerge = e.fused && maxRuns <= fusedEmitMergeMaxRuns
-	if !e.emitMerge {
-		e.lay.growMerged(e, ms[e.nbins])
-	}
-	matrix.GrowInt64(&ws.heads, e.opt.Threads*maxRuns)
+	return bs[e.nbins]
 }
 
-// mergeBins k-way merges each bin's runs into the merged buffer, folding
-// equal keys with + and tallying per-row output counts. Bins are
-// independent (disjoint row ranges), so they run under the same dynamic
-// schedule as sort and compress.
-func (e *engine) mergeBins() {
-	matrix.GrowInt64Zero(&e.ws.rowCounts, int(e.a.NumRows)+1)
+// gatherRuns copies every bin's runs, in panel order, into the bin's segment
+// of the tuple planes. Bins are independent, so they run under the same
+// dynamic schedule as compress and assemble.
+func (e *engine) gatherRuns() {
 	if e.opt.Threads == 1 {
 		for bin := 0; bin < e.nbins; bin++ {
 			if e.pollCancel() {
@@ -257,7 +153,7 @@ func (e *engine) mergeBins() {
 			if faultinject.Enabled {
 				faultinject.Fire(faultinject.SiteMergeBin, 0)
 			}
-			e.lay.mergeBin(e, 0, bin)
+			e.gatherBin(bin)
 		}
 	} else {
 		par.ForEachDynamic(e.nbins, e.opt.Threads, func(worker, bin int) {
@@ -268,67 +164,17 @@ func (e *engine) mergeBins() {
 			if faultinject.Enabled {
 				faultinject.Fire(faultinject.SiteMergeBin, worker)
 			}
-			e.lay.mergeBin(e, worker, bin)
+			e.gatherBin(bin)
 		})
 	}
 }
 
-// mergeBinWide merges one bin's sorted, duplicate-free runs (the wide
-// layout; kv and pattern mirror it in layout.go). Runs individually have
-// unique keys, so a duplicate can only pair tuples from different panels and
-// the output stays ascending: comparing against the last written tuple is a
-// complete folding rule. The head scan is linear in the run count k
-// (k ≤ npanels); bins are L2-sized, so the merge stays in cache.
-func (e *engine) mergeBinWide(worker, bin int) {
+func (e *engine) gatherBin(bin int) {
 	ws := e.ws
-	group := ws.runIdx[ws.runIdxStart[bin]:ws.runIdxStart[bin+1]]
-	k := len(group)
-	dstBase := ws.mergedStart[bin]
-	dst := dstBase
-
-	switch k {
-	case 0:
-		ws.binOut[bin] = 0
-		return
-	case 1:
-		r := group[0]
+	dst := ws.binStart[bin]
+	for _, r := range ws.runIdx[ws.runIdxStart[bin]:ws.runIdxStart[bin+1]] {
 		n := ws.runStart[r+1] - ws.runStart[r]
-		copy(ws.merged[dst:dst+n], ws.runs[ws.runStart[r]:ws.runStart[r+1]])
+		e.lay.gatherRun(e, ws.runStart[r], dst, n)
 		dst += n
-	default:
-		heads := ws.heads[worker*e.maxRunsPerBin : worker*e.maxRunsPerBin+k]
-		for i, r := range group {
-			heads[i] = ws.runStart[r]
-		}
-		for {
-			best := -1
-			var bestKey uint64
-			for i, r := range group {
-				h := heads[i]
-				if h == ws.runStart[r+1] {
-					continue // run exhausted
-				}
-				if key := ws.runs[h].Key; best < 0 || key < bestKey {
-					best, bestKey = i, key
-				}
-			}
-			if best < 0 {
-				break
-			}
-			p := ws.runs[heads[best]]
-			heads[best]++
-			if dst > dstBase && ws.merged[dst-1].Key == p.Key {
-				ws.merged[dst-1].Val += p.Val
-			} else {
-				ws.merged[dst] = p
-				dst++
-			}
-		}
-	}
-	ws.binOut[bin] = dst - dstBase
-	firstRow := int32(int64(bin) << e.rowShift)
-	for i := dstBase; i < dst; i++ {
-		row := firstRow + int32(ws.merged[i].Key>>e.colBits)
-		ws.rowCounts[row+1]++
 	}
 }

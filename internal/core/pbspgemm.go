@@ -32,8 +32,9 @@
 //     flops×16-byte expansion every call.
 //   - Options.MemoryBudgetBytes tiles A's columns into panels whose expanded
 //     tuples fit the budget; each panel runs expand-sort-compress into
-//     per-bin sorted runs, and a final k-way merge per bin folds the runs
-//     into the same canonical CSR the single-shot path produces. This serves
+//     per-bin folded runs, and after the last panel each bin's runs are
+//     gathered in panel order and folded by the same kernels into the same
+//     canonical CSR the single-shot path produces (panels.go). This serves
 //     products whose flops×16 expansion exceeds RAM.
 package core
 
@@ -45,7 +46,6 @@ import (
 
 	"pbspgemm/internal/faultinject"
 	"pbspgemm/internal/matrix"
-	"pbspgemm/internal/numa"
 	"pbspgemm/internal/par"
 	"pbspgemm/internal/radix"
 	"pbspgemm/internal/simd"
@@ -163,11 +163,12 @@ type Options struct {
 	// MemoryBudgetBytes caps the expanded-tuple buffer — the flops×16-byte
 	// working set that dominates PB-SpGEMM's footprint. When positive and
 	// smaller than flops×16, A's columns are tiled into panels whose
-	// expanded tuples each fit the budget, and per-panel compressed runs are
-	// k-way merged into the final CSR. 0 means unlimited (one panel, the
-	// paper's single-shot algorithm). The budget is best-effort: one column
-	// of A is the smallest schedulable unit, so a single column whose outer
-	// product alone exceeds the budget still runs as its own panel.
+	// expanded tuples each fit the budget, and the per-panel folded runs are
+	// gathered per bin and folded once more into the final CSR. 0 means
+	// unlimited (one panel, the paper's single-shot algorithm). The budget is
+	// best-effort: one column of A is the smallest schedulable unit, so a
+	// single column whose outer product alone exceeds the budget still runs
+	// as its own panel.
 	MemoryBudgetBytes int64
 	// Workspace, if non-nil, supplies grow-only pooled buffers reused across
 	// calls (zero steady-state allocations when Threads == 1). The returned
@@ -176,11 +177,10 @@ type Options struct {
 	Workspace *Workspace
 	// Cancel, if non-nil, is polled at phase boundaries and inside the long
 	// phase loops: per column chunk in expand (every ~cancelPollTuples
-	// expanded tuples), per task in sort, per bin in fold/merge/assemble,
-	// and per run in the budgeted panel merge. A non-nil return aborts the
-	// multiplication with that error; workers drain to the next poll before
-	// the join, so no goroutines leak. The public API wires
-	// context.Context.Err here.
+	// expanded tuples), per task in sort, per bin in fold, assemble and the
+	// budgeted gather. A non-nil return aborts the multiplication with that
+	// error; workers drain to the next poll before the join, so no goroutines
+	// leak. The public API wires context.Context.Err here.
 	Cancel func() error
 	// ForceLayout pins the expanded-tuple layout, for tests, ablations and
 	// benchmarks. LayoutAuto (the zero value) squeezes whenever
@@ -190,28 +190,11 @@ type Options struct {
 	// reports the layout actually used.
 	ForceLayout Layout
 	// DisableFusion runs the three-pass sort → compress → assemble pipeline
-	// instead of the default fused one (the sort's last pass folds equal
-	// keys and the budgeted merge emits straight into the final CSR; see
-	// fused.go). Output is bit-identical either way; the switch exists for
-	// ablations, equivalence tests and benchmarks. Stats.Fused reports the
-	// mode actually run.
+	// instead of the default fused one (each bin is sorted, folded and
+	// tallied by one kernel call; see fused.go). Output is bit-identical
+	// either way; the switch exists for ablations, equivalence tests and
+	// benchmarks. Stats.Fused reports the mode actually run.
 	DisableFusion bool
-	// DisableBatch runs the portable scalar kernels instead of the batched
-	// (unsafe, pointer-stepped) implementations in internal/simd: expand on
-	// every layout, sort and fold on the wide one (the key32 sort/fold
-	// kernels have one, safe, form). Output is bit-identical either way — the
-	// scalar kernels are the batched ones's oracle — so the switch exists for
-	// ablations, equivalence tests and debugging. Builds with the purego tag
-	// run scalar regardless. Stats.Kernel reports the kernel set actually
-	// used.
-	DisableBatch bool
-	// NUMA injects a machine topology (tests and ablations); nil discovers
-	// the host's once per process (sysfs on Linux). NUMA-aware execution —
-	// worker pinning, first-touch bin placement, near-first stealing; see
-	// numaplan.go — activates only when the machine has more than one
-	// CPU-bearing node, the run is multi-threaded, and the topology is real
-	// (discovered or injected, not the Table VII fallback model).
-	NUMA *numa.Machine
 }
 
 func (o Options) withDefaults() Options {
@@ -234,9 +217,10 @@ type Stats struct {
 	// (Options.DisableFusion) leave Fuse zero and report Sort/Compress as
 	// before.
 	Fuse time.Duration
-	// Merge is the time spent k-way merging per-bin runs; nonzero only on
-	// budgeted (multi-panel) runs. On fused runs it covers both the counting
-	// and the emitting walk of the merge-into-CSR.
+	// Merge is the copying a memory budget costs: appending each panel's
+	// folded runs to the run arena, then grouping and gathering them per bin.
+	// Nonzero only on budgeted (multi-panel) runs; their final fold over the
+	// gathered bins is charged to Fuse (or Sort and Compress) like a panel's.
 	Merge time.Duration
 	Total time.Duration
 
@@ -248,33 +232,28 @@ type Stats struct {
 	NPanels int
 	CF      float64
 
-	// Layout is the expanded-tuple layout the run used: LayoutSqueezed
-	// (12-byte u32-key parallel arrays, whenever localRowBits+colBits ≤ 32)
-	// or LayoutWide (16-byte radix.Pairs).
+	// Layout is the expanded-tuple layout the run used: LayoutWide (16-byte
+	// radix.Pairs), or one of the three u32-key layouts available whenever
+	// localRowBits+colBits ≤ 32 — LayoutSqueezed (12 bytes, float64 values),
+	// LayoutNarrow (8 bytes, float32/int32 values; MultiplyNarrow) and
+	// LayoutPattern (4 bytes, keys only; MultiplyPattern).
 	Layout Layout
-	// TupleBytes is the per-tuple byte cost of that layout (12 or 16) — the
-	// b entering the traffic model below.
+	// TupleBytes is the per-tuple byte cost of that layout (16, 12, 8 or 4) —
+	// the b entering the traffic model below.
 	TupleBytes int64
 	// Fused reports whether the run used the fused pipeline (the default;
 	// see Options.DisableFusion). Fused runs account the sort/compress
 	// traffic under Fuse/FusedBytes instead of Sort/Compress.
 	Fused bool
-	// Kernel names the inner-loop kernel set the run used: "scalar" when
-	// Options.DisableBatch forced the portable loops, otherwise
-	// internal/simd's dispatch level ("batched", "batched+goamd64v3", or
-	// "purego" on builds with that tag).
+	// Kernel names the inner-loop kernel set of the build, internal/simd's
+	// Level(): "batched", "batched+goamd64v3", or "purego" (the scalar loops)
+	// on builds with that tag.
 	Kernel string
-	// NUMANodes is the number of memory nodes the run scheduled for: 1 when
-	// NUMA awareness was inactive (single node, single thread, or fallback
-	// topology), the machine's node count otherwise.
-	NUMANodes int
 
 	// Sort-phase work-stealing counters (multi-threaded runs; summed over
 	// panels on budgeted runs). SortOwned counts tasks a worker popped from
-	// its own deque, SortStolen tasks taken from another worker's, and
-	// SortNearStolen the stolen subset that stayed on the thief's NUMA node
-	// (always 0 when NUMA awareness is inactive).
-	SortOwned, SortStolen, SortNearStolen int64
+	// its own deque, SortStolen tasks taken from another worker's.
+	SortOwned, SortStolen int64
 
 	// Traffic model (bytes), following Eq. 4 / Table III with the per-run
 	// tuple cost: expand reads both inputs (16 B per stored nonzero) and
@@ -340,20 +319,15 @@ type engine struct {
 	rowShift      uint   // bin = row>>rowShift (shift/mask replaces division; rows per bin = 1<<rowShift)
 	rowMask       uint32 // localRow = row&rowMask
 	colBits       uint
-	want          Layout        // layout the entry point requested (Auto for Multiply)
-	layout        Layout        // concrete layout planBins resolved for this run
-	key32         bool          // layout packs keys into uint32 (everything but wide)
-	lay           layoutOps     // per-layout element accesses (layout.go)
-	fused         bool          // fused sort→compress→assemble pipeline (see fused.go)
-	emitMerge     bool          // budgeted fused merge emits into the final CSR (shallow k)
-	tupleBytes    int64         // per-tuple cost of layout (16/12/8/4)
-	localCap      int32         // tuples per thread-private local bin
-	maxRunsPerBin int           // k of the k-way merge (budgeted path)
-	batch         bool          // use internal/simd's batched kernels (vs scalar oracle)
-	ntFlush       bool          // stream bin flushes with non-temporal stores (per panel)
-	scratchStride int64         // per-worker stride into the sort scratch planes
-	numaM         *numa.Machine // non-nil only when NUMA-aware execution is active
-	workerNodes   []int         // worker→node assignment (nil when numaM is)
+	want          Layout    // layout the entry point requested (Auto for Multiply)
+	layout        Layout    // concrete layout planBins resolved for this run
+	key32         bool      // layout packs keys into uint32 (everything but wide)
+	lay           layoutOps // per-layout element accesses (layout.go)
+	fused         bool      // fused sort→compress→assemble pipeline (see fused.go)
+	tupleBytes    int64     // per-tuple cost of layout (16/12/8/4)
+	localCap      int32     // tuples per thread-private local bin
+	ntFlush       bool      // stream bin flushes with non-temporal stores (per panel)
+	scratchStride int64     // per-worker stride into the sort scratch planes
 
 	// Fault containment and sub-phase cancellation (fault.go). phase names
 	// the running phase for error annotation (written between phases on the
@@ -449,13 +423,7 @@ func (e *engine) run() (*matrix.CSR, error) {
 	t0 := time.Now()
 	e.phase = "plan"
 	e.fused = !e.opt.DisableFusion
-	e.batch = simd.Enabled && !e.opt.DisableBatch
-	if e.batch {
-		e.st.Kernel = simd.Level()
-	} else {
-		e.st.Kernel = "scalar"
-	}
-	e.numaPlan()
+	e.st.Kernel = simd.Level()
 	e.symbolic()
 	e.planPanels()
 	if err := e.planBins(); err != nil {
@@ -527,9 +495,7 @@ func (e *engine) run() (*matrix.CSR, error) {
 }
 
 // runSingleShot is the paper's algorithm: one panel covering all of A's
-// columns, assemble from the tuple buffer. The default fused pipeline sorts,
-// folds and counts each bin in one pass (fused.go); the unfused path keeps
-// the paper's separate sort and compress phases.
+// columns, folded and assembled from the tuple buffer.
 func (e *engine) runSingleShot() (*matrix.CSR, error) {
 	t0 := time.Now()
 	e.panelPlan(0, int(e.a.NumCols))
@@ -546,40 +512,44 @@ func (e *engine) runSingleShot() (*matrix.CSR, error) {
 	if err := e.canceled(); err != nil {
 		return nil, err
 	}
+	return e.foldAndAssemble()
+}
 
+// foldBins sorts and folds every bin ws.binStart lays out over the tuple
+// planes, leaving each bin's folded prefix in place and its length in
+// ws.binOut, and per-row output counts in rowCounts when that is non-nil. The
+// default fused pipeline does it in one pass per bin (fused.go); the unfused
+// one keeps the paper's separate sort and compress phases.
+func (e *engine) foldBins(rowCounts []int64) error {
+	binOut := matrix.GrowInt64(&e.ws.binOut, e.nbins)
+	t0 := time.Now()
+	e.phase = "sort"
+	e.runSortPhase(binOut, rowCounts)
 	if e.fused {
-		t0 = time.Now()
-		e.phase = "sort"
-		binOut := matrix.GrowInt64(&e.ws.binOut, e.nbins)
-		rowCounts := matrix.GrowInt64Zero(&e.ws.rowCounts, int(e.a.NumRows)+1)
-		e.runSortPhase(true, binOut, rowCounts)
-		e.st.Fuse = time.Since(t0)
-		if err := e.canceled(); err != nil {
-			return nil, err
-		}
-	} else {
-		t0 = time.Now()
-		e.phase = "sort"
-		e.runSortPhase(false, nil, nil)
-		e.st.Sort = time.Since(t0)
-		if err := e.canceled(); err != nil {
-			return nil, err
-		}
-
-		t0 = time.Now()
-		e.phase = "compress"
-		binOut := matrix.GrowInt64(&e.ws.binOut, e.nbins)
-		rowCounts := matrix.GrowInt64Zero(&e.ws.rowCounts, int(e.a.NumRows)+1)
-		e.compressBins(binOut, rowCounts)
-		e.st.Compress = time.Since(t0)
-		if err := e.canceled(); err != nil {
-			return nil, err
-		}
+		e.st.Fuse += time.Since(t0)
+		return e.canceled()
 	}
-
+	e.st.Sort += time.Since(t0)
+	if err := e.canceled(); err != nil {
+		return err
+	}
 	t0 = time.Now()
+	e.phase = "compress"
+	e.compressBins(binOut, rowCounts)
+	e.st.Compress += time.Since(t0)
+	return e.canceled()
+}
+
+// foldAndAssemble is the tail every run ends in: fold the bins of the tuple
+// planes — one panel's expansion, or a budgeted run's gathered runs — with
+// row tallies, and assemble the folded prefixes into the result.
+func (e *engine) foldAndAssemble() (*matrix.CSR, error) {
+	if err := e.foldBins(matrix.GrowInt64Zero(&e.ws.rowCounts, int(e.a.NumRows)+1)); err != nil {
+		return nil, err
+	}
+	t0 := time.Now()
 	e.phase = "assemble"
-	c := e.assemble(e.ws.binStart, false)
+	c := e.assemble()
 	e.st.Assemble = time.Since(t0)
 	if err := e.canceled(); err != nil {
 		return nil, err
@@ -623,8 +593,8 @@ func (e *engine) compressOneBin(bin int, binOut, rowCounts []int64) {
 }
 
 // tallyRows adds the per-row output counts of the folded tuples at
-// [src, src+n) into rowCounts (nil skips the tally: the budgeted path counts
-// during the final merge instead). Rows of a bin are touched by no other
+// [src, src+n) into rowCounts (nil skips the tally: a budgeted run's panels
+// leave it to the tail). Rows of a bin are touched by no other
 // bin, so writing the shared slice without synchronization is safe. Keys are
 // read from the shared key arena (all key32 layouts) or the wide pairs.
 func (e *engine) tallyRows(src, n int64, rowCounts []int64, bin int) {
@@ -1006,11 +976,7 @@ func (e *engine) expandPanel(lo int) {
 	// rmat_skew product, 18 against 19 on er_lowcf's 50 MB). On smaller
 	// panels the two are a wash and the lines stay cached for the sort's
 	// read-back, so those keep copy().
-	e.ntFlush = e.batch && simd.HasNT &&
-		e.ws.binStart[nbins]*e.tupleBytes >= ntMinArenaBytes
-	// First-touch the panel's freshly grown bin ranges from their owning
-	// nodes before any worker writes tuples (no-op when NUMA is inactive).
-	e.firstTouchBins()
+	e.ntFlush = simd.HasNT && e.ws.binStart[nbins]*e.tupleBytes >= ntMinArenaBytes
 	if threads == 1 {
 		e.lay.expandRange(e, 0, lo, cursors)
 		e.fenceFlushes()
@@ -1020,7 +986,6 @@ func (e *engine) expandPanel(lo int) {
 			// expand worker latches the abort and its siblings bail at
 			// their next sub-phase poll instead of finishing their ranges.
 			defer e.containWorker(t)
-			defer e.pinWorker(t)()
 			e.lay.expandRange(e, t, lo, cursors[t*nbins:(t+1)*nbins])
 			// NT flush stores are weakly ordered: fence before the join so
 			// the sort phase (any worker) sees every tuple.
@@ -1032,7 +997,7 @@ func (e *engine) expandPanel(lo int) {
 // fenceFlushes orders this worker's non-temporal flush stores before the
 // phase join. No-op when the NT flush path is off.
 func (e *engine) fenceFlushes() {
-	if e.ntFlush && simd.HasNT {
+	if e.ntFlush {
 		simd.StoreFence()
 	}
 }
@@ -1056,7 +1021,6 @@ func (e *engine) expandRangeWide(t, lo int, cursors []int64) {
 	buf := e.ws.locals[int64(t)*stride : int64(t+1)*stride]
 	lens := e.ws.localLens[t*e.nbins : (t+1)*e.nbins]
 	tuples := e.ws.tuples
-	batch := e.batch
 	nt := e.ntFlush
 
 	// Sub-phase cancellation: poll every ~cancelPollTuples expanded tuples.
@@ -1099,7 +1063,7 @@ func (e *engine) expandRangeWide(t, lo int, cursors []int64) {
 					take = room
 				}
 				dst := buf[base+int64(ln) : base+int64(ln)+take]
-				radix.ExpandPairs(dst, localRow, b.ColIdx[q:q+take], b.Val[q:q+take], av, batch)
+				radix.ExpandPairs(dst, localRow, b.ColIdx[q:q+take], b.Val[q:q+take], av)
 				ln += int32(take)
 				q += take
 			}
@@ -1183,15 +1147,13 @@ func compressBinWide(tuples []radix.Pair) int64 {
 	return int64(p2 + 1)
 }
 
-// assemble builds canonical CSR from the compressed bins of the active
-// layout's source buffers: srcStart gives each bin's source offset, and
-// merged selects the merged-run buffers (budgeted runs) over the tuple
-// buffer (single-shot). Bins hold disjoint ascending row ranges and each bin
-// is sorted, so compressed tuples are already in global CSR order; assembly
-// is two prefix sums plus one parallel unpacking copy. ws.binOut and
-// ws.rowCounts must be populated.
-func (e *engine) assemble(srcStart []int64, merged bool) *matrix.CSR {
-	binOut := e.ws.binOut
+// assemble builds canonical CSR from the folded bins of the tuple planes
+// (each bin's prefix starts at its ws.binStart offset). Bins hold disjoint
+// ascending row ranges and each bin is sorted, so folded tuples are already
+// in global CSR order; assembly is two prefix sums plus one parallel
+// unpacking copy. ws.binOut and ws.rowCounts must be populated.
+func (e *engine) assemble() *matrix.CSR {
+	srcStart, binOut := e.ws.binStart, e.ws.binOut
 	binOutStart := matrix.GrowInt64(&e.ws.binOutStart, e.nbins+1)
 	nnzc := par.PrefixSum(binOut, binOutStart)
 
@@ -1208,7 +1170,7 @@ func (e *engine) assemble(srcStart []int64, merged bool) *matrix.CSR {
 			if faultinject.Enabled {
 				faultinject.Fire(faultinject.SiteAssembleBin, 0)
 			}
-			e.lay.unpackBin(e, c, merged, srcStart[bin], binOutStart[bin], binOut[bin])
+			e.lay.unpackBin(e, c, srcStart[bin], binOutStart[bin], binOut[bin])
 		}
 	} else {
 		par.ForEachDynamic(e.nbins, e.opt.Threads, func(worker, bin int) {
@@ -1219,7 +1181,7 @@ func (e *engine) assemble(srcStart []int64, merged bool) *matrix.CSR {
 			if faultinject.Enabled {
 				faultinject.Fire(faultinject.SiteAssembleBin, worker)
 			}
-			e.lay.unpackBin(e, c, merged, srcStart[bin], binOutStart[bin], binOut[bin])
+			e.lay.unpackBin(e, c, srcStart[bin], binOutStart[bin], binOut[bin])
 		})
 	}
 	// An aborted assemble returns a partial c; the caller's post-phase

@@ -2,7 +2,6 @@ package core
 
 import (
 	"pbspgemm/internal/matrix"
-	"pbspgemm/internal/numa"
 	"pbspgemm/internal/par"
 	"pbspgemm/internal/radix"
 )
@@ -26,19 +25,18 @@ type Workspace struct {
 	tuples    []radix.Pair
 	tupleKeys []uint32
 
-	// Budgeted-path buffers: compressed per-(panel,bin) sorted runs, their
-	// metadata, and the per-bin merged output — per layout, like the tuple
-	// buffer.
+	// Budgeted-path buffers: folded per-(panel,bin) sorted runs, their
+	// metadata, and the planes the runs are gathered into per bin, which take
+	// the tuple planes' place for the run's tail (layoutOps.swapGathered) —
+	// per layout, like the tuple buffer.
 	runs        []radix.Pair
 	runKeys     []uint32
-	merged      []radix.Pair
-	mergedKeys  []uint32
+	gathered    []radix.Pair
+	gatherKeys  []uint32
 	runStart    []int64 // run i occupies runs[runStart[i]:runStart[i+1]]
 	runBins     []int32 // global bin of run i
-	runIdx      []int32 // run ids grouped by bin
+	runIdx      []int32 // run ids grouped by bin, panel order within a bin
 	runIdxStart []int32 // group boundaries into runIdx, len nbins+1
-	mergedStart []int64 // per-bin offsets into merged, len nbins+1
-	heads       []int64 // k-way merge cursors, threads × maxRunsPerBin
 
 	// Plan and phase scratch.
 	colFlops []int64
@@ -75,15 +73,9 @@ type Workspace struct {
 	scratchWords []uint64
 	accBits      []uint64
 
-	// Sort-phase scheduler state: the pooled steal policy (counters reused
-	// across calls) plus the NUMA worker→node assignment and victim orders,
-	// rebuilt only when the machine or thread count changes.
-	stealPol   par.StealPolicy
-	polNodes   []int
-	polVictims [][]int
-	polNearLen []int
-	polMachine *numa.Machine
-	polThreads int
+	// Sort-phase scheduler state: the pooled steal counters, reused across
+	// calls.
+	stealPol par.StealPolicy
 
 	// kvF64 pools the float64 value planes of the squeezed (12 B) layout;
 	// kvNarrow holds a *kv[V] for the narrow (8 B) layout's most recent

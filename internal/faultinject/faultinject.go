@@ -25,8 +25,8 @@ const (
 	SiteSortTask
 	// SiteFoldBin fires once per bin in the unfused compress phase.
 	SiteFoldBin
-	// SiteMergeBin fires once per bin of the budgeted k-way merge
-	// (counting and emit walks).
+	// SiteMergeBin fires once per bin of a budgeted run's gather (its runs
+	// copied, in panel order, into one segment for the final fold).
 	SiteMergeBin
 	// SiteAssembleBin fires once per bin unpacked into the output CSR.
 	SiteAssembleBin

@@ -3,7 +3,7 @@
 package numa
 
 // Discover has no portable topology source off Linux; the Table VII model
-// machine stands in (never pinned to: Source == "fallback").
+// machine stands in (Source == "fallback").
 func Discover() *Machine {
 	return Fallback()
 }

@@ -9,19 +9,16 @@ import (
 	"sync"
 )
 
-// Machine is a discovered (or injected) NUMA topology: which CPUs belong to
-// which memory node, plus the bandwidth/latency model used for analytic
-// predictions. The analytic Topology (Table VII) stays useful either way;
-// Machine is what the engine needs to act — pin workers, order steal
-// victims, first-touch bins.
+// Machine is a discovered NUMA topology: which CPUs belong to which memory
+// node, plus the bandwidth/latency model used for analytic predictions. The
+// engine does not act on it — benchmark machine records report NNodes, and
+// cmd/experiments' Table VII / Fig. 14 model reads Topo.
 type Machine struct {
 	// Nodes[i] lists the CPU ids of NUMA node i, ascending.
 	Nodes [][]int
 	// Source records where the topology came from: "sysfs" for a live
 	// /sys/devices/system/node parse, "fallback" for the Table VII model,
-	// anything else for injected test machines. Thread pinning is attempted
-	// only for sysfs and injected machines — the fallback's CPU ids are a
-	// model of the paper's dual Skylake, not this host.
+	// whose CPU ids are a model of the paper's dual Skylake, not this host.
 	Source string
 	// Topo is the bandwidth/latency model paired with the machine; the
 	// fallback uses the paper's Table VII numbers (PaperSkylake), which
@@ -35,59 +32,6 @@ func (m *Machine) NNodes() int {
 		return 0
 	}
 	return len(m.Nodes)
-}
-
-// NodeCPUs returns the CPU ids of one node (nil when out of range).
-func (m *Machine) NodeCPUs(node int) []int {
-	if m == nil || node < 0 || node >= len(m.Nodes) {
-		return nil
-	}
-	return m.Nodes[node]
-}
-
-// AssignWorkers maps worker ids [0, threads) onto nodes in contiguous
-// blocks — workers 0..t/2 on node 0, the rest on node 1, and so on — the
-// same blocked split the engine uses for bins, so a worker's bins and its
-// node coincide. Returns the per-worker node ids.
-func (m *Machine) AssignWorkers(threads int) []int {
-	nodes := m.NNodes()
-	if nodes == 0 {
-		nodes = 1
-	}
-	out := make([]int, threads)
-	for w := 0; w < threads; w++ {
-		out[w] = w * nodes / threads
-	}
-	return out
-}
-
-// VictimOrder builds per-worker steal orders from a worker→node assignment:
-// same-node workers first (rotating from w+1 so same-node workers don't all
-// hammer the same victim), then the remaining workers in id order. The
-// returned nearLen[w] is the same-node prefix length — the inputs
-// par.StealPolicy wants.
-func VictimOrder(workerNodes []int) (victims [][]int, nearLen []int) {
-	threads := len(workerNodes)
-	victims = make([][]int, threads)
-	nearLen = make([]int, threads)
-	for w := 0; w < threads; w++ {
-		order := make([]int, 0, threads-1)
-		for i := 1; i < threads; i++ {
-			v := (w + i) % threads
-			if workerNodes[v] == workerNodes[w] {
-				order = append(order, v)
-			}
-		}
-		nearLen[w] = len(order)
-		for i := 1; i < threads; i++ {
-			v := (w + i) % threads
-			if workerNodes[v] != workerNodes[w] {
-				order = append(order, v)
-			}
-		}
-		victims[w] = order
-	}
-	return victims, nearLen
 }
 
 // ParseCPUList parses the kernel's cpulist format ("0-23,48-71") into the
@@ -161,7 +105,7 @@ func DiscoverFS(fsys fs.FS) (*Machine, error) {
 			return nil, fmt.Errorf("numa: node %d: %w", id, err)
 		}
 		if len(cpus) == 0 {
-			continue // memory-only node: no CPUs to pin or steal near
+			continue // memory-only node: not a place threads run
 		}
 		nodes = append(nodes, node{id: id, cpus: cpus})
 	}
@@ -179,8 +123,8 @@ func DiscoverFS(fsys fs.FS) (*Machine, error) {
 // Fallback is the Table VII machine: two sockets of 24 cores with the
 // paper's measured bandwidths and latencies. It exists so the analytic
 // dual-socket predictions (PredictDual) always have a machine to reason
-// about; its CPU ids describe the paper's Skylake 8160, not this host, so
-// the engine never pins to them (Source == "fallback").
+// about; its CPU ids describe the paper's Skylake 8160, not this host
+// (Source == "fallback").
 func Fallback() *Machine {
 	per := PaperSkylake.SocketsPer
 	n0 := make([]int, per)

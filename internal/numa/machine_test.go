@@ -76,7 +76,7 @@ func TestDiscoverFSDualSocket(t *testing.T) {
 }
 
 // TestDiscoverFSMemoryOnlyNode: CPU-less nodes (CXL/optane expanders) are
-// dropped — there is nothing to pin or steal near on them.
+// dropped — no thread runs on them.
 func TestDiscoverFSMemoryOnlyNode(t *testing.T) {
 	fsys := fstest.MapFS{
 		"node0/cpulist": {Data: []byte("0-7\n")},
@@ -139,62 +139,4 @@ func TestFallbackIsTableVII(t *testing.T) {
 	if m.Topo != PaperSkylake {
 		t.Fatalf("fallback topology = %+v", m.Topo)
 	}
-}
-
-func TestAssignWorkers(t *testing.T) {
-	m := &Machine{Nodes: [][]int{{0, 1}, {2, 3}}, Source: "test"}
-	got := m.AssignWorkers(4)
-	if !reflect.DeepEqual(got, []int{0, 0, 1, 1}) {
-		t.Fatalf("AssignWorkers(4) = %v", got)
-	}
-	got = m.AssignWorkers(3)
-	if !reflect.DeepEqual(got, []int{0, 0, 1}) {
-		t.Fatalf("AssignWorkers(3) = %v", got)
-	}
-	// One node: everything on node 0.
-	one := &Machine{Nodes: [][]int{{0}}, Source: "test"}
-	if got := one.AssignWorkers(2); !reflect.DeepEqual(got, []int{0, 0}) {
-		t.Fatalf("single-node AssignWorkers = %v", got)
-	}
-}
-
-func TestVictimOrder(t *testing.T) {
-	// 4 workers, 2 nodes: 0,1 on node 0; 2,3 on node 1.
-	victims, nearLen := VictimOrder([]int{0, 0, 1, 1})
-	want := [][]int{
-		{1, 2, 3},
-		{0, 2, 3},
-		{3, 0, 1},
-		{2, 0, 1},
-	}
-	if !reflect.DeepEqual(victims, want) {
-		t.Fatalf("victims = %v, want %v", victims, want)
-	}
-	if !reflect.DeepEqual(nearLen, []int{1, 1, 1, 1}) {
-		t.Fatalf("nearLen = %v", nearLen)
-	}
-	// Every worker's list covers everyone else exactly once.
-	for w, vs := range victims {
-		seen := map[int]bool{w: true}
-		for _, v := range vs {
-			if seen[v] {
-				t.Fatalf("worker %d victim %d repeated", w, v)
-			}
-			seen[v] = true
-		}
-		if len(seen) != 4 {
-			t.Fatalf("worker %d victims incomplete: %v", w, vs)
-		}
-	}
-}
-
-func TestPinThreadBestEffort(t *testing.T) {
-	// CPU 0 exists everywhere; pinning to it (or no-op off Linux) must
-	// round-trip without panicking, and teardown must restore.
-	td := PinThread([]int{0})
-	td()
-	// Nonexistent CPUs: best-effort, never an error surface.
-	td = PinThread([]int{100000})
-	td()
-	PinThread(nil)()
 }

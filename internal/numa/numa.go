@@ -9,6 +9,12 @@
 // other socket, so they run at the harmonic-mean bandwidth, while column
 // algorithms keep their working column in cache and barely notice.
 // See DESIGN.md §4 (substitution 3).
+//
+// Beside the model the package discovers the host's memory nodes from sysfs
+// (Default, machine.go), for machine records only: the engine places neither
+// threads nor pages by it. A pinning / first-touch / near-stealing execution
+// path existed once; it only ever ran on injected topologies, never showed a
+// measured win, and was deleted.
 package numa
 
 import "time"

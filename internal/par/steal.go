@@ -7,72 +7,42 @@ import (
 	"time"
 )
 
-// StealPolicy customizes WorkStealPolicy's scheduling and exposes its
-// per-worker counters. The zero value (or a nil policy) reproduces WorkSteal
-// exactly: round-robin victim order, no counters, no per-worker setup.
-//
-// The NUMA-aware sort phase injects victim orders that list same-node
-// workers first (numa.VictimOrder), so a worker running out of local tasks
-// raids deques whose bins were first-touched on its own memory node before
-// crossing the socket interconnect.
+// StealPolicy carries WorkStealPolicy's per-worker counters. A nil policy
+// (or nil counter slices) reproduces WorkSteal exactly: nothing is counted.
 type StealPolicy struct {
-	// Victims[w] is worker w's steal order — the other workers' ids, tried
-	// first to last each time w's own deque is empty. nil (or short) falls
-	// back to round-robin from w+1.
-	Victims [][]int
-	// NearLen[w] is how many leading entries of Victims[w] are "near" (same
-	// NUMA node); steals from them count into NearStolen.
-	NearLen []int
-	// Place[i], when non-nil, is the deque seed i starts on (otherwise seeds
-	// spread round-robin). Tests use it to stage deterministic layouts.
-	Place []int
-	// Setup, when non-nil, runs at each worker goroutine's start (e.g. to
-	// pin the OS thread to the worker's NUMA node); the returned teardown,
-	// if non-nil, runs when the worker exits.
-	Setup func(worker int) (teardown func())
-
 	// Per-worker counters, written with plain stores (slot w is touched only
-	// by worker w) and valid after WorkStealPolicy returns. Nil slices skip
-	// counting. Owned counts tasks popped from the worker's own deque,
-	// Stolen tasks taken from a victim, NearStolen the subset taken from the
-	// first NearLen entries of the victim list.
-	Owned, Stolen, NearStolen []int64
+	// by worker w) and valid after WorkStealPolicy returns. Owned counts
+	// tasks popped from the worker's own deque, Stolen tasks taken from
+	// another worker's.
+	Owned, Stolen []int64
 }
 
 // EnsureCounters sizes (and zeroes) the counter slices for a run with the
 // given worker count, reusing capacity grow-only.
 func (p *StealPolicy) EnsureCounters(threads int) {
-	grow := func(s *[]int64) {
+	for _, s := range []*[]int64{&p.Owned, &p.Stolen} {
 		if cap(*s) < threads {
 			*s = make([]int64, threads)
 		}
 		*s = (*s)[:threads]
-		for i := range *s {
-			(*s)[i] = 0
-		}
+		clear(*s)
 	}
-	grow(&p.Owned)
-	grow(&p.Stolen)
-	grow(&p.NearStolen)
 }
 
 // Totals sums the per-worker counters.
-func (p *StealPolicy) Totals() (owned, stolen, nearStolen int64) {
+func (p *StealPolicy) Totals() (owned, stolen int64) {
 	for _, v := range p.Owned {
 		owned += v
 	}
 	for _, v := range p.Stolen {
 		stolen += v
 	}
-	for _, v := range p.NearStolen {
-		nearStolen += v
-	}
 	return
 }
 
-// WorkStealPolicy is WorkSteal with a scheduling policy: custom victim
-// orders, per-worker setup hooks and ownership/steal counters. A nil policy
-// is identical to WorkSteal. See WorkSteal for the scheduling contract.
+// WorkStealPolicy is WorkSteal with ownership/steal counters. A nil policy is
+// identical to WorkSteal. See WorkSteal for the scheduling contract; victims
+// are tried round-robin from the thief's right-hand neighbour.
 func WorkStealPolicy[T any](threads int, seeds []T, pol *StealPolicy, fn func(worker int, task T, spawn func(T))) {
 	threads = DefaultThreads(threads)
 	if len(seeds) == 0 {
@@ -80,11 +50,6 @@ func WorkStealPolicy[T any](threads int, seeds []T, pol *StealPolicy, fn func(wo
 	}
 	if threads <= 1 {
 		protect(0, func() {
-			if pol != nil && pol.Setup != nil {
-				if td := pol.Setup(0); td != nil {
-					defer td()
-				}
-			}
 			stack := append(make([]T, 0, 2*len(seeds)), seeds...)
 			spawn := func(t T) { stack = append(stack, t) }
 			for len(stack) > 0 {
@@ -100,11 +65,7 @@ func WorkStealPolicy[T any](threads int, seeds []T, pol *StealPolicy, fn func(wo
 	}
 	deques := make([]wsDeque[T], threads)
 	for i, s := range seeds {
-		w := i % threads
-		if pol != nil && i < len(pol.Place) {
-			w = pol.Place[i] % threads
-		}
-		deques[w].buf = append(deques[w].buf, s)
+		deques[i%threads].buf = append(deques[i%threads].buf, s)
 	}
 	var g guard
 	var pending atomic.Int64
@@ -115,19 +76,6 @@ func WorkStealPolicy[T any](threads int, seeds []T, pol *StealPolicy, fn func(wo
 		go func(t int) {
 			defer wg.Done()
 			g.run(t, func() {
-				if pol != nil && pol.Setup != nil {
-					if td := pol.Setup(t); td != nil {
-						defer td()
-					}
-				}
-				var victims []int
-				nearLen := 0
-				if pol != nil && t < len(pol.Victims) && pol.Victims[t] != nil {
-					victims = pol.Victims[t]
-					if t < len(pol.NearLen) {
-						nearLen = pol.NearLen[t]
-					}
-				}
 				self := &deques[t]
 				spawn := func(nt T) {
 					pending.Add(1)
@@ -142,32 +90,18 @@ func WorkStealPolicy[T any](threads int, seeds []T, pol *StealPolicy, fn func(wo
 						return
 					}
 					task, ok := self.popTail()
-					stoleFrom := -1
-					if !ok {
-						if victims != nil {
-							for i := 0; !ok && i < len(victims); i++ {
-								if task, ok = deques[victims[i]].stealHead(); ok {
-									stoleFrom = i
-								}
-							}
-						} else {
-							for i := 1; !ok && i < threads; i++ {
-								if task, ok = deques[(t+i)%threads].stealHead(); ok {
-									stoleFrom = i
-								}
-							}
-						}
+					stolen := false
+					for i := 1; !ok && i < threads; i++ {
+						task, ok = deques[(t+i)%threads].stealHead()
+						stolen = ok
 					}
 					if ok {
 						idle = 0
 						if pol != nil && pol.Owned != nil {
-							if stoleFrom < 0 {
-								pol.Owned[t]++
-							} else {
+							if stolen {
 								pol.Stolen[t]++
-								if victims != nil && stoleFrom < nearLen {
-									pol.NearStolen[t]++
-								}
+							} else {
+								pol.Owned[t]++
 							}
 						}
 						fn(t, task, spawn)

@@ -3,7 +3,6 @@ package par
 import (
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 // TestWorkStealPolicyNilMatchesWorkSteal: a nil policy must behave exactly
@@ -40,118 +39,12 @@ func TestStealCountersConserve(t *testing.T) {
 				// nothing
 			}
 		})
-		owned, stolen, near := pol.Totals()
+		owned, stolen := pol.Totals()
 		if owned+stolen != ran.Load() || ran.Load() != 200 {
 			t.Fatalf("threads=%d: owned %d + stolen %d != ran %d", threads, owned, stolen, ran.Load())
-		}
-		if near > stolen {
-			t.Fatalf("threads=%d: nearStolen %d > stolen %d", threads, near, stolen)
 		}
 		if threads == 1 && (stolen != 0 || owned != 200) {
 			t.Fatalf("threads=1: owned %d stolen %d, want 200/0", owned, stolen)
 		}
-	}
-}
-
-// TestNearStealsPreferred: with an injected two-node topology and the
-// "victims" workers parked, the one active thief must drain its NUMA-near
-// victim's deque before touching the far one — the victim list is scanned in
-// order on every steal, so a far steal can only ever happen once the near
-// deque is empty.
-func TestNearStealsPreferred(t *testing.T) {
-	const perDeque = 10
-	// 3 workers: 0 and 1 on node A, 2 on node B. Worker 1 is the thief;
-	// its near victim is 0, far victim is 2.
-	pol := &StealPolicy{
-		Victims: [][]int{{1, 2}, {0, 2}, {0, 1}},
-		NearLen: []int{1, 1, 0},
-		Place:   make([]int, 2*perDeque),
-		Setup: func(w int) func() {
-			if w != 1 {
-				time.Sleep(200 * time.Millisecond) // park the deque owners
-			}
-			return nil
-		},
-	}
-	for i := 0; i < perDeque; i++ {
-		pol.Place[i] = 0
-		pol.Place[perDeque+i] = 2
-	}
-	pol.EnsureCounters(3)
-
-	var order []int // deque each of worker 1's tasks came from, in run order
-	seeds := make([]int, 2*perDeque)
-	for i := range seeds {
-		if i < perDeque {
-			seeds[i] = 0
-		} else {
-			seeds[i] = 2
-		}
-	}
-	WorkStealPolicy(3, seeds, pol, func(w int, task int, _ func(int)) {
-		if w == 1 {
-			order = append(order, task)
-		}
-	})
-
-	if pol.Stolen[1] == 0 {
-		t.Fatal("thief stole nothing; owners were parked 200ms")
-	}
-	// Structural invariant: worker 1 tries victim 0 before victim 2 on
-	// every steal, so its first far steal can only happen after deque 0 is
-	// empty — all of worker 1's near steals precede all of its far ones.
-	seenFar := false
-	for _, src := range order {
-		if src == 2 {
-			seenFar = true
-		} else if seenFar {
-			t.Fatalf("near steal after far steal: order %v", order)
-		}
-	}
-	if pol.NearStolen[1]+0 < 1 {
-		t.Fatalf("no near steals recorded: %+v", pol)
-	}
-	if pol.NearStolen[1] > pol.Stolen[1] {
-		t.Fatalf("near %d > stolen %d", pol.NearStolen[1], pol.Stolen[1])
-	}
-}
-
-// TestStealPolicySetupTeardown: Setup runs once per worker, teardowns run on
-// exit, including on the sequential path.
-func TestStealPolicySetupTeardown(t *testing.T) {
-	for _, threads := range []int{1, 4} {
-		var setups, teardowns atomic.Int64
-		pol := &StealPolicy{
-			Setup: func(w int) func() {
-				setups.Add(1)
-				return func() { teardowns.Add(1) }
-			},
-		}
-		WorkStealPolicy(threads, make([]int, 50), pol, func(int, int, func(int)) {})
-		if got := setups.Load(); got != int64(threads) {
-			t.Fatalf("threads=%d: %d setups", threads, got)
-		}
-		if setups.Load() != teardowns.Load() {
-			t.Fatalf("threads=%d: %d setups, %d teardowns", threads, setups.Load(), teardowns.Load())
-		}
-	}
-}
-
-// TestStealPolicyPlace: explicit placement must land seeds on the requested
-// deques (observed through owners' Owned counters with everyone else idle).
-func TestStealPolicyPlace(t *testing.T) {
-	pol := &StealPolicy{Place: []int{2, 2, 2, 2}}
-	pol.EnsureCounters(3)
-	// Workers 0 and 1 have empty deques and must steal everything from 2 —
-	// or 2 runs them itself; either way nothing is "owned" by 0 or 1.
-	WorkStealPolicy(3, make([]int, 4), pol, func(int, int, func(int)) {
-		time.Sleep(time.Millisecond)
-	})
-	if pol.Owned[0] != 0 || pol.Owned[1] != 0 {
-		t.Fatalf("workers 0/1 owned tasks they were never given: %v", pol.Owned)
-	}
-	owned, stolen, _ := pol.Totals()
-	if owned+stolen != 4 {
-		t.Fatalf("conservation: %d + %d != 4", owned, stolen)
 	}
 }

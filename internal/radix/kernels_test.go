@@ -306,7 +306,8 @@ func TestPartitionThenSortMatchesOracle(t *testing.T) {
 }
 
 // TestWideStableFamilyMatchesOracle covers the wide layout's sorts the same
-// way: stable sort, fused sort+fold, and partition + per-bucket sort.
+// way: stable sort, fused sort+fold, and partition + per-bucket sort, over the
+// build's pair kernels (batched by default, the scalar loops under purego).
 func TestWideStableFamilyMatchesOracle(t *testing.T) {
 	r := rand.New(rand.NewSource(19))
 	for _, n := range []int{0, 1, 2, 31, 32, 33, 1000, 20000} {
@@ -314,6 +315,9 @@ func TestWideStableFamilyMatchesOracle(t *testing.T) {
 			ps := make([]Pair, n)
 			for i := range ps {
 				ps[i] = Pair{Key: r.Uint64() % kr, Val: r.NormFloat64()}
+				if ps[i].Key%3 == 0 {
+					ps[i].Val = math.Copysign(0, -1) // whole groups of −0: the fold must keep the sign
+				}
 			}
 			sorted := append([]Pair(nil), ps...)
 			sort.SliceStable(sorted, func(a, b int) bool { return sorted[a].Key < sorted[b].Key })
@@ -326,34 +330,32 @@ func TestWideStableFamilyMatchesOracle(t *testing.T) {
 				folded = append(folded, p)
 			}
 			aux := make([]Pair, n)
-			for _, batch := range []bool{false, true} {
-				got := append([]Pair(nil), ps...)
-				SortPairsStable(got, aux, batch)
-				for i := range got {
-					if got[i] != sorted[i] {
-						t.Fatalf("n=%d kr=%d: SortPairsStable[%d] = %+v, want %+v", n, kr, i, got[i], sorted[i])
-					}
+			got := append([]Pair(nil), ps...)
+			SortPairsStable(got, aux)
+			for i := range got {
+				if got[i] != sorted[i] {
+					t.Fatalf("n=%d kr=%d: SortPairsStable[%d] = %+v, want %+v", n, kr, i, got[i], sorted[i])
 				}
-				got = append(got[:0], ps...)
-				m := SortPairsFusedScratch(got, aux, batch)
-				if int(m) != len(folded) {
-					t.Fatalf("n=%d kr=%d: fused len %d, want %d", n, kr, m, len(folded))
+			}
+			got = append(got[:0], ps...)
+			m := SortPairsFusedScratch(got, aux)
+			if int(m) != len(folded) {
+				t.Fatalf("n=%d kr=%d: fused len %d, want %d", n, kr, m, len(folded))
+			}
+			for i := range folded {
+				if got[i].Key != folded[i].Key || math.Float64bits(got[i].Val) != math.Float64bits(folded[i].Val) {
+					t.Fatalf("n=%d kr=%d: fused[%d] = %+v, want %+v", n, kr, i, got[i], folded[i])
 				}
-				for i := range folded {
-					if got[i] != folded[i] {
-						t.Fatalf("n=%d kr=%d: fused[%d] = %+v, want %+v", n, kr, i, got[i], folded[i])
-					}
-				}
-				got = append(got[:0], ps...)
-				bounds := make([]int64, MaxPartitionBuckets+1)
-				nb, next := PartitionPairsScratch(got, aux, bounds, batch)
-				for b := 0; b < nb; b++ {
-					SortPairsAtByteStable(got[bounds[b]:bounds[b+1]], aux, next, batch)
-				}
-				for i := range got {
-					if got[i] != sorted[i] {
-						t.Fatalf("n=%d kr=%d: partitioned[%d] = %+v, want %+v", n, kr, i, got[i], sorted[i])
-					}
+			}
+			got = append(got[:0], ps...)
+			bounds := make([]int64, MaxPartitionBuckets+1)
+			nb, next := PartitionPairsScratch(got, aux, bounds)
+			for b := 0; b < nb; b++ {
+				SortPairsAtByteStable(got[bounds[b]:bounds[b+1]], aux, next)
+			}
+			for i := range got {
+				if got[i] != sorted[i] {
+					t.Fatalf("n=%d kr=%d: partitioned[%d] = %+v, want %+v", n, kr, i, got[i], sorted[i])
 				}
 			}
 		}

@@ -19,45 +19,28 @@ func simdPairs(ps []Pair) []simd.Pair {
 	return unsafe.Slice((*simd.Pair)(unsafe.Pointer(&ps[0])), len(ps))
 }
 
-func orPairs(ps []Pair, batch bool) uint64 {
-	if batch {
-		return simd.OrPairs(simdPairs(ps))
-	}
-	return orPairsRef(ps)
+// The pair kernels of the default build: internal/simd's batched forms over
+// the punned slice. Builds with the purego tag get scalar loops instead
+// (pairskernel_purego.go).
+
+func orPairs(ps []Pair) uint64 { return simd.OrPairs(simdPairs(ps)) }
+
+func histPairs(ps []Pair, shift uint, count *[maxBuckets]int64) {
+	simd.HistPairs(simdPairs(ps), shift, count)
 }
 
-func histPairs(ps []Pair, shift uint, count *[maxBuckets]int64, batch bool) {
-	if batch {
-		simd.HistPairs(simdPairs(ps), shift, count)
-	} else {
-		histPairsRef(ps, shift, count)
-	}
+func scatterPairs(src []Pair, dst []Pair, shift uint, cursor *[maxBuckets]int64) {
+	simd.ScatterPairs(simdPairs(src), simdPairs(dst), shift, cursor)
 }
 
-func scatterPairs(src []Pair, dst []Pair, shift uint, cursor *[maxBuckets]int64, batch bool) {
-	if batch {
-		simd.ScatterPairs(simdPairs(src), simdPairs(dst), shift, cursor)
-	} else {
-		scatterPairsRef(src, dst, shift, cursor)
-	}
-}
-
-func accumPairs(ps []Pair, acc *[maxBuckets]float64, batch bool) {
-	if batch {
-		simd.AccumPairs(simdPairs(ps), acc)
-	} else {
-		accumPairsRef(ps, acc)
-	}
+func accumPairs(ps []Pair, acc *[maxBuckets]float64) {
+	simd.AccumPairs(simdPairs(ps), acc)
 }
 
 // ExpandPairs writes the wide outer-product tuples
 // {localRow|cols[i], av*bVals[i]} into dst (len(dst) = len(cols) = len(bVals)
 // entries). The engine's expand phase calls it per chunk; exporting it here
 // keeps the Pair↔simd.Pair pun inside this package.
-func ExpandPairs(dst []Pair, localRow uint64, cols []int32, bVals []float64, av float64, batch bool) {
-	if batch {
-		simd.ExpandPairs(simdPairs(dst), localRow, cols, bVals, av)
-	} else {
-		expandPairsRef(dst, localRow, cols, bVals, av)
-	}
+func ExpandPairs(dst []Pair, localRow uint64, cols []int32, bVals []float64, av float64) {
+	simd.ExpandPairs(simdPairs(dst), localRow, cols, bVals, av)
 }

@@ -1,5 +1,7 @@
 package radix
 
+import "math"
+
 // The wide layout's stable sort family, on whole-byte digits. Each splitting
 // pass is a STABLE counting scatter ping-ponging between the tuple buffer and
 // a caller-provided scratch plane, so equal keys keep their arrival (expand)
@@ -10,29 +12,29 @@ package radix
 
 // SortPairsStable stably sorts ps by Key. aux must be at least len(ps); its
 // contents are clobbered.
-func SortPairsStable(ps []Pair, aux []Pair, batch bool) {
+func SortPairsStable(ps []Pair, aux []Pair) {
 	n := len(ps)
 	if n < 2 {
 		return
 	}
-	or := orPairs(ps, batch)
+	or := orPairs(ps)
 	if or == 0 {
 		return
 	}
-	stableSortPairs(ps, aux[:n], topByte(or), true, batch)
+	stableSortPairs(ps, aux[:n], topByte(or), true)
 }
 
 // SortPairsAtByteStable continues a partitioned bucket whose keys agree on
 // all bytes above byteIdx.
-func SortPairsAtByteStable(ps []Pair, aux []Pair, byteIdx int, batch bool) {
+func SortPairsAtByteStable(ps []Pair, aux []Pair, byteIdx int) {
 	n := len(ps)
 	if n < 2 || byteIdx < 0 {
 		return
 	}
-	stableSortPairs(ps, aux[:n], byteIdx, true, batch)
+	stableSortPairs(ps, aux[:n], byteIdx, true)
 }
 
-func stableSortPairs(src []Pair, alt []Pair, byteIdx int, inOrig, batch bool) {
+func stableSortPairs(src []Pair, alt []Pair, byteIdx int, inOrig bool) {
 	n := len(src)
 	for {
 		if n <= 1 {
@@ -57,7 +59,7 @@ func stableSortPairs(src []Pair, alt []Pair, byteIdx int, inOrig, batch bool) {
 		}
 		shift := uint(byteIdx * 8)
 		var count [maxBuckets]int64
-		histPairs(src, shift, &count, batch)
+		histPairs(src, shift, &count)
 		nonEmpty := 0
 		var start [maxBuckets]int64
 		sum := int64(0)
@@ -73,7 +75,7 @@ func stableSortPairs(src []Pair, alt []Pair, byteIdx int, inOrig, batch bool) {
 			continue
 		}
 		cursor := start
-		scatterPairs(src, alt, shift, &cursor, batch)
+		scatterPairs(src, alt, shift, &cursor)
 		if byteIdx == 0 {
 			if inOrig {
 				copy(src, alt)
@@ -103,7 +105,7 @@ func stableSortPairs(src []Pair, alt []Pair, byteIdx int, inOrig, batch bool) {
 					src[s], src[s2] = alt[s], alt[s2]
 				}
 			default:
-				stableSortPairs(alt[s:s+c], src[s:s+c], byteIdx-1, !inOrig, batch)
+				stableSortPairs(alt[s:s+c], src[s:s+c], byteIdx-1, !inOrig)
 			}
 		}
 		return
@@ -125,12 +127,12 @@ func insertionIntoPairs(src []Pair, dst []Pair) {
 // PartitionPairsScratch is the stable splitting pass for oversized wide
 // bins: one scatter through aux with copy-back, bounds filled with the 256
 // byte-bucket starts (bounds[256] = len). Zero nbuckets means fully sorted.
-func PartitionPairsScratch(ps []Pair, aux []Pair, bounds []int64, batch bool) (nbuckets, nextByte int) {
+func PartitionPairsScratch(ps []Pair, aux []Pair, bounds []int64) (nbuckets, nextByte int) {
 	n := len(ps)
 	if n < 2 {
 		return 0, 0
 	}
-	or := orPairs(ps, batch)
+	or := orPairs(ps)
 	if or == 0 {
 		return 0, 0
 	}
@@ -142,7 +144,7 @@ func PartitionPairsScratch(ps []Pair, aux []Pair, bounds []int64, batch bool) (n
 		}
 		shift := uint(byteIdx * 8)
 		var count [maxBuckets]int64
-		histPairs(ps, shift, &count, batch)
+		histPairs(ps, shift, &count)
 		nonEmpty := 0
 		var start [maxBuckets]int64
 		sum := int64(0)
@@ -158,7 +160,7 @@ func PartitionPairsScratch(ps []Pair, aux []Pair, bounds []int64, batch bool) (n
 			continue
 		}
 		cursor := start
-		scatterPairs(ps, aux, shift, &cursor, batch)
+		scatterPairs(ps, aux, shift, &cursor)
 		copy(ps, aux)
 		for b := 0; b < maxBuckets; b++ {
 			bounds[b] = start[b]
@@ -173,19 +175,18 @@ func PartitionPairsScratch(ps []Pair, aux []Pair, bounds []int64, batch bool) (n
 
 // fusePairsS is the stable fused sort+fold for the wide layout.
 type fusePairsS struct {
-	ps    []Pair
-	n     int64
-	batch bool
+	ps []Pair
+	n  int64
 }
 
 // SortPairsFusedScratch stably sorts and folds ps in one pass, returning
 // the folded tuple count. aux must be at least len(ps).
-func SortPairsFusedScratch(ps []Pair, aux []Pair, batch bool) int64 {
+func SortPairsFusedScratch(ps []Pair, aux []Pair) int64 {
 	n := len(ps)
 	if n == 0 {
 		return 0
 	}
-	or := orPairs(ps, batch)
+	or := orPairs(ps)
 	if or == 0 {
 		v := ps[0].Val
 		for i := 1; i < n; i++ {
@@ -194,7 +195,7 @@ func SortPairsFusedScratch(ps []Pair, aux []Pair, batch bool) int64 {
 		ps[0].Val = v
 		return 1
 	}
-	f := fusePairsS{ps: ps, batch: batch}
+	f := fusePairsS{ps: ps}
 	f.sort(ps, aux[:n], topByte(or))
 	return f.n
 }
@@ -227,7 +228,7 @@ func (f *fusePairsS) sort(src []Pair, alt []Pair, byteIdx int) {
 	}
 	shift := uint(byteIdx * 8)
 	var count [maxBuckets]int64
-	histPairs(src, shift, &count, f.batch)
+	histPairs(src, shift, &count)
 	nonEmpty := 0
 	var start [maxBuckets]int64
 	sum := int64(0)
@@ -245,8 +246,8 @@ func (f *fusePairsS) sort(src []Pair, alt []Pair, byteIdx int) {
 	if byteIdx == 0 {
 		// Last byte: sequential accumulate in arrival order, then emit
 		// per occupied bucket. Reads all of src before any emit.
-		var acc [maxBuckets]float64
-		accumPairs(src, &acc, f.batch)
+		acc := negZeros
+		accumPairs(src, &acc)
 		base := src[0].Key &^ 0xff
 		out := f.n
 		for b := 0; b < maxBuckets; b++ {
@@ -259,7 +260,7 @@ func (f *fusePairsS) sort(src []Pair, alt []Pair, byteIdx int) {
 		return
 	}
 	cursor := start
-	scatterPairs(src, alt, shift, &cursor, f.batch)
+	scatterPairs(src, alt, shift, &cursor)
 	for b := 0; b < maxBuckets; b++ {
 		c := count[b]
 		if c == 0 {
@@ -286,6 +287,18 @@ func (f *fusePairsS) sort(src []Pair, alt []Pair, byteIdx int) {
 		}
 	}
 }
+
+// negZeros is the accumulator the last byte pass starts from. −0 is the exact
+// identity of IEEE addition (−0 + x = x for every x, −0 included), so summing
+// a bucket from it is the chain every other fold runs — first value assigned,
+// later ones added — where summing from +0 would turn a group of −0 products
+// into +0.
+var negZeros = func() (acc [maxBuckets]float64) {
+	for b := range acc {
+		acc[b] = math.Copysign(0, -1)
+	}
+	return acc
+}()
 
 func (f *fusePairsS) insertionFold(src []Pair) {
 	ps := f.ps

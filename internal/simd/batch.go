@@ -11,8 +11,6 @@ import "unsafe"
 // flight per iteration. The caller contract (digits ≤ 255, cursors in
 // bounds) is inherited from scalar.go; these kernels do not re-check it.
 
-const Enabled = true
-
 // OrPairs is the batched OrPairsScalar.
 func OrPairs(ps []Pair) uint64 {
 	n := len(ps)

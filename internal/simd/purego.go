@@ -6,8 +6,6 @@ package simd
 // No unsafe loads/stores and no assembly execute under this tag (prefetch
 // hints become no-ops).
 
-const Enabled = false
-
 const level = "purego"
 
 func OrPairs(ps []Pair) uint64 { return OrPairsScalar(ps) }

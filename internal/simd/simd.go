@@ -19,10 +19,10 @@
 // Every kernel has an exported ...Scalar reference twin compiled into every
 // build. The scalar twins are the oracle: batched and scalar must be
 // BIT-IDENTICAL (same element order, same floating-point association — the
-// batched forms never reorder value additions), which
-// internal/radix and internal/core pin with equivalence tests and the
-// FuzzBatchedVsScalar target. Callers select per run (core's
-// Options.DisableBatch) and report the choice on Stats.Kernel.
+// batched forms never reorder value additions), which this package's tests
+// pin kernel by kernel. A build has one kernel form — the build tag is the
+// only switch — and core reports it on Stats.Kernel; the purego CI lane runs
+// the whole engine suite over the scalar loops.
 package simd
 
 // Pair mirrors radix.Pair (an 8-byte packed key and its float64 value).

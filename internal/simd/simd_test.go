@@ -143,11 +143,13 @@ func TestPrefetchSafe(t *testing.T) {
 }
 
 func TestLevel(t *testing.T) {
-	lv := Level()
-	if Enabled && lv == "purego" {
-		t.Fatalf("Enabled but level=%q", lv)
-	}
-	if !Enabled && lv != "purego" {
-		t.Fatalf("disabled but level=%q", lv)
+	switch lv := Level(); lv {
+	case "batched", "batched+goamd64v3":
+	case "purego":
+		if HasNT {
+			t.Fatal("purego build reports non-temporal stores")
+		}
+	default:
+		t.Fatalf("unknown level %q", lv)
 	}
 }
