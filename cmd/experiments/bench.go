@@ -8,10 +8,12 @@ import (
 	"slices"
 	"time"
 
+	"pbspgemm"
 	"pbspgemm/internal/core"
 	"pbspgemm/internal/faultinject"
 	"pbspgemm/internal/gen"
 	"pbspgemm/internal/matrix"
+	"pbspgemm/internal/semiring"
 	"pbspgemm/internal/stream"
 )
 
@@ -20,35 +22,17 @@ import (
 // GFLOPS, per-phase GB/s and allocs/op. CI runs `bench -json bench.json
 // -gate` on every push and uploads it as the bench-trajectory artifact, so
 // each PR leaves a comparable perf baseline behind; the committed
-// BENCH_PR17.json is one -gate run of the commit that set the current
+// BENCH_PR18.json is one -gate run of the commit that set the current
 // gates (CI's informational -baseline). Regimes pin both tuple layouts on the
 // low-cf ER workload (the squeezed pipeline's headline case), fused-vs-unfused
-// on the high-cf R-MAT workload (the fused pipeline's) and that workload under
-// two memory budgets: -gate fails the run if fused ns/op regresses past
-// unfused there, if the deep budget costs more than 2.5 × the single-shot
-// product, or if any single-threaded pooled regime allocates.
+// on the high-cf R-MAT workload (the fused pipeline's), that workload under
+// two memory budgets, and a masked product beside its unmasked twin: -gate
+// fails the run on the ratio, phase and allocation checks of gateBench.
 
-// benchSchema versions the JSON so future PRs can evolve the report without
-// breaking trajectory tooling. v2 adds the fused field and the fuse phase;
-// v3 adds the mode field and the pattern (4 B) and float32-narrow (8 B)
-// regimes; v4 adds the measured STREAM Triad baselines, per-phase
-// pct_of_stream (phase GB/s as a percentage of the matching-thread-count
-// Triad figure — how close each phase runs to the bandwidth roof), the
-// kernel field, scalar-oracle comparator regimes, and multi-threaded
-// variants of the acceptance pair; v5 adds the cancel_hook field and the
-// -cancelpoll twins of the acceptance regimes behind the sub-phase
-// cancellation-poll overhead gate; v6 adds the shard section — the 2D
-// block-sharded coordinator against a direct Engine call, with the 1×1×1
-// grid held within 5% of direct behind the -gate; v7 adds the DRAM-resident
-// er-dram regimes with their own expand gate, and measures the Triad roofs
-// over triadElems-sized arrays, so the yardstick is memory bandwidth on hosts
-// whose last-level cache would hold QuickTriad's default 16 MiB arrays; v8
-// adds the rmat-dram regimes (BENCHMARK.json's rmat_skew product) and gates
-// the fused sort/fold phase's pct_of_stream beside expand's; v9 drops the
-// scalar field and the -scalar comparator regimes (a build has one kernel
-// form), gates the deep budgeted regime against the single-shot one and makes
-// the 1×1-shard gate an absolute margin.
-const benchSchema = "pbspgemm-bench/v9"
+// benchSchema versions the JSON so trajectory tooling can tell reports apart;
+// bump it whenever a field or a gated regime is added or dropped (v10: the
+// masked mode and the rmat-unmasked / rmat-masked pair).
+const benchSchema = "pbspgemm-bench/v10"
 
 type benchPhase struct {
 	Millis    float64 `json:"ms"`
@@ -64,7 +48,7 @@ type benchRegime struct {
 	SeedA       uint64     `json:"seed_a"`
 	SeedB       uint64     `json:"seed_b"`
 	Layout      string     `json:"layout"`
-	Mode        string     `json:"mode,omitempty"` // "" (float64) | pattern | f32
+	Mode        string     `json:"mode,omitempty"` // "" (float64) | pattern | f32 | masked
 	Kernel      string     `json:"kernel"`         // Stats.Kernel: the build's kernel set
 	CancelHook  bool       `json:"cancel_hook,omitempty"`
 	Fused       bool       `json:"fused"`
@@ -114,7 +98,7 @@ type benchCase struct {
 	threadsCap int    // 0: cfg/default threads, 1: pin single-threaded
 	unfused    bool   // run the three-pass PR 4 pipeline instead of fused
 	budget     int64  // MemoryBudgetBytes; >0 exercises the panel/gather path
-	mode       string // "" core.Multiply | "pattern" 4 B key-only | "f32" 8 B narrow
+	mode       string // "" core.Multiply | "pattern" 4 B key-only | "f32" 8 B narrow | "masked" row kernel, mask = A
 	cancelHook bool   // install a no-op Cancel hook: every sub-phase poll calls it
 }
 
@@ -136,7 +120,14 @@ const (
 	gateUnfusedRegime  = "rmat-highcf-unfused"
 	gatePatternRegime  = "rmat-highcf-pattern"
 	gateBudgetedRegime = "rmat-highcf-budgeted-deep-fused"
+	gateUnmaskedRegime = "rmat-unmasked"
+	gateMaskedRegime   = "rmat-masked"
 )
+
+// maskedGateFactor bounds the masked regime (its mask keeps 2 % of C) against
+// the unmasked PB product of the same inputs run right before it: expanding
+// everything and filtering after the fold measured 8.35, the row kernel 0.35.
+const maskedGateFactor = 0.5
 
 // budgetGateFactor bounds what a deep memory budget may cost: the budgeted
 // regime's ns/op over the single-shot product's, same input, one thread. The
@@ -219,6 +210,11 @@ func benchCases() []benchCase {
 		// tuples over an 18-bit key space, the dense fold's home ground.
 		{"rmat-dram-squeezed", "RMAT", 13, 16, 1, 1, core.LayoutSqueezed, 1, false, 0, "", false},
 		{"rmat-dram-pattern", "RMAT", 13, 16, 1, 1, core.LayoutAuto, 1, false, 0, "pattern", false},
+		// R-MAT scale 12, edge factor 16, squared — BENCHMARK.json's rmat_masked
+		// inputs — unmasked, then under its own mask through internal/semiring's
+		// row-wise masked accumulator: the masked gate's pair.
+		{gateUnmaskedRegime, "RMAT", 12, 16, 1, 1, core.LayoutAuto, 1, false, 0, "", false},
+		{gateMaskedRegime, "RMAT", 12, 16, 1, 1, core.LayoutAuto, 1, false, 0, "masked", false},
 		// The same high-cf input through the memory-budgeted panel path, at a
 		// shallow budget (~3 panels: a bin gathers two or three runs) and a
 		// deep one (~9 panels), fused and unfused; the deep fused one is the
@@ -316,7 +312,7 @@ func runBench(cfg *config) {
 }
 
 // diffBaseline prints the acceptance regimes' ns/op against a prior -json
-// report (e.g. the committed BENCH_PR17.json). Informational only: absolute
+// report (e.g. the committed BENCH_PR18.json). Informational only: absolute
 // ns/op is machine- and load-specific, so cross-run deltas are not gated —
 // the poll-overhead question is answered by the within-run cancelpoll pair
 // in gateBench, which shares one process, one arena and one thermal state.
@@ -368,8 +364,10 @@ func fillPctStream(r *benchRegime, report *benchReport) {
 // 4-byte pattern layout must beat the 12-byte squeezed float64 pipeline on
 // the same input by at least 10% (the Boolean-regime acceptance bar), a deep
 // memory budget must cost at most budgetGateFactor × the single-shot product,
-// and every single-threaded pooled regime (all layouts, fused and unfused,
-// single-shot and budgeted) must run allocation-free in steady state.
+// the masked product at most maskedGateFactor × the unmasked one, and every
+// single-threaded pooled regime (all layouts, fused and unfused, single-shot
+// and budgeted; not the masked one, whose product is freshly allocated for
+// the caller) must run allocation-free in steady state.
 func gateBench(report *benchReport) {
 	// The overhead gate certifies the production binary; a tagged build
 	// carries live injection hooks and measures the wrong thing.
@@ -383,45 +381,20 @@ func gateBench(report *benchReport) {
 	}
 	fused, unfused := byName[gateFusedRegime], byName[gateUnfusedRegime]
 	pattern, budgeted := byName[gatePatternRegime], byName[gateBudgetedRegime]
-	if fused == nil || unfused == nil || pattern == nil || budgeted == nil {
+	unmasked, masked := byName[gateUnmaskedRegime], byName[gateMaskedRegime]
+	if fused == nil || unfused == nil || pattern == nil || budgeted == nil || unmasked == nil || masked == nil {
 		fmt.Fprintln(os.Stderr, "bench gate: acceptance regimes missing from the run")
 		os.Exit(1)
 	}
-	failed := false
-	// 5% headroom over "≤" so shared-runner jitter can't flake the gate;
-	// the measured fused margin is ~15-20%, so a real regression still
-	// trips it.
-	if float64(fused.NsPerOp) > 1.05*float64(unfused.NsPerOp) {
-		fmt.Fprintf(os.Stderr, "bench gate: FUSED REGRESSION on %s: fused %d ns/op > unfused %d ns/op\n",
-			gateFusedRegime, fused.NsPerOp, unfused.NsPerOp)
-		failed = true
-	} else {
-		fmt.Printf("bench gate: fused %d ns/op ≤ unfused %d ns/op (%.1f%% faster)\n",
-			fused.NsPerOp, unfused.NsPerOp,
-			100*(1-float64(fused.NsPerOp)/float64(unfused.NsPerOp)))
-	}
-	// The pattern tuple is a third the squeezed size, so every phase moves a
-	// third the bytes; the measured margin is well past the 10% bar, which
-	// leaves shared-runner jitter room below it.
-	if float64(pattern.NsPerOp) > 0.90*float64(fused.NsPerOp) {
-		fmt.Fprintf(os.Stderr, "bench gate: PATTERN REGRESSION on %s: pattern %d ns/op > 0.90 × squeezed %d ns/op\n",
-			gatePatternRegime, pattern.NsPerOp, fused.NsPerOp)
-		failed = true
-	} else {
-		fmt.Printf("bench gate: pattern %d ns/op ≤ 0.90 × squeezed %d ns/op (%.1f%% faster)\n",
-			pattern.NsPerOp, fused.NsPerOp,
-			100*(1-float64(pattern.NsPerOp)/float64(fused.NsPerOp)))
-	}
-	// What a memory budget costs, on identical input and one thread: the deep
-	// budgeted run against the single-shot one (see budgetGateFactor).
-	if ratio := float64(budgeted.NsPerOp) / float64(fused.NsPerOp); ratio > budgetGateFactor {
-		fmt.Fprintf(os.Stderr, "bench gate: BUDGET OVERHEAD on %s: %d ns/op > %.1f × single-shot %d ns/op (%.2f×)\n",
-			gateBudgetedRegime, budgeted.NsPerOp, budgetGateFactor, fused.NsPerOp, ratio)
-		failed = true
-	} else {
-		fmt.Printf("bench gate: %s %d ns/op ≤ %.1f × single-shot %d ns/op (%.2f×)\n",
-			gateBudgetedRegime, budgeted.NsPerOp, budgetGateFactor, fused.NsPerOp, ratio)
-	}
+	// The in-run ratio gates, each a best-of-reps pair on identical input and
+	// one thread. Fused gets 5 % headroom over "≤" (its measured margin is
+	// 15–20 %, so jitter cannot flake it and a real regression still trips it);
+	// the pattern tuple is a third the squeezed size, so every phase moves a
+	// third the bytes and 10 % is well inside its margin.
+	failed := ratioGate("fused vs unfused", fused, unfused, 1.05)
+	failed = ratioGate("pattern vs squeezed", pattern, fused, 0.90) || failed
+	failed = ratioGate("deep budget vs single-shot", budgeted, fused, budgetGateFactor) || failed
+	failed = ratioGate("masked vs unmasked", masked, unmasked, maskedGateFactor) || failed
 	// The fault-containment overhead gate: with the fault hooks compiled out
 	// (enforced above via faultinject.Enabled) and a no-op Cancel hook
 	// installed, the acceptance regimes must run within 1% of their hook-free
@@ -486,7 +459,7 @@ func gateBench(report *benchReport) {
 		failed = true
 	}
 	for _, r := range report.Regimes {
-		if r.Threads == 1 && r.AllocsPerOp != 0 {
+		if r.Threads == 1 && r.AllocsPerOp != 0 && r.Mode != "masked" {
 			fmt.Fprintf(os.Stderr, "bench gate: %s allocated %.1f/op, want 0\n", r.Name, r.AllocsPerOp)
 			failed = true
 		}
@@ -495,6 +468,19 @@ func gateBench(report *benchReport) {
 		os.Exit(1)
 	}
 	fmt.Println("bench gate: all single-threaded pooled regimes at 0 allocs/op")
+}
+
+// ratioGate holds num's ns/op to at most factor × den's, returning true on failure.
+func ratioGate(what string, num, den *benchRegime, factor float64) bool {
+	ratio := float64(num.NsPerOp) / float64(den.NsPerOp)
+	if ratio > factor {
+		fmt.Fprintf(os.Stderr, "bench gate: %s REGRESSION: %s %d ns/op > %.2f × %s %d ns/op (%.2f×)\n",
+			what, num.Name, num.NsPerOp, factor, den.Name, den.NsPerOp, ratio)
+		return true
+	}
+	fmt.Printf("bench gate: %s: %s %d ns/op ≤ %.2f × %s %d ns/op (%.2f×)\n",
+		what, num.Name, num.NsPerOp, factor, den.Name, den.NsPerOp, ratio)
+	return false
 }
 
 func runBenchCase(cfg *config, c benchCase) (benchRegime, error) {
@@ -523,6 +509,16 @@ func runBenchCase(cfg *config, c benchCase) (benchRegime, error) {
 	}
 	run := func() (*core.Stats, error) {
 		switch c.mode {
+		case "masked":
+			ar, br, flops := pbspgemm.Float64Matrix(a), pbspgemm.Float64Matrix(b), matrix.FlopsCSR(a, b)
+			start := time.Now()
+			cm, err := semiring.MultiplyMaskedRows(semiring.Arithmetic(), ar, br,
+				semiring.Options{Threads: threads, Workspace: ws, Mask: a})
+			if err != nil {
+				return nil, err
+			}
+			return &core.Stats{Total: time.Since(start), Flops: flops, NNZC: cm.NNZ(),
+				CF: float64(flops) / float64(max(cm.NNZ(), 1)), Kernel: "masked-rows"}, nil
 		case "pattern":
 			_, st, err := core.MultiplyPattern(acsc, b, opt)
 			return st, err
@@ -547,9 +543,9 @@ func runBenchCase(cfg *config, c benchCase) (benchRegime, error) {
 	// completing mid-measurement costs time and a runtime allocation or two.
 	runtime.GC()
 
-	reps := cfg.reps
-	if reps < 1 {
-		reps = 1
+	reps := max(cfg.reps, 1)
+	if c.mode == "masked" {
+		reps *= 3 // a third of the unmasked op: the same window for its best-of
 	}
 	var best *core.Stats
 	var mallocs uint64

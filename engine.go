@@ -213,42 +213,23 @@ func (e *Engine) Multiply(ctx context.Context, a, b *CSR, opts ...Option) (*Resu
 // MultiplyMasked computes C⟨M⟩ = (A·B) ∘ mask over the arithmetic semiring
 // without materializing the unmasked product (see MultiplyMasked at package
 // level). It shares the engine's workspace pool, context handling and
-// metrics (recorded under PB, the kernel that serves masked products).
+// metrics (a plain mask's row kernel has no Algorithm value: like every
+// masked and semiring product it is recorded in ByAlgorithm's PB bucket).
 func (e *Engine) MultiplyMasked(ctx context.Context, a, b, mask *CSR, opts ...Option) (*CSR, error) {
-	// Precedence: per-call options > the explicit mask argument > engine
-	// defaults (mirroring how the explicit ctx overrides WithContext).
-	cfg, err := resolve(e.defaults, nil)
+	// Precedence: per-call options > the explicit mask argument > engine defaults.
+	if mask != nil {
+		opts = append([]Option{WithMask(mask)}, opts...)
+	}
+	if cfg, err := resolve(e.defaults, opts); err != nil {
+		return nil, err
+	} else if cfg.mask == nil {
+		return nil, errNilMask
+	}
+	res, err := e.Multiply(ctx, a, b, opts...)
 	if err != nil {
 		return nil, err
 	}
-	if mask != nil {
-		cfg.mask, cfg.complement = mask, false
-	}
-	for _, o := range opts {
-		if err := o(&cfg); err != nil {
-			return nil, err
-		}
-	}
-	if ctx != nil {
-		cfg.ctx = ctx
-	}
-	if cfg.mask == nil {
-		return nil, errNilMask
-	}
-	if a.NumCols != b.NumRows {
-		return nil, shapeError(a, b)
-	}
-	if err := cfg.validateMaskShape(a.NumRows, b.NumCols); err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	c, err := e.maskedFloat64(&cfg, a, b)
-	var nnzc int64
-	if err == nil {
-		nnzc = c.NNZ()
-	}
-	e.record(start, PB, false, flopsNoAlloc(a, b), a.NNZ(), b.NNZ(), nnzc, err)
-	return c, err
+	return res.C, nil
 }
 
 // release returns ws to the pool — unless err carries a contained worker
@@ -277,7 +258,9 @@ func (e *Engine) release(ws *kernel.Workspace, err error) {
 func (e *Engine) multiply(cfg *config, a, b *CSR) (*Result, Algorithm, bool, error) {
 	if cfg.mask != nil {
 		start := time.Now()
-		c, err := e.maskedFloat64(cfg, a, b)
+		ws := e.pool.Get().(*kernel.Workspace)
+		c, err := cfg.maskedArith(a, b, ws.Core)
+		e.release(ws, err)
 		if err != nil {
 			return nil, PB, false, err
 		}
@@ -341,20 +324,6 @@ func (e *Engine) multiply(cfg *config, a, b *CSR) (*Result, Algorithm, bool, err
 	return res, alg, plan != nil, nil
 }
 
-// maskedFloat64 is the masked arithmetic path on a pooled workspace.
-func (e *Engine) maskedFloat64(cfg *config, a, b *CSR) (*CSR, error) {
-	ws := e.pool.Get().(*kernel.Workspace)
-	cw := ws.Core
-	gc, err := semiring.MultiplyOpts(Arithmetic(), colView(cw.CSCOf(a)), Float64Matrix(b), cfg.semiringOptions(cw))
-	if err != nil {
-		e.release(ws, err)
-		return nil, err
-	}
-	c := Float64CSR(gc.Clone())
-	e.pool.Put(ws)
-	return c, nil
-}
-
 // EngineMultiplyOver is MultiplyOver running on an engine: the semiring
 // multiplication checks a pooled workspace out of e, observes ctx at phase
 // boundaries, and folds into e's metrics. (Go methods cannot introduce type
@@ -385,11 +354,13 @@ func EngineMultiplyOver[T any](e *Engine, ctx context.Context, sr Semiring[T], a
 	var out *Matrix[T]
 	var nnzc int64
 	if err == nil {
-		out = gc.Clone()
+		if out = gc; !cfg.rowMasked() { // the row kernel's output is the caller's already
+			out = gc.Clone()
+		}
 		nnzc = out.NNZ()
 	}
 	e.release(ws, err)
-	e.record(start, PB, false, semiringFlops(a, b), a.NNZ(), b.NNZ(), nnzc, err)
+	e.record(start, PB, false, semiring.Flops(a, b), a.NNZ(), b.NNZ(), nnzc, err)
 	return out, err
 }
 
@@ -410,19 +381,6 @@ func flopsNoAlloc(a, b *CSR) int64 {
 	var flops int64
 	for _, k := range a.ColIdx {
 		flops += b.RowPtr[k+1] - b.RowPtr[k]
-	}
-	return flops
-}
-
-// semiringFlops is the symbolic flop count of a generic product, from the
-// pointer arrays alone.
-func semiringFlops[T any](a *ColMatrix[T], b *Matrix[T]) int64 {
-	if a.NumCols != b.NumRows {
-		return 0
-	}
-	var flops int64
-	for i := int32(0); i < a.NumCols; i++ {
-		flops += (a.ColPtr[i+1] - a.ColPtr[i]) * (b.RowPtr[i+1] - b.RowPtr[i])
 	}
 	return flops
 }

@@ -94,10 +94,9 @@ func noMask(opts []pbspgemm.Option) []pbspgemm.Option {
 	return append(out, pbspgemm.WithMask(nil))
 }
 
-// intAdjacency lazily builds the all-ones int32 view of the adjacency that
-// the triangle kernels multiply over the ArithmeticInt32 semiring — the
-// 8-byte narrow tuple layout's fast path — built once per graph like the
-// boolean view.
+// intAdjacency lazily builds the all-ones int32 views of the adjacency that
+// the triangle kernels multiply over the ArithmeticInt32 semiring, built once
+// per graph like the boolean view.
 func (g *Graph) intAdjacency() (*pbspgemm.ColMatrix[int32], *pbspgemm.Matrix[int32]) {
 	g.intOnce.Do(func() {
 		g.intAdjR = pbspgemm.MatrixOf(g.Adj, func(float64) int32 { return 1 })
@@ -107,43 +106,28 @@ func (g *Graph) intAdjacency() (*pbspgemm.ColMatrix[int32], *pbspgemm.Matrix[int
 }
 
 // maskedSquareRowSums returns the per-vertex row sums of A²⟨A⟩ — the 2-path
-// counts restricted to positions that close an edge. A² runs over the int32
-// arithmetic semiring, which dispatches onto the 8-byte narrow tuple layout
-// whenever the packed keys fit 32 bits; the mask is then applied by a
-// per-row sorted-merge intersect of A² against A, so only the masked counts
-// are ever summed. Counts are exact (integer semiring, no rounding).
+// counts restricted to positions that close an edge — as one masked product
+// over the exact int32 semiring: the plain mask routes it onto the row kernel,
+// so A² never exists. A caller's mask option is overridden, as in every kernel.
 func (g *Graph) maskedSquareRowSums(opts []pbspgemm.Option) ([]int64, error) {
 	ac, ar := g.intAdjacency()
-	sq, err := pbspgemm.MultiplyOver(pbspgemm.ArithmeticInt32(), ac, ar, noMask(opts)...)
+	sq, err := pbspgemm.MultiplyOver(pbspgemm.ArithmeticInt32(), ac, ar,
+		append(noMask(opts), pbspgemm.WithMask(g.Adj))...)
 	if err != nil {
 		return nil, err
 	}
 	sums := make([]int64, g.Adj.NumRows)
-	for v := int32(0); v < g.Adj.NumRows; v++ {
-		p, pEnd := g.Adj.RowPtr[v], g.Adj.RowPtr[v+1]
-		q, qEnd := sq.RowPtr[v], sq.RowPtr[v+1]
-		var sum int64
-		for p < pEnd && q < qEnd {
-			switch ca, cs := g.Adj.ColIdx[p], sq.ColIdx[q]; {
-			case ca == cs:
-				sum += int64(sq.Val[q])
-				p++
-				q++
-			case ca < cs:
-				p++
-			default:
-				q++
-			}
+	for v := range sums {
+		for _, paths := range sq.Val[sq.RowPtr[v]:sq.RowPtr[v+1]] {
+			sums[v] += int64(paths)
 		}
-		sums[v] = sum
 	}
 	return sums, nil
 }
 
 // Triangles counts the triangles of g as sum(A²⟨A⟩)/6 (the paper's
 // triangle-counting citation [2] is exactly this masked-square
-// formulation). A² multiplies over the exact int32 semiring on the narrow
-// tuple fast path; the mask lands as a sorted intersect per row.
+// formulation), one masked product over the exact int32 semiring.
 func (g *Graph) Triangles(opts ...pbspgemm.Option) (int64, error) {
 	sums, err := g.maskedSquareRowSums(opts)
 	if err != nil {

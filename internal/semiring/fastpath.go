@@ -9,10 +9,10 @@ import (
 // semiring and element type have a native tuple layout: (+, ×) over float64
 // runs the 16/12-byte pipeline core.Multiply picks, float32/int32 run the
 // 8-byte narrow layout, and (∨, ∧) over all-true operands runs the 4-byte
-// pattern (key-only) layout — the dispatch rule the README documents. The
-// generic engine in multiply.go remains the semantics oracle: every
-// ineligible call (custom semiring, mask, keys over 32 bits for the narrow
-// layouts, stored false booleans) falls back to it unchanged.
+// pattern (key-only) layout — the dispatch rule the README documents. A plain
+// mask never gets here (multiplyOpts hands it to the row kernel first); every
+// other ineligible call (custom semiring, complement mask, keys over 32 bits,
+// stored false booleans) falls back to the generic engine in multiply.go.
 
 // Plan reports how MultiplyOpts executed a call: whether a typed fast path
 // ran and under which tuple layout. Request it via Options.Plan.
@@ -22,13 +22,13 @@ type Plan struct {
 	// Layout is the tuple layout the fast path executed (pattern, narrow,
 	// squeezed, or wide); meaningful only when FastPath.
 	Layout core.Layout
-	// Reason says why the generic engine ran instead, when !FastPath.
+	// Reason says what ran instead and why, when !FastPath.
 	Reason string
 }
 
-// flopsOf is the symbolic pass over the operand pointer arrays: the exact
+// Flops is the symbolic pass over the operand pointer arrays: the exact
 // expanded-tuple count of the outer-product formulation.
-func flopsOf[T any](a *CSCg[T], b *CSRg[T]) int64 {
+func Flops[T any](a *CSCg[T], b *CSRg[T]) int64 {
 	var flops int64
 	for i := int32(0); i < a.NumCols; i++ {
 		flops += (a.ColPtr[i+1] - a.ColPtr[i]) * (b.RowPtr[i+1] - b.RowPtr[i])
@@ -84,7 +84,7 @@ func tryFastPath[T any](sr Semiring[T], a *CSCg[T], b *CSRg[T], opt Options) (*C
 		return nil, false, nil
 	}
 	if opt.Mask != nil {
-		setPlan(Plan{Reason: "masked product runs the generic engine"})
+		setPlan(Plan{Reason: "complement mask runs the generic engine"})
 		return nil, false, nil
 	}
 	if opt.Cancel != nil {
@@ -98,7 +98,7 @@ func tryFastPath[T any](sr Semiring[T], a *CSCg[T], b *CSRg[T], opt Options) (*C
 		Workspace:         opt.Workspace,
 	}
 	key32Fits := func() bool {
-		return core.Key32Fits(a.NumRows, b.NumCols, flopsOf(a, b), copt)
+		return core.Key32Fits(a.NumRows, b.NumCols, Flops(a, b), copt)
 	}
 
 	switch sr.kind {

@@ -58,33 +58,30 @@ func (m *CSRg[T]) ToCSR(g func(T) float64) *matrix.CSR {
 }
 
 // ToCSC converts the generic CSR to generic CSC (storage transpose).
-func (m *CSRg[T]) ToCSC() *CSCg[T] {
-	nnz := m.NNZ()
-	out := &CSCg[T]{
-		NumRows: m.NumRows, NumCols: m.NumCols,
-		ColPtr: make([]int64, m.NumCols+1),
-		RowIdx: make([]int32, nnz),
-		Val:    make([]T, nnz),
-	}
-	counts := make([]int64, m.NumCols+1)
-	for _, c := range m.ColIdx {
-		counts[c+1]++
+func (m *CSRg[T]) ToCSC() *CSCg[T] { return m.toCSCInto(&CSCg[T]{}) }
+
+// toCSCInto is ToCSC into out's arrays, reallocating only the ones too short.
+func (m *CSRg[T]) toCSCInto(out *CSCg[T]) *CSCg[T] {
+	nnz := m.RowPtr[m.NumRows]
+	out.NumRows, out.NumCols = m.NumRows, m.NumCols
+	cp := grow(&out.ColPtr, int64(m.NumCols)+1)
+	ri, val := grow(&out.RowIdx, nnz), grow(&out.Val, nnz)
+	clear(cp)
+	for _, c := range m.ColIdx[:nnz] {
+		cp[c+1]++
 	}
 	for j := int32(0); j < m.NumCols; j++ {
-		counts[j+1] += counts[j]
+		cp[j+1] += cp[j]
 	}
-	copy(out.ColPtr, counts)
-	cursor := make([]int64, m.NumCols)
-	copy(cursor, counts[:m.NumCols])
 	for i := int32(0); i < m.NumRows; i++ {
 		for p := m.RowPtr[i]; p < m.RowPtr[i+1]; p++ {
-			c := m.ColIdx[p]
-			q := cursor[c]
-			out.RowIdx[q] = i
-			out.Val[q] = m.Val[p]
-			cursor[c] = q + 1
+			q := cp[m.ColIdx[p]]
+			ri[q], val[q] = i, m.Val[p]
+			cp[m.ColIdx[p]] = q + 1
 		}
 	}
+	copy(cp[1:], cp[:m.NumCols]) // each cursor ended on the next column's start
+	cp[0] = 0
 	return out
 }
 

@@ -17,7 +17,7 @@ type pair[T any] struct {
 }
 
 // Options configures the generic engine. The zero value runs single-shot on
-// all cores with fresh buffers, exactly like the original Multiply.
+// all cores with fresh buffers.
 type Options struct {
 	// Threads is the worker count for the sort/compress/merge phases;
 	// 0 means GOMAXPROCS. Expansion is sequential in the generic path.
@@ -29,64 +29,76 @@ type Options struct {
 	// Workspace, if non-nil, pools buffers across calls through the
 	// workspace's type-erased generic arena (core.GenericSpace). Tuple and
 	// value buffers are cached per element type T: reuse hits when T is
-	// stable across calls. The returned matrix then aliases workspace
-	// memory and is invalidated by the next call using the same workspace.
+	// stable across calls. The returned matrix then aliases workspace memory
+	// (except under a plain mask) and is invalidated by the workspace's next call.
 	Workspace *core.Workspace
 	// Mask, if non-nil, restricts the output structurally (GraphBLAS C⟨M⟩):
 	// only positions where Mask stores an entry survive (values ignored).
-	// Filtering happens per bin right after compression, before any output
-	// or run buffer is written, so the unmasked product is never
-	// materialized. Mask must be canonical CSR of shape rows(A)×cols(B).
+	// A plain mask runs the row kernel (MultiplyMaskedRows) for every semiring.
+	// Mask must be canonical CSR of shape rows(A)×cols(B).
 	Mask *matrix.CSR
 	// Complement flips the mask (C⟨¬M⟩): keep positions NOT stored in Mask.
-	// Ignored when Mask is nil.
+	// Ignored when Mask is nil. It keeps nearly the whole product, so it runs
+	// the generic engine, filtering each bin right after compression.
 	Complement bool
 	// Cancel, if non-nil, is polled at phase boundaries (per panel, before
-	// the merge and before assembly). A non-nil return aborts the
-	// multiplication with that error. The typed fast paths poll it once up
-	// front only.
+	// the merge and before assembly; every cancelPollRows rows by the row
+	// kernel). A non-nil return aborts the multiplication with that error.
+	// The typed fast paths poll it once up front only.
 	Cancel func() error
 	// Plan, if non-nil, is filled with how the call executed: whether a
-	// typed fast path ran (and under which tuple layout) or why the generic
-	// engine ran instead.
+	// typed fast path ran (and under which tuple layout) or what ran instead
+	// and why.
 	Plan *Plan
 }
 
-// Multiply computes C = A ⊗ B over the semiring sr with the PB-SpGEMM
-// structure: outer-product expansion into row-range bins, per-bin in-place
-// radix sort on packed keys, two-pointer compression folding duplicates
-// with sr.Plus. It is the generic (GraphBLAS-style) counterpart of
-// internal/core.Multiply; the float64 kernel remains the tuned fast path.
-func Multiply[T any](sr Semiring[T], a *CSCg[T], b *CSRg[T], threads int) (*CSRg[T], error) {
-	return MultiplyOpts(sr, a, b, Options{Threads: threads})
-}
-
-// MultiplyOpts is Multiply with the full execution-engine options: shared
-// workspace and memory budget (column-panel tiling with per-bin run
-// merging), mirroring the float64 engine. Panics — the semiring's Add/Mul
-// callbacks run arbitrary user code — are contained into a *par.PanicError
-// return rather than unwinding into the caller's process.
+// MultiplyOpts computes C = A ⊗ B over the semiring sr with the PB-SpGEMM
+// structure (the generic counterpart of internal/core.Multiply) under the full
+// execution-engine options, mirroring the float64 engine. Panics — the
+// semiring's callbacks run arbitrary user code — are contained into a
+// *par.PanicError return rather than unwinding into the caller's process.
 func MultiplyOpts[T any](sr Semiring[T], a *CSCg[T], b *CSRg[T], opt Options) (c *CSRg[T], err error) {
-	defer func() {
-		if pe := par.AsPanicError(recover(), -1, "semiring"); pe != nil {
-			c, err = nil, pe
-		}
-	}()
+	defer contain(&c, &err)
 	return multiplyOpts(sr, a, b, opt)
 }
 
-func multiplyOpts[T any](sr Semiring[T], a *CSCg[T], b *CSRg[T], opt Options) (*CSRg[T], error) {
-	if a.NumCols != b.NumRows {
-		return nil, fmt.Errorf("semiring: inner dimensions disagree: A is %dx%d, B is %dx%d: %w",
-			a.NumRows, a.NumCols, b.NumRows, b.NumCols, matrix.ErrShape)
+// contain, deferred, turns a panic of the call into its *par.PanicError.
+func contain[T any](c **CSRg[T], err *error) {
+	if pe := par.AsPanicError(recover(), -1, "semiring"); pe != nil {
+		*c, *err = nil, pe
 	}
-	if opt.Mask != nil && (opt.Mask.NumRows != a.NumRows || opt.Mask.NumCols != b.NumCols) {
-		return nil, fmt.Errorf("semiring: mask is %dx%d, product is %dx%d: %w",
-			opt.Mask.NumRows, opt.Mask.NumCols, a.NumRows, b.NumCols, matrix.ErrShape)
+}
+
+func multiplyOpts[T any](sr Semiring[T], a *CSCg[T], b *CSRg[T], opt Options) (*CSRg[T], error) {
+	if err := checkShapes(a.NumRows, a.NumCols, b, opt.Mask); err != nil {
+		return nil, err
+	}
+	if opt.Mask != nil && !opt.Complement {
+		sc := rowScratchOf[T](opt.Workspace)
+		return maskedRows(sr, sc.rowsOf(a), b, opt, sc)
 	}
 	if c, ran, err := tryFastPath(sr, a, b, opt); ran {
 		return c, err
 	}
+	return multiplyGeneric(sr, a, b, opt)
+}
+
+// checkShapes rejects an A (rows × inner) not chaining with b and a mis-shaped mask.
+func checkShapes[T any](rows, inner int32, b *CSRg[T], mask *matrix.CSR) error {
+	if inner != b.NumRows {
+		return fmt.Errorf("semiring: inner dimensions disagree: A is %dx%d, B is %dx%d: %w",
+			rows, inner, b.NumRows, b.NumCols, matrix.ErrShape)
+	}
+	if mask != nil && (mask.NumRows != rows || mask.NumCols != b.NumCols) {
+		return fmt.Errorf("semiring: mask is %dx%d, product is %dx%d: %w",
+			mask.NumRows, mask.NumCols, rows, b.NumCols, matrix.ErrShape)
+	}
+	return nil
+}
+
+// multiplyGeneric is the generic engine: expand, sort, fold, filter by the mask
+// (a plain one only reaches it from the tests that hold the row kernel to it).
+func multiplyGeneric[T any](sr Semiring[T], a *CSCg[T], b *CSRg[T], opt Options) (*CSRg[T], error) {
 	canceled := func() error {
 		if opt.Cancel == nil {
 			return nil

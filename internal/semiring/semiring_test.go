@@ -16,7 +16,7 @@ func TestArithmeticMatchesFloatKernel(t *testing.T) {
 	sr := Arithmetic()
 	ga := FromCSR(a, func(v float64) float64 { return v }).ToCSC()
 	gb := FromCSR(b, func(v float64) float64 { return v })
-	gc, err := Multiply(sr, ga, gb, 0)
+	gc, err := MultiplyOpts(sr, ga, gb, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestBooleanIsStructuralProduct(t *testing.T) {
 	sr := Boolean()
 	ga := FromCSR(a, func(float64) bool { return true }).ToCSC()
 	gb := FromCSR(b, func(float64) bool { return true })
-	gc, err := Multiply(sr, ga, gb, 0)
+	gc, err := MultiplyOpts(sr, ga, gb, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestMinPlusIsShortestPathRelaxation(t *testing.T) {
 	d := coo.ToCSR()
 	sr := MinPlus()
 	gd := FromCSR(d, func(v float64) float64 { return v })
-	gc, err := Multiply(sr, gd.ToCSC(), gd, 0)
+	gc, err := MultiplyOpts(sr, gd.ToCSC(), gd, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestMinPlusMatchesBruteForce(t *testing.T) {
 		d := coo.ToCSR() // duplicates summed; fine, still a weighted digraph
 		sr := MinPlus()
 		gd := FromCSR(d, func(v float64) float64 { return v })
-		gc, err := Multiply(sr, gd.ToCSC(), gd, 0)
+		gc, err := MultiplyOpts(sr, gd.ToCSC(), gd, Options{})
 		if err != nil {
 			return false
 		}
@@ -144,7 +144,7 @@ func TestMaxTimesAndPlusMax(t *testing.T) {
 	p := coo.ToCSR()
 	sr := MaxTimes()
 	gp := FromCSR(p, func(v float64) float64 { return v })
-	gc, err := Multiply(sr, gp.ToCSC(), gp, 0)
+	gc, err := MultiplyOpts(sr, gp.ToCSC(), gp, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,14 +162,14 @@ func TestMaxTimesAndPlusMax(t *testing.T) {
 func TestGenericShapeMismatch(t *testing.T) {
 	a := FromCSR(gen.ER(16, 2, 1), func(v float64) float64 { return v }).ToCSC()
 	b := FromCSR(gen.ER(32, 2, 2), func(v float64) float64 { return v })
-	if _, err := Multiply(Arithmetic(), a, b, 0); err == nil {
+	if _, err := MultiplyOpts(Arithmetic(), a, b, Options{}); err == nil {
 		t.Fatal("expected shape error")
 	}
 }
 
 func TestGenericEmpty(t *testing.T) {
 	empty := &CSRg[float64]{NumRows: 10, NumCols: 10, RowPtr: make([]int64, 11)}
-	c, err := Multiply(Arithmetic(), empty.ToCSC(), empty, 0)
+	c, err := MultiplyOpts(Arithmetic(), empty.ToCSC(), empty, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

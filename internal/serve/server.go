@@ -281,8 +281,8 @@ type multiplyRequest struct {
 	// Semiring: arithmetic (default), boolean, minplus, maxtimes.
 	Semiring string `json:"semiring,omitempty"`
 	// Algorithm: auto (default), pb, heap, hash, hashvec, spa, esc.
-	// Arithmetic unmasked products only; other paths run the PB-structured
-	// semiring kernel.
+	// Arithmetic unmasked products only; a plain mask runs the masked row
+	// kernel, other paths the PB-structured semiring kernel.
 	Algorithm string `json:"algorithm,omitempty"`
 	// Mask is an optional registry id applied as C⟨M⟩ (arithmetic only);
 	// Complement flips it to ⟨¬M⟩.
@@ -314,11 +314,18 @@ func (sp *productSpec) key() string {
 	}, "|")
 }
 
-// engineOptions are the per-call overrides shared by every execution path.
+// engineOptions are the per-call overrides shared by planning and every
+// execution path; with the mask among them Engine.Plan prices a plain mask=
+// request as the mask-shaped row kernel it runs, not as an expansion.
 func (sp *productSpec) engineOptions() []pbspgemm.Option {
+	mask := pbspgemm.WithMask(sp.mask) // nil: unmasked
+	if sp.req.Complement {
+		mask = pbspgemm.WithComplementMask(sp.mask)
+	}
 	return []pbspgemm.Option{
 		pbspgemm.WithThreads(sp.req.Threads),
 		pbspgemm.WithMemoryBudget(sp.req.MemoryBudgetBytes),
+		mask,
 	}
 }
 
@@ -647,19 +654,13 @@ func (s *Server) runProduct(ctx context.Context, sp *productSpec) (*Product, err
 			Bytes: csrBytes(res.C),
 		}, nil
 	case sp.semiring == "arithmetic":
-		if sp.req.Complement {
-			opts = append(opts, pbspgemm.WithComplementMask(sp.mask))
-		}
 		start := time.Now()
-		mask := sp.mask
-		if sp.req.Complement {
-			mask = nil // the option carries it; a mask argument would override the complement
-		}
-		c, err := s.eng.MultiplyMasked(ctx, sp.a, sp.b, mask, opts...)
+		c, err := s.eng.MultiplyMasked(ctx, sp.a, sp.b, nil, opts...) // opts carry the mask
 		if err != nil {
 			return nil, err
 		}
-		return productOf(c, "PB-SpGEMM(masked)", pbspgemm.Flops(sp.a, sp.b), time.Since(start)), nil
+		name := map[bool]string{false: "MaskedRows", true: "PB-SpGEMM(complement-masked)"}[sp.req.Complement]
+		return productOf(c, name, pbspgemm.Flops(sp.a, sp.b), time.Since(start)), nil
 	case sp.semiring == "boolean":
 		start := time.Now()
 		ac := pbspgemm.MatrixOf(sp.a, func(float64) bool { return true }).ToCSC()

@@ -335,6 +335,28 @@ func TestServerShedsOverCeiling(t *testing.T) {
 	}
 }
 
+// TestServerAdmitsMaskedUnderExpansionCeiling: admission prices a plain mask=
+// request as the mask-shaped row kernel it runs, so a ceiling that sheds the
+// unmasked product — and would have shed the masked one on flops × tupleBytes
+// — admits it at full speed (not degraded), under a truthful algorithm name.
+func TestServerAdmitsMaskedUnderExpansionCeiling(t *testing.T) {
+	a := pbspgemm.NewRMAT(9, 8, 1)
+	mask := pbspgemm.NewER(512, 2, 2)
+	s := newTestServer(t, func(c *Config) { c.MemoryCeilingBytes = 512 << 10 })
+	ida, idm := uploadText(t, s, a), uploadText(t, s, mask)
+
+	if _, rec := multiplyJSON(t, s, fmt.Sprintf(`{"a":%q,"b":%q}`, ida, ida)); rec.Code != http.StatusTooManyRequests {
+		t.Fatalf("unmasked product: status %d, want the ceiling to shed it", rec.Code)
+	}
+	resp, rec := multiplyJSON(t, s, fmt.Sprintf(`{"a":%q,"b":%q,"mask":%q}`, ida, ida, idm))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("masked product: status %d body %s", rec.Code, rec.Body)
+	}
+	if resp.Degraded || resp.Algorithm != "MaskedRows" || resp.NNZ > mask.NNZ() {
+		t.Fatalf("masked reply %+v: want a full-speed MaskedRows product inside the mask", resp)
+	}
+}
+
 func TestServerSemiringsAndMask(t *testing.T) {
 	s := newTestServer(t, nil)
 	a := pbspgemm.NewER(128, 4, 3)

@@ -93,8 +93,8 @@ func (c *config) cancelFunc() func() error {
 
 // WithAlgorithm selects the SpGEMM implementation (default PB), or Auto to
 // let the Engine's roofline planner pick per call. Masked and semiring
-// multiplications always run the PB-structured kernel; for those the
-// algorithm choice is ignored.
+// multiplications ignore the choice: a plain mask runs the row-wise masked
+// accumulator, everything else the PB-structured kernel.
 func WithAlgorithm(a Algorithm) Option {
 	return func(c *config) error {
 		if a < PB || a > Auto {
@@ -190,11 +190,9 @@ func WithMemoryBudget(bytes int64) Option {
 }
 
 // WithMask restricts the product structurally (GraphBLAS C⟨M⟩ = A·B): only
-// positions where m stores an entry are kept, and the unmasked product is
-// never materialized. m's values are ignored; its shape must be
-// rows(A)×cols(B). A masked multiplication always runs the PB-structured
-// semiring kernel. WithMask(nil) clears any mask set by an earlier option,
-// restoring the unmasked product.
+// positions where m stores an entry are kept. m's values are ignored; its
+// shape must be rows(A)×cols(B). On every entry point and for every semiring
+// a plain mask runs the row kernel (see MultiplyMasked); WithMask(nil) clears one.
 func WithMask(m *CSR) Option {
 	return func(c *config) error {
 		c.mask, c.complement = m, false
@@ -215,7 +213,8 @@ func WithSemiringPlan(p *SemiringPlan) Option {
 }
 
 // WithComplementMask is WithMask with the complemented mask ⟨¬M⟩: positions
-// stored in m are dropped, all others kept.
+// stored in m are dropped, all others kept. That keeps nearly the whole
+// product, so it runs the PB-structured generic engine, not the row kernel.
 func WithComplementMask(m *CSR) Option {
 	return func(c *config) error {
 		c.mask, c.complement = m, true

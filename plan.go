@@ -7,6 +7,7 @@ import (
 	"pbspgemm/internal/core"
 	"pbspgemm/internal/kernel"
 	"pbspgemm/internal/matrix"
+	"pbspgemm/internal/par"
 	"pbspgemm/internal/roofline"
 )
 
@@ -167,6 +168,19 @@ func (p *Plan) footprint(rows, budget int64) int64 {
 	return work + 2*out
 }
 
+// maskedRowsPlan plans a product under a plain mask, which runs the row kernel:
+// no family is predicted (PB is its metrics bucket), nnz(C) is capped by nnz(M),
+// the footprint is the output, 9 B per mask entry and a slot per B column per worker.
+func maskedRowsPlan(cfg *config, a, b *CSR) *Plan {
+	p := &Plan{Chosen: PB, NNZA: a.NNZ(), NNZB: b.NNZ(), Flops: flopsNoAlloc(a, b)}
+	if p.EstNNZC = min(cfg.mask.NNZ(), p.Flops); p.EstNNZC > 0 {
+		p.CF = float64(p.Flops) / float64(p.EstNNZC)
+	}
+	p.PredictedFootprintBytes = (int64(a.NumRows)+1)*8 + p.EstNNZC*12 + cfg.mask.NNZ()*9 +
+		4*int64(b.NumCols)*int64(par.DefaultThreads(cfg.threads))
+	return p
+}
+
 // Grid is a 2D block partition geometry for sharded products: A's rows are
 // split into Rows bands, B's columns into Cols bands, and the shared inner
 // dimension into Inner bands, so C(i,j) = Σ_k A(i,k)·B(k,j) decomposes into
@@ -307,6 +321,9 @@ func (e *Engine) Plan(ctx context.Context, a, b *CSR, opts ...Option) (*Plan, er
 		if err := cancel(); err != nil {
 			return nil, err
 		}
+	}
+	if cfg.rowMasked() {
+		return maskedRowsPlan(&cfg, a, b), nil
 	}
 	ws := e.pool.Get().(*kernel.Workspace)
 	p := e.plan(&cfg, a, b, &ws.PlanScratch)

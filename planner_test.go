@@ -151,6 +151,39 @@ func TestAutoPlanFields(t *testing.T) {
 	}
 }
 
+// TestPlanPricesPlainMaskAsRowKernel: with a plain mask Engine.Plan prices
+// the row-wise masked accumulator the call will run — nnz(C) capped by nnz(M),
+// a footprint of the output plus mask-shaped scratch, no flops × tupleBytes
+// term — while the unmasked and complement-masked plans stay as they were.
+func TestPlanPricesPlainMaskAsRowKernel(t *testing.T) {
+	eng := plannerEngine(t)
+	a, mask := NewRMAT(9, 8, 5), NewER(512, 2, 6)
+	ctx := context.Background()
+	full, err := eng.Plan(ctx, a, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	masked, err := eng.Plan(ctx, a, a, WithMask(mask), WithThreads(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if masked.Flops != full.Flops || masked.EstNNZC != mask.NNZ() || masked.Chosen != PB {
+		t.Fatalf("masked plan %+v: want the product's flops, nnz(M) = %d as the nnz(C) cap, PB bucket", masked, mask.NNZ())
+	}
+	want := (512+1)*8 + mask.NNZ()*12 + mask.NNZ()*9 + 4*512*2
+	if masked.PredictedFootprintBytes != want || want >= full.Flops*12 {
+		t.Fatalf("masked footprint %d, want %d (well under the %d-byte expansion)",
+			masked.PredictedFootprintBytes, want, full.Flops*12)
+	}
+	compl, err := eng.Plan(ctx, a, a, WithComplementMask(mask))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *compl != *full {
+		t.Fatalf("complement-masked plan %+v differs from the unmasked plan %+v", compl, full)
+	}
+}
+
 // TestEngineMetricsByAlgorithm: the per-algorithm breakdown advances for
 // baseline kernels dispatched through the engine (the pre-registry engine
 // recorded nothing for them), and Auto calls are attributed to the chosen

@@ -82,9 +82,9 @@ func Float64CSR(g *Matrix[float64]) *CSR {
 // per-bin sort, compress folding duplicates with sr.Plus). A streams in
 // column-major form — convert once with (*Matrix[T]).ToCSC and reuse across
 // calls sharing A. Honors WithThreads, WithMemoryBudget, WithMask /
-// WithComplementMask and WithContext; WithAlgorithm is ignored (the generic
-// path is always PB-structured). For repeated calls, EngineMultiplyOver
-// additionally reuses pooled workspaces.
+// WithComplementMask and WithContext; WithAlgorithm is ignored. Under a plain
+// WithMask any semiring runs MultiplyMasked's row kernel instead (A is first
+// put back in rows, one nnz(A) pass). EngineMultiplyOver reuses workspaces.
 func MultiplyOver[T any](sr Semiring[T], a *ColMatrix[T], b *Matrix[T], opts ...Option) (*Matrix[T], error) {
 	cfg, err := resolve(nil, opts)
 	if err != nil {
@@ -94,34 +94,39 @@ func MultiplyOver[T any](sr Semiring[T], a *ColMatrix[T], b *Matrix[T], opts ...
 }
 
 // MultiplyMasked computes the masked product C⟨M⟩ = (A·B) ∘ M over the
-// arithmetic semiring: only positions where mask stores an entry survive
-// (GraphBLAS masked mxm; the unmasked A·B is never materialized). Pass
-// WithComplementMask via opts to invert the mask instead. Triangle counting
-// is MultiplyMasked(A, A, A) followed by a value sum.
+// arithmetic semiring (GraphBLAS masked mxm) with a row-wise masked
+// accumulator: M(r,:) is stamped into a slot array over B's columns, every
+// product a_rk·b_kc probes it, and only hits are folded — nothing outside the
+// mask is written, sorted or folded. Entries are summed in ascending k from
+// their first product, so the result is bit-identical to Reference(A,B) ∘ M
+// at every thread count; one that cancels to 0 is kept, a mask position no
+// product reaches is absent. The slot array is 4 B × cols(B) per worker.
+// WithComplementMask via opts inverts the mask: that keeps nearly all of A·B
+// and runs the PB-structured generic engine. Triangles: MultiplyMasked(A, A, A).
 func MultiplyMasked(a, b, mask *CSR, opts ...Option) (*CSR, error) {
-	// Precedence matches Engine.MultiplyMasked: per-call options override
-	// the explicit mask argument.
-	var cfg config
-	if mask != nil {
-		cfg.mask = mask
+	e, _ := NewEngine() // no defaults: nothing to reject
+	return e.MultiplyMasked(nil, a, b, mask, opts...)
+}
+
+// rowMasked: a plain (non-complement) mask, which routes the product onto semiring.MultiplyMaskedRows.
+func (c *config) rowMasked() bool { return c.mask != nil && !c.complement }
+
+// maskedArith runs a resolved masked arithmetic product on ws: a plain mask
+// walks A by rows as given and returns the kernel's fresh output, a complement
+// one runs the generic engine on ws's CSC of A and clones the result out.
+func (c *config) maskedArith(a, b *CSR, ws *Workspace) (*CSR, error) {
+	sopt, br := c.semiringOptions(ws), Float64Matrix(b)
+	var g *Matrix[float64]
+	var err error
+	if c.rowMasked() {
+		g, err = semiring.MultiplyMaskedRows(Arithmetic(), Float64Matrix(a), br, sopt)
+	} else if g, err = semiring.MultiplyOpts(Arithmetic(), colView(ws.CSCOf(a)), br, sopt); err == nil {
+		g = g.Clone()
 	}
-	for _, o := range opts {
-		if err := o(&cfg); err != nil {
-			return nil, err
-		}
-	}
-	if cfg.mask == nil {
-		return nil, errNilMask
-	}
-	if a.NumCols != b.NumRows {
-		return nil, shapeError(a, b)
-	}
-	sopt := cfg.semiringOptions(nil)
-	c, err := semiring.MultiplyOpts(Arithmetic(), colView(a.ToCSC()), Float64Matrix(b), sopt)
 	if err != nil {
 		return nil, err
 	}
-	return Float64CSR(c), nil
+	return Float64CSR(g), nil
 }
 
 // EWiseAdd returns the element-wise sum of a and b over sr.Plus: the union
