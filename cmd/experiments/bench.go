@@ -22,17 +22,18 @@ import (
 // GFLOPS, per-phase GB/s and allocs/op. CI runs `bench -json bench.json
 // -gate` on every push and uploads it as the bench-trajectory artifact, so
 // each PR leaves a comparable perf baseline behind; the committed
-// BENCH_PR18.json is one -gate run of the commit that set the current
+// BENCH_PR19.json is one -gate run of the commit that set the current
 // gates (CI's informational -baseline). Regimes pin both tuple layouts on the
 // low-cf ER workload (the squeezed pipeline's headline case), fused-vs-unfused
 // on the high-cf R-MAT workload (the fused pipeline's), that workload under
-// two memory budgets, and a masked product beside its unmasked twin: -gate
-// fails the run on the ratio, phase and allocation checks of gateBench.
+// two memory budgets and over a custom semiring, a hypersparse product whose
+// keys need the wide layout, and a masked product beside its unmasked twin:
+// -gate fails the run on the ratio, phase and allocation checks of gateBench.
 
 // benchSchema versions the JSON so trajectory tooling can tell reports apart;
-// bump it whenever a field or a gated regime is added or dropped (v10: the
-// masked mode and the rmat-unmasked / rmat-masked pair).
-const benchSchema = "pbspgemm-bench/v10"
+// bump it whenever a field or a gated regime is added or dropped (v11: the
+// minplus mode, er-hypersparse-wide and the minplus-vs-wide gate).
+const benchSchema = "pbspgemm-bench/v11"
 
 type benchPhase struct {
 	Millis    float64 `json:"ms"`
@@ -48,7 +49,7 @@ type benchRegime struct {
 	SeedA       uint64     `json:"seed_a"`
 	SeedB       uint64     `json:"seed_b"`
 	Layout      string     `json:"layout"`
-	Mode        string     `json:"mode,omitempty"` // "" (float64) | pattern | f32 | masked
+	Mode        string     `json:"mode,omitempty"` // "" (float64) | pattern | f32 | masked | minplus
 	Kernel      string     `json:"kernel"`         // Stats.Kernel: the build's kernel set
 	CancelHook  bool       `json:"cancel_hook,omitempty"`
 	Fused       bool       `json:"fused"`
@@ -98,7 +99,7 @@ type benchCase struct {
 	threadsCap int    // 0: cfg/default threads, 1: pin single-threaded
 	unfused    bool   // run the three-pass PR 4 pipeline instead of fused
 	budget     int64  // MemoryBudgetBytes; >0 exercises the panel/gather path
-	mode       string // "" core.Multiply | "pattern" 4 B key-only | "f32" 8 B narrow | "masked" row kernel, mask = A
+	mode       string // "" core.Multiply | "pattern" 4 B key-only | "f32" 8 B narrow | "masked" row kernel, mask = A | "minplus" semiring.MinPlus, wide
 	cancelHook bool   // install a no-op Cancel hook: every sub-phase poll calls it
 }
 
@@ -122,7 +123,18 @@ const (
 	gateBudgetedRegime = "rmat-highcf-budgeted-deep-fused"
 	gateUnmaskedRegime = "rmat-unmasked"
 	gateMaskedRegime   = "rmat-masked"
+	gateWideRegime     = "rmat-highcf-wide-fused"
+	gateMinPlusRegime  = "rmat-highcf-minplus"
 )
+
+// minPlusGateFactor bounds a custom semiring against the forced-wide float64
+// product of the same input: one pipeline, one layout, the same kernel on
+// every bin, only the ⊗ and ⊕ function values differ (1.40–1.67 measured: min
+// is a data-dependent branch where + is not, and a semiring's scalar ⊗ is
+// called per tuple inside core.Elementwise where float64's multiplies in
+// line), so an engine re-forked for semirings fails it: the one this replaced
+// measured 5.
+const minPlusGateFactor = 2.0
 
 // maskedGateFactor bounds the masked regime (its mask keeps 2 % of C) against
 // the unmasked PB product of the same inputs run right before it: expanding
@@ -190,6 +202,10 @@ func benchCases() []benchCase {
 		{gateUnfusedRegime, "RMAT", 10, 32, 1, 2, core.LayoutSqueezed, 1, true, 0, "", false},
 		{"rmat-highcf-wide-fused", "RMAT", 10, 32, 1, 2, core.LayoutWide, 1, false, 0, "", false},
 		{"rmat-highcf-wide-unfused", "RMAT", 10, 32, 1, 2, core.LayoutWide, 1, true, 0, "", false},
+		// The same input over MinPlus: a custom semiring runs the wide layout
+		// through its own ⊗ and ⊕ (internal/semiring → core.MultiplyWide), so
+		// its comparator is the forced-wide float64 product right above.
+		{gateMinPlusRegime, "RMAT", 10, 32, 1, 2, core.LayoutAuto, 1, false, 0, "minplus", false},
 		// The Boolean/structural regime: the 4-byte pattern layout on the same
 		// high-cf input as the squeezed acceptance pair (its 12-byte
 		// comparator), and on the low-cf ER input. The 8-byte float32 narrow
@@ -205,6 +221,10 @@ func benchCases() []benchCase {
 		// behind the DRAM-resident expand gate.
 		{"er-dram-squeezed", "ER", 16, 8, 1, 2, core.LayoutSqueezed, 1, false, 0, "", false},
 		{"er-dram-pattern", "ER", 16, 8, 1, 2, core.LayoutAuto, 1, false, 0, "pattern", false},
+		// Hypersparse ER, 2^20 rows at 2 per row: 4 M flops in 64 bins of 2^14
+		// rows, so keys take 14 + 20 = 34 bits — the regime where the wide
+		// layout is chosen, not forced.
+		{"er-hypersparse-wide", "ER", 20, 2, 1, 2, core.LayoutAuto, 1, false, 0, "", false},
 		// R-MAT scale 13, edge factor 16, squared — BENCHMARK.json's rmat_skew
 		// product: a 228 MB squeezed arena whose power-law bins reach a million
 		// tuples over an 18-bit key space, the dense fold's home ground.
@@ -364,10 +384,13 @@ func fillPctStream(r *benchRegime, report *benchReport) {
 // 4-byte pattern layout must beat the 12-byte squeezed float64 pipeline on
 // the same input by at least 10% (the Boolean-regime acceptance bar), a deep
 // memory budget must cost at most budgetGateFactor × the single-shot product,
-// the masked product at most maskedGateFactor × the unmasked one, and every
+// the masked product at most maskedGateFactor × the unmasked one, a custom
+// semiring at most minPlusGateFactor × the wide float64 product, and every
 // single-threaded pooled regime (all layouts, fused and unfused, single-shot
-// and budgeted; not the masked one, whose product is freshly allocated for
-// the caller) must run allocation-free in steady state.
+// and budgeted; not the two through internal/semiring: the masked product is
+// freshly allocated for the caller, and a MultiplyOpts call returns fresh
+// matrix headers and its own copy of the phase statistics) must run
+// allocation-free in steady state.
 func gateBench(report *benchReport) {
 	// The overhead gate certifies the production binary; a tagged build
 	// carries live injection hooks and measures the wrong thing.
@@ -382,7 +405,8 @@ func gateBench(report *benchReport) {
 	fused, unfused := byName[gateFusedRegime], byName[gateUnfusedRegime]
 	pattern, budgeted := byName[gatePatternRegime], byName[gateBudgetedRegime]
 	unmasked, masked := byName[gateUnmaskedRegime], byName[gateMaskedRegime]
-	if fused == nil || unfused == nil || pattern == nil || budgeted == nil || unmasked == nil || masked == nil {
+	wide, minplus := byName[gateWideRegime], byName[gateMinPlusRegime]
+	if fused == nil || unfused == nil || pattern == nil || budgeted == nil || unmasked == nil || masked == nil || wide == nil || minplus == nil {
 		fmt.Fprintln(os.Stderr, "bench gate: acceptance regimes missing from the run")
 		os.Exit(1)
 	}
@@ -395,6 +419,7 @@ func gateBench(report *benchReport) {
 	failed = ratioGate("pattern vs squeezed", pattern, fused, 0.90) || failed
 	failed = ratioGate("deep budget vs single-shot", budgeted, fused, budgetGateFactor) || failed
 	failed = ratioGate("masked vs unmasked", masked, unmasked, maskedGateFactor) || failed
+	failed = ratioGate("minplus vs wide float64", minplus, wide, minPlusGateFactor) || failed
 	// The fault-containment overhead gate: with the fault hooks compiled out
 	// (enforced above via faultinject.Enabled) and a no-op Cancel hook
 	// installed, the acceptance regimes must run within 1% of their hook-free
@@ -459,7 +484,7 @@ func gateBench(report *benchReport) {
 		failed = true
 	}
 	for _, r := range report.Regimes {
-		if r.Threads == 1 && r.AllocsPerOp != 0 && r.Mode != "masked" {
+		if r.Threads == 1 && r.AllocsPerOp != 0 && r.Mode != "masked" && r.Mode != "minplus" {
 			fmt.Fprintf(os.Stderr, "bench gate: %s allocated %.1f/op, want 0\n", r.Name, r.AllocsPerOp)
 			failed = true
 		}
@@ -519,6 +544,13 @@ func runBenchCase(cfg *config, c benchCase) (benchRegime, error) {
 			}
 			return &core.Stats{Total: time.Since(start), Flops: flops, NNZC: cm.NNZ(),
 				CF: float64(flops) / float64(max(cm.NNZ(), 1)), Kernel: "masked-rows"}, nil
+		case "minplus":
+			ac := &semiring.CSCg[float64]{NumRows: acsc.NumRows, NumCols: acsc.NumCols,
+				ColPtr: acsc.ColPtr, RowIdx: acsc.RowIdx, Val: acsc.Val}
+			var plan semiring.Plan
+			_, err := semiring.MultiplyOpts(semiring.MinPlus(), ac, pbspgemm.Float64Matrix(b),
+				semiring.Options{Threads: threads, Workspace: ws, Plan: &plan})
+			return plan.Stats, err
 		case "pattern":
 			_, st, err := core.MultiplyPattern(acsc, b, opt)
 			return st, err

@@ -132,6 +132,13 @@ func TestBenchCaseProducesValidRegime(t *testing.T) {
 	} else if r.Layout != "narrow" || r.TupleBytes != 8 || r.Mode != "f32" {
 		t.Fatalf("f32 regime: layout=%s bytes=%d mode=%s", r.Layout, r.TupleBytes, r.Mode)
 	}
+	// A custom semiring runs the wide layout and reports the pipeline's stats.
+	c.name, c.mode = "er-test-minplus", "minplus"
+	if r, err = runBenchCase(cfg, c); err != nil {
+		t.Fatal(err)
+	} else if r.Layout != "wide" || r.TupleBytes != 16 || r.Mode != "minplus" || r.Flops <= 0 || r.Fuse.Millis <= 0 {
+		t.Fatalf("minplus regime: %+v", r)
+	}
 }
 
 func TestBenchCasesFixedSeedsAndLayoutPair(t *testing.T) {
@@ -187,6 +194,17 @@ func TestBenchCasesCarryFusedPairs(t *testing.T) {
 	wu, okWU := byName["rmat-highcf-wide-unfused"]
 	if !okWF || !okWU || wf.layout != core.LayoutWide || wu.layout != core.LayoutWide {
 		t.Fatal("trajectory must carry the wide-layout fused pair too")
+	}
+	// The custom-semiring gate compares MinPlus against the forced-wide float64
+	// product: same input, same threads, and no layout forced (a semiring that
+	// has no typed kernel gets the wide layout by itself).
+	mp, okMP := byName[gateMinPlusRegime]
+	if !okMP || mp.mode != "minplus" || mp.layout != core.LayoutAuto || gateWideRegime != wf.name {
+		t.Fatal("gate minplus regime missing, not minplus-mode, or its comparator is not the wide fused regime")
+	}
+	mp.name, mp.mode, mp.layout = wf.name, wf.mode, wf.layout
+	if mp != wf {
+		t.Fatal("the minplus gate regime must differ from its wide comparator only in name, mode and layout")
 	}
 	// The Boolean-regime gate compares the pattern layout against the
 	// squeezed fused regime, so the two must share identical inputs and
@@ -276,6 +294,26 @@ func TestBenchCasesCarryDRAMRegimes(t *testing.T) {
 // their regimes by name; each must be single-threaded, fused and unbudgeted
 // (the phase stat is Stats.Fuse), and the rmat-dram pair must be
 // BENCHMARK.json's rmat_skew product — R-MAT scale 13, ef 16, squared.
+// TestBenchCasesCarryHypersparseWide: one regime must get the wide layout
+// because its keys need it — nothing forced — single-threaded and pooled like
+// the other phase-stat regimes.
+func TestBenchCasesCarryHypersparseWide(t *testing.T) {
+	for _, c := range benchCases() {
+		if c.name != "er-hypersparse-wide" {
+			continue
+		}
+		if c.layout != core.LayoutAuto || c.mode != "" || c.threadsCap != 1 || c.unfused || c.budget != 0 {
+			t.Fatalf("%+v: want an unforced single-threaded fused single-shot float64 regime", c)
+		}
+		rows := int32(1) << c.scale
+		if core.Key32Fits(rows, rows, int64(rows)*int64(c.ef)*int64(c.ef), core.Options{}) {
+			t.Fatalf("%+v: its keys fit 32 bits, so it would squeeze", c)
+		}
+		return
+	}
+	t.Fatal("er-hypersparse-wide missing")
+}
+
 func TestBenchCasesCarryFuseGateRegimes(t *testing.T) {
 	byName := map[string]benchCase{}
 	for _, c := range benchCases() {

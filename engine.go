@@ -326,11 +326,12 @@ func (e *Engine) multiply(cfg *config, a, b *CSR) (*Result, Algorithm, bool, err
 
 // EngineMultiplyOver is MultiplyOver running on an engine: the semiring
 // multiplication checks a pooled workspace out of e, observes ctx at phase
-// boundaries, and folds into e's metrics. (Go methods cannot introduce type
-// parameters, hence the package-level function taking the engine first.)
-// The result is cloned out of the workspace and fully caller-owned. Pooled
-// generic buffers are cached per element type T, so an engine serving a
-// stable T hits its pool just like the float64 path.
+// boundaries and inside the long phase loops, and folds into e's metrics. (Go
+// methods cannot introduce type parameters, hence the package-level function
+// taking the engine first.) The result is cloned out of the workspace and
+// fully caller-owned. The wide layout's pooled planes are cached per element
+// type T, so an engine serving a stable T hits its pool just like the float64
+// path.
 func EngineMultiplyOver[T any](e *Engine, ctx context.Context, sr Semiring[T], a *ColMatrix[T], b *Matrix[T], opts ...Option) (*Matrix[T], error) {
 	cfg, err := resolve(e.defaults, opts)
 	if err != nil {

@@ -103,7 +103,7 @@ func ColumnESC(a, b *matrix.CSR, opt Options) (*matrix.CSR, *Stats, error) {
 
 // escRange expands, sorts and compresses the segments of rows [lo, hi),
 // writing per-row output counts into rowOut.
-func escRange(a, b *matrix.CSR, tuples []radix.Pair, segStart, rowOut []int64, lo, hi int) {
+func escRange(a, b *matrix.CSR, tuples []radix.Pair[float64], segStart, rowOut []int64, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		seg := tuples[segStart[i]:segStart[i+1]]
 		pos := 0
@@ -111,7 +111,7 @@ func escRange(a, b *matrix.CSR, tuples []radix.Pair, segStart, rowOut []int64, l
 			k := a.ColIdx[p]
 			av := a.Val[p]
 			for q := b.RowPtr[k]; q < b.RowPtr[k+1]; q++ {
-				seg[pos] = radix.Pair{Key: uint64(b.ColIdx[q]), Val: av * b.Val[q]}
+				seg[pos] = radix.Pair[float64]{Key: uint64(b.ColIdx[q]), Val: av * b.Val[q]}
 				pos++
 			}
 		}
@@ -136,7 +136,7 @@ func escRange(a, b *matrix.CSR, tuples []radix.Pair, segStart, rowOut []int64, l
 
 // escAssembleRange copies the compressed segments of rows [lo, hi) into the
 // final CSR arrays.
-func escAssembleRange(c *matrix.CSR, tuples []radix.Pair, segStart, rowOut []int64, lo, hi int) {
+func escAssembleRange(c *matrix.CSR, tuples []radix.Pair[float64], segStart, rowOut []int64, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		src := segStart[i]
 		dst := c.RowPtr[i]

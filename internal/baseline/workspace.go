@@ -24,7 +24,7 @@ type Workspace struct {
 	threads  []scratch
 
 	// ColumnESC's expanded-tuple pipeline.
-	tuples   []radix.Pair
+	tuples   []radix.Pair[float64]
 	segStart []int64
 	rowOut   []int64
 

@@ -144,8 +144,7 @@ func (e *engine) runContained() (c *matrix.CSR, st *Stats, err error) {
 // must not stay pinned by a pooled workspace).
 func (e *engine) poisonOnPanic(pe *par.PanicError) error {
 	e.ws.poisoned = true
-	e.a, e.b, e.st, e.lay = nil, nil, nil, nil
-	e.ws.kvF64.aVal, e.ws.kvF64.bVal = nil, nil
+	e.dropRefs()
 	return pe
 }
 

@@ -157,5 +157,5 @@ func TestTuplePlanesLineAligned(t *testing.T) {
 	if _, _, err := Multiply(acsc, a, Options{Workspace: ws, ForceLayout: LayoutWide}); err != nil {
 		t.Fatal(err)
 	}
-	aligned("wide tuple", unsafe.Pointer(&ws.tuples[0]))
+	aligned("wide tuple", unsafe.Pointer(&pairsOf[float64](ws).tuples[0]))
 }

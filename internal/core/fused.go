@@ -23,15 +23,22 @@ import (
 //     each output written once, no sort at all.
 //   - Every other bin runs radix.SortFold, a fixed-pass LSD radix over
 //     key|index words that gathers each value once in the sweep that folds.
-//     The wide layout (64-bit keys) keeps radix.SortPairsFusedScratch.
 //
-// Both tally the bin's per-row output counts as they finish, so assemble has
-// exact offsets the moment the phase ends. Both are bit-identical to the
-// unfused path, and to each other, by one argument: a stable sort leaves
-// equal keys in arrival (expand) order, and every fold is the chain "first
-// value assigned, later ones added" over that order — which is what the
-// two-pointer compress runs over the stably sorted bin (FuzzFusedVsUnfused,
-// TestBothKernelsSameBytes and TestSpecialValuesThroughTheFold pin it).
+// The wide layout (64-bit keys, any value type and ⊕) takes the same rule to
+// the same two shapes over whole 16-byte tuples: radix.FoldDensePairs where a
+// bin's key space is small enough to address (a semiring product, or a forced
+// wide one, on keys that would have fit 32 bits), radix.SortPairs — the
+// fixed-pass LSD folding through the run's ⊕ as its last pass stores —
+// everywhere else, which is every bin of a product whose keys pass 32 bits.
+//
+// All tally the bin's per-row output counts as they finish, so assemble has
+// exact offsets the moment the phase ends. All are bit-identical to the
+// unfused path, and the key32 pair to each other, by one argument: a stable
+// sort leaves equal keys in arrival (expand) order, and every fold is the
+// chain "first value assigned, later ones added" over that order — which is
+// what the two-pointer compress runs over the stably sorted bin
+// (FuzzFusedVsUnfused, TestBothKernelsSameBytes and
+// TestSpecialValuesThroughTheFold pin it).
 //
 // A budgeted run folds twice with these kernels: each panel's bins into runs,
 // then each bin's gathered runs (panels.go). A run is duplicate-free and the
@@ -41,15 +48,14 @@ import (
 // The phase is scheduled with work stealing (par.WorkSteal): a worker that
 // meets an oversized bin too sparse for the dense fold runs one stable
 // top-digit partition pass and hands the buckets to the other workers, which
-// sort them (SortFold, fold off) on the remaining bits. A bucket boundary may
-// cut through a row, so buckets do not fold; the worker finishing a split
-// bin's last bucket folds the whole, now sorted, bin with the two-pointer
-// compress.
+// sort them (SortFold or SortPairs, fold off) on the remaining bits. A bucket
+// boundary may cut through a row, so buckets do not fold; the worker finishing
+// a split bin's last bucket folds the whole, now sorted, bin with the
+// two-pointer compress.
 
 // sortTask is one unit of sort-phase work for the work-stealing scheduler: a
 // whole bin, or (bucket=true) one top-digit bucket of a partitioned
-// oversized bin, with arg carrying the remaining key bits (key32 layouts) or
-// next byte index (wide) to sort at.
+// oversized bin, with arg carrying the remaining key bits to sort on.
 type sortTask struct {
 	bin        int32
 	bucket     bool
@@ -161,8 +167,8 @@ func (e *engine) runSortTask(worker int, t sortTask, spawn func(sortTask),
 	// Oversized bin too sparse for the dense fold: run one stable top-digit
 	// partition pass here and spawn the buckets; idle workers steal them, so
 	// neither the partition nor the bucket sorts serialize the phase. The
-	// layout provides the pass (radix.PartitionTop / PartitionPairsScratch);
-	// zero buckets means the pass alone finished the range.
+	// layout provides the pass (radix.PartitionTop / PartitionPairs); zero
+	// buckets means the pass alone finished the range.
 	lo, hi := t.start, t.end
 	stride := radix.MaxPartitionBuckets + 1
 	bounds := partBounds[worker*stride : (worker+1)*stride]
@@ -191,23 +197,11 @@ func (e *engine) runSortTask(worker int, t sortTask, spawn func(sortTask),
 	}
 }
 
-// fuseWholeBin folds one bin with the layout's fused kernel and tallies its
-// row counts (when rowCounts is non-nil; a budgeted run's panels defer tallies
-// to the tail) — inside the kernel, while the folded keys are hot, for the
-// key32 layouts. The folded prefix lands at the bin's own binStart offset, exactly where
-// compressBin would leave it.
+// fuseWholeBin folds one bin with the layout's fused kernel, which also
+// tallies its row counts while the folded keys are hot. The folded prefix lands
+// at the bin's own binStart offset, exactly where compressBin would leave it.
 func (e *engine) fuseWholeBin(worker, bin int, binOut, rowCounts []int64) {
-	bs := e.ws.binStart
-	lo, hi := bs[bin], bs[bin+1]
-	var rows []int64
-	if rowCounts != nil {
-		rows = rowCounts[int64(bin)<<e.rowShift+1:]
-	}
-	n := e.lay.fuseBin(e, worker, lo, hi, rows)
-	binOut[bin] = n
-	if !e.key32 {
-		e.tallyRows(lo, n, rowCounts, bin)
-	}
+	binOut[bin] = e.lay.fuseBin(e, worker, bin, rowCounts)
 }
 
 // keyBits is the packed key width of the run's geometry; at most 32 on the
@@ -244,9 +238,12 @@ func denseFold(n int64, keyBits uint, valBytes, l2CacheBytes int64) bool {
 	return slots <= denseSlotsPerTuple*n && slots*valBytes <= budget && slots/8 <= budget
 }
 
-// denseBin applies the rule to a bin of n tuples of this run: only the fused
-// key32 layouts have the kernel (their value is the tuple less its 4-byte
-// key); every other bin sorts.
+// denseBin applies the rule to a bin of n tuples of this run; a slot holds the
+// tuple less its key.
 func (e *engine) denseBin(n int64) bool {
-	return e.key32 && denseFold(n, e.keyBits(), e.tupleBytes-4, int64(e.opt.L2CacheBytes))
+	valBytes := e.tupleBytes - 4
+	if !e.key32 {
+		valBytes -= 4 // an 8-byte key
+	}
+	return denseFold(n, e.keyBits(), valBytes, int64(e.opt.L2CacheBytes))
 }

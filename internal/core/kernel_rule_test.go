@@ -11,7 +11,7 @@ import (
 	"pbspgemm/internal/matrix"
 )
 
-// forceKernel pins the per-bin rule for one test: every fused key32 bin folds
+// forceKernel pins the per-bin rule for one test: every fused bin folds
 // dense (where the accumulator cap allows) or every bin sorts.
 func forceKernel(t *testing.T, dense bool) {
 	old := denseSlotsPerTuple
@@ -105,9 +105,14 @@ func key32Runners(a *matrix.CSC, b *matrix.CSR) []layoutRunner {
 }
 
 // foldRunners is every layout a fold can run on: the key32 ones plus the wide
-// layout forced onto the same input (its bins sort with the byte-digit family;
-// the per-bin kernel rule does not apply to it).
+// layout — forced onto the same input through Multiply (float64, + and ×), and
+// over a value that is not 8 bytes through MultiplyWide.
 func foldRunners(a *matrix.CSC, b *matrix.CSR) []layoutRunner {
+	av, bv := narrowPlanes[float32](a, b)
+	alg := Algebra[float32]{
+		Times: Elementwise(func(x, y float32) float32 { return x * y }),
+		Plus:  func(x, y float32) float32 { return x + y },
+	}
 	return append(key32Runners(a, b), layoutRunner{"wide", func(opt Options) (product, error) {
 		opt.ForceLayout = LayoutWide
 		c, _, err := Multiply(a, b, opt)
@@ -115,6 +120,15 @@ func foldRunners(a *matrix.CSC, b *matrix.CSR) []layoutRunner {
 			return product{}, err
 		}
 		return product{cloneStructure(c), valueBits(c.Val)}, nil
+	}}, layoutRunner{"wide-f32", func(opt Options) (product, error) {
+		c, vals, st, err := MultiplyWide(a, av, b, bv, alg, opt)
+		if err != nil {
+			return product{}, err
+		}
+		if st.Layout != LayoutWide {
+			return product{}, fmt.Errorf("ran %v, want wide", st.Layout)
+		}
+		return product{cloneStructure(c), valueBits(vals)}, nil
 	}})
 }
 
@@ -136,8 +150,22 @@ func scratchAtRest(ws *Workspace) bool {
 			return false
 		}
 	}
-	for _, v := range ws.kvF64.accVals[:cap(ws.kvF64.accVals)] {
-		if v != 0 || math.Signbit(v) {
+	switch l := ws.wide.(type) {
+	case *pairs[float64]:
+		if !allPlusZero(l.acc[:cap(l.acc)]) {
+			return false
+		}
+	case *pairs[float32]:
+		if !allPlusZero(l.acc[:cap(l.acc)]) {
+			return false
+		}
+	}
+	return allPlusZero(ws.kvF64.accVals[:cap(ws.kvF64.accVals)])
+}
+
+func allPlusZero[V float32 | float64](vals []V) bool {
+	for _, v := range vals {
+		if v != 0 || math.Signbit(float64(v)) {
 			return false
 		}
 	}
@@ -196,7 +224,7 @@ func TestBothKernelsSameBytes(t *testing.T) {
 									t.Fatalf("threads=%d unfused=%v rep=%d: dense scratch left dirty", threads, disableFusion, rep)
 								}
 							}
-							wantDense := dense && !disableFusion && lr.name != "wide"
+							wantDense := dense && !disableFusion
 							if ranDense := cap(ws.accBits) > 0; ranDense != wantDense {
 								t.Fatalf("threads=%d unfused=%v: dense kernel sized = %v", threads, disableFusion, ranDense)
 							}
@@ -257,7 +285,8 @@ func TestDenseScratchSurvivesCancel(t *testing.T) {
 }
 
 // TestSpecialValuesThroughTheFold pins −0.0, NaN and ±Inf through both
-// kernels on the squeezed, narrow and wide layouts, in one panel and across
+// kernels on the squeezed, narrow and wide layouts (the wide one over float64
+// and over float32: pairs[V] has no value type of its own), in one panel and across
 // about 2, 9 and 34: every fused run is bit-identical to the single-thread
 // unfused one on the same budget, and both agree with
 // matrix.ReferenceMultiply — bit for bit (the finite values are small
@@ -324,9 +353,6 @@ func TestSpecialValuesThroughTheFold(t *testing.T) {
 			wants[bi] = want
 		}
 		for _, mode := range []string{"dense", "sparse", "rule"} {
-			if lr.name == "wide" && mode != "rule" {
-				continue // the wide layout has one kernel
-			}
 			t.Run(lr.name+"/"+mode, func(t *testing.T) {
 				if mode != "rule" {
 					forceKernel(t, mode == "dense")

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"unsafe"
 
 	"pbspgemm/internal/faultinject"
@@ -24,7 +25,9 @@ import (
 //
 // The three implementations:
 //
-//   - wideOps: 16-byte []radix.Pair (u64 key + f64 value).
+//   - pairs[V]: 16-byte []radix.Pair[V] (u64 key + value), for keys past 32
+//     bits and for any value type and (⊕, ⊗) — pairs[float64] with (+, ×) is
+//     Multiply's wide fallback, MultiplyWide runs a semiring's.
 //   - kv[V]: split key32 + value-plane layouts — kv[float64] is the 12-byte
 //     squeezed layout, kv[float32]/kv[int32] the 8-byte narrow one. Keys
 //     live in the Workspace (shared by every key32 layout); only the value
@@ -32,10 +35,10 @@ import (
 //   - patternOps: bare []uint32 keys, 4 bytes per tuple; the fold is
 //     deduplication and the result CSR carries no Val array.
 //
-// wideOps and patternOps are zero-size: storing them in the e.lay interface
-// allocates nothing (the runtime's zerobase). kv values are reached by
-// pointer (&ws.kvF64, or the pooled *kv[V] in ws.kvNarrow), so rebinding
-// e.lay per call is allocation-free too.
+// patternOps is zero-size: storing it in the e.lay interface allocates
+// nothing (the runtime's zerobase). kv and pairs values are reached by pointer
+// (&ws.kvF64, or the pooled *kv[V] / *pairs[V] in ws.kvNarrow / ws.wide), so
+// rebinding e.lay per call is allocation-free too.
 
 // Value is the set of element types a value-carrying tuple layout can move:
 // the float64 of the 12-byte squeezed layout plus the 4-byte types of the
@@ -61,8 +64,8 @@ type layoutOps interface {
 	growTuples(e *engine, n int64)
 	// growLocals sizes the flattened threads×nbins×capT local bins.
 	growLocals(e *engine, n int64)
-	// resetRuns truncates the layout's value run arena (the shared key/pair
-	// arenas are reset by the engine).
+	// resetRuns truncates the layout's own run arena (the shared key arena is
+	// reset by the engine).
 	resetRuns(e *engine)
 	// expandRange is one worker's outer-product expansion with propagation
 	// blocking over panel columns [lo+colBounds[t], lo+colBounds[t+1]).
@@ -81,14 +84,16 @@ type layoutOps interface {
 	// arg buckets continue sorting at. nbuckets == 0 means the range needs
 	// no further sorting.
 	partitionTop(e *engine, worker int, lo, hi int64, bounds []int64) (nbuckets, arg int)
-	// fuseBin folds the bin [lo, hi) on the given worker's scratch, leaving
-	// the sorted, folded prefix in place and returning its length. The key32
-	// layouts also tally the bin's rows into rows (rowCounts from the bin's
-	// first row on; nil skips it); the wide layout leaves that to the caller.
-	fuseBin(e *engine, worker int, lo, hi int64, rows []int64) int64
-	// compressBin folds duplicates of the sorted range [lo, hi) in place,
-	// returning the folded length.
-	compressBin(e *engine, lo, hi int64) int64
+	// fuseBin sorts and folds bin (its tuples lie at ws.binStart[bin:bin+2])
+	// on the given worker's scratch, leaving the sorted, folded prefix in
+	// place and returning its length, and tallies the folded rows into
+	// rowCounts (nil skips the tally: a budgeted run's panels leave it to the
+	// tail). Rows of a bin are touched by no other bin, so the shared slice
+	// needs no synchronization.
+	fuseBin(e *engine, worker, bin int, rowCounts []int64) int64
+	// compressBin folds duplicates of the already sorted bin in place, with
+	// the same tally, returning the folded length.
+	compressBin(e *engine, bin int, rowCounts []int64) int64
 	// appendRun copies the folded bin segment at [src, src+n) into the run
 	// arena.
 	appendRun(e *engine, src, n int64)
@@ -96,8 +101,9 @@ type layoutOps interface {
 	// budgeted run gathers its runs into, so the run's tail works on those
 	// through the tuple planes' names while the budget-sized tuple buffer
 	// waits untouched; a second call puts both back. Nothing may hold the
-	// tuple planes (ws.tuples, ws.tupleKeys, the value plane) in a field or
-	// local across runBudgeted's tail: it would read the other buffer.
+	// tuple planes (ws.tupleKeys and the value plane, or the wide layout's
+	// tuples) in a field or local across runBudgeted's tail: it would read the
+	// other buffer.
 	swapGathered(e *engine)
 	// gatherRun copies the run segment [src, src+n) of the run arena to the
 	// tuple planes at dst.
@@ -105,8 +111,9 @@ type layoutOps interface {
 	// unpackBin writes the n folded tuples at srcOff of the tuple planes into
 	// the result CSR at dstOff.
 	unpackBin(e *engine, c *matrix.CSR, srcOff, dstOff, n int64)
-	// growOut installs the result's value storage (c.Val for the float64
-	// layouts, the layout's out plane for narrow, nothing for pattern).
+	// growOut sizes the result's value storage: the layout's out plane
+	// (newResult makes it c.Val for Multiply's float64 layouts), nothing for
+	// pattern.
 	growOut(e *engine, c *matrix.CSR, nnzc int64)
 }
 
@@ -134,21 +141,53 @@ func kvOf[V Value32](ws *Workspace) *kv[V] {
 	return l
 }
 
-// bindLayout installs e.lay for the layout planBins chose. The narrow entry
-// pre-binds its typed kv[V] (carrying the caller's value planes); everything
-// else resolves here.
+// bindLayout installs e.lay for the layout planBins chose. MultiplyNarrow and
+// MultiplyWide pre-bind their typed layout (carrying the caller's value
+// planes); Multiply's and MultiplyPattern's resolve here.
 func (e *engine) bindLayout() {
+	if e.lay != nil {
+		return
+	}
 	switch e.layout {
 	case LayoutSqueezed:
 		l := &e.ws.kvF64
 		l.aVal, l.bVal = e.a.Val, e.b.Val
-		e.lay = l
+		e.lay, e.f64Out = l, &l.out
 	case LayoutPattern:
 		e.lay = patternOps{}
-	case LayoutNarrow:
-		// MultiplyNarrow bound e.lay = kvOf[V](ws) before run().
 	default:
-		e.lay = wideOps{}
+		// Multiply's wide fallback: the wide layout over float64 (+, ×).
+		l := pairsOf[float64](e.ws)
+		l.aVal, l.bVal, l.alg = e.a.Val, e.b.Val, arithF64
+		e.lay, e.f64Out = l, &l.out
+	}
+}
+
+var arithF64 = Algebra[float64]{
+	Times: func(dst []radix.Pair[float64], a float64, b []float64) {
+		for j := range dst {
+			dst[j].Val = a * b[j]
+		}
+	},
+	Plus: func(a, b float64) float64 { return a + b },
+}
+
+// binRows is the slice of rowCounts a bin's fold tallies into, indexed by
+// local row (nil stays nil).
+func (e *engine) binRows(rowCounts []int64, bin int) []int64 {
+	if rowCounts == nil {
+		return nil
+	}
+	return rowCounts[int64(bin)<<e.rowShift+1:]
+}
+
+// tallyKeys adds the per-row counts of folded key32 tuples into rows.
+func tallyKeys(keys []uint32, rows []int64, colBits uint) {
+	if rows == nil {
+		return
+	}
+	for _, k := range keys {
+		rows[k>>colBits]++
 	}
 }
 
@@ -169,6 +208,16 @@ func MultiplyPattern(a *matrix.CSC, b *matrix.CSR, opt Options) (*matrix.CSR, *S
 	return e.runContained()
 }
 
+// checkPlanes rejects out-of-band value planes (MultiplyNarrow, MultiplyWide)
+// shorter than the index arrays they run parallel to.
+func checkPlanes(a *matrix.CSC, na int, b *matrix.CSR, nb int) error {
+	if na < len(a.RowIdx) || nb < len(b.ColIdx) {
+		return fmt.Errorf("core: value planes shorter than their index arrays (%d < %d or %d < %d): %w",
+			na, len(a.RowIdx), nb, len(b.ColIdx), matrix.ErrShape)
+	}
+	return nil
+}
+
 // MultiplyNarrow computes C = A*B over 4-byte values (float32 or int32) with
 // the 8-byte key32+val32 tuple layout. The inputs are the structural CSC/CSR
 // (whose float64 Val arrays are never read and may be nil) plus parallel
@@ -178,9 +227,8 @@ func MultiplyPattern(a *matrix.CSC, b *matrix.CSR, opt Options) (*matrix.CSR, *S
 // (ErrKeyWidth otherwise) and ForceLayout is ignored.
 func MultiplyNarrow[V Value32](a *matrix.CSC, aVal []V, b *matrix.CSR, bVal []V, opt Options) (*matrix.CSR, []V, *Stats, error) {
 	opt = opt.withDefaults()
-	if int64(len(aVal)) < int64(len(a.RowIdx)) || int64(len(bVal)) < int64(len(b.ColIdx)) {
-		return nil, nil, nil, fmt.Errorf("core: narrow value planes shorter than their index arrays (%d < %d or %d < %d): %w",
-			len(aVal), len(a.RowIdx), len(bVal), len(b.ColIdx), matrix.ErrShape)
+	if err := checkPlanes(a, len(aVal), b, len(bVal)); err != nil {
+		return nil, nil, nil, err
 	}
 	e, err := newEngine(a, b, opt, LayoutNarrow)
 	if err != nil {
@@ -199,75 +247,284 @@ func MultiplyNarrow[V Value32](a *matrix.CSC, aVal []V, b *matrix.CSR, bVal []V,
 }
 
 // ---------------------------------------------------------------------------
-// wideOps: the 16-byte []radix.Pair layout.
+// pairs[V]: the wide layout, []radix.Pair[V] (u64 key + V value).
 
-type wideOps struct{}
-
-func (wideOps) growTuples(e *engine, n int64) { radix.GrowPairs(&e.ws.tuples, n) }
-func (wideOps) growLocals(e *engine, n int64) { radix.GrowPairs(&e.ws.locals, n) }
-func (wideOps) resetRuns(e *engine)           {}
-
-func (wideOps) expandRange(e *engine, t, lo int, cursors []int64) {
-	e.expandRangeWide(t, lo, cursors)
+// Algebra is what a wide run multiplies over. Times forms the values of one
+// chunk of expanded tuples, dst[j].Val = a ⊗ b[j] (len(b) ≥ len(dst); the keys
+// are already in place): one indirect call per chunk — per tuple it costs
+// expand as much again as the walk itself. Plus folds the values of
+// equal keys, left to right in arrival order (a stable sort keeps that order,
+// so the fold is defined even where Plus does not commute or associate
+// exactly). Both run on worker goroutines; a panic in either is contained like
+// any worker panic.
+type Algebra[V any] struct {
+	Times func(dst []radix.Pair[V], a V, b []V)
+	Plus  func(a, b V) V
+	// Filter, if non-nil, runs over every folded bin segment — sorted by key,
+	// duplicate-free — and keeps a prefix of it, returning the kept length
+	// (internal/semiring's complement mask). It must be idempotent: a budgeted
+	// run folds, and filters, a bin's tuples once per panel and once more
+	// gathered.
+	Filter SegFilter[V]
 }
 
-func (wideOps) growScratch(e *engine, total, _ int64) {
-	radix.GrowPairs(&e.ws.scratchPairs, total)
+// Elementwise lifts a scalar ⊗ to Algebra.Times' chunk form.
+func Elementwise[V any](times func(a, b V) V) func(dst []radix.Pair[V], a V, b []V) {
+	return func(dst []radix.Pair[V], a V, b []V) {
+		for j := range dst {
+			dst[j].Val = times(a, b[j])
+		}
+	}
 }
 
-// scratchPairs returns worker w's private slice of the pair scratch plane,
-// at least n long.
-func (e *engine) scratchPairsFor(w int, n int64) []radix.Pair {
+// SegFilter filters one folded bin segment in place. A tuple's global row is
+// firstRow + Key>>colBits, its column Key & (1<<colBits - 1).
+type SegFilter[V any] func(seg []radix.Pair[V], firstRow int32, colBits uint) int64
+
+// pairs holds one value type's planes of the wide layout, pooled grow-only in
+// Workspace.wide (one V at a time, like kvNarrow), plus the per-call bindings:
+// the input value planes, the algebra and the result's value destination.
+type pairs[V any] struct {
+	tuples, locals, runs, gathered, scratch []radix.Pair[V]
+	outVal, acc                             []V // acc: dense-fold accumulators, all-zero between bins
+
+	aVal, bVal []V
+	alg        Algebra[V]
+	out        []V
+	// flat: V holds no pointers, so the non-temporal flush — a raw byte copy,
+	// no GC write barriers, bytewise at its unaligned ends — may move its tuples.
+	flat bool
+}
+
+// pairsOf returns the workspace's pooled wide layout state for value type V,
+// creating it on first use.
+func pairsOf[V any](ws *Workspace) *pairs[V] {
+	if l, ok := ws.wide.(*pairs[V]); ok {
+		return l
+	}
+	l := &pairs[V]{flat: pointerFree(reflect.TypeFor[V]())}
+	ws.wide = l
+	return l
+}
+
+// pointerFree reports whether no value of type t holds a pointer the garbage
+// collector traces.
+func pointerFree(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Array:
+		return t.Len() == 0 || pointerFree(t.Elem())
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if !pointerFree(t.Field(i).Type) {
+				return false
+			}
+		}
+		return true
+	}
+	return reflect.Bool <= t.Kind() && t.Kind() <= reflect.Complex128
+}
+
+// widePool is what the Workspace asks of its pooled *pairs[V], whatever V is.
+type widePool interface {
+	// unbind drops the per-call references a pooled workspace must not pin.
+	// The result plane stays: the entry point reads it after the run.
+	unbind()
+	// detachOut forgets the pooled result plane (Workspace.DetachOutput).
+	detachOut()
+	tupleCapBytes() int64
+}
+
+func (l *pairs[V]) unbind()    { l.aVal, l.bVal, l.alg = nil, nil, Algebra[V]{} }
+func (l *pairs[V]) detachOut() { l.outVal = nil }
+func (l *pairs[V]) tupleCapBytes() int64 {
+	return int64(cap(l.tuples)) * int64(unsafe.Sizeof(radix.Pair[V]{}))
+}
+
+// MultiplyWide computes C = A ⊗ B over alg with the wide tuple layout, for
+// any value type: the pipeline of Multiply — parallel propagation-blocked
+// expand, work-stealing sort, fold, budgeted panels, sub-phase cancellation,
+// worker-panic containment — with alg.Times where Multiply multiplies and
+// alg.Plus where it adds (Multiply's own wide fallback is this layout over
+// float64 (+, ×)). Like MultiplyNarrow the inputs are the structural CSC/CSR
+// (Val never read, may be nil) plus value planes parallel to a.RowIdx and
+// b.ColIdx, and the result is the structural CSR plus its value plane,
+// aliasing workspace memory when opt.Workspace is set. ForceLayout is ignored.
+func MultiplyWide[V any](a *matrix.CSC, aVal []V, b *matrix.CSR, bVal []V, alg Algebra[V], opt Options) (*matrix.CSR, []V, *Stats, error) {
+	opt = opt.withDefaults()
+	if err := checkPlanes(a, len(aVal), b, len(bVal)); err != nil {
+		return nil, nil, nil, err
+	}
+	e, err := newEngine(a, b, opt, LayoutWide)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	l := pairsOf[V](e.ws)
+	l.aVal, l.bVal, l.alg = aVal, bVal, alg
+	e.lay = l
+	e.wideBytes = max(WideTupleBytes, int64(unsafe.Sizeof(radix.Pair[V]{})))
+	c, st, err := e.runContained()
+	vals := l.out
+	l.out = nil
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return c, vals, st, nil
+}
+
+func (l *pairs[V]) growTuples(e *engine, n int64) { radix.GrowPairs(&l.tuples, n) }
+func (l *pairs[V]) growLocals(e *engine, n int64) { radix.GrowPairs(&l.locals, n) }
+func (l *pairs[V]) resetRuns(e *engine)           { l.runs = l.runs[:0] }
+
+// expandRange is the wide layout's walk: the same columns, chunks and flush
+// schedule as kv.expandRange below, forming each 64-bit key and its value
+// (through alg.Times) in place in the local bin.
+func (l *pairs[V]) expandRange(e *engine, t, lo int, cursors []int64) {
+	a, b := e.a, e.b
+	nbins := int32(e.nbins)
+	capT := e.localCap
+	shift, mask, colBits := e.rowShift, e.rowMask, e.colBits
+	// Offsets in int64: threads × nbins × capT can exceed int32 range.
+	stride := int64(e.nbins) * int64(capT)
+	buf := l.locals[int64(t)*stride : int64(t+1)*stride]
+	lens := e.ws.localLens[t*e.nbins : (t+1)*e.nbins]
+	tuples := l.tuples
+	aVal, bVal, times := l.aVal, l.bVal, l.alg.Times
+	nt := e.ntFlush && l.flat
+
+	var sincePoll int64
+	for i := lo + e.ws.colBounds[t]; i < lo+e.ws.colBounds[t+1]; i++ {
+		bLo, bHi := b.RowPtr[i], b.RowPtr[i+1]
+		if bLo == bHi {
+			continue
+		}
+		if faultinject.Enabled {
+			faultinject.Fire(faultinject.SiteExpandColumn, t)
+		}
+		if sincePoll >= cancelPollTuples {
+			sincePoll = 0
+			if e.pollCancel() {
+				return
+			}
+		}
+		sincePoll += int64(bHi-bLo) * (a.ColPtr[i+1] - a.ColPtr[i])
+		for p := a.ColPtr[i]; p < a.ColPtr[i+1]; p++ {
+			r := uint32(a.RowIdx[p])
+			av := aVal[p]
+			bin := int32(r >> shift)
+			localRow := uint64(r&mask) << colBits
+			base := int64(bin) * int64(capT)
+			ln := lens[bin]
+			for q := bLo; q < bHi; {
+				if ln == capT {
+					lens[bin] = ln
+					flushLocalPairs(bin, buf, lens, tuples, cursors, capT, nt)
+					ln = 0
+				}
+				take := bHi - q
+				if room := int64(capT - ln); take > room {
+					take = room
+				}
+				dst := buf[base+int64(ln) : base+int64(ln)+take]
+				cols := b.ColIdx[q : q+take]
+				for j := range dst {
+					dst[j].Key = localRow | uint64(uint32(cols[j]))
+				}
+				times(dst, av, bVal[q:q+take])
+				ln += int32(take)
+				q += take
+			}
+			lens[bin] = ln
+		}
+	}
+	// Drain partially-filled local bins (Algorithm 2 lines 15–18).
+	for bin := int32(0); bin < nbins; bin++ {
+		flushLocalPairs(bin, buf, lens, tuples, cursors, capT, nt)
+	}
+}
+
+func flushLocalPairs[V any](bin int32, buf []radix.Pair[V], lens []int32,
+	tuples []radix.Pair[V], cursors []int64, capT int32, nt bool) {
+
+	src, dst, n := flushSpan(bin, lens, cursors, capT)
+	flushPlane(tuples[dst:], buf[src:src+n], nt)
+}
+
+func (l *pairs[V]) growScratch(e *engine, total, accSlots int64) {
+	radix.GrowPairs(&l.scratch, total)
+	growVals(&l.acc, int64(e.opt.Threads)*accSlots)
+}
+
+// scratchFor returns worker w's private slice of the scratch plane, at least
+// n long.
+func (l *pairs[V]) scratchFor(e *engine, w int, n int64) []radix.Pair[V] {
 	off := int64(w) * e.scratchStride
-	return e.ws.scratchPairs[off : off+n]
+	return l.scratch[off : off+n]
 }
 
-func (wideOps) sortSeg(e *engine, s sortSeg) {
-	ps := e.ws.tuples[s.start:s.end]
-	aux := e.scratchPairsFor(s.worker, s.end-s.start)
-	if s.arg < 0 {
-		radix.SortPairsStable(ps, aux)
-	} else {
-		radix.SortPairsAtByteStable(ps, aux, s.arg)
+func (l *pairs[V]) sortSeg(e *engine, s sortSeg) {
+	radix.SortPairs(l.tuples[s.start:s.end], l.scratchFor(e, s.worker, s.end-s.start), e.segKeyBits(s), nil)
+}
+
+func (l *pairs[V]) partitionTop(e *engine, worker int, lo, hi int64, bounds []int64) (int, int) {
+	return radix.PartitionPairs(l.tuples[lo:hi], l.scratchFor(e, worker, hi-lo), bounds)
+}
+
+func (l *pairs[V]) fuseBin(e *engine, worker, bin int, rowCounts []int64) int64 {
+	lo, hi := e.ws.binStart[bin], e.ws.binStart[bin+1]
+	if e.denseBin(hi - lo) {
+		slots := int64(1) << e.keyBits()
+		acc := l.acc[int64(worker)*slots:][:slots]
+		return l.finishBin(e, bin, radix.FoldDensePairs(l.tuples[lo:hi], acc, e.accBitsFor(worker, slots), l.alg.Plus), rowCounts)
 	}
+	n := radix.SortPairs(l.tuples[lo:hi], l.scratchFor(e, worker, hi-lo), int(e.keyBits()), l.alg.Plus)
+	return l.finishBin(e, bin, n, rowCounts)
 }
 
-func (wideOps) partitionTop(e *engine, worker int, lo, hi int64, bounds []int64) (int, int) {
-	return radix.PartitionPairsScratch(e.ws.tuples[lo:hi], e.scratchPairsFor(worker, hi-lo), bounds)
+func (l *pairs[V]) compressBin(e *engine, bin int, rowCounts []int64) int64 {
+	lo, hi := e.ws.binStart[bin], e.ws.binStart[bin+1]
+	return l.finishBin(e, bin, radix.CompressPairs(l.tuples[lo:hi], l.alg.Plus), rowCounts)
 }
 
-func (wideOps) fuseBin(e *engine, worker int, lo, hi int64, _ []int64) int64 {
-	return radix.SortPairsFusedScratch(e.ws.tuples[lo:hi], e.scratchPairsFor(worker, hi-lo))
+// finishBin ends a bin's fold, whichever kernel ran it: the filter over the n
+// folded tuples, then the row tally over what it kept.
+func (l *pairs[V]) finishBin(e *engine, bin, n int, rowCounts []int64) int64 {
+	seg := l.tuples[e.ws.binStart[bin]:][:n]
+	if l.alg.Filter != nil {
+		seg = seg[:l.alg.Filter(seg, int32(int64(bin)<<e.rowShift), e.colBits)]
+	}
+	if rows, cb := e.binRows(rowCounts, bin), e.colBits; rows != nil {
+		for i := range seg {
+			rows[seg[i].Key>>cb]++
+		}
+	}
+	return int64(len(seg))
 }
 
-func (wideOps) compressBin(e *engine, lo, hi int64) int64 {
-	return compressBinWide(e.ws.tuples[lo:hi])
+func (l *pairs[V]) appendRun(e *engine, src, n int64) {
+	l.runs = append(l.runs, l.tuples[src:src+n]...)
 }
 
-func (wideOps) appendRun(e *engine, src, n int64) {
-	e.ws.runs = append(e.ws.runs, e.ws.tuples[src:src+n]...)
+func (l *pairs[V]) swapGathered(e *engine) { l.tuples, l.gathered = l.gathered, l.tuples }
+
+func (l *pairs[V]) gatherRun(e *engine, src, dst, n int64) {
+	copy(l.tuples[dst:dst+n], l.runs[src:src+n])
 }
 
-func (wideOps) swapGathered(e *engine) { e.ws.tuples, e.ws.gathered = e.ws.gathered, e.ws.tuples }
-
-func (wideOps) gatherRun(e *engine, src, dst, n int64) {
-	copy(e.ws.tuples[dst:dst+n], e.ws.runs[src:src+n])
-}
-
-func (wideOps) unpackBin(e *engine, c *matrix.CSR, srcOff, dstOff, n int64) {
-	src := e.ws.tuples
+func (l *pairs[V]) unpackBin(e *engine, c *matrix.CSR, srcOff, dstOff, n int64) {
+	src, out := l.tuples[srcOff:srcOff+n], l.out[dstOff:dstOff+n]
+	cols := c.ColIdx[dstOff : dstOff+n]
 	colMask := uint64(1)<<e.colBits - 1
-	for j := int64(0); j < n; j++ {
-		c.ColIdx[dstOff+j] = int32(src[srcOff+j].Key & colMask)
-		c.Val[dstOff+j] = src[srcOff+j].Val
+	for j := range src {
+		cols[j] = int32(src[j].Key & colMask)
+		out[j] = src[j].Val
 	}
 }
 
-func (wideOps) growOut(e *engine, c *matrix.CSR, nnzc int64) {
+func (l *pairs[V]) growOut(e *engine, c *matrix.CSR, nnzc int64) {
 	if e.shared {
-		c.Val = matrix.GrowFloat64(&e.ws.outVal, nnzc)
+		l.out = growVals(&l.outVal, nnzc)
 	} else {
-		c.Val = make([]float64, nnzc)
+		l.out = make([]V, nnzc)
 	}
 }
 
@@ -339,9 +596,11 @@ func (e *engine) accBitsFor(w int, slots int64) []uint64 {
 	return e.ws.accBits[int64(w)*words:][:words]
 }
 
-// expandRange mirrors expandRangeWide: same column walk, same propagation
-// blocking, writing the 4-byte key and the V value into split local bins and
-// flushing each with two bulk copies into the worker's exclusive range.
+// expandRange is one worker's share of expandPanel: the panel columns
+// [lo+colBounds[t], lo+colBounds[t+1]), propagation-blocked — the 4-byte key
+// and the V value go into split local bins, each flushed with two bulk copies
+// into the worker's exclusive range. cursors is the worker's private per-bin
+// write-position array, pre-seeded with its exclusive offsets.
 func (l *kv[V]) expandRange(e *engine, t, lo int, cursors []int64) {
 	a, b := e.a, e.b
 	nbins := int32(e.nbins)
@@ -361,8 +620,9 @@ func (l *kv[V]) expandRange(e *engine, t, lo int, cursors []int64) {
 		if bLo == bHi {
 			continue
 		}
-		// Per-column cancellation poll, matching expandRangeWide: check every
-		// ~cancelPollTuples expanded tuples, never inside the batched kernels.
+		// Sub-phase cancellation: poll every ~cancelPollTuples expanded
+		// tuples. The counter costs two scalar ops per column — off the
+		// batched inner loops, invisible to the bench gate.
 		if faultinject.Enabled {
 			faultinject.Fire(faultinject.SiteExpandColumn, t)
 		}
@@ -438,8 +698,9 @@ func (l *kv[V]) partitionTop(e *engine, worker int, lo, hi int64, bounds []int64
 		e.scratchKeysFor(worker, n), l.scratchValsFor(e, worker, n), bounds)
 }
 
-func (l *kv[V]) fuseBin(e *engine, worker int, lo, hi int64, rows []int64) int64 {
-	keys, vals := e.ws.tupleKeys[lo:hi], l.tupleVals[lo:hi]
+func (l *kv[V]) fuseBin(e *engine, worker, bin int, rowCounts []int64) int64 {
+	lo, hi := e.ws.binStart[bin], e.ws.binStart[bin+1]
+	keys, vals, rows := e.ws.tupleKeys[lo:hi], l.tupleVals[lo:hi], e.binRows(rowCounts, bin)
 	n := hi - lo
 	if e.denseBin(n) {
 		slots := int64(1) << e.keyBits()
@@ -454,7 +715,8 @@ func (l *kv[V]) fuseBin(e *engine, worker int, lo, hi int64, rows []int64) int64
 // compressBin is the paper's two-pointer in-place merge over the split
 // layout: p1 walks the sorted tuples, p2 tracks the write position; equal
 // keys fold their values into the tuple at p2.
-func (l *kv[V]) compressBin(e *engine, lo, hi int64) int64 {
+func (l *kv[V]) compressBin(e *engine, bin int, rowCounts []int64) int64 {
+	lo, hi := e.ws.binStart[bin], e.ws.binStart[bin+1]
 	keys := e.ws.tupleKeys[lo:hi]
 	vals := l.tupleVals[lo:hi]
 	if len(keys) == 0 {
@@ -470,6 +732,7 @@ func (l *kv[V]) compressBin(e *engine, lo, hi int64) int64 {
 		keys[p2] = keys[p1]
 		vals[p2] = vals[p1]
 	}
+	tallyKeys(keys[:p2+1], e.binRows(rowCounts, bin), e.colBits)
 	return int64(p2 + 1)
 }
 
@@ -534,7 +797,7 @@ func (patternOps) expandRange(e *engine, t, lo int, cursors []int64) {
 		if bLo == bHi {
 			continue
 		}
-		// Per-column cancellation poll, matching expandRangeWide.
+		// Per-column cancellation poll, as in kv.expandRange.
 		if faultinject.Enabled {
 			faultinject.Fire(faultinject.SiteExpandColumn, t)
 		}
@@ -603,8 +866,9 @@ func (patternOps) partitionTop(e *engine, worker int, lo, hi int64, bounds []int
 }
 
 // fuseBin: the fold is deduplication, so dense bins need only the bitmap.
-func (patternOps) fuseBin(e *engine, worker int, lo, hi int64, rows []int64) int64 {
-	keys := e.ws.tupleKeys[lo:hi]
+func (patternOps) fuseBin(e *engine, worker, bin int, rowCounts []int64) int64 {
+	lo, hi := e.ws.binStart[bin], e.ws.binStart[bin+1]
+	keys, rows := e.ws.tupleKeys[lo:hi], e.binRows(rowCounts, bin)
 	if e.denseBin(hi - lo) {
 		return int64(radix.FoldDensePattern(keys, e.accBitsFor(worker, int64(1)<<e.keyBits()), rows, e.colBits))
 	}
@@ -614,8 +878,8 @@ func (patternOps) fuseBin(e *engine, worker int, lo, hi int64, rows []int64) int
 
 // compressBin's fold over the pattern layout is deduplication: equal keys
 // keep one tuple, no value to sum.
-func (patternOps) compressBin(e *engine, lo, hi int64) int64 {
-	keys := e.ws.tupleKeys[lo:hi]
+func (patternOps) compressBin(e *engine, bin int, rowCounts []int64) int64 {
+	keys := e.ws.tupleKeys[e.ws.binStart[bin]:e.ws.binStart[bin+1]]
 	if len(keys) == 0 {
 		return 0
 	}
@@ -627,6 +891,7 @@ func (patternOps) compressBin(e *engine, lo, hi int64) int64 {
 		p2++
 		keys[p2] = keys[p1]
 	}
+	tallyKeys(keys[:p2+1], e.binRows(rowCounts, bin), e.colBits)
 	return int64(p2 + 1)
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"pbspgemm/internal/gen"
 	"pbspgemm/internal/matrix"
+	"pbspgemm/internal/radix"
 )
 
 // csrBitIdentical is the strict comparison the determinism guarantees are
@@ -39,8 +40,11 @@ func expandSnapshot(t *testing.T, a *matrix.CSC, b *matrix.CSR, opt Options) ([]
 	t.Helper()
 	opt = opt.withDefaults()
 	ws := NewWorkspace()
-	e := &ws.eng
-	*e = engine{a: a, b: b, opt: opt, ws: ws, shared: true, st: &ws.stats}
+	opt.Workspace = ws
+	e, err := newEngine(a, b, opt, LayoutAuto)
+	if err != nil {
+		t.Fatal(err)
+	}
 	e.symbolic()
 	e.planPanels()
 	if err := e.planBins(); err != nil {
@@ -61,9 +65,8 @@ func expandSnapshot(t *testing.T, a *matrix.CSC, b *matrix.CSR, opt Options) ([]
 			vals[i] = ws.kvF64.tupleVals[i]
 		}
 	} else {
-		for i := range keys {
-			keys[i] = ws.tuples[i].Key
-			vals[i] = ws.tuples[i].Val
+		for i, p := range pairsOf[float64](ws).tuples[:e.flops] {
+			keys[i], vals[i] = p.Key, p.Val
 		}
 	}
 	return keys, vals
@@ -310,6 +313,33 @@ func TestLayoutSteadyStateAllocs(t *testing.T) {
 			}
 		})
 	}
+	// The same layout behind its own entry point, over (min, +) with a filter.
+	t.Run("wide-minplus-budgeted", func(t *testing.T) {
+		ws := NewWorkspace()
+		opt := Options{Threads: 1, Workspace: ws, MemoryBudgetBytes: 32 << 10}
+		alg := Algebra[float64]{
+			Times: Elementwise(func(x, y float64) float64 { return x + y }),
+			Plus:  func(x, y float64) float64 { return min(x, y) },
+			Filter: func(seg []radix.Pair[float64], _ int32, _ uint) int64 {
+				w := 0
+				for _, p := range seg {
+					if p.Key&1 == 0 { // even columns stay
+						seg[w] = p
+						w++
+					}
+				}
+				return int64(w)
+			},
+		}
+		allocs := testing.AllocsPerRun(10, func() {
+			if _, _, _, err := MultiplyWide(a, a.Val, b, b.Val, alg, opt); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("steady-state MultiplyWide allocated %.1f times per call, want 0", allocs)
+		}
+	})
 }
 
 // TestSplitSortMatchesReference: a run forced through the oversized-bin

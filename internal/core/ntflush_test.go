@@ -1,7 +1,11 @@
 package core
 
 import (
+	"reflect"
+	"runtime"
+	"runtime/debug"
 	"testing"
+	"unsafe"
 
 	"pbspgemm/internal/gen"
 	"pbspgemm/internal/matrix"
@@ -122,5 +126,93 @@ func TestStatsKernelReported(t *testing.T) {
 	}
 	if st.Kernel != simd.Level() {
 		t.Fatalf("Kernel = %q, want %q", st.Kernel, simd.Level())
+	}
+}
+
+// TestNTFlushNeverMovesPointerValues: the non-temporal flush is a raw byte
+// copy with no GC write barriers, so the wide layout may take it only for a V
+// that holds no pointers. A pointer-valued (+, ×) runs with the NT gate forced
+// open while a second goroutine collects continuously — torn or unbarriered
+// pointer words in the tuple arena would abort the process ("found bad pointer
+// in Go heap") — and must equal Multiply's product at every thread count and
+// budget.
+func TestNTFlushNeverMovesPointerValues(t *testing.T) {
+	for _, tc := range []struct {
+		typ  reflect.Type
+		want bool
+	}{
+		{reflect.TypeFor[float64](), true}, {reflect.TypeFor[[3]float32](), true}, {reflect.TypeFor[uintptr](), true},
+		{reflect.TypeFor[struct {
+			a int8
+			b [2]complex64
+		}](), true}, {reflect.TypeFor[[0]*int](), true},
+		{reflect.TypeFor[*float64](), false}, {reflect.TypeFor[string](), false}, {reflect.TypeFor[any](), false},
+		{reflect.TypeFor[[]int](), false}, {reflect.TypeFor[map[int]int](), false}, {reflect.TypeFor[func()](), false},
+		{reflect.TypeFor[chan int](), false}, {reflect.TypeFor[unsafe.Pointer](), false},
+		{reflect.TypeFor[[2]struct {
+			x float64
+			p *int
+		}](), false},
+	} {
+		if got := pointerFree(tc.typ); got != tc.want {
+			t.Errorf("pointerFree(%v) = %v, want %v", tc.typ, got, tc.want)
+		}
+	}
+
+	old := ntMinArenaBytes
+	ntMinArenaBytes = 0
+	defer func() { ntMinArenaBytes = old }()
+	defer debug.SetGCPercent(debug.SetGCPercent(1))
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				runtime.GC()
+			}
+		}
+	}()
+	defer func() { close(stop); <-done }()
+
+	a := intValued(gen.RMAT(9, 8, gen.Graph500Params, 35))
+	acsc := a.ToCSC()
+	want, _, err := Multiply(acsc, a, Options{Threads: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	box := func(vals []float64) []*float64 {
+		out := make([]*float64, len(vals))
+		for i, v := range vals {
+			out[i] = &v
+		}
+		return out
+	}
+	alg := Algebra[*float64]{
+		Times: Elementwise(func(x, y *float64) *float64 { z := *x * *y; return &z }),
+		Plus:  func(x, y *float64) *float64 { z := *x + *y; return &z },
+	}
+	ws := NewWorkspace()
+	for _, threads := range []int{1, 4} {
+		for _, budget := range []int64{0, 64 << 10} {
+			c, vals, _, err := MultiplyWide(acsc, box(acsc.Val), a, box(a.Val), alg,
+				Options{Threads: threads, MemoryBudgetBytes: budget, LocalBinBytes: 64, Workspace: ws})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !csrSameStructure(want, c) {
+				t.Fatalf("threads=%d budget=%d: structure differs", threads, budget)
+			}
+			for i, p := range vals {
+				if *p != want.Val[i] {
+					t.Fatalf("threads=%d budget=%d: value %d = %v, want %v", threads, budget, i, *p, want.Val[i])
+				}
+			}
+		}
+	}
+	if pairsOf[*float64](ws).flat || !pairsOf[float64](NewWorkspace()).flat {
+		t.Fatal("flat must be false for *float64 and true for float64")
 	}
 }

@@ -36,9 +36,9 @@ func (e *engine) runBudgeted() (*matrix.CSR, error) {
 		faultinject.Fire(faultinject.SiteGrow, -1)
 	}
 	e.lay.growTuples(e, e.maxPanelFlops)
-	ws.runs = ws.runs[:0]
 	ws.runKeys = ws.runKeys[:0]
 	e.lay.resetRuns(e)
+	ws.runLen = 0
 	ws.runStart = ws.runStart[:0]
 	ws.runBins = ws.runBins[:0]
 
@@ -66,7 +66,7 @@ func (e *engine) runBudgeted() (*matrix.CSR, error) {
 		e.appendRuns()
 		e.st.Merge += time.Since(t0)
 	}
-	ws.runStart = append(ws.runStart, e.runLen()) // closing boundary
+	ws.runStart = append(ws.runStart, ws.runLen) // closing boundary
 	if err := e.canceled(); err != nil {
 		return nil, err
 	}
@@ -89,14 +89,6 @@ func (e *engine) runBudgeted() (*matrix.CSR, error) {
 	return e.foldAndAssemble()
 }
 
-// runLen is the current length of the active layout's run arena.
-func (e *engine) runLen() int64 {
-	if e.key32 {
-		return int64(len(e.ws.runKeys))
-	}
-	return int64(len(e.ws.runs))
-}
-
 // appendRuns copies the current panel's nonempty compressed bin segments
 // into the run arena, recording one sorted, duplicate-free run per
 // (panel, bin). Growth is append's amortized doubling; in steady state the
@@ -109,8 +101,9 @@ func (e *engine) appendRuns() {
 			continue
 		}
 		ws.runBins = append(ws.runBins, int32(bin))
-		ws.runStart = append(ws.runStart, e.runLen())
+		ws.runStart = append(ws.runStart, ws.runLen)
 		e.lay.appendRun(e, ws.binStart[bin], n)
+		ws.runLen += n
 	}
 }
 

@@ -20,7 +20,9 @@
 //     on its packed keys localRow<<colBits|colid and equal keys are summed,
 //     bin by bin under a dynamic schedule. Because local row ids are small
 //     the key fits 4 bytes for almost every matrix, and the two steps run
-//     fused, as one of internal/radix's two kernels (fused.go).
+//     fused, as one of internal/radix's two key32 kernels — or their two
+//     counterparts for the wide layout's 64-bit keys, which also serve any
+//     value type and any (⊕, ⊗): MultiplyWide (fused.go).
 //  4. Assemble: bins cover disjoint, ordered row ranges, so concatenating
 //     the folded bins is already canonical CSR order.
 //
@@ -47,7 +49,6 @@ import (
 	"pbspgemm/internal/faultinject"
 	"pbspgemm/internal/matrix"
 	"pbspgemm/internal/par"
-	"pbspgemm/internal/radix"
 	"pbspgemm/internal/simd"
 )
 
@@ -65,15 +66,16 @@ const DefaultL2CacheBytes = 1 << 20
 // | col fits 4 bytes whenever localRowBits + colBits ≤ 32; because bins make
 // localRow small, that holds for almost every real matrix, and the engine
 // then stores tuples as parallel arrays (uint32 keys + float64 values, 12
-// bytes per tuple) instead of 16-byte radix.Pairs — cutting the traffic of
-// the two dominant phases by a quarter.
+// bytes per tuple) instead of 16-byte radix.Pair[float64]s — cutting the
+// traffic of the two dominant phases by a quarter.
 type Layout int8
 
 const (
 	// LayoutAuto (the zero value) picks per run: squeezed when the key
 	// geometry allows, wide otherwise.
 	LayoutAuto Layout = iota
-	// LayoutWide is the 16-byte AoS layout: []radix.Pair (u64 key + f64 val).
+	// LayoutWide is the 16-byte AoS layout: []radix.Pair[V] (u64 key + value;
+	// f64 for Multiply, a semiring's element type for MultiplyWide).
 	LayoutWide
 	// LayoutSqueezed is the 12-byte SoA layout: []uint32 keys + []float64
 	// values. Selected automatically when localRowBits + colBits ≤ 32.
@@ -108,7 +110,8 @@ func (l Layout) String() string {
 // Per-tuple byte costs of the layouts — the b of the paper's traffic model
 // (Eq. 4 / Table III), now per run.
 const (
-	// WideTupleBytes is radix.Pair: an 8-byte packed key plus an 8-byte value.
+	// WideTupleBytes is radix.Pair[V] for any V of at most 8 bytes: an 8-byte
+	// packed key plus the (padded) value.
 	WideTupleBytes = 16
 	// SqueezedTupleBytes is the parallel-array layout: a 4-byte key plus an
 	// 8-byte value.
@@ -233,7 +236,7 @@ type Stats struct {
 	CF      float64
 
 	// Layout is the expanded-tuple layout the run used: LayoutWide (16-byte
-	// radix.Pairs), or one of the three u32-key layouts available whenever
+	// radix.Pair[V]s), or one of the three u32-key layouts available whenever
 	// localRowBits+colBits ≤ 32 — LayoutSqueezed (12 bytes, float64 values),
 	// LayoutNarrow (8 bytes, float32/int32 values; MultiplyNarrow) and
 	// LayoutPattern (4 bytes, keys only; MultiplyPattern).
@@ -319,15 +322,17 @@ type engine struct {
 	rowShift      uint   // bin = row>>rowShift (shift/mask replaces division; rows per bin = 1<<rowShift)
 	rowMask       uint32 // localRow = row&rowMask
 	colBits       uint
-	want          Layout    // layout the entry point requested (Auto for Multiply)
-	layout        Layout    // concrete layout planBins resolved for this run
-	key32         bool      // layout packs keys into uint32 (everything but wide)
-	lay           layoutOps // per-layout element accesses (layout.go)
-	fused         bool      // fused sort→compress→assemble pipeline (see fused.go)
-	tupleBytes    int64     // per-tuple cost of layout (16/12/8/4)
-	localCap      int32     // tuples per thread-private local bin
-	ntFlush       bool      // stream bin flushes with non-temporal stores (per panel)
-	scratchStride int64     // per-worker stride into the sort scratch planes
+	want          Layout     // layout the entry point requested (Auto for Multiply)
+	layout        Layout     // concrete layout planBins resolved for this run
+	key32         bool       // layout packs keys into uint32 (everything but wide)
+	lay           layoutOps  // per-layout element accesses (layout.go)
+	f64Out        *[]float64 // the out plane of the float64 layout bindLayout bound for Multiply, else nil
+	fused         bool       // fused sort→compress→assemble pipeline (see fused.go)
+	tupleBytes    int64      // per-tuple cost of layout (16/12/8/4)
+	wideBytes     int64      // size of a wide tuple: 16, more when MultiplyWide's V is over 8 bytes
+	localCap      int32      // tuples per thread-private local bin
+	ntFlush       bool       // stream bin flushes with non-temporal stores (per panel)
+	scratchStride int64      // per-worker stride into the sort scratch planes
 
 	// Fault containment and sub-phase cancellation (fault.go). phase names
 	// the running phase for error annotation (written between phases on the
@@ -377,7 +382,7 @@ func newEngine(a *matrix.CSC, b *matrix.CSR, opt Options, want Layout) (*engine,
 		*ws = Workspace{}
 	}
 	e := &ws.eng
-	*e = engine{a: a, b: b, opt: opt, ws: ws, shared: shared, want: want}
+	*e = engine{a: a, b: b, opt: opt, ws: ws, shared: shared, want: want, wideBytes: WideTupleBytes}
 	if shared {
 		ws.stats = Stats{}
 		e.st = &ws.stats
@@ -391,12 +396,21 @@ func newEngine(a *matrix.CSC, b *matrix.CSR, opt Options, want Layout) (*engine,
 // the references that would let a long-lived workspace pin input matrices.
 func (e *engine) finish(c *matrix.CSR, err error) (*matrix.CSR, *Stats, error) {
 	st := e.st
-	e.a, e.b, e.st, e.lay = nil, nil, nil, nil
-	e.ws.kvF64.aVal, e.ws.kvF64.bVal = nil, nil
+	e.dropRefs()
 	if err != nil {
 		return nil, nil, err
 	}
 	return c, st, nil
+}
+
+// dropRefs clears what would let a pooled workspace pin the caller's inputs
+// (and a semiring's closures) between runs.
+func (e *engine) dropRefs() {
+	e.a, e.b, e.st, e.lay, e.f64Out = nil, nil, nil, nil, nil
+	e.ws.kvF64.aVal, e.ws.kvF64.bVal = nil, nil
+	if e.ws.wide != nil {
+		e.ws.wide.unbind()
+	}
 }
 
 // canceled is the phase-boundary check: the abort latch first (a sub-phase
@@ -586,33 +600,7 @@ func (e *engine) compressBins(binOut, rowCounts []int64) {
 }
 
 func (e *engine) compressOneBin(bin int, binOut, rowCounts []int64) {
-	bs := e.ws.binStart
-	n := e.lay.compressBin(e, bs[bin], bs[bin+1])
-	binOut[bin] = n
-	e.tallyRows(bs[bin], n, rowCounts, bin)
-}
-
-// tallyRows adds the per-row output counts of the folded tuples at
-// [src, src+n) into rowCounts (nil skips the tally: a budgeted run's panels
-// leave it to the tail). Rows of a bin are touched by no other
-// bin, so writing the shared slice without synchronization is safe. Keys are
-// read from the shared key arena (all key32 layouts) or the wide pairs.
-func (e *engine) tallyRows(src, n int64, rowCounts []int64, bin int) {
-	if rowCounts == nil || n == 0 {
-		return
-	}
-	firstRow := int32(int64(bin) << e.rowShift)
-	cb := e.colBits
-	if e.key32 {
-		for _, k := range e.ws.tupleKeys[src : src+n] {
-			rowCounts[firstRow+int32(k>>cb)+1]++
-		}
-	} else {
-		ps := e.ws.tuples[src : src+n]
-		for i := range ps {
-			rowCounts[firstRow+int32(ps[i].Key>>cb)+1]++
-		}
-	}
+	binOut[bin] = e.lay.compressBin(e, bin, rowCounts)
 }
 
 // symbolic implements Algorithm 3's flop count: per-column flops from the
@@ -648,7 +636,7 @@ func (e *engine) planPanels() {
 	cf := e.ws.colFlops
 	ps := e.ws.panelStart[:0]
 	ps = append(ps, 0)
-	budgetTuples := e.opt.MemoryBudgetBytes / tupleBytes
+	budgetTuples := e.opt.MemoryBudgetBytes / e.wideBytes
 	if e.opt.MemoryBudgetBytes <= 0 || e.flops <= budgetTuples {
 		ps = append(ps, k)
 		e.maxPanelFlops = e.flops
@@ -744,6 +732,8 @@ func (e *engine) planBins() error {
 				e.want, g.rowShift, e.colBits, ErrKeyWidth)
 		}
 		e.layout = e.want
+	case LayoutWide:
+		e.layout = LayoutWide // MultiplyWide: any key fits
 	default:
 		e.layout = LayoutWide
 		if fits {
@@ -762,6 +752,9 @@ func (e *engine) planBins() error {
 	}
 	e.key32 = e.layout != LayoutWide
 	e.tupleBytes = e.layout.TupleBytes()
+	if !e.key32 {
+		e.tupleBytes = e.wideBytes
+	}
 
 	e.localCap = LocalBinTuples(e.opt.LocalBinBytes, e.tupleBytes)
 	return nil
@@ -809,7 +802,8 @@ func flushSpan(bin int32, lens []int32, cursors []int64, capT int32) (src, dst, 
 // read-for-ownership a plain store to a cold line pays; expandPanel fences
 // each worker after its last flush. Otherwise copy(), plus a prefetch of the
 // bin's next destination while the local bin refills (no-op on purego and
-// non-amd64 builds). Same bytes either way.
+// non-amd64 builds). Same bytes either way. nt is only ever set for a T that
+// holds no pointers: the NT copy writes no GC barriers (pairs.flat).
 func flushPlane[T any](dst, src []T, nt bool) {
 	if len(src) == 0 {
 		return
@@ -1007,93 +1001,13 @@ func (e *engine) fenceFlushes() {
 // a variable (not const) so tests can force the NT path on small inputs.
 var ntMinArenaBytes int64 = 32 << 20
 
-// expandRangeWide is one worker's share of expandPanel over the wide layout:
-// the panel columns [lo+colBounds[t], lo+colBounds[t+1]). cursors is the
-// worker's private per-bin write-position array, pre-seeded with its
-// exclusive offsets. The kv and pattern layouts mirror it in layout.go.
-func (e *engine) expandRangeWide(t, lo int, cursors []int64) {
-	a, b := e.a, e.b
-	nbins := int32(e.nbins)
-	capT := e.localCap
-	shift, mask, colBits := e.rowShift, e.rowMask, e.colBits
-	// Offsets in int64: threads × nbins × capT can exceed int32 range.
-	stride := int64(e.nbins) * int64(capT)
-	buf := e.ws.locals[int64(t)*stride : int64(t+1)*stride]
-	lens := e.ws.localLens[t*e.nbins : (t+1)*e.nbins]
-	tuples := e.ws.tuples
-	nt := e.ntFlush
-
-	// Sub-phase cancellation: poll every ~cancelPollTuples expanded tuples.
-	// The counter costs two scalar ops per column — off the batched inner
-	// loops, invisible to the bench gate.
-	var sincePoll int64
-	for i := lo + e.ws.colBounds[t]; i < lo+e.ws.colBounds[t+1]; i++ {
-		bLo, bHi := b.RowPtr[i], b.RowPtr[i+1]
-		if bLo == bHi {
-			continue
-		}
-		if faultinject.Enabled {
-			faultinject.Fire(faultinject.SiteExpandColumn, t)
-		}
-		if sincePoll >= cancelPollTuples {
-			sincePoll = 0
-			if e.pollCancel() {
-				return
-			}
-		}
-		sincePoll += int64(bHi-bLo) * (a.ColPtr[i+1] - a.ColPtr[i])
-		for p := a.ColPtr[i]; p < a.ColPtr[i+1]; p++ {
-			r := uint32(a.RowIdx[p])
-			av := a.Val[p]
-			bin := int32(r >> shift)
-			localRow := uint64(r&mask) << colBits
-			base := int64(bin) * int64(capT)
-			ln := lens[bin]
-			// Batched expansion in chunks of min(room, remaining); chunk
-			// boundaries fall exactly where the per-element loop flushed, so
-			// the global tuple order is unchanged (see kv.expandRange).
-			for q := bLo; q < bHi; {
-				if ln == capT {
-					lens[bin] = ln
-					flushLocalBin(bin, buf, lens, tuples, cursors, capT, nt)
-					ln = 0
-				}
-				take := bHi - q
-				if room := int64(capT - ln); take > room {
-					take = room
-				}
-				dst := buf[base+int64(ln) : base+int64(ln)+take]
-				radix.ExpandPairs(dst, localRow, b.ColIdx[q:q+take], b.Val[q:q+take], av)
-				ln += int32(take)
-				q += take
-			}
-			lens[bin] = ln
-		}
-	}
-	// Drain partially-filled local bins (Algorithm 2 lines 15–18).
-	for bin := int32(0); bin < nbins; bin++ {
-		flushLocalBin(bin, buf, lens, tuples, cursors, capT, nt)
-	}
-}
-
-// flushLocalBin moves one wide local bin's pending tuples into the worker's
-// pre-reserved range of the global bin (flushSpan, flushPlane).
-func flushLocalBin(bin int32, buf []radix.Pair, lens []int32,
-	tuples []radix.Pair, cursors []int64, capT int32, nt bool) {
-
-	src, dst, n := flushSpan(bin, lens, cursors, capT)
-	flushPlane(tuples[dst:], buf[src:src+n], nt)
-}
-
 // sortSeg is one unit of sort-phase work: tuples [start, end) of the current
 // panel's buffer. arg < 0 marks a whole bin; otherwise the segment is a
 // bucket of a partitioned oversized bin and arg carries the remaining key
-// bits (key32 layouts) or the next byte index (wide layout) to sort at. The
-// sort phase itself —
-// fused or not — is scheduled by runSortPhase (fused.go) over a
-// work-stealing queue, so oversized skewed bins are partitioned by whichever
-// worker meets them and their buckets spread across the pool, instead of
-// the partition passes serializing up front.
+// bits to sort on. The sort phase itself — fused or not — is scheduled by
+// runSortPhase (fused.go) over a work-stealing queue, so oversized skewed bins
+// are partitioned by whichever worker meets them and their buckets spread
+// across the pool, instead of the partition passes serializing up front.
 type sortSeg struct {
 	start, end int64
 	arg        int
@@ -1125,26 +1039,6 @@ func (e *engine) sortSplitCutoff() int64 {
 	// e.tupleBytes is the run's actual layout cost (planBins), never the
 	// layout-independent sizing constant tupleBytes.
 	return sortSplitCutoffTuples(e.tupleBytes, int64(e.opt.L2CacheBytes))
-}
-
-// compressBinWide is the paper's two-pointer in-place merge (Section III-E)
-// over the wide layout: p1 walks the sorted tuples, p2 tracks the write
-// position; equal keys fold their values into the tuple at p2. Row tallies
-// live in engine.tallyRows.
-func compressBinWide(tuples []radix.Pair) int64 {
-	if len(tuples) == 0 {
-		return 0
-	}
-	p2 := 0
-	for p1 := 1; p1 < len(tuples); p1++ {
-		if tuples[p1].Key == tuples[p2].Key {
-			tuples[p2].Val += tuples[p1].Val
-			continue
-		}
-		p2++
-		tuples[p2] = tuples[p1]
-	}
-	return int64(p2 + 1)
 }
 
 // assemble builds canonical CSR from the folded bins of the tuple planes
@@ -1191,9 +1085,9 @@ func (e *engine) assemble() *matrix.CSR {
 
 // newResult returns the output CSR: freshly allocated normally, or carved
 // from the workspace's pooled output arrays when the workspace is shared.
-// Value storage is the layout's call: the float64 layouts install c.Val,
-// narrow fills its typed out plane (returned by MultiplyNarrow) and pattern
-// leaves the result structural (nil Val).
+// Value storage is the layout's call: Multiply's float64 layouts back c.Val,
+// narrow and MultiplyWide fill a typed out plane their entry point returns
+// beside a structural c, and pattern leaves the result structural (nil Val).
 func (e *engine) newResult(nnzc int64) *matrix.CSR {
 	rows, cols := e.a.NumRows, e.b.NumCols
 	var c *matrix.CSR
@@ -1213,10 +1107,10 @@ func (e *engine) newResult(nnzc int64) *matrix.CSR {
 		}
 	}
 	e.lay.growOut(e, c, nnzc)
-	if e.layout == LayoutSqueezed {
-		// kv[float64]'s out plane IS the result's Val: emit/unpack write one
-		// destination and the public float64 contract is unchanged.
-		c.Val = e.ws.kvF64.out
+	if e.f64Out != nil {
+		// Multiply's float64 layouts: the out plane IS the result's Val, so
+		// unpack writes one destination and the public float64 contract holds.
+		c.Val = *e.f64Out
 	}
 	return c
 }

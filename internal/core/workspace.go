@@ -3,7 +3,6 @@ package core
 import (
 	"pbspgemm/internal/matrix"
 	"pbspgemm/internal/par"
-	"pbspgemm/internal/radix"
 )
 
 // Workspace pools every buffer the PB-SpGEMM engine needs across calls.
@@ -17,23 +16,22 @@ import (
 // workspace memory and are invalidated by the next call that uses the same
 // workspace; Clone the CSR to keep it.
 type Workspace struct {
-	// tuples is the wide-layout expanded-tuple buffer for one column panel —
-	// the flops×16 byte allocation the unbudgeted single-shot algorithm
-	// makes per call. tupleKeys is the shared key plane of every key32
-	// layout (squeezed, narrow, pattern); the value planes live in the kv
-	// pools below. A run grows only the buffers of the layout it picked.
-	tuples    []radix.Pair
+	// tupleKeys is the expanded-tuple key plane of every key32 layout
+	// (squeezed, narrow, pattern) for one column panel — with its value plane
+	// (the kv pools below) the flops-sized allocation the unbudgeted
+	// single-shot algorithm makes per call. The wide layout's 16-byte tuples
+	// live in its own pool (wide). A run grows only the buffers of the layout
+	// it picked.
 	tupleKeys []uint32
 
 	// Budgeted-path buffers: folded per-(panel,bin) sorted runs, their
 	// metadata, and the planes the runs are gathered into per bin, which take
 	// the tuple planes' place for the run's tail (layoutOps.swapGathered) —
 	// per layout, like the tuple buffer.
-	runs        []radix.Pair
 	runKeys     []uint32
-	gathered    []radix.Pair
 	gatherKeys  []uint32
-	runStart    []int64 // run i occupies runs[runStart[i]:runStart[i+1]]
+	runLen      int64   // tuples in the active layout's run arena
+	runStart    []int64 // run i occupies [runStart[i], runStart[i+1]) of the run arena
 	runBins     []int32 // global bin of run i
 	runIdx      []int32 // run ids grouped by bin, panel order within a bin
 	runIdxStart []int32 // group boundaries into runIdx, len nbins+1
@@ -58,7 +56,6 @@ type Workspace struct {
 
 	// Propagation-blocking local bins, flattened threads × nbins × capTuples,
 	// per layout.
-	locals    []radix.Pair
 	localKeys []uint32
 	localLens []int32
 
@@ -68,7 +65,6 @@ type Workspace struct {
 	// the kv layouts' two key|index planes per worker, accBits the dense
 	// fold's occupancy bitmaps (threads × 1<<keyBits bits, all-zero between
 	// bins). Value planes live in the kv pools (kv.scratchVals, kv.accVals).
-	scratchPairs []radix.Pair
 	scratchKeys  []uint32
 	scratchWords []uint64
 	accBits      []uint64
@@ -79,15 +75,17 @@ type Workspace struct {
 
 	// kvF64 pools the float64 value planes of the squeezed (12 B) layout;
 	// kvNarrow holds a *kv[V] for the narrow (8 B) layout's most recent
-	// value type V (float32 or int32) — reuse hits while V is stable.
+	// value type V (float32 or int32), wide a *pairs[V] with every plane of
+	// the wide (16 B) layout for its most recent V — reuse hits while V is
+	// stable.
 	kvF64    kv[float64]
 	kvNarrow any
+	wide     widePool
 
 	// Pooled result storage (used only for shared workspaces).
 	out       matrix.CSR
 	outRowPtr []int64
 	outColIdx []int32
-	outVal    []float64
 
 	// Pooled CSC conversion of A for the public API's CSR-in interface.
 	csc matrix.CSC
@@ -107,8 +105,14 @@ type Workspace struct {
 	// every run re-plans and rewrites the planes it uses from scratch.
 	poisoned bool
 
-	// generic pools the type-erased buffers of the semiring engine.
-	generic GenericSpace
+	// Aux and PatternVals are the pooled slots of the layer above the engine:
+	// internal/semiring keeps its row kernel's scratch in Aux, typed by the
+	// semiring's element type (a changed type simply replaces it), and the
+	// all-true value plane of a Boolean pattern product in PatternVals — a slot
+	// each, so alternating the two on one workspace regrows neither. Reset and
+	// a poisoned workspace's reset drop them with everything else.
+	Aux         any
+	PatternVals []bool
 }
 
 // NewWorkspace returns an empty workspace. All buffers are grown on first
@@ -125,13 +129,14 @@ func (ws *Workspace) Reset() { *ws = Workspace{} }
 // (wide-geometry products mixed with squeezed ones) holds both, and this
 // reports the memory actually resident.
 func (ws *Workspace) TupleCapBytes() int64 {
-	wide := int64(cap(ws.tuples)) * WideTupleBytes
-	keys := int64(cap(ws.tupleKeys)) * 4
-	vals := ws.kvF64.tupleCapBytes()
+	total := int64(cap(ws.tupleKeys))*4 + ws.kvF64.tupleCapBytes()
 	if n, ok := ws.kvNarrow.(interface{ tupleCapBytes() int64 }); ok {
-		vals += n.tupleCapBytes()
+		total += n.tupleCapBytes()
 	}
-	return wide + keys + vals
+	if ws.wide != nil {
+		total += ws.wide.tupleCapBytes()
+	}
+	return total
 }
 
 // DetachOutput hands the last run's pooled result over to the caller. When c
@@ -146,29 +151,13 @@ func (ws *Workspace) DetachOutput(c *matrix.CSR) *matrix.CSR {
 	}
 	out := ws.out
 	ws.out = matrix.CSR{}
-	ws.outRowPtr, ws.outColIdx, ws.outVal, ws.kvF64.outVal = nil, nil, nil, nil
+	ws.outRowPtr, ws.outColIdx, ws.kvF64.outVal = nil, nil, nil
+	if ws.wide != nil {
+		ws.wide.detachOut()
+	}
 	return &out
 }
 
 // CSCOf converts a into the workspace's pooled CSC storage. The result
 // aliases workspace memory and is invalidated by the next CSCOf call.
 func (ws *Workspace) CSCOf(a *matrix.CSR) *matrix.CSC { return a.ToCSCInto(&ws.csc) }
-
-// Generic exposes the pooled buffers of the type-generic semiring engine.
-func (ws *Workspace) Generic() *GenericSpace { return &ws.generic }
-
-// GenericSpace pools the buffers of internal/semiring's generic engine. The
-// tuple and value buffers are type-erased (any) because their element type is
-// the semiring's T: reuse hits when T is stable across calls, and a changed T
-// simply reallocates. Plain int slices are shared like the float64 engine's.
-type GenericSpace struct {
-	Tuples, Runs, Merged, OutVal any
-
-	ColFlops, BinFlops, BinStart, Cursor []int64
-	BinOut, BinOutStart, RowCounts       []int64
-	RunStart, MergedStart, Heads         []int64
-	RunBins, RunIdx, RunIdxStart         []int32
-	PanelStart                           []int
-	OutRowPtr                            []int64
-	OutColIdx                            []int32
-}

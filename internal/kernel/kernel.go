@@ -38,10 +38,10 @@ type Capabilities struct {
 	// tuples and keep the paper's 16-byte model.
 	SqueezedTuples bool
 	// FusedCompress kernels run the fused sort→compress→assemble pipeline
-	// by default: the sort's last pass folds duplicates in cache and the
-	// budgeted merge emits into the final CSR, so the planner models their
-	// tuple traffic with the fused roofline bound (one fewer per-tuple term
-	// in the denominator; roofline.AIOuterFusedExact).
+	// by default: the sort's last pass folds duplicates in cache (a budgeted
+	// run's gathered runs go through the same fold), so the planner models
+	// their tuple traffic with the fused roofline bound (one fewer per-tuple
+	// term in the denominator; roofline.AIOuterFusedExact).
 	FusedCompress bool
 	// NarrowTuples kernels offer the 8-byte narrow layout (uint32 key +
 	// 4-byte value) for float32/int32 workloads through the typed entry

@@ -35,9 +35,9 @@ func (m *COO) ToCSC() *CSC {
 // radix-sorts, so deduplication is O(nnz) rather than comparison-sort bound.
 func (m *COO) Dedup() *COO {
 	n := len(m.Val)
-	pairs := make([]radix.Pair, n)
+	pairs := make([]radix.Pair[float64], n)
 	for i := 0; i < n; i++ {
-		pairs[i] = radix.Pair{
+		pairs[i] = radix.Pair[float64]{
 			Key: uint64(uint32(m.Row[i]))<<32 | uint64(uint32(m.Col[i])),
 			Val: m.Val[i],
 		}

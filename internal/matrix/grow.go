@@ -1,7 +1,7 @@
 package matrix
 
 // Grow-only buffer helpers shared by the pooled execution engines
-// (internal/core's Workspace, internal/semiring's GenericSpace) and this
+// (internal/core's and internal/baseline's Workspaces) and this
 // package's Into-style converters: return (*buf)[:n], reallocating only when
 // capacity is short. Contents are unspecified unless the Zero variant is
 // used.

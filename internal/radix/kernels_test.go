@@ -212,6 +212,97 @@ func TestKernelsMatchOracle(t *testing.T) {
 			}
 		}
 	})
+	// The wide layout's kernel, over an 8-byte value and over one that is not.
+	t.Run("pairs-float64", func(t *testing.T) {
+		nz := math.Copysign(0, -1)
+		testPairs(t, func(r *rand.Rand, key uint64) float64 {
+			if key%3 == 0 {
+				return nz // whole groups of −0: the fold must keep the sign
+			}
+			return r.NormFloat64() * math.Pow(10, float64(r.Intn(30)-15))
+		}, func(a, b float64) float64 { return a + b },
+			func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) })
+	})
+	t.Run("pairs-24-byte-element", func(t *testing.T) {
+		testPairs(t, func(r *rand.Rand, _ uint64) [3]float32 {
+			return [3]float32{r.Float32(), float32(r.NormFloat64()), 1}
+		}, func(a, b [3]float32) [3]float32 { return [3]float32{a[0] + b[0], max(a[1], b[1]), a[2] + b[2]} },
+			func(a, b [3]float32) bool { return a == b })
+	})
+}
+
+// testPairs holds SortPairs — sort-only + CompressPairs, and with the fold in
+// its last pass — the split route — PartitionPairs, then SortPairs per
+// bucket on the remaining bits — and, where the key space allows one,
+// FoldDensePairs' direct-address accumulator (left all-zero) to
+// a stdlib stable sort and a left-to-right fold (same compares values bit for
+// bit): key widths from 1 to 62 bits, empty, one-tuple and all-equal
+// segments, segments past 2^16.
+func testPairs[V any](t *testing.T, val func(r *rand.Rand, key uint64) V, plus func(a, b V) V, same func(a, b V) bool) {
+	r := rand.New(rand.NewSource(19))
+	for _, keyBits := range []int{1, 20, 33, 44, 62} {
+		for _, n := range []int{0, 1, 2, 33, 1000, 70000} {
+			for _, kr := range []uint64{1, 7, 1 << min(keyBits, 10), 1 << keyBits} {
+				kr = min(kr, 1<<keyBits)
+				top := uint64(1)<<keyBits - kr // keys sit at the top of the key space
+				ps := make([]Pair[V], n)
+				for i := range ps {
+					k := top + r.Uint64()%kr
+					ps[i] = Pair[V]{Key: k, Val: val(r, k)}
+				}
+				what := fmt.Sprintf("keyBits=%d n=%d range=%d", keyBits, n, kr)
+				sorted := append([]Pair[V](nil), ps...)
+				sort.SliceStable(sorted, func(a, b int) bool { return sorted[a].Key < sorted[b].Key })
+				var folded []Pair[V]
+				for _, p := range sorted {
+					if m := len(folded); m > 0 && folded[m-1].Key == p.Key {
+						folded[m-1].Val = plus(folded[m-1].Val, p.Val)
+						continue
+					}
+					folded = append(folded, p)
+				}
+				check := func(route string, got, want []Pair[V]) {
+					t.Helper()
+					if len(got) != len(want) {
+						t.Fatalf("%s: %s left %d tuples, want %d", what, route, len(got), len(want))
+					}
+					for i := range want {
+						if got[i].Key != want[i].Key || !same(got[i].Val, want[i].Val) {
+							t.Fatalf("%s: %s[%d] = %+v, want %+v", what, route, i, got[i], want[i])
+						}
+					}
+				}
+				aux := make([]Pair[V], n)
+				got := append([]Pair[V](nil), ps...)
+				SortPairs(got, aux, keyBits, nil)
+				check("SortPairs", got, sorted)
+				check("CompressPairs", got[:CompressPairs(got, plus)], folded)
+				got = append(got[:0], ps...)
+				check("SortPairs with the fold", got[:SortPairs(got, aux, keyBits, plus)], folded)
+
+				got = append(got[:0], ps...)
+				bounds := make([]int64, MaxPartitionBuckets+1)
+				nb, rest := PartitionPairs(got, aux, bounds)
+				for b := 0; b < nb; b++ {
+					SortPairs(got[bounds[b]:bounds[b+1]], aux, rest, nil)
+				}
+				check("PartitionPairs + SortPairs", got, sorted)
+
+				if keyBits > 20 {
+					continue // no direct-address accumulator for a key space this wide
+				}
+				acc, occ := make([]V, 1<<keyBits), make([]uint64, (1<<keyBits+63)/64)
+				got = append(got[:0], ps...)
+				check("FoldDensePairs", got[:FoldDensePairs(got, acc, occ, plus)], folded)
+				var zero V
+				for i := range acc {
+					if !same(acc[i], zero) || occ[i/64] != 0 {
+						t.Fatalf("%s: FoldDensePairs left slot %d dirty", what, i)
+					}
+				}
+			}
+		}
+	}
 }
 
 // TestNegativeZeroGroupKeepsSign pins the first-touch-assigns rule on its
@@ -305,65 +396,8 @@ func TestPartitionThenSortMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestWideStableFamilyMatchesOracle covers the wide layout's sorts the same
-// way: stable sort, fused sort+fold, and partition + per-bucket sort, over the
-// build's pair kernels (batched by default, the scalar loops under purego).
-func TestWideStableFamilyMatchesOracle(t *testing.T) {
-	r := rand.New(rand.NewSource(19))
-	for _, n := range []int{0, 1, 2, 31, 32, 33, 1000, 20000} {
-		for _, kr := range []uint64{1, 2, 7, 1 << 10, 1 << 22, 1 << 40} {
-			ps := make([]Pair, n)
-			for i := range ps {
-				ps[i] = Pair{Key: r.Uint64() % kr, Val: r.NormFloat64()}
-				if ps[i].Key%3 == 0 {
-					ps[i].Val = math.Copysign(0, -1) // whole groups of −0: the fold must keep the sign
-				}
-			}
-			sorted := append([]Pair(nil), ps...)
-			sort.SliceStable(sorted, func(a, b int) bool { return sorted[a].Key < sorted[b].Key })
-			var folded []Pair
-			for _, p := range sorted {
-				if len(folded) > 0 && folded[len(folded)-1].Key == p.Key {
-					folded[len(folded)-1].Val += p.Val
-					continue
-				}
-				folded = append(folded, p)
-			}
-			aux := make([]Pair, n)
-			got := append([]Pair(nil), ps...)
-			SortPairsStable(got, aux)
-			for i := range got {
-				if got[i] != sorted[i] {
-					t.Fatalf("n=%d kr=%d: SortPairsStable[%d] = %+v, want %+v", n, kr, i, got[i], sorted[i])
-				}
-			}
-			got = append(got[:0], ps...)
-			m := SortPairsFusedScratch(got, aux)
-			if int(m) != len(folded) {
-				t.Fatalf("n=%d kr=%d: fused len %d, want %d", n, kr, m, len(folded))
-			}
-			for i := range folded {
-				if got[i].Key != folded[i].Key || math.Float64bits(got[i].Val) != math.Float64bits(folded[i].Val) {
-					t.Fatalf("n=%d kr=%d: fused[%d] = %+v, want %+v", n, kr, i, got[i], folded[i])
-				}
-			}
-			got = append(got[:0], ps...)
-			bounds := make([]int64, MaxPartitionBuckets+1)
-			nb, next := PartitionPairsScratch(got, aux, bounds)
-			for b := 0; b < nb; b++ {
-				SortPairsAtByteStable(got[bounds[b]:bounds[b+1]], aux, next)
-			}
-			for i := range got {
-				if got[i] != sorted[i] {
-					t.Fatalf("n=%d kr=%d: partitioned[%d] = %+v, want %+v", n, kr, i, got[i], sorted[i])
-				}
-			}
-		}
-	}
-}
-
-// TestKernelsDoNotAllocate: with scratch provided, neither kernel touches
-// the heap (their histograms live on the stack).
+// TestKernelsDoNotAllocate: with scratch provided, no kernel touches the heap
+// (their histograms live on the stack).
 func TestKernelsDoNotAllocate(t *testing.T) {
 	r := rand.New(rand.NewSource(20))
 	const n, keyBits = 4096, 14
@@ -375,7 +409,24 @@ func TestKernelsDoNotAllocate(t *testing.T) {
 	w0, w1, tmp, aux := make([]uint64, n), make([]uint64, n), make([]float64, n), make([]uint32, n)
 	acc, occ := make([]float64, 1<<keyBits), make([]uint64, 1<<keyBits/64)
 	rows := make([]int64, 1<<4)
+	ps, pw, paux := make([]Pair[float64], n), make([]Pair[float64], n), make([]Pair[float64], n)
+	for i := range ps {
+		ps[i] = Pair[float64]{Key: uint64(keys[i]) << 30, Val: vals[i]}
+	}
+	plus := func(a, b float64) float64 { return a + b }
+	bounds := make([]int64, MaxPartitionBuckets+1)
 	if allocs := testing.AllocsPerRun(10, func() {
+		copy(pw, ps)
+		SortPairs(pw, paux, keyBits+30, nil)
+		CompressPairs(pw, plus)
+		copy(pw, ps)
+		SortPairs(pw, paux, keyBits+30, plus)
+		copy(pw, ps)
+		PartitionPairs(pw, paux, bounds)
+		for i := range pw {
+			pw[i].Key >>= 30
+		}
+		FoldDensePairs(pw, acc, occ, plus)
 		copy(k, keys)
 		copy(v, vals)
 		SortFold(k, v, w0, w1, tmp, keyBits, true, rows, 10)
@@ -406,9 +457,9 @@ func TestGrowUint32(t *testing.T) {
 	}
 }
 
-// BenchmarkKernels times both kernels on one L2-sized bin of 64 Ki tuples:
-// the LSD at er_lowcf's 26-bit keys and at rmat_skew's 18, the dense fold at
-// 18 (its key space is 4 slots per tuple there).
+// BenchmarkKernels times the kernels on one L2-sized bin of 64 Ki tuples: the
+// LSDs (key32 and wide) at er_lowcf's 26-bit keys and at rmat_skew's 18, the
+// dense fold at 18 (its key space is 4 slots per tuple there).
 func BenchmarkKernels(b *testing.B) {
 	const n = 1 << 16
 	r := rand.New(rand.NewSource(1))
@@ -425,6 +476,18 @@ func BenchmarkKernels(b *testing.B) {
 				copy(k, keys)
 				copy(v, vals)
 				SortFold(k, v, w0, w1, tmp, keyBits, true, nil, 0)
+			}
+		})
+		ps, pw, paux := make([]Pair[float64], n), make([]Pair[float64], n), make([]Pair[float64], n)
+		for i := range ps {
+			ps[i] = Pair[float64]{Key: uint64(keys[i]), Val: vals[i]}
+		}
+		plus := func(a, b float64) float64 { return a + b }
+		b.Run(fmt.Sprintf("SortPairs/bits%d", keyBits), func(b *testing.B) {
+			b.SetBytes(n * 16)
+			for i := 0; i < b.N; i++ {
+				copy(pw, ps)
+				SortPairs(pw, paux, keyBits, plus)
 			}
 		})
 		b.Run(fmt.Sprintf("SortFoldPattern/bits%d", keyBits), func(b *testing.B) {

@@ -1,18 +1,246 @@
 package radix
 
-// Pair is one expanded tuple: a packed (rowid, colid) key and the multiplied
-// value. Storing key and payload adjacently matches the paper's COO tuple
-// layout and halves the cache lines each sort swap touches compared to
-// parallel arrays.
-type Pair struct {
+import (
+	"fmt"
+	"math/bits"
+)
+
+// Pair is one expanded tuple of the wide layout: a packed (rowid, colid) key
+// of up to 64 bits and the multiplied value, adjacent as in the paper's COO
+// tuple, so a sort pass moves one element. V is whatever the product
+// multiplies over: the engine's float64, or a semiring's element type.
+type Pair[V any] struct {
 	Key uint64
-	Val float64
+	Val V
+}
+
+// maxPairPasses bounds SortPairs' plan: ⌈64/maxDigitBits⌉ digits cover any key.
+const maxPairPasses = 6
+
+// SortPairs is the wide layout's sort: lsd.go's fixed-pass stable LSD
+// radix over whole 16-byte elements, on the low keyBits bits of Key (all keys
+// must agree on the bits above; it panics otherwise rather than mis-sort).
+// The plan is fixed before any tuple moves, one sweep fills the histograms of
+// every digit, a digit on which all keys agree is skipped, and each remaining
+// pass is one stable counting scatter between ps and aux (at least len(ps)
+// long, clobbered).
+//
+// With plus nil it only sorts. Otherwise it also folds equal keys through
+// plus, in the last pass: a bucket of that pass receives its tuples in key
+// order, so a tuple whose key equals the one its bucket received last is
+// folded into it instead of stored, and the buckets' folded prefixes are then
+// closed up. Equal keys meet in arrival order — every pass is stable — so the
+// fold is the chain CompressPairs runs over the sorted segment: first value
+// assigned, each later one added to it. Fused, sort-only + CompressPairs, a
+// bin split across workers by PartitionPairs and a budgeted run's re-fold of
+// gathered runs therefore agree bit for bit, whatever plus is. Returns the
+// tuple count left in the prefix of ps.
+func SortPairs[V any](ps, aux []Pair[V], keyBits int, plus func(a, b V) V) int {
+	n := len(ps)
+	if n < 2 {
+		return n
+	}
+	passes, digit := lsdPlan(n, keyBits)
+	if passes > maxPairPasses {
+		// A short segment of very wide keys: wider digits, not more tables.
+		passes = maxPairPasses
+		digit = (keyBits + passes - 1) / passes
+	}
+	mask := uint64(1)<<digit - 1
+	var hist [maxPairPasses][1 << maxDigitBits]uint32
+	k0 := ps[0].Key
+	var diff uint64
+	s1, s2 := uint(digit)&63, uint(2*digit)&63
+	switch passes { // 2 and 3 unrolled like lsd.go's count: the loop form costs the fold a fifth at 2 digits
+	case 2:
+		for i := range ps {
+			k := ps[i].Key
+			diff |= k ^ k0
+			hist[0][k&mask&bucketMask]++
+			hist[1][k>>s1&mask&bucketMask]++
+		}
+	case 3:
+		for i := range ps {
+			k := ps[i].Key
+			diff |= k ^ k0
+			hist[0][k&mask&bucketMask]++
+			hist[1][k>>s1&mask&bucketMask]++
+			hist[2][k>>s2&mask&bucketMask]++
+		}
+	default:
+		for i := range ps {
+			k := ps[i].Key
+			diff |= k ^ k0
+			for p := 0; p < passes; p++ {
+				hist[p][k&mask&bucketMask]++
+				k >>= uint(digit)
+			}
+		}
+	}
+	if keyBits < 64 && diff>>uint(keyBits) != 0 {
+		panic(fmt.Sprintf("radix: keys disagree above bit %d (diff %#x)", keyBits, diff))
+	}
+	if diff == 0 {
+		// Every key equal: arrival order is the sorted order.
+		if plus == nil {
+			return n
+		}
+		return CompressPairs(ps, plus)
+	}
+	last := (bits.Len64(diff) - 1) / digit // the highest digit any tuples differ on
+	src, dst := ps, aux[:n]
+	for p := 0; p <= last; p++ {
+		shift := uint(p*digit) & 63
+		if diff>>shift&mask == 0 {
+			continue // all tuples agree on this digit
+		}
+		h := &hist[p]
+		starts(h, digit)
+		if p == last && plus != nil {
+			return foldPass(ps, src, dst, h, digit, shift, plus)
+		}
+		for _, t := range src {
+			d := t.Key >> shift & mask & bucketMask
+			at := h[d]
+			dst[at] = t
+			h[d] = at + 1
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &ps[0] {
+		copy(ps, src)
+	}
+	return n
+}
+
+// foldPass is SortPairs' last pass with the fold in it: the scatter of src
+// into dst by the digit at shift, h holding the buckets' start offsets, where a
+// tuple equal in key to its bucket's latest is folded into that one; then the
+// buckets' prefixes are closed up into the prefix of ps (which is src or dst).
+func foldPass[V any](ps, src, dst []Pair[V], h *[1 << maxDigitBits]uint32, digit int, shift uint, plus func(a, b V) V) int {
+	mask := uint64(1)<<digit - 1
+	first := *h
+	for i := range src {
+		p := src[i]
+		d := p.Key >> shift & mask & bucketMask
+		at := h[d]
+		if at > first[d] && dst[at-1].Key == p.Key {
+			dst[at-1].Val = plus(dst[at-1].Val, p.Val)
+			continue
+		}
+		dst[at] = p
+		h[d] = at + 1
+	}
+	out := 0
+	for d := range first[:1<<digit] {
+		out += copy(ps[out:], dst[first[d]:h[d]]) // never forward of its source
+	}
+	return out
+}
+
+// FoldDensePairs is FoldDense for the wide layout and any ⊕: acc holds one
+// value slot per possible key of the bin and occ one bit per slot, all-zero on
+// entry and again on return. Tuples fold in arrival order, a slot's first
+// value assigned and later ones added through plus — SortPairs' chain — and
+// the bitmap walk emits the folded tuples in key order into the prefix of ps.
+func FoldDensePairs[V any](ps []Pair[V], acc []V, occ []uint64, plus func(a, b V) V) int {
+	for i := range ps {
+		k := ps[i].Key
+		if w, b := k>>6, uint64(1)<<(k&63); occ[w]&b == 0 {
+			occ[w] |= b
+			acc[k] = ps[i].Val
+		} else {
+			acc[k] = plus(acc[k], ps[i].Val)
+		}
+	}
+	var zero V
+	out := 0
+	for wi, word := range occ {
+		occ[wi] = 0
+		for ; word != 0; word &= word - 1 {
+			k := uint64(wi)<<6 | uint64(bits.TrailingZeros64(word))
+			ps[out] = Pair[V]{k, acc[k]}
+			acc[k] = zero
+			out++
+		}
+	}
+	return out
+}
+
+// PartitionPairs is PartitionTop for the wide layout: one stable counting
+// scatter on the highest digitBits bits the keys differ on, through aux and
+// copied back, bucket starts in bounds (len ≥ MaxPartitionBuckets+1). The
+// caller finishes each bucket with SortPairs on restBits; nbuckets == 0 means
+// the pass (or all-equal keys) left ps sorted. A twin on purpose: one body over
+// split uint32 planes and over whole 64-bit-key elements would have to read its
+// key through a per-element callback or branch on which it serves.
+func PartitionPairs[V any](ps, aux []Pair[V], bounds []int64) (nbuckets, restBits int) {
+	n := len(ps)
+	if n < 2 {
+		return 0, 0
+	}
+	var diff uint64
+	for i := range ps {
+		diff |= ps[i].Key ^ ps[0].Key
+	}
+	hi := bits.Len64(diff)
+	if hi == 0 {
+		return 0, 0
+	}
+	w := min(hi, digitBits)
+	shift, nb, mask := uint(hi-w), 1<<w, uint64(1)<<w-1
+	var cursor [maxBuckets]int64
+	for i := range ps {
+		cursor[ps[i].Key>>shift&mask]++
+	}
+	sum := int64(0)
+	for b := 0; b < nb; b++ {
+		c := cursor[b]
+		cursor[b], bounds[b] = sum, sum
+		sum += c
+	}
+	bounds[nb] = sum
+	aux = aux[:n]
+	for i := range ps {
+		d := ps[i].Key >> shift & mask
+		aux[cursor[d]] = ps[i]
+		cursor[d]++
+	}
+	copy(ps, aux)
+	if shift == 0 {
+		return 0, 0
+	}
+	return nb, int(shift)
+}
+
+// CompressPairs is the paper's two-pointer in-place merge (Section III-E)
+// over a sorted segment: p1 walks the tuples, p2 tracks the write position,
+// and equal keys fold into the tuple at p2 through plus, left to right — the
+// first value assigned, each later one added to it. Returns the folded length.
+func CompressPairs[V any](ps []Pair[V], plus func(a, b V) V) int {
+	if len(ps) == 0 {
+		return 0
+	}
+	p2, acc := 0, ps[0]
+	for _, p := range ps[1:] {
+		if p.Key == acc.Key {
+			acc.Val = plus(acc.Val, p.Val)
+			continue
+		}
+		ps[p2] = acc
+		p2++
+		acc = p
+	}
+	ps[p2] = acc
+	return p2 + 1
 }
 
 // SortPairsInPlace sorts ps by Key ascending with an in-place American-flag
 // byte radix (McIlroy/Bostic/McIlroy 1993), skipping all-zero high bytes
 // (the paper's key-squeezing observation: small packed keys need few passes).
-func SortPairsInPlace(ps []Pair) {
+// It is not stable and needs no scratch plane: the sort of the callers that
+// have none and fold with a commutative + (ESC baseline, COO conversion).
+func SortPairsInPlace[V any](ps []Pair[V]) {
 	if len(ps) < 2 {
 		return
 	}
@@ -34,7 +262,7 @@ type flagStatePairs struct {
 
 // flagPassPairs runs one complete American-flag byte pass — counting,
 // prefix, and (unless the byte is uniform) the swap permute.
-func flagPassPairs(ps []Pair, byteIdx int, st *flagStatePairs) {
+func flagPassPairs[V any](ps []Pair[V], byteIdx int, st *flagStatePairs) {
 	shift := uint(byteIdx * 8)
 	for i := range ps {
 		st.count[(ps[i].Key>>shift)&0xff]++
@@ -68,7 +296,7 @@ func flagPassPairs(ps []Pair, byteIdx int, st *flagStatePairs) {
 	}
 }
 
-func sortPairsAtByte(ps []Pair, byteIdx int) {
+func sortPairsAtByte[V any](ps []Pair[V], byteIdx int) {
 	n := len(ps)
 	if n < 2 {
 		return
@@ -95,7 +323,7 @@ func sortPairsAtByte(ps []Pair, byteIdx int) {
 	}
 }
 
-func insertionSortPairs(ps []Pair) {
+func insertionSortPairs[V any](ps []Pair[V]) {
 	for i := 1; i < len(ps); i++ {
 		p := ps[i]
 		j := i - 1
@@ -111,9 +339,9 @@ func insertionSortPairs(ps []Pair) {
 // contents are unspecified. It is the Pair counterpart of internal/matrix's
 // grow-only helpers, shared by the pooled workspaces of internal/core and
 // internal/baseline.
-func GrowPairs(buf *[]Pair, n int64) []Pair {
+func GrowPairs[V any](buf *[]Pair[V], n int64) []Pair[V] {
 	if int64(cap(*buf)) < n {
-		*buf = make([]Pair, n)
+		*buf = make([]Pair[V], n)
 	}
 	*buf = (*buf)[:n]
 	return *buf

@@ -23,18 +23,24 @@
 // compress and split-across-workers all produce the same bytes, special
 // values (−0.0, NaN, ±Inf) and int32 wrap-around included.
 //
-// The wide layout's 16-byte Pair (a 64-bit key when localRow and col do not
-// fit 32 bits together) keeps its byte-digit sorts: the in-place American
-// flag sort of pairs.go for the ESC baseline and format conversion, and the
-// stable scratch-plane family of stablepairs.go for the engine.
+// The wide layout's 16-byte Pair[V] (a 64-bit key, for products whose
+// localRow and col do not fit 32 bits together, and any value type, for
+// products over a custom semiring) has one stable sort of its own, SortPairs
+// (pairs.go): the same fixed-pass LSD plan over whole elements, folding
+// through the caller's ⊕ as its last pass stores (CompressPairs is the
+// two-pointer compress of the unfused and split routes), with PartitionPairs
+// as its top-digit split, and FoldDensePairs, FoldDense through that ⊕, for the
+// bins whose key space is small enough to address — the same chain, so the
+// same bytes. SortPairsInPlace beside them is the unstable in-place sort of
+// the callers that have no scratch plane (ESC baseline, format conversion).
 package radix
 
-// insertionCutoff is the sub-slice size below which the Pair sorts switch to
-// insertion sort. 32 is the conventional choice for 16-byte elements.
+// insertionCutoff is the sub-slice size below which SortPairsInPlace switches
+// to insertion sort. 32 is the conventional choice for 16-byte elements.
 const insertionCutoff = 32
 
-// digitBits is the digit width of the Pair sorts and of the partition pass:
-// 256 buckets keep each pass's counter and cursor arrays inside L1.
+// digitBits is the digit width of the partition passes: 256 buckets keep a
+// pass's cursor array inside L1.
 const digitBits = 8
 
 // maxBuckets sizes the per-pass counter arrays.

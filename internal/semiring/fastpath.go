@@ -5,25 +5,30 @@ import (
 	"pbspgemm/internal/matrix"
 )
 
-// This file routes MultiplyOpts onto the typed core engine whenever the
+// This file routes MultiplyOpts onto core's typed entry points whenever the
 // semiring and element type have a native tuple layout: (+, ×) over float64
 // runs the 16/12-byte pipeline core.Multiply picks, float32/int32 run the
 // 8-byte narrow layout, and (∨, ∧) over all-true operands runs the 4-byte
 // pattern (key-only) layout — the dispatch rule the README documents. A plain
 // mask never gets here (multiplyOpts hands it to the row kernel first); every
 // other ineligible call (custom semiring, complement mask, keys over 32 bits,
-// stored false booleans) falls back to the generic engine in multiply.go.
+// stored false booleans) runs the same pipeline on the wide layout through
+// its own ⊗ and ⊕ (multiplyGeneric in multiply.go).
 
 // Plan reports how MultiplyOpts executed a call: whether a typed fast path
 // ran and under which tuple layout. Request it via Options.Plan.
 type Plan struct {
-	// FastPath is true when the call ran the typed core engine.
+	// FastPath is true when the call ran a typed entry point of core.
 	FastPath bool
 	// Layout is the tuple layout the fast path executed (pattern, narrow,
 	// squeezed, or wide); meaningful only when FastPath.
 	Layout core.Layout
 	// Reason says what ran instead and why, when !FastPath.
 	Reason string
+	// Stats is the call's own copy of the phase statistics whenever
+	// internal/core's pipeline ran the product — a fast path or the wide
+	// layout over a custom semiring; nil for the row kernel.
+	Stats *core.Stats
 }
 
 // Flops is the symbolic pass over the operand pointer arrays: the exact
@@ -68,38 +73,21 @@ func allTrue(vals []bool) bool {
 	return true
 }
 
-// tryFastPath dispatches eligible calls onto the typed engine. It returns
-// (result, true, nil) when a fast path ran, (nil, false, nil) to fall back
-// to the generic engine, and a non-nil error only from the typed engine
-// itself. Cancellation is polled once up front; the typed engine then runs
-// to completion (coarser granularity than the generic per-panel polls).
-func tryFastPath[T any](sr Semiring[T], a *CSCg[T], b *CSRg[T], opt Options) (*CSRg[T], bool, error) {
-	setPlan := func(p Plan) {
-		if opt.Plan != nil {
-			*opt.Plan = p
-		}
-	}
+// tryFastPath dispatches eligible calls onto core's typed entry points. It
+// returns why == "" when one ran (its result or its error with it), and
+// otherwise why none did: the caller falls back to multiplyGeneric.
+func tryFastPath[T any](sr Semiring[T], a *CSCg[T], b *CSRg[T], opt Options) (c *CSRg[T], why string, err error) {
 	if sr.kind == kindGeneric {
-		setPlan(Plan{Reason: "no typed kernel for semiring " + sr.Name})
-		return nil, false, nil
+		return nil, "no typed kernel for semiring " + sr.Name, nil
 	}
 	if opt.Mask != nil {
-		setPlan(Plan{Reason: "complement mask runs the generic engine"})
-		return nil, false, nil
+		return nil, "complement mask: wide layout with a post-fold filter", nil
 	}
-	if opt.Cancel != nil {
-		if err := opt.Cancel(); err != nil {
-			return nil, true, err
-		}
-	}
-	copt := core.Options{
-		Threads:           opt.Threads,
-		MemoryBudgetBytes: opt.MemoryBudgetBytes,
-		Workspace:         opt.Workspace,
-	}
+	copt := opt.coreOptions()
 	key32Fits := func() bool {
 		return core.Key32Fits(a.NumRows, b.NumCols, Flops(a, b), copt)
 	}
+	ran := func(st *core.Stats) { opt.setPlan(Plan{FastPath: true, Layout: st.Layout}, st) }
 
 	switch sr.kind {
 	case kindArithF64:
@@ -110,12 +98,12 @@ func tryFastPath[T any](sr Semiring[T], a *CSCg[T], b *CSRg[T], opt Options) (*C
 		}
 		c, st, err := core.Multiply(cscHeader(af, af.Val), csrHeader(bf, bf.Val), copt)
 		if err != nil {
-			return nil, true, err
+			return nil, "", err
 		}
-		setPlan(Plan{FastPath: true, Layout: st.Layout})
+		ran(st)
 		res := &CSRg[float64]{NumRows: c.NumRows, NumCols: c.NumCols,
 			RowPtr: c.RowPtr, ColIdx: c.ColIdx, Val: c.Val}
-		return any(res).(*CSRg[T]), true, nil
+		return any(res).(*CSRg[T]), "", nil
 
 	case kindArithF32:
 		af, ok := any(a).(*CSCg[float32])
@@ -124,15 +112,14 @@ func tryFastPath[T any](sr Semiring[T], a *CSCg[T], b *CSRg[T], opt Options) (*C
 			break
 		}
 		if !key32Fits() {
-			setPlan(Plan{Reason: "packed key exceeds 32 bits: no narrow layout"})
-			return nil, false, nil
+			return nil, "packed key exceeds 32 bits: no narrow layout", nil
 		}
 		res, st, err := narrowFast(af, bf, copt)
 		if err != nil {
-			return nil, true, err
+			return nil, "", err
 		}
-		setPlan(Plan{FastPath: true, Layout: st.Layout})
-		return any(res).(*CSRg[T]), true, nil
+		ran(st)
+		return any(res).(*CSRg[T]), "", nil
 
 	case kindArithI32:
 		af, ok := any(a).(*CSCg[int32])
@@ -141,15 +128,14 @@ func tryFastPath[T any](sr Semiring[T], a *CSCg[T], b *CSRg[T], opt Options) (*C
 			break
 		}
 		if !key32Fits() {
-			setPlan(Plan{Reason: "packed key exceeds 32 bits: no narrow layout"})
-			return nil, false, nil
+			return nil, "packed key exceeds 32 bits: no narrow layout", nil
 		}
 		res, st, err := narrowFast(af, bf, copt)
 		if err != nil {
-			return nil, true, err
+			return nil, "", err
 		}
-		setPlan(Plan{FastPath: true, Layout: st.Layout})
-		return any(res).(*CSRg[T]), true, nil
+		ran(st)
+		return any(res).(*CSRg[T]), "", nil
 
 	case kindBoolean:
 		ab, ok := any(a).(*CSCg[bool])
@@ -159,24 +145,22 @@ func tryFastPath[T any](sr Semiring[T], a *CSCg[T], b *CSRg[T], opt Options) (*C
 		}
 		// The pattern layout computes the structural product: correct for
 		// (∨, ∧) exactly when every stored value is true. Stored false
-		// entries (structural zeros) must fold through the generic engine.
+		// entries (structural zeros) must fold through ∨ and ∧ themselves.
 		if !allTrue(ab.Val) || !allTrue(bb.Val) {
-			setPlan(Plan{Reason: "stored false values: pattern layout is structural"})
-			return nil, false, nil
+			return nil, "stored false values: pattern layout is structural", nil
 		}
 		if !key32Fits() {
-			setPlan(Plan{Reason: "packed key exceeds 32 bits: no pattern layout"})
-			return nil, false, nil
+			return nil, "packed key exceeds 32 bits: no pattern layout", nil
 		}
 		c, st, err := core.MultiplyPattern(cscHeader(ab, nil), csrHeader(bb, nil), copt)
 		if err != nil {
-			return nil, true, err
+			return nil, "", err
 		}
-		setPlan(Plan{FastPath: true, Layout: st.Layout})
+		ran(st)
 		nnzc := c.RowPtr[c.NumRows]
 		var vals []bool
 		if opt.Workspace != nil {
-			vals = growAny[bool](&opt.Workspace.Generic().OutVal, nnzc)
+			vals = grow(&opt.Workspace.PatternVals, nnzc)
 		} else {
 			vals = make([]bool, nnzc)
 		}
@@ -185,8 +169,7 @@ func tryFastPath[T any](sr Semiring[T], a *CSCg[T], b *CSRg[T], opt Options) (*C
 		}
 		res := &CSRg[bool]{NumRows: c.NumRows, NumCols: c.NumCols,
 			RowPtr: c.RowPtr, ColIdx: c.ColIdx, Val: vals}
-		return any(res).(*CSRg[T]), true, nil
+		return any(res).(*CSRg[T]), "", nil
 	}
-	setPlan(Plan{Reason: "semiring kind and element type disagree"})
-	return nil, false, nil
+	return nil, "semiring kind and element type disagree", nil
 }

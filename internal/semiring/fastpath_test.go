@@ -1,6 +1,8 @@
 package semiring
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
 	"pbspgemm/internal/core"
@@ -171,9 +173,65 @@ func TestFastPathKeyWidthFallback(t *testing.T) {
 	}
 }
 
-// FuzzFastPathVsGeneric holds the typed dispatches to the generic engine as
-// oracle on random shapes: structure for Boolean, exact values for float32
-// (integer-valued inputs) and int32, across budgeted and pooled variants.
+// TestFastPathCancelsMidExpand: a typed fast path hands Cancel to
+// internal/core, which polls it every 64 Ki expanded tuples — so a Boolean
+// product cancelled at its third poll (the first is the boundary after
+// planning, the second the first one inside expand) stops there, and the
+// error names the phase it interrupted.
+func TestFastPathCancelsMidExpand(t *testing.T) {
+	m := gen.RMAT(10, 16, gen.Graph500Params, 33)
+	truth := func(float64) bool { return true }
+	a, b := FromCSR(m, truth).ToCSC(), FromCSR(m, truth)
+	if flops := Flops(a, b); flops < 4<<16 {
+		t.Fatalf("only %d flops: expand would finish before its second poll", flops)
+	}
+	stop := errors.New("stop")
+	polls := 0
+	_, err := MultiplyOpts(Boolean(), a, b, Options{Threads: 1, Cancel: func() error {
+		if polls++; polls >= 3 {
+			return stop
+		}
+		return nil
+	}})
+	if !errors.Is(err, stop) || !strings.Contains(err.Error(), "expand phase") {
+		t.Fatalf("got %v after %d polls, want the Cancel error wrapped with the expand phase", err, polls)
+	}
+	if polls != 3 {
+		t.Fatalf("%d polls: the product kept running after its cancellation", polls)
+	}
+}
+
+// TestMaskedAndBooleanShareAWorkspace: the row kernel's scratch and the Boolean
+// fast path's all-true plane sit in separate workspace slots, so a pooled
+// workspace alternating the two keeps both warm instead of each call replacing
+// the other's.
+func TestMaskedAndBooleanShareAWorkspace(t *testing.T) {
+	m := gen.RMAT(8, 8, gen.Graph500Params, 34)
+	id := func(v float64) float64 { return v }
+	truth := func(float64) bool { return true }
+	af, bf := FromCSR(m, id).ToCSC(), FromCSR(m, id)
+	ab, bb := FromCSR(m, truth).ToCSC(), FromCSR(m, truth)
+	ws := core.NewWorkspace()
+	round := func() (any, *bool) {
+		if _, err := MultiplyOpts(Arithmetic(), af, bf, Options{Threads: 1, Workspace: ws, Mask: m}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := MultiplyOpts(Boolean(), ab, bb, Options{Threads: 1, Workspace: ws}); err != nil {
+			t.Fatal(err)
+		}
+		return ws.Aux, &ws.PatternVals[0]
+	}
+	aux, vals := round()
+	if aux2, vals2 := round(); aux2 != aux || vals2 != vals {
+		t.Fatal("alternating a masked and a Boolean product on one workspace replaced a pooled slot")
+	}
+}
+
+// FuzzFastPathVsGeneric holds the typed dispatches to two oracles on random
+// shapes — the same semiring with its kind erased (the wide layout through ⊗
+// and ⊕) and referenceOver, which shares no code with either: structure for
+// Boolean, exact values for float32 (integer-valued inputs), across budgeted
+// and pooled variants.
 func FuzzFastPathVsGeneric(f *testing.F) {
 	f.Add([]byte{4, 4, 4, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3, 4})
 	f.Add([]byte{24, 24, 24, 9, 9, 9, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
@@ -211,8 +269,8 @@ func FuzzFastPathVsGeneric(f *testing.F) {
 			var p Plan
 			opt.Plan = &p
 
-			ba := FromCSR(a, func(float64) bool { return true }).ToCSC()
-			bb := FromCSR(b, func(float64) bool { return true })
+			bar := FromCSR(a, func(float64) bool { return true })
+			ba, bb := bar.ToCSC(), FromCSR(b, func(float64) bool { return true })
 			fast, err := MultiplyOpts(Boolean(), ba, bb, opt)
 			if err != nil {
 				t.Fatal(err)
@@ -227,9 +285,11 @@ func FuzzFastPathVsGeneric(f *testing.F) {
 			if !sameStructureG(oracle, fast) {
 				t.Fatalf("pattern structure differs from generic oracle (opt %+v)", opt)
 			}
+			sameAsReference(t, "pattern", fast, referenceOver(Boolean(), bar, bb, nil, false), equal[bool])
+			sameAsReference(t, "boolean, kind erased", oracle, fast, equal[bool])
 
-			fa := FromCSR(a, func(v float64) float32 { return float32(v) }).ToCSC()
-			fb := FromCSR(b, func(v float64) float32 { return float32(v) })
+			far := FromCSR(a, func(v float64) float32 { return float32(v) })
+			fa, fb := far.ToCSC(), FromCSR(b, func(v float64) float32 { return float32(v) })
 			ff, err := MultiplyOpts(Arithmetic32(), fa, fb, opt)
 			if err != nil {
 				t.Fatal(err)
@@ -249,6 +309,7 @@ func FuzzFastPathVsGeneric(f *testing.F) {
 					t.Fatalf("narrow value[%d] = %v, oracle %v (opt %+v)", i, ff.Val[i], fo.Val[i], opt)
 				}
 			}
+			sameAsReference(t, "narrow", ff, referenceOver(Arithmetic32(), far, fb, nil, false), equal[float32])
 		}
 	})
 }

@@ -10,8 +10,8 @@ import (
 // Rows between two Cancel polls; columns of a B row probed per fold of hits.
 const cancelPollRows, probeChunk = 64, 64
 
-// rowScratch is the row kernel's pooled state, hung off GenericSpace.Runs (a
-// budgeted generic run, that slot's other user, simply replaces it).
+// rowScratch is the row kernel's pooled state, hung off core.Workspace.Aux per
+// element type.
 type rowScratch[T any] struct {
 	slot []int32 // threads × cols(B): 1 + position in M(r,:) of a column, 0 outside it
 	acc  []T     // nnz(M): the folded value of each mask entry
@@ -23,10 +23,10 @@ func rowScratchOf[T any](ws *core.Workspace) *rowScratch[T] {
 	if ws == nil {
 		return &rowScratch[T]{}
 	}
-	sc, ok := ws.Generic().Runs.(*rowScratch[T])
+	sc, ok := ws.Aux.(*rowScratch[T])
 	if !ok {
 		sc = &rowScratch[T]{}
-		ws.Generic().Runs = sc
+		ws.Aux = sc
 	}
 	return sc
 }
@@ -100,9 +100,7 @@ func foldArith(acc []float64, hit []bool, av float64, bvals []float64, bcols, sl
 }
 
 func maskedRows[T any](sr Semiring[T], a, b *CSRg[T], opt Options, sc *rowScratch[T]) (*CSRg[T], error) {
-	if opt.Plan != nil {
-		*opt.Plan = Plan{Reason: "plain mask: row-wise masked accumulator"}
-	}
+	opt.setPlan(Plan{Reason: "plain mask: row-wise masked accumulator"}, nil)
 	m := opt.Mask
 	rows, cols := int(a.NumRows), int64(b.NumCols)
 	threads := max(1, min(par.DefaultThreads(opt.Threads), rows))

@@ -21,17 +21,19 @@ func maskedSeed(rows, inner, cols byte, entries ...[4]byte) []byte {
 
 // checkMaskedRows holds the row kernel — called with A by rows, and through
 // MultiplyOpts' dispatch with A by columns on a pooled workspace — to the
-// generic engine's post-fold mask filter, exactly, at 1, 2 and 7 threads.
+// tuple pipeline's post-fold mask filter (itself held to referenceOver),
+// exactly, at 1, 2 and 7 threads.
 func checkMaskedRows[T comparable](t *testing.T, sr Semiring[T], a, b, mask *matrix.CSR,
 	lift func(float64) T, ws *core.Workspace) {
 
 	t.Helper()
 	ar, br := FromCSR(a, lift), FromCSR(b, lift)
 	ac := ar.ToCSC()
-	want, err := multiplyGeneric(sr, ac, br, Options{Mask: mask})
+	want, _, err := multiplyGeneric(sr, ac, br, Options{Mask: mask})
 	if err != nil {
 		t.Fatal(err)
 	}
+	sameAsReference(t, sr.Name+", post-fold filter", want, referenceOver(sr, ar, br, mask, false), equal[T])
 	same := func(got *CSRg[T], how string, threads int) {
 		t.Helper()
 		if err := got.Validate(); err != nil {
@@ -66,7 +68,8 @@ func checkMaskedRows[T comparable](t *testing.T, sr Semiring[T], a, b, mask *mat
 
 // FuzzMaskedRowsVsGeneric: for every stock semiring and random plain masks on
 // integer-valued inputs (every fold order is exact), the row-wise masked
-// accumulator equals the generic engine's expand-sort-fold-filter.
+// accumulator equals the wide layout's expand-sort-fold-filter, and both equal
+// referenceOver.
 func FuzzMaskedRowsVsGeneric(f *testing.F) {
 	const A, B, M = 0, 1, 2
 	// An empty mask over a non-empty product.

@@ -2,9 +2,14 @@
 // algebra behind the paper's application citations: multi-source BFS is
 // SpGEMM over the boolean semiring [3], shortest paths over the tropical
 // (min-plus) semiring, triangle counting over arithmetic, Markov clustering
-// over arithmetic with pruning [9]. The kernel reuses the paper's
-// expand-sort-compress structure with propagation blocking: only the Times
-// in the expand phase and the Plus in the compress phase change.
+// over arithmetic with pruning [9]. The kernel is the paper's
+// expand-sort-compress with propagation blocking, and there is one of it:
+// internal/core's. This package builds and sorts no tuple of its own — it
+// picks the tuple layout a product runs on (a typed one for the stock
+// arithmetic and Boolean semirings, fastpath.go; the wide layout with the
+// semiring's own Times in expand and Plus in the fold for everything else,
+// multiply.go) and keeps the one product that is not a tuple pipeline, the
+// row-wise accumulator of a plain mask (maskedrows.go).
 package semiring
 
 // Semiring defines (⊕, ⊗, 0̄) over T. Plus must be associative and
@@ -21,8 +26,9 @@ type Semiring[T any] struct {
 	// kind tags the stock semirings whose (⊕, ⊗) the typed core engine
 	// implements natively, letting MultiplyOpts dispatch onto the tuned
 	// tuple-layout pipelines (see fastpath.go). Caller-assembled semirings
-	// carry kindGeneric and always run the generic engine: the engine cannot
-	// see through a func value, so only constructor provenance is trusted.
+	// carry kindGeneric and always run the wide layout through their own func
+	// values: nothing can see through one, so only constructor provenance is
+	// trusted.
 	kind semiringKind
 }
 
@@ -30,7 +36,7 @@ type Semiring[T any] struct {
 type semiringKind uint8
 
 const (
-	kindGeneric  semiringKind = iota // no typed kernel: generic engine
+	kindGeneric  semiringKind = iota // no typed kernel: the wide layout through Times and Plus
 	kindArithF64                     // (+, ×) over float64 → core.Multiply
 	kindArithF32                     // (+, ×) over float32 → 8 B narrow
 	kindArithI32                     // (+, ×) over int32 → 8 B narrow

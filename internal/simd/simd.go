@@ -1,37 +1,28 @@
-// Package simd holds the batched inner-loop kernels of expand (key-compute +
-// scatter, every layout) and of the wide layout's byte-digit sort (counting,
-// stable scatter, accumulate-on-equal-key fold), written over raw pointers so
-// bounds checks amortize and the compiler sees straight-line ILP. (The key32
-// layouts' sort/fold kernels are plain safe Go in internal/radix: an unsafe
-// unroll bought them under 10 %.) The package is the single dispatch point
-// for hardware-specific code:
+// Package simd holds the batched inner-loop kernels of the key32 layouts'
+// expand (key-compute + scatter into a local bin), written over raw pointers
+// so bounds checks amortize and the compiler sees straight-line ILP, and the
+// cache-control primitives every layout's flush uses. (The sort/fold kernels
+// are plain safe Go in internal/radix: an unsafe unroll bought the key32 ones
+// under 10 %, and the wide layout's expand multiplies through a semiring's
+// function value, which leaves nothing to batch.) The package is the single
+// dispatch point for hardware-specific code:
 //
-//   - Default build (no tags): unsafe-batched pure Go. The loops are written
-//     so each 8-wide group compiles to branchless loads/stores; GOAMD64=v3
-//     lets the compiler pick BMI/AVX forms of the shift/mask arithmetic.
+//   - Default build (no tags): unsafe-batched pure Go; GOAMD64=v3 lets the
+//     compiler pick BMI/AVX forms of the shift/mask arithmetic.
 //   - -tags purego: every batched entry point degrades to the scalar
 //     reference implementation — no unsafe, no assembly. This is the build
 //     for auditability and for platforms where unsafe batching is unwanted.
-//   - amd64 assembly is limited to cache-control hints (prefetch_amd64.s);
-//     the structure admits AVX2/NEON bodies behind further build tags
-//     without touching any caller.
+//   - amd64 assembly is limited to cache-control hints and non-temporal
+//     copies (prefetch_amd64.s, ntcopy_amd64.s); the structure admits
+//     AVX2/NEON bodies behind further build tags without touching any caller.
 //
 // Every kernel has an exported ...Scalar reference twin compiled into every
 // build. The scalar twins are the oracle: batched and scalar must be
-// BIT-IDENTICAL (same element order, same floating-point association — the
-// batched forms never reorder value additions), which this package's tests
-// pin kernel by kernel. A build has one kernel form — the build tag is the
-// only switch — and core reports it on Stats.Kernel; the purego CI lane runs
-// the whole engine suite over the scalar loops.
+// BIT-IDENTICAL, which this package's tests pin kernel by kernel. A build has
+// one kernel form — the build tag is the only switch — and core reports it on
+// Stats.Kernel; the purego CI lane runs the whole engine suite over the
+// scalar loops.
 package simd
-
-// Pair mirrors radix.Pair (an 8-byte packed key and its float64 value).
-// Declared here so the kernels stay dependency-free; internal/radix converts
-// its identical struct via unsafe.Slice at the call boundary.
-type Pair struct {
-	Key uint64
-	Val float64
-}
 
 // Value is the element set of the value-carrying tuple layouts: float64
 // (squeezed), float32 and int32 (narrow). It matches radix.Numeric.

@@ -203,8 +203,10 @@ func WithMask(m *CSR) Option {
 // WithSemiringPlan asks MultiplyOver / EngineMultiplyOver to report how the
 // call executed into *p: whether a typed fast path ran (Boolean → 4-byte
 // pattern layout, float32/int32 arithmetic → 8-byte narrow, float64
-// arithmetic → the squeezed/wide pipeline) and, on fallback, why the generic
-// engine ran instead. Pass nil to clear an earlier option.
+// arithmetic → the squeezed/wide pipeline) or what ran instead and why (the
+// wide layout through the semiring's own ⊗ and ⊕, or the row kernel), with
+// the pipeline's per-phase statistics in p.Stats. Pass nil to clear an earlier
+// option.
 func WithSemiringPlan(p *SemiringPlan) Option {
 	return func(c *config) error {
 		c.plan = p
@@ -214,7 +216,9 @@ func WithSemiringPlan(p *SemiringPlan) Option {
 
 // WithComplementMask is WithMask with the complemented mask ⟨¬M⟩: positions
 // stored in m are dropped, all others kept. That keeps nearly the whole
-// product, so it runs the PB-structured generic engine, not the row kernel.
+// product, so it runs the tuple pipeline (the wide layout, filtered bin by bin
+// right after the fold), not the row kernel. Entries are folded in ascending k
+// within a panel and panels in order, at every thread count.
 func WithComplementMask(m *CSR) Option {
 	return func(c *config) error {
 		c.mask, c.complement = m, true

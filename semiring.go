@@ -25,8 +25,9 @@ type Matrix[T any] = semiring.CSRg[T]
 type ColMatrix[T any] = semiring.CSCg[T]
 
 // SemiringPlan reports how a MultiplyOver call executed: whether a typed
-// tuple-layout fast path ran (and which layout), or why the generic engine
-// ran instead. Request one with WithSemiringPlan.
+// tuple-layout fast path ran (and which layout), or what ran instead and why,
+// and — whenever the tuple pipeline ran the product — a copy of its per-phase
+// statistics. Request one with WithSemiringPlan.
 type SemiringPlan = semiring.Plan
 
 // Stock semirings. Each call returns a fresh value; Semiring is a plain
@@ -77,14 +78,19 @@ func Float64CSR(g *Matrix[float64]) *CSR {
 	}
 }
 
-// MultiplyOver computes C = A ⊗ B over an arbitrary semiring with the
-// PB-SpGEMM structure (outer-product expand, propagation-blocked binning,
-// per-bin sort, compress folding duplicates with sr.Plus). A streams in
-// column-major form — convert once with (*Matrix[T]).ToCSC and reuse across
-// calls sharing A. Honors WithThreads, WithMemoryBudget, WithMask /
-// WithComplementMask and WithContext; WithAlgorithm is ignored. Under a plain
-// WithMask any semiring runs MultiplyMasked's row kernel instead (A is first
-// put back in rows, one nnz(A) pass). EngineMultiplyOver reuses workspaces.
+// MultiplyOver computes C = A ⊗ B over an arbitrary semiring with PB-SpGEMM:
+// the one pipeline Multiply runs (parallel outer-product expand with
+// propagation blocking, stable per-bin sort, fold) on the tuple layout the
+// semiring allows — a typed one for the stock arithmetic and Boolean
+// semirings, otherwise 16-byte tuples formed with sr.Times and folded with
+// sr.Plus, each entry's products in ascending k within a panel and panels in
+// order, whatever the thread count. A streams in column-major form — convert
+// once with (*Matrix[T]).ToCSC and reuse across calls sharing A. Honors
+// WithThreads, WithMemoryBudget, WithMask / WithComplementMask and
+// WithContext (polled every 64 Ki expanded tuples, per sort task and per bin,
+// for every semiring); WithAlgorithm is ignored. Under a plain WithMask any
+// semiring runs MultiplyMasked's row kernel instead (A is first put back in
+// rows, one nnz(A) pass). EngineMultiplyOver reuses workspaces.
 func MultiplyOver[T any](sr Semiring[T], a *ColMatrix[T], b *Matrix[T], opts ...Option) (*Matrix[T], error) {
 	cfg, err := resolve(nil, opts)
 	if err != nil {
@@ -102,7 +108,8 @@ func MultiplyOver[T any](sr Semiring[T], a *ColMatrix[T], b *Matrix[T], opts ...
 // at every thread count; one that cancels to 0 is kept, a mask position no
 // product reaches is absent. The slot array is 4 B × cols(B) per worker.
 // WithComplementMask via opts inverts the mask: that keeps nearly all of A·B
-// and runs the PB-structured generic engine. Triangles: MultiplyMasked(A, A, A).
+// and runs the tuple pipeline on the wide layout, filtering each bin after its
+// fold. Triangles: MultiplyMasked(A, A, A).
 func MultiplyMasked(a, b, mask *CSR, opts ...Option) (*CSR, error) {
 	e, _ := NewEngine() // no defaults: nothing to reject
 	return e.MultiplyMasked(nil, a, b, mask, opts...)
@@ -113,7 +120,7 @@ func (c *config) rowMasked() bool { return c.mask != nil && !c.complement }
 
 // maskedArith runs a resolved masked arithmetic product on ws: a plain mask
 // walks A by rows as given and returns the kernel's fresh output, a complement
-// one runs the generic engine on ws's CSC of A and clones the result out.
+// one runs the tuple pipeline on ws's CSC of A and clones the result out.
 func (c *config) maskedArith(a, b *CSR, ws *Workspace) (*CSR, error) {
 	sopt, br := c.semiringOptions(ws), Float64Matrix(b)
 	var g *Matrix[float64]
@@ -142,7 +149,7 @@ func EWiseMult[T any](sr Semiring[T], a, b *Matrix[T]) (*Matrix[T], error) {
 	return semiring.EWiseMult(sr, a, b)
 }
 
-// semiringOptions lowers the resolved config to the generic engine's
+// semiringOptions lowers the resolved config to internal/semiring's
 // options; ws is the pooled workspace (nil for one-shot calls).
 func (c *config) semiringOptions(ws *Workspace) semiring.Options {
 	return semiring.Options{
