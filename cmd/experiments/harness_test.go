@@ -6,6 +6,7 @@ import (
 	"pbspgemm"
 	"pbspgemm/internal/core"
 	"pbspgemm/internal/gen"
+	"pbspgemm/internal/matrix"
 )
 
 func TestFigLabel(t *testing.T) {
@@ -85,21 +86,28 @@ func TestExperimentsListComplete(t *testing.T) {
 
 func TestPlannerWorkloadsCoverBothRegimes(t *testing.T) {
 	cfg := &config{seed: 42}
-	regimes := map[string]int{}
+	var lowCF, highCF, pastL2 int
 	for _, w := range plannerWorkloads(cfg) {
-		if w.a == nil || w.b == nil || w.name == "" {
+		if w.gen == nil || w.name == "" {
 			t.Fatalf("workload %+v incomplete", w)
 		}
-		if w.a.NumCols != w.b.NumRows {
+		a, b := w.gen()
+		if a.NumCols != b.NumRows {
 			t.Fatalf("workload %s shapes disagree", w.name)
 		}
-		regimes[w.regime]++
+		switch cf := float64(pbspgemm.Flops(a, b)) / float64(matrix.ProductNNZ(a, b)); {
+		case cf < 1.5:
+			lowCF++
+		case cf > 8:
+			highCF++
+		}
+		if b.NumCols > 1<<16 {
+			pastL2++
+		}
 	}
-	if regimes["low-cf"] == 0 || regimes["high-cf"] == 0 {
-		t.Fatalf("sweep must cover both model regimes, got %v", regimes)
-	}
-	if len(plannerCandidates()) < 5 {
-		t.Fatal("planner sweep should race at least five kernels")
+	if lowCF == 0 || highCF == 0 || pastL2 == 0 {
+		t.Fatalf("sweep must cover both cf regimes and an accumulator past the cache: %d low, %d high, %d past 2^16 columns",
+			lowCF, highCF, pastL2)
 	}
 }
 

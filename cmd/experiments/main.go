@@ -21,7 +21,8 @@
 //	-beta GB/s   override measured STREAM bandwidth in model outputs
 //	-mtxdir DIR  load real SuiteSparse .mtx files for fig11/table6
 //	-json PATH   write a machine-readable report (planner and bench)
-//	-gate        bench: fail on fused-vs-unfused or steady-state alloc regressions
+//	-gate        bench: fail on fused-vs-unfused or steady-state alloc regressions;
+//	             planner: fail when Auto exceeds 1.25× min(PB, SPA) on a sweep point
 package main
 
 import (
@@ -68,7 +69,7 @@ func experimentsList() []experiment {
 		{"fig14", "Dual-socket performance via NUMA model (Fig. 14)", runFig14},
 		{"tallskinny", "Square x tall-skinny multiply (deferred by the paper, Sec. IV-C)", runTallSkinny},
 		{"ablations", "Design-choice ablations: blocking, local bins, partitioning, ESC", runAblations},
-		{"planner", "Auto planner regime sweep: roofline choice vs empirically fastest", runPlanner},
+		{"planner", "Auto planner sweep: fitted-cost choice vs min(PB, SPA), regret gate, refit (-full)", runPlanner},
 		{"bench", "Benchmark trajectory: GFLOPS, per-phase GB/s, allocs/op per regime (-json)", runBench},
 	}
 }
@@ -88,7 +89,7 @@ func main() {
 	fs.Float64Var(&cfg.beta, "beta", 0, "bandwidth GB/s for model output (0 = measure)")
 	fs.StringVar(&cfg.mtxdir, "mtxdir", "", "directory with real SuiteSparse .mtx files")
 	fs.StringVar(&cfg.jsonOut, "json", "", "write a machine-readable report to this path (planner, bench)")
-	fs.BoolVar(&cfg.gate, "gate", false, "bench: exit nonzero if the fused pipeline is slower than unfused on the high-cf regime or a pooled regime allocates")
+	fs.BoolVar(&cfg.gate, "gate", false, "bench: exit nonzero if the fused pipeline is slower than unfused on the high-cf regime or a pooled regime allocates; planner: if Auto's regret exceeds 1.25 on a sweep point")
 	fs.StringVar(&cfg.baseline, "baseline", "", "bench: prior -json report to diff acceptance-regime ns/op against (informational)")
 	if err := fs.Parse(os.Args[2:]); err != nil {
 		os.Exit(2)

@@ -8,6 +8,7 @@
 //
 //	pbspgemm -gen er -scale 18 -ef 8 -algo pb
 //	pbspgemm -a web.mtx -algo hash -threads 8
+//	pbspgemm -gen er -scale 10 -ef 128 -algo auto   (prints the planner's Plan)
 package main
 
 import (
@@ -17,6 +18,7 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"time"
 
 	"pbspgemm"
 	"pbspgemm/internal/metrics"
@@ -30,7 +32,7 @@ func main() {
 		seed    = flag.Uint64("seed", 42, "generator seed")
 		aPath   = flag.String("a", "", "Matrix Market file for A")
 		bPath   = flag.String("b", "", "Matrix Market file for B (default: A, squaring)")
-		algoStr = flag.String("algo", "pb", "algorithm: pb, heap, hash, hashvec, spa, esc, outerheap")
+		algoStr = flag.String("algo", "pb", "algorithm: pb, heap, hash, hashvec, spa, esc, outerheap, or auto (the planner picks pb or spa and its Plan is printed)")
 		threads = flag.Int("threads", 0, "worker threads (0 = GOMAXPROCS)")
 		nbins   = flag.Int("nbins", 0, "PB global bins (0 = auto)")
 		lbin    = flag.Int("localbin", 0, "PB local bin bytes (0 = 512)")
@@ -102,8 +104,21 @@ func main() {
 	fmt.Printf("A: %dx%d, %s nnz   B: %dx%d, %s nnz\n",
 		a.NumRows, a.NumCols, metrics.HumanCount(a.NNZ()),
 		b.NumRows, b.NumCols, metrics.HumanCount(b.NNZ()))
+	if p := best.Plan; p != nil {
+		start := time.Now()
+		if _, err := eng.Plan(ctx, a, b); err != nil {
+			fatal(err)
+		}
+		how := "counted"
+		if p.Sampled {
+			how = "sampled"
+		}
+		fmt.Printf("plan: picked %s; predicted PB %.2f ms, SPA %.2f ms at beta %.1f GB/s; nnz(C) %s %d, actual %d; planned in %v\n",
+			p.Chosen, float64(p.Flops)/p.PredictedOuterGFLOPS/1e6, float64(p.Flops)/p.PredictedColumnGFLOPS/1e6,
+			p.BetaGBs, how, p.EstNNZC, best.C.NNZ(), time.Since(start))
+	}
 	fmt.Printf("%s: C has %s nnz, flop=%s, cf=%.2f\n",
-		alg, metrics.HumanCount(best.C.NNZ()), metrics.HumanCount(best.Flops), best.CF)
+		best.Algorithm, metrics.HumanCount(best.C.NNZ()), metrics.HumanCount(best.Flops), best.CF)
 	fmt.Printf("time %v  =>  %.3f GFLOPS\n", best.Elapsed, best.GFLOPS())
 	if st := best.PB; st != nil {
 		if st.Fused {
@@ -167,6 +182,8 @@ func parseAlgo(s string) (pbspgemm.Algorithm, error) {
 		return pbspgemm.OuterHeapNaive, nil
 	case "esc":
 		return pbspgemm.ColumnESC, nil
+	case "auto":
+		return pbspgemm.Auto, nil
 	}
 	return 0, fmt.Errorf("unknown algorithm %q", s)
 }

@@ -15,6 +15,7 @@ func TestParseAlgo(t *testing.T) {
 		"HashVec":   pbspgemm.HashVec,
 		"spa":       pbspgemm.SPA,
 		"outerheap": pbspgemm.OuterHeapNaive,
+		"auto":      pbspgemm.Auto,
 	}
 	for in, want := range cases {
 		got, err := parseAlgo(in)

@@ -1,6 +1,6 @@
 // Package baseline implements the state-of-the-art column SpGEMM algorithms
 // the paper compares against (Section IV-A): HeapSpGEMM, HashSpGEMM,
-// HashVecSpGEMM, plus a SPA (dense accumulator) variant and the naive
+// HashVecSpGEMM, plus a SPA (dense accumulator) kernel and the naive
 // outer-product-with-heap algorithm the paper dismisses as too expensive.
 //
 // The paper's "column" algorithms operate column-by-column on CSC inputs;
@@ -8,17 +8,20 @@
 // Section II-B, footnote 1), so — like the reference implementations of
 // Nagasaka et al. — these run Gustavson row-wise over CSR.
 //
-// All algorithms share a two-phase structure: a symbolic pass computes the
-// exact nonzero count of each output row (dense-marker based, O(flop)), then
-// the numeric pass merges with the algorithm's accumulator directly into the
-// exactly-sized CSR arrays. Rows are distributed over threads in contiguous
-// flop-balanced ranges.
+// Heap, Hash, HashVec are the paper's figure baselines and share a two-phase
+// structure (run): a symbolic pass computes the exact nonzero count of each
+// output row (dense-marker based, O(flop)), then the numeric pass merges with
+// the algorithm's accumulator directly into the exactly-sized CSR arrays. SPA
+// is the competitor the Auto planner actually runs against PB-SpGEMM and has
+// one pass: rows are folded into pooled staging and copied once into an
+// exactly-sized CSR (spa.go). Either way rows are distributed over threads in
+// contiguous flop-balanced ranges.
 //
 // Like internal/core, the package is an execution engine, not just a
-// reference: all scratch (markers, accumulators, output storage) can be
-// pooled in a Workspace for zero steady-state allocations, and a Cancel
-// hook is polled at phase boundaries so the public Engine can abort calls
-// without leaking goroutines.
+// reference: all scratch (markers, accumulators, staging, output storage) can
+// be pooled in a Workspace for zero steady-state allocations, and a Cancel
+// hook is polled at phase boundaries (every 64 rows inside SPA's pass) so the
+// public Engine can abort calls without leaking goroutines.
 package baseline
 
 import (
@@ -44,7 +47,8 @@ type Options struct {
 	Cancel func() error
 }
 
-// Stats reports the two phases of a column SpGEMM run.
+// Stats reports the two phases of a column SpGEMM run (SPA has one: its
+// Symbolic is 0).
 type Stats struct {
 	Symbolic, Numeric time.Duration
 	Total             time.Duration

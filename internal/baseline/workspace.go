@@ -1,6 +1,8 @@
 package baseline
 
 import (
+	"sync/atomic"
+
 	"pbspgemm/internal/matrix"
 	"pbspgemm/internal/radix"
 )
@@ -22,6 +24,9 @@ type Workspace struct {
 	rowNNZ   []int64
 	bounds   []int
 	threads  []scratch
+
+	// cancelled carries the Cancel error one SPA worker saw to its siblings.
+	cancelled atomic.Pointer[error]
 
 	// ColumnESC's expanded-tuple pipeline.
 	tuples   []radix.Pair[float64]
@@ -47,14 +52,17 @@ func NewWorkspace() *Workspace { return &Workspace{} }
 func (ws *Workspace) Reset() { *ws = Workspace{} }
 
 // scratch is one thread's accumulator storage. The fields cover every
-// accumulator family: the versioned marker doubles as the symbolic-phase
-// counter and SPA's occupancy stamp (SPA re-initializes it before the
-// numeric pass), dense+touched serve SPA, hashCols/hashVals the hash
-// variants, and heap the k-way heap merge.
+// accumulator family: the versioned marker is the symbolic-phase counter,
+// dense+occ are SPA's accumulator and stageCol/stageVal the rows it has
+// folded, hashCols/hashVals serve the hash variants, and heap the k-way heap
+// merge.
 type scratch struct {
 	marker   []int32
-	touched  []int32
 	dense    []float64
+	occ      []uint64
+	top      []uint64
+	stageCol []int32
+	stageVal []float64
 	hashCols []int32
 	hashVals []float64
 	heap     []heapEntry

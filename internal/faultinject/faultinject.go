@@ -49,6 +49,9 @@ const (
 	// partial products over k — a local failure after all remote work
 	// succeeded, probing the never-partial guarantee.
 	SiteReduce
+	// SiteColumnRow fires once per output row folded by a worker of the
+	// one-pass SPA kernel (internal/baseline).
+	SiteColumnRow
 	// NumSites bounds the Site space for fuzzers that map bytes to sites.
 	NumSites
 )
@@ -76,6 +79,8 @@ func (s Site) String() string {
 		return "block-rpc"
 	case SiteReduce:
 		return "reduce"
+	case SiteColumnRow:
+		return "column-row"
 	default:
 		return "unknown-site"
 	}

@@ -31,6 +31,15 @@ func GrowInt32(buf *[]int32, n int) []int32 {
 	return *buf
 }
 
+// GrowUint64 returns (*buf)[:n] with unspecified contents.
+func GrowUint64(buf *[]uint64, n int) []uint64 {
+	if cap(*buf) < n {
+		*buf = make([]uint64, n)
+	}
+	*buf = (*buf)[:n]
+	return *buf
+}
+
 // GrowInt returns (*buf)[:n] with unspecified contents.
 func GrowInt(buf *[]int, n int) []int {
 	if cap(*buf) < n {

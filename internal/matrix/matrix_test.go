@@ -279,3 +279,46 @@ func TestAvgDegree(t *testing.T) {
 		t.Fatalf("AvgDegree = %v, want %v", m.AvgDegree(), want)
 	}
 }
+
+// TestEstimateProductNNZSampleIsBoundedByWork: the planner's sample is sized by
+// the products it visits, not by a row count. 1024 rows of 4096 products each
+// against a 256 Ki budget is a stride of 16 (64 rows); the rows on the stride
+// are the only ones that do not collide, so a sample that looked anywhere else
+// would see compression and estimate below flop.
+func TestEstimateProductNNZSampleIsBoundedByWork(t *testing.T) {
+	const rows, d, budget = 1024, 64, 256 << 10
+	bco := &COO{NumRows: 2 * d, NumCols: d * d}
+	for k := int32(0); k < 2*d; k++ {
+		for j := int32(0); j < d; j++ {
+			col := j // rows d…2d−1 all hold columns 0…d−1
+			if k < d {
+				col = k*d + j // rows 0…d−1 hold disjoint columns
+			}
+			bco.Row, bco.Col, bco.Val = append(bco.Row, k), append(bco.Col, col), append(bco.Val, 1)
+		}
+	}
+	aco := &COO{NumRows: rows, NumCols: 2 * d}
+	for i := int32(0); i < rows; i++ {
+		for k := int32(0); k < d; k++ {
+			col := k + d
+			if i%16 == 0 {
+				col = k
+			}
+			aco.Row, aco.Col, aco.Val = append(aco.Row, i), append(aco.Col, col), append(aco.Val, 1)
+		}
+	}
+	a, b := aco.ToCSR(), bco.ToCSR()
+	flop := FlopsCSR(a, b)
+	if est, sampled := EstimateProductNNZ(a, b, flop, budget, nil); !sampled || est != flop {
+		t.Fatalf("estimate %d (sampled %v) of a %d-flop product: the sample left its 64-row stride", est, sampled, flop)
+	}
+	// Within the budget, and below minSampleRows rows, the count is exact.
+	exact := ProductNNZ(a, b)
+	if est, sampled := EstimateProductNNZ(a, b, flop, flop, nil); sampled || est != exact {
+		t.Fatalf("in-budget estimate %d (sampled %v), want the exact %d", est, sampled, exact)
+	}
+	few := Block(a, 0, minSampleRows-1, 0, a.NumCols)
+	if est, sampled := EstimateProductNNZ(few, b, FlopsCSR(few, b), 1, nil); sampled || est != ProductNNZ(few, b) {
+		t.Fatalf("%d-row estimate %d (sampled %v), want exact", few.NumRows, est, sampled)
+	}
+}

@@ -99,13 +99,19 @@ func ProductNNZ(a, b *CSR) int64 {
 	return nnz
 }
 
+// minSampleRows is the fewest rows EstimateProductNNZ samples, however heavy.
+const minSampleRows = 32
+
 // EstimateProductNNZ returns nnz(A*B) for planning purposes: exact (via the
-// Gustavson symbolic pass) when flop ≤ exactLimit, otherwise estimated from
-// a deterministic strided sample of A's rows scaled by the flop ratio.
+// Gustavson symbolic pass) when flop ≤ sampleBudget, otherwise estimated from
+// a deterministic strided sample of A's rows scaled by the flop ratio. The
+// sample is bounded by work, not by rows: the stride is the one at which rows
+// of average cost visit about sampleBudget products, and never leaves fewer
+// than minSampleRows rows (a product of fewer rows is counted exactly).
 // sampled reports which path ran. flop must be FlopsCSR(a, b). scratch, if
 // non-nil, pools the O(cols(B)) marker across calls (grow-only); pass nil
 // for a transient one.
-func EstimateProductNNZ(a, b *CSR, flop, exactLimit int64, scratch *[]int32) (nnzC int64, sampled bool) {
+func EstimateProductNNZ(a, b *CSR, flop, sampleBudget int64, scratch *[]int32) (nnzC int64, sampled bool) {
 	if flop == 0 {
 		return 0, false
 	}
@@ -119,23 +125,23 @@ func EstimateProductNNZ(a, b *CSR, flop, exactLimit int64, scratch *[]int32) (nn
 	}
 	rows := int(a.NumRows)
 	stride := 1
-	if flop > exactLimit {
-		// Sample ~512 evenly-strided rows instead of the exact full pass.
-		const maxSample = 512
-		if stride = (rows + maxSample - 1) / maxSample; stride < 1 {
-			stride = 1
-		}
+	if flop > sampleBudget {
+		stride = max(1, rows/max(minSampleRows, int(int64(rows)*sampleBudget/flop)))
 	}
 	var sampleFlops, sampleNNZ int64
 	for i := 0; i < rows; i += stride {
 		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
-			k := a.ColIdx[p]
-			for q := b.RowPtr[k]; q < b.RowPtr[k+1]; q++ {
-				sampleFlops++
-				if j := b.ColIdx[q]; marker[j] != int32(i) {
-					marker[j] = int32(i)
-					sampleNNZ++
+			bcols := b.ColIdx[b.RowPtr[a.ColIdx[p]]:b.RowPtr[a.ColIdx[p]+1]]
+			sampleFlops += int64(len(bcols))
+			for _, j := range bcols {
+				// A conditional move, not a branch: first touches are a coin toss
+				// at cf ≈ 2 and a mispredicted one costs more than the store.
+				var first int64
+				if marker[j] != int32(i) {
+					first = 1
 				}
+				marker[j] = int32(i)
+				sampleNNZ += first
 			}
 		}
 	}

@@ -13,44 +13,33 @@ import (
 const DefaultEtaOuter = 1.0
 
 // DefaultEtaColumn is the sustained-bandwidth fraction of the column
-// (hash/heap) family. Column algorithms read B's rows with data-dependent,
-// partially-cached access and only reach a fraction of STREAM; 8/11 places
-// CrossoverCF at the paper's observed cf ≈ 4 boundary (conclusions 5 and 6:
-// PB wins below cf ≈ 4, hash above) for the squeezed 12-byte outer tuples
-// the paper's implementation — and ours — uses whenever the key geometry
-// allows.
+// (hash/heap) family in the paper's Fig. 3 model. Column algorithms read B's
+// rows with data-dependent, partially-cached access and only reach a fraction
+// of STREAM; 8/11 places CrossoverCF at the cf ≈ 4 boundary the paper observed
+// on its machines (conclusions 5 and 6) against squeezed 12-byte outer tuples
+// and the unfused bound. It is a constant of that model, kept for the figures
+// and for pct_of_roofline reporting: the Auto planner does not decide with it
+// (cost.go holds what it decides with, fitted on this tree's kernels).
 //
-// A deliberate consequence for the rare products that cannot squeeze
-// (BytesPerTupleOuter = BytesPerTuple = 16): the outer family's effective
-// efficiency drops by 12/16 and the two AI curves — whose ratio
-// (2+cf)/(3+2cf) spans only (1/2, 2/3) — no longer cross at all, so the
-// model prefers column kernels at EVERY cf, by a thin ≤ 12/11 margin as
-// cf → 0. The AI shapes make finite crossovers for both layouts
-// mathematically impossible with one eta pair; since the paper's measured
-// crossover is a squeezed measurement, the squeezed calibration wins and
-// wide-geometry products (e.g. 2^30-column B against multi-row bins, which
-// the paper never measured) route to the column family. Callers who know
-// better can override with their own Model.
+// With wide 16-byte outer tuples the two AI curves — whose ratio
+// (2+cf)/(3+2cf) spans only (1/2, 2/3) — do not cross at all under one eta
+// pair: the model then puts the column family ahead at every cf.
 const DefaultEtaColumn = 8.0 / 11.0
 
-// DefaultEtaColumnFused is the column-family efficiency calibrated against
-// the FUSED outer bound (AIOuterFusedLower), which the engine's default
-// pipeline realizes: with the compress term dropped, the outer AI rises, so
-// keeping the measured crossover at the paper's cf ≈ 4 requires a higher
-// column efficiency. Solving etaOuter·AIOuterFused(4, 12) =
-// etaCol·AIColumn(4, 16) with etaOuter = 1:
+// DefaultEtaColumnFused is DefaultEtaColumn against the FUSED outer bound
+// (AIOuterFusedLower): with the compress term dropped the outer AI rises, so
+// keeping the model's crossover at cf ≈ 4 takes a higher column efficiency.
+// Solving etaOuter·AIOuterFused(4, 12) = etaCol·AIColumn(4, 16) with
+// etaOuter = 1:
 //
 //	1·(2+4)·16 = etaCol·(2+2·4)·12  ⇒  etaCol = 96/120 = 4/5.
 //
-// The same caveat as DefaultEtaColumn applies to unsqueezable products: at
-// the wide 16-byte outer cost the fused crossover drops to
-// 2·(4/5−1)/(1−8/5) = 2/3, so wide-geometry products route to the column
-// family at every practical cf.
+// Like DefaultEtaColumn, a constant of the Fig. 3 model and not of the planner.
 const DefaultEtaColumnFused = 4.0 / 5.0
 
-// Model carries the machine and efficiency terms of the planner's roofline
-// decision: predicted GFLOPS per algorithm family = eta · beta · AI, with
-// AI from the family's exact traffic denominator (Eqs. 3 and 4).
+// Model carries the machine and efficiency terms of the paper's roofline
+// (Section II, Fig. 3): predicted GFLOPS per algorithm family = eta · beta ·
+// AI, with AI from the family's exact traffic denominator (Eqs. 3 and 4).
 type Model struct {
 	// BetaGBs is the machine's sustainable memory bandwidth (STREAM Triad).
 	BetaGBs float64
@@ -61,16 +50,14 @@ type Model struct {
 	// family when no per-run override applies).
 	BytesPerTuple float64
 	// BytesPerTupleOuter, when positive, overrides b for the outer-product
-	// family only — the planner sets it to 12 when PB-SpGEMM's squeezed
-	// tuple layout applies to the product's bin geometry, so the predicted
-	// crossover tracks the traffic the run will actually move. Zero means
-	// BytesPerTuple.
+	// family only: 12 when PB-SpGEMM's squeezed tuple layout applies. Zero
+	// means BytesPerTuple.
 	BytesPerTupleOuter float64
 	// FusedOuter models the outer family with the fused pipeline's traffic
 	// (AIOuterFusedExact: the compress term dropped from Eq. 4's
 	// denominator). It must be paired with an EtaColumn calibrated against
-	// that bound — DefaultEtaColumnFused — which DefaultModel does; an
-	// unfused ablation uses UnfusedModel.
+	// that bound — DefaultEtaColumnFused — which DefaultModel does; the
+	// unfused three-pass ablation clears it and takes DefaultEtaColumn.
 	FusedOuter bool
 }
 
@@ -86,10 +73,7 @@ func (m Model) OuterBytes() float64 {
 // outer family defaults to the engine's default execution: the fused
 // pipeline over squeezed 12-byte tuples — the layout PB-SpGEMM picks for
 // almost every real matrix; callers modeling a product whose key geometry
-// forces wide tuples set BytesPerTupleOuter to BytesPerTuple (the Auto
-// planner does this from the kernel's declared capability and the product's
-// bin geometry), and callers modeling the unfused three-pass ablation use
-// UnfusedModel.
+// forces wide tuples set BytesPerTupleOuter to BytesPerTuple.
 func DefaultModel(betaGBs float64) Model {
 	return Model{
 		BetaGBs:            betaGBs,
@@ -99,18 +83,6 @@ func DefaultModel(betaGBs float64) Model {
 		BytesPerTupleOuter: SqueezedBytesPerNonzero,
 		FusedOuter:         true,
 	}
-}
-
-// UnfusedModel is DefaultModel calibrated for the unfused three-pass
-// pipeline (Options.DisableFusion): the outer family keeps Eq. 4's full
-// denominator and the column efficiency returns to the PR 4 calibration —
-// both crossovers sit at the paper's cf ≈ 4 against their respective
-// bounds.
-func UnfusedModel(betaGBs float64) Model {
-	m := DefaultModel(betaGBs)
-	m.EtaColumn = DefaultEtaColumn
-	m.FusedOuter = false
-	return m
 }
 
 // PredictOuter returns the modeled GFLOPS of the outer-product ESC family
@@ -136,13 +108,6 @@ func (m Model) PredictOuter(nnzA, nnzB, flop, nnzC int64) float64 {
 // PredictColumn returns the modeled GFLOPS of the column (hash/heap) family.
 func (m Model) PredictColumn(nnzB, flop, nnzC int64) float64 {
 	return m.EtaColumn * Attainable(m.BetaGBs, AIColumnExact(nnzB, flop, nnzC, m.BytesPerTuple))
-}
-
-// PrefersOuter reports whether the model predicts the outer-product family
-// to be at least as fast as the column family (ties go to PB, the paper's
-// contribution and the library default).
-func (m Model) PrefersOuter(nnzA, nnzB, flop, nnzC int64) bool {
-	return m.PredictOuter(nnzA, nnzB, flop, nnzC) >= m.PredictColumn(nnzB, flop, nnzC)
 }
 
 // Crossover returns the model's crossover compression factor (see

@@ -5,6 +5,11 @@ import (
 	"testing"
 )
 
+// prefersOuter is the Fig. 3 model's verdict: PB at least as fast as the column family.
+func prefersOuter(m Model, nnzA, nnzB, flop, nnzC int64) bool {
+	return m.PredictOuter(nnzA, nnzB, flop, nnzC) >= m.PredictColumn(nnzB, flop, nnzC)
+}
+
 // TestModelCrossoverNearFour: the default efficiencies must place the
 // family crossover at the paper's observed cf ≈ 4 boundary.
 func TestModelCrossoverNearFour(t *testing.T) {
@@ -21,18 +26,18 @@ func TestModelRegimeSelection(t *testing.T) {
 	m := DefaultModel(50)
 	const nnz = int64(1 << 20)
 	// cf = 1 (the ER regime): flop == nnzC, PB must win.
-	if !m.PrefersOuter(nnz, nnz, nnz, nnz) {
+	if !prefersOuter(m, nnz, nnz, nnz, nnz) {
 		t.Fatal("model rejects PB at cf = 1")
 	}
 	// cf = 16 (well past the crossover): column family must win.
-	if m.PrefersOuter(nnz, nnz, 16*nnz, nnz) {
+	if prefersOuter(m, nnz, nnz, 16*nnz, nnz) {
 		t.Fatal("model picks PB at cf = 16")
 	}
 	// The crossover itself separates the two answers monotonically.
 	cross := m.Crossover()
 	lo := int64(math.Max(1, cross*0.5)) * nnz
 	hi := int64(cross*2) * nnz
-	if !m.PrefersOuter(nnz, nnz, lo, nnz) || m.PrefersOuter(nnz, nnz, hi, nnz) {
+	if !prefersOuter(m, nnz, nnz, lo, nnz) || prefersOuter(m, nnz, nnz, hi, nnz) {
 		t.Fatalf("decision not consistent around crossover %v", cross)
 	}
 }
@@ -62,10 +67,10 @@ func TestModelPerRunTupleBytes(t *testing.T) {
 	}
 	// At cf = 2 (below every crossover) the squeezed outer family wins; the
 	// wide one, with its crossover pushed under 2, loses the same product.
-	if !sq.PrefersOuter(nnz, nnz, 2*nnz, nnz) {
+	if !prefersOuter(sq, nnz, nnz, 2*nnz, nnz) {
 		t.Fatal("squeezed model rejects PB at cf = 2")
 	}
-	if wide.PrefersOuter(nnz, nnz, 8*nnz, nnz) {
+	if prefersOuter(wide, nnz, nnz, 8*nnz, nnz) {
 		t.Fatal("wide model picks PB at cf = 8")
 	}
 }
@@ -110,10 +115,8 @@ func TestFusedModelCalibration(t *testing.T) {
 	if cf := fused.Crossover(); math.Abs(cf-4) > 1e-12 {
 		t.Fatalf("fused crossover = %v, want exactly 4", cf)
 	}
-	unfused := UnfusedModel(50)
-	if unfused.FusedOuter || unfused.EtaColumn != DefaultEtaColumn {
-		t.Fatalf("UnfusedModel misconfigured: %+v", unfused)
-	}
+	unfused := DefaultModel(50) // the three-pass ablation: Eq. 4's full denominator, the 8/11 calibration
+	unfused.FusedOuter, unfused.EtaColumn = false, DefaultEtaColumn
 	if cf := unfused.Crossover(); cf < 3.5 || cf > 4.5 {
 		t.Fatalf("unfused crossover = %v, want ≈ 4", cf)
 	}

@@ -17,7 +17,8 @@ import (
 )
 
 // TestServeKernelPanicContainedPerRequest injects a worker panic into the
-// expand phase of tenant A's multiply: A gets a 500, tenant B's different
+// expand phase of tenant A's multiply (pinned to PB: Auto would run this small
+// product on the row kernel, which has no expand phase): A gets a 500, tenant B's different
 // product succeeds on the same engine right after, and the panic shows up in
 // the engine metrics (workspace discarded) — not as a handler panic.
 func TestServeKernelPanicContainedPerRequest(t *testing.T) {
@@ -31,7 +32,7 @@ func TestServeKernelPanicContainedPerRequest(t *testing.T) {
 		Site: faultinject.SiteExpandColumn, Hit: 1, Worker: -1,
 		Mode: faultinject.ModePanic})
 	reqA := httptest.NewRequest("POST", "/multiply",
-		strings.NewReader(fmt.Sprintf(`{"a":%q,"b":%q}`, ida, idb)))
+		strings.NewReader(fmt.Sprintf(`{"a":%q,"b":%q,"algorithm":"pb"}`, ida, idb)))
 	reqA.Header.Set("X-Tenant", "victim")
 	rec := do(s, reqA)
 	faultinject.Disarm()
@@ -51,7 +52,7 @@ func TestServeKernelPanicContainedPerRequest(t *testing.T) {
 	}
 	// And so is the victim's own retry of the faulted product.
 	retry := httptest.NewRequest("POST", "/multiply",
-		strings.NewReader(fmt.Sprintf(`{"a":%q,"b":%q}`, ida, idb)))
+		strings.NewReader(fmt.Sprintf(`{"a":%q,"b":%q,"algorithm":"pb"}`, ida, idb)))
 	retry.Header.Set("X-Tenant", "victim")
 	if rec := do(s, retry); rec.Code != http.StatusOK {
 		t.Fatalf("victim retry: status %d body %s", rec.Code, rec.Body)

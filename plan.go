@@ -1,6 +1,7 @@
 package pbspgemm
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 
@@ -11,55 +12,51 @@ import (
 	"pbspgemm/internal/roofline"
 )
 
-// Plan records one Auto call's algorithm decision and the roofline-model
-// inputs behind it (Section II of the paper: predicted GFLOPS = eta · beta
-// · AI per algorithm family, with AI from the family's exact traffic
-// denominator). It is reported on Result.Plan so callers can audit — or
-// log and recalibrate — the planner's reasoning.
+// Plan records one Auto call's algorithm decision and what it was decided on:
+// the product's shape, the planner's nnz(C) estimate and the time the fitted
+// cost model (internal/roofline/cost.go) predicts for each of the two kernels
+// Auto chooses between, PB-SpGEMM and the one-pass SPA. It is reported on
+// Result.Plan so callers can audit — or log and refit — the planner's reasoning.
 type Plan struct {
-	// Chosen is the kernel the planner selected and ran.
+	// Chosen is the kernel the planner selected and ran: PB or SPA.
 	Chosen Algorithm
 	// BetaGBs is the bandwidth the prediction used (WithBeta, or the
 	// one-shot STREAM calibration).
 	BetaGBs float64
 	// Flops is the symbolic multiplication count of the product.
 	Flops int64
-	// NNZA, NNZB are the input sizes entering the traffic model.
+	// NNZA, NNZB are the input sizes entering the cost model.
 	NNZA, NNZB int64
 	// EstNNZC is the exact or estimated nnz(C); Sampled reports whether it
 	// came from a strided row sample (large products) rather than the exact
 	// symbolic pass.
 	EstNNZC int64
 	Sampled bool
-	// CF is the predicted compression factor flop/nnz(C); the paper's
-	// crossover between the families sits at cf ≈ 4 (higher when the outer
-	// family runs squeezed — cheaper tuples widen PB's winning range).
+	// CF is the predicted compression factor flop/nnz(C). The paper's machines
+	// put the crossover between the families at cf ≈ 4; this tree's fitted
+	// model does not decide on cf at all (see roofline.SPACostNS).
 	CF float64
-	// OuterTupleBytes is the per-tuple byte cost the outer-family (PB)
-	// prediction used: 12 when the kernel's squeezed 12-byte layout applies
-	// to this product's bin geometry, 16 otherwise. The column family's
-	// model always uses 16 (column kernels never move expanded tuples).
+	// OuterTupleBytes is the per-tuple byte cost PB would run at: 12 when the
+	// kernel's squeezed 12-byte layout applies to this product's bin geometry,
+	// 16 otherwise. It sizes the footprint and the AIOuter bound.
 	OuterTupleBytes float64
-	// SqueezedOuter reports whether the outer family was modeled (and, if
-	// chosen, will run) with the squeezed tuple layout.
+	// SqueezedOuter reports whether PB would run the squeezed tuple layout.
 	SqueezedOuter bool
 	// OuterLayout is the tuple layout behind OuterTupleBytes. The float64
 	// engine plans LayoutSqueezed or LayoutWide; the typed entry points
 	// (Boolean/float32/int32 semirings) run LayoutPattern (4 B) and
-	// LayoutNarrow (8 B), whose per-layout roofline crossovers use the same
-	// model with BytesPerTupleOuter = 4 or 8.
+	// LayoutNarrow (8 B).
 	OuterLayout TupleLayout
-	// FusedOuter reports whether the outer family was modeled with the
-	// fused sort→compress→assemble pipeline (the PB kernel's default; its
-	// roofline denominator drops the compress term, and the column
-	// efficiency is recalibrated so the crossover stays at cf ≈ 4 — see
-	// roofline.DefaultEtaColumnFused).
+	// FusedOuter reports whether the PB kernel declares the fused
+	// sort→compress→assemble pipeline, whose bound AIOuter then is.
 	FusedOuter bool
-	// AIOuter, AIColumn are the modeled arithmetic intensities (flops/byte)
-	// of the outer-product (PB) and column (hash) families.
+	// AIOuter, AIColumn are the arithmetic intensities (flops/byte) of the
+	// paper's Fig. 3 roofline for the outer-product and column families. They
+	// describe the product; the decision does not read them.
 	AIOuter, AIColumn float64
-	// PredictedOuterGFLOPS, PredictedColumnGFLOPS are eta·beta·AI per
-	// family — the numbers the decision compares.
+	// PredictedOuterGFLOPS, PredictedColumnGFLOPS are Flops over the time the
+	// cost model predicts for PB and for SPA at BetaGBs — the numbers the
+	// decision compares (the larger wins, ties to PB).
 	PredictedOuterGFLOPS, PredictedColumnGFLOPS float64
 	// PredictedFootprintBytes estimates the call's peak transient allocation
 	// before any of it happens — the signal an admission controller needs to
@@ -74,76 +71,52 @@ type Plan struct {
 	PredictedFootprintBytes int64
 }
 
-// plannerExactFlopLimit bounds the exact symbolic nnz(C) pass: products up
-// to 4 Mflop (a few milliseconds of marker scanning) are counted exactly,
-// larger ones are estimated from a row sample so planning stays cheap
-// relative to the multiplication itself.
-const plannerExactFlopLimit = 4 << 20
+// plannerSampleFlops is the work the nnz(C) estimate may cost: products up to
+// 256 Kflop are counted exactly, larger ones are estimated from a row sample
+// of about that many products, so planning stays a few percent of the
+// multiplication itself.
+const plannerSampleFlops = 256 << 10
 
-// plan runs the Auto planner: symbolic flop pass, nnz(C) estimate, roofline
-// prediction per family, pick the predicted-fastest kernel. scratch pools
-// the estimator's marker (the caller passes the checked-out workspace's
-// slot, keeping steady-state planned calls allocation-free).
+// plan runs the Auto planner: symbolic flop pass, nnz(C) estimate, predicted
+// time per kernel, pick the faster. scratch pools the estimator's marker (the
+// caller passes the checked-out workspace's slot, keeping steady-state planned
+// calls allocation-free).
 func (e *Engine) plan(cfg *config, a, b *CSR, scratch *[]int32) *Plan {
-	p := &Plan{Chosen: PB, NNZA: a.NNZ(), NNZB: b.NNZ()}
+	p := &Plan{Chosen: PB, NNZA: a.NNZ(), NNZB: b.NNZ(), OuterLayout: core.LayoutWide}
 	p.Flops = flopsNoAlloc(a, b)
 	if p.Flops == 0 {
 		// Empty product: nothing to move, any kernel finishes immediately.
-		p.OuterLayout = core.LayoutWide
 		p.PredictedFootprintBytes = p.footprint(int64(a.NumRows), cfg.budget)
 		return p
 	}
-	p.EstNNZC, p.Sampled = matrix.EstimateProductNNZ(a, b, p.Flops, plannerExactFlopLimit, scratch)
+	p.EstNNZC, p.Sampled = matrix.EstimateProductNNZ(a, b, p.Flops, plannerSampleFlops, scratch)
 	p.CF = float64(p.Flops) / float64(p.EstNNZC)
-	beta := cfg.beta
-	if beta == 0 {
-		beta = roofline.CalibrateBeta(cfg.threads)
+	if p.BetaGBs = cfg.beta; p.BetaGBs == 0 {
+		p.BetaGBs = roofline.CalibrateBeta(cfg.threads)
 	}
-	p.BetaGBs = beta
-	m := roofline.DefaultModel(beta)
-	// Per-run tuple cost and pipeline for the outer family: DefaultModel
-	// assumes the squeezed 12-byte layout under the fused pipeline (the
-	// engine default). When the PB kernel cannot squeeze this product — it
-	// lacks the capability, or the bin geometry puts localRowBits + colBits
-	// past 32 — its expanded tuples move the full 16 bytes, the effective
-	// outer efficiency drops by 12/16, and the predicted crossover the
-	// decision below uses slides down accordingly. A kernel without the
-	// fused-compress capability is modeled with the PR 4 three-pass bound
-	// (UnfusedModel's calibration). Column kernels never move expanded
-	// tuples; their model is unaffected by either.
-	p.SqueezedOuter, p.FusedOuter = false, false
-	p.OuterLayout = core.LayoutWide
 	if k, ok := kernel.Get(PB.String()); ok {
 		caps := k.Capabilities()
 		p.FusedOuter = caps.FusedCompress
 		if caps.SqueezedTuples {
-			layout := core.PlanLayout(a.NumRows, b.NumCols, p.Flops, core.Options{
-				NBins:             cfg.nbins,
-				L2CacheBytes:      cfg.l2Cache,
-				Threads:           cfg.threads,
-				MemoryBudgetBytes: cfg.budget,
-			})
-			p.OuterLayout = layout
-			p.SqueezedOuter = layout == core.LayoutSqueezed
+			p.OuterLayout = core.PlanLayout(a.NumRows, b.NumCols, p.Flops, core.Options{
+				NBins: cfg.nbins, L2CacheBytes: cfg.l2Cache, Threads: cfg.threads, MemoryBudgetBytes: cfg.budget})
+			p.SqueezedOuter = p.OuterLayout == core.LayoutSqueezed
 		}
 	}
-	if !p.FusedOuter {
-		m = roofline.UnfusedModel(beta)
-	}
-	m.BytesPerTupleOuter = float64(p.OuterLayout.TupleBytes())
-	p.OuterTupleBytes = m.OuterBytes()
+	p.OuterTupleBytes = float64(p.OuterLayout.TupleBytes())
 	if p.FusedOuter {
-		p.AIOuter = roofline.AIOuterFusedExact(p.NNZA, p.NNZB, p.Flops, m.OuterBytes())
+		p.AIOuter = roofline.AIOuterFusedExact(p.NNZA, p.NNZB, p.Flops, p.OuterTupleBytes)
 	} else {
-		p.AIOuter = roofline.AIOuterExact(p.NNZA, p.NNZB, p.Flops, p.EstNNZC, m.OuterBytes())
+		p.AIOuter = roofline.AIOuterExact(p.NNZA, p.NNZB, p.Flops, p.EstNNZC, p.OuterTupleBytes)
 	}
-	p.AIColumn = roofline.AIColumnExact(p.NNZB, p.Flops, p.EstNNZC, m.BytesPerTuple)
-	p.PredictedOuterGFLOPS = m.PredictOuter(p.NNZA, p.NNZB, p.Flops, p.EstNNZC)
-	p.PredictedColumnGFLOPS = m.PredictColumn(p.NNZB, p.Flops, p.EstNNZC)
-	if !m.PrefersOuter(p.NNZA, p.NNZB, p.Flops, p.EstNNZC) {
-		// Hash is the column family's strongest member in the paper's
-		// evaluation (and ours); it represents the family here.
-		p.Chosen = Hash
+	p.AIColumn = roofline.AIColumnExact(p.NNZB, p.Flops, p.EstNNZC, roofline.DefaultBytesPerNonzero)
+	shape := roofline.Product{Rows: a.NumRows, Cols: b.NumCols, NNZA: p.NNZA, NNZB: p.NNZB,
+		Flops: p.Flops, NNZC: p.EstNNZC, L2CacheBytes: int64(cmp.Or(cfg.l2Cache, core.DefaultL2CacheBytes))}
+	p.PredictedOuterGFLOPS = float64(p.Flops) / shape.PredictPB(p.BetaGBs)
+	p.PredictedColumnGFLOPS = float64(p.Flops) / shape.PredictSPA(p.BetaGBs)
+	// A memory budget is met by tiling, which only PB does.
+	if p.PredictedColumnGFLOPS > p.PredictedOuterGFLOPS && cfg.budget == 0 {
+		p.Chosen = SPA
 	}
 	p.PredictedFootprintBytes = p.footprint(int64(a.NumRows), cfg.budget)
 	return p

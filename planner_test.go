@@ -8,8 +8,8 @@ import (
 
 // plannerEngine returns an engine with a fixed beta so tests never trigger
 // the STREAM calibration (the decision is beta-invariant anyway — both
-// families scale linearly with beta — but fixing it keeps tests fast and
-// deterministic).
+// kernels' fitted costs scale with FitBetaGBs/beta — but fixing it keeps tests
+// fast and the picks below independent of the box).
 func plannerEngine(t *testing.T, opts ...Option) *Engine {
 	t.Helper()
 	eng, err := NewEngine(append([]Option{WithBeta(50)}, opts...)...)
@@ -19,14 +19,16 @@ func plannerEngine(t *testing.T, opts ...Option) *Engine {
 	return eng
 }
 
-// lowCFFixture is an ER product with cf ≈ 1, the regime the paper's model
-// (and Fig. 7) assigns to PB-SpGEMM.
+// lowCFFixture is on PB's side of the fitted crossover: a hypersparse ER pair
+// with cf ≈ 1 whose B (1.5 MB) is past the 1 MiB cache budget, so the row kernel
+// would miss on a row of B for a third of A's entries — costlier than PB's sort
+// (roofline.SPACostNS). Its 256 Kflop are the most the planner counts exactly.
 func lowCFFixture() (*CSR, *CSR) {
-	return NewER(1024, 4, 1), NewER(1024, 4, 2)
+	return NewER(1<<16, 2, 1), NewER(1<<16, 2, 2)
 }
 
-// highCFFixture is a small dense-ish ER square with cf ≈ 20, far past the
-// cf ≈ 4 crossover where hash wins (conclusions 5 and 6).
+// highCFFixture is on SPA's side: a small dense-ish ER square with cf ≈ 20,
+// accumulator and B both cache-resident.
 func highCFFixture() (*CSR, *CSR) {
 	return NewER(192, 64, 3), NewER(192, 64, 4)
 }
@@ -65,13 +67,12 @@ func TestAutoSelectsColumnKernelAtHighCF(t *testing.T) {
 	if res.Plan == nil {
 		t.Fatal("Auto call returned no Plan")
 	}
-	switch res.Plan.Chosen {
-	case Heap, Hash, HashVec, SPA, ColumnESC:
-	default:
-		t.Fatalf("high-cf fixture chose %v, want a column kernel", res.Plan.Chosen)
+	if res.Plan.Chosen != SPA || res.Algorithm != SPA {
+		t.Fatalf("high-cf fixture chose %v (plan %v), want SPA", res.Algorithm, res.Plan.Chosen)
 	}
-	if res.Plan.CF < 4 {
-		t.Fatalf("fixture cf = %v, expected past the ≈4 crossover", res.Plan.CF)
+	if res.Plan.CF < 4 || res.Plan.PredictedColumnGFLOPS <= res.Plan.PredictedOuterGFLOPS {
+		t.Fatalf("fixture cf = %v, predictions %v (PB) vs %v (SPA): expected a high-cf product the model gives SPA",
+			res.Plan.CF, res.Plan.PredictedOuterGFLOPS, res.Plan.PredictedColumnGFLOPS)
 	}
 	if !EqualWithin(Reference(a, b), res.C, 1e-9) {
 		t.Fatal("Auto result differs from reference")

@@ -60,7 +60,9 @@ type Algorithm int
 // column SpGEMM baselines of its evaluation (Section IV-A).
 const (
 	// PB is PB-SpGEMM: outer-product expand-sort-compress with propagation
-	// blocking. Fastest when the compression factor is below ~4.
+	// blocking. The paper's machines have it fastest below a compression
+	// factor of ~4; in this tree it is fastest on hypersparse products whose B
+	// is out of cache or wider than ~2^17 columns (roofline.PBCostNS).
 	PB Algorithm = iota
 	// Heap is HeapSpGEMM: column merging with a binary heap, O(flop log d).
 	Heap
@@ -69,7 +71,10 @@ const (
 	// HashVec is HashVecSpGEMM: hash merging with batched (vector-style)
 	// probing.
 	HashVec
-	// SPA is the classic Gilbert-Moler-Schreiber dense accumulator.
+	// SPA is the Gilbert-Moler-Schreiber dense accumulator as a one-pass row
+	// kernel (no symbolic phase, rows emitted in column order from an
+	// occupancy bitmap): the column-family kernel Auto chooses against PB,
+	// and bit-identical to it on canonical inputs.
 	SPA
 	// OuterHeapNaive is the n-merge outer-product algorithm the paper
 	// dismisses (Section II-B); present for ablations, quadratic-ish: only
@@ -80,13 +85,13 @@ const (
 	// PB-SpGEMM: same ESC output formation, but without outer-product input
 	// streaming or propagation blocking.
 	ColumnESC
-	// Auto lets the Engine pick the kernel per call with the paper's
-	// roofline model (Section II): the planner runs the cheap symbolic flop
-	// pass, estimates the compression factor, and chooses the
-	// predicted-fastest family — PB in bandwidth-bound low-cf regimes, a
-	// hash column kernel past the cf ≈ 4 crossover. Engine-only (the
-	// deprecated Multiply shim rejects it); the decision and its model
-	// inputs are reported on Result.Plan.
+	// Auto lets the Engine pick the kernel per call: the planner runs the
+	// cheap symbolic flop pass, estimates nnz(C) from a work-bounded row
+	// sample, and chooses between PB and SPA by the time a cost model fitted
+	// on this tree's kernels predicts for each (internal/roofline/cost.go;
+	// the paper's cf ≈ 4 crossover is a fact of its machines, not of this
+	// model). Engine-only (the deprecated Multiply shim rejects it); the
+	// decision and its inputs are reported on Result.Plan.
 	Auto
 )
 
@@ -200,7 +205,8 @@ const (
 	LayoutPattern = core.LayoutPattern
 )
 
-// BaselineStats is the two-phase breakdown of a column SpGEMM run.
+// BaselineStats is the two-phase breakdown of a column SpGEMM run (Symbolic
+// reads 0 for SPA: one pass).
 type BaselineStats = baseline.Stats
 
 // Result is the outcome of one multiplication.
@@ -219,7 +225,7 @@ type Result struct {
 	PB *PhaseStats
 	// Baseline holds the phase breakdown for column algorithms, else nil.
 	Baseline *BaselineStats
-	// Plan holds the roofline planner's decision and model inputs when the
+	// Plan holds the planner's decision and cost-model inputs when the
 	// call ran with WithAlgorithm(Auto), else nil; Algorithm then reports
 	// the kernel the planner chose.
 	Plan *Plan
