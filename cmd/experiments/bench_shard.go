@@ -5,8 +5,8 @@ package main
 // same input. The 1×1×1 regime is the coordination-overhead acceptance bar —
 // a degenerate grid adds only the coordinator's bookkeeping around one
 // dispatch, so -gate holds it within shardGateMargin of the direct call. The
-// split-grid regime is informational: it carries the partition/reduce/assemble
-// cost of a real multi-block product in the trajectory.
+// split-grid regime carries the plan/cut/dispatch/stitch cost of a real
+// multi-block product, and -gate holds it within shardGridGateRatio of direct.
 
 import (
 	"context"
@@ -33,7 +33,8 @@ type benchShardRegime struct {
 	NsPerOp int64   `json:"ns_per_op"`
 	GFLOPS  float64 `json:"gflops"`
 	// VsDirect is this regime's ns/op as a ratio of the direct-call regime
-	// measured in the same process (printed; the gate keys on the difference).
+	// measured in the same process (the grid gate keys on it, the 1×1 gate on
+	// the difference).
 	VsDirect float64 `json:"vs_direct,omitempty"`
 }
 
@@ -61,7 +62,7 @@ func runShardBench(cfg *config, report *benchReport) {
 		os.Exit(1)
 	}
 	// A block target well under the product's predicted footprint, so the
-	// grid actually splits and the partition/reduce/assemble path is on the
+	// grid actually splits and the plan/cut/dispatch/stitch path is on the
 	// measured clock.
 	grid, err := shard.New(shard.Config{Local: eng, MaxBlockBytes: 1 << 20})
 	if err != nil {
@@ -73,41 +74,6 @@ func runShardBench(cfg *config, report *benchReport) {
 	if reps < 1 {
 		reps = 1
 	}
-	measure := func(name string, run func() (flops int64, gridStr string, blocks int, err error)) benchShardRegime {
-		// Warm-up grows the engine's pooled workspaces (and, for the grid
-		// regime, triggers any one-shot planner calibration) off the clock.
-		if _, _, _, err := run(); err != nil {
-			fmt.Fprintf(os.Stderr, "bench shard %s: %v\n", name, err)
-			os.Exit(1)
-		}
-		var best time.Duration
-		var flops int64
-		var gridStr string
-		var blocks int
-		for r := 0; r < reps; r++ {
-			start := time.Now()
-			f, g, nb, err := run()
-			elapsed := time.Since(start)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "bench shard %s: %v\n", name, err)
-				os.Exit(1)
-			}
-			if best == 0 || elapsed < best {
-				best = elapsed
-			}
-			flops, gridStr, blocks = f, g, nb
-		}
-		return benchShardRegime{
-			Name:    name,
-			Grid:    gridStr,
-			Blocks:  blocks,
-			Threads: threads,
-			Flops:   flops,
-			NsPerOp: best.Nanoseconds(),
-			GFLOPS:  float64(flops) / best.Seconds() / 1e9,
-		}
-	}
-
 	ctx := context.Background()
 	runDirect := func() (int64, string, int, error) {
 		res, err := eng.Multiply(ctx, a, b, pbspgemm.WithAlgorithm(pbspgemm.PB))
@@ -125,12 +91,14 @@ func runShardBench(cfg *config, report *benchReport) {
 			return res.Flops, res.Grid.String(), res.Blocks, nil
 		}
 	}
-	// The overhead pair is measured interleaved — direct and 1×1 alternate
-	// rep by rep in one loop — so host load drift hits both sides equally
-	// and the gated ratio stays a coordination-overhead number, not a
-	// which-window-was-noisier number.
-	direct, oneR := measurePair(shardDirectRegime, runDirect, shardOneRegime, viaCoord(one), threads, reps)
-	gridR := measure(shardGridRegime, viaCoord(grid))
+	// The regimes are measured interleaved — direct, 1×1 and grid take turns
+	// rep by rep in one loop — so host load drift hits every side equally
+	// and the gated numbers stay coordination overhead, not
+	// which-window-was-noisier.
+	rs := measureInterleaved(threads, reps,
+		[]string{shardDirectRegime, shardOneRegime, shardGridRegime},
+		[]func() (int64, string, int, error){runDirect, viaCoord(one), viaCoord(grid)})
+	direct, oneR, gridR := rs[0], rs[1], rs[2]
 	oneR.VsDirect = float64(oneR.NsPerOp) / float64(direct.NsPerOp)
 	gridR.VsDirect = float64(gridR.NsPerOp) / float64(direct.NsPerOp)
 
@@ -147,42 +115,34 @@ func runShardBench(cfg *config, report *benchReport) {
 	}
 }
 
-// measurePair measures two runners interleaved: one warm-up each, then reps
-// alternating (x, y) iterations, best-of kept per side. Sharing each loop
-// iteration between the two sides is what keeps their ratio honest on a
-// loaded host.
-func measurePair(nameX string, runX func() (int64, string, int, error),
-	nameY string, runY func() (int64, string, int, error),
-	threads, reps int) (benchShardRegime, benchShardRegime) {
-	side := func(name string, run func() (int64, string, int, error)) (*benchShardRegime, func()) {
-		r := &benchShardRegime{Name: name, Threads: threads}
-		if _, _, _, err := run(); err != nil {
-			fmt.Fprintf(os.Stderr, "bench shard %s: %v\n", name, err)
-			os.Exit(1)
-		}
-		return r, func() {
+// measureInterleaved measures the runners in turns: one warm-up each (it
+// grows the engine's pooled workspaces and triggers any one-shot planner
+// calibration off the clock), then reps rounds of one iteration per runner,
+// best-of kept per side. Sharing each round between the sides is what keeps
+// their ratios honest on a loaded host.
+func measureInterleaved(threads, reps int, names []string, runs []func() (int64, string, int, error)) []benchShardRegime {
+	rs := make([]benchShardRegime, len(runs))
+	for r := -1; r < reps; r++ {
+		for i, run := range runs {
 			start := time.Now()
 			f, g, nb, err := run()
-			elapsed := time.Since(start)
+			elapsed := time.Since(start).Nanoseconds()
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "bench shard %s: %v\n", name, err)
+				fmt.Fprintf(os.Stderr, "bench shard %s: %v\n", names[i], err)
 				os.Exit(1)
 			}
-			if r.NsPerOp == 0 || elapsed.Nanoseconds() < r.NsPerOp {
-				r.NsPerOp = elapsed.Nanoseconds()
+			if r < 0 {
+				rs[i] = benchShardRegime{Name: names[i], Threads: threads}
+			} else if rs[i].NsPerOp == 0 || elapsed < rs[i].NsPerOp {
+				rs[i].NsPerOp = elapsed
 			}
-			r.Flops, r.Grid, r.Blocks = f, g, nb
+			rs[i].Flops, rs[i].Grid, rs[i].Blocks = f, g, nb
 		}
 	}
-	x, stepX := side(nameX, runX)
-	y, stepY := side(nameY, runY)
-	for r := 0; r < reps; r++ {
-		stepX()
-		stepY()
+	for i := range rs {
+		rs[i].GFLOPS = float64(rs[i].Flops) / float64(rs[i].NsPerOp)
 	}
-	x.GFLOPS = float64(x.Flops) / (float64(x.NsPerOp) / 1e9) / 1e9
-	y.GFLOPS = float64(y.Flops) / (float64(y.NsPerOp) / 1e9) / 1e9
-	return *x, *y
+	return rs
 }
 
 // shardGateMargin is what the 1×1×1 coordinator may add to the direct Engine
@@ -191,30 +151,48 @@ func measurePair(nameX string, runX func() (int64, string, int, error),
 // to the old 5 % bar that the gate failed on runner noise at any commit.
 const shardGateMargin = time.Millisecond
 
+// shardGridGateRatio is what a split grid may cost over the direct call: the
+// block products themselves run near direct speed, so what is left — one plan,
+// one cut, dispatch, per-block set-up and the stitch — must stay under it.
+const shardGridGateRatio = 2.0
+
 // gateShardBench holds the 1×1×1 coordinator within shardGateMargin of the
-// direct Engine call (best of reps each, measured interleaved) — the sharded
-// route must be free when the grid is degenerate. Returns true on failure.
+// direct Engine call — the sharded route must be free when the grid is
+// degenerate — and the split grid within shardGridGateRatio of it (best of
+// reps each, measured interleaved). Returns true on failure.
 func gateShardBench(report *benchReport) bool {
-	var direct, one *benchShardRegime
+	var direct, one, grid *benchShardRegime
 	for i := range report.Shard {
 		switch report.Shard[i].Name {
 		case shardDirectRegime:
 			direct = &report.Shard[i]
 		case shardOneRegime:
 			one = &report.Shard[i]
+		case shardGridRegime:
+			grid = &report.Shard[i]
 		}
 	}
-	if direct == nil || one == nil {
+	if direct == nil || one == nil || grid == nil {
 		fmt.Fprintln(os.Stderr, "bench gate: shard regimes missing from the run")
 		os.Exit(1)
 	}
+	failed := false
 	over := time.Duration(one.NsPerOp - direct.NsPerOp)
 	if over > shardGateMargin {
 		fmt.Fprintf(os.Stderr, "bench gate: SHARD OVERHEAD on %s: 1x1 coordinator %d ns/op − direct %d ns/op = %v > %v (%.3f×)\n",
 			shardOneRegime, one.NsPerOp, direct.NsPerOp, over, shardGateMargin, one.VsDirect)
-		return true
+		failed = true
+	} else {
+		fmt.Printf("bench gate: 1x1 coordinator %d ns/op − direct %d ns/op = %v ≤ %v (%.3f×)\n",
+			one.NsPerOp, direct.NsPerOp, over, shardGateMargin, one.VsDirect)
 	}
-	fmt.Printf("bench gate: 1x1 coordinator %d ns/op − direct %d ns/op = %v ≤ %v (%.3f×)\n",
-		one.NsPerOp, direct.NsPerOp, over, shardGateMargin, one.VsDirect)
-	return false
+	if grid.VsDirect > shardGridGateRatio {
+		fmt.Fprintf(os.Stderr, "bench gate: SHARD OVERHEAD on %s: grid %s %d ns/op is %.3f× direct %d ns/op, want ≤ %g×\n",
+			shardGridRegime, grid.Grid, grid.NsPerOp, grid.VsDirect, direct.NsPerOp, shardGridGateRatio)
+		failed = true
+	} else {
+		fmt.Printf("bench gate: grid %s coordinator %d ns/op is %.3f× direct %d ns/op (≤ %g×)\n",
+			grid.Grid, grid.NsPerOp, grid.VsDirect, direct.NsPerOp, shardGridGateRatio)
+	}
+	return failed
 }

@@ -62,7 +62,7 @@ func plannerWorkloads(cfg *config) []plannerWorkload {
 			ws = append(ws, plannerWorkload{name: fmt.Sprintf("RMAT %d/%d squared", scale, 2<<step), gen: func() (a, b *pbspgemm.CSR) {
 				b = pbspgemm.NewRMAT(scale, 2<<step, s+2)
 				rows := int64(float64(budget) * float64(n) / float64(pbspgemm.Flops(b, b)))
-				return matrix.Block(b, 0, int32(max(512, min(rows, int64(n)))), 0, n), b
+				return matrix.RowBand(b, 0, int32(max(512, min(rows, int64(n))))), b
 			}})
 		}
 	}

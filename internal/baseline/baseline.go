@@ -100,10 +100,10 @@ func run(a, b *matrix.CSR, opt Options, alg algorithm) (*matrix.CSR, *Stats, err
 	rows := int(a.NumRows)
 	rowFlops := matrix.GrowInt64(&ws.rowFlops, rows)
 	if threads == 1 {
-		rowFlopsRange(a, b, rowFlops, 0, rows)
+		RowFlopsRange(a, b, rowFlops, 0, rows)
 	} else {
 		par.ForRanges(rows, threads, func(_, lo, hi int) {
-			rowFlopsRange(a, b, rowFlops, lo, hi)
+			RowFlopsRange(a, b, rowFlops, lo, hi)
 		})
 	}
 	for _, f := range rowFlops {
@@ -154,8 +154,8 @@ func run(a, b *matrix.CSR, opt Options, alg algorithm) (*matrix.CSR, *Stats, err
 	return c, st, nil
 }
 
-// rowFlopsRange fills rowFlops[lo:hi] with per-row multiplication counts.
-func rowFlopsRange(a, b *matrix.CSR, rowFlops []int64, lo, hi int) {
+// RowFlopsRange fills rowFlops[lo:hi] with per-row multiplication counts.
+func RowFlopsRange(a, b *matrix.CSR, rowFlops []int64, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		var f int64
 		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {

@@ -47,10 +47,10 @@ func ColumnESC(a, b *matrix.CSR, opt Options) (*matrix.CSR, *Stats, error) {
 	t0 := time.Now()
 	rowFlops := matrix.GrowInt64(&ws.rowFlops, rows)
 	if threads == 1 {
-		rowFlopsRange(a, b, rowFlops, 0, rows)
+		RowFlopsRange(a, b, rowFlops, 0, rows)
 	} else {
 		par.ForRanges(rows, threads, func(_, lo, hi int) {
-			rowFlopsRange(a, b, rowFlops, lo, hi)
+			RowFlopsRange(a, b, rowFlops, lo, hi)
 		})
 	}
 	segStart := matrix.GrowInt64(&ws.segStart, rows+1)

@@ -44,7 +44,7 @@ func SPA(a, b *matrix.CSR, opt Options) (*matrix.CSR, *Stats, error) {
 
 	rows := int(a.NumRows)
 	rowFlops := matrix.GrowInt64(&ws.rowFlops, rows)
-	rowFlopsRange(a, b, rowFlops, 0, rows)
+	RowFlopsRange(a, b, rowFlops, 0, rows)
 	for _, f := range rowFlops {
 		st.Flops += f
 	}

@@ -1,50 +1,51 @@
 package matrix
 
-import "sort"
-
-// Block extracts the index window rows [r0,r1) × cols [c0,c1) of m as a
-// standalone CSR with block-local indices (entry (r,c) of m becomes
-// (r-r0, c-c0)). Rows of a canonical CSR are sorted, so each row's column
-// span is found by binary search; the output is canonical too. The 2D
-// block-sharded coordinator cuts A(i,k) and B(k,j) blocks with it.
-//
-// When the window covers all of m, m itself is returned (no copy): callers
-// treat blocks as read-only, exactly like registry matrices.
-func Block(m *CSR, r0, r1, c0, c1 int32) *CSR {
-	if r0 == 0 && r1 == m.NumRows && c0 == 0 && c1 == m.NumCols {
+// RowBand returns rows [r0,r1) of m as a view: ColIdx and Val are sub-slices
+// of m's arrays and only RowPtr is a rebased copy, so the band costs O(rows)
+// whatever it holds. The whole range returns m itself. Callers treat bands
+// as read-only, exactly like registry matrices.
+func RowBand(m *CSR, r0, r1 int32) *CSR {
+	if r0 == 0 && r1 == m.NumRows {
 		return m
 	}
-	rows, cols := r1-r0, c1-c0
-	out := &CSR{NumRows: rows, NumCols: cols, RowPtr: make([]int64, rows+1)}
-	// First pass: per-row entry counts, so the index/value arrays are
-	// allocated exactly once.
-	for r := r0; r < r1; r++ {
-		s, e := rowSpan(m, r, c0, c1)
-		out.RowPtr[r-r0+1] = out.RowPtr[r-r0] + (e - s)
-	}
-	nnz := out.RowPtr[rows]
-	out.ColIdx = make([]int32, nnz)
-	out.Val = make([]float64, nnz)
-	for r := r0; r < r1; r++ {
-		s, e := rowSpan(m, r, c0, c1)
-		p := out.RowPtr[r-r0]
-		for q := s; q < e; q++ {
-			out.ColIdx[p] = m.ColIdx[q] - c0
-			out.Val[p] = m.Val[q]
-			p++
-		}
+	lo, hi := m.RowPtr[r0], m.RowPtr[r1]
+	out := &CSR{NumRows: r1 - r0, NumCols: m.NumCols, RowPtr: make([]int64, r1-r0+1),
+		ColIdx: m.ColIdx[lo:hi:hi], Val: m.Val[lo:hi:hi]}
+	for i := range out.RowPtr {
+		out.RowPtr[i] = m.RowPtr[int(r0)+i] - lo
 	}
 	return out
 }
 
-// rowSpan returns the half-open position range of row r's entries with
-// column indices in [c0,c1).
-func rowSpan(m *CSR, r, c0, c1 int32) (int64, int64) {
-	lo, hi := m.RowPtr[r], m.RowPtr[r+1]
-	row := m.ColIdx[lo:hi]
-	s := int64(sort.Search(len(row), func(i int) bool { return row[i] >= c0 }))
-	e := int64(sort.Search(len(row), func(i int) bool { return row[i] >= c1 }))
-	return lo + s, lo + e
+// ColBands cuts m into the column bands [off[j],off[j+1]) with band-local
+// column indices (entry (r,c) becomes (r, c-off[j]) of band j) in one forward
+// pass: rows of a canonical CSR are sorted, so a band cursor per row replaces
+// a search per row per band, and every band is canonical too. A single band
+// returns m itself (no copy).
+func ColBands(m *CSR, off []int32) []*CSR {
+	if len(off) == 2 {
+		return []*CSR{m}
+	}
+	bands := make([]*CSR, len(off)-1)
+	for j := range bands {
+		// An even share plus a quarter; append grows the bands skew makes heavier.
+		bands[j] = NewCSR(m.NumRows, off[j+1]-off[j], m.NNZ()/int64(len(bands))*5/4)
+		bands[j].ColIdx, bands[j].Val = bands[j].ColIdx[:0], bands[j].Val[:0]
+	}
+	for r := int32(0); r < m.NumRows; r++ {
+		j := 0
+		for p := m.RowPtr[r]; p < m.RowPtr[r+1]; p++ {
+			c := m.ColIdx[p]
+			for c >= off[j+1] {
+				j++
+			}
+			bands[j].ColIdx, bands[j].Val = append(bands[j].ColIdx, c-off[j]), append(bands[j].Val, m.Val[p])
+		}
+		for _, bd := range bands {
+			bd.RowPtr[r+1] = int64(len(bd.ColIdx))
+		}
+	}
+	return bands
 }
 
 // SplitPoints partitions [0,n) into parts near-equal contiguous ranges and

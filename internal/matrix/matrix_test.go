@@ -317,7 +317,7 @@ func TestEstimateProductNNZSampleIsBoundedByWork(t *testing.T) {
 	if est, sampled := EstimateProductNNZ(a, b, flop, flop, nil); sampled || est != exact {
 		t.Fatalf("in-budget estimate %d (sampled %v), want the exact %d", est, sampled, exact)
 	}
-	few := Block(a, 0, minSampleRows-1, 0, a.NumCols)
+	few := RowBand(a, 0, minSampleRows-1)
 	if est, sampled := EstimateProductNNZ(few, b, FlopsCSR(few, b), 1, nil); sampled || est != ProductNNZ(few, b) {
 		t.Fatalf("%d-row estimate %d (sampled %v), want exact", few.NumRows, est, sampled)
 	}

@@ -54,9 +54,9 @@ func (e *RemoteError) RetryAfter() time.Duration { return e.RetryAfterDur }
 // shard.Backend. Matrices travel in the PBSP binary framing and are
 // deduplicated by the peer's content-addressed registry: a block uploaded
 // once is never re-sent while the peer remembers it (the client caches the
-// returned content id per *CSR and re-uploads transparently on a 404 after
-// the peer evicted or restarted). The multiply itself is pinned to the PB
-// kernel so every peer folds in the same order — the coordinator's
+// returned content id per *CSR until Forget, and re-uploads transparently on
+// a 404 after the peer evicted or restarted). The multiply itself is pinned
+// to the PB kernel so every peer folds in the same order — the coordinator's
 // bit-identity contract. Safe for concurrent use.
 type PeerClient struct {
 	base   string
@@ -129,8 +129,7 @@ func (p *PeerClient) Multiply(ctx context.Context, a, b *pbspgemm.CSR) (*pbspgem
 		if err != nil && attempt == 0 && asRemote(err, &re) && re.Status == http.StatusNotFound {
 			// The peer forgot the factors (eviction, restart): drop our view
 			// of its registry and re-upload once.
-			p.invalidate(a)
-			p.invalidate(b)
+			p.Forget([]*pbspgemm.CSR{a, b})
 			continue
 		}
 		return c, err
@@ -187,10 +186,15 @@ func (p *PeerClient) uploadID(ctx context.Context, m *pbspgemm.CSR) (string, err
 	}
 }
 
-// invalidate forgets the cached content id of m.
-func (p *PeerClient) invalidate(m *pbspgemm.CSR) {
+// Forget drops the cached content ids of ms. The shard coordinator calls it
+// with the blocks a product cut once that product has returned: they are
+// fresh objects every time, so their ids can never hit again and would pin
+// the blocks (and, through a view, the caller's inputs) for the client's life.
+func (p *PeerClient) Forget(ms []*pbspgemm.CSR) {
 	p.mu.Lock()
-	delete(p.ids, m)
+	for _, m := range ms {
+		delete(p.ids, m)
+	}
 	p.mu.Unlock()
 }
 

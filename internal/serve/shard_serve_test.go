@@ -13,6 +13,7 @@ import (
 
 	"pbspgemm"
 	"pbspgemm/internal/mmio"
+	"pbspgemm/internal/shard"
 )
 
 // intMatrix is an ER matrix with integer values: sums and products are
@@ -273,6 +274,52 @@ func TestPeerClientUploadDedup(t *testing.T) {
 	}
 	if got := uploads.Load(); got != 2 {
 		t.Fatalf("uploads = %d, want 2 (one per matrix, dedup across calls)", got)
+	}
+}
+
+// TestPeerClientForgetsCutBlocks: every sharded product cuts fresh block
+// objects, so the ids a PeerClient keeps for them can never hit again; the
+// coordinator has it drop them when the product returns, and a long-lived
+// client then holds the inputs handed over whole — here B, which is what the
+// next product repeats — and nothing else.
+func TestPeerClientForgetsCutBlocks(t *testing.T) {
+	var uploads atomic.Int64
+	s := newTestServer(t, nil)
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost && r.URL.Path == "/matrices" {
+			uploads.Add(1)
+		}
+		s.ServeHTTP(w, r)
+	}))
+	defer hs.Close()
+	pc := NewPeerClient(hs.URL, nil)
+	eng, _ := pbspgemm.NewEngine(pbspgemm.WithBeta(50))
+	coord, err := shard.New(shard.Config{Local: eng, Backends: []shard.Backend{pc}, MaxBlockBytes: 16 << 10, HedgeDelay: -1})
+	if err != nil {
+		t.Fatalf("shard.New: %v", err)
+	}
+	a, b := intMatrix(256, 4, 11), intMatrix(256, 4, 12)
+	const products = 5
+	var blocks int
+	for i := 0; i < products; i++ {
+		res, err := coord.Multiply(context.Background(), a, b)
+		if err != nil {
+			t.Fatalf("product %d: %v", i, err)
+		}
+		if res.Grid.Rows < 2 || res.Grid.Cols != 1 || res.Grid.Inner != 1 || res.Fallbacks != 0 {
+			t.Fatalf("product %d: grid %v, %d fallbacks: want row bands over a whole B, all on the peer", i, res.Grid, res.Fallbacks)
+		}
+		blocks = res.Blocks
+		pc.mu.Lock()
+		_, keptB := pc.ids[b]
+		kept := len(pc.ids)
+		pc.mu.Unlock()
+		if kept != 1 || !keptB {
+			t.Fatalf("after product %d the client remembers %d matrices (B among them: %v), want B alone", i, kept, keptB)
+		}
+	}
+	if got, want := uploads.Load(), int64(products*blocks+1); got != want {
+		t.Fatalf("%d uploads for %d products of %d blocks, want %d: each band once, B once in all", got, products, blocks, want)
 	}
 }
 

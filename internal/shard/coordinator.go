@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -26,6 +27,8 @@ type Coordinator struct {
 	backends []Backend
 	breakers []*breaker
 	now      func() time.Time
+	// planBlocks is Local.PlanBlocksFrom; tests wrap it to count the cuts.
+	planBlocks func(root *pbspgemm.Plan, a, b *pbspgemm.CSR, g pbspgemm.Grid, opts ...pbspgemm.Option) (*pbspgemm.GridPlan, error)
 
 	rr uint64 // round-robin cursor over backends
 
@@ -53,6 +56,8 @@ func New(cfg Config) (*Coordinator, error) {
 		cfg: cfg,
 		now: time.Now,
 		lat: make([]float64, 0, 64),
+
+		planBlocks: cfg.Local.PlanBlocksFrom,
 	}
 	c.jitter = cfg.Seed
 	if c.jitter == 0 {
@@ -95,24 +100,30 @@ func (c *Coordinator) Status() Status {
 	return s
 }
 
-// Multiply computes C = A·B sharded over the backends. The result is
-// bit-identical to a single-node Engine.Multiply with the PB kernel
-// whenever the grid keeps the inner dimension whole or the values' sums are
-// exact (integer-valued matrices — an inner split regroups the float
-// additions of the k-reduce); it is always deterministic for a given grid,
-// and re-dispatch (retry, hedge, fallback) can never change the bytes. On
-// failure the error is typed (*BlockError, *ReduceError, or the ctx error)
-// and no C is returned — never a partial product.
+// Multiply computes C = A·B sharded over the backends. While the grid keeps
+// the inner dimension whole — always, unless rows and columns are both at
+// MaxGridDim or their extent — the result is bit-identical to a single-node
+// Engine.Multiply with the PB kernel, float values included. An inner split
+// (Result.Grid.Inner > 1) regroups the float additions in its k-reduce, so
+// bit-identity then needs exact sums (integer-valued matrices); the result
+// stays deterministic for a given grid. Re-dispatch (retry, hedge, fallback)
+// can never change the bytes. On failure the error is typed (*BlockError,
+// *ReduceError, or the ctx error) and no C is returned — never a partial
+// product.
 func (c *Coordinator) Multiply(ctx context.Context, a, b *pbspgemm.CSR) (*Result, error) {
 	start := c.now()
 	gp, err := c.partition(ctx, a, b)
 	if err != nil {
 		return nil, err
 	}
+	defer c.forget(gp, a, b)
 	c.products.Add(1)
 	c.blocks.Add(int64(len(gp.Blocks)))
 
-	res := &Result{Grid: gp.Grid, Blocks: len(gp.Blocks), Flops: pbspgemm.Flops(a, b)}
+	res := &Result{Grid: gp.Grid, Blocks: len(gp.Blocks)}
+	for i := range gp.Blocks {
+		res.Flops += gp.Blocks[i].Plan.Flops // exact per block
+	}
 	partials := make([]*pbspgemm.CSR, len(gp.Blocks))
 	var stats productStats
 
@@ -172,10 +183,12 @@ type productStats struct {
 	retries, hedges, fallbacks atomic.Int64
 }
 
-// partition chooses the grid: starting from 1×1×1, the dimension whose
-// per-block extent is largest doubles until every block's predicted
-// footprint fits MaxBlockBytes (or the grid hits MaxGridDim — peers may
-// then still shed oversized blocks, and the retry ladder absorbs it).
+// partition cuts the grid once: one plan of the whole product gives the block
+// count (see grid). Only when the cut's own counts predict a block over
+// MaxBlockBytes (skewed inputs) is the count raised as if every block were
+// that heavy and the cut, by then cheap, redone. A grid that cannot grow is
+// returned as it is: peers may shed its oversized blocks, and the retry
+// ladder absorbs that.
 func (c *Coordinator) partition(ctx context.Context, a, b *pbspgemm.CSR) (*pbspgemm.GridPlan, error) {
 	if c.cfg.MaxBlockBytes <= 0 {
 		// Splitting is off: the product is one 1×1×1 block on the whole
@@ -186,64 +199,62 @@ func (c *Coordinator) partition(ctx context.Context, a, b *pbspgemm.CSR) (*pbspg
 				a.NumRows, a.NumCols, b.NumRows, b.NumCols, matrix.ErrShape)
 		}
 		return &pbspgemm.GridPlan{
-			Grid:         pbspgemm.Grid{Rows: 1, Cols: 1, Inner: 1},
-			RowOffsets:   []int32{0, a.NumRows},
-			ColOffsets:   []int32{0, b.NumCols},
-			InnerOffsets: []int32{0, a.NumCols},
-			A:            [][]*pbspgemm.CSR{{a}},
-			B:            [][]*pbspgemm.CSR{{b}},
-			Blocks:       []pbspgemm.BlockPlan{{A: a, B: b}},
+			Grid:       pbspgemm.Grid{Rows: 1, Cols: 1, Inner: 1},
+			RowOffsets: []int32{0, a.NumRows}, ColOffsets: []int32{0, b.NumCols}, InnerOffsets: []int32{0, a.NumCols},
+			A: [][]*pbspgemm.CSR{{a}}, B: [][]*pbspgemm.CSR{{b}},
+			Blocks: []pbspgemm.BlockPlan{{A: a, B: b, Plan: &pbspgemm.Plan{Flops: pbspgemm.Flops(a, b)}}},
 		}, nil
 	}
-	g := pbspgemm.Grid{Rows: 1, Cols: 1, Inner: 1}
+	root, err := c.cfg.Local.Plan(ctx, a, b, c.cfg.Options...)
+	if err != nil {
+		return nil, err
+	}
+	g := c.grid(root.PredictedFootprintBytes, a, b)
 	for {
-		gp, err := c.cfg.Local.PlanBlocks(ctx, a, b, g, c.cfg.Options...)
-		if err != nil {
-			return nil, err
+		gp, err := c.planBlocks(root, a, b, g, c.cfg.Options...)
+		if err != nil || gp.MaxFootprintBytes <= c.cfg.MaxBlockBytes {
+			return gp, err
 		}
-		if c.cfg.MaxBlockBytes <= 0 || gp.MaxFootprintBytes <= c.cfg.MaxBlockBytes {
-			return gp, nil
-		}
-		ng, ok := c.grow(gp.Grid, a, b)
-		if !ok {
+		ng := c.grid(int64(g.Blocks())*gp.MaxFootprintBytes, a, b)
+		if ng == g {
 			return gp, nil
 		}
 		g = ng
 	}
 }
 
-// grow doubles the grid dimension currently covering the largest extent per
-// band, bounded by MaxGridDim and the matrix extents; ok=false when no
-// dimension can grow further.
-func (c *Coordinator) grow(g pbspgemm.Grid, a, b *pbspgemm.CSR) (pbspgemm.Grid, bool) {
-	type dim struct {
-		parts  *int
-		extent int32
+// grid counts the blocks that bytes, plus an eighth for the imbalance flop-cut
+// row bands leave, make at MaxBlockBytes apiece, and spends them on A's rows
+// first — a row band is a view, walks only its own rows and needs no reduce —
+// then on B's columns, and on the inner dimension only when both are at
+// MaxGridDim or their extent.
+func (c *Coordinator) grid(bytes int64, a, b *pbspgemm.CSR) pbspgemm.Grid {
+	n := max(1, (bytes+bytes/8+c.cfg.MaxBlockBytes-1)/c.cfg.MaxBlockBytes)
+	dim := func(extent int32) int {
+		d := min(n, int64(c.cfg.MaxGridDim), int64(max(extent, 1)))
+		n = (n + d - 1) / d
+		return int(d)
 	}
-	dims := []dim{
-		{&g.Rows, a.NumRows},
-		{&g.Cols, b.NumCols},
-		{&g.Inner, a.NumCols},
+	return pbspgemm.Grid{Rows: dim(a.NumRows), Cols: dim(b.NumCols), Inner: dim(a.NumCols)} // calls run left to right
+}
+
+// forgetter is implemented by backends that remember the matrices they were
+// sent (a PeerClient's upload ids).
+type forgetter interface{ Forget(ms []*pbspgemm.CSR) }
+
+// forget has such backends drop the blocks this product cut; an input handed
+// over whole stays known: it is what the next product repeats.
+func (c *Coordinator) forget(gp *pbspgemm.GridPlan, a, b *pbspgemm.CSR) {
+	var cut []*pbspgemm.CSR
+	for _, blk := range gp.Blocks {
+		cut = append(cut, blk.A, blk.B)
 	}
-	best := -1
-	var bestBand int64 = -1
-	for i, d := range dims {
-		if *d.parts >= c.cfg.MaxGridDim || int32(*d.parts) >= d.extent {
-			continue
+	cut = slices.DeleteFunc(cut, func(m *pbspgemm.CSR) bool { return m == a || m == b })
+	for _, be := range c.backends {
+		if f, ok := be.(forgetter); ok {
+			f.Forget(cut)
 		}
-		band := int64(d.extent) / int64(*d.parts)
-		if band > bestBand {
-			best, bestBand = i, band
-		}
 	}
-	if best < 0 {
-		return g, false
-	}
-	*dims[best].parts *= 2
-	if *dims[best].parts > c.cfg.MaxGridDim {
-		*dims[best].parts = c.cfg.MaxGridDim
-	}
-	return g, true
 }
 
 // runBlock walks one block down the failure ladder: pick a live backend,
@@ -565,42 +576,43 @@ func (c *Coordinator) reduce(gp *pbspgemm.GridPlan, partials []*pbspgemm.CSR) ([
 }
 
 // assemble stitches the grid of C(i,j) blocks into the full canonical CSR.
-// Column blocks are ascending index ranges, so concatenating each local
+// Without a column split each row band's arrays are copied whole; with one,
+// column blocks are ascending index ranges, so concatenating each local
 // row's segments left to right lands sorted.
 func assemble(gp *pbspgemm.GridPlan, cblocks [][]*pbspgemm.CSR) *pbspgemm.CSR {
 	g := gp.Grid
 	if g.Rows == 1 && g.Cols == 1 {
 		return cblocks[0][0]
 	}
-	rows := gp.RowOffsets[g.Rows]
-	cols := gp.ColOffsets[g.Cols]
 	var nnz int64
-	for i := 0; i < g.Rows; i++ {
-		for j := 0; j < g.Cols; j++ {
-			nnz += cblocks[i][j].NNZ()
+	for i := range cblocks {
+		for _, blk := range cblocks[i] {
+			nnz += blk.NNZ()
 		}
 	}
-	out := &pbspgemm.CSR{
-		NumRows: rows, NumCols: cols,
-		RowPtr: make([]int64, rows+1),
-		ColIdx: make([]int32, nnz),
-		Val:    make([]float64, nnz),
-	}
+	out := matrix.NewCSR(gp.RowOffsets[g.Rows], gp.ColOffsets[g.Cols], nnz)
 	var p int64
-	for i := 0; i < g.Rows; i++ {
-		bandRows := gp.RowOffsets[i+1] - gp.RowOffsets[i]
-		for lr := int32(0); lr < bandRows; lr++ {
-			r := gp.RowOffsets[i] + lr
-			for j := 0; j < g.Cols; j++ {
-				blk := cblocks[i][j]
-				off := gp.ColOffsets[j]
-				for q := blk.RowPtr[lr]; q < blk.RowPtr[lr+1]; q++ {
-					out.ColIdx[p] = blk.ColIdx[q] + off
-					out.Val[p] = blk.Val[q]
-					p++
-				}
+	for i := range cblocks {
+		r0 := gp.RowOffsets[i]
+		if g.Cols == 1 {
+			blk := cblocks[i][0]
+			for lr, q := range blk.RowPtr {
+				out.RowPtr[int(r0)+lr] = p + q
 			}
-			out.RowPtr[r+1] = p
+			copy(out.ColIdx[p:], blk.ColIdx)
+			copy(out.Val[p:], blk.Val)
+			p += blk.NNZ()
+			continue
+		}
+		for lr := int32(0); lr < gp.RowOffsets[i+1]-r0; lr++ {
+			for j, blk := range cblocks[i] {
+				lo, hi := blk.RowPtr[lr], blk.RowPtr[lr+1]
+				for q, col := range blk.ColIdx[lo:hi] {
+					out.ColIdx[p+int64(q)] = col + gp.ColOffsets[j]
+				}
+				p += int64(copy(out.Val[p:], blk.Val[lo:hi]))
+			}
+			out.RowPtr[r0+lr+1] = p
 		}
 	}
 	return out

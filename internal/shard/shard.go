@@ -1,8 +1,15 @@
-// Package shard is the multi-node unit of scale-out for pbspgemm: a 2D
-// block partitioner plus a resilient coordinator that fans C(i,j) =
+// Package shard is the multi-node unit of scale-out for pbspgemm: a block
+// partitioner plus a resilient coordinator that fans C(i,j) =
 // Σ_k A(i,k)·B(k,j) block multiplies out over a set of Backends (an
-// in-process Engine pool, remote pbspgemmd peers) and reduces the partial
-// products with the existing EWiseAdd.
+// in-process Engine pool, remote pbspgemmd peers) and stitches the results.
+//
+// The grid is cut once, the way PB-SpGEMM bins C: by row range, so that every
+// block folds alone. One plan of the whole product gives the block count; the
+// blocks go to A's rows first (a row band is a view of A and needs no
+// reduce), then to B's columns, and to the inner dimension — whose partial
+// products need an EWiseAdd reduce that regroups float sums — only when both
+// are at Config.MaxGridDim or their extent. Peers deduplicate uploads by
+// content, so a B left whole travels once per peer whatever the grid.
 //
 // Robustness is the headline, not an afterthought. Failures across process
 // boundaries are the common case, so every block walks a failure ladder
@@ -23,10 +30,10 @@
 // The fallback is bit-identical by construction: every backend runs the
 // same deterministic PB kernel (pinned algorithm, bit-identical across
 // thread counts and memory budgets), so re-executing a block locally —
-// or on a hedge — can never change the bytes of C. The grid is chosen from
-// Engine.PlanBlocks' per-block PredictedFootprintBytes, so every block
-// passes the target node's admission control instead of bouncing off it
-// with 429s.
+// or on a hedge — can never change the bytes of C. Each block's Plan comes
+// from the cut's own counts (Engine.PlanBlocksFrom), and one predicted over
+// MaxBlockBytes grows the grid before anything is dispatched, so blocks pass
+// the target node's admission control instead of bouncing off it with 429s.
 package shard
 
 import (
@@ -48,12 +55,16 @@ type Config struct {
 	// in-process pool over Local (NewEnginePool).
 	Backends []Backend
 
-	// MaxBlockBytes is the per-block predicted-footprint target: the grid
-	// grows until every block's PredictedFootprintBytes fits under it (so
-	// blocks pass the target's admission control), bounded by MaxGridDim.
-	// <= 0 disables splitting: the whole product is one 1×1×1 block.
+	// MaxBlockBytes is the per-block predicted-footprint ceiling (so blocks
+	// pass the target's admission control): the whole product's predicted
+	// footprint plus an eighth, over MaxBlockBytes, is the block count; the
+	// grid grows past it only while a block's own Plan still predicts more,
+	// bounded by MaxGridDim. <= 0 disables splitting: the product is one
+	// 1×1×1 block on the inputs themselves, unplanned.
 	MaxBlockBytes int64
-	// MaxGridDim bounds each grid dimension. Default 16.
+	// MaxGridDim bounds each grid dimension; blocks go to rows, then columns,
+	// then inner, each once the one before is at MaxGridDim or its extent.
+	// Default 16.
 	MaxGridDim int
 
 	// BlockTimeout is the per-block attempt deadline (primary + hedge

@@ -102,23 +102,33 @@ type permanentError struct{ msg string }
 func (e *permanentError) Error() string   { return e.msg }
 func (e *permanentError) Retryable() bool { return false }
 
+// TestShardedBitIdenticalAcrossGrids: integer-valued products are the direct
+// PB product's bytes on every grid, and real-valued ones whenever the inner
+// dimension is whole — only the k-reduce of an inner split regroups float sums.
 func TestShardedBitIdenticalAcrossGrids(t *testing.T) {
 	eng := newEngine(t)
-	a := intER(200, 6, 1)
-	b := intER(200, 6, 2)
-	ref, err := eng.Multiply(context.Background(), a, b, pbspgemm.WithAlgorithm(pbspgemm.PB))
-	if err != nil {
-		t.Fatalf("reference multiply: %v", err)
+	direct := func(a, b *pbspgemm.CSR) *pbspgemm.CSR {
+		ref, err := eng.Multiply(context.Background(), a, b, pbspgemm.WithAlgorithm(pbspgemm.PB))
+		if err != nil {
+			t.Fatalf("reference multiply: %v", err)
+		}
+		return ref.C
 	}
+	a, b := intER(200, 6, 1), intER(200, 6, 2)
+	ra, rb := pbspgemm.NewER(200, 6, 1), pbspgemm.NewER(200, 6, 2)
+	ref, realRef := direct(a, b), direct(ra, rb)
 
 	for _, tc := range []struct {
 		name          string
 		maxBlockBytes int64
 		maxGridDim    int
+		inner         int
 	}{
-		{"1x1x1 fast path", 0, 0},
-		{"split grid small blocks", 1, 2},
-		{"split grid medium blocks", 64 << 10, 4},
+		{"1x1x1 fast path", 0, 0, 1},
+		{"split grid small blocks", 1, 2, 2},
+		{"split grid medium blocks", 64 << 10, 4, 1},
+		{"row bands", 16 << 10, 0, 1},
+		{"rows and columns", 16 << 10, 4, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c, err := New(Config{
@@ -137,7 +147,16 @@ func TestShardedBitIdenticalAcrossGrids(t *testing.T) {
 			if tc.maxBlockBytes > 0 && res.Grid.Blocks() == 1 {
 				t.Fatalf("grid did not split: %v", res.Grid)
 			}
-			sameCSR(t, ref.C, res.C)
+			if res.Grid.Inner != tc.inner {
+				t.Fatalf("grid %v, want inner %d", res.Grid, tc.inner)
+			}
+			sameCSR(t, ref, res.C)
+			if res, err = c.Multiply(context.Background(), ra, rb); err != nil {
+				t.Fatalf("sharded multiply, real values: %v", err)
+			}
+			if res.Grid.Inner == 1 {
+				sameCSR(t, realRef, res.C)
+			}
 		})
 	}
 }
@@ -541,29 +560,5 @@ func TestHedgeDelayTracksP99(t *testing.T) {
 	c.cfg.HedgeDelay = -1
 	if got := c.hedgeDelay(); got >= 0 {
 		t.Fatalf("hedge delay with negative config = %v, want < 0", got)
-	}
-}
-
-func TestGrowPrefersLargestExtent(t *testing.T) {
-	eng := newEngine(t)
-	c, err := New(Config{Local: eng, MaxGridDim: 4})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	a := &pbspgemm.CSR{NumRows: 1000, NumCols: 10, RowPtr: make([]int64, 1001)}
-	b := &pbspgemm.CSR{NumRows: 10, NumCols: 10, RowPtr: make([]int64, 11)}
-	g := pbspgemm.Grid{Rows: 1, Cols: 1, Inner: 1}
-	g, ok := c.grow(g, a, b)
-	if !ok || g.Rows != 2 || g.Cols != 1 || g.Inner != 1 {
-		t.Fatalf("grow = %v ok=%v, want rows split first (largest extent)", g, ok)
-	}
-	// Saturate rows; growth must move to another dimension or stop.
-	g = pbspgemm.Grid{Rows: 4, Cols: 1, Inner: 1}
-	g, ok = c.grow(g, a, b)
-	if !ok {
-		t.Fatal("grow should still split cols/inner")
-	}
-	if g.Rows != 4 {
-		t.Fatalf("rows grew past MaxGridDim: %v", g)
 	}
 }

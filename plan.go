@@ -4,7 +4,9 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"math"
 
+	"pbspgemm/internal/baseline"
 	"pbspgemm/internal/core"
 	"pbspgemm/internal/kernel"
 	"pbspgemm/internal/matrix"
@@ -63,11 +65,11 @@ type Plan struct {
 	// shed or queue load ahead of OOM. The model: the chosen family's working
 	// set (PB expands Flops tuples at OuterLayout.TupleBytes() each, capped
 	// by WithMemoryBudget since budgeted runs tile panels to fit; column
-	// kernels accumulate roughly the output once more) plus twice the
-	// predicted output CSR (the kernel's copy and the caller-owned clone the
-	// Engine detaches from the pooled workspace). Inputs are not counted —
-	// they are already resident. An estimate, not a bound: it inherits
-	// EstNNZC's sampling error and rounds workspace overheads away.
+	// kernels accumulate roughly the output once more) plus the predicted
+	// output CSR, once: the kernel assembles it into memory the caller then
+	// owns. Inputs are not counted — they are already resident. An estimate,
+	// not a bound: it inherits EstNNZC's sampling error and rounds workspace
+	// overheads away.
 	PredictedFootprintBytes int64
 }
 
@@ -77,19 +79,26 @@ type Plan struct {
 // multiplication itself.
 const plannerSampleFlops = 256 << 10
 
-// plan runs the Auto planner: symbolic flop pass, nnz(C) estimate, predicted
-// time per kernel, pick the faster. scratch pools the estimator's marker (the
-// caller passes the checked-out workspace's slot, keeping steady-state planned
-// calls allocation-free).
+// plan runs the Auto planner: symbolic flop pass, nnz(C) estimate, then model.
+// scratch pools the estimator's marker (the caller passes the checked-out
+// workspace's slot, keeping steady-state planned calls allocation-free).
 func (e *Engine) plan(cfg *config, a, b *CSR, scratch *[]int32) *Plan {
-	p := &Plan{Chosen: PB, NNZA: a.NNZ(), NNZB: b.NNZ(), OuterLayout: core.LayoutWide}
-	p.Flops = flopsNoAlloc(a, b)
+	p := &Plan{NNZA: a.NNZ(), NNZB: b.NNZ(), Flops: flopsNoAlloc(a, b)}
+	p.EstNNZC, p.Sampled = matrix.EstimateProductNNZ(a, b, p.Flops, plannerSampleFlops, scratch)
+	p.model(cfg, a.NumRows, b.NumCols, false)
+	return p
+}
+
+// model fills in what the planner derives from p's counts (Flops, EstNNZC,
+// NNZA, NNZB) for a rows×cols product: tuple layout, predicted time per
+// kernel, the faster one as Chosen (PB when pinned) and the footprint.
+func (p *Plan) model(cfg *config, rows, cols int32, pinPB bool) {
+	p.Chosen, p.OuterLayout = PB, core.LayoutWide
 	if p.Flops == 0 {
 		// Empty product: nothing to move, any kernel finishes immediately.
-		p.PredictedFootprintBytes = p.footprint(int64(a.NumRows), cfg.budget)
-		return p
+		p.PredictedFootprintBytes = p.footprint(int64(rows), cfg.budget)
+		return
 	}
-	p.EstNNZC, p.Sampled = matrix.EstimateProductNNZ(a, b, p.Flops, plannerSampleFlops, scratch)
 	p.CF = float64(p.Flops) / float64(p.EstNNZC)
 	if p.BetaGBs = cfg.beta; p.BetaGBs == 0 {
 		p.BetaGBs = roofline.CalibrateBeta(cfg.threads)
@@ -98,7 +107,7 @@ func (e *Engine) plan(cfg *config, a, b *CSR, scratch *[]int32) *Plan {
 		caps := k.Capabilities()
 		p.FusedOuter = caps.FusedCompress
 		if caps.SqueezedTuples {
-			p.OuterLayout = core.PlanLayout(a.NumRows, b.NumCols, p.Flops, core.Options{
+			p.OuterLayout = core.PlanLayout(rows, cols, p.Flops, core.Options{
 				NBins: cfg.nbins, L2CacheBytes: cfg.l2Cache, Threads: cfg.threads, MemoryBudgetBytes: cfg.budget})
 			p.SqueezedOuter = p.OuterLayout == core.LayoutSqueezed
 		}
@@ -110,16 +119,15 @@ func (e *Engine) plan(cfg *config, a, b *CSR, scratch *[]int32) *Plan {
 		p.AIOuter = roofline.AIOuterExact(p.NNZA, p.NNZB, p.Flops, p.EstNNZC, p.OuterTupleBytes)
 	}
 	p.AIColumn = roofline.AIColumnExact(p.NNZB, p.Flops, p.EstNNZC, roofline.DefaultBytesPerNonzero)
-	shape := roofline.Product{Rows: a.NumRows, Cols: b.NumCols, NNZA: p.NNZA, NNZB: p.NNZB,
+	shape := roofline.Product{Rows: rows, Cols: cols, NNZA: p.NNZA, NNZB: p.NNZB,
 		Flops: p.Flops, NNZC: p.EstNNZC, L2CacheBytes: int64(cmp.Or(cfg.l2Cache, core.DefaultL2CacheBytes))}
 	p.PredictedOuterGFLOPS = float64(p.Flops) / shape.PredictPB(p.BetaGBs)
 	p.PredictedColumnGFLOPS = float64(p.Flops) / shape.PredictSPA(p.BetaGBs)
 	// A memory budget is met by tiling, which only PB does.
-	if p.PredictedColumnGFLOPS > p.PredictedOuterGFLOPS && cfg.budget == 0 {
+	if p.PredictedColumnGFLOPS > p.PredictedOuterGFLOPS && cfg.budget == 0 && !pinPB {
 		p.Chosen = SPA
 	}
-	p.PredictedFootprintBytes = p.footprint(int64(a.NumRows), cfg.budget)
-	return p
+	p.PredictedFootprintBytes = p.footprint(int64(rows), cfg.budget)
 }
 
 // footprint implements the PredictedFootprintBytes model for the chosen
@@ -138,7 +146,7 @@ func (p *Plan) footprint(rows, budget int64) int64 {
 		// accumulators hold on the order of the output once more.
 		work = p.EstNNZC * matrix.BytesPerTuple
 	}
-	return work + 2*out
+	return work + out
 }
 
 // maskedRowsPlan plans a product under a plain mask, which runs the row kernel:
@@ -170,11 +178,12 @@ func (g Grid) String() string {
 	return fmt.Sprintf("%dx%dx%d", g.Rows, g.Cols, g.Inner)
 }
 
-// BlockPlan is one block multiply A(i,k)·B(k,j) of a GridPlan, with the
-// planner's full pre-execution analysis for that block. Its
-// Plan.PredictedFootprintBytes is exactly what a target node's admission
-// control will see for this block, so a partitioner can grow the grid until
-// every block is admissible everywhere.
+// BlockPlan is one block multiply A(i,k)·B(k,j) of a GridPlan. Plan comes from
+// the cut's counts, not from a pass over the block: Flops is exact, EstNNZC is
+// the whole product's estimate apportioned by flop share (capped by Flops and
+// the block's cells), the kernel is pinned to PB, which every shard backend
+// runs. Its PredictedFootprintBytes is approximately what a target node's
+// admission control will see for this block.
 type BlockPlan struct {
 	I, J, K int
 	// A, B alias GridPlan.A[I][K] and GridPlan.B[K][J].
@@ -182,15 +191,17 @@ type BlockPlan struct {
 	Plan *Plan
 }
 
-// GridPlan is the result of Engine.PlanBlocks: the extracted input blocks,
-// the boundary offsets that place each block back into the full product, and
-// a per-block Plan. Blocks are read-only (a 1×1×1 grid aliases the inputs
-// themselves).
+// GridPlan is the result of Engine.PlanBlocksFrom: the input blocks, the
+// boundary offsets that place each block back into the full product, and a
+// per-block Plan. Blocks are read-only and alias the inputs: a row band is a
+// view (ColIdx and Val are sub-slices of the matrix it was cut from), only a
+// column split copies, and a dimension left whole hands over the input itself.
 type GridPlan struct {
 	Grid Grid
 	// RowOffsets (len Rows+1), ColOffsets (len Cols+1) and InnerOffsets
 	// (len Inner+1) are the split boundaries over A's rows, B's columns and
-	// the inner dimension.
+	// the inner dimension: row bands of near-equal flops, the others of
+	// near-equal width.
 	RowOffsets, ColOffsets, InnerOffsets []int32
 	// A[i][k] is rows [RowOffsets[i],RowOffsets[i+1]) × inner band k of A;
 	// B[k][j] is inner band k × cols [ColOffsets[j],ColOffsets[j+1]) of B.
@@ -205,16 +216,28 @@ type GridPlan struct {
 	MaxFootprintBytes int64
 }
 
-// PlanBlocks partitions C = A·B on grid g and plans every block multiply
-// without running any of them: inputs are cut with block-local indices, and
-// each (i,j,k) block gets the same pre-execution analysis Engine.Plan gives
-// a full product (symbolic flops, nnz estimate, predicted footprint). Grid
-// dimensions are clamped to the matrix extents, so degenerate grids never
-// produce empty bands. Serving-layer coordinators use the per-block
-// PredictedFootprintBytes to choose a grid whose blocks all pass admission
-// control on whatever node executes them.
+// PlanBlocks is PlanBlocksFrom on a fresh Engine.Plan of the whole product.
 func (e *Engine) PlanBlocks(ctx context.Context, a, b *CSR, g Grid, opts ...Option) (*GridPlan, error) {
-	if _, err := resolve(e.defaults, opts); err != nil {
+	root, err := e.Plan(ctx, a, b, opts...)
+	if err != nil {
+		return nil, err
+	}
+	return e.PlanBlocksFrom(root, a, b, g, opts...)
+}
+
+// PlanBlocksFrom partitions C = A·B on grid g and plans every block multiply
+// without running or passing over any of them: root, the caller's Engine.Plan
+// of this product under the same options, supplies the nnz(C) estimate; each
+// matrix is cut once (column bands in one forward pass, row bands as views of
+// those) and each block's Plan follows from the cut's counts — see BlockPlan.
+// Grid dimensions are clamped to the matrix extents and a row too heavy to
+// balance merges bands, so gp.Grid may be smaller than g and no band is
+// empty. Coordinators size a grid by gp.MaxFootprintBytes so that every block
+// passes admission control wherever it runs, and cut again from the same root
+// when it does not.
+func (e *Engine) PlanBlocksFrom(root *Plan, a, b *CSR, g Grid, opts ...Option) (*GridPlan, error) {
+	cfg, err := resolve(e.defaults, opts)
+	if err != nil {
 		return nil, err
 	}
 	if a.NumCols != b.NumRows {
@@ -224,52 +247,61 @@ func (e *Engine) PlanBlocks(ctx context.Context, a, b *CSR, g Grid, opts ...Opti
 		return nil, &OptionError{Option: "PlanBlocks(Grid)", Value: int64(g.Rows * g.Cols * g.Inner)}
 	}
 	gp := &GridPlan{
-		RowOffsets:   matrix.SplitPoints(a.NumRows, g.Rows),
+		RowOffsets:   rowBands(a, b, root.Flops, g.Rows),
 		ColOffsets:   matrix.SplitPoints(b.NumCols, g.Cols),
 		InnerOffsets: matrix.SplitPoints(a.NumCols, g.Inner),
 	}
-	// SplitPoints clamps oversized part counts; record the effective grid.
-	gp.Grid = Grid{
-		Rows:  len(gp.RowOffsets) - 1,
-		Cols:  len(gp.ColOffsets) - 1,
-		Inner: len(gp.InnerOffsets) - 1,
-	}
-	gp.A = make([][]*CSR, gp.Grid.Rows)
-	for i := range gp.A {
-		gp.A[i] = make([]*CSR, gp.Grid.Inner)
-		for k := range gp.A[i] {
-			gp.A[i][k] = matrix.Block(a,
-				gp.RowOffsets[i], gp.RowOffsets[i+1],
-				gp.InnerOffsets[k], gp.InnerOffsets[k+1])
-		}
-	}
-	gp.B = make([][]*CSR, gp.Grid.Inner)
-	for k := range gp.B {
-		gp.B[k] = make([]*CSR, gp.Grid.Cols)
-		for j := range gp.B[k] {
-			gp.B[k][j] = matrix.Block(b,
-				gp.InnerOffsets[k], gp.InnerOffsets[k+1],
-				gp.ColOffsets[j], gp.ColOffsets[j+1])
-		}
-	}
+	gp.Grid = Grid{Rows: len(gp.RowOffsets) - 1, Cols: len(gp.ColOffsets) - 1, Inner: len(gp.InnerOffsets) - 1}
+	gp.A = cutGrid(matrix.ColBands(a, gp.InnerOffsets), gp.RowOffsets)
+	gp.B = cutGrid(matrix.ColBands(b, gp.ColOffsets), gp.InnerOffsets)
 	gp.Blocks = make([]BlockPlan, 0, gp.Grid.Blocks())
 	for i := 0; i < gp.Grid.Rows; i++ {
 		for j := 0; j < gp.Grid.Cols; j++ {
 			for k := 0; k < gp.Grid.Inner; k++ {
-				plan, err := e.Plan(ctx, gp.A[i][k], gp.B[k][j], opts...)
-				if err != nil {
-					return nil, err
+				ba, bb := gp.A[i][k], gp.B[k][j]
+				p := &Plan{NNZA: ba.NNZ(), NNZB: bb.NNZ(), Flops: flopsNoAlloc(ba, bb), Sampled: root.Sampled}
+				if p.Flops > 0 {
+					share := float64(root.EstNNZC) * float64(p.Flops) / float64(root.Flops)
+					p.EstNNZC = min(int64(math.Ceil(share)), p.Flops, int64(ba.NumRows)*int64(bb.NumCols))
 				}
-				if plan.PredictedFootprintBytes > gp.MaxFootprintBytes {
-					gp.MaxFootprintBytes = plan.PredictedFootprintBytes
-				}
-				gp.Blocks = append(gp.Blocks, BlockPlan{
-					I: i, J: j, K: k, A: gp.A[i][k], B: gp.B[k][j], Plan: plan,
-				})
+				p.model(&cfg, ba.NumRows, bb.NumCols, true)
+				gp.MaxFootprintBytes = max(gp.MaxFootprintBytes, p.PredictedFootprintBytes)
+				gp.Blocks = append(gp.Blocks, BlockPlan{I: i, J: j, K: k, A: ba, B: bb, Plan: p})
 			}
 		}
 	}
 	return gp, nil
+}
+
+// rowBands cuts A's rows into at most parts bands of near-equal flops (of
+// equal row counts when there are none): a power-law A would otherwise leave
+// one band holding the product.
+func rowBands(a, b *CSR, flops int64, parts int) []int32 {
+	if flops == 0 || parts == 1 {
+		return matrix.SplitPoints(a.NumRows, parts)
+	}
+	w := make([]int64, a.NumRows)
+	baseline.RowFlopsRange(a, b, w, 0, len(w))
+	off := make([]int32, 1, parts+1)
+	for _, x := range par.BalancedBoundaries(w, parts)[1:] {
+		if int32(x) > off[len(off)-1] {
+			off = append(off, int32(x))
+		}
+	}
+	return off
+}
+
+// cutGrid returns the row bands off of every column band, as views indexed
+// [row band][column band].
+func cutGrid(colBands []*CSR, off []int32) [][]*CSR {
+	out := make([][]*CSR, len(off)-1)
+	for r := range out {
+		out[r] = make([]*CSR, len(colBands))
+		for c, band := range colBands {
+			out[r][c] = matrix.RowBand(band, off[r], off[r+1])
+		}
+	}
+	return out
 }
 
 // Plan runs the Auto planner's pre-execution analysis — symbolic flop pass,
