@@ -306,7 +306,7 @@ func BenchmarkAblationNoBlocking(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationNoLocalBins compares the default 512-byte local bins with
+// BenchmarkAblationNoLocalBins compares the paper's 512-byte local bins with
 // one-tuple local bins (every tuple goes straight to its global bin through
 // an atomic reservation — the cache-line-wasting behaviour Fig. 5 fixes).
 func BenchmarkAblationNoLocalBins(b *testing.B) {

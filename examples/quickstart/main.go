@@ -26,7 +26,7 @@ func main() {
 	}
 	ctx := context.Background()
 
-	// PB-SpGEMM with the paper's defaults (auto bins, 512-byte local bins).
+	// PB-SpGEMM with the engine's defaults (auto bins, 1 KiB local bins).
 	res, err := eng.Multiply(ctx, a, b)
 	if err != nil {
 		log.Fatal(err)

@@ -45,8 +45,8 @@ import (
 // runs lie in panel order, so the same argument makes the second fold the
 // per-panel sums added in panel order, whichever kernel a bin gets.
 //
-// The phase is scheduled with work stealing (par.WorkSteal): a worker that
-// meets an oversized bin too sparse for the dense fold runs one stable
+// The phase is scheduled with work stealing (par.WorkStealPolicy): a worker
+// that meets an oversized bin too sparse for the dense fold runs one stable
 // top-digit partition pass and hands the buckets to the other workers, which
 // sort them (SortFold or SortPairs, fold off) on the remaining bits. A bucket
 // boundary may cut through a row, so buckets do not fold; the worker finishing

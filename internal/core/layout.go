@@ -181,16 +181,6 @@ func (e *engine) binRows(rowCounts []int64, bin int) []int64 {
 	return rowCounts[int64(bin)<<e.rowShift+1:]
 }
 
-// tallyKeys adds the per-row counts of folded key32 tuples into rows.
-func tallyKeys(keys []uint32, rows []int64, colBits uint) {
-	if rows == nil {
-		return
-	}
-	for _, k := range keys {
-		rows[k>>colBits]++
-	}
-}
-
 // MultiplyPattern computes the structural (pattern-only) product of A and B:
 // the returned CSR has the exact support of A·B and a nil Val array. Tuples
 // are bare 4-byte keys — a quarter of the wide layout's traffic in the
@@ -732,7 +722,7 @@ func (l *kv[V]) compressBin(e *engine, bin int, rowCounts []int64) int64 {
 		keys[p2] = keys[p1]
 		vals[p2] = vals[p1]
 	}
-	tallyKeys(keys[:p2+1], e.binRows(rowCounts, bin), e.colBits)
+	radix.Tally(keys[:p2+1], e.binRows(rowCounts, bin), e.colBits)
 	return int64(p2 + 1)
 }
 
@@ -891,7 +881,7 @@ func (patternOps) compressBin(e *engine, bin int, rowCounts []int64) int64 {
 		p2++
 		keys[p2] = keys[p1]
 	}
-	tallyKeys(keys[:p2+1], e.binRows(rowCounts, bin), e.colBits)
+	radix.Tally(keys[:p2+1], e.binRows(rowCounts, bin), e.colBits)
 	return int64(p2 + 1)
 }
 

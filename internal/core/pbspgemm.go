@@ -11,7 +11,7 @@
 //  2. Expand: each thread walks a flop-balanced contiguous range of columns
 //     of A, forms outer products A(:,i)·B(i,:), and propagation-blocks the
 //     resulting (rowid, colid, value) tuples: tuples are appended to small
-//     thread-private local bins (default 512 B, Fig. 5) that are flushed to
+//     thread-private local bins (default 1 KiB, Fig. 5) that are flushed to
 //     their global bin with a bulk copy when full. Local bins hold a multiple
 //     of 16 tuples and each worker's first flush into a bin lands its cursor
 //     on a 16-tuple boundary (flushSpan), so every later flush moves whole
@@ -52,9 +52,12 @@ import (
 	"pbspgemm/internal/simd"
 )
 
-// DefaultLocalBinBytes is the paper's default local-bin width: 512 bytes =
-// 32 tuples of 16 bytes (Section V-A, Fig. 6a).
-const DefaultLocalBinBytes = 512
+// DefaultLocalBinBytes is measured, not the paper's 512 (Section V-A): 1 KiB
+// expands in 0.86 / 0.90 / 0.98 / 0.94 of 512 B's time on the squeezed / wide /
+// narrow / pattern layouts (`experiments fig6a`, ER 2^16·d4, one thread, widths
+// taking turns), ER 2^16·d8 squeezed in 30.4 ms for 35.3 and R-MAT 2^13·d16 in
+// 54.3 for 74.8 (pattern 20.6 for 28.1). 2 KiB reads 0.95–1.00 of 1 KiB, no gain on wide.
+const DefaultLocalBinBytes = 1024
 
 // DefaultL2CacheBytes is the sort-phase cache budget per bin. The paper uses
 // the L2 size of the evaluation machines (1 MiB on Skylake, 512 KiB/2 cores
@@ -152,11 +155,11 @@ type Options struct {
 	// L2CacheBytes as the symbolic phase does (Algorithm 3 line 6).
 	NBins int
 	// LocalBinBytes is the requested width of each thread-private local bin;
-	// 0 means DefaultLocalBinBytes (512). The capacity actually used is the
+	// 0 means DefaultLocalBinBytes (1024). The capacity actually used is the
 	// request in tuples of the run's layout rounded down to a multiple of 16
 	// tuples, and never below 16 (LocalBinTuples): flushes then move whole
-	// cache lines. 512 B gives 32 wide or squeezed, 64 narrow and 128 pattern
-	// tuples; any request under one line of keys runs at 16.
+	// cache lines. 1024 B gives 64 wide, 80 squeezed, 128 narrow and 256
+	// pattern tuples; any request under one line of keys runs at 16.
 	LocalBinBytes int
 	// Threads is the worker count; 0 means GOMAXPROCS.
 	Threads int

@@ -87,8 +87,8 @@ type Workspace struct {
 	outRowPtr []int64
 	outColIdx []int32
 
-	// Pooled CSC conversion of A for the public API's CSR-in interface.
-	csc matrix.CSC
+	// Pooled CSC conversion of A for the CSR-in API, memoized (CSCOf).
+	csc matrix.CSCMemo
 
 	// stats is returned (by pointer) from Multiply when the workspace is
 	// shared, so steady-state calls do not allocate a Stats either.
@@ -158,6 +158,13 @@ func (ws *Workspace) DetachOutput(c *matrix.CSR) *matrix.CSR {
 	return &out
 }
 
-// CSCOf converts a into the workspace's pooled CSC storage. The result
-// aliases workspace memory and is invalidated by the next CSCOf call.
-func (ws *Workspace) CSCOf(a *matrix.CSR) *matrix.CSC { return a.ToCSCInto(&ws.csc) }
+// CSCOf converts a into the workspace's pooled CSC storage, or returns the
+// last conversion when a is bit for bit its source (matrix.CSCMemo); the result
+// is invalidated by the next call. A poisoned workspace is reset here, as the
+// run's own reset would otherwise clear the CSC this call hands it.
+func (ws *Workspace) CSCOf(a *matrix.CSR) *matrix.CSC {
+	if ws.poisoned {
+		ws.Reset()
+	}
+	return ws.csc.Of(a)
+}

@@ -1,6 +1,11 @@
 package matrix
 
-import "pbspgemm/internal/radix"
+import (
+	"bytes"
+	"unsafe"
+
+	"pbspgemm/internal/radix"
+)
 
 // ToCSR converts a COO matrix to canonical CSR (rows sorted, duplicates
 // summed). The input is not modified.
@@ -125,6 +130,63 @@ func (m *CSR) ToCSCInto(out *CSC) *CSC {
 	out.ColPtr[0] = 0
 	return out
 }
+
+// CSCMemo is ToCSCInto with a memory of its last conversion, for a caller that
+// hands the same A over call after call (an engine's pooled workspace). Of
+// skips the conversion only when A's dimensions and its RowPtr, ColIdx and Val
+// are bit for bit those of a snapshot taken when the memoized CSC was built: a
+// sequential compare, about a tenth of a conversion, and a miss costs that
+// compare on top of the conversion. Neither pointer identity nor a hash is
+// trusted — graph/ refills the same buffers with new values — so a hit is
+// equality. Identity only decides when to pay for the snapshot (a copy of A):
+// when the same backing arrays arrive twice in a row, which is what a caller
+// repeating its operand does; fresh matrices each call are never copied.
+type CSCMemo struct {
+	csc  CSC
+	snap CSR // what csc was converted from, while ok
+	ok   bool
+	// last is the previous arrival's backing arrays, as addresses only: a
+	// memo must not pin the caller's matrix, and a reused address merely
+	// takes one snapshot too many.
+	last [3]uintptr
+	hits int // conversions skipped; read by tests
+}
+
+// Of returns a in CSC: the memoized conversion when a equals the snapshot bit
+// for bit, else a fresh ToCSCInto into the memo's storage. The result is the
+// memo's and is invalidated by the next Of call.
+func (m *CSCMemo) Of(a *CSR) *CSC {
+	s := &m.snap
+	if m.ok && s.NumRows == a.NumRows && s.NumCols == a.NumCols &&
+		sameBits(s.RowPtr, a.RowPtr) && sameBits(s.ColIdx, a.ColIdx) && sameBits(s.Val, a.Val) {
+		m.hits++
+		return &m.csc
+	}
+	m.ok = false // before the conversion overwrites csc: a panic in it leaves no stale hit
+	a.ToCSCInto(&m.csc)
+	id := [3]uintptr{addr(a.RowPtr), addr(a.ColIdx), addr(a.Val)}
+	if id == m.last {
+		s.NumRows, s.NumCols = a.NumRows, a.NumCols
+		s.RowPtr = append(s.RowPtr[:0], a.RowPtr...)
+		s.ColIdx = append(s.ColIdx[:0], a.ColIdx...)
+		s.Val = append(s.Val[:0], a.Val...)
+		m.ok = true
+	}
+	m.last = id
+	return &m.csc
+}
+
+// sameBits reports whether x and y hold the same bytes: −0.0 is not +0.0 and a
+// NaN equals itself, so a hit never changes an output bit.
+func sameBits[T int32 | int64 | float64](x, y []T) bool {
+	return len(x) == len(y) && bytes.Equal(asBytes(x), asBytes(y))
+}
+
+func asBytes[T int32 | int64 | float64](x []T) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(x))), uintptr(len(x))*unsafe.Sizeof(*new(T)))
+}
+
+func addr[T any](x []T) uintptr { return uintptr(unsafe.Pointer(unsafe.SliceData(x))) }
 
 // ToCSR converts CSC to CSR (mirror of CSR.ToCSC).
 func (m *CSC) ToCSR() *CSR {

@@ -322,3 +322,56 @@ func TestEstimateProductNNZSampleIsBoundedByWork(t *testing.T) {
 		t.Fatalf("%d-row estimate %d (sampled %v), want exact", few.NumRows, est, sampled)
 	}
 }
+
+func sameCSC(x, y *CSC) bool {
+	return x.NumRows == y.NumRows && x.NumCols == y.NumCols &&
+		sameBits(x.ColPtr, y.ColPtr) && sameBits(x.RowIdx, y.RowIdx) && sameBits(x.Val, y.Val)
+}
+
+// TestCSCMemoExactMatch: the memo hits only on bit-equal content (a clone
+// hits, a −0.0 written over +0.0 in place misses), snapshots only a matrix
+// whose arrays arrived twice in a row, and every result is ToCSC's.
+func TestCSCMemoExactMatch(t *testing.T) {
+	var m CSCMemo
+	a := randomCOO(3, 60, 50, 500).ToCSR()
+	a.Val[7] = 0
+	of := func(what string, x *CSR, hits int) {
+		t.Helper()
+		if got := m.Of(x); !sameCSC(got, x.ToCSC()) {
+			t.Fatalf("%s: memo CSC differs from ToCSC", what)
+		}
+		if m.hits != hits {
+			t.Fatalf("%s: %d hits, want %d", what, m.hits, hits)
+		}
+	}
+	of("first arrival", a, 0)
+	if m.ok || cap(m.snap.Val) != 0 {
+		t.Fatal("snapshot taken on a first arrival")
+	}
+	of("same arrays again: snapshot", a, 0)
+	of("third call", a, 1)
+	of("equal-content clone", a.Clone(), 2)
+
+	a.Val[7] = math.Copysign(0, -1) // == +0.0, but not the same bits
+	of("Val mutated in place", a, 2)
+	of("after the re-snapshot", a, 3)
+	for q := range a.ColIdx { // the first entry that can move one column left and stay sorted
+		if a.ColIdx[q]--; a.Validate() == nil {
+			break
+		}
+		a.ColIdx[q]++
+	}
+	of("ColIdx mutated in place", a, 3)
+	a.NumCols++
+	of("reshaped", a, 3)
+
+	for i := uint64(0); i < 3; i++ {
+		m = CSCMemo{}
+		fresh := randomCOO(10+i, 60, 50, 500).ToCSR()
+		of("fresh matrix", fresh, 0)
+		of("fresh matrix of the same content", fresh.Clone(), 0)
+		if m.ok {
+			t.Fatal("snapshot taken though no arrays arrived twice")
+		}
+	}
+}

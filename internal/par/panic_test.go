@@ -109,7 +109,7 @@ func TestWorkStealPanicNoDeadlock(t *testing.T) {
 				for i := range seeds {
 					seeds[i] = i
 				}
-				WorkSteal(threads, seeds, func(worker, task int, spawn func(int)) {
+				WorkStealPolicy(threads, seeds, nil, func(worker, task int, spawn func(int)) {
 					if task == 7 {
 						panic("task 7")
 					}

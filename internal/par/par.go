@@ -267,21 +267,6 @@ func (d *wsDeque[T]) stealHead() (t T, ok bool) {
 	return t, ok
 }
 
-// WorkSteal runs a dynamically growing task set over a fixed pool of workers
-// with per-worker deques: fn may spawn follow-up tasks (a partitioned
-// oversized bin hands out its buckets), which land on the spawning worker's
-// own deque; idle workers steal from the others. Unlike ForEachDynamic's
-// shared counter, splitting work mid-task needs no second scheduling pass —
-// the sort phase uses this so one skewed bin's partition and bucket sorts
-// spread across workers instead of serializing its tail. The call returns
-// when every task, including every spawned one, has completed. fn must not
-// retain spawn beyond its own invocation. Task execution order is
-// unspecified; callers needing determinism must make tasks commutative
-// (disjoint output ranges, as bins are).
-func WorkSteal[T any](threads int, seeds []T, fn func(worker int, task T, spawn func(T))) {
-	WorkStealPolicy(threads, seeds, nil, fn)
-}
-
 // ParallelRun invokes fn(worker) on exactly threads workers and waits.
 // Workers coordinate through whatever state fn closes over. Worker panics
 // are captured and re-raised typed on the caller, like ForRanges.

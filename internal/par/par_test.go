@@ -198,7 +198,7 @@ func TestWorkStealRunsEveryTaskOnce(t *testing.T) {
 		}
 		nextID := atomic.Int64{}
 		nextID.Store(seedsN)
-		WorkSteal(threads, seeds, func(worker int, tk task, spawn func(task)) {
+		WorkStealPolicy(threads, seeds, nil, func(worker int, tk task, spawn func(task)) {
 			if _, dup := ran.LoadOrStore(tk.id, true); dup {
 				t.Errorf("threads=%d: task %d ran twice", threads, tk.id)
 			}
@@ -217,7 +217,7 @@ func TestWorkStealRunsEveryTaskOnce(t *testing.T) {
 
 // TestWorkStealEmpty: no seeds, no calls, no hang.
 func TestWorkStealEmpty(t *testing.T) {
-	WorkSteal(4, nil, func(int, int, func(int)) { t.Fatal("fn called with no seeds") })
+	WorkStealPolicy(4, nil, nil, func(int, int, func(int)) { t.Fatal("fn called with no seeds") })
 }
 
 // TestWorkStealDrainsSpawnsFromSlowWorker: one seed spawns many tasks; with
@@ -225,7 +225,7 @@ func TestWorkStealEmpty(t *testing.T) {
 // spawner's deque).
 func TestWorkStealDrainsSpawnsFromSlowWorker(t *testing.T) {
 	var count atomic.Int64
-	WorkSteal(4, []int{0}, func(worker, task int, spawn func(int)) {
+	WorkStealPolicy(4, []int{0}, nil, func(worker, task int, spawn func(int)) {
 		count.Add(1)
 		if task == 0 {
 			for i := 1; i <= 100; i++ {

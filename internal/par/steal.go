@@ -8,7 +8,7 @@ import (
 )
 
 // StealPolicy carries WorkStealPolicy's per-worker counters. A nil policy
-// (or nil counter slices) reproduces WorkSteal exactly: nothing is counted.
+// (or nil counter slices) counts nothing.
 type StealPolicy struct {
 	// Per-worker counters, written with plain stores (slot w is touched only
 	// by worker w) and valid after WorkStealPolicy returns. Owned counts
@@ -40,9 +40,18 @@ func (p *StealPolicy) Totals() (owned, stolen int64) {
 	return
 }
 
-// WorkStealPolicy is WorkSteal with ownership/steal counters. A nil policy is
-// identical to WorkSteal. See WorkSteal for the scheduling contract; victims
-// are tried round-robin from the thief's right-hand neighbour.
+// WorkStealPolicy runs a dynamically growing task set over a fixed pool of
+// workers with per-worker deques: fn may spawn follow-up tasks (a partitioned
+// oversized bin hands out its buckets), which land on the spawning worker's
+// own deque; idle workers steal from the others, victims tried round-robin
+// from the thief's right-hand neighbour. Unlike ForEachDynamic's shared
+// counter, splitting work mid-task needs no second scheduling pass — the sort
+// phase uses this so one skewed bin's partition and bucket sorts spread across
+// workers instead of serializing its tail. The call returns when every task,
+// including every spawned one, has completed; fn must not retain spawn beyond
+// its own invocation. Task order is unspecified: callers needing determinism
+// make tasks commutative (disjoint output ranges, as bins are). pol, if
+// non-nil, counts the tasks each worker owned and stole.
 func WorkStealPolicy[T any](threads int, seeds []T, pol *StealPolicy, fn func(worker int, task T, spawn func(T))) {
 	threads = DefaultThreads(threads)
 	if len(seeds) == 0 {

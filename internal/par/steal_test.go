@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// TestWorkStealPolicyNilMatchesWorkSteal: a nil policy must behave exactly
-// like WorkSteal (it is WorkSteal).
+// TestWorkStealPolicyNilMatchesWorkSteal: with a nil policy (the wrapper that
+// once carried the name WorkSteal) every seed and every spawned task runs once.
 func TestWorkStealPolicyNilMatchesWorkSteal(t *testing.T) {
 	var sum atomic.Int64
 	seeds := make([]int, 100)

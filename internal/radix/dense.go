@@ -54,7 +54,7 @@ func FoldDense[V Numeric](keys []uint32, vals, acc []V, occ []uint64, rows []int
 			out++
 		}
 	}
-	tally(keys[:out], rows, colBits)
+	Tally(keys[:out], rows, colBits)
 	return out
 }
 
@@ -78,6 +78,6 @@ func FoldDensePattern(keys []uint32, occ []uint64, rows []int64, colBits uint) i
 			out++
 		}
 	}
-	tally(keys[:out], rows, colBits)
+	Tally(keys[:out], rows, colBits)
 	return out
 }

@@ -457,6 +457,32 @@ func TestGrowUint32(t *testing.T) {
 	}
 }
 
+// BenchmarkSortFoldHypersparse times SortFold on er_lowcf's bin shape, in ns
+// per tuple: 64 Ki tuples of 26-bit keys (10 row bits over 16 column bits) in
+// runs of 8 that share a row — one A entry times one 8-long row of B — so
+// nothing folds and every tuple takes the LSD's full three passes.
+func BenchmarkSortFoldHypersparse(b *testing.B) {
+	const n, keyBits, colBits, run = 1 << 16, 26, 16, 8
+	r := rand.New(rand.NewSource(25))
+	keys, vals := make([]uint32, n), make([]float64, n)
+	for i := 0; i < n; i += run {
+		row := uint32(r.Intn(1<<(keyBits-colBits))) << colBits
+		for j := i; j < i+run; j++ {
+			keys[j], vals[j] = row|uint32(r.Intn(1<<colBits)), r.Float64()
+		}
+	}
+	k, v := make([]uint32, n), make([]float64, n)
+	w0, w1, tmp := make([]uint64, n), make([]uint64, n), make([]float64, n)
+	rows := make([]int64, 1<<(keyBits-colBits))
+	b.SetBytes(n * 12)
+	for i := 0; i < b.N; i++ {
+		copy(k, keys)
+		copy(v, vals)
+		SortFold(k, v, w0, w1, tmp, keyBits, true, rows, colBits)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/tuple")
+}
+
 // BenchmarkKernels times the kernels on one L2-sized bin of 64 Ki tuples: the
 // LSDs (key32 and wide) at er_lowcf's 26-bit keys and at rmat_skew's 18, the
 // dense fold at 18 (its key space is 4 slots per tuple there).

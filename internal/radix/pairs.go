@@ -99,18 +99,22 @@ func SortPairs[V any](ps, aux []Pair[V], keyBits int, plus func(a, b V) V) int {
 		if p == last && plus != nil {
 			return foldPass(ps, src, dst, h, digit, shift, plus)
 		}
-		for _, t := range src {
-			d := t.Key >> shift & mask & bucketMask
-			at := h[d]
-			dst[at] = t
-			h[d] = at + 1
-		}
+		scatterPairs(src, dst, h, shift, mask)
 		src, dst = dst, src
 	}
 	if &src[0] != &ps[0] {
 		copy(ps, src)
 	}
 	return n
+}
+
+//go:noinline
+func scatterPairs[V any](src, dst []Pair[V], h *[1 << maxDigitBits]uint32, shift uint, mask uint64) {
+	for i := range src {
+		d := src[i].Key >> (shift & 63) & mask & bucketMask
+		dst[h[d]] = src[i]
+		h[d]++
+	}
 }
 
 // foldPass is SortPairs' last pass with the fold in it: the scatter of src
@@ -189,24 +193,17 @@ func PartitionPairs[V any](ps, aux []Pair[V], bounds []int64) (nbuckets, restBit
 	}
 	w := min(hi, digitBits)
 	shift, nb, mask := uint(hi-w), 1<<w, uint64(1)<<w-1
-	var cursor [maxBuckets]int64
+	var h [1 << maxDigitBits]uint32
 	for i := range ps {
-		cursor[ps[i].Key>>shift&mask]++
+		h[ps[i].Key>>shift&mask&bucketMask]++
 	}
-	sum := int64(0)
-	for b := 0; b < nb; b++ {
-		c := cursor[b]
-		cursor[b], bounds[b] = sum, sum
-		sum += c
+	starts(&h, w)
+	for b, at := range h[:nb] {
+		bounds[b] = int64(at)
 	}
-	bounds[nb] = sum
-	aux = aux[:n]
-	for i := range ps {
-		d := ps[i].Key >> shift & mask
-		aux[cursor[d]] = ps[i]
-		cursor[d]++
-	}
-	copy(ps, aux)
+	bounds[nb] = int64(n)
+	scatterPairs(ps, aux[:n], &h, shift, mask)
+	copy(ps, aux[:n])
 	if shift == 0 {
 		return 0, 0
 	}

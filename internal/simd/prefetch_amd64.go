@@ -5,19 +5,7 @@ package simd
 import "unsafe"
 
 //go:noescape
-func prefetchT0(p unsafe.Pointer)
-
-//go:noescape
-func prefetchNTA(p unsafe.Pointer)
-
-//go:noescape
 func prefetchRangeT0(p unsafe.Pointer, bytes int64)
-
-// PrefetchT0 hints the cache hierarchy to load the line containing p.
-func PrefetchT0(p unsafe.Pointer) { prefetchT0(p) }
-
-// PrefetchNTA hints a non-temporal load of the line containing p.
-func PrefetchNTA(p unsafe.Pointer) { prefetchNTA(p) }
 
 // PrefetchRangeT0 issues a T0 prefetch for every cache line of [p, p+bytes).
 // Used on bin-flush destinations so the copy's store misses overlap the

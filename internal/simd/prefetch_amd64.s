@@ -2,18 +2,6 @@
 
 #include "textflag.h"
 
-// func prefetchT0(p unsafe.Pointer)
-TEXT ·prefetchT0(SB), NOSPLIT, $0-8
-	MOVQ p+0(FP), AX
-	PREFETCHT0 (AX)
-	RET
-
-// func prefetchNTA(p unsafe.Pointer)
-TEXT ·prefetchNTA(SB), NOSPLIT, $0-8
-	MOVQ p+0(FP), AX
-	PREFETCHNTA (AX)
-	RET
-
 // func prefetchRangeT0(p unsafe.Pointer, bytes int64)
 TEXT ·prefetchRangeT0(SB), NOSPLIT, $0-16
 	MOVQ p+0(FP), AX

@@ -7,12 +7,6 @@ import "unsafe"
 // Prefetch hints are no-ops off amd64 and under purego. The unsafe.Pointer
 // in the signature is type-only; no memory is dereferenced.
 
-// PrefetchT0 is a no-op on this build.
-func PrefetchT0(p unsafe.Pointer) {}
-
-// PrefetchNTA is a no-op on this build.
-func PrefetchNTA(p unsafe.Pointer) {}
-
 // PrefetchRangeT0 is a no-op on this build.
 func PrefetchRangeT0(p unsafe.Pointer, bytes int) {}
 

@@ -75,8 +75,6 @@ func TestBatchedMatchesScalarNarrow(t *testing.T) {
 
 func TestPrefetchSafe(t *testing.T) {
 	buf := make([]byte, 4096)
-	PrefetchT0(unsafe.Pointer(&buf[0]))
-	PrefetchNTA(unsafe.Pointer(&buf[0]))
 	PrefetchRangeT0(unsafe.Pointer(&buf[0]), len(buf))
 	PrefetchRangeT0(unsafe.Pointer(&buf[0]), 0)
 	PrefetchSlice(buf)

@@ -148,11 +148,12 @@ func WithNBins(n int) Option {
 }
 
 // WithLocalBinBytes requests the thread-private local bin width in bytes
-// (float64 PB kernel only; masked/semiring paths ignore it); 0 means 512,
-// the paper's tuned value (Fig. 6a). The engine runs the request rounded
-// down to a multiple of 16 tuples of the run's layout — 512 B is 32 tuples
-// at 16 or 12 bytes each — and any request under 16 tuples at 16, so that
-// every steady-state flush moves whole cache lines.
+// (float64 PB kernel only; masked/semiring paths ignore it); 0 means 1024,
+// measured on every tuple layout against the paper's 512 (Fig. 6a). The
+// engine runs the request rounded down to a multiple of 16 tuples of the
+// run's layout — 1024 B is 64 tuples at 16 bytes, 80 at 12 — and any request
+// under 16 tuples at 16, so that every steady-state flush moves whole cache
+// lines.
 func WithLocalBinBytes(n int) Option {
 	return func(c *config) error {
 		if n < 0 {

@@ -139,11 +139,11 @@ type Options struct {
 	// and L2CacheBytes (Algorithm 3).
 	NBins int
 	// LocalBinBytes is the requested thread-private local bin width in
-	// bytes (PB only); 0 = 512, the paper's tuned value (Fig. 6a). The
-	// engine runs the request rounded down to a multiple of 16 tuples of the
-	// run's layout, and at 16 tuples when the request is smaller, so that
-	// every steady-state flush moves whole cache lines: 512 B is 32 tuples
-	// in the 16- and 12-byte layouts.
+	// bytes (PB only); 0 = 1024, measured on every tuple layout against the
+	// paper's 512 (Fig. 6a). The engine runs the request rounded down to a
+	// multiple of 16 tuples of the run's layout, and at 16 tuples when the
+	// request is smaller, so that every steady-state flush moves whole cache
+	// lines: 1024 B is 64 tuples at 16 bytes, 80 at 12.
 	LocalBinBytes int
 	// L2CacheBytes is the per-bin cache budget used to auto-size NBins (PB
 	// only); 0 = 1 MiB.
