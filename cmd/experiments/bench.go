@@ -6,9 +6,11 @@ import (
 	"os"
 	"runtime"
 	"slices"
+	"strings"
 	"time"
 
 	"pbspgemm"
+	"pbspgemm/internal/baseline"
 	"pbspgemm/internal/core"
 	"pbspgemm/internal/faultinject"
 	"pbspgemm/internal/gen"
@@ -22,18 +24,22 @@ import (
 // GFLOPS, per-phase GB/s and allocs/op. CI runs `bench -json bench.json
 // -gate` on every push and uploads it as the bench-trajectory artifact, so
 // each PR leaves a comparable perf baseline behind; the committed
-// BENCH_PR25.json is one -gate run of the commit that set the current
+// BENCH_PR26.json is one -gate run of the commit that set the current
 // gates (CI's informational -baseline). Regimes pin both tuple layouts on the
 // low-cf ER workload (the squeezed pipeline's headline case), fused-vs-unfused
 // on the high-cf R-MAT workload (the fused pipeline's), that workload under
 // two memory budgets and over a custom semiring, a hypersparse product whose
 // keys need the wide layout, and a masked product beside its unmasked twin:
 // -gate fails the run on the ratio, phase and allocation checks of gateBench.
+// Two semiring products also run as a caller gets them under Auto — the planner
+// choosing between PB and the row kernel — through EngineMultiplyOver.
 
 // benchSchema versions the JSON so trajectory tooling can tell reports apart;
-// bump it whenever a field or a gated regime is added or dropped (v11: the
-// minplus mode, er-hypersparse-wide and the minplus-vs-wide gate).
-const benchSchema = "pbspgemm-bench/v11"
+// bump it whenever a field or a gated regime is added or dropped (v12: the
+// minplus product under Auto and its gate against the fused float64 one, the
+// wide-layout minplus renamed rmat-highcf-minplus-wide, and R-MAT 13/16 Boolean
+// under Auto and under PB, both as a caller gets them).
+const benchSchema = "pbspgemm-bench/v12"
 
 type benchPhase struct {
 	Millis    float64 `json:"ms"`
@@ -49,7 +55,7 @@ type benchRegime struct {
 	SeedA       uint64     `json:"seed_a"`
 	SeedB       uint64     `json:"seed_b"`
 	Layout      string     `json:"layout"`
-	Mode        string     `json:"mode,omitempty"` // "" (float64) | pattern | f32 | masked | minplus
+	Mode        string     `json:"mode,omitempty"` // "" (float64) | pattern | f32 | masked | minplus | minplus-auto | bool-auto | bool-pb
 	Kernel      string     `json:"kernel"`         // Stats.Kernel: the build's kernel set
 	CancelHook  bool       `json:"cancel_hook,omitempty"`
 	Fused       bool       `json:"fused"`
@@ -99,7 +105,7 @@ type benchCase struct {
 	threadsCap int    // 0: cfg/default threads, 1: pin single-threaded
 	unfused    bool   // run the three-pass PR 4 pipeline instead of fused
 	budget     int64  // MemoryBudgetBytes; >0 exercises the panel/gather path
-	mode       string // "" core.Multiply | "pattern" 4 B key-only | "f32" 8 B narrow | "masked" row kernel, mask = A | "minplus" semiring.MinPlus, wide
+	mode       string // "" core.Multiply | "pattern" 4 B key-only | "f32" 8 B narrow | "masked" row kernel, mask = A | "minplus" semiring.MinPlus, wide | "minplus-auto", "bool-auto", "bool-pb" through EngineMultiplyOver
 	cancelHook bool   // install a no-op Cancel hook: every sub-phase poll calls it
 }
 
@@ -124,7 +130,10 @@ const (
 	gateUnmaskedRegime = "rmat-unmasked"
 	gateMaskedRegime   = "rmat-masked"
 	gateWideRegime     = "rmat-highcf-wide-fused"
-	gateMinPlusRegime  = "rmat-highcf-minplus"
+	gateMinPlusRegime  = "rmat-highcf-minplus-wide"
+	gateAutoMinPlus    = "rmat-highcf-minplus"
+	boolAutoRegime     = "rmat-dram-bool-auto"
+	boolPBRegime       = "rmat-dram-bool-pb"
 )
 
 // minPlusGateFactor bounds a custom semiring against the forced-wide float64
@@ -135,6 +144,11 @@ const (
 // line), so an engine re-forked for semirings fails it: the one this replaced
 // measured 5.
 const minPlusGateFactor = 2.0
+
+// autoMinPlusGateFactor bounds the MinPlus product as a caller gets it — under
+// Auto, which runs the row kernel there — against the float64 PB product of the
+// same input: PB's wide layout made it 25.6 ms against 8.7 (2.9×).
+const autoMinPlusGateFactor = 1.5
 
 // maskedGateFactor bounds the masked regime (its mask keeps 2 % of C) against
 // the unmasked PB product of the same inputs run right before it: expanding
@@ -204,12 +218,15 @@ func benchCases() []benchCase {
 		// same pair on the wide layout so the allocs/op gate covers both
 		// layouts under fusion. Single-threaded, pooled.
 		{gateFusedRegime, "RMAT", 10, 32, 1, 2, core.LayoutSqueezed, 1, false, 0, "", false},
+		// The same input over MinPlus as a caller gets it, under Auto (the row
+		// kernel), gated against the fused float64 product right above.
+		{gateAutoMinPlus, "RMAT", 10, 32, 1, 2, core.LayoutAuto, 1, false, 0, "minplus-auto", false},
 		{gateUnfusedRegime, "RMAT", 10, 32, 1, 2, core.LayoutSqueezed, 1, true, 0, "", false},
 		{"rmat-highcf-wide-fused", "RMAT", 10, 32, 1, 2, core.LayoutWide, 1, false, 0, "", false},
 		{"rmat-highcf-wide-unfused", "RMAT", 10, 32, 1, 2, core.LayoutWide, 1, true, 0, "", false},
-		// The same input over MinPlus: a custom semiring runs the wide layout
-		// through its own ⊗ and ⊕ (internal/semiring → core.MultiplyWide), so
-		// its comparator is the forced-wide float64 product right above.
+		// The same input over MinPlus on PB: a custom semiring runs the wide
+		// layout through its own ⊗ and ⊕ (internal/semiring → core.MultiplyWide),
+		// so its comparator is the forced-wide float64 product right above.
 		{gateMinPlusRegime, "RMAT", 10, 32, 1, 2, core.LayoutAuto, 1, false, 0, "minplus", false},
 		// The Boolean/structural regime: the 4-byte pattern layout on the same
 		// high-cf input as the squeezed acceptance pair (its 12-byte
@@ -235,9 +252,14 @@ func benchCases() []benchCase {
 		// tuples over an 18-bit key space, the dense fold's home ground.
 		{"rmat-dram-squeezed", "RMAT", 13, 16, 1, 1, core.LayoutSqueezed, 1, false, 0, "", false},
 		{"rmat-dram-pattern", "RMAT", 13, 16, 1, 1, core.LayoutAuto, 1, false, 0, "pattern", false},
+		// The same Boolean product as a caller gets it (BENCHMARK.json's
+		// rmat_bool_pattern, which passes no algorithm and so stays on PB), under
+		// Auto and under PB: reported side by side, not gated.
+		{boolAutoRegime, "RMAT", 13, 16, 1, 1, core.LayoutAuto, 1, false, 0, "bool-auto", false},
+		{boolPBRegime, "RMAT", 13, 16, 1, 1, core.LayoutAuto, 1, false, 0, "bool-pb", false},
 		// R-MAT scale 12, edge factor 16, squared — BENCHMARK.json's rmat_masked
-		// inputs — unmasked, then under its own mask through internal/semiring's
-		// row-wise masked accumulator: the masked gate's pair.
+		// inputs — unmasked, then under its own mask through the row kernel's
+		// masked form (baseline.SPA with a mask): the masked gate's pair.
 		{gateUnmaskedRegime, "RMAT", 12, 16, 1, 1, core.LayoutAuto, 1, false, 0, "", false},
 		{gateMaskedRegime, "RMAT", 12, 16, 1, 1, core.LayoutAuto, 1, false, 0, "masked", false},
 		// The same high-cf input through the memory-budgeted panel path, at a
@@ -410,8 +432,9 @@ func gateBench(report *benchReport) {
 	fused, unfused := byName[gateFusedRegime], byName[gateUnfusedRegime]
 	pattern, budgeted := byName[gatePatternRegime], byName[gateBudgetedRegime]
 	unmasked, masked := byName[gateUnmaskedRegime], byName[gateMaskedRegime]
-	wide, minplus := byName[gateWideRegime], byName[gateMinPlusRegime]
-	if fused == nil || unfused == nil || pattern == nil || budgeted == nil || unmasked == nil || masked == nil || wide == nil || minplus == nil {
+	wide, minplus, autoMinPlus := byName[gateWideRegime], byName[gateMinPlusRegime], byName[gateAutoMinPlus]
+	if fused == nil || unfused == nil || pattern == nil || budgeted == nil || unmasked == nil || masked == nil ||
+		wide == nil || minplus == nil || autoMinPlus == nil {
 		fmt.Fprintln(os.Stderr, "bench gate: acceptance regimes missing from the run")
 		os.Exit(1)
 	}
@@ -425,6 +448,11 @@ func gateBench(report *benchReport) {
 	failed = ratioGate("deep budget vs single-shot", budgeted, fused, budgetGateFactor) || failed
 	failed = ratioGate("masked vs unmasked", masked, unmasked, maskedGateFactor) || failed
 	failed = ratioGate("minplus vs wide float64", minplus, wide, minPlusGateFactor) || failed
+	failed = ratioGate("minplus under Auto vs fused float64", autoMinPlus, fused, autoMinPlusGateFactor) || failed
+	if auto, pb := byName[boolAutoRegime], byName[boolPBRegime]; auto != nil && pb != nil {
+		fmt.Printf("bench: Boolean R-MAT 13/16 under Auto (%s) %d ns/op against PB %d ns/op (%.2f×), not gated\n",
+			auto.Kernel, auto.NsPerOp, pb.NsPerOp, float64(auto.NsPerOp)/float64(pb.NsPerOp))
+	}
 	// The fault-containment overhead gate: with the fault hooks compiled out
 	// (enforced above via faultinject.Enabled) and a no-op Cancel hook
 	// installed, the acceptance regimes must run within 1% of their hook-free
@@ -488,15 +516,25 @@ func gateBench(report *benchReport) {
 	if gateShardBench(report) {
 		failed = true
 	}
-	// rmat-highcf-minplus stays exempt, at 6 allocs/op (8 before PR 25 hoisted
-	// the regime's own two wrappers out of its loop), none of them a plane:
-	// per call MultiplyOpts builds the A and B index headers core.MultiplyWide
-	// binds into the pooled engine (2), core.Elementwise's chunk closure (1),
-	// the fallback reason string (1), the result header (1) and Plan.Stats' own
-	// copy (1). Pooling them would make the headers, Plan.Stats and the result
-	// alias the workspace — six small objects against a public contract.
+	// Exempt, none of their allocations a plane:
+	//   - rmat-highcf-minplus-wide, at 6 allocs/op: per call MultiplyOpts builds
+	//     the A and B index headers core.MultiplyWide binds into the pooled
+	//     engine (2), core.Elementwise's chunk closure (1), the fallback reason
+	//     string (1), the result header (1) and Plan.Stats' own copy (1). Pooling
+	//     them would make the headers, Plan.Stats and the result alias the
+	//     workspace — six small objects against a public contract.
+	//   - the products through the public EngineMultiplyOver (minplus-auto,
+	//     bool-auto, bool-pb): the product is the caller's (its arrays and
+	//     header; the pipeline's is cloned out), with the planner's closure, the
+	//     chunk closures, the index headers and the semiring plan around it.
+	// rmat-masked is not: the row kernel pools everything in its workspace,
+	// the product included, as every regime here does. It read 10 allocs/op
+	// through semiring.MultiplyMaskedRows, nine of them in an alloc profile:
+	// the caller-owned product's three arrays and header, the cancel latch,
+	// the two dynamic-schedule closures and the one inside
+	// par.ForChunksDynamic, and the harness's own Stats.
 	for _, r := range report.Regimes {
-		if r.Threads == 1 && r.AllocsPerOp != 0 && r.Mode != "masked" && r.Mode != "minplus" {
+		if r.Threads == 1 && r.AllocsPerOp != 0 && !strings.HasPrefix(r.Mode, "minplus") && !strings.HasPrefix(r.Mode, "bool-") {
 			fmt.Fprintf(os.Stderr, "bench gate: %s allocated %.1f/op, want 0\n", r.Name, r.AllocsPerOp)
 			failed = true
 		}
@@ -536,20 +574,31 @@ func runBenchCase(cfg *config, c benchCase) (benchRegime, error) {
 	af32, bf32 := float32s(acsc.Val), float32s(b.Val)
 	ac := &semiring.CSCg[float64]{NumRows: acsc.NumRows, NumCols: acsc.NumCols,
 		ColPtr: acsc.ColPtr, RowIdx: acsc.RowIdx, Val: acsc.Val}
-	ar, br := pbspgemm.Float64Matrix(a), pbspgemm.Float64Matrix(b)
+	br := pbspgemm.Float64Matrix(b)
+	truth := func(float64) bool { return true }
+	abool, bbool := pbspgemm.MatrixOf(a, truth).ToCSC(), pbspgemm.MatrixOf(b, truth)
+	rows := baseline.NewWorkspace()
+	eng, err := pbspgemm.NewEngine(pbspgemm.WithThreads(threads))
+	if err != nil {
+		return benchRegime{}, err
+	}
 	var plan semiring.Plan
+	var st core.Stats
 	run := func() (*core.Stats, error) {
 		switch c.mode {
 		case "masked":
-			flops := matrix.FlopsCSR(a, b)
-			start := time.Now()
-			cm, err := semiring.MultiplyMaskedRows(semiring.Arithmetic(), ar, br,
-				semiring.Options{Threads: threads, Workspace: ws, Mask: a})
+			_, bs, err := baseline.SPA(a, b, baseline.Options{Threads: threads, Workspace: rows, Mask: a})
 			if err != nil {
 				return nil, err
 			}
-			return &core.Stats{Total: time.Since(start), Flops: flops, NNZC: cm.NNZ(),
-				CF: float64(flops) / float64(max(cm.NNZ(), 1)), Kernel: "masked-rows"}, nil
+			st = core.Stats{Total: bs.Total, Flops: bs.Flops, NNZC: bs.NNZC, CF: bs.CF, Kernel: "masked-rows"}
+			return &st, nil
+		case "minplus-auto":
+			return over(eng, pbspgemm.Auto, pbspgemm.MinPlus(), ac, br, &st)
+		case "bool-auto":
+			return over(eng, pbspgemm.Auto, pbspgemm.Boolean(), abool, bbool, &st)
+		case "bool-pb":
+			return over(eng, pbspgemm.PB, pbspgemm.Boolean(), abool, bbool, &st)
 		case "minplus":
 			_, err := semiring.MultiplyOpts(semiring.MinPlus(), ac, br,
 				semiring.Options{Threads: threads, Workspace: ws, Plan: &plan})
@@ -629,6 +678,26 @@ func runBenchCase(cfg *config, c benchCase) (benchRegime, error) {
 		Compress:    benchPhase{Millis: ms64(best.Compress), GBs: best.CompressGBs()},
 		Assemble:    benchPhase{Millis: ms64(best.Assemble)},
 	}, nil
+}
+
+// over runs a semiring product as a caller gets it, under alg, and reports it
+// in *st: the wall time of the call, and the pipeline's phases when PB ran it
+// (Kernel "rows" when the row kernel did).
+func over[T any](eng *pbspgemm.Engine, alg pbspgemm.Algorithm, sr pbspgemm.Semiring[T], a *pbspgemm.ColMatrix[T],
+	b *pbspgemm.Matrix[T], st *core.Stats) (*core.Stats, error) {
+
+	var p pbspgemm.SemiringPlan
+	start := time.Now()
+	c, err := pbspgemm.EngineMultiplyOver(eng, nil, sr, a, b, pbspgemm.WithAlgorithm(alg), pbspgemm.WithSemiringPlan(&p))
+	if err != nil {
+		return nil, err
+	}
+	if *st = (core.Stats{Kernel: "rows"}); p.Stats != nil {
+		*st = *p.Stats
+	}
+	st.Total, st.Flops, st.NNZC = time.Since(start), semiring.Flops(a, b), c.NNZ()
+	st.CF = float64(st.Flops) / float64(max(st.NNZC, 1))
+	return st, nil
 }
 
 func ms64(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }

@@ -236,7 +236,7 @@ func runPlanner(cfg *config) {
 			report.MaxRegret = max(report.MaxRegret, c.Regret)
 		}
 		shape := roofline.Product{Rows: a.NumRows, Cols: b.NumCols, NNZA: a.NNZ(), NNZB: b.NNZ(),
-			Flops: pb.Flops, NNZC: pb.C.NNZ(), L2CacheBytes: core.DefaultL2CacheBytes}
+			Flops: pb.Flops, NNZC: pb.C.NNZ(), ValueBytes: 8, L2CacheBytes: core.DefaultL2CacheBytes}
 		pt, st := shape.PBTerms(), shape.SPATerms()
 		pbTerms, spaTerms = append(pbTerms, pt[:]), append(spaTerms, st[:])
 		regret := fmt.Sprintf("%.2f", c.Regret)

@@ -143,7 +143,7 @@ func TestCSCMemoNeverStale(t *testing.T) {
 		}{
 			{"PB", want, viaKernel(kernel.NamePB, 0)},
 			{"budgeted PB", want, viaKernel(kernel.NamePB, 64<<10)},
-			{"complement mask", maskCSR(want, mask, true), func() (*CSR, error) { return cfg.maskedArith(a, b, ws) }},
+			{"complement mask", maskCSR(want, mask, true), func() (*CSR, error) { return cfg.maskedArith(a, b, kw) }},
 			{"OuterHeap", want, viaKernel(kernel.NameOuterHeap, 0)},
 		} {
 			c, err := route.run()

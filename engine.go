@@ -200,6 +200,11 @@ func (e *Engine) Multiply(ctx context.Context, a, b *CSR, opts ...Option) (*Resu
 	if err := cfg.validateMaskShape(a.NumRows, b.NumCols); err != nil {
 		return nil, err
 	}
+	if cfg.mask != nil {
+		if err := cfg.overAlgorithm(); err != nil {
+			return nil, err
+		}
+	}
 	start := time.Now()
 	res, alg, viaAuto, err := e.multiply(&cfg, a, b)
 	var flops, nnzc int64
@@ -213,8 +218,8 @@ func (e *Engine) Multiply(ctx context.Context, a, b *CSR, opts ...Option) (*Resu
 // MultiplyMasked computes C⟨M⟩ = (A·B) ∘ mask over the arithmetic semiring
 // without materializing the unmasked product (see MultiplyMasked at package
 // level). It shares the engine's workspace pool, context handling and
-// metrics (a plain mask's row kernel has no Algorithm value: like every
-// masked and semiring product it is recorded in ByAlgorithm's PB bucket).
+// metrics (a masked product is recorded in ByAlgorithm's PB bucket, whichever
+// kernel ran it).
 func (e *Engine) MultiplyMasked(ctx context.Context, a, b, mask *CSR, opts ...Option) (*CSR, error) {
 	// Precedence: per-call options > the explicit mask argument > engine defaults.
 	if mask != nil {
@@ -259,7 +264,7 @@ func (e *Engine) multiply(cfg *config, a, b *CSR) (*Result, Algorithm, bool, err
 	if cfg.mask != nil {
 		start := time.Now()
 		ws := e.pool.Get().(*kernel.Workspace)
-		c, err := cfg.maskedArith(a, b, ws.Core)
+		c, err := cfg.maskedArith(a, b, ws)
 		e.release(ws, err)
 		if err != nil {
 			return nil, PB, false, err
@@ -283,7 +288,7 @@ func (e *Engine) multiply(cfg *config, a, b *CSR) (*Result, Algorithm, bool, err
 				return nil, alg, false, err
 			}
 		}
-		plan = e.plan(cfg, a, b, &ws.PlanScratch)
+		plan = planFor(cfg, a, b, &ws.PlanScratch, 8)
 		alg = plan.Chosen
 	}
 	k, ok := kernel.Get(alg.String())
@@ -326,12 +331,14 @@ func (e *Engine) multiply(cfg *config, a, b *CSR) (*Result, Algorithm, bool, err
 
 // EngineMultiplyOver is MultiplyOver running on an engine: the semiring
 // multiplication checks a pooled workspace out of e, observes ctx at phase
-// boundaries and inside the long phase loops, and folds into e's metrics. (Go
-// methods cannot introduce type parameters, hence the package-level function
-// taking the engine first.) The result is cloned out of the workspace and
-// fully caller-owned. The wide layout's pooled planes are cached per element
-// type T, so an engine serving a stable T hits its pool just like the float64
-// path.
+// boundaries and inside the long phase loops, and folds into e's metrics —
+// under SPA when the row kernel ran an unmasked product (AutoChosen when Auto
+// picked it), under PB otherwise. (Go methods cannot introduce type
+// parameters, hence the package-level function taking the engine first.) The
+// result is fully caller-owned: the row kernel's is allocated for the caller,
+// the pipeline's cloned out of the workspace. The wide layout's pooled planes
+// are cached per element type T, so an engine serving a stable T hits its pool
+// just like the float64 path.
 func EngineMultiplyOver[T any](e *Engine, ctx context.Context, sr Semiring[T], a *ColMatrix[T], b *Matrix[T], opts ...Option) (*Matrix[T], error) {
 	cfg, err := resolve(e.defaults, opts)
 	if err != nil {
@@ -339,6 +346,9 @@ func EngineMultiplyOver[T any](e *Engine, ctx context.Context, sr Semiring[T], a
 	}
 	if ctx != nil {
 		cfg.ctx = ctx
+	}
+	if err := cfg.overAlgorithm(); err != nil {
+		return nil, err
 	}
 	// Shape rejections happen before dispatch so they stay out of the
 	// metrics, matching Engine.Multiply.
@@ -351,17 +361,27 @@ func EngineMultiplyOver[T any](e *Engine, ctx context.Context, sr Semiring[T], a
 	}
 	start := time.Now()
 	ws := e.pool.Get().(*kernel.Workspace)
-	gc, err := semiring.MultiplyOpts(sr, a, b, cfg.semiringOptions(ws.Core))
+	var plan SemiringPlan
+	sopt := cfg.semiringOptions(ws.Core, &ws.PlanScratch)
+	sopt.Plan = &plan
+	gc, err := semiring.MultiplyOpts(sr, a, b, sopt)
+	if cfg.plan != nil {
+		*cfg.plan = plan
+	}
 	var out *Matrix[T]
 	var nnzc int64
 	if err == nil {
-		if out = gc; !cfg.rowMasked() { // the row kernel's output is the caller's already
+		if out = gc; !plan.Rows {
 			out = gc.Clone()
 		}
 		nnzc = out.NNZ()
 	}
 	e.release(ws, err)
-	e.record(start, PB, false, semiring.Flops(a, b), a.NNZ(), b.NNZ(), nnzc, err)
+	alg := PB
+	if plan.Rows && cfg.mask == nil {
+		alg = SPA
+	}
+	e.record(start, alg, alg == SPA && cfg.algorithm == Auto, semiring.Flops(a, b), a.NNZ(), b.NNZ(), nnzc, err)
 	return out, err
 }
 

@@ -11,17 +11,18 @@
 // Heap, Hash, HashVec are the paper's figure baselines and share a two-phase
 // structure (run): a symbolic pass computes the exact nonzero count of each
 // output row (dense-marker based, O(flop)), then the numeric pass merges with
-// the algorithm's accumulator directly into the exactly-sized CSR arrays. SPA
-// is the competitor the Auto planner actually runs against PB-SpGEMM and has
-// one pass: rows are folded into pooled staging and copied once into an
-// exactly-sized CSR (spa.go). Either way rows are distributed over threads in
-// contiguous flop-balanced ranges.
+// the algorithm's accumulator directly into the exactly-sized CSR arrays. The
+// row kernel (Rows, rows.go) is the competitor the Auto planner runs against
+// PB-SpGEMM, for every semiring and under a plain mask; SPA is its float64
+// (+, ×) instance. It has one pass: rows are folded into pooled staging and
+// copied once into an exactly-sized CSR. Either way rows are distributed over
+// threads in contiguous flop-balanced ranges.
 //
 // Like internal/core, the package is an execution engine, not just a
 // reference: all scratch (markers, accumulators, staging, output storage) can
 // be pooled in a Workspace for zero steady-state allocations, and a Cancel
-// hook is polled at phase boundaries (every 64 rows inside SPA's pass) so the
-// public Engine can abort calls without leaking goroutines.
+// hook is polled at phase boundaries (every 64 rows inside the row kernel's
+// pass) so the public Engine can abort calls without leaking goroutines.
 package baseline
 
 import (
@@ -45,6 +46,10 @@ type Options struct {
 	// non-nil return aborts the multiplication with that error; in-flight
 	// phases run to completion first, so no goroutines leak.
 	Cancel func() error
+	// Mask, if non-nil, makes the row kernel (SPA, Rows) compute C⟨M⟩: only
+	// positions where Mask stores an entry, of shape rows(A)×cols(B). The
+	// two-phase baselines have no masked form and are never given one.
+	Mask *matrix.CSR
 }
 
 // Stats reports the two phases of a column SpGEMM run (SPA has one: its
@@ -78,9 +83,8 @@ type algorithm struct {
 
 // run executes the shared two-phase skeleton with the given accumulator.
 func run(a, b *matrix.CSR, opt Options, alg algorithm) (*matrix.CSR, *Stats, error) {
-	if a.NumCols != b.NumRows {
-		return nil, nil, fmt.Errorf("baseline: inner dimensions disagree: A is %dx%d, B is %dx%d: %w",
-			a.NumRows, a.NumCols, b.NumRows, b.NumCols, matrix.ErrShape)
+	if err := checkInner(a, b); err != nil {
+		return nil, nil, err
 	}
 	// Observe an already-expired ctx before any work (the engine used to do
 	// this at its call boundary for column kernels).
@@ -152,6 +156,15 @@ func run(a, b *matrix.CSR, opt Options, alg algorithm) (*matrix.CSR, *Stats, err
 		return nil, nil, err
 	}
 	return c, st, nil
+}
+
+// checkInner rejects an A whose columns are not B's rows.
+func checkInner(a, b *matrix.CSR) error {
+	if a.NumCols != b.NumRows {
+		return fmt.Errorf("baseline: inner dimensions disagree: A is %dx%d, B is %dx%d: %w",
+			a.NumRows, a.NumCols, b.NumRows, b.NumCols, matrix.ErrShape)
+	}
+	return nil
 }
 
 // RowFlopsRange fills rowFlops[lo:hi] with per-row multiplication counts.

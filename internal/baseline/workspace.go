@@ -25,8 +25,11 @@ type Workspace struct {
 	bounds   []int
 	threads  []scratch
 
-	// cancelled carries the Cancel error one SPA worker saw to its siblings.
+	// cancelled carries the Cancel error one row-kernel worker saw to its
+	// siblings; rows holds the row kernel's *rowPool for its most recent value
+	// type (rows.go).
 	cancelled atomic.Pointer[error]
+	rows      any
 
 	// ColumnESC's expanded-tuple pipeline.
 	tuples   []radix.Pair[float64]
@@ -51,18 +54,11 @@ func NewWorkspace() *Workspace { return &Workspace{} }
 // empty state.
 func (ws *Workspace) Reset() { *ws = Workspace{} }
 
-// scratch is one thread's accumulator storage. The fields cover every
-// accumulator family: the versioned marker is the symbolic-phase counter,
-// dense+occ are SPA's accumulator and stageCol/stageVal the rows it has
-// folded, hashCols/hashVals serve the hash variants, and heap the k-way heap
-// merge.
+// scratch is one thread's accumulator storage for the two-phase baselines:
+// the versioned marker is the symbolic-phase counter, hashCols/hashVals serve
+// the hash variants, and heap the k-way heap merge.
 type scratch struct {
 	marker   []int32
-	dense    []float64
-	occ      []uint64
-	top      []uint64
-	stageCol []int32
-	stageVal []float64
 	hashCols []int32
 	hashVals []float64
 	heap     []heapEntry

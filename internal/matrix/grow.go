@@ -6,6 +6,16 @@ package matrix
 // capacity is short. Contents are unspecified unless the Zero variant is
 // used.
 
+// Grow returns (*buf)[:n] with unspecified contents, for any element type; a
+// reallocation is zeroed.
+func Grow[E any](buf *[]E, n int) []E {
+	if cap(*buf) < n {
+		*buf = make([]E, n)
+	}
+	*buf = (*buf)[:n]
+	return *buf
+}
+
 // GrowInt64 returns (*buf)[:n] with unspecified contents.
 func GrowInt64(buf *[]int64, n int) []int64 {
 	if cap(*buf) < n {

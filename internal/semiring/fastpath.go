@@ -10,10 +10,11 @@ import (
 // runs the 16/12-byte pipeline core.Multiply picks, float32/int32 run the
 // 8-byte narrow layout, and (∨, ∧) over all-true operands runs the 4-byte
 // pattern (key-only) layout — the dispatch rule the README documents. A plain
-// mask never gets here (multiplyOpts hands it to the row kernel first); every
-// other ineligible call (custom semiring, complement mask, keys over 32 bits,
-// stored false booleans) runs the same pipeline on the wide layout through
-// its own ⊗ and ⊕ (multiplyGeneric in multiply.go).
+// mask never gets here, nor a product Options.Rows gives the row kernel
+// (multiplyOpts hands those over first); every other ineligible call (custom
+// semiring, complement mask, keys over 32 bits, stored false booleans) runs the
+// same pipeline on the wide layout through its own ⊗ and ⊕ (multiplyGeneric in
+// multiply.go).
 
 // Plan reports how MultiplyOpts executed a call: whether a typed fast path
 // ran and under which tuple layout. Request it via Options.Plan.
@@ -25,6 +26,9 @@ type Plan struct {
 	Layout core.Layout
 	// Reason says what ran instead and why, when !FastPath.
 	Reason string
+	// Rows is true when the row kernel ran the product: a plain mask, or a
+	// product Options.Rows sent there.
+	Rows bool
 	// Stats is the call's own copy of the phase statistics whenever
 	// internal/core's pipeline ran the product — a fast path or the wide
 	// layout over a custom semiring; nil for the row kernel.
@@ -160,7 +164,7 @@ func tryFastPath[T any](sr Semiring[T], a *CSCg[T], b *CSRg[T], opt Options) (c 
 		nnzc := c.RowPtr[c.NumRows]
 		var vals []bool
 		if opt.Workspace != nil {
-			vals = grow(&opt.Workspace.PatternVals, nnzc)
+			vals = matrix.Grow(&opt.Workspace.PatternVals, int(nnzc))
 		} else {
 			vals = make([]bool, nnzc)
 		}

@@ -64,8 +64,8 @@ func (m *CSRg[T]) ToCSC() *CSCg[T] { return m.toCSCInto(&CSCg[T]{}) }
 func (m *CSRg[T]) toCSCInto(out *CSCg[T]) *CSCg[T] {
 	nnz := m.RowPtr[m.NumRows]
 	out.NumRows, out.NumCols = m.NumRows, m.NumCols
-	cp := grow(&out.ColPtr, int64(m.NumCols)+1)
-	ri, val := grow(&out.RowIdx, nnz), grow(&out.Val, nnz)
+	cp := matrix.Grow(&out.ColPtr, int(m.NumCols)+1)
+	ri, val := matrix.Grow(&out.RowIdx, int(nnz)), matrix.Grow(&out.Val, int(nnz))
 	clear(cp)
 	for _, c := range m.ColIdx[:nnz] {
 		cp[c+1]++

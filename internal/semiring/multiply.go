@@ -2,7 +2,11 @@ package semiring
 
 import (
 	"fmt"
+	"math"
+	"reflect"
+	"unsafe"
 
+	"pbspgemm/internal/baseline"
 	"pbspgemm/internal/core"
 	"pbspgemm/internal/matrix"
 	"pbspgemm/internal/par"
@@ -27,7 +31,7 @@ type Options struct {
 	Workspace *core.Workspace
 	// Mask, if non-nil, restricts the output structurally (GraphBLAS C⟨M⟩):
 	// only positions where Mask stores an entry survive (values ignored).
-	// A plain mask runs the row kernel (MultiplyMaskedRows) for every semiring.
+	// A plain mask runs the row kernel (baseline.Rows) for every semiring.
 	// Mask must be canonical CSR of shape rows(A)×cols(B).
 	Mask *matrix.CSR
 	// Complement flips the mask (C⟨¬M⟩): keep positions NOT stored in Mask.
@@ -37,10 +41,16 @@ type Options struct {
 	Complement bool
 	// Cancel, if non-nil, is polled as core.Options.Cancel is: at phase
 	// boundaries and inside the long phase loops (every 64 Ki expanded tuples,
-	// per sort task, per bin), and every cancelPollRows rows by the row
-	// kernel. A non-nil return aborts the multiplication with that error,
-	// wrapped with the interrupted phase.
+	// per sort task, per bin), and every 64 rows by the row kernel. A non-nil
+	// return aborts the multiplication with that error, wrapped with the
+	// interrupted phase.
 	Cancel func() error
+	// Rows, if non-nil, picks the kernel of an unmasked product: it is shown A
+	// by rows and B as index-only headers, with the bytes a value of the row
+	// kernel's accumulator takes (0 for a Boolean product over all-true
+	// operands, which has none), and the row kernel runs when it returns true.
+	// Nil keeps the tuple pipeline.
+	Rows func(a, b *matrix.CSR, valueBytes int64) bool
 	// Plan, if non-nil, is filled with how the call executed: whether a
 	// typed fast path ran (and under which tuple layout) or what ran instead
 	// and why, and the phase statistics of whichever pipeline run it was.
@@ -69,10 +79,10 @@ func (opt Options) setPlan(p Plan, st *core.Stats) {
 // MultiplyOpts computes C = A ⊗ B over the semiring sr with PB-SpGEMM:
 // internal/core's pipeline under the typed tuple layout the semiring and
 // element type allow (fastpath.go), the wide layout with sr's ⊗ and ⊕
-// otherwise, and the row kernel under a plain mask. Panics — the semiring's
-// callbacks run arbitrary user code, on worker goroutines — are contained
-// into a *par.PanicError return rather than unwinding into the caller's
-// process.
+// otherwise — or with the row kernel, under a plain mask and wherever
+// opt.Rows picks it. Panics — the semiring's callbacks run arbitrary user
+// code, on worker goroutines — are contained into a *par.PanicError return
+// rather than unwinding into the caller's process.
 func MultiplyOpts[T any](sr Semiring[T], a *CSCg[T], b *CSRg[T], opt Options) (c *CSRg[T], err error) {
 	defer contain(&c, &err)
 	return multiplyOpts(sr, a, b, opt)
@@ -89,9 +99,13 @@ func multiplyOpts[T any](sr Semiring[T], a *CSCg[T], b *CSRg[T], opt Options) (*
 	if err := checkShapes(a.NumRows, a.NumCols, b, opt.Mask); err != nil {
 		return nil, err
 	}
-	if opt.Mask != nil && !opt.Complement {
-		sc := rowScratchOf[T](opt.Workspace)
-		return maskedRows(sr, sc.rowsOf(a), b, opt, sc)
+	plain := opt.Mask != nil && !opt.Complement
+	if plain || opt.Mask == nil && opt.Rows != nil {
+		rs := rowStateOf[T](opt.Workspace)
+		ar, vb := rs.rowsOf(a), valueBytes(sr, a.Val, b.Val)
+		if plain || opt.Rows(csrHeader(ar, nil), csrHeader(b, nil), vb) {
+			return rs.multiply(sr, ar, b, opt, !plain && vb == 0)
+		}
 	}
 	c, why, err := tryFastPath(sr, a, b, opt)
 	if why == "" {
@@ -100,6 +114,159 @@ func multiplyOpts[T any](sr Semiring[T], a *CSCg[T], b *CSRg[T], opt Options) (*
 	c, st, err := multiplyGeneric(sr, a, b, opt)
 	opt.setPlan(Plan{Reason: why}, st)
 	return c, err
+}
+
+// rowState is the row kernel's pooled state, hung off core.Workspace.Aux per
+// element type: A brought back to rows, and the kernel's own workspace.
+type rowState[T any] struct {
+	at CSCg[T]
+	ws baseline.Workspace
+}
+
+func rowStateOf[T any](ws *core.Workspace) *rowState[T] {
+	if ws == nil {
+		return &rowState[T]{}
+	}
+	rs, ok := ws.Aux.(*rowState[T])
+	if !ok {
+		rs = &rowState[T]{}
+		ws.Aux = rs
+	}
+	return rs
+}
+
+// rowsOf returns a column-major A by rows: its arrays read as CSR(Aᵀ), whose CSC is CSR(A).
+func (rs *rowState[T]) rowsOf(a *CSCg[T]) *CSRg[T] {
+	at := &CSRg[T]{NumRows: a.NumCols, NumCols: a.NumRows, RowPtr: a.ColPtr, ColIdx: a.RowIdx, Val: a.Val}
+	t := at.toCSCInto(&rs.at)
+	return &CSRg[T]{NumRows: a.NumRows, NumCols: a.NumCols, RowPtr: t.ColPtr, ColIdx: t.RowIdx, Val: t.Val}
+}
+
+// multiply runs the row kernel on A by rows: under a plain mask C⟨M⟩, else
+// C = A ⊗ B with a dense accumulator — none for a pattern product (Boolean
+// over all-true operands), whose entries are then all true. The product is the
+// caller's.
+func (rs *rowState[T]) multiply(sr Semiring[T], ar, b *CSRg[T], opt Options, pattern bool) (*CSRg[T], error) {
+	reason := "row-wise dense accumulator"
+	if opt.Mask != nil {
+		reason = "plain mask: row-wise masked accumulator"
+	}
+	opt.setPlan(Plan{Rows: true, Reason: reason}, nil)
+	ops := rowOps(sr)
+	if pattern {
+		ops = baseline.Ops[T]{}
+	}
+	c, vals, _, err := baseline.Rows(csrHeader(ar, nil), csrHeader(b, nil), ar.Val, b.Val, ops,
+		baseline.Options{Threads: opt.Threads, Workspace: &rs.ws, Cancel: opt.Cancel, Mask: opt.Mask})
+	if err != nil {
+		return nil, err
+	}
+	if pattern {
+		vals = make([]T, len(c.ColIdx))
+		for i, truth := 0, any(vals).([]bool); i < len(truth); i++ {
+			truth[i] = true
+		}
+	}
+	return &CSRg[T]{NumRows: c.NumRows, NumCols: c.NumCols, RowPtr: c.RowPtr, ColIdx: c.ColIdx, Val: vals}, nil
+}
+
+// rowOps lowers sr to the row kernel's chunk operations: (+, ×) over float64
+// runs the kernel's own typed loop; a stock float64 ⊗ or ⊕ a typed loop over
+// the chunk; anything else sr's own function, called per element.
+func rowOps[T any](sr Semiring[T]) baseline.Ops[T] {
+	times, plus := sr.Times, sr.Plus
+	ops := baseline.Ops[T]{Arith: sr.kind == kindArithF64,
+		Times: func(dst []T, x T, y []T) {
+			for q, yq := range y[:len(dst)] {
+				dst[q] = times(x, yq)
+			}
+		},
+		Fold: func(acc []T, at []int32, x []T, seen []byte) {
+			for q, s := range seen {
+				if v := x[q]; s == 0 {
+					acc[at[q]] = v
+				} else {
+					acc[at[q]] = plus(acc[at[q]], v)
+				}
+			}
+		}}
+	if t, ok := any(times).(func(a, b float64) float64); ok {
+		if f, ok := f64Times[codeOf(t)]; ok {
+			ops.Times = any(f).(func([]T, T, []T))
+		}
+		if f, ok := f64Folds[codeOf(any(plus).(func(a, b float64) float64))]; ok {
+			ops.Fold = any(f).(func([]T, []int32, []T, []byte))
+		}
+	}
+	return ops
+}
+
+func codeOf(f func(a, b float64) float64) uintptr { return reflect.ValueOf(f).Pointer() }
+
+// f64Times and f64Folds are the stock float64 operations as the row kernel's
+// chunk loops, keyed by their code: each does exactly what the scalar function
+// does, operands in the same order (NaN and ±0 included), and a fold picks the
+// new or the folded value without a branch.
+var f64Times = map[uintptr]func(dst []float64, a float64, b []float64){
+	codeOf(addF64): func(dst []float64, a float64, b []float64) {
+		for q, y := range b[:len(dst)] {
+			dst[q] = a + y
+		}
+	},
+	codeOf(mulF64): func(dst []float64, a float64, b []float64) {
+		for q, y := range b[:len(dst)] {
+			dst[q] = a * y
+		}
+	},
+	codeOf(maxF64): func(dst []float64, a float64, b []float64) {
+		for q, y := range b[:len(dst)] {
+			dst[q] = maxF64(a, y)
+		}
+	},
+}
+
+var f64Folds = map[uintptr]func(acc []float64, at []int32, x []float64, seen []byte){
+	codeOf(addF64): func(acc []float64, at []int32, x []float64, seen []byte) {
+		at, x = at[:len(seen)], x[:len(seen)]
+		for q, s := range seen {
+			j := at[q]
+			acc[j] = pick(s, acc[j]+x[q], x[q])
+		}
+	},
+	codeOf(minF64): func(acc []float64, at []int32, x []float64, seen []byte) {
+		at, x = at[:len(seen)], x[:len(seen)]
+		for q, s := range seen {
+			j := at[q]
+			acc[j] = pick(s, minF64(acc[j], x[q]), x[q])
+		}
+	},
+	codeOf(maxF64): func(acc []float64, at []int32, x []float64, seen []byte) {
+		at, x = at[:len(seen)], x[:len(seen)]
+		for q, s := range seen {
+			j := at[q]
+			acc[j] = pick(s, maxF64(acc[j], x[q]), x[q])
+		}
+	},
+}
+
+// pick is folded when s is 1 and x when it is 0.
+func pick(s byte, folded, x float64) float64 {
+	f, r := math.Float64bits(folded), math.Float64bits(x)
+	if s != 0 {
+		r = f
+	}
+	return math.Float64frombits(r)
+}
+
+// valueBytes is what a value of the row kernel's accumulator takes: nothing
+// for a Boolean product over all-true operands, which only needs its pattern.
+func valueBytes[T any](sr Semiring[T], a, b []T) int64 {
+	av, _ := any(a).([]bool)
+	bv, _ := any(b).([]bool)
+	if sr.kind == kindBoolean && allTrue(av) && allTrue(bv) {
+		return 0
+	}
+	return int64(unsafe.Sizeof(*new(T)))
 }
 
 // checkShapes rejects an A (rows × inner) not chaining with b and a mis-shaped mask.

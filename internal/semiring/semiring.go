@@ -8,9 +8,12 @@
 // picks the tuple layout a product runs on (a typed one for the stock
 // arithmetic and Boolean semirings, fastpath.go; the wide layout with the
 // semiring's own Times in expand and Plus in the fold for everything else,
-// multiply.go) and keeps the one product that is not a tuple pipeline, the
-// row-wise accumulator of a plain mask (maskedrows.go).
+// multiply.go) — or hands the product, with A put back in rows, to the one
+// kernel that is not a tuple pipeline: internal/baseline's row kernel, which
+// every plain mask runs and Options.Rows may pick for any other product.
 package semiring
+
+import "math"
 
 // Semiring defines (⊕, ⊗, 0̄) over T. Plus must be associative and
 // commutative with identity Zero; Times must distribute over Plus. The
@@ -45,12 +48,7 @@ const (
 
 // Arithmetic is the ordinary (+, ×) semiring over float64 — plain SpGEMM.
 func Arithmetic() Semiring[float64] {
-	return Semiring[float64]{
-		Name: "arithmetic(+,*)", Zero: 0,
-		Plus:  func(a, b float64) float64 { return a + b },
-		Times: func(a, b float64) float64 { return a * b },
-		kind:  kindArithF64,
-	}
+	return Semiring[float64]{Name: "arithmetic(+,*)", Zero: 0, Plus: addF64, Times: mulF64, kind: kindArithF64}
 }
 
 // Arithmetic32 is (+, ×) over float32 — plain SpGEMM at half the value
@@ -89,44 +87,41 @@ func Boolean() Semiring[bool] {
 // MinPlus is the tropical semiring (min, +) — one SpGEMM is one relaxation
 // step of all-pairs shortest paths.
 func MinPlus() Semiring[float64] {
-	const inf = 1e308
-	return Semiring[float64]{
-		Name: "tropical(min,+)", Zero: inf,
-		Plus: func(a, b float64) float64 {
-			if a < b {
-				return a
-			}
-			return b
-		},
-		Times: func(a, b float64) float64 { return a + b },
-	}
+	return Semiring[float64]{Name: "tropical(min,+)", Zero: 1e308, Plus: minF64, Times: addF64}
 }
 
 // MaxTimes is the (max, ×) semiring used in probabilistic reachability
 // (most-reliable-path products).
 func MaxTimes() Semiring[float64] {
-	return Semiring[float64]{
-		Name: "maxtimes(max,*)", Zero: 0,
-		Plus: func(a, b float64) float64 {
-			if a > b {
-				return a
-			}
-			return b
-		},
-		Times: func(a, b float64) float64 { return a * b },
-	}
+	return Semiring[float64]{Name: "maxtimes(max,*)", Zero: 0, Plus: maxF64, Times: mulF64}
 }
 
 // PlusMax is the (+, max) semiring (e.g. bottleneck accumulation).
 func PlusMax() Semiring[float64] {
-	return Semiring[float64]{
-		Name: "plusmax(+,max)", Zero: 0,
-		Plus: func(a, b float64) float64 { return a + b },
-		Times: func(a, b float64) float64 {
-			if a > b {
-				return a
-			}
-			return b
-		},
+	return Semiring[float64]{Name: "plusmax(+,max)", Zero: 0, Plus: addF64, Times: maxF64}
+}
+
+// The float64 operations the stock semirings are made of. They are named so
+// that the row kernel can tell them by their code (rowOps): a caller's own
+// function is never taken for one, even in a stock semiring's field. min and
+// max pick a's bits when a < b (a > b), else b's — b for NaN and ±0 alike —
+// with a conditional move: a running minimum's branch mispredicts at about a
+// third of the products at cf ≈ 4.
+func addF64(a, b float64) float64 { return a + b }
+func mulF64(a, b float64) float64 { return a * b }
+
+func minF64(a, b float64) float64 {
+	x, r := math.Float64bits(a), math.Float64bits(b)
+	if a < b {
+		r = x
 	}
+	return math.Float64frombits(r)
+}
+
+func maxF64(a, b float64) float64 {
+	x, r := math.Float64bits(a), math.Float64bits(b)
+	if a > b {
+		r = x
+	}
+	return math.Float64frombits(r)
 }

@@ -280,9 +280,11 @@ type multiplyRequest struct {
 	B string `json:"b"`
 	// Semiring: arithmetic (default), boolean, minplus, maxtimes.
 	Semiring string `json:"semiring,omitempty"`
-	// Algorithm: auto (default), pb, heap, hash, hashvec, spa, esc.
-	// Arithmetic unmasked products only; a plain mask runs the masked row
-	// kernel, other paths the PB-structured semiring kernel.
+	// Algorithm: auto (default), pb, heap, hash, hashvec, spa, esc. Every
+	// semiring and mask has auto (PB or the row kernel, by predicted time), pb
+	// and spa (the row kernel); the column kernels serve unmasked arithmetic
+	// only, and any other request naming one is a 400. A plain mask always runs
+	// the row kernel, a complement mask PB.
 	Algorithm string `json:"algorithm,omitempty"`
 	// Mask is an optional registry id applied as C⟨M⟩ (arithmetic only);
 	// Complement flips it to ⟨¬M⟩.
@@ -346,6 +348,13 @@ func (s *Server) resolveSpec(req multiplyRequest) (*productSpec, int, error) {
 			return nil, http.StatusBadRequest, err
 		}
 		sp.algorithm = alg
+	}
+	switch sp.algorithm {
+	case pbspgemm.Auto, pbspgemm.PB, pbspgemm.SPA:
+	default:
+		if sp.semiring != "arithmetic" || req.Mask != "" {
+			return nil, http.StatusBadRequest, fmt.Errorf("serve: algorithm %q has no semiring or masked form", req.Algorithm)
+		}
 	}
 	switch req.Output {
 	case "", "metadata", "matrixmarket", "binary":
@@ -663,27 +672,43 @@ func (s *Server) runProduct(ctx context.Context, sp *productSpec) (*Product, err
 		return productOf(c, name, pbspgemm.Flops(sp.a, sp.b), time.Since(start)), nil
 	case sp.semiring == "boolean":
 		start := time.Now()
+		var p pbspgemm.SemiringPlan
 		ac := pbspgemm.MatrixOf(sp.a, func(float64) bool { return true }).ToCSC()
 		br := pbspgemm.MatrixOf(sp.b, func(float64) bool { return true })
-		g, err := pbspgemm.EngineMultiplyOver(s.eng, ctx, pbspgemm.Boolean(), ac, br, opts...)
+		g, err := pbspgemm.EngineMultiplyOver(s.eng, ctx, pbspgemm.Boolean(), ac, br, sp.overOptions(&p)...)
 		if err != nil {
 			return nil, err
 		}
-		return productOf(boolCSR(g), "PB-SpGEMM(boolean)", pbspgemm.Flops(sp.a, sp.b), time.Since(start)), nil
+		return productOf(boolCSR(g), overName(&p, sp.semiring), pbspgemm.Flops(sp.a, sp.b), time.Since(start)), nil
 	default: // minplus, maxtimes: float64-valued tropical algebras
 		sr := pbspgemm.MinPlus()
 		if sp.semiring == "maxtimes" {
 			sr = pbspgemm.MaxTimes()
 		}
 		start := time.Now()
+		var p pbspgemm.SemiringPlan
 		ac := pbspgemm.Float64Matrix(sp.a).ToCSC()
-		g, err := pbspgemm.EngineMultiplyOver(s.eng, ctx, sr, ac, pbspgemm.Float64Matrix(sp.b), opts...)
+		g, err := pbspgemm.EngineMultiplyOver(s.eng, ctx, sr, ac, pbspgemm.Float64Matrix(sp.b), sp.overOptions(&p)...)
 		if err != nil {
 			return nil, err
 		}
-		return productOf(pbspgemm.Float64CSR(g), "PB-SpGEMM("+sp.semiring+")",
-			pbspgemm.Flops(sp.a, sp.b), time.Since(start)), nil
+		return productOf(pbspgemm.Float64CSR(g), overName(&p, sp.semiring), pbspgemm.Flops(sp.a, sp.b), time.Since(start)), nil
 	}
+}
+
+// overOptions are an unmasked semiring request's options: the per-call
+// overrides, its algorithm, and a plan that says which kernel ran.
+func (sp *productSpec) overOptions(p *pbspgemm.SemiringPlan) []pbspgemm.Option {
+	return append(sp.engineOptions(), pbspgemm.WithAlgorithm(sp.algorithm), pbspgemm.WithSemiringPlan(p))
+}
+
+// overName names the kernel a semiring product ran, with its algebra.
+func overName(p *pbspgemm.SemiringPlan, semiring string) string {
+	alg := pbspgemm.PB
+	if p.Rows {
+		alg = pbspgemm.SPA
+	}
+	return alg.String() + "(" + semiring + ")"
 }
 
 // shardable reports whether sp may run on the shard coordinator: peers are

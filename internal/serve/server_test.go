@@ -430,6 +430,42 @@ func TestServerSemiringsAndMask(t *testing.T) {
 	}
 }
 
+// TestServerSemiringAlgorithms: a semiring request runs the algorithm it names
+// — pb the pipeline, spa the row kernel, the same bytes either way, and the
+// reply says which — and one naming a column kernel with no semiring or masked
+// form is a client error, not a silent PB run.
+func TestServerSemiringAlgorithms(t *testing.T) {
+	s := newTestServer(t, nil)
+	a := pbspgemm.NewER(128, 4, 3)
+	ida := uploadText(t, s, a)
+	for _, sr := range []string{"boolean", "minplus", "maxtimes"} {
+		var bodies [2][]byte
+		for i, alg := range []string{"pb", "spa"} {
+			body := fmt.Sprintf(`{"a":%q,"b":%q,"semiring":%q,"algorithm":%q,"output":"binary"}`, ida, ida, sr, alg)
+			rec := do(s, httptest.NewRequest("POST", "/multiply", strings.NewReader(body)))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("%s: %d body %s", body, rec.Code, rec.Body)
+			}
+			want := map[string]string{"pb": "PB-SpGEMM(", "spa": "SPASpGEMM("}[alg] + sr + ")"
+			if got := rec.Header().Get("X-Pbspgemm-Algorithm"); got != want {
+				t.Fatalf("%s ran %q, want %q", body, got, want)
+			}
+			bodies[i] = rec.Body.Bytes()
+		}
+		if !bytes.Equal(bodies[0], bodies[1]) {
+			t.Fatalf("%s: the row kernel's product is not PB's bytes", sr)
+		}
+	}
+	for _, alg := range []string{"heap", "hash", "hashvec", "esc"} {
+		for _, extra := range []string{`"semiring":"minplus"`, `"semiring":"boolean"`, fmt.Sprintf(`"mask":%q`, ida)} {
+			body := fmt.Sprintf(`{"a":%q,"b":%q,%s,"algorithm":%q}`, ida, ida, extra, alg)
+			if _, rec := multiplyJSON(t, s, body); rec.Code != http.StatusBadRequest {
+				t.Fatalf("%s: %d, want 400", body, rec.Code)
+			}
+		}
+	}
+}
+
 // maskFilter keeps ref's entries where mask stores one (or, complemented,
 // where it does not) — the reference semantics of C⟨M⟩.
 func maskFilter(ref, mask *pbspgemm.CSR, complement bool) *pbspgemm.CSR {

@@ -92,9 +92,13 @@ func (c *config) cancelFunc() func() error {
 }
 
 // WithAlgorithm selects the SpGEMM implementation (default PB), or Auto to
-// let the Engine's roofline planner pick per call. Masked and semiring
-// multiplications ignore the choice: a plain mask runs the row-wise masked
-// accumulator, everything else the PB-structured kernel.
+// let the Engine's planner pick per call. Semiring and masked multiplications
+// have two kernels: PB, the tuple pipeline, and SPA, the row kernel (for every
+// semiring); Auto prices both, the row kernel's accumulator at the semiring's
+// value width. A plain mask always runs the row kernel's masked form and a
+// complement mask PB. The column kernels (Heap, Hash, HashVec, ColumnESC,
+// OuterHeapNaive) have no semiring or masked form: such a call returns
+// *OptionError.
 func WithAlgorithm(a Algorithm) Option {
 	return func(c *config) error {
 		if a < PB || a > Auto {

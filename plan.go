@@ -79,20 +79,22 @@ type Plan struct {
 // multiplication itself.
 const plannerSampleFlops = 256 << 10
 
-// plan runs the Auto planner: symbolic flop pass, nnz(C) estimate, then model.
+// planFor runs the Auto planner: symbolic flop pass, nnz(C) estimate, then
+// model, for a product whose row-kernel accumulator takes valueBytes per value
+// (8 for float64, 0 for a Boolean pattern). a and b may be index-only headers.
 // scratch pools the estimator's marker (the caller passes the checked-out
 // workspace's slot, keeping steady-state planned calls allocation-free).
-func (e *Engine) plan(cfg *config, a, b *CSR, scratch *[]int32) *Plan {
-	p := &Plan{NNZA: a.NNZ(), NNZB: b.NNZ(), Flops: flopsNoAlloc(a, b)}
+func planFor(cfg *config, a, b *CSR, scratch *[]int32, valueBytes int64) *Plan {
+	p := &Plan{NNZA: int64(len(a.ColIdx)), NNZB: int64(len(b.ColIdx)), Flops: flopsNoAlloc(a, b)}
 	p.EstNNZC, p.Sampled = matrix.EstimateProductNNZ(a, b, p.Flops, plannerSampleFlops, scratch)
-	p.model(cfg, a.NumRows, b.NumCols, false)
+	p.model(cfg, a.NumRows, b.NumCols, false, valueBytes)
 	return p
 }
 
 // model fills in what the planner derives from p's counts (Flops, EstNNZC,
 // NNZA, NNZB) for a rows×cols product: tuple layout, predicted time per
 // kernel, the faster one as Chosen (PB when pinned) and the footprint.
-func (p *Plan) model(cfg *config, rows, cols int32, pinPB bool) {
+func (p *Plan) model(cfg *config, rows, cols int32, pinPB bool, valueBytes int64) {
 	p.Chosen, p.OuterLayout = PB, core.LayoutWide
 	if p.Flops == 0 {
 		// Empty product: nothing to move, any kernel finishes immediately.
@@ -119,8 +121,8 @@ func (p *Plan) model(cfg *config, rows, cols int32, pinPB bool) {
 		p.AIOuter = roofline.AIOuterExact(p.NNZA, p.NNZB, p.Flops, p.EstNNZC, p.OuterTupleBytes)
 	}
 	p.AIColumn = roofline.AIColumnExact(p.NNZB, p.Flops, p.EstNNZC, roofline.DefaultBytesPerNonzero)
-	shape := roofline.Product{Rows: rows, Cols: cols, NNZA: p.NNZA, NNZB: p.NNZB,
-		Flops: p.Flops, NNZC: p.EstNNZC, L2CacheBytes: int64(cmp.Or(cfg.l2Cache, core.DefaultL2CacheBytes))}
+	shape := roofline.Product{Rows: rows, Cols: cols, NNZA: p.NNZA, NNZB: p.NNZB, Flops: p.Flops, NNZC: p.EstNNZC,
+		ValueBytes: valueBytes, L2CacheBytes: int64(cmp.Or(cfg.l2Cache, core.DefaultL2CacheBytes))}
 	p.PredictedOuterGFLOPS = float64(p.Flops) / shape.PredictPB(p.BetaGBs)
 	p.PredictedColumnGFLOPS = float64(p.Flops) / shape.PredictSPA(p.BetaGBs)
 	// A memory budget is met by tiling, which only PB does.
@@ -264,7 +266,7 @@ func (e *Engine) PlanBlocksFrom(root *Plan, a, b *CSR, g Grid, opts ...Option) (
 					share := float64(root.EstNNZC) * float64(p.Flops) / float64(root.Flops)
 					p.EstNNZC = min(int64(math.Ceil(share)), p.Flops, int64(ba.NumRows)*int64(bb.NumCols))
 				}
-				p.model(&cfg, ba.NumRows, bb.NumCols, true)
+				p.model(&cfg, ba.NumRows, bb.NumCols, true, 8)
 				gp.MaxFootprintBytes = max(gp.MaxFootprintBytes, p.PredictedFootprintBytes)
 				gp.Blocks = append(gp.Blocks, BlockPlan{I: i, J: j, K: k, A: ba, B: bb, Plan: p})
 			}
@@ -331,7 +333,7 @@ func (e *Engine) Plan(ctx context.Context, a, b *CSR, opts ...Option) (*Plan, er
 		return maskedRowsPlan(&cfg, a, b), nil
 	}
 	ws := e.pool.Get().(*kernel.Workspace)
-	p := e.plan(&cfg, a, b, &ws.PlanScratch)
+	p := planFor(&cfg, a, b, &ws.PlanScratch, 8)
 	e.pool.Put(ws)
 	return p, nil
 }

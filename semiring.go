@@ -1,6 +1,8 @@
 package pbspgemm
 
 import (
+	"pbspgemm/internal/baseline"
+	"pbspgemm/internal/kernel"
 	"pbspgemm/internal/matrix"
 	"pbspgemm/internal/semiring"
 )
@@ -78,62 +80,83 @@ func Float64CSR(g *Matrix[float64]) *CSR {
 	}
 }
 
-// MultiplyOver computes C = A ⊗ B over an arbitrary semiring with PB-SpGEMM:
-// the one pipeline Multiply runs (parallel outer-product expand with
-// propagation blocking, stable per-bin sort, fold) on the tuple layout the
-// semiring allows — a typed one for the stock arithmetic and Boolean
-// semirings, otherwise 16-byte tuples formed with sr.Times and folded with
-// sr.Plus, each entry's products in ascending k within a panel and panels in
-// order, whatever the thread count. A streams in column-major form — convert
-// once with (*Matrix[T]).ToCSC and reuse across calls sharing A. Honors
-// WithThreads, WithMemoryBudget, WithMask / WithComplementMask and
-// WithContext (polled every 64 Ki expanded tuples, per sort task and per bin,
-// for every semiring); WithAlgorithm is ignored. Under a plain WithMask any
-// semiring runs MultiplyMasked's row kernel instead (A is first put back in
-// rows, one nnz(A) pass). EngineMultiplyOver reuses workspaces.
+// MultiplyOver computes C = A ⊗ B over an arbitrary semiring. WithAlgorithm
+// picks the kernel: PB (the default) is PB-SpGEMM, the one pipeline Multiply
+// runs (parallel outer-product expand with propagation blocking, stable
+// per-bin sort, fold) on the tuple layout the semiring allows — a typed one for
+// the stock arithmetic and Boolean semirings, otherwise 16-byte tuples formed
+// with sr.Times and folded with sr.Plus; SPA is the row kernel, a dense
+// accumulator per worker (none but the pattern for Boolean over all-true
+// operands); Auto prices both, the accumulator at the semiring's value width,
+// and runs the cheaper (PB under WithMemoryBudget). Either way an entry's
+// products fold in ascending k (within a panel, panels in order), whatever the
+// thread count, so PB and SPA give the same bytes. The column kernels (Heap,
+// Hash, HashVec, ColumnESC, OuterHeapNaive) have no semiring form: naming one
+// returns *OptionError. A streams in column-major form — convert once with
+// (*Matrix[T]).ToCSC and reuse across calls sharing A; the row kernel puts it
+// back in rows first (one nnz(A) pass). Honors WithThreads, WithMemoryBudget,
+// WithMask / WithComplementMask and WithContext (polled every 64 Ki expanded
+// tuples, per sort task and per bin, and every 64 rows of the row kernel).
+// Under a plain WithMask any semiring runs the row kernel's masked form, under
+// a complement mask PB. EngineMultiplyOver reuses workspaces.
 func MultiplyOver[T any](sr Semiring[T], a *ColMatrix[T], b *Matrix[T], opts ...Option) (*Matrix[T], error) {
 	cfg, err := resolve(nil, opts)
 	if err != nil {
 		return nil, err
 	}
-	return semiring.MultiplyOpts(sr, a, b, cfg.semiringOptions(nil))
+	if err := cfg.overAlgorithm(); err != nil {
+		return nil, err
+	}
+	return semiring.MultiplyOpts(sr, a, b, cfg.semiringOptions(nil, nil))
 }
 
 // MultiplyMasked computes the masked product C⟨M⟩ = (A·B) ∘ M over the
-// arithmetic semiring (GraphBLAS masked mxm) with a row-wise masked
-// accumulator: M(r,:) is stamped into a slot array over B's columns, every
-// product a_rk·b_kc probes it, and only hits are folded — nothing outside the
-// mask is written, sorted or folded. Entries are summed in ascending k from
-// their first product, so the result is bit-identical to Reference(A,B) ∘ M
-// at every thread count; one that cancels to 0 is kept, a mask position no
-// product reaches is absent. The slot array is 4 B × cols(B) per worker.
-// WithComplementMask via opts inverts the mask: that keeps nearly all of A·B
-// and runs the tuple pipeline on the wide layout, filtering each bin after its
-// fold. Triangles: MultiplyMasked(A, A, A).
+// arithmetic semiring (GraphBLAS masked mxm) with the row kernel's masked form:
+// M(r,:) is stamped into a slot array over B's columns, every product a_rk·b_kc
+// probes it, and only hits are folded — nothing outside the mask is written,
+// sorted or folded. Entries are summed in ascending k from their first
+// product, so the result is bit-identical to Reference(A,B) ∘ M at every thread
+// count; one that cancels to 0 is kept, a mask position no product reaches is
+// absent. The slot array is 4 B × cols(B) per worker. WithComplementMask via
+// opts inverts the mask: that keeps nearly all of A·B and runs the tuple
+// pipeline on the wide layout, filtering each bin after its fold. Of the
+// column kernels only SPA has a masked form (see MultiplyOver). Triangles:
+// MultiplyMasked(A, A, A).
 func MultiplyMasked(a, b, mask *CSR, opts ...Option) (*CSR, error) {
 	e, _ := NewEngine() // no defaults: nothing to reject
 	return e.MultiplyMasked(nil, a, b, mask, opts...)
 }
 
-// rowMasked: a plain (non-complement) mask, which routes the product onto semiring.MultiplyMaskedRows.
+// rowMasked: a plain (non-complement) mask, which runs the row kernel's masked form.
 func (c *config) rowMasked() bool { return c.mask != nil && !c.complement }
 
-// maskedArith runs a resolved masked arithmetic product on ws: a plain mask
-// walks A by rows as given and returns the kernel's fresh output, a complement
-// one runs the tuple pipeline on ws's CSC of A and clones the result out.
-func (c *config) maskedArith(a, b *CSR, ws *Workspace) (*CSR, error) {
-	sopt, br := c.semiringOptions(ws), Float64Matrix(b)
-	var g *Matrix[float64]
-	var err error
-	if c.rowMasked() {
-		g, err = semiring.MultiplyMaskedRows(Arithmetic(), Float64Matrix(a), br, sopt)
-	} else if g, err = semiring.MultiplyOpts(Arithmetic(), colView(ws.CSCOf(a)), br, sopt); err == nil {
-		g = g.Clone()
+// overAlgorithm rejects, for a semiring or masked product, a kernel that has no
+// form there: PB, SPA and Auto do, the other column kernels do not.
+func (c *config) overAlgorithm() error {
+	switch c.algorithm {
+	case PB, SPA, Auto:
+		return nil
 	}
+	return &OptionError{Option: "WithAlgorithm", Value: int64(c.algorithm)}
+}
+
+// maskedArith runs a resolved masked arithmetic product on ws: a plain mask
+// runs the row kernel (baseline.SPA) on A by rows as given, a complement one
+// the tuple pipeline on ws's CSC of A. Either way the product is the caller's.
+func (c *config) maskedArith(a, b *CSR, ws *kernel.Workspace) (*CSR, error) {
+	if c.rowMasked() {
+		m, _, err := baseline.SPA(a, b, baseline.Options{Threads: c.threads, Workspace: ws.Col,
+			Cancel: c.cancelFunc(), Mask: c.mask})
+		if err != nil {
+			return nil, err
+		}
+		return ws.DetachOutput(m), nil
+	}
+	g, err := semiring.MultiplyOpts(Arithmetic(), colView(ws.Core.CSCOf(a)), Float64Matrix(b), c.semiringOptions(ws.Core, nil))
 	if err != nil {
 		return nil, err
 	}
-	return Float64CSR(g), nil
+	return Float64CSR(g.Clone()), nil
 }
 
 // EWiseAdd returns the element-wise sum of a and b over sr.Plus: the union
@@ -149,10 +172,12 @@ func EWiseMult[T any](sr Semiring[T], a, b *Matrix[T]) (*Matrix[T], error) {
 	return semiring.EWiseMult(sr, a, b)
 }
 
-// semiringOptions lowers the resolved config to internal/semiring's
-// options; ws is the pooled workspace (nil for one-shot calls).
-func (c *config) semiringOptions(ws *Workspace) semiring.Options {
-	return semiring.Options{
+// semiringOptions lowers the resolved config to internal/semiring's options;
+// ws is the pooled workspace and scratch the planner's marker (nil for one-shot
+// calls). WithAlgorithm becomes the choice of kernel: SPA the row kernel, Auto
+// the planner's pick, priced at the semiring's value width.
+func (c *config) semiringOptions(ws *Workspace, scratch *[]int32) semiring.Options {
+	opt := semiring.Options{
 		Threads:           c.threads,
 		MemoryBudgetBytes: c.budget,
 		Workspace:         ws,
@@ -161,6 +186,16 @@ func (c *config) semiringOptions(ws *Workspace) semiring.Options {
 		Cancel:            c.cancelFunc(),
 		Plan:              c.plan,
 	}
+	switch c.algorithm {
+	case SPA:
+		opt.Rows = func(*matrix.CSR, *matrix.CSR, int64) bool { return true }
+	case Auto:
+		cfg := *c
+		opt.Rows = func(a, b *matrix.CSR, valueBytes int64) bool {
+			return planFor(&cfg, a, b, scratch, valueBytes).Chosen == SPA
+		}
+	}
+	return opt
 }
 
 // colView wraps a float64 CSC as a generic column matrix without copying.

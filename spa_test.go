@@ -171,6 +171,52 @@ func TestSPASteadyStateAllocatesOnlyTheOutput(t *testing.T) {
 	}
 }
 
+// TestSemiringRejectsColumnKernels: a semiring or masked call naming a column
+// kernel that has no form there gets *OptionError before any work runs — from
+// the call's options or the engine's defaults — where it used to run PB
+// silently; PB, SPA and Auto all run, to the same bytes.
+func TestSemiringRejectsColumnKernels(t *testing.T) {
+	a := NewER(96, 4, 1)
+	ac, am := Float64Matrix(a).ToCSC(), Float64Matrix(a)
+	ctx := context.Background()
+	for _, alg := range []Algorithm{Heap, Hash, HashVec, ColumnESC, OuterHeapNaive} {
+		eng, err := NewEngine(WithAlgorithm(alg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var oe *OptionError
+		for what, call := range map[string]func() error{
+			"MultiplyOver": func() error { _, err := MultiplyOver(MinPlus(), ac, am, WithAlgorithm(alg)); return err },
+			"EngineMultiplyOver": func() error {
+				_, err := EngineMultiplyOver(eng, ctx, Boolean(), MatrixOf(a, func(float64) bool { return true }).ToCSC(),
+					MatrixOf(a, func(float64) bool { return true }))
+				return err
+			},
+			"MultiplyMasked":        func() error { _, err := MultiplyMasked(a, a, a, WithAlgorithm(alg)); return err },
+			"Engine.MultiplyMasked": func() error { _, err := eng.MultiplyMasked(ctx, a, a, a); return err },
+		} {
+			if err := call(); !errors.As(err, &oe) || oe.Option != "WithAlgorithm" {
+				t.Fatalf("%s with %v: got %v, want *OptionError", what, alg, err)
+			}
+		}
+		if m := eng.Metrics(); m.Calls != 0 {
+			t.Fatalf("%v: rejected calls reached the metrics: %+v", alg, m)
+		}
+	}
+	var want *Matrix[float64]
+	for _, alg := range []Algorithm{PB, SPA, Auto} {
+		got, err := MultiplyOver(MinPlus(), ac, am, WithAlgorithm(alg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = got
+		} else if err := sameBytes(Float64CSR(want), Float64CSR(got)); err != nil {
+			t.Fatalf("%v: %v", alg, err)
+		}
+	}
+}
+
 // trippingCtx is a context whose Err starts reporting Canceled at its trip-th
 // call — a cancellation that lands at a chosen poll inside the product.
 type trippingCtx struct {
