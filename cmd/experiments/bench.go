@@ -24,7 +24,7 @@ import (
 // GFLOPS, per-phase GB/s and allocs/op. CI runs `bench -json bench.json
 // -gate` on every push and uploads it as the bench-trajectory artifact, so
 // each PR leaves a comparable perf baseline behind; the committed
-// BENCH_PR26.json is one -gate run of the commit that set the current
+// BENCH_PR28.json is one -gate run of the commit that set the current
 // gates (CI's informational -baseline). Regimes pin both tuple layouts on the
 // low-cf ER workload (the squeezed pipeline's headline case), fused-vs-unfused
 // on the high-cf R-MAT workload (the fused pipeline's), that workload under
@@ -184,15 +184,15 @@ var dramGateRegimes = []phaseGate{{"er-dram-squeezed", 40}, {"er-dram-pattern", 
 // 1.5 × PR 14's figure where it had one (13.2 % on rmat-highcf-fused, 4.5 %
 // on er-dram-squeezed — which is what sets that floor); both files are gone,
 // the constants are what remains of them. The er-dram
-// regimes are the LSD on 26-bit keys; the rmat ones fold almost every bin
-// through the direct-address accumulator (rmat-dram is BENCHMARK.json's
-// rmat_skew product). er-dram-pattern's floor is 0.8 × BENCH_PR25.json's
-// 3.2 %. That run read er-dram-squeezed at 6.3 % (fuse 51.7 ms, 61.8 in
-// BENCH_PR19.json), yet its floor stays 6.8: the run's Triad roof was 15.5
-// GB/s against 10.7, and 0.8 × 6.3 would loosen the floor, which a ratchet
-// never does.
+// regimes are the LSD on two-pass 22-bit keys in 1 024 bins (26-bit keys in
+// 64 before PR 28); the rmat ones fold almost every bin through the
+// direct-address accumulator (rmat-dram is BENCHMARK.json's rmat_skew
+// product). er-dram-pattern's floor is 0.8 × BENCH_PR28.json's 3.5 %. That
+// run read er-dram-squeezed at 8.0 % (fuse 36.6 ms, 74.3 in BENCH_PR26.json),
+// yet its floor stays 6.8: the run's Triad roof was 17.2 GB/s, and 0.8 × 8.0
+// would loosen the floor, which a ratchet never does.
 var fuseGateRegimes = []phaseGate{
-	{gateFusedRegime, 42.7}, {"er-dram-squeezed", 6.8}, {"er-dram-pattern", 2.6},
+	{gateFusedRegime, 42.7}, {"er-dram-squeezed", 6.8}, {"er-dram-pattern", 2.8},
 	{"rmat-dram-squeezed", 19.5}, {"rmat-dram-pattern", 11.3},
 }
 

@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"math/bits"
 	"os"
 	"slices"
 
@@ -9,38 +10,19 @@ import (
 	"pbspgemm/internal/gen"
 	"pbspgemm/internal/matrix"
 	"pbspgemm/internal/metrics"
+	"pbspgemm/internal/radix"
 )
 
-// fig6Input generates the parameter-selection workload: ER scale 20, edge
-// factor 4 in the paper; scale 16 at laptop scale.
-func fig6Input(cfg *config) (*matrix.CSC, *matrix.CSR) {
+// fig6Input generates the parameter-selection workload: ER scale 20 in the
+// paper, scale 16 at laptop scale, at edge factor ef (4 in the paper).
+func fig6Input(cfg *config, ef int) (*matrix.CSC, *matrix.CSR) {
 	scale := 16
 	if cfg.full {
 		scale = 20
 	}
-	a := gen.ERMatrix(scale, 4, cfg.seed)
-	b := gen.ERMatrix(scale, 4, cfg.seed+1)
-	fmt.Printf("workload: ER scale %d, edge factor 4 (%s nnz each)\n\n",
-		scale, metrics.HumanCount(a.NNZ()))
+	a, b := gen.ERMatrix(scale, ef, cfg.seed), gen.ERMatrix(scale, ef, cfg.seed+1)
+	fmt.Printf("workload: ER scale %d, edge factor %d (%s nnz each)\n\n", scale, ef, metrics.HumanCount(a.NNZ()))
 	return a.ToCSC(), b
-}
-
-// pbBest runs core.Multiply reps times, returning the stats of the fastest
-// total run.
-func pbBest(cfg *config, a *matrix.CSC, b *matrix.CSR, opt core.Options) *core.Stats {
-	opt.Threads = pickThreads(cfg, opt.Threads)
-	var best *core.Stats
-	for r := 0; r < cfg.reps; r++ {
-		_, st, err := core.Multiply(a, b, opt)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "multiply failed: %v\n", err)
-			os.Exit(1)
-		}
-		if best == nil || st.Total < best.Total {
-			best = st
-		}
-	}
-	return best
 }
 
 // runFig6a sweeps the local-bin width and reports expand-phase time and
@@ -52,7 +34,7 @@ func pbBest(cfg *config, a *matrix.CSC, b *matrix.CSR, opt core.Options) *core.S
 // workspace per layout, so every row of a layout is an in-run pair with the
 // default's, free of the page faults a fresh arena would add to expand.
 func runFig6a(cfg *config) {
-	a, b := fig6Input(cfg)
+	a, b := fig6Input(cfg, 4)
 	af32, bf32 := float32s(a.Val), float32s(b.Val)
 	widths := []int{64, 256, 512, 1024, 2048, 4096}
 	threads := pickThreads(cfg, 0)
@@ -108,26 +90,43 @@ func float32s(xs []float64) []float32 {
 	return out
 }
 
-// runFig6b sweeps the number of global bins and reports expand and sort
-// bandwidth (Fig. 6b: more bins => in-cache sorting, but smaller flushes).
-// The sort column reports both the memory-traffic model (b·flop) and the
-// in-cache shuffle accounting (4·b·flop) the paper quotes when it reports
-// sorting bandwidth "as high as 200 GB/s".
+// runFig6b sweeps the number of global bins on the shipped fused pipeline and
+// reports expand and fuse (sort+fold) bandwidth (Fig. 6b: more bins =>
+// in-cache sorting, but smaller flushes), each geometry's key width and the
+// LSD passes a mean bin plans, on the paper's input and at edge factor 8
+// (er_lowcf at laptop scale). The last row is the auto geometry, whose
+// two-pass rule (core.planBinGeometry) the sweep is the evidence for.
 func runFig6b(cfg *config) {
-	a, b := fig6Input(cfg)
-	tb := metrics.NewTable("Fig. 6b — bandwidth vs number of bins",
-		"nbins", "expand GB/s", "sort GB/s (mem)", "sort GB/s (shuffle)", "total (ms)")
-	for _, nbins := range []int{1, 16, 64, 256, 1024, 2048, 4096, 16384} {
-		// Fig. 6b reports sort-phase bandwidth; run the three-phase
-		// pipeline so the phase exists separately.
-		st := pbBest(cfg, a, b, core.Options{NBins: nbins, DisableFusion: true})
-		shuffle := 4 * float64(st.SortBytes)
-		sortShuffleGBs := 0.0
-		if st.Sort > 0 {
-			sortShuffleGBs = shuffle / st.Sort.Seconds() / 1e9
+	for _, ef := range []int{4, 8} {
+		a, b := fig6Input(cfg, ef)
+		nbins := []int{1, 16, 64, 256, 1024, 2048, 4096, 16384, 0}
+		ws, best := core.NewWorkspace(), make([]core.Stats, len(nbins))
+		for r := -1; r < cfg.reps; r++ { // rep -1 grows the workspace
+			for i, nb := range nbins {
+				_, st, err := core.Multiply(a, b, core.Options{NBins: nb, Threads: pickThreads(cfg, 0), Workspace: ws})
+				if err != nil {
+					fmt.Fprintf(os.Stderr, "multiply failed: %v\n", err)
+					os.Exit(1)
+				}
+				if r >= 0 && (best[i].Total == 0 || st.Total < best[i].Total) {
+					best[i] = *st // st aliases ws
+				}
+			}
 		}
-		tb.AddRow(st.NBins, st.ExpandGBs(), st.SortGBs(), sortShuffleGBs, ms(st.Total))
+		tb := metrics.NewTable("Fig. 6b — bandwidth vs number of bins, fused",
+			"nbins", "key bits", "LSD passes", "expand GB/s", "fuse GB/s", "expand (ms)", "fuse (ms)", "total (ms)")
+		colBits := bits.Len32(uint32(b.NumCols - 1))
+		for i, st := range best {
+			keyBits := bits.Len32(uint32((a.NumRows+int32(st.NBins)-1)/int32(st.NBins)-1)) + colBits
+			label := fmt.Sprint(st.NBins)
+			if nbins[i] == 0 {
+				label += " (auto)"
+			}
+			tb.AddRow(label, keyBits, radix.Passes(int(st.Flops)/st.NBins, keyBits), st.ExpandGBs(), st.FuseGBs(),
+				ms(st.Expand), ms(st.Fuse), ms(st.Total))
+		}
+		tb.Render(os.Stdout)
+		fmt.Println()
 	}
-	tb.Render(os.Stdout)
-	fmt.Println("\npaper: 1K-2K bins balance expand flush size against in-cache sorting.")
+	fmt.Println("paper: 1K-2K bins balance expand flush size against in-cache sorting; auto trims a key past two LSD passes.")
 }

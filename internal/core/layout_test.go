@@ -259,12 +259,91 @@ func TestPlanLayoutTracksBudget(t *testing.T) {
 	}
 }
 
+// TestBinGeometryTwoPassTrim pins planBinGeometry's two-pass rule: an auto
+// geometry whose key the flop rule leaves past two LSD passes gets shorter
+// bins until it is two passes (22 bits), unless the bins would outnumber
+// min(2048, L2CacheBytes/LocalBinBytes) or fall below radix.FullDigitTuples;
+// any other geometry, and an explicit NBins, is the flop rule's.
+func TestBinGeometryTwoPassTrim(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		rows      int32
+		flops     int64 // the largest panel's
+		colBits   uint
+		opt       Options
+		nbins     int
+		rowShift  uint
+		keyPasses int
+	}{
+		// er_lowcf (ER 2^16·d8): the flop rule's 64 bins of 10+16 = 26 bits.
+		{"er_lowcf", 1 << 16, 1 << 22, 16, Options{}, 1024, 6, 2},
+		// A shard_grid row band: 2 bins of 10+15 bits under the flop rule.
+		{"shard-band", 2048, 131072, 15, Options{}, 16, 7, 2},
+		// ER 2^13·d8, the bench's er-lowcf regimes: 8 bins of 10+13 bits.
+		{"er-2^13", 1 << 13, 1 << 19, 13, Options{}, 16, 9, 2},
+		// 23 column bits leave no row bit for a 22-bit key.
+		{"colbits-23", 1 << 16, 1 << 22, 23, Options{}, 64, 10, 3},
+		// Already two passes: ER 2^12·d8 (10+12) and R-MAT 2^13·16 (5+13).
+		{"er-2^12", 1 << 12, 1 << 18, 12, Options{}, 4, 10, 2},
+		{"rmat-2^13", 1 << 13, 19 << 20, 13, Options{}, 256, 5, 2},
+		// The cap: 1 024 bins need L2CacheBytes/LocalBinBytes ≥ 1 024.
+		{"local-bin-cap", 1 << 16, 1 << 22, 16, Options{LocalBinBytes: 2048}, 64, 10, 3},
+		{"l2-cap", 1 << 16, 1 << 22, 16, Options{L2CacheBytes: 512 << 10}, 128, 9, 3},
+		{"l2-2MiB", 1 << 16, 1 << 22, 16, Options{L2CacheBytes: 2 << 20}, 1024, 6, 2},
+		{"explicit-nbins", 1 << 16, 1 << 22, 16, Options{NBins: 64}, 64, 10, 3},
+		// A budgeted run sizes bins by its largest panel: er_lowcf under a 32 MiB
+		// budget trims, under 16 MiB its 1 024 bins would hold 1 Ki tuples each.
+		{"budget-32MiB", 1 << 16, 32 << 20 / tupleBytes, 16, Options{}, 1024, 6, 2},
+		{"budget-16MiB", 1 << 16, 16 << 20 / tupleBytes, 16, Options{}, 16, 12, 3},
+		// A hypersparse product: one bin of 5 000 tuples on 12+12 bits stays.
+		{"hypersparse", 1 << 12, 5000, 12, Options{}, 1, 12, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := planBinGeometry(tc.rows, tc.flops, tc.colBits, tc.opt.withDefaults())
+			if g.nbins != tc.nbins || g.rowShift != tc.rowShift {
+				t.Fatalf("got %d bins, rowShift %d; want %d, %d", g.nbins, g.rowShift, tc.nbins, tc.rowShift)
+			}
+			perBin := int((tc.flops + int64(g.nbins) - 1) / int64(g.nbins))
+			if p := radix.Passes(perBin, int(g.rowShift+tc.colBits)); p != tc.keyPasses {
+				t.Fatalf("%d-bit keys over %d tuples plan %d passes, want %d", g.rowShift+tc.colBits, perBin, p, tc.keyPasses)
+			}
+		})
+	}
+}
+
+// TestPlanLayoutAgreesOnTrimmedGeometry: on shapes the two-pass rule trims,
+// single-shot and budgeted, the engine runs the bins planBinGeometry predicts
+// and the layout PlanLayout and Key32Fits report.
+func TestPlanLayoutAgreesOnTrimmedGeometry(t *testing.T) {
+	a, b := gen.ERMatrix(13, 8, 1), gen.ERMatrix(13, 8, 2)
+	acsc := a.ToCSC()
+	for _, opt := range []Options{{Threads: 1}, {Threads: 2, MemoryBudgetBytes: 2 << 20}} {
+		_, st, err := Multiply(acsc, b, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.NBins != 16 {
+			t.Fatalf("budget %d: engine ran %d bins, want the trimmed 16", opt.MemoryBudgetBytes, st.NBins)
+		}
+		if got := PlanLayout(a.NumRows, b.NumCols, st.Flops, opt); got != st.Layout {
+			t.Fatalf("budget %d: PlanLayout %v, engine %v", opt.MemoryBudgetBytes, got, st.Layout)
+		}
+		if !Key32Fits(a.NumRows, b.NumCols, st.Flops, opt) {
+			t.Fatalf("budget %d: Key32Fits false on a squeezed run", opt.MemoryBudgetBytes)
+		}
+		_, stp, err := MultiplyPattern(acsc, b, opt)
+		if err != nil || stp.NBins != st.NBins {
+			t.Fatalf("budget %d: pattern entry ran %d bins (%v), float64 %d", opt.MemoryBudgetBytes, stp.NBins, err, st.NBins)
+		}
+	}
+}
+
 // TestPowerOfTwoBinGeometry: rowsPerBin is always a power of two and bins
 // exactly tile the rows.
 func TestPowerOfTwoBinGeometry(t *testing.T) {
 	for _, rows := range []int32{1, 2, 3, 511, 512, 513, 5000, 1 << 20} {
 		for _, nbins := range []int{0, 1, 2, 7, 64, 2048} {
-			g := planBinGeometry(rows, int64(rows)*8, Options{NBins: nbins}.withDefaults())
+			g := planBinGeometry(rows, int64(rows)*8, colBitsFor(rows), Options{NBins: nbins}.withDefaults())
 			rpb := int64(1) << g.rowShift
 			if rpb&(rpb-1) != 0 {
 				t.Fatalf("rows=%d nbins=%d: rowsPerBin %d not a power of two", rows, nbins, rpb)

@@ -49,6 +49,7 @@ import (
 	"pbspgemm/internal/faultinject"
 	"pbspgemm/internal/matrix"
 	"pbspgemm/internal/par"
+	"pbspgemm/internal/radix"
 	"pbspgemm/internal/simd"
 )
 
@@ -59,9 +60,10 @@ import (
 // 54.3 for 74.8 (pattern 20.6 for 28.1). 2 KiB reads 0.95–1.00 of 1 KiB, no gain on wide.
 const DefaultLocalBinBytes = 1024
 
-// DefaultL2CacheBytes is the sort-phase cache budget per bin. The paper uses
-// the L2 size of the evaluation machines (1 MiB on Skylake, 512 KiB/2 cores
-// on POWER9); 1 MiB is our default.
+// DefaultL2CacheBytes is the sort-phase cache budget per bin, as the paper
+// uses its machines' L2 (1 MiB on Skylake, 512 KiB/2 cores on POWER9). Bins
+// start at flops × 16 B per budget; over LocalBinBytes it caps the two-pass
+// trim (1 024 bins at the defaults; planBinGeometry, `experiments fig6b`).
 const DefaultL2CacheBytes = 1 << 20
 
 // Layout identifies the expanded-tuple representation of a run. The paper's
@@ -151,8 +153,9 @@ const tupleBytes = WideTupleBytes
 
 // Options tunes PB-SpGEMM. The zero value selects the paper's defaults.
 type Options struct {
-	// NBins forces the number of global bins; 0 derives it from flop and
-	// L2CacheBytes as the symbolic phase does (Algorithm 3 line 6).
+	// NBins forces the number of global bins, as given; 0 derives it from
+	// flop and L2CacheBytes (Algorithm 3 line 6), then shortens bins whose key
+	// the LSD would sort in more than two passes (planBinGeometry).
 	NBins int
 	// LocalBinBytes is the requested width of each thread-private local bin;
 	// 0 means DefaultLocalBinBytes (1024). The capacity actually used is the
@@ -648,18 +651,12 @@ func (e *engine) planPanels() {
 		for i := 0; i < k; i++ {
 			if cur > 0 && cur+cf[i] > budgetTuples {
 				ps = append(ps, i)
-				if cur > maxf {
-					maxf = cur
-				}
-				cur = 0
+				maxf, cur = max(maxf, cur), 0
 			}
 			cur += cf[i]
 		}
 		ps = append(ps, k)
-		if cur > maxf {
-			maxf = cur
-		}
-		e.maxPanelFlops = maxf
+		e.maxPanelFlops = max(maxf, cur)
 	}
 	e.ws.panelStart = ps
 	e.npanels = len(ps) - 1
@@ -679,36 +676,43 @@ type binGeometry struct {
 // per flop; nbins is recomputed so bins still exactly tile the rows. Sizing
 // always uses the wide 16-byte tuple cost, so the geometry (and the squeeze
 // decision it feeds) never depends on the layout it produces.
-func planBinGeometry(rows int32, maxPanelFlops int64, opt Options) binGeometry {
+//
+// An auto key the LSD sorts in more than two passes (radix.Passes at the mean
+// bin) then gets the largest rowShift at which it is two passes (22 bits), if
+// that leaves at most min(2048, L2CacheBytes/LocalBinBytes) bins, so expand's
+// local bins stay L2-resident (Fig. 5), of radix.FullDigitTuples each; else
+// the flop rule stands and no layout changes. It is Section V-A's in-cache bin
+// made exact for the sort that runs: er_lowcf (ER 2^16·d8) goes from 64 bins
+// of 26-bit keys (three passes over ~2.3 MB, past a 2 MiB L2) to 1 024 of 22,
+// fuse 60–62 → 43–46 ms for 3 ms more expand (`experiments fig6b`). Bytes
+// never depend on it. Key32Fits, PlanLayout and the planner read this rule.
+func planBinGeometry(rows int32, maxPanelFlops int64, colBits uint, opt Options) binGeometry {
 	// The auto value is capped at 2048: the paper uses 1K-2K bins in
 	// practice (Section V-A) because each thread also keeps one local bin
 	// per global bin, and nbins*LocalBinBytes must stay within the cache for
 	// the expand phase to stream (Fig. 5). Callers can override with an
 	// explicit NBins.
 	const maxAutoBins = 2048
-	nbins := opt.NBins
+	nbins := int64(opt.NBins)
 	if nbins <= 0 {
-		nbins = int((maxPanelFlops*tupleBytes + int64(opt.L2CacheBytes) - 1) / int64(opt.L2CacheBytes))
-		if nbins > maxAutoBins {
-			nbins = maxAutoBins
+		nbins = min((maxPanelFlops*tupleBytes+int64(opt.L2CacheBytes)-1)/int64(opt.L2CacheBytes), maxAutoBins)
+	}
+	if nbins = max(nbins, 1); rows <= 0 {
+		return binGeometry{nbins: int(nbins)}
+	}
+	shift := bits.Len64(uint64((int64(rows)+nbins-1)/nbins - 1)) // ceil(log2(rows per bin))
+	binsAt := func(s int) int64 { return (int64(rows) + 1<<s - 1) >> s }
+	perBin := func(s int) int { return int((maxPanelFlops + binsAt(s) - 1) / binsAt(s)) }
+	if opt.NBins <= 0 && radix.Passes(perBin(shift), shift+int(colBits)) > 2 {
+		maxBins := int64(min(maxAutoBins, opt.L2CacheBytes/opt.LocalBinBytes))
+		for s := shift - 1; s >= 0 && binsAt(s) <= maxBins && perBin(s) >= radix.FullDigitTuples; s-- {
+			if radix.Passes(perBin(s), s+int(colBits)) <= 2 {
+				shift = s
+				break
+			}
 		}
 	}
-	if nbins < 1 {
-		nbins = 1
-	}
-	if int64(nbins) > int64(rows) && rows > 0 {
-		nbins = int(rows)
-	}
-	rpb := (int64(rows) + int64(nbins) - 1) / int64(nbins)
-	if rpb < 1 {
-		rpb = 1
-	}
-	shift := uint(bits.Len64(uint64(rpb - 1))) // ceil(log2(rpb))
-	rpb = int64(1) << shift
-	if rows > 0 {
-		nbins = int((int64(rows) + rpb - 1) / rpb)
-	}
-	return binGeometry{nbins: nbins, rowShift: shift}
+	return binGeometry{nbins: int(binsAt(shift)), rowShift: uint(shift)}
 }
 
 // planBins fixes the run's bin geometry and tuple layout. Bins are fixed row
@@ -716,7 +720,7 @@ func planBinGeometry(rows int32, maxPanelFlops int64, opt Options) binGeometry {
 // merge bin-by-bin. The error is non-nil only when the entry point demanded
 // a 32-bit-key layout (pattern/narrow) the geometry cannot deliver.
 func (e *engine) planBins() error {
-	g := planBinGeometry(e.a.NumRows, e.maxPanelFlops, e.opt)
+	g := planBinGeometry(e.a.NumRows, e.maxPanelFlops, e.colBits, e.opt)
 	e.nbins = g.nbins
 	e.rowShift = g.rowShift
 	e.rowMask = uint32(int64(1)<<g.rowShift - 1)
@@ -836,13 +840,10 @@ func Key32Fits(rows, bCols int32, flops int64, opt Options) bool {
 	// predicted layout matches the one a budgeted run executes.
 	maxPanelFlops := flops
 	if budgetTuples := opt.MemoryBudgetBytes / tupleBytes; opt.MemoryBudgetBytes > 0 && maxPanelFlops > budgetTuples {
-		maxPanelFlops = budgetTuples
-		if maxPanelFlops < 1 {
-			maxPanelFlops = 1
-		}
+		maxPanelFlops = max(budgetTuples, 1)
 	}
-	g := planBinGeometry(rows, maxPanelFlops, opt)
-	return g.rowShift+colBitsFor(bCols) <= 32
+	colBits := colBitsFor(bCols)
+	return planBinGeometry(rows, maxPanelFlops, colBits, opt).rowShift+colBits <= 32
 }
 
 // PlanLayout reports the tuple layout Multiply (the float64 entry) would
@@ -1031,11 +1032,7 @@ type sortSeg struct {
 // two sizes so tests can pin the split decision per layout
 // (TestSortSplitCutoffPerLayout).
 func sortSplitCutoffTuples(tupleBytes, l2CacheBytes int64) int64 {
-	c := 2 * l2CacheBytes / tupleBytes
-	if c < 4096 {
-		c = 4096
-	}
-	return c
+	return max(2*l2CacheBytes/tupleBytes, 4096)
 }
 
 func (e *engine) sortSplitCutoff() int64 {

@@ -457,30 +457,50 @@ func TestGrowUint32(t *testing.T) {
 	}
 }
 
-// BenchmarkSortFoldHypersparse times SortFold on er_lowcf's bin shape, in ns
-// per tuple: 64 Ki tuples of 26-bit keys (10 row bits over 16 column bits) in
-// runs of 8 that share a row — one A entry times one 8-long row of B — so
-// nothing folds and every tuple takes the LSD's full three passes.
+// BenchmarkSortFoldHypersparse times SortFold on er_lowcf's bins (ER 2^16·d8),
+// in ns per tuple, at both geometries the engine has given them: 64 Ki tuples
+// of 26-bit keys (10 row bits over 16 column bits, three passes) under the
+// flop rule alone, and 4 Ki tuples of 22-bit keys (6 over 16, two passes)
+// under the two-pass trim. A bin holds what expand writes: runs of 8 tuples
+// that share a row — one A entry times one 8-long row of B — each run
+// ascending in distinct columns, as B's rows are, so nothing folds.
 func BenchmarkSortFoldHypersparse(b *testing.B) {
-	const n, keyBits, colBits, run = 1 << 16, 26, 16, 8
-	r := rand.New(rand.NewSource(25))
-	keys, vals := make([]uint32, n), make([]float64, n)
-	for i := 0; i < n; i += run {
-		row := uint32(r.Intn(1<<(keyBits-colBits))) << colBits
-		for j := i; j < i+run; j++ {
-			keys[j], vals[j] = row|uint32(r.Intn(1<<colBits)), r.Float64()
-		}
+	const colBits, run = 16, 8
+	for _, g := range []struct{ n, keyBits int }{{1 << 16, 26}, {1 << 12, 22}} {
+		b.Run(fmt.Sprintf("n%d/bits%d", g.n, g.keyBits), func(b *testing.B) {
+			n, keyBits := g.n, g.keyBits
+			r := rand.New(rand.NewSource(25))
+			keys, vals := make([]uint32, n), make([]float64, n)
+			for i := 0; i < n; i += run {
+				row := uint32(r.Intn(1<<(keyBits-colBits))) << colBits
+				cols := keys[i : i+run]
+				for distinct := false; !distinct; {
+					for j := range cols {
+						cols[j] = uint32(r.Intn(1 << colBits))
+					}
+					sort.Slice(cols, func(x, y int) bool { return cols[x] < cols[y] })
+					distinct = true
+					for j := 1; j < run; j++ {
+						distinct = distinct && cols[j] != cols[j-1]
+					}
+				}
+				for j := range cols {
+					cols[j] |= row
+					vals[i+j] = r.Float64()
+				}
+			}
+			k, v := make([]uint32, n), make([]float64, n)
+			w0, w1, tmp := make([]uint64, n), make([]uint64, n), make([]float64, n)
+			rows := make([]int64, 1<<(keyBits-colBits))
+			b.SetBytes(int64(n) * 12)
+			for i := 0; i < b.N; i++ {
+				copy(k, keys)
+				copy(v, vals)
+				SortFold(k, v, w0, w1, tmp, keyBits, true, rows, colBits)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/tuple")
+		})
 	}
-	k, v := make([]uint32, n), make([]float64, n)
-	w0, w1, tmp := make([]uint64, n), make([]uint64, n), make([]float64, n)
-	rows := make([]int64, 1<<(keyBits-colBits))
-	b.SetBytes(n * 12)
-	for i := 0; i < b.N; i++ {
-		copy(k, keys)
-		copy(v, vals)
-		SortFold(k, v, w0, w1, tmp, keyBits, true, rows, colBits)
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/tuple")
 }
 
 // BenchmarkKernels times the kernels on one L2-sized bin of 64 Ki tuples: the

@@ -33,6 +33,8 @@ const (
 	maxDigitBits = 11
 	minDigitBits = 8
 	maxPasses    = 4
+	// FullDigitTuples is the shortest segment lsdPlan gives maxDigitBits digits.
+	FullDigitTuples = 1 << maxDigitBits
 	// bucketMask clamps a digit to its table: a no-op on values (a digit is
 	// at most maxDigitBits wide) that lets the compiler drop the bounds check
 	// from the histogram and scatter inner loops.
@@ -69,6 +71,13 @@ func lsdPlan(n, keyBits int) (passes, digit int) {
 	w := min(max(bits.Len(uint(n))-1, minDigitBits), maxDigitBits)
 	passes = max((keyBits+w-1)/w, 1)
 	return passes, (keyBits + passes - 1) / passes
+}
+
+// Passes is the number of scatter passes SortFold, SortFoldPattern and
+// SortPairs plan for n tuples of keyBits-bit keys; internal/core sizes bins by it.
+func Passes(n, keyBits int) int {
+	passes, _ := lsdPlan(n, keyBits)
+	return passes
 }
 
 // count fills hist[p][d] with the number of keys whose p-th digit is d, for
@@ -192,6 +201,12 @@ func Tally(keys []uint32, rows []int64, colBits uint) {
 // for each (rows == nil skips the tally). w0, w1 and tmp are scratch planes
 // of at least len(keys); their contents are clobbered. Returns the tuple
 // count left in keys/vals: the folded count, or len(keys) when sort-only.
+//
+// Measured and lost, not to be retried: a row-first fold of a cf ≈ 1 bin (a
+// stable pass on the local row, then an in-L1 merge of each row's ascending
+// runs). On 64 Ki tuples of 26-bit keys in 8-tuple runs it took 29.4–30.9 ns
+// a tuple branchy against 12.4–12.9 here, 23.5–24.1 branchless against
+// 14.9–15.8, 31–44 on 4-tuple runs. Two-pass bins (internal/core) won instead.
 func SortFold[V Numeric](keys []uint32, vals []V, w0, w1 []uint64, tmp []V, keyBits int, fold bool, rows []int64, colBits uint) int {
 	n := len(keys)
 	vals = vals[:n]

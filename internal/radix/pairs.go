@@ -248,7 +248,7 @@ func SortPairsInPlace[V any](ps []Pair[V]) {
 	if or == 0 {
 		return
 	}
-	sortPairsAtByte(ps, topByte(or))
+	sortPairsAtByte(ps, (bits.Len64(or)-1)/8) // the top non-zero byte
 }
 
 // flagStatePairs is one byte pass's bucket bookkeeping.

@@ -46,19 +46,6 @@ const digitBits = 8
 // maxBuckets sizes the per-pass counter arrays.
 const maxBuckets = 1 << digitBits
 
-// topByte returns the index (0 = least significant) of the most significant
-// non-zero byte of x.
-func topByte(x uint64) int {
-	b := 0
-	for s := 32; s >= 8; s >>= 1 {
-		if x>>(uint(s)) != 0 {
-			x >>= uint(s)
-			b += s / 8
-		}
-	}
-	return b
-}
-
 // GrowUint32 returns (*buf)[:n], reallocating only when capacity is short;
 // contents are unspecified. Counterpart of GrowPairs for the key32 planes.
 func GrowUint32(buf *[]uint32, n int64) []uint32 {
