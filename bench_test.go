@@ -6,6 +6,7 @@ package pbspgemm
 // the full-scale sweeps with the same code paths.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -16,13 +17,18 @@ import (
 	"pbspgemm/internal/stream"
 )
 
-// benchMultiply runs one algorithm on fixed inputs, reporting GFLOPS.
-func benchMultiply(b *testing.B, a, m *CSR, opt Options) {
+// benchMultiply runs one product on fixed inputs through an Engine with
+// opts as its defaults, reporting GFLOPS.
+func benchMultiply(b *testing.B, a, m *CSR, opts ...Option) {
 	b.Helper()
+	eng, err := NewEngine(opts...)
+	if err != nil {
+		b.Fatal(err)
+	}
 	var flops int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := Multiply(a, m, opt)
+		res, err := eng.Multiply(context.Background(), a, m)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -109,7 +115,7 @@ func BenchmarkFig7ER(b *testing.B) {
 		m := gen.ERMatrix(13, ef, 2)
 		for _, alg := range Algorithms() {
 			b.Run(fmt.Sprintf("ef%d/%s", ef, alg), func(b *testing.B) {
-				benchMultiply(b, a, m, Options{Algorithm: alg})
+				benchMultiply(b, a, m, WithAlgorithm(alg))
 			})
 		}
 	}
@@ -136,7 +142,7 @@ func BenchmarkFig7bBandwidth(b *testing.B) {
 func BenchmarkFig8Power9Model(b *testing.B) {
 	a := gen.ERMatrix(13, 8, 1)
 	m := gen.ERMatrix(13, 8, 2)
-	res, err := Multiply(a, m, Options{})
+	res, err := multiply(a, m)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -146,7 +152,7 @@ func BenchmarkFig8Power9Model(b *testing.B) {
 			b.Fatal("model failure")
 		}
 	}
-	benchMultiply(b, a, m, Options{})
+	benchMultiply(b, a, m)
 }
 
 // --- Fig. 9: RMAT performance and bandwidth ----------------------------------
@@ -157,7 +163,7 @@ func BenchmarkFig9RMAT(b *testing.B) {
 		m := gen.RMAT(12, ef, gen.Graph500Params, 2)
 		for _, alg := range Algorithms() {
 			b.Run(fmt.Sprintf("ef%d/%s", ef, alg), func(b *testing.B) {
-				benchMultiply(b, a, m, Options{Algorithm: alg})
+				benchMultiply(b, a, m, WithAlgorithm(alg))
 			})
 		}
 	}
@@ -183,7 +189,7 @@ func BenchmarkFig9bBandwidth(b *testing.B) {
 func BenchmarkFig10Power9Model(b *testing.B) {
 	a := gen.RMAT(12, 8, gen.Graph500Params, 1)
 	m := gen.RMAT(12, 8, gen.Graph500Params, 2)
-	benchMultiply(b, a, m, Options{})
+	benchMultiply(b, a, m)
 }
 
 // --- Fig. 11: squaring real-matrix surrogates, ascending cf ------------------
@@ -199,7 +205,7 @@ func BenchmarkFig11Real(b *testing.B) {
 		m := s.Generate(32, 42)
 		for _, alg := range []Algorithm{PB, Hash} {
 			b.Run(fmt.Sprintf("%s/%s", name, alg), func(b *testing.B) {
-				benchMultiply(b, m, m, Options{Algorithm: alg})
+				benchMultiply(b, m, m, WithAlgorithm(alg))
 			})
 		}
 	}
@@ -228,7 +234,7 @@ func BenchmarkFig12Scaling(b *testing.B) {
 	}{{"ER", er}, {"RMAT", rmat}} {
 		for _, threads := range []int{1, 2, 4} {
 			b.Run(fmt.Sprintf("%s/t%d", in.name, threads), func(b *testing.B) {
-				benchMultiply(b, in.m, in.m, Options{Threads: threads})
+				benchMultiply(b, in.m, in.m, WithThreads(threads))
 			})
 		}
 	}
@@ -258,7 +264,7 @@ func BenchmarkFig13Phases(b *testing.B) {
 func BenchmarkFig14DualSocketModel(b *testing.B) {
 	a := gen.ERMatrix(13, 16, 1)
 	m := gen.ERMatrix(13, 16, 2)
-	res, err := Multiply(a, m, Options{})
+	res, err := multiply(a, m)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -330,28 +336,12 @@ func BenchmarkAblationNoLocalBins(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationPartitioned measures the Section V-D partitioned variant:
-// the extra (parts-1)·nnz(B) reads it trades for NUMA locality.
-func BenchmarkAblationPartitioned(b *testing.B) {
-	a := gen.ERMatrix(13, 8, 1)
-	m := gen.ERMatrix(13, 8, 2)
-	for _, parts := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("parts%d", parts), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := MultiplyPartitioned(a, m, parts, Options{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblationSPA adds the SPA accumulator to the baseline lineup (the
 // paper's Table I cites it but does not benchmark it).
 func BenchmarkAblationSPA(b *testing.B) {
 	a := gen.ERMatrix(13, 8, 1)
 	m := gen.ERMatrix(13, 8, 2)
-	benchMultiply(b, a, m, Options{Algorithm: SPA})
+	benchMultiply(b, a, m, WithAlgorithm(SPA))
 }
 
 // --- Execution engine: workspace reuse and memory budget ----------------------
@@ -398,25 +388,31 @@ func BenchmarkWorkspaceSteadyState(b *testing.B) {
 	}
 }
 
-// BenchmarkWorkspacePublicAPI contrasts the public Multiply with and without
-// a shared workspace (the no-workspace rows pay the tuple buffer, plan
-// arrays and A's CSC conversion every call).
+// BenchmarkWorkspacePublicAPI contrasts a fresh Engine per call with one
+// Engine reused (the fresh rows pay the tuple buffer, plan arrays and A's CSC
+// conversion every call).
 func BenchmarkWorkspacePublicAPI(b *testing.B) {
 	a := gen.ERMatrix(13, 8, 1)
 	m := gen.ERMatrix(13, 8, 2)
+	eng, err := NewEngine()
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name string
-		ws   *Workspace
-	}{{"fresh-buffers", nil}, {"workspace", NewWorkspace()}} {
+		run  func() (*Result, error)
+	}{
+		{"fresh-buffers", func() (*Result, error) { return multiply(a, m) }},
+		{"workspace", func() (*Result, error) { return eng.Multiply(context.Background(), a, m) }},
+	} {
 		b.Run(tc.name, func(b *testing.B) {
-			opt := Options{Workspace: tc.ws}
-			if _, err := Multiply(a, m, opt); err != nil {
+			if _, err := tc.run(); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := Multiply(a, m, opt); err != nil {
+				if _, err := tc.run(); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -34,7 +34,7 @@ func runTallSkinny(cfg *config) {
 		var cf float64
 		var gflops []float64
 		for _, alg := range kernelAlgos() {
-			res := bestRun(cfg, a, f, pbspgemm.Options{Algorithm: alg})
+			res := bestRun(cfg, a, f, pbspgemm.WithAlgorithm(alg))
 			if alg == pbspgemm.PB {
 				cf = res.CF
 			}
@@ -72,11 +72,11 @@ func tallSkinny(n, k int32, f int, seed uint64) *pbspgemm.CSR {
 	return coo.ToCSR()
 }
 
-// runAblations quantifies the design choices DESIGN.md calls out:
+// runAblations quantifies the design choices of PB-SpGEMM:
 // propagation blocking itself (nbins=1 == unblocked outer ESC), local bins
-// (1-tuple bins == direct global writes), the partitioned variant's extra
-// B reads, and the column-ESC baseline that shares output formation but not
-// input streaming.
+// (1-tuple bins == direct global writes), the cache budget that sizes bins and
+// the fused pipeline against the paper's three passes. Section V-D's
+// partitioned PB is the shard coordinator's row bands (internal/shard).
 func runAblations(cfg *config) {
 	scale := 14
 	if cfg.full {
@@ -87,8 +87,7 @@ func runAblations(cfg *config) {
 	fmt.Printf("workload: ER scale %d, ef 8\n\n", scale)
 
 	tb := metrics.NewTable("Ablations (best of reps)", "variant", "time (ms)", "GFLOPS", "expand GB/s", "sort|fuse GB/s")
-	addPB := func(name string, opt pbspgemm.Options) {
-		res := bestRun(cfg, a, b, opt)
+	addPB := func(name string, res *pbspgemm.Result) {
 		st := res.PB
 		sortGBs := st.SortGBs()
 		if st.Fused {
@@ -96,21 +95,10 @@ func runAblations(cfg *config) {
 		}
 		tb.AddRow(name, ms(res.Elapsed), res.GFLOPS(), st.ExpandGBs(), sortGBs)
 	}
-	addPB("PB (fused default)", pbspgemm.Options{})
-	addPB("PB (unfused three-pass)", pbspgemm.Options{DisableFusion: true})
-	addPB("no blocking (nbins=1)", pbspgemm.Options{NBins: 1})
-	addPB("smallest local bins (16 tuples, one line of keys)", pbspgemm.Options{LocalBinBytes: 16})
-	addPB("tiny cache budget (64 KiB)", pbspgemm.Options{L2CacheBytes: 64 << 10})
-
-	partRes, err := pbspgemm.MultiplyPartitioned(a, b, 2, pbspgemm.Options{})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	tb.AddRow("partitioned (2 bands)", ms(partRes.Elapsed), partRes.GFLOPS(),
-		partRes.PB.ExpandGBs(), partRes.PB.FuseGBs())
-
-	escRes := bestRun(cfg, a, b, pbspgemm.Options{Algorithm: pbspgemm.ColumnESC})
-	tb.AddRow("column ESC (no outer product)", ms(escRes.Elapsed), escRes.GFLOPS(), "-", "-")
+	addPB("PB (fused default)", bestRun(cfg, a, b))
+	addPB("PB (unfused three-pass)", bestUnfused(cfg, a, b, 0))
+	addPB("no blocking (nbins=1)", bestRun(cfg, a, b, pbspgemm.WithNBins(1)))
+	addPB("smallest local bins (16 tuples, one line of keys)", bestRun(cfg, a, b, pbspgemm.WithLocalBinBytes(16)))
+	addPB("tiny cache budget (64 KiB)", bestRun(cfg, a, b, pbspgemm.WithL2CacheBytes(64<<10)))
 	tb.Render(os.Stdout)
 }

@@ -52,7 +52,7 @@ func runFig12(cfg *config) {
 			row := []any{t}
 			var pbG float64
 			for _, alg := range kernelAlgos() {
-				res := bestRun(cfg, in.m, in.m, pbspgemm.Options{Algorithm: alg, Threads: t})
+				res := bestRun(cfg, in.m, in.m, pbspgemm.WithAlgorithm(alg), pbspgemm.WithThreads(t))
 				g := res.GFLOPS()
 				row = append(row, g)
 				if alg == pbspgemm.PB {
@@ -85,7 +85,7 @@ func runFig13(cfg *config) {
 		for _, t := range threadSteps() {
 			// Paper pipeline (three phases) so the sort/compress columns
 			// carry the paper's meaning; the fused default folds them.
-			res := bestRun(cfg, in.m, in.m, pbspgemm.Options{Algorithm: pbspgemm.PB, Threads: t, DisableFusion: true})
+			res := bestUnfused(cfg, in.m, in.m, t)
 			st := res.PB
 			tb.AddRow(t, ms(st.Symbolic), ms(st.Expand), ms(st.Sort),
 				ms(st.Compress), ms(st.Assemble), ms(st.Total))
@@ -121,7 +121,7 @@ func runFig14(cfg *config) {
 			// The NUMA model pushes the paper's per-phase traffic through
 			// the Table VII topology; run the three-phase pipeline so the
 			// sort/compress terms exist.
-			pb := bestRun(cfg, a, b, pbspgemm.Options{Algorithm: pbspgemm.PB, DisableFusion: true})
+			pb := bestUnfused(cfg, a, b, 0)
 			st := pb.PB
 
 			phases := []numa.PhaseTraffic{
@@ -150,8 +150,8 @@ func runFig14(cfg *config) {
 			partDualTime := topo.PredictDual(partPhases)
 			pbPartDual := float64(st.Flops) / partDualTime.Seconds() / 1e9
 
-			heap := bestRun(cfg, a, b, pbspgemm.Options{Algorithm: pbspgemm.Heap})
-			hash := bestRun(cfg, a, b, pbspgemm.Options{Algorithm: pbspgemm.Hash})
+			heap := bestRun(cfg, a, b, pbspgemm.WithAlgorithm(pbspgemm.Heap))
+			hash := bestRun(cfg, a, b, pbspgemm.WithAlgorithm(pbspgemm.Hash))
 			colSpeedup := topo.ColumnDualSpeedup()
 			heapDual := heap.GFLOPS() * colSpeedup
 			hashDual := hash.GFLOPS() * colSpeedup

@@ -61,14 +61,12 @@ func perfSweep(cfg *config, kind matrixKind, profile machineProfile) {
 			var pbRes *pbspgemm.Result
 			var gflops []float64
 			for _, alg := range kernelAlgos() {
-				// The paper's figures measure the three-phase pipeline;
-				// DisableFusion keeps the per-phase sort/compress bandwidth
-				// rows meaningful (the fused default reports one Fuse phase).
-				res := bestRun(cfg, a, b, pbspgemm.Options{Algorithm: alg, DisableFusion: true})
-				gflops = append(gflops, res.GFLOPS())
 				if alg == pbspgemm.PB {
-					pbRes = res
+					pbRes = bestUnfused(cfg, a, b, 0)
+					gflops = append(gflops, pbRes.GFLOPS())
+					continue
 				}
+				gflops = append(gflops, bestRun(cfg, a, b, pbspgemm.WithAlgorithm(alg)).GFLOPS())
 			}
 			row = append(row, pbRes.CF)
 			for _, g := range gflops {
@@ -134,7 +132,7 @@ func runFig11(cfg *config) {
 		m := loadOrGenerate(cfg, s, scaleDiv)
 		e := entry{name: s.Name}
 		for i, alg := range kernelAlgos() {
-			res := bestRun(cfg, m, m, pbspgemm.Options{Algorithm: alg})
+			res := bestRun(cfg, m, m, pbspgemm.WithAlgorithm(alg))
 			e.g[i] = res.GFLOPS()
 			if alg == pbspgemm.PB {
 				e.cf = res.CF

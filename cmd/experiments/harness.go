@@ -1,11 +1,13 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"time"
 
 	"pbspgemm"
+	"pbspgemm/internal/core"
 	"pbspgemm/internal/stream"
 )
 
@@ -27,19 +29,48 @@ func betaGBs(cfg *config) float64 {
 	return measuredBeta
 }
 
-// bestRun multiplies a*b with alg cfg.reps times and returns the fastest
-// result (standard discipline for bandwidth-bound kernels).
-func bestRun(cfg *config, a, b *pbspgemm.CSR, opt pbspgemm.Options) *pbspgemm.Result {
-	opt.Threads = pickThreads(cfg, opt.Threads)
+// engine runs every bestRun: its pooled workspaces carry over between reps,
+// algorithms and inputs, as they would in a serving process.
+var engine, _ = pbspgemm.NewEngine() // no defaults: nothing to reject
+
+// bestRun multiplies a*b cfg.reps times through engine under opts (at
+// cfg.threads unless opts set WithThreads) and returns the fastest result
+// (standard discipline for bandwidth-bound kernels).
+func bestRun(cfg *config, a, b *pbspgemm.CSR, opts ...pbspgemm.Option) *pbspgemm.Result {
+	opts = append([]pbspgemm.Option{pbspgemm.WithThreads(cfg.threads)}, opts...)
 	var best *pbspgemm.Result
 	for r := 0; r < cfg.reps; r++ {
-		res, err := pbspgemm.Multiply(a, b, opt)
+		res, err := engine.Multiply(context.Background(), a, b, opts...)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "multiply failed: %v\n", err)
 			os.Exit(1)
 		}
 		if best == nil || res.Elapsed < best.Elapsed {
 			best = res
+		}
+	}
+	return best
+}
+
+// bestUnfused is bestRun for PB's three-pass sort → compress → assemble
+// pipeline (core.Options.DisableFusion), the one the paper measures: its
+// per-phase sort and compress bandwidths exist only there (a fused run
+// reports one Fuse phase). The reps share one pooled workspace that hands
+// each product over, as bestRun's engine does. threads 0 means cfg.threads.
+func bestUnfused(cfg *config, a, b *pbspgemm.CSR, threads int) *pbspgemm.Result {
+	ws := core.NewWorkspace()
+	opt := core.Options{Threads: pickThreads(cfg, threads), Workspace: ws, DisableFusion: true}
+	var best *pbspgemm.Result
+	for r := 0; r < cfg.reps; r++ {
+		c, st, err := core.Multiply(ws.CSCOf(a), b, opt)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "multiply failed: %v\n", err)
+			os.Exit(1)
+		}
+		c = ws.DetachOutput(c)
+		if best == nil || st.Total < best.Elapsed {
+			s := *st // st aliases ws
+			best = &pbspgemm.Result{C: c, Algorithm: pbspgemm.PB, Flops: s.Flops, CF: s.CF, Elapsed: s.Total, PB: &s}
 		}
 	}
 	return best

@@ -42,9 +42,12 @@ func TestMatrixKindGenerate(t *testing.T) {
 func TestBestRunReturnsValidResult(t *testing.T) {
 	cfg := &config{reps: 2}
 	a := gen.ERMatrix(7, 4, 1)
-	res := bestRun(cfg, a, a, pbspgemm.Options{})
+	res := bestRun(cfg, a, a)
 	if res == nil || res.C == nil || res.Flops <= 0 {
 		t.Fatal("bestRun returned invalid result")
+	}
+	if res = bestUnfused(cfg, a, a, 1); res.C == nil || res.Flops <= 0 || res.PB == nil || res.PB.Fused {
+		t.Fatal("bestUnfused returned an invalid or fused result")
 	}
 }
 

@@ -68,7 +68,7 @@ func experimentsList() []experiment {
 		{"fig13", "Per-phase scaling breakdown (Fig. 13)", runFig13},
 		{"fig14", "Dual-socket performance via NUMA model (Fig. 14)", runFig14},
 		{"tallskinny", "Square x tall-skinny multiply (deferred by the paper, Sec. IV-C)", runTallSkinny},
-		{"ablations", "Design-choice ablations: blocking, local bins, partitioning, ESC", runAblations},
+		{"ablations", "Design-choice ablations: blocking, local bins, cache budget, fusion", runAblations},
 		{"planner", "Auto planner sweep: fitted-cost choice vs min(PB, SPA), regret gate, refit (-full)", runPlanner},
 		{"bench", "Benchmark trajectory: GFLOPS, per-phase GB/s, allocs/op per regime (-json)", runBench},
 	}

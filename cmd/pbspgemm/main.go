@@ -32,7 +32,7 @@ func main() {
 		seed    = flag.Uint64("seed", 42, "generator seed")
 		aPath   = flag.String("a", "", "Matrix Market file for A")
 		bPath   = flag.String("b", "", "Matrix Market file for B (default: A, squaring)")
-		algoStr = flag.String("algo", "pb", "algorithm: pb, heap, hash, hashvec, spa, esc, outerheap, or auto (the planner picks pb or spa and its Plan is printed)")
+		algoStr = flag.String("algo", "pb", "algorithm: pb, heap, hash, hashvec, spa, or auto (the planner picks pb or spa and its Plan is printed)")
 		threads = flag.Int("threads", 0, "worker threads (0 = GOMAXPROCS)")
 		nbins   = flag.Int("nbins", 0, "PB global bins (0 = auto)")
 		lbin    = flag.Int("localbin", 0, "PB local bin bytes (0 = 1024)")
@@ -43,7 +43,7 @@ func main() {
 	)
 	flag.Parse()
 
-	alg, err := parseAlgo(*algoStr)
+	alg, err := pbspgemm.ParseAlgorithm(*algoStr)
 	if err != nil {
 		fatal(err)
 	}
@@ -164,28 +164,6 @@ func main() {
 		}
 		fmt.Printf("wrote %s\n", *out)
 	}
-}
-
-func parseAlgo(s string) (pbspgemm.Algorithm, error) {
-	switch strings.ToLower(s) {
-	case "pb":
-		return pbspgemm.PB, nil
-	case "heap":
-		return pbspgemm.Heap, nil
-	case "hash":
-		return pbspgemm.Hash, nil
-	case "hashvec":
-		return pbspgemm.HashVec, nil
-	case "spa":
-		return pbspgemm.SPA, nil
-	case "outerheap":
-		return pbspgemm.OuterHeapNaive, nil
-	case "esc":
-		return pbspgemm.ColumnESC, nil
-	case "auto":
-		return pbspgemm.Auto, nil
-	}
-	return 0, fmt.Errorf("unknown algorithm %q", s)
 }
 
 // parseBytes parses a byte count with an optional K/M/G/T suffix (powers of

@@ -6,28 +6,31 @@ import (
 	"pbspgemm"
 )
 
+// TestParseAlgo: every name the -algo flag documents is accepted, in any case,
+// and the algorithms the command no longer offers are refused.
 func TestParseAlgo(t *testing.T) {
 	cases := map[string]pbspgemm.Algorithm{
-		"pb":        pbspgemm.PB,
-		"PB":        pbspgemm.PB,
-		"heap":      pbspgemm.Heap,
-		"hash":      pbspgemm.Hash,
-		"HashVec":   pbspgemm.HashVec,
-		"spa":       pbspgemm.SPA,
-		"outerheap": pbspgemm.OuterHeapNaive,
-		"auto":      pbspgemm.Auto,
+		"pb":      pbspgemm.PB,
+		"PB":      pbspgemm.PB,
+		"heap":    pbspgemm.Heap,
+		"hash":    pbspgemm.Hash,
+		"HashVec": pbspgemm.HashVec,
+		"spa":     pbspgemm.SPA,
+		"auto":    pbspgemm.Auto,
 	}
 	for in, want := range cases {
-		got, err := parseAlgo(in)
+		got, err := pbspgemm.ParseAlgorithm(in)
 		if err != nil {
-			t.Fatalf("parseAlgo(%q): %v", in, err)
+			t.Fatalf("ParseAlgorithm(%q): %v", in, err)
 		}
 		if got != want {
-			t.Errorf("parseAlgo(%q) = %v, want %v", in, got, want)
+			t.Errorf("ParseAlgorithm(%q) = %v, want %v", in, got, want)
 		}
 	}
-	if _, err := parseAlgo("gustavson"); err == nil {
-		t.Error("expected error for unknown algorithm")
+	for _, bad := range []string{"gustavson", "esc", "outerheap"} {
+		if _, err := pbspgemm.ParseAlgorithm(bad); err == nil {
+			t.Errorf("ParseAlgorithm(%q): expected an unknown-algorithm error", bad)
+		}
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"pbspgemm/internal/core"
-	"pbspgemm/internal/kernel"
 )
 
 // sameCSC reports whether two CSCs agree in shape, structure and value bits.
@@ -27,7 +26,7 @@ func sameCSC(x, y *CSC) bool {
 }
 
 // memoHits reads the workspace's unexported CSC-memo hit counter.
-func memoHits(ws *Workspace) int64 {
+func memoHits(ws *core.Workspace) int64 {
 	return reflect.ValueOf(ws).Elem().FieldByName("csc").FieldByName("hits").Int()
 }
 
@@ -73,7 +72,7 @@ func TestCSCMemoNeverStale(t *testing.T) {
 		check("A.ColIdx mutated in place")
 
 		// A held workspace, where the memo's counter can be read.
-		ws := NewWorkspace()
+		ws := core.NewWorkspace()
 		hit := func(what string, x *CSR, want bool) {
 			t.Helper()
 			h := memoHits(ws)
@@ -121,30 +120,25 @@ func TestCSCMemoNeverStale(t *testing.T) {
 		// Every route that takes A through CSCOf leaves the memo intact.
 		want := Reference(a, b)
 		mask := NewER(400, 3, 3)
-		kw := &kernel.Workspace{Core: ws}
-		viaKernel := func(name string, budget int64) func() (*CSR, error) {
-			return func() (*CSR, error) {
-				k, _ := kernel.Get(name)
-				r, err := k.Multiply(ctx, kw, a, b, kernel.Opts{Threads: threads, MemoryBudgetBytes: budget})
-				if err != nil {
-					return nil, err
-				}
-				return r.C, nil
+		kw := &workspace{Core: ws}
+		via := func(opts ...Option) func() (*CSR, error) {
+			cfg, err := resolve(nil, append(opts, WithThreads(threads)))
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		cfg, err := resolve(nil, []Option{WithComplementMask(mask), WithThreads(threads)})
-		if err != nil {
-			t.Fatal(err)
+			return func() (*CSR, error) {
+				c, _, _, err := kw.run(&cfg, PB, a, b)
+				return c, err
+			}
 		}
 		for _, route := range []struct {
 			name string
 			want *CSR
 			run  func() (*CSR, error)
 		}{
-			{"PB", want, viaKernel(kernel.NamePB, 0)},
-			{"budgeted PB", want, viaKernel(kernel.NamePB, 64<<10)},
-			{"complement mask", maskCSR(want, mask, true), func() (*CSR, error) { return cfg.maskedArith(a, b, kw) }},
-			{"OuterHeap", want, viaKernel(kernel.NameOuterHeap, 0)},
+			{"PB", want, via()},
+			{"budgeted PB", want, via(WithMemoryBudget(64 << 10))},
+			{"complement mask", maskCSR(want, mask, true), via(WithComplementMask(mask))},
 		} {
 			c, err := route.run()
 			if err != nil {

@@ -8,7 +8,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"pbspgemm/internal/kernel"
+	"pbspgemm/internal/baseline"
+	"pbspgemm/internal/core"
 	"pbspgemm/internal/matrix"
 	"pbspgemm/internal/par"
 	"pbspgemm/internal/semiring"
@@ -20,22 +21,19 @@ import (
 // boundaries, and aggregate metrics (calls, flops, modeled bytes moved)
 // accumulate for serving-style observability — overall and per algorithm.
 //
-// The Engine is a planner over the internal kernel registry: every
-// algorithm (PB-SpGEMM and all column baselines) runs behind the same
-// kernel interface with pooled workspaces, cancellation and metrics, and
-// WithAlgorithm(Auto) lets the paper's roofline model pick the
-// predicted-fastest kernel per call (see Plan).
+// Engine.Multiply is the library's one float64 entry point. It calls every
+// algorithm — PB-SpGEMM and the column baselines — from one switch, on pooled
+// workspaces, with the same cancellation, panic containment and metrics, and
+// WithAlgorithm(Auto) lets a fitted cost model pick the predicted-fastest
+// kernel per call (see Plan).
 //
 // Engine methods may be called from any number of goroutines; each call
 // checks a workspace out of the pool and returns results that are fully
 // owned by the caller (never aliased to pooled memory). NewEngine's options
 // become per-engine defaults that individual calls can override.
-//
-// Engine replaces the growing Options struct of the original API; Multiply
-// with Options remains as a deprecated shim.
 type Engine struct {
 	defaults []Option
-	pool     sync.Pool // *kernel.Workspace
+	pool     sync.Pool // *workspace
 
 	calls      atomic.Int64
 	failures   atomic.Int64
@@ -70,7 +68,7 @@ func NewEngine(defaults ...Option) (*Engine, error) {
 		return nil, err
 	}
 	e := &Engine{defaults: defaults}
-	e.pool.New = func() any { return kernel.NewWorkspace() }
+	e.pool.New = func() any { return newWorkspace() }
 	return e, nil
 }
 
@@ -244,7 +242,7 @@ func (e *Engine) MultiplyMasked(ctx context.Context, a, b, mask *CSR, opts ...Op
 // workspaces with a clean history. Discarding is cheap (the next pool.Get
 // allocates fresh and grows on first use); the panic is also tallied so
 // operators can watch for a misbehaving workload.
-func (e *Engine) release(ws *kernel.Workspace, err error) {
+func (e *Engine) release(ws *workspace, err error) {
 	if err != nil {
 		var pe *par.PanicError
 		if errors.As(err, &pe) {
@@ -255,30 +253,19 @@ func (e *Engine) release(ws *kernel.Workspace, err error) {
 	e.pool.Put(ws)
 }
 
-// multiply dispatches one resolved call through the kernel registry: Auto
-// first runs the roofline planner, then the chosen kernel multiplies on a
-// pooled workspace and the result is detached from it before the workspace
-// returns to the pool. It reports the executed algorithm (and whether the
-// planner chose it) for the per-algorithm metrics.
+// multiply runs one resolved call on a pooled workspace: Auto first runs the
+// planner, then ws.run calls the kernel and the product is detached from the
+// workspace before it returns to the pool. It reports the executed algorithm
+// (and whether the planner chose it) for the per-algorithm metrics; a masked
+// product is recorded under PB, whichever kernel ran it.
 func (e *Engine) multiply(cfg *config, a, b *CSR) (*Result, Algorithm, bool, error) {
-	if cfg.mask != nil {
-		start := time.Now()
-		ws := e.pool.Get().(*kernel.Workspace)
-		c, err := cfg.maskedArith(a, b, ws)
-		e.release(ws, err)
-		if err != nil {
-			return nil, PB, false, err
-		}
-		res := &Result{C: c, Algorithm: PB, Flops: flopsNoAlloc(a, b), Elapsed: time.Since(start)}
-		if nnz := c.NNZ(); nnz > 0 {
-			res.CF = float64(res.Flops) / float64(nnz)
-		}
-		return res, PB, false, nil
-	}
-	alg := cfg.algorithm
-	var plan *Plan
-	ws := e.pool.Get().(*kernel.Workspace)
-	if alg == Auto {
+	start := time.Now()
+	ws := e.pool.Get().(*workspace)
+	alg, plan := cfg.algorithm, (*Plan)(nil)
+	switch {
+	case cfg.mask != nil:
+		alg = PB
+	case alg == Auto:
 		// Observe cancellation before planning: the symbolic pass and a
 		// possible one-shot beta calibration are real work an expired ctx
 		// should not pay for.
@@ -291,42 +278,103 @@ func (e *Engine) multiply(cfg *config, a, b *CSR) (*Result, Algorithm, bool, err
 		plan = planFor(cfg, a, b, &ws.PlanScratch, 8)
 		alg = plan.Chosen
 	}
-	k, ok := kernel.Get(alg.String())
-	if !ok {
-		e.pool.Put(ws)
-		return nil, alg, plan != nil, &OptionError{Option: "WithAlgorithm", Value: int64(cfg.algorithm)}
-	}
-	kr, err := k.Multiply(cfg.context(), ws, a, b, kernel.Opts{
-		Threads:           cfg.threads,
-		NBins:             cfg.nbins,
-		LocalBinBytes:     cfg.localBin,
-		L2CacheBytes:      cfg.l2Cache,
-		MemoryBudgetBytes: cfg.budget,
-	})
+	c, pb, col, err := ws.run(cfg, alg, a, b)
 	if err != nil {
 		e.release(ws, err)
 		return nil, alg, plan != nil, err
 	}
 	// Take the product out of the pooled workspace before another call can
 	// grab it: the pool hands its output arrays over instead of copying them.
-	res := &Result{
-		C:         ws.DetachOutput(kr.C),
-		Algorithm: alg,
-		Flops:     kr.Flops,
-		CF:        kr.CF,
-		Elapsed:   kr.Elapsed,
-		Plan:      plan,
-	}
-	if kr.PB != nil {
-		st := *kr.PB
-		res.PB = &st
-	}
-	if kr.Baseline != nil {
-		st := *kr.Baseline
-		res.Baseline = &st
+	res := &Result{C: ws.DetachOutput(c), Algorithm: alg, Plan: plan}
+	switch {
+	case pb != nil:
+		st := *pb
+		res.PB, res.Flops, res.CF, res.Elapsed = &st, st.Flops, st.CF, st.Total
+	case col != nil:
+		st := *col
+		res.Baseline, res.Flops, res.CF, res.Elapsed = &st, st.Flops, st.CF, st.Total
+	default: // masked
+		res.Flops, res.Elapsed = flopsNoAlloc(a, b), time.Since(start)
+		if nnz := c.NNZ(); nnz > 0 {
+			res.CF = float64(res.Flops) / float64(nnz)
+		}
 	}
 	e.pool.Put(ws)
 	return res, alg, plan != nil, nil
+}
+
+// workspace bundles the pooled buffers of both kernel families, so one pooled
+// object serves whichever kernel a call runs.
+type workspace struct {
+	Core *core.Workspace
+	Col  *baseline.Workspace
+
+	// PlanScratch pools the Auto planner's O(cols(B)) symbolic marker, so
+	// steady-state planned calls stay allocation-free like everything else.
+	PlanScratch []int32
+}
+
+func newWorkspace() *workspace {
+	return &workspace{Core: core.NewWorkspace(), Col: baseline.NewWorkspace()}
+}
+
+// run multiplies a·b on ws with kernel alg, or under cfg's mask, observing
+// cfg's context at phase boundaries. This switch is the one place a kernel is
+// called from. The product and the stats alias ws until the next call (take
+// the product with DetachOutput); pb or col is set for the kernel family that
+// ran, neither for a masked product, which is already the caller's. A panic
+// raised inside is returned as a *par.PanicError.
+func (ws *workspace) run(cfg *config, alg Algorithm, a, b *CSR) (c *CSR, pb *PhaseStats, col *BaselineStats, err error) {
+	defer contain(alg, &err)
+	if cfg.mask != nil {
+		c, err = cfg.maskedArith(a, b, ws)
+		return c, nil, nil, err
+	}
+	cancel := cfg.cancelFunc()
+	var column func(a, b *matrix.CSR, opt baseline.Options) (*matrix.CSR, *baseline.Stats, error)
+	switch alg {
+	case PB:
+		c, pb, err = core.Multiply(ws.Core.CSCOf(a), b, core.Options{
+			NBins:             cfg.nbins,
+			LocalBinBytes:     cfg.localBin,
+			Threads:           cfg.threads,
+			L2CacheBytes:      cfg.l2Cache,
+			MemoryBudgetBytes: cfg.budget,
+			Workspace:         ws.Core,
+			Cancel:            cancel,
+		})
+		return c, pb, nil, err
+	case Heap:
+		column = baseline.Heap
+	case Hash:
+		column = baseline.Hash
+	case HashVec:
+		column = baseline.HashVec
+	case SPA:
+		column = baseline.SPA
+	default:
+		return nil, nil, nil, &OptionError{Option: "WithAlgorithm", Value: int64(alg)}
+	}
+	c, col, err = column(a, b, baseline.Options{Threads: cfg.threads, Workspace: ws.Col, Cancel: cancel})
+	return c, nil, col, err
+}
+
+// contain converts a panic unwinding out of a kernel call — the kernel's own
+// sequential code, or a *par.PanicError rethrown by the par primitives after a
+// contained worker panic — into a typed error return, so one poisoned request
+// cannot take down a process embedding the engine. PB contains panics inside
+// core already; this is the last line for every kernel and the code around it.
+func contain(alg Algorithm, err *error) {
+	if pe := par.AsPanicError(recover(), -1, alg.String()); pe != nil {
+		*err = pe
+	}
+}
+
+// DetachOutput makes c caller-owned without copying it: whichever sub-pool
+// holds c as its pooled result hands the arrays over and forgets them
+// (regrowing on its next call); a c no pool owns is returned unchanged.
+func (ws *workspace) DetachOutput(c *CSR) *CSR {
+	return ws.Col.DetachOutput(ws.Core.DetachOutput(c))
 }
 
 // EngineMultiplyOver is MultiplyOver running on an engine: the semiring
@@ -360,7 +408,7 @@ func EngineMultiplyOver[T any](e *Engine, ctx context.Context, sr Semiring[T], a
 		return nil, err
 	}
 	start := time.Now()
-	ws := e.pool.Get().(*kernel.Workspace)
+	ws := e.pool.Get().(*workspace)
 	var plan SemiringPlan
 	sopt := cfg.semiringOptions(ws.Core, &ws.PlanScratch)
 	sopt.Plan = &plan

@@ -131,20 +131,14 @@ func TestEngineContextCancellation(t *testing.T) {
 		WithContext(ctx)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("WithContext(canceled) generic multiply returned %v, want context.Canceled", err)
 	}
-	// Baseline kernels poll at phase boundaries too since the registry port
-	// (the old engine only observed ctx at the call boundary for them).
-	for _, alg := range []Algorithm{Heap, Hash, HashVec, SPA, ColumnESC} {
+	// Baseline kernels poll at phase boundaries too.
+	for _, alg := range []Algorithm{Heap, Hash, HashVec, SPA} {
 		if _, err := eng.Multiply(ctx, a, b, WithAlgorithm(alg)); !errors.Is(err, context.Canceled) {
 			t.Fatalf("pre-canceled %v multiply returned %v, want context.Canceled", alg, err)
 		}
 	}
-	if m := eng.Metrics(); m.Failures != 8 {
-		t.Fatalf("failures = %d, want 8", m.Failures)
-	}
-
-	// The legacy shim stays cancellation-free and still succeeds.
-	if _, err := Multiply(a, b, Options{}); err != nil {
-		t.Fatal(err)
+	if m := eng.Metrics(); m.Failures != 7 {
+		t.Fatalf("failures = %d, want 7", m.Failures)
 	}
 }
 
@@ -458,19 +452,6 @@ func TestOptionValidation(t *testing.T) {
 		}
 		if _, err := NewEngine(opt); err == nil {
 			t.Fatalf("NewEngine accepted invalid default %s", name)
-		}
-	}
-	// The legacy struct path rejects the same values with the same type.
-	for _, bad := range []Options{
-		{Threads: -1}, {NBins: -1}, {LocalBinBytes: -1},
-		{L2CacheBytes: -1}, {MemoryBudgetBytes: -1},
-	} {
-		var oe *OptionError
-		if _, err := Multiply(a, a, bad); !errors.As(err, &oe) {
-			t.Fatalf("Options%+v: got %v, want *OptionError", bad, err)
-		}
-		if _, err := MultiplyPartitioned(a, a, 2, bad); !errors.As(err, &oe) {
-			t.Fatalf("MultiplyPartitioned Options%+v: got %v, want *OptionError", bad, err)
 		}
 	}
 	// Zero values stay valid (auto defaults).

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -16,6 +17,10 @@ import (
 
 func main() {
 	beta := pbspgemm.MeasureBandwidth(1<<22, 0)
+	eng, err := pbspgemm.NewEngine()
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("measured STREAM beta: %.2f GB/s\n\n", beta)
 
 	tb := metrics.NewTable("Roofline prediction vs measurement (PB-SpGEMM)",
@@ -28,7 +33,7 @@ func main() {
 		{"ER scale 14 ef 16", pbspgemm.NewER(1<<14, 16, 3), pbspgemm.NewER(1<<14, 16, 4)},
 		{"RMAT scale 13 ef 8", pbspgemm.NewRMAT(13, 8, 5), pbspgemm.NewRMAT(13, 8, 6)},
 	} {
-		res, err := pbspgemm.Multiply(w.a, w.b, pbspgemm.Options{})
+		res, err := eng.Multiply(context.Background(), w.a, w.b)
 		if err != nil {
 			log.Fatal(err)
 		}

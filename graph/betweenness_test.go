@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -175,15 +176,20 @@ func TestDistributivity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	left, err := pbspgemm.Multiply(ab, c, pbspgemm.Options{})
+	eng, err := pbspgemm.NewEngine()
 	if err != nil {
 		t.Fatal(err)
 	}
-	ac, err := pbspgemm.Multiply(a, c, pbspgemm.Options{})
+	ctx := context.Background()
+	left, err := eng.Multiply(ctx, ab, c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bc, err := pbspgemm.Multiply(b, c, pbspgemm.Options{})
+	ac, err := eng.Multiply(ctx, a, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bc, err := eng.Multiply(ctx, b, c)
 	if err != nil {
 		t.Fatal(err)
 	}

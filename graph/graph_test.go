@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"context"
 	"testing"
 
 	"pbspgemm"
@@ -61,8 +62,12 @@ func TestTrianglesAgreeAcrossAlgorithms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	eng, err := pbspgemm.NewEngine()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, alg := range []pbspgemm.Algorithm{pbspgemm.PB, pbspgemm.Hash, pbspgemm.Heap} {
-		sq, err := pbspgemm.Square(g.Adj, pbspgemm.Options{Algorithm: alg})
+		sq, err := eng.Multiply(context.Background(), g.Adj, g.Adj, pbspgemm.WithAlgorithm(alg))
 		if err != nil {
 			t.Fatal(err)
 		}

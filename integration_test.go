@@ -41,7 +41,7 @@ func TestIntegrationAllAlgorithmsAllWorkloads(t *testing.T) {
 		want := Reference(a, b)
 		for _, alg := range []Algorithm{PB, Heap, Hash, HashVec, SPA} {
 			t.Run(name+"/"+alg.String(), func(t *testing.T) {
-				res, err := Multiply(a, b, Options{Algorithm: alg})
+				res, err := multiply(a, b, WithAlgorithm(alg))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -63,11 +63,11 @@ func TestIntegrationSurrogatesSquareCorrectly(t *testing.T) {
 		s := s
 		t.Run(s.Name, func(t *testing.T) {
 			m := s.Generate(64, 1)
-			pb, err := Square(m, Options{})
+			pb, err := multiply(m, m)
 			if err != nil {
 				t.Fatal(err)
 			}
-			hash, err := Square(m, Options{Algorithm: Hash})
+			hash, err := multiply(m, m, WithAlgorithm(Hash))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -88,11 +88,11 @@ func TestIntegrationDeterministic(t *testing.T) {
 	// orders, so values agree only up to floating-point associativity.
 	a := gen.ERMatrix(10, 8, 11)
 	b := gen.ERMatrix(10, 8, 12)
-	first, err := Multiply(a, b, Options{Threads: 1})
+	first, err := multiply(a, b, WithThreads(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := Multiply(a, b, Options{Threads: 1})
+	again, err := multiply(a, b, WithThreads(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestIntegrationDeterministic(t *testing.T) {
 		t.Fatal("single-threaded runs not bitwise identical")
 	}
 	for _, threads := range []int{2, 4, 8} {
-		res, err := Multiply(a, b, Options{Threads: threads})
+		res, err := multiply(a, b, WithThreads(threads))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,7 +131,7 @@ func TestIntegrationConcurrentMultiplies(t *testing.T) {
 		wg.Add(1)
 		go func(alg Algorithm) {
 			defer wg.Done()
-			res, err := Multiply(a, b, Options{Algorithm: alg, Threads: 2})
+			res, err := multiply(a, b, WithAlgorithm(alg), WithThreads(2))
 			if err != nil {
 				errs <- err
 				return
@@ -152,15 +152,15 @@ func TestIntegrationChainOfMultiplies(t *testing.T) {
 	// (A·A)·A == A·(A·A): associativity across the library path — catches
 	// canonical-form violations that single multiplications miss.
 	a := gen.ERMatrix(8, 6, 31)
-	aa, err := Square(a, Options{})
+	aa, err := multiply(a, a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	left, err := Multiply(aa.C, a, Options{})
+	left, err := multiply(aa.C, a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	right, err := Multiply(a, aa.C, Options{Algorithm: Hash})
+	right, err := multiply(a, aa.C, WithAlgorithm(Hash))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestIntegrationHypersparse(t *testing.T) {
 	a := coo.ToCSR()
 	want := Reference(a, a)
 	for _, alg := range []Algorithm{PB, Heap, Hash, HashVec, SPA} {
-		res, err := Square(a, Options{Algorithm: alg})
+		res, err := multiply(a, a, WithAlgorithm(alg))
 		if err != nil {
 			t.Fatalf("%v: %v", alg, err)
 		}
@@ -213,7 +213,7 @@ func TestIntegrationDenseSmall(t *testing.T) {
 	}
 	a := coo.ToCSR()
 	want := Reference(a, a)
-	res, err := Square(a, Options{})
+	res, err := multiply(a, a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,20 +228,20 @@ func TestIntegrationDenseSmall(t *testing.T) {
 func TestIntegrationExtremeBinOptions(t *testing.T) {
 	a := gen.ERMatrix(9, 8, 41)
 	want := Reference(a, a)
-	for _, opt := range []Options{
-		{NBins: 1},               // single bin: ESC without blocking
-		{NBins: 1 << 20},         // more bins than rows: clamped
-		{LocalBinBytes: 16},      // one-tuple local bins
-		{LocalBinBytes: 1 << 20}, // local bins larger than global bins
-		{L2CacheBytes: 1024},     // tiny cache budget => many bins
-		{L2CacheBytes: 1 << 30},  // huge budget => single bin
+	for name, opt := range map[string]Option{
+		"nbins=1":     WithNBins(1),               // single bin: ESC without blocking
+		"nbins=1M":    WithNBins(1 << 20),         // more bins than rows: clamped
+		"localbin=16": WithLocalBinBytes(16),      // one-tuple local bins
+		"localbin=1M": WithLocalBinBytes(1 << 20), // local bins larger than global bins
+		"l2=1K":       WithL2CacheBytes(1024),     // tiny cache budget => many bins
+		"l2=1G":       WithL2CacheBytes(1 << 30),  // huge budget => single bin
 	} {
-		res, err := Square(a, opt)
+		res, err := multiply(a, a, opt)
 		if err != nil {
-			t.Fatalf("%+v: %v", opt, err)
+			t.Fatalf("%s: %v", name, err)
 		}
 		if !EqualWithin(want, res.C, 1e-9) {
-			t.Fatalf("%+v: result differs", opt)
+			t.Fatalf("%s: result differs", name)
 		}
 	}
 }

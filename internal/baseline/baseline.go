@@ -1,7 +1,6 @@
 // Package baseline implements the state-of-the-art column SpGEMM algorithms
 // the paper compares against (Section IV-A): HeapSpGEMM, HashSpGEMM,
-// HashVecSpGEMM, plus a SPA (dense accumulator) kernel and the naive
-// outer-product-with-heap algorithm the paper dismisses as too expensive.
+// HashVecSpGEMM, plus a SPA (dense accumulator) kernel.
 //
 // The paper's "column" algorithms operate column-by-column on CSC inputs;
 // row-by-row on CSR is computationally identical (the paper says so in

@@ -21,7 +21,6 @@ func algos() []algo {
 		{"Hash", Hash},
 		{"HashVec", HashVec},
 		{"SPA", SPA},
-		{"ColumnESC", ColumnESC},
 	}
 }
 
@@ -107,30 +106,6 @@ func TestBaselinesEmpty(t *testing.T) {
 		if got.NNZ() != 0 {
 			t.Errorf("%s: expected empty product (A*0)", al.name)
 		}
-	}
-}
-
-func TestOuterHeapMatchesReference(t *testing.T) {
-	a := gen.ER(48, 3, 1)
-	b := gen.ER(48, 3, 2)
-	want := matrix.ReferenceMultiply(a, b)
-	got, st, err := OuterHeap(a.ToCSC(), b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !matrix.Equal(want, got, 1e-9) {
-		t.Fatal("OuterHeap differs from reference")
-	}
-	if st.Flops != matrix.FlopsCSR(a, b) {
-		t.Errorf("flops %d, want %d", st.Flops, matrix.FlopsCSR(a, b))
-	}
-}
-
-func TestOuterHeapShapeMismatch(t *testing.T) {
-	a := gen.ER(32, 2, 1).ToCSC()
-	b := gen.ER(64, 2, 2)
-	if _, _, err := OuterHeap(a, b); err == nil {
-		t.Fatal("expected shape error")
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"sync/atomic"
 
 	"pbspgemm/internal/matrix"
-	"pbspgemm/internal/radix"
 )
 
 // Workspace pools every buffer the column SpGEMM baselines need across
@@ -30,11 +29,6 @@ type Workspace struct {
 	// type (rows.go).
 	cancelled atomic.Pointer[error]
 	rows      any
-
-	// ColumnESC's expanded-tuple pipeline.
-	tuples   []radix.Pair[float64]
-	segStart []int64
-	rowOut   []int64
 
 	// Pooled result storage (used only for shared workspaces).
 	out       matrix.CSR

@@ -8,23 +8,39 @@ import (
 	"pbspgemm/internal/matrix"
 )
 
+// multiplyBands runs the partitioned PB-SpGEMM of Section V-D the way the
+// shard coordinator does: A is cut into parts row bands (views of A) and each
+// band is its own Multiply against the whole of B. Each band's product must be
+// exactly the matching rows of want; the bands' stats are summed.
+func multiplyBands(t *testing.T, a, b, want *matrix.CSR, parts int, opt Options) Stats {
+	t.Helper()
+	var sum Stats
+	off := matrix.SplitPoints(a.NumRows, parts)
+	for p := 0; p+1 < len(off); p++ {
+		c, st, err := Multiply(matrix.RowBand(a, off[p], off[p+1]).ToCSC(), b, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Validate(); err != nil {
+			t.Fatalf("band %d: invalid CSR: %v", p, err)
+		}
+		if !matrix.Equal(matrix.RowBand(want, off[p], off[p+1]), c, 1e-9) {
+			t.Fatalf("band %d, rows [%d,%d): product differs from the reference's rows", p, off[p], off[p+1])
+		}
+		sum.Flops += st.Flops
+		sum.ExpandBytes += st.ExpandBytes
+		sum.NPanels += st.NPanels
+	}
+	return sum
+}
+
 func TestPartitionedMatchesMultiply(t *testing.T) {
 	a := gen.ER(600, 6, 1)
 	b := gen.ER(600, 6, 2)
 	want := matrix.ReferenceMultiply(a, b)
-	acsc := a.ToCSC()
 	for _, parts := range []int{1, 2, 3, 4, 8, 600, 10000} {
 		t.Run(fmt.Sprintf("parts%d", parts), func(t *testing.T) {
-			got, st, err := MultiplyPartitioned(acsc, b, parts, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := got.Validate(); err != nil {
-				t.Fatalf("invalid CSR: %v", err)
-			}
-			if !matrix.Equal(want, got, 1e-9) {
-				t.Fatal("partitioned result differs from reference")
-			}
+			st := multiplyBands(t, a, b, want, parts, Options{})
 			if st.Flops != matrix.FlopsCSR(a, b) {
 				t.Errorf("flops %d, want %d", st.Flops, matrix.FlopsCSR(a, b))
 			}
@@ -35,28 +51,15 @@ func TestPartitionedMatchesMultiply(t *testing.T) {
 func TestPartitionedSkewedInput(t *testing.T) {
 	a := gen.RMAT(9, 8, gen.Graph500Params, 3)
 	b := gen.RMAT(9, 8, gen.Graph500Params, 4)
-	want := matrix.ReferenceMultiply(a, b)
-	got, _, err := MultiplyPartitioned(a.ToCSC(), b, 4, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !matrix.Equal(want, got, 1e-9) {
-		t.Fatal("partitioned result differs on skewed input")
-	}
+	multiplyBands(t, a, b, matrix.ReferenceMultiply(a, b), 4, Options{})
 }
 
 func TestPartitionedTrafficModel(t *testing.T) {
 	a := gen.ER(512, 4, 5)
 	b := gen.ER(512, 4, 6)
-	acsc := a.ToCSC()
-	_, st1, err := MultiplyPartitioned(acsc, b, 1, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, st4, err := MultiplyPartitioned(acsc, b, 4, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := matrix.ReferenceMultiply(a, b)
+	st1 := multiplyBands(t, a, b, want, 1, Options{})
+	st4 := multiplyBands(t, a, b, want, 4, Options{})
 	// ExpandBytes counts executed loads and stores, which band partitioning
 	// re-runs unchanged (each band performs a disjoint subset of the FLOPs).
 	// The physical once-per-band re-fetch of B is a cache effect that shows
@@ -71,17 +74,9 @@ func TestPartitionedTrafficModel(t *testing.T) {
 	}
 }
 
-func TestPartitionedShapeMismatch(t *testing.T) {
-	a := gen.ER(32, 2, 1).ToCSC()
-	b := gen.ER(64, 2, 2)
-	if _, _, err := MultiplyPartitioned(a, b, 2, Options{}); err == nil {
-		t.Fatal("expected shape error")
-	}
-}
-
 func TestPartitionedEmptyBands(t *testing.T) {
-	// A matrix whose nonzeros all live in the last rows: leading bands are
-	// empty, exercising the pointer-gap fill.
+	// A matrix whose nonzeros all live in the last rows: leading bands hold
+	// no entries at all.
 	n := int32(128)
 	coo := &matrix.COO{NumRows: n, NumCols: n}
 	r := gen.NewRNG(9)
@@ -91,31 +86,17 @@ func TestPartitionedEmptyBands(t *testing.T) {
 		coo.Val = append(coo.Val, r.Float64())
 	}
 	a := coo.ToCSR()
-	want := matrix.ReferenceMultiply(a, a)
-	got, _, err := MultiplyPartitioned(a.ToCSC(), a, 4, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !matrix.Equal(want, got, 1e-9) {
-		t.Fatal("partitioned result differs with empty bands")
-	}
+	multiplyBands(t, a, a, matrix.ReferenceMultiply(a, a), 4, Options{})
 }
 
-func TestExtractRowBand(t *testing.T) {
-	a := gen.ER(100, 5, 7).ToCSC()
-	band := extractRowBand(a, 20, 50)
-	if band.NumRows != 30 || band.NumCols != a.NumCols {
-		t.Fatalf("band shape %dx%d", band.NumRows, band.NumCols)
-	}
-	if err := band.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// Every band entry must correspond to an original entry shifted by 20.
-	full := a.ToCSR()
-	bandCSR := band.ToCSR()
-	for i := int32(0); i < 30; i++ {
-		if bandCSR.RowNNZ(i) != full.RowNNZ(i+20) {
-			t.Fatalf("band row %d nnz mismatch", i)
-		}
+// TestPartitionedWithWorkspaceAndBudget combines the row bands with the
+// budgeted engine and one workspace shared by every band.
+func TestPartitionedWithWorkspaceAndBudget(t *testing.T) {
+	a := gen.ER(300, 5, 21)
+	b := gen.ER(300, 5, 22)
+	st := multiplyBands(t, a, b, matrix.ReferenceMultiply(a, b), 3,
+		Options{Workspace: NewWorkspace(), MemoryBudgetBytes: 8 << 10})
+	if st.NPanels < 2*3 {
+		t.Fatalf("expected the budget to tile every band, NPanels=%d over 3 bands", st.NPanels)
 	}
 }

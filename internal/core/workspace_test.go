@@ -234,22 +234,3 @@ func TestBudgetedEmptyAndEdgeShapes(t *testing.T) {
 		t.Fatalf("1x1 square wrong: %v", c.Val)
 	}
 }
-
-// TestPartitionedWithWorkspaceAndBudget combines the Section V-D partitioned
-// variant with the budgeted engine and a shared workspace.
-func TestPartitionedWithWorkspaceAndBudget(t *testing.T) {
-	a := gen.ER(300, 5, 21)
-	b := gen.ER(300, 5, 22)
-	want := matrix.ReferenceMultiply(a, b)
-	ws := NewWorkspace()
-	got, st, err := MultiplyPartitioned(a.ToCSC(), b, 3, Options{Workspace: ws, MemoryBudgetBytes: 8 << 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !matrix.Equal(want, got, 1e-9) {
-		t.Fatal("partitioned+budgeted product differs from reference")
-	}
-	if st.NPanels < 2 {
-		t.Fatalf("expected budget to tile at least one band, NPanels=%d", st.NPanels)
-	}
-}

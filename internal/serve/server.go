@@ -343,7 +343,7 @@ func (s *Server) resolveSpec(req multiplyRequest) (*productSpec, int, error) {
 		return nil, http.StatusBadRequest, fmt.Errorf("serve: unknown semiring %q", req.Semiring)
 	}
 	if req.Algorithm != "" {
-		alg, err := parseAlgorithm(req.Algorithm)
+		alg, err := pbspgemm.ParseAlgorithm(req.Algorithm)
 		if err != nil {
 			return nil, http.StatusBadRequest, err
 		}
@@ -393,27 +393,6 @@ func (s *Server) resolveSpec(req multiplyRequest) (*productSpec, int, error) {
 			sp.mask.NumRows, sp.mask.NumCols, sp.a.NumRows, sp.b.NumCols, matrix.ErrShape)
 	}
 	return sp, 0, nil
-}
-
-// parseAlgorithm maps the request string to an Algorithm.
-func parseAlgorithm(s string) (pbspgemm.Algorithm, error) {
-	switch strings.ToLower(s) {
-	case "auto":
-		return pbspgemm.Auto, nil
-	case "pb":
-		return pbspgemm.PB, nil
-	case "heap":
-		return pbspgemm.Heap, nil
-	case "hash":
-		return pbspgemm.Hash, nil
-	case "hashvec":
-		return pbspgemm.HashVec, nil
-	case "spa":
-		return pbspgemm.SPA, nil
-	case "esc":
-		return pbspgemm.ColumnESC, nil
-	}
-	return 0, fmt.Errorf("serve: unknown algorithm %q", s)
 }
 
 // multiplyResponse is the POST /multiply metadata reply. With

@@ -14,11 +14,11 @@ import (
 // earlier ones, so engine defaults can be overridden per call.
 type Option func(*config) error
 
-// OptionError is the typed error returned when an option (or a legacy
-// Options field) carries an invalid value, e.g. a negative thread count.
-// Test with errors.As, or errors.Is against ErrInvalidOption.
+// OptionError is the typed error returned when an option carries an invalid
+// value, e.g. a negative thread count. Test with errors.As, or errors.Is
+// against ErrInvalidOption.
 type OptionError struct {
-	// Option names the offending option or Options struct field.
+	// Option names the offending option.
 	Option string
 	// Value is the rejected value.
 	Value int64
@@ -96,9 +96,8 @@ func (c *config) cancelFunc() func() error {
 // have two kernels: PB, the tuple pipeline, and SPA, the row kernel (for every
 // semiring); Auto prices both, the row kernel's accumulator at the semiring's
 // value width. A plain mask always runs the row kernel's masked form and a
-// complement mask PB. The column kernels (Heap, Hash, HashVec, ColumnESC,
-// OuterHeapNaive) have no semiring or masked form: such a call returns
-// *OptionError.
+// complement mask PB. The column kernels Heap, Hash and HashVec have no
+// semiring or masked form: such a call returns *OptionError.
 func WithAlgorithm(a Algorithm) Option {
 	return func(c *config) error {
 		if a < PB || a > Auto {
@@ -241,24 +240,4 @@ func WithContext(ctx context.Context) Option {
 		c.ctx = ctx
 		return nil
 	}
-}
-
-// validate rejects out-of-range fields of the legacy Options struct with
-// the same typed error the functional options return.
-func (o Options) validate() error {
-	for _, f := range []struct {
-		name  string
-		value int64
-	}{
-		{"Options.Threads", int64(o.Threads)},
-		{"Options.NBins", int64(o.NBins)},
-		{"Options.LocalBinBytes", int64(o.LocalBinBytes)},
-		{"Options.L2CacheBytes", int64(o.L2CacheBytes)},
-		{"Options.MemoryBudgetBytes", o.MemoryBudgetBytes},
-	} {
-		if f.value < 0 {
-			return &OptionError{Option: f.name, Value: f.value}
-		}
-	}
-	return nil
 }

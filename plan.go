@@ -8,7 +8,6 @@ import (
 
 	"pbspgemm/internal/baseline"
 	"pbspgemm/internal/core"
-	"pbspgemm/internal/kernel"
 	"pbspgemm/internal/matrix"
 	"pbspgemm/internal/par"
 	"pbspgemm/internal/roofline"
@@ -49,11 +48,9 @@ type Plan struct {
 	// (Boolean/float32/int32 semirings) run LayoutPattern (4 B) and
 	// LayoutNarrow (8 B).
 	OuterLayout TupleLayout
-	// FusedOuter reports whether the PB kernel declares the fused
-	// sort→compress→assemble pipeline, whose bound AIOuter then is.
-	FusedOuter bool
 	// AIOuter, AIColumn are the arithmetic intensities (flops/byte) of the
-	// paper's Fig. 3 roofline for the outer-product and column families. They
+	// paper's Fig. 3 roofline for the outer-product and column families, the
+	// outer one at the fused pipeline's bound (roofline.AIOuterFusedExact). They
 	// describe the product; the decision does not read them.
 	AIOuter, AIColumn float64
 	// PredictedOuterGFLOPS, PredictedColumnGFLOPS are Flops over the time the
@@ -105,21 +102,11 @@ func (p *Plan) model(cfg *config, rows, cols int32, pinPB bool, valueBytes int64
 	if p.BetaGBs = cfg.beta; p.BetaGBs == 0 {
 		p.BetaGBs = roofline.CalibrateBeta(cfg.threads)
 	}
-	if k, ok := kernel.Get(PB.String()); ok {
-		caps := k.Capabilities()
-		p.FusedOuter = caps.FusedCompress
-		if caps.SqueezedTuples {
-			p.OuterLayout = core.PlanLayout(rows, cols, p.Flops, core.Options{
-				NBins: cfg.nbins, L2CacheBytes: cfg.l2Cache, Threads: cfg.threads, MemoryBudgetBytes: cfg.budget})
-			p.SqueezedOuter = p.OuterLayout == core.LayoutSqueezed
-		}
-	}
+	p.OuterLayout = core.PlanLayout(rows, cols, p.Flops, core.Options{
+		NBins: cfg.nbins, L2CacheBytes: cfg.l2Cache, Threads: cfg.threads, MemoryBudgetBytes: cfg.budget})
+	p.SqueezedOuter = p.OuterLayout == core.LayoutSqueezed
 	p.OuterTupleBytes = float64(p.OuterLayout.TupleBytes())
-	if p.FusedOuter {
-		p.AIOuter = roofline.AIOuterFusedExact(p.NNZA, p.NNZB, p.Flops, p.OuterTupleBytes)
-	} else {
-		p.AIOuter = roofline.AIOuterExact(p.NNZA, p.NNZB, p.Flops, p.EstNNZC, p.OuterTupleBytes)
-	}
+	p.AIOuter = roofline.AIOuterFusedExact(p.NNZA, p.NNZB, p.Flops, p.OuterTupleBytes)
 	p.AIColumn = roofline.AIColumnExact(p.NNZB, p.Flops, p.EstNNZC, roofline.DefaultBytesPerNonzero)
 	shape := roofline.Product{Rows: rows, Cols: cols, NNZA: p.NNZA, NNZB: p.NNZB, Flops: p.Flops, NNZC: p.EstNNZC,
 		ValueBytes: valueBytes, L2CacheBytes: int64(cmp.Or(cfg.l2Cache, core.DefaultL2CacheBytes))}
@@ -332,7 +319,7 @@ func (e *Engine) Plan(ctx context.Context, a, b *CSR, opts ...Option) (*Plan, er
 	if cfg.rowMasked() {
 		return maskedRowsPlan(&cfg, a, b), nil
 	}
-	ws := e.pool.Get().(*kernel.Workspace)
+	ws := e.pool.Get().(*workspace)
 	p := planFor(&cfg, a, b, &ws.PlanScratch, 8)
 	e.pool.Put(ws)
 	return p, nil

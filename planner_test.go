@@ -141,12 +141,8 @@ func TestAutoPlanFields(t *testing.T) {
 	if res.PB == nil || res.PB.Layout != LayoutSqueezed || res.PB.TupleBytes != 12 {
 		t.Fatalf("executed PB stats do not report the squeezed layout: %+v", res.PB)
 	}
-	// The PB kernel declares the fused pipeline, so the planner must have
-	// modeled the outer family with the fused bound — and the executed run
-	// must report fused on its stats.
-	if !p.FusedOuter {
-		t.Fatalf("plan did not model the fused outer pipeline: %+v", p)
-	}
+	// The engine runs the fused pipeline, so the executed run must report
+	// fused on its stats.
 	if !res.PB.Fused || res.PB.Fuse <= 0 || res.PB.FusedBytes <= 0 {
 		t.Fatalf("executed PB stats do not report the fused phase: %+v", res.PB)
 	}
@@ -186,9 +182,8 @@ func TestPlanPricesPlainMaskAsRowKernel(t *testing.T) {
 }
 
 // TestEngineMetricsByAlgorithm: the per-algorithm breakdown advances for
-// baseline kernels dispatched through the engine (the pre-registry engine
-// recorded nothing for them), and Auto calls are attributed to the chosen
-// kernel with AutoChosen.
+// baseline kernels dispatched through the engine, and Auto calls are
+// attributed to the chosen kernel with AutoChosen.
 func TestEngineMetricsByAlgorithm(t *testing.T) {
 	eng := plannerEngine(t)
 	a, b := lowCFFixture()
@@ -226,10 +221,9 @@ func TestEngineMetricsByAlgorithm(t *testing.T) {
 	}
 }
 
-// TestWithBetaValidationAndLegacyAuto: negative beta is rejected like every
-// option, and the deprecated struct entry point refuses Auto (it has no
-// planner).
-func TestWithBetaValidationAndLegacyAuto(t *testing.T) {
+// TestWithBetaValidation: negative beta is rejected like every option, and
+// Auto is a valid WithAlgorithm value.
+func TestWithBetaValidation(t *testing.T) {
 	a := NewER(64, 3, 1)
 	eng, err := NewEngine()
 	if err != nil {
@@ -237,9 +231,6 @@ func TestWithBetaValidationAndLegacyAuto(t *testing.T) {
 	}
 	if _, err := eng.Multiply(context.Background(), a, a, WithBeta(-1)); !errors.Is(err, ErrInvalidOption) {
 		t.Fatalf("WithBeta(-1) returned %v, want ErrInvalidOption", err)
-	}
-	if _, err := Multiply(a, a, Options{Algorithm: Auto}); err == nil {
-		t.Fatal("legacy Multiply accepted Auto")
 	}
 	// Auto itself is a valid option value.
 	if err := WithAlgorithm(Auto)(&config{}); err != nil {

@@ -2,7 +2,7 @@ package pbspgemm
 
 import (
 	"pbspgemm/internal/baseline"
-	"pbspgemm/internal/kernel"
+	"pbspgemm/internal/core"
 	"pbspgemm/internal/matrix"
 	"pbspgemm/internal/semiring"
 )
@@ -81,18 +81,18 @@ func Float64CSR(g *Matrix[float64]) *CSR {
 }
 
 // MultiplyOver computes C = A ⊗ B over an arbitrary semiring. WithAlgorithm
-// picks the kernel: PB (the default) is PB-SpGEMM, the one pipeline Multiply
-// runs (parallel outer-product expand with propagation blocking, stable
-// per-bin sort, fold) on the tuple layout the semiring allows — a typed one for
-// the stock arithmetic and Boolean semirings, otherwise 16-byte tuples formed
-// with sr.Times and folded with sr.Plus; SPA is the row kernel, a dense
-// accumulator per worker (none but the pattern for Boolean over all-true
-// operands); Auto prices both, the accumulator at the semiring's value width,
-// and runs the cheaper (PB under WithMemoryBudget). Either way an entry's
-// products fold in ascending k (within a panel, panels in order), whatever the
-// thread count, so PB and SPA give the same bytes. The column kernels (Heap,
-// Hash, HashVec, ColumnESC, OuterHeapNaive) have no semiring form: naming one
-// returns *OptionError. A streams in column-major form — convert once with
+// picks the kernel: PB (the default) is PB-SpGEMM, the one pipeline
+// Engine.Multiply runs (parallel outer-product expand with propagation
+// blocking, stable per-bin sort, fold) on the tuple layout the semiring allows
+// — a typed one for the stock arithmetic and Boolean semirings, otherwise
+// 16-byte tuples formed with sr.Times and folded with sr.Plus; SPA is the row
+// kernel, a dense accumulator per worker (none but the pattern for Boolean
+// over all-true operands); Auto prices both, the accumulator at the semiring's
+// value width, and runs the cheaper (PB under WithMemoryBudget). Either way an
+// entry's products fold in ascending k (within a panel, panels in order),
+// whatever the thread count, so PB and SPA give the same bytes. The column
+// kernels Heap, Hash and HashVec have no semiring form: naming one returns
+// *OptionError. A streams in column-major form — convert once with
 // (*Matrix[T]).ToCSC and reuse across calls sharing A; the row kernel puts it
 // back in rows first (one nnz(A) pass). Honors WithThreads, WithMemoryBudget,
 // WithMask / WithComplementMask and WithContext (polled every 64 Ki expanded
@@ -143,7 +143,7 @@ func (c *config) overAlgorithm() error {
 // maskedArith runs a resolved masked arithmetic product on ws: a plain mask
 // runs the row kernel (baseline.SPA) on A by rows as given, a complement one
 // the tuple pipeline on ws's CSC of A. Either way the product is the caller's.
-func (c *config) maskedArith(a, b *CSR, ws *kernel.Workspace) (*CSR, error) {
+func (c *config) maskedArith(a, b *CSR, ws *workspace) (*CSR, error) {
 	if c.rowMasked() {
 		m, _, err := baseline.SPA(a, b, baseline.Options{Threads: c.threads, Workspace: ws.Col,
 			Cancel: c.cancelFunc(), Mask: c.mask})
@@ -176,7 +176,7 @@ func EWiseMult[T any](sr Semiring[T], a, b *Matrix[T]) (*Matrix[T], error) {
 // ws is the pooled workspace and scratch the planner's marker (nil for one-shot
 // calls). WithAlgorithm becomes the choice of kernel: SPA the row kernel, Auto
 // the planner's pick, priced at the semiring's value width.
-func (c *config) semiringOptions(ws *Workspace, scratch *[]int32) semiring.Options {
+func (c *config) semiringOptions(ws *core.Workspace, scratch *[]int32) semiring.Options {
 	opt := semiring.Options{
 		Threads:           c.threads,
 		MemoryBudgetBytes: c.budget,

@@ -34,11 +34,11 @@ func FuzzSPAvsPB(f *testing.F) {
 		a, b := aco.ToCSR(), bco.ToCSR()
 		want := Reference(a, b)
 		for _, threads := range []int{1, 3} {
-			pb, err := Multiply(a, b, Options{Algorithm: PB, Threads: threads})
+			pb, err := multiply(a, b, WithAlgorithm(PB), WithThreads(threads))
 			if err != nil {
 				t.Fatal(err)
 			}
-			spa, err := Multiply(a, b, Options{Algorithm: SPA, Threads: threads})
+			spa, err := multiply(a, b, WithAlgorithm(SPA), WithThreads(threads))
 			if err != nil {
 				t.Fatal(err)
 			}

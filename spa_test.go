@@ -62,7 +62,7 @@ func cancelPair() (a, b *CSR) {
 // picks, the product is the same bytes — which is what lets a serve cache entry
 // computed under one pick stand in for the other. ER and R-MAT, real values and
 // NaN / ±Inf / −0.0 / cancel-to-zero, threads {1, 2, 7}, pooled (an engine's
-// second call) and fresh (the package-level shim) workspaces.
+// second call) and fresh (a new engine's first call) workspaces.
 func TestAutoBytesDoNotDependOnPick(t *testing.T) {
 	rmat := NewRMAT(9, 8, 3)
 	ca, cb := cancelPair()
@@ -93,7 +93,7 @@ func TestAutoBytesDoNotDependOnPick(t *testing.T) {
 							t.Fatal(err)
 						}
 					}
-					fresh, err := Multiply(c.a, c.b, Options{Algorithm: alg, Threads: threads})
+					fresh, err := multiply(c.a, c.b, WithAlgorithm(alg), WithThreads(threads))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -114,7 +114,7 @@ func TestAutoBytesDoNotDependOnPick(t *testing.T) {
 		}
 	}
 	// The hand-built pair, entry by entry: stored zeros are kept, signs survive.
-	res, err := Multiply(ca, cb, Options{Algorithm: SPA})
+	res, err := multiply(ca, cb, WithAlgorithm(SPA))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestSemiringRejectsColumnKernels(t *testing.T) {
 	a := NewER(96, 4, 1)
 	ac, am := Float64Matrix(a).ToCSC(), Float64Matrix(a)
 	ctx := context.Background()
-	for _, alg := range []Algorithm{Heap, Hash, HashVec, ColumnESC, OuterHeapNaive} {
+	for _, alg := range []Algorithm{Heap, Hash, HashVec} {
 		eng, err := NewEngine(WithAlgorithm(alg))
 		if err != nil {
 			t.Fatal(err)

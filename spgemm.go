@@ -31,6 +31,7 @@ package pbspgemm
 import (
 	"fmt"
 	"io"
+	"strings"
 	"time"
 
 	"pbspgemm/internal/baseline"
@@ -76,22 +77,12 @@ const (
 	// occupancy bitmap): the column-family kernel Auto chooses against PB,
 	// and bit-identical to it on canonical inputs.
 	SPA
-	// OuterHeapNaive is the n-merge outer-product algorithm the paper
-	// dismisses (Section II-B); present for ablations, quadratic-ish: only
-	// use on small inputs.
-	OuterHeapNaive
-	// ColumnESC is the column-wise (row-wise on CSR) expand-sort-compress
-	// algorithm of Dalton et al. [15] — the Table I cell adjacent to
-	// PB-SpGEMM: same ESC output formation, but without outer-product input
-	// streaming or propagation blocking.
-	ColumnESC
 	// Auto lets the Engine pick the kernel per call: the planner runs the
 	// cheap symbolic flop pass, estimates nnz(C) from a work-bounded row
 	// sample, and chooses between PB and SPA by the time a cost model fitted
 	// on this tree's kernels predicts for each (internal/roofline/cost.go;
 	// the paper's cf ≈ 4 crossover is a fact of its machines, not of this
-	// model). Engine-only (the deprecated Multiply shim rejects it); the
-	// decision and its inputs are reported on Result.Plan.
+	// model). The decision and its inputs are reported on Result.Plan.
 	Auto
 )
 
@@ -108,76 +99,30 @@ func (a Algorithm) String() string {
 		return "HashVecSpGEMM"
 	case SPA:
 		return "SPASpGEMM"
-	case OuterHeapNaive:
-		return "OuterHeapNaive"
-	case ColumnESC:
-		return "ColumnESC"
 	case Auto:
 		return "Auto"
 	}
 	return fmt.Sprintf("Algorithm(%d)", int(a))
 }
 
+// algorithmNames are the names ParseAlgorithm accepts, indexed by Algorithm.
+var algorithmNames = [...]string{PB: "pb", Heap: "heap", Hash: "hash", HashVec: "hashvec", SPA: "spa", Auto: "auto"}
+
+// ParseAlgorithm maps a short algorithm name — pb, heap, hash, hashvec, spa or
+// auto, in any case — to its Algorithm: the names the command-line tools and
+// the HTTP service take.
+func ParseAlgorithm(s string) (Algorithm, error) {
+	for a, name := range algorithmNames {
+		if strings.EqualFold(s, name) {
+			return Algorithm(a), nil
+		}
+	}
+	return 0, fmt.Errorf("pbspgemm: unknown algorithm %q", s)
+}
+
 // Algorithms returns the four algorithms of the paper's evaluation, in the
 // order its figures plot them.
 func Algorithms() []Algorithm { return []Algorithm{PB, Heap, Hash, HashVec} }
-
-// Options configures the deprecated Multiply entry point. The zero value
-// runs PB-SpGEMM with the paper's defaults on all cores.
-//
-// Deprecated: new code should use an Engine with functional options
-// (WithAlgorithm, WithThreads, WithMemoryBudget, WithMask, ...), which adds
-// concurrency safety, context cancellation and metrics. Options remains so
-// existing callers keep compiling; each field maps to the like-named With*
-// option.
-type Options struct {
-	// Algorithm selects the implementation (default PB).
-	Algorithm Algorithm
-	// Threads caps worker goroutines; 0 uses GOMAXPROCS.
-	Threads int
-	// NBins overrides the global bin count (PB only); 0 = auto from flop
-	// and L2CacheBytes (Algorithm 3).
-	NBins int
-	// LocalBinBytes is the requested thread-private local bin width in
-	// bytes (PB only); 0 = 1024, measured on every tuple layout against the
-	// paper's 512 (Fig. 6a). The engine runs the request rounded down to a
-	// multiple of 16 tuples of the run's layout, and at 16 tuples when the
-	// request is smaller, so that every steady-state flush moves whole cache
-	// lines: 1024 B is 64 tuples at 16 bytes, 80 at 12.
-	LocalBinBytes int
-	// L2CacheBytes is the per-bin cache budget used to auto-size NBins (PB
-	// only); 0 = 1 MiB.
-	L2CacheBytes int
-	// MemoryBudgetBytes caps PB-SpGEMM's expanded-tuple working set — the
-	// flop×16-byte buffer that dominates its footprint. When positive and
-	// smaller than that, A's columns are tiled into panels whose expansions
-	// each fit the budget and per-panel results are merged, enabling
-	// products whose expansion exceeds RAM. 0 = unlimited (single shot).
-	// PB only; the budget is best-effort with a one-column-panel floor.
-	MemoryBudgetBytes int64
-	// Workspace, if non-nil, reuses buffers across calls (PB only):
-	// steady-state multiplications perform zero large allocations, and with
-	// Threads == 1 zero allocations at all inside the core engine. The
-	// returned Result.C then aliases workspace memory and is invalidated by
-	// the next Multiply using the same workspace — Clone it to keep it.
-	Workspace *Workspace
-	// DisableFusion runs PB with the paper's separate sort → compress →
-	// assemble phases instead of the default fused pipeline (PB only; see
-	// the README's "fused pipeline" section). Output is bit-identical; the
-	// switch exists for ablations and for reproducing the paper's
-	// per-phase sort/compress measurements, which a fused run reports
-	// under the single Fuse phase instead.
-	DisableFusion bool
-}
-
-// Workspace pools PB-SpGEMM's buffers (tuple arena, local bins, plan and
-// merge arrays, output storage, A's CSC conversion) across Multiply calls.
-// Create one with NewWorkspace, pass it via Options.Workspace, and do not
-// share it between concurrent calls.
-type Workspace = core.Workspace
-
-// NewWorkspace returns an empty workspace; buffers grow on first use.
-func NewWorkspace() *Workspace { return core.NewWorkspace() }
 
 // PhaseStats is the per-phase timing/traffic breakdown of a PB-SpGEMM run.
 // Its Layout and TupleBytes fields report the expanded-tuple layout the run
@@ -244,120 +189,6 @@ func (r *Result) GFLOPS() float64 {
 func shapeError(a, b *CSR) error {
 	return fmt.Errorf("pbspgemm: inner dimensions disagree (%dx%d)·(%dx%d): %w",
 		a.NumRows, a.NumCols, b.NumRows, b.NumCols, matrix.ErrShape)
-}
-
-// Multiply computes C = A*B with the selected algorithm. Inputs must be
-// canonical CSR (as produced by this package's generators, converters and
-// readers); A is converted to CSC internally when PB or OuterHeapNaive runs
-// (the conversion is excluded from Elapsed, matching how the paper passes A
-// pre-converted).
-//
-// Deprecated: Multiply is the legacy single-threaded-workspace entry point,
-// kept as a thin shim over the same kernels. New code should create an
-// Engine and call Engine.Multiply(ctx, a, b, opts...), which is safe for
-// concurrent use, cancellable and metered; semiring workloads should use
-// MultiplyOver / MultiplyMasked.
-func Multiply(a, b *CSR, opt Options) (*Result, error) {
-	if err := opt.validate(); err != nil {
-		return nil, err
-	}
-	if a.NumCols != b.NumRows {
-		return nil, shapeError(a, b)
-	}
-	res := &Result{Algorithm: opt.Algorithm}
-	switch opt.Algorithm {
-	case PB:
-		var acsc *CSC
-		if opt.Workspace != nil {
-			acsc = opt.Workspace.CSCOf(a)
-		} else {
-			acsc = a.ToCSC()
-		}
-		c, st, err := core.Multiply(acsc, b, core.Options{
-			NBins:             opt.NBins,
-			LocalBinBytes:     opt.LocalBinBytes,
-			Threads:           opt.Threads,
-			L2CacheBytes:      opt.L2CacheBytes,
-			MemoryBudgetBytes: opt.MemoryBudgetBytes,
-			Workspace:         opt.Workspace,
-			DisableFusion:     opt.DisableFusion,
-		})
-		if err != nil {
-			return nil, err
-		}
-		res.C, res.PB = c, st
-		res.Flops, res.CF, res.Elapsed = st.Flops, st.CF, st.Total
-	case Heap, Hash, HashVec, SPA, ColumnESC:
-		var fn func(a, b *matrix.CSR, o baseline.Options) (*matrix.CSR, *baseline.Stats, error)
-		switch opt.Algorithm {
-		case Heap:
-			fn = baseline.Heap
-		case Hash:
-			fn = baseline.Hash
-		case HashVec:
-			fn = baseline.HashVec
-		case ColumnESC:
-			fn = baseline.ColumnESC
-		default:
-			fn = baseline.SPA
-		}
-		c, st, err := fn(a, b, baseline.Options{Threads: opt.Threads})
-		if err != nil {
-			return nil, err
-		}
-		res.C, res.Baseline = c, st
-		res.Flops, res.CF, res.Elapsed = st.Flops, st.CF, st.Total
-	case OuterHeapNaive:
-		acsc := a.ToCSC()
-		c, st, err := baseline.OuterHeap(acsc, b)
-		if err != nil {
-			return nil, err
-		}
-		res.C, res.Baseline = c, st
-		res.Flops, res.CF, res.Elapsed = st.Flops, st.CF, st.Total
-	case Auto:
-		return nil, fmt.Errorf("pbspgemm: Auto algorithm selection requires an Engine (use Engine.Multiply)")
-	default:
-		return nil, fmt.Errorf("pbspgemm: unknown algorithm %v", opt.Algorithm)
-	}
-	return res, nil
-}
-
-// Square computes A*A, the paper's real-matrix workload (Fig. 11).
-func Square(a *CSR, opt Options) (*Result, error) { return Multiply(a, a, opt) }
-
-// MultiplyPartitioned computes C = A*B with partitioned PB-SpGEMM: A is split
-// into `parts` flop-balanced row bands multiplied independently. This is the
-// NUMA mitigation of Section V-D (each band's bins stay socket-local at the
-// cost of re-reading B per band); parts <= 1 is plain PB-SpGEMM.
-func MultiplyPartitioned(a, b *CSR, parts int, opt Options) (*Result, error) {
-	if err := opt.validate(); err != nil {
-		return nil, err
-	}
-	if a.NumCols != b.NumRows {
-		return nil, shapeError(a, b)
-	}
-	var acsc *CSC
-	if opt.Workspace != nil {
-		acsc = opt.Workspace.CSCOf(a)
-	} else {
-		acsc = a.ToCSC()
-	}
-	c, st, err := core.MultiplyPartitioned(acsc, b, parts, core.Options{
-		NBins:             opt.NBins,
-		LocalBinBytes:     opt.LocalBinBytes,
-		Threads:           opt.Threads,
-		L2CacheBytes:      opt.L2CacheBytes,
-		MemoryBudgetBytes: opt.MemoryBudgetBytes,
-		Workspace:         opt.Workspace,
-		DisableFusion:     opt.DisableFusion,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
-		C: c, Algorithm: PB, Flops: st.Flops, CF: st.CF, Elapsed: st.Total, PB: st,
-	}, nil
 }
 
 // NewER generates an n×n Erdős–Rényi matrix with exactly d nonzeros per

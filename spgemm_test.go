@@ -2,16 +2,27 @@ package pbspgemm
 
 import (
 	"bytes"
+	"context"
+	"strings"
 	"testing"
 )
+
+// multiply runs one product on a fresh Engine, so on a new workspace.
+func multiply(a, b *CSR, opts ...Option) (*Result, error) {
+	eng, err := NewEngine()
+	if err != nil {
+		return nil, err
+	}
+	return eng.Multiply(context.Background(), a, b, opts...)
+}
 
 func TestPublicMultiplyAllAlgorithms(t *testing.T) {
 	a := NewER(256, 6, 1)
 	b := NewER(256, 6, 2)
 	want := Reference(a, b)
-	for _, alg := range []Algorithm{PB, Heap, Hash, HashVec, SPA, OuterHeapNaive, ColumnESC} {
+	for _, alg := range []Algorithm{PB, Heap, Hash, HashVec, SPA} {
 		t.Run(alg.String(), func(t *testing.T) {
-			res, err := Multiply(a, b, Options{Algorithm: alg})
+			res, err := multiply(a, b, WithAlgorithm(alg))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -38,26 +49,30 @@ func TestPublicMultiplyAllAlgorithms(t *testing.T) {
 }
 
 // TestPublicWorkspaceAndBudget exercises the execution-engine options
-// through the public API: repeated multiplications through one workspace,
-// with and without a memory budget, stay correct and report tiling.
+// through the public API: repeated multiplications on one engine's pooled
+// workspace, with and without a memory budget, stay correct and report tiling.
 func TestPublicWorkspaceAndBudget(t *testing.T) {
 	a := NewER(512, 6, 3)
 	b := NewER(512, 6, 4)
 	want := Reference(a, b)
-	ws := NewWorkspace()
+	eng, err := NewEngine(WithThreads(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
 	for i := 0; i < 3; i++ {
-		res, err := Multiply(a, b, Options{Workspace: ws})
+		res, err := eng.Multiply(ctx, a, b)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !EqualWithin(want, res.C, 1e-9) {
-			t.Fatalf("iteration %d: workspace result differs from reference", i)
+			t.Fatalf("iteration %d: pooled result differs from reference", i)
 		}
 		if res.PB.NPanels != 1 {
 			t.Fatalf("unbudgeted run tiled into %d panels", res.PB.NPanels)
 		}
 	}
-	res, err := Multiply(a, b, Options{Workspace: ws, MemoryBudgetBytes: 32 << 10})
+	res, err := eng.Multiply(ctx, a, b, WithMemoryBudget(32<<10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,19 +82,11 @@ func TestPublicWorkspaceAndBudget(t *testing.T) {
 	if res.PB.NPanels < 2 {
 		t.Fatalf("expected tiling under 32 KiB budget, got %d panels", res.PB.NPanels)
 	}
-	// The same workspace also serves the partitioned variant.
-	resP, err := MultiplyPartitioned(a, b, 2, Options{Workspace: ws, MemoryBudgetBytes: 32 << 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !EqualWithin(want, resP.C, 1e-9) {
-		t.Fatal("partitioned budgeted result differs from reference")
-	}
 }
 
 func TestPublicSquare(t *testing.T) {
 	a := NewRMAT(8, 4, 3)
-	res, err := Square(a, Options{})
+	res, err := multiply(a, a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,18 +98,40 @@ func TestPublicSquare(t *testing.T) {
 func TestPublicShapeError(t *testing.T) {
 	a := NewER(16, 2, 1)
 	b := NewER(32, 2, 2)
-	if _, err := Multiply(a, b, Options{}); err == nil {
+	if _, err := multiply(a, b); err == nil {
 		t.Fatal("expected shape error")
 	}
 }
 
 func TestPublicUnknownAlgorithm(t *testing.T) {
 	a := NewER(16, 2, 1)
-	if _, err := Multiply(a, a, Options{Algorithm: Algorithm(99)}); err == nil {
+	if _, err := multiply(a, a, WithAlgorithm(Algorithm(99))); err == nil {
 		t.Fatal("expected unknown-algorithm error")
 	}
 	if Algorithm(99).String() == "" {
 		t.Fatal("unknown algorithm must still print")
+	}
+}
+
+// TestParseAlgorithm: every Algorithm has one short name, which parses back to
+// it in any case; the names of the removed algorithms and unknown names fail.
+func TestParseAlgorithm(t *testing.T) {
+	names := map[Algorithm]string{PB: "pb", Heap: "heap", Hash: "hash", HashVec: "hashvec", SPA: "spa", Auto: "auto"}
+	for alg := PB; alg <= Auto; alg++ {
+		name, ok := names[alg]
+		if !ok {
+			t.Fatalf("%v has no name in this table", alg)
+		}
+		for _, s := range []string{name, strings.ToUpper(name), strings.ToUpper(name[:1]) + name[1:]} {
+			if got, err := ParseAlgorithm(s); err != nil || got != alg {
+				t.Fatalf("ParseAlgorithm(%q) = %v, %v; want %v", s, got, err, alg)
+			}
+		}
+	}
+	for _, s := range []string{"", "esc", "outerheap", "gustavson", "pb "} {
+		if _, err := ParseAlgorithm(s); err == nil {
+			t.Fatalf("ParseAlgorithm(%q) accepted an unknown name", s)
+		}
 	}
 }
 
