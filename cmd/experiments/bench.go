@@ -528,11 +528,7 @@ func gateBench(report *benchReport) {
 	//     header; the pipeline's is cloned out), with the planner's closure, the
 	//     chunk closures, the index headers and the semiring plan around it.
 	// rmat-masked is not: the row kernel pools everything in its workspace,
-	// the product included, as every regime here does. It read 10 allocs/op
-	// through semiring.MultiplyMaskedRows, nine of them in an alloc profile:
-	// the caller-owned product's three arrays and header, the cancel latch,
-	// the two dynamic-schedule closures and the one inside
-	// par.ForChunksDynamic, and the harness's own Stats.
+	// the product included, as every regime here does.
 	for _, r := range report.Regimes {
 		if r.Threads == 1 && r.AllocsPerOp != 0 && !strings.HasPrefix(r.Mode, "minplus") && !strings.HasPrefix(r.Mode, "bool-") {
 			fmt.Fprintf(os.Stderr, "bench gate: %s allocated %.1f/op, want 0\n", r.Name, r.AllocsPerOp)

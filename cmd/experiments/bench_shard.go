@@ -43,11 +43,7 @@ type benchShardRegime struct {
 // so the 1×1-vs-direct ratio isolates pure coordination overhead.
 func runShardBench(cfg *config, report *benchReport) {
 	threads := pickThreads(cfg, 0)
-	opts := []pbspgemm.Option{pbspgemm.WithThreads(threads)}
-	if cfg.beta > 0 {
-		opts = append(opts, pbspgemm.WithBeta(cfg.beta))
-	}
-	eng, err := pbspgemm.NewEngine(opts...)
+	eng, err := pbspgemm.NewEngine(pbspgemm.WithThreads(threads))
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "bench shard: %v\n", err)
 		os.Exit(1)
@@ -116,10 +112,9 @@ func runShardBench(cfg *config, report *benchReport) {
 }
 
 // measureInterleaved measures the runners in turns: one warm-up each (it
-// grows the engine's pooled workspaces and triggers any one-shot planner
-// calibration off the clock), then reps rounds of one iteration per runner,
-// best-of kept per side. Sharing each round between the sides is what keeps
-// their ratios honest on a loaded host.
+// grows the engine's pooled workspaces off the clock), then reps rounds of
+// one iteration per runner, best-of kept per side. Sharing each round between
+// the sides is what keeps their ratios honest on a loaded host.
 func measureInterleaved(threads, reps int, names []string, runs []func() (int64, string, int, error)) []benchShardRegime {
 	rs := make([]benchShardRegime, len(runs))
 	for r := -1; r < reps; r++ {

@@ -158,7 +158,6 @@ type plannerCaseJSON struct {
 
 // plannerJSON is the sweep's machine-readable report CI archives per commit.
 type plannerJSON struct {
-	BetaGBs   float64           `json:"beta_gbs"`
 	Threads   int               `json:"threads"`
 	Reps      int               `json:"reps"`
 	Seed      uint64            `json:"seed"`
@@ -173,8 +172,7 @@ const plannerGateRegret = 1.25
 // every sweep point, and scores Auto against the faster: the plan's predicted
 // times beside the measured ones, and plan + chosen kernel over min(PB, SPA).
 func runPlanner(cfg *config) {
-	// Without -beta the engine calibrates its own, as a served Auto call does.
-	eng, err := pbspgemm.NewEngine(pbspgemm.WithBeta(cfg.beta), pbspgemm.WithThreads(cfg.threads))
+	eng, err := pbspgemm.NewEngine(pbspgemm.WithThreads(cfg.threads))
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "engine: %v\n", err)
 		os.Exit(1)
@@ -223,7 +221,6 @@ func runPlanner(cfg *config) {
 		if plan.Chosen == pbspgemm.SPA {
 			tAuto = tPlan + tSPA
 		}
-		report.BetaGBs = plan.BetaGBs
 		c := plannerCaseJSON{
 			Workload: w.name, Rows: a.NumRows, Cols: b.NumCols, NNZA: a.NNZ(), NNZB: b.NNZ(), Flops: pb.Flops, NNZC: pb.C.NNZ(),
 			EstNNZC: plan.EstNNZC, CF: pb.CF, PBMs: msOf(tPB), SPAMs: msOf(tSPA), AutoMs: msOf(tAuto), PlanMs: msOf(tPlan),

@@ -113,9 +113,9 @@ func main() {
 		if p.Sampled {
 			how = "sampled"
 		}
-		fmt.Printf("plan: picked %s; predicted PB %.2f ms, SPA %.2f ms at beta %.1f GB/s; nnz(C) %s %d, actual %d; planned in %v\n",
+		fmt.Printf("plan: picked %s; predicted PB %.2f ms, SPA %.2f ms (on the fitting machine); nnz(C) %s %d, actual %d; planned in %v\n",
 			p.Chosen, float64(p.Flops)/p.PredictedOuterGFLOPS/1e6, float64(p.Flops)/p.PredictedColumnGFLOPS/1e6,
-			p.BetaGBs, how, p.EstNNZC, best.C.NNZ(), time.Since(start))
+			how, p.EstNNZC, best.C.NNZ(), time.Since(start))
 	}
 	fmt.Printf("%s: C has %s nnz, flop=%s, cf=%.2f\n",
 		best.Algorithm, metrics.HumanCount(best.C.NNZ()), metrics.HumanCount(best.Flops), best.CF)

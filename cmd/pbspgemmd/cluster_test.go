@@ -53,7 +53,7 @@ func TestClusterSIGKILLBitIdentical(t *testing.T) {
 	for i := range b.Val {
 		b.Val[i] = float64(i%7 + 1)
 	}
-	eng, err := pbspgemm.NewEngine(pbspgemm.WithBeta(50))
+	eng, err := pbspgemm.NewEngine()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestClusterSIGKILLBitIdentical(t *testing.T) {
 	done := make(chan int, 1)
 	go func() {
 		done <- run(ctx, []string{
-			"-addr", "127.0.0.1:0", "-beta", "50",
+			"-addr", "127.0.0.1:0",
 			"-peers", peer1.base + "," + peer2.base,
 			"-shard-block", "64K", "-shard-workers", "1",
 		}, &stdout, &stderr, func(addr string) { addrc <- addr })
@@ -204,7 +204,7 @@ type peerProc struct {
 // startPeer boots the built daemon on a random port and waits for /healthz.
 func startPeer(t *testing.T, bin string) *peerProc {
 	t.Helper()
-	cmd := exec.Command(bin, "-addr", "127.0.0.1:0", "-beta", "50", "-cache", "32M", "-ceiling", "512M")
+	cmd := exec.Command(bin, "-addr", "127.0.0.1:0", "-cache", "32M", "-ceiling", "512M")
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
 		t.Fatal(err)

@@ -48,7 +48,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, ready fun
 	var (
 		addr      = fs.String("addr", ":8080", "listen address (host:port; :0 picks a free port)")
 		threads   = fs.Int("threads", 0, "default worker threads per multiply (0 = GOMAXPROCS)")
-		beta      = fs.Float64("beta", 0, "roofline bandwidth GB/s for the Auto planner (0 = one-shot STREAM calibration on first use)")
 		upload    = fs.String("max-upload", "256M", "per-upload byte limit")
 		registry  = fs.String("registry", "2G", "matrix registry memory budget")
 		cache     = fs.String("cache", "512M", "result cache memory budget")
@@ -97,11 +96,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, ready fun
 	}
 	cfg.ShardLocalWorkers = *shardWkrs
 
-	defaults := []pbspgemm.Option{pbspgemm.WithThreads(*threads)}
-	if *beta > 0 {
-		defaults = append(defaults, pbspgemm.WithBeta(*beta))
-	}
-	eng, err := pbspgemm.NewEngine(defaults...)
+	eng, err := pbspgemm.NewEngine(pbspgemm.WithThreads(*threads))
 	if err != nil {
 		return fatal(stderr, err)
 	}

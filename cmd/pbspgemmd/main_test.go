@@ -26,7 +26,7 @@ func TestDaemonSmoke(t *testing.T) {
 	goroutinesBefore := runtime.NumGoroutine()
 	go func() {
 		done <- run(ctx,
-			[]string{"-addr", "127.0.0.1:0", "-beta", "50", "-cache", "64M", "-ceiling", "1G"},
+			[]string{"-addr", "127.0.0.1:0", "-cache", "64M", "-ceiling", "1G"},
 			&stdout, &stderr, func(addr string) { addrc <- addr })
 	}()
 	var base string

@@ -266,9 +266,8 @@ func (e *Engine) multiply(cfg *config, a, b *CSR) (*Result, Algorithm, bool, err
 	case cfg.mask != nil:
 		alg = PB
 	case alg == Auto:
-		// Observe cancellation before planning: the symbolic pass and a
-		// possible one-shot beta calibration are real work an expired ctx
-		// should not pay for.
+		// Observe cancellation before planning: the symbolic pass is real
+		// work an expired ctx should not pay for.
 		if cancel := cfg.cancelFunc(); cancel != nil {
 			if err := cancel(); err != nil {
 				e.pool.Put(ws)

@@ -22,11 +22,10 @@ import "time"
 // Topology describes a two-socket machine's memory system. The defaults are
 // the paper's Table VII measurements of the dual Skylake 8160.
 type Topology struct {
-	LocalGBs   float64 // same-socket bandwidth, GB/s
-	RemoteGBs  float64 // cross-socket bandwidth, GB/s
-	LocalNs    float64 // same-socket idle latency, ns
-	RemoteNs   float64 // cross-socket idle latency, ns
-	SocketsPer int     // cores per socket (informational)
+	LocalGBs  float64 // same-socket bandwidth, GB/s
+	RemoteGBs float64 // cross-socket bandwidth, GB/s
+	LocalNs   float64 // same-socket idle latency, ns
+	RemoteNs  float64 // cross-socket idle latency, ns
 }
 
 // PaperSkylake is Table VII: 50.26/33.36 GB/s and 88.1/147.4 ns (averaged
@@ -34,7 +33,6 @@ type Topology struct {
 var PaperSkylake = Topology{
 	LocalGBs: 50.26, RemoteGBs: 33.36,
 	LocalNs: 88.1, RemoteNs: 147.4,
-	SocketsPer: 24,
 }
 
 // TableVII renders the 2×2 socket matrix of (bandwidth, latency) pairs the

@@ -107,24 +107,6 @@ func ForEachDynamic(n, threads int, fn func(worker, i int)) {
 	g.rethrow()
 }
 
-// ForChunksDynamic is ForEachDynamic with a chunk size: fn(worker, lo, hi)
-// receives half-open ranges of width up to chunk. Use it when per-index work
-// is tiny and the atomic counter would dominate.
-func ForChunksDynamic(n, threads, chunk int, fn func(worker, lo, hi int)) {
-	if chunk <= 0 {
-		chunk = 1
-	}
-	nchunks := (n + chunk - 1) / chunk
-	ForEachDynamic(nchunks, threads, func(worker, c int) {
-		lo := c * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		fn(worker, lo, hi)
-	})
-}
-
 // BalancedBoundaries splits the index range [0, len(weights)) into parts
 // contiguous ranges whose total weights are as equal as a greedy prefix scan
 // can make them. It returns parts+1 boundaries b with b[0]=0 and

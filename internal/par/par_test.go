@@ -41,23 +41,6 @@ func TestForEachDynamicCoversAll(t *testing.T) {
 	}
 }
 
-func TestForChunksDynamicCoversAll(t *testing.T) {
-	n := 1000
-	for _, chunk := range []int{0, 1, 7, 100, 5000} {
-		hits := make([]int32, n)
-		ForChunksDynamic(n, 8, chunk, func(_, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				atomic.AddInt32(&hits[i], 1)
-			}
-		})
-		for i, h := range hits {
-			if h != 1 {
-				t.Fatalf("chunk=%d: index %d hit %d times", chunk, i, h)
-			}
-		}
-	}
-}
-
 func TestBalancedBoundariesPartition(t *testing.T) {
 	f := func(weightsRaw []uint16, partsSel uint8) bool {
 		weights := make([]int64, len(weightsRaw))

@@ -28,9 +28,10 @@ type Product struct {
 // 2^15·d8). README "Choosing an algorithm" has the table. What the constants
 // amount to: SPA, unless A is hypersparse against a B that is out of cache — a
 // miss per entry of A then outweighs PB's sort. They are one machine's
-// measurements, scaled by FitBetaGBs / beta elsewhere (which moves both
-// predictions alike and never the pick), and are refitted by rerunning the
-// sweep, which prints them: not at NewEngine.
+// measurements and predict times on that machine; another machine's speed
+// would scale both predictions alike and never change the pick, so nothing
+// rescales them. They are refitted by rerunning the sweep, which prints them:
+// not at NewEngine.
 var (
 	// PBCostNS: per product when bins fold through the direct-address
 	// accumulator, per product when they sort, per output entry.
@@ -40,11 +41,6 @@ var (
 	// output entry (emitted, staged and copied).
 	SPACostNS = [4]float64{0.527, 2.91, 124, 10.3}
 )
-
-// FitBetaGBs is what CalibrateBeta reads on the machine the constants come from
-// (19–24 GB/s at one thread: its 16 MiB arrays sit in that machine's 260 MiB
-// L3, so it is about twice the DRAM Triad).
-const FitBetaGBs = 22
 
 // PBTerms are the work counts PBCostNS prices. Which of its two kernels a bin's
 // fold runs is core's denseFold rule at its default geometry: bins hold
@@ -71,15 +67,15 @@ func (p Product) SPATerms() [4]float64 {
 }
 
 // PredictPB and PredictSPA return the kernels' modeled times in nanoseconds on
-// a machine of bandwidth betaGBs.
-func (p Product) PredictPB(betaGBs float64) float64 {
+// the machine the constants were fitted on.
+func (p Product) PredictPB() float64 {
 	t := p.PBTerms()
-	return dot(t[:], PBCostNS[:]) * FitBetaGBs / betaGBs
+	return dot(t[:], PBCostNS[:])
 }
 
-func (p Product) PredictSPA(betaGBs float64) float64 {
+func (p Product) PredictSPA() float64 {
 	t := p.SPATerms()
-	return dot(t[:], SPACostNS[:]) * FitBetaGBs / betaGBs
+	return dot(t[:], SPACostNS[:])
 }
 
 func dot(terms, cost []float64) (ns float64) {

@@ -69,20 +69,11 @@ func AIOuterExact(nnzA, nnzB, flop, nnzC int64, b float64) float64 {
 	return float64(flop) / denom
 }
 
-// AIOuterFusedLower bounds the fused outer-product pipeline (sort folds
-// equal keys in its last, cache-resident pass and the budgeted merge emits
-// straight into the final CSR): the separate compress sweep's nnz(C)·b term
-// drops from Eq. 4's denominator, leaving the expand write and the sort
-// read-back of the flop tuples: AI >= cf/((2+2·cf)·b).
-func AIOuterFusedLower(cf, b float64) float64 {
-	if b <= 0 || cf <= 0 {
-		return 0
-	}
-	return cf / ((2 + 2*cf) * b)
-}
-
-// AIOuterFusedExact is AIOuterExact with the fused pipeline's dropped
-// compress term: flop / (nnz(A)+nnz(B)+2·flop)·b.
+// AIOuterFusedExact is AIOuterExact for the fused pipeline, whose sort folds
+// equal keys in its last, cache-resident pass: the separate compress sweep's
+// nnz(C)·b term drops from the denominator, leaving the inputs, the expand
+// write and the sort read-back of the flop tuples:
+// flop / (nnz(A)+nnz(B)+2·flop)·b.
 func AIOuterFusedExact(nnzA, nnzB, flop int64, b float64) float64 {
 	denom := float64(nnzA+nnzB+2*flop) * b
 	if denom <= 0 {
@@ -157,24 +148,6 @@ func CrossoverCF(etaCol, etaOuter float64) float64 {
 		return 0
 	}
 	cf := (3*etaCol - 2*etaOuter) / den
-	if cf < 0 {
-		return 0
-	}
-	return cf
-}
-
-// CrossoverCFFused is CrossoverCF for the fused outer bound: solving
-// etaOuter/(2+2cf) = etaCol/(2+cf) gives
-// cf = 2·(etaCol - etaOuter) / (etaOuter - 2·etaCol). With the fused
-// defaults (etaCol = 4/5 and the squeezed 16/12 byte advantage folded into
-// etaOuter) the crossover sits exactly at the paper's cf = 4; see
-// DefaultEtaColumnFused for the derivation.
-func CrossoverCFFused(etaCol, etaOuter float64) float64 {
-	den := etaOuter - 2*etaCol
-	if den == 0 {
-		return 0
-	}
-	cf := 2 * (etaCol - etaOuter) / den
 	if cf < 0 {
 		return 0
 	}

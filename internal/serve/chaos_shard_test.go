@@ -48,7 +48,7 @@ func shardedChaosMultiply(t *testing.T, a, b *pbspgemm.CSR) *pbspgemm.CSR {
 func TestChaosFlakyPeerDialBitIdentical(t *testing.T) {
 	a := intMatrix(128, 4, 41)
 	b := intMatrix(128, 4, 42)
-	eng, _ := pbspgemm.NewEngine(pbspgemm.WithBeta(50))
+	eng, _ := pbspgemm.NewEngine()
 	ref, err := eng.Multiply(context.Background(), a, b, pbspgemm.WithAlgorithm(pbspgemm.PB))
 	if err != nil {
 		t.Fatal(err)
@@ -68,7 +68,7 @@ func TestChaosFlakyPeerDialBitIdentical(t *testing.T) {
 func TestChaosDarkPeerFallsBackBitIdentical(t *testing.T) {
 	a := intMatrix(128, 4, 43)
 	b := intMatrix(128, 4, 44)
-	eng, _ := pbspgemm.NewEngine(pbspgemm.WithBeta(50))
+	eng, _ := pbspgemm.NewEngine()
 	ref, err := eng.Multiply(context.Background(), a, b, pbspgemm.WithAlgorithm(pbspgemm.PB))
 	if err != nil {
 		t.Fatal(err)

@@ -20,7 +20,7 @@ import (
 // (tiled) footprint fits, is served degraded — 200, Degraded flagged, result
 // identical to the reference — instead of shed with 429.
 func TestServerDegradedTiledRetry(t *testing.T) {
-	eng, err := pbspgemm.NewEngine(pbspgemm.WithBeta(50))
+	eng, err := pbspgemm.NewEngine()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,11 +17,10 @@ import (
 	"pbspgemm/internal/mmio"
 )
 
-// newTestServer builds a server over a fresh engine. WithBeta pins the
-// roofline bandwidth so no test pays the one-shot STREAM calibration.
+// newTestServer builds a server over a fresh engine.
 func newTestServer(t *testing.T, mutate func(*Config)) *Server {
 	t.Helper()
-	eng, err := pbspgemm.NewEngine(pbspgemm.WithBeta(50))
+	eng, err := pbspgemm.NewEngine()
 	if err != nil {
 		t.Fatal(err)
 	}

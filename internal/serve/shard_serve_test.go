@@ -238,7 +238,7 @@ func TestPeerClientMultiplyBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatalf("peer multiply: %v", err)
 	}
-	eng, _ := pbspgemm.NewEngine(pbspgemm.WithBeta(50))
+	eng, _ := pbspgemm.NewEngine()
 	ref, err := eng.Multiply(context.Background(), a, b, pbspgemm.WithAlgorithm(pbspgemm.PB))
 	if err != nil {
 		t.Fatalf("local multiply: %v", err)
@@ -293,7 +293,7 @@ func TestPeerClientForgetsCutBlocks(t *testing.T) {
 	}))
 	defer hs.Close()
 	pc := NewPeerClient(hs.URL, nil)
-	eng, _ := pbspgemm.NewEngine(pbspgemm.WithBeta(50))
+	eng, _ := pbspgemm.NewEngine()
 	coord, err := shard.New(shard.Config{Local: eng, Backends: []shard.Backend{pc}, MaxBlockBytes: 16 << 10, HedgeDelay: -1})
 	if err != nil {
 		t.Fatalf("shard.New: %v", err)
@@ -424,7 +424,7 @@ func TestServerShardedMultiplyViaPeer(t *testing.T) {
 		t.Fatalf("decode result: %v", err)
 	}
 
-	eng, _ := pbspgemm.NewEngine(pbspgemm.WithBeta(50))
+	eng, _ := pbspgemm.NewEngine()
 	ref, err := eng.Multiply(context.Background(), a, b, pbspgemm.WithAlgorithm(pbspgemm.PB))
 	if err != nil {
 		t.Fatalf("reference: %v", err)

@@ -142,9 +142,8 @@ func Run(opt Options) []Result {
 
 // QuickTriad measures only the Triad kernel — the conventional headline
 // STREAM number and the beta term of the Roofline model — and returns the
-// best-of-reps bandwidth in GB/s. It is the reduced benchmark behind
-// roofline's one-shot planner calibration: a full default Run times all
-// four kernels over 256 MiB arrays, while QuickTriad over ~16 MiB arrays
+// best-of-reps bandwidth in GB/s: a full default Run times all four
+// kernels over 256 MiB arrays, while QuickTriad over ~16 MiB arrays
 // finishes in tens of milliseconds. n <= 0 defaults to 1<<21 elements,
 // reps <= 0 to 3.
 func QuickTriad(n, threads, reps int) float64 {

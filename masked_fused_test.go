@@ -24,7 +24,7 @@ func intValued(m *CSR) *CSR {
 // inputs: C⟨M⟩ must equal the fused squeezed product filtered by the mask,
 // exactly, for the plain and the complement mask, single-shot and budgeted.
 func TestMultiplyMaskedAgainstSqueezedFusedPipeline(t *testing.T) {
-	eng, err := NewEngine(WithBeta(50))
+	eng, err := NewEngine()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package pbspgemm
 import (
 	"context"
 	"fmt"
-	"math"
 )
 
 // Option is a per-call (or per-engine, via NewEngine) functional option for
@@ -51,7 +50,6 @@ type config struct {
 	localBin   int
 	l2Cache    int
 	budget     int64
-	beta       float64
 	mask       *CSR
 	complement bool
 	plan       *SemiringPlan
@@ -104,23 +102,6 @@ func WithAlgorithm(a Algorithm) Option {
 			return &OptionError{Option: "WithAlgorithm", Value: int64(a)}
 		}
 		c.algorithm = a
-		return nil
-	}
-}
-
-// WithBeta sets the memory bandwidth in GB/s the Auto planner's roofline
-// model uses as beta. 0 (the default) measures it once per process with a
-// quick STREAM Triad calibration on first use; pass the machine's known
-// STREAM number to skip the measurement or to model a different machine.
-// Ignored unless the call runs WithAlgorithm(Auto).
-func WithBeta(gbs float64) Option {
-	return func(c *config) error {
-		if gbs < 0 {
-			// Floor rather than truncate so fractional negatives like -0.5
-			// don't report the valid value 0 in the error message.
-			return &OptionError{Option: "WithBeta", Value: int64(math.Floor(gbs))}
-		}
-		c.beta = gbs
 		return nil
 	}
 }

@@ -21,9 +21,6 @@ import (
 type Plan struct {
 	// Chosen is the kernel the planner selected and ran: PB or SPA.
 	Chosen Algorithm
-	// BetaGBs is the bandwidth the prediction used (WithBeta, or the
-	// one-shot STREAM calibration).
-	BetaGBs float64
 	// Flops is the symbolic multiplication count of the product.
 	Flops int64
 	// NNZA, NNZB are the input sizes entering the cost model.
@@ -37,25 +34,16 @@ type Plan struct {
 	// put the crossover between the families at cf ≈ 4; this tree's fitted
 	// model does not decide on cf at all (see roofline.SPACostNS).
 	CF float64
-	// OuterTupleBytes is the per-tuple byte cost PB would run at: 12 when the
-	// kernel's squeezed 12-byte layout applies to this product's bin geometry,
-	// 16 otherwise. It sizes the footprint and the AIOuter bound.
-	OuterTupleBytes float64
-	// SqueezedOuter reports whether PB would run the squeezed tuple layout.
-	SqueezedOuter bool
-	// OuterLayout is the tuple layout behind OuterTupleBytes. The float64
-	// engine plans LayoutSqueezed or LayoutWide; the typed entry points
-	// (Boolean/float32/int32 semirings) run LayoutPattern (4 B) and
-	// LayoutNarrow (8 B).
+	// OuterLayout is the tuple layout PB would run: LayoutSqueezed (12 B a
+	// tuple, OuterLayout.TupleBytes()) when this product's bin geometry packs
+	// its keys into 32 bits, LayoutWide (16 B) otherwise. It sizes the
+	// footprint. The typed entry points (Boolean/float32/int32 semirings) run
+	// LayoutPattern (4 B) and LayoutNarrow (8 B).
 	OuterLayout TupleLayout
-	// AIOuter, AIColumn are the arithmetic intensities (flops/byte) of the
-	// paper's Fig. 3 roofline for the outer-product and column families, the
-	// outer one at the fused pipeline's bound (roofline.AIOuterFusedExact). They
-	// describe the product; the decision does not read them.
-	AIOuter, AIColumn float64
 	// PredictedOuterGFLOPS, PredictedColumnGFLOPS are Flops over the time the
-	// cost model predicts for PB and for SPA at BetaGBs — the numbers the
-	// decision compares (the larger wins, ties to PB).
+	// cost model predicts for PB and for SPA, on the machine its constants
+	// were fitted on — the numbers the decision compares (the larger wins,
+	// ties to PB). Another machine moves both alike.
 	PredictedOuterGFLOPS, PredictedColumnGFLOPS float64
 	// PredictedFootprintBytes estimates the call's peak transient allocation
 	// before any of it happens — the signal an admission controller needs to
@@ -99,21 +87,15 @@ func (p *Plan) model(cfg *config, rows, cols int32, pinPB bool, valueBytes int64
 		return
 	}
 	p.CF = float64(p.Flops) / float64(p.EstNNZC)
-	if p.BetaGBs = cfg.beta; p.BetaGBs == 0 {
-		p.BetaGBs = roofline.CalibrateBeta(cfg.threads)
-	}
 	p.OuterLayout = core.PlanLayout(rows, cols, p.Flops, core.Options{
 		NBins: cfg.nbins, L2CacheBytes: cfg.l2Cache, Threads: cfg.threads, MemoryBudgetBytes: cfg.budget})
-	p.SqueezedOuter = p.OuterLayout == core.LayoutSqueezed
-	p.OuterTupleBytes = float64(p.OuterLayout.TupleBytes())
-	p.AIOuter = roofline.AIOuterFusedExact(p.NNZA, p.NNZB, p.Flops, p.OuterTupleBytes)
-	p.AIColumn = roofline.AIColumnExact(p.NNZB, p.Flops, p.EstNNZC, roofline.DefaultBytesPerNonzero)
 	shape := roofline.Product{Rows: rows, Cols: cols, NNZA: p.NNZA, NNZB: p.NNZB, Flops: p.Flops, NNZC: p.EstNNZC,
 		ValueBytes: valueBytes, L2CacheBytes: int64(cmp.Or(cfg.l2Cache, core.DefaultL2CacheBytes))}
-	p.PredictedOuterGFLOPS = float64(p.Flops) / shape.PredictPB(p.BetaGBs)
-	p.PredictedColumnGFLOPS = float64(p.Flops) / shape.PredictSPA(p.BetaGBs)
+	pbNS, spaNS := shape.PredictPB(), shape.PredictSPA()
+	p.PredictedOuterGFLOPS = float64(p.Flops) / pbNS
+	p.PredictedColumnGFLOPS = float64(p.Flops) / spaNS
 	// A memory budget is met by tiling, which only PB does.
-	if p.PredictedColumnGFLOPS > p.PredictedOuterGFLOPS && cfg.budget == 0 && !pinPB {
+	if spaNS < pbNS && cfg.budget == 0 && !pinPB {
 		p.Chosen = SPA
 	}
 	p.PredictedFootprintBytes = p.footprint(int64(rows), cfg.budget)
@@ -294,7 +276,7 @@ func cutGrid(colBands []*CSR, off []int32) [][]*CSR {
 }
 
 // Plan runs the Auto planner's pre-execution analysis — symbolic flop pass,
-// nnz(C) estimate, per-family roofline prediction, footprint model — without
+// nnz(C) estimate, per-kernel cost prediction, footprint model — without
 // multiplying. Serving layers use it for admission control: the returned
 // Plan's PredictedFootprintBytes says what a subsequent Multiply would cost
 // in transient memory, and Chosen which kernel Auto would run. The call does

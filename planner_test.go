@@ -3,20 +3,47 @@ package pbspgemm
 import (
 	"context"
 	"errors"
+	"runtime"
 	"testing"
 )
 
-// plannerEngine returns an engine with a fixed beta so tests never trigger
-// the STREAM calibration (the decision is beta-invariant anyway — both
-// kernels' fitted costs scale with FitBetaGBs/beta — but fixing it keeps tests
-// fast and the picks below independent of the box).
+// plannerEngine returns an engine with opts as its defaults. The planner
+// measures nothing about the box, so the picks below are the same on every
+// machine.
 func plannerEngine(t *testing.T, opts ...Option) *Engine {
 	t.Helper()
-	eng, err := NewEngine(append([]Option{WithBeta(50)}, opts...)...)
+	eng, err := NewEngine(opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return eng
+}
+
+// TestFirstPlanMeasuresNothing: the planner measures nothing about the
+// machine, so the first Engine.Plan of a process allocates what its symbolic
+// pass and nnz(C) estimate need, not a bandwidth benchmark's arrays. It is a
+// first-call test when run alone:
+//
+//	go test -run TestFirstPlanMeasuresNothing -count=1 .
+func TestFirstPlanMeasuresNothing(t *testing.T) {
+	a, b := NewER(1<<10, 8, 1), NewER(1<<10, 8, 2)
+	eng, err := NewEngine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	p, err := eng.Plan(context.Background(), a, b)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Flops == 0 {
+		t.Fatal("empty product planned: the test would not reach the model")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("first Engine.Plan allocated %d bytes, want under 1 MiB", got)
+	}
 }
 
 // lowCFFixture is on PB's side of the fitted crossover: a hypersparse ER pair
@@ -113,9 +140,6 @@ func TestAutoPlanFields(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := res.Plan
-	if p.BetaGBs != 50 {
-		t.Fatalf("plan beta %v, want the WithBeta default 50", p.BetaGBs)
-	}
 	if p.Flops != Flops(a, b) {
 		t.Fatalf("plan flops %d, want %d", p.Flops, Flops(a, b))
 	}
@@ -129,14 +153,14 @@ func TestAutoPlanFields(t *testing.T) {
 	if p.EstNNZC != res.C.NNZ() {
 		t.Fatalf("exact plan nnzC %d, product has %d", p.EstNNZC, res.C.NNZ())
 	}
-	if p.AIOuter <= 0 || p.AIColumn <= 0 || p.PredictedOuterGFLOPS <= 0 || p.PredictedColumnGFLOPS <= 0 {
+	if p.PredictedOuterGFLOPS <= 0 || p.PredictedColumnGFLOPS <= 0 {
 		t.Fatalf("plan model outputs not populated: %+v", p)
 	}
 	// This fixture's geometry squeezes (small square ER), so the planner
 	// must have modeled the outer family at 12 bytes per tuple — and the
 	// executed PB run must report the same layout on its stats.
-	if !p.SqueezedOuter || p.OuterTupleBytes != 12 {
-		t.Fatalf("plan layout: squeezed=%v bytes=%v, want true/12", p.SqueezedOuter, p.OuterTupleBytes)
+	if p.OuterLayout != LayoutSqueezed || p.OuterLayout.TupleBytes() != 12 {
+		t.Fatalf("plan layout %v (%d B), want squeezed/12", p.OuterLayout, p.OuterLayout.TupleBytes())
 	}
 	if res.PB == nil || res.PB.Layout != LayoutSqueezed || res.PB.TupleBytes != 12 {
 		t.Fatalf("executed PB stats do not report the squeezed layout: %+v", res.PB)
@@ -221,18 +245,17 @@ func TestEngineMetricsByAlgorithm(t *testing.T) {
 	}
 }
 
-// TestWithBetaValidation: negative beta is rejected like every option, and
-// Auto is a valid WithAlgorithm value.
-func TestWithBetaValidation(t *testing.T) {
+// TestWithAlgorithmValidation: Auto is a valid WithAlgorithm value, and one
+// past it is rejected like every out-of-range option.
+func TestWithAlgorithmValidation(t *testing.T) {
 	a := NewER(64, 3, 1)
 	eng, err := NewEngine()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Multiply(context.Background(), a, a, WithBeta(-1)); !errors.Is(err, ErrInvalidOption) {
-		t.Fatalf("WithBeta(-1) returned %v, want ErrInvalidOption", err)
+	if _, err := eng.Multiply(context.Background(), a, a, WithAlgorithm(Auto+1)); !errors.Is(err, ErrInvalidOption) {
+		t.Fatalf("WithAlgorithm(Auto+1) returned %v, want ErrInvalidOption", err)
 	}
-	// Auto itself is a valid option value.
 	if err := WithAlgorithm(Auto)(&config{}); err != nil {
 		t.Fatalf("WithAlgorithm(Auto) rejected: %v", err)
 	}

@@ -18,7 +18,7 @@ import (
 // canceled one must fail with the ctx error, and no worker goroutine may
 // outlive the run.
 func TestEngineConcurrentMixedLayoutLoad(t *testing.T) {
-	eng, err := NewEngine(WithBeta(50))
+	eng, err := NewEngine()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -134,7 +134,7 @@ type PhaseStats = core.Stats
 // Section III-D squeezed 12-byte layout (uint32 key + float64 value in
 // parallel arrays) the engine selects whenever localRowBits + colBits ≤ 32
 // — which, because bins keep local row ids small, is almost every real
-// matrix. Plan.OuterTupleBytes reports which cost the Auto planner assumed.
+// matrix. Plan.OuterLayout reports which one the Auto planner assumed.
 type TupleLayout = core.Layout
 
 const (
