@@ -254,8 +254,9 @@ func (e *Engine) release(ws *workspace, err error) {
 }
 
 // multiply runs one resolved call on a pooled workspace: Auto first runs the
-// planner, then ws.run calls the kernel and the product is detached from the
-// workspace before it returns to the pool. It reports the executed algorithm
+// planner (or takes a WithPlan plan), then ws.run calls the kernel and the
+// product is detached from the workspace before it returns to the pool.
+// It reports the executed algorithm
 // (and whether the planner chose it) for the per-algorithm metrics; a masked
 // product is recorded under PB, whichever kernel ran it.
 func (e *Engine) multiply(cfg *config, a, b *CSR) (*Result, Algorithm, bool, error) {
@@ -265,6 +266,9 @@ func (e *Engine) multiply(cfg *config, a, b *CSR) (*Result, Algorithm, bool, err
 	switch {
 	case cfg.mask != nil:
 		alg = PB
+	case alg == Auto && cfg.handedPlan(a, b):
+		plan = cfg.autoPlan
+		alg = plan.Chosen
 	case alg == Auto:
 		// Observe cancellation before planning: the symbolic pass is real
 		// work an expired ctx should not pay for.
@@ -293,7 +297,7 @@ func (e *Engine) multiply(cfg *config, a, b *CSR) (*Result, Algorithm, bool, err
 		st := *col
 		res.Baseline, res.Flops, res.CF, res.Elapsed = &st, st.Flops, st.CF, st.Total
 	default: // masked
-		res.Flops, res.Elapsed = flopsNoAlloc(a, b), time.Since(start)
+		res.Flops, res.Elapsed = matrix.FlopsCSR(a, b), time.Since(start)
 		if nnz := c.NNZ(); nnz > 0 {
 			res.CF = float64(res.Flops) / float64(nnz)
 		}
@@ -440,15 +444,4 @@ func (c *config) validateMaskShape(rows, cols int32) error {
 			c.mask.NumRows, c.mask.NumCols, rows, cols, matrix.ErrShape)
 	}
 	return nil
-}
-
-// flopsNoAlloc is the symbolic flop count of a product — one pass over A's
-// column indices against B's row pointers, no per-call allocation. The
-// masked paths' metrics and the Auto planner both use it.
-func flopsNoAlloc(a, b *CSR) int64 {
-	var flops int64
-	for _, k := range a.ColIdx {
-		flops += b.RowPtr[k+1] - b.RowPtr[k]
-	}
-	return flops
 }

@@ -101,7 +101,7 @@ func run(a, b *matrix.CSR, opt Options, alg algorithm) (*matrix.CSR, *Stats, err
 
 	// Row flops for load balancing and the stats.
 	rows := int(a.NumRows)
-	rowFlops := matrix.GrowInt64(&ws.rowFlops, rows)
+	rowFlops := matrix.Grow(&ws.rowFlops, rows)
 	if threads == 1 {
 		RowFlopsRange(a, b, rowFlops, 0, rows)
 	} else {
@@ -112,7 +112,7 @@ func run(a, b *matrix.CSR, opt Options, alg algorithm) (*matrix.CSR, *Stats, err
 	for _, f := range rowFlops {
 		st.Flops += f
 	}
-	bounds := par.BalancedBoundariesInto(rowFlops, threads, matrix.GrowInt(&ws.bounds, threads+1))
+	bounds := par.BalancedBoundariesInto(rowFlops, threads, matrix.Grow(&ws.bounds, threads+1))
 	ws.growThreads(threads)
 	if err := poll(opt.Cancel); err != nil {
 		return nil, nil, err
@@ -120,7 +120,7 @@ func run(a, b *matrix.CSR, opt Options, alg algorithm) (*matrix.CSR, *Stats, err
 
 	// Symbolic: exact nnz per output row with a per-thread versioned marker.
 	t0 := time.Now()
-	rowNNZ := matrix.GrowInt64(&ws.rowNNZ, rows)
+	rowNNZ := matrix.Grow(&ws.rowNNZ, rows)
 	if threads == 1 {
 		symbolicRange(a, b, &ws.threads[0], rowNNZ, 0, rows)
 	} else {
@@ -181,7 +181,7 @@ func RowFlopsRange(a, b *matrix.CSR, rowFlops []int64, lo, hi int) {
 // thread's pooled marker (re-initialized per call: stale stamps from a
 // previous multiplication could collide with current row ids).
 func symbolicRange(a, b *matrix.CSR, sc *scratch, rowNNZ []int64, lo, hi int) {
-	marker := matrix.GrowInt32(&sc.marker, int(b.NumCols))
+	marker := matrix.Grow(&sc.marker, int(b.NumCols))
 	for i := range marker {
 		marker[i] = -1
 	}

@@ -54,8 +54,8 @@ func hashMerge(sc *scratch, a, b *matrix.CSR, i int32, dstCol []int32, dstVal []
 	if size < groupSize {
 		size = groupSize
 	}
-	cols := matrix.GrowInt32(&sc.hashCols, size)
-	vals := matrix.GrowFloat64(&sc.hashVals, int64(size))
+	cols := matrix.Grow(&sc.hashCols, size)
+	vals := matrix.Grow(&sc.hashVals, size)
 	for j := range cols {
 		cols[j] = emptySlot
 	}

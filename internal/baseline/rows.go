@@ -152,17 +152,17 @@ func (p *rowPool[V]) run(opt Options, out *[]V) (*matrix.CSR, []V, *Stats, error
 	st := ws.statsFor(shared)
 	start := time.Now()
 	n := int(k.a.NumRows)
-	rowFlops := matrix.GrowInt64(&ws.rowFlops, n)
+	rowFlops := matrix.Grow(&ws.rowFlops, n)
 	RowFlopsRange(k.a, k.b, rowFlops, 0, n)
 	for _, f := range rowFlops {
 		st.Flops += f
 	}
-	bounds := par.BalancedBoundariesInto(rowFlops, threads, matrix.GrowInt(&ws.bounds, threads+1))
+	bounds := par.BalancedBoundariesInto(rowFlops, threads, matrix.Grow(&ws.bounds, threads+1))
 	if len(p.sc) < threads {
 		p.sc = append(p.sc, make([]rowScratch[V], threads-len(p.sc))...)
 	}
 	sc := p.sc[:threads]
-	matrix.GrowInt64(&ws.rowNNZ, n)
+	matrix.Grow(&ws.rowNNZ, n)
 	ws.cancelled.Store(nil)
 	if k.ops.Arith {
 		k.arith, _ = any(k).(*rowKernel[float64])
@@ -196,7 +196,7 @@ func (p *rowPool[V]) run(opt Options, out *[]V) (*matrix.CSR, []V, *Stats, error
 // given, else fresh (none for a structural product).
 func (k *rowKernel[V]) output(c *matrix.CSR, nnz int64, out *[]V) []V {
 	if out != nil {
-		c.ColIdx = matrix.GrowInt32(&k.ws.outColIdx, int(nnz))
+		c.ColIdx = matrix.Grow(&k.ws.outColIdx, int(nnz))
 		return matrix.Grow(out, int(nnz))
 	}
 	if c.ColIdx = make([]int32, nnz); k.values() {

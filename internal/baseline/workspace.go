@@ -87,7 +87,7 @@ func (ws *Workspace) newOutput(rows, cols int32, shared bool) *matrix.CSR {
 		return &matrix.CSR{NumRows: rows, NumCols: cols, RowPtr: make([]int64, int(rows)+1)}
 	}
 	ws.out = matrix.CSR{NumRows: rows, NumCols: cols,
-		RowPtr: matrix.GrowInt64(&ws.outRowPtr, int(rows)+1)}
+		RowPtr: matrix.Grow(&ws.outRowPtr, int(rows)+1)}
 	return &ws.out
 }
 
@@ -98,8 +98,8 @@ func (ws *Workspace) growOutput(c *matrix.CSR, nnz int64, shared bool) {
 		c.Val = make([]float64, nnz)
 		return
 	}
-	c.ColIdx = matrix.GrowInt32(&ws.outColIdx, int(nnz))
-	c.Val = matrix.GrowFloat64(&ws.outVal, nnz)
+	c.ColIdx = matrix.Grow(&ws.outColIdx, int(nnz))
+	c.Val = matrix.Grow(&ws.outVal, int(nnz))
 }
 
 // DetachOutput hands the last call's pooled result over to the caller: when c

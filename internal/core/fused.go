@@ -109,8 +109,8 @@ func (e *engine) runSortPhase(binOut, rowCounts []int64) {
 		return
 	}
 	cutoff := e.sortSplitCutoff()
-	pending := matrix.GrowInt32(&e.ws.binPending, e.nbins)
-	partBounds := matrix.GrowInt64(&e.ws.partBounds, threads*(radix.MaxPartitionBuckets+1))
+	pending := matrix.Grow(&e.ws.binPending, e.nbins)
+	partBounds := matrix.Grow(&e.ws.partBounds, threads*(radix.MaxPartitionBuckets+1))
 	seeds := e.ws.sortTasks[:0]
 	for bin := 0; bin < e.nbins; bin++ {
 		lo, hi := bs[bin], bs[bin+1]

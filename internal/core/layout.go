@@ -118,7 +118,7 @@ type layoutOps interface {
 }
 
 // growVals is the grow-only sizing helper of the generic planes, the
-// counterpart of matrix.GrowFloat64: existing contents survive a reslice and
+// counterpart of matrix.Grow: existing contents survive a reslice and
 // a reallocation starts zeroed, so a plane that is all-zero between uses (the
 // dense fold's accumulator) stays so.
 func growVals[V any](buf *[]V, n int64) []V {

@@ -113,7 +113,7 @@ func (e *engine) appendRuns() {
 // total run length. Returns the total, the tail's tuple count.
 func (e *engine) groupRuns() int64 {
 	ws := e.ws
-	ris := matrix.GrowInt32(&ws.runIdxStart, e.nbins+1)
+	ris := matrix.Grow(&ws.runIdxStart, e.nbins+1)
 	clear(ris)
 	bs := matrix.GrowInt64Zero(&ws.binStart, e.nbins+1)
 	for r, bin := range ws.runBins {
@@ -124,8 +124,8 @@ func (e *engine) groupRuns() int64 {
 		ris[bin+1] += ris[bin]
 		bs[bin+1] += bs[bin]
 	}
-	ri := matrix.GrowInt32(&ws.runIdx, len(ws.runBins))
-	cur := matrix.GrowInt32(&ws.localLens, e.nbins) // free scratch after the last expand
+	ri := matrix.Grow(&ws.runIdx, len(ws.runBins))
+	cur := matrix.Grow(&ws.localLens, e.nbins) // free scratch after the last expand
 	copy(cur, ris)
 	for r, bin := range ws.runBins {
 		ri[cur[bin]] = int32(r)

@@ -541,7 +541,7 @@ func (e *engine) runSingleShot() (*matrix.CSR, error) {
 // default fused pipeline does it in one pass per bin (fused.go); the unfused
 // one keeps the paper's separate sort and compress phases.
 func (e *engine) foldBins(rowCounts []int64) error {
-	binOut := matrix.GrowInt64(&e.ws.binOut, e.nbins)
+	binOut := matrix.Grow(&e.ws.binOut, e.nbins)
 	t0 := time.Now()
 	e.phase = "sort"
 	e.runSortPhase(binOut, rowCounts)
@@ -613,7 +613,7 @@ func (e *engine) compressOneBin(bin int, binOut, rowCounts []int64) {
 // pointer arrays only, plus the packed-key geometry.
 func (e *engine) symbolic() {
 	k := int(e.a.NumCols)
-	cf := matrix.GrowInt64(&e.ws.colFlops, k)
+	cf := matrix.Grow(&e.ws.colFlops, k)
 	if e.opt.Threads == 1 {
 		for i := 0; i < k; i++ {
 			cf[i] = e.a.ColNNZ(int32(i)) * e.b.RowNNZ(int32(i))
@@ -885,7 +885,7 @@ func (e *engine) panelPlan(lo, hi int) int64 {
 	threads := e.opt.Threads
 	binFlops := matrix.GrowInt64Zero(&e.ws.binFlops, nbins)
 	e.ws.colBounds = par.BalancedBoundariesInto(
-		e.ws.colFlops[lo:hi], threads, matrix.GrowInt(&e.ws.colBounds, threads+1))
+		e.ws.colFlops[lo:hi], threads, matrix.Grow(&e.ws.colBounds, threads+1))
 	var pt []int64
 	if threads == 1 {
 		e.countPanelBins(lo, hi, binFlops)
@@ -912,12 +912,12 @@ func (e *engine) panelPlan(lo, hi int) int64 {
 			}
 		}
 	}
-	total := par.PrefixSum(binFlops, matrix.GrowInt64(&e.ws.binStart, nbins+1))
+	total := par.PrefixSum(binFlops, matrix.Grow(&e.ws.binStart, nbins+1))
 	// Exclusive per-thread write offsets, computed in place over pt (the
 	// counts are consumed as they are replaced). ws.cursors is scratch here;
 	// with one thread it is reset below to binStart and used directly as the
 	// single worker's cursor array.
-	cursors := matrix.GrowInt64(&e.ws.cursors, nbins)
+	cursors := matrix.Grow(&e.ws.cursors, nbins)
 	copy(cursors, e.ws.binStart[:nbins])
 	for t := 0; t < threads && pt != nil; t++ {
 		local := pt[t*nbins : (t+1)*nbins]
@@ -956,7 +956,7 @@ func (e *engine) expandPanel(lo int) {
 	nbins := e.nbins
 	localTuples := int64(threads) * int64(nbins) * int64(e.localCap)
 	e.lay.growLocals(e, localTuples)
-	lens := matrix.GrowInt32(&e.ws.localLens, threads*nbins)
+	lens := matrix.Grow(&e.ws.localLens, threads*nbins)
 	// Every local bin starts filling at its cursor's phase (flushSpan).
 	// panelPlan left the lone worker's cursors in ws.cursors and the workers'
 	// rows of exclusive offsets in ws.perThread.
@@ -1048,7 +1048,7 @@ func (e *engine) sortSplitCutoff() int64 {
 // unpacking copy. ws.binOut and ws.rowCounts must be populated.
 func (e *engine) assemble() *matrix.CSR {
 	srcStart, binOut := e.ws.binStart, e.ws.binOut
-	binOutStart := matrix.GrowInt64(&e.ws.binOutStart, e.nbins+1)
+	binOutStart := matrix.Grow(&e.ws.binOutStart, e.nbins+1)
 	nnzc := par.PrefixSum(binOut, binOutStart)
 
 	c := e.newResult(nnzc)
@@ -1096,7 +1096,7 @@ func (e *engine) newResult(nnzc int64) *matrix.CSR {
 		ws.out = matrix.CSR{
 			NumRows: rows, NumCols: cols,
 			RowPtr: matrix.GrowInt64Zero(&ws.outRowPtr, int(rows)+1),
-			ColIdx: matrix.GrowInt32(&ws.outColIdx, int(nnzc)),
+			ColIdx: matrix.Grow(&ws.outColIdx, int(nnzc)),
 		}
 		c = &ws.out
 	} else {

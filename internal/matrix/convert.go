@@ -100,9 +100,9 @@ func (m *CSR) ToCSC() *CSC {
 func (m *CSR) ToCSCInto(out *CSC) *CSC {
 	nnz := m.NNZ()
 	out.NumRows, out.NumCols = m.NumRows, m.NumCols
-	out.ColPtr = GrowInt64(&out.ColPtr, int(m.NumCols)+1)
-	out.RowIdx = GrowInt32(&out.RowIdx, int(nnz))
-	out.Val = GrowFloat64(&out.Val, nnz)
+	out.ColPtr = Grow(&out.ColPtr, int(m.NumCols)+1)
+	out.RowIdx = Grow(&out.RowIdx, int(nnz))
+	out.Val = Grow(&out.Val, int(nnz))
 	for j := range out.ColPtr {
 		out.ColPtr[j] = 0
 	}
@@ -179,10 +179,11 @@ func (m *CSCMemo) Of(a *CSR) *CSC {
 // sameBits reports whether x and y hold the same bytes: −0.0 is not +0.0 and a
 // NaN equals itself, so a hit never changes an output bit.
 func sameBits[T int32 | int64 | float64](x, y []T) bool {
-	return len(x) == len(y) && bytes.Equal(asBytes(x), asBytes(y))
+	return len(x) == len(y) && bytes.Equal(AsBytes(x), AsBytes(y))
 }
 
-func asBytes[T int32 | int64 | float64](x []T) []byte {
+// AsBytes is x's memory viewed as bytes, in the host's byte order.
+func AsBytes[T int32 | int64 | float64](x []T) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(x))), uintptr(len(x))*unsafe.Sizeof(*new(T)))
 }
 

@@ -154,7 +154,7 @@ func TestProductNNZAndCF(t *testing.T) {
 	if got := ProductNNZ(a, a); got != c.NNZ() {
 		t.Fatalf("ProductNNZ = %d, want %d", got, c.NNZ())
 	}
-	cf := CompressionFactor(a.ToCSC().ToCSR().ToCSC(), a)
+	cf := float64(Flops(a.ToCSC().ToCSR().ToCSC(), a)) / float64(ProductNNZ(a, a))
 	want := float64(FlopsCSR(a, a)) / float64(c.NNZ())
 	if math.Abs(cf-want) > 1e-12 {
 		t.Fatalf("cf = %v, want %v", cf, want)
@@ -211,6 +211,16 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	}
 	if err := m.Validate(); err != nil {
 		t.Fatalf("valid matrix rejected: %v", err)
+	}
+	// A middle pointer past nnz over sorted columns: only the pointer bound
+	// stops the row walk before it indexes past ColIdx.
+	past := &CSR{NumRows: 2, NumCols: 4, RowPtr: []int64{0, 3, 2}, ColIdx: []int32{0, 1}, Val: []float64{1, 2}}
+	if err := past.Validate(); err == nil {
+		t.Error("pointer_past_nnz: Validate accepted corrupt matrix")
+	}
+	pastCSC := &CSC{NumRows: 4, NumCols: 2, ColPtr: []int64{0, 3, 2}, RowIdx: []int32{0, 1}, Val: []float64{1, 2}}
+	if err := pastCSC.Validate(); err == nil {
+		t.Error("pointer_past_nnz: CSC Validate accepted corrupt matrix")
 	}
 }
 

@@ -48,32 +48,17 @@ func Flops(a *CSC, b *CSR) int64 {
 }
 
 // FlopsCSR is Flops with A in CSR form: sum over rows i and entries (i,k) of
-// nnz(B(k,:)). Used by the column/row baselines whose inputs are both CSR.
+// nnz(B(k,:)): one pass over A's column indices against B's row pointers,
+// allocating nothing, so the Auto planner and the engine's metrics call it per call.
 func FlopsCSR(a, b *CSR) int64 {
 	if a.NumCols != b.NumRows {
 		return 0
 	}
-	rowNNZ := make([]int64, b.NumRows)
-	for i := int32(0); i < b.NumRows; i++ {
-		rowNNZ[i] = b.RowNNZ(i)
-	}
 	var flops int64
 	for _, k := range a.ColIdx {
-		flops += rowNNZ[k]
+		flops += b.RowPtr[k+1] - b.RowPtr[k]
 	}
 	return flops
-}
-
-// CompressionFactor returns cf = flop / nnz(C) for the product of a and b.
-// It computes nnz(C) exactly with a merge over a dense marker array, so it is
-// O(flop) — use for analysis and tests, not in hot paths.
-func CompressionFactor(a *CSC, b *CSR) float64 {
-	flops := Flops(a, b)
-	nnzC := ProductNNZ(a.ToCSR(), b)
-	if nnzC == 0 {
-		return 0
-	}
-	return float64(flops) / float64(nnzC)
 }
 
 // ProductNNZ returns nnz(A*B) exactly using a Gustavson symbolic pass with a
@@ -119,7 +104,7 @@ func EstimateProductNNZ(a, b *CSR, flop, sampleBudget int64, scratch *[]int32) (
 	if scratch == nil {
 		scratch = &transient
 	}
-	marker := GrowInt32(scratch, int(b.NumCols))
+	marker := Grow(scratch, int(b.NumCols))
 	for i := range marker {
 		marker[i] = -1
 	}

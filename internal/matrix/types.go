@@ -102,7 +102,9 @@ func (m *CSR) Validate() error {
 			m.RowPtr[m.NumRows], len(m.ColIdx), len(m.Val))
 	}
 	for i := int32(0); i < m.NumRows; i++ {
-		if m.RowPtr[i] > m.RowPtr[i+1] {
+		// Bounding each pointer by nnz, not only the last, keeps a corrupt
+		// middle pointer from walking past ColIdx.
+		if m.RowPtr[i] > m.RowPtr[i+1] || m.RowPtr[i+1] > int64(len(m.ColIdx)) {
 			return fmt.Errorf("matrix: RowPtr not monotone at row %d", i)
 		}
 		for p := m.RowPtr[i]; p < m.RowPtr[i+1]; p++ {
@@ -131,7 +133,7 @@ func (m *CSC) Validate() error {
 			m.ColPtr[m.NumCols], len(m.RowIdx), len(m.Val))
 	}
 	for j := int32(0); j < m.NumCols; j++ {
-		if m.ColPtr[j] > m.ColPtr[j+1] {
+		if m.ColPtr[j] > m.ColPtr[j+1] || m.ColPtr[j+1] > int64(len(m.RowIdx)) {
 			return fmt.Errorf("matrix: ColPtr not monotone at col %d", j)
 		}
 		for p := m.ColPtr[j]; p < m.ColPtr[j+1]; p++ {

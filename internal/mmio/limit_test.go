@@ -17,7 +17,7 @@ const smallMM = `%%MatrixMarket matrix coordinate real general
 `
 
 func TestReadMatrixMarketLimitedOverLimit(t *testing.T) {
-	_, err := ReadMatrixMarketLimited(strings.NewReader(smallMM), 10)
+	_, err := Read(strings.NewReader(smallMM), 10)
 	if !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("got %v, want ErrTooLarge", err)
 	}
@@ -28,7 +28,7 @@ func TestReadMatrixMarketLimitedOverLimit(t *testing.T) {
 }
 
 func TestReadMatrixMarketLimitedExactlyAtLimit(t *testing.T) {
-	m, err := ReadMatrixMarketLimited(strings.NewReader(smallMM), int64(len(smallMM)))
+	m, err := Read(strings.NewReader(smallMM), int64(len(smallMM)))
 	if err != nil {
 		t.Fatalf("input of exactly maxBytes must parse: %v", err)
 	}
@@ -39,7 +39,7 @@ func TestReadMatrixMarketLimitedExactlyAtLimit(t *testing.T) {
 
 func TestReadMatrixMarketLimitedUnlimited(t *testing.T) {
 	for _, max := range []int64{0, -1} {
-		if _, err := ReadMatrixMarketLimited(strings.NewReader(smallMM), max); err != nil {
+		if _, err := Read(strings.NewReader(smallMM), max); err != nil {
 			t.Fatalf("maxBytes=%d must disable the limit: %v", max, err)
 		}
 	}

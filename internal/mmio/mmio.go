@@ -1,12 +1,20 @@
 // Package mmio reads and writes Matrix Market exchange files — the format
 // the SuiteSparse collection (Table VI of the paper) ships in — plus a
-// compact binary cache format. Supported Matrix Market variants: coordinate,
-// real/integer/pattern, general/symmetric.
+// compact binary format. Supported Matrix Market variants: coordinate,
+// real/integer/pattern, general/symmetric/skew-symmetric.
+//
+// The binary format is a 20-byte header (magic "PBSP", rows, cols, nnz)
+// followed by the CSR's RowPtr (int64), ColIdx (int32) and Val (float64)
+// arrays as their little-endian bytes. On a little-endian host those bytes
+// are the arrays' own memory, so WriteBinary hands each array to the writer
+// in one Write and ReadBinary fills each with one io.ReadFull: the codec
+// moves bytes at memory speed and allocates nothing beyond the matrix it
+// reads. Readers of untrusted input check the header's claim against what
+// the input can hold (its size, or a LimitReader's limit) before allocating.
 package mmio
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -29,7 +37,7 @@ var ErrHeader = errors.New("invalid header")
 var ErrTruncated = errors.New("truncated input")
 
 // ErrTooLarge is the errors.Is sentinel every *SizeError matches: the input
-// exceeded a caller-imposed byte limit (ReadMatrixMarketLimited, LimitReader).
+// exceeded a caller-imposed byte limit (LimitReader, Read).
 var ErrTooLarge = errors.New("input exceeds size limit")
 
 // SizeError reports an input stream that delivered more than MaxBytes bytes.
@@ -81,15 +89,6 @@ func LimitReader(r io.Reader, maxBytes int64) io.Reader {
 		return r
 	}
 	return &limitedReader{r: r, remaining: maxBytes + 1, max: maxBytes}
-}
-
-// ReadMatrixMarketLimited is ReadMatrixMarket with a hard cap on the bytes
-// consumed from r: untrusted text uploads larger than maxBytes fail with an
-// error matching ErrTooLarge before their payload is ingested, mirroring the
-// size validation the binary path performs against its header. maxBytes <= 0
-// means unlimited.
-func ReadMatrixMarketLimited(r io.Reader, maxBytes int64) (*matrix.CSR, error) {
-	return ReadMatrixMarket(LimitReader(r, maxBytes))
 }
 
 // scanFail resolves a parse failure against the scanner's transport state:
@@ -252,120 +251,4 @@ func WriteMatrixMarket(w io.Writer, m *matrix.CSR) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// binaryMagic identifies the binary cache format.
-const binaryMagic = 0x50425350 // "PBSP"
-
-// WriteBinary writes m in a compact little-endian binary format for fast
-// reloading of large generated matrices between experiment runs.
-func WriteBinary(w io.Writer, m *matrix.CSR) error {
-	bw := bufio.NewWriterSize(w, 1<<20)
-	hdr := []any{uint32(binaryMagic), m.NumRows, m.NumCols, m.NNZ()}
-	for _, h := range hdr {
-		if err := binary.Write(bw, binary.LittleEndian, h); err != nil {
-			return err
-		}
-	}
-	if err := binary.Write(bw, binary.LittleEndian, m.RowPtr); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, m.ColIdx); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, m.Val); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// binaryHeaderBytes is the fixed header size: magic (4) + rows (4) +
-// cols (4) + nnz (8).
-const binaryHeaderBytes = 20
-
-// maxUnsizedBinaryBytes caps the payload a header may claim when the input's
-// size cannot be determined (a pure stream): 64 GiB, far above any cache file
-// the experiment harness writes, far below the multi-exabyte claims a
-// corrupt header can fabricate.
-const maxUnsizedBinaryBytes = int64(64) << 30
-
-// inputSize reports the bytes remaining in r when r can tell (bytes.Reader,
-// strings.Reader, *os.File and other seekers); ok is false for pure streams.
-func inputSize(r io.Reader) (n int64, ok bool) {
-	switch v := r.(type) {
-	case interface{ Len() int }:
-		return int64(v.Len()), true
-	case io.Seeker:
-		cur, err := v.Seek(0, io.SeekCurrent)
-		if err != nil {
-			return 0, false
-		}
-		end, err := v.Seek(0, io.SeekEnd)
-		if err != nil {
-			return 0, false
-		}
-		if _, err := v.Seek(cur, io.SeekStart); err != nil {
-			return 0, false
-		}
-		return end - cur, true
-	}
-	return 0, false
-}
-
-// ReadBinary reads a matrix written by WriteBinary. The header is validated
-// before anything is allocated: dimensions must be plausible and the claimed
-// payload must fit the remaining input (or a sanity cap when the input's
-// size is unknowable), so a corrupt or truncated cache file fails cleanly
-// instead of attempting a multi-GB allocation.
-func ReadBinary(r io.Reader) (*matrix.CSR, error) {
-	total, sized := inputSize(r)
-	br := bufio.NewReaderSize(r, 1<<20)
-	var magic uint32
-	var rows, cols int32
-	var nnz int64
-	if err := binary.Read(br, binary.LittleEndian, &magic); err != nil {
-		return nil, err
-	}
-	if magic != binaryMagic {
-		return nil, fmt.Errorf("mmio: bad binary magic %#x: %w", magic, ErrHeader)
-	}
-	if err := binary.Read(br, binary.LittleEndian, &rows); err != nil {
-		return nil, err
-	}
-	if err := binary.Read(br, binary.LittleEndian, &cols); err != nil {
-		return nil, err
-	}
-	if err := binary.Read(br, binary.LittleEndian, &nnz); err != nil {
-		return nil, err
-	}
-	if rows < 0 || cols < 0 || nnz < 0 || (rows == 0 && nnz > 0) {
-		return nil, fmt.Errorf("mmio: corrupt binary header (%dx%d, %d nnz): %w",
-			rows, cols, nnz, ErrHeader)
-	}
-	// Payload bytes the header claims: (rows+1)×8 RowPtr + nnz×(4+8)
-	// ColIdx/Val. Guard the arithmetic itself before trusting it.
-	if nnz > (int64(1)<<62)/12 {
-		return nil, fmt.Errorf("mmio: corrupt binary header (%d nnz): %w", nnz, ErrHeader)
-	}
-	need := (int64(rows)+1)*8 + nnz*12
-	if sized {
-		if need > total-binaryHeaderBytes {
-			return nil, fmt.Errorf("mmio: header claims %d payload bytes, input has %d: %w",
-				need, total-binaryHeaderBytes, ErrTruncated)
-		}
-	} else if need > maxUnsizedBinaryBytes {
-		return nil, fmt.Errorf("mmio: header claims %d payload bytes from an unsized stream (cap %d): %w",
-			need, maxUnsizedBinaryBytes, ErrHeader)
-	}
-	m := matrix.NewCSR(rows, cols, nnz)
-	if err := binary.Read(br, binary.LittleEndian, m.RowPtr); err != nil {
-		return nil, err
-	}
-	if err := binary.Read(br, binary.LittleEndian, m.ColIdx); err != nil {
-		return nil, err
-	}
-	if err := binary.Read(br, binary.LittleEndian, m.Val); err != nil {
-		return nil, err
-	}
-	return m, m.Validate()
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -126,7 +127,7 @@ func (p *PeerClient) Multiply(ctx context.Context, a, b *pbspgemm.CSR) (*pbspgem
 		}
 		c, err := p.multiply(ctx, ida, idb)
 		var re *RemoteError
-		if err != nil && attempt == 0 && asRemote(err, &re) && re.Status == http.StatusNotFound {
+		if err != nil && attempt == 0 && errors.As(err, &re) && re.Status == http.StatusNotFound {
 			// The peer forgot the factors (eviction, restart): drop our view
 			// of its registry and re-upload once.
 			p.Forget([]*pbspgemm.CSR{a, b})
@@ -134,22 +135,6 @@ func (p *PeerClient) Multiply(ctx context.Context, a, b *pbspgemm.CSR) (*pbspgem
 		}
 		return c, err
 	}
-}
-
-// asRemote is errors.As without the reflection detour for the common type.
-func asRemote(err error, target **RemoteError) bool {
-	for err != nil {
-		if re, ok := err.(*RemoteError); ok {
-			*target = re
-			return true
-		}
-		u, ok := err.(interface{ Unwrap() error })
-		if !ok {
-			return false
-		}
-		err = u.Unwrap()
-	}
-	return false
 }
 
 // uploadID returns the peer's content id for m, uploading it at most once
@@ -200,11 +185,11 @@ func (p *PeerClient) Forget(ms []*pbspgemm.CSR) {
 
 // upload POSTs m in the PBSP binary framing and returns the content id.
 func (p *PeerClient) upload(ctx context.Context, m *pbspgemm.CSR) (string, error) {
-	var buf bytes.Buffer
-	if err := mmio.WriteBinary(&buf, m); err != nil {
+	buf := bytes.NewBuffer(make([]byte, 0, mmio.BinarySize(m)))
+	if err := mmio.WriteBinary(buf, m); err != nil {
 		return "", err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, p.base+"/matrices", &buf)
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, p.base+"/matrices", buf)
 	if err != nil {
 		return "", err
 	}
@@ -243,7 +228,9 @@ func (p *PeerClient) multiply(ctx context.Context, ida, idb string) (*pbspgemm.C
 	if resp.StatusCode != http.StatusOK {
 		return nil, p.statusError(resp, "multiply")
 	}
-	c, err := mmio.ReadBinary(resp.Body)
+	// The server states the body's length, so a header claiming more than
+	// that fails before anything is allocated for it.
+	c, err := mmio.ReadBinary(mmio.LimitReader(resp.Body, resp.ContentLength))
 	if err != nil {
 		// A truncated or corrupt body is a transport failure: retryable.
 		return nil, &RemoteError{Peer: p.base, Err: fmt.Errorf("bad result body: %w", err)}

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -202,16 +201,11 @@ type uploadResponse struct {
 }
 
 // handleUpload ingests one matrix, Matrix Market text or PBSP binary
-// (sniffed from the first bytes), bounded by MaxUploadBytes either way.
+// (sniffed from the first bytes), bounded by MaxUploadBytes either way: a
+// binary header claiming more is a 413 before anything is allocated for it,
+// and a body that ends before its header's payload a 400.
 func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
-	br := bufio.NewReaderSize(mmio.LimitReader(r.Body, s.cfg.MaxUploadBytes), 1<<20)
-	var m *pbspgemm.CSR
-	var err error
-	if isBinaryUpload(br) {
-		m, err = mmio.ReadBinary(br)
-	} else {
-		m, err = mmio.ReadMatrixMarket(br)
-	}
+	m, err := mmio.Read(r.Body, s.cfg.MaxUploadBytes)
 	if err != nil {
 		status := http.StatusBadRequest
 		if errors.Is(err, mmio.ErrTooLarge) {
@@ -236,16 +230,6 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(uploadResponse{MatrixInfo: info, Existed: existed})
-}
-
-// isBinaryUpload sniffs the PBSP binary magic without consuming it.
-func isBinaryUpload(br *bufio.Reader) bool {
-	peek, err := br.Peek(4)
-	if err != nil || len(peek) < 4 {
-		return false
-	}
-	magic := uint32(peek[0]) | uint32(peek[1])<<8 | uint32(peek[2])<<16 | uint32(peek[3])<<24
-	return magic == 0x50425350 // mmio's binaryMagic, little-endian
 }
 
 func (s *Server) handleListMatrices(w http.ResponseWriter, r *http.Request) {
@@ -303,6 +287,10 @@ type productSpec struct {
 	a, b, mask *pbspgemm.CSR
 	algorithm  pbspgemm.Algorithm
 	semiring   string
+	// plan is admission's Engine.Plan of this product (of its budgeted form
+	// when degraded), handed to an unmasked arithmetic Auto run so that it
+	// does not plan again.
+	plan *pbspgemm.Plan
 }
 
 // key is the full request identity the cache and flight group share: both
@@ -475,6 +463,7 @@ func (s *Server) handleMultiply(w http.ResponseWriter, r *http.Request) {
 	case "binary":
 		s.writeResultHeaders(w, &resp)
 		w.Header().Set("Content-Type", "application/octet-stream")
+		w.Header().Set("Content-Length", strconv.FormatInt(mmio.BinarySize(p.C), 10))
 		_ = mmio.WriteBinary(w, p.C)
 	}
 }
@@ -547,28 +536,23 @@ func (s *Server) product(ctx context.Context, sp *productSpec) (*Product, served
 		// waiter leaves.
 		fctx, fcancel := context.WithTimeout(fctx, s.cfg.RequestTimeout)
 		defer fcancel()
-		run := sp
-		degraded := false
-		plan, err := s.eng.Plan(fctx, run.a, run.b, run.engineOptions()...)
-		if err != nil {
+		run, degraded := *sp, false
+		var err error
+		if run.plan, err = s.eng.Plan(fctx, sp.a, sp.b, sp.engineOptions()...); err != nil {
 			return nil, err
 		}
-		predicted := plan.PredictedFootprintBytes
-		if err := s.adm.Acquire(fctx, predicted); err != nil {
-			deg, degPredicted, ok := s.degradedSpec(fctx, sp, err)
-			if !ok {
+		if err := s.adm.Acquire(fctx, run.plan.PredictedFootprintBytes); err != nil {
+			deg, ok := s.degradedSpec(fctx, sp, err)
+			// Even the tiled footprint may not be admitted: then report the
+			// original full-run shed (still a 429 + Retry-After).
+			if !ok || s.adm.Acquire(fctx, deg.plan.PredictedFootprintBytes) != nil {
 				return nil, err
 			}
-			if aerr := s.adm.Acquire(fctx, degPredicted); aerr != nil {
-				// Even the tiled footprint could not be admitted; report the
-				// original full-run shed (still a 429 + Retry-After).
-				return nil, err
-			}
-			run, predicted, degraded = deg, degPredicted, true
+			run, degraded = *deg, true
 			s.degraded.Add(1)
 		}
-		defer s.adm.Release(predicted)
-		p, err := s.execute(fctx, run)
+		defer s.adm.Release(run.plan.PredictedFootprintBytes)
+		p, err := s.execute(fctx, &run)
 		if err != nil {
 			return nil, err
 		}
@@ -596,19 +580,20 @@ func (s *Server) product(ctx context.Context, sp *productSpec) (*Product, served
 // disabled, the request pinned its own budget, the shed had a different
 // reason (queue pressure is not helped by shrinking one request), or even
 // the tiled footprint exceeds the ceiling.
-func (s *Server) degradedSpec(ctx context.Context, sp *productSpec, shedErr error) (*productSpec, int64, bool) {
+func (s *Server) degradedSpec(ctx context.Context, sp *productSpec, shedErr error) (*productSpec, bool) {
 	var shed *ShedError
 	if s.cfg.DegradedBudgetBytes <= 0 || sp.req.MemoryBudgetBytes > 0 ||
 		!errors.As(shedErr, &shed) || shed.Reason != ReasonFootprint {
-		return nil, 0, false
+		return nil, false
 	}
 	deg := *sp
 	deg.req.MemoryBudgetBytes = s.cfg.DegradedBudgetBytes
-	plan, err := s.eng.Plan(ctx, deg.a, deg.b, deg.engineOptions()...)
-	if err != nil || plan.PredictedFootprintBytes > shed.CeilingBytes {
-		return nil, 0, false
+	var err error
+	if deg.plan, err = s.eng.Plan(ctx, deg.a, deg.b, deg.engineOptions()...); err != nil ||
+		deg.plan.PredictedFootprintBytes > shed.CeilingBytes {
+		return nil, false
 	}
-	return &deg, plan.PredictedFootprintBytes, true
+	return &deg, true
 }
 
 // runProduct executes one admitted product on the Engine (or, when peers
@@ -622,25 +607,13 @@ func (s *Server) runProduct(ctx context.Context, sp *productSpec) (*Product, err
 		if err != nil {
 			return nil, err
 		}
-		p := &Product{
-			C:         res.C,
-			Algorithm: "PB-SpGEMM(sharded " + res.Grid.String() + ")",
-			Flops:     res.Flops, Elapsed: res.Elapsed, Bytes: csrBytes(res.C),
-		}
-		if nnz := res.C.NNZ(); nnz > 0 {
-			p.CF = float64(res.Flops) / float64(nnz)
-		}
-		return p, nil
+		return productOf(res.C, "PB-SpGEMM(sharded "+res.Grid.String()+")", res.Flops, res.Elapsed), nil
 	case sp.semiring == "arithmetic" && sp.mask == nil:
-		res, err := s.eng.Multiply(ctx, sp.a, sp.b, append(opts, pbspgemm.WithAlgorithm(sp.algorithm))...)
+		res, err := s.eng.Multiply(ctx, sp.a, sp.b, append(opts, pbspgemm.WithAlgorithm(sp.algorithm), pbspgemm.WithPlan(sp.plan))...)
 		if err != nil {
 			return nil, err
 		}
-		return &Product{
-			C: res.C, Algorithm: res.Algorithm.String(),
-			Flops: res.Flops, CF: res.CF, Elapsed: res.Elapsed,
-			Bytes: csrBytes(res.C),
-		}, nil
+		return productOf(res.C, res.Algorithm.String(), res.Flops, res.Elapsed), nil
 	case sp.semiring == "arithmetic":
 		start := time.Now()
 		c, err := s.eng.MultiplyMasked(ctx, sp.a, sp.b, nil, opts...) // opts carry the mask

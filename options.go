@@ -53,6 +53,7 @@ type config struct {
 	mask       *CSR
 	complement bool
 	plan       *SemiringPlan
+	autoPlan   *Plan
 }
 
 // resolve applies defaults then per-call options in order.
@@ -197,6 +198,28 @@ func WithSemiringPlan(p *SemiringPlan) Option {
 		c.plan = p
 		return nil
 	}
+}
+
+// WithPlan hands an Auto call the plan Engine.Plan made for the same product and
+// options, so that it runs the plan's Chosen kernel without planning again (a
+// server plans once, for admission). The call reports the plan as Result.Plan
+// and counts as an Auto pick. The plan is ignored unless the call is unmasked,
+// the plan chose PB or SPA (SPA only without a memory budget) and its NNZA and
+// NNZB are the operands'. Auto's bytes never depend on its pick, so a stale plan
+// costs time, never a different product. Semiring calls ignore it.
+func WithPlan(p *Plan) Option {
+	return func(c *config) error {
+		c.autoPlan = p
+		return nil
+	}
+}
+
+// handedPlan reports whether the WithPlan plan may stand in for Auto's own
+// planning of a·b.
+func (c *config) handedPlan(a, b *CSR) bool {
+	p := c.autoPlan
+	return p != nil && p.NNZA == a.NNZ() && p.NNZB == b.NNZ() &&
+		(p.Chosen == PB || p.Chosen == SPA && c.budget == 0)
 }
 
 // WithComplementMask is WithMask with the complemented mask ⟨¬M⟩: positions

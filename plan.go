@@ -70,7 +70,7 @@ const plannerSampleFlops = 256 << 10
 // scratch pools the estimator's marker (the caller passes the checked-out
 // workspace's slot, keeping steady-state planned calls allocation-free).
 func planFor(cfg *config, a, b *CSR, scratch *[]int32, valueBytes int64) *Plan {
-	p := &Plan{NNZA: int64(len(a.ColIdx)), NNZB: int64(len(b.ColIdx)), Flops: flopsNoAlloc(a, b)}
+	p := &Plan{NNZA: int64(len(a.ColIdx)), NNZB: int64(len(b.ColIdx)), Flops: matrix.FlopsCSR(a, b)}
 	p.EstNNZC, p.Sampled = matrix.EstimateProductNNZ(a, b, p.Flops, plannerSampleFlops, scratch)
 	p.model(cfg, a.NumRows, b.NumCols, false, valueBytes)
 	return p
@@ -124,7 +124,7 @@ func (p *Plan) footprint(rows, budget int64) int64 {
 // no family is predicted (PB is its metrics bucket), nnz(C) is capped by nnz(M),
 // the footprint is the output, 9 B per mask entry and a slot per B column per worker.
 func maskedRowsPlan(cfg *config, a, b *CSR) *Plan {
-	p := &Plan{Chosen: PB, NNZA: a.NNZ(), NNZB: b.NNZ(), Flops: flopsNoAlloc(a, b)}
+	p := &Plan{Chosen: PB, NNZA: a.NNZ(), NNZB: b.NNZ(), Flops: matrix.FlopsCSR(a, b)}
 	if p.EstNNZC = min(cfg.mask.NNZ(), p.Flops); p.EstNNZC > 0 {
 		p.CF = float64(p.Flops) / float64(p.EstNNZC)
 	}
@@ -230,7 +230,7 @@ func (e *Engine) PlanBlocksFrom(root *Plan, a, b *CSR, g Grid, opts ...Option) (
 		for j := 0; j < gp.Grid.Cols; j++ {
 			for k := 0; k < gp.Grid.Inner; k++ {
 				ba, bb := gp.A[i][k], gp.B[k][j]
-				p := &Plan{NNZA: ba.NNZ(), NNZB: bb.NNZ(), Flops: flopsNoAlloc(ba, bb), Sampled: root.Sampled}
+				p := &Plan{NNZA: ba.NNZ(), NNZB: bb.NNZ(), Flops: matrix.FlopsCSR(ba, bb), Sampled: root.Sampled}
 				if p.Flops > 0 {
 					share := float64(root.EstNNZC) * float64(p.Flops) / float64(root.Flops)
 					p.EstNNZC = min(int64(math.Ceil(share)), p.Flops, int64(ba.NumRows)*int64(bb.NumCols))

@@ -210,7 +210,7 @@ func ReadMatrixMarket(r io.Reader) (*CSR, error) { return mmio.ReadMatrixMarket(
 // matching mmio's ErrTooLarge instead of ingesting a hostile payload.
 // maxBytes <= 0 means unlimited.
 func ReadMatrixMarketLimited(r io.Reader, maxBytes int64) (*CSR, error) {
-	return mmio.ReadMatrixMarketLimited(r, maxBytes)
+	return mmio.ReadMatrixMarket(mmio.LimitReader(r, maxBytes))
 }
 
 // ReadMatrixMarketFile loads a Matrix Market file from disk.
