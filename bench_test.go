@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"testing"
+	"time"
 
 	"pbspgemm/internal/core"
 	"pbspgemm/internal/gen"
@@ -101,7 +102,7 @@ func BenchmarkFig6bNumBins(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			b.ReportMetric(st.SortGBs(), "sortGB/s")
+			b.ReportMetric(st.FuseGBs(), "fuseGB/s")
 			b.ReportMetric(st.ExpandGBs(), "expandGB/s")
 		})
 	}
@@ -133,8 +134,7 @@ func BenchmarkFig7bBandwidth(b *testing.B) {
 		}
 	}
 	b.ReportMetric(st.ExpandGBs(), "expandGB/s")
-	b.ReportMetric(st.SortGBs(), "sortGB/s")
-	b.ReportMetric(st.CompressGBs(), "compressGB/s")
+	b.ReportMetric(st.FuseGBs(), "fuseGB/s")
 }
 
 // --- Fig. 8: ER on the POWER9 profile (model rescaling; see DESIGN.md §4) ---
@@ -181,7 +181,7 @@ func BenchmarkFig9bBandwidth(b *testing.B) {
 		}
 	}
 	b.ReportMetric(st.ExpandGBs(), "expandGB/s")
-	b.ReportMetric(st.SortGBs(), "sortGB/s")
+	b.ReportMetric(st.FuseGBs(), "fuseGB/s")
 }
 
 // --- Fig. 10: RMAT on POWER9 profile -----------------------------------------
@@ -254,8 +254,8 @@ func BenchmarkFig13Phases(b *testing.B) {
 		}
 	}
 	b.ReportMetric(st.Expand.Seconds()*1e3, "expand-ms")
-	b.ReportMetric(st.Sort.Seconds()*1e3, "sort-ms")
-	b.ReportMetric(st.Compress.Seconds()*1e3, "compress-ms")
+	b.ReportMetric(st.Fuse.Seconds()*1e3, "fuse-ms")
+	b.ReportMetric(st.Assemble.Seconds()*1e3, "assemble-ms")
 	b.ReportMetric(st.Symbolic.Seconds()*1e3, "symbolic-ms")
 }
 
@@ -273,14 +273,16 @@ func BenchmarkFig14DualSocketModel(b *testing.B) {
 	fr := numa.DefaultRemoteFractions()
 	phases := []numa.PhaseTraffic{
 		{Name: "expand", Bytes: st.ExpandBytes, SingleTime: st.Expand, RemoteFrac: fr["expand"]},
-		{Name: "sort", Bytes: st.SortBytes, SingleTime: st.Sort, RemoteFrac: fr["sort"]},
-		{Name: "compress", Bytes: st.CompressBytes, SingleTime: st.Compress, RemoteFrac: fr["compress"]},
+		{Name: "fuse", Bytes: st.FusedBytes, SingleTime: st.Fuse, RemoteFrac: fr["sort"]},
+		{Name: "assemble", Bytes: st.TupleBytes * st.NNZC, SingleTime: st.Assemble, RemoteFrac: fr["compress"]},
 	}
+	var dual time.Duration
 	for i := 0; i < b.N; i++ {
-		if topo.PredictDual(phases) <= 0 {
+		if dual = topo.PredictDual(phases); dual <= 0 {
 			b.Fatal("model failure")
 		}
 	}
+	b.ReportMetric(dual.Seconds()*1e3, "dual-ms")
 }
 
 func BenchmarkTable7Latency(b *testing.B) {

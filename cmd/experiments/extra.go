@@ -74,8 +74,8 @@ func tallSkinny(n, k int32, f int, seed uint64) *pbspgemm.CSR {
 
 // runAblations quantifies the design choices of PB-SpGEMM:
 // propagation blocking itself (nbins=1 == unblocked outer ESC), local bins
-// (1-tuple bins == direct global writes), the cache budget that sizes bins and
-// the fused pipeline against the paper's three passes. Section V-D's
+// (1-tuple bins == direct global writes) and the cache budget that sizes bins.
+// Section V-D's
 // partitioned PB is the shard coordinator's row bands (internal/shard).
 func runAblations(cfg *config) {
 	scale := 14
@@ -86,17 +86,12 @@ func runAblations(cfg *config) {
 	b := gen.ERMatrix(scale, 8, cfg.seed+1)
 	fmt.Printf("workload: ER scale %d, ef 8\n\n", scale)
 
-	tb := metrics.NewTable("Ablations (best of reps)", "variant", "time (ms)", "GFLOPS", "expand GB/s", "sort|fuse GB/s")
+	tb := metrics.NewTable("Ablations (best of reps)", "variant", "time (ms)", "GFLOPS", "expand GB/s", "fuse GB/s")
 	addPB := func(name string, res *pbspgemm.Result) {
 		st := res.PB
-		sortGBs := st.SortGBs()
-		if st.Fused {
-			sortGBs = st.FuseGBs()
-		}
-		tb.AddRow(name, ms(res.Elapsed), res.GFLOPS(), st.ExpandGBs(), sortGBs)
+		tb.AddRow(name, ms(res.Elapsed), res.GFLOPS(), st.ExpandGBs(), st.FuseGBs())
 	}
-	addPB("PB (fused default)", bestRun(cfg, a, b))
-	addPB("PB (unfused three-pass)", bestUnfused(cfg, a, b, 0))
+	addPB("PB (default)", bestRun(cfg, a, b))
 	addPB("no blocking (nbins=1)", bestRun(cfg, a, b, pbspgemm.WithNBins(1)))
 	addPB("smallest local bins (16 tuples, one line of keys)", bestRun(cfg, a, b, pbspgemm.WithLocalBinBytes(16)))
 	addPB("tiny cache budget (64 KiB)", bestRun(cfg, a, b, pbspgemm.WithL2CacheBytes(64<<10)))

@@ -81,19 +81,16 @@ func runFig13(cfg *config) {
 	}{{"ER", er}, {"RMAT", rmat}} {
 		tb := metrics.NewTable(
 			fmt.Sprintf("Fig. 13 — PB phase breakdown, %s scale %d ef 16 (ms)", in.name, scale),
-			"threads", "symbolic", "expand", "sort", "compress", "assemble", "total")
+			"threads", "symbolic", "expand", "fuse", "assemble", "total")
 		for _, t := range threadSteps() {
-			// Paper pipeline (three phases) so the sort/compress columns
-			// carry the paper's meaning; the fused default folds them.
-			res := bestUnfused(cfg, in.m, in.m, t)
-			st := res.PB
-			tb.AddRow(t, ms(st.Symbolic), ms(st.Expand), ms(st.Sort),
-				ms(st.Compress), ms(st.Assemble), ms(st.Total))
+			st := bestRun(cfg, in.m, in.m, pbspgemm.WithAlgorithm(pbspgemm.PB), pbspgemm.WithThreads(t)).PB
+			tb.AddRow(t, ms(st.Symbolic), ms(st.Expand), ms(st.Fuse), ms(st.Assemble), ms(st.Total))
 		}
 		tb.Render(os.Stdout)
 		fmt.Println()
 	}
 	fmt.Println("paper shape: expand and sort dominate and scale; RMAT sort scales worse (skewed bins).")
+	fmt.Println("fuse is the paper's sort and compress in one pass per bin.")
 }
 
 // runFig14 is the dual-socket experiment. Real NUMA placement is not
@@ -119,16 +116,17 @@ func runFig14(cfg *config) {
 			a := kind.generate(scale, 16, cfg.seed)
 			b := kind.generate(scale, 16, cfg.seed+1)
 			// The NUMA model pushes the paper's per-phase traffic through
-			// the Table VII topology; run the three-phase pipeline so the
-			// sort/compress terms exist.
-			pb := bestUnfused(cfg, a, b, 0)
+			// the Table VII topology: the fuse phase carries the sort's
+			// read-back at the sort's remote fraction, assemble the
+			// compress write at the compress fraction.
+			pb := bestRun(cfg, a, b, pbspgemm.WithAlgorithm(pbspgemm.PB))
 			st := pb.PB
 
 			phases := []numa.PhaseTraffic{
 				{Name: "symbolic", Bytes: 0, SingleTime: st.Symbolic, RemoteFrac: fr["symbolic"]},
 				{Name: "expand", Bytes: st.ExpandBytes, SingleTime: st.Expand, RemoteFrac: fr["expand"]},
-				{Name: "sort", Bytes: st.SortBytes, SingleTime: st.Sort, RemoteFrac: fr["sort"]},
-				{Name: "compress", Bytes: st.CompressBytes, SingleTime: st.Compress + st.Assemble, RemoteFrac: fr["compress"]},
+				{Name: "fuse", Bytes: st.FusedBytes, SingleTime: st.Fuse, RemoteFrac: fr["sort"]},
+				{Name: "assemble", Bytes: assembleBytes(st), SingleTime: st.Assemble, RemoteFrac: fr["compress"]},
 			}
 			dualTime := topo.PredictDual(phases)
 			pbDual := float64(st.Flops) / dualTime.Seconds() / 1e9
@@ -140,8 +138,8 @@ func runFig14(cfg *config) {
 			partPhases := []numa.PhaseTraffic{
 				{Name: "symbolic", Bytes: 0, SingleTime: st.Symbolic, RemoteFrac: 0},
 				{Name: "expand", Bytes: st.ExpandBytes + 16*b.NNZ(), SingleTime: st.Expand, RemoteFrac: 0},
-				{Name: "sort", Bytes: st.SortBytes, SingleTime: st.Sort, RemoteFrac: 0},
-				{Name: "compress", Bytes: st.CompressBytes, SingleTime: st.Compress + st.Assemble, RemoteFrac: 0},
+				{Name: "fuse", Bytes: st.FusedBytes, SingleTime: st.Fuse, RemoteFrac: 0},
+				{Name: "assemble", Bytes: assembleBytes(st), SingleTime: st.Assemble, RemoteFrac: 0},
 			}
 			// Scale the expand single time by the traffic ratio so the
 			// efficiency term reflects the extra read.

@@ -51,7 +51,7 @@ func perfSweep(cfg *config, kind matrixKind, profile machineProfile) {
 		"scale", "ef", "cf", "PB", "Heap", "Hash", "HashVec", "model(PB,host)", "model(PB,paper)")
 	bw := metrics.NewTable(
 		fmt.Sprintf("Fig. %sb — PB-SpGEMM sustained bandwidth (GB/s)", figLabel(kind)),
-		"scale", "ef", "expand", "sort", "compress", "overall")
+		"scale", "ef", "expand", "fuse", "assemble", "overall")
 
 	for _, scale := range scales {
 		for _, ef := range efs {
@@ -61,12 +61,11 @@ func perfSweep(cfg *config, kind matrixKind, profile machineProfile) {
 			var pbRes *pbspgemm.Result
 			var gflops []float64
 			for _, alg := range kernelAlgos() {
+				res := bestRun(cfg, a, b, pbspgemm.WithAlgorithm(alg))
 				if alg == pbspgemm.PB {
-					pbRes = bestUnfused(cfg, a, b, 0)
-					gflops = append(gflops, pbRes.GFLOPS())
-					continue
+					pbRes = res
 				}
-				gflops = append(gflops, bestRun(cfg, a, b, pbspgemm.WithAlgorithm(alg)).GFLOPS())
+				gflops = append(gflops, res.GFLOPS())
 			}
 			row = append(row, pbRes.CF)
 			for _, g := range gflops {
@@ -78,7 +77,7 @@ func perfSweep(cfg *config, kind matrixKind, profile machineProfile) {
 			perf.AddRow(row...)
 
 			st := pbRes.PB
-			bw.AddRow(scale, ef, st.ExpandGBs(), st.SortGBs(), st.CompressGBs(), st.OverallGBs())
+			bw.AddRow(scale, ef, st.ExpandGBs(), st.FuseGBs(), assembleGBs(st), st.OverallGBs())
 		}
 	}
 	perf.Render(os.Stdout)

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"pbspgemm"
-	"pbspgemm/internal/core"
 	"pbspgemm/internal/stream"
 )
 
@@ -52,28 +51,16 @@ func bestRun(cfg *config, a, b *pbspgemm.CSR, opts ...pbspgemm.Option) *pbspgemm
 	return best
 }
 
-// bestUnfused is bestRun for PB's three-pass sort → compress → assemble
-// pipeline (core.Options.DisableFusion), the one the paper measures: its
-// per-phase sort and compress bandwidths exist only there (a fused run
-// reports one Fuse phase). The reps share one pooled workspace that hands
-// each product over, as bestRun's engine does. threads 0 means cfg.threads.
-func bestUnfused(cfg *config, a, b *pbspgemm.CSR, threads int) *pbspgemm.Result {
-	ws := core.NewWorkspace()
-	opt := core.Options{Threads: pickThreads(cfg, threads), Workspace: ws, DisableFusion: true}
-	var best *pbspgemm.Result
-	for r := 0; r < cfg.reps; r++ {
-		c, st, err := core.Multiply(ws.CSCOf(a), b, opt)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "multiply failed: %v\n", err)
-			os.Exit(1)
-		}
-		c = ws.DetachOutput(c)
-		if best == nil || st.Total < best.Elapsed {
-			s := *st // st aliases ws
-			best = &pbspgemm.Result{C: c, Algorithm: pbspgemm.PB, Flops: s.Flops, CF: s.CF, Elapsed: s.Total, PB: &s}
-		}
+// assembleBytes is the paper's compress byte term, TupleBytes·nnz(C): the
+// folded tuples the assemble pass reads back into the output CSR.
+func assembleBytes(st *pbspgemm.PhaseStats) int64 { return st.TupleBytes * st.NNZC }
+
+// assembleGBs is the assemble phase's sustained bandwidth over that term.
+func assembleGBs(st *pbspgemm.PhaseStats) float64 {
+	if st.Assemble <= 0 {
+		return 0
 	}
-	return best
+	return float64(assembleBytes(st)) / st.Assemble.Seconds() / 1e9
 }
 
 func pickThreads(cfg *config, override int) int {

@@ -46,8 +46,9 @@ func TestBestRunReturnsValidResult(t *testing.T) {
 	if res == nil || res.C == nil || res.Flops <= 0 {
 		t.Fatal("bestRun returned invalid result")
 	}
-	if res = bestUnfused(cfg, a, a, 1); res.C == nil || res.Flops <= 0 || res.PB == nil || res.PB.Fused {
-		t.Fatal("bestUnfused returned an invalid or fused result")
+	res = bestRun(cfg, a, a, pbspgemm.WithAlgorithm(pbspgemm.PB), pbspgemm.WithThreads(1))
+	if st := res.PB; st == nil || st.Fuse <= 0 || st.FusedBytes <= 0 || assembleBytes(st) != st.TupleBytes*st.NNZC {
+		t.Fatal("a PB bestRun must carry the fuse and assemble phases the figures report")
 	}
 }
 
@@ -116,7 +117,7 @@ func TestPlannerWorkloadsCoverBothRegimes(t *testing.T) {
 
 func TestBenchCaseProducesValidRegime(t *testing.T) {
 	cfg := &config{reps: 1}
-	c := benchCase{"er-test", "ER", 8, 4, 1, 2, 0, 1, false, 0, "", false}
+	c := benchCase{"er-test", "ER", 8, 4, 1, 2, 0, 1, 0, "", false}
 	r, err := runBenchCase(cfg, c)
 	if err != nil {
 		t.Fatal(err)
@@ -173,38 +174,32 @@ func TestBenchCasesFixedSeedsAndLayoutPair(t *testing.T) {
 	}
 }
 
-// TestBenchCasesCarryFusedPairs: the trajectory must pin fused-vs-unfused
-// on the same high-cf R-MAT input, single-threaded (so the allocs gate
-// bites), in both layouts, and the -gate names must resolve.
+// TestBenchCasesCarryFusedPairs: the trajectory must pin the fused float64
+// product on the high-cf R-MAT input in both layouts, on identical inputs and
+// single-threaded (so the allocs gate bites), and the -gate names must
+// resolve.
 func TestBenchCasesCarryFusedPairs(t *testing.T) {
 	byName := map[string]benchCase{}
 	for _, c := range benchCases() {
 		byName[c.name] = c
 	}
 	f, okF := byName[gateFusedRegime]
-	u, okU := byName[gateUnfusedRegime]
-	if !okF || !okU {
-		t.Fatalf("gate regimes missing: fused=%v unfused=%v", okF, okU)
+	wf, okWF := byName[gateWideRegime]
+	if !okF || !okWF {
+		t.Fatalf("gate regimes missing: squeezed=%v wide=%v", okF, okWF)
 	}
-	if f.unfused || !u.unfused {
-		t.Fatal("gate pair fusion flags wrong")
+	if f.kind != "RMAT" || f.layout != core.LayoutSqueezed || wf.layout != core.LayoutWide {
+		t.Fatal("the gate pair must be the R-MAT regime, squeezed and wide")
 	}
-	if f.kind != "RMAT" || u.kind != "RMAT" {
-		t.Fatal("gate pair must be the R-MAT regime")
-	}
-	pair := [2]benchCase{f, u}
-	for _, c := range pair {
-		if c.threadsCap != 1 {
-			t.Fatalf("%s: gate regimes must pin Threads=1 for the allocs gate", c.name)
+	for _, c := range []benchCase{f, wf} {
+		if c.threadsCap != 1 || c.budget != 0 || c.mode != "" {
+			t.Fatalf("%s: gate regimes must be single-threaded, unbudgeted float64", c.name)
 		}
 	}
-	if f.scale != u.scale || f.ef != u.ef || f.seedA != u.seedA || f.seedB != u.seedB || f.layout != u.layout {
-		t.Fatal("gate pair must share identical inputs and layout")
-	}
-	wf, okWF := byName["rmat-highcf-wide-fused"]
-	wu, okWU := byName["rmat-highcf-wide-unfused"]
-	if !okWF || !okWU || wf.layout != core.LayoutWide || wu.layout != core.LayoutWide {
-		t.Fatal("trajectory must carry the wide-layout fused pair too")
+	sq := wf
+	sq.name, sq.layout = f.name, f.layout
+	if sq != f {
+		t.Fatal("the layout pair must differ only in name and layout")
 	}
 	// The custom-semiring gate compares MinPlus against the forced-wide float64
 	// product: same input, same threads, and no layout forced (a semiring that
@@ -224,8 +219,8 @@ func TestBenchCasesCarryFusedPairs(t *testing.T) {
 	if !okP || p.mode != "pattern" {
 		t.Fatal("gate pattern regime missing or not pattern-mode")
 	}
-	if p.threadsCap != 1 || p.unfused || p.budget != 0 {
-		t.Fatalf("%s must be single-threaded, fused, unbudgeted", p.name)
+	if p.threadsCap != 1 || p.budget != 0 {
+		t.Fatalf("%s must be single-threaded, unbudgeted", p.name)
 	}
 	if p.scale != f.scale || p.ef != f.ef || p.seedA != f.seedA || p.seedB != f.seedB {
 		t.Fatal("pattern gate regime must share the squeezed comparator's input")
@@ -295,7 +290,7 @@ func TestBenchCasesCarryDRAMRegimes(t *testing.T) {
 		if !ok {
 			t.Fatalf("DRAM gate regime %s missing", g.name)
 		}
-		if c.kind != "ER" || c.scale != 16 || c.ef != 8 || c.threadsCap != 1 || c.unfused || c.budget != 0 {
+		if c.kind != "ER" || c.scale != 16 || c.ef != 8 || c.threadsCap != 1 || c.budget != 0 {
 			t.Fatalf("%s is not the single-threaded er_lowcf product: %+v", g.name, c)
 		}
 	}
@@ -313,7 +308,7 @@ func TestBenchCasesCarryHypersparseWide(t *testing.T) {
 		if c.name != "er-hypersparse-wide" {
 			continue
 		}
-		if c.layout != core.LayoutAuto || c.mode != "" || c.threadsCap != 1 || c.unfused || c.budget != 0 {
+		if c.layout != core.LayoutAuto || c.mode != "" || c.threadsCap != 1 || c.budget != 0 {
 			t.Fatalf("%+v: want an unforced single-threaded fused single-shot float64 regime", c)
 		}
 		rows := int32(1) << c.scale
@@ -335,7 +330,7 @@ func TestBenchCasesCarryFuseGateRegimes(t *testing.T) {
 		if !ok {
 			t.Fatalf("fuse gate regime %s missing", g.name)
 		}
-		if c.threadsCap != 1 || c.unfused || c.budget != 0 || g.pct <= 0 {
+		if c.threadsCap != 1 || c.budget != 0 || g.pct <= 0 {
 			t.Fatalf("%s (floor %.1f) is not a single-threaded fused single-shot regime: %+v", g.name, g.pct, c)
 		}
 	}

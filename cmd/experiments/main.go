@@ -21,7 +21,7 @@
 //	-beta GB/s   override measured STREAM bandwidth in model outputs
 //	-mtxdir DIR  load real SuiteSparse .mtx files for fig11/table6
 //	-json PATH   write a machine-readable report (planner and bench)
-//	-gate        bench: fail on fused-vs-unfused or steady-state alloc regressions;
+//	-gate        bench: fail on ratio, phase-floor or steady-state alloc regressions;
 //	             planner: fail when Auto exceeds 1.25× min(PB, SPA) on a sweep point
 package main
 
@@ -40,7 +40,7 @@ type config struct {
 	beta     float64 // 0 = measure with STREAM
 	mtxdir   string
 	jsonOut  string // planner: write the machine-readable report here
-	gate     bool   // bench: fail on fused-vs-unfused or allocs regression
+	gate     bool   // bench: fail on a ratio, phase-floor or allocs regression
 	baseline string // bench: prior -json report to diff ns/op against
 }
 
@@ -89,7 +89,7 @@ func main() {
 	fs.Float64Var(&cfg.beta, "beta", 0, "bandwidth GB/s for model output (0 = measure)")
 	fs.StringVar(&cfg.mtxdir, "mtxdir", "", "directory with real SuiteSparse .mtx files")
 	fs.StringVar(&cfg.jsonOut, "json", "", "write a machine-readable report to this path (planner, bench)")
-	fs.BoolVar(&cfg.gate, "gate", false, "bench: exit nonzero if the fused pipeline is slower than unfused on the high-cf regime or a pooled regime allocates; planner: if Auto's regret exceeds 1.25 on a sweep point")
+	fs.BoolVar(&cfg.gate, "gate", false, "bench: exit nonzero if a ratio gate, a pct_of_stream floor or a pooled regime's 0 allocs/op fails; planner: if Auto's regret exceeds 1.25 on a sweep point")
 	fs.StringVar(&cfg.baseline, "baseline", "", "bench: prior -json report to diff acceptance-regime ns/op against (informational)")
 	if err := fs.Parse(os.Args[2:]); err != nil {
 		os.Exit(2)

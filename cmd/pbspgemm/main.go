@@ -121,14 +121,8 @@ func main() {
 		best.Algorithm, metrics.HumanCount(best.C.NNZ()), metrics.HumanCount(best.Flops), best.CF)
 	fmt.Printf("time %v  =>  %.3f GFLOPS\n", best.Elapsed, best.GFLOPS())
 	if st := best.PB; st != nil {
-		if st.Fused {
-			fmt.Printf("phases: symbolic %v, expand %v (%.1f GB/s), fuse %v (%.1f GB/s), assemble %v\n",
-				st.Symbolic, st.Expand, st.ExpandGBs(), st.Fuse, st.FuseGBs(), st.Assemble)
-		} else {
-			fmt.Printf("phases: symbolic %v, expand %v (%.1f GB/s), sort %v (%.1f GB/s), compress %v (%.1f GB/s), assemble %v\n",
-				st.Symbolic, st.Expand, st.ExpandGBs(), st.Sort, st.SortGBs(),
-				st.Compress, st.CompressGBs(), st.Assemble)
-		}
+		fmt.Printf("phases: symbolic %v, expand %v (%.1f GB/s), fuse %v (%.1f GB/s), assemble %v\n",
+			st.Symbolic, st.Expand, st.ExpandGBs(), st.Fuse, st.FuseGBs(), st.Assemble)
 		if st.NPanels > 1 {
 			fmt.Printf("bins: %d  panels: %d (budget %s)  merge: %v\n",
 				st.NBins, st.NPanels, *budget, st.Merge)

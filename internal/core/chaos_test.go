@@ -13,6 +13,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -47,16 +48,22 @@ func TestChaosSiteMatrix(t *testing.T) {
 		faultinject.SiteAssembleBin, faultinject.SiteGrow,
 	}
 	type cfg struct {
-		name string
-		opt  Options
+		name  string
+		opt   Options
+		fires []faultinject.Site // sites the configuration must reach
 	}
+	// The split configurations put the whole product in one bin past the
+	// split cutoff, so the sort phase partitions it, spawns buckets and
+	// folds the bin when the last bucket's count reaches zero.
+	split := []faultinject.Site{faultinject.SiteSortTask, faultinject.SiteFoldBin}
 	cfgs := []cfg{
-		{"wide-t1", Options{Threads: 1, ForceLayout: LayoutWide}},
-		{"wide-t4", Options{Threads: 4, ForceLayout: LayoutWide}},
-		{"squeezed-t4", Options{Threads: 4, ForceLayout: LayoutSqueezed}},
-		{"unfused-t4", Options{Threads: 4, ForceLayout: LayoutWide, DisableFusion: true}},
-		{"budgeted-t1", Options{Threads: 1, MemoryBudgetBytes: 1 << 18}},
-		{"budgeted-t4", Options{Threads: 4, MemoryBudgetBytes: 1 << 18}},
+		{"wide-t1", Options{Threads: 1, ForceLayout: LayoutWide}, nil},
+		{"wide-t4", Options{Threads: 4, ForceLayout: LayoutWide}, nil},
+		{"squeezed-t4", Options{Threads: 4, ForceLayout: LayoutSqueezed}, nil},
+		{"split-t4", Options{Threads: 4, NBins: 1, L2CacheBytes: 4096, ForceLayout: LayoutWide}, split},
+		{"split-t4-squeezed", Options{Threads: 4, NBins: 1, L2CacheBytes: 4096, ForceLayout: LayoutSqueezed}, split},
+		{"budgeted-t1", Options{Threads: 1, MemoryBudgetBytes: 1 << 18}, nil},
+		{"budgeted-t4", Options{Threads: 4, MemoryBudgetBytes: 1 << 18}, nil},
 	}
 	before := runtime.NumGoroutine()
 	for _, c := range cfgs {
@@ -77,6 +84,9 @@ func TestChaosSiteMatrix(t *testing.T) {
 				faultinject.Disarm()
 
 				if !fired {
+					if slices.Contains(c.fires, site) {
+						t.Fatalf("site %v never fired", site)
+					}
 					// This configuration never reaches the site (e.g. no
 					// merge without a budget); the run must just succeed.
 					if err != nil {

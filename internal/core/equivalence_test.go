@@ -75,31 +75,22 @@ func TestCoreMatchesHashBaseline(t *testing.T) {
 
 // TestEquivalenceMatrixFusedRow is the fused pipeline's row of the
 // cross-implementation matrix: on every table input, budgeted and
-// unbudgeted, at Threads ∈ {1, 2, 8}, the fused (default) pipeline must
-// reproduce the unfused PR 4 path exactly — zero tolerance — and therefore
-// transitively match the hash baseline the other rows pin.
+// unbudgeted, at Threads ∈ {1, 2, 8}, the pipeline must reproduce
+// core.FoldReference — the scalar fold in ascending k, panel by panel —
+// exactly, zero tolerance.
 func TestEquivalenceMatrixFusedRow(t *testing.T) {
 	for _, tc := range equivCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			acsc := tc.a.ToCSC()
 			for _, budget := range []int64{0, 16 << 10} {
+				want := core.FoldReference(tc.a, tc.b, budget)
 				for _, threads := range []int{1, 2, 8} {
-					opt := core.Options{MemoryBudgetBytes: budget, Threads: threads}
-					opt.DisableFusion = true
-					want, _, err := core.Multiply(acsc, tc.b, opt)
+					got, _, err := core.Multiply(acsc, tc.b, core.Options{MemoryBudgetBytes: budget, Threads: threads})
 					if err != nil {
 						t.Fatal(err)
-					}
-					opt.DisableFusion = false
-					got, st, err := core.Multiply(acsc, tc.b, opt)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !st.Fused {
-						t.Fatal("default run not fused")
 					}
 					if !matrix.Equal(want, got, 0) {
-						t.Fatalf("budget=%d threads=%d: fused differs from unfused", budget, threads)
+						t.Fatalf("budget=%d threads=%d: differs from the ascending-k fold", budget, threads)
 					}
 				}
 			}

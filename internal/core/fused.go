@@ -10,9 +10,9 @@ import (
 	"pbspgemm/internal/radix"
 )
 
-// This file is the fused sort→fold→assemble pipeline (the engine's default;
-// Options.DisableFusion runs sort, compress and assemble as three passes, for
-// ablations and as the equivalence tests' oracle).
+// This file is the fused sort→fold phase: the paper's sort and compress
+// phases (Sections III-D and III-E) run as one pass per bin while the bin is
+// in cache, tallying row counts for assemble as it goes.
 //
 // One bin is folded by one of two flat kernels of internal/radix, chosen per
 // bin by denseBin from the bin's tuple count, the packed key width
@@ -32,13 +32,13 @@ import (
 // everywhere else, which is every bin of a product whose keys pass 32 bits.
 //
 // All tally the bin's per-row output counts as they finish, so assemble has
-// exact offsets the moment the phase ends. All are bit-identical to the
-// unfused path, and the key32 pair to each other, by one argument: a stable
-// sort leaves equal keys in arrival (expand) order, and every fold is the
-// chain "first value assigned, later ones added" over that order — which is
-// what the two-pointer compress runs over the stably sorted bin
-// (FuzzFusedVsUnfused, TestBothKernelsSameBytes and
-// TestSpecialValuesThroughTheFold pin it).
+// exact offsets the moment the phase ends. All are bit-identical to each
+// other, and to a scalar fold in ascending k, by one argument: a stable sort
+// leaves equal keys in arrival (expand) order, which is ascending k, and every
+// fold is the chain "first value assigned, later ones added" over that order
+// — which is also what the two-pointer compress runs over a split bin once
+// its buckets are sorted (TestFusedMatchesUnfusedBitIdentical,
+// TestBothKernelsSameBytes and TestSpecialValuesThroughTheFold pin it).
 //
 // A budgeted run folds twice with these kernels: each panel's bins into runs,
 // then each bin's gathered runs (panels.go). A run is duplicate-free and the
@@ -55,21 +55,18 @@ import (
 
 // sortTask is one unit of sort-phase work for the work-stealing scheduler: a
 // whole bin, or (bucket=true) one top-digit bucket of a partitioned
-// oversized bin, with arg carrying the remaining key bits to sort on.
+// oversized bin, with bits the remaining key bits to sort on.
 type sortTask struct {
 	bin        int32
 	bucket     bool
 	start, end int64
-	arg        int
+	bits       int
 }
 
-// runSortPhase executes the sort phase over the bins ws.binStart lays out:
-// fused (e.fused: sort+fold+tally, filling binOut and, when non-nil,
-// rowCounts) or unfused (sort only; compressBins runs separately, and the two
-// slices are not touched). Threads==1 runs the bins sequentially with no
-// scheduler, allocation-free.
+// runSortPhase sorts, folds and tallies every bin ws.binStart lays out,
+// filling binOut and, when non-nil, rowCounts. Threads==1 runs the bins
+// sequentially with no scheduler, allocation-free.
 func (e *engine) runSortPhase(binOut, rowCounts []int64) {
-	fused := e.fused
 	threads := e.opt.Threads
 	bs := e.ws.binStart
 	// Size the per-worker scratch before any worker starts: sort planes for
@@ -79,7 +76,7 @@ func (e *engine) runSortPhase(binOut, rowCounts []int64) {
 	var maxSeg, accSlots int64
 	for bin := 0; bin < e.nbins; bin++ {
 		n := bs[bin+1] - bs[bin]
-		if fused && e.denseBin(n) {
+		if e.denseBin(n) {
 			accSlots = int64(1) << e.keyBits()
 		} else if n > maxSeg {
 			maxSeg = n
@@ -100,11 +97,7 @@ func (e *engine) runSortPhase(binOut, rowCounts []int64) {
 			if faultinject.Enabled {
 				faultinject.Fire(faultinject.SiteSortTask, 0)
 			}
-			if fused {
-				e.fuseWholeBin(0, bin, binOut, rowCounts)
-			} else {
-				e.lay.sortSeg(e, sortSeg{start: bs[bin], end: bs[bin+1], arg: -1})
-			}
+			e.fuseWholeBin(0, bin, binOut, rowCounts)
 		}
 		return
 	}
@@ -113,11 +106,7 @@ func (e *engine) runSortPhase(binOut, rowCounts []int64) {
 	partBounds := matrix.Grow(&e.ws.partBounds, threads*(radix.MaxPartitionBuckets+1))
 	seeds := e.ws.sortTasks[:0]
 	for bin := 0; bin < e.nbins; bin++ {
-		lo, hi := bs[bin], bs[bin+1]
-		if !fused && hi-lo < 2 {
-			continue // nothing to sort, and compressBins owns binOut
-		}
-		seeds = append(seeds, sortTask{bin: int32(bin), start: lo, end: hi})
+		seeds = append(seeds, sortTask{bin: int32(bin), start: bs[bin], end: bs[bin+1]})
 	}
 	e.ws.sortTasks = seeds
 	// Pooled ownership/steal counters: they feed Stats.
@@ -145,22 +134,17 @@ func (e *engine) runSortPhase(binOut, rowCounts []int64) {
 func (e *engine) runSortTask(worker int, t sortTask, spawn func(sortTask),
 	cutoff int64, pending []int32, partBounds []int64, binOut, rowCounts []int64) {
 
-	fused := e.fused
 	bin := int(t.bin)
 	if t.bucket {
-		e.lay.sortSeg(e, sortSeg{start: t.start, end: t.end, arg: t.arg, worker: worker})
-		if fused && atomic.AddInt32(&pending[bin], -1) == 0 {
+		e.lay.sortSeg(e, sortSeg{start: t.start, end: t.end, bits: t.bits, worker: worker})
+		if atomic.AddInt32(&pending[bin], -1) == 0 {
 			// Last bucket of a split bin: the bin is fully sorted — fold it.
-			e.compressOneBin(bin, binOut, rowCounts)
+			e.compressOneBin(worker, bin, binOut, rowCounts)
 		}
 		return
 	}
-	if n := t.end - t.start; n <= cutoff || fused && e.denseBin(n) {
-		if fused {
-			e.fuseWholeBin(worker, bin, binOut, rowCounts)
-		} else {
-			e.lay.sortSeg(e, sortSeg{start: t.start, end: t.end, arg: -1, worker: worker})
-		}
+	if n := t.end - t.start; n <= cutoff || e.denseBin(n) {
+		e.fuseWholeBin(worker, bin, binOut, rowCounts)
 		return
 	}
 
@@ -172,50 +156,47 @@ func (e *engine) runSortTask(worker int, t sortTask, spawn func(sortTask),
 	lo, hi := t.start, t.end
 	stride := radix.MaxPartitionBuckets + 1
 	bounds := partBounds[worker*stride : (worker+1)*stride]
-	nb, arg := e.lay.partitionTop(e, worker, lo, hi, bounds)
+	nb, bits := e.lay.partitionTop(e, worker, lo, hi, bounds)
 	nspawn := 0
 	for b := 0; b < nb; b++ {
 		if bounds[b+1]-bounds[b] > 1 {
 			nspawn++
 		}
 	}
-	if nspawn > 0 {
-		if fused {
-			// Published to bucket tasks through the spawn below.
-			atomic.StoreInt32(&pending[bin], int32(nspawn))
-		}
-		for b := 0; b < nb; b++ {
-			blo, bhi := lo+bounds[b], lo+bounds[b+1]
-			if bhi-blo > 1 {
-				spawn(sortTask{bin: t.bin, bucket: true, start: blo, end: bhi, arg: arg})
-			}
-		}
-	}
-	if nspawn == 0 && fused {
+	if nspawn == 0 {
 		// The partition pass alone finished the bin: fold it now.
-		e.compressOneBin(bin, binOut, rowCounts)
+		e.compressOneBin(worker, bin, binOut, rowCounts)
+		return
+	}
+	// Published to bucket tasks through the spawn below.
+	atomic.StoreInt32(&pending[bin], int32(nspawn))
+	for b := 0; b < nb; b++ {
+		blo, bhi := lo+bounds[b], lo+bounds[b+1]
+		if bhi-blo > 1 {
+			spawn(sortTask{bin: t.bin, bucket: true, start: blo, end: bhi, bits: bits})
+		}
 	}
 }
 
 // fuseWholeBin folds one bin with the layout's fused kernel, which also
 // tallies its row counts while the folded keys are hot. The folded prefix lands
-// at the bin's own binStart offset, exactly where compressBin would leave it.
+// at the bin's own binStart offset.
 func (e *engine) fuseWholeBin(worker, bin int, binOut, rowCounts []int64) {
 	binOut[bin] = e.lay.fuseBin(e, worker, bin, rowCounts)
+}
+
+// compressOneBin folds a split bin its buckets have finished sorting, with the
+// layout's two-pointer compress and the same tally.
+func (e *engine) compressOneBin(worker, bin int, binOut, rowCounts []int64) {
+	if faultinject.Enabled {
+		faultinject.Fire(faultinject.SiteFoldBin, worker)
+	}
+	binOut[bin] = e.lay.compressBin(e, bin, rowCounts)
 }
 
 // keyBits is the packed key width of the run's geometry; at most 32 on the
 // key32 layouts.
 func (e *engine) keyBits() uint { return e.rowShift + e.colBits }
-
-// segKeyBits is the key width a sort segment still varies on: the whole key
-// for a bin, the partition pass's remaining bits for a bucket.
-func (e *engine) segKeyBits(s sortSeg) int {
-	if s.arg < 0 {
-		return int(e.keyBits())
-	}
-	return s.arg
-}
 
 // The per-bin kernel rule's two constants. A bin folds through the
 // direct-address accumulator when its key space is at most denseSlotsPerTuple

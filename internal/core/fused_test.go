@@ -2,18 +2,87 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"pbspgemm/internal/gen"
 	"pbspgemm/internal/matrix"
 )
 
-// TestFusedMatchesUnfusedBitIdentical is the fused pipeline's equivalence
-// matrix: on ER and R-MAT inputs, budgeted and unbudgeted, at
-// Threads ∈ {1, 2, 8} and in both tuple layouts, the fused (default) output
-// must be bit-identical — structure and float64 values — to the unfused
-// PR 4 path. Every sort is stable and every fold runs in arrival order —
-// compress order — so this holds with no tolerance at all.
+// FoldReference is the fold order the engine reproduces bit for bit at every
+// thread count, layout and budget, computed with nothing of the engine: per
+// output row a map accumulator, A walked by rows so an entry's products arrive
+// in ascending k, the first one assigned and each later one added. A memory
+// budget closes a partial sum at each panel cut — columns of A taken greedily
+// while their outer products' 16-byte tuples fit it — and the partial sums
+// are added in panel order. Exported for the core_test package's tests.
+func FoldReference(a, b *matrix.CSR, budget int64) *matrix.CSR {
+	colFlops := make([]int64, a.NumCols)
+	for _, k := range a.ColIdx {
+		colFlops[k] += b.RowPtr[k+1] - b.RowPtr[k]
+	}
+	panel := make([]int, a.NumCols) // the panel column k of A falls in
+	if budgetTuples := budget / WideTupleBytes; budget > 0 {
+		var cur int64
+		for k, f := range colFlops {
+			if cur > 0 && cur+f > budgetTuples {
+				panel[k], cur = panel[k-1]+1, 0
+			} else if k > 0 {
+				panel[k] = panel[k-1]
+			}
+			cur += f
+		}
+	}
+	c := &matrix.CSR{NumRows: a.NumRows, NumCols: b.NumCols, RowPtr: make([]int64, a.NumRows+1)}
+	total, part := map[int32]float64{}, map[int32]float64{}
+	closePanel := func() {
+		for col, v := range part {
+			if t, ok := total[col]; ok {
+				v = t + v
+			}
+			total[col] = v
+		}
+		clear(part)
+	}
+	for r := int32(0); r < a.NumRows; r++ {
+		open := 0
+		for p := a.RowPtr[r]; p < a.RowPtr[r+1]; p++ {
+			k := a.ColIdx[p]
+			if panel[k] != open {
+				closePanel()
+				open = panel[k]
+			}
+			for q := b.RowPtr[k]; q < b.RowPtr[k+1]; q++ {
+				col, v := b.ColIdx[q], a.Val[p]*b.Val[q]
+				if acc, ok := part[col]; ok {
+					v = acc + v
+				}
+				part[col] = v
+			}
+		}
+		closePanel()
+		cols := make([]int32, 0, len(total))
+		for col := range total {
+			cols = append(cols, col)
+		}
+		slices.Sort(cols)
+		for _, col := range cols {
+			c.ColIdx = append(c.ColIdx, col)
+			c.Val = append(c.Val, total[col])
+		}
+		c.RowPtr[r+1] = int64(len(c.ColIdx))
+		clear(total)
+	}
+	return c
+}
+
+// TestFusedMatchesUnfusedBitIdentical is the fused pipeline's real-valued
+// equivalence matrix: on ER and R-MAT inputs, budgeted and unbudgeted, at
+// Threads ∈ {1, 2, 8} and in both tuple layouts, the output must be
+// bit-identical — structure and float64 values — to FoldReference, the
+// scalar fold in ascending k with a partial sum closed at each panel cut.
+// Every sort is stable and every fold runs in arrival order, so this holds
+// with no tolerance at all.
 func TestFusedMatchesUnfusedBitIdentical(t *testing.T) {
 	inputs := []struct {
 		name string
@@ -24,33 +93,22 @@ func TestFusedMatchesUnfusedBitIdentical(t *testing.T) {
 	}
 	for _, in := range inputs {
 		acsc := in.a.ToCSC()
-		for _, layout := range []Layout{LayoutSqueezed, LayoutWide} {
-			for _, budget := range []int64{0, 64 << 10} {
+		for _, budget := range []int64{0, 64 << 10} {
+			want := FoldReference(in.a, in.b, budget)
+			for _, layout := range []Layout{LayoutSqueezed, LayoutWide} {
 				for _, threads := range []int{1, 2, 8} {
 					name := fmt.Sprintf("%s/%v/budget=%d/threads=%d", in.name, layout, budget, threads)
 					t.Run(name, func(t *testing.T) {
 						opt := Options{Threads: threads, ForceLayout: layout, MemoryBudgetBytes: budget}
-						opt.DisableFusion = true
-						want, stU, err := Multiply(acsc, in.b, opt)
+						got, st, err := Multiply(acsc, in.b, opt)
 						if err != nil {
 							t.Fatal(err)
 						}
-						if stU.Fused {
-							t.Fatal("DisableFusion run reported Fused")
-						}
-						opt.DisableFusion = false
-						got, stF, err := Multiply(acsc, in.b, opt)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !stF.Fused {
-							t.Fatal("default run did not report Fused")
-						}
-						if budget > 0 && stF.NPanels < 2 {
-							t.Fatalf("budget %d did not tile (panels=%d)", budget, stF.NPanels)
+						if budget > 0 && st.NPanels < 2 {
+							t.Fatalf("budget %d did not tile (panels=%d)", budget, st.NPanels)
 						}
 						if !csrBitIdentical(want, got) {
-							t.Fatal("fused output not bit-identical to unfused")
+							t.Fatal("output not bit-identical to the ascending-k fold")
 						}
 					})
 				}
@@ -60,8 +118,8 @@ func TestFusedMatchesUnfusedBitIdentical(t *testing.T) {
 }
 
 // TestFusedSplitBinsBitIdentical forces the oversized-bin work-stealing
-// split (tiny L2 budget, few bins, skewed R-MAT) and checks the fused
-// parallel result against sequential fused and against unfused — the split
+// split (tiny L2 budget, few bins, skewed R-MAT) and checks the parallel
+// result against the sequential one and against FoldReference — the split
 // path folds a partitioned bin with the two-pointer compress, which must
 // equal the whole-bin fused sort bit for bit.
 func TestFusedSplitBinsBitIdentical(t *testing.T) {
@@ -74,6 +132,9 @@ func TestFusedSplitBinsBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if !csrBitIdentical(FoldReference(a, b, 0), want) {
+			t.Fatalf("layout=%v: sequential output differs from the ascending-k fold", layout)
+		}
 		for _, threads := range []int{2, 8} {
 			opt := base
 			opt.Threads = threads
@@ -83,14 +144,6 @@ func TestFusedSplitBinsBitIdentical(t *testing.T) {
 			}
 			if !csrBitIdentical(want, got) {
 				t.Fatalf("layout=%v threads=%d: split fused output drifted from sequential", layout, threads)
-			}
-			opt.DisableFusion = true
-			unf, _, err := Multiply(acsc, b, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !csrBitIdentical(want, unf) {
-				t.Fatalf("layout=%v threads=%d: unfused split output differs", layout, threads)
 			}
 		}
 	}
@@ -165,8 +218,8 @@ func TestFusedSteadyStateAllocs(t *testing.T) {
 			opt := Options{Threads: 1, Workspace: ws, MemoryBudgetBytes: tc.budget, ForceLayout: tc.layout}
 			if _, st, err := Multiply(a, b, opt); err != nil {
 				t.Fatal(err)
-			} else if !st.Fused || st.Layout != tc.layout {
-				t.Fatalf("fused=%v layout=%v, want fused %v", st.Fused, st.Layout, tc.layout)
+			} else if st.Layout != tc.layout {
+				t.Fatalf("layout=%v, want %v", st.Layout, tc.layout)
 			}
 			allocs := testing.AllocsPerRun(10, func() {
 				if _, _, err := Multiply(a, b, opt); err != nil {
@@ -180,101 +233,9 @@ func TestFusedSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// FuzzFusedVsUnfused drives random shapes through the fused and unfused
-// pipelines — single-shot, budgeted, pooled and multi-threaded — and asserts
-// identical CSR. Values are small integers (fuzzMatrices), so the comparison
-// is exact; TestFusedMatchesUnfusedBitIdentical additionally holds real
-// values bit-identical on fixed inputs.
-func FuzzFusedVsUnfused(f *testing.F) {
-	f.Add([]byte{4, 4, 4, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3, 4})
-	f.Add([]byte{24, 24, 24, 9, 9, 9, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
-	f.Add([]byte{16, 1, 16, 255, 255, 255, 0, 0, 0, 128, 64, 32, 7, 6, 5})
-
-	wsF, wsU := NewWorkspace(), NewWorkspace()
-	f.Fuzz(func(t *testing.T, data []byte) {
-		a, b, ok := fuzzMatrices(data)
-		if !ok {
-			return
-		}
-		for _, base := range []Options{
-			{},
-			{Threads: 3},
-			{MemoryBudgetBytes: 256},
-			{MemoryBudgetBytes: 16, Threads: 2},
-			{ForceLayout: LayoutWide},
-			{ForceLayout: LayoutWide, MemoryBudgetBytes: 128},
-		} {
-			uopt := base
-			uopt.DisableFusion = true
-			if base.Threads <= 1 {
-				uopt.Workspace = wsU
-			}
-			want, _, err := Multiply(a, b, uopt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fopt := base
-			if base.Threads <= 1 {
-				fopt.Workspace = wsF
-			}
-			got, st, err := Multiply(a, b, fopt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !st.Fused {
-				t.Fatalf("default run not fused (opt %+v)", fopt)
-			}
-			if !matrix.Equal(want, got, 0) {
-				t.Fatalf("fused output differs from unfused (opt %+v)", base)
-			}
-		}
-	})
-}
-
-// BenchmarkFusedVsUnfused is the PR 5 acceptance benchmark: the high-cf
-// R-MAT regime (the compress sweep the fusion removes is largest relative
-// to output there), fused vs the three-pass PR 4 path, both layouts, on a
-// pooled workspace.
-func BenchmarkFusedVsUnfused(b *testing.B) {
-	a := gen.RMAT(10, 32, gen.Graph500Params, 1).ToCSC()
-	m := gen.RMAT(10, 32, gen.Graph500Params, 2)
-	for _, tc := range []struct {
-		name    string
-		layout  Layout
-		unfused bool
-	}{
-		{"squeezed/fused", LayoutSqueezed, false},
-		{"squeezed/unfused", LayoutSqueezed, true},
-		{"wide/fused", LayoutWide, false},
-		{"wide/unfused", LayoutWide, true},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			ws := NewWorkspace()
-			opt := Options{Workspace: ws, Threads: 1, ForceLayout: tc.layout, DisableFusion: tc.unfused}
-			_, st, err := Multiply(a, m, opt)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if st.Fused == tc.unfused {
-				b.Fatal("fusion flag not honored")
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := Multiply(a, m, opt); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			sec := b.Elapsed().Seconds() / float64(b.N)
-			b.ReportMetric(float64(st.Flops)/sec/1e9, "GFLOPS")
-		})
-	}
-}
-
-// TestFusedBudgetedShallowAndDeep holds the fused budgeted run to the unfused
-// one at a shallow budget (2-3 panels: a bin gathers two or three runs) and a
-// deep one (many panels, many runs per bin): bit-identical on the same budget.
+// TestFusedBudgetedShallowAndDeep holds the budgeted run to FoldReference on
+// the same budget at a shallow budget (2-3 panels: a bin gathers two or three
+// runs) and a deep one (many panels, many runs per bin): bit-identical.
 func TestFusedBudgetedShallowAndDeep(t *testing.T) {
 	a := gen.RMAT(9, 16, gen.Graph500Params, 51)
 	acsc := a.ToCSC()
@@ -289,15 +250,9 @@ func TestFusedBudgetedShallowAndDeep(t *testing.T) {
 		{"deep", flops * WideTupleBytes / 16, 8},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			want := FoldReference(a, b, tc.budget)
 			for _, threads := range []int{1, 4} {
-				opt := Options{Threads: threads, MemoryBudgetBytes: tc.budget}
-				opt.DisableFusion = true
-				want, _, err := Multiply(acsc, b, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				opt.DisableFusion = false
-				opt.Workspace = NewWorkspace()
+				opt := Options{Threads: threads, MemoryBudgetBytes: tc.budget, Workspace: NewWorkspace()}
 				got, st, err := Multiply(acsc, b, opt)
 				if err != nil {
 					t.Fatal(err)
@@ -306,7 +261,7 @@ func TestFusedBudgetedShallowAndDeep(t *testing.T) {
 					t.Fatalf("budget %d produced %d panels, want ≥ %d", tc.budget, st.NPanels, tc.minPanels)
 				}
 				if !csrBitIdentical(want, got.Clone()) {
-					t.Fatalf("threads=%d: fused budgeted (%s) differs from unfused", threads, tc.name)
+					t.Fatalf("threads=%d: budgeted (%s) differs from the ascending-k fold", threads, tc.name)
 				}
 			}
 		})

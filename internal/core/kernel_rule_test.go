@@ -174,13 +174,13 @@ func allPlusZero[V float32 | float64](vals []V) bool {
 
 // TestBothKernelsSameBytes runs the same bins through the dense fold, then
 // through the LSD, on every layout × threads 1–4 × one panel and 3, 17 and ~36
-// (the budgets below, on this product) × fused and unfused, and holds every
-// result to the bytes of the layout's single-thread unfused run (per budget:
+// (the budgets below, on this product), and holds every result to the bytes
+// of the layout's single-thread run under the per-bin rule (per budget:
 // panels regroup float sums).
 // A budgeted run folds twice — each panel's bins, then each bin's gathered
 // runs — so both kernels also meet duplicates that straddle panel boundaries.
 // The sparse half shrinks the cache budget so bins over 4096 tuples also take
-// the partition + sort-only + compress path when threads > 1. The int32 plane
+// the partition + bucket sort + compress path when threads > 1. The int32 plane
 // wraps around in products and sums alike.
 func TestBothKernelsSameBytes(t *testing.T) {
 	a, b := gen.RMAT(9, 16, gen.Graph500Params, 161), gen.RMAT(9, 16, gen.Graph500Params, 162)
@@ -195,9 +195,7 @@ func TestBothKernelsSameBytes(t *testing.T) {
 	for _, lr := range foldRunners(acsc, b) {
 		for _, budget := range []int64{0, 2 << 20, 256 << 10, 120 << 10} {
 			base := Options{Threads: 1, NBins: 4, MemoryBudgetBytes: budget}
-			unfused := base
-			unfused.DisableFusion = true
-			want, err := lr.run(unfused)
+			want, err := lr.run(base)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -205,29 +203,26 @@ func TestBothKernelsSameBytes(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/budget=%d/dense=%v", lr.name, budget, dense), func(t *testing.T) {
 					forceKernel(t, dense)
 					for threads := 1; threads <= 4; threads++ {
-						for _, disableFusion := range []bool{false, true} {
-							ws := NewWorkspace()
-							opt := base
-							opt.Threads, opt.DisableFusion, opt.Workspace = threads, disableFusion, ws
-							if !dense {
-								opt.L2CacheBytes = 4096
+						ws := NewWorkspace()
+						opt := base
+						opt.Threads, opt.Workspace = threads, ws
+						if !dense {
+							opt.L2CacheBytes = 4096
+						}
+						for rep := 0; rep < 2; rep++ { // the second run reuses the scratch the first left
+							got, err := lr.run(opt)
+							if err != nil {
+								t.Fatal(err)
 							}
-							for rep := 0; rep < 2; rep++ { // the second run reuses the scratch the first left
-								got, err := lr.run(opt)
-								if err != nil {
-									t.Fatal(err)
-								}
-								if !got.same(want) {
-									t.Fatalf("threads=%d unfused=%v rep=%d: differs from the single-thread unfused run", threads, disableFusion, rep)
-								}
-								if !scratchAtRest(ws) {
-									t.Fatalf("threads=%d unfused=%v rep=%d: dense scratch left dirty", threads, disableFusion, rep)
-								}
+							if !got.same(want) {
+								t.Fatalf("threads=%d rep=%d: differs from the single-thread run", threads, rep)
 							}
-							wantDense := dense && !disableFusion
-							if ranDense := cap(ws.accBits) > 0; ranDense != wantDense {
-								t.Fatalf("threads=%d unfused=%v: dense kernel sized = %v", threads, disableFusion, ranDense)
+							if !scratchAtRest(ws) {
+								t.Fatalf("threads=%d rep=%d: dense scratch left dirty", threads, rep)
 							}
+						}
+						if ranDense := cap(ws.accBits) > 0; ranDense != dense {
+							t.Fatalf("threads=%d: dense kernel sized = %v", threads, ranDense)
 						}
 					}
 				})
@@ -287,12 +282,12 @@ func TestDenseScratchSurvivesCancel(t *testing.T) {
 // TestSpecialValuesThroughTheFold pins −0.0, NaN and ±Inf through both
 // kernels on the squeezed, narrow and wide layouts (the wide one over float64
 // and over float32: pairs[V] has no value type of its own), in one panel and across
-// about 2, 9 and 34: every fused run is bit-identical to the single-thread
-// unfused one on the same budget, and both agree with
+// about 2, 9 and 34: every run is bit-identical to the single-thread one under
+// the per-bin rule on the same budget, and that one agrees with
 // matrix.ReferenceMultiply — bit for bit (the finite values are small
 // multiples of 1/4, so no regrouping of a sum rounds) except that Reference,
-// summing from +0, cannot keep the sign of a zero. The pattern layout keeps
-// every such entry.
+// summing from +0, cannot keep the sign of a zero, which the test asserts
+// directly instead. The pattern layout keeps every such entry.
 // Rows 0–15 of A hold only −0.0 and B only positive values, so every entry
 // there is a group of −0.0 products that must come out −0.0 — the case a
 // zero-initialised accumulator (the fused path before PR 16) loses.
@@ -336,7 +331,7 @@ func TestSpecialValuesThroughTheFold(t *testing.T) {
 		}
 		wants := make([]product, len(budgets))
 		for bi, budget := range budgets {
-			want, err := lr.run(Options{Threads: 1, NBins: 4, DisableFusion: true, MemoryBudgetBytes: budget})
+			want, err := lr.run(Options{Threads: 1, NBins: 4, MemoryBudgetBytes: budget})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -359,14 +354,12 @@ func TestSpecialValuesThroughTheFold(t *testing.T) {
 				}
 				for bi, budget := range budgets {
 					for _, threads := range []int{1, 3} {
-						for _, disableFusion := range []bool{false, true} {
-							got, err := lr.run(Options{Threads: threads, NBins: 4, DisableFusion: disableFusion, MemoryBudgetBytes: budget})
-							if err != nil {
-								t.Fatal(err)
-							}
-							if !got.same(wants[bi]) {
-								t.Fatalf("budget=%d threads=%d unfused=%v: differs from the single-thread unfused run", budget, threads, disableFusion)
-							}
+						got, err := lr.run(Options{Threads: threads, NBins: 4, MemoryBudgetBytes: budget})
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !got.same(wants[bi]) {
+							t.Fatalf("budget=%d threads=%d: differs from the single-thread run", budget, threads)
 						}
 					}
 				}

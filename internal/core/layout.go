@@ -74,16 +74,15 @@ type layoutOps interface {
 	// tuples (threads × engine.scratchStride) of sort planes plus, when the
 	// panel has dense bins, accSlots (1<<keyBits) accumulator slots a worker.
 	growScratch(e *engine, total, accSlots int64)
-	// sortSeg stably sorts tuples [s.start, s.end) on worker s.worker's
-	// scratch; s.arg < 0 means a whole bin, otherwise the remaining key bits
-	// / byte index of a partitioned bucket.
+	// sortSeg stably sorts the partitioned bucket [s.start, s.end) on its
+	// remaining s.bits key bits, on worker s.worker's scratch.
 	sortSeg(e *engine, s sortSeg)
 	// partitionTop runs the sort's first splitting pass over [lo, hi) on the
 	// given worker's scratch, filling bounds (len ≥
 	// radix.MaxPartitionBuckets+1) and returning the bucket count and the
-	// arg buckets continue sorting at. nbuckets == 0 means the range needs
-	// no further sorting.
-	partitionTop(e *engine, worker int, lo, hi int64, bounds []int64) (nbuckets, arg int)
+	// key bits buckets continue sorting on. nbuckets == 0 means the range
+	// needs no further sorting.
+	partitionTop(e *engine, worker int, lo, hi int64, bounds []int64) (nbuckets, bits int)
 	// fuseBin sorts and folds bin (its tuples lie at ws.binStart[bin:bin+2])
 	// on the given worker's scratch, leaving the sorted, folded prefix in
 	// place and returning its length, and tallies the folded rows into
@@ -91,8 +90,8 @@ type layoutOps interface {
 	// tail). Rows of a bin are touched by no other bin, so the shared slice
 	// needs no synchronization.
 	fuseBin(e *engine, worker, bin int, rowCounts []int64) int64
-	// compressBin folds duplicates of the already sorted bin in place, with
-	// the same tally, returning the folded length.
+	// compressBin folds duplicates of a split bin its buckets have sorted,
+	// in place, with the same tally, returning the folded length.
 	compressBin(e *engine, bin int, rowCounts []int64) int64
 	// appendRun copies the folded bin segment at [src, src+n) into the run
 	// arena.
@@ -452,7 +451,7 @@ func (l *pairs[V]) scratchFor(e *engine, w int, n int64) []radix.Pair[V] {
 }
 
 func (l *pairs[V]) sortSeg(e *engine, s sortSeg) {
-	radix.SortPairs(l.tuples[s.start:s.end], l.scratchFor(e, s.worker, s.end-s.start), e.segKeyBits(s), nil)
+	radix.SortPairs(l.tuples[s.start:s.end], l.scratchFor(e, s.worker, s.end-s.start), s.bits, nil)
 }
 
 func (l *pairs[V]) partitionTop(e *engine, worker int, lo, hi int64, bounds []int64) (int, int) {
@@ -674,7 +673,7 @@ func (l *kv[V]) sortSeg(e *engine, s sortSeg) {
 	n := s.end - s.start
 	w0, w1 := e.scratchWordsFor(s.worker, n)
 	radix.SortFold(e.ws.tupleKeys[s.start:s.end], l.tupleVals[s.start:s.end],
-		w0, w1, l.scratchValsFor(e, s.worker, n), e.segKeyBits(s), false, nil, 0)
+		w0, w1, l.scratchValsFor(e, s.worker, n), s.bits, false, nil, 0)
 }
 
 func (l *kv[V]) scratchValsFor(e *engine, w int, n int64) []V {
@@ -847,7 +846,7 @@ func (patternOps) growScratch(e *engine, total, _ int64) {
 
 func (patternOps) sortSeg(e *engine, s sortSeg) {
 	radix.SortFoldPattern(e.ws.tupleKeys[s.start:s.end],
-		e.scratchKeysFor(s.worker, s.end-s.start), e.segKeyBits(s), false, nil, 0)
+		e.scratchKeysFor(s.worker, s.end-s.start), s.bits, false, nil, 0)
 }
 
 func (patternOps) partitionTop(e *engine, worker int, lo, hi int64, bounds []int64) (int, int) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"pbspgemm/internal/gen"
@@ -26,7 +27,7 @@ func csrBitIdentical(a, b *matrix.CSR) bool {
 		}
 	}
 	for i := range a.Val {
-		if a.Val[i] != b.Val[i] {
+		if math.Float64bits(a.Val[i]) != math.Float64bits(b.Val[i]) {
 			return false
 		}
 	}

@@ -136,7 +136,7 @@ func (e *engine) groupRuns() int64 {
 
 // gatherRuns copies every bin's runs, in panel order, into the bin's segment
 // of the tuple planes. Bins are independent, so they run under the same
-// dynamic schedule as compress and assemble.
+// dynamic schedule as assemble.
 func (e *engine) gatherRuns() {
 	if e.opt.Threads == 1 {
 		for bin := 0; bin < e.nbins; bin++ {

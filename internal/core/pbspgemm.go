@@ -186,8 +186,8 @@ type Options struct {
 	Workspace *Workspace
 	// Cancel, if non-nil, is polled at phase boundaries and inside the long
 	// phase loops: per column chunk in expand (every ~cancelPollTuples
-	// expanded tuples), per task in sort, per bin in fold, assemble and the
-	// budgeted gather. A non-nil return aborts the multiplication with that
+	// expanded tuples), per task in the fuse phase, per bin in assemble and
+	// the budgeted gather. A non-nil return aborts the multiplication with that
 	// error; workers drain to the next poll before the join, so no goroutines
 	// leak. The public API wires context.Context.Err here.
 	Cancel func() error
@@ -198,12 +198,6 @@ type Options struct {
 	// falls back to wide otherwise (keys are never truncated). Stats.Layout
 	// reports the layout actually used.
 	ForceLayout Layout
-	// DisableFusion runs the three-pass sort → compress → assemble pipeline
-	// instead of the default fused one (each bin is sorted, folded and
-	// tallied by one kernel call; see fused.go). Output is bit-identical
-	// either way; the switch exists for ablations, equivalence tests and
-	// benchmarks. Stats.Fused reports the mode actually run.
-	DisableFusion bool
 }
 
 func (o Options) withDefaults() Options {
@@ -220,16 +214,14 @@ func (o Options) withDefaults() Options {
 // Stats records per-phase timings and the paper's per-phase traffic model
 // (Table III), from which sustained bandwidth per phase is derived.
 type Stats struct {
-	Symbolic, Expand, Sort, Compress, Assemble time.Duration
-	// Fuse is the fused sort+fold phase (default pipeline): it subsumes Sort
-	// and Compress, which stay zero on fused runs. Unfused runs
-	// (Options.DisableFusion) leave Fuse zero and report Sort/Compress as
-	// before.
+	Symbolic, Expand, Assemble time.Duration
+	// Fuse is the fused sort+fold phase: the paper's sort and compress
+	// phases, run as one pass per bin while the bin is in cache (fused.go).
 	Fuse time.Duration
 	// Merge is the copying a memory budget costs: appending each panel's
 	// folded runs to the run arena, then grouping and gathering them per bin.
 	// Nonzero only on budgeted (multi-panel) runs; their final fold over the
-	// gathered bins is charged to Fuse (or Sort and Compress) like a panel's.
+	// gathered bins is charged to Fuse like a panel's.
 	Merge time.Duration
 	Total time.Duration
 
@@ -250,10 +242,6 @@ type Stats struct {
 	// TupleBytes is the per-tuple byte cost of that layout (16, 12, 8 or 4) —
 	// the b entering the traffic model below.
 	TupleBytes int64
-	// Fused reports whether the run used the fused pipeline (the default;
-	// see Options.DisableFusion). Fused runs account the sort/compress
-	// traffic under Fuse/FusedBytes instead of Sort/Compress.
-	Fused bool
 	// Kernel names the inner-loop kernel set of the build, internal/simd's
 	// Level(): "batched", "batched+goamd64v3", or "purego" (the scalar loops)
 	// on builds with that tag.
@@ -266,32 +254,22 @@ type Stats struct {
 
 	// Traffic model (bytes), following Eq. 4 / Table III with the per-run
 	// tuple cost: expand reads both inputs (16 B per stored nonzero) and
-	// writes flop tuples at TupleBytes each. Unfused runs then charge the
-	// sort's read-back (SortBytes) and the compress write (CompressBytes);
-	// fused runs charge only FusedBytes = TupleBytes·flop — the single
-	// read-back of the expanded tuples — because folding happens in the
-	// sort's cache-resident last pass and the compress write never goes to
-	// memory as a separate sweep. The per-field split keeps measured GB/s
-	// honest per phase; zero fields belong to the mode not run.
-	ExpandBytes, SortBytes, CompressBytes, FusedBytes int64
+	// writes flop tuples at TupleBytes each. The fuse phase then charges
+	// FusedBytes = TupleBytes·flop — the single read-back of the expanded
+	// tuples — because folding happens in the sort's cache-resident last
+	// pass and the compress write never goes to memory as a separate sweep.
+	ExpandBytes, FusedBytes int64
 }
 
 // ExpandGBs returns the expand-phase sustained bandwidth in GB/s.
 func (s *Stats) ExpandGBs() float64 { return gbs(s.ExpandBytes, s.Expand) }
 
-// SortGBs returns the sort-phase sustained bandwidth in GB/s.
-func (s *Stats) SortGBs() float64 { return gbs(s.SortBytes, s.Sort) }
-
-// CompressGBs returns the compress-phase sustained bandwidth in GB/s.
-func (s *Stats) CompressGBs() float64 { return gbs(s.CompressBytes, s.Compress) }
-
-// FuseGBs returns the fused sort+fold phase's sustained bandwidth in GB/s
-// (zero on unfused runs).
+// FuseGBs returns the fused sort+fold phase's sustained bandwidth in GB/s.
 func (s *Stats) FuseGBs() float64 { return gbs(s.FusedBytes, s.Fuse) }
 
 // OverallGBs returns total modeled traffic divided by total time.
 func (s *Stats) OverallGBs() float64 {
-	return gbs(s.ExpandBytes+s.SortBytes+s.CompressBytes+s.FusedBytes, s.Total)
+	return gbs(s.ExpandBytes+s.FusedBytes, s.Total)
 }
 
 // GFLOPS returns the end-to-end performance in the paper's metric.
@@ -333,7 +311,6 @@ type engine struct {
 	key32         bool       // layout packs keys into uint32 (everything but wide)
 	lay           layoutOps  // per-layout element accesses (layout.go)
 	f64Out        *[]float64 // the out plane of the float64 layout bindLayout bound for Multiply, else nil
-	fused         bool       // fused sort→compress→assemble pipeline (see fused.go)
 	tupleBytes    int64      // per-tuple cost of layout (16/12/8/4)
 	wideBytes     int64      // size of a wide tuple: 16, more when MultiplyWide's V is over 8 bytes
 	localCap      int32      // tuples per thread-private local bin
@@ -442,7 +419,6 @@ func (e *engine) run() (*matrix.CSR, error) {
 
 	t0 := time.Now()
 	e.phase = "plan"
-	e.fused = !e.opt.DisableFusion
 	e.st.Kernel = simd.Level()
 	e.symbolic()
 	e.planPanels()
@@ -454,7 +430,6 @@ func (e *engine) run() (*matrix.CSR, error) {
 	e.st.Flops = e.flops
 	e.st.NBins = e.nbins
 	e.st.NPanels = e.npanels
-	e.st.Fused = e.fused
 	e.st.Layout = e.layout
 	e.st.TupleBytes = e.tupleBytes
 
@@ -501,12 +476,7 @@ func (e *engine) run() (*matrix.CSR, error) {
 		bRead = 4 // ColIdx only
 	}
 	e.st.ExpandBytes = inBytes*int64(len(e.a.RowIdx)) + (bRead+e.tupleBytes)*e.flops
-	if e.fused {
-		e.st.FusedBytes = e.tupleBytes * e.flops
-	} else {
-		e.st.SortBytes = e.tupleBytes * e.flops
-		e.st.CompressBytes = e.tupleBytes * e.st.NNZC
-	}
+	e.st.FusedBytes = e.tupleBytes * e.flops
 	if e.st.NNZC > 0 {
 		e.st.CF = float64(e.st.Flops) / float64(e.st.NNZC)
 	}
@@ -537,26 +507,13 @@ func (e *engine) runSingleShot() (*matrix.CSR, error) {
 
 // foldBins sorts and folds every bin ws.binStart lays out over the tuple
 // planes, leaving each bin's folded prefix in place and its length in
-// ws.binOut, and per-row output counts in rowCounts when that is non-nil. The
-// default fused pipeline does it in one pass per bin (fused.go); the unfused
-// one keeps the paper's separate sort and compress phases.
+// ws.binOut, and per-row output counts in rowCounts when that is non-nil, in
+// one pass per bin (fused.go).
 func (e *engine) foldBins(rowCounts []int64) error {
-	binOut := matrix.Grow(&e.ws.binOut, e.nbins)
 	t0 := time.Now()
 	e.phase = "sort"
-	e.runSortPhase(binOut, rowCounts)
-	if e.fused {
-		e.st.Fuse += time.Since(t0)
-		return e.canceled()
-	}
-	e.st.Sort += time.Since(t0)
-	if err := e.canceled(); err != nil {
-		return err
-	}
-	t0 = time.Now()
-	e.phase = "compress"
-	e.compressBins(binOut, rowCounts)
-	e.st.Compress += time.Since(t0)
+	e.runSortPhase(matrix.Grow(&e.ws.binOut, e.nbins), rowCounts)
+	e.st.Fuse += time.Since(t0)
 	return e.canceled()
 }
 
@@ -575,38 +532,6 @@ func (e *engine) foldAndAssemble() (*matrix.CSR, error) {
 		return nil, err
 	}
 	return c, nil
-}
-
-// compressBins folds duplicates in every sorted bin of the current panel,
-// recording per-bin output counts in binOut and (when rowCounts is non-nil)
-// per-row tallies for assembly.
-func (e *engine) compressBins(binOut, rowCounts []int64) {
-	if e.opt.Threads == 1 {
-		for bin := 0; bin < e.nbins; bin++ {
-			if e.pollCancel() {
-				return
-			}
-			if faultinject.Enabled {
-				faultinject.Fire(faultinject.SiteFoldBin, 0)
-			}
-			e.compressOneBin(bin, binOut, rowCounts)
-		}
-	} else {
-		par.ForEachDynamic(e.nbins, e.opt.Threads, func(worker, bin int) {
-			defer e.containWorker(worker)
-			if e.pollCancel() {
-				return
-			}
-			if faultinject.Enabled {
-				faultinject.Fire(faultinject.SiteFoldBin, worker)
-			}
-			e.compressOneBin(bin, binOut, rowCounts)
-		})
-	}
-}
-
-func (e *engine) compressOneBin(bin int, binOut, rowCounts []int64) {
-	binOut[bin] = e.lay.compressBin(e, bin, rowCounts)
 }
 
 // symbolic implements Algorithm 3's flop count: per-column flops from the
@@ -1005,16 +930,15 @@ func (e *engine) fenceFlushes() {
 // a variable (not const) so tests can force the NT path on small inputs.
 var ntMinArenaBytes int64 = 32 << 20
 
-// sortSeg is one unit of sort-phase work: tuples [start, end) of the current
-// panel's buffer. arg < 0 marks a whole bin; otherwise the segment is a
-// bucket of a partitioned oversized bin and arg carries the remaining key
-// bits to sort on. The sort phase itself — fused or not — is scheduled by
+// sortSeg is one unit of sort-phase work: a bucket [start, end) of a
+// partitioned oversized bin in the current panel's buffer, with bits the
+// remaining key bits to sort on. The sort phase is scheduled by
 // runSortPhase (fused.go) over a work-stealing queue, so oversized skewed bins
 // are partitioned by whichever worker meets them and their buckets spread
 // across the pool, instead of the partition passes serializing up front.
 type sortSeg struct {
 	start, end int64
-	arg        int
+	bits       int
 	// worker is the executing worker's slot, selecting its private slice of
 	// the sort-phase scratch planes (engine.scratchStride apart). Set by the
 	// scheduler at execution time, not enqueue time: whoever steals the

@@ -219,16 +219,11 @@ func TestQuickPBEqualsReference(t *testing.T) {
 func TestStatsBytesModel(t *testing.T) {
 	a := gen.ER(256, 4, 5)
 	b := gen.ER(256, 4, 6)
-	// Default path: fused pipeline. Sort/Compress accounting is replaced by
-	// the fused pass (one read-back of the expanded tuples).
 	_, st := multiplyCSR(t, a, b, Options{})
 	// Small square ER: the key geometry always allows squeezing, so the
 	// traffic model must run at 12 bytes per expanded tuple.
 	if st.Layout != LayoutSqueezed || st.TupleBytes != SqueezedTupleBytes {
 		t.Fatalf("layout = %v tupleBytes = %d, want squeezed/12", st.Layout, st.TupleBytes)
-	}
-	if !st.Fused {
-		t.Fatal("default run did not report Fused")
 	}
 	// Executed loads+stores (STREAM's counting): A streamed once, then one
 	// B element load (ColIdx + float64 = 12 B) and one tuple store per FLOP.
@@ -236,11 +231,9 @@ func TestStatsBytesModel(t *testing.T) {
 	if st.ExpandBytes != wantExpand {
 		t.Errorf("ExpandBytes = %d, want %d", st.ExpandBytes, wantExpand)
 	}
+	// The fuse phase reads the expanded tuples back once.
 	if st.FusedBytes != st.TupleBytes*st.Flops {
 		t.Errorf("FusedBytes = %d, want %d", st.FusedBytes, st.TupleBytes*st.Flops)
-	}
-	if st.SortBytes != 0 || st.CompressBytes != 0 {
-		t.Errorf("fused run reported Sort/Compress bytes %d/%d, want 0/0", st.SortBytes, st.CompressBytes)
 	}
 	if st.GFLOPS() <= 0 || st.ExpandGBs() <= 0 || st.FuseGBs() <= 0 || st.OverallGBs() <= 0 {
 		t.Error("expected positive throughput metrics")
@@ -249,30 +242,12 @@ func TestStatsBytesModel(t *testing.T) {
 		t.Errorf("cf = %v, want >= 1", st.CF)
 	}
 
-	// The unfused ablation keeps the PR 4 split accounting.
-	_, stu := multiplyCSR(t, a, b, Options{DisableFusion: true})
-	if stu.Fused {
-		t.Fatal("DisableFusion run reported Fused")
-	}
-	if stu.SortBytes != stu.TupleBytes*stu.Flops {
-		t.Errorf("SortBytes = %d, want %d", stu.SortBytes, stu.TupleBytes*stu.Flops)
-	}
-	if stu.CompressBytes != stu.TupleBytes*stu.NNZC {
-		t.Errorf("CompressBytes = %d, want %d", stu.CompressBytes, stu.TupleBytes*stu.NNZC)
-	}
-	if stu.FusedBytes != 0 {
-		t.Errorf("unfused run reported FusedBytes = %d, want 0", stu.FusedBytes)
-	}
-	if stu.SortGBs() <= 0 || stu.CompressGBs() <= 0 {
-		t.Error("expected positive unfused throughput metrics")
-	}
-
 	// The forced wide layout must report the paper's original 16-byte model.
-	_, stw := multiplyCSR(t, a, b, Options{ForceLayout: LayoutWide, DisableFusion: true})
+	_, stw := multiplyCSR(t, a, b, Options{ForceLayout: LayoutWide})
 	if stw.Layout != LayoutWide || stw.TupleBytes != WideTupleBytes {
 		t.Fatalf("forced wide: layout = %v tupleBytes = %d", stw.Layout, stw.TupleBytes)
 	}
-	if stw.SortBytes != matrix.BytesPerTuple*stw.Flops {
-		t.Errorf("wide SortBytes = %d, want %d", stw.SortBytes, matrix.BytesPerTuple*stw.Flops)
+	if stw.FusedBytes != matrix.BytesPerTuple*stw.Flops {
+		t.Errorf("wide FusedBytes = %d, want %d", stw.FusedBytes, matrix.BytesPerTuple*stw.Flops)
 	}
 }

@@ -23,7 +23,8 @@ const (
 	// SiteSortTask fires once per work-stealing sort task (whole-bin fuse,
 	// bucket sort, or oversized-bin partition).
 	SiteSortTask
-	// SiteFoldBin fires once per bin in the unfused compress phase.
+	// SiteFoldBin fires once per split bin, when the sort phase folds it
+	// after its last bucket (or its partition pass alone) finished sorting.
 	SiteFoldBin
 	// SiteMergeBin fires once per bin of a budgeted run's gather (its runs
 	// copied, in panel order, into one segment for the final fold).

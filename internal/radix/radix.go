@@ -14,13 +14,14 @@
 //   - SortFold / SortFoldPattern (lsd.go), for every other bin: a fixed-pass
 //     stable LSD radix that sorts key<<32|index words and gathers each value
 //     once, in the final sweep that also folds equal neighbours. With fold
-//     off it is the stable sort behind the unfused pipeline and behind the
-//     buckets PartitionTop cuts an oversized bin into.
+//     off it is the stable sort of the buckets PartitionTop cuts an
+//     oversized bin into.
 //
 // Both fold an equal-key group as one chain in arrival order — the first
 // value assigned, each later one added — which is exactly what a two-pointer
-// compress does over a stably sorted bin. So dense, sparse, sort-only +
-// compress and split-across-workers all produce the same bytes, special
+// compress does over a stably sorted bin. So dense, sparse and
+// split-across-workers (bucket sorts, then the compress) all produce the same
+// bytes, special
 // values (−0.0, NaN, ±Inf) and int32 wrap-around included.
 //
 // The wide layout's 16-byte Pair[V] (a 64-bit key, for products whose
@@ -28,7 +29,7 @@
 // products over a custom semiring) has one stable sort of its own, SortPairs
 // (pairs.go): the same fixed-pass LSD plan over whole elements, folding
 // through the caller's ⊕ as its last pass stores (CompressPairs is the
-// two-pointer compress of the unfused and split routes), with PartitionPairs
+// two-pointer compress of the split route), with PartitionPairs
 // as its top-digit split, and FoldDensePairs, FoldDense through that ⊕, for the
 // bins whose key space is small enough to address — the same chain, so the
 // same bytes. SortPairsInPlace beside them is the unstable in-place sort of

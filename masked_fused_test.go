@@ -43,7 +43,7 @@ func TestMultiplyMaskedAgainstSqueezedFusedPipeline(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.PB == nil || res.PB.Layout != LayoutSqueezed || !res.PB.Fused {
+			if res.PB == nil || res.PB.Layout != LayoutSqueezed || res.PB.Fuse <= 0 {
 				t.Fatalf("fixture did not exercise the squeezed fused pipeline: %+v", res.PB)
 			}
 			full := res.C.Clone() // res.C aliases the engine's pooled workspace
