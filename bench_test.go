@@ -346,6 +346,29 @@ func BenchmarkAblationSPA(b *testing.B) {
 	benchMultiply(b, a, m, WithAlgorithm(SPA))
 }
 
+// --- The oracle -----------------------------------------------------------------
+
+// BenchmarkReference times Reference, the oracle every product is checked
+// against, on an ER pair and a squared R-MAT, in nanoseconds per scalar product.
+func BenchmarkReference(b *testing.B) {
+	rmat := gen.RMAT(12, 16, gen.Graph500Params, 1)
+	for _, tc := range []struct {
+		name string
+		a, m *CSR
+	}{
+		{"er_2^14_d8", gen.ERMatrix(14, 8, 1), gen.ERMatrix(14, 8, 2)},
+		{"rmat_12_16_squared", rmat, rmat},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				Reference(tc.a, tc.m)
+			}
+			ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+			b.ReportMetric(ns/float64(Flops(tc.a, tc.m)), "ns/product")
+		})
+	}
+}
+
 // --- Execution engine: workspace reuse and memory budget ----------------------
 
 // BenchmarkWorkspaceSteadyState measures repeated multiplication through one

@@ -9,6 +9,30 @@ import (
 	"pbspgemm/internal/matrix"
 )
 
+// elementWiseMultiplySum returns sum over all (i,j) of a(i,j)*b(i,j), the
+// Hadamard-product mass. Triangle counting uses sum(A^2 .* A)/6 on a simple
+// undirected graph; both operands must be canonical CSR.
+func elementWiseMultiplySum(a, b *pbspgemm.CSR) float64 {
+	var total float64
+	for i := int32(0); i < a.NumRows; i++ {
+		p, pEnd := a.RowPtr[i], a.RowPtr[i+1]
+		q, qEnd := b.RowPtr[i], b.RowPtr[i+1]
+		for p < pEnd && q < qEnd {
+			switch {
+			case a.ColIdx[p] < b.ColIdx[q]:
+				p++
+			case a.ColIdx[p] > b.ColIdx[q]:
+				q++
+			default:
+				total += a.Val[p] * b.Val[q]
+				p++
+				q++
+			}
+		}
+	}
+	return total
+}
+
 // pathGraph returns the path 0-1-2-...-(n-1).
 func pathGraph(n int32) *Graph {
 	coo := &matrix.COO{NumRows: n, NumCols: n}
@@ -71,7 +95,7 @@ func TestTrianglesAgreeAcrossAlgorithms(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mass := matrix.ElementWiseMultiplySum(sq.C, g.Adj)
+		mass := elementWiseMultiplySum(sq.C, g.Adj)
 		if legacy := int64(mass+0.5) / 6; legacy != masked {
 			t.Fatalf("%v: masked count %d != unmasked count %d", alg, masked, legacy)
 		}

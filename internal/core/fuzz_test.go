@@ -34,7 +34,7 @@ func fuzzMatrices(data []byte) (*matrix.CSC, *matrix.CSR, bool) {
 			cooB.Val = append(cooB.Val, float64(v))
 		}
 	}
-	return cooA.ToCSC(), cooB.ToCSR(), true
+	return cooA.ToCSR().ToCSC(), cooB.ToCSR(), true
 }
 
 // FuzzSqueezedVsWide drives random shapes through both tuple layouts —

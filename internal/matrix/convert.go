@@ -7,61 +7,33 @@ import (
 	"pbspgemm/internal/radix"
 )
 
-// ToCSR converts a COO matrix to canonical CSR (rows sorted, duplicates
-// summed). The input is not modified.
+// ToCSR converts a COO matrix to canonical CSR (rows sorted, duplicates summed
+// in sorted order). The input is not modified. It packs (row, col) into a
+// 64-bit key and radix-sorts, so it is O(nnz) rather than comparison-sort bound.
 func (m *COO) ToCSR() *CSR {
-	d := m.Dedup()
-	csr := &CSR{
-		NumRows: m.NumRows, NumCols: m.NumCols,
-		RowPtr: make([]int64, m.NumRows+1),
-		ColIdx: make([]int32, len(d.Val)),
-		Val:    make([]float64, len(d.Val)),
+	pairs := make([]radix.Pair[float64], len(m.Val))
+	for i := range pairs {
+		pairs[i] = radix.Pair[float64]{Key: uint64(uint32(m.Row[i]))<<32 | uint64(uint32(m.Col[i])), Val: m.Val[i]}
 	}
-	for _, r := range d.Row {
-		csr.RowPtr[r+1]++
+	radix.SortPairsInPlace(pairs)
+	n := 0 // distinct keys, folded into the prefix of pairs
+	for i, p := range pairs {
+		if i > 0 && p.Key == pairs[n-1].Key {
+			pairs[n-1].Val += p.Val
+			continue
+		}
+		pairs[n] = p
+		n++
+	}
+	csr := NewCSR(m.NumRows, m.NumCols, int64(n))
+	for x, p := range pairs[:n] {
+		csr.RowPtr[p.Key>>32+1]++
+		csr.ColIdx[x], csr.Val[x] = int32(p.Key), p.Val
 	}
 	for i := int32(0); i < m.NumRows; i++ {
 		csr.RowPtr[i+1] += csr.RowPtr[i]
 	}
-	// d is sorted row-major, so a single sweep fills CSR in order.
-	copy(csr.ColIdx, d.Col)
-	copy(csr.Val, d.Val)
 	return csr
-}
-
-// ToCSC converts a COO matrix to canonical CSC (columns sorted, duplicates
-// summed). The input is not modified.
-func (m *COO) ToCSC() *CSC {
-	return m.ToCSR().ToCSC()
-}
-
-// Dedup returns a copy of m sorted row-major (row, then column) with
-// duplicate coordinates summed. It packs (row, col) into a 64-bit key and
-// radix-sorts, so deduplication is O(nnz) rather than comparison-sort bound.
-func (m *COO) Dedup() *COO {
-	n := len(m.Val)
-	pairs := make([]radix.Pair[float64], n)
-	for i := 0; i < n; i++ {
-		pairs[i] = radix.Pair[float64]{
-			Key: uint64(uint32(m.Row[i]))<<32 | uint64(uint32(m.Col[i])),
-			Val: m.Val[i],
-		}
-	}
-	radix.SortPairsInPlace(pairs)
-	out := &COO{NumRows: m.NumRows, NumCols: m.NumCols}
-	for i := 0; i < n; i++ {
-		k := len(out.Val)
-		row := int32(pairs[i].Key >> 32)
-		col := int32(pairs[i].Key & 0xffffffff)
-		if k > 0 && out.Row[k-1] == row && out.Col[k-1] == col {
-			out.Val[k-1] += pairs[i].Val
-			continue
-		}
-		out.Row = append(out.Row, row)
-		out.Col = append(out.Col, col)
-		out.Val = append(out.Val, pairs[i].Val)
-	}
-	return out
 }
 
 // ToCSC converts CSR to CSC with a counting pass (a transpose of the storage,
@@ -210,23 +182,6 @@ func (m *CSC) ToCSR() *CSR {
 			out.ColIdx[q] = j
 			out.Val[q] = m.Val[p]
 			cursor[r] = q + 1
-		}
-	}
-	return out
-}
-
-// ToCOO expands CSR into coordinate format, preserving row-major order.
-func (m *CSR) ToCOO() *COO {
-	nnz := m.NNZ()
-	out := &COO{
-		NumRows: m.NumRows, NumCols: m.NumCols,
-		Row: make([]int32, nnz), Col: make([]int32, nnz), Val: make([]float64, nnz),
-	}
-	for i := int32(0); i < m.NumRows; i++ {
-		for p := m.RowPtr[i]; p < m.RowPtr[i+1]; p++ {
-			out.Row[p] = i
-			out.Col[p] = m.ColIdx[p]
-			out.Val[p] = m.Val[p]
 		}
 	}
 	return out

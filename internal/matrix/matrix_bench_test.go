@@ -30,7 +30,7 @@ func BenchmarkCOODedup(b *testing.B) {
 	b.SetBytes(int64(len(coo.Val)) * BytesPerTuple)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = coo.Dedup()
+		_ = coo.ToCSR()
 	}
 }
 

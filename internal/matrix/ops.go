@@ -1,6 +1,10 @@
 package matrix
 
-import "math"
+import (
+	"math"
+	"math/bits"
+	"slices"
+)
 
 // Equal reports whether a and b have identical structure and values equal
 // within tol (relative to the larger magnitude). Both must be canonical CSR.
@@ -61,26 +65,11 @@ func FlopsCSR(a, b *CSR) int64 {
 	return flops
 }
 
-// ProductNNZ returns nnz(A*B) exactly using a Gustavson symbolic pass with a
-// versioned dense marker (no allocation per row).
+// ProductNNZ returns nnz(A*B) exactly: EstimateProductNNZ's Gustavson pass
+// over every row.
 func ProductNNZ(a, b *CSR) int64 {
-	marker := make([]int32, b.NumCols)
-	for i := range marker {
-		marker[i] = -1
-	}
-	var nnz int64
-	for i := int32(0); i < a.NumRows; i++ {
-		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
-			k := a.ColIdx[p]
-			for q := b.RowPtr[k]; q < b.RowPtr[k+1]; q++ {
-				j := b.ColIdx[q]
-				if marker[j] != i {
-					marker[j] = i
-					nnz++
-				}
-			}
-		}
-	}
+	flop := FlopsCSR(a, b)
+	nnz, _ := EstimateProductNNZ(a, b, flop, flop, nil)
 	return nnz
 }
 
@@ -148,58 +137,104 @@ func EstimateProductNNZ(a, b *CSR, flop, sampleBudget int64, scratch *[]int32) (
 	return est, true
 }
 
-// ReferenceMultiply computes C = A*B with a simple map-based accumulator.
-// It is the oracle for correctness tests: slow, obviously correct, summing
-// products in sorted (row, col, k) order for reproducible floating point.
+// ReferenceMultiply computes C = A*B, the oracle every kernel, layout, budget
+// and shard grid is held to bit for bit. C(i,j) is +0 plus the products
+// A(i,k)·B(k,j), each rounded to float64 on its own, added in A's row storage
+// order (ascending k on canonical input), within one k in B's: a group of −0
+// products is +0, NaN and ±Inf propagate, a sum of 0 is stored, and rows come
+// out sorted, one entry a column, however the input orders or repeats entries.
+// Inner dimensions that differ panic with ErrShape. Rows fold in a dense
+// accumulator (Gilbert, Moler and Schreiber, SIAM J. Matrix Anal. Appl. 1992)
+// over the ranks of the column ids B stores, so memory is O(nnz(B) + nnz(C))
+// whatever cols(B); a counting pass sizes C exactly. It uses only the standard
+// library: no code of internal/{radix,baseline,core}.
 func ReferenceMultiply(a, b *CSR) *CSR {
 	if a.NumCols != b.NumRows {
 		panic(ErrShape)
 	}
-	out := &COO{NumRows: a.NumRows, NumCols: b.NumCols}
-	acc := make(map[int32]float64)
+	cols, rank := rankColumns(b)
+	// mark[r] is 1 + the last row to touch rank r; the tests on it compile to
+	// conditional moves, as a first touch is a coin toss at cf ≈ 2. firsts has
+	// a spare slot: the fold stores every rank at firsts[n] before counting it.
+	mark, firsts := make([]int32, len(cols)), make([]int32, len(cols)+1)
+	c := &CSR{NumRows: a.NumRows, NumCols: b.NumCols, RowPtr: make([]int64, a.NumRows+1)}
 	for i := int32(0); i < a.NumRows; i++ {
-		clear(acc)
-		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
-			k := a.ColIdx[p]
-			av := a.Val[p]
-			for q := b.RowPtr[k]; q < b.RowPtr[k+1]; q++ {
-				acc[b.ColIdx[q]] += av * b.Val[q]
+		n := c.RowPtr[i]
+		for _, k := range a.ColIdx[a.RowPtr[i]:a.RowPtr[i+1]] {
+			for _, r := range rank[b.RowPtr[k]:b.RowPtr[k+1]] {
+				if mark[r] != i+1 {
+					n++
+				}
+				mark[r] = i + 1
 			}
 		}
-		for j, v := range acc {
-			out.Row = append(out.Row, i)
-			out.Col = append(out.Col, j)
-			out.Val = append(out.Val, v)
+		c.RowPtr[i+1] = n
+	}
+	c.ColIdx, c.Val = make([]int32, c.RowPtr[a.NumRows]), make([]float64, c.RowPtr[a.NumRows])
+	clear(mark)
+	// Rows emit ranks ascending from a bitmap, words, and a bitmap of its words
+	// in use, summary: a summary word per 4 096 ranks is scanned, no sort.
+	words, summary := make([]uint64, (len(cols)+63)/64), make([]uint64, (len(cols)+4095)/4096)
+	acc := make([]float64, len(cols)) // +0 between rows
+	for i := int32(0); i < a.NumRows; i++ {
+		n := 0
+		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
+			k, av := a.ColIdx[p], a.Val[p]
+			for q := b.RowPtr[k]; q < b.RowPtr[k+1]; q++ {
+				r := rank[q]
+				if firsts[n] = r; mark[r] != i+1 {
+					n++
+				}
+				mark[r] = i + 1
+				acc[r] += float64(av * b.Val[q]) // the conversion forbids a fused multiply-add
+			}
+		}
+		for _, r := range firsts[:n] {
+			words[r>>6] |= 1 << (r & 63)
+			summary[r>>12] |= 1 << (r >> 6 & 63)
+		}
+		x := c.RowPtr[i]
+		for si, sw := range summary {
+			for summary[si] = 0; sw != 0; sw &= sw - 1 {
+				w := si<<6 | bits.TrailingZeros64(sw)
+				for ww := words[w]; ww != 0; ww &= ww - 1 {
+					r := w<<6 | bits.TrailingZeros64(ww)
+					c.ColIdx[x], c.Val[x], acc[r] = cols[r], acc[r], 0
+					x++
+				}
+				words[w] = 0
+			}
 		}
 	}
-	return out.ToCSR()
+	return c
 }
 
-// ElementWiseMultiplySum returns sum over all (i,j) of a(i,j)*b(i,j), the
-// Hadamard-product mass. Triangle counting uses sum(A^2 .* A)/6 on a simple
-// undirected graph; both operands must be canonical CSR.
-func ElementWiseMultiplySum(a, b *CSR) float64 {
-	if a.NumRows != b.NumRows || a.NumCols != b.NumCols {
-		panic(ErrShape)
+// rankColumns returns the distinct column ids B stores, ascending, and each
+// stored entry's rank among them: through a table indexed by column when
+// cols(B) ≤ 4·nnz(B), else by sorting the ids, so memory stays O(nnz(B)).
+func rankColumns(b *CSR) (cols, rank []int32) {
+	rank = make([]int32, len(b.ColIdx))
+	if int64(b.NumCols) > 4*int64(len(b.ColIdx)) {
+		cols = slices.Compact(slices.Sorted(slices.Values(b.ColIdx)))
+		for q, j := range b.ColIdx {
+			r, _ := slices.BinarySearch(cols, j)
+			rank[q] = int32(r)
+		}
+		return cols, rank
 	}
-	var total float64
-	for i := int32(0); i < a.NumRows; i++ {
-		p, pEnd := a.RowPtr[i], a.RowPtr[i+1]
-		q, qEnd := b.RowPtr[i], b.RowPtr[i+1]
-		for p < pEnd && q < qEnd {
-			switch {
-			case a.ColIdx[p] < b.ColIdx[q]:
-				p++
-			case a.ColIdx[p] > b.ColIdx[q]:
-				q++
-			default:
-				total += a.Val[p] * b.Val[q]
-				p++
-				q++
-			}
+	table := make([]int32, b.NumCols)
+	for _, j := range b.ColIdx {
+		table[j] = 1
+	}
+	for j, seen := range table {
+		if seen != 0 {
+			table[j], cols = int32(len(cols)), append(cols, int32(j))
 		}
 	}
-	return total
+	for q, j := range b.ColIdx {
+		rank[q] = table[j]
+	}
+	return cols, rank
 }
 
 // ScaleColumns multiplies each column j of m in place by s[j]. Used by the

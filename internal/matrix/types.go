@@ -20,7 +20,7 @@ var ErrShape = errors.New("matrix: incompatible shapes")
 
 // COO is a coordinate-format sparse matrix: parallel arrays of row indices,
 // column indices and values. Entries may appear in any order and duplicates
-// are allowed until Dedup is called. COO is the format of the expanded matrix
+// are allowed until ToCSR sums them. COO is the format of the expanded matrix
 // C-hat in the paper.
 type COO struct {
 	NumRows, NumCols int32
@@ -45,9 +45,6 @@ type CSC struct {
 	RowIdx           []int32
 	Val              []float64
 }
-
-// NNZ returns the number of stored entries.
-func (m *COO) NNZ() int64 { return int64(len(m.Val)) }
 
 // NNZ returns the number of stored entries.
 func (m *CSR) NNZ() int64 { return int64(len(m.Val)) }

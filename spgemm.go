@@ -237,8 +237,10 @@ func PredictGFLOPS(betaGBs float64, nnzA, nnzB, flop, nnzC int64) float64 {
 	return roofline.Attainable(betaGBs, ai)
 }
 
-// Reference computes A*B with the slow, obviously-correct map accumulator —
-// intended for validating other algorithms in tests and examples.
+// Reference computes A*B with a dense accumulator per row over B's ranked
+// column ids: the oracle every kernel is held to bit for bit. C(i,j) is +0 plus
+// its products, each rounded to float64, added in A's row storage order; rows
+// come out sorted. It shares no code with the kernels it checks.
 func Reference(a, b *CSR) *CSR { return matrix.ReferenceMultiply(a, b) }
 
 // EqualWithin reports whether two canonical CSR matrices agree structurally
