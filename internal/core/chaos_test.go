@@ -52,16 +52,15 @@ func TestChaosSiteMatrix(t *testing.T) {
 		opt   Options
 		fires []faultinject.Site // sites the configuration must reach
 	}
-	// The split configurations put the whole product in one bin past the
-	// split cutoff, so the sort phase partitions it, spawns buckets and
-	// folds the bin when the last bucket's count reaches zero.
-	split := []faultinject.Site{faultinject.SiteSortTask, faultinject.SiteFoldBin}
+	// The oversized configurations put the whole product in one bin far past
+	// the L2 budget, which one of four workers folds whole.
+	oversized := []faultinject.Site{faultinject.SiteSortTask, faultinject.SiteFoldBin}
 	cfgs := []cfg{
 		{"wide-t1", Options{Threads: 1, ForceLayout: LayoutWide}, nil},
 		{"wide-t4", Options{Threads: 4, ForceLayout: LayoutWide}, nil},
 		{"squeezed-t4", Options{Threads: 4, ForceLayout: LayoutSqueezed}, nil},
-		{"split-t4", Options{Threads: 4, NBins: 1, L2CacheBytes: 4096, ForceLayout: LayoutWide}, split},
-		{"split-t4-squeezed", Options{Threads: 4, NBins: 1, L2CacheBytes: 4096, ForceLayout: LayoutSqueezed}, split},
+		{"oversized-t4", Options{Threads: 4, NBins: 1, L2CacheBytes: 4096, ForceLayout: LayoutWide}, oversized},
+		{"oversized-t4-squeezed", Options{Threads: 4, NBins: 1, L2CacheBytes: 4096, ForceLayout: LayoutSqueezed}, oversized},
 		{"budgeted-t1", Options{Threads: 1, MemoryBudgetBytes: 1 << 18}, nil},
 		{"budgeted-t4", Options{Threads: 4, MemoryBudgetBytes: 1 << 18}, nil},
 	}

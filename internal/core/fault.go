@@ -26,8 +26,7 @@ import (
 // Cancellation: Options.Cancel used to be polled only at phase boundaries,
 // so a request deadline could stall behind an entire multi-second phase.
 // The long loops now poll at sub-phase granularity — per ~cancelPollTuples
-// expanded tuples in expand, per task in the work-stealing sort, per bin in
-// merge/assemble — through pollCancel: a raised stop flag (set by
+// expanded tuples in expand, per bin in fuse, merge and assemble — through pollCancel: a raised stop flag (set by
 // whichever worker's poll first observed the cancellation, or by a panic)
 // costs the others one atomic load to notice. The checks stay off the
 // batched inner loops (a poll covers ~64Ki tuples of work), which is what

@@ -2,10 +2,8 @@ package core
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"pbspgemm/internal/faultinject"
-	"pbspgemm/internal/matrix"
 	"pbspgemm/internal/par"
 	"pbspgemm/internal/radix"
 )
@@ -36,32 +34,19 @@ import (
 // other, and to a scalar fold in ascending k, by one argument: a stable sort
 // leaves equal keys in arrival (expand) order, which is ascending k, and every
 // fold is the chain "first value assigned, later ones added" over that order
-// — which is also what the two-pointer compress runs over a split bin once
-// its buckets are sorted (TestFusedMatchesUnfusedBitIdentical,
-// TestBothKernelsSameBytes and TestSpecialValuesThroughTheFold pin it).
+// (TestFusedMatchesUnfusedBitIdentical, TestBothKernelsSameBytes and
+// TestSpecialValuesThroughTheFold pin it).
 //
 // A budgeted run folds twice with these kernels: each panel's bins into runs,
 // then each bin's gathered runs (panels.go). A run is duplicate-free and the
 // runs lie in panel order, so the same argument makes the second fold the
 // per-panel sums added in panel order, whichever kernel a bin gets.
 //
-// The phase is scheduled with work stealing (par.WorkStealPolicy): a worker
-// that meets an oversized bin too sparse for the dense fold runs one stable
-// top-digit partition pass and hands the buckets to the other workers, which
-// sort them (SortFold or SortPairs, fold off) on the remaining bits. A bucket
-// boundary may cut through a row, so buckets do not fold; the worker finishing
-// a split bin's last bucket folds the whole, now sorted, bin with the
-// two-pointer compress.
-
-// sortTask is one unit of sort-phase work for the work-stealing scheduler: a
-// whole bin, or (bucket=true) one top-digit bucket of a partitioned
-// oversized bin, with bits the remaining key bits to sort on.
-type sortTask struct {
-	bin        int32
-	bucket     bool
-	start, end int64
-	bits       int
-}
+// Bins fold whole, one bin per iteration of a dynamic parallel-for
+// (par.ForEachDynamic), as the paper's Algorithm 2 sorts and compresses them.
+// The phase therefore takes at least the largest bin's fold: 3.2 % of the
+// tuples on R-MAT 2^16·d8 squared and 4.0 % on 2^17·d4, so splitting a bin
+// across workers could only pay above some 25–30 threads.
 
 // runSortPhase sorts, folds and tallies every bin ws.binStart lays out,
 // filling binOut and, when non-nil, rowCounts. Threads==1 runs the bins
@@ -70,8 +55,7 @@ func (e *engine) runSortPhase(binOut, rowCounts []int64) {
 	threads := e.opt.Threads
 	bs := e.ws.binStart
 	// Size the per-worker scratch before any worker starts: sort planes for
-	// the panel's largest sorted bin (every task — whole bin, partition pass
-	// or bucket — fits inside one bin), and a direct-address accumulator and
+	// the panel's largest sorted bin, and a direct-address accumulator and
 	// its occupancy bitmap if any bin folds dense. Grow-only, all of it.
 	var maxSeg, accSlots int64
 	for bin := 0; bin < e.nbins; bin++ {
@@ -101,21 +85,7 @@ func (e *engine) runSortPhase(binOut, rowCounts []int64) {
 		}
 		return
 	}
-	cutoff := e.sortSplitCutoff()
-	pending := matrix.Grow(&e.ws.binPending, e.nbins)
-	partBounds := matrix.Grow(&e.ws.partBounds, threads*(radix.MaxPartitionBuckets+1))
-	seeds := e.ws.sortTasks[:0]
-	for bin := 0; bin < e.nbins; bin++ {
-		seeds = append(seeds, sortTask{bin: int32(bin), start: bs[bin], end: bs[bin+1]})
-	}
-	e.ws.sortTasks = seeds
-	// Pooled ownership/steal counters: they feed Stats.
-	pol := &e.ws.stealPol
-	pol.EnsureCounters(threads)
-	par.WorkStealPolicy(threads, seeds, pol, func(worker int, t sortTask, spawn func(sortTask)) {
-		// Contain per task, not per worker: an absorbed panic still reaches
-		// the scheduler's pending decrement, so the pool drains instead of
-		// deadlocking on a count that can no longer hit zero.
+	par.ForEachDynamic(e.nbins, threads, func(worker, bin int) {
 		defer e.containWorker(worker)
 		if e.pollCancel() {
 			return
@@ -123,75 +93,19 @@ func (e *engine) runSortPhase(binOut, rowCounts []int64) {
 		if faultinject.Enabled {
 			faultinject.Fire(faultinject.SiteSortTask, worker)
 		}
-		e.runSortTask(worker, t, spawn, cutoff, pending, partBounds, binOut, rowCounts)
-	})
-	o, s := pol.Totals()
-	e.st.SortOwned += o // += : budgeted runs sort once per panel, and once more
-	e.st.SortStolen += s
-}
-
-// runSortTask executes one work-stealing task; see runSortPhase.
-func (e *engine) runSortTask(worker int, t sortTask, spawn func(sortTask),
-	cutoff int64, pending []int32, partBounds []int64, binOut, rowCounts []int64) {
-
-	bin := int(t.bin)
-	if t.bucket {
-		e.lay.sortSeg(e, sortSeg{start: t.start, end: t.end, bits: t.bits, worker: worker})
-		if atomic.AddInt32(&pending[bin], -1) == 0 {
-			// Last bucket of a split bin: the bin is fully sorted — fold it.
-			e.compressOneBin(worker, bin, binOut, rowCounts)
-		}
-		return
-	}
-	if n := t.end - t.start; n <= cutoff || e.denseBin(n) {
 		e.fuseWholeBin(worker, bin, binOut, rowCounts)
-		return
-	}
-
-	// Oversized bin too sparse for the dense fold: run one stable top-digit
-	// partition pass here and spawn the buckets; idle workers steal them, so
-	// neither the partition nor the bucket sorts serialize the phase. The
-	// layout provides the pass (radix.PartitionTop / PartitionPairs); zero
-	// buckets means the pass alone finished the range.
-	lo, hi := t.start, t.end
-	stride := radix.MaxPartitionBuckets + 1
-	bounds := partBounds[worker*stride : (worker+1)*stride]
-	nb, bits := e.lay.partitionTop(e, worker, lo, hi, bounds)
-	nspawn := 0
-	for b := 0; b < nb; b++ {
-		if bounds[b+1]-bounds[b] > 1 {
-			nspawn++
-		}
-	}
-	if nspawn == 0 {
-		// The partition pass alone finished the bin: fold it now.
-		e.compressOneBin(worker, bin, binOut, rowCounts)
-		return
-	}
-	// Published to bucket tasks through the spawn below.
-	atomic.StoreInt32(&pending[bin], int32(nspawn))
-	for b := 0; b < nb; b++ {
-		blo, bhi := lo+bounds[b], lo+bounds[b+1]
-		if bhi-blo > 1 {
-			spawn(sortTask{bin: t.bin, bucket: true, start: blo, end: bhi, bits: bits})
-		}
-	}
+	})
+	e.st.SortOwned += int64(e.nbins) // += : budgeted runs fold once per panel, and once more
 }
 
 // fuseWholeBin folds one bin with the layout's fused kernel, which also
 // tallies its row counts while the folded keys are hot. The folded prefix lands
 // at the bin's own binStart offset.
 func (e *engine) fuseWholeBin(worker, bin int, binOut, rowCounts []int64) {
-	binOut[bin] = e.lay.fuseBin(e, worker, bin, rowCounts)
-}
-
-// compressOneBin folds a split bin its buckets have finished sorting, with the
-// layout's two-pointer compress and the same tally.
-func (e *engine) compressOneBin(worker, bin int, binOut, rowCounts []int64) {
 	if faultinject.Enabled {
 		faultinject.Fire(faultinject.SiteFoldBin, worker)
 	}
-	binOut[bin] = e.lay.compressBin(e, bin, rowCounts)
+	binOut[bin] = e.lay.fuseBin(e, worker, bin, rowCounts)
 }
 
 // keyBits is the packed key width of the run's geometry; at most 32 on the

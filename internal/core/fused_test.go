@@ -117,11 +117,10 @@ func TestFusedMatchesUnfusedBitIdentical(t *testing.T) {
 	}
 }
 
-// TestFusedSplitBinsBitIdentical forces the oversized-bin work-stealing
-// split (tiny L2 budget, few bins, skewed R-MAT) and checks the parallel
-// result against the sequential one and against FoldReference — the split
-// path folds a partitioned bin with the two-pointer compress, which must
-// equal the whole-bin fused sort bit for bit.
+// TestFusedSplitBinsBitIdentical forces oversized bins (tiny L2 budget, few
+// bins, skewed R-MAT) and checks the sequential result against FoldReference
+// and the 2- and 8-worker results, each bin folded whole by one worker,
+// against the sequential one, bit for bit.
 func TestFusedSplitBinsBitIdentical(t *testing.T) {
 	a := gen.RMAT(10, 8, gen.Graph500Params, 35)
 	acsc := a.ToCSC()
@@ -143,56 +142,40 @@ func TestFusedSplitBinsBitIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !csrBitIdentical(want, got) {
-				t.Fatalf("layout=%v threads=%d: split fused output drifted from sequential", layout, threads)
+				t.Fatalf("layout=%v threads=%d: oversized-bin output drifted from sequential", layout, threads)
 			}
 		}
 	}
 }
 
-// TestSortSplitCutoffPerLayout pins the oversized-bin split decision to the
-// post-squeeze tuple byte size: the cutoff is 2·L2/tupleBytes TUPLES, so the
-// squeezed layout (12 B) splits later in tuple count — the same resident
-// byte budget — than the wide layout (16 B), never at a layout-independent
-// constant.
-func TestSortSplitCutoffPerLayout(t *testing.T) {
-	const l2 = int64(1) << 20
-	sq := sortSplitCutoffTuples(SqueezedTupleBytes, l2)
-	wide := sortSplitCutoffTuples(WideTupleBytes, l2)
-	if sq != 2*l2/12 {
-		t.Fatalf("squeezed cutoff = %d, want %d", sq, 2*l2/12)
-	}
-	if wide != 2*l2/16 {
-		t.Fatalf("wide cutoff = %d, want %d", wide, 2*l2/16)
-	}
-	if sq <= wide {
-		t.Fatalf("squeezed cutoff %d not above wide %d: split decision is not layout-aware", sq, wide)
-	}
-	// Both layouts resolve to the same resident-byte budget (up to one
-	// tuple of integer-division rounding).
-	if diff := wide*WideTupleBytes - sq*SqueezedTupleBytes; diff < 0 || diff >= SqueezedTupleBytes {
-		t.Fatalf("cutoffs disagree in bytes: %d vs %d", sq*SqueezedTupleBytes, wide*WideTupleBytes)
-	}
-	// Tiny L2 budgets floor at 4096 tuples so the split machinery never
-	// degenerates into per-element tasks.
-	if got := sortSplitCutoffTuples(SqueezedTupleBytes, 1024); got != 4096 {
-		t.Fatalf("floored cutoff = %d, want 4096", got)
-	}
-
-	// The engine derives its cutoff from the run's actual layout: a bin size
-	// between the two cutoffs must split under the wide layout but not the
-	// squeezed one.
-	between := (sq + wide) / 2
+// TestSortCountersCountWholeBins: a multi-threaded fuse phase folds every bin
+// whole, so SortOwned is the bin count once per fold — each panel's, then a
+// budgeted run's gathered fold — and SortStolen stays 0. One thread counts
+// nothing.
+func TestSortCountersCountWholeBins(t *testing.T) {
+	a := gen.RMAT(9, 8, gen.Graph500Params, 37)
+	acsc := a.ToCSC()
 	for _, tc := range []struct {
-		layout Layout
-		bytes  int64
-		split  bool
-	}{
-		{LayoutSqueezed, SqueezedTupleBytes, false},
-		{LayoutWide, WideTupleBytes, true},
-	} {
-		e := engine{opt: Options{L2CacheBytes: int(l2)}.withDefaults(), tupleBytes: tc.bytes}
-		if got := between > e.sortSplitCutoff(); got != tc.split {
-			t.Fatalf("layout %v: bin of %d tuples split=%v, want %v", tc.layout, between, got, tc.split)
+		threads int
+		budget  int64
+	}{{1, 0}, {2, 0}, {4, 0}, {2, 64 << 10}} {
+		_, st, err := Multiply(acsc, a, Options{Threads: tc.threads, MemoryBudgetBytes: tc.budget})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := int64(0)
+		if tc.threads > 1 {
+			want = int64(st.NBins)
+			if st.NPanels > 1 {
+				want *= int64(st.NPanels + 1)
+			}
+		}
+		if tc.budget > 0 && st.NPanels < 2 {
+			t.Fatalf("budget %d did not tile", tc.budget)
+		}
+		if st.SortOwned != want || st.SortStolen != 0 {
+			t.Fatalf("threads=%d budget=%d: SortOwned %d SortStolen %d, want %d and 0 (%d bins, %d panels)",
+				tc.threads, tc.budget, st.SortOwned, st.SortStolen, want, st.NBins, st.NPanels)
 		}
 	}
 }

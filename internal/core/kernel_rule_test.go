@@ -179,8 +179,8 @@ func allPlusZero[V float32 | float64](vals []V) bool {
 // panels regroup float sums).
 // A budgeted run folds twice — each panel's bins, then each bin's gathered
 // runs — so both kernels also meet duplicates that straddle panel boundaries.
-// The sparse half shrinks the cache budget so bins over 4096 tuples also take
-// the partition + bucket sort + compress path when threads > 1. The int32 plane
+// The sparse half shrinks the cache budget so the LSD also meets bins far past
+// it, each folded whole by one worker when threads > 1. The int32 plane
 // wraps around in products and sums alike.
 func TestBothKernelsSameBytes(t *testing.T) {
 	a, b := gen.RMAT(9, 16, gen.Graph500Params, 161), gen.RMAT(9, 16, gen.Graph500Params, 162)

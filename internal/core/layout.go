@@ -19,8 +19,8 @@ import (
 // workloads need only half the value plane (8-byte key32+val32 tuples). Each
 // tuple layout is a layoutOps implementation; the engine holds exactly one
 // per run (e.lay) and every phase dispatches element accesses through it
-// while all control flow — bin geometry, panel tiling, the work-stealing
-// sort scheduler, the budgeted run grouping — stays layout-independent, which
+// while all control flow — bin geometry, panel tiling, the fuse phase's
+// schedule, the budgeted run grouping — stays layout-independent, which
 // is what makes the four layouts bit-identical in structure.
 //
 // The three implementations:
@@ -74,15 +74,6 @@ type layoutOps interface {
 	// tuples (threads × engine.scratchStride) of sort planes plus, when the
 	// panel has dense bins, accSlots (1<<keyBits) accumulator slots a worker.
 	growScratch(e *engine, total, accSlots int64)
-	// sortSeg stably sorts the partitioned bucket [s.start, s.end) on its
-	// remaining s.bits key bits, on worker s.worker's scratch.
-	sortSeg(e *engine, s sortSeg)
-	// partitionTop runs the sort's first splitting pass over [lo, hi) on the
-	// given worker's scratch, filling bounds (len ≥
-	// radix.MaxPartitionBuckets+1) and returning the bucket count and the
-	// key bits buckets continue sorting on. nbuckets == 0 means the range
-	// needs no further sorting.
-	partitionTop(e *engine, worker int, lo, hi int64, bounds []int64) (nbuckets, bits int)
 	// fuseBin sorts and folds bin (its tuples lie at ws.binStart[bin:bin+2])
 	// on the given worker's scratch, leaving the sorted, folded prefix in
 	// place and returning its length, and tallies the folded rows into
@@ -90,9 +81,6 @@ type layoutOps interface {
 	// tail). Rows of a bin are touched by no other bin, so the shared slice
 	// needs no synchronization.
 	fuseBin(e *engine, worker, bin int, rowCounts []int64) int64
-	// compressBin folds duplicates of a split bin its buckets have sorted,
-	// in place, with the same tally, returning the folded length.
-	compressBin(e *engine, bin int, rowCounts []int64) int64
 	// appendRun copies the folded bin segment at [src, src+n) into the run
 	// arena.
 	appendRun(e *engine, src, n int64)
@@ -331,7 +319,7 @@ func (l *pairs[V]) tupleCapBytes() int64 {
 
 // MultiplyWide computes C = A ⊗ B over alg with the wide tuple layout, for
 // any value type: the pipeline of Multiply — parallel propagation-blocked
-// expand, work-stealing sort, fold, budgeted panels, sub-phase cancellation,
+// expand, fused sort and fold, budgeted panels, sub-phase cancellation,
 // worker-panic containment — with alg.Times where Multiply multiplies and
 // alg.Plus where it adds (Multiply's own wide fallback is this layout over
 // float64 (+, ×)). Like MultiplyNarrow the inputs are the structural CSC/CSR
@@ -450,14 +438,6 @@ func (l *pairs[V]) scratchFor(e *engine, w int, n int64) []radix.Pair[V] {
 	return l.scratch[off : off+n]
 }
 
-func (l *pairs[V]) sortSeg(e *engine, s sortSeg) {
-	radix.SortPairs(l.tuples[s.start:s.end], l.scratchFor(e, s.worker, s.end-s.start), s.bits, nil)
-}
-
-func (l *pairs[V]) partitionTop(e *engine, worker int, lo, hi int64, bounds []int64) (int, int) {
-	return radix.PartitionPairs(l.tuples[lo:hi], l.scratchFor(e, worker, hi-lo), bounds)
-}
-
 func (l *pairs[V]) fuseBin(e *engine, worker, bin int, rowCounts []int64) int64 {
 	lo, hi := e.ws.binStart[bin], e.ws.binStart[bin+1]
 	if e.denseBin(hi - lo) {
@@ -467,11 +447,6 @@ func (l *pairs[V]) fuseBin(e *engine, worker, bin int, rowCounts []int64) int64 
 	}
 	n := radix.SortPairs(l.tuples[lo:hi], l.scratchFor(e, worker, hi-lo), int(e.keyBits()), l.alg.Plus)
 	return l.finishBin(e, bin, n, rowCounts)
-}
-
-func (l *pairs[V]) compressBin(e *engine, bin int, rowCounts []int64) int64 {
-	lo, hi := e.ws.binStart[bin], e.ws.binStart[bin+1]
-	return l.finishBin(e, bin, radix.CompressPairs(l.tuples[lo:hi], l.alg.Plus), rowCounts)
 }
 
 // finishBin ends a bin's fold, whichever kernel ran it: the filter over the n
@@ -559,17 +534,9 @@ func (l *kv[V]) growLocals(e *engine, n int64) {
 func (l *kv[V]) resetRuns(e *engine) { l.runVals = l.runVals[:0] }
 
 func (l *kv[V]) growScratch(e *engine, total, accSlots int64) {
-	radix.GrowUint32(&e.ws.scratchKeys, total)
 	growVals(&e.ws.scratchWords, 2*total)
 	growVals(&l.scratchVals, total)
 	growVals(&l.accVals, int64(e.opt.Threads)*accSlots)
-}
-
-// scratchKeysFor returns worker w's private slice of the shared key scratch
-// plane, at least n long.
-func (e *engine) scratchKeysFor(w int, n int64) []uint32 {
-	off := int64(w) * e.scratchStride
-	return e.ws.scratchKeys[off : off+n]
 }
 
 // scratchWordsFor returns worker w's two private planes of key|index words.
@@ -669,22 +636,9 @@ func flushLocalKV[V Value](bin int32, bufK []uint32, bufV []V, lens []int32,
 	flushPlane(vals[dst:], bufV[src:src+n], nt)
 }
 
-func (l *kv[V]) sortSeg(e *engine, s sortSeg) {
-	n := s.end - s.start
-	w0, w1 := e.scratchWordsFor(s.worker, n)
-	radix.SortFold(e.ws.tupleKeys[s.start:s.end], l.tupleVals[s.start:s.end],
-		w0, w1, l.scratchValsFor(e, s.worker, n), s.bits, false, nil, 0)
-}
-
 func (l *kv[V]) scratchValsFor(e *engine, w int, n int64) []V {
 	off := int64(w) * e.scratchStride
 	return l.scratchVals[off : off+n]
-}
-
-func (l *kv[V]) partitionTop(e *engine, worker int, lo, hi int64, bounds []int64) (int, int) {
-	n := hi - lo
-	return radix.PartitionTop(e.ws.tupleKeys[lo:hi], l.tupleVals[lo:hi],
-		e.scratchKeysFor(worker, n), l.scratchValsFor(e, worker, n), bounds)
 }
 
 func (l *kv[V]) fuseBin(e *engine, worker, bin int, rowCounts []int64) int64 {
@@ -698,31 +652,7 @@ func (l *kv[V]) fuseBin(e *engine, worker, bin int, rowCounts []int64) int64 {
 	}
 	w0, w1 := e.scratchWordsFor(worker, n)
 	return int64(radix.SortFold(keys, vals, w0, w1, l.scratchValsFor(e, worker, n),
-		int(e.keyBits()), true, rows, e.colBits))
-}
-
-// compressBin is the paper's two-pointer in-place merge over the split
-// layout: p1 walks the sorted tuples, p2 tracks the write position; equal
-// keys fold their values into the tuple at p2.
-func (l *kv[V]) compressBin(e *engine, bin int, rowCounts []int64) int64 {
-	lo, hi := e.ws.binStart[bin], e.ws.binStart[bin+1]
-	keys := e.ws.tupleKeys[lo:hi]
-	vals := l.tupleVals[lo:hi]
-	if len(keys) == 0 {
-		return 0
-	}
-	p2 := 0
-	for p1 := 1; p1 < len(keys); p1++ {
-		if keys[p1] == keys[p2] {
-			vals[p2] += vals[p1]
-			continue
-		}
-		p2++
-		keys[p2] = keys[p1]
-		vals[p2] = vals[p1]
-	}
-	radix.Tally(keys[:p2+1], e.binRows(rowCounts, bin), e.colBits)
-	return int64(p2 + 1)
+		int(e.keyBits()), rows, e.colBits))
 }
 
 func (l *kv[V]) appendRun(e *engine, src, n int64) {
@@ -844,14 +774,11 @@ func (patternOps) growScratch(e *engine, total, _ int64) {
 	radix.GrowUint32(&e.ws.scratchKeys, total)
 }
 
-func (patternOps) sortSeg(e *engine, s sortSeg) {
-	radix.SortFoldPattern(e.ws.tupleKeys[s.start:s.end],
-		e.scratchKeysFor(s.worker, s.end-s.start), s.bits, false, nil, 0)
-}
-
-func (patternOps) partitionTop(e *engine, worker int, lo, hi int64, bounds []int64) (int, int) {
-	none := make([]struct{}, hi-lo) // the value plane of a key-only tuple: zero bytes
-	return radix.PartitionTop(e.ws.tupleKeys[lo:hi], none, e.scratchKeysFor(worker, hi-lo), none, bounds)
+// scratchKeysFor returns worker w's private slice of the pattern layout's key
+// scratch plane, at least n long.
+func (e *engine) scratchKeysFor(w int, n int64) []uint32 {
+	off := int64(w) * e.scratchStride
+	return e.ws.scratchKeys[off : off+n]
 }
 
 // fuseBin: the fold is deduplication, so dense bins need only the bitmap.
@@ -862,26 +789,7 @@ func (patternOps) fuseBin(e *engine, worker, bin int, rowCounts []int64) int64 {
 		return int64(radix.FoldDensePattern(keys, e.accBitsFor(worker, int64(1)<<e.keyBits()), rows, e.colBits))
 	}
 	return int64(radix.SortFoldPattern(keys, e.scratchKeysFor(worker, hi-lo),
-		int(e.keyBits()), true, rows, e.colBits))
-}
-
-// compressBin's fold over the pattern layout is deduplication: equal keys
-// keep one tuple, no value to sum.
-func (patternOps) compressBin(e *engine, bin int, rowCounts []int64) int64 {
-	keys := e.ws.tupleKeys[e.ws.binStart[bin]:e.ws.binStart[bin+1]]
-	if len(keys) == 0 {
-		return 0
-	}
-	p2 := 0
-	for p1 := 1; p1 < len(keys); p1++ {
-		if keys[p1] == keys[p2] {
-			continue
-		}
-		p2++
-		keys[p2] = keys[p1]
-	}
-	radix.Tally(keys[:p2+1], e.binRows(rowCounts, bin), e.colBits)
-	return int64(p2 + 1)
+		int(e.keyBits()), rows, e.colBits))
 }
 
 func (patternOps) appendRun(e *engine, src, n int64) {

@@ -108,8 +108,8 @@ func TestMultiplyBitIdenticalAcrossThreads(t *testing.T) {
 	}{
 		{"ER", gen.ER(2048, 8, 1), gen.ER(2048, 8, 2), Options{}},
 		{"RMAT-skewed", gen.RMAT(10, 16, gen.Graph500Params, 5), gen.RMAT(10, 16, gen.Graph500Params, 6), Options{}},
-		// NBins=1 funnels everything into one oversized bin: the parallel
-		// runs exercise the split-sort path against the sequential sort.
+		// NBins=1 funnels everything into one oversized bin, which the
+		// parallel runs fold whole on one worker as the sequential run does.
 		{"single-bin-split-sort", gen.ER(1024, 8, 7), gen.ER(1024, 8, 8), Options{NBins: 1, L2CacheBytes: 4096}},
 		{"budgeted", gen.ER(1024, 6, 9), gen.ER(1024, 6, 10), Options{MemoryBudgetBytes: 64 << 10}},
 	}
@@ -422,9 +422,9 @@ func TestLayoutSteadyStateAllocs(t *testing.T) {
 	})
 }
 
-// TestSplitSortMatchesReference: a run forced through the oversized-bin
-// split (tiny L2 budget, parallel threads) still produces the reference
-// product.
+// TestSplitSortMatchesReference: a run with oversized bins (tiny L2 budget,
+// two bins) on eight workers, each bin folded whole, still produces the
+// reference product.
 func TestSplitSortMatchesReference(t *testing.T) {
 	a := gen.RMAT(10, 8, gen.Graph500Params, 21)
 	b := gen.RMAT(10, 8, gen.Graph500Params, 22)
@@ -437,7 +437,7 @@ func TestSplitSortMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !matrix.Equal(want, got, 1e-9) {
-			t.Fatalf("layout=%v: split-sort product differs from reference", layout)
+			t.Fatalf("layout=%v: oversized-bin product differs from reference", layout)
 		}
 	}
 }

@@ -247,9 +247,11 @@ type Stats struct {
 	// on builds with that tag.
 	Kernel string
 
-	// Sort-phase work-stealing counters (multi-threaded runs; summed over
-	// panels on budgeted runs). SortOwned counts tasks a worker popped from
-	// its own deque, SortStolen tasks taken from another worker's.
+	// SortOwned counts the bins the fuse phase folded under its parallel
+	// schedule (multi-threaded runs; summed over panels on budgeted runs).
+	// SortStolen is always 0: every bin folds whole on the worker that takes
+	// it, so no work is stolen. Both stay for the benchmark's
+	// core.sort_stolen_share.
 	SortOwned, SortStolen int64
 
 	// Traffic model (bytes), following Eq. 4 / Table III with the per-run
@@ -929,41 +931,6 @@ func (e *engine) fenceFlushes() {
 // non-temporal stores (expandPanel). 32 MiB sits safely above typical LLCs;
 // a variable (not const) so tests can force the NT path on small inputs.
 var ntMinArenaBytes int64 = 32 << 20
-
-// sortSeg is one unit of sort-phase work: a bucket [start, end) of a
-// partitioned oversized bin in the current panel's buffer, with bits the
-// remaining key bits to sort on. The sort phase is scheduled by
-// runSortPhase (fused.go) over a work-stealing queue, so oversized skewed bins
-// are partitioned by whichever worker meets them and their buckets spread
-// across the pool, instead of the partition passes serializing up front.
-type sortSeg struct {
-	start, end int64
-	bits       int
-	// worker is the executing worker's slot, selecting its private slice of
-	// the sort-phase scratch planes (engine.scratchStride apart). Set by the
-	// scheduler at execution time, not enqueue time: whoever steals the
-	// segment sorts on their own scratch.
-	worker int
-}
-
-// sortSplitCutoffTuples is the bin size (in tuples) past which the sort
-// phase splits a bin across workers: twice the L2 cache budget a bin was
-// sized for, measured at the run's post-squeeze per-tuple cost — 12 bytes
-// when the layout squeezed, 16 wide — so "twice the cache" means the same
-// number of resident BYTES for both layouts, not the same tuple count.
-// Normal bins never split and only genuinely skewed ones (the auto cap at
-// 2048 bins, or an explicit small NBins) fan out. A pure function of the
-// two sizes so tests can pin the split decision per layout
-// (TestSortSplitCutoffPerLayout).
-func sortSplitCutoffTuples(tupleBytes, l2CacheBytes int64) int64 {
-	return max(2*l2CacheBytes/tupleBytes, 4096)
-}
-
-func (e *engine) sortSplitCutoff() int64 {
-	// e.tupleBytes is the run's actual layout cost (planBins), never the
-	// layout-independent sizing constant tupleBytes.
-	return sortSplitCutoffTuples(e.tupleBytes, int64(e.opt.L2CacheBytes))
-}
 
 // assemble builds canonical CSR from the folded bins of the tuple planes
 // (each bin's prefix starts at its ws.binStart offset). Bins hold disjoint

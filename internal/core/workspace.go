@@ -1,9 +1,6 @@
 package core
 
-import (
-	"pbspgemm/internal/matrix"
-	"pbspgemm/internal/par"
-)
+import "pbspgemm/internal/matrix"
 
 // Workspace pools every buffer the PB-SpGEMM engine needs across calls.
 // Buffers are grow-only: a workspace warmed up on the largest multiplication
@@ -50,9 +47,6 @@ type Workspace struct {
 	binOut      []int64
 	binOutStart []int64
 	rowCounts   []int64
-	sortTasks   []sortTask // sort-phase work-stealing seeds (one per bin)
-	binPending  []int32    // split bins' outstanding bucket counts (atomic)
-	partBounds  []int64    // per-worker oversized-bin partition boundaries
 
 	// Propagation-blocking local bins, flattened threads × nbins × capTuples,
 	// per layout.
@@ -61,17 +55,14 @@ type Workspace struct {
 
 	// Sort-phase scratch, flattened threads × the current panel's largest
 	// sorted segment (engine.scratchStride), per layout; each worker's slice
-	// is private, so the stable scatter sorts never contend. scratchWords is
-	// the kv layouts' two key|index planes per worker, accBits the dense
-	// fold's occupancy bitmaps (threads × 1<<keyBits bits, all-zero between
-	// bins). Value planes live in the kv pools (kv.scratchVals, kv.accVals).
+	// is private, so the stable scatter sorts never contend. scratchKeys is
+	// the pattern layout's key plane, scratchWords the kv layouts' two
+	// key|index planes per worker, accBits the dense fold's occupancy bitmaps
+	// (threads × 1<<keyBits bits, all-zero between bins). Value planes live
+	// in the kv pools (kv.scratchVals, kv.accVals).
 	scratchKeys  []uint32
 	scratchWords []uint64
 	accBits      []uint64
-
-	// Sort-phase scheduler state: the pooled steal counters, reused across
-	// calls.
-	stealPol par.StealPolicy
 
 	// kvF64 pools the float64 value planes of the squeezed (12 B) layout;
 	// kvNarrow holds a *kv[V] for the narrow (8 B) layout's most recent

@@ -20,11 +20,10 @@ const (
 	// SiteExpandColumn fires once per column of A processed by an expand
 	// worker, in every tuple layout.
 	SiteExpandColumn Site = iota
-	// SiteSortTask fires once per work-stealing sort task (whole-bin fuse,
-	// bucket sort, or oversized-bin partition).
+	// SiteSortTask fires once per fuse-phase task: one bin taken by a worker.
 	SiteSortTask
-	// SiteFoldBin fires once per split bin, when the sort phase folds it
-	// after its last bucket (or its partition pass alone) finished sorting.
+	// SiteFoldBin fires once per bin folded whole (the fused sort and fold of
+	// one bin), right before its kernel runs.
 	SiteFoldBin
 	// SiteMergeBin fires once per bin of a budgeted run's gather (its runs
 	// copied, in panel order, into one segment for the final fold).

@@ -96,40 +96,6 @@ func TestParallelRunPanicTyped(t *testing.T) {
 	}
 }
 
-// TestWorkStealPanicNoDeadlock is the regression test for the pending-count
-// hang: a panicking task never decrements the scheduler's outstanding-task
-// counter, so without the guard's stop flag the sibling workers would spin
-// forever waiting for it to reach zero.
-func TestWorkStealPanicNoDeadlock(t *testing.T) {
-	for _, threads := range []int{1, 4} {
-		done := make(chan *PanicError, 1)
-		go func() {
-			done <- catchPanic(t, func() {
-				seeds := make([]int, 32)
-				for i := range seeds {
-					seeds[i] = i
-				}
-				WorkStealPolicy(threads, seeds, nil, func(worker, task int, spawn func(int)) {
-					if task == 7 {
-						panic("task 7")
-					}
-					if task >= 0 && task < 8 {
-						spawn(-task - 1) // exercise spawned tasks too
-					}
-				})
-			})
-		}()
-		select {
-		case pe := <-done:
-			if pe == nil {
-				t.Fatalf("threads=%d: worker panic was swallowed", threads)
-			}
-		case <-time.After(30 * time.Second):
-			t.Fatalf("threads=%d: WorkSteal deadlocked after a task panic", threads)
-		}
-	}
-}
-
 func TestPrefixSumParallelPanicTyped(t *testing.T) {
 	counts := make([]int64, prefixSumParallelCutoff+1)
 	out := make([]int64, len(counts)+1)

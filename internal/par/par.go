@@ -1,9 +1,9 @@
 // Package par provides the parallel scheduling primitives used throughout the
 // PB-SpGEMM reproduction. The paper parallelizes with OpenMP: the expand phase
 // assigns contiguous, flop-balanced column ranges to threads (static
-// scheduling), and the sort/compress phases hand out bins dynamically
-// ("bins per thread", Table III). This package reproduces both patterns with
-// goroutines and provides weight-balanced range partitioning.
+// scheduling), and the fused sort/fold phase and assemble hand out whole bins
+// dynamically ("bins per thread", Table III). This package reproduces both
+// patterns with goroutines and provides weight-balanced range partitioning.
 package par
 
 import (
@@ -61,9 +61,10 @@ func ForRanges(n, threads int, fn func(worker, lo, hi int)) {
 
 // ForEachDynamic runs fn(worker, i) for every i in [0, n), handing indices to
 // workers one at a time through an atomic counter. This is the analogue of
-// OpenMP "schedule(dynamic,1)" and is how the sort and compress phases walk
-// bins: cheap bins finish quickly and their workers immediately steal the
-// next bin, which is what gives PB-SpGEMM its load balance on skewed inputs.
+// OpenMP "schedule(dynamic,1)" and is how the fused sort/fold phase and
+// assemble walk bins: cheap bins finish quickly and their workers immediately
+// take the next bin, which is what gives PB-SpGEMM its load balance on skewed
+// inputs.
 func ForEachDynamic(n, threads int, fn func(worker, i int)) {
 	threads = DefaultThreads(threads)
 	if threads > n {
@@ -212,41 +213,6 @@ func PrefixSumParallel(counts, out []int64, threads int) int64 {
 		}
 	})
 	return total
-}
-
-// wsDeque is one worker's task deque: the owner pushes and pops at the tail
-// (LIFO, cache-friendly for freshly spawned work), thieves take from the head
-// (FIFO — the oldest, typically largest, task). A plain mutex suffices: tasks
-// here are bin sorts, large enough that lock traffic is noise.
-type wsDeque[T any] struct {
-	mu  sync.Mutex
-	buf []T
-}
-
-func (d *wsDeque[T]) push(t T) {
-	d.mu.Lock()
-	d.buf = append(d.buf, t)
-	d.mu.Unlock()
-}
-
-func (d *wsDeque[T]) popTail() (t T, ok bool) {
-	d.mu.Lock()
-	if n := len(d.buf); n > 0 {
-		t, ok = d.buf[n-1], true
-		d.buf = d.buf[:n-1]
-	}
-	d.mu.Unlock()
-	return t, ok
-}
-
-func (d *wsDeque[T]) stealHead() (t T, ok bool) {
-	d.mu.Lock()
-	if len(d.buf) > 0 {
-		t, ok = d.buf[0], true
-		d.buf = d.buf[1:]
-	}
-	d.mu.Unlock()
-	return t, ok
 }
 
 // ParallelRun invokes fn(worker) on exactly threads workers and waits.

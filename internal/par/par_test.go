@@ -1,7 +1,6 @@
 package par
 
 import (
-	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -158,65 +157,5 @@ func TestPrefixSumParallelMatchesSequential(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestWorkStealRunsEveryTaskOnce: seeds and spawned tasks each execute
-// exactly once, at every thread count, including recursive spawning.
-func TestWorkStealRunsEveryTaskOnce(t *testing.T) {
-	const seedsN = 40
-	const depth = 3 // each task spawns two children until depth exhausted
-	type task struct {
-		id    int
-		depth int
-	}
-	// Total tasks: seedsN * (2^(depth+1) - 1).
-	total := seedsN * ((1 << (depth + 1)) - 1)
-	for _, threads := range []int{1, 2, 4, 8} {
-		var ran sync.Map
-		var count atomic.Int64
-		seeds := make([]task, seedsN)
-		for i := range seeds {
-			seeds[i] = task{id: i, depth: depth}
-		}
-		nextID := atomic.Int64{}
-		nextID.Store(seedsN)
-		WorkStealPolicy(threads, seeds, nil, func(worker int, tk task, spawn func(task)) {
-			if _, dup := ran.LoadOrStore(tk.id, true); dup {
-				t.Errorf("threads=%d: task %d ran twice", threads, tk.id)
-			}
-			count.Add(1)
-			if tk.depth > 0 {
-				for c := 0; c < 2; c++ {
-					spawn(task{id: int(nextID.Add(1)) - 1, depth: tk.depth - 1})
-				}
-			}
-		})
-		if got := count.Load(); got != int64(total) {
-			t.Fatalf("threads=%d: ran %d tasks, want %d", threads, got, total)
-		}
-	}
-}
-
-// TestWorkStealEmpty: no seeds, no calls, no hang.
-func TestWorkStealEmpty(t *testing.T) {
-	WorkStealPolicy(4, nil, nil, func(int, int, func(int)) { t.Fatal("fn called with no seeds") })
-}
-
-// TestWorkStealDrainsSpawnsFromSlowWorker: one seed spawns many tasks; with
-// several workers all of them must still complete (stealing drains the
-// spawner's deque).
-func TestWorkStealDrainsSpawnsFromSlowWorker(t *testing.T) {
-	var count atomic.Int64
-	WorkStealPolicy(4, []int{0}, nil, func(worker, task int, spawn func(int)) {
-		count.Add(1)
-		if task == 0 {
-			for i := 1; i <= 100; i++ {
-				spawn(i)
-			}
-		}
-	})
-	if got := count.Load(); got != 101 {
-		t.Fatalf("ran %d tasks, want 101", got)
 	}
 }

@@ -10,8 +10,8 @@ import (
 )
 
 // refSortFold is the oracle, independent of both kernels: a stdlib stable
-// sort by key, then (with fold) one left-to-right fold of equal neighbours.
-func refSortFold[V Numeric](keys []uint32, vals []V, fold bool) ([]uint32, []V) {
+// sort by key, then one left-to-right fold of equal neighbours.
+func refSortFold[V Numeric](keys []uint32, vals []V) ([]uint32, []V) {
 	idx := make([]int, len(keys))
 	for i := range idx {
 		idx[i] = i
@@ -20,7 +20,7 @@ func refSortFold[V Numeric](keys []uint32, vals []V, fold bool) ([]uint32, []V) 
 	var outK []uint32
 	var outV []V
 	for _, i := range idx {
-		if fold && len(outK) > 0 && outK[len(outK)-1] == keys[i] {
+		if len(outK) > 0 && outK[len(outK)-1] == keys[i] {
 			outV[len(outV)-1] += vals[i]
 			continue
 		}
@@ -89,7 +89,7 @@ func shapes() []shape {
 
 // checkKV runs one kernel result against the oracle, bit for bit, together
 // with its row tally.
-func checkKV[V Numeric](t *testing.T, what string, gotK []uint32, gotV []V, rows []int64, wantK []uint32, wantV []V, fold bool, colBits uint) {
+func checkKV[V Numeric](t *testing.T, what string, gotK []uint32, gotV []V, rows []int64, wantK []uint32, wantV []V, colBits uint) {
 	t.Helper()
 	if len(gotK) != len(wantK) {
 		t.Fatalf("%s: %d tuples, want %d", what, len(gotK), len(wantK))
@@ -99,9 +99,7 @@ func checkKV[V Numeric](t *testing.T, what string, gotK []uint32, gotV []V, rows
 		if gotK[i] != wantK[i] || valBits(gotV[i]) != valBits(wantV[i]) {
 			t.Fatalf("%s: tuple %d = (%#x, %v), want (%#x, %v)", what, i, gotK[i], gotV[i], wantK[i], wantV[i])
 		}
-		if fold {
-			wantRows[wantK[i]>>colBits]++
-		}
+		wantRows[wantK[i]>>colBits]++
 	}
 	for i := range rows {
 		if rows[i] != wantRows[i] {
@@ -135,35 +133,31 @@ func testKernelsKV[V Numeric](t *testing.T, val func(r *rand.Rand) V) {
 		colBits := uint(max(s.keyBits-3, 0))
 		nrows := 1 << (uint(s.keyBits) - colBits)
 		w0, w1, tmp := make([]uint64, s.n), make([]uint64, s.n), make([]V, s.n)
-		for _, fold := range []bool{true, false} {
-			wantK, wantV := refSortFold(keys, vals, fold)
-			k, v := append([]uint32(nil), keys...), append([]V(nil), vals...)
-			rows := make([]int64, nrows)
-			n := SortFold(k, v, w0, w1, tmp, s.keyBits, fold, rows, colBits)
-			checkKV(t, fmt.Sprintf("%s SortFold(fold=%v)", s.name, fold), k[:n], v[:n], rows, wantK, wantV, fold, colBits)
-			// rows == nil must skip the tally, not crash.
-			k, v = append(k[:0], keys...), append(v[:0], vals...)
-			if m := SortFold(k, v, w0, w1, tmp, s.keyBits, fold, nil, colBits); m != n {
-				t.Fatalf("%s: nil rows changed the count: %d vs %d", s.name, m, n)
-			}
+		wantK, wantV := refSortFold(keys, vals)
+		k, v := append([]uint32(nil), keys...), append([]V(nil), vals...)
+		rows := make([]int64, nrows)
+		n := SortFold(k, v, w0, w1, tmp, s.keyBits, rows, colBits)
+		checkKV(t, s.name+" SortFold", k[:n], v[:n], rows, wantK, wantV, colBits)
+		// rows == nil must skip the tally, not crash.
+		k, v = append(k[:0], keys...), append(v[:0], vals...)
+		if m := SortFold(k, v, w0, w1, tmp, s.keyBits, nil, colBits); m != n {
+			t.Fatalf("%s: nil rows changed the count: %d vs %d", s.name, m, n)
 		}
 		if s.keyBits > denseTestBits {
 			continue
 		}
-		wantK, wantV := refSortFold(keys, vals, true)
 		acc, occ := make([]V, 1<<s.keyBits), make([]uint64, (1<<s.keyBits+63)/64)
-		k, v := append([]uint32(nil), keys...), append([]V(nil), vals...)
-		rows := make([]int64, nrows)
-		n := FoldDense(k, v, acc, occ, rows, colBits)
-		checkKV(t, s.name+" FoldDense", k[:n], v[:n], rows, wantK, wantV, true, colBits)
+		k, v = append(k[:0], keys...), append(v[:0], vals...)
+		rows = make([]int64, nrows)
+		n = FoldDense(k, v, acc, occ, rows, colBits)
+		checkKV(t, s.name+" FoldDense", k[:n], v[:n], rows, wantK, wantV, colBits)
 		if !allZero(acc) || !allZero(occ) {
 			t.Fatalf("%s: FoldDense left its accumulator or bitmap dirty", s.name)
 		}
 	}
 }
 
-// TestKernelsMatchOracle checks both kernels, fold and sort-only, for the
-// three value shapes against refSortFold on the adversarial shapes. Values
+// TestKernelsMatchOracle checks both kernels for the three value shapes against refSortFold on the adversarial shapes. Values
 // are drawn to make the fold order visible: floats of mixed magnitude
 // (addition is not associative), int32s that wrap.
 func TestKernelsMatchOracle(t *testing.T) {
@@ -191,22 +185,19 @@ func TestKernelsMatchOracle(t *testing.T) {
 			nrows := 1 << (uint(s.keyBits) - colBits)
 			unit := make([]int32, s.n) // the oracle's value plane; never compared
 			aux := make([]uint32, s.n)
-			for _, fold := range []bool{true, false} {
-				wantK, _ := refSortFold(keys, unit, fold)
-				k := append([]uint32(nil), keys...)
-				rows := make([]int64, nrows)
-				n := SortFoldPattern(k, aux, s.keyBits, fold, rows, colBits)
-				checkKV(t, fmt.Sprintf("%s SortFoldPattern(fold=%v)", s.name, fold), k[:n], unit[:n], rows, wantK, unit[:len(wantK)], fold, colBits)
-			}
+			wantK, _ := refSortFold(keys, unit)
+			k := append([]uint32(nil), keys...)
+			rows := make([]int64, nrows)
+			n := SortFoldPattern(k, aux, s.keyBits, rows, colBits)
+			checkKV(t, s.name+" SortFoldPattern", k[:n], unit[:n], rows, wantK, unit[:len(wantK)], colBits)
 			if s.keyBits > denseTestBits {
 				continue
 			}
-			wantK, _ := refSortFold(keys, unit, true)
 			occ := make([]uint64, (1<<s.keyBits+63)/64)
-			k := append([]uint32(nil), keys...)
-			rows := make([]int64, nrows)
-			n := FoldDensePattern(k, occ, rows, colBits)
-			checkKV(t, s.name+" FoldDensePattern", k[:n], unit[:n], rows, wantK, unit[:len(wantK)], true, colBits)
+			k = append(k[:0], keys...)
+			rows = make([]int64, nrows)
+			n = FoldDensePattern(k, occ, rows, colBits)
+			checkKV(t, s.name+" FoldDensePattern", k[:n], unit[:n], rows, wantK, unit[:len(wantK)], colBits)
 			if !allZero(occ) {
 				t.Fatalf("%s: FoldDensePattern left its bitmap dirty", s.name)
 			}
@@ -231,13 +222,11 @@ func TestKernelsMatchOracle(t *testing.T) {
 	})
 }
 
-// testPairs holds SortPairs — sort-only + CompressPairs, and with the fold in
-// its last pass — the split route — PartitionPairs, then SortPairs per
-// bucket on the remaining bits — and, where the key space allows one,
-// FoldDensePairs' direct-address accumulator (left all-zero) to
-// a stdlib stable sort and a left-to-right fold (same compares values bit for
-// bit): key widths from 1 to 62 bits, empty, one-tuple and all-equal
-// segments, segments past 2^16.
+// testPairs holds SortPairs, with the fold in its last pass, and, where the
+// key space allows one, FoldDensePairs' direct-address accumulator (left
+// all-zero) to a stdlib stable sort and a left-to-right fold (same compares
+// values bit for bit): key widths from 1 to 62 bits, empty, one-tuple and
+// all-equal segments, segments past 2^16.
 func testPairs[V any](t *testing.T, val func(r *rand.Rand, key uint64) V, plus func(a, b V) V, same func(a, b V) bool) {
 	r := rand.New(rand.NewSource(19))
 	for _, keyBits := range []int{1, 20, 33, 44, 62} {
@@ -274,19 +263,7 @@ func testPairs[V any](t *testing.T, val func(r *rand.Rand, key uint64) V, plus f
 				}
 				aux := make([]Pair[V], n)
 				got := append([]Pair[V](nil), ps...)
-				SortPairs(got, aux, keyBits, nil)
-				check("SortPairs", got, sorted)
-				check("CompressPairs", got[:CompressPairs(got, plus)], folded)
-				got = append(got[:0], ps...)
-				check("SortPairs with the fold", got[:SortPairs(got, aux, keyBits, plus)], folded)
-
-				got = append(got[:0], ps...)
-				bounds := make([]int64, MaxPartitionBuckets+1)
-				nb, rest := PartitionPairs(got, aux, bounds)
-				for b := 0; b < nb; b++ {
-					SortPairs(got[bounds[b]:bounds[b+1]], aux, rest, nil)
-				}
-				check("PartitionPairs + SortPairs", got, sorted)
+				check("SortPairs", got[:SortPairs(got, aux, keyBits, plus)], folded)
 
 				if keyBits > 20 {
 					continue // no direct-address accumulator for a key space this wide
@@ -310,7 +287,7 @@ func testPairs[V any](t *testing.T, val func(r *rand.Rand, key uint64) V, plus f
 func TestNegativeZeroGroupKeepsSign(t *testing.T) {
 	nz := math.Copysign(0, -1)
 	keys, vals := []uint32{3, 3, 3}, []float64{nz, nz, nz}
-	if n := SortFold(keys, vals, make([]uint64, 3), make([]uint64, 3), make([]float64, 3), 2, true, nil, 0); n != 1 || !math.Signbit(vals[0]) {
+	if n := SortFold(keys, vals, make([]uint64, 3), make([]uint64, 3), make([]float64, 3), 2, nil, 0); n != 1 || !math.Signbit(vals[0]) {
 		t.Fatalf("SortFold folded −0.0 group to %v (n=%d)", vals[0], n)
 	}
 	keys, vals = []uint32{3, 1, 3}, []float64{nz, 1, nz}
@@ -335,8 +312,8 @@ func mustPanic(t *testing.T, what string, f func()) (v any) {
 func TestPreconditionsAreChecked(t *testing.T) {
 	keys, vals := []uint32{1, 2, 1 << 10}, []float64{1, 2, 3}
 	w0, w1, tmp := make([]uint64, 16), make([]uint64, 16), make([]float64, 16)
-	mustPanic(t, "SortFold with a key ≥ 2^keyBits", func() { SortFold(keys, vals, w0, w1, tmp, 10, true, nil, 0) })
-	mustPanic(t, "SortFoldPattern with a key ≥ 2^keyBits", func() { SortFoldPattern(keys, make([]uint32, 3), 10, true, nil, 0) })
+	mustPanic(t, "SortFold with a key ≥ 2^keyBits", func() { SortFold(keys, vals, w0, w1, tmp, 10, nil, 0) })
+	mustPanic(t, "SortFoldPattern with a key ≥ 2^keyBits", func() { SortFoldPattern(keys, make([]uint32, 3), 10, nil, 0) })
 	mustPanic(t, "FoldDense with a key ≥ len(acc)", func() { FoldDense(keys, vals, make([]float64, 1<<10), make([]uint64, 1<<4), nil, 0) })
 	mustPanic(t, "FoldDensePattern with a key past occ", func() { FoldDensePattern(keys, make([]uint64, 1<<4), nil, 0) })
 
@@ -349,50 +326,9 @@ func TestPreconditionsAreChecked(t *testing.T) {
 		t.Fatalf("CheckSegment(9) at limit 8: %v, want ErrSegmentTooLarge", err)
 	}
 	long := make([]uint32, 9)
-	v := mustPanic(t, "SortFold past maxSegment", func() { SortFold(long, make([]float64, 9), w0, w1, tmp, 10, true, nil, 0) })
+	v := mustPanic(t, "SortFold past maxSegment", func() { SortFold(long, make([]float64, 9), w0, w1, tmp, 10, nil, 0) })
 	if err, ok := v.(error); !ok || !errors.Is(err, ErrSegmentTooLarge) {
 		t.Fatalf("SortFold past maxSegment panicked with %v, want ErrSegmentTooLarge", v)
-	}
-}
-
-// TestPartitionThenSortMatchesOracle: the oversized-bin path — one
-// PartitionTop pass, each bucket sorted with SortFold in sort-only mode on
-// the remaining bits — is the stable sort of the whole segment.
-func TestPartitionThenSortMatchesOracle(t *testing.T) {
-	r := rand.New(rand.NewSource(18))
-	for _, keyBits := range []int{3, 8, 18, 32} {
-		n := 50000
-		keys, vals := make([]uint32, n), make([]float64, n)
-		for i := range keys {
-			keys[i], vals[i] = uint32(r.Uint64()&(1<<keyBits-1)), r.NormFloat64()
-		}
-		wantK, wantV := refSortFold(keys, vals, false)
-		pk := append([]uint32(nil), keys...)
-
-		bounds := make([]int64, MaxPartitionBuckets+1)
-		auxK, auxV := make([]uint32, n), make([]float64, n)
-		w0, w1 := make([]uint64, n), make([]uint64, n)
-		nb, rest := PartitionTop(keys, vals, auxK, auxV, bounds)
-		for b := 0; b < nb; b++ {
-			lo, hi := bounds[b], bounds[b+1]
-			SortFold(keys[lo:hi], vals[lo:hi], w0, w1, auxV, rest, false, nil, 0)
-		}
-		checkKV(t, fmt.Sprintf("keyBits=%d PartitionTop", keyBits), keys, vals, nil, wantK, wantV, false, 0)
-
-		none := make([]struct{}, n)
-		nb, rest = PartitionTop(pk, none, auxK, none, bounds)
-		for b := 0; b < nb; b++ {
-			SortFoldPattern(pk[bounds[b]:bounds[b+1]], auxK, rest, false, nil, 0)
-		}
-		for i := range pk {
-			if pk[i] != wantK[i] {
-				t.Fatalf("keyBits=%d PartitionTop (key-only): key %d = %#x, want %#x", keyBits, i, pk[i], wantK[i])
-			}
-		}
-	}
-	bounds := make([]int64, MaxPartitionBuckets+1)
-	if nb, _ := PartitionTop([]uint32{7, 7, 7}, []float64{1, 2, 3}, make([]uint32, 3), make([]float64, 3), bounds); nb != 0 {
-		t.Fatal("all-equal keys: want 0 buckets")
 	}
 }
 
@@ -414,26 +350,21 @@ func TestKernelsDoNotAllocate(t *testing.T) {
 		ps[i] = Pair[float64]{Key: uint64(keys[i]) << 30, Val: vals[i]}
 	}
 	plus := func(a, b float64) float64 { return a + b }
-	bounds := make([]int64, MaxPartitionBuckets+1)
 	if allocs := testing.AllocsPerRun(10, func() {
-		copy(pw, ps)
-		SortPairs(pw, paux, keyBits+30, nil)
-		CompressPairs(pw, plus)
 		copy(pw, ps)
 		SortPairs(pw, paux, keyBits+30, plus)
 		copy(pw, ps)
-		PartitionPairs(pw, paux, bounds)
 		for i := range pw {
 			pw[i].Key >>= 30
 		}
 		FoldDensePairs(pw, acc, occ, plus)
 		copy(k, keys)
 		copy(v, vals)
-		SortFold(k, v, w0, w1, tmp, keyBits, true, rows, 10)
+		SortFold(k, v, w0, w1, tmp, keyBits, rows, 10)
 		copy(k, keys)
 		FoldDense(k, v, acc, occ, rows, 10)
 		copy(k, keys)
-		SortFoldPattern(k, aux, keyBits, true, rows, 10)
+		SortFoldPattern(k, aux, keyBits, rows, 10)
 		copy(k, keys)
 		FoldDensePattern(k, occ, rows, 10)
 	}); allocs != 0 {
@@ -496,7 +427,7 @@ func BenchmarkSortFoldHypersparse(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				copy(k, keys)
 				copy(v, vals)
-				SortFold(k, v, w0, w1, tmp, keyBits, true, rows, colBits)
+				SortFold(k, v, w0, w1, tmp, keyBits, rows, colBits)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/tuple")
 		})
@@ -521,7 +452,7 @@ func BenchmarkKernels(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				copy(k, keys)
 				copy(v, vals)
-				SortFold(k, v, w0, w1, tmp, keyBits, true, nil, 0)
+				SortFold(k, v, w0, w1, tmp, keyBits, nil, 0)
 			}
 		})
 		ps, pw, paux := make([]Pair[float64], n), make([]Pair[float64], n), make([]Pair[float64], n)
@@ -540,7 +471,7 @@ func BenchmarkKernels(b *testing.B) {
 			b.SetBytes(n * 4)
 			for i := 0; i < b.N; i++ {
 				copy(k, keys)
-				SortFoldPattern(k, aux, keyBits, true, nil, 0)
+				SortFoldPattern(k, aux, keyBits, nil, 0)
 			}
 		})
 		if keyBits > denseTestBits {

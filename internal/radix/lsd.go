@@ -21,9 +21,7 @@ import (
 //
 // LSD passes are stable, so equal keys reach the final sweep in arrival
 // order and the fold there is the same left-to-right chain (first value
-// assigned, later ones added) as FoldDense and as a two-pointer compress
-// over any other stable sort of the bin: fold, sort-only + compress, and a
-// bin split across workers by PartitionTop all produce identical bytes.
+// assigned, later ones added) as FoldDense: both produce identical bytes.
 
 const (
 	// maxDigitBits caps a digit at 2048 buckets: two passes cover a 22-bit
@@ -195,25 +193,22 @@ func Tally(keys []uint32, rows []int64, colBits uint) {
 }
 
 // SortFold stably sorts keys/vals by the low keyBits bits of the key — all
-// keys must agree on the bits above — and, with fold set, folds equal keys
-// (first value assigned, later ones added in arrival order), leaving the
-// folded tuples in the prefix of keys/vals and tallying rows[key>>colBits]
-// for each (rows == nil skips the tally). w0, w1 and tmp are scratch planes
-// of at least len(keys); their contents are clobbered. Returns the tuple
-// count left in keys/vals: the folded count, or len(keys) when sort-only.
+// keys must agree on the bits above — and folds equal keys (first value
+// assigned, later ones added in arrival order), leaving the folded tuples in
+// the prefix of keys/vals and tallying rows[key>>colBits] for each (rows ==
+// nil skips the tally). w0, w1 and tmp are scratch planes of at least
+// len(keys); their contents are clobbered. Returns the folded count.
 //
 // Measured and lost, not to be retried: a row-first fold of a cf ≈ 1 bin (a
 // stable pass on the local row, then an in-L1 merge of each row's ascending
 // runs). On 64 Ki tuples of 26-bit keys in 8-tuple runs it took 29.4–30.9 ns
 // a tuple branchy against 12.4–12.9 here, 23.5–24.1 branchless against
 // 14.9–15.8, 31–44 on 4-tuple runs. Two-pass bins (internal/core) won instead.
-func SortFold[V Numeric](keys []uint32, vals []V, w0, w1 []uint64, tmp []V, keyBits int, fold bool, rows []int64, colBits uint) int {
+func SortFold[V Numeric](keys []uint32, vals []V, w0, w1 []uint64, tmp []V, keyBits int, rows []int64, colBits uint) int {
 	n := len(keys)
 	vals = vals[:n]
 	if n < 2 {
-		if fold {
-			Tally(keys, rows, colBits)
-		}
+		Tally(keys, rows, colBits)
 		return n
 	}
 	if uint64(n) > maxSegment {
@@ -224,9 +219,6 @@ func SortFold[V Numeric](keys []uint32, vals []V, w0, w1 []uint64, tmp []V, keyB
 	diff := hist.count(keys, passes, digit, keyBits)
 	if diff == 0 {
 		// Every key equal: arrival order is the sorted order.
-		if !fold {
-			return n
-		}
 		v := vals[0]
 		for _, x := range vals[1:] {
 			v += x
@@ -257,13 +249,6 @@ func SortFold[V Numeric](keys []uint32, vals []V, w0, w1 []uint64, tmp []V, keyB
 	// it back as one sequential stream is cheaper than the gather's misses.
 	simd.PrefetchSlice(vals)
 	tmp = tmp[:n]
-	if !fold {
-		for i, w := range cur {
-			keys[i], tmp[i] = uint32(w>>32), vals[uint32(w)]
-		}
-		copy(vals, tmp)
-		return n
-	}
 	// The gather is decoupled from the fold, a block at a time: a loop of
 	// independent loads keeps many of the value plane's cache misses in
 	// flight, which the fold's add chain and its equal-key branch would
@@ -298,12 +283,10 @@ func SortFold[V Numeric](keys []uint32, vals []V, w0, w1 []uint64, tmp []V, keyB
 // SortFoldPattern is SortFold for the key-only pattern layout: the passes
 // move bare 4-byte keys between keys and aux (at least len(keys) long,
 // clobbered) and the fold is deduplication.
-func SortFoldPattern(keys, aux []uint32, keyBits int, fold bool, rows []int64, colBits uint) int {
+func SortFoldPattern(keys, aux []uint32, keyBits int, rows []int64, colBits uint) int {
 	n := len(keys)
 	if n < 2 {
-		if fold {
-			Tally(keys, rows, colBits)
-		}
+		Tally(keys, rows, colBits)
 		return n
 	}
 	passes, digit := lsdPlan(n, keyBits)
@@ -321,12 +304,6 @@ func SortFoldPattern(keys, aux []uint32, keyBits int, fold bool, rows []int64, c
 		scatterKeys(cur, alt, h, shift, mask)
 		cur, alt = alt, cur
 	}
-	if !fold {
-		if &cur[0] != &keys[0] {
-			copy(keys, cur)
-		}
-		return n
-	}
 	// Dedup into the prefix of keys; in place when cur is keys (the write
 	// position never passes the read position).
 	out := 0
@@ -342,58 +319,4 @@ func SortFoldPattern(keys, aux []uint32, keyBits int, fold bool, rows []int64, c
 	keys[out] = pk
 	Tally(keys[:out+1], rows, colBits)
 	return out + 1
-}
-
-// MaxPartitionBuckets is the most buckets a partition pass can emit; callers
-// size its bounds slice to MaxPartitionBuckets+1.
-const MaxPartitionBuckets = maxBuckets
-
-// PartitionTop is the one stable top-digit pass that splits an oversized bin
-// across workers: a counting scatter on the highest digitBits bits the keys
-// actually differ on, through auxK/auxV (at least len(keys), clobbered) and
-// copied back, with the bucket starts written to bounds (len ≥
-// MaxPartitionBuckets+1). The caller finishes each bucket with SortFold on
-// restBits in sort-only mode and folds the whole bin afterwards; stability
-// makes that bit-identical to one SortFold call. nbuckets == 0 means the bin
-// is already sorted (all keys equal, or the pass consumed the last bits). The
-// key-only pattern layout passes []struct{} planes for vals and auxV.
-func PartitionTop[V any](keys []uint32, vals []V, auxK []uint32, auxV []V, bounds []int64) (nbuckets, restBits int) {
-	n := len(keys)
-	if n < 2 {
-		return 0, 0
-	}
-	var diff uint32
-	for _, k := range keys {
-		diff |= k ^ keys[0]
-	}
-	hi := bits.Len32(diff)
-	if hi == 0 {
-		return 0, 0
-	}
-	w := min(hi, digitBits)
-	shift, nb, mask := uint(hi-w), 1<<w, uint32(1)<<w-1
-	var cursor [maxBuckets]int64
-	for _, k := range keys {
-		cursor[k>>shift&mask]++
-	}
-	sum := int64(0)
-	for b := 0; b < nb; b++ {
-		c := cursor[b]
-		cursor[b], bounds[b] = sum, sum
-		sum += c
-	}
-	bounds[nb] = sum
-	vals, auxK, auxV = vals[:n], auxK[:n], auxV[:n]
-	for i, k := range keys {
-		d := k >> shift & mask
-		c := cursor[d]
-		auxK[c], auxV[c] = k, vals[i]
-		cursor[d] = c + 1
-	}
-	copy(keys, auxK)
-	copy(vals, auxV)
-	if shift == 0 {
-		return 0, 0
-	}
-	return nb, int(shift)
 }

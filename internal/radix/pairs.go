@@ -17,23 +17,21 @@ type Pair[V any] struct {
 // maxPairPasses bounds SortPairs' plan: ⌈64/maxDigitBits⌉ digits cover any key.
 const maxPairPasses = 6
 
-// SortPairs is the wide layout's sort: lsd.go's fixed-pass stable LSD
-// radix over whole 16-byte elements, on the low keyBits bits of Key (all keys
-// must agree on the bits above; it panics otherwise rather than mis-sort).
-// The plan is fixed before any tuple moves, one sweep fills the histograms of
-// every digit, a digit on which all keys agree is skipped, and each remaining
-// pass is one stable counting scatter between ps and aux (at least len(ps)
-// long, clobbered).
+// SortPairs is the wide layout's fused sort and fold: lsd.go's fixed-pass
+// stable LSD radix over whole 16-byte elements, on the low keyBits bits of Key
+// (all keys must agree on the bits above; it panics otherwise rather than
+// mis-sort). The plan is fixed before any tuple moves, one sweep fills the
+// histograms of every digit, a digit on which all keys agree is skipped, and
+// each remaining pass is one stable counting scatter between ps and aux (at
+// least len(ps) long, clobbered).
 //
-// With plus nil it only sorts. Otherwise it also folds equal keys through
-// plus, in the last pass: a bucket of that pass receives its tuples in key
-// order, so a tuple whose key equals the one its bucket received last is
-// folded into it instead of stored, and the buckets' folded prefixes are then
-// closed up. Equal keys meet in arrival order — every pass is stable — so the
-// fold is the chain CompressPairs runs over the sorted segment: first value
-// assigned, each later one added to it. Fused, sort-only + CompressPairs, a
-// bin split across workers by PartitionPairs and a budgeted run's re-fold of
-// gathered runs therefore agree bit for bit, whatever plus is. Returns the
+// The last pass also folds equal keys through plus: a bucket of that pass
+// receives its tuples in key order, so a tuple whose key equals the one its
+// bucket received last is folded into it instead of stored, and the buckets'
+// folded prefixes are then closed up. Equal keys meet in arrival order —
+// every pass is stable — so the fold is the chain first value assigned, each
+// later one added to it, and a budgeted run's re-fold of gathered runs and
+// FoldDensePairs agree with it bit for bit, whatever plus is. Returns the
 // tuple count left in the prefix of ps.
 func SortPairs[V any](ps, aux []Pair[V], keyBits int, plus func(a, b V) V) int {
 	n := len(ps)
@@ -82,30 +80,27 @@ func SortPairs[V any](ps, aux []Pair[V], keyBits int, plus func(a, b V) V) int {
 	}
 	if diff == 0 {
 		// Every key equal: arrival order is the sorted order.
-		if plus == nil {
-			return n
+		acc := ps[0].Val
+		for _, p := range ps[1:] {
+			acc = plus(acc, p.Val)
 		}
-		return CompressPairs(ps, plus)
+		ps[0].Val = acc
+		return 1
 	}
 	last := (bits.Len64(diff) - 1) / digit // the highest digit any tuples differ on
 	src, dst := ps, aux[:n]
-	for p := 0; p <= last; p++ {
+	for p := 0; p < last; p++ {
 		shift := uint(p*digit) & 63
 		if diff>>shift&mask == 0 {
 			continue // all tuples agree on this digit
 		}
 		h := &hist[p]
 		starts(h, digit)
-		if p == last && plus != nil {
-			return foldPass(ps, src, dst, h, digit, shift, plus)
-		}
 		scatterPairs(src, dst, h, shift, mask)
 		src, dst = dst, src
 	}
-	if &src[0] != &ps[0] {
-		copy(ps, src)
-	}
-	return n
+	starts(&hist[last], digit)
+	return foldPass(ps, src, dst, &hist[last], digit, uint(last*digit)&63, plus)
 }
 
 //go:noinline
@@ -169,67 +164,6 @@ func FoldDensePairs[V any](ps []Pair[V], acc []V, occ []uint64, plus func(a, b V
 		}
 	}
 	return out
-}
-
-// PartitionPairs is PartitionTop for the wide layout: one stable counting
-// scatter on the highest digitBits bits the keys differ on, through aux and
-// copied back, bucket starts in bounds (len ≥ MaxPartitionBuckets+1). The
-// caller finishes each bucket with SortPairs on restBits; nbuckets == 0 means
-// the pass (or all-equal keys) left ps sorted. A twin on purpose: one body over
-// split uint32 planes and over whole 64-bit-key elements would have to read its
-// key through a per-element callback or branch on which it serves.
-func PartitionPairs[V any](ps, aux []Pair[V], bounds []int64) (nbuckets, restBits int) {
-	n := len(ps)
-	if n < 2 {
-		return 0, 0
-	}
-	var diff uint64
-	for i := range ps {
-		diff |= ps[i].Key ^ ps[0].Key
-	}
-	hi := bits.Len64(diff)
-	if hi == 0 {
-		return 0, 0
-	}
-	w := min(hi, digitBits)
-	shift, nb, mask := uint(hi-w), 1<<w, uint64(1)<<w-1
-	var h [1 << maxDigitBits]uint32
-	for i := range ps {
-		h[ps[i].Key>>shift&mask&bucketMask]++
-	}
-	starts(&h, w)
-	for b, at := range h[:nb] {
-		bounds[b] = int64(at)
-	}
-	bounds[nb] = int64(n)
-	scatterPairs(ps, aux[:n], &h, shift, mask)
-	copy(ps, aux[:n])
-	if shift == 0 {
-		return 0, 0
-	}
-	return nb, int(shift)
-}
-
-// CompressPairs is the paper's two-pointer in-place merge (Section III-E)
-// over a sorted segment: p1 walks the tuples, p2 tracks the write position,
-// and equal keys fold into the tuple at p2 through plus, left to right — the
-// first value assigned, each later one added to it. Returns the folded length.
-func CompressPairs[V any](ps []Pair[V], plus func(a, b V) V) int {
-	if len(ps) == 0 {
-		return 0
-	}
-	p2, acc := 0, ps[0]
-	for _, p := range ps[1:] {
-		if p.Key == acc.Key {
-			acc.Val = plus(acc.Val, p.Val)
-			continue
-		}
-		ps[p2] = acc
-		p2++
-		acc = p
-	}
-	ps[p2] = acc
-	return p2 + 1
 }
 
 // SortPairsInPlace sorts ps by Key ascending with an in-place American-flag
