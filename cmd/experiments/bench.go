@@ -25,11 +25,13 @@ import (
 // -gate` on every push and uploads it as the bench-trajectory artifact, so
 // each PR leaves a comparable perf baseline behind; the committed
 // BENCH_PR28.json is one -gate run of the commit that set the current
-// gates (CI's informational -baseline). Regimes pin both tuple layouts on the
-// low-cf ER workload (the squeezed pipeline's headline case), both layouts on
-// the high-cf R-MAT workload (the fused pipeline's), that workload under
-// two memory budgets and over a custom semiring, a hypersparse product whose
-// keys need the wide layout, and a masked product beside its unmasked twin:
+// gates (CI's informational -baseline). Regimes pair the squeezed float64
+// product with the wide layout's (MultiplyWide over (+, ×)) on the low-cf ER
+// workload (the squeezed pipeline's headline case), on the high-cf R-MAT
+// workload (the fused pipeline's) and on a hypersparse product whose keys
+// take more than the flop rule's bins to fit 32 bits; they run that R-MAT
+// workload under two memory budgets and over a custom semiring, and a masked
+// product beside its unmasked twin:
 // -gate fails the run on the ratio, phase and allocation checks of gateBench.
 // Two semiring products also run as a caller gets them under Auto — the planner
 // choosing between PB and the row kernel — through EngineMultiplyOver.
@@ -88,18 +90,18 @@ type benchReport struct {
 	Shard []benchShardRegime `json:"shard,omitempty"`
 }
 
-// benchCase is one regime's generator recipe; layouts are forced so the
-// trajectory always carries squeezed-vs-wide pairs on identical inputs.
+// benchCase is one regime's generator recipe; the entry point (mode) fixes
+// the layout, so the trajectory carries squeezed-vs-wide pairs on identical
+// inputs.
 type benchCase struct {
 	name       string
 	kind       string
 	scale, ef  int
 	seedA      uint64
 	seedB      uint64
-	layout     core.Layout
 	threadsCap int    // 0: cfg/default threads, 1: pin single-threaded
 	budget     int64  // MemoryBudgetBytes; >0 exercises the panel/gather path
-	mode       string // "" core.Multiply | "pattern" 4 B key-only | "f32" 8 B narrow | "masked" row kernel, mask = A | "minplus" semiring.MinPlus, wide | "minplus-auto", "bool-auto", "bool-pb" through EngineMultiplyOver
+	mode       string // "" core.Multiply | "wide" core.MultiplyWide over (+, ×) | "pattern" 4 B key-only | "f32" 8 B narrow | "masked" row kernel, mask = A | "minplus" semiring.MinPlus, wide | "minplus-auto", "bool-auto", "bool-pb" through EngineMultiplyOver
 	cancelHook bool   // install a no-op Cancel hook: every sub-phase poll calls it
 }
 
@@ -129,7 +131,7 @@ const (
 	boolPBRegime       = "rmat-dram-bool-pb"
 )
 
-// minPlusGateFactor bounds a custom semiring against the forced-wide float64
+// minPlusGateFactor bounds a custom semiring against the wide float64
 // product of the same input: one pipeline, one layout, the same kernel on
 // every bin, only the ⊗ and ⊕ function values differ (1.40–1.67 measured: min
 // is a data-dependent branch where + is not, and a semiring's scalar ⊗ is
@@ -203,70 +205,72 @@ func benchCases() []benchCase {
 		// Low-cf ER, both layouts: the PR 4 acceptance pair
 		// (BenchmarkMultiply's regime). Single-threaded so allocs/op asserts
 		// the pooled 0.
-		{"er-lowcf-squeezed", "ER", 13, 8, 1, 2, core.LayoutSqueezed, 1, 0, "", false},
-		{"er-lowcf-wide", "ER", 13, 8, 1, 2, core.LayoutWide, 1, 0, "", false},
+		{"er-lowcf-squeezed", "ER", 13, 8, 1, 2, 1, 0, "", false},
+		{"er-lowcf-wide", "ER", 13, 8, 1, 2, 1, 0, "wide", false},
 		// High-cf R-MAT (cf ≈ 4.6, past the crossover — the regime where the
 		// fold carries the most bytes relative to output), squeezed and wide
 		// so the allocs/op gate covers both layouts. Single-threaded, pooled.
-		{gateFusedRegime, "RMAT", 10, 32, 1, 2, core.LayoutSqueezed, 1, 0, "", false},
+		{gateFusedRegime, "RMAT", 10, 32, 1, 2, 1, 0, "", false},
 		// The same input over MinPlus as a caller gets it, under Auto (the row
 		// kernel), gated against the fused float64 product right above.
-		{gateAutoMinPlus, "RMAT", 10, 32, 1, 2, core.LayoutAuto, 1, 0, "minplus-auto", false},
-		{"rmat-highcf-wide-fused", "RMAT", 10, 32, 1, 2, core.LayoutWide, 1, 0, "", false},
+		{gateAutoMinPlus, "RMAT", 10, 32, 1, 2, 1, 0, "minplus-auto", false},
+		{"rmat-highcf-wide-fused", "RMAT", 10, 32, 1, 2, 1, 0, "wide", false},
 		// The same input over MinPlus on PB: a custom semiring runs the wide
 		// layout through its own ⊗ and ⊕ (internal/semiring → core.MultiplyWide),
-		// so its comparator is the forced-wide float64 product right above.
-		{gateMinPlusRegime, "RMAT", 10, 32, 1, 2, core.LayoutAuto, 1, 0, "minplus", false},
+		// so its comparator is the wide float64 product right above.
+		{gateMinPlusRegime, "RMAT", 10, 32, 1, 2, 1, 0, "minplus", false},
 		// The Boolean/structural regime: the 4-byte pattern layout on the same
 		// high-cf input as the squeezed acceptance pair (its 12-byte
 		// comparator), and on the low-cf ER input. The 8-byte float32 narrow
 		// layout on both workloads. All single-threaded pooled, so the 0
 		// allocs/op gate covers every layout.
-		{gatePatternRegime, "RMAT", 10, 32, 1, 2, core.LayoutAuto, 1, 0, "pattern", false},
-		{"er-lowcf-pattern", "ER", 13, 8, 1, 2, core.LayoutAuto, 1, 0, "pattern", false},
-		{"rmat-highcf-f32", "RMAT", 10, 32, 1, 2, core.LayoutAuto, 1, 0, "f32", false},
-		{"er-lowcf-f32", "ER", 13, 8, 1, 2, core.LayoutAuto, 1, 0, "f32", false},
+		{gatePatternRegime, "RMAT", 10, 32, 1, 2, 1, 0, "pattern", false},
+		{"er-lowcf-pattern", "ER", 13, 8, 1, 2, 1, 0, "pattern", false},
+		{"rmat-highcf-f32", "RMAT", 10, 32, 1, 2, 1, 0, "f32", false},
+		{"er-lowcf-f32", "ER", 13, 8, 1, 2, 1, 0, "f32", false},
 		// The low-cf ER product at scale 16 — BENCHMARK.json's er_lowcf — where
 		// the tuple arena no longer fits the private caches and the squeezed
 		// one (50 MB) crosses the non-temporal flush threshold: the regimes
 		// behind the DRAM-resident expand gate.
-		{"er-dram-squeezed", "ER", 16, 8, 1, 2, core.LayoutSqueezed, 1, 0, "", false},
-		{"er-dram-pattern", "ER", 16, 8, 1, 2, core.LayoutAuto, 1, 0, "pattern", false},
-		// Hypersparse ER, 2^20 rows at 2 per row: 4 M flops in 64 bins of 2^14
-		// rows, so keys take 14 + 20 = 34 bits — the regime where the wide
-		// layout is chosen, not forced.
-		{"er-hypersparse-wide", "ER", 20, 2, 1, 2, core.LayoutAuto, 1, 0, "", false},
+		{"er-dram-squeezed", "ER", 16, 8, 1, 2, 1, 0, "", false},
+		{"er-dram-pattern", "ER", 16, 8, 1, 2, 1, 0, "pattern", false},
+		// Hypersparse ER, 2^20 rows at 2 per row: the flop rule's 64 bins of
+		// 2^14 rows would take 14 + 20 = 34-bit keys, so Multiply runs 256 bins
+		// of 12 + 20. Its wide twin runs the flop rule's 64 on 16-byte tuples,
+		// the work the committed baseline's er-hypersparse-wide measured.
+		{"er-hypersparse", "ER", 20, 2, 1, 2, 1, 0, "", false},
+		{"er-hypersparse-wide", "ER", 20, 2, 1, 2, 1, 0, "wide", false},
 		// R-MAT scale 13, edge factor 16, squared — BENCHMARK.json's rmat_skew
 		// product: a 228 MB squeezed arena whose power-law bins reach a million
 		// tuples over an 18-bit key space, the dense fold's home ground.
-		{"rmat-dram-squeezed", "RMAT", 13, 16, 1, 1, core.LayoutSqueezed, 1, 0, "", false},
-		{"rmat-dram-pattern", "RMAT", 13, 16, 1, 1, core.LayoutAuto, 1, 0, "pattern", false},
+		{"rmat-dram-squeezed", "RMAT", 13, 16, 1, 1, 1, 0, "", false},
+		{"rmat-dram-pattern", "RMAT", 13, 16, 1, 1, 1, 0, "pattern", false},
 		// The same Boolean product as a caller gets it (BENCHMARK.json's
 		// rmat_bool_pattern, which passes no algorithm and so stays on PB), under
 		// Auto and under PB: reported side by side, not gated.
-		{boolAutoRegime, "RMAT", 13, 16, 1, 1, core.LayoutAuto, 1, 0, "bool-auto", false},
-		{boolPBRegime, "RMAT", 13, 16, 1, 1, core.LayoutAuto, 1, 0, "bool-pb", false},
+		{boolAutoRegime, "RMAT", 13, 16, 1, 1, 1, 0, "bool-auto", false},
+		{boolPBRegime, "RMAT", 13, 16, 1, 1, 1, 0, "bool-pb", false},
 		// R-MAT scale 12, edge factor 16, squared — BENCHMARK.json's rmat_masked
 		// inputs — unmasked, then under its own mask through the row kernel's
 		// masked form (baseline.SPA with a mask): the masked gate's pair.
-		{gateUnmaskedRegime, "RMAT", 12, 16, 1, 1, core.LayoutAuto, 1, 0, "", false},
-		{gateMaskedRegime, "RMAT", 12, 16, 1, 1, core.LayoutAuto, 1, 0, "masked", false},
+		{gateUnmaskedRegime, "RMAT", 12, 16, 1, 1, 1, 0, "", false},
+		{gateMaskedRegime, "RMAT", 12, 16, 1, 1, 1, 0, "masked", false},
 		// The same high-cf input through the memory-budgeted panel path, at a
 		// shallow budget (~3 panels: a bin gathers two or three runs) and a
 		// deep one (~9 panels); the deep one is the budget-overhead gate's
 		// regime.
-		{"rmat-highcf-budgeted-fused", "RMAT", 10, 32, 1, 2, core.LayoutSqueezed, 1, 16 << 20, "", false},
-		{gateBudgetedRegime, "RMAT", 10, 32, 1, 2, core.LayoutSqueezed, 1, 4 << 20, "", false},
+		{"rmat-highcf-budgeted-fused", "RMAT", 10, 32, 1, 2, 1, 16 << 20, "", false},
+		{gateBudgetedRegime, "RMAT", 10, 32, 1, 2, 1, 4 << 20, "", false},
 		// Sparser ER (cf ≈ 1) and a denser one, auto layout, default threads.
-		{"er-sparse", "ER", 14, 4, 1, 2, core.LayoutAuto, 0, 0, "", false},
-		{"er-dense", "ER", 12, 16, 1, 2, core.LayoutAuto, 0, 0, "", false},
+		{"er-sparse", "ER", 14, 4, 1, 2, 0, 0, "", false},
+		{"er-dense", "ER", 12, 16, 1, 2, 0, 0, "", false},
 		// Skewed R-MAT regimes (Graph500 parameters).
-		{"rmat-ef8", "RMAT", 12, 8, 1, 2, core.LayoutAuto, 0, 0, "", false},
-		{"rmat-ef16", "RMAT", 11, 16, 1, 2, core.LayoutAuto, 0, 0, "", false},
+		{"rmat-ef8", "RMAT", 12, 8, 1, 2, 0, 0, "", false},
+		{"rmat-ef16", "RMAT", 11, 16, 1, 2, 0, 0, "", false},
 		// The acceptance pair at full thread count: the multi-threaded
 		// trajectory.
-		{"er-lowcf-squeezed-mt", "ER", 13, 8, 1, 2, core.LayoutSqueezed, 0, 0, "", false},
-		{"rmat-highcf-fused-mt", "RMAT", 10, 32, 1, 2, core.LayoutSqueezed, 0, 0, "", false},
+		{"er-lowcf-squeezed-mt", "ER", 13, 8, 1, 2, 0, 0, "", false},
+		{"rmat-highcf-fused-mt", "RMAT", 10, 32, 1, 2, 0, 0, "", false},
 	}
 }
 
@@ -537,7 +541,7 @@ func runBenchCase(cfg *config, c benchCase) (benchRegime, error) {
 	acsc := a.ToCSC()
 	threads := pickThreads(cfg, c.threadsCap)
 	ws := core.NewWorkspace()
-	opt := core.Options{Threads: threads, Workspace: ws, ForceLayout: c.layout, MemoryBudgetBytes: c.budget}
+	opt := core.Options{Threads: threads, Workspace: ws, MemoryBudgetBytes: c.budget}
 	if c.cancelHook {
 		opt.Cancel = func() error { return nil }
 	}
@@ -581,6 +585,9 @@ func runBenchCase(cfg *config, c benchCase) (benchRegime, error) {
 			return st, err
 		case "f32":
 			_, _, st, err := core.MultiplyNarrow(acsc, af32, b, bf32, opt)
+			return st, err
+		case "wide":
+			_, _, st, err := core.MultiplyWide(acsc, acsc.Val, b, b.Val, core.PlusTimes, opt)
 			return st, err
 		default:
 			_, st, err := core.Multiply(acsc, b, opt)

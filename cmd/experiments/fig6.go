@@ -41,15 +41,15 @@ func runFig6a(cfg *config) {
 	for _, lay := range []core.Layout{core.LayoutSqueezed, core.LayoutWide, core.LayoutNarrow, core.LayoutPattern} {
 		ws := core.NewWorkspace()
 		run := func(width int) *core.Stats {
-			opt := core.Options{Threads: threads, LocalBinBytes: width, Workspace: ws, ForceLayout: lay}
+			opt := core.Options{Threads: threads, LocalBinBytes: width, Workspace: ws}
 			var st *core.Stats
 			var err error
 			switch lay {
+			case core.LayoutWide:
+				_, _, st, err = core.MultiplyWide(a, a.Val, b, b.Val, core.PlusTimes, opt)
 			case core.LayoutNarrow:
-				opt.ForceLayout = core.LayoutAuto
 				_, _, st, err = core.MultiplyNarrow(a, af32, b, bf32, opt)
 			case core.LayoutPattern:
-				opt.ForceLayout = core.LayoutAuto
 				_, st, err = core.MultiplyPattern(a, b, opt)
 			default:
 				_, st, err = core.Multiply(a, b, opt)

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math/bits"
 	"testing"
 
 	"pbspgemm"
@@ -117,7 +118,7 @@ func TestPlannerWorkloadsCoverBothRegimes(t *testing.T) {
 
 func TestBenchCaseProducesValidRegime(t *testing.T) {
 	cfg := &config{reps: 1}
-	c := benchCase{"er-test", "ER", 8, 4, 1, 2, 0, 1, 0, "", false}
+	c := benchCase{"er-test", "ER", 8, 4, 1, 2, 1, 0, "", false}
 	r, err := runBenchCase(cfg, c)
 	if err != nil {
 		t.Fatal(err)
@@ -144,12 +145,15 @@ func TestBenchCaseProducesValidRegime(t *testing.T) {
 	} else if r.Layout != "narrow" || r.TupleBytes != 8 || r.Mode != "f32" {
 		t.Fatalf("f32 regime: layout=%s bytes=%d mode=%s", r.Layout, r.TupleBytes, r.Mode)
 	}
-	// A custom semiring runs the wide layout and reports the pipeline's stats.
-	c.name, c.mode = "er-test-minplus", "minplus"
-	if r, err = runBenchCase(cfg, c); err != nil {
-		t.Fatal(err)
-	} else if r.Layout != "wide" || r.TupleBytes != 16 || r.Mode != "minplus" || r.Flops <= 0 || r.Fuse.Millis <= 0 {
-		t.Fatalf("minplus regime: %+v", r)
+	// A custom semiring runs the wide layout and reports the pipeline's stats,
+	// as the float64 product on the wide entry does.
+	for _, mode := range []string{"minplus", "wide"} {
+		c.name, c.mode = "er-test-"+mode, mode
+		if r, err = runBenchCase(cfg, c); err != nil {
+			t.Fatal(err)
+		} else if r.Layout != "wide" || r.TupleBytes != 16 || r.Mode != mode || r.Flops <= 0 || r.Fuse.Millis <= 0 {
+			t.Fatalf("%s regime: %+v", mode, r)
+		}
 	}
 }
 
@@ -161,10 +165,10 @@ func TestBenchCasesFixedSeedsAndLayoutPair(t *testing.T) {
 			t.Fatalf("%s: seeds must be fixed and nonzero", c.name)
 		}
 		if c.kind == "ER" && c.scale == 13 {
-			switch c.layout {
-			case core.LayoutSqueezed:
+			switch c.mode {
+			case "":
 				sq = true
-			case core.LayoutWide:
+			case "wide":
 				wide = true
 			}
 		}
@@ -188,29 +192,29 @@ func TestBenchCasesCarryFusedPairs(t *testing.T) {
 	if !okF || !okWF {
 		t.Fatalf("gate regimes missing: squeezed=%v wide=%v", okF, okWF)
 	}
-	if f.kind != "RMAT" || f.layout != core.LayoutSqueezed || wf.layout != core.LayoutWide {
+	if f.kind != "RMAT" || f.mode != "" || wf.mode != "wide" {
 		t.Fatal("the gate pair must be the R-MAT regime, squeezed and wide")
 	}
 	for _, c := range []benchCase{f, wf} {
-		if c.threadsCap != 1 || c.budget != 0 || c.mode != "" {
+		if c.threadsCap != 1 || c.budget != 0 {
 			t.Fatalf("%s: gate regimes must be single-threaded, unbudgeted float64", c.name)
 		}
 	}
 	sq := wf
-	sq.name, sq.layout = f.name, f.layout
+	sq.name, sq.mode = f.name, f.mode
 	if sq != f {
-		t.Fatal("the layout pair must differ only in name and layout")
+		t.Fatal("the layout pair must differ only in name and mode")
 	}
-	// The custom-semiring gate compares MinPlus against the forced-wide float64
-	// product: same input, same threads, and no layout forced (a semiring that
+	// The custom-semiring gate compares MinPlus against the wide float64
+	// product: same input, same threads, and the same layout (a semiring that
 	// has no typed kernel gets the wide layout by itself).
 	mp, okMP := byName[gateMinPlusRegime]
-	if !okMP || mp.mode != "minplus" || mp.layout != core.LayoutAuto || gateWideRegime != wf.name {
+	if !okMP || mp.mode != "minplus" || gateWideRegime != wf.name {
 		t.Fatal("gate minplus regime missing, not minplus-mode, or its comparator is not the wide fused regime")
 	}
-	mp.name, mp.mode, mp.layout = wf.name, wf.mode, wf.layout
+	mp.name, mp.mode = wf.name, wf.mode
 	if mp != wf {
-		t.Fatal("the minplus gate regime must differ from its wide comparator only in name, mode and layout")
+		t.Fatal("the minplus gate regime must differ from its wide comparator only in name and mode")
 	}
 	// The Boolean-regime gate compares the pattern layout against the
 	// squeezed fused regime, so the two must share identical inputs and
@@ -300,24 +304,46 @@ func TestBenchCasesCarryDRAMRegimes(t *testing.T) {
 // their regimes by name; each must be single-threaded, fused and unbudgeted
 // (the phase stat is Stats.Fuse), and the rmat-dram pair must be
 // BENCHMARK.json's rmat_skew product — R-MAT scale 13, ef 16, squared.
-// TestBenchCasesCarryHypersparseWide: one regime must get the wide layout
-// because its keys need it — nothing forced — single-threaded and pooled like
-// the other phase-stat regimes.
+// TestBenchCasesCarryHypersparseWide: er-hypersparse is a product whose
+// flop-rule geometry — the bins its wide twin runs — packs keys past 32 bits,
+// and which Multiply still runs squeezed, in more bins; the two differ only
+// in name and mode, single-threaded and pooled like the other phase-stat
+// regimes.
 func TestBenchCasesCarryHypersparseWide(t *testing.T) {
+	byName := map[string]benchCase{}
 	for _, c := range benchCases() {
-		if c.name != "er-hypersparse-wide" {
-			continue
-		}
-		if c.layout != core.LayoutAuto || c.mode != "" || c.threadsCap != 1 || c.budget != 0 {
-			t.Fatalf("%+v: want an unforced single-threaded fused single-shot float64 regime", c)
-		}
-		rows := int32(1) << c.scale
-		if core.Key32Fits(rows, rows, int64(rows)*int64(c.ef)*int64(c.ef), core.Options{}) {
-			t.Fatalf("%+v: its keys fit 32 bits, so it would squeeze", c)
-		}
-		return
+		byName[c.name] = c
 	}
-	t.Fatal("er-hypersparse-wide missing")
+	sq, okSq := byName["er-hypersparse"]
+	w, okW := byName["er-hypersparse-wide"]
+	if !okSq || !okW {
+		t.Fatalf("hypersparse pair missing: squeezed=%v wide=%v", okSq, okW)
+	}
+	if sq.mode != "" || w.mode != "wide" || sq.threadsCap != 1 || sq.budget != 0 {
+		t.Fatalf("%+v: want a single-threaded single-shot float64 regime", sq)
+	}
+	if w.name, w.mode = sq.name, sq.mode; w != sq {
+		t.Fatal("the hypersparse pair must differ only in name and mode")
+	}
+	a, b := sq.generate()
+	acsc := a.ToCSC()
+	keyBits := func(nbins int) int {
+		return bits.Len64(uint64((int(a.NumRows)+nbins-1)/nbins-1)) + bits.Len64(uint64(b.NumCols-1))
+	}
+	_, _, stw, err := core.MultiplyWide(acsc, acsc.Val, b, b.Val, core.PlusTimes, core.Options{Threads: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if keyBits(stw.NBins) <= 32 {
+		t.Fatalf("the flop rule's %d bins pack %d-bit keys: the product would squeeze unchanged", stw.NBins, keyBits(stw.NBins))
+	}
+	_, st, err := core.Multiply(acsc, b, core.Options{Threads: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Layout != core.LayoutSqueezed || keyBits(st.NBins) > 32 {
+		t.Fatalf("Multiply ran %v in %d bins (%d-bit keys), want squeezed", st.Layout, st.NBins, keyBits(st.NBins))
+	}
 }
 
 func TestBenchCasesCarryFuseGateRegimes(t *testing.T) {

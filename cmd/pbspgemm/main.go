@@ -34,7 +34,7 @@ func main() {
 		bPath   = flag.String("b", "", "Matrix Market file for B (default: A, squaring)")
 		algoStr = flag.String("algo", "pb", "algorithm: pb, heap, hash, hashvec, spa, or auto (the planner picks pb or spa and its Plan is printed)")
 		threads = flag.Int("threads", 0, "worker threads (0 = GOMAXPROCS)")
-		nbins   = flag.Int("nbins", 0, "PB global bins (0 = auto)")
+		nbins   = flag.Int("nbins", 0, "PB global bins (0 = auto; raised until the packed key fits 32 bits, up to 4096)")
 		lbin    = flag.Int("localbin", 0, "PB local bin bytes (0 = 1024)")
 		budget  = flag.String("budget", "0", "PB expanded-tuple memory budget, e.g. 512M or 2G (0 = unlimited)")
 		reps    = flag.Int("reps", 1, "repetitions, best kept (reusing one workspace)")

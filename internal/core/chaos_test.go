@@ -31,8 +31,8 @@ func chaosInputs() (*matrix.CSC, *matrix.CSR) {
 }
 
 // runChaos executes one multiply under opt and returns its error.
-func runChaos(acsc *matrix.CSC, b *matrix.CSR, opt Options) error {
-	_, _, err := Multiply(acsc, b, opt)
+func runChaos(mul multiplyFunc, acsc *matrix.CSC, b *matrix.CSR, opt Options) error {
+	_, _, err := mul(acsc, b, opt)
 	return err
 }
 
@@ -49,6 +49,7 @@ func TestChaosSiteMatrix(t *testing.T) {
 	}
 	type cfg struct {
 		name  string
+		mul   multiplyFunc
 		opt   Options
 		fires []faultinject.Site // sites the configuration must reach
 	}
@@ -56,17 +57,17 @@ func TestChaosSiteMatrix(t *testing.T) {
 	// the L2 budget, which one of four workers folds whole.
 	oversized := []faultinject.Site{faultinject.SiteSortTask, faultinject.SiteFoldBin}
 	cfgs := []cfg{
-		{"wide-t1", Options{Threads: 1, ForceLayout: LayoutWide}, nil},
-		{"wide-t4", Options{Threads: 4, ForceLayout: LayoutWide}, nil},
-		{"squeezed-t4", Options{Threads: 4, ForceLayout: LayoutSqueezed}, nil},
-		{"oversized-t4", Options{Threads: 4, NBins: 1, L2CacheBytes: 4096, ForceLayout: LayoutWide}, oversized},
-		{"oversized-t4-squeezed", Options{Threads: 4, NBins: 1, L2CacheBytes: 4096, ForceLayout: LayoutSqueezed}, oversized},
-		{"budgeted-t1", Options{Threads: 1, MemoryBudgetBytes: 1 << 18}, nil},
-		{"budgeted-t4", Options{Threads: 4, MemoryBudgetBytes: 1 << 18}, nil},
+		{"wide-t1", multiplyWide, Options{Threads: 1}, nil},
+		{"wide-t4", multiplyWide, Options{Threads: 4}, nil},
+		{"squeezed-t4", Multiply, Options{Threads: 4}, nil},
+		{"oversized-t4", multiplyWide, Options{Threads: 4, NBins: 1, L2CacheBytes: 4096}, oversized},
+		{"oversized-t4-squeezed", Multiply, Options{Threads: 4, NBins: 1, L2CacheBytes: 4096}, oversized},
+		{"budgeted-t1", Multiply, Options{Threads: 1, MemoryBudgetBytes: 1 << 18}, nil},
+		{"budgeted-t4", Multiply, Options{Threads: 4, MemoryBudgetBytes: 1 << 18}, nil},
 	}
 	before := runtime.NumGoroutine()
 	for _, c := range cfgs {
-		want, _, err := Multiply(acsc, b, c.opt)
+		want, _, err := c.mul(acsc, b, c.opt)
 		if err != nil {
 			t.Fatalf("%s: clean run: %v", c.name, err)
 		}
@@ -78,7 +79,7 @@ func TestChaosSiteMatrix(t *testing.T) {
 
 				faultinject.Arm(faultinject.Plan{
 					Site: site, Hit: 1, Worker: -1, Mode: faultinject.ModePanic})
-				err := runChaos(acsc, b, opt)
+				err := runChaos(c.mul, acsc, b, opt)
 				fired := faultinject.Hits(site) > 0
 				faultinject.Disarm()
 
@@ -108,7 +109,7 @@ func TestChaosSiteMatrix(t *testing.T) {
 					t.Fatal("workspace not poisoned after injected panic")
 				}
 
-				got, _, err := Multiply(acsc, b, opt)
+				got, _, err := c.mul(acsc, b, opt)
 				if err != nil {
 					t.Fatalf("reuse after injected panic: %v", err)
 				}
@@ -188,7 +189,7 @@ func FuzzFaultSites(f *testing.F) {
 		ws := NewWorkspace()
 		opt := Options{Threads: 4, MemoryBudgetBytes: 1 << 18, Workspace: ws}
 		faultinject.Arm(faultinject.PlanFromSeed(seed))
-		err := runChaos(acsc, b, opt)
+		err := runChaos(Multiply, acsc, b, opt)
 		faultinject.Disarm()
 		if err != nil {
 			var pe *par.PanicError

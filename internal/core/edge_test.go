@@ -5,12 +5,15 @@ import (
 
 	"pbspgemm/internal/gen"
 	"pbspgemm/internal/matrix"
+	"pbspgemm/internal/par"
 )
 
 // TestGiantHypersparse multiplies 20M x 20M matrices with only a few
 // hundred nonzeros: dimensions need 27-bit column ids and the bins span
 // ~10K rows each, exercising the upper reaches of the key packing
-// (localRow<<colBits | col must stay within 64 bits and round-trip).
+// (localRow<<colBits | col must stay within 64 bits and round-trip). A 32-bit
+// key would need 156 250 bins of 2^7 rows, past maxKey32Bins, so it runs the
+// wide layout in the flop rule's one bin, with one local bin a thread.
 func TestGiantHypersparse(t *testing.T) {
 	n := int32(20_000_000)
 	r := gen.NewRNG(123)
@@ -36,9 +39,16 @@ func TestGiantHypersparse(t *testing.T) {
 	if want.NNZ() == 0 {
 		t.Fatal("test construction produced an empty product")
 	}
-	got, st, err := Multiply(a.ToCSC(), b, Options{})
+	ws := NewWorkspace()
+	got, st, err := Multiply(a.ToCSC(), b, Options{Workspace: ws})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if st.Layout != LayoutWide || st.NBins != 1 {
+		t.Fatalf("%v in %d bins; want wide in 1", st.Layout, st.NBins)
+	}
+	if n, cap := localArenaBytes(ws), int64(par.DefaultThreads(0)*DefaultLocalBinBytes); n > cap {
+		t.Fatalf("%d bytes of local bins, want at most %d", n, cap)
 	}
 	if err := got.Validate(); err != nil {
 		t.Fatal(err)

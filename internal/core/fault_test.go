@@ -45,9 +45,8 @@ func waitNoLeak(t *testing.T, before int) {
 func TestExpandPollsSubPhase(t *testing.T) {
 	acsc, b := cancelInputs(t)
 	var polls atomic.Int64
-	opt := Options{Threads: 1, ForceLayout: LayoutWide,
-		Cancel: func() error { polls.Add(1); return nil }}
-	if _, _, err := Multiply(acsc, b, opt); err != nil {
+	opt := Options{Threads: 1, Cancel: func() error { polls.Add(1); return nil }}
+	if _, _, err := multiplyWide(acsc, b, opt); err != nil {
 		t.Fatal(err)
 	}
 	// A phase-boundary-only implementation polls ~5 times (plan, expand,
@@ -74,12 +73,10 @@ func TestCancellationLatencyMidPhase(t *testing.T) {
 	}
 	layouts := []layoutCase{
 		{"wide", func(opt Options) error {
-			opt.ForceLayout = LayoutWide
-			_, _, err := Multiply(acsc, b, opt)
+			_, _, err := multiplyWide(acsc, b, opt)
 			return err
 		}},
 		{"squeezed", func(opt Options) error {
-			opt.ForceLayout = LayoutSqueezed
 			_, _, err := Multiply(acsc, b, opt)
 			return err
 		}},
@@ -159,17 +156,16 @@ func TestWorkspaceReuseAfterCancel(t *testing.T) {
 	acsc, b := cancelInputs(t)
 	for _, tc := range []struct {
 		name   string
-		layout Layout
+		mul    multiplyFunc
 		budget int64
 	}{
-		{"wide", LayoutWide, 0},
-		{"squeezed", LayoutSqueezed, 0},
-		{"wide-budgeted", LayoutWide, 1 << 20},
-		{"squeezed-budgeted", LayoutSqueezed, 1 << 20},
+		{"wide", multiplyWide, 0},
+		{"squeezed", Multiply, 0},
+		{"wide-budgeted", multiplyWide, 1 << 20},
+		{"squeezed-budgeted", Multiply, 1 << 20},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			want, _, err := Multiply(acsc, b, Options{Threads: 2, ForceLayout: tc.layout,
-				MemoryBudgetBytes: tc.budget})
+			want, _, err := tc.mul(acsc, b, Options{Threads: 2, MemoryBudgetBytes: tc.budget})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -182,7 +178,7 @@ func TestWorkspaceReuseAfterCancel(t *testing.T) {
 				}
 				return nil
 			}
-			_, _, err = Multiply(acsc, b, Options{Threads: 2, ForceLayout: tc.layout,
+			_, _, err = tc.mul(acsc, b, Options{Threads: 2,
 				MemoryBudgetBytes: tc.budget, Workspace: ws, Cancel: cancel})
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("cancelled run: err = %v", err)
@@ -191,7 +187,7 @@ func TestWorkspaceReuseAfterCancel(t *testing.T) {
 				t.Fatal("cancellation must not poison the workspace (only panics do)")
 			}
 
-			got, _, err := Multiply(acsc, b, Options{Threads: 2, ForceLayout: tc.layout,
+			got, _, err := tc.mul(acsc, b, Options{Threads: 2,
 				MemoryBudgetBytes: tc.budget, Workspace: ws})
 			if err != nil {
 				t.Fatal(err)

@@ -154,7 +154,7 @@ func TestTuplePlanesLineAligned(t *testing.T) {
 	}
 	aligned("squeezed key", unsafe.Pointer(&ws.tupleKeys[0]))
 	aligned("squeezed value", unsafe.Pointer(&ws.kvF64.tupleVals[0]))
-	if _, _, err := Multiply(acsc, a, Options{Workspace: ws, ForceLayout: LayoutWide}); err != nil {
+	if _, _, err := multiplyWide(acsc, a, Options{Workspace: ws}); err != nil {
 		t.Fatal(err)
 	}
 	aligned("wide tuple", unsafe.Pointer(&pairsOf[float64](ws).tuples[0]))

@@ -24,8 +24,7 @@ import (
 //
 // The wide layout (64-bit keys, any value type and ⊕) takes the same rule to
 // the same two shapes over whole 16-byte tuples: radix.FoldDensePairs where a
-// bin's key space is small enough to address (a semiring product, or a forced
-// wide one, on keys that would have fit 32 bits), radix.SortPairs — the
+// bin's key space is small enough to address, radix.SortPairs — the
 // fixed-pass LSD folding through the run's ⊕ as its last pass stores —
 // everywhere else, which is every bin of a product whose keys pass 32 bits.
 //

@@ -95,12 +95,12 @@ func TestFusedMatchesUnfusedBitIdentical(t *testing.T) {
 		acsc := in.a.ToCSC()
 		for _, budget := range []int64{0, 64 << 10} {
 			want := FoldReference(in.a, in.b, budget)
-			for _, layout := range []Layout{LayoutSqueezed, LayoutWide} {
+			for _, l := range float64Layouts {
 				for _, threads := range []int{1, 2, 8} {
-					name := fmt.Sprintf("%s/%v/budget=%d/threads=%d", in.name, layout, budget, threads)
+					name := fmt.Sprintf("%s/%v/budget=%d/threads=%d", in.name, l.layout, budget, threads)
 					t.Run(name, func(t *testing.T) {
-						opt := Options{Threads: threads, ForceLayout: layout, MemoryBudgetBytes: budget}
-						got, st, err := Multiply(acsc, in.b, opt)
+						opt := Options{Threads: threads, MemoryBudgetBytes: budget}
+						got, st, err := l.mul(acsc, in.b, opt)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -125,9 +125,10 @@ func TestFusedSplitBinsBitIdentical(t *testing.T) {
 	a := gen.RMAT(10, 8, gen.Graph500Params, 35)
 	acsc := a.ToCSC()
 	b := gen.RMAT(10, 8, gen.Graph500Params, 36)
-	for _, layout := range []Layout{LayoutSqueezed, LayoutWide} {
-		base := Options{Threads: 1, NBins: 2, L2CacheBytes: 4096, ForceLayout: layout}
-		want, _, err := Multiply(acsc, b, base)
+	for _, l := range float64Layouts {
+		layout := l.layout
+		base := Options{Threads: 1, NBins: 2, L2CacheBytes: 4096}
+		want, _, err := l.mul(acsc, b, base)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,7 +138,7 @@ func TestFusedSplitBinsBitIdentical(t *testing.T) {
 		for _, threads := range []int{2, 8} {
 			opt := base
 			opt.Threads = threads
-			got, _, err := Multiply(acsc, b, opt)
+			got, _, err := l.mul(acsc, b, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -189,23 +190,24 @@ func TestFusedSteadyStateAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		layout Layout
+		mul    multiplyFunc
 		budget int64
 	}{
-		{"fused-squeezed", LayoutSqueezed, 0},
-		{"fused-squeezed-budgeted", LayoutSqueezed, 32 << 10},
-		{"fused-wide", LayoutWide, 0},
-		{"fused-wide-budgeted", LayoutWide, 32 << 10},
+		{"fused-squeezed", LayoutSqueezed, Multiply, 0},
+		{"fused-squeezed-budgeted", LayoutSqueezed, Multiply, 32 << 10},
+		{"fused-wide", LayoutWide, multiplyWide, 0},
+		{"fused-wide-budgeted", LayoutWide, multiplyWide, 32 << 10},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ws := NewWorkspace()
-			opt := Options{Threads: 1, Workspace: ws, MemoryBudgetBytes: tc.budget, ForceLayout: tc.layout}
-			if _, st, err := Multiply(a, b, opt); err != nil {
+			opt := Options{Threads: 1, Workspace: ws, MemoryBudgetBytes: tc.budget}
+			if _, st, err := tc.mul(a, b, opt); err != nil {
 				t.Fatal(err)
 			} else if st.Layout != tc.layout {
 				t.Fatalf("layout=%v, want %v", st.Layout, tc.layout)
 			}
 			allocs := testing.AllocsPerRun(10, func() {
-				if _, _, err := Multiply(a, b, opt); err != nil {
+				if _, _, err := tc.mul(a, b, opt); err != nil {
 					t.Fatal(err)
 				}
 			})

@@ -37,12 +37,10 @@ func fuzzMatrices(data []byte) (*matrix.CSC, *matrix.CSR, bool) {
 	return cooA.ToCSR().ToCSC(), cooB.ToCSR(), true
 }
 
-// FuzzSqueezedVsWide drives random shapes through both tuple layouts —
-// forced via Options.ForceLayout — and asserts identical CSR. Values are
-// small integers (see fuzzMatrices), so every summation order is exact and
-// the layouts can be held to exact equality even though their radix digit
-// plans fold duplicate keys in different orders. Budgeted and multi-thread
-// variants ride along.
+// FuzzSqueezedVsWide drives random shapes through both float64 tuple layouts
+// — Multiply, and MultiplyWide over (+, ×) — and asserts identical CSR.
+// Values are small integers (see fuzzMatrices), so every summation is exact.
+// Budgeted and multi-thread variants ride along.
 func FuzzSqueezedVsWide(f *testing.F) {
 	f.Add([]byte{4, 4, 4, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3, 4})
 	f.Add([]byte{24, 24, 24, 9, 9, 9, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
@@ -54,33 +52,32 @@ func FuzzSqueezedVsWide(f *testing.F) {
 		if !ok {
 			return
 		}
-		wide, stW, err := Multiply(a, b, Options{ForceLayout: LayoutWide})
+		wide, stW, err := multiplyWide(a, b, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if stW.Layout != LayoutWide {
-			t.Fatalf("forced wide ran %v", stW.Layout)
+			t.Fatalf("wide entry ran %v", stW.Layout)
 		}
 		for _, opt := range []Options{
-			{ForceLayout: LayoutSqueezed},
-			{ForceLayout: LayoutSqueezed, Threads: 3},
-			{ForceLayout: LayoutSqueezed, Threads: 1, Workspace: wsSq},
-			{ForceLayout: LayoutSqueezed, MemoryBudgetBytes: 256},
+			{},
+			{Threads: 3},
+			{Threads: 1, Workspace: wsSq},
+			{MemoryBudgetBytes: 256},
 		} {
 			sq, stS, err := Multiply(a, b, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			// These fuzz shapes are ≤ 24 wide, so squeezing always applies.
 			if stS.Layout != LayoutSqueezed {
-				t.Fatalf("forced squeezed ran %v (opt %+v)", stS.Layout, opt)
+				t.Fatalf("Multiply ran %v (opt %+v)", stS.Layout, opt)
 			}
 			if !matrix.Equal(wide, sq, 0) {
 				t.Fatalf("squeezed output (opt %+v) differs from wide", opt)
 			}
 		}
 		// And the wide budgeted/pooled variants against plain wide.
-		got, _, err := Multiply(a, b, Options{ForceLayout: LayoutWide, MemoryBudgetBytes: 128, Workspace: wsWide})
+		got, _, err := multiplyWide(a, b, Options{MemoryBudgetBytes: 128, Workspace: wsWide})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -82,7 +82,6 @@ func narrowRunner[V Value32](name string, a *matrix.CSC, b *matrix.CSR) layoutRu
 func key32Runners(a *matrix.CSC, b *matrix.CSR) []layoutRunner {
 	return []layoutRunner{
 		{"squeezed", func(opt Options) (product, error) {
-			opt.ForceLayout = LayoutSqueezed
 			c, st, err := Multiply(a, b, opt)
 			if err != nil {
 				return product{}, err
@@ -105,8 +104,8 @@ func key32Runners(a *matrix.CSC, b *matrix.CSR) []layoutRunner {
 }
 
 // foldRunners is every layout a fold can run on: the key32 ones plus the wide
-// layout — forced onto the same input through Multiply (float64, + and ×), and
-// over a value that is not 8 bytes through MultiplyWide.
+// layout through MultiplyWide — over float64 (+, ×), and over a value that is
+// not 8 bytes.
 func foldRunners(a *matrix.CSC, b *matrix.CSR) []layoutRunner {
 	av, bv := narrowPlanes[float32](a, b)
 	alg := Algebra[float32]{
@@ -114,8 +113,7 @@ func foldRunners(a *matrix.CSC, b *matrix.CSR) []layoutRunner {
 		Plus:  func(x, y float32) float32 { return x + y },
 	}
 	return append(key32Runners(a, b), layoutRunner{"wide", func(opt Options) (product, error) {
-		opt.ForceLayout = LayoutWide
-		c, _, err := Multiply(a, b, opt)
+		c, _, err := multiplyWide(a, b, opt)
 		if err != nil {
 			return product{}, err
 		}

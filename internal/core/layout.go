@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"reflect"
 	"unsafe"
@@ -25,9 +24,8 @@ import (
 //
 // The three implementations:
 //
-//   - pairs[V]: 16-byte []radix.Pair[V] (u64 key + value), for keys past 32
-//     bits and for any value type and (⊕, ⊗) — pairs[float64] with (+, ×) is
-//     Multiply's wide fallback, MultiplyWide runs a semiring's.
+//   - pairs[V]: 16-byte []radix.Pair[V] (u64 key + value), for any value type
+//     and (⊕, ⊗): MultiplyWide runs a semiring's.
 //   - kv[V]: split key32 + value-plane layouts — kv[float64] is the 12-byte
 //     squeezed layout, kv[float32]/kv[int32] the 8-byte narrow one. Keys
 //     live in the Workspace (shared by every key32 layout); only the value
@@ -49,10 +47,6 @@ type Value interface{ ~float32 | ~float64 | ~int32 }
 // Value32 is the 4-byte subset of Value — the value plane of the 8-byte
 // narrow layout (MultiplyNarrow).
 type Value32 interface{ ~float32 | ~int32 }
-
-// ErrKeyWidth reports that a layout requiring 32-bit packed keys was
-// requested for a bin geometry whose localRowBits + colBits exceed 32.
-var ErrKeyWidth = errors.New("packed key exceeds 32 bits")
 
 // layoutOps is the per-layout half of the pipeline: every method is one
 // phase's element accesses over one layout's storage, called with the engine
@@ -128,37 +122,6 @@ func kvOf[V Value32](ws *Workspace) *kv[V] {
 	return l
 }
 
-// bindLayout installs e.lay for the layout planBins chose. MultiplyNarrow and
-// MultiplyWide pre-bind their typed layout (carrying the caller's value
-// planes); Multiply's and MultiplyPattern's resolve here.
-func (e *engine) bindLayout() {
-	if e.lay != nil {
-		return
-	}
-	switch e.layout {
-	case LayoutSqueezed:
-		l := &e.ws.kvF64
-		l.aVal, l.bVal = e.a.Val, e.b.Val
-		e.lay, e.f64Out = l, &l.out
-	case LayoutPattern:
-		e.lay = patternOps{}
-	default:
-		// Multiply's wide fallback: the wide layout over float64 (+, ×).
-		l := pairsOf[float64](e.ws)
-		l.aVal, l.bVal, l.alg = e.a.Val, e.b.Val, arithF64
-		e.lay, e.f64Out = l, &l.out
-	}
-}
-
-var arithF64 = Algebra[float64]{
-	Times: func(dst []radix.Pair[float64], a float64, b []float64) {
-		for j := range dst {
-			dst[j].Val = a * b[j]
-		}
-	},
-	Plus: func(a, b float64) float64 { return a + b },
-}
-
 // binRows is the slice of rowCounts a bin's fold tallies into, indexed by
 // local row (nil stays nil).
 func (e *engine) binRows(rowCounts []int64, bin int) []int64 {
@@ -172,16 +135,21 @@ func (e *engine) binRows(rowCounts []int64, bin int) []int64 {
 // the returned CSR has the exact support of A·B and a nil Val array. Tuples
 // are bare 4-byte keys — a quarter of the wide layout's traffic in the
 // expand and sort phases — and the fused fold degenerates to deduplication.
-// Neither A's nor B's Val arrays are read (they may be nil). The pattern
-// layout requires the packed key to fit 32 bits; a geometry with
-// localRowBits + colBits > 32 fails with ErrKeyWidth (use Key32Fits to
-// pre-check). Options.ForceLayout is ignored: the entry point is the layout.
+// Neither A's nor B's Val arrays are read (they may be nil).
+//
+// Where MultiplyLayout says wide, the same support comes from MultiplyWide
+// over zero-size values.
 func MultiplyPattern(a *matrix.CSC, b *matrix.CSR, opt Options) (*matrix.CSR, *Stats, error) {
+	if MultiplyLayout(a.NumRows, b.NumCols) == LayoutWide {
+		c, _, st, err := MultiplyWide(a, make([]struct{}, len(a.RowIdx)), b, make([]struct{}, len(b.ColIdx)), structural, opt)
+		return c, st, err
+	}
 	opt = opt.withDefaults()
 	e, err := newEngine(a, b, opt, LayoutPattern)
 	if err != nil {
 		return nil, nil, err
 	}
+	e.lay = patternOps{}
 	return e.runContained()
 }
 
@@ -200,9 +168,12 @@ func checkPlanes(a *matrix.CSC, na int, b *matrix.CSR, nb int) error {
 // (whose float64 Val arrays are never read and may be nil) plus parallel
 // value planes indexed like a.RowIdx and b.ColIdx; the result is the
 // structural CSR (nil Val) plus its value plane, aliasing workspace memory
-// when opt.Workspace is set. Like MultiplyPattern, the key must fit 32 bits
-// (ErrKeyWidth otherwise) and ForceLayout is ignored.
+// when opt.Workspace is set. Where MultiplyLayout says wide it runs
+// MultiplyWide over the same (+, ×).
 func MultiplyNarrow[V Value32](a *matrix.CSC, aVal []V, b *matrix.CSR, bVal []V, opt Options) (*matrix.CSR, []V, *Stats, error) {
+	if MultiplyLayout(a.NumRows, b.NumCols) == LayoutWide {
+		return MultiplyWide(a, aVal, b, bVal, Algebra[V]{Times: timesChunk[V], Plus: add[V]}, opt)
+	}
 	opt = opt.withDefaults()
 	if err := checkPlanes(a, len(aVal), b, len(bVal)); err != nil {
 		return nil, nil, nil, err
@@ -252,6 +223,25 @@ func Elementwise[V any](times func(a, b V) V) func(dst []radix.Pair[V], a V, b [
 			dst[j].Val = times(a, b[j])
 		}
 	}
+}
+
+// PlusTimes is (+, ×) over float64 as an Algebra: the float64 product on the
+// wide layout.
+var PlusTimes = Algebra[float64]{Times: timesChunk[float64], Plus: add[float64]}
+
+func timesChunk[V Value](dst []radix.Pair[V], a V, b []V) {
+	for j := range dst {
+		dst[j].Val = a * b[j]
+	}
+}
+
+func add[V Value](a, b V) V { return a + b }
+
+// structural is the Algebra of a pattern product on the wide layout: the
+// values are zero-size, so folding equal keys is deduplication.
+var structural = Algebra[struct{}]{
+	Times: func([]radix.Pair[struct{}], struct{}, []struct{}) {},
+	Plus:  func(struct{}, struct{}) struct{} { return struct{}{} },
 }
 
 // SegFilter filters one folded bin segment in place. A tuple's global row is
@@ -321,11 +311,11 @@ func (l *pairs[V]) tupleCapBytes() int64 {
 // any value type: the pipeline of Multiply — parallel propagation-blocked
 // expand, fused sort and fold, budgeted panels, sub-phase cancellation,
 // worker-panic containment — with alg.Times where Multiply multiplies and
-// alg.Plus where it adds (Multiply's own wide fallback is this layout over
-// float64 (+, ×)). Like MultiplyNarrow the inputs are the structural CSC/CSR
+// alg.Plus where it adds. Its bins are the flop rule's: a 64-bit key needs no
+// more of them. Like MultiplyNarrow the inputs are the structural CSC/CSR
 // (Val never read, may be nil) plus value planes parallel to a.RowIdx and
 // b.ColIdx, and the result is the structural CSR plus its value plane,
-// aliasing workspace memory when opt.Workspace is set. ForceLayout is ignored.
+// aliasing workspace memory when opt.Workspace is set.
 func MultiplyWide[V any](a *matrix.CSC, aVal []V, b *matrix.CSR, bVal []V, alg Algebra[V], opt Options) (*matrix.CSR, []V, *Stats, error) {
 	opt = opt.withDefaults()
 	if err := checkPlanes(a, len(aVal), b, len(bVal)); err != nil {

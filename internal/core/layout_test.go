@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"testing"
+	"unsafe"
 
 	"pbspgemm/internal/gen"
 	"pbspgemm/internal/matrix"
@@ -34,24 +35,51 @@ func csrBitIdentical(a, b *matrix.CSR) bool {
 	return true
 }
 
-// expandSnapshot drives the engine through planning and expand only,
-// returning a copy of the pre-sort tuple buffer in a layout-independent
-// (key, value) form.
-func expandSnapshot(t *testing.T, a *matrix.CSC, b *matrix.CSR, opt Options) ([]uint64, []float64) {
+// multiplyWide is Multiply on the wide layout: the float64 product through
+// MultiplyWide over PlusTimes, 16-byte tuples in the flop rule's bins, its value
+// plane returned as the result's Val.
+func multiplyWide(a *matrix.CSC, b *matrix.CSR, opt Options) (*matrix.CSR, *Stats, error) {
+	c, vals, st, err := MultiplyWide(a, a.Val, b, b.Val, PlusTimes, opt)
+	if err != nil {
+		return nil, nil, err
+	}
+	c.Val = vals
+	return c, st, nil
+}
+
+// multiplyFunc is the signature Multiply and multiplyWide share.
+type multiplyFunc func(*matrix.CSC, *matrix.CSR, Options) (*matrix.CSR, *Stats, error)
+
+// float64Layouts are the two float64 products, by the layout each runs.
+var float64Layouts = []struct {
+	layout Layout
+	mul    multiplyFunc
+}{{LayoutSqueezed, Multiply}, {LayoutWide, multiplyWide}}
+
+// expandSnapshot drives the engine through planning and expand only, on the
+// float64 product of the given layout (squeezed or wide), returning a copy of
+// the pre-sort tuple buffer in a layout-independent (key, value) form.
+func expandSnapshot(t *testing.T, a *matrix.CSC, b *matrix.CSR, opt Options, layout Layout) ([]uint64, []float64) {
 	t.Helper()
 	opt = opt.withDefaults()
 	ws := NewWorkspace()
 	opt.Workspace = ws
-	e, err := newEngine(a, b, opt, LayoutAuto)
+	e, err := newEngine(a, b, opt, layout)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if layout == LayoutWide {
+		l := pairsOf[float64](ws)
+		l.aVal, l.bVal, l.alg = a.Val, b.Val, PlusTimes
+		e.lay = l
+	} else {
+		l := &ws.kvF64
+		l.aVal, l.bVal = a.Val, b.Val
+		e.lay = l
+	}
 	e.symbolic()
 	e.planPanels()
-	if err := e.planBins(); err != nil {
-		t.Fatal(err)
-	}
-	e.bindLayout()
+	e.planBins()
 	if e.npanels != 1 {
 		t.Fatal("expandSnapshot needs a single-panel run")
 	}
@@ -82,9 +110,9 @@ func TestExpandDeterministicAcrossThreads(t *testing.T) {
 	acsc := a.ToCSC()
 	b := gen.RMAT(10, 8, gen.Graph500Params, 4)
 	for _, layout := range []Layout{LayoutSqueezed, LayoutWide} {
-		wantK, wantV := expandSnapshot(t, acsc, b, Options{Threads: 1, ForceLayout: layout})
+		wantK, wantV := expandSnapshot(t, acsc, b, Options{Threads: 1}, layout)
 		for _, threads := range []int{2, 3, 8} {
-			gotK, gotV := expandSnapshot(t, acsc, b, Options{Threads: threads, ForceLayout: layout})
+			gotK, gotV := expandSnapshot(t, acsc, b, Options{Threads: threads}, layout)
 			for i := range wantK {
 				if gotK[i] != wantK[i] || gotV[i] != wantV[i] {
 					t.Fatalf("layout=%v threads=%d: tuple %d differs from sequential expand",
@@ -152,10 +180,7 @@ func TestMultiplyBitIdenticalAcrossThreads(t *testing.T) {
 }
 
 // TestSqueezedVsWideEquivalent: the two layouts produce the same canonical
-// CSR. Structure must match exactly; values to summation tolerance only —
-// the layouts use different radix digit plans (11-bit vs byte), so tuples
-// with equal keys may fold in a different order. (FuzzSqueezedVsWide holds
-// integer-valued inputs, where order cannot matter, to exact equality.)
+// CSR bit for bit, real values included: both fold equal keys in ascending k.
 func TestSqueezedVsWideEquivalent(t *testing.T) {
 	for _, in := range []struct {
 		name string
@@ -166,28 +191,29 @@ func TestSqueezedVsWideEquivalent(t *testing.T) {
 	} {
 		acsc := in.a.ToCSC()
 		for _, threads := range []int{1, 4} {
-			sq, stS, err := Multiply(acsc, in.b, Options{Threads: threads, ForceLayout: LayoutSqueezed})
+			sq, stS, err := Multiply(acsc, in.b, Options{Threads: threads})
 			if err != nil {
 				t.Fatal(err)
 			}
-			wide, stW, err := Multiply(acsc, in.b, Options{Threads: threads, ForceLayout: LayoutWide})
+			wide, stW, err := multiplyWide(acsc, in.b, Options{Threads: threads})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if stS.Layout != LayoutSqueezed || stW.Layout != LayoutWide {
-				t.Fatalf("%s: forced layouts not honored: %v / %v", in.name, stS.Layout, stW.Layout)
+				t.Fatalf("%s: layouts %v / %v, want squeezed / wide", in.name, stS.Layout, stW.Layout)
 			}
-			if !matrix.Equal(sq, wide, 1e-12) {
+			if !csrBitIdentical(sq, wide) {
 				t.Fatalf("%s threads=%d: squeezed and wide outputs differ", in.name, threads)
 			}
 		}
 	}
 }
 
-// TestLayoutSelection pins the geometry rule: squeezed engages exactly when
-// localRowBits + colBits ≤ 32, and PlanLayout agrees with the engine.
+// TestLayoutSelection pins the contract: Multiply runs the squeezed layout,
+// adding bins until localRowBits + colBits ≤ 32 where it has to (within
+// maxKey32Bins; TestKey32PastMaxBinsRunsWide covers the shapes past it).
 func TestLayoutSelection(t *testing.T) {
-	// Small square: always squeezed.
+	// Small square: the flop rule's key already fits.
 	a := gen.ER(512, 4, 1)
 	acsc := a.ToCSC()
 	_, st, err := Multiply(acsc, a, Options{})
@@ -197,12 +223,9 @@ func TestLayoutSelection(t *testing.T) {
 	if st.Layout != LayoutSqueezed {
 		t.Fatalf("small square picked %v, want squeezed", st.Layout)
 	}
-	if got := PlanLayout(a.NumRows, a.NumCols, st.Flops, Options{}); got != LayoutSqueezed {
-		t.Fatalf("PlanLayout = %v, want squeezed", got)
-	}
 
-	// Wide B (2^30 columns) against a single bin's worth of rows: colBits=31
-	// plus any local row bit exceeds 32 — must stay wide.
+	// Wide B (2^30 columns: colBits = 30) against 5 000 rows, one bin by the
+	// flop rule: the key needs 13 + 30 bits there, so bins shrink to 4 rows.
 	rows := int32(5000)
 	cols := int32(1) << 30
 	co := &matrix.COO{NumRows: rows, NumCols: 64}
@@ -217,46 +240,167 @@ func TestLayoutSelection(t *testing.T) {
 		bo.Val = append(bo.Val, r.Float64())
 	}
 	aw, bw := co.ToCSR(), bo.ToCSR()
-	_, stw, err := Multiply(aw.ToCSC(), bw, Options{})
+	cw, stw, err := Multiply(aw.ToCSC(), bw, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stw.Layout != LayoutWide {
-		t.Fatalf("31-bit columns picked %v, want wide", stw.Layout)
+	if stw.Layout != LayoutSqueezed || stw.NBins != 1250 {
+		t.Fatalf("30-bit columns ran %v in %d bins, want squeezed in 1250", stw.Layout, stw.NBins)
 	}
-	if got := PlanLayout(aw.NumRows, bw.NumCols, stw.Flops, Options{}); got != LayoutWide {
-		t.Fatalf("PlanLayout = %v, want wide", got)
-	}
-	// Forcing squeezed on an unsqueezable geometry must fall back, not
-	// corrupt keys.
-	ref := matrix.ReferenceMultiply(aw, bw)
-	cf, stf, err := Multiply(aw.ToCSC(), bw, Options{ForceLayout: LayoutSqueezed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stf.Layout != LayoutWide {
-		t.Fatalf("unsqueezable force: layout %v, want wide fallback", stf.Layout)
-	}
-	if !matrix.Equal(ref, cf, 1e-9) {
-		t.Fatal("forced-squeezed fallback product wrong")
+	if !matrix.Equal(matrix.ReferenceMultiply(aw, bw), cw, 1e-9) {
+		t.Fatal("30-bit-column product wrong")
 	}
 }
 
-// TestPlanLayoutTracksBudget: a memory budget shrinks panels, which shrinks
-// the bin count and widens rowsPerBin — PlanLayout must predict the layout
-// of the geometry a budgeted run actually executes, not the unbudgeted one.
-func TestPlanLayoutTracksBudget(t *testing.T) {
+// TestBinGeometryTracksBudget: a memory budget shrinks panels, which shrinks
+// the flop rule's bin count and widens rowsPerBin; the key32 cut then adds
+// the bins back that the 32-bit key needs, and leaves a wide geometry alone.
+func TestBinGeometryTracksBudget(t *testing.T) {
 	rows := int32(1) << 20
-	bCols := int32(1) << 17 // colBits = 18
-	flops := int64(1) << 27 // unbudgeted: 2048 bins, rowShift 9 → squeezed
-	if got := PlanLayout(rows, bCols, flops, Options{}); got != LayoutSqueezed {
-		t.Fatalf("unbudgeted PlanLayout = %v, want squeezed", got)
+	colBits := colBitsFor(1 << 17) // 17
+	opt := Options{}.withDefaults()
+	// Unbudgeted: 2^27 flops in 2048 bins of 2^9 rows, 26-bit keys.
+	if g := planBinGeometry(rows, 1<<27, colBits, 32, opt); g.nbins != 2048 || g.rowShift != 9 {
+		t.Fatalf("unbudgeted: %d bins, rowShift %d; want 2048, 9", g.nbins, g.rowShift)
 	}
-	// A tiny budget collapses each panel to ~2^10 tuples → 1 bin →
-	// rowShift 20; 20+18 > 32 → the budgeted run is wide.
-	budgeted := Options{MemoryBudgetBytes: 1 << 14}
-	if got := PlanLayout(rows, bCols, flops, budgeted); got != LayoutWide {
-		t.Fatalf("budgeted PlanLayout = %v, want wide", got)
+	// A 16 KiB budget holds 2^10 tuples a panel: the flop rule's one bin of
+	// 2^20 rows would need 37-bit keys, so a key32 run gets 32 bins of 2^15.
+	panel := int64(1<<14) / tupleBytes
+	if g := planBinGeometry(rows, panel, colBits, 32, opt); g.nbins != 32 || g.rowShift != 15 {
+		t.Fatalf("budgeted key32: %d bins, rowShift %d; want 32, 15", g.nbins, g.rowShift)
+	}
+	if g := planBinGeometry(rows, panel, colBits, 64, opt); g.nbins != 1 || g.rowShift != 20 {
+		t.Fatalf("budgeted wide: %d bins, rowShift %d; want 1, 20", g.nbins, g.rowShift)
+	}
+}
+
+// binCapProduct is a product of A (rows × 64) and B (64 × 2^22), 400
+// entries each with small integer values: 22 column bits leave bins of at
+// most 2^10 rows to a 32-bit key, so it needs ceil(rows / 2^10) of them.
+func binCapProduct(rows int32) (*matrix.CSR, *matrix.CSR) {
+	const n, inner = 1 << 22, 64
+	r := gen.NewRNG(41)
+	ao := &matrix.COO{NumRows: rows, NumCols: inner}
+	bo := &matrix.COO{NumRows: inner, NumCols: n}
+	for range 400 {
+		ao.Row, ao.Col = append(ao.Row, r.Intn(rows)), append(ao.Col, r.Intn(inner))
+		ao.Val = append(ao.Val, float64(1+r.Intn(3)))
+		bo.Row, bo.Col = append(bo.Row, r.Intn(inner)), append(bo.Col, r.Intn(n))
+		bo.Val = append(bo.Val, float64(1+r.Intn(3)))
+	}
+	return ao.ToCSR(), bo.ToCSR()
+}
+
+// localArenaBytes is the size of ws's propagation-blocking local bins, over
+// every layout the tests below run.
+func localArenaBytes(ws *Workspace) int64 {
+	n := int64(len(ws.localKeys))*4 + int64(len(ws.kvF64.localVals))*8
+	if l, ok := ws.kvNarrow.(*kv[int32]); ok {
+		n += int64(len(l.localVals)) * 4
+	}
+	switch l := ws.wide.(type) {
+	case *pairs[float64]:
+		n += int64(len(l.locals)) * int64(unsafe.Sizeof(l.locals[0]))
+	case *pairs[int32]:
+		n += int64(len(l.locals)) * int64(unsafe.Sizeof(l.locals[0]))
+	case *pairs[struct{}]:
+		n += int64(len(l.locals)) * int64(unsafe.Sizeof(l.locals[0]))
+	}
+	return n
+}
+
+// TestKey32PastBinCap: a product whose 32-bit key needs more bins than the
+// auto cap of 2 048 — 2^22 rows, so 4 096 bins of 2^10 rows, maxKey32Bins
+// exactly — runs squeezed in 4 096 bins and equals Reference bit for bit, at
+// one and two threads, single-shot and tiled into panels. Values are small
+// integers, so a panel's regrouped sums are exact too. Its local bins stay
+// within threads × maxKey32Bins × LocalBinBytes.
+func TestKey32PastBinCap(t *testing.T) {
+	a, b := binCapProduct(1 << 22)
+	want := matrix.ReferenceMultiply(a, b)
+	acsc := a.ToCSC()
+	for _, budget := range []int64{0, 1 << 10} {
+		for _, threads := range []int{1, 2} {
+			ws := NewWorkspace()
+			got, st, err := Multiply(acsc, b, Options{Threads: threads, MemoryBudgetBytes: budget, Workspace: ws})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Layout != LayoutSqueezed || st.NBins != maxKey32Bins || (budget > 0) != (st.NPanels > 1) {
+				t.Fatalf("budget=%d threads=%d: %v in %d bins, %d panels; want squeezed in 4096",
+					budget, threads, st.Layout, st.NBins, st.NPanels)
+			}
+			if !csrBitIdentical(want, got) {
+				t.Fatalf("budget=%d threads=%d: product differs from Reference", budget, threads)
+			}
+			if n, cap := localArenaBytes(ws), int64(threads*maxKey32Bins*DefaultLocalBinBytes); n > cap {
+				t.Fatalf("budget=%d threads=%d: %d bytes of local bins, want at most %d", budget, threads, n, cap)
+			}
+		}
+	}
+}
+
+// TestKey32PastMaxBinsRunsWide: one row more than TestKey32PastBinCap's
+// product and its 32-bit key would need 4 097 bins, past maxKey32Bins, so
+// all three typed entries run the wide layout in the flop rule's one bin,
+// with one bin's worth of local bins a thread: Multiply equals Reference bit
+// for bit, MultiplyNarrow its exact int32 sums, MultiplyPattern its support.
+func TestKey32PastMaxBinsRunsWide(t *testing.T) {
+	if MultiplyLayout(1<<22, 1<<22) != LayoutSqueezed || MultiplyLayout(1<<22+1, 1<<22) != LayoutWide {
+		t.Fatal("MultiplyLayout: the cap is not at 4 096 bins")
+	}
+	a, b := binCapProduct(1<<22 + 1)
+	want := matrix.ReferenceMultiply(a, b)
+	acsc := a.ToCSC()
+	aI, bI := make([]int32, len(acsc.Val)), make([]int32, len(b.Val))
+	for i, v := range acsc.Val {
+		aI[i] = int32(v)
+	}
+	for i, v := range b.Val {
+		bI[i] = int32(v)
+	}
+	for _, threads := range []int{1, 2} {
+		check := func(entry string, st *Stats, ws *Workspace) {
+			t.Helper()
+			if st.Layout != LayoutWide || st.NBins != 1 {
+				t.Fatalf("%s threads=%d: %v in %d bins; want wide in 1", entry, threads, st.Layout, st.NBins)
+			}
+			if n, cap := localArenaBytes(ws), int64(threads*DefaultLocalBinBytes); n > cap {
+				t.Fatalf("%s threads=%d: %d bytes of local bins, want at most %d", entry, threads, n, cap)
+			}
+		}
+		ws := NewWorkspace()
+		got, st, err := Multiply(acsc, b, Options{Threads: threads, Workspace: ws})
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("Multiply", st, ws)
+		if !csrBitIdentical(want, got) {
+			t.Fatalf("threads=%d: Multiply differs from Reference", threads)
+		}
+		ws = NewWorkspace()
+		c, vals, st, err := MultiplyNarrow(acsc, aI, b, bI, Options{Threads: threads, Workspace: ws})
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("MultiplyNarrow", st, ws)
+		if !csrSameStructure(want, c) {
+			t.Fatalf("threads=%d: MultiplyNarrow's support differs from Reference's", threads)
+		}
+		for i, v := range want.Val {
+			if vals[i] != int32(v) {
+				t.Fatalf("threads=%d: MultiplyNarrow value %d = %d, want %v", threads, i, vals[i], v)
+			}
+		}
+		ws = NewWorkspace()
+		p, st, err := MultiplyPattern(acsc, b, Options{Threads: threads, Workspace: ws})
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("MultiplyPattern", st, ws)
+		if p.Val != nil || !csrSameStructure(want, p) {
+			t.Fatalf("threads=%d: MultiplyPattern's support differs from Reference's", threads)
+		}
 	}
 }
 
@@ -275,32 +419,45 @@ func TestBinGeometryTwoPassTrim(t *testing.T) {
 		nbins     int
 		rowShift  uint
 		keyPasses int
+		wide      bool // plan 64-bit keys (MultiplyWide)
 	}{
 		// er_lowcf (ER 2^16·d8): the flop rule's 64 bins of 10+16 = 26 bits.
-		{"er_lowcf", 1 << 16, 1 << 22, 16, Options{}, 1024, 6, 2},
+		{"er_lowcf", 1 << 16, 1 << 22, 16, Options{}, 1024, 6, 2, false},
 		// A shard_grid row band: 2 bins of 10+15 bits under the flop rule.
-		{"shard-band", 2048, 131072, 15, Options{}, 16, 7, 2},
+		{"shard-band", 2048, 131072, 15, Options{}, 16, 7, 2, false},
 		// ER 2^13·d8, the bench's er-lowcf regimes: 8 bins of 10+13 bits.
-		{"er-2^13", 1 << 13, 1 << 19, 13, Options{}, 16, 9, 2},
-		// 23 column bits leave no row bit for a 22-bit key.
-		{"colbits-23", 1 << 16, 1 << 22, 23, Options{}, 64, 10, 3},
+		{"er-2^13", 1 << 13, 1 << 19, 13, Options{}, 16, 9, 2, false},
+		// 23 column bits leave no row bit for a 22-bit key, and the flop
+		// rule's 10 + 23 bits lose one row bit to the 32-bit key; a 64-bit key
+		// keeps the flop rule.
+		{"colbits-23", 1 << 16, 1 << 22, 23, Options{}, 128, 9, 3, false},
+		{"colbits-23-wide", 1 << 16, 1 << 22, 23, Options{}, 64, 10, 3, true},
 		// Already two passes: ER 2^12·d8 (10+12) and R-MAT 2^13·16 (5+13).
-		{"er-2^12", 1 << 12, 1 << 18, 12, Options{}, 4, 10, 2},
-		{"rmat-2^13", 1 << 13, 19 << 20, 13, Options{}, 256, 5, 2},
+		{"er-2^12", 1 << 12, 1 << 18, 12, Options{}, 4, 10, 2, false},
+		{"rmat-2^13", 1 << 13, 19 << 20, 13, Options{}, 256, 5, 2, false},
 		// The cap: 1 024 bins need L2CacheBytes/LocalBinBytes ≥ 1 024.
-		{"local-bin-cap", 1 << 16, 1 << 22, 16, Options{LocalBinBytes: 2048}, 64, 10, 3},
-		{"l2-cap", 1 << 16, 1 << 22, 16, Options{L2CacheBytes: 512 << 10}, 128, 9, 3},
-		{"l2-2MiB", 1 << 16, 1 << 22, 16, Options{L2CacheBytes: 2 << 20}, 1024, 6, 2},
-		{"explicit-nbins", 1 << 16, 1 << 22, 16, Options{NBins: 64}, 64, 10, 3},
+		{"local-bin-cap", 1 << 16, 1 << 22, 16, Options{LocalBinBytes: 2048}, 64, 10, 3, false},
+		{"l2-cap", 1 << 16, 1 << 22, 16, Options{L2CacheBytes: 512 << 10}, 128, 9, 3, false},
+		{"l2-2MiB", 1 << 16, 1 << 22, 16, Options{L2CacheBytes: 2 << 20}, 1024, 6, 2, false},
+		{"explicit-nbins", 1 << 16, 1 << 22, 16, Options{NBins: 64}, 64, 10, 3, false},
+		// An explicit NBins too small for a 32-bit key is raised to fit it.
+		{"explicit-nbins-raised", 1 << 13, 1 << 10, 20, Options{NBins: 1}, 2, 12, 4, false},
+		// Past the auto cap: a few hundred tuples over 2^22 rows and 22-bit
+		// columns need 4 096 bins of 2^10 rows.
+		{"past-cap", 1 << 22, 300, 22, Options{}, 4096, 10, 4, false},
 		// A budgeted run sizes bins by its largest panel: er_lowcf under a 32 MiB
 		// budget trims, under 16 MiB its 1 024 bins would hold 1 Ki tuples each.
-		{"budget-32MiB", 1 << 16, 32 << 20 / tupleBytes, 16, Options{}, 1024, 6, 2},
-		{"budget-16MiB", 1 << 16, 16 << 20 / tupleBytes, 16, Options{}, 16, 12, 3},
+		{"budget-32MiB", 1 << 16, 32 << 20 / tupleBytes, 16, Options{}, 1024, 6, 2, false},
+		{"budget-16MiB", 1 << 16, 16 << 20 / tupleBytes, 16, Options{}, 16, 12, 3, false},
 		// A hypersparse product: one bin of 5 000 tuples on 12+12 bits stays.
-		{"hypersparse", 1 << 12, 5000, 12, Options{}, 1, 12, 3},
+		{"hypersparse", 1 << 12, 5000, 12, Options{}, 1, 12, 3, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			g := planBinGeometry(tc.rows, tc.flops, tc.colBits, tc.opt.withDefaults())
+			keyBits := uint(32)
+			if tc.wide {
+				keyBits = 64
+			}
+			g := planBinGeometry(tc.rows, tc.flops, tc.colBits, keyBits, tc.opt.withDefaults())
 			if g.nbins != tc.nbins || g.rowShift != tc.rowShift {
 				t.Fatalf("got %d bins, rowShift %d; want %d, %d", g.nbins, g.rowShift, tc.nbins, tc.rowShift)
 			}
@@ -312,10 +469,10 @@ func TestBinGeometryTwoPassTrim(t *testing.T) {
 	}
 }
 
-// TestPlanLayoutAgreesOnTrimmedGeometry: on shapes the two-pass rule trims,
-// single-shot and budgeted, the engine runs the bins planBinGeometry predicts
-// and the layout PlanLayout and Key32Fits report.
-func TestPlanLayoutAgreesOnTrimmedGeometry(t *testing.T) {
+// TestEntriesAgreeOnTrimmedGeometry: on shapes the two-pass rule trims,
+// single-shot and budgeted, the engine runs the bins planBinGeometry predicts,
+// and so does every entry point whose key the trim already fits.
+func TestEntriesAgreeOnTrimmedGeometry(t *testing.T) {
 	a, b := gen.ERMatrix(13, 8, 1), gen.ERMatrix(13, 8, 2)
 	acsc := a.ToCSC()
 	for _, opt := range []Options{{Threads: 1}, {Threads: 2, MemoryBudgetBytes: 2 << 20}} {
@@ -326,11 +483,9 @@ func TestPlanLayoutAgreesOnTrimmedGeometry(t *testing.T) {
 		if st.NBins != 16 {
 			t.Fatalf("budget %d: engine ran %d bins, want the trimmed 16", opt.MemoryBudgetBytes, st.NBins)
 		}
-		if got := PlanLayout(a.NumRows, b.NumCols, st.Flops, opt); got != st.Layout {
-			t.Fatalf("budget %d: PlanLayout %v, engine %v", opt.MemoryBudgetBytes, got, st.Layout)
-		}
-		if !Key32Fits(a.NumRows, b.NumCols, st.Flops, opt) {
-			t.Fatalf("budget %d: Key32Fits false on a squeezed run", opt.MemoryBudgetBytes)
+		_, stw, err := multiplyWide(acsc, b, opt)
+		if err != nil || stw.NBins != st.NBins {
+			t.Fatalf("budget %d: wide entry ran %d bins (%v), squeezed %d", opt.MemoryBudgetBytes, stw.NBins, err, st.NBins)
 		}
 		_, stp, err := MultiplyPattern(acsc, b, opt)
 		if err != nil || stp.NBins != st.NBins {
@@ -344,7 +499,7 @@ func TestPlanLayoutAgreesOnTrimmedGeometry(t *testing.T) {
 func TestPowerOfTwoBinGeometry(t *testing.T) {
 	for _, rows := range []int32{1, 2, 3, 511, 512, 513, 5000, 1 << 20} {
 		for _, nbins := range []int{0, 1, 2, 7, 64, 2048} {
-			g := planBinGeometry(rows, int64(rows)*8, colBitsFor(rows), Options{NBins: nbins}.withDefaults())
+			g := planBinGeometry(rows, int64(rows)*8, colBitsFor(rows), 32, Options{NBins: nbins}.withDefaults())
 			rpb := int64(1) << g.rowShift
 			if rpb&(rpb-1) != 0 {
 				t.Fatalf("rows=%d nbins=%d: rowsPerBin %d not a power of two", rows, nbins, rpb)
@@ -368,23 +523,24 @@ func TestLayoutSteadyStateAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		layout Layout
+		mul    multiplyFunc
 		budget int64
 	}{
-		{"squeezed", LayoutSqueezed, 0},
-		{"squeezed-budgeted", LayoutSqueezed, 32 << 10},
-		{"wide", LayoutWide, 0},
-		{"wide-budgeted", LayoutWide, 32 << 10},
+		{"squeezed", LayoutSqueezed, Multiply, 0},
+		{"squeezed-budgeted", LayoutSqueezed, Multiply, 32 << 10},
+		{"wide", LayoutWide, multiplyWide, 0},
+		{"wide-budgeted", LayoutWide, multiplyWide, 32 << 10},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ws := NewWorkspace()
-			opt := Options{Threads: 1, Workspace: ws, MemoryBudgetBytes: tc.budget, ForceLayout: tc.layout}
-			if _, st, err := Multiply(a, b, opt); err != nil {
+			opt := Options{Threads: 1, Workspace: ws, MemoryBudgetBytes: tc.budget}
+			if _, st, err := tc.mul(a, b, opt); err != nil {
 				t.Fatal(err)
 			} else if st.Layout != tc.layout {
 				t.Fatalf("layout = %v, want %v", st.Layout, tc.layout)
 			}
 			allocs := testing.AllocsPerRun(10, func() {
-				if _, _, err := Multiply(a, b, opt); err != nil {
+				if _, _, err := tc.mul(a, b, opt); err != nil {
 					t.Fatal(err)
 				}
 			})
@@ -429,15 +585,13 @@ func TestSplitSortMatchesReference(t *testing.T) {
 	a := gen.RMAT(10, 8, gen.Graph500Params, 21)
 	b := gen.RMAT(10, 8, gen.Graph500Params, 22)
 	want := matrix.ReferenceMultiply(a, b)
-	for _, layout := range []Layout{LayoutSqueezed, LayoutWide} {
-		got, _, err := Multiply(a.ToCSC(), b, Options{
-			Threads: 8, NBins: 2, L2CacheBytes: 4096, ForceLayout: layout,
-		})
+	for _, l := range float64Layouts {
+		got, _, err := l.mul(a.ToCSC(), b, Options{Threads: 8, NBins: 2, L2CacheBytes: 4096})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !matrix.Equal(want, got, 1e-9) {
-			t.Fatalf("layout=%v: oversized-bin product differs from reference", layout)
+			t.Fatalf("layout=%v: oversized-bin product differs from reference", l.layout)
 		}
 	}
 }
@@ -449,27 +603,21 @@ func TestSplitSortMatchesReference(t *testing.T) {
 func BenchmarkMultiply(b *testing.B) {
 	a := gen.ERMatrix(13, 8, 1).ToCSC()
 	m := gen.ERMatrix(13, 8, 2)
-	for _, tc := range []struct {
-		name   string
-		layout Layout
-	}{
-		{"layout=squeezed", LayoutSqueezed},
-		{"layout=wide", LayoutWide},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
+	for _, l := range float64Layouts {
+		b.Run("layout="+l.layout.String(), func(b *testing.B) {
 			ws := NewWorkspace()
-			opt := Options{Workspace: ws, ForceLayout: tc.layout}
-			_, st, err := Multiply(a, m, opt)
+			opt := Options{Workspace: ws}
+			_, st, err := l.mul(a, m, opt)
 			if err != nil {
 				b.Fatal(err)
 			}
-			if st.Layout != tc.layout {
-				b.Fatalf("layout = %v, want %v", st.Layout, tc.layout)
+			if st.Layout != l.layout {
+				b.Fatalf("layout = %v, want %v", st.Layout, l.layout)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := Multiply(a, m, opt); err != nil {
+				if _, _, err := l.mul(a, m, opt); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -30,8 +30,7 @@ func layoutCases(t *testing.T) []layoutCase {
 
 	wide := func(acsc *matrix.CSC, b *matrix.CSR) func(*testing.T, Options) *matrix.CSR {
 		return func(t *testing.T, opt Options) *matrix.CSR {
-			opt.ForceLayout = LayoutWide
-			c, _, err := Multiply(acsc, b, opt)
+			c, _, err := multiplyWide(acsc, b, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -40,7 +39,6 @@ func layoutCases(t *testing.T) []layoutCase {
 	}
 	squeezed := func(acsc *matrix.CSC, b *matrix.CSR) func(*testing.T, Options) *matrix.CSR {
 		return func(t *testing.T, opt Options) *matrix.CSR {
-			opt.ForceLayout = LayoutSqueezed
 			c, st, err := Multiply(acsc, b, opt)
 			if err != nil {
 				t.Fatal(err)

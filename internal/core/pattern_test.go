@@ -71,7 +71,7 @@ func TestPatternMatchesWideStructure(t *testing.T) {
 	for _, in := range inputs {
 		t.Run(in.name, func(t *testing.T) {
 			acsc := in.a.ToCSC()
-			want, _, err := Multiply(acsc, in.b, Options{ForceLayout: LayoutWide})
+			want, _, err := multiplyWide(acsc, in.b, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -111,7 +111,7 @@ func TestNarrowMatchesWideValues(t *testing.T) {
 	a := intValued(gen.ER(1024, 8, 25))
 	b := intValued(gen.ER(1024, 8, 26))
 	acsc := a.ToCSC()
-	want, _, err := Multiply(acsc, b, Options{ForceLayout: LayoutWide})
+	want, _, err := multiplyWide(acsc, b, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,11 +191,12 @@ func TestPatternNarrowSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestKey32EntryPointErrors pins the error contract of the new entry points:
-// geometries whose packed key exceeds 32 bits fail with ErrKeyWidth, and the
-// generic Multiply rejects ForceLayout values it has no value plane for.
+// TestKey32EntryPointErrors pins the error contract of the key32 entry
+// points: no key width is an error — a geometry whose flop rule packs past
+// 32 bits runs in more bins — and short value planes are shape errors.
 func TestKey32EntryPointErrors(t *testing.T) {
-	// 2^30 columns: colBits = 31, no key32 layout fits.
+	// 2^30 columns: colBits = 30, so the flop rule's one bin of 64 rows
+	// needs 36-bit keys; the key32 entries run 16 bins of 4 rows instead.
 	co := &matrix.COO{NumRows: 64, NumCols: 64}
 	bo := &matrix.COO{NumRows: 64, NumCols: 1 << 30}
 	r := gen.NewRNG(5)
@@ -208,15 +209,22 @@ func TestKey32EntryPointErrors(t *testing.T) {
 		bo.Val = append(bo.Val, 1)
 	}
 	aw, bw := co.ToCSR().ToCSC(), bo.ToCSR()
-	if Key32Fits(aw.NumRows, bw.NumCols, 64, Options{}) {
-		t.Fatal("Key32Fits accepted a 31-bit-column geometry")
-	}
-	if _, _, err := MultiplyPattern(aw, bw, Options{}); !errors.Is(err, ErrKeyWidth) {
-		t.Fatalf("pattern on 31-bit columns: err = %v, want ErrKeyWidth", err)
+	want := matrix.ReferenceMultiply(co.ToCSR(), bw)
+	pc, stp, err := MultiplyPattern(aw, bw, Options{})
+	if err != nil || stp.NBins != 16 || !csrSameStructure(want, pc) {
+		t.Fatalf("pattern on 30-bit columns: err %v, %d bins, same structure as Reference: %v",
+			err, stp.NBins, err == nil && csrSameStructure(want, pc))
 	}
 	av, bv := narrowPlanes[float32](aw, bw)
-	if _, _, _, err := MultiplyNarrow(aw, av, bw, bv, Options{}); !errors.Is(err, ErrKeyWidth) {
-		t.Fatalf("narrow on 31-bit columns: err = %v, want ErrKeyWidth", err)
+	nc, nVal, stn, err := MultiplyNarrow(aw, av, bw, bv, Options{})
+	if err != nil || stn.NBins != 16 || !csrSameStructure(want, nc) {
+		t.Fatalf("narrow on 30-bit columns: err %v, %d bins, same structure as Reference: %v",
+			err, stn.NBins, err == nil && csrSameStructure(want, nc))
+	}
+	for i, v := range nVal {
+		if float64(v) != want.Val[i] {
+			t.Fatalf("narrow value %d is %v, Reference has %v", i, v, want.Val[i])
+		}
 	}
 
 	// Value-plane length mismatches are shape errors, caught before any work.
@@ -228,14 +236,6 @@ func TestKey32EntryPointErrors(t *testing.T) {
 	}
 	if _, _, _, err := MultiplyNarrow(scsc, sv, small, sv[:1], Options{}); !errors.Is(err, matrix.ErrShape) {
 		t.Fatalf("short bVal: err = %v, want ErrShape", err)
-	}
-
-	// The float64 entry point cannot run the value-less or 32-bit-value
-	// layouts; forcing them is an error, not a silent fallback.
-	for _, l := range []Layout{LayoutPattern, LayoutNarrow} {
-		if _, _, err := Multiply(scsc, small, Options{ForceLayout: l}); err == nil {
-			t.Fatalf("Multiply accepted ForceLayout %v", l)
-		}
 	}
 
 	// Pooled workspace survives alternating narrow value types.
@@ -266,7 +266,7 @@ func FuzzPatternVsFloat64(f *testing.F) {
 		if !ok {
 			return
 		}
-		want, _, err := Multiply(a, b, Options{ForceLayout: LayoutWide})
+		want, _, err := multiplyWide(a, b, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -308,7 +308,7 @@ func FuzzNarrowVsWide(f *testing.F) {
 		if !ok {
 			return
 		}
-		want, _, err := Multiply(a, b, Options{ForceLayout: LayoutWide})
+		want, _, err := multiplyWide(a, b, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -18,11 +18,13 @@
 //     64-byte lines to a line-aligned destination.
 //  3. Sort and compress (Sections III-D, III-E): each global bin is sorted
 //     on its packed keys localRow<<colBits|colid and equal keys are summed,
-//     bin by bin under a dynamic schedule. Because local row ids are small
-//     the key fits 4 bytes for almost every matrix, and the two steps run
-//     fused, as one of internal/radix's two key32 kernels — or their two
-//     counterparts for the wide layout's 64-bit keys, which also serve any
-//     value type and any (⊕, ⊗): MultiplyWide (fused.go).
+//     bin by bin under a dynamic schedule. Bins keep local row ids small
+//     enough that the key fits 4 bytes (planBinGeometry adds bins until it
+//     does, up to maxKey32Bins), and the two steps run fused, as one of
+//     internal/radix's two key32 kernels — or their two counterparts for the
+//     wide layout's 64-bit keys, which serve any value type and any (⊕, ⊗):
+//     MultiplyWide (fused.go), and the typed entries' shapes past
+//     maxKey32Bins (MultiplyLayout).
 //  4. Assemble: bins cover disjoint, ordered row ranges, so concatenating
 //     the folded bins is already canonical CSR order.
 //
@@ -68,31 +70,33 @@ const DefaultL2CacheBytes = 1 << 20
 
 // Layout identifies the expanded-tuple representation of a run. The paper's
 // Section III-D key squeezing observes that the packed key localRow<<colBits
-// | col fits 4 bytes whenever localRowBits + colBits ≤ 32; because bins make
-// localRow small, that holds for almost every real matrix, and the engine
-// then stores tuples as parallel arrays (uint32 keys + float64 values, 12
-// bytes per tuple) instead of 16-byte radix.Pair[float64]s — cutting the
-// traffic of the two dominant phases by a quarter.
+// | col fits 4 bytes whenever localRowBits + colBits ≤ 32; bins make localRow
+// small, and the bin geometry of the typed entry points is chosen so that it
+// holds (planBinGeometry) whenever that takes at most maxKey32Bins bins.
+// Tuples are then parallel arrays (uint32 keys + float64 values, 12 bytes per
+// tuple) instead of 16-byte radix.Pair[float64]s — cutting the traffic of the
+// two dominant phases by a quarter. MultiplyLayout says which one a shape
+// runs.
 type Layout int8
 
 const (
-	// LayoutAuto (the zero value) picks per run: squeezed when the key
-	// geometry allows, wide otherwise.
+	// LayoutAuto is the zero value: no layout, what the Stats of a product
+	// the tuple pipeline did not run report.
 	LayoutAuto Layout = iota
-	// LayoutWide is the 16-byte AoS layout: []radix.Pair[V] (u64 key + value;
-	// f64 for Multiply, a semiring's element type for MultiplyWide).
+	// LayoutWide is the 16-byte AoS layout: []radix.Pair[V] (u64 key + a
+	// semiring's value). MultiplyWide runs it, and the typed entries do
+	// through it on shapes whose 32-bit key needs more than maxKey32Bins
+	// bins.
 	LayoutWide
 	// LayoutSqueezed is the 12-byte SoA layout: []uint32 keys + []float64
-	// values. Selected automatically when localRowBits + colBits ≤ 32.
+	// values. The Multiply entry runs it (MultiplyLayout).
 	LayoutSqueezed
 	// LayoutNarrow is the 8-byte SoA layout: []uint32 keys + a 4-byte value
-	// plane (float32 or int32). Only the MultiplyNarrow entry runs it, and
-	// only when localRowBits + colBits ≤ 32.
+	// plane (float32 or int32). The MultiplyNarrow entry runs it.
 	LayoutNarrow
 	// LayoutPattern is the 4-byte key-only layout of structural products:
 	// tuples are bare []uint32 keys, folding is deduplication, and the result
-	// CSR has no Val array. Only the MultiplyPattern entry runs it, under the
-	// same ≤ 32-bit key requirement.
+	// CSR has no Val array. The MultiplyPattern entry runs it.
 	LayoutPattern
 )
 
@@ -144,18 +148,18 @@ func (l Layout) TupleBytes() int64 {
 	return 0
 }
 
-// tupleBytes is the conservative (wide) per-tuple cost used wherever sizing
-// must not depend on the layout decision itself: panel tiling against
-// MemoryBudgetBytes and the bin-count derivation both use it, so the bin
-// geometry — and therefore the squeeze decision it feeds — is identical for
-// both layouts.
+// tupleBytes is the conservative (wide) per-tuple cost panel tiling against
+// MemoryBudgetBytes and the flop rule of the bin count both use, so panels and
+// the flop rule's bins are the same for every layout.
 const tupleBytes = WideTupleBytes
 
 // Options tunes PB-SpGEMM. The zero value selects the paper's defaults.
 type Options struct {
-	// NBins forces the number of global bins, as given; 0 derives it from
-	// flop and L2CacheBytes (Algorithm 3 line 6), then shortens bins whose key
-	// the LSD would sort in more than two passes (planBinGeometry).
+	// NBins requests the number of global bins; 0 derives it from flop and
+	// L2CacheBytes (Algorithm 3 line 6), then shortens bins whose key the LSD
+	// would sort in more than two passes. Either way the key32 entry points
+	// raise it until the packed key fits 32 bits (planBinGeometry), to at
+	// most maxKey32Bins; a shape that needs more runs the wide layout.
 	NBins int
 	// LocalBinBytes is the requested width of each thread-private local bin;
 	// 0 means DefaultLocalBinBytes (1024). The capacity actually used is the
@@ -191,13 +195,6 @@ type Options struct {
 	// error; workers drain to the next poll before the join, so no goroutines
 	// leak. The public API wires context.Context.Err here.
 	Cancel func() error
-	// ForceLayout pins the expanded-tuple layout, for tests, ablations and
-	// benchmarks. LayoutAuto (the zero value) squeezes whenever
-	// localRowBits + colBits ≤ 32; LayoutWide always runs 16-byte tuples;
-	// LayoutSqueezed is honored only when the key geometry allows it and
-	// falls back to wide otherwise (keys are never truncated). Stats.Layout
-	// reports the layout actually used.
-	ForceLayout Layout
 }
 
 func (o Options) withDefaults() Options {
@@ -233,11 +230,12 @@ type Stats struct {
 	NPanels int
 	CF      float64
 
-	// Layout is the expanded-tuple layout the run used: LayoutWide (16-byte
-	// radix.Pair[V]s), or one of the three u32-key layouts available whenever
-	// localRowBits+colBits ≤ 32 — LayoutSqueezed (12 bytes, float64 values),
-	// LayoutNarrow (8 bytes, float32/int32 values; MultiplyNarrow) and
-	// LayoutPattern (4 bytes, keys only; MultiplyPattern).
+	// Layout is the expanded-tuple layout the run used: LayoutSqueezed
+	// (12 bytes, float64 values; Multiply), LayoutNarrow (8 bytes,
+	// float32/int32 values; MultiplyNarrow), LayoutPattern (4 bytes, keys
+	// only; MultiplyPattern) or LayoutWide (16-byte radix.Pair[V]s;
+	// MultiplyWide, and the three typed entries where MultiplyLayout says
+	// so).
 	Layout Layout
 	// TupleBytes is the per-tuple byte cost of that layout (16, 12, 8 or 4) —
 	// the b entering the traffic model below.
@@ -308,11 +306,10 @@ type engine struct {
 	rowShift      uint   // bin = row>>rowShift (shift/mask replaces division; rows per bin = 1<<rowShift)
 	rowMask       uint32 // localRow = row&rowMask
 	colBits       uint
-	want          Layout     // layout the entry point requested (Auto for Multiply)
-	layout        Layout     // concrete layout planBins resolved for this run
+	layout        Layout     // the entry point's tuple layout
 	key32         bool       // layout packs keys into uint32 (everything but wide)
 	lay           layoutOps  // per-layout element accesses (layout.go)
-	f64Out        *[]float64 // the out plane of the float64 layout bindLayout bound for Multiply, else nil
+	f64Out        *[]float64 // Multiply's out plane (the squeezed layout's), else nil
 	tupleBytes    int64      // per-tuple cost of layout (16/12/8/4)
 	wideBytes     int64      // size of a wide tuple: 16, more when MultiplyWide's V is over 8 bytes
 	localCap      int32      // tuples per thread-private local bin
@@ -336,21 +333,31 @@ type engine struct {
 // layouts the outer product streams naturally (Algorithm 2 takes exactly
 // these). The returned stats are always non-nil. When opt.Workspace is set,
 // the returned CSR and Stats alias workspace memory (Clone the CSR to keep
-// it past the next call).
+// it past the next call). It runs the layout MultiplyLayout names.
 func Multiply(a *matrix.CSC, b *matrix.CSR, opt Options) (*matrix.CSR, *Stats, error) {
+	if MultiplyLayout(a.NumRows, b.NumCols) == LayoutWide {
+		c, vals, st, err := MultiplyWide(a, a.Val, b, b.Val, PlusTimes, opt)
+		if err != nil {
+			return nil, nil, err
+		}
+		c.Val = vals
+		return c, st, nil
+	}
 	opt = opt.withDefaults()
-	e, err := newEngine(a, b, opt, LayoutAuto)
+	e, err := newEngine(a, b, opt, LayoutSqueezed)
 	if err != nil {
 		return nil, nil, err
 	}
+	l := &e.ws.kvF64
+	l.aVal, l.bVal = a.Val, b.Val
+	e.lay, e.f64Out = l, &l.out
 	return e.runContained()
 }
 
 // newEngine validates the shapes and binds the workspace-resident engine for
-// one run requesting the given layout (LayoutAuto for the float64 entries;
-// the pattern/narrow entries pass their layout). opt must already have
-// defaults applied.
-func newEngine(a *matrix.CSC, b *matrix.CSR, opt Options, want Layout) (*engine, error) {
+// one run of the entry point's layout; the entry point then binds e.lay. opt
+// must already have defaults applied.
+func newEngine(a *matrix.CSC, b *matrix.CSR, opt Options, layout Layout) (*engine, error) {
 	if a.NumCols != b.NumRows {
 		return nil, fmt.Errorf("core: inner dimensions disagree: A is %dx%d, B is %dx%d: %w",
 			a.NumRows, a.NumCols, b.NumRows, b.NumCols, matrix.ErrShape)
@@ -367,7 +374,7 @@ func newEngine(a *matrix.CSC, b *matrix.CSR, opt Options, want Layout) (*engine,
 		*ws = Workspace{}
 	}
 	e := &ws.eng
-	*e = engine{a: a, b: b, opt: opt, ws: ws, shared: shared, want: want, wideBytes: WideTupleBytes}
+	*e = engine{a: a, b: b, opt: opt, ws: ws, shared: shared, layout: layout, wideBytes: WideTupleBytes}
 	if shared {
 		ws.stats = Stats{}
 		e.st = &ws.stats
@@ -424,10 +431,7 @@ func (e *engine) run() (*matrix.CSR, error) {
 	e.st.Kernel = simd.Level()
 	e.symbolic()
 	e.planPanels()
-	if err := e.planBins(); err != nil {
-		return nil, err
-	}
-	e.bindLayout()
+	e.planBins()
 	e.st.Symbolic = time.Since(t0)
 	e.st.Flops = e.flops
 	e.st.NBins = e.nbins
@@ -600,20 +604,26 @@ type binGeometry struct {
 // largest panel's flop count, so each panel's bins fit the L2 budget during
 // sorting. rowsPerBin is rounded up to a power of two so the expand hot loop
 // derives bin and local row with shift/mask instead of an integer division
-// per flop; nbins is recomputed so bins still exactly tile the rows. Sizing
-// always uses the wide 16-byte tuple cost, so the geometry (and the squeeze
-// decision it feeds) never depends on the layout it produces.
+// per flop; nbins is recomputed so bins still exactly tile the rows. The flop
+// rule always uses the wide 16-byte tuple cost, so it never depends on the
+// layout.
 //
 // An auto key the LSD sorts in more than two passes (radix.Passes at the mean
 // bin) then gets the largest rowShift at which it is two passes (22 bits), if
 // that leaves at most min(2048, L2CacheBytes/LocalBinBytes) bins, so expand's
 // local bins stay L2-resident (Fig. 5), of radix.FullDigitTuples each; else
-// the flop rule stands and no layout changes. It is Section V-A's in-cache bin
-// made exact for the sort that runs: er_lowcf (ER 2^16·d8) goes from 64 bins
-// of 26-bit keys (three passes over ~2.3 MB, past a 2 MiB L2) to 1 024 of 22,
-// fuse 60–62 → 43–46 ms for 3 ms more expand (`experiments fig6b`). Bytes
-// never depend on it. Key32Fits, PlanLayout and the planner read this rule.
-func planBinGeometry(rows int32, maxPanelFlops int64, colBits uint, opt Options) binGeometry {
+// the flop rule stands. It is Section V-A's in-cache bin made exact for the
+// sort that runs: er_lowcf (ER 2^16·d8) goes from 64 bins of 26-bit keys
+// (three passes over ~2.3 MB, past a 2 MiB L2) to 1 024 of 22, fuse 60–62 →
+// 43–46 ms for 3 ms more expand (`experiments fig6b`).
+//
+// Last, rowShift is cut to keyBits − colBits, the largest local row the
+// layout's key holds: 32 for the key32 layouts, which makes their key fit
+// whatever the rules above chose — past the 2 048-bin cap and past an
+// explicit NBins if it has to (ER 2^20·d2 runs 256 bins of 12+20 bits, not
+// the flop rule's 64 of 14+20), up to maxKey32Bins — and 64 for the wide
+// one, where it never cuts. Bytes never depend on the geometry.
+func planBinGeometry(rows int32, maxPanelFlops int64, colBits, keyBits uint, opt Options) binGeometry {
 	// The auto value is capped at 2048: the paper uses 1K-2K bins in
 	// practice (Section V-A) because each thread also keeps one local bin
 	// per global bin, and nbins*LocalBinBytes must stay within the cache for
@@ -639,59 +649,31 @@ func planBinGeometry(rows int32, maxPanelFlops int64, colBits uint, opt Options)
 			}
 		}
 	}
+	shift = min(shift, int(keyBits-colBits))
 	return binGeometry{nbins: int(binsAt(shift)), rowShift: uint(shift)}
 }
 
-// planBins fixes the run's bin geometry and tuple layout. Bins are fixed row
+// planBins fixes the run's bin geometry for its layout. Bins are fixed row
 // ranges of A, identical across panels, which is what lets per-panel runs
-// merge bin-by-bin. The error is non-nil only when the entry point demanded
-// a 32-bit-key layout (pattern/narrow) the geometry cannot deliver.
-func (e *engine) planBins() error {
-	g := planBinGeometry(e.a.NumRows, e.maxPanelFlops, e.colBits, e.opt)
+// merge bin-by-bin.
+func (e *engine) planBins() {
+	// Section III-D key squeezing: the in-bin local row id needs rowShift
+	// bits, so the packed key fits a uint32 whenever rowShift + colBits ≤ 32.
+	e.key32 = e.layout != LayoutWide
+	keyBits := uint(64)
+	if e.key32 {
+		keyBits = 32
+	}
+	g := planBinGeometry(e.a.NumRows, e.maxPanelFlops, e.colBits, keyBits, e.opt)
 	e.nbins = g.nbins
 	e.rowShift = g.rowShift
 	e.rowMask = uint32(int64(1)<<g.rowShift - 1)
 
-	// Section III-D key squeezing: the in-bin local row id needs rowShift
-	// bits, so the packed key fits a uint32 — and the tuple any of the split
-	// key32 layouts — whenever rowShift + colBits ≤ 32.
-	fits := g.rowShift+e.colBits <= 32
-	switch e.want {
-	case LayoutPattern, LayoutNarrow:
-		// The entry point is the layout: values are 4 bytes or absent, so
-		// there is no wide fallback to widen into — a too-wide key is an
-		// error, not a silent layout change.
-		if !fits {
-			return fmt.Errorf("core: %s layout needs localRowBits+colBits ≤ 32, got %d+%d: %w",
-				e.want, g.rowShift, e.colBits, ErrKeyWidth)
-		}
-		e.layout = e.want
-	case LayoutWide:
-		e.layout = LayoutWide // MultiplyWide: any key fits
-	default:
-		e.layout = LayoutWide
-		if fits {
-			e.layout = LayoutSqueezed
-		}
-		switch e.opt.ForceLayout {
-		case LayoutWide:
-			e.layout = LayoutWide
-		case LayoutSqueezed:
-			// Best-effort: already squeezed when the geometry allows; a key
-			// that needs more than 32 bits keeps the wide layout rather than
-			// corrupt.
-		case LayoutNarrow, LayoutPattern:
-			return fmt.Errorf("core: ForceLayout %v requires the MultiplyNarrow/MultiplyPattern entry point", e.opt.ForceLayout)
-		}
-	}
-	e.key32 = e.layout != LayoutWide
 	e.tupleBytes = e.layout.TupleBytes()
 	if !e.key32 {
 		e.tupleBytes = e.wideBytes
 	}
-
 	e.localCap = LocalBinTuples(e.opt.LocalBinBytes, e.tupleBytes)
-	return nil
 }
 
 // flushAlign is the flush granularity in tuples: 16 four-byte keys are one
@@ -753,40 +735,23 @@ func flushPlane[T any](dst, src []T, nt bool) {
 	}
 }
 
-// Key32Fits reports whether the bin geometry Multiply-family entries would
-// derive for a product (rows of A, columns of B, total flops, opt's bin and
-// budget settings) packs its keys into 32 bits — the gate for the squeezed,
-// narrow and pattern layouts. internal/semiring uses it to decide whether a
-// Boolean/float32/int32 multiplication can dispatch onto the fast path.
-func Key32Fits(rows, bCols int32, flops int64, opt Options) bool {
-	opt = opt.withDefaults()
-	// A memory budget tiles the run into panels of ≈ budget/16 tuples and
-	// the bin geometry follows the largest panel (planPanels packs columns
-	// greedily to just under the budget; the one-column floor can exceed it
-	// only when a single outer product does). Mirror that here so the
-	// predicted layout matches the one a budgeted run executes.
-	maxPanelFlops := flops
-	if budgetTuples := opt.MemoryBudgetBytes / tupleBytes; opt.MemoryBudgetBytes > 0 && maxPanelFlops > budgetTuples {
-		maxPanelFlops = max(budgetTuples, 1)
-	}
-	colBits := colBitsFor(bCols)
-	return planBinGeometry(rows, maxPanelFlops, colBits, opt).rowShift+colBits <= 32
-}
+// maxKey32Bins caps the 32-bit cut's bins, which follow the shape
+// (rows·2^colBits/2^32), not the work, and so does every per-bin array: the
+// local arena is threads × bins × LocalBinBytes. 4 096 is the most measured
+// to beat the wide layout (ER 2^22·d2: 498 ms against 613); shapes that need
+// more run wide in the flop rule's bins (a 2·10^7 square would need 156 250).
+const maxKey32Bins = 4096
 
-// PlanLayout reports the tuple layout Multiply (the float64 entry) would
-// pick for a product with rows output rows (rows of A), bCols output columns
-// (columns of B) and the given total flop count, under opt's bin and budget
-// settings. The public Auto planner uses it to model PB-SpGEMM's per-run
-// traffic at 12 or 16 bytes per tuple before choosing an algorithm family;
-// the pattern/narrow entries run at their own cost whenever Key32Fits.
-func PlanLayout(rows, bCols int32, flops int64, opt Options) Layout {
-	if opt.ForceLayout == LayoutWide {
+// MultiplyLayout reports the tuple layout Multiply runs for a product of an A
+// with rows rows and a B with bCols columns: LayoutSqueezed when the packed
+// key fits 32 bits in at most maxKey32Bins bins, LayoutWide otherwise.
+// MultiplyNarrow and MultiplyPattern run the wide layout on the same shapes.
+func MultiplyLayout(rows, bCols int32) Layout {
+	shift := 32 - colBitsFor(bCols)
+	if (int64(max(rows, 0))+1<<shift-1)>>shift > maxKey32Bins {
 		return LayoutWide
 	}
-	if Key32Fits(rows, bCols, flops, opt) {
-		return LayoutSqueezed
-	}
-	return LayoutWide
+	return LayoutSqueezed
 }
 
 // colBitsFor is the packed-key width of a column id for a B with bCols

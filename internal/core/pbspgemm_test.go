@@ -242,10 +242,13 @@ func TestStatsBytesModel(t *testing.T) {
 		t.Errorf("cf = %v, want >= 1", st.CF)
 	}
 
-	// The forced wide layout must report the paper's original 16-byte model.
-	_, stw := multiplyCSR(t, a, b, Options{ForceLayout: LayoutWide})
+	// The wide layout must report the paper's original 16-byte model.
+	_, stw, err := multiplyWide(a.ToCSC(), b, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if stw.Layout != LayoutWide || stw.TupleBytes != WideTupleBytes {
-		t.Fatalf("forced wide: layout = %v tupleBytes = %d", stw.Layout, stw.TupleBytes)
+		t.Fatalf("wide: layout = %v tupleBytes = %d", stw.Layout, stw.TupleBytes)
 	}
 	if stw.FusedBytes != matrix.BytesPerTuple*stw.Flops {
 		t.Errorf("wide FusedBytes = %d, want %d", stw.FusedBytes, matrix.BytesPerTuple*stw.Flops)

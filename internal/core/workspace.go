@@ -117,7 +117,7 @@ func (ws *Workspace) Reset() { *ws = Workspace{} }
 // TupleCapBytes reports the current capacity of the pooled expanded-tuple
 // buffers in bytes, summed over both layouts' pools: MemoryBudgetBytes
 // bounds each run's active pool, but a workspace reused across layouts
-// (wide-geometry products mixed with squeezed ones) holds both, and this
+// (semiring products mixed with float64 ones) holds both, and this
 // reports the memory actually resident.
 func (ws *Workspace) TupleCapBytes() int64 {
 	total := int64(cap(ws.tupleKeys))*4 + ws.kvF64.tupleCapBytes()

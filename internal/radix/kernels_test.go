@@ -66,6 +66,9 @@ func shapes() []shape {
 	return append(ss,
 		shape{"all-equal", 500, 17, func(*rand.Rand, int) uint32 { return 0x1abcd }},
 		shape{"all-zero", 40, 9, func(*rand.Rand, int) uint32 { return 0 }},
+		// Short segments (insertion sort): all equal, and 32-bit keys with dups.
+		shape{"short-all-equal", 20, 17, func(*rand.Rand, int) uint32 { return 0x1abcd }},
+		shape{"short-32-bit-dups", 32, 32, func(r *rand.Rand, _ int) uint32 { return 0xfffffff0 | uint32(r.Intn(4)) }},
 		shape{"hot-key", 3000, 16, func(r *rand.Rand, i int) uint32 {
 			if r.Intn(2) == 0 {
 				return 777

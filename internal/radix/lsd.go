@@ -117,10 +117,16 @@ func (hist *histograms) count(keys []uint32, passes, digit, keyBits int) uint32 
 			h3[k>>s3&mask&bucketMask]++
 		}
 	}
+	checkKeyBits(diff, keyBits)
+	return diff
+}
+
+// checkKeyBits panics when diff, the OR of key^keys[0] over a segment, says
+// its keys disagree at or above keyBits.
+func checkKeyBits(diff uint32, keyBits int) {
 	if diff>>keyBits != 0 {
 		panic(fmt.Sprintf("radix: keys disagree above bit %d (diff %#x)", keyBits, diff))
 	}
-	return diff
 }
 
 // starts turns the first 1<<digit counts of one table into exclusive start
@@ -192,6 +198,21 @@ func Tally(keys []uint32, rows []int64, colBits uint) {
 	rows[row] += count
 }
 
+// shortSegment is the longest segment SortFold and SortFoldPattern sort by
+// insertion: LSD's 32 KiB of histograms cost it more than the sort (the
+// near-empty bins of a hypersparse product's 32-bit keys, internal/core).
+const shortSegment = 32
+
+func insertionSort[K uint32 | uint64](s []K) {
+	for i := 1; i < len(s); i++ {
+		x, j := s[i], i
+		for ; j > 0 && s[j-1] > x; j-- {
+			s[j] = s[j-1]
+		}
+		s[j] = x
+	}
+}
+
 // SortFold stably sorts keys/vals by the low keyBits bits of the key — all
 // keys must agree on the bits above — and folds equal keys (first value
 // assigned, later ones added in arrival order), leaving the folded tuples in
@@ -214,35 +235,47 @@ func SortFold[V Numeric](keys []uint32, vals []V, w0, w1 []uint64, tmp []V, keyB
 	if uint64(n) > maxSegment {
 		panic(ErrSegmentTooLarge)
 	}
-	passes, digit := lsdPlan(n, keyBits)
-	var hist histograms
-	diff := hist.count(keys, passes, digit, keyBits)
-	if diff == 0 {
-		// Every key equal: arrival order is the sorted order.
-		v := vals[0]
-		for _, x := range vals[1:] {
-			v += x
-		}
-		vals[0] = v
-		Tally(keys[:1], rows, colBits)
-		return 1
-	}
-	mask := uint32(1)<<digit - 1
 	var cur, alt []uint64
-	for p := 0; p < passes; p++ {
-		shift := uint(p*digit) & 31
-		if diff>>shift&mask == 0 {
-			continue // all tuples agree on this digit
+	if n <= shortSegment {
+		// key<<32|index words sort stably as plain integers.
+		cur = w0[:n]
+		var diff uint32
+		for i, k := range keys {
+			diff |= k ^ keys[0]
+			cur[i] = uint64(k)<<32 | uint64(i)
 		}
-		h := &hist[p]
-		starts(h, digit)
-		if cur == nil {
-			cur, alt = w0[:n], w1[:n]
-			scatterIndexed(keys, cur, h, shift, mask)
-			continue
+		checkKeyBits(diff, keyBits)
+		insertionSort(cur)
+	} else {
+		passes, digit := lsdPlan(n, keyBits)
+		var hist histograms
+		diff := hist.count(keys, passes, digit, keyBits)
+		if diff == 0 {
+			// Every key equal: arrival order is the sorted order.
+			v := vals[0]
+			for _, x := range vals[1:] {
+				v += x
+			}
+			vals[0] = v
+			Tally(keys[:1], rows, colBits)
+			return 1
 		}
-		scatterWords(cur, alt, h, shift+32, mask)
-		cur, alt = alt, cur
+		mask := uint32(1)<<digit - 1
+		for p := 0; p < passes; p++ {
+			shift := uint(p*digit) & 31
+			if diff>>shift&mask == 0 {
+				continue // all tuples agree on this digit
+			}
+			h := &hist[p]
+			starts(h, digit)
+			if cur == nil {
+				cur, alt = w0[:n], w1[:n]
+				scatterIndexed(keys, cur, h, shift, mask)
+				continue
+			}
+			scatterWords(cur, alt, h, shift+32, mask)
+			cur, alt = alt, cur
+		}
 	}
 	// By now the value plane has left the private caches (two to four
 	// planes of tuples have streamed through since expand wrote it); fetching
@@ -289,20 +322,29 @@ func SortFoldPattern(keys, aux []uint32, keyBits int, rows []int64, colBits uint
 		Tally(keys, rows, colBits)
 		return n
 	}
-	passes, digit := lsdPlan(n, keyBits)
-	var hist histograms
-	diff := hist.count(keys, passes, digit, keyBits)
-	mask := uint32(1)<<digit - 1
 	cur, alt := keys, aux[:n]
-	for p := 0; p < passes; p++ {
-		shift := uint(p*digit) & 31
-		if diff>>shift&mask == 0 {
-			continue
+	if n <= shortSegment {
+		var diff uint32
+		for _, k := range keys {
+			diff |= k ^ keys[0]
 		}
-		h := &hist[p]
-		starts(h, digit)
-		scatterKeys(cur, alt, h, shift, mask)
-		cur, alt = alt, cur
+		checkKeyBits(diff, keyBits)
+		insertionSort(keys)
+	} else {
+		passes, digit := lsdPlan(n, keyBits)
+		var hist histograms
+		diff := hist.count(keys, passes, digit, keyBits)
+		mask := uint32(1)<<digit - 1
+		for p := 0; p < passes; p++ {
+			shift := uint(p*digit) & 31
+			if diff>>shift&mask == 0 {
+				continue
+			}
+			h := &hist[p]
+			starts(h, digit)
+			scatterKeys(cur, alt, h, shift, mask)
+			cur, alt = alt, cur
+		}
 	}
 	// Dedup into the prefix of keys; in place when cur is keys (the write
 	// position never passes the read position).

@@ -7,22 +7,25 @@ import (
 
 // This file routes MultiplyOpts onto core's typed entry points whenever the
 // semiring and element type have a native tuple layout: (+, ×) over float64
-// runs the 16/12-byte pipeline core.Multiply picks, float32/int32 run the
-// 8-byte narrow layout, and (∨, ∧) over all-true operands runs the 4-byte
-// pattern (key-only) layout — the dispatch rule the README documents. A plain
-// mask never gets here, nor a product Options.Rows gives the row kernel
+// runs core.Multiply's 12-byte squeezed layout, float32/int32 the 8-byte
+// narrow layout, and (∨, ∧) over all-true operands the 4-byte pattern
+// (key-only) layout — the dispatch rule the README documents. Each packs its
+// keys into 32 bits (core adds bins until they fit), and on shapes that would
+// need more than core's bin cap for it runs the wide layout over the same
+// arithmetic instead (core.MultiplyLayout). A
+// plain mask never gets here, nor a product Options.Rows gives the row kernel
 // (multiplyOpts hands those over first); every other ineligible call (custom
-// semiring, complement mask, keys over 32 bits, stored false booleans) runs the
-// same pipeline on the wide layout through its own ⊗ and ⊕ (multiplyGeneric in
-// multiply.go).
+// semiring, complement mask, stored false booleans) runs the same pipeline on
+// the wide layout through its own ⊗ and ⊕ (multiplyGeneric in multiply.go).
 
 // Plan reports how MultiplyOpts executed a call: whether a typed fast path
 // ran and under which tuple layout. Request it via Options.Plan.
 type Plan struct {
 	// FastPath is true when the call ran a typed entry point of core.
 	FastPath bool
-	// Layout is the tuple layout the fast path executed (pattern, narrow,
-	// squeezed, or wide); meaningful only when FastPath.
+	// Layout is the tuple layout the fast path executed (pattern, narrow or
+	// squeezed; wide on the shapes core.MultiplyLayout names); meaningful
+	// only when FastPath.
 	Layout core.Layout
 	// Reason says what ran instead and why, when !FastPath.
 	Reason string
@@ -88,9 +91,6 @@ func tryFastPath[T any](sr Semiring[T], a *CSCg[T], b *CSRg[T], opt Options) (c 
 		return nil, "complement mask: wide layout with a post-fold filter", nil
 	}
 	copt := opt.coreOptions()
-	key32Fits := func() bool {
-		return core.Key32Fits(a.NumRows, b.NumCols, Flops(a, b), copt)
-	}
 	ran := func(st *core.Stats) { opt.setPlan(Plan{FastPath: true, Layout: st.Layout}, st) }
 
 	switch sr.kind {
@@ -115,9 +115,6 @@ func tryFastPath[T any](sr Semiring[T], a *CSCg[T], b *CSRg[T], opt Options) (c 
 		if !ok || !bok {
 			break
 		}
-		if !key32Fits() {
-			return nil, "packed key exceeds 32 bits: no narrow layout", nil
-		}
 		res, st, err := narrowFast(af, bf, copt)
 		if err != nil {
 			return nil, "", err
@@ -130,9 +127,6 @@ func tryFastPath[T any](sr Semiring[T], a *CSCg[T], b *CSRg[T], opt Options) (c 
 		bf, bok := any(b).(*CSRg[int32])
 		if !ok || !bok {
 			break
-		}
-		if !key32Fits() {
-			return nil, "packed key exceeds 32 bits: no narrow layout", nil
 		}
 		res, st, err := narrowFast(af, bf, copt)
 		if err != nil {
@@ -152,9 +146,6 @@ func tryFastPath[T any](sr Semiring[T], a *CSCg[T], b *CSRg[T], opt Options) (c 
 		// entries (structural zeros) must fold through ∨ and ∧ themselves.
 		if !allTrue(ab.Val) || !allTrue(bb.Val) {
 			return nil, "stored false values: pattern layout is structural", nil
-		}
-		if !key32Fits() {
-			return nil, "packed key exceeds 32 bits: no pattern layout", nil
 		}
 		c, st, err := core.MultiplyPattern(cscHeader(ab, nil), csrHeader(bb, nil), copt)
 		if err != nil {

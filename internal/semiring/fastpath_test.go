@@ -142,10 +142,10 @@ func TestFastPathPlanReporting(t *testing.T) {
 	}
 }
 
-// TestFastPathKeyWidthFallback: a 31-bit column space has no 32-bit packed
-// key, so the narrow and pattern dispatches must decline and the generic
-// engine must produce the product.
-func TestFastPathKeyWidthFallback(t *testing.T) {
+// TestFastPathWideColumns: a 30-bit column space leaves two bits of local
+// row in a 32-bit packed key, so the narrow layout runs the product in bins of
+// four rows instead of declining it.
+func TestFastPathWideColumns(t *testing.T) {
 	cols := int32(1) << 30
 	a := &CSRg[int32]{NumRows: 8, NumCols: 8,
 		RowPtr: []int64{0, 1, 2, 3, 4, 5, 6, 7, 8},
@@ -160,11 +160,11 @@ func TestFastPathKeyWidthFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.FastPath {
-		t.Fatalf("plan = %+v, want key-width fallback", p)
+	if !p.FastPath || p.Layout != core.LayoutNarrow || p.Stats.NBins != 2 {
+		t.Fatalf("plan = %+v, want the narrow fast path in 2 bins", p)
 	}
 	if c.NNZ() != 8 {
-		t.Fatalf("fallback product nnz = %d, want 8", c.NNZ())
+		t.Fatalf("product nnz = %d, want 8", c.NNZ())
 	}
 	for i, v := range c.Val {
 		if v != 2 {

@@ -2,7 +2,6 @@ package pbspgemm
 
 import (
 	"context"
-	"errors"
 	"slices"
 	"testing"
 
@@ -29,66 +28,55 @@ func keyWidthPair() (a, b *CSR) {
 	return random(1<<13, 64, 2), random(64, 1<<20, 32)
 }
 
-// TestKeyWidthBoundary32And33 takes the packed key across 32 bits with an
-// explicit bin count (the geometry is otherwise the same product):
-// rowShift + colBits is 12 + 20 = 32 at two bins and 13 + 20 = 33 at one. At
-// 32 every layout fits; at 33 the float64 pipeline runs wide and the 32-bit
-// key entry points refuse. Every product that runs equals Reference, and the
-// planner's layout predictions agree with the layout that ran.
+// TestKeyWidthBoundary32And33 takes the requested packed key across 32 bits
+// with an explicit bin count (the geometry is otherwise the same product):
+// rowShift + colBits is 12 + 20 = 32 at two bins and would be 13 + 20 = 33 at
+// one, so a one-bin request is raised to two. Every entry point runs its key32
+// layout at two bins either way: the float64 product equals Reference, the
+// pattern product has its structure, the narrow product its exact integer
+// sums, and the Auto planner assumes the squeezed layout.
 func TestKeyWidthBoundary32And33(t *testing.T) {
 	a, b := keyWidthPair()
 	want := Reference(a, b)
-	aCSC, flops := a.ToCSC(), Flops(a, b)
+	aCSC := a.ToCSC()
+	aVal, bVal := make([]float32, len(aCSC.Val)), make([]float32, len(b.Val))
+	for i, v := range aCSC.Val {
+		aVal[i] = float32(v)
+	}
+	for i, v := range b.Val {
+		bVal[i] = float32(v)
+	}
 	eng, err := NewEngine(WithThreads(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tc := range []struct {
-		nbins, keyBits int
-		layout         TupleLayout
-	}{{2, 32, LayoutSqueezed}, {1, 33, LayoutWide}} {
+	for _, tc := range []struct{ nbins, keyBits int }{{2, 32}, {1, 33}} {
 		opt := core.Options{NBins: tc.nbins, Threads: 2}
 		c, st, err := core.Multiply(aCSC, b, opt)
 		if err != nil {
 			t.Fatalf("%d bits: core.Multiply: %v", tc.keyBits, err)
 		}
-		if st.Layout != tc.layout || !EqualWithin(c, want, 0) {
-			t.Fatalf("%d bits: core.Multiply ran %v (want %v), equal to Reference: %v",
-				tc.keyBits, st.Layout, tc.layout, EqualWithin(c, want, 0))
-		}
-		if fits := core.Key32Fits(a.NumRows, b.NumCols, flops, opt); fits != (st.Layout != LayoutWide) {
-			t.Fatalf("%d bits: Key32Fits %v, but the run took %v", tc.keyBits, fits, st.Layout)
-		}
-		if l := core.PlanLayout(a.NumRows, b.NumCols, flops, opt); l != st.Layout {
-			t.Fatalf("%d bits: PlanLayout %v, but the run took %v", tc.keyBits, l, st.Layout)
+		if st.Layout != LayoutSqueezed || st.NBins != 2 || !EqualWithin(c, want, 0) {
+			t.Fatalf("%d bits: core.Multiply ran %v in %d bins (want squeezed in 2), equal to Reference: %v",
+				tc.keyBits, st.Layout, st.NBins, EqualWithin(c, want, 0))
 		}
 
-		pc, _, perr := core.MultiplyPattern(aCSC, b, opt)
-		aVal, bVal := make([]float32, len(aCSC.Val)), make([]float32, len(b.Val))
-		for i, v := range aCSC.Val {
-			aVal[i] = float32(v)
+		pc, pst, err := core.MultiplyPattern(aCSC, b, opt)
+		if err != nil || pst.NBins != 2 {
+			t.Fatalf("%d bits: pattern ran %d bins, err %v", tc.keyBits, pst.NBins, err)
 		}
-		for i, v := range b.Val {
-			bVal[i] = float32(v)
+		nc, nVal, nst, err := core.MultiplyNarrow(aCSC, aVal, b, bVal, opt)
+		if err != nil || nst.NBins != 2 {
+			t.Fatalf("%d bits: narrow ran %d bins, err %v", tc.keyBits, nst.NBins, err)
 		}
-		nc, nVal, _, nerr := core.MultiplyNarrow(aCSC, aVal, b, bVal, opt)
-		if tc.layout == LayoutWide {
-			if !errors.Is(perr, core.ErrKeyWidth) || !errors.Is(nerr, core.ErrKeyWidth) {
-				t.Fatalf("%d bits: pattern err %v, narrow err %v, want ErrKeyWidth", tc.keyBits, perr, nerr)
+		for name, s := range map[string]*CSR{"pattern": pc, "narrow": nc} {
+			if !slices.Equal(s.RowPtr, want.RowPtr) || !slices.Equal(s.ColIdx, want.ColIdx) {
+				t.Fatalf("%d bits: %s structure differs from Reference", tc.keyBits, name)
 			}
-		} else {
-			if perr != nil || nerr != nil {
-				t.Fatalf("%d bits: pattern err %v, narrow err %v", tc.keyBits, perr, nerr)
-			}
-			for name, s := range map[string]*CSR{"pattern": pc, "narrow": nc} {
-				if !slices.Equal(s.RowPtr, want.RowPtr) || !slices.Equal(s.ColIdx, want.ColIdx) {
-					t.Fatalf("%d bits: %s structure differs from Reference", tc.keyBits, name)
-				}
-			}
-			for i, v := range nVal {
-				if float64(v) != want.Val[i] {
-					t.Fatalf("%d bits: narrow value %d is %v, Reference has %v", tc.keyBits, i, v, want.Val[i])
-				}
+		}
+		for i, v := range nVal {
+			if float64(v) != want.Val[i] {
+				t.Fatalf("%d bits: narrow value %d is %v, Reference has %v", tc.keyBits, i, v, want.Val[i])
 			}
 		}
 
@@ -96,9 +84,54 @@ func TestKeyWidthBoundary32And33(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%d bits: Auto: %v", tc.keyBits, err)
 		}
-		if !EqualWithin(res.C, want, 0) || res.Plan.OuterLayout != tc.layout {
-			t.Fatalf("%d bits: Auto (%v) equal to Reference: %v; planned layout %v, want %v",
-				tc.keyBits, res.Algorithm, EqualWithin(res.C, want, 0), res.Plan.OuterLayout, tc.layout)
+		if !EqualWithin(res.C, want, 0) || res.Plan.OuterLayout != LayoutSqueezed {
+			t.Fatalf("%d bits: Auto (%v) equal to Reference: %v; planned layout %v, want squeezed",
+				tc.keyBits, res.Algorithm, EqualWithin(res.C, want, 0), res.Plan.OuterLayout)
+		}
+	}
+}
+
+// TestPastBinCapPlansWide: a product whose 32-bit key would need 4 097 bins —
+// 2^22 + 1 rows against 2^22 columns, bins of at most 2^10 rows — is past
+// core's bin cap, so the planner sizes its footprint at the wide layout's
+// 16 B a tuple and PB runs that layout; one row fewer plans squeezed.
+func TestPastBinCapPlansWide(t *testing.T) {
+	r := gen.NewRNG(41)
+	product := func(rows int32) (a, b *CSR) {
+		ao := &matrix.COO{NumRows: rows, NumCols: 64}
+		bo := &matrix.COO{NumRows: 64, NumCols: 1 << 22}
+		for range 400 {
+			ao.Row, ao.Col = append(ao.Row, r.Intn(rows)), append(ao.Col, r.Intn(64))
+			ao.Val = append(ao.Val, float64(1+r.Intn(3)))
+			bo.Row, bo.Col = append(bo.Row, r.Intn(64)), append(bo.Col, r.Intn(1<<22))
+			bo.Val = append(bo.Val, float64(1+r.Intn(3)))
+		}
+		return ao.ToCSR(), bo.ToCSR()
+	}
+	eng, err := NewEngine(WithThreads(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		rows   int32
+		layout TupleLayout
+	}{{1 << 22, LayoutSqueezed}, {1<<22 + 1, LayoutWide}} {
+		a, b := product(tc.rows)
+		want := Reference(a, b)
+		plan, err := eng.Plan(context.Background(), a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plan.OuterLayout != tc.layout {
+			t.Fatalf("%d rows: planned %v, want %v", tc.rows, plan.OuterLayout, tc.layout)
+		}
+		res, err := eng.Multiply(context.Background(), a, b, WithAlgorithm(PB))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.PB.Layout != tc.layout || !EqualWithin(res.C, want, 0) {
+			t.Fatalf("%d rows: PB ran %v (want %v), equal to Reference: %v",
+				tc.rows, res.PB.Layout, tc.layout, EqualWithin(res.C, want, 0))
 		}
 	}
 }

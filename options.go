@@ -119,7 +119,9 @@ func WithThreads(n int) Option {
 }
 
 // WithNBins overrides the global bin count of the float64 PB kernel;
-// 0 auto-sizes from flop and the L2 budget (Algorithm 3). Masked and
+// 0 auto-sizes from flop and the L2 budget (Algorithm 3). Either way the
+// kernel raises it until the packed key fits 32 bits, to at most 4 096 bins
+// (a shape that needs more runs 16-byte tuples in the auto bins). Masked and
 // semiring multiplications always auto-size their bins and ignore this
 // option (like WithLocalBinBytes and WithL2CacheBytes).
 func WithNBins(n int) Option {
@@ -189,7 +191,8 @@ func WithMask(m *CSR) Option {
 // WithSemiringPlan asks MultiplyOver / EngineMultiplyOver to report how the
 // call executed into *p: whether a typed fast path ran (Boolean → 4-byte
 // pattern layout, float32/int32 arithmetic → 8-byte narrow, float64
-// arithmetic → the squeezed/wide pipeline) or what ran instead and why (the
+// arithmetic → the 12-byte squeezed pipeline; the 16-byte wide one on shapes
+// core.MultiplyLayout names) or what ran instead and why (the
 // wide layout through the semiring's own ⊗ and ⊕, or the row kernel), with
 // the pipeline's per-phase statistics in p.Stats. Pass nil to clear an earlier
 // option.

@@ -34,11 +34,12 @@ type Plan struct {
 	// put the crossover between the families at cf ≈ 4; this tree's fitted
 	// model does not decide on cf at all (see roofline.SPACostNS).
 	CF float64
-	// OuterLayout is the tuple layout PB would run: LayoutSqueezed (12 B a
-	// tuple, OuterLayout.TupleBytes()) when this product's bin geometry packs
-	// its keys into 32 bits, LayoutWide (16 B) otherwise. It sizes the
-	// footprint. The typed entry points (Boolean/float32/int32 semirings) run
-	// LayoutPattern (4 B) and LayoutNarrow (8 B).
+	// OuterLayout is the tuple layout PB runs on float64: LayoutSqueezed
+	// (12 B a tuple, OuterLayout.TupleBytes()) when the bin geometry packs
+	// the keys into 32 bits within its bin cap, LayoutWide (16 B) on shapes
+	// past it (core.MultiplyLayout). It sizes the footprint. The typed entry
+	// points (Boolean/float32/int32 semirings) run LayoutPattern (4 B) and
+	// LayoutNarrow (8 B), or LayoutWide on the same shapes.
 	OuterLayout TupleLayout
 	// PredictedOuterGFLOPS, PredictedColumnGFLOPS are Flops over the time the
 	// cost model predicts for PB and for SPA, on the machine its constants
@@ -80,15 +81,13 @@ func planFor(cfg *config, a, b *CSR, scratch *[]int32, valueBytes int64) *Plan {
 // NNZA, NNZB) for a rows×cols product: tuple layout, predicted time per
 // kernel, the faster one as Chosen (PB when pinned) and the footprint.
 func (p *Plan) model(cfg *config, rows, cols int32, pinPB bool, valueBytes int64) {
-	p.Chosen, p.OuterLayout = PB, core.LayoutWide
+	p.Chosen, p.OuterLayout = PB, core.MultiplyLayout(rows, cols)
 	if p.Flops == 0 {
 		// Empty product: nothing to move, any kernel finishes immediately.
 		p.PredictedFootprintBytes = p.footprint(int64(rows), cfg.budget)
 		return
 	}
 	p.CF = float64(p.Flops) / float64(p.EstNNZC)
-	p.OuterLayout = core.PlanLayout(rows, cols, p.Flops, core.Options{
-		NBins: cfg.nbins, L2CacheBytes: cfg.l2Cache, Threads: cfg.threads, MemoryBudgetBytes: cfg.budget})
 	shape := roofline.Product{Rows: rows, Cols: cols, NNZA: p.NNZA, NNZB: p.NNZB, Flops: p.Flops, NNZC: p.EstNNZC,
 		ValueBytes: valueBytes, L2CacheBytes: int64(cmp.Or(cfg.l2Cache, core.DefaultL2CacheBytes))}
 	pbNS, spaNS := shape.PredictPB(), shape.PredictSPA()

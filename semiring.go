@@ -38,8 +38,8 @@ var (
 	// Arithmetic is the ordinary (+, ×) semiring over float64 — plain SpGEMM.
 	Arithmetic = semiring.Arithmetic
 	// Arithmetic32 is (+, ×) over float32 — plain SpGEMM at half the value
-	// width, dispatched onto the 8-byte narrow tuple layout when the packed
-	// keys fit 32 bits.
+	// width, dispatched onto the 8-byte narrow tuple layout (16-byte wide on
+	// shapes whose packed key needs more than 4 096 bins to fit 32 bits).
 	Arithmetic32 = semiring.Arithmetic32
 	// ArithmeticInt32 is (+, ×) over int32 — exact integer SpGEMM (path and
 	// triangle counting), dispatched onto the 8-byte narrow tuple layout.

@@ -130,11 +130,13 @@ func Algorithms() []Algorithm { return []Algorithm{PB, Heap, Hash, HashVec} }
 type PhaseStats = core.Stats
 
 // TupleLayout identifies the expanded-tuple representation of a PB-SpGEMM
-// run (PhaseStats.Layout): the paper's 16-byte wide COO tuples, or the
-// Section III-D squeezed 12-byte layout (uint32 key + float64 value in
-// parallel arrays) the engine selects whenever localRowBits + colBits ≤ 32
-// — which, because bins keep local row ids small, is almost every real
-// matrix. Plan.OuterLayout reports which one the Auto planner assumed.
+// run (PhaseStats.Layout). A float64 product runs the Section III-D squeezed
+// 12-byte layout (uint32 key + float64 value in parallel arrays): bins keep
+// local row ids small enough that localRowBits + colBits ≤ 32, and the engine
+// adds bins where it must, up to 4 096. The 16-byte wide layout (the paper's
+// COO tuples) serves semirings without a typed kernel and the shapes that
+// would need more bins (rows·cols past about 2^44). Plan.OuterLayout reports
+// which one a product runs.
 type TupleLayout = core.Layout
 
 const (
