@@ -15,14 +15,13 @@ import (
 
 // fig6Input generates the parameter-selection workload: ER scale 20 in the
 // paper, scale 16 at laptop scale, at edge factor ef (4 in the paper).
-func fig6Input(cfg *config, ef int) (*matrix.CSC, *matrix.CSR) {
+func fig6Input(cfg *config, ef int) (string, *matrix.CSC, *matrix.CSR) {
 	scale := 16
 	if cfg.full {
 		scale = 20
 	}
 	a, b := gen.ERMatrix(scale, ef, cfg.seed), gen.ERMatrix(scale, ef, cfg.seed+1)
-	fmt.Printf("workload: ER scale %d, edge factor %d (%s nnz each)\n\n", scale, ef, metrics.HumanCount(a.NNZ()))
-	return a.ToCSC(), b
+	return fmt.Sprintf("ER scale %d, edge factor %d (%s nnz each)", scale, ef, metrics.HumanCount(a.NNZ())), a.ToCSC(), b
 }
 
 // runFig6a sweeps the local-bin width and reports expand-phase time and
@@ -34,7 +33,8 @@ func fig6Input(cfg *config, ef int) (*matrix.CSC, *matrix.CSR) {
 // workspace per layout, so every row of a layout is an in-run pair with the
 // default's, free of the page faults a fresh arena would add to expand.
 func runFig6a(cfg *config) {
-	a, b := fig6Input(cfg, 4)
+	name, a, b := fig6Input(cfg, 4)
+	fmt.Printf("workload: %s\n\n", name)
 	af32, bf32 := float32s(a.Val), float32s(b.Val)
 	widths := []int{64, 256, 512, 1024, 2048, 4096}
 	threads := pickThreads(cfg, 0)
@@ -93,14 +93,29 @@ func float32s(xs []float64) []float32 {
 // runFig6b sweeps the number of global bins on the shipped fused pipeline and
 // reports expand and fuse (sort+fold) bandwidth (Fig. 6b: more bins =>
 // in-cache sorting, but smaller flushes), each geometry's key width and the
-// LSD passes a mean bin plans, on the paper's input and at edge factor 8
-// (er_lowcf at laptop scale). The last row is the auto geometry, whose
-// two-pass rule (core.planBinGeometry) the sweep is the evidence for.
+// LSD passes a mean bin plans, on the paper's input, at edge factor 8
+// (er_lowcf at laptop scale) and on R-MAT 2^13·d16 squared (rmat_skew, whose
+// bins fold dense). The last row is the auto geometry, whose two-pass rule
+// and dense cut (core.planBinGeometry) the sweep is the evidence for.
 func runFig6b(cfg *config) {
+	type input struct {
+		name  string
+		a     *matrix.CSC
+		b     *matrix.CSR
+		nbins []int
+	}
+	var inputs []input
 	for _, ef := range []int{4, 8} {
-		a, b := fig6Input(cfg, ef)
-		nbins := []int{1, 16, 64, 256, 1024, 2048, 4096, 16384, 0}
-		ws, best := core.NewWorkspace(), make([]core.Stats, len(nbins))
+		name, a, b := fig6Input(cfg, ef)
+		inputs = append(inputs, input{name, a, b, []int{1, 16, 64, 256, 1024, 2048, 4096, 16384, 0}})
+	}
+	rm := gen.RMAT(13, 16, gen.Graph500Params, cfg.seed)
+	inputs = append(inputs, input{fmt.Sprintf("R-MAT scale 13, edge factor 16, squared (%s nnz)", metrics.HumanCount(rm.NNZ())),
+		rm.ToCSC(), rm, []int{64, 256, 512, 1024, 2048, 4096, 0}})
+	for _, in := range inputs {
+		fmt.Printf("workload: %s\n\n", in.name)
+		a, b, nbins, ws := in.a, in.b, in.nbins, core.NewWorkspace()
+		best := make([]core.Stats, len(nbins))
 		for r := -1; r < cfg.reps; r++ { // rep -1 grows the workspace
 			for i, nb := range nbins {
 				_, st, err := core.Multiply(a, b, core.Options{NBins: nb, Threads: pickThreads(cfg, 0), Workspace: ws})
@@ -128,5 +143,6 @@ func runFig6b(cfg *config) {
 		tb.Render(os.Stdout)
 		fmt.Println()
 	}
-	fmt.Println("paper: 1K-2K bins balance expand flush size against in-cache sorting; auto trims a key past two LSD passes.")
+	fmt.Println("paper: 1K-2K bins balance expand flush size against in-cache sorting; auto trims a key past two LSD passes",
+		"and cuts a dense bin until its fold's working set fits L2.")
 }

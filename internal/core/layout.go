@@ -71,10 +71,10 @@ type layoutOps interface {
 	// fuseBin sorts and folds bin (its tuples lie at ws.binStart[bin:bin+2])
 	// on the given worker's scratch, leaving the sorted, folded prefix in
 	// place and returning its length, and tallies the folded rows into
-	// rowCounts (nil skips the tally: a budgeted run's panels leave it to the
+	// e.tally (nil skips the tally: a budgeted run's panels leave it to the
 	// tail). Rows of a bin are touched by no other bin, so the shared slice
 	// needs no synchronization.
-	fuseBin(e *engine, worker, bin int, rowCounts []int64) int64
+	fuseBin(e *engine, worker, bin int) int64
 	// appendRun copies the folded bin segment at [src, src+n) into the run
 	// arena.
 	appendRun(e *engine, src, n int64)
@@ -122,13 +122,13 @@ func kvOf[V Value32](ws *Workspace) *kv[V] {
 	return l
 }
 
-// binRows is the slice of rowCounts a bin's fold tallies into, indexed by
+// binRows is the slice of e.tally a bin's fold tallies into, indexed by
 // local row (nil stays nil).
-func (e *engine) binRows(rowCounts []int64, bin int) []int64 {
-	if rowCounts == nil {
+func (e *engine) binRows(bin int) []int64 {
+	if e.tally == nil {
 		return nil
 	}
-	return rowCounts[int64(bin)<<e.rowShift+1:]
+	return e.tally[int64(bin)<<e.rowShift+1:]
 }
 
 // MultiplyPattern computes the structural (pattern-only) product of A and B:
@@ -421,32 +421,25 @@ func (l *pairs[V]) growScratch(e *engine, total, accSlots int64) {
 	growVals(&l.acc, int64(e.opt.Threads)*accSlots)
 }
 
-// scratchFor returns worker w's private slice of the scratch plane, at least
-// n long.
-func (l *pairs[V]) scratchFor(e *engine, w int, n int64) []radix.Pair[V] {
-	off := int64(w) * e.scratchStride
-	return l.scratch[off : off+n]
-}
-
-func (l *pairs[V]) fuseBin(e *engine, worker, bin int, rowCounts []int64) int64 {
+func (l *pairs[V]) fuseBin(e *engine, worker, bin int) int64 {
 	lo, hi := e.ws.binStart[bin], e.ws.binStart[bin+1]
 	if e.denseBin(hi - lo) {
 		slots := int64(1) << e.keyBits()
 		acc := l.acc[int64(worker)*slots:][:slots]
-		return l.finishBin(e, bin, radix.FoldDensePairs(l.tuples[lo:hi], acc, e.accBitsFor(worker, slots), l.alg.Plus), rowCounts)
+		return l.finishBin(e, bin, radix.FoldDensePairs(l.tuples[lo:hi], acc, e.accBitsFor(worker, slots), l.alg.Plus))
 	}
-	n := radix.SortPairs(l.tuples[lo:hi], l.scratchFor(e, worker, hi-lo), int(e.keyBits()), l.alg.Plus)
-	return l.finishBin(e, bin, n, rowCounts)
+	n := radix.SortPairs(l.tuples[lo:hi], l.scratch[int64(worker)*e.scratchStride:][:hi-lo], int(e.keyBits()), l.alg.Plus)
+	return l.finishBin(e, bin, n)
 }
 
 // finishBin ends a bin's fold, whichever kernel ran it: the filter over the n
 // folded tuples, then the row tally over what it kept.
-func (l *pairs[V]) finishBin(e *engine, bin, n int, rowCounts []int64) int64 {
+func (l *pairs[V]) finishBin(e *engine, bin, n int) int64 {
 	seg := l.tuples[e.ws.binStart[bin]:][:n]
 	if l.alg.Filter != nil {
 		seg = seg[:l.alg.Filter(seg, int32(int64(bin)<<e.rowShift), e.colBits)]
 	}
-	if rows, cb := e.binRows(rowCounts, bin), e.colBits; rows != nil {
+	if rows, cb := e.binRows(bin), e.colBits; rows != nil {
 		for i := range seg {
 			rows[seg[i].Key>>cb]++
 		}
@@ -626,14 +619,9 @@ func flushLocalKV[V Value](bin int32, bufK []uint32, bufV []V, lens []int32,
 	flushPlane(vals[dst:], bufV[src:src+n], nt)
 }
 
-func (l *kv[V]) scratchValsFor(e *engine, w int, n int64) []V {
-	off := int64(w) * e.scratchStride
-	return l.scratchVals[off : off+n]
-}
-
-func (l *kv[V]) fuseBin(e *engine, worker, bin int, rowCounts []int64) int64 {
+func (l *kv[V]) fuseBin(e *engine, worker, bin int) int64 {
 	lo, hi := e.ws.binStart[bin], e.ws.binStart[bin+1]
-	keys, vals, rows := e.ws.tupleKeys[lo:hi], l.tupleVals[lo:hi], e.binRows(rowCounts, bin)
+	keys, vals, rows := e.ws.tupleKeys[lo:hi], l.tupleVals[lo:hi], e.binRows(bin)
 	n := hi - lo
 	if e.denseBin(n) {
 		slots := int64(1) << e.keyBits()
@@ -641,7 +629,7 @@ func (l *kv[V]) fuseBin(e *engine, worker, bin int, rowCounts []int64) int64 {
 		return int64(radix.FoldDense(keys, vals, acc, e.accBitsFor(worker, slots), rows, e.colBits))
 	}
 	w0, w1 := e.scratchWordsFor(worker, n)
-	return int64(radix.SortFold(keys, vals, w0, w1, l.scratchValsFor(e, worker, n),
+	return int64(radix.SortFold(keys, vals, w0, w1, l.scratchVals[int64(worker)*e.scratchStride:][:n],
 		int(e.keyBits()), rows, e.colBits))
 }
 
@@ -764,21 +752,14 @@ func (patternOps) growScratch(e *engine, total, _ int64) {
 	radix.GrowUint32(&e.ws.scratchKeys, total)
 }
 
-// scratchKeysFor returns worker w's private slice of the pattern layout's key
-// scratch plane, at least n long.
-func (e *engine) scratchKeysFor(w int, n int64) []uint32 {
-	off := int64(w) * e.scratchStride
-	return e.ws.scratchKeys[off : off+n]
-}
-
 // fuseBin: the fold is deduplication, so dense bins need only the bitmap.
-func (patternOps) fuseBin(e *engine, worker, bin int, rowCounts []int64) int64 {
+func (patternOps) fuseBin(e *engine, worker, bin int) int64 {
 	lo, hi := e.ws.binStart[bin], e.ws.binStart[bin+1]
-	keys, rows := e.ws.tupleKeys[lo:hi], e.binRows(rowCounts, bin)
+	keys, rows := e.ws.tupleKeys[lo:hi], e.binRows(bin)
 	if e.denseBin(hi - lo) {
 		return int64(radix.FoldDensePattern(keys, e.accBitsFor(worker, int64(1)<<e.keyBits()), rows, e.colBits))
 	}
-	return int64(radix.SortFoldPattern(keys, e.scratchKeysFor(worker, hi-lo),
+	return int64(radix.SortFoldPattern(keys, e.ws.scratchKeys[int64(worker)*e.scratchStride:][:hi-lo],
 		int(e.keyBits()), rows, e.colBits))
 }
 

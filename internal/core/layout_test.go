@@ -260,16 +260,16 @@ func TestBinGeometryTracksBudget(t *testing.T) {
 	colBits := colBitsFor(1 << 17) // 17
 	opt := Options{}.withDefaults()
 	// Unbudgeted: 2^27 flops in 2048 bins of 2^9 rows, 26-bit keys.
-	if g := planBinGeometry(rows, 1<<27, colBits, 32, opt); g.nbins != 2048 || g.rowShift != 9 {
+	if g := planBinGeometry(rows, 1<<27, colBits, 32, SqueezedTupleBytes, opt); g.nbins != 2048 || g.rowShift != 9 {
 		t.Fatalf("unbudgeted: %d bins, rowShift %d; want 2048, 9", g.nbins, g.rowShift)
 	}
 	// A 16 KiB budget holds 2^10 tuples a panel: the flop rule's one bin of
 	// 2^20 rows would need 37-bit keys, so a key32 run gets 32 bins of 2^15.
 	panel := int64(1<<14) / tupleBytes
-	if g := planBinGeometry(rows, panel, colBits, 32, opt); g.nbins != 32 || g.rowShift != 15 {
+	if g := planBinGeometry(rows, panel, colBits, 32, SqueezedTupleBytes, opt); g.nbins != 32 || g.rowShift != 15 {
 		t.Fatalf("budgeted key32: %d bins, rowShift %d; want 32, 15", g.nbins, g.rowShift)
 	}
-	if g := planBinGeometry(rows, panel, colBits, 64, opt); g.nbins != 1 || g.rowShift != 20 {
+	if g := planBinGeometry(rows, panel, colBits, 64, WideTupleBytes, opt); g.nbins != 1 || g.rowShift != 20 {
 		t.Fatalf("budgeted wide: %d bins, rowShift %d; want 1, 20", g.nbins, g.rowShift)
 	}
 }
@@ -432,9 +432,11 @@ func TestBinGeometryTwoPassTrim(t *testing.T) {
 		// keeps the flop rule.
 		{"colbits-23", 1 << 16, 1 << 22, 23, Options{}, 128, 9, 3, false},
 		{"colbits-23-wide", 1 << 16, 1 << 22, 23, Options{}, 64, 10, 3, true},
-		// Already two passes: ER 2^12·d8 (10+12) and R-MAT 2^13·16 (5+13).
+		// Already two passes: ER 2^12·d8 (10+12) and R-MAT 2^13·16 (5+13),
+		// whose dense bins the dense cut then shortens to 3+13
+		// (TestBinGeometryDenseCut).
 		{"er-2^12", 1 << 12, 1 << 18, 12, Options{}, 4, 10, 2, false},
-		{"rmat-2^13", 1 << 13, 19 << 20, 13, Options{}, 256, 5, 2, false},
+		{"rmat-2^13", 1 << 13, 19 << 20, 13, Options{}, 1024, 3, 2, false},
 		// The cap: 1 024 bins need L2CacheBytes/LocalBinBytes ≥ 1 024.
 		{"local-bin-cap", 1 << 16, 1 << 22, 16, Options{LocalBinBytes: 2048}, 64, 10, 3, false},
 		{"l2-cap", 1 << 16, 1 << 22, 16, Options{L2CacheBytes: 512 << 10}, 128, 9, 3, false},
@@ -453,11 +455,11 @@ func TestBinGeometryTwoPassTrim(t *testing.T) {
 		{"hypersparse", 1 << 12, 5000, 12, Options{}, 1, 12, 3, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			keyBits := uint(32)
+			keyBits, tb := uint(32), int64(SqueezedTupleBytes)
 			if tc.wide {
-				keyBits = 64
+				keyBits, tb = 64, WideTupleBytes
 			}
-			g := planBinGeometry(tc.rows, tc.flops, tc.colBits, keyBits, tc.opt.withDefaults())
+			g := planBinGeometry(tc.rows, tc.flops, tc.colBits, keyBits, tb, tc.opt.withDefaults())
 			if g.nbins != tc.nbins || g.rowShift != tc.rowShift {
 				t.Fatalf("got %d bins, rowShift %d; want %d, %d", g.nbins, g.rowShift, tc.nbins, tc.rowShift)
 			}
@@ -466,6 +468,98 @@ func TestBinGeometryTwoPassTrim(t *testing.T) {
 				t.Fatalf("%d-bit keys over %d tuples plan %d passes, want %d", g.rowShift+tc.colBits, perBin, p, tc.keyPasses)
 			}
 		})
+	}
+}
+
+// TestBinGeometryDenseCut pins planBinGeometry's dense cut: an auto geometry
+// whose mean bin folds dense gets shorter bins, at most
+// min(2048, L2CacheBytes/LocalBinBytes) of them, until the fold's working set
+// (accumulator, bitmap, the bin's tuples) fits L2CacheBytes, and each cut
+// bin still folds dense. rmat_skew's product (R-MAT 2^13·d16 squared: 8 192
+// rows, 19 Mflop, 13 column bits) gets 1 024 bins of 3+13 bits on its
+// squeezed layout, where the flop rule gave 256 of 5+13 (a 2 MiB
+// accumulator); the pattern layout, whose accumulator is the bitmap, keeps
+// 256; er_lowcf's sparse bins and an explicit NBins keep theirs.
+func TestBinGeometryDenseCut(t *testing.T) {
+	const rows, flops, colBits = 1 << 13, 19 << 20, 13
+	for _, tc := range []struct {
+		name       string
+		rows       int32
+		flops      int64
+		colBits    uint
+		tupleBytes int64
+		opt        Options
+		nbins      int
+		rowShift   uint
+	}{
+		{"rmat_skew", rows, flops, colBits, SqueezedTupleBytes, Options{}, 1024, 3},
+		{"rmat_skew-narrow", rows, flops, colBits, NarrowTupleBytes, Options{}, 512, 4},
+		{"rmat_skew-pattern", rows, flops, colBits, PatternTupleBytes, Options{}, 256, 5},
+		{"rmat_skew-wide", rows, flops, colBits, WideTupleBytes, Options{}, 1024, 3},
+		{"rmat_skew-l2-2MiB", rows, flops, colBits, SqueezedTupleBytes, Options{L2CacheBytes: 2 << 20}, 512, 4},
+		{"er_lowcf", 1 << 16, 1 << 22, 16, SqueezedTupleBytes, Options{}, 1024, 6},
+		{"explicit-nbins", rows, flops, colBits, SqueezedTupleBytes, Options{NBins: 256}, 256, 5},
+		// The cap: 512 bins at 2 KiB local bins, or at a 512 KiB L2 (where
+		// the flop rule already gives 512 and a 1 MiB accumulator).
+		{"cap-local-bin", rows, flops, colBits, SqueezedTupleBytes, Options{LocalBinBytes: 2048}, 512, 4},
+		{"cap-l2", rows, flops, colBits, SqueezedTupleBytes, Options{L2CacheBytes: 512 << 10}, 512, 4},
+		// Both rules on one shape, in order: at an 8 MiB L2 the flop rule's
+		// 512 bins of 7+16 bits plan three passes, the trim takes 1 024 of
+		// 6+16 (two passes, now dense: 32 MiB of accumulator), and the cut
+		// stops at the 2 048-bin cap. Cut first, the 23-bit key would not
+		// fold dense and the trim alone would leave 1 024.
+		{"trim-then-cut", 1 << 16, 1 << 28, 16, SqueezedTupleBytes, Options{L2CacheBytes: 8 << 20}, 2048, 5},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			keyBits, opt := uint(32), tc.opt.withDefaults()
+			if tc.tupleBytes == WideTupleBytes {
+				keyBits = 64
+			}
+			g := planBinGeometry(tc.rows, tc.flops, tc.colBits, keyBits, tc.tupleBytes, opt)
+			if g.nbins != tc.nbins || g.rowShift != tc.rowShift {
+				t.Fatalf("got %d bins, rowShift %d; want %d, %d", g.nbins, g.rowShift, tc.nbins, tc.rowShift)
+			}
+			if g.nbins > min(2048, opt.L2CacheBytes/opt.LocalBinBytes) && tc.opt.NBins == 0 {
+				t.Fatalf("%d bins pass the cap", g.nbins)
+			}
+			perBin, kb, valBytes := (tc.flops+int64(g.nbins)-1)/int64(g.nbins), g.rowShift+tc.colBits, tc.tupleBytes-int64(keyBits/8)
+			if tc.name != "er_lowcf" && !denseFold(perBin, kb, valBytes, int64(opt.L2CacheBytes)) {
+				t.Fatalf("the mean bin of %d tuples on %d bits no longer folds dense", perBin, kb)
+			}
+		})
+	}
+}
+
+// TestDenseCutMatchesReference runs a product whose geometry the dense cut
+// moves — R-MAT 2^10·d16 squared at a 64 KiB L2 and 64-byte local bins: 128
+// bins become 512 single-shot, 64 become 256 under an 8 MiB budget (two
+// panels) — and holds it bit for bit to the ascending-k oracle, at 1 and 2
+// threads, and to the run at the flop rule's bin count.
+func TestDenseCutMatchesReference(t *testing.T) {
+	a := gen.RMAT(10, 16, gen.Graph500Params, 7)
+	acsc := a.ToCSC()
+	for _, tc := range []struct {
+		budget         int64
+		flopRule, bins int
+	}{{0, 128, 512}, {8 << 20, 64, 256}} {
+		want := FoldReference(a, a, tc.budget)
+		for _, threads := range []int{1, 2} {
+			opt := Options{Threads: threads, L2CacheBytes: 64 << 10, LocalBinBytes: 64, MemoryBudgetBytes: tc.budget}
+			got, st, err := Multiply(acsc, a, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.NBins != tc.bins || (tc.budget > 0) != (st.NPanels > 1) {
+				t.Fatalf("budget=%d threads=%d: %d bins in %d panels; want %d", tc.budget, threads, st.NBins, st.NPanels, tc.bins)
+			}
+			if !csrBitIdentical(want, got) {
+				t.Fatalf("budget=%d threads=%d: product differs from the ascending-k oracle", tc.budget, threads)
+			}
+			opt.NBins = tc.flopRule
+			if old, _, err := Multiply(acsc, a, opt); err != nil || !csrBitIdentical(old, got) {
+				t.Fatalf("budget=%d threads=%d: differs from the flop rule's %d bins (%v)", tc.budget, threads, tc.flopRule, err)
+			}
+		}
 	}
 }
 
@@ -499,7 +593,7 @@ func TestEntriesAgreeOnTrimmedGeometry(t *testing.T) {
 func TestPowerOfTwoBinGeometry(t *testing.T) {
 	for _, rows := range []int32{1, 2, 3, 511, 512, 513, 5000, 1 << 20} {
 		for _, nbins := range []int{0, 1, 2, 7, 64, 2048} {
-			g := planBinGeometry(rows, int64(rows)*8, colBitsFor(rows), 32, Options{NBins: nbins}.withDefaults())
+			g := planBinGeometry(rows, int64(rows)*8, colBitsFor(rows), 32, SqueezedTupleBytes, Options{NBins: nbins}.withDefaults())
 			rpb := int64(1) << g.rowShift
 			if rpb&(rpb-1) != 0 {
 				t.Fatalf("rows=%d nbins=%d: rowsPerBin %d not a power of two", rows, nbins, rpb)

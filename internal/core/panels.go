@@ -5,7 +5,6 @@ import (
 
 	"pbspgemm/internal/faultinject"
 	"pbspgemm/internal/matrix"
-	"pbspgemm/internal/par"
 )
 
 // This file is the memory-budgeted execution path: A's columns are tiled
@@ -81,7 +80,7 @@ func (e *engine) runBudgeted() (*matrix.CSR, error) {
 	e.lay.swapGathered(e)
 	defer e.lay.swapGathered(e) // on every exit, a worker's rethrown panic included
 	e.lay.growTuples(e, total)
-	e.gatherRuns()
+	e.forEachBin(faultinject.SiteMergeBin, gatherBin)
 	e.st.Merge += time.Since(t0)
 	if err := e.canceled(); err != nil {
 		return nil, err
@@ -134,35 +133,10 @@ func (e *engine) groupRuns() int64 {
 	return bs[e.nbins]
 }
 
-// gatherRuns copies every bin's runs, in panel order, into the bin's segment
-// of the tuple planes. Bins are independent, so they run under the same
-// dynamic schedule as assemble.
-func (e *engine) gatherRuns() {
-	if e.opt.Threads == 1 {
-		for bin := 0; bin < e.nbins; bin++ {
-			if e.pollCancel() {
-				return
-			}
-			if faultinject.Enabled {
-				faultinject.Fire(faultinject.SiteMergeBin, 0)
-			}
-			e.gatherBin(bin)
-		}
-	} else {
-		par.ForEachDynamic(e.nbins, e.opt.Threads, func(worker, bin int) {
-			defer e.containWorker(worker)
-			if e.pollCancel() {
-				return
-			}
-			if faultinject.Enabled {
-				faultinject.Fire(faultinject.SiteMergeBin, worker)
-			}
-			e.gatherBin(bin)
-		})
-	}
-}
-
-func (e *engine) gatherBin(bin int) {
+// gatherBin copies a bin's runs, in panel order, into the bin's segment of
+// the tuple planes. Bins are independent, so they run under the same
+// schedule as assemble.
+func gatherBin(e *engine, _, bin int) {
 	ws := e.ws
 	dst := ws.binStart[bin]
 	for _, r := range ws.runIdx[ws.runIdxStart[bin]:ws.runIdxStart[bin+1]] {

@@ -316,6 +316,10 @@ type engine struct {
 	ntFlush       bool       // stream bin flushes with non-temporal stores (per panel)
 	scratchStride int64      // per-worker stride into the sort scratch planes
 
+	// What forEachBin's bin bodies read, as they capture nothing.
+	tally  []int64     // row counts the fuse phase tallies into; nil on a budgeted run's panels
+	result *matrix.CSR // assemble's output
+
 	// Fault containment and sub-phase cancellation (fault.go). phase names
 	// the running phase for error annotation (written between phases on the
 	// calling goroutine, read by workers it spawns). The abort latch is
@@ -398,7 +402,7 @@ func (e *engine) finish(c *matrix.CSR, err error) (*matrix.CSR, *Stats, error) {
 // dropRefs clears what would let a pooled workspace pin the caller's inputs
 // (and a semiring's closures) between runs.
 func (e *engine) dropRefs() {
-	e.a, e.b, e.st, e.lay, e.f64Out = nil, nil, nil, nil, nil
+	e.a, e.b, e.st, e.lay, e.f64Out, e.tally, e.result = nil, nil, nil, nil, nil, nil, nil
 	e.ws.kvF64.aVal, e.ws.kvF64.bVal = nil, nil
 	if e.ws.wide != nil {
 		e.ws.wide.unbind()
@@ -518,7 +522,9 @@ func (e *engine) runSingleShot() (*matrix.CSR, error) {
 func (e *engine) foldBins(rowCounts []int64) error {
 	t0 := time.Now()
 	e.phase = "sort"
-	e.runSortPhase(matrix.Grow(&e.ws.binOut, e.nbins), rowCounts)
+	matrix.Grow(&e.ws.binOut, e.nbins)
+	e.tally = rowCounts
+	e.runSortPhase()
 	e.st.Fuse += time.Since(t0)
 	return e.canceled()
 }
@@ -605,8 +611,8 @@ type binGeometry struct {
 // sorting. rowsPerBin is rounded up to a power of two so the expand hot loop
 // derives bin and local row with shift/mask instead of an integer division
 // per flop; nbins is recomputed so bins still exactly tile the rows. The flop
-// rule always uses the wide 16-byte tuple cost, so it never depends on the
-// layout.
+// rule always uses the wide 16-byte tuple cost; only the dense cut below reads
+// the run's own, runTupleBytes.
 //
 // An auto key the LSD sorts in more than two passes (radix.Passes at the mean
 // bin) then gets the largest rowShift at which it is two passes (22 bits), if
@@ -617,13 +623,21 @@ type binGeometry struct {
 // (three passes over ~2.3 MB, past a 2 MiB L2) to 1 024 of 22, fuse 60–62 →
 // 43–46 ms for 3 ms more expand (`experiments fig6b`).
 //
+// An auto geometry whose mean bin folds dense (denseFold) then gets shorter
+// bins, under the same cap, until the fold's working set — accumulator (the
+// layout's value bytes a key), bitmap and the bin's tuples — fits
+// L2CacheBytes, as Patwary et al. block B's columns for their dense
+// accumulator; a cut halves slots and tuples alike, so the bin stays dense.
+// rmat_skew goes from 256 bins of 5+13 bits (a 2 MiB accumulator) to 1 024 of
+// 3+13 (512 KiB); the pattern layout, whose accumulator is a bitmap, keeps 256.
+//
 // Last, rowShift is cut to keyBits − colBits, the largest local row the
 // layout's key holds: 32 for the key32 layouts, which makes their key fit
 // whatever the rules above chose — past the 2 048-bin cap and past an
 // explicit NBins if it has to (ER 2^20·d2 runs 256 bins of 12+20 bits, not
 // the flop rule's 64 of 14+20), up to maxKey32Bins — and 64 for the wide
 // one, where it never cuts. Bytes never depend on the geometry.
-func planBinGeometry(rows int32, maxPanelFlops int64, colBits, keyBits uint, opt Options) binGeometry {
+func planBinGeometry(rows int32, maxPanelFlops int64, colBits, keyBits uint, runTupleBytes int64, opt Options) binGeometry {
 	// The auto value is capped at 2048: the paper uses 1K-2K bins in
 	// practice (Section V-A) because each thread also keeps one local bin
 	// per global bin, and nbins*LocalBinBytes must stay within the cache for
@@ -640,11 +654,19 @@ func planBinGeometry(rows int32, maxPanelFlops int64, colBits, keyBits uint, opt
 	shift := bits.Len64(uint64((int64(rows)+nbins-1)/nbins - 1)) // ceil(log2(rows per bin))
 	binsAt := func(s int) int64 { return (int64(rows) + 1<<s - 1) >> s }
 	perBin := func(s int) int { return int((maxPanelFlops + binsAt(s) - 1) / binsAt(s)) }
+	maxBins, l2 := int64(min(maxAutoBins, opt.L2CacheBytes/opt.LocalBinBytes)), int64(opt.L2CacheBytes)
 	if opt.NBins <= 0 && radix.Passes(perBin(shift), shift+int(colBits)) > 2 {
-		maxBins := int64(min(maxAutoBins, opt.L2CacheBytes/opt.LocalBinBytes))
 		for s := shift - 1; s >= 0 && binsAt(s) <= maxBins && perBin(s) >= radix.FullDigitTuples; s-- {
 			if radix.Passes(perBin(s), s+int(colBits)) <= 2 {
 				shift = s
+				break
+			}
+		}
+	}
+	valBytes := runTupleBytes - int64(keyBits/8) // an accumulator slot: the tuple less its key
+	if opt.NBins <= 0 && denseFold(int64(perBin(shift)), uint(shift)+colBits, valBytes, l2) {
+		for ; shift > 0 && binsAt(shift-1) <= maxBins; shift-- {
+			if slots := int64(1) << (uint(shift) + colBits); slots*valBytes+slots/8+int64(perBin(shift))*runTupleBytes <= l2 {
 				break
 			}
 		}
@@ -664,15 +686,14 @@ func (e *engine) planBins() {
 	if e.key32 {
 		keyBits = 32
 	}
-	g := planBinGeometry(e.a.NumRows, e.maxPanelFlops, e.colBits, keyBits, e.opt)
-	e.nbins = g.nbins
-	e.rowShift = g.rowShift
-	e.rowMask = uint32(int64(1)<<g.rowShift - 1)
-
 	e.tupleBytes = e.layout.TupleBytes()
 	if !e.key32 {
 		e.tupleBytes = e.wideBytes
 	}
+	g := planBinGeometry(e.a.NumRows, e.maxPanelFlops, e.colBits, keyBits, e.tupleBytes, e.opt)
+	e.nbins = g.nbins
+	e.rowShift = g.rowShift
+	e.rowMask = uint32(int64(1)<<g.rowShift - 1)
 	e.localCap = LocalBinTuples(e.opt.LocalBinBytes, e.tupleBytes)
 }
 
@@ -783,19 +804,9 @@ func (e *engine) panelPlan(lo, hi int) int64 {
 		e.countPanelBins(lo, hi, binFlops)
 	} else {
 		pt = matrix.GrowInt64Zero(&e.ws.perThread, threads*nbins)
-		a, b, shift := e.a, e.b, e.rowShift
 		bounds := e.ws.colBounds
 		par.ParallelRun(threads, func(t int) {
-			local := pt[t*nbins : (t+1)*nbins]
-			for i := lo + bounds[t]; i < lo+bounds[t+1]; i++ {
-				bRow := b.RowNNZ(int32(i))
-				if bRow == 0 {
-					continue
-				}
-				for p := a.ColPtr[i]; p < a.ColPtr[i+1]; p++ {
-					local[uint32(a.RowIdx[p])>>shift] += bRow
-				}
-			}
+			e.countPanelBins(lo+bounds[t], lo+bounds[t+1], pt[t*nbins:(t+1)*nbins])
 		})
 		for t := 0; t < threads; t++ {
 			local := pt[t*nbins : (t+1)*nbins]
@@ -903,40 +914,48 @@ var ntMinArenaBytes int64 = 32 << 20
 // in global CSR order; assembly is two prefix sums plus one parallel
 // unpacking copy. ws.binOut and ws.rowCounts must be populated.
 func (e *engine) assemble() *matrix.CSR {
-	srcStart, binOut := e.ws.binStart, e.ws.binOut
-	binOutStart := matrix.Grow(&e.ws.binOutStart, e.nbins+1)
-	nnzc := par.PrefixSum(binOut, binOutStart)
+	nnzc := par.PrefixSum(e.ws.binOut, matrix.Grow(&e.ws.binOutStart, e.nbins+1))
 
 	c := e.newResult(nnzc)
 	// rowCounts[1:] holds per-row output counts; the parallel prefix turns
 	// them into row pointers (identical to the sequential scan — integer
 	// sums — and worth it on million-row outputs).
 	par.PrefixSumParallel(e.ws.rowCounts[1:int(e.a.NumRows)+1], c.RowPtr, e.opt.Threads)
-	if e.opt.Threads == 1 {
-		for bin := 0; bin < e.nbins; bin++ {
-			if e.pollCancel() {
-				return c
-			}
-			if faultinject.Enabled {
-				faultinject.Fire(faultinject.SiteAssembleBin, 0)
-			}
-			e.lay.unpackBin(e, c, srcStart[bin], binOutStart[bin], binOut[bin])
-		}
-	} else {
-		par.ForEachDynamic(e.nbins, e.opt.Threads, func(worker, bin int) {
-			defer e.containWorker(worker)
-			if e.pollCancel() {
-				return
-			}
-			if faultinject.Enabled {
-				faultinject.Fire(faultinject.SiteAssembleBin, worker)
-			}
-			e.lay.unpackBin(e, c, srcStart[bin], binOutStart[bin], binOut[bin])
-		})
-	}
+	e.result = c
+	e.forEachBin(faultinject.SiteAssembleBin, func(e *engine, _, bin int) {
+		ws := e.ws
+		e.lay.unpackBin(e, e.result, ws.binStart[bin], ws.binOutStart[bin], ws.binOut[bin])
+	})
 	// An aborted assemble returns a partial c; the caller's post-phase
 	// canceled() check discards it.
 	return c
+}
+
+// forEachBin runs do on every bin, polling cancellation and firing site
+// before each: in bin order on the calling goroutine at Threads == 1 (no
+// scheduler, no allocation), else one bin per iteration of a dynamic
+// parallel-for whose workers are contained (fault.go). do reads its state from
+// the engine: a closure that captured it would escape to the heap.
+func (e *engine) forEachBin(site faultinject.Site, do func(e *engine, worker, bin int)) {
+	if e.opt.Threads == 1 {
+		for bin := 0; bin < e.nbins && !e.pollCancel(); bin++ {
+			if faultinject.Enabled {
+				faultinject.Fire(site, 0)
+			}
+			do(e, 0, bin)
+		}
+		return
+	}
+	par.ForEachDynamic(e.nbins, e.opt.Threads, func(worker, bin int) {
+		defer e.containWorker(worker)
+		if e.pollCancel() {
+			return
+		}
+		if faultinject.Enabled {
+			faultinject.Fire(site, worker)
+		}
+		do(e, worker, bin)
+	})
 }
 
 // newResult returns the output CSR: freshly allocated normally, or carved

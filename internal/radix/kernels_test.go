@@ -375,6 +375,32 @@ func TestKernelsDoNotAllocate(t *testing.T) {
 	}
 }
 
+// TestStartsAnyTableCount: starts converts one to six tables (SortPairs hands
+// it an odd count as often as an even one) into exclusive prefix sums, and
+// touches no table past the slice it is given.
+func TestStartsAnyTableCount(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	for n := 1; n <= maxPairPasses; n++ {
+		var hs, want [maxPairPasses + 1][1 << maxDigitBits]uint32
+		for i := range hs {
+			for d := range hs[i] {
+				hs[i][d] = uint32(r.Intn(100))
+			}
+		}
+		want = hs
+		for i := range n {
+			var sum uint32
+			for d := range 1 << 9 {
+				want[i][d], sum = sum, sum+want[i][d]
+			}
+		}
+		starts(hs[:n], 9)
+		if hs != want {
+			t.Fatalf("%d tables: offsets differ from a prefix sum per table", n)
+		}
+	}
+}
+
 func TestGrowUint32(t *testing.T) {
 	var buf []uint32
 	s := GrowUint32(&buf, 100)

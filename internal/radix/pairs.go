@@ -88,18 +88,16 @@ func SortPairs[V any](ps, aux []Pair[V], keyBits int, plus func(a, b V) V) int {
 		return 1
 	}
 	last := (bits.Len64(diff) - 1) / digit // the highest digit any tuples differ on
+	starts(hist[:last+1], digit)
 	src, dst := ps, aux[:n]
 	for p := 0; p < last; p++ {
 		shift := uint(p*digit) & 63
 		if diff>>shift&mask == 0 {
 			continue // all tuples agree on this digit
 		}
-		h := &hist[p]
-		starts(h, digit)
-		scatterPairs(src, dst, h, shift, mask)
+		scatterPairs(src, dst, &hist[p], shift, mask)
 		src, dst = dst, src
 	}
-	starts(&hist[last], digit)
 	return foldPass(ps, src, dst, &hist[last], digit, uint(last*digit)&63, plus)
 }
 

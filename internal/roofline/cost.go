@@ -15,27 +15,33 @@ type Product struct {
 // SPATerms) times these nanoseconds, fitted by relative least squares on the
 // wall times of the sweep `cmd/experiments planner -full -threads 1` runs — cf
 // 1…32 × {uniform ER, R-MAT squared} × cols(B) 2^10…2^16 at 512 rows or more,
-// the eight products the SPA kernel was sized on, two hypersparse products and three 16-row
-// dense ones past 2^16 columns; 65 points of 1 to 40 Mflop, one thread of a
-// 2.1 GHz Xeon with 4 MiB of L2. Residuals |predicted − measured| / measured:
-// PB median 5 %, 90th percentile 20 %, worst 31 %; SPA 6 %, 19 %, 24 %.
-// SPACostNS was refitted when the row kernel's dense rows stopped chaining on
-// one bitmap word (66 points, one thread of a 2.1 GHz Xeon with 2 MiB of L2):
-// residuals median 11 %, 90th percentile 28 %, worst 38 %, where the constants
-// before it read 25 %, 58 %, 70 % on the same run, and PB's 28 %, 39 %, 54 %.
-// On that run the smaller prediction is the faster kernel on 60 of the 63
-// scored points; the three it misses are within 11 % (ER 2^12·d32, 2^14·d16,
-// 2^15·d8). README "Choosing an algorithm" has the table. What the constants
-// amount to: SPA, unless A is hypersparse against a B that is out of cache — a
-// miss per entry of A then outweighs PB's sort. They are one machine's
-// measurements and predict times on that machine; another machine's speed
-// would scale both predictions alike and never change the pick, so nothing
-// rescales them. They are refitted by rerunning the sweep, which prints them:
-// not at NewEngine.
+// the eight products the SPA kernel was sized on, two hypersparse products and
+// three 16-row dense ones past 2^16 columns: 66 points of 1 to 40 Mflop.
+// SPACostNS was last refitted when the row kernel's dense rows stopped chaining
+// on one bitmap word (one thread of a 2.1 GHz Xeon with 2 MiB of L2): residuals
+// |predicted − measured| / measured median 11 %, 90th percentile 28 %, worst
+// 38 %. PBCostNS was refitted once bins were sized for the dense fold (PB on
+// ER 2^12·d32 went from SPA's time to 0.64–0.87 of it): its sort and output
+// constants are the sweep's last refit, PB in SPA's units (each point's PB time
+// times SPA's predicted over measured time, which cancels the box's speed), on
+// the best of two `-full -reps 5` sweeps of a 2-vCPU Xeon with 2 MiB of L2 a
+// core. That refit's dense constant, 2.81, misorders ER 2^12 at cf 2 and 639
+// rows in the CI sweep (PB 1.07–1.28× SPA's time in seven runs); 3.71, as
+// before, is the middle of the range (3.08–4.37) that orders it and ER 2^12·d32
+// both. Residuals 14 % / 40 % / 54 % (the old constants 29 / 53 / 75); the
+// smaller prediction is the faster kernel on 59 of 63 scored points, the misses
+// within 10 % but ER 2^14·d16 (PB 0.82 of SPA, predicted a tie). README
+// "Choosing an algorithm" has the table. What the constants amount to: SPA,
+// unless a product that barely compresses meets a B that is out of cache — a
+// miss per entry of A then outweighs PB's sort or dense fold. They are one
+// machine's measurements and predict times on that machine; another machine's
+// speed would scale both predictions alike and never change the pick, so
+// nothing rescales them. They are refitted by rerunning the sweep, which
+// prints them: not at NewEngine.
 var (
 	// PBCostNS: per product when bins fold through the direct-address
 	// accumulator, per product when they sort, per output entry.
-	PBCostNS = [3]float64{3.71, 14.5, 8.23}
+	PBCostNS = [3]float64{3.71, 8.90, 7.44}
 	// SPACostNS: per product into a cache-resident accumulator, per product
 	// into one that is not, per row of B fetched from beyond the cache, per
 	// output entry (emitted, staged and copied).
@@ -43,9 +49,11 @@ var (
 )
 
 // PBTerms are the work counts PBCostNS prices. Which of its two kernels a bin's
-// fold runs is core's denseFold rule at its default geometry: bins hold
-// L2/16 B tuples and the accumulator at most 4·L2 of 8-byte slots, so a bin
-// folds dense when the product has a flop for every eight entries of C's shape.
+// fold runs is core's denseFold rule at its default geometry: the flop rule's
+// bins hold L2/16 B tuples and the accumulator at most 4·L2 of 8-byte slots,
+// so a bin folds dense when the product has a flop for every eight entries of
+// C's shape. The dense cut then shortens such a bin until its fold fits L2,
+// which halves its slots and its tuples alike: the rule's answer stands.
 func (p Product) PBTerms() [3]float64 {
 	t := [3]float64{float64(p.Flops), 0, float64(p.NNZC)}
 	if 8*p.Flops < int64(p.Rows)*int64(p.Cols) {

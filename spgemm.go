@@ -62,8 +62,8 @@ type Algorithm int
 const (
 	// PB is PB-SpGEMM: outer-product expand-sort-compress with propagation
 	// blocking. The paper's machines have it fastest below a compression
-	// factor of ~4; in this tree it is fastest on hypersparse products whose B
-	// is out of cache or wider than ~2^17 columns (roofline.PBCostNS).
+	// factor of ~4; in this tree it is fastest on products of compression
+	// factor ~1 whose B is out of cache (roofline.PBCostNS).
 	PB Algorithm = iota
 	// Heap is HeapSpGEMM: column merging with a binary heap, O(flop log d).
 	Heap
