@@ -387,7 +387,7 @@ func (ws *workspace) DetachOutput(c *CSR) *CSR {
 // picked it), under PB otherwise. (Go methods cannot introduce type
 // parameters, hence the package-level function taking the engine first.) The
 // result is fully caller-owned: the row kernel's is allocated for the caller,
-// the pipeline's cloned out of the workspace. The wide layout's pooled planes
+// the pipeline's handed over by the workspace. The wide layout's pooled planes
 // are cached per element type T, so an engine serving a stable T hits its pool
 // just like the float64 path.
 func EngineMultiplyOver[T any](e *Engine, ctx context.Context, sr Semiring[T], a *ColMatrix[T], b *Matrix[T], opts ...Option) (*Matrix[T], error) {
@@ -419,13 +419,11 @@ func EngineMultiplyOver[T any](e *Engine, ctx context.Context, sr Semiring[T], a
 	if cfg.plan != nil {
 		*cfg.plan = plan
 	}
-	var out *Matrix[T]
 	var nnzc int64
 	if err == nil {
-		if out = gc; !plan.Rows {
-			out = gc.Clone()
-		}
-		nnzc = out.NNZ()
+		// Hand the pipeline's product over; the row kernel's is already the caller's.
+		ws.Core.DetachOutput(&matrix.CSR{RowPtr: gc.RowPtr})
+		nnzc = gc.NNZ()
 	}
 	e.release(ws, err)
 	alg := PB
@@ -433,7 +431,7 @@ func EngineMultiplyOver[T any](e *Engine, ctx context.Context, sr Semiring[T], a
 		alg = SPA
 	}
 	e.record(start, alg, alg == SPA && cfg.algorithm == Auto, semiring.Flops(a, b), a.NNZ(), b.NNZ(), nnzc, err)
-	return out, err
+	return gc, err
 }
 
 // validateMaskShape rejects a mask that does not match the product's

@@ -14,7 +14,8 @@ import (
 // denseBin picks one of two flat kernels of internal/radix per bin, from its
 // tuple count, its packed key width rowShift+colBits and the cache budget:
 //
-//   - Dense bins (few key slots per tuple) fold through a pooled per-worker
+//   - Dense bins (few key slots a tuple, or few bitmap words a tuple over an
+//     L2-resident key space) fold through a pooled per-worker
 //     direct-address accumulator, radix.FoldDense: each tuple read once,
 //     each output written once, no sort. An auto geometry's dense bins are
 //     cut until the accumulator, its bitmap and the bin fit L2
@@ -86,24 +87,34 @@ func fuseWholeBin(e *engine, worker, bin int) {
 // key32 layouts.
 func (e *engine) keyBits() uint { return e.rowShift + e.colBits }
 
-// The per-bin kernel rule's two constants. A bin folds through the
-// direct-address accumulator when its key space is at most denseSlotsPerTuple
-// slots per tuple and the accumulator (one value slot per key, and one bit)
-// is at most denseCacheFactor bin cache budgets. Both come from in-run pairs
-// of the fuse phase (one thread, 2 MiB of L2): BENCHMARK.json's rmat_skew
-// product at the flop rule's 256 bins (18-bit keys) fuses in 98 / 77 / 74 ms
-// at 4 / 16 / 64 slots per tuple, and its scale-14 sibling (19-bit keys,
-// 4 MiB) in 848 / 260 ms at a factor of 2 / 4 — an accumulator spilling out
-// of L2 still beats passes that stream an oversized bin from the next level.
-// denseSlotsPerTuple is a variable so tests can force either kernel.
-var denseSlotsPerTuple int64 = 16
+// The per-bin kernel rule: a bin folds through the direct-address accumulator
+// (a value slot and a bit per key) when either clause holds. Warm: accumulator
+// and bitmap fit the bin cache budget, and the bitmap is at most 8 words a
+// tuple. The accumulator is touched only at the tuples' own slots, so the
+// bitmap walk is the one per-slot cost, for every value width: on a bin of
+// rmat_skew's 16-bit keys FoldDense took 4.7 / 6.7 / 14.0 / 18.3 ns a tuple
+// against SortFold's 9.0 / 9.9 / 19.4 / 15.5 at 1 / 4 / 8 / 16 words a tuple
+// (FoldDensePattern against SortFoldPattern alike). Cold: at most
+// denseSlotsPerTuple slots a tuple and an accumulator of at most
+// denseCacheFactor budgets, from the fuse of rmat_skew's product at the flop
+// rule's 256 bins (18-bit keys, 2 MiB of L2): 98 / 77 / 74 ms at 4 / 16 / 64
+// slots a tuple; its scale-14 sibling (4 MiB) 848 / 260 ms at a factor of 2 /
+// 4. Both counts are variables so tests can force either kernel.
+var denseSlotsPerTuple, warmSlotsPerTuple int64 = 16, 64 * 8
 
 const denseCacheFactor = 4
 
 // denseFold is the rule itself, a pure function of the bin's tuple count, the
 // packed key width, the layout's value width and the bin cache budget.
 func denseFold(n int64, keyBits uint, valBytes, l2CacheBytes int64) bool {
-	slots, budget := int64(1)<<keyBits, denseCacheFactor*l2CacheBytes
+	if n <= 0 || keyBits > 40 { // a wide key's slots would overflow the sums below
+		return false
+	}
+	slots := int64(1) << keyBits
+	if slots*valBytes+slots/8 <= l2CacheBytes {
+		return slots <= warmSlotsPerTuple*n
+	}
+	budget := denseCacheFactor * l2CacheBytes
 	return slots <= denseSlotsPerTuple*n && slots*valBytes <= budget && slots/8 <= budget
 }
 

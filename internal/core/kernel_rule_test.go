@@ -14,11 +14,11 @@ import (
 // forceKernel pins the per-bin rule for one test: every fused bin folds
 // dense (where the accumulator cap allows) or every bin sorts.
 func forceKernel(t *testing.T, dense bool) {
-	old := denseSlotsPerTuple
-	t.Cleanup(func() { denseSlotsPerTuple = old })
-	denseSlotsPerTuple = 0
+	cold, warm := denseSlotsPerTuple, warmSlotsPerTuple
+	t.Cleanup(func() { denseSlotsPerTuple, warmSlotsPerTuple = cold, warm })
+	denseSlotsPerTuple, warmSlotsPerTuple = 0, 0
 	if dense {
-		denseSlotsPerTuple = 1 << 20
+		denseSlotsPerTuple, warmSlotsPerTuple = 1<<20, 1<<20
 	}
 }
 
@@ -219,6 +219,8 @@ func TestBothKernelsSameBytes(t *testing.T) {
 								t.Fatalf("threads=%d rep=%d: dense scratch left dirty", threads, rep)
 							}
 						}
+						// The bitmap is sized when any bin folds dense: a forced sort
+						// left every bin, under both clauses, on SortFold*.
 						if ranDense := cap(ws.accBits) > 0; ranDense != dense {
 							t.Fatalf("threads=%d: dense kernel sized = %v", threads, ranDense)
 						}
@@ -366,30 +368,47 @@ func TestSpecialValuesThroughTheFold(t *testing.T) {
 	}
 }
 
-// TestDenseFoldRule pins the per-bin rule as the pure function it is: the
-// density edge at denseSlotsPerTuple slots per tuple, and the accumulator cap
-// at denseCacheFactor cache budgets for each value width.
+// TestDenseFoldRule pins the per-bin rule as the pure function it is. Warm
+// clause: warmSlotsPerTuple slots a tuple while accumulator and bitmap fit the
+// budget, for each value width. Cold clause, past it: denseSlotsPerTuple slots
+// a tuple and the accumulator cap at denseCacheFactor budgets.
 func TestDenseFoldRule(t *testing.T) {
 	const l2 = int64(1) << 20
 	for _, tc := range []struct {
 		n        int64
 		keyBits  uint
 		valBytes int64
+		l2       int64
 		want     bool
 	}{
-		{1 << 14, 18, 8, true},        // exactly 16 slots per tuple
-		{1<<14 - 1, 18, 8, false},     // a notch sparser
-		{1 << 30, 19, 8, true},        // 4 MiB of float64: at the cap
-		{1 << 30, 20, 8, false},       // 8 MiB: past it
-		{1 << 30, 20, 4, true},        // 4 MiB of float32
-		{1 << 30, 21, 4, false},       //
-		{1 << 30, 25, 0, true},        // pattern: a 4 MiB bitmap
-		{1 << 30, 26, 0, false},       //
-		{math.MaxInt64, 32, 0, false}, // a full 32-bit key space never fits
-		{0, 1, 8, false},              // an empty bin has nothing to fold
+		{128, 16, 8, l2, true},                 // warm: exactly 512 slots (8 bitmap words) a tuple
+		{127, 16, 8, l2, false},                // a notch sparser
+		{128, 16, 8, 1<<19 + 1<<13, true},      // accumulator + bitmap exactly the budget
+		{128, 16, 8, 1<<19 + 1<<13 - 1, false}, // a byte past it: the cold clause's 16 slots a tuple
+		{256, 17, 4, l2, true},                 // float32 / int32
+		{255, 17, 4, l2, false},                //
+		{256, 17, 4, 1<<19 + 1<<14, true},      //
+		{256, 17, 4, 1<<19 + 1<<14 - 1, false}, //
+		{1 << 14, 23, 0, l2, true},             // pattern: a 1 MiB bitmap, exactly the budget
+		{1<<14 - 1, 23, 0, l2, false},          //
+		{1 << 15, 24, 0, l2, false},            // 512 slots a tuple, but a 2 MiB bitmap
+		{1 << 14, 18, 8, l2, true},             // cold: exactly 16 slots a tuple
+		{1<<14 - 1, 18, 8, l2, false},          // a notch sparser
+		{1 << 30, 19, 8, l2, true},             // 4 MiB of float64: at the cap
+		{1 << 30, 20, 8, l2, false},            // 8 MiB: past it
+		{1 << 30, 20, 4, l2, true},             // 4 MiB of float32
+		{1 << 30, 21, 4, l2, false},            //
+		{1 << 30, 25, 0, l2, true},             // pattern: a 4 MiB bitmap
+		{1 << 30, 26, 0, l2, false},            //
+		{1 << 28, 32, 0, l2, false},            // a hypersparse 32-bit key space: 16 slots a tuple, 512 MiB of bitmap
+		{1 << 20, 32, 8, l2, false},            //
+		{math.MaxInt64, 32, 0, l2, false},      // a full 32-bit key space never fits
+		{math.MaxInt64, 62, 8, l2, false},      // nor a wide key's
+		{0, 1, 8, l2, false},                   // an empty bin has nothing to fold
 	} {
-		if got := denseFold(tc.n, tc.keyBits, tc.valBytes, l2); got != tc.want {
-			t.Errorf("denseFold(n=%d, keyBits=%d, valBytes=%d) = %v, want %v", tc.n, tc.keyBits, tc.valBytes, got, tc.want)
+		if got := denseFold(tc.n, tc.keyBits, tc.valBytes, tc.l2); got != tc.want {
+			t.Errorf("denseFold(n=%d, keyBits=%d, valBytes=%d, l2=%d) = %v, want %v",
+				tc.n, tc.keyBits, tc.valBytes, tc.l2, got, tc.want)
 		}
 	}
 }

@@ -296,13 +296,13 @@ type widePool interface {
 	// unbind drops the per-call references a pooled workspace must not pin.
 	// The result plane stays: the entry point reads it after the run.
 	unbind()
-	// detachOut forgets the pooled result plane (Workspace.DetachOutput).
-	detachOut()
 	tupleCapBytes() int64
 }
 
-func (l *pairs[V]) unbind()    { l.aVal, l.bVal, l.alg = nil, nil, Algebra[V]{} }
+// detachOut forgets the pooled result plane (Workspace.DetachOutput).
 func (l *pairs[V]) detachOut() { l.outVal = nil }
+func (l *kv[V]) detachOut()    { l.outVal = nil }
+func (l *pairs[V]) unbind()    { l.aVal, l.bVal, l.alg = nil, nil, Algebra[V]{} }
 func (l *pairs[V]) tupleCapBytes() int64 {
 	return int64(cap(l.tuples)) * int64(unsafe.Sizeof(radix.Pair[V]{}))
 }

@@ -131,22 +131,28 @@ func (ws *Workspace) TupleCapBytes() int64 {
 }
 
 // DetachOutput hands the last run's pooled result over to the caller. When c
-// is this workspace's pooled result header (what Multiply returns on a shared
-// workspace), the returned CSR owns its arrays and the pool slots are
-// cleared, so the next run allocates fresh output storage instead of
-// overwriting them: the same bytes a Clone would allocate, without the copy
-// and without a second resident C. Any other c is returned unchanged.
+// is this workspace's pooled result — the header Multiply returns on a shared
+// workspace, or any header over its RowPtr, as a typed entry point's product
+// is — every pooled output plane (RowPtr, ColIdx, each layout's value plane,
+// PatternVals) is forgotten, so the next run allocates fresh output storage
+// instead of overwriting them: the bytes a Clone would allocate, without the
+// copy and without a second resident C. The returned header (c, or a copy of
+// the workspace's own) then owns the arrays. Any other c is returned unchanged.
 func (ws *Workspace) DetachOutput(c *matrix.CSR) *matrix.CSR {
-	if c != &ws.out {
+	if len(c.RowPtr) == 0 || len(ws.out.RowPtr) == 0 || &c.RowPtr[0] != &ws.out.RowPtr[0] {
 		return c
 	}
-	out := ws.out
-	ws.out = matrix.CSR{}
-	ws.outRowPtr, ws.outColIdx, ws.kvF64.outVal = nil, nil, nil
-	if ws.wide != nil {
-		ws.wide.detachOut()
+	if c == &ws.out {
+		out := ws.out
+		c = &out
 	}
-	return &out
+	ws.out, ws.outRowPtr, ws.outColIdx, ws.PatternVals = matrix.CSR{}, nil, nil, nil
+	for _, l := range []any{&ws.kvF64, ws.kvNarrow, ws.wide} {
+		if l, ok := l.(interface{ detachOut() }); ok {
+			l.detachOut()
+		}
+	}
+	return c
 }
 
 // CSCOf converts a into the workspace's pooled CSC storage, or returns the

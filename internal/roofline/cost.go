@@ -49,11 +49,14 @@ var (
 )
 
 // PBTerms are the work counts PBCostNS prices. Which of its two kernels a bin's
-// fold runs is core's denseFold rule at its default geometry: the flop rule's
-// bins hold L2/16 B tuples and the accumulator at most 4·L2 of 8-byte slots,
-// so a bin folds dense when the product has a flop for every eight entries of
-// C's shape. The dense cut then shortens such a bin until its fold fits L2,
-// which halves its slots and its tuples alike: the rule's answer stands.
+// fold runs is the cold clause of core's denseFold rule at its default geometry:
+// the flop rule's bins hold L2/16 B tuples and the accumulator at most 4·L2 of
+// 8-byte slots, so a bin folds dense when the product has a flop for every
+// eight entries of C's shape. The dense cut then shortens such a bin until its
+// fold fits L2, which halves its slots and its tuples alike: the rule's answer
+// stands. The warm clause (an L2-resident bin folds dense at up to 512 slots a
+// tuple) is not priced: its bins count as sorting until a sweep with Boolean
+// points measures them.
 func (p Product) PBTerms() [3]float64 {
 	t := [3]float64{float64(p.Flops), 0, float64(p.NNZC)}
 	if 8*p.Flops < int64(p.Rows)*int64(p.Cols) {

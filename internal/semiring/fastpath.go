@@ -61,14 +61,29 @@ func csrHeader[T any](b *CSRg[T], val []float64) *matrix.CSR {
 		RowPtr: b.RowPtr, ColIdx: b.ColIdx, Val: val}
 }
 
-// narrowFast runs the 8-byte narrow pipeline for a 32-bit value type.
-func narrowFast[V core.Value32](a *CSCg[V], b *CSRg[V], copt core.Options) (*CSRg[V], *core.Stats, error) {
-	c, vals, st, err := core.MultiplyNarrow(cscHeader(a, nil), a.Val, csrHeader(b, nil), b.Val, copt)
-	if err != nil {
-		return nil, nil, err
+// typed returns a and b as V-valued matrices when T is V.
+func typed[V, T any](a *CSCg[T], b *CSRg[T]) (*CSCg[V], *CSRg[V], bool) {
+	av, ok := any(a).(*CSCg[V])
+	bv, bok := any(b).(*CSRg[V])
+	return av, bv, ok && bok
+}
+
+// trueVals returns n true values, in ws.PatternVals when ws is non-nil. They
+// are filled by doubling copies, at memmove speed.
+func trueVals(ws *core.Workspace, n int) []bool {
+	var vals []bool
+	if ws != nil {
+		vals = matrix.Grow(&ws.PatternVals, n)
+	} else {
+		vals = make([]bool, n)
 	}
-	return &CSRg[V]{NumRows: c.NumRows, NumCols: c.NumCols,
-		RowPtr: c.RowPtr, ColIdx: c.ColIdx, Val: vals}, st, nil
+	if n > 0 {
+		vals[0] = true
+	}
+	for done := 1; done < n; done *= 2 {
+		copy(vals[done:], vals[:done])
+	}
+	return vals
 }
 
 func allTrue(vals []bool) bool {
@@ -91,80 +106,44 @@ func tryFastPath[T any](sr Semiring[T], a *CSCg[T], b *CSRg[T], opt Options) (c 
 		return nil, "complement mask: wide layout with a post-fold filter", nil
 	}
 	copt := opt.coreOptions()
-	ran := func(st *core.Stats) { opt.setPlan(Plan{FastPath: true, Layout: st.Layout}, st) }
-
+	var m *matrix.CSR
+	var vals any // the product's value plane, a []T
+	var st *core.Stats
 	switch sr.kind {
 	case kindArithF64:
-		af, ok := any(a).(*CSCg[float64])
-		bf, bok := any(b).(*CSRg[float64])
-		if !ok || !bok {
-			break
+		if af, bf, ok := typed[float64](a, b); ok {
+			m, st, err = core.Multiply(cscHeader(af, af.Val), csrHeader(bf, bf.Val), copt)
 		}
-		c, st, err := core.Multiply(cscHeader(af, af.Val), csrHeader(bf, bf.Val), copt)
-		if err != nil {
-			return nil, "", err
-		}
-		ran(st)
-		res := &CSRg[float64]{NumRows: c.NumRows, NumCols: c.NumCols,
-			RowPtr: c.RowPtr, ColIdx: c.ColIdx, Val: c.Val}
-		return any(res).(*CSRg[T]), "", nil
-
 	case kindArithF32:
-		af, ok := any(a).(*CSCg[float32])
-		bf, bok := any(b).(*CSRg[float32])
-		if !ok || !bok {
-			break
+		if af, bf, ok := typed[float32](a, b); ok {
+			m, vals, st, err = core.MultiplyNarrow(cscHeader(af, nil), af.Val, csrHeader(bf, nil), bf.Val, copt)
 		}
-		res, st, err := narrowFast(af, bf, copt)
-		if err != nil {
-			return nil, "", err
-		}
-		ran(st)
-		return any(res).(*CSRg[T]), "", nil
-
 	case kindArithI32:
-		af, ok := any(a).(*CSCg[int32])
-		bf, bok := any(b).(*CSRg[int32])
-		if !ok || !bok {
-			break
+		if af, bf, ok := typed[int32](a, b); ok {
+			m, vals, st, err = core.MultiplyNarrow(cscHeader(af, nil), af.Val, csrHeader(bf, nil), bf.Val, copt)
 		}
-		res, st, err := narrowFast(af, bf, copt)
-		if err != nil {
-			return nil, "", err
-		}
-		ran(st)
-		return any(res).(*CSRg[T]), "", nil
-
 	case kindBoolean:
-		ab, ok := any(a).(*CSCg[bool])
-		bb, bok := any(b).(*CSRg[bool])
-		if !ok || !bok {
-			break
-		}
 		// The pattern layout computes the structural product: correct for
 		// (∨, ∧) exactly when every stored value is true. Stored false
 		// entries (structural zeros) must fold through ∨ and ∧ themselves.
-		if !allTrue(ab.Val) || !allTrue(bb.Val) {
+		ab, bb, ok := typed[bool](a, b)
+		if ok && (!allTrue(ab.Val) || !allTrue(bb.Val)) {
 			return nil, "stored false values: pattern layout is structural", nil
 		}
-		c, st, err := core.MultiplyPattern(cscHeader(ab, nil), csrHeader(bb, nil), copt)
-		if err != nil {
-			return nil, "", err
+		if ok {
+			m, st, err = core.MultiplyPattern(cscHeader(ab, nil), csrHeader(bb, nil), copt)
 		}
-		ran(st)
-		nnzc := c.RowPtr[c.NumRows]
-		var vals []bool
-		if opt.Workspace != nil {
-			vals = matrix.Grow(&opt.Workspace.PatternVals, int(nnzc))
-		} else {
-			vals = make([]bool, nnzc)
-		}
-		for i := range vals {
-			vals[i] = true
-		}
-		res := &CSRg[bool]{NumRows: c.NumRows, NumCols: c.NumCols,
-			RowPtr: c.RowPtr, ColIdx: c.ColIdx, Val: vals}
-		return any(res).(*CSRg[T]), "", nil
 	}
-	return nil, "semiring kind and element type disagree", nil
+	switch {
+	case err != nil:
+		return nil, "", err
+	case m == nil:
+		return nil, "semiring kind and element type disagree", nil
+	case sr.kind == kindArithF64:
+		vals = m.Val
+	case sr.kind == kindBoolean:
+		vals = trueVals(opt.Workspace, len(m.ColIdx))
+	}
+	opt.setPlan(Plan{FastPath: true, Layout: st.Layout}, st)
+	return &CSRg[T]{NumRows: m.NumRows, NumCols: m.NumCols, RowPtr: m.RowPtr, ColIdx: m.ColIdx, Val: vals.([]T)}, "", nil
 }

@@ -162,10 +162,7 @@ func (rs *rowState[T]) multiply(sr Semiring[T], ar, b *CSRg[T], opt Options, pat
 		return nil, err
 	}
 	if pattern {
-		vals = make([]T, len(c.ColIdx))
-		for i, truth := 0, any(vals).([]bool); i < len(truth); i++ {
-			truth[i] = true
-		}
+		vals = any(trueVals(nil, len(c.ColIdx))).([]T)
 	}
 	return &CSRg[T]{NumRows: c.NumRows, NumCols: c.NumCols, RowPtr: c.RowPtr, ColIdx: c.ColIdx, Val: vals}, nil
 }

@@ -156,7 +156,7 @@ func (c *config) maskedArith(a, b *CSR, ws *workspace) (*CSR, error) {
 	if err != nil {
 		return nil, err
 	}
-	return Float64CSR(g.Clone()), nil
+	return ws.Core.DetachOutput(Float64CSR(g)), nil
 }
 
 // EWiseAdd returns the element-wise sum of a and b over sr.Plus: the union
