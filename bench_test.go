@@ -446,8 +446,8 @@ func BenchmarkWorkspacePublicAPI(b *testing.B) {
 }
 
 // BenchmarkMemoryBudget sweeps MemoryBudgetBytes from unlimited down to 1/32
-// of the expansion, measuring what the panel merge costs relative to the
-// single-shot algorithm it makes feasible on out-of-budget inputs.
+// of the expansion, measuring what bin groups cost relative to the
+// single-shot algorithm they make feasible on out-of-budget inputs.
 func BenchmarkMemoryBudget(b *testing.B) {
 	a := gen.ERMatrix(13, 8, 1).ToCSC()
 	m := gen.ERMatrix(13, 8, 2)
@@ -476,7 +476,7 @@ func BenchmarkMemoryBudget(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			b.ReportMetric(float64(st.NPanels), "panels")
+			b.ReportMetric(float64(st.NGroups), "groups")
 			b.ReportMetric(float64(ws.TupleCapBytes())/(1<<20), "tupleMiB")
 		})
 	}

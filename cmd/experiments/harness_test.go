@@ -231,22 +231,29 @@ func TestBenchCasesCarryFusedPairs(t *testing.T) {
 	}
 }
 
-// TestBenchBudgetGateAndMT: the budget-overhead gate compares two regimes on
-// identical input, layout and one thread, differing only in the budget; and
-// the trajectory must carry multi-threaded acceptance regimes.
+// TestBenchBudgetGateAndMT: each budget-overhead gate compares two regimes on
+// identical input, layout and one thread, differing only in the budget, with
+// the shallow budget above the deep one; and the trajectory must carry
+// multi-threaded acceptance regimes.
 func TestBenchBudgetGateAndMT(t *testing.T) {
 	byName := map[string]benchCase{}
 	for _, c := range benchCases() {
 		byName[c.name] = c
 	}
 	f, okF := byName[gateFusedRegime]
+	s, okS := byName[gateShallowRegime]
 	b, okB := byName[gateBudgetedRegime]
-	if !okF || !okB || b.budget <= 0 {
-		t.Fatalf("budget gate pair incomplete: single-shot=%v budgeted=%v budget=%d", okF, okB, b.budget)
+	if !okF || !okS || !okB || b.budget <= 0 || s.budget <= b.budget {
+		t.Fatalf("budget gate pairs incomplete: single-shot=%v shallow=%v (%d) deep=%v (%d)", okF, okS, s.budget, okB, b.budget)
 	}
-	b.name, b.budget = f.name, f.budget
-	if b != f {
-		t.Fatal("the budgeted gate regime must differ from the single-shot one only in name and budget")
+	for _, c := range []benchCase{s, b} {
+		c.name, c.budget = f.name, f.budget
+		if c != f {
+			t.Fatal("a budgeted gate regime must differ from the single-shot one only in name and budget")
+		}
+	}
+	if budgetGateFactor != 1.3 || shallowBudgetGateFactor != 1.15 {
+		t.Fatalf("budget gate factors %v and %v, want 1.3 and 1.15", budgetGateFactor, shallowBudgetGateFactor)
 	}
 	for _, name := range []string{"er-lowcf-squeezed-mt", "rmat-highcf-fused-mt"} {
 		c, ok := byName[name]

@@ -123,9 +123,8 @@ func main() {
 	if st := best.PB; st != nil {
 		fmt.Printf("phases: symbolic %v, expand %v (%.1f GB/s), fuse %v (%.1f GB/s), assemble %v\n",
 			st.Symbolic, st.Expand, st.ExpandGBs(), st.Fuse, st.FuseGBs(), st.Assemble)
-		if st.NPanels > 1 {
-			fmt.Printf("bins: %d  panels: %d (budget %s)  merge: %v\n",
-				st.NBins, st.NPanels, *budget, st.Merge)
+		if st.NGroups > 1 {
+			fmt.Printf("bins: %d  groups: %d (budget %s)\n", st.NBins, st.NGroups, *budget)
 		} else {
 			fmt.Printf("bins: %d\n", st.NBins)
 		}

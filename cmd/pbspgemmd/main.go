@@ -55,7 +55,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, ready fun
 		queue     = fs.Int("queue", serve.DefaultMaxQueue, "max requests waiting for admission")
 		queueWait = fs.Duration("queue-wait", serve.DefaultMaxQueueWait, "max time one request waits for admission")
 		timeout   = fs.Duration("request-timeout", serve.DefaultRequestTimeout, "per-request deadline, propagated to kernel cancellation polls")
-		degraded  = fs.String("degraded-budget", "0", "memory budget for the tiled degraded retry when a full run is shed on footprint (0 disables)")
+		degraded  = fs.String("degraded-budget", "0", "memory budget for the degraded retry when a full run is shed on footprint (0 disables)")
 		peers     = fs.String("peers", "", "comma-separated base URLs of peer pbspgemmd nodes; non-empty enables 2D block-sharded fan-out for shardable products")
 		shardBlk  = fs.String("shard-block", "0", "per-block predicted-footprint target of the sharded path (0 = one block per product)")
 		shardWkrs = fs.Int("shard-workers", 1, "max sharded blocks running on the local engine at once")

@@ -207,7 +207,7 @@ func TestEngineCancellationNoGoroutineLeak(t *testing.T) {
 	b := NewER(2048, 8, 4)
 	before := runtime.NumGoroutine()
 	for i := 0; i < 10; i++ {
-		// A tiny memory budget forces many panels, i.e. many cancellation
+		// A tiny memory budget forces many bin groups, i.e. many cancellation
 		// checkpoints; the deadline lands mid-run on all but the fastest
 		// machines. Either outcome (prompt error or completed product) is
 		// fine — the invariant is that no worker goroutine outlives the call.
@@ -262,12 +262,12 @@ func TestMultiplyMaskedMatchesReference(t *testing.T) {
 		t.Fatalf("mask split %d + %d != product nnz %d", got.NNZ(), comp.NNZ(), want.NNZ())
 	}
 
-	// The budgeted (multi-panel) path must filter identically.
+	// The budgeted path (bin groups) must give the same bytes.
 	budgeted, err := MultiplyMasked(a, b, mask, WithMemoryBudget(1<<12))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !EqualWithin(got, budgeted, 1e-9) {
+	if !EqualWithin(got, budgeted, 0) {
 		t.Fatal("budgeted masked product differs from single-shot")
 	}
 

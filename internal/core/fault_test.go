@@ -126,8 +126,8 @@ func TestCancellationLatencyMidPhase(t *testing.T) {
 	}
 }
 
-// TestBudgetedCancellation cancels the budgeted (tiled) path mid-run; polls
-// also sit per bin in the merge, per task in the sort.
+// TestBudgetedCancellation cancels the budgeted path (bin groups) mid-run;
+// polls sit per bin in every group's fold and assemble.
 func TestBudgetedCancellation(t *testing.T) {
 	acsc, b := cancelInputs(t)
 	for _, threads := range []int{1, 4} {

@@ -33,26 +33,24 @@ import (
 // in arrival (expand) order, which is ascending k, and every fold is the
 // chain "first value assigned, later ones added" over that order
 // (TestFusedMatchesUnfusedBitIdentical, TestBothKernelsSameBytes,
-// TestSpecialValuesThroughTheFold). A budgeted run folds twice, each panel's
-// bins into runs and then each bin's gathered runs (panels.go); runs are
-// duplicate-free and in panel order, so the second fold adds the per-panel
-// sums in panel order, whichever kernel a bin gets.
+// TestSpecialValuesThroughTheFold). A budgeted run folds each bin once too,
+// in the group that holds it, so its bytes are the unbudgeted run's.
 //
 // Bins fold whole, one per iteration of forEachBin's dynamic parallel-for, as
 // Algorithm 2 sorts and compresses them. The phase takes at least the largest
 // bin's fold: 3.2 % of the tuples on R-MAT 2^16·d8 squared and 4.0 % on
 // 2^17·d4, so splitting a bin could only pay above some 25–30 threads.
 
-// runSortPhase sorts, folds and tallies every bin ws.binStart lays out,
-// filling ws.binOut and, when non-nil, e.tally (forEachBin schedules them).
+// runSortPhase sorts, folds and tallies every bin of the running group,
+// filling ws.binOut and e.tally (forEachBin schedules them).
 func (e *engine) runSortPhase() {
 	threads := e.opt.Threads
 	bs := e.ws.binStart
 	// Size the per-worker scratch before any worker starts: sort planes for
-	// the panel's largest sorted bin, and a direct-address accumulator and
+	// the group's largest sorted bin, and a direct-address accumulator and
 	// its occupancy bitmap if any bin folds dense. Grow-only, all of it.
 	var maxSeg, accSlots int64
-	for bin := 0; bin < e.nbins; bin++ {
+	for bin := e.binLo; bin < e.binHi; bin++ {
 		n := bs[bin+1] - bs[bin]
 		if e.denseBin(n) {
 			accSlots = int64(1) << e.keyBits()
@@ -69,7 +67,7 @@ func (e *engine) runSortPhase() {
 	growVals(&e.ws.accBits, int64(threads)*((accSlots+63)/64))
 	e.forEachBin(faultinject.SiteSortTask, fuseWholeBin)
 	if threads > 1 {
-		e.st.SortOwned += int64(e.nbins) // += : budgeted runs fold once per panel, and once more
+		e.st.SortOwned += int64(e.binHi - e.binLo) // += : a budgeted run's groups add up to its bins
 	}
 }
 

@@ -113,8 +113,8 @@ func FuzzMultiply(f *testing.F) {
 			t.Fatalf("single-shot differs from reference (flops=%d)", st.Flops)
 		}
 		for _, opt := range []Options{
-			{MemoryBudgetBytes: 16},  // ~1 tuple per panel
-			{MemoryBudgetBytes: 256}, // a few columns per panel
+			{MemoryBudgetBytes: 16},  // a bin a group
+			{MemoryBudgetBytes: 256}, // a few bins a group
 			{MemoryBudgetBytes: 16, Threads: 1, Workspace: ws},
 			{MemoryBudgetBytes: 256, Workspace: ws},
 		} {

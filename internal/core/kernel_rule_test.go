@@ -130,12 +130,13 @@ func foldRunners(a *matrix.CSC, b *matrix.CSR) []layoutRunner {
 	}})
 }
 
-// panelBudgets returns MemoryBudgetBytes values that tile a product of the
-// given flop count into one panel (no budget) and about 2, 9 and 34.
-func panelBudgets(flops int64) []int64 {
+// groupBudgets returns MemoryBudgetBytes values for a product of the given
+// flop count: none, and about a half, a ninth and a 34th of its wide tuples —
+// with the tests' 4 bins, two groups and then a bin a group.
+func groupBudgets(flops int64) []int64 {
 	budgets := []int64{0}
-	for _, panels := range []int64{2, 9, 34} {
-		budgets = append(budgets, flops*tupleBytes/panels+tupleBytes)
+	for _, parts := range []int64{2, 9, 34} {
+		budgets = append(budgets, flops*tupleBytes/parts+tupleBytes)
 	}
 	return budgets
 }
@@ -171,13 +172,10 @@ func allPlusZero[V float32 | float64](vals []V) bool {
 }
 
 // TestBothKernelsSameBytes runs the same bins through the dense fold, then
-// through the LSD, on every layout × threads 1–4 × one panel and 3, 17 and ~36
-// (the budgets below, on this product), and holds every result to the bytes
-// of the layout's single-thread run under the per-bin rule (per budget:
-// panels regroup float sums).
-// A budgeted run folds twice — each panel's bins, then each bin's gathered
-// runs — so both kernels also meet duplicates that straddle panel boundaries.
-// The sparse half shrinks the cache budget so the LSD also meets bins far past
+// through the LSD, on every layout × threads 1–4 × no budget and three that
+// cut the 4 bins into groups, and holds every result to the bytes of the
+// layout's unbudgeted single-thread run under the per-bin rule: a budget
+// changes which bins expand together, never a bin's fold. The sparse half shrinks the cache budget so the LSD also meets bins far past
 // it, each folded whole by one worker when threads > 1. The int32 plane
 // wraps around in products and sums alike.
 func TestBothKernelsSameBytes(t *testing.T) {
@@ -191,12 +189,12 @@ func TestBothKernelsSameBytes(t *testing.T) {
 	}
 	acsc := a.ToCSC()
 	for _, lr := range foldRunners(acsc, b) {
+		want, err := lr.run(Options{Threads: 1, NBins: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, budget := range []int64{0, 2 << 20, 256 << 10, 120 << 10} {
 			base := Options{Threads: 1, NBins: 4, MemoryBudgetBytes: budget}
-			want, err := lr.run(base)
-			if err != nil {
-				t.Fatal(err)
-			}
 			for _, dense := range []bool{true, false} {
 				t.Run(fmt.Sprintf("%s/budget=%d/dense=%v", lr.name, budget, dense), func(t *testing.T) {
 					forceKernel(t, dense)
@@ -281,9 +279,9 @@ func TestDenseScratchSurvivesCancel(t *testing.T) {
 
 // TestSpecialValuesThroughTheFold pins −0.0, NaN and ±Inf through both
 // kernels on the squeezed, narrow and wide layouts (the wide one over float64
-// and over float32: pairs[V] has no value type of its own), in one panel and across
-// about 2, 9 and 34: every run is bit-identical to the single-thread one under
-// the per-bin rule on the same budget, and that one agrees with
+// and over float32: pairs[V] has no value type of its own), unbudgeted and
+// under groupBudgets: every run is bit-identical to the unbudgeted
+// single-thread one under the per-bin rule, and that one agrees with
 // matrix.ReferenceMultiply — bit for bit (the finite values are small
 // multiples of 1/4, so no regrouping of a sum rounds) except that Reference,
 // summing from +0, cannot keep the sign of a zero, which the test asserts
@@ -324,42 +322,38 @@ func TestSpecialValuesThroughTheFold(t *testing.T) {
 	}
 	const signBit = 1 << 63
 	acsc := a.ToCSC()
-	budgets := panelBudgets(matrix.Flops(acsc, b))
+	budgets := groupBudgets(matrix.Flops(acsc, b))
 	for _, lr := range foldRunners(acsc, b) {
 		if lr.name == "narrow-i32" {
 			continue // no special values in int32
 		}
-		wants := make([]product, len(budgets))
-		for bi, budget := range budgets {
-			want, err := lr.run(Options{Threads: 1, NBins: 4, MemoryBudgetBytes: budget})
-			if err != nil {
-				t.Fatal(err)
+		want, err := lr.run(Options{Threads: 1, NBins: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !csrSameStructure(want.c, ref) {
+			t.Fatalf("%s: structure differs from Reference", lr.name)
+		}
+		for i, bits := range want.bits {
+			if zero := bits&^signBit == 0; bits != refBits[i] && !(zero && refBits[i] == 0) {
+				t.Fatalf("%s: value %d is %#x, Reference has %#x", lr.name, i, bits, refBits[i])
+			} else if int64(i) < negZeroEnd && bits != signBit {
+				t.Fatalf("%s: entry %d of the −0.0 rows is %#x", lr.name, i, bits)
 			}
-			if !csrSameStructure(want.c, ref) {
-				t.Fatalf("%s budget=%d: structure differs from Reference", lr.name, budget)
-			}
-			for i, bits := range want.bits {
-				if zero := bits&^signBit == 0; bits != refBits[i] && !(zero && refBits[i] == 0) {
-					t.Fatalf("%s budget=%d: value %d is %#x, Reference has %#x", lr.name, budget, i, bits, refBits[i])
-				} else if int64(i) < negZeroEnd && bits != signBit {
-					t.Fatalf("%s budget=%d: entry %d of the −0.0 rows is %#x", lr.name, budget, i, bits)
-				}
-			}
-			wants[bi] = want
 		}
 		for _, mode := range []string{"dense", "sparse", "rule"} {
 			t.Run(lr.name+"/"+mode, func(t *testing.T) {
 				if mode != "rule" {
 					forceKernel(t, mode == "dense")
 				}
-				for bi, budget := range budgets {
+				for _, budget := range budgets {
 					for _, threads := range []int{1, 3} {
 						got, err := lr.run(Options{Threads: threads, NBins: 4, MemoryBudgetBytes: budget})
 						if err != nil {
 							t.Fatal(err)
 						}
-						if !got.same(wants[bi]) {
-							t.Fatalf("budget=%d threads=%d: differs from the single-thread run", budget, threads)
+						if !got.same(want) {
+							t.Fatalf("budget=%d threads=%d: differs from the unbudgeted single-thread run", budget, threads)
 						}
 					}
 				}

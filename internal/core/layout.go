@@ -18,9 +18,9 @@ import (
 // workloads need only half the value plane (8-byte key32+val32 tuples). Each
 // tuple layout is a layoutOps implementation; the engine holds exactly one
 // per run (e.lay) and every phase dispatches element accesses through it
-// while all control flow — bin geometry, panel tiling, the fuse phase's
-// schedule, the budgeted run grouping — stays layout-independent, which
-// is what makes the four layouts bit-identical in structure.
+// while all control flow — bin geometry, bin groups, the fuse phase's
+// schedule — stays layout-independent, which is what makes the four layouts
+// bit-identical in structure.
 //
 // The three implementations:
 //
@@ -58,43 +58,26 @@ type layoutOps interface {
 	growTuples(e *engine, n int64)
 	// growLocals sizes the flattened threads×nbins×capT local bins.
 	growLocals(e *engine, n int64)
-	// resetRuns truncates the layout's own run arena (the shared key arena is
-	// reset by the engine).
-	resetRuns(e *engine)
 	// expandRange is one worker's outer-product expansion with propagation
-	// blocking over panel columns [lo+colBounds[t], lo+colBounds[t+1]).
-	expandRange(e *engine, t, lo int, cursors []int64)
+	// blocking over the running group's columns [colBounds[t], colBounds[t+1])
+	// (engine.colLo).
+	expandRange(e *engine, t int, cursors []int64)
 	// growScratch sizes the layout's per-worker sort-phase scratch: total
 	// tuples (threads × engine.scratchStride) of sort planes plus, when the
-	// panel has dense bins, accSlots (1<<keyBits) accumulator slots a worker.
+	// group has dense bins, accSlots (1<<keyBits) accumulator slots a worker.
 	growScratch(e *engine, total, accSlots int64)
 	// fuseBin sorts and folds bin (its tuples lie at ws.binStart[bin:bin+2])
 	// on the given worker's scratch, leaving the sorted, folded prefix in
 	// place and returning its length, and tallies the folded rows into
-	// e.tally (nil skips the tally: a budgeted run's panels leave it to the
-	// tail). Rows of a bin are touched by no other bin, so the shared slice
+	// e.tally. Rows of a bin are touched by no other bin, so the shared slice
 	// needs no synchronization.
 	fuseBin(e *engine, worker, bin int) int64
-	// appendRun copies the folded bin segment at [src, src+n) into the run
-	// arena.
-	appendRun(e *engine, src, n int64)
-	// swapGathered exchanges the tuple planes with the pooled planes a
-	// budgeted run gathers its runs into, so the run's tail works on those
-	// through the tuple planes' names while the budget-sized tuple buffer
-	// waits untouched; a second call puts both back. Nothing may hold the
-	// tuple planes (ws.tupleKeys and the value plane, or the wide layout's
-	// tuples) in a field or local across runBudgeted's tail: it would read the
-	// other buffer.
-	swapGathered(e *engine)
-	// gatherRun copies the run segment [src, src+n) of the run arena to the
-	// tuple planes at dst.
-	gatherRun(e *engine, src, dst, n int64)
 	// unpackBin writes the n folded tuples at srcOff of the tuple planes into
 	// the result CSR at dstOff.
 	unpackBin(e *engine, c *matrix.CSR, srcOff, dstOff, n int64)
-	// growOut sizes the result's value storage: the layout's out plane
-	// (newResult makes it c.Val for Multiply's float64 layouts), nothing for
-	// pattern.
+	// growOut sizes the result's value storage to nnzc (resultPlane): the
+	// layout's out plane (growResult makes it c.Val for Multiply's float64
+	// layouts), nothing for pattern.
 	growOut(e *engine, c *matrix.CSR, nnzc int64)
 }
 
@@ -123,13 +106,8 @@ func kvOf[V Value32](ws *Workspace) *kv[V] {
 }
 
 // binRows is the slice of e.tally a bin's fold tallies into, indexed by
-// local row (nil stays nil).
-func (e *engine) binRows(bin int) []int64 {
-	if e.tally == nil {
-		return nil
-	}
-	return e.tally[int64(bin)<<e.rowShift+1:]
-}
+// local row.
+func (e *engine) binRows(bin int) []int64 { return e.tally[int64(bin)<<e.rowShift+1:] }
 
 // MultiplyPattern computes the structural (pattern-only) product of A and B:
 // the returned CSR has the exact support of A·B and a nil Val array. Tuples
@@ -210,9 +188,7 @@ type Algebra[V any] struct {
 	Plus  func(a, b V) V
 	// Filter, if non-nil, runs over every folded bin segment — sorted by key,
 	// duplicate-free — and keeps a prefix of it, returning the kept length
-	// (internal/semiring's complement mask). It must be idempotent: a budgeted
-	// run folds, and filters, a bin's tuples once per panel and once more
-	// gathered.
+	// (internal/semiring's complement mask). It runs once per bin.
 	Filter SegFilter[V]
 }
 
@@ -252,8 +228,8 @@ type SegFilter[V any] func(seg []radix.Pair[V], firstRow int32, colBits uint) in
 // Workspace.wide (one V at a time, like kvNarrow), plus the per-call bindings:
 // the input value planes, the algebra and the result's value destination.
 type pairs[V any] struct {
-	tuples, locals, runs, gathered, scratch []radix.Pair[V]
-	outVal, acc                             []V // acc: dense-fold accumulators, all-zero between bins
+	tuples, locals, scratch []radix.Pair[V]
+	outVal, acc             []V // acc: dense-fold accumulators, all-zero between bins
 
 	aVal, bVal []V
 	alg        Algebra[V]
@@ -309,7 +285,7 @@ func (l *pairs[V]) tupleCapBytes() int64 {
 
 // MultiplyWide computes C = A ⊗ B over alg with the wide tuple layout, for
 // any value type: the pipeline of Multiply — parallel propagation-blocked
-// expand, fused sort and fold, budgeted panels, sub-phase cancellation,
+// expand, fused sort and fold, budgeted bin groups, sub-phase cancellation,
 // worker-panic containment — with alg.Times where Multiply multiplies and
 // alg.Plus where it adds. Its bins are the flop rule's: a 64-bit key needs no
 // more of them. Like MultiplyNarrow the inputs are the structural CSC/CSR
@@ -340,14 +316,12 @@ func MultiplyWide[V any](a *matrix.CSC, aVal []V, b *matrix.CSR, bVal []V, alg A
 
 func (l *pairs[V]) growTuples(e *engine, n int64) { radix.GrowPairs(&l.tuples, n) }
 func (l *pairs[V]) growLocals(e *engine, n int64) { radix.GrowPairs(&l.locals, n) }
-func (l *pairs[V]) resetRuns(e *engine)           { l.runs = l.runs[:0] }
 
 // expandRange is the wide layout's walk: the same columns, chunks and flush
 // schedule as kv.expandRange below, forming each 64-bit key and its value
 // (through alg.Times) in place in the local bin.
-func (l *pairs[V]) expandRange(e *engine, t, lo int, cursors []int64) {
+func (l *pairs[V]) expandRange(e *engine, t int, cursors []int64) {
 	a, b := e.a, e.b
-	nbins := int32(e.nbins)
 	capT := e.localCap
 	shift, mask, colBits := e.rowShift, e.rowMask, e.colBits
 	// Offsets in int64: threads × nbins × capT can exceed int32 range.
@@ -359,8 +333,8 @@ func (l *pairs[V]) expandRange(e *engine, t, lo int, cursors []int64) {
 	nt := e.ntFlush && l.flat
 
 	var sincePoll int64
-	for i := lo + e.ws.colBounds[t]; i < lo+e.ws.colBounds[t+1]; i++ {
-		bLo, bHi := b.RowPtr[i], b.RowPtr[i+1]
+	for j := e.ws.colBounds[t]; j < e.ws.colBounds[t+1]; j++ {
+		bLo, bHi, pLo, pHi := e.rowLo[j], e.rowHi[j], e.colLo[j], e.colHi[j]
 		if bLo == bHi {
 			continue
 		}
@@ -373,8 +347,8 @@ func (l *pairs[V]) expandRange(e *engine, t, lo int, cursors []int64) {
 				return
 			}
 		}
-		sincePoll += int64(bHi-bLo) * (a.ColPtr[i+1] - a.ColPtr[i])
-		for p := a.ColPtr[i]; p < a.ColPtr[i+1]; p++ {
+		sincePoll += int64(bHi-bLo) * (pHi - pLo)
+		for p := pLo; p < pHi; p++ {
 			r := uint32(a.RowIdx[p])
 			av := aVal[p]
 			bin := int32(r >> shift)
@@ -404,7 +378,7 @@ func (l *pairs[V]) expandRange(e *engine, t, lo int, cursors []int64) {
 		}
 	}
 	// Drain partially-filled local bins (Algorithm 2 lines 15–18).
-	for bin := int32(0); bin < nbins; bin++ {
+	for bin := int32(e.binLo); bin < int32(e.binHi); bin++ {
 		flushLocalPairs(bin, buf, lens, tuples, cursors, capT, nt)
 	}
 }
@@ -439,22 +413,11 @@ func (l *pairs[V]) finishBin(e *engine, bin, n int) int64 {
 	if l.alg.Filter != nil {
 		seg = seg[:l.alg.Filter(seg, int32(int64(bin)<<e.rowShift), e.colBits)]
 	}
-	if rows, cb := e.binRows(bin), e.colBits; rows != nil {
-		for i := range seg {
-			rows[seg[i].Key>>cb]++
-		}
+	rows, cb := e.binRows(bin), e.colBits
+	for i := range seg {
+		rows[seg[i].Key>>cb]++
 	}
 	return int64(len(seg))
-}
-
-func (l *pairs[V]) appendRun(e *engine, src, n int64) {
-	l.runs = append(l.runs, l.tuples[src:src+n]...)
-}
-
-func (l *pairs[V]) swapGathered(e *engine) { l.tuples, l.gathered = l.gathered, l.tuples }
-
-func (l *pairs[V]) gatherRun(e *engine, src, dst, n int64) {
-	copy(l.tuples[dst:dst+n], l.runs[src:src+n])
 }
 
 func (l *pairs[V]) unpackBin(e *engine, c *matrix.CSR, srcOff, dstOff, n int64) {
@@ -468,11 +431,7 @@ func (l *pairs[V]) unpackBin(e *engine, c *matrix.CSR, srcOff, dstOff, n int64) 
 }
 
 func (l *pairs[V]) growOut(e *engine, c *matrix.CSR, nnzc int64) {
-	if e.shared {
-		l.out = growVals(&l.outVal, nnzc)
-	} else {
-		l.out = make([]V, nnzc)
-	}
+	l.out = resultPlane(e, l.out, &l.outVal, nnzc)
 }
 
 // ---------------------------------------------------------------------------
@@ -484,8 +443,6 @@ func (l *pairs[V]) growOut(e *engine, c *matrix.CSR, nnzc int64) {
 type kv[V Value] struct {
 	tupleVals   []V
 	localVals   []V
-	runVals     []V
-	gatherVals  []V
 	outVal      []V
 	scratchVals []V
 	accVals     []V // dense-fold accumulators, all-zero between bins
@@ -514,8 +471,6 @@ func (l *kv[V]) growLocals(e *engine, n int64) {
 	growVals(&l.localVals, n)
 }
 
-func (l *kv[V]) resetRuns(e *engine) { l.runVals = l.runVals[:0] }
-
 func (l *kv[V]) growScratch(e *engine, total, accSlots int64) {
 	growVals(&e.ws.scratchWords, 2*total)
 	growVals(&l.scratchVals, total)
@@ -535,14 +490,13 @@ func (e *engine) accBitsFor(w int, slots int64) []uint64 {
 	return e.ws.accBits[int64(w)*words:][:words]
 }
 
-// expandRange is one worker's share of expandPanel: the panel columns
-// [lo+colBounds[t], lo+colBounds[t+1]), propagation-blocked — the 4-byte key
+// expandRange is one worker's share of expand: the group's columns
+// [colBounds[t], colBounds[t+1]), propagation-blocked — the 4-byte key
 // and the V value go into split local bins, each flushed with two bulk copies
 // into the worker's exclusive range. cursors is the worker's private per-bin
 // write-position array, pre-seeded with its exclusive offsets.
-func (l *kv[V]) expandRange(e *engine, t, lo int, cursors []int64) {
+func (l *kv[V]) expandRange(e *engine, t int, cursors []int64) {
 	a, b := e.a, e.b
-	nbins := int32(e.nbins)
 	capT := e.localCap
 	shift, mask, colBits := e.rowShift, e.rowMask, e.colBits
 	stride := int64(e.nbins) * int64(capT)
@@ -554,8 +508,8 @@ func (l *kv[V]) expandRange(e *engine, t, lo int, cursors []int64) {
 	nt := e.ntFlush
 
 	var sincePoll int64
-	for i := lo + e.ws.colBounds[t]; i < lo+e.ws.colBounds[t+1]; i++ {
-		bLo, bHi := b.RowPtr[i], b.RowPtr[i+1]
+	for j := e.ws.colBounds[t]; j < e.ws.colBounds[t+1]; j++ {
+		bLo, bHi, pLo, pHi := e.rowLo[j], e.rowHi[j], e.colLo[j], e.colHi[j]
 		if bLo == bHi {
 			continue
 		}
@@ -571,8 +525,8 @@ func (l *kv[V]) expandRange(e *engine, t, lo int, cursors []int64) {
 				return
 			}
 		}
-		sincePoll += int64(bHi-bLo) * (a.ColPtr[i+1] - a.ColPtr[i])
-		for p := a.ColPtr[i]; p < a.ColPtr[i+1]; p++ {
+		sincePoll += int64(bHi-bLo) * (pHi - pLo)
+		for p := pLo; p < pHi; p++ {
 			r := uint32(a.RowIdx[p])
 			av := aVal[p]
 			bin := int32(r >> shift)
@@ -603,7 +557,7 @@ func (l *kv[V]) expandRange(e *engine, t, lo int, cursors []int64) {
 			lens[bin] = ln
 		}
 	}
-	for bin := int32(0); bin < nbins; bin++ {
+	for bin := int32(e.binLo); bin < int32(e.binHi); bin++ {
 		flushLocalKV(bin, bufK, bufV, lens, keys, vals, cursors, capT, nt)
 	}
 }
@@ -633,21 +587,6 @@ func (l *kv[V]) fuseBin(e *engine, worker, bin int) int64 {
 		int(e.keyBits()), rows, e.colBits))
 }
 
-func (l *kv[V]) appendRun(e *engine, src, n int64) {
-	e.ws.runKeys = append(e.ws.runKeys, e.ws.tupleKeys[src:src+n]...)
-	l.runVals = append(l.runVals, l.tupleVals[src:src+n]...)
-}
-
-func (l *kv[V]) swapGathered(e *engine) {
-	e.ws.tupleKeys, e.ws.gatherKeys = e.ws.gatherKeys, e.ws.tupleKeys
-	l.tupleVals, l.gatherVals = l.gatherVals, l.tupleVals
-}
-
-func (l *kv[V]) gatherRun(e *engine, src, dst, n int64) {
-	copy(e.ws.tupleKeys[dst:dst+n], e.ws.runKeys[src:src+n])
-	copy(l.tupleVals[dst:dst+n], l.runVals[src:src+n])
-}
-
 func (l *kv[V]) unpackBin(e *engine, c *matrix.CSR, srcOff, dstOff, n int64) {
 	keys, vals := e.ws.tupleKeys, l.tupleVals
 	cm := uint32(uint64(1)<<e.colBits - 1)
@@ -659,11 +598,7 @@ func (l *kv[V]) unpackBin(e *engine, c *matrix.CSR, srcOff, dstOff, n int64) {
 }
 
 func (l *kv[V]) growOut(e *engine, c *matrix.CSR, nnzc int64) {
-	if e.shared {
-		l.out = growVals(&l.outVal, nnzc)
-	} else {
-		l.out = make([]V, nnzc)
-	}
+	l.out = resultPlane(e, l.out, &l.outVal, nnzc)
 }
 
 // ---------------------------------------------------------------------------
@@ -673,24 +608,32 @@ type patternOps struct{}
 
 func (patternOps) growTuples(e *engine, n int64) { radix.GrowUint32(&e.ws.tupleKeys, n) }
 func (patternOps) growLocals(e *engine, n int64) { radix.GrowUint32(&e.ws.localKeys, n) }
-func (patternOps) resetRuns(e *engine)           {}
 
 // expandRange is the key-only expansion: same walk, no value multiply — the
 // tuple IS its packed key, and a flush moves one plane.
-func (patternOps) expandRange(e *engine, t, lo int, cursors []int64) {
+func (patternOps) expandRange(e *engine, t int, cursors []int64) {
 	a, b := e.a, e.b
-	nbins := int32(e.nbins)
 	capT := e.localCap
 	shift, mask, colBits := e.rowShift, e.rowMask, e.colBits
 	stride := int64(e.nbins) * int64(capT)
-	bufK := e.ws.localKeys[int64(t)*stride : int64(t+1)*stride]
-	lens := e.ws.localLens[t*e.nbins : (t+1)*e.nbins]
-	keys := e.ws.tupleKeys
-	nt := e.ntFlush
+	// The flush's operands stay in memory, behind lb: held in registers
+	// across the column loop they crowded ExpandK's inlined loop, whose
+	// operands the register allocator then reloaded from the stack every
+	// tuple (+10–25 % expand on R-MAT 2^13·d16). That loop is five
+	// instructions; where it straddles a 32-byte boundary it ran ~15 % slower
+	// on a one-thread R-MAT 2^13·d16 expand, so check its placement
+	// (`go tool objdump -s 'core.patternOps.expandRange'`) after editing
+	// this function: the order of the statements below puts it in one.
+	lb := &patternBins{
+		buf:     e.ws.localKeys[int64(t)*stride : int64(t+1)*stride],
+		lens:    e.ws.localLens[t*e.nbins : (t+1)*e.nbins],
+		keys:    e.ws.tupleKeys,
+		cursors: cursors, capT: capT, nt: e.ntFlush,
+	}
 
 	var sincePoll int64
-	for i := lo + e.ws.colBounds[t]; i < lo+e.ws.colBounds[t+1]; i++ {
-		bLo, bHi := b.RowPtr[i], b.RowPtr[i+1]
+	for j := e.ws.colBounds[t]; j < e.ws.colBounds[t+1]; j++ {
+		bLo, bHi, pLo, pHi := e.rowLo[j], e.rowHi[j], e.colLo[j], e.colHi[j]
 		if bLo == bHi {
 			continue
 		}
@@ -704,19 +647,19 @@ func (patternOps) expandRange(e *engine, t, lo int, cursors []int64) {
 				return
 			}
 		}
-		sincePoll += int64(bHi-bLo) * (a.ColPtr[i+1] - a.ColPtr[i])
-		for p := a.ColPtr[i]; p < a.ColPtr[i+1]; p++ {
+		sincePoll += int64(bHi-bLo) * (pHi - pLo)
+		for p := pLo; p < pHi; p++ {
 			r := uint32(a.RowIdx[p])
-			bin := int32(r >> shift)
 			localRow := (r & mask) << colBits
+			bin := int32(r >> shift)
 			base := int64(bin) * int64(capT)
-			ln := lens[bin]
+			ln := lb.lens[bin]
 			// Chunked like kv.expandRange: flush boundaries match the
 			// per-element loop exactly.
 			for q := bLo; q < bHi; {
 				if ln == capT {
-					lens[bin] = ln
-					flushLocalPattern(bin, bufK, lens, keys, cursors, capT, nt)
+					lb.lens[bin] = ln
+					lb.flush(bin)
 					ln = 0
 				}
 				take := bHi - q
@@ -727,25 +670,36 @@ func (patternOps) expandRange(e *engine, t, lo int, cursors []int64) {
 				// here, and with both updates behind it the register allocator
 				// parked a reload inside its loop (+20 % expand on R-MAT's long
 				// rows). Same chunks either way.
-				dk := bufK[base+int64(ln) : base+int64(ln)+take]
+				dk := lb.buf[base+int64(ln) : base+int64(ln)+take]
 				cols := b.ColIdx[q : q+take]
 				ln += int32(take)
 				q += take
 				simd.ExpandK(dk, localRow, cols)
 			}
-			lens[bin] = ln
+			lb.lens[bin] = ln
 		}
 	}
-	for bin := int32(0); bin < nbins; bin++ {
-		flushLocalPattern(bin, bufK, lens, keys, cursors, capT, nt)
+	for bin := int32(e.binLo); bin < int32(e.binHi); bin++ {
+		lb.flush(bin)
 	}
 }
 
-func flushLocalPattern(bin int32, bufK []uint32, lens []int32,
-	keys []uint32, cursors []int64, capT int32, nt bool) {
+// patternBins is one worker's local bins of the pattern layout: its keys,
+// fill counts and cursors into the tuple keys, and how to flush them.
+type patternBins struct {
+	buf     []uint32
+	lens    []int32
+	keys    []uint32
+	cursors []int64
+	capT    int32
+	nt      bool
+}
 
-	src, dst, n := flushSpan(bin, lens, cursors, capT)
-	flushPlane(keys[dst:], bufK[src:src+n], nt)
+// flush moves the bin's pending keys into the worker's reserved range of the
+// global bin (flushSpan, flushPlane).
+func (lb *patternBins) flush(bin int32) {
+	src, dst, n := flushSpan(bin, lb.lens, lb.cursors, lb.capT)
+	flushPlane(lb.keys[dst:], lb.buf[src:src+n], lb.nt)
 }
 
 func (patternOps) growScratch(e *engine, total, _ int64) {
@@ -761,18 +715,6 @@ func (patternOps) fuseBin(e *engine, worker, bin int) int64 {
 	}
 	return int64(radix.SortFoldPattern(keys, e.ws.scratchKeys[int64(worker)*e.scratchStride:][:hi-lo],
 		int(e.keyBits()), rows, e.colBits))
-}
-
-func (patternOps) appendRun(e *engine, src, n int64) {
-	e.ws.runKeys = append(e.ws.runKeys, e.ws.tupleKeys[src:src+n]...)
-}
-
-func (patternOps) swapGathered(e *engine) {
-	e.ws.tupleKeys, e.ws.gatherKeys = e.ws.gatherKeys, e.ws.tupleKeys
-}
-
-func (patternOps) gatherRun(e *engine, src, dst, n int64) {
-	copy(e.ws.tupleKeys[dst:dst+n], e.ws.runKeys[src:src+n])
 }
 
 func (patternOps) unpackBin(e *engine, c *matrix.CSR, srcOff, dstOff, n int64) {

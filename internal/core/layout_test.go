@@ -78,14 +78,10 @@ func expandSnapshot(t *testing.T, a *matrix.CSC, b *matrix.CSR, opt Options, lay
 		e.lay = l
 	}
 	e.symbolic()
-	e.planPanels()
 	e.planBins()
-	if e.npanels != 1 {
-		t.Fatal("expandSnapshot needs a single-panel run")
-	}
-	e.panelPlan(0, int(a.NumCols))
+	e.planWhole()
 	e.lay.growTuples(e, e.flops)
-	e.expandPanel(0)
+	e.expand()
 	keys := make([]uint64, e.flops)
 	vals := make([]float64, e.flops)
 	if e.layout == LayoutSqueezed {
@@ -126,7 +122,7 @@ func TestExpandDeterministicAcrossThreads(t *testing.T) {
 // TestMultiplyBitIdenticalAcrossThreads is the end-to-end determinism
 // guarantee: identical CSR (values included, bit for bit) across thread
 // counts, across repeated runs on a pooled workspace, and across the
-// budgeted path's panel tiling.
+// budgeted path's bin groups.
 func TestMultiplyBitIdenticalAcrossThreads(t *testing.T) {
 	inputs := []struct {
 		name string
@@ -252,25 +248,32 @@ func TestLayoutSelection(t *testing.T) {
 	}
 }
 
-// TestBinGeometryTracksBudget: a memory budget shrinks panels, which shrinks
-// the flop rule's bin count and widens rowsPerBin; the key32 cut then adds
-// the bins back that the 32-bit key needs, and leaves a wide geometry alone.
+// TestBinGeometryTracksBudget: the flop rule divides the product's wide
+// tuples by the smaller of L2CacheBytes and the memory budget, so only a
+// budget under L2 moves the bins: 2^16 flops over 2^20 rows and 2^17 columns
+// take one bin unbudgeted (the key32 cut then makes it 32 of 2^15 rows, and a
+// wide key keeps it), and 64 bins of 2^14 rows under a 16 KiB budget, on
+// either key; a budget past L2 changes nothing.
 func TestBinGeometryTracksBudget(t *testing.T) {
 	rows := int32(1) << 20
 	colBits := colBitsFor(1 << 17) // 17
-	opt := Options{}.withDefaults()
-	// Unbudgeted: 2^27 flops in 2048 bins of 2^9 rows, 26-bit keys.
-	if g := planBinGeometry(rows, 1<<27, colBits, 32, SqueezedTupleBytes, opt); g.nbins != 2048 || g.rowShift != 9 {
-		t.Fatalf("unbudgeted: %d bins, rowShift %d; want 2048, 9", g.nbins, g.rowShift)
-	}
-	// A 16 KiB budget holds 2^10 tuples a panel: the flop rule's one bin of
-	// 2^20 rows would need 37-bit keys, so a key32 run gets 32 bins of 2^15.
-	panel := int64(1<<14) / tupleBytes
-	if g := planBinGeometry(rows, panel, colBits, 32, SqueezedTupleBytes, opt); g.nbins != 32 || g.rowShift != 15 {
-		t.Fatalf("budgeted key32: %d bins, rowShift %d; want 32, 15", g.nbins, g.rowShift)
-	}
-	if g := planBinGeometry(rows, panel, colBits, 64, WideTupleBytes, opt); g.nbins != 1 || g.rowShift != 20 {
-		t.Fatalf("budgeted wide: %d bins, rowShift %d; want 1, 20", g.nbins, g.rowShift)
+	const flops = 1 << 16
+	for _, tc := range []struct {
+		budget         int64
+		key32, wide    int
+		shift32, shift uint
+	}{
+		{0, 32, 1, 15, 20},
+		{4 << 20, 32, 1, 15, 20},
+		{1 << 14, 64, 64, 14, 14},
+	} {
+		opt := Options{MemoryBudgetBytes: tc.budget}.withDefaults()
+		if g := planBinGeometry(rows, flops, colBits, 32, SqueezedTupleBytes, opt); g.nbins != tc.key32 || g.rowShift != tc.shift32 {
+			t.Fatalf("budget %d, key32: %d bins, rowShift %d; want %d, %d", tc.budget, g.nbins, g.rowShift, tc.key32, tc.shift32)
+		}
+		if g := planBinGeometry(rows, flops, colBits, 64, WideTupleBytes, opt); g.nbins != tc.wide || g.rowShift != tc.shift {
+			t.Fatalf("budget %d, wide: %d bins, rowShift %d; want %d, %d", tc.budget, g.nbins, g.rowShift, tc.wide, tc.shift)
+		}
 	}
 }
 
@@ -312,8 +315,7 @@ func localArenaBytes(ws *Workspace) int64 {
 // TestKey32PastBinCap: a product whose 32-bit key needs more bins than the
 // auto cap of 2 048 — 2^22 rows, so 4 096 bins of 2^10 rows, maxKey32Bins
 // exactly — runs squeezed in 4 096 bins and equals Reference bit for bit, at
-// one and two threads, single-shot and tiled into panels. Values are small
-// integers, so a panel's regrouped sums are exact too. Its local bins stay
+// one and two threads, single-shot and cut into bin groups. Its local bins stay
 // within threads × maxKey32Bins × LocalBinBytes.
 func TestKey32PastBinCap(t *testing.T) {
 	a, b := binCapProduct(1 << 22)
@@ -326,9 +328,9 @@ func TestKey32PastBinCap(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if st.Layout != LayoutSqueezed || st.NBins != maxKey32Bins || (budget > 0) != (st.NPanels > 1) {
-				t.Fatalf("budget=%d threads=%d: %v in %d bins, %d panels; want squeezed in 4096",
-					budget, threads, st.Layout, st.NBins, st.NPanels)
+			if st.Layout != LayoutSqueezed || st.NBins != maxKey32Bins || (budget > 0) != (st.NGroups > 1) {
+				t.Fatalf("budget=%d threads=%d: %v in %d bins, %d groups; want squeezed in 4096",
+					budget, threads, st.Layout, st.NBins, st.NGroups)
 			}
 			if !csrBitIdentical(want, got) {
 				t.Fatalf("budget=%d threads=%d: product differs from Reference", budget, threads)
@@ -413,7 +415,7 @@ func TestBinGeometryTwoPassTrim(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
 		rows      int32
-		flops     int64 // the largest panel's
+		flops     int64
 		colBits   uint
 		opt       Options
 		nbins     int
@@ -447,10 +449,12 @@ func TestBinGeometryTwoPassTrim(t *testing.T) {
 		// Past the auto cap: a few hundred tuples over 2^22 rows and 22-bit
 		// columns need 4 096 bins of 2^10 rows.
 		{"past-cap", 1 << 22, 300, 22, Options{}, 4096, 10, 4, false},
-		// A budgeted run sizes bins by its largest panel: er_lowcf under a 32 MiB
-		// budget trims, under 16 MiB its 1 024 bins would hold 1 Ki tuples each.
-		{"budget-32MiB", 1 << 16, 32 << 20 / tupleBytes, 16, Options{}, 1024, 6, 2, false},
-		{"budget-16MiB", 1 << 16, 16 << 20 / tupleBytes, 16, Options{}, 16, 12, 3, false},
+		// A budget past L2 leaves er_lowcf's geometry alone; one under it
+		// feeds the flop rule (128 bins of 9+16 bits), which the trim still
+		// cuts to 22 bits, under the cap of L2CacheBytes, not the budget.
+		{"budget-32MiB", 1 << 16, 1 << 22, 16, Options{MemoryBudgetBytes: 32 << 20}, 1024, 6, 2, false},
+		{"budget-16MiB", 1 << 16, 1 << 22, 16, Options{MemoryBudgetBytes: 16 << 20}, 1024, 6, 2, false},
+		{"budget-512KiB", 1 << 16, 1 << 22, 16, Options{MemoryBudgetBytes: 512 << 10}, 1024, 6, 2, false},
 		// A hypersparse product: one bin of 5 000 tuples on 12+12 bits stays.
 		{"hypersparse", 1 << 12, 5000, 12, Options{}, 1, 12, 3, false},
 	} {
@@ -532,25 +536,25 @@ func TestBinGeometryDenseCut(t *testing.T) {
 
 // TestDenseCutMatchesReference runs a product whose geometry the dense cut
 // moves — R-MAT 2^10·d16 squared at a 64 KiB L2 and 64-byte local bins: 128
-// bins become 512 single-shot, 64 become 256 under an 8 MiB budget (two
-// panels) — and holds it bit for bit to the ascending-k oracle, at 1 and 2
-// threads, and to the run at the flop rule's bin count.
+// bins become 512, single-shot and under an 8 MiB budget (bin groups) alike —
+// and holds it bit for bit to the ascending-k oracle, at 1 and 2 threads, and
+// to the run at the flop rule's bin count.
 func TestDenseCutMatchesReference(t *testing.T) {
 	a := gen.RMAT(10, 16, gen.Graph500Params, 7)
 	acsc := a.ToCSC()
 	for _, tc := range []struct {
 		budget         int64
 		flopRule, bins int
-	}{{0, 128, 512}, {8 << 20, 64, 256}} {
-		want := FoldReference(a, a, tc.budget)
+	}{{0, 128, 512}, {8 << 20, 128, 512}} {
+		want := FoldReference(a, a)
 		for _, threads := range []int{1, 2} {
 			opt := Options{Threads: threads, L2CacheBytes: 64 << 10, LocalBinBytes: 64, MemoryBudgetBytes: tc.budget}
 			got, st, err := Multiply(acsc, a, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if st.NBins != tc.bins || (tc.budget > 0) != (st.NPanels > 1) {
-				t.Fatalf("budget=%d threads=%d: %d bins in %d panels; want %d", tc.budget, threads, st.NBins, st.NPanels, tc.bins)
+			if st.NBins != tc.bins || (tc.budget > 0) != (st.NGroups > 1) {
+				t.Fatalf("budget=%d threads=%d: %d bins in %d groups; want %d", tc.budget, threads, st.NBins, st.NGroups, tc.bins)
 			}
 			if !csrBitIdentical(want, got) {
 				t.Fatalf("budget=%d threads=%d: product differs from the ascending-k oracle", tc.budget, threads)

@@ -79,14 +79,13 @@ func layoutCases(t *testing.T) []layoutCase {
 }
 
 // TestNTFlushBitIdentical forces the non-temporal flush path (normally gated
-// on the panel arena outgrowing the LLC) onto the small test inputs and
+// on the group's tuple arena outgrowing the LLC) onto the small test inputs and
 // holds every layout to exact bit-identity against one oracle per case: one
 // thread, single-shot, default local bins, run before the gate is forced (so
 // it flushes with plain copies). The matrix crosses what moves the flush
 // schedule — thread count (where each worker's reserved ranges start),
 // LocalBinBytes (64 is a sub-line request that runs at 16 tuples) and
-// budgeted multi-panel runs (ranges re-planned per panel). Inputs are
-// integer-valued, so budgeted folds are exact too.
+// budgeted runs in bin groups (ranges re-planned per group).
 func TestNTFlushBitIdentical(t *testing.T) {
 	old := ntMinArenaBytes
 	defer func() { ntMinArenaBytes = old }()

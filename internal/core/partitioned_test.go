@@ -29,7 +29,7 @@ func multiplyBands(t *testing.T, a, b, want *matrix.CSR, parts int, opt Options)
 		}
 		sum.Flops += st.Flops
 		sum.ExpandBytes += st.ExpandBytes
-		sum.NPanels += st.NPanels
+		sum.NGroups += st.NGroups
 	}
 	return sum
 }
@@ -96,7 +96,7 @@ func TestPartitionedWithWorkspaceAndBudget(t *testing.T) {
 	b := gen.ER(300, 5, 22)
 	st := multiplyBands(t, a, b, matrix.ReferenceMultiply(a, b), 3,
 		Options{Workspace: NewWorkspace(), MemoryBudgetBytes: 8 << 10})
-	if st.NPanels < 2*3 {
-		t.Fatalf("expected the budget to tile every band, NPanels=%d over 3 bands", st.NPanels)
+	if st.NGroups < 2*3 {
+		t.Fatalf("expected the budget to cut every band's bins, NGroups=%d over 3 bands", st.NGroups)
 	}
 }

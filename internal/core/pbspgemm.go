@@ -34,12 +34,14 @@
 //     across calls (grow-only), so repeated multiplications run with zero
 //     steady-state heap allocations instead of re-allocating the
 //     flops×16-byte expansion every call.
-//   - Options.MemoryBudgetBytes tiles A's columns into panels whose expanded
-//     tuples fit the budget; each panel runs expand-sort-compress into
-//     per-bin folded runs, and after the last panel each bin's runs are
-//     gathered in panel order and folded by the same kernels into the same
-//     canonical CSR the single-shot path produces (panels.go). This serves
-//     products whose flops×16 expansion exceeds RAM.
+//   - Options.MemoryBudgetBytes cuts the bins — row ranges of C — into
+//     contiguous groups whose expanded tuples fit the budget, and runs the
+//     four phases once per group: expand takes only the entries of A whose
+//     row falls in the group, and the group's bins fold and assemble into
+//     the output's next rows. Every bin still folds all its tuples once, so
+//     a budgeted product is the unbudgeted one, bit for bit. This serves
+//     products whose flops×16 expansion exceeds RAM, as ESC bounds its memory
+//     by batching output rows (Dalton, Olson and Bell, ACM TOMS 2015).
 package core
 
 import (
@@ -148,9 +150,8 @@ func (l Layout) TupleBytes() int64 {
 	return 0
 }
 
-// tupleBytes is the conservative (wide) per-tuple cost panel tiling against
-// MemoryBudgetBytes and the flop rule of the bin count both use, so panels and
-// the flop rule's bins are the same for every layout.
+// tupleBytes is the conservative (wide) per-tuple cost the flop rule of the
+// bin count uses, so its bins are the same for every layout.
 const tupleBytes = WideTupleBytes
 
 // Options tunes PB-SpGEMM. The zero value selects the paper's defaults.
@@ -175,13 +176,13 @@ type Options struct {
 	L2CacheBytes int
 	// MemoryBudgetBytes caps the expanded-tuple buffer — the flops×16-byte
 	// working set that dominates PB-SpGEMM's footprint. When positive and
-	// smaller than flops×16, A's columns are tiled into panels whose
-	// expanded tuples each fit the budget, and the per-panel folded runs are
-	// gathered per bin and folded once more into the final CSR. 0 means
-	// unlimited (one panel, the paper's single-shot algorithm). The budget is
-	// best-effort: one column of A is the smallest schedulable unit, so a
-	// single column whose outer product alone exceeds the budget still runs
-	// as its own panel.
+	// smaller than the run's tuples, the bins are cut into contiguous groups
+	// (row ranges of C) whose expanded tuples each fit the budget, and each
+	// group runs expand, fold and assemble on its own rows. The bytes do not
+	// depend on it. 0 means unlimited (one group, the paper's single-shot
+	// algorithm). A budget under L2CacheBytes also sizes the flop rule's bins.
+	// The budget is best-effort: one bin is the smallest schedulable unit, so
+	// a bin whose tuples alone exceed the budget still runs as its own group.
 	MemoryBudgetBytes int64
 	// Workspace, if non-nil, supplies grow-only pooled buffers reused across
 	// calls (zero steady-state allocations when Threads == 1). The returned
@@ -190,8 +191,8 @@ type Options struct {
 	Workspace *Workspace
 	// Cancel, if non-nil, is polled at phase boundaries and inside the long
 	// phase loops: per column chunk in expand (every ~cancelPollTuples
-	// expanded tuples), per task in the fuse phase, per bin in assemble and
-	// the budgeted gather. A non-nil return aborts the multiplication with that
+	// expanded tuples), per task in the fuse phase, per bin in assemble. A
+	// non-nil return aborts the multiplication with that
 	// error; workers drain to the next poll before the join, so no goroutines
 	// leak. The public API wires context.Context.Err here.
 	Cancel func() error
@@ -214,20 +215,15 @@ type Stats struct {
 	Symbolic, Expand, Assemble time.Duration
 	// Fuse is the fused sort+fold phase: the paper's sort and compress
 	// phases, run as one pass per bin while the bin is in cache (fused.go).
-	Fuse time.Duration
-	// Merge is the copying a memory budget costs: appending each panel's
-	// folded runs to the run arena, then grouping and gathering them per bin.
-	// Nonzero only on budgeted (multi-panel) runs; their final fold over the
-	// gathered bins is charged to Fuse like a panel's.
-	Merge time.Duration
+	Fuse  time.Duration
 	Total time.Duration
 
 	Flops int64 // multiplications performed (nnz of C-hat)
 	NNZC  int64 // nonzeros in the final C
 	NBins int   // global bins used
-	// NPanels is the number of column panels the run was tiled into
-	// (1 unless MemoryBudgetBytes forced tiling).
-	NPanels int
+	// NGroups is the number of bin groups the run was cut into (1 unless
+	// MemoryBudgetBytes forced a cut).
+	NGroups int
 	CF      float64
 
 	// Layout is the expanded-tuple layout the run used: LayoutSqueezed
@@ -246,7 +242,7 @@ type Stats struct {
 	Kernel string
 
 	// SortOwned counts the bins the fuse phase folded under its parallel
-	// schedule (multi-threaded runs; summed over panels on budgeted runs).
+	// schedule (multi-threaded runs; summed over groups on budgeted runs).
 	// SortStolen is always 0: every bin folds whole on the worker that takes
 	// it, so no work is stolen. Both stay for the benchmark's
 	// core.sort_stolen_share.
@@ -300,9 +296,21 @@ type engine struct {
 	shared bool // ws is caller-owned: pool result CSR and Stats too
 
 	flops         int64
-	maxPanelFlops int64 // largest single panel's flop count
+	maxGroupFlops int64 // largest group's flop count: the tuple buffer's size
 	nbins         int
-	npanels       int
+	ngroups       int
+	group         int // the group running; its bins are [binLo, binHi)
+	binLo, binHi  int
+	// The columns the running group expands, j = 0, 1, …: its entries
+	// [colLo[j], colHi[j]) of a column of A, the row [rowLo[j], rowHi[j]) of B
+	// they meet, and their colFlops[j]. With one group these are views of A's
+	// ColPtr, B's RowPtr and the symbolic flops, a j per column; with more,
+	// of the group's spans (splitColumns) — only the columns its rows reach.
+	colLo, colHi  []int64
+	rowLo, rowHi  []int64
+	colFlops      []int64
+	outLen        int64  // output entries the groups before this one assembled
+	flopsDone     int64  // flops of the groups expanded so far, this one included
 	rowShift      uint   // bin = row>>rowShift (shift/mask replaces division; rows per bin = 1<<rowShift)
 	rowMask       uint32 // localRow = row&rowMask
 	colBits       uint
@@ -313,11 +321,11 @@ type engine struct {
 	tupleBytes    int64      // per-tuple cost of layout (16/12/8/4)
 	wideBytes     int64      // size of a wide tuple: 16, more when MultiplyWide's V is over 8 bytes
 	localCap      int32      // tuples per thread-private local bin
-	ntFlush       bool       // stream bin flushes with non-temporal stores (per panel)
+	ntFlush       bool       // stream bin flushes with non-temporal stores (per group)
 	scratchStride int64      // per-worker stride into the sort scratch planes
 
 	// What forEachBin's bin bodies read, as they capture nothing.
-	tally  []int64     // row counts the fuse phase tallies into; nil on a budgeted run's panels
+	tally  []int64     // row counts the fuse phase tallies into
 	result *matrix.CSR // assemble's output
 
 	// Fault containment and sub-phase cancellation (fault.go). phase names
@@ -403,6 +411,7 @@ func (e *engine) finish(c *matrix.CSR, err error) (*matrix.CSR, *Stats, error) {
 // (and a semiring's closures) between runs.
 func (e *engine) dropRefs() {
 	e.a, e.b, e.st, e.lay, e.f64Out, e.tally, e.result = nil, nil, nil, nil, nil, nil, nil
+	e.colLo, e.colHi, e.rowLo, e.rowHi = nil, nil, nil, nil
 	e.ws.kvF64.aVal, e.ws.kvF64.bVal = nil, nil
 	if e.ws.wide != nil {
 		e.ws.wide.unbind()
@@ -434,17 +443,16 @@ func (e *engine) run() (*matrix.CSR, error) {
 	e.phase = "plan"
 	e.st.Kernel = simd.Level()
 	e.symbolic()
-	e.planPanels()
 	e.planBins()
 	e.st.Symbolic = time.Since(t0)
 	e.st.Flops = e.flops
 	e.st.NBins = e.nbins
-	e.st.NPanels = e.npanels
+	e.st.NGroups = 1
 	e.st.Layout = e.layout
 	e.st.TupleBytes = e.tupleBytes
 
 	if e.flops == 0 {
-		c := e.newResult(0)
+		c := e.growResult(nil, 0)
 		e.st.Total = time.Since(totalStart)
 		return c, nil
 	}
@@ -452,13 +460,7 @@ func (e *engine) run() (*matrix.CSR, error) {
 		return nil, err
 	}
 
-	var c *matrix.CSR
-	var err error
-	if e.npanels == 1 {
-		c, err = e.runSingleShot()
-	} else {
-		c, err = e.runBudgeted()
-	}
+	c, err := e.runGroups()
 	if err != nil {
 		return nil, err
 	}
@@ -494,55 +496,69 @@ func (e *engine) run() (*matrix.CSR, error) {
 	return c, nil
 }
 
-// runSingleShot is the paper's algorithm: one panel covering all of A's
-// columns, folded and assembled from the tuple buffer.
-func (e *engine) runSingleShot() (*matrix.CSR, error) {
+// runGroups is the paper's algorithm, run once per bin group: plan, expand,
+// fold the group's bins with row tallies, and unpack them into the output's
+// next entries. With one group — no budget, or one the product fits — it is
+// the single-shot run, over all of A's columns whole. The row pointers are one
+// prefix sum over the tallies once every group is in.
+func (e *engine) runGroups() (*matrix.CSR, error) {
 	t0 := time.Now()
-	e.panelPlan(0, int(e.a.NumCols))
+	e.planWhole()
+	e.planGroups()
+	e.st.NGroups = e.ngroups
+	if e.ngroups > 1 {
+		if err := e.splitColumns(); err != nil {
+			return nil, err
+		}
+	}
 	if faultinject.Enabled {
 		faultinject.Fire(faultinject.SiteGrow, 0)
 	}
-	e.lay.growTuples(e, e.flops)
+	e.lay.growTuples(e, e.maxGroupFlops)
+	matrix.Grow(&e.ws.binOut, e.nbins)
+	e.tally = matrix.GrowInt64Zero(&e.ws.rowCounts, int(e.a.NumRows)+1)
 	e.st.Symbolic += time.Since(t0)
 
+	var c *matrix.CSR
+	for e.group = 0; e.group < e.ngroups; e.group++ {
+		if e.ngroups > 1 {
+			t0 = time.Now()
+			e.phase = "plan"
+			e.planGroup()
+			e.st.Symbolic += time.Since(t0)
+		}
+
+		t0 = time.Now()
+		e.phase = "expand"
+		e.expand()
+		e.flopsDone += e.ws.binStart[e.nbins]
+		e.st.Expand += time.Since(t0)
+		if err := e.canceled(); err != nil {
+			return nil, err
+		}
+
+		t0 = time.Now()
+		e.phase = "sort"
+		e.runSortPhase()
+		e.st.Fuse += time.Since(t0)
+		if err := e.canceled(); err != nil {
+			return nil, err
+		}
+
+		t0 = time.Now()
+		e.phase = "assemble"
+		c = e.assemble(c)
+		e.st.Assemble += time.Since(t0)
+		if err := e.canceled(); err != nil {
+			return nil, err
+		}
+	}
+	// The tallies hold per-row output counts; the parallel prefix turns them
+	// into row pointers (identical to the sequential scan — integer sums — and
+	// worth it on million-row outputs).
 	t0 = time.Now()
-	e.phase = "expand"
-	e.expandPanel(0)
-	e.st.Expand = time.Since(t0)
-	if err := e.canceled(); err != nil {
-		return nil, err
-	}
-	return e.foldAndAssemble()
-}
-
-// foldBins sorts and folds every bin ws.binStart lays out over the tuple
-// planes, leaving each bin's folded prefix in place and its length in
-// ws.binOut, and per-row output counts in rowCounts when that is non-nil, in
-// one pass per bin (fused.go).
-func (e *engine) foldBins(rowCounts []int64) error {
-	t0 := time.Now()
-	e.phase = "sort"
-	matrix.Grow(&e.ws.binOut, e.nbins)
-	e.tally = rowCounts
-	e.runSortPhase()
-	e.st.Fuse += time.Since(t0)
-	return e.canceled()
-}
-
-// foldAndAssemble is the tail every run ends in: fold the bins of the tuple
-// planes — one panel's expansion, or a budgeted run's gathered runs — with
-// row tallies, and assemble the folded prefixes into the result.
-func (e *engine) foldAndAssemble() (*matrix.CSR, error) {
-	if err := e.foldBins(matrix.GrowInt64Zero(&e.ws.rowCounts, int(e.a.NumRows)+1)); err != nil {
-		return nil, err
-	}
-	t0 := time.Now()
-	e.phase = "assemble"
-	c := e.assemble()
-	e.st.Assemble = time.Since(t0)
-	if err := e.canceled(); err != nil {
-		return nil, err
-	}
+	par.PrefixSumParallel(e.tally[1:int(e.a.NumRows)+1], c.RowPtr, e.opt.Threads)
+	e.st.Assemble += time.Since(t0)
 	return c, nil
 }
 
@@ -571,32 +587,118 @@ func (e *engine) symbolic() {
 	e.colBits = colBitsFor(e.b.NumCols)
 }
 
-// planPanels tiles A's columns into contiguous panels whose expanded-tuple
-// footprint (panel flops × 16 bytes) fits MemoryBudgetBytes. With no budget
-// (or a budget the whole product fits) there is exactly one panel.
-func (e *engine) planPanels() {
+// planWhole plans the whole product as one group: every column of A, every
+// bin. It is a single-shot run's plan, and the per-bin counts planGroups cuts.
+func (e *engine) planWhole() {
 	k := int(e.a.NumCols)
-	cf := e.ws.colFlops
-	ps := e.ws.panelStart[:0]
-	ps = append(ps, 0)
-	budgetTuples := e.opt.MemoryBudgetBytes / e.wideBytes
-	if e.opt.MemoryBudgetBytes <= 0 || e.flops <= budgetTuples {
-		ps = append(ps, k)
-		e.maxPanelFlops = e.flops
+	e.colLo, e.colHi, e.rowLo, e.rowHi = e.a.ColPtr[:k], e.a.ColPtr[1:], e.b.RowPtr[:k], e.b.RowPtr[1:]
+	e.colFlops = e.ws.colFlops
+	e.binLo, e.binHi = 0, e.nbins
+	e.expandPlan()
+}
+
+// planGroups cuts the bins into contiguous groups whose expanded tuples — the
+// per-bin flops expandPlan counted over the whole product, at the layout's
+// tuple bytes — fit MemoryBudgetBytes, leaving their bin boundaries in
+// ws.groupStart. A bin over the budget by itself runs alone (with any empty
+// bins after it). With no budget, or a budget the whole product fits, there
+// is exactly one group, and the whole product's plan is its plan.
+func (e *engine) planGroups() {
+	bs := e.ws.binStart
+	gs := append(e.ws.groupStart[:0], 0)
+	budget := e.opt.MemoryBudgetBytes / e.tupleBytes // in tuples
+	if e.opt.MemoryBudgetBytes <= 0 || e.flops <= budget {
+		e.maxGroupFlops = e.flops
 	} else {
 		var cur, maxf int64
-		for i := 0; i < k; i++ {
-			if cur > 0 && cur+cf[i] > budgetTuples {
-				ps = append(ps, i)
-				maxf, cur = max(maxf, cur), 0
+		for bin := 0; bin < e.nbins; bin++ {
+			f := bs[bin+1] - bs[bin]
+			if f > 0 && cur > 0 && cur+f > budget {
+				gs, maxf, cur = append(gs, bin), max(maxf, cur), 0
 			}
-			cur += cf[i]
+			cur += f
 		}
-		ps = append(ps, k)
-		e.maxPanelFlops = max(maxf, cur)
+		e.maxGroupFlops = max(maxf, cur)
 	}
-	e.ws.panelStart = ps
-	e.npanels = len(ps) - 1
+	e.ws.groupStart = append(gs, e.nbins)
+	e.ngroups = len(e.ws.groupStart) - 1
+}
+
+// splitColumns cuts each column of A whose row of B is not empty into spans,
+// one per group its rows reach, and lays the spans out group by group in
+// ws.spans — four planes: colLo, colHi, rowLo, rowHi — with the groups'
+// boundaries in ws.spanStart. A's rows ascend in every column (CSC.Validate;
+// every conversion the entry points make keeps them so), so a column's
+// entries in one group are contiguous, a group's spans come in ascending
+// column order, and a group expands its columns in the order the single-shot
+// run does; the spans total at most nnz(A). A column whose rows do not ascend
+// across groups is an error.
+func (e *engine) splitColumns() error {
+	a, b, ws, gs := e.a, e.b, e.ws, e.ws.groupStart
+	group := matrix.Grow(&ws.binGroup, e.nbins)
+	for g := range e.ngroups {
+		for bin := gs[g]; bin < gs[g+1]; bin++ {
+			group[bin] = int32(g)
+		}
+	}
+	starts := matrix.GrowInt64Zero(&ws.spanStart, e.ngroups+1)
+	var n int64
+	// Pass 0 counts each group's spans into starts[g+1]; pass 1 writes them,
+	// with starts[g] as group g's cursor.
+	for pass := 0; pass < 2; pass++ {
+		if pass == 1 {
+			for g := range e.ngroups {
+				starts[g+1] += starts[g]
+			}
+			n = starts[e.ngroups]
+			growVals(&ws.spans, 4*n)
+		}
+		for i := range int(a.NumCols) {
+			if b.RowPtr[i] == b.RowPtr[i+1] {
+				continue
+			}
+			prev := int32(-1)
+			for p, end := a.ColPtr[i], a.ColPtr[i+1]; p < end; {
+				g := group[uint32(a.RowIdx[p])>>e.rowShift]
+				if g < prev {
+					return fmt.Errorf("core: column %d of A is not sorted by row", i)
+				}
+				q := p + 1
+				for q < end && group[uint32(a.RowIdx[q])>>e.rowShift] == g {
+					q++
+				}
+				if pass == 0 {
+					starts[g+1]++
+				} else {
+					r := starts[g]
+					starts[g]++
+					ws.spans[r], ws.spans[n+r], ws.spans[2*n+r], ws.spans[3*n+r] = p, q, b.RowPtr[i], b.RowPtr[i+1]
+				}
+				p, prev = q, g
+			}
+		}
+	}
+	// Each cursor ended on the next group's start; rotate them back.
+	copy(starts[1:], starts[:e.ngroups])
+	starts[0] = 0
+	return nil
+}
+
+// planGroup lays out the running group of a run with several: its bins, its
+// columns (splitColumns' spans), their flops, and from those expandPlan's
+// offsets and thread boundaries, balanced on the group's own flops.
+func (e *engine) planGroup() {
+	ws := e.ws
+	e.binLo, e.binHi = ws.groupStart[e.group], ws.groupStart[e.group+1]
+	s, t := ws.spanStart[e.group], ws.spanStart[e.group+1]
+	n := int64(len(ws.spans) / 4)
+	e.colLo, e.colHi = ws.spans[s:t], ws.spans[n+s:n+t]
+	e.rowLo, e.rowHi = ws.spans[2*n+s:2*n+t], ws.spans[3*n+s:3*n+t]
+	e.colFlops = ws.colFlops[:t-s] // a group has a span a column at most
+	for j := range e.colFlops {
+		e.colFlops[j] = (e.colHi[j] - e.colLo[j]) * (e.rowHi[j] - e.rowLo[j])
+	}
+	e.expandPlan()
 }
 
 // binGeometry is the bin shape planBinGeometry derives: nbins bins of
@@ -607,9 +709,11 @@ type binGeometry struct {
 }
 
 // planBinGeometry derives the bin geometry (Algorithm 3 line 6) from the
-// largest panel's flop count, so each panel's bins fit the L2 budget during
-// sorting. rowsPerBin is rounded up to a power of two so the expand hot loop
-// derives bin and local row with shift/mask instead of an integer division
+// product's flop count, so each bin fits the L2 budget during sorting — or
+// a memory budget, where that is smaller: the one place a budget moves the
+// bins, so that a budget under L2 still leaves bins to cut into groups.
+// rowsPerBin is rounded up to a power of two so the expand hot loop derives
+// bin and local row with shift/mask instead of an integer division
 // per flop; nbins is recomputed so bins still exactly tile the rows. The flop
 // rule always uses the wide 16-byte tuple cost; only the dense cut below reads
 // the run's own, runTupleBytes.
@@ -637,7 +741,7 @@ type binGeometry struct {
 // explicit NBins if it has to (ER 2^20·d2 runs 256 bins of 12+20 bits, not
 // the flop rule's 64 of 14+20), up to maxKey32Bins — and 64 for the wide
 // one, where it never cuts. Bytes never depend on the geometry.
-func planBinGeometry(rows int32, maxPanelFlops int64, colBits, keyBits uint, runTupleBytes int64, opt Options) binGeometry {
+func planBinGeometry(rows int32, flops int64, colBits, keyBits uint, runTupleBytes int64, opt Options) binGeometry {
 	// The auto value is capped at 2048: the paper uses 1K-2K bins in
 	// practice (Section V-A) because each thread also keeps one local bin
 	// per global bin, and nbins*LocalBinBytes must stay within the cache for
@@ -646,14 +750,18 @@ func planBinGeometry(rows int32, maxPanelFlops int64, colBits, keyBits uint, run
 	const maxAutoBins = 2048
 	nbins := int64(opt.NBins)
 	if nbins <= 0 {
-		nbins = min((maxPanelFlops*tupleBytes+int64(opt.L2CacheBytes)-1)/int64(opt.L2CacheBytes), maxAutoBins)
+		per := int64(opt.L2CacheBytes)
+		if b := opt.MemoryBudgetBytes; b > 0 && b < per {
+			per = b
+		}
+		nbins = min((flops*tupleBytes+per-1)/per, maxAutoBins)
 	}
 	if nbins = max(nbins, 1); rows <= 0 {
 		return binGeometry{nbins: int(nbins)}
 	}
 	shift := bits.Len64(uint64((int64(rows)+nbins-1)/nbins - 1)) // ceil(log2(rows per bin))
 	binsAt := func(s int) int64 { return (int64(rows) + 1<<s - 1) >> s }
-	perBin := func(s int) int { return int((maxPanelFlops + binsAt(s) - 1) / binsAt(s)) }
+	perBin := func(s int) int { return int((flops + binsAt(s) - 1) / binsAt(s)) }
 	maxBins, l2 := int64(min(maxAutoBins, opt.L2CacheBytes/opt.LocalBinBytes)), int64(opt.L2CacheBytes)
 	if opt.NBins <= 0 && radix.Passes(perBin(shift), shift+int(colBits)) > 2 {
 		for s := shift - 1; s >= 0 && binsAt(s) <= maxBins && perBin(s) >= radix.FullDigitTuples; s-- {
@@ -675,9 +783,8 @@ func planBinGeometry(rows int32, maxPanelFlops int64, colBits, keyBits uint, run
 	return binGeometry{nbins: int(binsAt(shift)), rowShift: uint(shift)}
 }
 
-// planBins fixes the run's bin geometry for its layout. Bins are fixed row
-// ranges of A, identical across panels, which is what lets per-panel runs
-// merge bin-by-bin.
+// planBins fixes the run's bin geometry for its layout: fixed row ranges of
+// C, which a budgeted run cuts into groups (planGroups).
 func (e *engine) planBins() {
 	// Section III-D key squeezing: the in-bin local row id needs rowShift
 	// bits, so the packed key fits a uint32 whenever rowShift + colBits ≤ 32.
@@ -690,7 +797,7 @@ func (e *engine) planBins() {
 	if !e.key32 {
 		e.tupleBytes = e.wideBytes
 	}
-	g := planBinGeometry(e.a.NumRows, e.maxPanelFlops, e.colBits, keyBits, e.tupleBytes, e.opt)
+	g := planBinGeometry(e.a.NumRows, e.flops, e.colBits, keyBits, e.tupleBytes, e.opt)
 	e.nbins = g.nbins
 	e.rowShift = g.rowShift
 	e.rowMask = uint32(int64(1)<<g.rowShift - 1)
@@ -783,30 +890,30 @@ func colBitsFor(bCols int32) uint {
 	return uint(max(bits.Len32(uint32(max(bCols, 1)-1)), 1))
 }
 
-// panelPlan computes per-bin flop counts for columns [lo, hi) of A with one
-// pass over the panel's nonzeros, leaving the exclusive prefix in
-// ws.binStart and flop-balanced thread boundaries (relative to lo) in
-// ws.colBounds. The per-thread × per-bin counts are exact — each worker's
-// expand range is fixed by colBounds — so they are converted in place into
-// exclusive write offsets: thread t's tuples for bin b land at
-// binStart[b] + Σ_{t'<t} count(t', b). Expand then needs no atomic cursors,
-// flushes are plain copies into pre-reserved ranges, and the tuple order in
-// every bin is the sequential column order at any thread count
-// (contention-free, deterministic expand). Returns the panel's flop count.
-func (e *engine) panelPlan(lo, hi int) int64 {
+// expandPlan computes per-bin flop counts for the running group's columns
+// (engine.colLo) with one pass over their entries of A, leaving the exclusive
+// prefix in ws.binStart and flop-balanced thread boundaries over
+// engine.colFlops in ws.colBounds. The per-thread × per-bin
+// counts are exact — each worker's expand range is fixed by colBounds — so
+// they are converted in place into exclusive write offsets: thread t's tuples
+// for bin b land at binStart[b] + Σ_{t'<t} count(t', b). Expand then needs no
+// atomic cursors, flushes are plain copies into pre-reserved ranges, and the
+// tuple order in every bin is the sequential column order at any thread
+// count (contention-free, deterministic expand).
+func (e *engine) expandPlan() {
 	nbins := e.nbins
 	threads := e.opt.Threads
 	binFlops := matrix.GrowInt64Zero(&e.ws.binFlops, nbins)
 	e.ws.colBounds = par.BalancedBoundariesInto(
-		e.ws.colFlops[lo:hi], threads, matrix.Grow(&e.ws.colBounds, threads+1))
+		e.colFlops, threads, matrix.Grow(&e.ws.colBounds, threads+1))
 	var pt []int64
 	if threads == 1 {
-		e.countPanelBins(lo, hi, binFlops)
+		e.countBins(0, len(e.colLo), binFlops)
 	} else {
 		pt = matrix.GrowInt64Zero(&e.ws.perThread, threads*nbins)
 		bounds := e.ws.colBounds
 		par.ParallelRun(threads, func(t int) {
-			e.countPanelBins(lo+bounds[t], lo+bounds[t+1], pt[t*nbins:(t+1)*nbins])
+			e.countBins(bounds[t], bounds[t+1], pt[t*nbins:(t+1)*nbins])
 		})
 		for t := 0; t < threads; t++ {
 			local := pt[t*nbins : (t+1)*nbins]
@@ -815,7 +922,7 @@ func (e *engine) panelPlan(lo, hi int) int64 {
 			}
 		}
 	}
-	total := par.PrefixSum(binFlops, matrix.Grow(&e.ws.binStart, nbins+1))
+	par.PrefixSum(binFlops, matrix.Grow(&e.ws.binStart, nbins+1))
 	// Exclusive per-thread write offsets, computed in place over pt (the
 	// counts are consumed as they are replaced). ws.cursors is scratch here;
 	// with one thread it is reset below to binStart and used directly as the
@@ -830,39 +937,38 @@ func (e *engine) panelPlan(lo, hi int) int64 {
 		}
 	}
 	copy(cursors, e.ws.binStart[:nbins])
-	return total
 }
 
-func (e *engine) countPanelBins(lo, hi int, binFlops []int64) {
-	a, b, shift := e.a, e.b, e.rowShift
-	for i := lo; i < hi; i++ {
-		bRow := b.RowNNZ(int32(i))
+func (e *engine) countBins(lo, hi int, binFlops []int64) {
+	a, shift := e.a, e.rowShift
+	for j := lo; j < hi; j++ {
+		bRow := e.rowHi[j] - e.rowLo[j]
 		if bRow == 0 {
 			continue
 		}
-		for p := a.ColPtr[i]; p < a.ColPtr[i+1]; p++ {
+		for p := e.colLo[j]; p < e.colHi[j]; p++ {
 			binFlops[uint32(a.RowIdx[p])>>shift] += bRow
 		}
 	}
 }
 
-// expandPanel runs the outer-product expansion with propagation blocking
-// (Algorithm 2 lines 5–18) over the panel starting at column lo, writing
-// into the tuple buffer at the offsets ws.binStart laid out. Global-bin
-// space was exactly pre-sized by panelPlan, and each worker owns an
-// exclusive pre-reserved range per bin (its row of ws.perThread), so a flush
-// is a plain bulk copy (the paper's MemCopy) with no atomic reservation —
+// expand runs the outer-product expansion with propagation blocking
+// (Algorithm 2 lines 5–18) over the running group's entries of A, writing
+// into the tuple buffer at the offsets ws.binStart laid out. Global-bin space
+// was exactly pre-sized by expandPlan, and each worker owns an exclusive
+// pre-reserved range per bin (its row of ws.perThread), so a flush is a plain
+// bulk copy (the paper's MemCopy) with no atomic reservation —
 // contention-free, and the resulting tuple order is identical at any thread
 // count.
-func (e *engine) expandPanel(lo int) {
+func (e *engine) expand() {
 	threads := e.opt.Threads
 	nbins := e.nbins
 	localTuples := int64(threads) * int64(nbins) * int64(e.localCap)
 	e.lay.growLocals(e, localTuples)
 	lens := matrix.Grow(&e.ws.localLens, threads*nbins)
 	// Every local bin starts filling at its cursor's phase (flushSpan).
-	// panelPlan left the lone worker's cursors in ws.cursors and the workers'
-	// rows of exclusive offsets in ws.perThread.
+	// expandPlan left the lone worker's cursors in ws.cursors and the
+	// workers' rows of exclusive offsets in ws.perThread.
 	cursors := e.ws.cursors
 	if threads > 1 {
 		cursors = e.ws.perThread
@@ -870,16 +976,16 @@ func (e *engine) expandPanel(lo int) {
 	for i, c := range cursors[:threads*nbins] {
 		lens[i] = flushPhase(c)
 	}
-	// Flush with non-temporal stores only when this panel's tuple arena
+	// Flush with non-temporal stores only when this group's tuple arena
 	// clearly outgrows the LLC: that is where a plain store's
 	// read-for-ownership is real DRAM traffic whole-line NT stores avoid
 	// (36 ms against copy()'s 48 on the 228 MB arena of BENCHMARK.json's
 	// rmat_skew product, 18 against 19 on er_lowcf's 50 MB). On smaller
-	// panels the two are a wash and the lines stay cached for the sort's
+	// arenas the two are a wash and the lines stay cached for the sort's
 	// read-back, so those keep copy().
 	e.ntFlush = simd.HasNT && e.ws.binStart[nbins]*e.tupleBytes >= ntMinArenaBytes
 	if threads == 1 {
-		e.lay.expandRange(e, 0, lo, cursors)
+		e.lay.expandRange(e, 0, cursors)
 		e.fenceFlushes()
 	} else {
 		par.ParallelRun(threads, func(t int) {
@@ -887,7 +993,7 @@ func (e *engine) expandPanel(lo int) {
 			// expand worker latches the abort and its siblings bail at
 			// their next sub-phase poll instead of finishing their ranges.
 			defer e.containWorker(t)
-			e.lay.expandRange(e, t, lo, cursors[t*nbins:(t+1)*nbins])
+			e.lay.expandRange(e, t, cursors[t*nbins:(t+1)*nbins])
 			// NT flush stores are weakly ordered: fence before the join so
 			// the sort phase (any worker) sees every tuple.
 			e.fenceFlushes()
@@ -903,42 +1009,40 @@ func (e *engine) fenceFlushes() {
 	}
 }
 
-// ntMinArenaBytes is the smallest per-panel tuple arena that flushes with
-// non-temporal stores (expandPanel). 32 MiB sits safely above typical LLCs;
-// a variable (not const) so tests can force the NT path on small inputs.
+// ntMinArenaBytes is the smallest per-group tuple arena that flushes with
+// non-temporal stores (expand). 32 MiB sits safely above typical LLCs; a
+// variable (not const) so tests can force the NT path on small inputs.
 var ntMinArenaBytes int64 = 32 << 20
 
-// assemble builds canonical CSR from the folded bins of the tuple planes
-// (each bin's prefix starts at its ws.binStart offset). Bins hold disjoint
+// assemble unpacks the running group's folded bins (each bin's prefix starts
+// at its ws.binStart offset) into the result's next entries, growing it by
+// the group's nnz — allocating it on a run's first group. Bins hold disjoint
 // ascending row ranges and each bin is sorted, so folded tuples are already
-// in global CSR order; assembly is two prefix sums plus one parallel
-// unpacking copy. ws.binOut and ws.rowCounts must be populated.
-func (e *engine) assemble() *matrix.CSR {
-	nnzc := par.PrefixSum(e.ws.binOut, matrix.Grow(&e.ws.binOutStart, e.nbins+1))
-
-	c := e.newResult(nnzc)
-	// rowCounts[1:] holds per-row output counts; the parallel prefix turns
-	// them into row pointers (identical to the sequential scan — integer
-	// sums — and worth it on million-row outputs).
-	par.PrefixSumParallel(e.ws.rowCounts[1:int(e.a.NumRows)+1], c.RowPtr, e.opt.Threads)
+// in global CSR order, and the groups come in row order too; the row
+// pointers wait for the last group (runGroups). ws.binOut must be populated.
+func (e *engine) assemble(c *matrix.CSR) *matrix.CSR {
+	lo, hi := e.binLo, e.binHi
+	nnz := par.PrefixSum(e.ws.binOut[lo:hi], matrix.Grow(&e.ws.binOutStart, e.nbins+1)[lo:hi+1])
+	c = e.growResult(c, e.outLen+nnz)
 	e.result = c
 	e.forEachBin(faultinject.SiteAssembleBin, func(e *engine, _, bin int) {
 		ws := e.ws
-		e.lay.unpackBin(e, e.result, ws.binStart[bin], ws.binOutStart[bin], ws.binOut[bin])
+		e.lay.unpackBin(e, e.result, ws.binStart[bin], e.outLen+ws.binOutStart[bin], ws.binOut[bin])
 	})
-	// An aborted assemble returns a partial c; the caller's post-phase
+	// An aborted assemble leaves a partial c; the caller's post-phase
 	// canceled() check discards it.
+	e.outLen += nnz
 	return c
 }
 
-// forEachBin runs do on every bin, polling cancellation and firing site
-// before each: in bin order on the calling goroutine at Threads == 1 (no
-// scheduler, no allocation), else one bin per iteration of a dynamic
-// parallel-for whose workers are contained (fault.go). do reads its state from
-// the engine: a closure that captured it would escape to the heap.
+// forEachBin runs do on every bin of the running group, polling cancellation
+// and firing site before each: in bin order on the calling goroutine at
+// Threads == 1 (no scheduler, no allocation), else one bin per iteration of a
+// dynamic parallel-for whose workers are contained (fault.go). do reads its
+// state from the engine: a closure that captured it would escape to the heap.
 func (e *engine) forEachBin(site faultinject.Site, do func(e *engine, worker, bin int)) {
 	if e.opt.Threads == 1 {
-		for bin := 0; bin < e.nbins && !e.pollCancel(); bin++ {
+		for bin := e.binLo; bin < e.binHi && !e.pollCancel(); bin++ {
 			if faultinject.Enabled {
 				faultinject.Fire(site, 0)
 			}
@@ -946,7 +1050,7 @@ func (e *engine) forEachBin(site faultinject.Site, do func(e *engine, worker, bi
 		}
 		return
 	}
-	par.ForEachDynamic(e.nbins, e.opt.Threads, func(worker, bin int) {
+	par.ForEachDynamic(e.binHi-e.binLo, e.opt.Threads, func(worker, i int) {
 		defer e.containWorker(worker)
 		if e.pollCancel() {
 			return
@@ -954,33 +1058,28 @@ func (e *engine) forEachBin(site faultinject.Site, do func(e *engine, worker, bi
 		if faultinject.Enabled {
 			faultinject.Fire(site, worker)
 		}
-		do(e, worker, bin)
+		do(e, worker, e.binLo+i)
 	})
 }
 
-// newResult returns the output CSR: freshly allocated normally, or carved
-// from the workspace's pooled output arrays when the workspace is shared.
-// Value storage is the layout's call: Multiply's float64 layouts back c.Val,
-// narrow and MultiplyWide fill a typed out plane their entry point returns
-// beside a structural c, and pattern leaves the result structural (nil Val).
-func (e *engine) newResult(nnzc int64) *matrix.CSR {
-	rows, cols := e.a.NumRows, e.b.NumCols
-	var c *matrix.CSR
-	if e.shared {
-		ws := e.ws
-		ws.out = matrix.CSR{
-			NumRows: rows, NumCols: cols,
-			RowPtr: matrix.GrowInt64Zero(&ws.outRowPtr, int(rows)+1),
-			ColIdx: matrix.Grow(&ws.outColIdx, int(nnzc)),
-		}
-		c = &ws.out
-	} else {
-		c = &matrix.CSR{
-			NumRows: rows, NumCols: cols,
-			RowPtr: make([]int64, int(rows)+1),
-			ColIdx: make([]int32, nnzc),
+// growResult sizes the output for nnzc entries. A run's first group gets it
+// fresh — carved from the workspace's pooled output arrays when the
+// workspace is shared — and a later group extends it, keeping what the groups
+// before it wrote. Value storage is the layout's call: Multiply's float64
+// layouts back c.Val, narrow and MultiplyWide fill a typed out plane their
+// entry point returns beside a structural c, and pattern leaves the result
+// structural (nil Val).
+func (e *engine) growResult(c *matrix.CSR, nnzc int64) *matrix.CSR {
+	if c == nil {
+		rows, cols := e.a.NumRows, e.b.NumCols
+		if e.shared {
+			e.ws.out = matrix.CSR{NumRows: rows, NumCols: cols, RowPtr: matrix.GrowInt64Zero(&e.ws.outRowPtr, int(rows)+1)}
+			c = &e.ws.out
+		} else {
+			c = &matrix.CSR{NumRows: rows, NumCols: cols, RowPtr: make([]int64, int(rows)+1)}
 		}
 	}
+	c.ColIdx = resultPlane(e, c.ColIdx, &e.ws.outColIdx, nnzc)
 	e.lay.growOut(e, c, nnzc)
 	if e.f64Out != nil {
 		// Multiply's float64 layouts: the out plane IS the result's Val, so
@@ -988,4 +1087,40 @@ func (e *engine) newResult(nnzc int64) *matrix.CSR {
 		c.Val = *e.f64Out
 	}
 	return c
+}
+
+// resultPlane sizes one plane of the result to n entries: fresh for a run's
+// first group (from pool on a shared workspace), cur extended with its
+// entries kept for a later one. A plane that must reallocate reserves
+// outCap(n).
+func resultPlane[V any](e *engine, cur []V, pool *[]V, n int64) []V {
+	if e.group == 0 {
+		cur = nil
+		if e.shared {
+			cur = (*pool)[:0]
+		}
+	}
+	if int64(cap(cur)) < n {
+		grown := make([]V, n, e.outCap(n))
+		copy(grown, cur)
+		cur = grown
+	}
+	cur = cur[:n]
+	if e.shared {
+		*pool = cur
+	}
+	return cur
+}
+
+// outCap is the capacity a result plane reallocated for n entries reserves:
+// room for the flops still to run at twice the entries a flop the groups so
+// far made, but never more than one entry a flop. A single group's is exactly
+// n. The early groups of a power-law product fold the most, so a plain
+// extrapolation falls short and regrows, and every regrowth copies and
+// faults in the entries before it: R-MAT 2^14·d16 squared in 10 groups
+// touched 3.1× its output that way, 1.75× at twice the rate, and 1.00× in 2
+// or 3 groups, reserving at most 1.18× (1.54× and 1.17× in 41 groups).
+func (e *engine) outCap(n int64) int64 {
+	rest := e.flops - e.flopsDone
+	return n + min(rest, int64(2*float64(n)*float64(rest)/float64(e.flopsDone)))
 }

@@ -14,35 +14,26 @@ import "pbspgemm/internal/matrix"
 // workspace; Clone the CSR to keep it.
 type Workspace struct {
 	// tupleKeys is the expanded-tuple key plane of every key32 layout
-	// (squeezed, narrow, pattern) for one column panel — with its value plane
+	// (squeezed, narrow, pattern) for one bin group — with its value plane
 	// (the kv pools below) the flops-sized allocation the unbudgeted
 	// single-shot algorithm makes per call. The wide layout's 16-byte tuples
 	// live in its own pool (wide). A run grows only the buffers of the layout
 	// it picked.
 	tupleKeys []uint32
 
-	// Budgeted-path buffers: folded per-(panel,bin) sorted runs, their
-	// metadata, and the planes the runs are gathered into per bin, which take
-	// the tuple planes' place for the run's tail (layoutOps.swapGathered) —
-	// per layout, like the tuple buffer.
-	runKeys     []uint32
-	gatherKeys  []uint32
-	runLen      int64   // tuples in the active layout's run arena
-	runStart    []int64 // run i occupies [runStart[i], runStart[i+1]) of the run arena
-	runBins     []int32 // global bin of run i
-	runIdx      []int32 // run ids grouped by bin, panel order within a bin
-	runIdxStart []int32 // group boundaries into runIdx, len nbins+1
-
 	// Plan and phase scratch.
 	colFlops []int64
 	binFlops []int64
 	// perThread holds the exact per-thread × per-bin tuple counts of the
-	// current panel, converted in place into each worker's exclusive write
+	// running group, converted in place into each worker's exclusive write
 	// offsets (and then consumed as its private expand cursors).
 	perThread   []int64
 	binStart    []int64
-	panelStart  []int // panel boundaries over A's columns, npanels+1
-	colBounds   []int // thread boundaries over the current panel's columns
+	groupStart  []int   // bin group boundaries, ngroups+1
+	binGroup    []int32 // the group of each bin (splitColumns)
+	spanStart   []int64 // a budgeted run's spans of group g are [spanStart[g], spanStart[g+1])
+	spans       []int64 // their four planes (splitColumns)
+	colBounds   []int   // thread boundaries over A's columns
 	cursors     []int64
 	binOut      []int64
 	binOutStart []int64
@@ -53,7 +44,7 @@ type Workspace struct {
 	localKeys []uint32
 	localLens []int32
 
-	// Sort-phase scratch, flattened threads × the current panel's largest
+	// Sort-phase scratch, flattened threads × the running group's largest
 	// sorted segment (engine.scratchStride), per layout; each worker's slice
 	// is private, so the stable scatter sorts never contend. scratchKeys is
 	// the pattern layout's key plane, scratchWords the kv layouts' two

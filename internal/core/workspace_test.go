@@ -2,50 +2,18 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"pbspgemm/internal/gen"
 	"pbspgemm/internal/matrix"
 )
 
-// onesLike returns a structural copy of m with every stored value 1.0.
-// Integer-valued sums below 2^53 are exact in float64, so products of such
-// matrices are independent of summation order — the property that lets the
-// budgeted path be asserted bit-identical to the single-shot path.
-func onesLike(m *matrix.CSR) *matrix.CSR {
-	out := m.Clone()
-	for i := range out.Val {
-		out.Val[i] = 1
-	}
-	return out
-}
-
-func bitIdentical(t *testing.T, want, got *matrix.CSR) {
-	t.Helper()
-	if want.NumRows != got.NumRows || want.NumCols != got.NumCols {
-		t.Fatalf("shape mismatch: %dx%d vs %dx%d", want.NumRows, want.NumCols, got.NumRows, got.NumCols)
-	}
-	if want.NNZ() != got.NNZ() {
-		t.Fatalf("nnz mismatch: %d vs %d", want.NNZ(), got.NNZ())
-	}
-	for i := range want.RowPtr {
-		if want.RowPtr[i] != got.RowPtr[i] {
-			t.Fatalf("RowPtr[%d]: %d vs %d", i, want.RowPtr[i], got.RowPtr[i])
-		}
-	}
-	for i := range want.ColIdx {
-		if want.ColIdx[i] != got.ColIdx[i] {
-			t.Fatalf("ColIdx[%d]: %d vs %d", i, want.ColIdx[i], got.ColIdx[i])
-		}
-		if want.Val[i] != got.Val[i] {
-			t.Fatalf("Val[%d]: %v vs %v", i, want.Val[i], got.Val[i])
-		}
-	}
-}
-
 // TestBudgetedBitIdenticalToSingleShot is the tentpole acceptance check: a
 // run with MemoryBudgetBytes far below the tuple-buffer size completes and
-// produces a CSR bit-identical to the unbudgeted result.
+// produces a CSR bit-identical to the unbudgeted result, real values
+// included: every bin folds all its tuples once, in ascending k, in whichever
+// group holds it.
 func TestBudgetedBitIdenticalToSingleShot(t *testing.T) {
 	inputs := []struct {
 		name string
@@ -53,59 +21,40 @@ func TestBudgetedBitIdenticalToSingleShot(t *testing.T) {
 	}{
 		{"ER", gen.ER(600, 6, 1), gen.ER(600, 6, 2)},
 		{"RMAT", gen.RMAT(9, 6, gen.Graph500Params, 3), gen.RMAT(9, 6, gen.Graph500Params, 4)},
+		{"ER500", gen.ER(500, 8, 11), gen.ER(500, 8, 12)},
 	}
 	for _, in := range inputs {
-		a, b := onesLike(in.a), onesLike(in.b)
-		acsc := a.ToCSC()
-		want, st0, err := Multiply(acsc, b, Options{})
+		acsc := in.a.ToCSC()
+		want, st0, err := Multiply(acsc, in.b, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st0.NPanels != 1 {
-			t.Fatalf("%s: unbudgeted run used %d panels", in.name, st0.NPanels)
+		if st0.NGroups != 1 {
+			t.Fatalf("%s: unbudgeted run used %d groups", in.name, st0.NGroups)
 		}
 		fullBytes := st0.Flops * tupleBytes
-		for _, budget := range []int64{fullBytes / 4, fullBytes / 16, fullBytes / 64, 1} {
+		for _, budget := range []int64{fullBytes / 4, fullBytes / 10, fullBytes / 16, fullBytes / 64, 1} {
 			t.Run(fmt.Sprintf("%s/budget=%d", in.name, budget), func(t *testing.T) {
-				got, st, err := Multiply(acsc, b, Options{MemoryBudgetBytes: budget})
+				got, st, err := Multiply(acsc, in.b, Options{MemoryBudgetBytes: budget})
 				if err != nil {
 					t.Fatal(err)
 				}
-				if st.NPanels < 2 {
-					t.Fatalf("budget %d did not tile: %d panels", budget, st.NPanels)
+				if st.NGroups < 2 {
+					t.Fatalf("budget %d did not cut the bins: %d groups", budget, st.NGroups)
 				}
 				if st.Flops != st0.Flops {
 					t.Fatalf("flops changed under budget: %d vs %d", st.Flops, st0.Flops)
 				}
-				bitIdentical(t, want, got)
+				if !csrBitIdentical(want, got) {
+					t.Fatal("budgeted product differs from the unbudgeted one")
+				}
 			})
 		}
 	}
 }
 
-// TestBudgetedFloatValuesClose checks the budgeted path on real-valued
-// inputs, where summation order may differ at rounding level.
-func TestBudgetedFloatValuesClose(t *testing.T) {
-	a := gen.ER(500, 8, 11).ToCSC()
-	b := gen.ER(500, 8, 12)
-	want, st0, err := Multiply(a, b, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, st, err := Multiply(a, b, Options{MemoryBudgetBytes: st0.Flops * tupleBytes / 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.NPanels < 2 {
-		t.Fatalf("expected tiling, got %d panels", st.NPanels)
-	}
-	if !matrix.Equal(want, got, 1e-9) {
-		t.Fatal("budgeted product differs from single-shot beyond tolerance")
-	}
-}
-
 // TestBudgetBoundsTupleBuffer verifies the budget actually caps the pooled
-// tuple buffer (modulo the one-column minimum panel size).
+// tuple buffer (modulo the one-bin minimum group).
 func TestBudgetBoundsTupleBuffer(t *testing.T) {
 	a := gen.ER(800, 6, 5)
 	acsc := a.ToCSC()
@@ -114,23 +63,36 @@ func TestBudgetBoundsTupleBuffer(t *testing.T) {
 	budget := flops * tupleBytes / 8
 
 	ws := NewWorkspace()
-	if _, _, err := Multiply(acsc, b, Options{Workspace: ws, MemoryBudgetBytes: budget}); err != nil {
+	opt := Options{Workspace: ws, MemoryBudgetBytes: budget}
+	if _, _, err := Multiply(acsc, b, opt); err != nil {
 		t.Fatal(err)
 	}
-	// Max per-column flops is the floor the one-column minimum imposes.
-	var maxCol int64
+	// The largest bin's tuples are the floor the one-bin minimum imposes.
+	g := planBinGeometry(acsc.NumRows, flops, colBitsFor(b.NumCols), 32, SqueezedTupleBytes, opt.withDefaults())
+	binFlops := make([]int64, g.nbins)
 	for j := int32(0); j < acsc.NumCols; j++ {
-		if f := acsc.ColNNZ(j) * b.RowNNZ(j); f > maxCol {
-			maxCol = f
+		for p := acsc.ColPtr[j]; p < acsc.ColPtr[j+1]; p++ {
+			binFlops[acsc.RowIdx[p]>>g.rowShift] += b.RowNNZ(j)
 		}
 	}
-	limit := budget
-	if maxCol*tupleBytes > limit {
-		limit = maxCol * tupleBytes
+	floor := slices.Max(binFlops) * SqueezedTupleBytes
+	if got := ws.TupleCapBytes(); got > max(budget, floor) {
+		t.Fatalf("tuple buffer %d bytes exceeds budget %d (one-bin floor %d)", got, budget, floor)
 	}
-	if got := ws.TupleCapBytes(); got > limit {
-		t.Fatalf("tuple buffer %d bytes exceeds budget %d (one-column floor %d)",
-			got, budget, maxCol*tupleBytes)
+}
+
+// TestBudgetedRejectsUnsortedColumns: bin groups take each column's entries
+// of A by ascending row, so a budgeted run of a CSC whose column rows do not
+// ascend returns an error instead of a product missing entries. The CSCs the
+// entry points convert always ascend.
+func TestBudgetedRejectsUnsortedColumns(t *testing.T) {
+	a := &matrix.CSC{NumRows: 8, NumCols: 2, ColPtr: []int64{0, 2, 3}, RowIdx: []int32{6, 1, 3}, Val: []float64{1, 2, 3}}
+	b := (&matrix.COO{NumRows: 2, NumCols: 8, Row: []int32{0, 0, 1}, Col: []int32{0, 3, 5}, Val: []float64{1, 1, 1}}).ToCSR()
+	if _, _, err := Multiply(a, b, Options{}); err != nil {
+		t.Fatalf("unbudgeted: %v", err)
+	}
+	if _, _, err := Multiply(a, b, Options{MemoryBudgetBytes: 1}); err == nil {
+		t.Fatal("a budgeted run over an unsorted column returned no error")
 	}
 }
 
@@ -165,8 +127,9 @@ func TestWorkspaceZeroSteadyStateAllocs(t *testing.T) {
 }
 
 // TestWorkspaceReuseAcrossShapes multiplies differently-shaped inputs
-// through one workspace, verifying results against the reference and that
-// shrinking inputs do not read stale pooled state.
+// through one budgeted workspace, verifying results against the unbudgeted
+// product on fresh buffers, bit for bit, and that shrinking inputs do not read
+// stale pooled state.
 func TestWorkspaceReuseAcrossShapes(t *testing.T) {
 	ws := NewWorkspace()
 	shapes := []struct {
@@ -177,13 +140,16 @@ func TestWorkspaceReuseAcrossShapes(t *testing.T) {
 	for _, s := range shapes {
 		a := gen.ER(s.n, s.d, s.seed)
 		b := gen.ER(s.n, s.d, s.seed+100)
-		want := matrix.ReferenceMultiply(a, b)
+		want, _, err := Multiply(a.ToCSC(), b, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
 		got, _, err := Multiply(a.ToCSC(), b, Options{Workspace: ws, MemoryBudgetBytes: 4 << 10})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !matrix.Equal(want, got, 1e-9) {
-			t.Fatalf("n=%d: workspace-pooled product differs from reference", s.n)
+		if !csrBitIdentical(want, got) {
+			t.Fatalf("n=%d: budgeted workspace-pooled product differs from the unbudgeted one", s.n)
 		}
 	}
 }

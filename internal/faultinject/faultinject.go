@@ -25,9 +25,6 @@ const (
 	// SiteFoldBin fires once per bin folded whole (the fused sort and fold of
 	// one bin), right before its kernel runs.
 	SiteFoldBin
-	// SiteMergeBin fires once per bin of a budgeted run's gather (its runs
-	// copied, in panel order, into one segment for the final fold).
-	SiteMergeBin
 	// SiteAssembleBin fires once per bin unpacked into the output CSR.
 	SiteAssembleBin
 	// SiteGrow fires before the engine grows its tuple arenas — the place a
@@ -65,8 +62,6 @@ func (s Site) String() string {
 		return "sort-task"
 	case SiteFoldBin:
 		return "fold-bin"
-	case SiteMergeBin:
-		return "merge-bin"
 	case SiteAssembleBin:
 		return "assemble-bin"
 	case SiteGrow:
@@ -145,7 +140,7 @@ type Plan struct {
 // chaos-suite failure replays from the integer alone. Only in-kernel sites
 // are drawn (the serve site needs an HTTP harness).
 func PlanFromSeed(seed uint64) Plan {
-	sites := [...]Site{SiteExpandColumn, SiteSortTask, SiteFoldBin, SiteMergeBin, SiteAssembleBin, SiteGrow}
+	sites := [...]Site{SiteExpandColumn, SiteSortTask, SiteFoldBin, SiteAssembleBin, SiteGrow}
 	return Plan{
 		Site:   sites[seed%uint64(len(sites))],
 		Hit:    int64(seed>>8%13) + 1,

@@ -7,7 +7,7 @@ import "testing"
 // [1, 13], any worker, panic mode — and the seeds reach every in-kernel site.
 func TestPlanFromSeedDeterministic(t *testing.T) {
 	kernelSites := map[Site]bool{SiteExpandColumn: true, SiteSortTask: true, SiteFoldBin: true,
-		SiteMergeBin: true, SiteAssembleBin: true, SiteGrow: true}
+		SiteAssembleBin: true, SiteGrow: true}
 	seen := map[Site]bool{}
 	for seed := uint64(0); seed < 4096; seed += 7 {
 		p, q := PlanFromSeed(seed), PlanFromSeed(seed)

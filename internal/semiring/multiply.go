@@ -19,9 +19,9 @@ type Options struct {
 	// Threads is the worker count of every phase; 0 means GOMAXPROCS.
 	Threads int
 	// MemoryBudgetBytes caps the expanded-tuple buffer
-	// (core.Options.MemoryBudgetBytes): columns are tiled into panels, and
-	// each bin's per-panel folded runs are gathered in panel order and folded
-	// once more with sr.Plus.
+	// (core.Options.MemoryBudgetBytes): the bins are cut into groups whose
+	// tuples fit, and each bin still folds once, so the bytes do not depend on
+	// it.
 	MemoryBudgetBytes int64
 	// Workspace, if non-nil, pools every buffer across calls. The tuple and
 	// value planes of a custom semiring are cached per element type T: reuse
@@ -284,8 +284,7 @@ func checkShapes[T any](rows, inner int32, b *CSRg[T], mask *matrix.CSR) error {
 // expand, a stable sort and sr.Plus fold each bin in arrival order, and a mask
 // (complement or, from the tests that hold the row kernel to it, plain)
 // filters each folded bin. With the fold order defined, a product is the same
-// at every thread count and budget whatever sr.Plus is: ascending k within a
-// panel, panels in order.
+// at every thread count and budget whatever sr.Plus is: ascending k.
 func multiplyGeneric[T any](sr Semiring[T], a *CSCg[T], b *CSRg[T], opt Options) (*CSRg[T], *core.Stats, error) {
 	alg := core.Algebra[T]{Times: core.Elementwise(sr.Times), Plus: sr.Plus}
 	if opt.Mask != nil {

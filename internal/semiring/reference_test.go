@@ -14,40 +14,23 @@ import (
 // referenceOver is the oracle that shares nothing with the implementation: a
 // map accumulator per output row, A walked by rows so the products of an entry
 // arrive in ascending k, the first one assigned and each later one folded in
-// with sr.Plus, then the mask. cuts are the k at which a memory budget starts
-// a new panel (panelCuts; none for a single-shot run): a budgeted run folds
-// each panel's products first and the panels' partial results, in order,
-// after — the one grouping a budget changes, visible wherever sr.Plus rounds.
-func referenceOver[T any](sr Semiring[T], a, b *CSRg[T], mask *matrix.CSR, complement bool, cuts ...int) *CSRg[T] {
+// with sr.Plus, then the mask. No budget changes that order.
+func referenceOver[T any](sr Semiring[T], a, b *CSRg[T], mask *matrix.CSR, complement bool) *CSRg[T] {
 	c := &CSRg[T]{NumRows: a.NumRows, NumCols: b.NumCols, RowPtr: make([]int64, a.NumRows+1)}
 	for r := int32(0); r < a.NumRows; r++ {
-		total, part := map[int32]T{}, map[int32]T{}
-		closePanel := func() {
-			for col, v := range part {
-				if t, ok := total[col]; ok {
-					v = sr.Plus(t, v)
-				}
-				total[col] = v
-			}
-			clear(part)
-		}
-		next := 0
+		acc := map[int32]T{}
 		for p := a.RowPtr[r]; p < a.RowPtr[r+1]; p++ {
 			k := a.ColIdx[p]
-			for ; next < len(cuts) && int(k) >= cuts[next]; next++ {
-				closePanel()
-			}
 			for q := b.RowPtr[k]; q < b.RowPtr[k+1]; q++ {
 				col, v := b.ColIdx[q], sr.Times(a.Val[p], b.Val[q])
-				if acc, ok := part[col]; ok {
-					v = sr.Plus(acc, v)
+				if sum, ok := acc[col]; ok {
+					v = sr.Plus(sum, v)
 				}
-				part[col] = v
+				acc[col] = v
 			}
 		}
-		closePanel()
-		cols := make([]int32, 0, len(total))
-		for col := range total {
+		cols := make([]int32, 0, len(acc))
+		for col := range acc {
 			stored := false
 			if mask != nil {
 				row := mask.ColIdx[mask.RowPtr[r]:mask.RowPtr[r+1]]
@@ -61,30 +44,11 @@ func referenceOver[T any](sr Semiring[T], a, b *CSRg[T], mask *matrix.CSR, compl
 		sort.Slice(cols, func(i, j int) bool { return cols[i] < cols[j] })
 		for _, col := range cols {
 			c.ColIdx = append(c.ColIdx, col)
-			c.Val = append(c.Val, total[col])
+			c.Val = append(c.Val, acc[col])
 		}
 		c.RowPtr[r+1] = int64(len(c.ColIdx))
 	}
 	return c
-}
-
-// panelCuts returns the k at which the pipeline starts each panel after the
-// first under budget: columns of A are taken greedily while their outer
-// products' tuples, at 16 bytes each, fit it.
-func panelCuts[T any](a *CSCg[T], b *CSRg[T], budget int64) (cuts []int) {
-	if budget <= 0 {
-		return nil
-	}
-	var cur int64
-	for k := int32(0); k < a.NumCols; k++ {
-		f := (a.ColPtr[k+1] - a.ColPtr[k]) * (b.RowPtr[k+1] - b.RowPtr[k])
-		if cur > 0 && cur+f > budget/16 {
-			cuts = append(cuts, int(k))
-			cur = 0
-		}
-		cur += f
-	}
-	return cuts
 }
 
 // sameAsReference holds got to the oracle: structure, and every value under eq.
@@ -107,10 +71,12 @@ func equal[T comparable](a, b T) bool { return a == b }
 func sameBits(a, b float64) bool      { return math.Float64bits(a) == math.Float64bits(b) }
 
 // overTable multiplies a·b over sr through MultiplyOpts — unmasked and under a
-// complement mask, at 1, 2 and 7 threads, single-shot and tiled into about 3
-// and 9 panels, on fresh buffers and on ws — and holds every product to
-// referenceOver. Every one of these runs internal/core's pipeline (a typed
-// fast path or the wide layout), so every one must also report its Stats.
+// complement mask, at 1, 2 and 7 threads, unbudgeted and under budgets of a
+// third and a ninth of its wide tuples, on fresh buffers and on ws — and holds
+// every product to referenceOver. Every one of these runs internal/core's
+// pipeline (a typed fast path or the wide layout), so every one must also
+// report its Stats, cut into bin groups exactly when its tuples pass the
+// budget.
 func overTable[T any](t *testing.T, sr Semiring[T], a, b, mask *matrix.CSR, lift func(float64) T,
 	eq func(a, b T) bool, ws *core.Workspace) {
 
@@ -119,17 +85,16 @@ func overTable[T any](t *testing.T, sr Semiring[T], a, b, mask *matrix.CSR, lift
 	ac := ar.ToCSC()
 	flops := Flops(ac, br)
 	for _, m := range []*matrix.CSR{nil, mask} {
-		for _, panels := range []int64{1, 3, 9} {
+		want := referenceOver(sr, ar, br, m, true)
+		for _, parts := range []int64{1, 3, 9} {
 			var budget int64
-			if panels > 1 {
-				budget = flops * 16 / panels
+			if parts > 1 {
+				budget = flops * 16 / parts
 			}
-			cuts := panelCuts(ac, br, budget)
-			want := referenceOver(sr, ar, br, m, true, cuts...)
 			for _, threads := range []int{1, 2, 7} {
 				for _, pool := range []*core.Workspace{nil, ws} {
-					what := fmt.Sprintf("%s, complement mask %v, %d panels, %d threads, pooled %v",
-						sr.Name, m != nil, len(cuts)+1, threads, pool != nil)
+					what := fmt.Sprintf("%s, complement mask %v, budget %d, %d threads, pooled %v",
+						sr.Name, m != nil, budget, threads, pool != nil)
 					var p Plan
 					got, err := MultiplyOpts(sr, ac, br, Options{Threads: threads, MemoryBudgetBytes: budget,
 						Workspace: pool, Mask: m, Complement: true, Plan: &p})
@@ -137,7 +102,8 @@ func overTable[T any](t *testing.T, sr Semiring[T], a, b, mask *matrix.CSR, lift
 						t.Fatalf("%s: %v", what, err)
 					}
 					sameAsReference(t, what, got, want, eq)
-					if p.Stats == nil || p.Stats.NPanels != len(cuts)+1 || p.Stats.NNZC != got.NNZ() {
+					if p.Stats == nil || (p.Stats.NGroups > 1) != (flops*p.Stats.TupleBytes > budget && budget > 0) ||
+						p.Stats.NNZC != got.NNZ() {
 						t.Fatalf("%s: plan %+v with stats %+v", what, p, p.Stats)
 					}
 					if (m != nil || sr.kind == kindGeneric) && (p.FastPath || p.Stats.Layout != core.LayoutWide) {
@@ -153,8 +119,8 @@ func overTable[T any](t *testing.T, sr Semiring[T], a, b, mask *matrix.CSR, lift
 // (and the four fast-path ones once more with their kind erased, through the
 // wide layout) on integer-valued inputs, where every fold is exact; then the
 // float64 ones on inputs of mixed magnitude, where the result shows the order
-// of the fold — defined since the wide layout sorts stably: ascending k within
-// a panel, panels in order, at every thread count, pooled or not.
+// of the fold — defined since the wide layout sorts stably: ascending k, at
+// every thread count and budget, pooled or not.
 func TestEverySemiringMatchesReference(t *testing.T) {
 	a, b, mask := intCSR(gen.ER(160, 6, 41)), intCSR(gen.ER(160, 6, 42)), gen.ER(160, 40, 43)
 	ws := core.NewWorkspace()

@@ -20,7 +20,7 @@ type Product struct {
 	// Bytes is the resident cost (csrBytes of C) the cache accounts.
 	Bytes int64
 	// Degraded reports the product ran under the server's degraded memory
-	// budget (tiled) after its full-speed footprint was inadmissible.
+	// budget after its full-speed footprint was inadmissible.
 	Degraded bool
 }
 

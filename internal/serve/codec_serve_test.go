@@ -136,7 +136,7 @@ func TestServerHandsAdmissionPlanToEngine(t *testing.T) {
 		t.Fatalf("masked run recorded as %+v after %+v", pb, before)
 	}
 
-	// Degraded: a server whose ceiling admits only the tiled footprint runs the
+	// Degraded: a server whose ceiling admits only the budgeted footprint runs the
 	// budgeted product on the plan degradation made for it: PB, as before.
 	deg, err := NewServer(Config{Engine: eng, MemoryCeilingBytes: tiled.PredictedFootprintBytes, DegradedBudgetBytes: degBudget})
 	if err != nil {
@@ -157,6 +157,6 @@ func TestServerHandsAdmissionPlanToEngine(t *testing.T) {
 		t.Fatalf("the degraded run was handed %+v, want the budgeted plan %+v", handed, tiled)
 	}
 	if dresp.Algorithm != pbspgemm.PB.String() {
-		t.Fatalf("degraded run ran %q, want PB (a budget is met by tiling)", dresp.Algorithm)
+		t.Fatalf("degraded run ran %q, want PB (a budget is met by bin groups)", dresp.Algorithm)
 	}
 }

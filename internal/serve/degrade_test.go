@@ -5,8 +5,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -17,8 +19,8 @@ import (
 
 // TestServerDegradedTiledRetry is the degradation-ladder acceptance: a
 // product whose full-speed footprint exceeds the ceiling, but whose budgeted
-// (tiled) footprint fits, is served degraded — 200, Degraded flagged, result
-// identical to the reference — instead of shed with 429.
+// footprint fits, is served degraded — 200, Degraded flagged, the full-speed
+// PB product's bytes — instead of shed with 429.
 func TestServerDegradedTiledRetry(t *testing.T) {
 	eng, err := pbspgemm.NewEngine()
 	if err != nil {
@@ -28,7 +30,7 @@ func TestServerDegradedTiledRetry(t *testing.T) {
 	b := pbspgemm.NewER(256, 8, 2)
 	const degBudget = 128 << 10
 
-	// Pick the ceiling from the planner itself: exactly the tiled footprint,
+	// Pick the ceiling from the planner itself: exactly the budgeted footprint,
 	// strictly under the full-speed one, so the ladder's two rungs separate.
 	full, err := eng.Plan(context.Background(), a, b)
 	if err != nil {
@@ -58,7 +60,7 @@ func TestServerDegradedTiledRetry(t *testing.T) {
 		t.Fatalf("degradable multiply: status %d body %s", rec.Code, rec.Body)
 	}
 	if !resp.Degraded {
-		t.Fatal("response does not report the degraded (tiled) run")
+		t.Fatal("response does not report the degraded (budgeted) run")
 	}
 	if calls := s.eng.Metrics().Calls; calls != 1 {
 		t.Fatalf("engine ran %d multiplies, want 1", calls)
@@ -67,7 +69,7 @@ func TestServerDegradedTiledRetry(t *testing.T) {
 		t.Fatalf("metrics report %d degraded requests, want 1", m.Degraded)
 	}
 
-	// The tiled product is the same product: binary output vs the reference.
+	// The budgeted product is the same product, fetched as binary output.
 	rec2 := do(s, httptest.NewRequest("POST", "/multiply",
 		strings.NewReader(fmt.Sprintf(`{"a":%q,"b":%q,"output":"binary"}`, ida, idb))))
 	if rec2.Code != http.StatusOK {
@@ -84,9 +86,30 @@ func TestServerDegradedTiledRetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !pbspgemm.EqualWithin(pbspgemm.Reference(a, b), got, 1e-9) {
-		t.Fatal("degraded product differs from reference")
+	// It is cached under the full-speed key, so it must be the full-speed
+	// product bit for bit, real values included.
+	fast, err := eng.Multiply(context.Background(), a, b, pbspgemm.WithAlgorithm(pbspgemm.PB))
+	if err != nil {
+		t.Fatal(err)
 	}
+	if !sameBitsCSR(fast.C, got) {
+		t.Fatal("degraded product differs from the full-speed PB product")
+	}
+}
+
+// sameBitsCSR reports whether a and b hold the same arrays, values compared by
+// their bits.
+func sameBitsCSR(a, b *pbspgemm.CSR) bool {
+	if a.NumRows != b.NumRows || a.NumCols != b.NumCols || !slices.Equal(a.RowPtr, b.RowPtr) ||
+		!slices.Equal(a.ColIdx, b.ColIdx) || len(a.Val) != len(b.Val) {
+		return false
+	}
+	for i := range a.Val {
+		if math.Float64bits(a.Val[i]) != math.Float64bits(b.Val[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // TestServerDegradationRespectsExplicitBudget: a request that pinned its own

@@ -46,10 +46,11 @@ type Config struct {
 	// DegradedBudgetBytes, when > 0, enables graceful degradation for
 	// requests whose full-speed predicted footprint alone exceeds the memory
 	// ceiling: instead of shedding immediately, the server re-plans the
-	// product with this per-call memory budget (column-panel tiling bounds
-	// the working set) and runs the slower tiled multiply if the degraded
-	// footprint fits. Requests that pin an explicit memory_budget_bytes are
-	// never overridden — they shed as before. Default 0 (disabled).
+	// product with this per-call memory budget (bin groups bound the working
+	// set; the bytes are the full-speed product's) and runs the budgeted
+	// multiply if the degraded footprint fits. Requests that pin an explicit
+	// memory_budget_bytes are never overridden — they shed as before.
+	// Default 0 (disabled).
 	DegradedBudgetBytes int64
 	// MaxQueue bounds how many requests may wait for admission at once.
 	// Default 64.

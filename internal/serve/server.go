@@ -575,11 +575,12 @@ func (s *Server) product(ctx context.Context, sp *productSpec) (*Product, served
 // degradedSpec is the degradation ladder's middle rung: when the full-speed
 // request was shed because its predicted footprint alone exceeds the
 // ceiling, re-plan it under the configured degraded memory budget — the
-// budgeted engine tiles A's columns into panels, bounding the working set —
-// and offer that for admission instead. Returns ok=false when degradation is
-// disabled, the request pinned its own budget, the shed had a different
-// reason (queue pressure is not helped by shrinking one request), or even
-// the tiled footprint exceeds the ceiling.
+// budgeted engine cuts the bins into groups, bounding the working set, and
+// returns the full-speed product's bytes — and offer that for admission
+// instead. Returns ok=false when degradation is disabled, the request pinned
+// its own budget, the shed had a different reason (queue pressure is not
+// helped by shrinking one request), or even the budgeted footprint exceeds
+// the ceiling.
 func (s *Server) degradedSpec(ctx context.Context, sp *productSpec, shedErr error) (*productSpec, bool) {
 	var shed *ShedError
 	if s.cfg.DegradedBudgetBytes <= 0 || sp.req.MemoryBudgetBytes > 0 ||

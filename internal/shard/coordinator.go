@@ -259,8 +259,8 @@ func (c *Coordinator) forget(gp *pbspgemm.GridPlan, a, b *pbspgemm.CSR) {
 
 // runBlock walks one block down the failure ladder: pick a live backend,
 // attempt (hedged), classify, back off, retry — and when attempts are
-// exhausted or no backend is live, recompute on the local engine under the
-// budgeted tiled path. Returns the block's C or a typed *BlockError.
+// exhausted or no backend is live, recompute on the local engine (under
+// FallbackBudgetBytes when set). Returns the block's C or a typed *BlockError.
 func (c *Coordinator) runBlock(ctx context.Context, blk *pbspgemm.BlockPlan, stats *productStats) (*pbspgemm.CSR, error) {
 	var lastErr error
 	attempts := 0
@@ -293,7 +293,7 @@ func (c *Coordinator) runBlock(ctx context.Context, blk *pbspgemm.BlockPlan, sta
 			return nil, err
 		}
 	}
-	// Terminal rung: the local engine under the budgeted tiled path.
+	// Terminal rung: the local engine, under FallbackBudgetBytes when set.
 	// Bit-identical to what any backend would have produced (same pinned
 	// kernel, deterministic across threads and budgets).
 	c.fallbacks.Add(1)
@@ -313,8 +313,8 @@ func (c *Coordinator) runBlock(ctx context.Context, blk *pbspgemm.BlockPlan, sta
 	return p, nil
 }
 
-// localFallback recomputes blk on the local engine, budget-tiled when
-// configured.
+// localFallback recomputes blk on the local engine, under FallbackBudgetBytes
+// when configured.
 func (c *Coordinator) localFallback(ctx context.Context, blk *pbspgemm.BlockPlan) (*pbspgemm.CSR, error) {
 	opts := append(append([]pbspgemm.Option{}, c.cfg.Options...), pbspgemm.WithAlgorithm(pbspgemm.PB))
 	if c.cfg.FallbackBudgetBytes > 0 {

@@ -136,6 +136,46 @@ func TestFallbackFromViewsMatchesBackend(t *testing.T) {
 	sameCSR(t, got[1].C, got[0].C)
 }
 
+// TestBudgetedFallbackBitIdentical: a fallback under a FallbackBudgetBytes
+// that cuts the product's bins into groups returns the direct PB product's
+// bytes on real values, on a 1×1 grid and on row bands alike — a budget
+// changes which bins expand together, never a bin's fold.
+func TestBudgetedFallbackBitIdentical(t *testing.T) {
+	const budget = 16 << 10
+	ctx := context.Background()
+	eng := newEngine(t)
+	a, b := pbspgemm.NewER(1024, 8, 21), pbspgemm.NewER(1024, 8, 22)
+	direct, err := eng.Multiply(ctx, a, b, pbspgemm.WithAlgorithm(pbspgemm.PB))
+	if err != nil {
+		t.Fatalf("direct multiply: %v", err)
+	}
+	want := checksum(direct.C)
+	local, err := eng.Multiply(ctx, a, b, pbspgemm.WithAlgorithm(pbspgemm.PB), pbspgemm.WithMemoryBudget(budget))
+	if err != nil || local.PB.NGroups < 2 {
+		t.Fatalf("budgeted multiply: %d groups (%v), want ≥ 2", local.PB.NGroups, err)
+	}
+	down := &stubBackend{name: "down", eng: eng, fn: func(int, context.Context) error {
+		return &permanentError{msg: "bad request"}
+	}}
+	for _, maxBlock := range []int64{0, 128 << 10} {
+		c, err := New(Config{Local: eng, Backends: []Backend{down}, MaxBlockBytes: maxBlock,
+			FallbackBudgetBytes: budget, HedgeDelay: -1})
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		res, err := c.Multiply(ctx, a, b)
+		if err != nil {
+			t.Fatalf("Multiply: %v", err)
+		}
+		if res.Fallbacks != int64(res.Blocks) || res.Grid.Inner != 1 {
+			t.Fatalf("grid %v: %d of %d blocks fell back", res.Grid, res.Fallbacks, res.Blocks)
+		}
+		if got := checksum(res.C); got != want {
+			t.Fatalf("grid %v: budgeted fallback hashes %x, the direct product %x", res.Grid, got, want)
+		}
+	}
+}
+
 // checksum hashes every array of m.
 func checksum(m *pbspgemm.CSR) uint64 {
 	h := fnv.New64a()

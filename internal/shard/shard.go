@@ -25,12 +25,13 @@
 //     consecutive failures and /healthz probes) that routes around dark
 //     peers without wasting attempts on them;
 //  4. the terminal rung: any block whose retries and hedges are exhausted
-//     is recomputed on the local Engine under the budgeted tiled path.
+//     is recomputed on the local Engine, under FallbackBudgetBytes when set.
 //
 // The fallback is bit-identical by construction: every backend runs the
 // same deterministic PB kernel (pinned algorithm, bit-identical across
-// thread counts and memory budgets), so re-executing a block locally —
-// or on a hedge — can never change the bytes of C. Each block's Plan comes
+// thread counts and memory budgets: a budget cuts the bins into groups and
+// every bin still folds once), so re-executing a block locally — or on a
+// hedge — can never change the bytes of C. Each block's Plan comes
 // from the cut's own counts (Engine.PlanBlocksFrom), and one predicted over
 // MaxBlockBytes grows the grid before anything is dispatched, so blocks pass
 // the target node's admission control instead of bouncing off it with 429s.
@@ -93,9 +94,9 @@ type Config struct {
 	BreakerCooldown  time.Duration
 
 	// FallbackBudgetBytes is the MemoryBudgetBytes of the terminal local
-	// fallback — the budgeted tiled path bounds the working set of a block
-	// that may have been sized for a bigger peer. 0 runs unbudgeted
-	// (bit-identical either way). Default 0.
+	// fallback — bin groups bound the working set of a block that may have
+	// been sized for a bigger peer. 0 runs unbudgeted (bit-identical either
+	// way). Default 0.
 	FallbackBudgetBytes int64
 
 	// Seed seeds the coordinator's jitter RNG; 0 selects a fixed default,

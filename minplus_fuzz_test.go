@@ -9,7 +9,7 @@ import (
 // FuzzMultiplyOverMinPlus checks the tropical-semiring product against a
 // scalar reference relaxation: for every vertex pair, the (min,+) SpGEMM
 // entry must equal min over k of d(i,k)+d(k,j), and be absent exactly when
-// no 2-hop path exists. It also pins the budgeted (multi-panel) path to the
+// no 2-hop path exists. It also pins the budgeted path (bin groups) to the
 // single-shot result.
 func FuzzMultiplyOverMinPlus(f *testing.F) {
 	f.Add(uint8(5), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9})

@@ -165,8 +165,10 @@ func WithL2CacheBytes(n int) Option {
 }
 
 // WithMemoryBudget caps the expanded-tuple working set in bytes: when the
-// expansion would exceed it, A's columns are tiled into panels that each fit
-// and per-panel results are merged. 0 means unlimited (single shot).
+// expansion would exceed it, PB's bins — row ranges of C — are cut into
+// groups whose tuples each fit, and the product runs once per group. Every
+// bin still folds once, so the bytes are the unbudgeted product's. 0 means
+// unlimited (single shot).
 func WithMemoryBudget(bytes int64) Option {
 	return func(c *config) error {
 		if bytes < 0 {
@@ -229,7 +231,7 @@ func (c *config) handedPlan(a, b *CSR) bool {
 // stored in m are dropped, all others kept. That keeps nearly the whole
 // product, so it runs the tuple pipeline (the wide layout, filtered bin by bin
 // right after the fold), not the row kernel. Entries are folded in ascending k
-// within a panel and panels in order, at every thread count.
+// at every thread count and memory budget.
 func WithComplementMask(m *CSR) Option {
 	return func(c *config) error {
 		c.mask, c.complement = m, true

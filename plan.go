@@ -50,10 +50,11 @@ type Plan struct {
 	// before any of it happens — the signal an admission controller needs to
 	// shed or queue load ahead of OOM. The model: the chosen family's working
 	// set (PB expands Flops tuples at OuterLayout.TupleBytes() each, capped
-	// by WithMemoryBudget since budgeted runs tile panels to fit; column
-	// kernels accumulate roughly the output once more) plus the predicted
-	// output CSR, once: the kernel assembles it into memory the caller then
-	// owns. Inputs are not counted — they are already resident. An estimate,
+	// by WithMemoryBudget: a budgeted run cuts its bins into groups whose
+	// tuples fit, and holds besides them only the output and arrays the size
+	// of A; column kernels accumulate roughly the output once more)
+	// plus the predicted output CSR, once: the kernel assembles it into
+	// memory the caller then owns. Inputs are not counted — they are already resident. An estimate,
 	// not a bound: it inherits EstNNZC's sampling error and rounds workspace
 	// overheads away.
 	PredictedFootprintBytes int64
@@ -93,7 +94,7 @@ func (p *Plan) model(cfg *config, rows, cols int32, pinPB bool, valueBytes int64
 	pbNS, spaNS := shape.PredictPB(), shape.PredictSPA()
 	p.PredictedOuterGFLOPS = float64(p.Flops) / pbNS
 	p.PredictedColumnGFLOPS = float64(p.Flops) / spaNS
-	// A memory budget is met by tiling, which only PB does.
+	// A memory budget is met by bin groups, which only PB has.
 	if spaNS < pbNS && cfg.budget == 0 && !pinPB {
 		p.Chosen = SPA
 	}

@@ -89,8 +89,8 @@ func Float64CSR(g *Matrix[float64]) *CSR {
 // kernel, a dense accumulator per worker (none but the pattern for Boolean
 // over all-true operands); Auto prices both, the accumulator at the semiring's
 // value width, and runs the cheaper (PB under WithMemoryBudget). Either way an
-// entry's products fold in ascending k (within a panel, panels in order),
-// whatever the thread count, so PB and SPA give the same bytes. The column
+// entry's products fold in ascending k, whatever the thread count and memory
+// budget, so PB and SPA give the same bytes. The column
 // kernels Heap, Hash and HashVec have no semiring form: naming one returns
 // *OptionError. A streams in column-major form — convert once with
 // (*Matrix[T]).ToCSC and reuse across calls sharing A; the row kernel puts it

@@ -68,7 +68,7 @@ func TestSemiringPanicContained(t *testing.T) {
 
 // TestSemiringCancelWithinOnePollWindow: a context cancelled in the middle of
 // a MinPlus product's expand stops it at the next sub-phase poll — every
-// 64 Ki expanded tuples, checked between columns of A — not at the next panel
+// 64 Ki expanded tuples, checked between columns of A — not at the next phase
 // boundary: at most one poll window and one column's outer product of ⊗ calls
 // follow the cancellation, and the error names the phase.
 func TestSemiringCancelWithinOnePollWindow(t *testing.T) {

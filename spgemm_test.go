@@ -50,7 +50,8 @@ func TestPublicMultiplyAllAlgorithms(t *testing.T) {
 
 // TestPublicWorkspaceAndBudget exercises the execution-engine options
 // through the public API: repeated multiplications on one engine's pooled
-// workspace, with and without a memory budget, stay correct and report tiling.
+// workspace, with and without a memory budget, stay correct and report their
+// bin groups, and the budgeted product is the unbudgeted one's bytes.
 func TestPublicWorkspaceAndBudget(t *testing.T) {
 	a := NewER(512, 6, 3)
 	b := NewER(512, 6, 4)
@@ -60,6 +61,7 @@ func TestPublicWorkspaceAndBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
+	var full *CSR
 	for i := 0; i < 3; i++ {
 		res, err := eng.Multiply(ctx, a, b)
 		if err != nil {
@@ -68,19 +70,20 @@ func TestPublicWorkspaceAndBudget(t *testing.T) {
 		if !EqualWithin(want, res.C, 1e-9) {
 			t.Fatalf("iteration %d: pooled result differs from reference", i)
 		}
-		if res.PB.NPanels != 1 {
-			t.Fatalf("unbudgeted run tiled into %d panels", res.PB.NPanels)
+		if res.PB.NGroups != 1 {
+			t.Fatalf("unbudgeted run cut into %d bin groups", res.PB.NGroups)
 		}
+		full = res.C
 	}
 	res, err := eng.Multiply(ctx, a, b, WithMemoryBudget(32<<10))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !EqualWithin(want, res.C, 1e-9) {
-		t.Fatal("budgeted result differs from reference")
+	if !EqualWithin(full, res.C, 0) {
+		t.Fatal("budgeted result differs from the unbudgeted one")
 	}
-	if res.PB.NPanels < 2 {
-		t.Fatalf("expected tiling under 32 KiB budget, got %d panels", res.PB.NPanels)
+	if res.PB.NGroups < 2 {
+		t.Fatalf("expected bin groups under a 32 KiB budget, got %d", res.PB.NGroups)
 	}
 }
 
