@@ -39,68 +39,43 @@ func (m *COO) ToCSR() *CSR {
 // ToCSC converts CSR to CSC with a counting pass (a transpose of the storage,
 // not of the matrix). Cost is O(nnz + rows + cols); this is what the paper's
 // harness does to feed A as CSC into the outer-product algorithm.
-func (m *CSR) ToCSC() *CSC {
-	nnz := m.NNZ()
-	out := NewCSC(m.NumRows, m.NumCols, nnz)
-	counts := make([]int64, m.NumCols+1)
-	for _, c := range m.ColIdx {
-		counts[c+1]++
-	}
-	for j := int32(0); j < m.NumCols; j++ {
-		counts[j+1] += counts[j]
-	}
-	copy(out.ColPtr, counts)
-	cursor := make([]int64, m.NumCols)
-	copy(cursor, counts[:m.NumCols])
-	for i := int32(0); i < m.NumRows; i++ {
-		for p := m.RowPtr[i]; p < m.RowPtr[i+1]; p++ {
-			c := m.ColIdx[p]
-			q := cursor[c]
-			out.RowIdx[q] = i
-			out.Val[q] = m.Val[p]
-			cursor[c] = q + 1
-		}
-	}
-	return out
-}
+func (m *CSR) ToCSC() *CSC { return m.ToCSCInto(NewCSC(m.NumRows, m.NumCols, m.NNZ())) }
 
 // ToCSCInto is ToCSC reusing out's storage, grown only when capacity is
 // short — the allocation-free conversion the workspace-pooled engine uses.
-// It needs no scratch: ColPtr doubles as the per-column write cursor during
-// the placement pass and is rotated back to exclusive-prefix form after.
 // Returns out.
 func (m *CSR) ToCSCInto(out *CSC) *CSC {
-	nnz := m.NNZ()
 	out.NumRows, out.NumCols = m.NumRows, m.NumCols
-	out.ColPtr = Grow(&out.ColPtr, int(m.NumCols)+1)
-	out.RowIdx = Grow(&out.RowIdx, int(nnz))
-	out.Val = Grow(&out.Val, int(nnz))
-	for j := range out.ColPtr {
-		out.ColPtr[j] = 0
+	TransposeInto(m.NumRows, m.NumCols, m.RowPtr, m.ColIdx, m.Val, &out.ColPtr, &out.RowIdx, &out.Val)
+	return out
+}
+
+// TransposeInto is the counting transpose of compressed storage, the one loop
+// behind every CSR↔CSC conversion: the n vectors ptr, idx, val (the rows of a
+// CSR, the columns of a CSC) over m indices become m vectors over n in *tp,
+// *ti and *tv, each grown only when short. A vector's indices come out
+// ascending. It needs no scratch: *tp doubles as the per-vector write cursor
+// during the placement pass and is rotated back to exclusive-prefix form after.
+func TransposeInto[T any](n, m int32, ptr []int64, idx []int32, val []T, tp *[]int64, ti *[]int32, tv *[]T) {
+	nnz := ptr[n]
+	cp := GrowInt64Zero(tp, int(m)+1)
+	ri, tval := Grow(ti, int(nnz)), Grow(tv, int(nnz))
+	for _, c := range idx[:nnz] {
+		cp[c+1]++
 	}
-	for _, c := range m.ColIdx {
-		out.ColPtr[c+1]++
+	for j := int32(0); j < m; j++ {
+		cp[j+1] += cp[j]
 	}
-	for j := int32(0); j < m.NumCols; j++ {
-		out.ColPtr[j+1] += out.ColPtr[j]
-	}
-	// Place entries using ColPtr[c] as the cursor for column c; row-major
-	// traversal keeps rows ascending within each column.
-	for i := int32(0); i < m.NumRows; i++ {
-		for p := m.RowPtr[i]; p < m.RowPtr[i+1]; p++ {
-			c := m.ColIdx[p]
-			q := out.ColPtr[c]
-			out.RowIdx[q] = i
-			out.Val[q] = m.Val[p]
-			out.ColPtr[c] = q + 1
+	for i := int32(0); i < n; i++ {
+		for p := ptr[i]; p < ptr[i+1]; p++ {
+			c := idx[p]
+			q := cp[c]
+			ri[q], tval[q] = i, val[p]
+			cp[c] = q + 1
 		}
 	}
-	// ColPtr[c] now holds end(c) = start(c+1); rotate right to restore starts.
-	for j := m.NumCols; j >= 1; j-- {
-		out.ColPtr[j] = out.ColPtr[j-1]
-	}
-	out.ColPtr[0] = 0
-	return out
+	copy(cp[1:], cp[:m]) // each cursor ended on the next vector's start
+	cp[0] = 0
 }
 
 // CSCMemo is ToCSCInto with a memory of its last conversion, for a caller that
@@ -163,27 +138,8 @@ func addr[T any](x []T) uintptr { return uintptr(unsafe.Pointer(unsafe.SliceData
 
 // ToCSR converts CSC to CSR (mirror of CSR.ToCSC).
 func (m *CSC) ToCSR() *CSR {
-	nnz := m.NNZ()
-	out := NewCSR(m.NumRows, m.NumCols, nnz)
-	counts := make([]int64, m.NumRows+1)
-	for _, r := range m.RowIdx {
-		counts[r+1]++
-	}
-	for i := int32(0); i < m.NumRows; i++ {
-		counts[i+1] += counts[i]
-	}
-	copy(out.RowPtr, counts)
-	cursor := make([]int64, m.NumRows)
-	copy(cursor, counts[:m.NumRows])
-	for j := int32(0); j < m.NumCols; j++ {
-		for p := m.ColPtr[j]; p < m.ColPtr[j+1]; p++ {
-			r := m.RowIdx[p]
-			q := cursor[r]
-			out.ColIdx[q] = j
-			out.Val[q] = m.Val[p]
-			cursor[r] = q + 1
-		}
-	}
+	out := NewCSR(m.NumRows, m.NumCols, m.NNZ())
+	TransposeInto(m.NumCols, m.NumRows, m.ColPtr, m.RowIdx, m.Val, &out.RowPtr, &out.ColIdx, &out.Val)
 	return out
 }
 

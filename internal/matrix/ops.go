@@ -44,9 +44,15 @@ func Flops(a *CSC, b *CSR) int64 {
 	if a.NumCols != b.NumRows {
 		return 0
 	}
+	return PairFlops(a.ColPtr, b.RowPtr)
+}
+
+// PairFlops is Flops over A's column pointers and B's row pointers alone, for
+// operands of any value type: Σₖ nnz(A(:,k))·nnz(B(k,:)).
+func PairFlops(colPtr, rowPtr []int64) int64 {
 	var flops int64
-	for k := int32(0); k < a.NumCols; k++ {
-		flops += a.ColNNZ(k) * b.RowNNZ(k)
+	for k := 1; k < len(colPtr); k++ {
+		flops += (colPtr[k] - colPtr[k-1]) * (rowPtr[k] - rowPtr[k-1])
 	}
 	return flops
 }

@@ -88,58 +88,53 @@ func NewCSC(rows, cols int32, nnz int64) *CSC {
 // Validate checks structural invariants: monotone pointers, in-range indices,
 // and (for canonical matrices) sorted unique indices within each row.
 func (m *CSR) Validate() error {
-	if int32(len(m.RowPtr)) != m.NumRows+1 {
-		return fmt.Errorf("matrix: RowPtr length %d != rows+1 %d", len(m.RowPtr), m.NumRows+1)
-	}
-	if m.RowPtr[0] != 0 {
-		return fmt.Errorf("matrix: RowPtr[0] = %d, want 0", m.RowPtr[0])
-	}
-	if m.RowPtr[m.NumRows] != int64(len(m.ColIdx)) || len(m.ColIdx) != len(m.Val) {
-		return fmt.Errorf("matrix: nnz mismatch: RowPtr end %d, ColIdx %d, Val %d",
-			m.RowPtr[m.NumRows], len(m.ColIdx), len(m.Val))
-	}
-	for i := int32(0); i < m.NumRows; i++ {
-		// Bounding each pointer by nnz, not only the last, keeps a corrupt
-		// middle pointer from walking past ColIdx.
-		if m.RowPtr[i] > m.RowPtr[i+1] || m.RowPtr[i+1] > int64(len(m.ColIdx)) {
-			return fmt.Errorf("matrix: RowPtr not monotone at row %d", i)
-		}
-		for p := m.RowPtr[i]; p < m.RowPtr[i+1]; p++ {
-			c := m.ColIdx[p]
-			if c < 0 || c >= m.NumCols {
-				return fmt.Errorf("matrix: column %d out of range [0,%d) at row %d", c, m.NumCols, i)
-			}
-			if p > m.RowPtr[i] && m.ColIdx[p-1] >= c {
-				return fmt.Errorf("matrix: row %d not sorted/unique at position %d", i, p)
-			}
-		}
-	}
-	return nil
+	return ValidateCSR(m.NumRows, m.NumCols, m.RowPtr, m.ColIdx, len(m.Val))
+}
+
+// ValidateCSR is CSR.Validate over the arrays of a CSR of any value type,
+// nval values long.
+func ValidateCSR(rows, cols int32, rowPtr []int64, colIdx []int32, nval int) error {
+	return validate(csrAxes, rows, cols, rowPtr, colIdx, nval)
 }
 
 // Validate checks the CSC structural invariants (mirror of CSR.Validate).
 func (m *CSC) Validate() error {
-	if int32(len(m.ColPtr)) != m.NumCols+1 {
-		return fmt.Errorf("matrix: ColPtr length %d != cols+1 %d", len(m.ColPtr), m.NumCols+1)
+	return validate(cscAxes, m.NumCols, m.NumRows, m.ColPtr, m.RowIdx, len(m.Val))
+}
+
+// axes names compressed storage's arrays and dimensions in validate's errors.
+type axes struct{ ptr, idx, major, minor string }
+
+var (
+	csrAxes = axes{"RowPtr", "ColIdx", "row", "column"}
+	cscAxes = axes{"ColPtr", "RowIdx", "col", "row"}
+)
+
+// validate is the one structural check of compressed storage: n vectors over m
+// indices, their pointers running from 0 to nnz = nval, monotone, and each
+// bounded by nnz — so that a corrupt middle pointer cannot walk past idx —
+// and each vector's indices in [0, m), ascending and unique.
+func validate(ax axes, n, m int32, ptr []int64, idx []int32, nval int) error {
+	if n < 0 || int32(len(ptr)) != n+1 {
+		return fmt.Errorf("matrix: %s length %d != %ss+1 %d", ax.ptr, len(ptr), ax.major, n+1)
 	}
-	if m.ColPtr[0] != 0 {
-		return fmt.Errorf("matrix: ColPtr[0] = %d, want 0", m.ColPtr[0])
+	if ptr[0] != 0 {
+		return fmt.Errorf("matrix: %s[0] = %d, want 0", ax.ptr, ptr[0])
 	}
-	if m.ColPtr[m.NumCols] != int64(len(m.RowIdx)) || len(m.RowIdx) != len(m.Val) {
-		return fmt.Errorf("matrix: nnz mismatch: ColPtr end %d, RowIdx %d, Val %d",
-			m.ColPtr[m.NumCols], len(m.RowIdx), len(m.Val))
+	if ptr[n] != int64(len(idx)) || len(idx) != nval {
+		return fmt.Errorf("matrix: nnz mismatch: %s end %d, %s %d, Val %d", ax.ptr, ptr[n], ax.idx, len(idx), nval)
 	}
-	for j := int32(0); j < m.NumCols; j++ {
-		if m.ColPtr[j] > m.ColPtr[j+1] || m.ColPtr[j+1] > int64(len(m.RowIdx)) {
-			return fmt.Errorf("matrix: ColPtr not monotone at col %d", j)
+	for i := int32(0); i < n; i++ {
+		if ptr[i] > ptr[i+1] || ptr[i+1] > int64(len(idx)) {
+			return fmt.Errorf("matrix: %s not monotone at %s %d", ax.ptr, ax.major, i)
 		}
-		for p := m.ColPtr[j]; p < m.ColPtr[j+1]; p++ {
-			r := m.RowIdx[p]
-			if r < 0 || r >= m.NumRows {
-				return fmt.Errorf("matrix: row %d out of range [0,%d) at col %d", r, m.NumRows, j)
+		for p := ptr[i]; p < ptr[i+1]; p++ {
+			c := idx[p]
+			if c < 0 || c >= m {
+				return fmt.Errorf("matrix: %s %d out of range [0,%d) at %s %d", ax.minor, c, m, ax.major, i)
 			}
-			if p > m.ColPtr[j] && m.RowIdx[p-1] >= r {
-				return fmt.Errorf("matrix: col %d not sorted/unique at position %d", j, p)
+			if p > ptr[i] && idx[p-1] >= c {
+				return fmt.Errorf("matrix: %s %d not sorted/unique at position %d", ax.major, i, p)
 			}
 		}
 	}

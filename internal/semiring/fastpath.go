@@ -1,22 +1,34 @@
 package semiring
 
 import (
+	"math"
+	"reflect"
+	"unsafe"
+
+	"pbspgemm/internal/baseline"
 	"pbspgemm/internal/core"
 	"pbspgemm/internal/matrix"
 )
 
-// This file routes MultiplyOpts onto core's typed entry points whenever the
-// semiring and element type have a native tuple layout: (+, ×) over float64
-// runs core.Multiply's 12-byte squeezed layout, float32/int32 the 8-byte
-// narrow layout, and (∨, ∧) over all-true operands the 4-byte pattern
-// (key-only) layout — the dispatch rule the README documents. Each packs its
-// keys into 32 bits (core adds bins until they fit), and on shapes that would
-// need more than core's bin cap for it runs the wide layout over the same
-// arithmetic instead (core.MultiplyLayout). A
-// plain mask never gets here, nor a product Options.Rows gives the row kernel
-// (multiplyOpts hands those over first); every other ineligible call (custom
-// semiring, complement mask, stored false booleans) runs the same pipeline on
-// the wide layout through its own ⊗ and ⊕ (multiplyGeneric in multiply.go).
+// This file is the op table. Every product is routed by the code of its
+// semiring's ⊕ and ⊗, looked up once per call (routeOf): a semiring is what
+// its operations are, not who constructed it, so one assembled from stock
+// functions runs as the stock one does and a stock one whose Plus or Times a
+// caller replaced — with a closure of the same operation too — runs through
+// the caller's functions. A stock pair gets its typed entry into core: (+, ×)
+// over float64 core.Multiply's 12-byte squeezed layout, over float32 and int32
+// the 8-byte narrow layout, and (∨, ∧) over all-true operands the 4-byte
+// pattern (key-only) layout — the dispatch rule the README documents. Each
+// packs its keys into 32 bits (core adds bins until they fit), and on shapes
+// that would need more than core's bin cap for it runs the wide layout over
+// the same arithmetic instead (core.MultiplyLayout). The row kernel gets its
+// own typed loop for float64 (+, ×), chunk loops for the other stock float64
+// pairs, and a Boolean product over all-true operands no values at all. A
+// plain mask never reaches a typed layout, nor a product Options.Rows gives
+// the row kernel (multiplyOpts hands those over first); every other call with
+// no typed entry (a custom or modified semiring, stored false booleans) or
+// under a complement mask runs the same pipeline on the wide layout through
+// its own ⊗ and ⊕ (multiplyGeneric in multiply.go).
 
 // Plan reports how MultiplyOpts executed a call: whether a typed fast path
 // ran and under which tuple layout. Request it via Options.Plan.
@@ -40,13 +52,7 @@ type Plan struct {
 
 // Flops is the symbolic pass over the operand pointer arrays: the exact
 // expanded-tuple count of the outer-product formulation.
-func Flops[T any](a *CSCg[T], b *CSRg[T]) int64 {
-	var flops int64
-	for i := int32(0); i < a.NumCols; i++ {
-		flops += (a.ColPtr[i+1] - a.ColPtr[i]) * (b.RowPtr[i+1] - b.RowPtr[i])
-	}
-	return flops
-}
+func Flops[T any](a *CSCg[T], b *CSRg[T]) int64 { return matrix.PairFlops(a.ColPtr, b.RowPtr) }
 
 // cscHeader wraps a generic column matrix's index arrays as a float64 CSC
 // without copying; val may be nil for the entry points that carry values out
@@ -61,11 +67,9 @@ func csrHeader[T any](b *CSRg[T], val []float64) *matrix.CSR {
 		RowPtr: b.RowPtr, ColIdx: b.ColIdx, Val: val}
 }
 
-// typed returns a and b as V-valued matrices when T is V.
-func typed[V, T any](a *CSCg[T], b *CSRg[T]) (*CSCg[V], *CSRg[V], bool) {
-	av, ok := any(a).(*CSCg[V])
-	bv, bok := any(b).(*CSRg[V])
-	return av, bv, ok && bok
+// csrg is m's structure with the values val.
+func csrg[T any](m *matrix.CSR, val []T) *CSRg[T] {
+	return &CSRg[T]{NumRows: m.NumRows, NumCols: m.NumCols, RowPtr: m.RowPtr, ColIdx: m.ColIdx, Val: val}
 }
 
 // trueVals returns n true values, in ws.PatternVals when ws is non-nil. They
@@ -95,55 +99,166 @@ func allTrue(vals []bool) bool {
 	return true
 }
 
-// tryFastPath dispatches eligible calls onto core's typed entry points. It
-// returns why == "" when one ran (its result or its error with it), and
-// otherwise why none did: the caller falls back to multiplyGeneric.
-func tryFastPath[T any](sr Semiring[T], a *CSCg[T], b *CSRg[T], opt Options) (c *CSRg[T], why string, err error) {
-	if sr.kind == kindGeneric {
-		return nil, "no typed kernel for semiring " + sr.Name, nil
+// typedRun is a stock pair's typed entry into core.
+type typedRun[T any] func(a *CSCg[T], b *CSRg[T], opt core.Options) (*CSRg[T], *core.Stats, error)
+
+// stock is the op table's entry for a stock pair (⊕, ⊗).
+type stock struct {
+	run         any  // the pair's typedRun, nil for none
+	times, fold any  // the row kernel's chunk loops (baseline.Ops), nil where sr's own function runs
+	arith       bool // float64 (+, ×): the row kernel's own typed loop
+	pattern     bool // (∨, ∧): structural, so run only over all-true operands
+}
+
+// table holds the stock pairs by the code of their (⊕, ⊗).
+var table = map[[2]uintptr]stock{
+	pair(addF64, mulF64): {run: typedRun[float64](runF64), arith: true},
+	pair(addF32, mulF32): {run: typedRun[float32](runNarrow[float32])},
+	pair(addI32, mulI32): {run: typedRun[int32](runNarrow[int32])},
+	pair(or, and):        {run: typedRun[bool](runPattern), pattern: true},
+	pair(minF64, addF64): {times: timesAdd, fold: foldMin},
+	pair(maxF64, mulF64): {times: timesMul, fold: foldMax},
+	pair(addF64, maxF64): {times: timesMax, fold: foldAdd},
+}
+
+func pair(plus, times any) [2]uintptr { return [2]uintptr{codeOf(plus), codeOf(times)} }
+
+func codeOf(f any) uintptr { return reflect.ValueOf(f).Pointer() }
+
+// route is a call's one lookup of the op table: every decision it makes by
+// its semiring.
+type route[T any] struct {
+	run typedRun[T] // the typed entry into core; nil: the wide layout, for the reason why
+	why string
+	// valueBytes is what a value of the row kernel's accumulator takes: nothing
+	// for a Boolean product over all-true operands, which only needs its pattern.
+	valueBytes int64
+	stock      stock // the row kernel's loops, which rowOps binds
+}
+
+// routeOf looks sr up in the op table; a and b are the operands' values, which
+// decide whether a Boolean product is structural.
+func routeOf[T any](sr Semiring[T], a, b []T) route[T] {
+	s := table[pair(sr.Plus, sr.Times)]
+	r := route[T]{why: "no typed kernel for semiring " + sr.Name, valueBytes: int64(unsafe.Sizeof(*new(T))), stock: s}
+	if s.run != nil {
+		r.run, r.why = s.run.(typedRun[T]), ""
 	}
-	if opt.Mask != nil {
-		return nil, "complement mask: wide layout with a post-fold filter", nil
-	}
-	copt := opt.coreOptions()
-	var m *matrix.CSR
-	var vals any // the product's value plane, a []T
-	var st *core.Stats
-	switch sr.kind {
-	case kindArithF64:
-		if af, bf, ok := typed[float64](a, b); ok {
-			m, st, err = core.Multiply(cscHeader(af, af.Val), csrHeader(bf, bf.Val), copt)
-		}
-	case kindArithF32:
-		if af, bf, ok := typed[float32](a, b); ok {
-			m, vals, st, err = core.MultiplyNarrow(cscHeader(af, nil), af.Val, csrHeader(bf, nil), bf.Val, copt)
-		}
-	case kindArithI32:
-		if af, bf, ok := typed[int32](a, b); ok {
-			m, vals, st, err = core.MultiplyNarrow(cscHeader(af, nil), af.Val, csrHeader(bf, nil), bf.Val, copt)
-		}
-	case kindBoolean:
-		// The pattern layout computes the structural product: correct for
-		// (∨, ∧) exactly when every stored value is true. Stored false
-		// entries (structural zeros) must fold through ∨ and ∧ themselves.
-		ab, bb, ok := typed[bool](a, b)
-		if ok && (!allTrue(ab.Val) || !allTrue(bb.Val)) {
-			return nil, "stored false values: pattern layout is structural", nil
-		}
-		if ok {
-			m, st, err = core.MultiplyPattern(cscHeader(ab, nil), csrHeader(bb, nil), copt)
+	if s.pattern {
+		if allTrue(any(a).([]bool)) && allTrue(any(b).([]bool)) {
+			r.valueBytes = 0
+		} else {
+			r.run, r.why = nil, "stored false values: pattern layout is structural"
 		}
 	}
-	switch {
-	case err != nil:
-		return nil, "", err
-	case m == nil:
-		return nil, "semiring kind and element type disagree", nil
-	case sr.kind == kindArithF64:
-		vals = m.Val
-	case sr.kind == kindBoolean:
-		vals = trueVals(opt.Workspace, len(m.ColIdx))
+	return r
+}
+
+// rowOps lowers sr to the row kernel's chunk operations: the kernel's own
+// typed loop for float64 (+, ×), the table's chunk loops for the other stock
+// float64 pairs, and sr's own functions, called per element, for the rest.
+func (r route[T]) rowOps(sr Semiring[T]) baseline.Ops[T] {
+	switch s := r.stock; {
+	case s.arith:
+		return baseline.Ops[T]{Arith: true}
+	case s.times != nil:
+		return baseline.Ops[T]{Times: s.times.(func([]T, T, []T)), Fold: s.fold.(func([]T, []int32, []T, []byte))}
 	}
-	opt.setPlan(Plan{FastPath: true, Layout: st.Layout}, st)
-	return &CSRg[T]{NumRows: m.NumRows, NumCols: m.NumCols, RowPtr: m.RowPtr, ColIdx: m.ColIdx, Val: vals.([]T)}, "", nil
+	times, plus := sr.Times, sr.Plus
+	return baseline.Ops[T]{
+		Times: func(dst []T, x T, y []T) {
+			for q, yq := range y[:len(dst)] {
+				dst[q] = times(x, yq)
+			}
+		},
+		Fold: func(acc []T, at []int32, x []T, seen []byte) {
+			for q, s := range seen {
+				if v := x[q]; s == 0 {
+					acc[at[q]] = v
+				} else {
+					acc[at[q]] = plus(acc[at[q]], v)
+				}
+			}
+		}}
+}
+
+func runF64(a *CSCg[float64], b *CSRg[float64], opt core.Options) (*CSRg[float64], *core.Stats, error) {
+	m, st, err := core.Multiply(cscHeader(a, a.Val), csrHeader(b, b.Val), opt)
+	if err != nil {
+		return nil, nil, err
+	}
+	return csrg(m, m.Val), st, nil
+}
+
+func runNarrow[V core.Value32](a *CSCg[V], b *CSRg[V], opt core.Options) (*CSRg[V], *core.Stats, error) {
+	m, vals, st, err := core.MultiplyNarrow(cscHeader(a, nil), a.Val, csrHeader(b, nil), b.Val, opt)
+	if err != nil {
+		return nil, nil, err
+	}
+	return csrg(m, vals), st, nil
+}
+
+// runPattern computes the structural product: (∨, ∧) exactly when every stored
+// value is true. Stored false entries (structural zeros) must fold through ∨
+// and ∧ themselves.
+func runPattern(a *CSCg[bool], b *CSRg[bool], opt core.Options) (*CSRg[bool], *core.Stats, error) {
+	m, st, err := core.MultiplyPattern(cscHeader(a, nil), csrHeader(b, nil), opt)
+	if err != nil {
+		return nil, nil, err
+	}
+	return csrg(m, trueVals(opt.Workspace, len(m.ColIdx))), st, nil
+}
+
+// The stock float64 operations as the row kernel's chunk loops: each does
+// exactly what the scalar function does, operands in the same order (NaN and
+// ±0 included), and a fold picks the new or the folded value without a branch.
+func timesAdd(dst []float64, a float64, b []float64) {
+	for q, y := range b[:len(dst)] {
+		dst[q] = a + y
+	}
+}
+
+func timesMul(dst []float64, a float64, b []float64) {
+	for q, y := range b[:len(dst)] {
+		dst[q] = a * y
+	}
+}
+
+func timesMax(dst []float64, a float64, b []float64) {
+	for q, y := range b[:len(dst)] {
+		dst[q] = maxF64(a, y)
+	}
+}
+
+func foldAdd(acc []float64, at []int32, x []float64, seen []byte) {
+	at, x = at[:len(seen)], x[:len(seen)]
+	for q, s := range seen {
+		j := at[q]
+		acc[j] = pick(s, acc[j]+x[q], x[q])
+	}
+}
+
+func foldMin(acc []float64, at []int32, x []float64, seen []byte) {
+	at, x = at[:len(seen)], x[:len(seen)]
+	for q, s := range seen {
+		j := at[q]
+		acc[j] = pick(s, minF64(acc[j], x[q]), x[q])
+	}
+}
+
+func foldMax(acc []float64, at []int32, x []float64, seen []byte) {
+	at, x = at[:len(seen)], x[:len(seen)]
+	for q, s := range seen {
+		j := at[q]
+		acc[j] = pick(s, maxF64(acc[j], x[q]), x[q])
+	}
+}
+
+// pick is folded when s is 1 and x when it is 0.
+func pick(s byte, folded, x float64) float64 {
+	f, r := math.Float64bits(folded), math.Float64bits(x)
+	if s != 0 {
+		r = f
+	}
+	return math.Float64frombits(r)
 }

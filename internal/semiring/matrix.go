@@ -1,10 +1,6 @@
 package semiring
 
-import (
-	"fmt"
-
-	"pbspgemm/internal/matrix"
-)
+import "pbspgemm/internal/matrix"
 
 // CSRg is a CSR matrix with values of any semiring element type.
 type CSRg[T any] struct {
@@ -58,54 +54,14 @@ func (m *CSRg[T]) ToCSR(g func(T) float64) *matrix.CSR {
 }
 
 // ToCSC converts the generic CSR to generic CSC (storage transpose).
-func (m *CSRg[T]) ToCSC() *CSCg[T] { return m.toCSCInto(&CSCg[T]{}) }
-
-// toCSCInto is ToCSC into out's arrays, reallocating only the ones too short.
-func (m *CSRg[T]) toCSCInto(out *CSCg[T]) *CSCg[T] {
-	nnz := m.RowPtr[m.NumRows]
-	out.NumRows, out.NumCols = m.NumRows, m.NumCols
-	cp := matrix.Grow(&out.ColPtr, int(m.NumCols)+1)
-	ri, val := matrix.Grow(&out.RowIdx, int(nnz)), matrix.Grow(&out.Val, int(nnz))
-	clear(cp)
-	for _, c := range m.ColIdx[:nnz] {
-		cp[c+1]++
-	}
-	for j := int32(0); j < m.NumCols; j++ {
-		cp[j+1] += cp[j]
-	}
-	for i := int32(0); i < m.NumRows; i++ {
-		for p := m.RowPtr[i]; p < m.RowPtr[i+1]; p++ {
-			q := cp[m.ColIdx[p]]
-			ri[q], val[q] = i, m.Val[p]
-			cp[m.ColIdx[p]] = q + 1
-		}
-	}
-	copy(cp[1:], cp[:m.NumCols]) // each cursor ended on the next column's start
-	cp[0] = 0
+func (m *CSRg[T]) ToCSC() *CSCg[T] {
+	out := &CSCg[T]{NumRows: m.NumRows, NumCols: m.NumCols}
+	matrix.TransposeInto(m.NumRows, m.NumCols, m.RowPtr, m.ColIdx, m.Val, &out.ColPtr, &out.RowIdx, &out.Val)
 	return out
 }
 
-// Validate checks structural invariants (mirrors matrix.CSR.Validate).
+// Validate checks the structural invariants, returning what CSR.Validate
+// returns for the same arrays.
 func (m *CSRg[T]) Validate() error {
-	if int32(len(m.RowPtr)) != m.NumRows+1 {
-		return fmt.Errorf("semiring: RowPtr length %d != rows+1 %d", len(m.RowPtr), m.NumRows+1)
-	}
-	if m.RowPtr[0] != 0 || m.RowPtr[m.NumRows] != int64(len(m.ColIdx)) || len(m.ColIdx) != len(m.Val) {
-		return fmt.Errorf("semiring: inconsistent pointers/arrays")
-	}
-	for i := int32(0); i < m.NumRows; i++ {
-		if m.RowPtr[i] > m.RowPtr[i+1] {
-			return fmt.Errorf("semiring: RowPtr not monotone at row %d", i)
-		}
-		for p := m.RowPtr[i]; p < m.RowPtr[i+1]; p++ {
-			c := m.ColIdx[p]
-			if c < 0 || c >= m.NumCols {
-				return fmt.Errorf("semiring: column %d out of range at row %d", c, i)
-			}
-			if p > m.RowPtr[i] && m.ColIdx[p-1] >= c {
-				return fmt.Errorf("semiring: row %d not sorted/unique", i)
-			}
-		}
-	}
-	return nil
+	return matrix.ValidateCSR(m.NumRows, m.NumCols, m.RowPtr, m.ColIdx, len(m.Val))
 }

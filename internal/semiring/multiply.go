@@ -2,9 +2,6 @@ package semiring
 
 import (
 	"fmt"
-	"math"
-	"reflect"
-	"unsafe"
 
 	"pbspgemm/internal/baseline"
 	"pbspgemm/internal/core"
@@ -99,17 +96,26 @@ func multiplyOpts[T any](sr Semiring[T], a *CSCg[T], b *CSRg[T], opt Options) (*
 	if err := checkShapes(a.NumRows, a.NumCols, b, opt.Mask); err != nil {
 		return nil, err
 	}
+	r := routeOf(sr, a.Val, b.Val)
 	plain := opt.Mask != nil && !opt.Complement
 	if plain || opt.Mask == nil && opt.Rows != nil {
 		rs := rowStateOf[T](opt.Workspace)
-		ar, vb := rs.rowsOf(a), valueBytes(sr, a.Val, b.Val)
-		if plain || opt.Rows(csrHeader(ar, nil), csrHeader(b, nil), vb) {
-			return rs.multiply(sr, ar, b, opt, !plain && vb == 0)
+		ar := rs.rowsOf(a)
+		if plain || opt.Rows(csrHeader(ar, nil), csrHeader(b, nil), r.valueBytes) {
+			return rs.multiply(sr, ar, b, opt, r)
 		}
 	}
-	c, why, err := tryFastPath(sr, a, b, opt)
+	why := r.why
+	if why == "" && opt.Mask != nil {
+		why = "complement mask: wide layout with a post-fold filter"
+	}
 	if why == "" {
-		return c, err
+		c, st, err := r.run(a, b, opt.coreOptions())
+		if err != nil {
+			return nil, err
+		}
+		opt.setPlan(Plan{FastPath: true, Layout: st.Layout}, st)
+		return c, nil
 	}
 	c, st, err := multiplyGeneric(sr, a, b, opt)
 	opt.setPlan(Plan{Reason: why}, st)
@@ -119,7 +125,7 @@ func multiplyOpts[T any](sr Semiring[T], a *CSCg[T], b *CSRg[T], opt Options) (*
 // rowState is the row kernel's pooled state, hung off core.Workspace.Aux per
 // element type: A brought back to rows, and the kernel's own workspace.
 type rowState[T any] struct {
-	at CSCg[T]
+	ar CSRg[T]
 	ws baseline.Workspace
 }
 
@@ -135,26 +141,27 @@ func rowStateOf[T any](ws *core.Workspace) *rowState[T] {
 	return rs
 }
 
-// rowsOf returns a column-major A by rows: its arrays read as CSR(Aᵀ), whose CSC is CSR(A).
+// rowsOf returns a column-major A by rows, in rs's storage.
 func (rs *rowState[T]) rowsOf(a *CSCg[T]) *CSRg[T] {
-	at := &CSRg[T]{NumRows: a.NumCols, NumCols: a.NumRows, RowPtr: a.ColPtr, ColIdx: a.RowIdx, Val: a.Val}
-	t := at.toCSCInto(&rs.at)
-	return &CSRg[T]{NumRows: a.NumRows, NumCols: a.NumCols, RowPtr: t.ColPtr, ColIdx: t.RowIdx, Val: t.Val}
+	ar := &rs.ar
+	ar.NumRows, ar.NumCols = a.NumRows, a.NumCols
+	matrix.TransposeInto(a.NumCols, a.NumRows, a.ColPtr, a.RowIdx, a.Val, &ar.RowPtr, &ar.ColIdx, &ar.Val)
+	return ar
 }
 
 // multiply runs the row kernel on A by rows: under a plain mask C⟨M⟩, else
 // C = A ⊗ B with a dense accumulator — none for a pattern product (Boolean
 // over all-true operands), whose entries are then all true. The product is the
 // caller's.
-func (rs *rowState[T]) multiply(sr Semiring[T], ar, b *CSRg[T], opt Options, pattern bool) (*CSRg[T], error) {
+func (rs *rowState[T]) multiply(sr Semiring[T], ar, b *CSRg[T], opt Options, r route[T]) (*CSRg[T], error) {
 	reason := "row-wise dense accumulator"
 	if opt.Mask != nil {
 		reason = "plain mask: row-wise masked accumulator"
 	}
 	opt.setPlan(Plan{Rows: true, Reason: reason}, nil)
-	ops := rowOps(sr)
-	if pattern {
-		ops = baseline.Ops[T]{}
+	ops, pattern := baseline.Ops[T]{}, opt.Mask == nil && r.valueBytes == 0
+	if !pattern {
+		ops = r.rowOps(sr)
 	}
 	c, vals, _, err := baseline.Rows(csrHeader(ar, nil), csrHeader(b, nil), ar.Val, b.Val, ops,
 		baseline.Options{Threads: opt.Threads, Workspace: &rs.ws, Cancel: opt.Cancel, Mask: opt.Mask})
@@ -164,106 +171,7 @@ func (rs *rowState[T]) multiply(sr Semiring[T], ar, b *CSRg[T], opt Options, pat
 	if pattern {
 		vals = any(trueVals(nil, len(c.ColIdx))).([]T)
 	}
-	return &CSRg[T]{NumRows: c.NumRows, NumCols: c.NumCols, RowPtr: c.RowPtr, ColIdx: c.ColIdx, Val: vals}, nil
-}
-
-// rowOps lowers sr to the row kernel's chunk operations: (+, ×) over float64
-// runs the kernel's own typed loop; a stock float64 ⊗ or ⊕ a typed loop over
-// the chunk; anything else sr's own function, called per element.
-func rowOps[T any](sr Semiring[T]) baseline.Ops[T] {
-	times, plus := sr.Times, sr.Plus
-	ops := baseline.Ops[T]{Arith: sr.kind == kindArithF64,
-		Times: func(dst []T, x T, y []T) {
-			for q, yq := range y[:len(dst)] {
-				dst[q] = times(x, yq)
-			}
-		},
-		Fold: func(acc []T, at []int32, x []T, seen []byte) {
-			for q, s := range seen {
-				if v := x[q]; s == 0 {
-					acc[at[q]] = v
-				} else {
-					acc[at[q]] = plus(acc[at[q]], v)
-				}
-			}
-		}}
-	if t, ok := any(times).(func(a, b float64) float64); ok {
-		if f, ok := f64Times[codeOf(t)]; ok {
-			ops.Times = any(f).(func([]T, T, []T))
-		}
-		if f, ok := f64Folds[codeOf(any(plus).(func(a, b float64) float64))]; ok {
-			ops.Fold = any(f).(func([]T, []int32, []T, []byte))
-		}
-	}
-	return ops
-}
-
-func codeOf(f func(a, b float64) float64) uintptr { return reflect.ValueOf(f).Pointer() }
-
-// f64Times and f64Folds are the stock float64 operations as the row kernel's
-// chunk loops, keyed by their code: each does exactly what the scalar function
-// does, operands in the same order (NaN and ±0 included), and a fold picks the
-// new or the folded value without a branch.
-var f64Times = map[uintptr]func(dst []float64, a float64, b []float64){
-	codeOf(addF64): func(dst []float64, a float64, b []float64) {
-		for q, y := range b[:len(dst)] {
-			dst[q] = a + y
-		}
-	},
-	codeOf(mulF64): func(dst []float64, a float64, b []float64) {
-		for q, y := range b[:len(dst)] {
-			dst[q] = a * y
-		}
-	},
-	codeOf(maxF64): func(dst []float64, a float64, b []float64) {
-		for q, y := range b[:len(dst)] {
-			dst[q] = maxF64(a, y)
-		}
-	},
-}
-
-var f64Folds = map[uintptr]func(acc []float64, at []int32, x []float64, seen []byte){
-	codeOf(addF64): func(acc []float64, at []int32, x []float64, seen []byte) {
-		at, x = at[:len(seen)], x[:len(seen)]
-		for q, s := range seen {
-			j := at[q]
-			acc[j] = pick(s, acc[j]+x[q], x[q])
-		}
-	},
-	codeOf(minF64): func(acc []float64, at []int32, x []float64, seen []byte) {
-		at, x = at[:len(seen)], x[:len(seen)]
-		for q, s := range seen {
-			j := at[q]
-			acc[j] = pick(s, minF64(acc[j], x[q]), x[q])
-		}
-	},
-	codeOf(maxF64): func(acc []float64, at []int32, x []float64, seen []byte) {
-		at, x = at[:len(seen)], x[:len(seen)]
-		for q, s := range seen {
-			j := at[q]
-			acc[j] = pick(s, maxF64(acc[j], x[q]), x[q])
-		}
-	},
-}
-
-// pick is folded when s is 1 and x when it is 0.
-func pick(s byte, folded, x float64) float64 {
-	f, r := math.Float64bits(folded), math.Float64bits(x)
-	if s != 0 {
-		r = f
-	}
-	return math.Float64frombits(r)
-}
-
-// valueBytes is what a value of the row kernel's accumulator takes: nothing
-// for a Boolean product over all-true operands, which only needs its pattern.
-func valueBytes[T any](sr Semiring[T], a, b []T) int64 {
-	av, _ := any(a).([]bool)
-	bv, _ := any(b).([]bool)
-	if sr.kind == kindBoolean && allTrue(av) && allTrue(bv) {
-		return 0
-	}
-	return int64(unsafe.Sizeof(*new(T)))
+	return csrg(c, vals), nil
 }
 
 // checkShapes rejects an A (rows × inner) not chaining with b and a mis-shaped mask.
@@ -294,7 +202,7 @@ func multiplyGeneric[T any](sr Semiring[T], a *CSCg[T], b *CSRg[T], opt Options)
 	if err != nil {
 		return nil, nil, err
 	}
-	return &CSRg[T]{NumRows: c.NumRows, NumCols: c.NumCols, RowPtr: c.RowPtr, ColIdx: c.ColIdx, Val: vals}, st, nil
+	return csrg(c, vals), st, nil
 }
 
 // filterSegMask returns the post-fold filter of a structural mask. It drops

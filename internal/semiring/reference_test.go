@@ -106,7 +106,7 @@ func overTable[T any](t *testing.T, sr Semiring[T], a, b, mask *matrix.CSR, lift
 						p.Stats.NNZC != got.NNZ() {
 						t.Fatalf("%s: plan %+v with stats %+v", what, p, p.Stats)
 					}
-					if (m != nil || sr.kind == kindGeneric) && (p.FastPath || p.Stats.Layout != core.LayoutWide) {
+					if (m != nil || !typedStock(sr)) && (p.FastPath || p.Stats.Layout != core.LayoutWide) {
 						t.Fatalf("%s: plan %+v ran the %v layout, want wide", what, p, p.Stats.Layout)
 					}
 				}
@@ -116,7 +116,7 @@ func overTable[T any](t *testing.T, sr Semiring[T], a, b, mask *matrix.CSR, lift
 }
 
 // TestEverySemiringMatchesReference is the table: the seven stock semirings
-// (and the four fast-path ones once more with their kind erased, through the
+// (and the four fast-path ones once more with their functions wrapped, through the
 // wide layout) on integer-valued inputs, where every fold is exact; then the
 // float64 ones on inputs of mixed magnitude, where the result shows the order
 // of the fold — defined since the wide layout sorts stably: ascending k, at
@@ -129,11 +129,11 @@ func TestEverySemiringMatchesReference(t *testing.T) {
 	i32 := func(v float64) int32 { return int32(v) }
 	truth := func(v float64) bool { return v > 2 } // stored false values too
 	overTable(t, Arithmetic(), a, b, mask, id, equal[float64], ws)
-	overTable(t, stripKind(Arithmetic()), a, b, mask, id, equal[float64], ws)
+	overTable(t, opaque(Arithmetic()), a, b, mask, id, equal[float64], ws)
 	overTable(t, Arithmetic32(), a, b, mask, f32, equal[float32], ws)
-	overTable(t, stripKind(Arithmetic32()), a, b, mask, f32, equal[float32], ws)
+	overTable(t, opaque(Arithmetic32()), a, b, mask, f32, equal[float32], ws)
 	overTable(t, ArithmeticInt32(), a, b, mask, i32, equal[int32], ws)
-	overTable(t, stripKind(ArithmeticInt32()), a, b, mask, i32, equal[int32], ws)
+	overTable(t, opaque(ArithmeticInt32()), a, b, mask, i32, equal[int32], ws)
 	overTable(t, Boolean(), a, b, mask, func(float64) bool { return true }, equal[bool], ws)
 	overTable(t, Boolean(), a, b, mask, truth, equal[bool], ws)
 	overTable(t, MinPlus(), a, b, mask, id, equal[float64], ws)
@@ -148,7 +148,7 @@ func TestEverySemiringMatchesReference(t *testing.T) {
 		b.Val[i%len(b.Val)] = (float64(i%7) + 1.3) * 30011
 	}
 	overTable(t, Arithmetic(), a, b, mask, id, sameBits, ws)
-	overTable(t, stripKind(Arithmetic()), a, b, mask, id, sameBits, ws)
+	overTable(t, opaque(Arithmetic()), a, b, mask, id, sameBits, ws)
 	overTable(t, MinPlus(), a, b, mask, id, sameBits, ws)
 	overTable(t, MaxTimes(), a, b, mask, id, sameBits, ws)
 	overTable(t, PlusMax(), a, b, mask, id, sameBits, ws)

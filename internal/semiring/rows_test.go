@@ -125,7 +125,7 @@ func TestMaskedRowsPollsAtEmptyMaskRows(t *testing.T) {
 func rowsAlways(*matrix.CSR, *matrix.CSR, int64) bool { return true }
 
 // TestRowKernelMatchesReference: the seven stock semirings (and the typed
-// (+, ×) once more with its kind erased, through the generic loop) × {no mask,
+// (+, ×) once more with its functions wrapped, through the generic loop) × {no mask,
 // plain mask} × threads {1, 2, 7}, on fresh buffers and pooled, through the row
 // kernel, bit for bit against referenceOver — on integer-valued inputs and on
 // inputs of mixed magnitude, where the result shows the order of the fold.
@@ -134,7 +134,7 @@ func TestRowKernelMatchesReference(t *testing.T) {
 	id := func(v float64) float64 { return v }
 	run := func(a, b, mask *matrix.CSR, real bool) {
 		rowTable(t, Arithmetic(), a, b, mask, id, sameBits, ws)
-		rowTable(t, stripKind(Arithmetic()), a, b, mask, id, sameBits, ws)
+		rowTable(t, opaque(Arithmetic()), a, b, mask, id, sameBits, ws)
 		rowTable(t, MinPlus(), a, b, mask, id, sameBits, ws)
 		rowTable(t, MaxTimes(), a, b, mask, id, sameBits, ws)
 		rowTable(t, PlusMax(), a, b, mask, id, sameBits, ws)
@@ -222,7 +222,7 @@ func TestRowKernelDenseSparseLine(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameAsReference(t, "PB", pb, referenceOver(Arithmetic(), ar, br, nil, false), sameBits)
-	for _, sr := range []Semiring[float64]{Arithmetic(), stripKind(Arithmetic())} {
+	for _, sr := range []Semiring[float64]{Arithmetic(), opaque(Arithmetic())} {
 		for _, threads := range []int{1, 3} {
 			got, err := MultiplyOpts(sr, ac, br, Options{Threads: threads, Rows: rowsAlways})
 			if err != nil {

@@ -1,7 +1,9 @@
 package semiring
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -193,5 +195,96 @@ func TestSemiringNames(t *testing.T) {
 		if name == "" {
 			t.Fatal("semiring missing name")
 		}
+	}
+}
+
+// TestValidateMatchesCSR: a generic matrix is checked by CSR's own validator,
+// so each corruption returns the error CSR.Validate returns for the same
+// arrays, whatever the element type — and a corrupt middle pointer is an
+// error, not a walk past ColIdx.
+func TestValidateMatchesCSR(t *testing.T) {
+	cases := []struct {
+		name   string
+		rows   int32
+		rowPtr []int64
+		colIdx []int32
+	}{
+		{"valid", 2, []int64{0, 2, 3}, []int32{0, 2, 1}},
+		{"middle pointer past nnz", 2, []int64{0, 5, 3}, []int32{0, 1, 2}},
+		{"pointer not monotone", 2, []int64{0, 2, 1}, []int32{0}},
+		{"pointer 0 not 0", 2, []int64{1, 2, 3}, []int32{0, 1, 2}},
+		{"pointer end not nnz", 2, []int64{0, 1, 2}, []int32{0, 1, 2}},
+		{"short pointers", 3, []int64{0, 1, 2}, []int32{0, 1}},
+		{"column out of range", 2, []int64{0, 1, 2}, []int32{0, 3}},
+		{"negative column", 2, []int64{0, 1, 2}, []int32{-1, 0}},
+		{"unsorted row", 2, []int64{0, 2, 3}, []int32{2, 0, 1}},
+		{"duplicate column", 2, []int64{0, 2, 3}, []int32{1, 1, 0}},
+	}
+	for _, c := range cases {
+		m := &matrix.CSR{NumRows: c.rows, NumCols: 3, RowPtr: c.rowPtr, ColIdx: c.colIdx,
+			Val: make([]float64, len(c.colIdx))}
+		want := m.Validate()
+		if (want == nil) != (c.name == "valid") {
+			t.Fatalf("%s: CSR.Validate = %v", c.name, want)
+		}
+		validateLike(t, c.name, FromCSR(m, func(v float64) float64 { return v }), want)
+		validateLike(t, c.name, FromCSR(m, func(float64) bool { return true }), want)
+		validateLike(t, c.name, FromCSR(m, func(float64) int32 { return 1 }), want)
+		short := FromCSR(m, func(float64) float32 { return 1 })
+		short.Val = short.Val[:0]
+		if got := short.Validate(); got == nil {
+			t.Fatalf("%s: values shorter than the indices accepted", c.name)
+		}
+	}
+}
+
+func validateLike[T any](t *testing.T, name string, m *CSRg[T], want error) {
+	t.Helper()
+	got := m.Validate()
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("%s, %T: Validate = %v, CSR.Validate %v", name, m, got, want)
+	}
+}
+
+// TestTransposeRoundTrip: CSR → CSC → CSR gives back the same arrays for every
+// element type, through the float64 conversions and the generic ones (ToCSC,
+// and the row kernel's rowsOf back), on ER, R-MAT and a matrix with empty rows
+// and columns.
+func TestTransposeRoundTrip(t *testing.T) {
+	holes := &matrix.COO{NumRows: 40, NumCols: 30}
+	for i := int32(0); i < 40; i += 3 {
+		for j := (i * 7) % 5; j < 30; j += 4 {
+			holes.Row, holes.Col, holes.Val = append(holes.Row, i), append(holes.Col, j), append(holes.Val, float64(i*30+j)+0.5)
+		}
+	}
+	for name, m := range map[string]*matrix.CSR{
+		"ER":              gen.ER(200, 5, 11),
+		"R-MAT":           gen.RMAT(8, 6, gen.Graph500Params, 12),
+		"empty rows/cols": holes.ToCSR(),
+		"no entries":      matrix.NewCSR(7, 5, 0),
+	} {
+		back := m.ToCSC().ToCSR()
+		if !slices.Equal(back.RowPtr, m.RowPtr) || !slices.Equal(back.ColIdx, m.ColIdx) ||
+			!slices.Equal(back.Val, m.Val) || back.NumRows != m.NumRows || back.NumCols != m.NumCols {
+			t.Fatalf("%s: float64 CSR → CSC → CSR changed the matrix", name)
+		}
+		roundTrip(t, name, FromCSR(m, func(v float64) float64 { return v }))
+		roundTrip(t, name, FromCSR(m, func(v float64) float32 { return float32(v) }))
+		roundTrip(t, name, FromCSR(m, func(v float64) int32 { return int32(v * 10) }))
+		roundTrip(t, name, FromCSR(m, func(v float64) bool { return v > 0.5 }))
+	}
+}
+
+func roundTrip[T comparable](t *testing.T, name string, m *CSRg[T]) {
+	t.Helper()
+	c := m.ToCSC()
+	if err := (&matrix.CSC{NumRows: c.NumRows, NumCols: c.NumCols, ColPtr: c.ColPtr, RowIdx: c.RowIdx,
+		Val: make([]float64, len(c.Val))}).Validate(); err != nil {
+		t.Fatalf("%s, %T: ToCSC: %v", name, m, err)
+	}
+	back := new(rowState[T]).rowsOf(c)
+	if !slices.Equal(back.RowPtr, m.RowPtr) || !slices.Equal(back.ColIdx, m.ColIdx) ||
+		!slices.Equal(back.Val, m.Val) || back.NumRows != m.NumRows || back.NumCols != m.NumCols {
+		t.Fatalf("%s, %T: CSR → CSC → CSR changed the matrix", name, m)
 	}
 }

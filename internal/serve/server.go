@@ -295,12 +295,17 @@ type productSpec struct {
 
 // key is the full request identity the cache and flight group share: both
 // inputs' content hashes, the algebra, the mask, and every option that can
-// change the bytes of the result.
+// change the bytes of the result. A memory budget cannot: it cuts the bins of
+// a PB run into groups and never a bin's fold, Auto under one picks PB, whose
+// bytes SPA's equal, and the column kernels ignore it — so a budgeted request
+// hits the unbudgeted one's entry, as the degraded rung's product already
+// does. Threads stay: the column kernels hold their sums across thread counts
+// only to rounding.
 func (sp *productSpec) key() string {
 	return strings.Join([]string{
 		sp.req.A, sp.req.B, sp.semiring, sp.req.Mask,
 		strconv.FormatBool(sp.req.Complement), sp.algorithm.String(),
-		strconv.Itoa(sp.req.Threads), strconv.FormatInt(sp.req.MemoryBudgetBytes, 10),
+		strconv.Itoa(sp.req.Threads),
 	}, "|")
 }
 

@@ -142,6 +142,26 @@ func TestServerRegistryFullUpload(t *testing.T) {
 // second identical request returns the product without the Engine running
 // again (its multiply counter is unchanged), and the result round-trips
 // bit-identically through the binary output.
+// TestServerBudgetSharesCacheEntry: a memory budget never changes a
+// product's bytes, so a budgeted request is served from the entry the same
+// request without one made.
+func TestServerBudgetSharesCacheEntry(t *testing.T) {
+	s := newTestServer(t, nil)
+	ida, idb := uploadText(t, s, pbspgemm.NewER(256, 4, 1)), uploadText(t, s, pbspgemm.NewER(256, 4, 2))
+	body := fmt.Sprintf(`{"a":%q,"b":%q`, ida, idb)
+	resp, rec := multiplyJSON(t, s, body+"}")
+	if rec.Code != http.StatusOK || resp.Cached {
+		t.Fatalf("unbudgeted: status %d cached=%v", rec.Code, resp.Cached)
+	}
+	resp2, rec2 := multiplyJSON(t, s, body+`,"memory_budget_bytes":4096}`)
+	if rec2.Code != http.StatusOK || !resp2.Cached {
+		t.Fatalf("budgeted repeat: status %d cached=%v, want a cache hit", rec2.Code, resp2.Cached)
+	}
+	if calls := s.eng.Metrics().Calls; calls != 1 {
+		t.Fatalf("engine ran %d multiplies, want 1", calls)
+	}
+}
+
 func TestServerRepeatServedFromCache(t *testing.T) {
 	s := newTestServer(t, nil)
 	a := pbspgemm.NewER(256, 4, 1)

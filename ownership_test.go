@@ -39,9 +39,9 @@ func ownedOf[T comparable](m *Matrix[T], mark T, f func(T) float64) owned {
 
 // TestEngineProductsAreCallerOwned: every product an engine
 // returns is the caller's — Engine.Multiply's, one from each typed fast path of
-// EngineMultiplyOver (float64, float32, int32, Boolean pattern), and the wide
-// layout's (a caller-assembled semiring) — though the pool hands its output
-// arrays over instead of copying them. A goroutine overwrites each product
+// EngineMultiplyOver (float64, float32, int32, Boolean pattern), the wide
+// layout's (a caller-assembled semiring) and MultiplyOver's, a fresh engine's —
+// though the pool hands its output arrays over instead of copying them. A goroutine overwrites each product
 // while the same engine runs every route again: under -race any write or read
 // the engine still makes to a handed-over array is reported, the later
 // products must equal Reference, and the overwritten one must keep the writes.
@@ -79,6 +79,13 @@ func TestEngineProductsAreCallerOwned(t *testing.T) {
 		{"int32", overRoute(e, ArithmeticInt32(), MatrixOf(a, i32), MatrixOf(b, i32), true, -1, func(v int32) float64 { return float64(v) })},
 		{"Boolean", overRoute(e, Boolean(), MatrixOf(a, one), MatrixOf(b, one), true, false, func(bool) float64 { return 1 })},
 		{"wide", overRoute(e, custom, MatrixOf(a, id), MatrixOf(b, id), false, -1, id)},
+		{"MultiplyOver", func() (owned, error) {
+			c, err := MultiplyOver(Arithmetic(), MatrixOf(a, id).ToCSC(), MatrixOf(b, id), WithAlgorithm(PB), WithThreads(2))
+			if err != nil {
+				return owned{}, err
+			}
+			return ownedOf(c, -1, id), nil
+		}},
 	}
 	check := func(name string, got owned) {
 		t.Helper()

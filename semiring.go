@@ -12,7 +12,11 @@ import (
 // with identity Zero; Times must distribute over Plus. The compress phase
 // folds duplicate (row, col) tuples with Plus; entries equal to Zero after
 // folding are kept, matching GraphBLAS semantics (structural zeros are
-// dropped only by explicit pruning).
+// dropped only by explicit pruning). A call is routed by the semiring's
+// operations, not by its constructor: Plus and Times that are a stock
+// semiring's own functions run that semiring's typed kernels — assembled by
+// the caller or not — and any other function, a closure of the same operation
+// included, runs through itself.
 type Semiring[T any] = semiring.Semiring[T]
 
 // Matrix is a generic sparse matrix in CSR layout — the row-major view every
@@ -98,16 +102,11 @@ func Float64CSR(g *Matrix[float64]) *CSR {
 // WithMask / WithComplementMask and WithContext (polled every 64 Ki expanded
 // tuples, per sort task and per bin, and every 64 rows of the row kernel).
 // Under a plain WithMask any semiring runs the row kernel's masked form, under
-// a complement mask PB. EngineMultiplyOver reuses workspaces.
+// a complement mask PB. It is EngineMultiplyOver on a fresh engine, which
+// reuses workspaces across calls.
 func MultiplyOver[T any](sr Semiring[T], a *ColMatrix[T], b *Matrix[T], opts ...Option) (*Matrix[T], error) {
-	cfg, err := resolve(nil, opts)
-	if err != nil {
-		return nil, err
-	}
-	if err := cfg.overAlgorithm(); err != nil {
-		return nil, err
-	}
-	return semiring.MultiplyOpts(sr, a, b, cfg.semiringOptions(nil, nil))
+	e, _ := NewEngine() // no defaults: nothing to reject
+	return EngineMultiplyOver(e, nil, sr, a, b, opts...)
 }
 
 // MultiplyMasked computes the masked product C⟨M⟩ = (A·B) ∘ M over the
@@ -173,8 +172,8 @@ func EWiseMult[T any](sr Semiring[T], a, b *Matrix[T]) (*Matrix[T], error) {
 }
 
 // semiringOptions lowers the resolved config to internal/semiring's options;
-// ws is the pooled workspace and scratch the planner's marker (nil for one-shot
-// calls). WithAlgorithm becomes the choice of kernel: SPA the row kernel, Auto
+// ws is the call's pooled workspace and scratch the planner's marker (nil where
+// no planner runs). WithAlgorithm becomes the choice of kernel: SPA the row kernel, Auto
 // the planner's pick, priced at the semiring's value width.
 func (c *config) semiringOptions(ws *core.Workspace, scratch *[]int32) semiring.Options {
 	opt := semiring.Options{
