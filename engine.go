@@ -216,8 +216,9 @@ func (e *Engine) Multiply(ctx context.Context, a, b *CSR, opts ...Option) (*Resu
 // MultiplyMasked computes C⟨M⟩ = (A·B) ∘ mask over the arithmetic semiring
 // without materializing the unmasked product (see MultiplyMasked at package
 // level). It shares the engine's workspace pool, context handling and
-// metrics (a masked product is recorded in ByAlgorithm's PB bucket, whichever
-// kernel ran it).
+// metrics: a plain mask is recorded in ByAlgorithm's PB bucket, whichever
+// kernel ran it; a complement mask (WithComplementMask in opts) is the planned
+// product with M's positions dropped, recorded under the kernel that ran it.
 func (e *Engine) MultiplyMasked(ctx context.Context, a, b, mask *CSR, opts ...Option) (*CSR, error) {
 	// Precedence: per-call options > the explicit mask argument > engine defaults.
 	if mask != nil {
@@ -257,14 +258,14 @@ func (e *Engine) release(ws *workspace, err error) {
 // planner (or takes a WithPlan plan), then ws.run calls the kernel and the
 // product is detached from the workspace before it returns to the pool.
 // It reports the executed algorithm
-// (and whether the planner chose it) for the per-algorithm metrics; a masked
-// product is recorded under PB, whichever kernel ran it.
+// (and whether the planner chose it) for the per-algorithm metrics; a product
+// under a plain mask is recorded under PB, whichever kernel ran it.
 func (e *Engine) multiply(cfg *config, a, b *CSR) (*Result, Algorithm, bool, error) {
 	start := time.Now()
 	ws := e.pool.Get().(*workspace)
 	alg, plan := cfg.algorithm, (*Plan)(nil)
 	switch {
-	case cfg.mask != nil:
+	case cfg.rowMasked():
 		alg = PB
 	case alg == Auto && cfg.handedPlan(a, b):
 		plan = cfg.autoPlan
@@ -292,15 +293,18 @@ func (e *Engine) multiply(cfg *config, a, b *CSR) (*Result, Algorithm, bool, err
 	switch {
 	case pb != nil:
 		st := *pb
-		res.PB, res.Flops, res.CF, res.Elapsed = &st, st.Flops, st.CF, st.Total
+		res.PB, res.Flops, res.Elapsed = &st, st.Flops, st.Total
 	case col != nil:
 		st := *col
-		res.Baseline, res.Flops, res.CF, res.Elapsed = &st, st.Flops, st.CF, st.Total
-	default: // masked
-		res.Flops, res.Elapsed = matrix.FlopsCSR(a, b), time.Since(start)
-		if nnz := c.NNZ(); nnz > 0 {
-			res.CF = float64(res.Flops) / float64(nnz)
-		}
+		res.Baseline, res.Flops, res.Elapsed = &st, st.Flops, st.Total
+	default: // a plain mask
+		res.Flops = matrix.FlopsCSR(a, b)
+	}
+	if cfg.mask != nil { // the masked kernel, or the product and the drop after it
+		res.Elapsed = time.Since(start)
+	}
+	if nnz := res.C.NNZ(); nnz > 0 {
+		res.CF = float64(res.Flops) / float64(nnz)
 	}
 	e.pool.Put(ws)
 	return res, alg, plan != nil, nil
@@ -325,11 +329,12 @@ func newWorkspace() *workspace {
 // cfg's context at phase boundaries. This switch is the one place a kernel is
 // called from. The product and the stats alias ws until the next call (take
 // the product with DetachOutput); pb or col is set for the kernel family that
-// ran, neither for a masked product, which is already the caller's. A panic
+// ran, neither under a plain mask, whose product is already the caller's. A
+// complement mask's positions are dropped from the product alg made. A panic
 // raised inside is returned as a *par.PanicError.
 func (ws *workspace) run(cfg *config, alg Algorithm, a, b *CSR) (c *CSR, pb *PhaseStats, col *BaselineStats, err error) {
 	defer contain(alg, &err)
-	if cfg.mask != nil {
+	if cfg.rowMasked() {
 		c, err = cfg.maskedArith(a, b, ws)
 		return c, nil, nil, err
 	}
@@ -346,7 +351,6 @@ func (ws *workspace) run(cfg *config, alg Algorithm, a, b *CSR) (c *CSR, pb *Pha
 			Workspace:         ws.Core,
 			Cancel:            cancel,
 		})
-		return c, pb, nil, err
 	case Heap:
 		column = baseline.Heap
 	case Hash:
@@ -358,8 +362,13 @@ func (ws *workspace) run(cfg *config, alg Algorithm, a, b *CSR) (c *CSR, pb *Pha
 	default:
 		return nil, nil, nil, &OptionError{Option: "WithAlgorithm", Value: int64(alg)}
 	}
-	c, col, err = column(a, b, baseline.Options{Threads: cfg.threads, Workspace: ws.Col, Cancel: cancel})
-	return c, nil, col, err
+	if column != nil {
+		c, col, err = column(a, b, baseline.Options{Threads: cfg.threads, Workspace: ws.Col, Cancel: cancel})
+	}
+	if err == nil && cfg.mask != nil {
+		c.ColIdx, c.Val = matrix.DropMasked(c.RowPtr, c.ColIdx, c.Val, cfg.mask)
+	}
+	return c, pb, col, err
 }
 
 // contain converts a panic unwinding out of a kernel call — the kernel's own
@@ -383,13 +392,13 @@ func (ws *workspace) DetachOutput(c *CSR) *CSR {
 // EngineMultiplyOver is MultiplyOver running on an engine: the semiring
 // multiplication checks a pooled workspace out of e, observes ctx at phase
 // boundaries and inside the long phase loops, and folds into e's metrics —
-// under SPA when the row kernel ran an unmasked product (AutoChosen when Auto
-// picked it), under PB otherwise. (Go methods cannot introduce type
-// parameters, hence the package-level function taking the engine first.) The
-// result is fully caller-owned: the row kernel's is allocated for the caller,
-// the pipeline's handed over by the workspace. The wide layout's pooled planes
-// are cached per element type T, so an engine serving a stable T hits its pool
-// just like the float64 path.
+// under SPA when the row kernel ran a product without a plain mask, under PB
+// otherwise, and as AutoChosen when Auto picked the kernel. (Go methods cannot
+// introduce type parameters, hence the package-level function taking the
+// engine first.) The result is fully caller-owned: the row kernel's is
+// allocated for the caller, the pipeline's handed over by the workspace. The
+// wide layout's pooled planes are cached per element type T, so an engine
+// serving a stable T hits its pool just like the float64 path.
 func EngineMultiplyOver[T any](e *Engine, ctx context.Context, sr Semiring[T], a *ColMatrix[T], b *Matrix[T], opts ...Option) (*Matrix[T], error) {
 	cfg, err := resolve(e.defaults, opts)
 	if err != nil {
@@ -427,10 +436,10 @@ func EngineMultiplyOver[T any](e *Engine, ctx context.Context, sr Semiring[T], a
 	}
 	e.release(ws, err)
 	alg := PB
-	if plan.Rows && cfg.mask == nil {
+	if plan.Rows && !cfg.rowMasked() {
 		alg = SPA
 	}
-	e.record(start, alg, alg == SPA && cfg.algorithm == Auto, semiring.Flops(a, b), a.NNZ(), b.NNZ(), nnzc, err)
+	e.record(start, alg, cfg.algorithm == Auto && !cfg.rowMasked(), semiring.Flops(a, b), a.NNZ(), b.NNZ(), nnzc, err)
 	return gc, err
 }
 

@@ -186,10 +186,6 @@ func MultiplyNarrow[V Value32](a *matrix.CSC, aVal []V, b *matrix.CSR, bVal []V,
 type Algebra[V any] struct {
 	Times func(dst []radix.Pair[V], a V, b []V)
 	Plus  func(a, b V) V
-	// Filter, if non-nil, runs over every folded bin segment — sorted by key,
-	// duplicate-free — and keeps a prefix of it, returning the kept length
-	// (internal/semiring's complement mask). It runs once per bin.
-	Filter SegFilter[V]
 }
 
 // Elementwise lifts a scalar ⊗ to Algebra.Times' chunk form.
@@ -219,10 +215,6 @@ var structural = Algebra[struct{}]{
 	Times: func([]radix.Pair[struct{}], struct{}, []struct{}) {},
 	Plus:  func(struct{}, struct{}) struct{} { return struct{}{} },
 }
-
-// SegFilter filters one folded bin segment in place. A tuple's global row is
-// firstRow + Key>>colBits, its column Key & (1<<colBits - 1).
-type SegFilter[V any] func(seg []radix.Pair[V], firstRow int32, colBits uint) int64
 
 // pairs holds one value type's planes of the wide layout, pooled grow-only in
 // Workspace.wide (one V at a time, like kvNarrow), plus the per-call bindings:
@@ -397,27 +389,20 @@ func (l *pairs[V]) growScratch(e *engine, total, accSlots int64) {
 
 func (l *pairs[V]) fuseBin(e *engine, worker, bin int) int64 {
 	lo, hi := e.ws.binStart[bin], e.ws.binStart[bin+1]
+	var n int
 	if e.denseBin(hi - lo) {
 		slots := int64(1) << e.keyBits()
 		acc := l.acc[int64(worker)*slots:][:slots]
-		return l.finishBin(e, bin, radix.FoldDensePairs(l.tuples[lo:hi], acc, e.accBitsFor(worker, slots), l.alg.Plus))
+		n = radix.FoldDensePairs(l.tuples[lo:hi], acc, e.accBitsFor(worker, slots), l.alg.Plus)
+	} else {
+		n = radix.SortPairs(l.tuples[lo:hi], l.scratch[int64(worker)*e.scratchStride:][:hi-lo], int(e.keyBits()), l.alg.Plus)
 	}
-	n := radix.SortPairs(l.tuples[lo:hi], l.scratch[int64(worker)*e.scratchStride:][:hi-lo], int(e.keyBits()), l.alg.Plus)
-	return l.finishBin(e, bin, n)
-}
-
-// finishBin ends a bin's fold, whichever kernel ran it: the filter over the n
-// folded tuples, then the row tally over what it kept.
-func (l *pairs[V]) finishBin(e *engine, bin, n int) int64 {
-	seg := l.tuples[e.ws.binStart[bin]:][:n]
-	if l.alg.Filter != nil {
-		seg = seg[:l.alg.Filter(seg, int32(int64(bin)<<e.rowShift), e.colBits)]
-	}
-	rows, cb := e.binRows(bin), e.colBits
+	// The row tally over the folded tuples, whichever kernel ran.
+	seg, rows, cb := l.tuples[lo:][:n], e.binRows(bin), e.colBits
 	for i := range seg {
 		rows[seg[i].Key>>cb]++
 	}
-	return int64(len(seg))
+	return int64(n)
 }
 
 func (l *pairs[V]) unpackBin(e *engine, c *matrix.CSR, srcOff, dstOff, n int64) {

@@ -647,23 +647,13 @@ func TestLayoutSteadyStateAllocs(t *testing.T) {
 			}
 		})
 	}
-	// The same layout behind its own entry point, over (min, +) with a filter.
+	// The same layout behind its own entry point, over (min, +).
 	t.Run("wide-minplus-budgeted", func(t *testing.T) {
 		ws := NewWorkspace()
 		opt := Options{Threads: 1, Workspace: ws, MemoryBudgetBytes: 32 << 10}
 		alg := Algebra[float64]{
 			Times: Elementwise(func(x, y float64) float64 { return x + y }),
 			Plus:  func(x, y float64) float64 { return min(x, y) },
-			Filter: func(seg []radix.Pair[float64], _ int32, _ uint) int64 {
-				w := 0
-				for _, p := range seg {
-					if p.Key&1 == 0 { // even columns stay
-						seg[w] = p
-						w++
-					}
-				}
-				return int64(w)
-			},
 		}
 		allocs := testing.AllocsPerRun(10, func() {
 			if _, _, _, err := MultiplyWide(a, a.Val, b, b.Val, alg, opt); err != nil {

@@ -427,3 +427,40 @@ func TestCSCMemoExactMatch(t *testing.T) {
 		}
 	}
 }
+
+// TestDropMasked: the complement-mask drop keeps exactly the entries whose
+// position the mask does not store, in order with their values, against a
+// per-entry lookup — over empty rows, mask entries the matrix never reaches,
+// a mask that covers everything and one that covers nothing.
+func TestDropMasked(t *testing.T) {
+	c := randomCOO(11, 40, 30, 500).ToCSR()
+	for name, mask := range map[string]*CSR{
+		"random":  randomCOO(12, 40, 30, 300).ToCSR(),
+		"itself":  c,
+		"empty":   randomCOO(13, 40, 30, 0).ToCSR(),
+		"overlap": (&COO{NumRows: 40, NumCols: 30, Row: []int32{0, 0, 39}, Col: []int32{0, 29, 5}, Val: []float64{1, 1, 1}}).ToCSR(),
+	} {
+		stored := map[[2]int32]bool{}
+		for i := int32(0); i < mask.NumRows; i++ {
+			for p := mask.RowPtr[i]; p < mask.RowPtr[i+1]; p++ {
+				stored[[2]int32{i, mask.ColIdx[p]}] = true
+			}
+		}
+		want := &COO{NumRows: c.NumRows, NumCols: c.NumCols}
+		for i := int32(0); i < c.NumRows; i++ {
+			for p := c.RowPtr[i]; p < c.RowPtr[i+1]; p++ {
+				if !stored[[2]int32{i, c.ColIdx[p]}] {
+					want.Row, want.Col, want.Val = append(want.Row, i), append(want.Col, c.ColIdx[p]), append(want.Val, c.Val[p])
+				}
+			}
+		}
+		got := c.Clone()
+		got.ColIdx, got.Val = DropMasked(got.RowPtr, got.ColIdx, got.Val, mask)
+		if err := got.Validate(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !Equal(want.ToCSR(), got, 0) {
+			t.Fatalf("%s: drop differs from the per-entry lookup", name)
+		}
+	}
+}

@@ -281,3 +281,30 @@ func (m *CSR) Prune(threshold float64) *CSR {
 	}
 	return out
 }
+
+// DropMasked removes in place every entry of the canonical CSR planes
+// (rowPtr, colIdx, val) whose position mask stores: the complement mask
+// C⟨¬M⟩ applied to a finished product, one linear merge of each row against
+// the mask's row. rowPtr is rewritten; the kept prefixes of colIdx and val are
+// returned. mask must be canonical and have as many rows.
+func DropMasked[V any](rowPtr []int64, colIdx []int32, val []V, mask *CSR) ([]int32, []V) {
+	var w int64
+	for i := range len(rowPtr) - 1 {
+		lo, hi := rowPtr[i], rowPtr[i+1]
+		mp, mEnd := mask.RowPtr[i], mask.RowPtr[i+1]
+		rowPtr[i] = w
+		for p := lo; p < hi; p++ {
+			col := colIdx[p]
+			for mp < mEnd && mask.ColIdx[mp] < col {
+				mp++
+			}
+			if mp < mEnd && mask.ColIdx[mp] == col {
+				continue
+			}
+			colIdx[w], val[w] = col, val[p]
+			w++
+		}
+	}
+	rowPtr[len(rowPtr)-1] = w
+	return colIdx[:w], val[:w]
+}

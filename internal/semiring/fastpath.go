@@ -26,9 +26,11 @@ import (
 // pairs, and a Boolean product over all-true operands no values at all. A
 // plain mask never reaches a typed layout, nor a product Options.Rows gives
 // the row kernel (multiplyOpts hands those over first); every other call with
-// no typed entry (a custom or modified semiring, stored false booleans) or
-// under a complement mask runs the same pipeline on the wide layout through
-// its own ⊗ and ⊕ (multiplyGeneric in multiply.go).
+// no typed entry (a custom or modified semiring, stored false booleans) runs
+// the same pipeline on the wide layout through its own ⊗ and ⊕
+// (multiplyGeneric in multiply.go). A complement mask is none of these
+// routes: the product runs as an unmasked one would, and then M's positions
+// are dropped from it.
 
 // Plan reports how MultiplyOpts executed a call: whether a typed fast path
 // ran and under which tuple layout. Request it via Options.Plan.

@@ -7,7 +7,6 @@ import (
 	"pbspgemm/internal/core"
 	"pbspgemm/internal/matrix"
 	"pbspgemm/internal/par"
-	"pbspgemm/internal/radix"
 )
 
 // Options configures a multiplication. The zero value runs single-shot on
@@ -32,9 +31,9 @@ type Options struct {
 	// Mask must be canonical CSR of shape rows(A)×cols(B).
 	Mask *matrix.CSR
 	// Complement flips the mask (C⟨¬M⟩): keep positions NOT stored in Mask.
-	// Ignored when Mask is nil. It keeps nearly the whole product, so it runs
-	// the tuple pipeline (the wide layout, for every semiring), filtering each
-	// bin right after its fold.
+	// Ignored when Mask is nil. The product runs as an unmasked one would —
+	// the typed layout, the wide one or the row kernel — and then M's
+	// positions are dropped from it (matrix.DropMasked).
 	Complement bool
 	// Cancel, if non-nil, is polled as core.Options.Cancel is: at phase
 	// boundaries and inside the long phase loops (every 64 Ki expanded tuples,
@@ -42,7 +41,8 @@ type Options struct {
 	// return aborts the multiplication with that error, wrapped with the
 	// interrupted phase.
 	Cancel func() error
-	// Rows, if non-nil, picks the kernel of an unmasked product: it is shown A
+	// Rows, if non-nil, picks the kernel of a product that has no plain mask
+	// (a complement mask is dropped after the product): it is shown A
 	// by rows and B as index-only headers, with the bytes a value of the row
 	// kernel's accumulator takes (0 for a Boolean product over all-true
 	// operands, which has none), and the row kernel runs when it returns true.
@@ -77,7 +77,8 @@ func (opt Options) setPlan(p Plan, st *core.Stats) {
 // internal/core's pipeline under the typed tuple layout the semiring and
 // element type allow (fastpath.go), the wide layout with sr's ⊗ and ⊕
 // otherwise — or with the row kernel, under a plain mask and wherever
-// opt.Rows picks it. Panics — the semiring's callbacks run arbitrary user
+// opt.Rows picks it. A complement mask drops M's positions from that
+// product. Panics — the semiring's callbacks run arbitrary user
 // code, on worker goroutines — are contained into a *par.PanicError return
 // rather than unwinding into the caller's process.
 func MultiplyOpts[T any](sr Semiring[T], a *CSCg[T], b *CSRg[T], opt Options) (c *CSRg[T], err error) {
@@ -96,20 +97,25 @@ func multiplyOpts[T any](sr Semiring[T], a *CSCg[T], b *CSRg[T], opt Options) (*
 	if err := checkShapes(a.NumRows, a.NumCols, b, opt.Mask); err != nil {
 		return nil, err
 	}
+	if opt.Mask != nil && opt.Complement {
+		drop := opt.Mask
+		opt.Mask = nil
+		c, err := multiplyOpts(sr, a, b, opt)
+		if err != nil {
+			return nil, err
+		}
+		c.ColIdx, c.Val = matrix.DropMasked(c.RowPtr, c.ColIdx, c.Val, drop)
+		return c, nil
+	}
 	r := routeOf(sr, a.Val, b.Val)
-	plain := opt.Mask != nil && !opt.Complement
-	if plain || opt.Mask == nil && opt.Rows != nil {
+	if opt.Mask != nil || opt.Rows != nil {
 		rs := rowStateOf[T](opt.Workspace)
 		ar := rs.rowsOf(a)
-		if plain || opt.Rows(csrHeader(ar, nil), csrHeader(b, nil), r.valueBytes) {
+		if opt.Mask != nil || opt.Rows(csrHeader(ar, nil), csrHeader(b, nil), r.valueBytes) {
 			return rs.multiply(sr, ar, b, opt, r)
 		}
 	}
-	why := r.why
-	if why == "" && opt.Mask != nil {
-		why = "complement mask: wide layout with a post-fold filter"
-	}
-	if why == "" {
+	if r.why == "" {
 		c, st, err := r.run(a, b, opt.coreOptions())
 		if err != nil {
 			return nil, err
@@ -118,7 +124,7 @@ func multiplyOpts[T any](sr Semiring[T], a *CSCg[T], b *CSRg[T], opt Options) (*
 		return c, nil
 	}
 	c, st, err := multiplyGeneric(sr, a, b, opt)
-	opt.setPlan(Plan{Reason: why}, st)
+	opt.setPlan(Plan{Reason: r.why}, st)
 	return c, err
 }
 
@@ -189,53 +195,14 @@ func checkShapes[T any](rows, inner int32, b *CSRg[T], mask *matrix.CSR) error {
 
 // multiplyGeneric runs any semiring through internal/core's pipeline on the
 // wide layout: sr.Times forms each tuple in the parallel propagation-blocked
-// expand, a stable sort and sr.Plus fold each bin in arrival order, and a mask
-// (complement or, from the tests that hold the row kernel to it, plain)
-// filters each folded bin. With the fold order defined, a product is the same
-// at every thread count and budget whatever sr.Plus is: ascending k.
+// expand, and a stable sort and sr.Plus fold each bin in arrival order. With
+// the fold order defined, a product is the same at every thread count and
+// budget whatever sr.Plus is: ascending k.
 func multiplyGeneric[T any](sr Semiring[T], a *CSCg[T], b *CSRg[T], opt Options) (*CSRg[T], *core.Stats, error) {
 	alg := core.Algebra[T]{Times: core.Elementwise(sr.Times), Plus: sr.Plus}
-	if opt.Mask != nil {
-		alg.Filter = filterSegMask[T](opt.Mask, opt.Complement)
-	}
 	c, vals, st, err := core.MultiplyWide(cscHeader(a, nil), a.Val, csrHeader(b, nil), b.Val, alg, opt.coreOptions())
 	if err != nil {
 		return nil, nil, err
 	}
 	return csrg(c, vals), st, nil
-}
-
-// filterSegMask returns the post-fold filter of a structural mask. It drops
-// tuples of a folded, sorted bin segment: a tuple at global position (row,
-// col) survives iff the mask stores an entry there (or does not, under
-// complement). The segment is sorted by packed key, so rows appear in
-// ascending order with ascending columns inside each row, and the filter is
-// one linear merge of the segment against the relevant mask rows; it returns
-// the kept length. Filtering a filtered segment keeps all of it.
-func filterSegMask[T any](mask *matrix.CSR, complement bool) core.SegFilter[T] {
-	return func(seg []radix.Pair[T], firstRow int32, colBits uint) int64 {
-		colMask := uint64(1)<<colBits - 1
-		var w int64
-		for i := 0; i < len(seg); {
-			rowKey := seg[i].Key >> colBits
-			row := firstRow + int32(rowKey)
-			j := i
-			for j < len(seg) && seg[j].Key>>colBits == rowKey {
-				j++
-			}
-			mp, mEnd := mask.RowPtr[row], mask.RowPtr[row+1]
-			for ; i < j; i++ {
-				col := int32(seg[i].Key & colMask)
-				for mp < mEnd && mask.ColIdx[mp] < col {
-					mp++
-				}
-				stored := mp < mEnd && mask.ColIdx[mp] == col
-				if stored != complement {
-					seg[w] = seg[i]
-					w++
-				}
-			}
-		}
-		return w
-	}
 }

@@ -3,6 +3,7 @@ package semiring
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -70,13 +71,21 @@ func sameAsReference[T any](t *testing.T, what string, got, want *CSRg[T], eq fu
 func equal[T comparable](a, b T) bool { return a == b }
 func sameBits(a, b float64) bool      { return math.Float64bits(a) == math.Float64bits(b) }
 
+// storesFalse reports whether v is Boolean and stores a false value, which
+// keeps a product off the structural pattern layout.
+func storesFalse[T any](v []T) bool {
+	bs, ok := any(v).([]bool)
+	return ok && slices.Contains(bs, false)
+}
+
 // overTable multiplies a·b over sr through MultiplyOpts — unmasked and under a
 // complement mask, at 1, 2 and 7 threads, unbudgeted and under budgets of a
 // third and a ninth of its wide tuples, on fresh buffers and on ws — and holds
 // every product to referenceOver. Every one of these runs internal/core's
-// pipeline (a typed fast path or the wide layout), so every one must also
-// report its Stats, cut into bin groups exactly when its tuples pass the
-// budget.
+// pipeline, the complement-masked ones too (the mask is dropped from the
+// product afterwards), so every one must report the Stats of the unmasked
+// product, cut into bin groups exactly when its tuples pass the budget, on
+// the typed layout exactly when sr is a typed stock pair over values it takes.
 func overTable[T any](t *testing.T, sr Semiring[T], a, b, mask *matrix.CSR, lift func(float64) T,
 	eq func(a, b T) bool, ws *core.Workspace) {
 
@@ -84,6 +93,8 @@ func overTable[T any](t *testing.T, sr Semiring[T], a, b, mask *matrix.CSR, lift
 	ar, br := FromCSR(a, lift), FromCSR(b, lift)
 	ac := ar.ToCSC()
 	flops := Flops(ac, br)
+	nnzc := referenceOver(sr, ar, br, nil, true).NNZ()
+	typed := typedStock(sr) && !storesFalse(ar.Val) && !storesFalse(br.Val)
 	for _, m := range []*matrix.CSR{nil, mask} {
 		want := referenceOver(sr, ar, br, m, true)
 		for _, parts := range []int64{1, 3, 9} {
@@ -103,11 +114,11 @@ func overTable[T any](t *testing.T, sr Semiring[T], a, b, mask *matrix.CSR, lift
 					}
 					sameAsReference(t, what, got, want, eq)
 					if p.Stats == nil || (p.Stats.NGroups > 1) != (flops*p.Stats.TupleBytes > budget && budget > 0) ||
-						p.Stats.NNZC != got.NNZ() {
+						p.Stats.NNZC != nnzc {
 						t.Fatalf("%s: plan %+v with stats %+v", what, p, p.Stats)
 					}
-					if (m != nil || !typedStock(sr)) && (p.FastPath || p.Stats.Layout != core.LayoutWide) {
-						t.Fatalf("%s: plan %+v ran the %v layout, want wide", what, p, p.Stats.Layout)
+					if p.FastPath != typed || (p.Stats.Layout == core.LayoutWide) == typed {
+						t.Fatalf("%s: plan %+v ran the %v layout, want typed %v", what, p, p.Stats.Layout, typed)
 					}
 				}
 			}

@@ -268,7 +268,8 @@ type multiplyRequest struct {
 	// semiring and mask has auto (PB or the row kernel, by predicted time), pb
 	// and spa (the row kernel); the column kernels serve unmasked arithmetic
 	// only, and any other request naming one is a 400. A plain mask always runs
-	// the row kernel, a complement mask PB.
+	// the row kernel; a complement mask runs the product this names and drops
+	// the mask's positions from it.
 	Algorithm string `json:"algorithm,omitempty"`
 	// Mask is an optional registry id applied as C⟨M⟩ (arithmetic only);
 	// Complement flips it to ⟨¬M⟩.
@@ -288,24 +289,25 @@ type productSpec struct {
 	algorithm  pbspgemm.Algorithm
 	semiring   string
 	// plan is admission's Engine.Plan of this product (of its budgeted form
-	// when degraded), handed to an unmasked arithmetic Auto run so that it
-	// does not plan again.
+	// when degraded), handed to an arithmetic Auto run without a plain mask so
+	// that it does not plan again.
 	plan *pbspgemm.Plan
 }
 
 // key is the full request identity the cache and flight group share: both
 // inputs' content hashes, the algebra, the mask, and every option that can
-// change the bytes of the result. A memory budget cannot: it cuts the bins of
-// a PB run into groups and never a bin's fold, Auto under one picks PB, whose
-// bytes SPA's equal, and the column kernels ignore it — so a budgeted request
-// hits the unbudgeted one's entry, as the degraded rung's product already
-// does. Threads stay: the column kernels hold their sums across thread counts
-// only to rounding.
+// change the bytes of the result. Neither a memory budget nor a thread count
+// can. A budget cuts the bins of a PB run into groups and never a bin's fold,
+// Auto under one picks PB, whose bytes SPA's equal, and the column kernels
+// ignore it — so a budgeted request hits the unbudgeted one's entry, as the
+// degraded rung's product already does. PB and SPA fold every entry in
+// ascending k at any thread count, and Heap, Hash and HashVec give one entry
+// to one worker (pbspgemm's TestAutoBytesDoNotDependOnPick and
+// TestColumnKernelBytesDoNotDependOnThreads).
 func (sp *productSpec) key() string {
 	return strings.Join([]string{
 		sp.req.A, sp.req.B, sp.semiring, sp.req.Mask,
 		strconv.FormatBool(sp.req.Complement), sp.algorithm.String(),
-		strconv.Itoa(sp.req.Threads),
 	}, "|")
 }
 
@@ -614,7 +616,7 @@ func (s *Server) runProduct(ctx context.Context, sp *productSpec) (*Product, err
 			return nil, err
 		}
 		return productOf(res.C, "PB-SpGEMM(sharded "+res.Grid.String()+")", res.Flops, res.Elapsed), nil
-	case sp.semiring == "arithmetic" && sp.mask == nil:
+	case sp.semiring == "arithmetic" && (sp.mask == nil || sp.req.Complement):
 		res, err := s.eng.Multiply(ctx, sp.a, sp.b, append(opts, pbspgemm.WithAlgorithm(sp.algorithm), pbspgemm.WithPlan(sp.plan))...)
 		if err != nil {
 			return nil, err
@@ -626,8 +628,7 @@ func (s *Server) runProduct(ctx context.Context, sp *productSpec) (*Product, err
 		if err != nil {
 			return nil, err
 		}
-		name := map[bool]string{false: "MaskedRows", true: "PB-SpGEMM(complement-masked)"}[sp.req.Complement]
-		return productOf(c, name, pbspgemm.Flops(sp.a, sp.b), time.Since(start)), nil
+		return productOf(c, "MaskedRows", pbspgemm.Flops(sp.a, sp.b), time.Since(start)), nil
 	case sp.semiring == "boolean":
 		start := time.Now()
 		var p pbspgemm.SemiringPlan

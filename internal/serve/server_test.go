@@ -162,6 +162,28 @@ func TestServerBudgetSharesCacheEntry(t *testing.T) {
 	}
 }
 
+// TestServerThreadsShareCacheEntry: a thread count never changes a product's
+// bytes, so two requests that differ only in threads run the kernel once,
+// under every algorithm.
+func TestServerThreadsShareCacheEntry(t *testing.T) {
+	s := newTestServer(t, nil)
+	ida, idb := uploadText(t, s, pbspgemm.NewER(256, 4, 1)), uploadText(t, s, pbspgemm.NewER(256, 4, 2))
+	for i, alg := range []string{"auto", "pb", "spa", "heap", "hash", "hashvec"} {
+		body := fmt.Sprintf(`{"a":%q,"b":%q,"algorithm":%q`, ida, idb, alg)
+		resp, rec := multiplyJSON(t, s, body+`,"threads":1}`)
+		if rec.Code != http.StatusOK || resp.Cached {
+			t.Fatalf("%s, 1 thread: status %d cached=%v", alg, rec.Code, resp.Cached)
+		}
+		resp2, rec2 := multiplyJSON(t, s, body+`,"threads":2}`)
+		if rec2.Code != http.StatusOK || !resp2.Cached {
+			t.Fatalf("%s, 2 threads: status %d cached=%v, want a cache hit", alg, rec2.Code, resp2.Cached)
+		}
+		if calls := s.eng.Metrics().Calls; calls != int64(i+1) {
+			t.Fatalf("%s: engine ran %d multiplies, want %d", alg, calls, i+1)
+		}
+	}
+}
+
 func TestServerRepeatServedFromCache(t *testing.T) {
 	s := newTestServer(t, nil)
 	a := pbspgemm.NewER(256, 4, 1)
@@ -209,7 +231,7 @@ func TestServerRepeatServedFromCache(t *testing.T) {
 	}
 
 	// Different options are a different cache identity.
-	if respT, recT := multiplyJSON(t, s, fmt.Sprintf(`{"a":%q,"b":%q,"threads":1}`, ida, idb)); recT.Code != http.StatusOK || respT.Cached {
+	if respT, recT := multiplyJSON(t, s, fmt.Sprintf(`{"a":%q,"b":%q,"algorithm":"pb"}`, ida, idb)); recT.Code != http.StatusOK || respT.Cached {
 		t.Fatalf("distinct options served from cache: status %d cached=%v", recT.Code, respT.Cached)
 	}
 	if calls := s.eng.Metrics().Calls; calls != 2 {
@@ -418,6 +440,16 @@ func TestServerSemiringsAndMask(t *testing.T) {
 	complC := fetch(fmt.Sprintf(`{"a":%q,"b":%q,"mask":%q,"complement":true,"output":"binary"}`, ida, idb, idm))
 	if !pbspgemm.EqualWithin(maskFilter(ref, mask, true), complC, 1e-9) {
 		t.Fatal("complement-masked product differs from filtered reference")
+	}
+	// The complement-masked product ran the kernel /plan chose for it.
+	complBody := fmt.Sprintf(`{"a":%q,"b":%q,"mask":%q,"complement":true}`, ida, idb, idm)
+	rec := do(s, httptest.NewRequest("POST", "/plan", strings.NewReader(complBody)))
+	var pr planResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &pr); rec.Code != http.StatusOK || err != nil {
+		t.Fatalf("plan: %d %v", rec.Code, err)
+	}
+	if resp, _ := multiplyJSON(t, s, complBody); resp.Algorithm != pr.Chosen {
+		t.Fatalf("complement-masked product ran %q, /plan chose %q", resp.Algorithm, pr.Chosen)
 	}
 
 	// Min-plus on a hand-built instance: D2 = one relaxation of D over (min,+).

@@ -82,3 +82,73 @@ func TestMultiplyMaskedAgainstSqueezedFusedPipeline(t *testing.T) {
 		})
 	}
 }
+
+// TestComplementMaskRunsThePlannedKernel: a complement mask is the planned
+// product with M's positions dropped. On ER 1024·d128, where Auto picks SPA,
+// and ER 2^16·d2, where it picks PB, an Auto call runs Plan.Chosen, reports
+// that kernel's stats and is counted under it, Engine.Plan prices that same
+// run, a WithAlgorithm(SPA) call runs SPA, and every product is
+// maskCSR(Reference, M, true) bit for bit — under M = A, and under a mask
+// holding every third entry of the product and positions it never reaches.
+func TestComplementMaskRunsThePlannedKernel(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name string
+		a, b *CSR
+		pick Algorithm
+	}{
+		{"ER1024-d128", NewER(1024, 128, 1), NewER(1024, 128, 2), SPA},
+		{"ER65536-d2", NewER(1<<16, 2, 1), NewER(1<<16, 2, 2), PB},
+	} {
+		ref := Reference(tc.a, tc.b)
+		// Every third entry of the product, and A's positions.
+		mixed := &COO{NumRows: ref.NumRows, NumCols: ref.NumCols}
+		add := func(i, j int32) {
+			mixed.Row, mixed.Col, mixed.Val = append(mixed.Row, i), append(mixed.Col, j), append(mixed.Val, 1)
+		}
+		for i := int32(0); i < ref.NumRows; i++ {
+			for p := ref.RowPtr[i]; p < ref.RowPtr[i+1]; p += 3 {
+				add(i, ref.ColIdx[p])
+			}
+			for p := tc.a.RowPtr[i]; p < tc.a.RowPtr[i+1]; p++ {
+				add(i, tc.a.ColIdx[p])
+			}
+		}
+		for _, m := range []*CSR{tc.a, mixed.ToCSR()} {
+			want := maskCSR(ref, m, true)
+			eng, err := NewEngine(WithComplementMask(m))
+			if err != nil {
+				t.Fatal(err)
+			}
+			plan, err := eng.Plan(ctx, tc.a, tc.b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := eng.Multiply(ctx, tc.a, tc.b, WithAlgorithm(Auto))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Algorithm != tc.pick || res.Plan == nil || res.Plan.Chosen != tc.pick ||
+				*res.Plan != *plan || (res.PB != nil) != (tc.pick == PB) || (res.Baseline != nil) != (tc.pick == SPA) {
+				t.Fatalf("%s: Auto ran %v with plan %+v (Engine.Plan %+v), PB stats %v, column stats %v; want %v",
+					tc.name, res.Algorithm, res.Plan, plan, res.PB != nil, res.Baseline != nil, tc.pick)
+			}
+			if ac := eng.Metrics().ByAlgorithm[tc.pick]; ac.Calls != 1 || ac.AutoChosen != 1 {
+				t.Fatalf("%s: metrics under %v: %+v", tc.name, tc.pick, ac)
+			}
+			if err := sameBytes(want, res.C); err != nil {
+				t.Fatalf("%s: Auto's product is not Reference with M's positions dropped: %v", tc.name, err)
+			}
+			spa, err := eng.Multiply(ctx, tc.a, tc.b, WithAlgorithm(SPA))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if spa.Algorithm != SPA || spa.Baseline == nil || spa.PB != nil {
+				t.Fatalf("%s: WithAlgorithm(SPA) ran %v", tc.name, spa.Algorithm)
+			}
+			if err := sameBytes(want, spa.C); err != nil {
+				t.Fatalf("%s: SPA's product is not Reference with M's positions dropped: %v", tc.name, err)
+			}
+		}
+	}
+}

@@ -94,9 +94,11 @@ func (c *config) cancelFunc() func() error {
 // let the Engine's planner pick per call. Semiring and masked multiplications
 // have two kernels: PB, the tuple pipeline, and SPA, the row kernel (for every
 // semiring); Auto prices both, the row kernel's accumulator at the semiring's
-// value width. A plain mask always runs the row kernel's masked form and a
-// complement mask PB. The column kernels Heap, Hash and HashVec have no
-// semiring or masked form: such a call returns *OptionError.
+// value width. A plain mask always runs the row kernel's masked form; a
+// complement mask runs the kernel this option names (Auto: the one the
+// planner picks for the unmasked product) and drops M's positions from its
+// product. The column kernels Heap, Hash and HashVec have no semiring or
+// masked form: such a call returns *OptionError.
 func WithAlgorithm(a Algorithm) Option {
 	return func(c *config) error {
 		if a < PB || a > Auto {
@@ -121,9 +123,9 @@ func WithThreads(n int) Option {
 // WithNBins overrides the global bin count of the float64 PB kernel;
 // 0 auto-sizes from flop and the L2 budget (Algorithm 3). Either way the
 // kernel raises it until the packed key fits 32 bits, to at most 4 096 bins
-// (a shape that needs more runs 16-byte tuples in the auto bins). Masked and
-// semiring multiplications always auto-size their bins and ignore this
-// option (like WithLocalBinBytes and WithL2CacheBytes).
+// (a shape that needs more runs 16-byte tuples in the auto bins). Semiring
+// and plain-masked multiplications always auto-size their bins and ignore
+// this option (like WithLocalBinBytes and WithL2CacheBytes).
 func WithNBins(n int) Option {
 	return func(c *config) error {
 		if n < 0 {
@@ -135,7 +137,7 @@ func WithNBins(n int) Option {
 }
 
 // WithLocalBinBytes requests the thread-private local bin width in bytes
-// (float64 PB kernel only; masked/semiring paths ignore it); 0 means 1024,
+// (float64 PB kernel only; plain-masked/semiring paths ignore it); 0 means 1024,
 // measured on every tuple layout against the paper's 512 (Fig. 6a). The
 // engine runs the request rounded down to a multiple of 16 tuples of the
 // run's layout — 1024 B is 64 tuples at 16 bytes, 80 at 12 — and any request
@@ -152,8 +154,8 @@ func WithLocalBinBytes(n int) Option {
 }
 
 // WithL2CacheBytes sets the per-bin cache budget used to auto-size the bin
-// count (float64 PB kernel only; masked/semiring paths ignore it); 0 means
-// 1 MiB.
+// count (float64 PB kernel only; plain-masked/semiring paths ignore it); 0
+// means 1 MiB.
 func WithL2CacheBytes(n int) Option {
 	return func(c *config) error {
 		if n < 0 {
@@ -208,9 +210,10 @@ func WithSemiringPlan(p *SemiringPlan) Option {
 // WithPlan hands an Auto call the plan Engine.Plan made for the same product and
 // options, so that it runs the plan's Chosen kernel without planning again (a
 // server plans once, for admission). The call reports the plan as Result.Plan
-// and counts as an Auto pick. The plan is ignored unless the call is unmasked,
-// the plan chose PB or SPA (SPA only without a memory budget) and its NNZA and
-// NNZB are the operands'. Auto's bytes never depend on its pick, so a stale plan
+// and counts as an Auto pick. The plan is ignored under a plain mask, and
+// unless it chose PB or SPA (SPA only without a memory budget) and its NNZA
+// and NNZB are the operands'; a complement-masked call takes it as an
+// unmasked one does. Auto's bytes never depend on its pick, so a stale plan
 // costs time, never a different product. Semiring calls ignore it.
 func WithPlan(p *Plan) Option {
 	return func(c *config) error {
@@ -229,9 +232,11 @@ func (c *config) handedPlan(a, b *CSR) bool {
 
 // WithComplementMask is WithMask with the complemented mask ⟨¬M⟩: positions
 // stored in m are dropped, all others kept. That keeps nearly the whole
-// product, so it runs the tuple pipeline (the wide layout, filtered bin by bin
-// right after the fold), not the row kernel. Entries are folded in ascending k
-// at every thread count and memory budget.
+// product, so the call is the product planned and run as an unmasked one —
+// PB, SPA or Auto's pick, reported in Result.Algorithm, Result.Plan and the
+// kernel's stats — with m's positions then dropped from it in one merge per
+// row. Entries are folded in ascending k at every thread count and memory
+// budget, so the bytes do not depend on the kernel.
 func WithComplementMask(m *CSR) Option {
 	return func(c *config) error {
 		c.mask, c.complement = m, true

@@ -245,6 +245,28 @@ func TestEngineMetricsByAlgorithm(t *testing.T) {
 	}
 }
 
+// TestEngineMultiplyOverCountsAutoPicks: a semiring call under Auto counts as
+// an Auto pick under the kernel the planner chose — PB as well as SPA, as on
+// Engine.Multiply — and a pinned one does not.
+func TestEngineMultiplyOverCountsAutoPicks(t *testing.T) {
+	eng := plannerEngine(t)
+	a, b := lowCFFixture()
+	ac, br := Float64Matrix(a).ToCSC(), Float64Matrix(b)
+	var p SemiringPlan
+	for _, alg := range []Algorithm{Auto, PB} {
+		if _, err := EngineMultiplyOver(eng, context.Background(), Arithmetic(), ac, br,
+			WithAlgorithm(alg), WithSemiringPlan(&p)); err != nil {
+			t.Fatal(err)
+		}
+		if p.Rows {
+			t.Fatalf("%v: the low-cf fixture ran the row kernel, want PB", alg)
+		}
+	}
+	if pb := eng.Metrics().ByAlgorithm[PB]; pb.Calls != 2 || pb.AutoChosen != 1 {
+		t.Fatalf("pb calls %d autoChosen %d, want 2 and 1", pb.Calls, pb.AutoChosen)
+	}
+}
+
 // TestWithAlgorithmValidation: Auto is a valid WithAlgorithm value, and one
 // past it is rejected like every out-of-range option.
 func TestWithAlgorithmValidation(t *testing.T) {

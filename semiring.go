@@ -101,9 +101,10 @@ func Float64CSR(g *Matrix[float64]) *CSR {
 // back in rows first (one nnz(A) pass). Honors WithThreads, WithMemoryBudget,
 // WithMask / WithComplementMask and WithContext (polled every 64 Ki expanded
 // tuples, per sort task and per bin, and every 64 rows of the row kernel).
-// Under a plain WithMask any semiring runs the row kernel's masked form, under
-// a complement mask PB. It is EngineMultiplyOver on a fresh engine, which
-// reuses workspaces across calls.
+// Under a plain WithMask any semiring runs the row kernel's masked form; a
+// complement mask is the product WithAlgorithm picks with M's positions
+// dropped. It is EngineMultiplyOver on a fresh engine, which reuses
+// workspaces across calls.
 func MultiplyOver[T any](sr Semiring[T], a *ColMatrix[T], b *Matrix[T], opts ...Option) (*Matrix[T], error) {
 	e, _ := NewEngine() // no defaults: nothing to reject
 	return EngineMultiplyOver(e, nil, sr, a, b, opts...)
@@ -117,10 +118,10 @@ func MultiplyOver[T any](sr Semiring[T], a *ColMatrix[T], b *Matrix[T], opts ...
 // product, so the result is bit-identical to Reference(A,B) ∘ M at every thread
 // count; one that cancels to 0 is kept, a mask position no product reaches is
 // absent. The slot array is 4 B × cols(B) per worker. WithComplementMask via
-// opts inverts the mask: that keeps nearly all of A·B and runs the tuple
-// pipeline on the wide layout, filtering each bin after its fold. Of the
-// column kernels only SPA has a masked form (see MultiplyOver). Triangles:
-// MultiplyMasked(A, A, A).
+// opts inverts the mask: that keeps nearly all of A·B, so the call runs the
+// product WithAlgorithm names (PB by default; Auto plans it as an unmasked
+// one) and drops M's positions from it. Of the column kernels only SPA has a
+// masked form (see MultiplyOver). Triangles: MultiplyMasked(A, A, A).
 func MultiplyMasked(a, b, mask *CSR, opts ...Option) (*CSR, error) {
 	e, _ := NewEngine() // no defaults: nothing to reject
 	return e.MultiplyMasked(nil, a, b, mask, opts...)
@@ -139,23 +140,16 @@ func (c *config) overAlgorithm() error {
 	return &OptionError{Option: "WithAlgorithm", Value: int64(c.algorithm)}
 }
 
-// maskedArith runs a resolved masked arithmetic product on ws: a plain mask
-// runs the row kernel (baseline.SPA) on A by rows as given, a complement one
-// the tuple pipeline on ws's CSC of A. Either way the product is the caller's.
+// maskedArith runs a resolved arithmetic product under a plain mask on ws: the
+// row kernel's masked form (baseline.SPA) on A by rows as given. The product
+// is the caller's.
 func (c *config) maskedArith(a, b *CSR, ws *workspace) (*CSR, error) {
-	if c.rowMasked() {
-		m, _, err := baseline.SPA(a, b, baseline.Options{Threads: c.threads, Workspace: ws.Col,
-			Cancel: c.cancelFunc(), Mask: c.mask})
-		if err != nil {
-			return nil, err
-		}
-		return ws.DetachOutput(m), nil
-	}
-	g, err := semiring.MultiplyOpts(Arithmetic(), colView(ws.Core.CSCOf(a)), Float64Matrix(b), c.semiringOptions(ws.Core, nil))
+	m, _, err := baseline.SPA(a, b, baseline.Options{Threads: c.threads, Workspace: ws.Col,
+		Cancel: c.cancelFunc(), Mask: c.mask})
 	if err != nil {
 		return nil, err
 	}
-	return ws.Core.DetachOutput(Float64CSR(g)), nil
+	return ws.DetachOutput(m), nil
 }
 
 // EWiseAdd returns the element-wise sum of a and b over sr.Plus: the union
@@ -195,12 +189,4 @@ func (c *config) semiringOptions(ws *core.Workspace, scratch *[]int32) semiring.
 		}
 	}
 	return opt
-}
-
-// colView wraps a float64 CSC as a generic column matrix without copying.
-func colView(m *matrix.CSC) *ColMatrix[float64] {
-	return &ColMatrix[float64]{
-		NumRows: m.NumRows, NumCols: m.NumCols,
-		ColPtr: m.ColPtr, RowIdx: m.RowIdx, Val: m.Val,
-	}
 }

@@ -265,3 +265,40 @@ func TestSPACancelledMidProduct(t *testing.T) {
 		}
 	}
 }
+
+// TestColumnKernelBytesDoNotDependOnThreads: Heap, Hash and HashVec each give
+// the same bytes at 1, 2 and 7 threads — real values, NaN / ±Inf / −0.0 and
+// cancel-to-zero included — so a thread count, like a memory budget, never
+// changes a product (serve's cache key leaves it out).
+func TestColumnKernelBytesDoNotDependOnThreads(t *testing.T) {
+	rmat := NewRMAT(9, 8, 3)
+	ca, cb := cancelPair()
+	cases := []struct {
+		name string
+		a, b *CSR
+	}{
+		{"ER", NewER(300, 6, 1), NewER(300, 6, 2)},
+		{"ER-highcf", NewER(128, 40, 3), NewER(128, 40, 4)},
+		{"RMAT-squared", rmat, rmat},
+		{"ER-specials", withSpecials(NewER(200, 8, 5)), withSpecials(NewER(200, 8, 6))},
+		{"RMAT-specials", withSpecials(rmat), withSpecials(NewRMAT(9, 8, 7))},
+		{"cancel-to-zero", ca, cb},
+	}
+	for _, c := range cases {
+		for _, alg := range []Algorithm{Heap, Hash, HashVec} {
+			one, err := multiply(c.a, c.b, WithAlgorithm(alg), WithThreads(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, threads := range []int{2, 7} {
+				res, err := multiply(c.a, c.b, WithAlgorithm(alg), WithThreads(threads))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := sameBytes(one.C, res.C); err != nil {
+					t.Fatalf("%s, %v: %d threads differ from 1: %v", c.name, alg, threads, err)
+				}
+			}
+		}
+	}
+}
