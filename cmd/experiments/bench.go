@@ -25,22 +25,22 @@ import (
 // -gate` on every push and uploads it as the bench-trajectory artifact, so
 // each PR leaves a comparable perf baseline behind; the committed
 // BENCH_PR28.json is one -gate run of the commit that set the current
-// gates (CI's informational -baseline). Regimes pair the squeezed float64
-// product with the wide layout's (MultiplyWide over (+, ×)) on the low-cf ER
-// workload (the squeezed pipeline's headline case), on the high-cf R-MAT
-// workload (the fused pipeline's) and on a hypersparse product whose keys
-// take more than the flop rule's bins to fit 32 bits; they run that R-MAT
-// workload under two memory budgets and over a custom semiring, and a masked
-// product beside its unmasked twin:
+// gates (CI's informational -baseline). Regimes run the squeezed float64
+// product on the low-cf ER workload (the squeezed pipeline's headline case),
+// on the high-cf R-MAT workload (the fused pipeline's) and on a hypersparse
+// product whose keys take more than the flop rule's bins to fit 32 bits; they
+// run that R-MAT workload under two memory budgets, on the narrow and pattern
+// layouts and over MinPlus on the generic layout, and a masked product beside
+// its unmasked twin:
 // -gate fails the run on the ratio, phase and allocation checks of gateBench.
 // Two semiring products also run as a caller gets them under Auto — the planner
 // choosing between PB and the row kernel — through EngineMultiplyOver.
 
 // benchSchema versions the JSON so trajectory tooling can tell reports apart;
-// bump it whenever a field or a gated regime is added or dropped (v13: the
-// unfused regimes, their gate and the fused, sort and compress fields are
-// gone; every PB regime runs expand, fuse and assemble).
-const benchSchema = "pbspgemm-bench/v13"
+// bump it whenever a field or a gated regime is added or dropped (v14: the
+// wide regimes are gone with the wide layout, and the MinPlus product on PB
+// is rmat-highcf-minplus-pb, gated against rmat-highcf-fused).
+const benchSchema = "pbspgemm-bench/v14"
 
 type benchPhase struct {
 	Millis    float64 `json:"ms"`
@@ -91,8 +91,7 @@ type benchReport struct {
 }
 
 // benchCase is one regime's generator recipe; the entry point (mode) fixes
-// the layout, so the trajectory carries squeezed-vs-wide pairs on identical
-// inputs.
+// the layout, so the trajectory carries pairs of layouts on identical inputs.
 type benchCase struct {
 	name       string
 	kind       string
@@ -101,7 +100,7 @@ type benchCase struct {
 	seedB      uint64
 	threadsCap int    // 0: cfg/default threads, 1: pin single-threaded
 	budget     int64  // MemoryBudgetBytes; >0 cuts the bins into groups
-	mode       string // "" core.Multiply | "wide" core.MultiplyWide over (+, ×) | "pattern" 4 B key-only | "f32" 8 B narrow | "masked" row kernel, mask = A | "minplus" semiring.MinPlus, wide | "minplus-auto", "bool-auto", "bool-pb" through EngineMultiplyOver
+	mode       string // "" core.Multiply | "pattern" 4 B key-only | "f32" 8 B narrow | "masked" row kernel, mask = A | "minplus" semiring.MinPlus, generic | "minplus-auto", "bool-auto", "bool-pb" through EngineMultiplyOver
 	cancelHook bool   // install a no-op Cancel hook: every sub-phase poll calls it
 }
 
@@ -125,25 +124,22 @@ const (
 	gateBudgetedRegime = "rmat-highcf-budgeted-deep-fused"
 	gateUnmaskedRegime = "rmat-unmasked"
 	gateMaskedRegime   = "rmat-masked"
-	gateWideRegime     = "rmat-highcf-wide-fused"
-	gateMinPlusRegime  = "rmat-highcf-minplus-wide"
+	gateMinPlusRegime  = "rmat-highcf-minplus-pb"
 	gateAutoMinPlus    = "rmat-highcf-minplus"
 	boolAutoRegime     = "rmat-dram-bool-auto"
 	boolPBRegime       = "rmat-dram-bool-pb"
 )
 
-// minPlusGateFactor bounds a custom semiring against the wide float64
-// product of the same input: one pipeline, one layout, the same kernel on
-// every bin, only the ⊗ and ⊕ function values differ (1.40–1.67 measured: min
-// is a data-dependent branch where + is not, and a semiring's scalar ⊗ is
-// called per tuple inside core.Elementwise where float64's multiplies in
-// line), so an engine re-forked for semirings fails it: the one this replaced
-// measured 5.
+// minPlusGateFactor bounds MinPlus on PB — the generic layout, through its ⊗
+// chunk loop and its ⊕ called per folded tuple — against the squeezed float64
+// product of the same input: one pipeline, the same keys, bins and sort on
+// every bin, only the value plane's ⊗ and ⊕ differ, so an engine re-forked
+// for semirings fails it (the one the wide layout replaced measured 5).
 const minPlusGateFactor = 2.0
 
 // autoMinPlusGateFactor bounds the MinPlus product as a caller gets it — under
 // Auto, which runs the row kernel there — against the float64 PB product of the
-// same input: PB's wide layout made it 25.6 ms against 8.7 (2.9×).
+// same input: PB's since-removed wide layout made it 25.6 ms against 8.7 (2.9×).
 const autoMinPlusGateFactor = 1.5
 
 // maskedGateFactor bounds the masked regime (its mask keeps 2 % of C) against
@@ -209,22 +205,19 @@ var acceptanceRegimes = []string{"er-lowcf-squeezed", gateFusedRegime}
 
 func benchCases() []benchCase {
 	return []benchCase{
-		// Low-cf ER, both layouts: the PR 4 acceptance pair
-		// (BenchmarkMultiply's regime). Single-threaded so allocs/op asserts
-		// the pooled 0.
+		// Low-cf ER (BenchmarkMultiply's regime). Single-threaded so
+		// allocs/op asserts the pooled 0.
 		{"er-lowcf-squeezed", "ER", 13, 8, 1, 2, 1, 0, "", false},
-		{"er-lowcf-wide", "ER", 13, 8, 1, 2, 1, 0, "wide", false},
 		// High-cf R-MAT (cf ≈ 4.6, past the crossover — the regime where the
-		// fold carries the most bytes relative to output), squeezed and wide
-		// so the allocs/op gate covers both layouts. Single-threaded, pooled.
+		// fold carries the most bytes relative to output). Single-threaded,
+		// pooled.
 		{gateFusedRegime, "RMAT", 10, 32, 1, 2, 1, 0, "", false},
 		// The same input over MinPlus as a caller gets it, under Auto (the row
 		// kernel), gated against the fused float64 product right above.
 		{gateAutoMinPlus, "RMAT", 10, 32, 1, 2, 1, 0, "minplus-auto", false},
-		{"rmat-highcf-wide-fused", "RMAT", 10, 32, 1, 2, 1, 0, "wide", false},
-		// The same input over MinPlus on PB: a custom semiring runs the wide
-		// layout through its own ⊗ and ⊕ (internal/semiring → core.MultiplyWide),
-		// so its comparator is the wide float64 product right above.
+		// The same input over MinPlus on PB: a semiring with no typed entry
+		// runs the generic layout (internal/semiring → core.MultiplyGeneric),
+		// gated against the fused float64 product too.
 		{gateMinPlusRegime, "RMAT", 10, 32, 1, 2, 1, 0, "minplus", false},
 		// The Boolean/structural regime: the 4-byte pattern layout on the same
 		// high-cf input as the squeezed acceptance pair (its 12-byte
@@ -243,10 +236,8 @@ func benchCases() []benchCase {
 		{"er-dram-pattern", "ER", 16, 8, 1, 2, 1, 0, "pattern", false},
 		// Hypersparse ER, 2^20 rows at 2 per row: the flop rule's 64 bins of
 		// 2^14 rows would take 14 + 20 = 34-bit keys, so Multiply runs 256 bins
-		// of 12 + 20. Its wide twin runs the flop rule's 64 on 16-byte tuples,
-		// the work the committed baseline's er-hypersparse-wide measured.
+		// of 12 + 20.
 		{"er-hypersparse", "ER", 20, 2, 1, 2, 1, 0, "", false},
-		{"er-hypersparse-wide", "ER", 20, 2, 1, 2, 1, 0, "wide", false},
 		// R-MAT scale 13, edge factor 16, squared — BENCHMARK.json's rmat_skew
 		// product: a 228 MB squeezed arena whose power-law bins reach a million
 		// tuples over an 18-bit key space, the dense fold's home ground.
@@ -404,8 +395,8 @@ func fillPctStream(r *benchRegime, report *benchReport) {
 // the same input by at least 10% (the Boolean-regime acceptance bar), a
 // shallow and a deep memory budget at most shallowBudgetGateFactor and
 // budgetGateFactor × the single-shot product,
-// the masked product at most maskedGateFactor × the unmasked one, a custom
-// semiring at most minPlusGateFactor × the wide float64 product, and every
+// the masked product at most maskedGateFactor × the unmasked one, MinPlus on
+// PB at most minPlusGateFactor × the squeezed float64 product, and every
 // single-threaded pooled regime (all layouts, single-shot and budgeted; not the two through internal/semiring: the masked product is
 // freshly allocated for the caller, and a MultiplyOpts call returns fresh
 // matrix headers and its own copy of the phase statistics) must run
@@ -424,9 +415,9 @@ func gateBench(report *benchReport) {
 	fused := byName[gateFusedRegime]
 	pattern, budgeted, shallow := byName[gatePatternRegime], byName[gateBudgetedRegime], byName[gateShallowRegime]
 	unmasked, masked := byName[gateUnmaskedRegime], byName[gateMaskedRegime]
-	wide, minplus, autoMinPlus := byName[gateWideRegime], byName[gateMinPlusRegime], byName[gateAutoMinPlus]
+	minplus, autoMinPlus := byName[gateMinPlusRegime], byName[gateAutoMinPlus]
 	if fused == nil || pattern == nil || budgeted == nil || shallow == nil || unmasked == nil || masked == nil ||
-		wide == nil || minplus == nil || autoMinPlus == nil {
+		minplus == nil || autoMinPlus == nil {
 		fmt.Fprintln(os.Stderr, "bench gate: acceptance regimes missing from the run")
 		os.Exit(1)
 	}
@@ -437,7 +428,7 @@ func gateBench(report *benchReport) {
 	failed = ratioGate("shallow budget vs single-shot", shallow, fused, shallowBudgetGateFactor) || failed
 	failed = ratioGate("deep budget vs single-shot", budgeted, fused, budgetGateFactor) || failed
 	failed = ratioGate("masked vs unmasked", masked, unmasked, maskedGateFactor) || failed
-	failed = ratioGate("minplus vs wide float64", minplus, wide, minPlusGateFactor) || failed
+	failed = ratioGate("minplus on PB vs fused float64", minplus, fused, minPlusGateFactor) || failed
 	failed = ratioGate("minplus under Auto vs fused float64", autoMinPlus, fused, autoMinPlusGateFactor) || failed
 	if auto, pb := byName[boolAutoRegime], byName[boolPBRegime]; auto != nil && pb != nil {
 		fmt.Printf("bench: Boolean R-MAT 13/16 under Auto (%s) %d ns/op against PB %d ns/op (%.2f×), not gated\n",
@@ -507,12 +498,11 @@ func gateBench(report *benchReport) {
 		failed = true
 	}
 	// Exempt, none of their allocations a plane:
-	//   - rmat-highcf-minplus-wide, at 6 allocs/op: per call MultiplyOpts builds
-	//     the A and B index headers core.MultiplyWide binds into the pooled
-	//     engine (2), core.Elementwise's chunk closure (1), the fallback reason
-	//     string (1), the result header (1) and Plan.Stats' own copy (1). Pooling
-	//     them would make the headers, Plan.Stats and the result alias the
-	//     workspace — six small objects against a public contract.
+	//   - rmat-highcf-minplus-pb: per call MultiplyOpts builds the A and B
+	//     index headers core.MultiplyGeneric binds into the pooled engine (2),
+	//     the fallback reason string (1), the result header (1) and Plan.Stats'
+	//     own copy (1). Pooling them would make the headers, Plan.Stats and the
+	//     result alias the workspace — small objects against a public contract.
 	//   - the products through the public EngineMultiplyOver (minplus-auto,
 	//     bool-auto, bool-pb): the product is the caller's (its arrays and
 	//     header; the pipeline's is cloned out), with the planner's closure, the
@@ -593,9 +583,6 @@ func runBenchCase(cfg *config, c benchCase) (benchRegime, error) {
 			return st, err
 		case "f32":
 			_, _, st, err := core.MultiplyNarrow(acsc, af32, b, bf32, opt)
-			return st, err
-		case "wide":
-			_, _, st, err := core.MultiplyWide(acsc, acsc.Val, b, b.Val, core.PlusTimes, opt)
 			return st, err
 		default:
 			_, st, err := core.Multiply(acsc, b, opt)

@@ -26,10 +26,10 @@ func fig6Input(cfg *config, ef int) (string, *matrix.CSC, *matrix.CSR) {
 
 // runFig6a sweeps the local-bin width and reports expand-phase time and
 // sustained bandwidth (Fig. 6a: small bins under-utilize cache lines) on each
-// of the four tuple layouts. The engine rounds every request to a multiple of
-// 16 tuples of the run's layout and never goes below 16, so the sweep's low
-// end is one line of keys per flush, not the paper's single tuple; the column
-// shows the capacity run. Widths take turns within each rep on one pooled
+// of the three typed tuple layouts. The engine rounds every request to a
+// multiple of 16 tuples of the run's layout and never goes below 16, so the
+// sweep's low end is one line of keys per flush, not the paper's single tuple;
+// the column shows the capacity run. Widths take turns within each rep on one pooled
 // workspace per layout, so every row of a layout is an in-run pair with the
 // default's, free of the page faults a fresh arena would add to expand.
 func runFig6a(cfg *config) {
@@ -38,15 +38,13 @@ func runFig6a(cfg *config) {
 	af32, bf32 := float32s(a.Val), float32s(b.Val)
 	widths := []int{64, 256, 512, 1024, 2048, 4096}
 	threads := pickThreads(cfg, 0)
-	for _, lay := range []core.Layout{core.LayoutSqueezed, core.LayoutWide, core.LayoutNarrow, core.LayoutPattern} {
+	for _, lay := range []core.Layout{core.LayoutSqueezed, core.LayoutNarrow, core.LayoutPattern} {
 		ws := core.NewWorkspace()
 		run := func(width int) *core.Stats {
 			opt := core.Options{Threads: threads, LocalBinBytes: width, Workspace: ws}
 			var st *core.Stats
 			var err error
 			switch lay {
-			case core.LayoutWide:
-				_, _, st, err = core.MultiplyWide(a, a.Val, b, b.Val, core.PlusTimes, opt)
 			case core.LayoutNarrow:
 				_, _, st, err = core.MultiplyNarrow(a, af32, b, bf32, opt)
 			case core.LayoutPattern:

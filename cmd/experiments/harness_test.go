@@ -145,21 +145,19 @@ func TestBenchCaseProducesValidRegime(t *testing.T) {
 	} else if r.Layout != "narrow" || r.TupleBytes != 8 || r.Mode != "f32" {
 		t.Fatalf("f32 regime: layout=%s bytes=%d mode=%s", r.Layout, r.TupleBytes, r.Mode)
 	}
-	// A custom semiring runs the wide layout and reports the pipeline's stats,
-	// as the float64 product on the wide entry does.
-	for _, mode := range []string{"minplus", "wide"} {
-		c.name, c.mode = "er-test-"+mode, mode
-		if r, err = runBenchCase(cfg, c); err != nil {
-			t.Fatal(err)
-		} else if r.Layout != "wide" || r.TupleBytes != 16 || r.Mode != mode || r.Flops <= 0 || r.Fuse.Millis <= 0 {
-			t.Fatalf("%s regime: %+v", mode, r)
-		}
+	// MinPlus on PB runs the generic layout (a 4-byte key beside its float64)
+	// and reports the pipeline's stats.
+	c.name, c.mode = "er-test-minplus", "minplus"
+	if r, err = runBenchCase(cfg, c); err != nil {
+		t.Fatal(err)
+	} else if r.Layout != "generic" || r.TupleBytes != 12 || r.Mode != "minplus" || r.Flops <= 0 || r.Fuse.Millis <= 0 {
+		t.Fatalf("minplus regime: %+v", r)
 	}
 }
 
 func TestBenchCasesFixedSeedsAndLayoutPair(t *testing.T) {
 	cases := benchCases()
-	var sq, wide bool
+	var sq, pattern bool
 	for _, c := range cases {
 		if c.seedA == 0 || c.seedB == 0 {
 			t.Fatalf("%s: seeds must be fixed and nonzero", c.name)
@@ -168,53 +166,39 @@ func TestBenchCasesFixedSeedsAndLayoutPair(t *testing.T) {
 			switch c.mode {
 			case "":
 				sq = true
-			case "wide":
-				wide = true
+			case "pattern":
+				pattern = true
 			}
 		}
 	}
-	if !sq || !wide {
-		t.Fatal("trajectory must carry a squeezed/wide pair on the low-cf ER regime")
+	if !sq || !pattern {
+		t.Fatal("trajectory must carry a squeezed/pattern pair on the low-cf ER regime")
 	}
 }
 
 // TestBenchCasesCarryFusedPairs: the trajectory must pin the fused float64
-// product on the high-cf R-MAT input in both layouts, on identical inputs and
-// single-threaded (so the allocs gate bites), and the -gate names must
-// resolve.
+// product on the high-cf R-MAT input single-threaded (so the allocs gate
+// bites), the regimes gated against it must share its input, and the -gate
+// names must resolve.
 func TestBenchCasesCarryFusedPairs(t *testing.T) {
 	byName := map[string]benchCase{}
 	for _, c := range benchCases() {
 		byName[c.name] = c
 	}
 	f, okF := byName[gateFusedRegime]
-	wf, okWF := byName[gateWideRegime]
-	if !okF || !okWF {
-		t.Fatalf("gate regimes missing: squeezed=%v wide=%v", okF, okWF)
+	if !okF || f.kind != "RMAT" || f.mode != "" || f.threadsCap != 1 || f.budget != 0 {
+		t.Fatalf("gate regime %s missing or not the single-threaded unbudgeted float64 R-MAT product: %+v", gateFusedRegime, f)
 	}
-	if f.kind != "RMAT" || f.mode != "" || wf.mode != "wide" {
-		t.Fatal("the gate pair must be the R-MAT regime, squeezed and wide")
-	}
-	for _, c := range []benchCase{f, wf} {
-		if c.threadsCap != 1 || c.budget != 0 {
-			t.Fatalf("%s: gate regimes must be single-threaded, unbudgeted float64", c.name)
-		}
-	}
-	sq := wf
-	sq.name, sq.mode = f.name, f.mode
-	if sq != f {
-		t.Fatal("the layout pair must differ only in name and mode")
-	}
-	// The custom-semiring gate compares MinPlus against the wide float64
-	// product: same input, same threads, and the same layout (a semiring that
-	// has no typed kernel gets the wide layout by itself).
+	// The MinPlus-on-PB gate compares the generic layout against the
+	// squeezed float64 product: same input, same threads, same bins; only the
+	// value plane's ⊗ and ⊕ differ.
 	mp, okMP := byName[gateMinPlusRegime]
-	if !okMP || mp.mode != "minplus" || gateWideRegime != wf.name {
-		t.Fatal("gate minplus regime missing, not minplus-mode, or its comparator is not the wide fused regime")
+	if !okMP || mp.mode != "minplus" {
+		t.Fatal("gate minplus regime missing or not minplus-mode")
 	}
-	mp.name, mp.mode = wf.name, wf.mode
-	if mp != wf {
-		t.Fatal("the minplus gate regime must differ from its wide comparator only in name and mode")
+	mp.name, mp.mode = f.name, f.mode
+	if mp != f {
+		t.Fatal("the minplus gate regime must differ from its fused comparator only in name and mode")
 	}
 	// The Boolean-regime gate compares the pattern layout against the
 	// squeezed fused regime, so the two must share identical inputs and
@@ -307,42 +291,27 @@ func TestBenchCasesCarryDRAMRegimes(t *testing.T) {
 	}
 }
 
-// TestBenchCasesCarryFuseGateRegimes: the fuse.pct_of_stream floors key on
-// their regimes by name; each must be single-threaded, fused and unbudgeted
-// (the phase stat is Stats.Fuse), and the rmat-dram pair must be
-// BENCHMARK.json's rmat_skew product — R-MAT scale 13, ef 16, squared.
-// TestBenchCasesCarryHypersparseWide: er-hypersparse is a product whose
-// flop-rule geometry — the bins its wide twin runs — packs keys past 32 bits,
-// and which Multiply still runs squeezed, in more bins; the two differ only
-// in name and mode, single-threaded and pooled like the other phase-stat
-// regimes.
-func TestBenchCasesCarryHypersparseWide(t *testing.T) {
+// TestBenchCasesCarryHypersparse: er-hypersparse is a product whose
+// flop-rule geometry packs keys past 32 bits, and which Multiply still runs
+// squeezed, in more bins; single-threaded and pooled like the other
+// phase-stat regimes.
+func TestBenchCasesCarryHypersparse(t *testing.T) {
 	byName := map[string]benchCase{}
 	for _, c := range benchCases() {
 		byName[c.name] = c
 	}
-	sq, okSq := byName["er-hypersparse"]
-	w, okW := byName["er-hypersparse-wide"]
-	if !okSq || !okW {
-		t.Fatalf("hypersparse pair missing: squeezed=%v wide=%v", okSq, okW)
-	}
-	if sq.mode != "" || w.mode != "wide" || sq.threadsCap != 1 || sq.budget != 0 {
+	sq, ok := byName["er-hypersparse"]
+	if !ok || sq.mode != "" || sq.threadsCap != 1 || sq.budget != 0 {
 		t.Fatalf("%+v: want a single-threaded single-shot float64 regime", sq)
-	}
-	if w.name, w.mode = sq.name, sq.mode; w != sq {
-		t.Fatal("the hypersparse pair must differ only in name and mode")
 	}
 	a, b := sq.generate()
 	acsc := a.ToCSC()
 	keyBits := func(nbins int) int {
 		return bits.Len64(uint64((int(a.NumRows)+nbins-1)/nbins-1)) + bits.Len64(uint64(b.NumCols-1))
 	}
-	_, _, stw, err := core.MultiplyWide(acsc, acsc.Val, b, b.Val, core.PlusTimes, core.Options{Threads: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if keyBits(stw.NBins) <= 32 {
-		t.Fatalf("the flop rule's %d bins pack %d-bit keys: the product would squeeze unchanged", stw.NBins, keyBits(stw.NBins))
+	// The flop rule: 16 bytes a flop over the 1 MiB bin budget.
+	if flopRule := int(matrix.FlopsCSR(a, b) * 16 / core.DefaultL2CacheBytes); keyBits(flopRule) <= 32 {
+		t.Fatalf("the flop rule's %d bins pack %d-bit keys: the product would squeeze unchanged", flopRule, keyBits(flopRule))
 	}
 	_, st, err := core.Multiply(acsc, b, core.Options{Threads: 1})
 	if err != nil {
@@ -353,6 +322,10 @@ func TestBenchCasesCarryHypersparseWide(t *testing.T) {
 	}
 }
 
+// TestBenchCasesCarryFuseGateRegimes: the fuse.pct_of_stream floors key on
+// their regimes by name; each must be single-threaded, fused and unbudgeted
+// (the phase stat is Stats.Fuse), and the rmat-dram pair must be
+// BENCHMARK.json's rmat_skew product — R-MAT scale 13, ef 16, squared.
 func TestBenchCasesCarryFuseGateRegimes(t *testing.T) {
 	byName := map[string]benchCase{}
 	for _, c := range benchCases() {

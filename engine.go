@@ -279,7 +279,7 @@ func (e *Engine) multiply(cfg *config, a, b *CSR) (*Result, Algorithm, bool, err
 				return nil, alg, false, err
 			}
 		}
-		plan = planFor(cfg, a, b, &ws.PlanScratch, 8)
+		plan = planFor(cfg, a, b, &ws.PlanScratch, 8, Auto)
 		alg = plan.Chosen
 	}
 	c, pb, col, err := ws.run(cfg, alg, a, b)
@@ -397,7 +397,7 @@ func (ws *workspace) DetachOutput(c *CSR) *CSR {
 // introduce type parameters, hence the package-level function taking the
 // engine first.) The result is fully caller-owned: the row kernel's is
 // allocated for the caller, the pipeline's handed over by the workspace. The
-// wide layout's pooled planes are cached per element type T, so an engine
+// generic layout's pooled value planes are cached per element type T, so an engine
 // serving a stable T hits its pool just like the float64 path.
 func EngineMultiplyOver[T any](e *Engine, ctx context.Context, sr Semiring[T], a *ColMatrix[T], b *Matrix[T], opts ...Option) (*Matrix[T], error) {
 	cfg, err := resolve(e.defaults, opts)

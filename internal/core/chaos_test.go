@@ -56,10 +56,10 @@ func TestChaosSiteMatrix(t *testing.T) {
 	// the L2 budget, which one of four workers folds whole.
 	oversized := []faultinject.Site{faultinject.SiteSortTask, faultinject.SiteFoldBin}
 	cfgs := []cfg{
-		{"wide-t1", multiplyWide, Options{Threads: 1}, nil},
-		{"wide-t4", multiplyWide, Options{Threads: 4}, nil},
+		{"generic-t1", multiplyGeneric, Options{Threads: 1}, nil},
+		{"generic-t4", multiplyGeneric, Options{Threads: 4}, nil},
 		{"squeezed-t4", Multiply, Options{Threads: 4}, nil},
-		{"oversized-t4", multiplyWide, Options{Threads: 4, NBins: 1, L2CacheBytes: 4096}, oversized},
+		{"oversized-t4", multiplyGeneric, Options{Threads: 4, NBins: 1, L2CacheBytes: 4096}, oversized},
 		{"oversized-t4-squeezed", Multiply, Options{Threads: 4, NBins: 1, L2CacheBytes: 4096}, oversized},
 		{"budgeted-t1", Multiply, Options{Threads: 1, MemoryBudgetBytes: 1 << 18}, nil},
 		{"budgeted-t4", Multiply, Options{Threads: 4, MemoryBudgetBytes: 1 << 18}, nil},

@@ -11,9 +11,9 @@ import (
 // TestGiantHypersparse multiplies 20M x 20M matrices with only a few
 // hundred nonzeros: dimensions need 27-bit column ids and the bins span
 // ~10K rows each, exercising the upper reaches of the key packing
-// (localRow<<colBits | col must stay within 64 bits and round-trip). A 32-bit
-// key would need 156 250 bins of 2^7 rows, past maxKey32Bins, so it runs the
-// wide layout in the flop rule's one bin, with one local bin a thread.
+// (localRow<<colBits | col must round-trip). Its 32-bit key needs 156 250
+// bins of 2^7 rows, past maxKey32Bins, so it runs in 39 groups of at most
+// 4 096 bins, with at most that many local bins a thread.
 func TestGiantHypersparse(t *testing.T) {
 	n := int32(20_000_000)
 	r := gen.NewRNG(123)
@@ -44,10 +44,10 @@ func TestGiantHypersparse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Layout != LayoutWide || st.NBins != 1 {
-		t.Fatalf("%v in %d bins; want wide in 1", st.Layout, st.NBins)
+	if st.Layout != LayoutSqueezed || st.NBins != 156250 || st.NGroups != 39 {
+		t.Fatalf("%v in %d bins, %d groups; want squeezed in 156250, 39 groups", st.Layout, st.NBins, st.NGroups)
 	}
-	if n, cap := localArenaBytes(ws), int64(par.DefaultThreads(0)*DefaultLocalBinBytes); n > cap {
+	if n, cap := localArenaBytes(ws), int64(par.DefaultThreads(0)*maxKey32Bins*DefaultLocalBinBytes); n > cap {
 		t.Fatalf("%d bytes of local bins, want at most %d", n, cap)
 	}
 	if err := got.Validate(); err != nil {

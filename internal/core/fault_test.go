@@ -46,7 +46,7 @@ func TestExpandPollsSubPhase(t *testing.T) {
 	acsc, b := cancelInputs(t)
 	var polls atomic.Int64
 	opt := Options{Threads: 1, Cancel: func() error { polls.Add(1); return nil }}
-	if _, _, err := multiplyWide(acsc, b, opt); err != nil {
+	if _, _, err := multiplyGeneric(acsc, b, opt); err != nil {
 		t.Fatal(err)
 	}
 	// A phase-boundary-only implementation polls ~5 times (plan, expand,
@@ -72,8 +72,8 @@ func TestCancellationLatencyMidPhase(t *testing.T) {
 		run  func(opt Options) error
 	}
 	layouts := []layoutCase{
-		{"wide", func(opt Options) error {
-			_, _, err := multiplyWide(acsc, b, opt)
+		{"generic", func(opt Options) error {
+			_, _, err := multiplyGeneric(acsc, b, opt)
 			return err
 		}},
 		{"squeezed", func(opt Options) error {
@@ -159,9 +159,9 @@ func TestWorkspaceReuseAfterCancel(t *testing.T) {
 		mul    multiplyFunc
 		budget int64
 	}{
-		{"wide", multiplyWide, 0},
+		{"generic", multiplyGeneric, 0},
 		{"squeezed", Multiply, 0},
-		{"wide-budgeted", multiplyWide, 1 << 20},
+		{"generic-budgeted", multiplyGeneric, 1 << 20},
 		{"squeezed-budgeted", Multiply, 1 << 20},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

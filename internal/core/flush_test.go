@@ -95,17 +95,17 @@ func TestLocalBinTuples(t *testing.T) {
 		tupleBytes int64
 		want       int32
 	}{
-		{512, WideTupleBytes, 32},
 		{512, SqueezedTupleBytes, 32}, // 42 rounds down
 		{512, NarrowTupleBytes, 64},
 		{512, PatternTupleBytes, 128},
 		{4096, SqueezedTupleBytes, 336},
-		{16, WideTupleBytes, 16}, // sub-line requests round up
+		{16, 16, 16}, // sub-line requests round up
 		{64, SqueezedTupleBytes, 16},
 		{1, PatternTupleBytes, 16},
-		{255, WideTupleBytes, 16},
-		{256, WideTupleBytes, 16},
-		{767, WideTupleBytes, 32},
+		{255, 16, 16},
+		{256, 16, 16},
+		{767, 16, 32},
+		{1024, 5, 192}, // the generic layout over 1-byte values
 	} {
 		if got := LocalBinTuples(tc.bytes, tc.tupleBytes); got != tc.want {
 			t.Errorf("LocalBinTuples(%d, %d) = %d, want %d", tc.bytes, tc.tupleBytes, got, tc.want)
@@ -154,8 +154,8 @@ func TestTuplePlanesLineAligned(t *testing.T) {
 	}
 	aligned("squeezed key", unsafe.Pointer(&ws.tupleKeys[0]))
 	aligned("squeezed value", unsafe.Pointer(&ws.kvF64.tupleVals[0]))
-	if _, _, err := multiplyWide(acsc, a, Options{Workspace: ws}); err != nil {
+	if _, _, err := multiplyGeneric(acsc, a, Options{Workspace: ws}); err != nil {
 		t.Fatal(err)
 	}
-	aligned("wide tuple", unsafe.Pointer(&pairsOf[float64](ws).tuples[0]))
+	aligned("generic value", unsafe.Pointer(&genericOf[float64](ws).tupleVals[0]))
 }

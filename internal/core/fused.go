@@ -23,9 +23,9 @@ import (
 //   - Every other bin runs radix.SortFold, a fixed-pass LSD radix over
 //     key|index words that gathers each value once in the sweep that folds.
 //
-// The wide layout (64-bit keys, any value type and ⊕) takes the same rule to
-// the same two shapes over whole tuples: radix.FoldDensePairs, and
-// radix.SortPairs, which folds through ⊕ as its last pass stores.
+// The generic layout (any value type and ⊕) takes the same rule to the same
+// two kernels with the caller's ⊕ in place of +: radix.FoldDenseBy and
+// radix.SortFoldBy.
 //
 // All tally the bin's per-row output counts as they finish, so assemble has
 // exact offsets the moment the phase ends. All are bit-identical to each
@@ -58,7 +58,7 @@ func (e *engine) runSortPhase() {
 			maxSeg = n
 		}
 	}
-	if err := radix.CheckSegment(maxSeg); e.key32 && err != nil {
+	if err := radix.CheckSegment(maxSeg); err != nil {
 		e.latchAbort(fmt.Errorf("core: a bin of the %s layout: %w", e.layout, err))
 		return
 	}
@@ -81,8 +81,7 @@ func fuseWholeBin(e *engine, worker, bin int) {
 	e.ws.binOut[bin] = e.lay.fuseBin(e, worker, bin)
 }
 
-// keyBits is the packed key width of the run's geometry; at most 32 on the
-// key32 layouts.
+// keyBits is the packed key width of the run's geometry, at most 32.
 func (e *engine) keyBits() uint { return e.rowShift + e.colBits }
 
 // The per-bin kernel rule: a bin folds through the direct-address accumulator
@@ -105,7 +104,7 @@ const denseCacheFactor = 4
 // denseFold is the rule itself, a pure function of the bin's tuple count, the
 // packed key width, the layout's value width and the bin cache budget.
 func denseFold(n int64, keyBits uint, valBytes, l2CacheBytes int64) bool {
-	if n <= 0 || keyBits > 40 { // a wide key's slots would overflow the sums below
+	if n <= 0 {
 		return false
 	}
 	slots := int64(1) << keyBits
@@ -119,9 +118,5 @@ func denseFold(n int64, keyBits uint, valBytes, l2CacheBytes int64) bool {
 // denseBin applies the rule to a bin of n tuples of this run; a slot holds the
 // tuple less its key.
 func (e *engine) denseBin(n int64) bool {
-	valBytes := e.tupleBytes - 4
-	if !e.key32 {
-		valBytes -= 4 // an 8-byte key
-	}
-	return denseFold(n, e.keyBits(), valBytes, int64(e.opt.L2CacheBytes))
+	return denseFold(n, e.keyBits(), e.tupleBytes-4, int64(e.opt.L2CacheBytes))
 }

@@ -15,15 +15,26 @@ import (
 // in ascending k, the first one assigned and each later one added. Exported
 // for the core_test package's tests.
 func FoldReference(a, b *matrix.CSR) *matrix.CSR {
+	c, vals := foldReferenceOver(a, a.Val, b, b.Val,
+		func(x, y float64) float64 { return x * y }, func(x, y float64) float64 { return x + y })
+	c.Val = vals
+	return c
+}
+
+// foldReferenceOver is FoldReference over any value type, ⊗ and ⊕: the
+// structure of the product of a (by rows, values aVal) and b (values bVal),
+// and its values, each entry's products folded in ascending k through plus.
+func foldReferenceOver[V any](a *matrix.CSR, aVal []V, b *matrix.CSR, bVal []V, times, plus func(x, y V) V) (*matrix.CSR, []V) {
 	c := &matrix.CSR{NumRows: a.NumRows, NumCols: b.NumCols, RowPtr: make([]int64, a.NumRows+1)}
-	acc := map[int32]float64{}
+	var vals []V
+	acc := map[int32]V{}
 	for r := int32(0); r < a.NumRows; r++ {
 		for p := a.RowPtr[r]; p < a.RowPtr[r+1]; p++ {
 			k := a.ColIdx[p]
 			for q := b.RowPtr[k]; q < b.RowPtr[k+1]; q++ {
-				col, v := b.ColIdx[q], a.Val[p]*b.Val[q]
+				col, v := b.ColIdx[q], times(aVal[p], bVal[q])
 				if sum, ok := acc[col]; ok {
-					v = sum + v
+					v = plus(sum, v)
 				}
 				acc[col] = v
 			}
@@ -35,12 +46,12 @@ func FoldReference(a, b *matrix.CSR) *matrix.CSR {
 		slices.Sort(cols)
 		for _, col := range cols {
 			c.ColIdx = append(c.ColIdx, col)
-			c.Val = append(c.Val, acc[col])
+			vals = append(vals, acc[col])
 		}
 		c.RowPtr[r+1] = int64(len(c.ColIdx))
 		clear(acc)
 	}
-	return c
+	return c, vals
 }
 
 // TestFusedMatchesUnfusedBitIdentical is the fused pipeline's real-valued
@@ -158,8 +169,8 @@ func TestFusedSteadyStateAllocs(t *testing.T) {
 	}{
 		{"fused-squeezed", LayoutSqueezed, Multiply, 0},
 		{"fused-squeezed-budgeted", LayoutSqueezed, Multiply, 32 << 10},
-		{"fused-wide", LayoutWide, multiplyWide, 0},
-		{"fused-wide-budgeted", LayoutWide, multiplyWide, 32 << 10},
+		{"fused-generic", LayoutGeneric, multiplyGeneric, 0},
+		{"fused-generic-budgeted", LayoutGeneric, multiplyGeneric, 32 << 10},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ws := NewWorkspace()
@@ -194,8 +205,8 @@ func TestFusedBudgetedShallowAndDeep(t *testing.T) {
 		budget    int64
 		minGroups int
 	}{
-		{"shallow", flops * WideTupleBytes / 2, 2},
-		{"deep", flops * WideTupleBytes / 16, 8},
+		{"shallow", flops * tupleBytes / 2, 2},
+		{"deep", flops * tupleBytes / 16, 8},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			want := FoldReference(a, b)

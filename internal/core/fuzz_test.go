@@ -37,28 +37,23 @@ func fuzzMatrices(data []byte) (*matrix.CSC, *matrix.CSR, bool) {
 	return cooA.ToCSR().ToCSC(), cooB.ToCSR(), true
 }
 
-// FuzzSqueezedVsWide drives random shapes through both float64 tuple layouts
-// — Multiply, and MultiplyWide over (+, ×) — and asserts identical CSR.
-// Values are small integers (see fuzzMatrices), so every summation is exact.
-// Budgeted and multi-thread variants ride along.
-func FuzzSqueezedVsWide(f *testing.F) {
+// FuzzSqueezedVsReference drives random shapes through both float64 tuple
+// layouts — Multiply, and MultiplyGeneric over (+, ×) — and holds each to
+// matrix.ReferenceMultiply. Values are small integers (see fuzzMatrices), so
+// every summation is exact. Budgeted, multi-thread and pooled variants ride
+// along.
+func FuzzSqueezedVsReference(f *testing.F) {
 	f.Add([]byte{4, 4, 4, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3, 4})
 	f.Add([]byte{24, 24, 24, 9, 9, 9, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
 	f.Add([]byte{16, 1, 16, 255, 255, 255, 0, 0, 0, 128, 64, 32, 7, 6, 5})
 
-	wsSq, wsWide := NewWorkspace(), NewWorkspace()
+	wsSq, wsGen := NewWorkspace(), NewWorkspace()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		a, b, ok := fuzzMatrices(data)
 		if !ok {
 			return
 		}
-		wide, stW, err := multiplyWide(a, b, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if stW.Layout != LayoutWide {
-			t.Fatalf("wide entry ran %v", stW.Layout)
-		}
+		want := matrix.ReferenceMultiply(a.ToCSR(), b)
 		for _, opt := range []Options{
 			{},
 			{Threads: 3},
@@ -72,17 +67,21 @@ func FuzzSqueezedVsWide(f *testing.F) {
 			if stS.Layout != LayoutSqueezed {
 				t.Fatalf("Multiply ran %v (opt %+v)", stS.Layout, opt)
 			}
-			if !matrix.Equal(wide, sq, 0) {
-				t.Fatalf("squeezed output (opt %+v) differs from wide", opt)
+			if !matrix.Equal(want, sq, 0) {
+				t.Fatalf("squeezed output (opt %+v) differs from Reference", opt)
 			}
 		}
-		// And the wide budgeted/pooled variants against plain wide.
-		got, _, err := multiplyWide(a, b, Options{MemoryBudgetBytes: 128, Workspace: wsWide})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !matrix.Equal(wide, got, 0) {
-			t.Fatal("budgeted wide differs from single-shot wide")
+		for _, opt := range []Options{{}, {MemoryBudgetBytes: 128, Workspace: wsGen}} {
+			got, st, err := multiplyGeneric(a, b, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Layout != LayoutGeneric {
+				t.Fatalf("generic entry ran %v", st.Layout)
+			}
+			if !matrix.Equal(want, got, 0) {
+				t.Fatalf("generic output (opt %+v) differs from Reference", opt)
+			}
 		}
 	})
 }

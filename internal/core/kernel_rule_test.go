@@ -103,35 +103,35 @@ func key32Runners(a *matrix.CSC, b *matrix.CSR) []layoutRunner {
 	}
 }
 
-// foldRunners is every layout a fold can run on: the key32 ones plus the wide
-// layout through MultiplyWide — over float64 (+, ×), and over a value that is
-// not 8 bytes.
+// foldRunners is every layout a fold can run on: the key32 ones plus the
+// generic layout through MultiplyGeneric — over float64 (+, ×), and over a
+// value that is not 8 bytes.
 func foldRunners(a *matrix.CSC, b *matrix.CSR) []layoutRunner {
 	av, bv := narrowPlanes[float32](a, b)
 	alg := Algebra[float32]{
-		Times: Elementwise(func(x, y float32) float32 { return x * y }),
+		Times: elementwise(func(x, y float32) float32 { return x * y }),
 		Plus:  func(x, y float32) float32 { return x + y },
 	}
-	return append(key32Runners(a, b), layoutRunner{"wide", func(opt Options) (product, error) {
-		c, _, err := multiplyWide(a, b, opt)
+	return append(key32Runners(a, b), layoutRunner{"generic", func(opt Options) (product, error) {
+		c, _, err := multiplyGeneric(a, b, opt)
 		if err != nil {
 			return product{}, err
 		}
 		return product{cloneStructure(c), valueBits(c.Val)}, nil
-	}}, layoutRunner{"wide-f32", func(opt Options) (product, error) {
-		c, vals, st, err := MultiplyWide(a, av, b, bv, alg, opt)
+	}}, layoutRunner{"generic-f32", func(opt Options) (product, error) {
+		c, vals, st, err := MultiplyGeneric(a, av, b, bv, alg, opt)
 		if err != nil {
 			return product{}, err
 		}
-		if st.Layout != LayoutWide {
-			return product{}, fmt.Errorf("ran %v, want wide", st.Layout)
+		if st.Layout != LayoutGeneric {
+			return product{}, fmt.Errorf("ran %v, want generic", st.Layout)
 		}
 		return product{cloneStructure(c), valueBits(vals)}, nil
 	}})
 }
 
 // groupBudgets returns MemoryBudgetBytes values for a product of the given
-// flop count: none, and about a half, a ninth and a 34th of its wide tuples —
+// flop count: none, and about a half, a ninth and a 34th of its 16-byte tuples —
 // with the tests' 4 bins, two groups and then a bin a group.
 func groupBudgets(flops int64) []int64 {
 	budgets := []int64{0}
@@ -149,13 +149,13 @@ func scratchAtRest(ws *Workspace) bool {
 			return false
 		}
 	}
-	switch l := ws.wide.(type) {
-	case *pairs[float64]:
-		if !allPlusZero(l.acc[:cap(l.acc)]) {
+	switch l := ws.generic.(type) {
+	case *generic[float64]:
+		if !allPlusZero(l.accVals[:cap(l.accVals)]) {
 			return false
 		}
-	case *pairs[float32]:
-		if !allPlusZero(l.acc[:cap(l.acc)]) {
+	case *generic[float32]:
+		if !allPlusZero(l.accVals[:cap(l.accVals)]) {
 			return false
 		}
 	}
@@ -278,8 +278,8 @@ func TestDenseScratchSurvivesCancel(t *testing.T) {
 }
 
 // TestSpecialValuesThroughTheFold pins −0.0, NaN and ±Inf through both
-// kernels on the squeezed, narrow and wide layouts (the wide one over float64
-// and over float32: pairs[V] has no value type of its own), unbudgeted and
+// kernels on the squeezed, narrow and generic layouts (the generic one over
+// float64 and over float32: generic[V] has no value type of its own), unbudgeted and
 // under groupBudgets: every run is bit-identical to the unbudgeted
 // single-thread one under the per-bin rule, and that one agrees with
 // matrix.ReferenceMultiply — bit for bit (the finite values are small
@@ -397,7 +397,6 @@ func TestDenseFoldRule(t *testing.T) {
 		{1 << 28, 32, 0, l2, false},            // a hypersparse 32-bit key space: 16 slots a tuple, 512 MiB of bitmap
 		{1 << 20, 32, 8, l2, false},            //
 		{math.MaxInt64, 32, 0, l2, false},      // a full 32-bit key space never fits
-		{math.MaxInt64, 62, 8, l2, false},      // nor a wide key's
 		{0, 1, 8, l2, false},                   // an empty bin has nothing to fold
 	} {
 		if got := denseFold(tc.n, tc.keyBits, tc.valBytes, tc.l2); got != tc.want {

@@ -20,23 +20,27 @@ import (
 // per run (e.lay) and every phase dispatches element accesses through it
 // while all control flow — bin geometry, bin groups, the fuse phase's
 // schedule — stays layout-independent, which is what makes the four layouts
-// bit-identical in structure.
+// bit-identical in structure. Every one packs its keys into 32 bits, in a
+// key plane the Workspace shares between them.
 //
 // The three implementations:
 //
-//   - pairs[V]: 16-byte []radix.Pair[V] (u64 key + value), for any value type
-//     and (⊕, ⊗): MultiplyWide runs a semiring's.
-//   - kv[V]: split key32 + value-plane layouts — kv[float64] is the 12-byte
-//     squeezed layout, kv[float32]/kv[int32] the 8-byte narrow one. Keys
-//     live in the Workspace (shared by every key32 layout); only the value
-//     planes are V-typed.
+//   - kv[V]: the typed split layouts — kv[float64] is the 12-byte squeezed
+//     layout, kv[float32]/kv[int32] the 8-byte narrow one — which multiply
+//     with internal/simd's batched kernel and fold with +.
+//   - generic[V]: the key plane beside a plane of any V, 4 + sizeof(V) bytes
+//     a tuple, multiplied and folded through the caller's ⊗ and ⊕:
+//     MultiplyGeneric runs a semiring's that has no typed entry. It and kv
+//     share their value planes' code (planes[V]); each keeps its own expand
+//     walk and fold, as a typed loop behind a call per chunk or per tuple
+//     costs the typed layouts 3–4 % of expand or more.
 //   - patternOps: bare []uint32 keys, 4 bytes per tuple; the fold is
 //     deduplication and the result CSR carries no Val array.
 //
 // patternOps is zero-size: storing it in the e.lay interface allocates
-// nothing (the runtime's zerobase). kv and pairs values are reached by pointer
-// (&ws.kvF64, or the pooled *kv[V] / *pairs[V] in ws.kvNarrow / ws.wide), so
-// rebinding e.lay per call is allocation-free too.
+// nothing (the runtime's zerobase). kv and generic values are reached by
+// pointer (&ws.kvF64, or the pooled *kv[V] / *generic[V] in ws.kvNarrow /
+// ws.generic), so rebinding e.lay per call is allocation-free too.
 
 // Value is the set of element types a value-carrying tuple layout can move:
 // the float64 of the 12-byte squeezed layout plus the 4-byte types of the
@@ -111,17 +115,10 @@ func (e *engine) binRows(bin int) []int64 { return e.tally[int64(bin)<<e.rowShif
 
 // MultiplyPattern computes the structural (pattern-only) product of A and B:
 // the returned CSR has the exact support of A·B and a nil Val array. Tuples
-// are bare 4-byte keys — a quarter of the wide layout's traffic in the
+// are bare 4-byte keys — a third of the squeezed layout's traffic in the
 // expand and sort phases — and the fused fold degenerates to deduplication.
 // Neither A's nor B's Val arrays are read (they may be nil).
-//
-// Where MultiplyLayout says wide, the same support comes from MultiplyWide
-// over zero-size values.
 func MultiplyPattern(a *matrix.CSC, b *matrix.CSR, opt Options) (*matrix.CSR, *Stats, error) {
-	if MultiplyLayout(a.NumRows, b.NumCols) == LayoutWide {
-		c, _, st, err := MultiplyWide(a, make([]struct{}, len(a.RowIdx)), b, make([]struct{}, len(b.ColIdx)), structural, opt)
-		return c, st, err
-	}
 	opt = opt.withDefaults()
 	e, err := newEngine(a, b, opt, LayoutPattern)
 	if err != nil {
@@ -131,7 +128,7 @@ func MultiplyPattern(a *matrix.CSC, b *matrix.CSR, opt Options) (*matrix.CSR, *S
 	return e.runContained()
 }
 
-// checkPlanes rejects out-of-band value planes (MultiplyNarrow, MultiplyWide)
+// checkPlanes rejects out-of-band value planes (MultiplyNarrow, MultiplyGeneric)
 // shorter than the index arrays they run parallel to.
 func checkPlanes(a *matrix.CSC, na int, b *matrix.CSR, nb int) error {
 	if na < len(a.RowIdx) || nb < len(b.ColIdx) {
@@ -146,12 +143,8 @@ func checkPlanes(a *matrix.CSC, na int, b *matrix.CSR, nb int) error {
 // (whose float64 Val arrays are never read and may be nil) plus parallel
 // value planes indexed like a.RowIdx and b.ColIdx; the result is the
 // structural CSR (nil Val) plus its value plane, aliasing workspace memory
-// when opt.Workspace is set. Where MultiplyLayout says wide it runs
-// MultiplyWide over the same (+, ×).
+// when opt.Workspace is set.
 func MultiplyNarrow[V Value32](a *matrix.CSC, aVal []V, b *matrix.CSR, bVal []V, opt Options) (*matrix.CSR, []V, *Stats, error) {
-	if MultiplyLayout(a.NumRows, b.NumCols) == LayoutWide {
-		return MultiplyWide(a, aVal, b, bVal, Algebra[V]{Times: timesChunk[V], Plus: add[V]}, opt)
-	}
 	opt = opt.withDefaults()
 	if err := checkPlanes(a, len(aVal), b, len(bVal)); err != nil {
 		return nil, nil, nil, err
@@ -173,259 +166,12 @@ func MultiplyNarrow[V Value32](a *matrix.CSC, aVal []V, b *matrix.CSR, bVal []V,
 }
 
 // ---------------------------------------------------------------------------
-// pairs[V]: the wide layout, []radix.Pair[V] (u64 key + V value).
+// planes[V]: the value-plane half of the kv and generic layouts.
 
-// Algebra is what a wide run multiplies over. Times forms the values of one
-// chunk of expanded tuples, dst[j].Val = a ⊗ b[j] (len(b) ≥ len(dst); the keys
-// are already in place): one indirect call per chunk — per tuple it costs
-// expand as much again as the walk itself. Plus folds the values of
-// equal keys, left to right in arrival order (a stable sort keeps that order,
-// so the fold is defined even where Plus does not commute or associate
-// exactly). Both run on worker goroutines; a panic in either is contained like
-// any worker panic.
-type Algebra[V any] struct {
-	Times func(dst []radix.Pair[V], a V, b []V)
-	Plus  func(a, b V) V
-}
-
-// Elementwise lifts a scalar ⊗ to Algebra.Times' chunk form.
-func Elementwise[V any](times func(a, b V) V) func(dst []radix.Pair[V], a V, b []V) {
-	return func(dst []radix.Pair[V], a V, b []V) {
-		for j := range dst {
-			dst[j].Val = times(a, b[j])
-		}
-	}
-}
-
-// PlusTimes is (+, ×) over float64 as an Algebra: the float64 product on the
-// wide layout.
-var PlusTimes = Algebra[float64]{Times: timesChunk[float64], Plus: add[float64]}
-
-func timesChunk[V Value](dst []radix.Pair[V], a V, b []V) {
-	for j := range dst {
-		dst[j].Val = a * b[j]
-	}
-}
-
-func add[V Value](a, b V) V { return a + b }
-
-// structural is the Algebra of a pattern product on the wide layout: the
-// values are zero-size, so folding equal keys is deduplication.
-var structural = Algebra[struct{}]{
-	Times: func([]radix.Pair[struct{}], struct{}, []struct{}) {},
-	Plus:  func(struct{}, struct{}) struct{} { return struct{}{} },
-}
-
-// pairs holds one value type's planes of the wide layout, pooled grow-only in
-// Workspace.wide (one V at a time, like kvNarrow), plus the per-call bindings:
-// the input value planes, the algebra and the result's value destination.
-type pairs[V any] struct {
-	tuples, locals, scratch []radix.Pair[V]
-	outVal, acc             []V // acc: dense-fold accumulators, all-zero between bins
-
-	aVal, bVal []V
-	alg        Algebra[V]
-	out        []V
-	// flat: V holds no pointers, so the non-temporal flush — a raw byte copy,
-	// no GC write barriers, bytewise at its unaligned ends — may move its tuples.
-	flat bool
-}
-
-// pairsOf returns the workspace's pooled wide layout state for value type V,
-// creating it on first use.
-func pairsOf[V any](ws *Workspace) *pairs[V] {
-	if l, ok := ws.wide.(*pairs[V]); ok {
-		return l
-	}
-	l := &pairs[V]{flat: pointerFree(reflect.TypeFor[V]())}
-	ws.wide = l
-	return l
-}
-
-// pointerFree reports whether no value of type t holds a pointer the garbage
-// collector traces.
-func pointerFree(t reflect.Type) bool {
-	switch t.Kind() {
-	case reflect.Array:
-		return t.Len() == 0 || pointerFree(t.Elem())
-	case reflect.Struct:
-		for i := 0; i < t.NumField(); i++ {
-			if !pointerFree(t.Field(i).Type) {
-				return false
-			}
-		}
-		return true
-	}
-	return reflect.Bool <= t.Kind() && t.Kind() <= reflect.Complex128
-}
-
-// widePool is what the Workspace asks of its pooled *pairs[V], whatever V is.
-type widePool interface {
-	// unbind drops the per-call references a pooled workspace must not pin.
-	// The result plane stays: the entry point reads it after the run.
-	unbind()
-	tupleCapBytes() int64
-}
-
-// detachOut forgets the pooled result plane (Workspace.DetachOutput).
-func (l *pairs[V]) detachOut() { l.outVal = nil }
-func (l *kv[V]) detachOut()    { l.outVal = nil }
-func (l *pairs[V]) unbind()    { l.aVal, l.bVal, l.alg = nil, nil, Algebra[V]{} }
-func (l *pairs[V]) tupleCapBytes() int64 {
-	return int64(cap(l.tuples)) * int64(unsafe.Sizeof(radix.Pair[V]{}))
-}
-
-// MultiplyWide computes C = A ⊗ B over alg with the wide tuple layout, for
-// any value type: the pipeline of Multiply — parallel propagation-blocked
-// expand, fused sort and fold, budgeted bin groups, sub-phase cancellation,
-// worker-panic containment — with alg.Times where Multiply multiplies and
-// alg.Plus where it adds. Its bins are the flop rule's: a 64-bit key needs no
-// more of them. Like MultiplyNarrow the inputs are the structural CSC/CSR
-// (Val never read, may be nil) plus value planes parallel to a.RowIdx and
-// b.ColIdx, and the result is the structural CSR plus its value plane,
-// aliasing workspace memory when opt.Workspace is set.
-func MultiplyWide[V any](a *matrix.CSC, aVal []V, b *matrix.CSR, bVal []V, alg Algebra[V], opt Options) (*matrix.CSR, []V, *Stats, error) {
-	opt = opt.withDefaults()
-	if err := checkPlanes(a, len(aVal), b, len(bVal)); err != nil {
-		return nil, nil, nil, err
-	}
-	e, err := newEngine(a, b, opt, LayoutWide)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	l := pairsOf[V](e.ws)
-	l.aVal, l.bVal, l.alg = aVal, bVal, alg
-	e.lay = l
-	e.wideBytes = max(WideTupleBytes, int64(unsafe.Sizeof(radix.Pair[V]{})))
-	c, st, err := e.runContained()
-	vals := l.out
-	l.out = nil
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return c, vals, st, nil
-}
-
-func (l *pairs[V]) growTuples(e *engine, n int64) { radix.GrowPairs(&l.tuples, n) }
-func (l *pairs[V]) growLocals(e *engine, n int64) { radix.GrowPairs(&l.locals, n) }
-
-// expandRange is the wide layout's walk: the same columns, chunks and flush
-// schedule as kv.expandRange below, forming each 64-bit key and its value
-// (through alg.Times) in place in the local bin.
-func (l *pairs[V]) expandRange(e *engine, t int, cursors []int64) {
-	a, b := e.a, e.b
-	capT := e.localCap
-	shift, mask, colBits := e.rowShift, e.rowMask, e.colBits
-	// Offsets in int64: threads × nbins × capT can exceed int32 range.
-	stride := int64(e.nbins) * int64(capT)
-	buf := l.locals[int64(t)*stride : int64(t+1)*stride]
-	lens := e.ws.localLens[t*e.nbins : (t+1)*e.nbins]
-	tuples := l.tuples
-	aVal, bVal, times := l.aVal, l.bVal, l.alg.Times
-	nt := e.ntFlush && l.flat
-
-	var sincePoll int64
-	for j := e.ws.colBounds[t]; j < e.ws.colBounds[t+1]; j++ {
-		bLo, bHi, pLo, pHi := e.rowLo[j], e.rowHi[j], e.colLo[j], e.colHi[j]
-		if bLo == bHi {
-			continue
-		}
-		if faultinject.Enabled {
-			faultinject.Fire(faultinject.SiteExpandColumn, t)
-		}
-		if sincePoll >= cancelPollTuples {
-			sincePoll = 0
-			if e.pollCancel() {
-				return
-			}
-		}
-		sincePoll += int64(bHi-bLo) * (pHi - pLo)
-		for p := pLo; p < pHi; p++ {
-			r := uint32(a.RowIdx[p])
-			av := aVal[p]
-			bin := int32(r >> shift)
-			localRow := uint64(r&mask) << colBits
-			base := int64(bin) * int64(capT)
-			ln := lens[bin]
-			for q := bLo; q < bHi; {
-				if ln == capT {
-					lens[bin] = ln
-					flushLocalPairs(bin, buf, lens, tuples, cursors, capT, nt)
-					ln = 0
-				}
-				take := bHi - q
-				if room := int64(capT - ln); take > room {
-					take = room
-				}
-				dst := buf[base+int64(ln) : base+int64(ln)+take]
-				cols := b.ColIdx[q : q+take]
-				for j := range dst {
-					dst[j].Key = localRow | uint64(uint32(cols[j]))
-				}
-				times(dst, av, bVal[q:q+take])
-				ln += int32(take)
-				q += take
-			}
-			lens[bin] = ln
-		}
-	}
-	// Drain partially-filled local bins (Algorithm 2 lines 15–18).
-	for bin := int32(e.binLo); bin < int32(e.binHi); bin++ {
-		flushLocalPairs(bin, buf, lens, tuples, cursors, capT, nt)
-	}
-}
-
-func flushLocalPairs[V any](bin int32, buf []radix.Pair[V], lens []int32,
-	tuples []radix.Pair[V], cursors []int64, capT int32, nt bool) {
-
-	src, dst, n := flushSpan(bin, lens, cursors, capT)
-	flushPlane(tuples[dst:], buf[src:src+n], nt)
-}
-
-func (l *pairs[V]) growScratch(e *engine, total, accSlots int64) {
-	radix.GrowPairs(&l.scratch, total)
-	growVals(&l.acc, int64(e.opt.Threads)*accSlots)
-}
-
-func (l *pairs[V]) fuseBin(e *engine, worker, bin int) int64 {
-	lo, hi := e.ws.binStart[bin], e.ws.binStart[bin+1]
-	var n int
-	if e.denseBin(hi - lo) {
-		slots := int64(1) << e.keyBits()
-		acc := l.acc[int64(worker)*slots:][:slots]
-		n = radix.FoldDensePairs(l.tuples[lo:hi], acc, e.accBitsFor(worker, slots), l.alg.Plus)
-	} else {
-		n = radix.SortPairs(l.tuples[lo:hi], l.scratch[int64(worker)*e.scratchStride:][:hi-lo], int(e.keyBits()), l.alg.Plus)
-	}
-	// The row tally over the folded tuples, whichever kernel ran.
-	seg, rows, cb := l.tuples[lo:][:n], e.binRows(bin), e.colBits
-	for i := range seg {
-		rows[seg[i].Key>>cb]++
-	}
-	return int64(n)
-}
-
-func (l *pairs[V]) unpackBin(e *engine, c *matrix.CSR, srcOff, dstOff, n int64) {
-	src, out := l.tuples[srcOff:srcOff+n], l.out[dstOff:dstOff+n]
-	cols := c.ColIdx[dstOff : dstOff+n]
-	colMask := uint64(1)<<e.colBits - 1
-	for j := range src {
-		cols[j] = int32(src[j].Key & colMask)
-		out[j] = src[j].Val
-	}
-}
-
-func (l *pairs[V]) growOut(e *engine, c *matrix.CSR, nnzc int64) {
-	l.out = resultPlane(e, l.out, &l.outVal, nnzc)
-}
-
-// ---------------------------------------------------------------------------
-// kv[V]: the split key32 + V value-plane layouts (squeezed f64, narrow f32/i32).
-
-// kv holds one value type's planes of the split layout. Keys are shared
-// across all key32 layouts and live in the Workspace; these are only the
-// V-typed halves, pooled grow-only exactly like their float64 ancestors.
-type kv[V Value] struct {
+// planes holds one value type's planes of a layout with values. Keys are
+// shared across all key32 layouts and live in the Workspace; these are only
+// the V-typed halves, pooled grow-only.
+type planes[V any] struct {
 	tupleVals   []V
 	localVals   []V
 	outVal      []V
@@ -441,25 +187,42 @@ type kv[V Value] struct {
 
 // tupleCapBytes reports the value plane's pooled capacity; Workspace
 // .TupleCapBytes adds it to the shared key arena's.
-func (l *kv[V]) tupleCapBytes() int64 {
+func (l *planes[V]) tupleCapBytes() int64 {
 	var v V
 	return int64(cap(l.tupleVals)) * int64(unsafe.Sizeof(v))
 }
 
-func (l *kv[V]) growTuples(e *engine, n int64) {
+// detachOut forgets the pooled result plane (Workspace.DetachOutput).
+func (l *planes[V]) detachOut() { l.outVal = nil }
+
+func (l *planes[V]) growTuples(e *engine, n int64) {
 	radix.GrowUint32(&e.ws.tupleKeys, n)
 	growVals(&l.tupleVals, n)
 }
 
-func (l *kv[V]) growLocals(e *engine, n int64) {
+func (l *planes[V]) growLocals(e *engine, n int64) {
 	radix.GrowUint32(&e.ws.localKeys, n)
 	growVals(&l.localVals, n)
 }
 
-func (l *kv[V]) growScratch(e *engine, total, accSlots int64) {
+func (l *planes[V]) growScratch(e *engine, total, accSlots int64) {
 	growVals(&e.ws.scratchWords, 2*total)
 	growVals(&l.scratchVals, total)
 	growVals(&l.accVals, int64(e.opt.Threads)*accSlots)
+}
+
+func (l *planes[V]) unpackBin(e *engine, c *matrix.CSR, srcOff, dstOff, n int64) {
+	keys, vals := e.ws.tupleKeys, l.tupleVals
+	cm := uint32(uint64(1)<<e.colBits - 1)
+	out := l.out
+	for j := int64(0); j < n; j++ {
+		c.ColIdx[dstOff+j] = int32(keys[srcOff+j] & cm)
+		out[dstOff+j] = vals[srcOff+j]
+	}
+}
+
+func (l *planes[V]) growOut(e *engine, c *matrix.CSR, nnzc int64) {
+	l.out = resultPlane(e, l.out, &l.outVal, nnzc)
 }
 
 // scratchWordsFor returns worker w's two private planes of key|index words.
@@ -475,19 +238,39 @@ func (e *engine) accBitsFor(w int, slots int64) []uint64 {
 	return e.ws.accBits[int64(w)*words:][:words]
 }
 
+// flushLocalKV moves one split local bin's pending tuples, plane by plane,
+// into the worker's pre-reserved range of the global bin (flushSpan,
+// flushPlane).
+func flushLocalKV[V any](bin int32, bufK []uint32, bufV []V, lens []int32,
+	keys []uint32, vals []V, cursors []int64, capT int32, nt bool) {
+
+	src, dst, n := flushSpan(bin, lens, cursors, capT)
+	flushPlane(keys[dst:], bufK[src:src+n], nt)
+	flushPlane(vals[dst:], bufV[src:src+n], nt)
+}
+
+// ---------------------------------------------------------------------------
+// kv[V]: the typed layouts (squeezed f64, narrow f32/i32).
+
+// kv is the typed layouts' planes: expand multiplies with the batched
+// kernel and the fold adds.
+type kv[V Value] struct{ planes[V] }
+
 // expandRange is one worker's share of expand: the group's columns
 // [colBounds[t], colBounds[t+1]), propagation-blocked — the 4-byte key
 // and the V value go into split local bins, each flushed with two bulk copies
 // into the worker's exclusive range. cursors is the worker's private per-bin
-// write-position array, pre-seeded with its exclusive offsets.
+// write-position array, pre-seeded with its exclusive offsets; it, the local
+// bins and their fill counts are indexed by the group's bins, bin − binLo.
 func (l *kv[V]) expandRange(e *engine, t int, cursors []int64) {
 	a, b := e.a, e.b
 	capT := e.localCap
-	shift, mask, colBits := e.rowShift, e.rowMask, e.colBits
-	stride := int64(e.nbins) * int64(capT)
+	shift, mask, colBits, binLo := e.rowShift, e.rowMask, e.colBits, uint32(e.binLo)
+	gb := e.binHi - e.binLo
+	stride := int64(gb) * int64(capT)
 	bufK := e.ws.localKeys[int64(t)*stride : int64(t+1)*stride]
 	bufV := l.localVals[int64(t)*stride : int64(t+1)*stride]
-	lens := e.ws.localLens[t*e.nbins : (t+1)*e.nbins]
+	lens := e.ws.localLens[t*gb : (t+1)*gb]
 	keys, vals := e.ws.tupleKeys, l.tupleVals
 	aVal, bVal := l.aVal, l.bVal
 	nt := e.ntFlush
@@ -514,7 +297,7 @@ func (l *kv[V]) expandRange(e *engine, t int, cursors []int64) {
 		for p := pLo; p < pHi; p++ {
 			r := uint32(a.RowIdx[p])
 			av := aVal[p]
-			bin := int32(r >> shift)
+			bin := int32(r>>shift - binLo)
 			localRow := (r & mask) << colBits
 			base := int64(bin) * int64(capT)
 			ln := lens[bin]
@@ -542,20 +325,9 @@ func (l *kv[V]) expandRange(e *engine, t int, cursors []int64) {
 			lens[bin] = ln
 		}
 	}
-	for bin := int32(e.binLo); bin < int32(e.binHi); bin++ {
+	for bin := int32(0); bin < int32(gb); bin++ {
 		flushLocalKV(bin, bufK, bufV, lens, keys, vals, cursors, capT, nt)
 	}
-}
-
-// flushLocalKV moves one split local bin's pending tuples, plane by plane,
-// into the worker's pre-reserved range of the global bin (flushSpan,
-// flushPlane).
-func flushLocalKV[V Value](bin int32, bufK []uint32, bufV []V, lens []int32,
-	keys []uint32, vals []V, cursors []int64, capT int32, nt bool) {
-
-	src, dst, n := flushSpan(bin, lens, cursors, capT)
-	flushPlane(keys[dst:], bufK[src:src+n], nt)
-	flushPlane(vals[dst:], bufV[src:src+n], nt)
 }
 
 func (l *kv[V]) fuseBin(e *engine, worker, bin int) int64 {
@@ -572,18 +344,178 @@ func (l *kv[V]) fuseBin(e *engine, worker, bin int) int64 {
 		int(e.keyBits()), rows, e.colBits))
 }
 
-func (l *kv[V]) unpackBin(e *engine, c *matrix.CSR, srcOff, dstOff, n int64) {
+// ---------------------------------------------------------------------------
+// generic[V]: the key plane beside a plane of any V, through ⊗ and ⊕.
+
+// Algebra is what a generic run multiplies over. Times forms the values of
+// one chunk of expanded tuples, dst[j] = a ⊗ b[j] (len(b) ≥ len(dst); the
+// keys are already in place): one indirect call per chunk — per tuple it
+// costs expand as much again as the walk itself. Plus folds the values of
+// equal keys, left to right in arrival order (a stable sort keeps that
+// order, so the fold is defined even where Plus does not commute or
+// associate exactly). Both run on worker goroutines; a panic in either is
+// contained like any worker panic.
+type Algebra[V any] struct {
+	Times func(dst []V, a V, b []V)
+	Plus  func(a, b V) V
+}
+
+// generic is the generic layout's planes plus the run's algebra.
+type generic[V any] struct {
+	planes[V]
+	alg Algebra[V]
+	// flat: V holds no pointers, so the non-temporal flush — a raw byte copy,
+	// no GC write barriers, bytewise at its unaligned ends — may move its values.
+	flat bool
+}
+
+// genericPool is what the Workspace asks of its pooled *generic[V], whatever
+// V is.
+type genericPool interface {
+	// unbind drops the per-call references a pooled workspace must not pin.
+	// The result plane stays: the entry point reads it after the run.
+	unbind()
+	tupleCapBytes() int64
+}
+
+func (l *generic[V]) unbind() { l.aVal, l.bVal, l.alg = nil, nil, Algebra[V]{} }
+
+// genericOf returns the workspace's pooled generic layout state for value
+// type V, creating it on first use. The slot holds one V at a time, like
+// kvNarrow.
+func genericOf[V any](ws *Workspace) *generic[V] {
+	if l, ok := ws.generic.(*generic[V]); ok {
+		return l
+	}
+	l := &generic[V]{flat: pointerFree(reflect.TypeFor[V]())}
+	ws.generic = l
+	return l
+}
+
+// pointerFree reports whether no value of type t holds a pointer the garbage
+// collector traces.
+func pointerFree(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Array:
+		return t.Len() == 0 || pointerFree(t.Elem())
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if !pointerFree(t.Field(i).Type) {
+				return false
+			}
+		}
+		return true
+	}
+	return reflect.Bool <= t.Kind() && t.Kind() <= reflect.Complex128
+}
+
+// MultiplyGeneric computes C = A ⊗ B over alg for any value type, with the
+// generic layout: the pipeline of Multiply — 32-bit keys in bins cut by the
+// same rules, parallel propagation-blocked expand, fused sort and fold, bin
+// groups, sub-phase cancellation, worker-panic containment — with alg.Times where
+// Multiply multiplies and alg.Plus where it adds. Its tuples are 4 +
+// sizeof(V) bytes. Like MultiplyNarrow the inputs are the structural CSC/CSR
+// (Val never read, may be nil) plus value planes parallel to a.RowIdx and
+// b.ColIdx, and the result is the structural CSR plus its value plane,
+// aliasing workspace memory when opt.Workspace is set.
+func MultiplyGeneric[V any](a *matrix.CSC, aVal []V, b *matrix.CSR, bVal []V, alg Algebra[V], opt Options) (*matrix.CSR, []V, *Stats, error) {
+	opt = opt.withDefaults()
+	if err := checkPlanes(a, len(aVal), b, len(bVal)); err != nil {
+		return nil, nil, nil, err
+	}
+	e, err := newEngine(a, b, opt, LayoutGeneric)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	l := genericOf[V](e.ws)
+	l.aVal, l.bVal, l.alg = aVal, bVal, alg
+	e.lay = l
+	e.tupleBytes = 4 + int64(unsafe.Sizeof(*new(V)))
+	c, st, err := e.runContained()
+	vals := l.out
+	l.out = nil
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return c, vals, st, nil
+}
+
+// expandRange is kv.expandRange with the keys formed by simd.ExpandK and the
+// values by alg.Times, a call per chunk: the same columns, chunks and flush
+// schedule, so the same tuples in the same order.
+func (l *generic[V]) expandRange(e *engine, t int, cursors []int64) {
+	a, b := e.a, e.b
+	capT := e.localCap
+	shift, mask, colBits, binLo := e.rowShift, e.rowMask, e.colBits, uint32(e.binLo)
+	gb := e.binHi - e.binLo
+	stride := int64(gb) * int64(capT)
+	bufK := e.ws.localKeys[int64(t)*stride : int64(t+1)*stride]
+	bufV := l.localVals[int64(t)*stride : int64(t+1)*stride]
+	lens := e.ws.localLens[t*gb : (t+1)*gb]
 	keys, vals := e.ws.tupleKeys, l.tupleVals
-	cm := uint32(uint64(1)<<e.colBits - 1)
-	out := l.out
-	for j := int64(0); j < n; j++ {
-		c.ColIdx[dstOff+j] = int32(keys[srcOff+j] & cm)
-		out[dstOff+j] = vals[srcOff+j]
+	aVal, bVal, times := l.aVal, l.bVal, l.alg.Times
+	nt := e.ntFlush && l.flat
+
+	var sincePoll int64
+	for j := e.ws.colBounds[t]; j < e.ws.colBounds[t+1]; j++ {
+		bLo, bHi, pLo, pHi := e.rowLo[j], e.rowHi[j], e.colLo[j], e.colHi[j]
+		if bLo == bHi {
+			continue
+		}
+		if faultinject.Enabled {
+			faultinject.Fire(faultinject.SiteExpandColumn, t)
+		}
+		if sincePoll >= cancelPollTuples {
+			sincePoll = 0
+			if e.pollCancel() {
+				return
+			}
+		}
+		sincePoll += int64(bHi-bLo) * (pHi - pLo)
+		for p := pLo; p < pHi; p++ {
+			r := uint32(a.RowIdx[p])
+			av := aVal[p]
+			bin := int32(r>>shift - binLo)
+			localRow := (r & mask) << colBits
+			base := int64(bin) * int64(capT)
+			ln := lens[bin]
+			for q := bLo; q < bHi; {
+				if ln == capT {
+					lens[bin] = ln
+					flushLocalKV(bin, bufK, bufV, lens, keys, vals, cursors, capT, nt)
+					ln = 0
+				}
+				take := bHi - q
+				if room := int64(capT - ln); take > room {
+					take = room
+				}
+				at := base + int64(ln)
+				simd.ExpandK(bufK[at:at+take], localRow, b.ColIdx[q:q+take])
+				times(bufV[at:at+take], av, bVal[q:q+take])
+				ln += int32(take)
+				q += take
+			}
+			lens[bin] = ln
+		}
+	}
+	for bin := int32(0); bin < int32(gb); bin++ {
+		flushLocalKV(bin, bufK, bufV, lens, keys, vals, cursors, capT, nt)
 	}
 }
 
-func (l *kv[V]) growOut(e *engine, c *matrix.CSR, nnzc int64) {
-	l.out = resultPlane(e, l.out, &l.outVal, nnzc)
+// fuseBin is kv.fuseBin through alg.Plus.
+func (l *generic[V]) fuseBin(e *engine, worker, bin int) int64 {
+	lo, hi := e.ws.binStart[bin], e.ws.binStart[bin+1]
+	keys, vals, rows := e.ws.tupleKeys[lo:hi], l.tupleVals[lo:hi], e.binRows(bin)
+	n := hi - lo
+	if e.denseBin(n) {
+		slots := int64(1) << e.keyBits()
+		acc := l.accVals[int64(worker)*slots:][:slots]
+		return int64(radix.FoldDenseBy(keys, vals, acc, e.accBitsFor(worker, slots), rows, e.colBits, l.alg.Plus))
+	}
+	w0, w1 := e.scratchWordsFor(worker, n)
+	return int64(radix.SortFoldBy(keys, vals, w0, w1, l.scratchVals[int64(worker)*e.scratchStride:][:n],
+		int(e.keyBits()), rows, e.colBits, l.alg.Plus))
 }
 
 // ---------------------------------------------------------------------------
@@ -600,7 +532,8 @@ func (patternOps) expandRange(e *engine, t int, cursors []int64) {
 	a, b := e.a, e.b
 	capT := e.localCap
 	shift, mask, colBits := e.rowShift, e.rowMask, e.colBits
-	stride := int64(e.nbins) * int64(capT)
+	gb := e.binHi - e.binLo
+	stride := int64(gb) * int64(capT)
 	// The flush's operands stay in memory, behind lb: held in registers
 	// across the column loop they crowded ExpandK's inlined loop, whose
 	// operands the register allocator then reloaded from the stack every
@@ -611,9 +544,9 @@ func (patternOps) expandRange(e *engine, t int, cursors []int64) {
 	// this function: the order of the statements below puts it in one.
 	lb := &patternBins{
 		buf:     e.ws.localKeys[int64(t)*stride : int64(t+1)*stride],
-		lens:    e.ws.localLens[t*e.nbins : (t+1)*e.nbins],
+		lens:    e.ws.localLens[t*gb : (t+1)*gb],
 		keys:    e.ws.tupleKeys,
-		cursors: cursors, capT: capT, nt: e.ntFlush,
+		cursors: cursors, capT: capT, nt: e.ntFlush, binLo: uint32(e.binLo),
 	}
 
 	var sincePoll int64
@@ -635,8 +568,8 @@ func (patternOps) expandRange(e *engine, t int, cursors []int64) {
 		sincePoll += int64(bHi-bLo) * (pHi - pLo)
 		for p := pLo; p < pHi; p++ {
 			r := uint32(a.RowIdx[p])
+			bin := int32(r>>shift - lb.binLo)
 			localRow := (r & mask) << colBits
-			bin := int32(r >> shift)
 			base := int64(bin) * int64(capT)
 			ln := lb.lens[bin]
 			// Chunked like kv.expandRange: flush boundaries match the
@@ -664,13 +597,14 @@ func (patternOps) expandRange(e *engine, t int, cursors []int64) {
 			lb.lens[bin] = ln
 		}
 	}
-	for bin := int32(e.binLo); bin < int32(e.binHi); bin++ {
+	for bin := int32(0); bin < int32(gb); bin++ {
 		lb.flush(bin)
 	}
 }
 
-// patternBins is one worker's local bins of the pattern layout: its keys,
-// fill counts and cursors into the tuple keys, and how to flush them.
+// patternBins is one worker's local bins of the pattern layout, indexed by
+// the group's bins (bin − binLo): its keys, fill counts and cursors into the
+// tuple keys, and how to flush them.
 type patternBins struct {
 	buf     []uint32
 	lens    []int32
@@ -678,6 +612,7 @@ type patternBins struct {
 	cursors []int64
 	capT    int32
 	nt      bool
+	binLo   uint32
 }
 
 // flush moves the bin's pending keys into the worker's reserved range of the

@@ -2,8 +2,8 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
-	"unsafe"
 
 	"pbspgemm/internal/gen"
 	"pbspgemm/internal/matrix"
@@ -35,11 +35,27 @@ func csrBitIdentical(a, b *matrix.CSR) bool {
 	return true
 }
 
-// multiplyWide is Multiply on the wide layout: the float64 product through
-// MultiplyWide over PlusTimes, 16-byte tuples in the flop rule's bins, its value
-// plane returned as the result's Val.
-func multiplyWide(a *matrix.CSC, b *matrix.CSR, opt Options) (*matrix.CSR, *Stats, error) {
-	c, vals, st, err := MultiplyWide(a, a.Val, b, b.Val, PlusTimes, opt)
+// elementwise lifts a scalar ⊗ to Algebra.Times' chunk form.
+func elementwise[V any](times func(a, b V) V) func(dst []V, a V, b []V) {
+	return func(dst []V, a V, b []V) {
+		for j := range dst {
+			dst[j] = times(a, b[j])
+		}
+	}
+}
+
+// plusTimes is (+, ×) over float64 as an Algebra: the float64 product on the
+// generic layout.
+var plusTimes = Algebra[float64]{
+	Times: elementwise(func(x, y float64) float64 { return x * y }),
+	Plus:  func(x, y float64) float64 { return x + y },
+}
+
+// multiplyGeneric is Multiply on the generic layout: the float64 product
+// through MultiplyGeneric over plusTimes, its value plane returned as the
+// result's Val.
+func multiplyGeneric(a *matrix.CSC, b *matrix.CSR, opt Options) (*matrix.CSR, *Stats, error) {
+	c, vals, st, err := MultiplyGeneric(a, a.Val, b, b.Val, plusTimes, opt)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -47,19 +63,19 @@ func multiplyWide(a *matrix.CSC, b *matrix.CSR, opt Options) (*matrix.CSR, *Stat
 	return c, st, nil
 }
 
-// multiplyFunc is the signature Multiply and multiplyWide share.
+// multiplyFunc is the signature Multiply and multiplyGeneric share.
 type multiplyFunc func(*matrix.CSC, *matrix.CSR, Options) (*matrix.CSR, *Stats, error)
 
 // float64Layouts are the two float64 products, by the layout each runs.
 var float64Layouts = []struct {
 	layout Layout
 	mul    multiplyFunc
-}{{LayoutSqueezed, Multiply}, {LayoutWide, multiplyWide}}
+}{{LayoutSqueezed, Multiply}, {LayoutGeneric, multiplyGeneric}}
 
 // expandSnapshot drives the engine through planning and expand only, on the
-// float64 product of the given layout (squeezed or wide), returning a copy of
-// the pre-sort tuple buffer in a layout-independent (key, value) form.
-func expandSnapshot(t *testing.T, a *matrix.CSC, b *matrix.CSR, opt Options, layout Layout) ([]uint64, []float64) {
+// float64 product of the given layout (squeezed or generic), returning a copy
+// of the pre-sort tuple buffer.
+func expandSnapshot(t *testing.T, a *matrix.CSC, b *matrix.CSR, opt Options, layout Layout) ([]uint32, []float64) {
 	t.Helper()
 	opt = opt.withDefaults()
 	ws := NewWorkspace()
@@ -68,33 +84,21 @@ func expandSnapshot(t *testing.T, a *matrix.CSC, b *matrix.CSR, opt Options, lay
 	if err != nil {
 		t.Fatal(err)
 	}
-	if layout == LayoutWide {
-		l := pairsOf[float64](ws)
-		l.aVal, l.bVal, l.alg = a.Val, b.Val, PlusTimes
-		e.lay = l
+	vals := &ws.kvF64.planes
+	if layout == LayoutGeneric {
+		l := genericOf[float64](ws)
+		l.alg, vals = plusTimes, &l.planes
+		e.lay, e.tupleBytes = l, SqueezedTupleBytes
 	} else {
-		l := &ws.kvF64
-		l.aVal, l.bVal = a.Val, b.Val
-		e.lay = l
+		e.lay = &ws.kvF64
 	}
+	vals.aVal, vals.bVal = a.Val, b.Val
 	e.symbolic()
 	e.planBins()
 	e.planWhole()
 	e.lay.growTuples(e, e.flops)
 	e.expand()
-	keys := make([]uint64, e.flops)
-	vals := make([]float64, e.flops)
-	if e.layout == LayoutSqueezed {
-		for i := range keys {
-			keys[i] = uint64(ws.tupleKeys[i])
-			vals[i] = ws.kvF64.tupleVals[i]
-		}
-	} else {
-		for i, p := range pairsOf[float64](ws).tuples[:e.flops] {
-			keys[i], vals[i] = p.Key, p.Val
-		}
-	}
-	return keys, vals
+	return slices.Clone(ws.tupleKeys[:e.flops]), slices.Clone(vals.tupleVals[:e.flops])
 }
 
 // TestExpandDeterministicAcrossThreads: with atomic cursors replaced by
@@ -105,7 +109,7 @@ func TestExpandDeterministicAcrossThreads(t *testing.T) {
 	a := gen.RMAT(10, 8, gen.Graph500Params, 3) // skewed: threads collide on hot bins
 	acsc := a.ToCSC()
 	b := gen.RMAT(10, 8, gen.Graph500Params, 4)
-	for _, layout := range []Layout{LayoutSqueezed, LayoutWide} {
+	for _, layout := range []Layout{LayoutSqueezed, LayoutGeneric} {
 		wantK, wantV := expandSnapshot(t, acsc, b, Options{Threads: 1}, layout)
 		for _, threads := range []int{2, 3, 8} {
 			gotK, gotV := expandSnapshot(t, acsc, b, Options{Threads: threads}, layout)
@@ -175,9 +179,11 @@ func TestMultiplyBitIdenticalAcrossThreads(t *testing.T) {
 	}
 }
 
-// TestSqueezedVsWideEquivalent: the two layouts produce the same canonical
-// CSR bit for bit, real values included: both fold equal keys in ascending k.
-func TestSqueezedVsWideEquivalent(t *testing.T) {
+// TestSqueezedVsGenericEquivalent: the typed float64 layout and the generic
+// one over (+, ×) — the batched kernel and + against function values —
+// produce the same canonical CSR bit for bit, real values included: both fold
+// equal keys in ascending k.
+func TestSqueezedVsGenericEquivalent(t *testing.T) {
 	for _, in := range []struct {
 		name string
 		a, b *matrix.CSR
@@ -191,23 +197,24 @@ func TestSqueezedVsWideEquivalent(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			wide, stW, err := multiplyWide(acsc, in.b, Options{Threads: threads})
+			gen, stG, err := multiplyGeneric(acsc, in.b, Options{Threads: threads})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if stS.Layout != LayoutSqueezed || stW.Layout != LayoutWide {
-				t.Fatalf("%s: layouts %v / %v, want squeezed / wide", in.name, stS.Layout, stW.Layout)
+			if stS.Layout != LayoutSqueezed || stG.Layout != LayoutGeneric || stG.NBins != stS.NBins {
+				t.Fatalf("%s: layouts %v / %v in %d / %d bins, want squeezed / generic in the same bins",
+					in.name, stS.Layout, stG.Layout, stS.NBins, stG.NBins)
 			}
-			if !csrBitIdentical(sq, wide) {
-				t.Fatalf("%s threads=%d: squeezed and wide outputs differ", in.name, threads)
+			if !csrBitIdentical(sq, gen) {
+				t.Fatalf("%s threads=%d: squeezed and generic outputs differ", in.name, threads)
 			}
 		}
 	}
 }
 
 // TestLayoutSelection pins the contract: Multiply runs the squeezed layout,
-// adding bins until localRowBits + colBits ≤ 32 where it has to (within
-// maxKey32Bins; TestKey32PastMaxBinsRunsWide covers the shapes past it).
+// adding bins until localRowBits + colBits ≤ 32 where it has to (past
+// maxKey32Bins in groups; TestKey32PastMaxBinsRunsGroups covers those shapes).
 func TestLayoutSelection(t *testing.T) {
 	// Small square: the flop rule's key already fits.
 	a := gen.ER(512, 4, 1)
@@ -248,31 +255,28 @@ func TestLayoutSelection(t *testing.T) {
 	}
 }
 
-// TestBinGeometryTracksBudget: the flop rule divides the product's wide
+// TestBinGeometryTracksBudget: the flop rule divides the product's 16-byte
 // tuples by the smaller of L2CacheBytes and the memory budget, so only a
 // budget under L2 moves the bins: 2^16 flops over 2^20 rows and 2^17 columns
-// take one bin unbudgeted (the key32 cut then makes it 32 of 2^15 rows, and a
-// wide key keeps it), and 64 bins of 2^14 rows under a 16 KiB budget, on
-// either key; a budget past L2 changes nothing.
+// take one bin unbudgeted (the key32 cut then makes it 32 of 2^15 rows), and
+// 64 bins of 2^14 rows under a 16 KiB budget; a budget past L2 changes
+// nothing.
 func TestBinGeometryTracksBudget(t *testing.T) {
 	rows := int32(1) << 20
 	colBits := colBitsFor(1 << 17) // 17
 	const flops = 1 << 16
 	for _, tc := range []struct {
-		budget         int64
-		key32, wide    int
-		shift32, shift uint
+		budget int64
+		nbins  int
+		shift  uint
 	}{
-		{0, 32, 1, 15, 20},
-		{4 << 20, 32, 1, 15, 20},
-		{1 << 14, 64, 64, 14, 14},
+		{0, 32, 15},
+		{4 << 20, 32, 15},
+		{1 << 14, 64, 14},
 	} {
 		opt := Options{MemoryBudgetBytes: tc.budget}.withDefaults()
-		if g := planBinGeometry(rows, flops, colBits, 32, SqueezedTupleBytes, opt); g.nbins != tc.key32 || g.rowShift != tc.shift32 {
-			t.Fatalf("budget %d, key32: %d bins, rowShift %d; want %d, %d", tc.budget, g.nbins, g.rowShift, tc.key32, tc.shift32)
-		}
-		if g := planBinGeometry(rows, flops, colBits, 64, WideTupleBytes, opt); g.nbins != tc.wide || g.rowShift != tc.shift {
-			t.Fatalf("budget %d, wide: %d bins, rowShift %d; want %d, %d", tc.budget, g.nbins, g.rowShift, tc.wide, tc.shift)
+		if g := planBinGeometry(rows, flops, colBits, SqueezedTupleBytes, opt); g.nbins != tc.nbins || g.rowShift != tc.shift {
+			t.Fatalf("budget %d: %d bins, rowShift %d; want %d, %d", tc.budget, g.nbins, g.rowShift, tc.nbins, tc.shift)
 		}
 	}
 }
@@ -301,13 +305,8 @@ func localArenaBytes(ws *Workspace) int64 {
 	if l, ok := ws.kvNarrow.(*kv[int32]); ok {
 		n += int64(len(l.localVals)) * 4
 	}
-	switch l := ws.wide.(type) {
-	case *pairs[float64]:
-		n += int64(len(l.locals)) * int64(unsafe.Sizeof(l.locals[0]))
-	case *pairs[int32]:
-		n += int64(len(l.locals)) * int64(unsafe.Sizeof(l.locals[0]))
-	case *pairs[struct{}]:
-		n += int64(len(l.locals)) * int64(unsafe.Sizeof(l.locals[0]))
+	if l, ok := ws.generic.(*generic[float64]); ok {
+		n += int64(len(l.localVals)) * 8
 	}
 	return n
 }
@@ -342,15 +341,15 @@ func TestKey32PastBinCap(t *testing.T) {
 	}
 }
 
-// TestKey32PastMaxBinsRunsWide: one row more than TestKey32PastBinCap's
-// product and its 32-bit key would need 4 097 bins, past maxKey32Bins, so
-// all three typed entries run the wide layout in the flop rule's one bin,
-// with one bin's worth of local bins a thread: Multiply equals Reference bit
-// for bit, MultiplyNarrow its exact int32 sums, MultiplyPattern its support.
-func TestKey32PastMaxBinsRunsWide(t *testing.T) {
-	if MultiplyLayout(1<<22, 1<<22) != LayoutSqueezed || MultiplyLayout(1<<22+1, 1<<22) != LayoutWide {
-		t.Fatal("MultiplyLayout: the cap is not at 4 096 bins")
-	}
+// TestKey32PastMaxBinsRunsGroups: one row more than TestKey32PastBinCap's
+// product and its 32-bit key needs 4 097 bins, past maxKey32Bins, so every
+// entry runs its own key32 layout in groups of at most 4 096 bins, with at
+// most that many bins' worth of local bins a thread — at one and two threads,
+// single-shot and under a budget. Multiply equals Reference bit for bit,
+// MultiplyNarrow its exact int32 sums, MultiplyPattern its support, and
+// MultiplyGeneric over (min, +) and over a (⊕, ⊗) that neither associates
+// nor commutes the ascending-k fold through them.
+func TestKey32PastMaxBinsRunsGroups(t *testing.T) {
 	a, b := binCapProduct(1<<22 + 1)
 	want := matrix.ReferenceMultiply(a, b)
 	acsc := a.ToCSC()
@@ -361,47 +360,72 @@ func TestKey32PastMaxBinsRunsWide(t *testing.T) {
 	for i, v := range b.Val {
 		bI[i] = int32(v)
 	}
-	for _, threads := range []int{1, 2} {
-		check := func(entry string, st *Stats, ws *Workspace) {
-			t.Helper()
-			if st.Layout != LayoutWide || st.NBins != 1 {
-				t.Fatalf("%s threads=%d: %v in %d bins; want wide in 1", entry, threads, st.Layout, st.NBins)
+	algebras := []struct {
+		name        string
+		times, plus func(x, y float64) float64
+	}{
+		{"minplus", func(x, y float64) float64 { return x + y }, func(x, y float64) float64 { return min(x, y) }},
+		{"custom", func(x, y float64) float64 { return x - 0.5*y }, func(x, y float64) float64 { return 0.75*x + y }},
+	}
+	for _, budget := range []int64{0, 1 << 10} {
+		for _, threads := range []int{1, 2} {
+			opt := Options{Threads: threads, MemoryBudgetBytes: budget}
+			check := func(entry string, layout Layout, st *Stats) {
+				t.Helper()
+				if st.Layout != layout || st.NBins != maxKey32Bins+1 || st.NGroups < 2 {
+					t.Fatalf("%s budget=%d threads=%d: %v in %d bins, %d groups; want %v in 4097, ≥ 2 groups",
+						entry, budget, threads, st.Layout, st.NBins, st.NGroups, layout)
+				}
+				if n, cap := localArenaBytes(opt.Workspace), int64(threads*maxKey32Bins*DefaultLocalBinBytes); n > cap {
+					t.Fatalf("%s budget=%d threads=%d: %d bytes of local bins, want at most %d", entry, budget, threads, n, cap)
+				}
 			}
-			if n, cap := localArenaBytes(ws), int64(threads*DefaultLocalBinBytes); n > cap {
-				t.Fatalf("%s threads=%d: %d bytes of local bins, want at most %d", entry, threads, n, cap)
+			opt.Workspace = NewWorkspace()
+			got, st, err := Multiply(acsc, b, opt)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		ws := NewWorkspace()
-		got, st, err := Multiply(acsc, b, Options{Threads: threads, Workspace: ws})
-		if err != nil {
-			t.Fatal(err)
-		}
-		check("Multiply", st, ws)
-		if !csrBitIdentical(want, got) {
-			t.Fatalf("threads=%d: Multiply differs from Reference", threads)
-		}
-		ws = NewWorkspace()
-		c, vals, st, err := MultiplyNarrow(acsc, aI, b, bI, Options{Threads: threads, Workspace: ws})
-		if err != nil {
-			t.Fatal(err)
-		}
-		check("MultiplyNarrow", st, ws)
-		if !csrSameStructure(want, c) {
-			t.Fatalf("threads=%d: MultiplyNarrow's support differs from Reference's", threads)
-		}
-		for i, v := range want.Val {
-			if vals[i] != int32(v) {
-				t.Fatalf("threads=%d: MultiplyNarrow value %d = %d, want %v", threads, i, vals[i], v)
+			check("Multiply", LayoutSqueezed, st)
+			if !csrBitIdentical(want, got) {
+				t.Fatalf("budget=%d threads=%d: Multiply differs from Reference", budget, threads)
 			}
-		}
-		ws = NewWorkspace()
-		p, st, err := MultiplyPattern(acsc, b, Options{Threads: threads, Workspace: ws})
-		if err != nil {
-			t.Fatal(err)
-		}
-		check("MultiplyPattern", st, ws)
-		if p.Val != nil || !csrSameStructure(want, p) {
-			t.Fatalf("threads=%d: MultiplyPattern's support differs from Reference's", threads)
+			opt.Workspace = NewWorkspace()
+			c, vals, st, err := MultiplyNarrow(acsc, aI, b, bI, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("MultiplyNarrow", LayoutNarrow, st)
+			if !csrSameStructure(want, c) {
+				t.Fatalf("budget=%d threads=%d: MultiplyNarrow's support differs from Reference's", budget, threads)
+			}
+			for i, v := range want.Val {
+				if vals[i] != int32(v) {
+					t.Fatalf("budget=%d threads=%d: MultiplyNarrow value %d = %d, want %v", budget, threads, i, vals[i], v)
+				}
+			}
+			opt.Workspace = NewWorkspace()
+			p, st, err := MultiplyPattern(acsc, b, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("MultiplyPattern", LayoutPattern, st)
+			if p.Val != nil || !csrSameStructure(want, p) {
+				t.Fatalf("budget=%d threads=%d: MultiplyPattern's support differs from Reference's", budget, threads)
+			}
+			for _, alg := range algebras {
+				opt.Workspace = NewWorkspace()
+				ref, refVals := foldReferenceOver(a, a.Val, b, b.Val, alg.times, alg.plus)
+				c, vals, st, err := MultiplyGeneric(acsc, acsc.Val, b, b.Val,
+					Algebra[float64]{Times: elementwise(alg.times), Plus: alg.plus}, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				check(alg.name, LayoutGeneric, st)
+				c.Val, ref.Val = vals, refVals
+				if !csrBitIdentical(ref, c) {
+					t.Fatalf("%s budget=%d threads=%d: differs from the ascending-k fold", alg.name, budget, threads)
+				}
+			}
 		}
 	}
 }
@@ -421,49 +445,44 @@ func TestBinGeometryTwoPassTrim(t *testing.T) {
 		nbins     int
 		rowShift  uint
 		keyPasses int
-		wide      bool // plan 64-bit keys (MultiplyWide)
 	}{
 		// er_lowcf (ER 2^16·d8): the flop rule's 64 bins of 10+16 = 26 bits.
-		{"er_lowcf", 1 << 16, 1 << 22, 16, Options{}, 1024, 6, 2, false},
+		{"er_lowcf", 1 << 16, 1 << 22, 16, Options{}, 1024, 6, 2},
 		// A shard_grid row band: 2 bins of 10+15 bits under the flop rule.
-		{"shard-band", 2048, 131072, 15, Options{}, 16, 7, 2, false},
+		{"shard-band", 2048, 131072, 15, Options{}, 16, 7, 2},
 		// ER 2^13·d8, the bench's er-lowcf regimes: 8 bins of 10+13 bits.
-		{"er-2^13", 1 << 13, 1 << 19, 13, Options{}, 16, 9, 2, false},
+		{"er-2^13", 1 << 13, 1 << 19, 13, Options{}, 16, 9, 2},
 		// 23 column bits leave no row bit for a 22-bit key, and the flop
-		// rule's 10 + 23 bits lose one row bit to the 32-bit key; a 64-bit key
-		// keeps the flop rule.
-		{"colbits-23", 1 << 16, 1 << 22, 23, Options{}, 128, 9, 3, false},
-		{"colbits-23-wide", 1 << 16, 1 << 22, 23, Options{}, 64, 10, 3, true},
+		// rule's 10 + 23 bits lose one row bit to the 32-bit key.
+		{"colbits-23", 1 << 16, 1 << 22, 23, Options{}, 128, 9, 3},
 		// Already two passes: ER 2^12·d8 (10+12) and R-MAT 2^13·16 (5+13),
 		// whose dense bins the dense cut then shortens to 3+13
 		// (TestBinGeometryDenseCut).
-		{"er-2^12", 1 << 12, 1 << 18, 12, Options{}, 4, 10, 2, false},
-		{"rmat-2^13", 1 << 13, 19 << 20, 13, Options{}, 1024, 3, 2, false},
+		{"er-2^12", 1 << 12, 1 << 18, 12, Options{}, 4, 10, 2},
+		{"rmat-2^13", 1 << 13, 19 << 20, 13, Options{}, 1024, 3, 2},
 		// The cap: 1 024 bins need L2CacheBytes/LocalBinBytes ≥ 1 024.
-		{"local-bin-cap", 1 << 16, 1 << 22, 16, Options{LocalBinBytes: 2048}, 64, 10, 3, false},
-		{"l2-cap", 1 << 16, 1 << 22, 16, Options{L2CacheBytes: 512 << 10}, 128, 9, 3, false},
-		{"l2-2MiB", 1 << 16, 1 << 22, 16, Options{L2CacheBytes: 2 << 20}, 1024, 6, 2, false},
-		{"explicit-nbins", 1 << 16, 1 << 22, 16, Options{NBins: 64}, 64, 10, 3, false},
+		{"local-bin-cap", 1 << 16, 1 << 22, 16, Options{LocalBinBytes: 2048}, 64, 10, 3},
+		{"l2-cap", 1 << 16, 1 << 22, 16, Options{L2CacheBytes: 512 << 10}, 128, 9, 3},
+		{"l2-2MiB", 1 << 16, 1 << 22, 16, Options{L2CacheBytes: 2 << 20}, 1024, 6, 2},
+		{"explicit-nbins", 1 << 16, 1 << 22, 16, Options{NBins: 64}, 64, 10, 3},
 		// An explicit NBins too small for a 32-bit key is raised to fit it.
-		{"explicit-nbins-raised", 1 << 13, 1 << 10, 20, Options{NBins: 1}, 2, 12, 4, false},
+		{"explicit-nbins-raised", 1 << 13, 1 << 10, 20, Options{NBins: 1}, 2, 12, 4},
 		// Past the auto cap: a few hundred tuples over 2^22 rows and 22-bit
-		// columns need 4 096 bins of 2^10 rows.
-		{"past-cap", 1 << 22, 300, 22, Options{}, 4096, 10, 4, false},
+		// columns need 4 096 bins of 2^10 rows, and one row more 4 097 — run
+		// in two groups (planGroups).
+		{"past-cap", 1 << 22, 300, 22, Options{}, 4096, 10, 4},
+		{"past-max-bins", 1<<22 + 1, 300, 22, Options{}, 4097, 10, 4},
 		// A budget past L2 leaves er_lowcf's geometry alone; one under it
 		// feeds the flop rule (128 bins of 9+16 bits), which the trim still
 		// cuts to 22 bits, under the cap of L2CacheBytes, not the budget.
-		{"budget-32MiB", 1 << 16, 1 << 22, 16, Options{MemoryBudgetBytes: 32 << 20}, 1024, 6, 2, false},
-		{"budget-16MiB", 1 << 16, 1 << 22, 16, Options{MemoryBudgetBytes: 16 << 20}, 1024, 6, 2, false},
-		{"budget-512KiB", 1 << 16, 1 << 22, 16, Options{MemoryBudgetBytes: 512 << 10}, 1024, 6, 2, false},
+		{"budget-32MiB", 1 << 16, 1 << 22, 16, Options{MemoryBudgetBytes: 32 << 20}, 1024, 6, 2},
+		{"budget-16MiB", 1 << 16, 1 << 22, 16, Options{MemoryBudgetBytes: 16 << 20}, 1024, 6, 2},
+		{"budget-512KiB", 1 << 16, 1 << 22, 16, Options{MemoryBudgetBytes: 512 << 10}, 1024, 6, 2},
 		// A hypersparse product: one bin of 5 000 tuples on 12+12 bits stays.
-		{"hypersparse", 1 << 12, 5000, 12, Options{}, 1, 12, 3, false},
+		{"hypersparse", 1 << 12, 5000, 12, Options{}, 1, 12, 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			keyBits, tb := uint(32), int64(SqueezedTupleBytes)
-			if tc.wide {
-				keyBits, tb = 64, WideTupleBytes
-			}
-			g := planBinGeometry(tc.rows, tc.flops, tc.colBits, keyBits, tb, tc.opt.withDefaults())
+			g := planBinGeometry(tc.rows, tc.flops, tc.colBits, SqueezedTupleBytes, tc.opt.withDefaults())
 			if g.nbins != tc.nbins || g.rowShift != tc.rowShift {
 				t.Fatalf("got %d bins, rowShift %d; want %d, %d", g.nbins, g.rowShift, tc.nbins, tc.rowShift)
 			}
@@ -483,7 +502,8 @@ func TestBinGeometryTwoPassTrim(t *testing.T) {
 // rows, 19 Mflop, 13 column bits) gets 1 024 bins of 3+13 bits on its
 // squeezed layout, where the flop rule gave 256 of 5+13 (a 2 MiB
 // accumulator); the pattern layout, whose accumulator is the bitmap, keeps
-// 256; er_lowcf's sparse bins and an explicit NBins keep theirs.
+// 256, and so does a generic layout of 1-byte values; er_lowcf's sparse bins and
+// an explicit NBins keep theirs.
 func TestBinGeometryDenseCut(t *testing.T) {
 	const rows, flops, colBits = 1 << 13, 19 << 20, 13
 	for _, tc := range []struct {
@@ -499,7 +519,7 @@ func TestBinGeometryDenseCut(t *testing.T) {
 		{"rmat_skew", rows, flops, colBits, SqueezedTupleBytes, Options{}, 1024, 3},
 		{"rmat_skew-narrow", rows, flops, colBits, NarrowTupleBytes, Options{}, 512, 4},
 		{"rmat_skew-pattern", rows, flops, colBits, PatternTupleBytes, Options{}, 256, 5},
-		{"rmat_skew-wide", rows, flops, colBits, WideTupleBytes, Options{}, 1024, 3},
+		{"rmat_skew-generic-bool", rows, flops, colBits, 5, Options{}, 256, 5},
 		{"rmat_skew-l2-2MiB", rows, flops, colBits, SqueezedTupleBytes, Options{L2CacheBytes: 2 << 20}, 512, 4},
 		{"er_lowcf", 1 << 16, 1 << 22, 16, SqueezedTupleBytes, Options{}, 1024, 6},
 		{"explicit-nbins", rows, flops, colBits, SqueezedTupleBytes, Options{NBins: 256}, 256, 5},
@@ -515,18 +535,15 @@ func TestBinGeometryDenseCut(t *testing.T) {
 		{"trim-then-cut", 1 << 16, 1 << 28, 16, SqueezedTupleBytes, Options{L2CacheBytes: 8 << 20}, 2048, 5},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			keyBits, opt := uint(32), tc.opt.withDefaults()
-			if tc.tupleBytes == WideTupleBytes {
-				keyBits = 64
-			}
-			g := planBinGeometry(tc.rows, tc.flops, tc.colBits, keyBits, tc.tupleBytes, opt)
+			opt := tc.opt.withDefaults()
+			g := planBinGeometry(tc.rows, tc.flops, tc.colBits, tc.tupleBytes, opt)
 			if g.nbins != tc.nbins || g.rowShift != tc.rowShift {
 				t.Fatalf("got %d bins, rowShift %d; want %d, %d", g.nbins, g.rowShift, tc.nbins, tc.rowShift)
 			}
 			if g.nbins > min(2048, opt.L2CacheBytes/opt.LocalBinBytes) && tc.opt.NBins == 0 {
 				t.Fatalf("%d bins pass the cap", g.nbins)
 			}
-			perBin, kb, valBytes := (tc.flops+int64(g.nbins)-1)/int64(g.nbins), g.rowShift+tc.colBits, tc.tupleBytes-int64(keyBits/8)
+			perBin, kb, valBytes := (tc.flops+int64(g.nbins)-1)/int64(g.nbins), g.rowShift+tc.colBits, tc.tupleBytes-4
 			if tc.name != "er_lowcf" && !denseFold(perBin, kb, valBytes, int64(opt.L2CacheBytes)) {
 				t.Fatalf("the mean bin of %d tuples on %d bits no longer folds dense", perBin, kb)
 			}
@@ -581,9 +598,9 @@ func TestEntriesAgreeOnTrimmedGeometry(t *testing.T) {
 		if st.NBins != 16 {
 			t.Fatalf("budget %d: engine ran %d bins, want the trimmed 16", opt.MemoryBudgetBytes, st.NBins)
 		}
-		_, stw, err := multiplyWide(acsc, b, opt)
-		if err != nil || stw.NBins != st.NBins {
-			t.Fatalf("budget %d: wide entry ran %d bins (%v), squeezed %d", opt.MemoryBudgetBytes, stw.NBins, err, st.NBins)
+		_, stg, err := multiplyGeneric(acsc, b, opt)
+		if err != nil || stg.NBins != st.NBins {
+			t.Fatalf("budget %d: generic entry ran %d bins (%v), squeezed %d", opt.MemoryBudgetBytes, stg.NBins, err, st.NBins)
 		}
 		_, stp, err := MultiplyPattern(acsc, b, opt)
 		if err != nil || stp.NBins != st.NBins {
@@ -597,7 +614,7 @@ func TestEntriesAgreeOnTrimmedGeometry(t *testing.T) {
 func TestPowerOfTwoBinGeometry(t *testing.T) {
 	for _, rows := range []int32{1, 2, 3, 511, 512, 513, 5000, 1 << 20} {
 		for _, nbins := range []int{0, 1, 2, 7, 64, 2048} {
-			g := planBinGeometry(rows, int64(rows)*8, colBitsFor(rows), 32, SqueezedTupleBytes, Options{NBins: nbins}.withDefaults())
+			g := planBinGeometry(rows, int64(rows)*8, colBitsFor(rows), SqueezedTupleBytes, Options{NBins: nbins}.withDefaults())
 			rpb := int64(1) << g.rowShift
 			if rpb&(rpb-1) != 0 {
 				t.Fatalf("rows=%d nbins=%d: rowsPerBin %d not a power of two", rows, nbins, rpb)
@@ -612,9 +629,9 @@ func TestPowerOfTwoBinGeometry(t *testing.T) {
 	}
 }
 
-// TestLayoutSteadyStateAllocs is the squeezed path's alloc regression gate:
-// like the wide path, repeated Multiply through a pooled workspace at
-// Threads=1 performs zero heap allocations — single-shot and budgeted.
+// TestLayoutSteadyStateAllocs is the float64 layouts' alloc regression gate:
+// repeated Multiply and MultiplyGeneric through a pooled workspace at
+// Threads=1 perform zero heap allocations — single-shot and budgeted.
 func TestLayoutSteadyStateAllocs(t *testing.T) {
 	a := gen.ER(400, 6, 1).ToCSC()
 	b := gen.ER(400, 6, 2)
@@ -626,8 +643,8 @@ func TestLayoutSteadyStateAllocs(t *testing.T) {
 	}{
 		{"squeezed", LayoutSqueezed, Multiply, 0},
 		{"squeezed-budgeted", LayoutSqueezed, Multiply, 32 << 10},
-		{"wide", LayoutWide, multiplyWide, 0},
-		{"wide-budgeted", LayoutWide, multiplyWide, 32 << 10},
+		{"generic", LayoutGeneric, multiplyGeneric, 0},
+		{"generic-budgeted", LayoutGeneric, multiplyGeneric, 32 << 10},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ws := NewWorkspace()
@@ -648,20 +665,20 @@ func TestLayoutSteadyStateAllocs(t *testing.T) {
 		})
 	}
 	// The same layout behind its own entry point, over (min, +).
-	t.Run("wide-minplus-budgeted", func(t *testing.T) {
+	t.Run("generic-minplus-budgeted", func(t *testing.T) {
 		ws := NewWorkspace()
 		opt := Options{Threads: 1, Workspace: ws, MemoryBudgetBytes: 32 << 10}
 		alg := Algebra[float64]{
-			Times: Elementwise(func(x, y float64) float64 { return x + y }),
+			Times: elementwise(func(x, y float64) float64 { return x + y }),
 			Plus:  func(x, y float64) float64 { return min(x, y) },
 		}
 		allocs := testing.AllocsPerRun(10, func() {
-			if _, _, _, err := MultiplyWide(a, a.Val, b, b.Val, alg, opt); err != nil {
+			if _, _, _, err := MultiplyGeneric(a, a.Val, b, b.Val, alg, opt); err != nil {
 				t.Fatal(err)
 			}
 		})
 		if allocs != 0 {
-			t.Fatalf("steady-state MultiplyWide allocated %.1f times per call, want 0", allocs)
+			t.Fatalf("steady-state MultiplyGeneric allocated %.1f times per call, want 0", allocs)
 		}
 	})
 }
@@ -686,8 +703,8 @@ func TestSplitSortMatchesReference(t *testing.T) {
 
 // BenchmarkMultiply is the acceptance benchmark of the squeezed tuple
 // pipeline: the low-cf ER regime (the paper's Fig. 7 sweet spot for
-// PB-SpGEMM) on both layouts over a pooled workspace. The squeezed rows must
-// come in ≥15% under the wide rows' ns/op.
+// PB-SpGEMM) over a pooled workspace, on the typed float64 layout and on the
+// generic one over (+, ×) — what a function-valued ⊗ and ⊕ cost.
 func BenchmarkMultiply(b *testing.B) {
 	a := gen.ERMatrix(13, 8, 1).ToCSC()
 	m := gen.ERMatrix(13, 8, 2)

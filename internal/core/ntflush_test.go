@@ -28,9 +28,9 @@ func layoutCases(t *testing.T) []layoutCase {
 	acsc, askewcsc := a.ToCSC(), askew.ToCSC()
 	af32, bf32 := narrowPlanes[float32](acsc, b)
 
-	wide := func(acsc *matrix.CSC, b *matrix.CSR) func(*testing.T, Options) *matrix.CSR {
+	generic := func(acsc *matrix.CSC, b *matrix.CSR) func(*testing.T, Options) *matrix.CSR {
 		return func(t *testing.T, opt Options) *matrix.CSR {
-			c, _, err := multiplyWide(acsc, b, opt)
+			c, _, err := multiplyGeneric(acsc, b, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -50,8 +50,8 @@ func layoutCases(t *testing.T) []layoutCase {
 		}
 	}
 	return []layoutCase{
-		{"wide/ER", wide(acsc, b)},
-		{"wide/RMAT", wide(askewcsc, bskew)},
+		{"generic/ER", generic(acsc, b)},
+		{"generic/RMAT", generic(askewcsc, bskew)},
 		{"squeezed/ER", squeezed(acsc, b)},
 		{"squeezed/RMAT", squeezed(askewcsc, bskew)},
 		{"pattern/ER", func(t *testing.T, opt Options) *matrix.CSR {
@@ -127,8 +127,8 @@ func TestStatsKernelReported(t *testing.T) {
 }
 
 // TestNTFlushNeverMovesPointerValues: the non-temporal flush is a raw byte
-// copy with no GC write barriers, so the wide layout may take it only for a V
-// that holds no pointers. A pointer-valued (+, ×) runs with the NT gate forced
+// copy with no GC write barriers, so the generic layout may take it for its
+// value plane only for a V that holds no pointers. A pointer-valued (+, ×) runs with the NT gate forced
 // open while a second goroutine collects continuously — torn or unbarriered
 // pointer words in the tuple arena would abort the process ("found bad pointer
 // in Go heap") — and must equal Multiply's product at every thread count and
@@ -188,13 +188,13 @@ func TestNTFlushNeverMovesPointerValues(t *testing.T) {
 		return out
 	}
 	alg := Algebra[*float64]{
-		Times: Elementwise(func(x, y *float64) *float64 { z := *x * *y; return &z }),
+		Times: elementwise(func(x, y *float64) *float64 { z := *x * *y; return &z }),
 		Plus:  func(x, y *float64) *float64 { z := *x + *y; return &z },
 	}
 	ws := NewWorkspace()
 	for _, threads := range []int{1, 4} {
 		for _, budget := range []int64{0, 64 << 10} {
-			c, vals, _, err := MultiplyWide(acsc, box(acsc.Val), a, box(a.Val), alg,
+			c, vals, _, err := MultiplyGeneric(acsc, box(acsc.Val), a, box(a.Val), alg,
 				Options{Threads: threads, MemoryBudgetBytes: budget, LocalBinBytes: 64, Workspace: ws})
 			if err != nil {
 				t.Fatal(err)
@@ -209,7 +209,7 @@ func TestNTFlushNeverMovesPointerValues(t *testing.T) {
 			}
 		}
 	}
-	if pairsOf[*float64](ws).flat || !pairsOf[float64](NewWorkspace()).flat {
+	if genericOf[*float64](ws).flat || !genericOf[float64](NewWorkspace()).flat {
 		t.Fatal("flat must be false for *float64 and true for float64")
 	}
 }

@@ -56,11 +56,11 @@ func intValued(m *matrix.CSR) *matrix.CSR {
 	return m
 }
 
-// TestPatternMatchesWideStructure is the pattern layout's row of the
+// TestPatternMatchesReferenceStructure is the pattern layout's row of the
 // equivalence matrix: across Threads∈{1,2,8} × budgeted/unbudgeted ×
 // pooled/fresh, MultiplyPattern produces exactly the sparsity structure of
-// the wide 16 B pipeline, with no value plane allocated.
-func TestPatternMatchesWideStructure(t *testing.T) {
+// matrix.ReferenceMultiply, with no value plane allocated.
+func TestPatternMatchesReferenceStructure(t *testing.T) {
 	inputs := []struct {
 		name string
 		a, b *matrix.CSR
@@ -71,10 +71,7 @@ func TestPatternMatchesWideStructure(t *testing.T) {
 	for _, in := range inputs {
 		t.Run(in.name, func(t *testing.T) {
 			acsc := in.a.ToCSC()
-			want, _, err := multiplyWide(acsc, in.b, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
+			want := matrix.ReferenceMultiply(in.a, in.b)
 			ws := NewWorkspace()
 			for _, budget := range []int64{0, 64 << 10} {
 				for _, threads := range []int{1, 2, 8} {
@@ -94,7 +91,7 @@ func TestPatternMatchesWideStructure(t *testing.T) {
 							t.Fatalf("pattern result carries a value plane (%d values)", len(got.Val))
 						}
 						if !csrSameStructure(want, got) {
-							t.Fatalf("threads=%d budget=%d pooled=%v: structure differs from wide", threads, budget, pooled)
+							t.Fatalf("threads=%d budget=%d pooled=%v: structure differs from Reference", threads, budget, pooled)
 						}
 					}
 				}
@@ -103,18 +100,15 @@ func TestPatternMatchesWideStructure(t *testing.T) {
 	}
 }
 
-// TestNarrowMatchesWideValues is the narrow (8 B) layout's equivalence row:
-// with integer-valued inputs (exact in every width), float32 and int32
-// products are bit-identical to the wide float64 pipeline across
-// Threads∈{1,2,8} × budgeted/unbudgeted.
-func TestNarrowMatchesWideValues(t *testing.T) {
+// TestNarrowMatchesReferenceValues is the narrow (8 B) layout's equivalence
+// row: with integer-valued inputs (exact in every width), float32 and int32
+// products are bit-identical to matrix.ReferenceMultiply's float64 sums
+// across Threads∈{1,2,8} × budgeted/unbudgeted.
+func TestNarrowMatchesReferenceValues(t *testing.T) {
 	a := intValued(gen.ER(1024, 8, 25))
 	b := intValued(gen.ER(1024, 8, 26))
 	acsc := a.ToCSC()
-	want, _, err := multiplyWide(acsc, b, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := matrix.ReferenceMultiply(a, b)
 	af32, bf32 := narrowPlanes[float32](acsc, b)
 	ai32, bi32 := narrowPlanes[int32](acsc, b)
 	ws := NewWorkspace()
@@ -129,7 +123,7 @@ func TestNarrowMatchesWideValues(t *testing.T) {
 				t.Fatalf("stats layout %v, want narrow", st.Layout)
 			}
 			if !csrSameStructure(want, got) {
-				t.Fatalf("threads=%d budget=%d: float32 structure differs from wide", threads, budget)
+				t.Fatalf("threads=%d budget=%d: float32 structure differs from Reference", threads, budget)
 			}
 			if len(vals) != len(want.Val) {
 				t.Fatalf("float32 value plane has %d entries, want %d", len(vals), len(want.Val))
@@ -144,7 +138,7 @@ func TestNarrowMatchesWideValues(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !csrSameStructure(want, goti) {
-				t.Fatalf("threads=%d budget=%d: int32 structure differs from wide", threads, budget)
+				t.Fatalf("threads=%d budget=%d: int32 structure differs from Reference", threads, budget)
 			}
 			for i, v := range ivals {
 				if float64(v) != want.Val[i] {
@@ -252,9 +246,9 @@ func TestKey32EntryPointErrors(t *testing.T) {
 	}
 }
 
-// FuzzPatternVsFloat64 pins the pattern layout's structure against the wide
-// float64 pipeline on random shapes, including budgeted, threaded, and
-// pooled variants.
+// FuzzPatternVsFloat64 pins the pattern layout's structure against the
+// squeezed float64 pipeline on random shapes, including budgeted, threaded,
+// and pooled variants.
 func FuzzPatternVsFloat64(f *testing.F) {
 	f.Add([]byte{4, 4, 4, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3, 4})
 	f.Add([]byte{24, 24, 24, 9, 9, 9, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
@@ -266,7 +260,7 @@ func FuzzPatternVsFloat64(f *testing.F) {
 		if !ok {
 			return
 		}
-		want, _, err := multiplyWide(a, b, Options{})
+		want, _, err := Multiply(a, b, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -288,16 +282,17 @@ func FuzzPatternVsFloat64(f *testing.F) {
 				t.Fatal("pattern result carries values")
 			}
 			if !csrSameStructure(want, got) {
-				t.Fatalf("pattern structure (opt %+v) differs from wide", opt)
+				t.Fatalf("pattern structure (opt %+v) differs from squeezed", opt)
 			}
 		}
 	})
 }
 
-// FuzzNarrowVsWide pins the narrow float32 layout against the wide float64
-// pipeline. fuzzMatrices emits small integer values, so every fold order and
-// both widths are exact and equality is bit-level.
-func FuzzNarrowVsWide(f *testing.F) {
+// FuzzNarrowVsExactSums pins the narrow layout, float32 and int32, against
+// the exact sums of matrix.ReferenceMultiply: fuzzMatrices emits small
+// integer values, so every fold order and every width is exact and equality
+// is bit-level.
+func FuzzNarrowVsExactSums(f *testing.F) {
 	f.Add([]byte{4, 4, 4, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3, 4})
 	f.Add([]byte{24, 24, 24, 9, 9, 9, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
 	f.Add([]byte{16, 1, 16, 255, 255, 255, 0, 0, 0, 128, 64, 32, 7, 6, 5})
@@ -308,11 +303,9 @@ func FuzzNarrowVsWide(f *testing.F) {
 		if !ok {
 			return
 		}
-		want, _, err := multiplyWide(a, b, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := matrix.ReferenceMultiply(a.ToCSR(), b)
 		av, bv := narrowPlanes[float32](a, b)
+		ai, bi := narrowPlanes[int32](a, b)
 		for _, opt := range []Options{
 			{},
 			{Threads: 3},
@@ -328,7 +321,7 @@ func FuzzNarrowVsWide(f *testing.F) {
 				t.Fatalf("narrow multiply ran %v (opt %+v)", st.Layout, opt)
 			}
 			if !csrSameStructure(want, got) {
-				t.Fatalf("narrow structure (opt %+v) differs from wide", opt)
+				t.Fatalf("narrow structure (opt %+v) differs from Reference", opt)
 			}
 			if len(vals) != len(want.Val) {
 				t.Fatalf("narrow value plane has %d entries, want %d", len(vals), len(want.Val))
@@ -336,6 +329,18 @@ func FuzzNarrowVsWide(f *testing.F) {
 			for i, v := range vals {
 				if float64(v) != want.Val[i] {
 					t.Fatalf("narrow value[%d] = %v, want %v (opt %+v)", i, v, want.Val[i], opt)
+				}
+			}
+			goti, ivals, _, err := MultiplyNarrow(a, ai, b, bi, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !csrSameStructure(want, goti) {
+				t.Fatalf("int32 structure (opt %+v) differs from Reference", opt)
+			}
+			for i, v := range ivals {
+				if v != int32(want.Val[i]) {
+					t.Fatalf("int32 value[%d] = %d, want %v (opt %+v)", i, v, want.Val[i], opt)
 				}
 			}
 		}

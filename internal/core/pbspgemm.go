@@ -19,12 +19,11 @@
 //  3. Sort and compress (Sections III-D, III-E): each global bin is sorted
 //     on its packed keys localRow<<colBits|colid and equal keys are summed,
 //     bin by bin under a dynamic schedule. Bins keep local row ids small
-//     enough that the key fits 4 bytes (planBinGeometry adds bins until it
-//     does, up to maxKey32Bins), and the two steps run fused, as one of
-//     internal/radix's two key32 kernels — or their two counterparts for the
-//     wide layout's 64-bit keys, which serve any value type and any (⊕, ⊗):
-//     MultiplyWide (fused.go), and the typed entries' shapes past
-//     maxKey32Bins (MultiplyLayout).
+//     enough that the key fits 4 bytes on every run (planBinGeometry adds
+//     bins until it does), and the two steps run fused, as one of
+//     internal/radix's two kernels (fused.go): typed + for the typed entries,
+//     the caller's ⊕ for MultiplyGeneric, which serves any value type and
+//     any (⊕, ⊗).
 //  4. Assemble: bins cover disjoint, ordered row ranges, so concatenating
 //     the folded bins is already canonical CSR order.
 //
@@ -35,10 +34,11 @@
 //     steady-state heap allocations instead of re-allocating the
 //     flops×16-byte expansion every call.
 //   - Options.MemoryBudgetBytes cuts the bins — row ranges of C — into
-//     contiguous groups whose expanded tuples fit the budget, and runs the
-//     four phases once per group: expand takes only the entries of A whose
-//     row falls in the group, and the group's bins fold and assemble into
-//     the output's next rows. Every bin still folds all its tuples once, so
+//     contiguous groups whose expanded tuples fit the budget (and a shape
+//     whose 32-bit key needs more than maxKey32Bins bins is cut into groups
+//     of at most that many), and runs the four phases once per group:
+//     expand takes only the entries of A whose row falls in the group, and
+//     the group's bins fold and assemble into the output's next rows. Every bin still folds all its tuples once, so
 //     a budgeted product is the unbudgeted one, bit for bit. This serves
 //     products whose flops×16 expansion exceeds RAM, as ESC bounds its memory
 //     by batching output rows (Dalton, Olson and Bell, ACM TOMS 2015).
@@ -46,6 +46,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"time"
 	"unsafe"
@@ -58,10 +59,10 @@ import (
 )
 
 // DefaultLocalBinBytes is measured, not the paper's 512 (Section V-A): 1 KiB
-// expands in 0.86 / 0.90 / 0.98 / 0.94 of 512 B's time on the squeezed / wide /
-// narrow / pattern layouts (`experiments fig6a`, ER 2^16·d4, one thread, widths
+// expands in 0.86 / 0.98 / 0.94 of 512 B's time on the squeezed / narrow /
+// pattern layouts (`experiments fig6a`, ER 2^16·d4, one thread, widths
 // taking turns), ER 2^16·d8 squeezed in 30.4 ms for 35.3 and R-MAT 2^13·d16 in
-// 54.3 for 74.8 (pattern 20.6 for 28.1). 2 KiB reads 0.95–1.00 of 1 KiB, no gain on wide.
+// 54.3 for 74.8 (pattern 20.6 for 28.1). 2 KiB reads 0.95–1.00 of 1 KiB.
 const DefaultLocalBinBytes = 1024
 
 // DefaultL2CacheBytes is the sort-phase cache budget per bin, as the paper
@@ -73,23 +74,21 @@ const DefaultL2CacheBytes = 1 << 20
 // Layout identifies the expanded-tuple representation of a run. The paper's
 // Section III-D key squeezing observes that the packed key localRow<<colBits
 // | col fits 4 bytes whenever localRowBits + colBits ≤ 32; bins make localRow
-// small, and the bin geometry of the typed entry points is chosen so that it
-// holds (planBinGeometry) whenever that takes at most maxKey32Bins bins.
-// Tuples are then parallel arrays (uint32 keys + float64 values, 12 bytes per
-// tuple) instead of 16-byte radix.Pair[float64]s — cutting the traffic of the
-// two dominant phases by a quarter. MultiplyLayout says which one a shape
-// runs.
+// small, and every run's bin geometry is chosen so that it holds
+// (planBinGeometry). Tuples are then parallel arrays — a uint32 key plane
+// beside the layout's value plane, if any — instead of 16-byte COO tuples:
+// every layout is a key32 layout, and they differ in their value plane.
 type Layout int8
 
 const (
 	// LayoutAuto is the zero value: no layout, what the Stats of a product
 	// the tuple pipeline did not run report.
 	LayoutAuto Layout = iota
-	// LayoutWide is the 16-byte AoS layout: []radix.Pair[V] (u64 key + a
-	// semiring's value). MultiplyWide runs it, and the typed entries do
-	// through it on shapes whose 32-bit key needs more than maxKey32Bins
-	// bins.
-	LayoutWide
+	// LayoutGeneric is the key plane beside a plane of any value type V,
+	// 4 + sizeof(V) bytes a tuple, multiplied and folded through the
+	// caller's ⊗ and ⊕: MultiplyGeneric runs it, for semirings with no typed
+	// entry.
+	LayoutGeneric
 	// LayoutSqueezed is the 12-byte SoA layout: []uint32 keys + []float64
 	// values. The Multiply entry runs it (MultiplyLayout).
 	LayoutSqueezed
@@ -106,8 +105,8 @@ func (l Layout) String() string {
 	switch l {
 	case LayoutAuto:
 		return "auto"
-	case LayoutWide:
-		return "wide"
+	case LayoutGeneric:
+		return "generic"
 	case LayoutSqueezed:
 		return "squeezed"
 	case LayoutNarrow:
@@ -121,9 +120,6 @@ func (l Layout) String() string {
 // Per-tuple byte costs of the layouts — the b of the paper's traffic model
 // (Eq. 4 / Table III), now per run.
 const (
-	// WideTupleBytes is radix.Pair[V] for any V of at most 8 bytes: an 8-byte
-	// packed key plus the (padded) value.
-	WideTupleBytes = 16
 	// SqueezedTupleBytes is the parallel-array layout: a 4-byte key plus an
 	// 8-byte value.
 	SqueezedTupleBytes = 12
@@ -134,12 +130,11 @@ const (
 	PatternTupleBytes = 4
 )
 
-// TupleBytes returns the per-tuple byte cost of a concrete layout (0 for
-// LayoutAuto, which is a request, not a layout).
+// TupleBytes returns the per-tuple byte cost of a layout of fixed width (0
+// for LayoutAuto, which is no layout, and for LayoutGeneric, whose tuples are
+// 4 + sizeof(V) bytes: Stats.TupleBytes reports a run's).
 func (l Layout) TupleBytes() int64 {
 	switch l {
-	case LayoutWide:
-		return WideTupleBytes
 	case LayoutSqueezed:
 		return SqueezedTupleBytes
 	case LayoutNarrow:
@@ -150,24 +145,24 @@ func (l Layout) TupleBytes() int64 {
 	return 0
 }
 
-// tupleBytes is the conservative (wide) per-tuple cost the flop rule of the
-// bin count uses, so its bins are the same for every layout.
-const tupleBytes = WideTupleBytes
+// tupleBytes is the per-tuple cost the flop rule of the bin count uses: the
+// paper's 16-byte COO tuple, the same for every layout, so its bins are too.
+const tupleBytes = 16
 
 // Options tunes PB-SpGEMM. The zero value selects the paper's defaults.
 type Options struct {
 	// NBins requests the number of global bins; 0 derives it from flop and
 	// L2CacheBytes (Algorithm 3 line 6), then shortens bins whose key the LSD
-	// would sort in more than two passes. Either way the key32 entry points
-	// raise it until the packed key fits 32 bits (planBinGeometry), to at
-	// most maxKey32Bins; a shape that needs more runs the wide layout.
+	// would sort in more than two passes. Either way the run raises it until
+	// the packed key fits 32 bits (planBinGeometry); past maxKey32Bins bins
+	// the run is cut into groups of at most that many.
 	NBins int
 	// LocalBinBytes is the requested width of each thread-private local bin;
 	// 0 means DefaultLocalBinBytes (1024). The capacity actually used is the
 	// request in tuples of the run's layout rounded down to a multiple of 16
 	// tuples, and never below 16 (LocalBinTuples): flushes then move whole
-	// cache lines. 1024 B gives 64 wide, 80 squeezed, 128 narrow and 256
-	// pattern tuples; any request under one line of keys runs at 16.
+	// cache lines. 1024 B gives 80 squeezed, 128 narrow and 256 pattern
+	// tuples; any request under one line of keys runs at 16.
 	LocalBinBytes int
 	// Threads is the worker count; 0 means GOMAXPROCS.
 	Threads int
@@ -229,12 +224,11 @@ type Stats struct {
 	// Layout is the expanded-tuple layout the run used: LayoutSqueezed
 	// (12 bytes, float64 values; Multiply), LayoutNarrow (8 bytes,
 	// float32/int32 values; MultiplyNarrow), LayoutPattern (4 bytes, keys
-	// only; MultiplyPattern) or LayoutWide (16-byte radix.Pair[V]s;
-	// MultiplyWide, and the three typed entries where MultiplyLayout says
-	// so).
+	// only; MultiplyPattern) or LayoutGeneric (4 + sizeof(V) bytes;
+	// MultiplyGeneric).
 	Layout Layout
-	// TupleBytes is the per-tuple byte cost of that layout (16, 12, 8 or 4) —
-	// the b entering the traffic model below.
+	// TupleBytes is the per-tuple byte cost of the run (12, 8, 4, or
+	// 4 + sizeof(V)) — the b entering the traffic model below.
 	TupleBytes int64
 	// Kernel names the inner-loop kernel set of the build, internal/simd's
 	// Level(): "batched", "batched+goamd64v3", or "purego" (the scalar loops)
@@ -315,11 +309,9 @@ type engine struct {
 	rowMask       uint32 // localRow = row&rowMask
 	colBits       uint
 	layout        Layout     // the entry point's tuple layout
-	key32         bool       // layout packs keys into uint32 (everything but wide)
 	lay           layoutOps  // per-layout element accesses (layout.go)
 	f64Out        *[]float64 // Multiply's out plane (the squeezed layout's), else nil
-	tupleBytes    int64      // per-tuple cost of layout (16/12/8/4)
-	wideBytes     int64      // size of a wide tuple: 16, more when MultiplyWide's V is over 8 bytes
+	tupleBytes    int64      // per-tuple cost of the run: a 4-byte key plus the layout's value
 	localCap      int32      // tuples per thread-private local bin
 	ntFlush       bool       // stream bin flushes with non-temporal stores (per group)
 	scratchStride int64      // per-worker stride into the sort scratch planes
@@ -345,16 +337,8 @@ type engine struct {
 // layouts the outer product streams naturally (Algorithm 2 takes exactly
 // these). The returned stats are always non-nil. When opt.Workspace is set,
 // the returned CSR and Stats alias workspace memory (Clone the CSR to keep
-// it past the next call). It runs the layout MultiplyLayout names.
+// it past the next call). It runs the squeezed layout.
 func Multiply(a *matrix.CSC, b *matrix.CSR, opt Options) (*matrix.CSR, *Stats, error) {
-	if MultiplyLayout(a.NumRows, b.NumCols) == LayoutWide {
-		c, vals, st, err := MultiplyWide(a, a.Val, b, b.Val, PlusTimes, opt)
-		if err != nil {
-			return nil, nil, err
-		}
-		c.Val = vals
-		return c, st, nil
-	}
 	opt = opt.withDefaults()
 	e, err := newEngine(a, b, opt, LayoutSqueezed)
 	if err != nil {
@@ -367,8 +351,8 @@ func Multiply(a *matrix.CSC, b *matrix.CSR, opt Options) (*matrix.CSR, *Stats, e
 }
 
 // newEngine validates the shapes and binds the workspace-resident engine for
-// one run of the entry point's layout; the entry point then binds e.lay. opt
-// must already have defaults applied.
+// one run of the entry point's layout; the entry point then binds e.lay (and
+// MultiplyGeneric sets tupleBytes). opt must already have defaults applied.
 func newEngine(a *matrix.CSC, b *matrix.CSR, opt Options, layout Layout) (*engine, error) {
 	if a.NumCols != b.NumRows {
 		return nil, fmt.Errorf("core: inner dimensions disagree: A is %dx%d, B is %dx%d: %w",
@@ -386,7 +370,7 @@ func newEngine(a *matrix.CSC, b *matrix.CSR, opt Options, layout Layout) (*engin
 		*ws = Workspace{}
 	}
 	e := &ws.eng
-	*e = engine{a: a, b: b, opt: opt, ws: ws, shared: shared, layout: layout, wideBytes: WideTupleBytes}
+	*e = engine{a: a, b: b, opt: opt, ws: ws, shared: shared, layout: layout, tupleBytes: layout.TupleBytes()}
 	if shared {
 		ws.stats = Stats{}
 		e.st = &ws.stats
@@ -413,8 +397,8 @@ func (e *engine) dropRefs() {
 	e.a, e.b, e.st, e.lay, e.f64Out, e.tally, e.result = nil, nil, nil, nil, nil, nil, nil
 	e.colLo, e.colHi, e.rowLo, e.rowHi = nil, nil, nil, nil
 	e.ws.kvF64.aVal, e.ws.kvF64.bVal = nil, nil
-	if e.ws.wide != nil {
-		e.ws.wide.unbind()
+	if e.ws.generic != nil {
+		e.ws.generic.unbind()
 	}
 }
 
@@ -472,9 +456,9 @@ func (e *engine) run() (*matrix.CSR, error) {
 	// Each stored nonzero of A is loaded once and held across its inner
 	// loop (the float64 layouts stream index+value at the 16-byte COO cost,
 	// narrow reads 4-byte values and pattern only the indices; sized from
-	// the index arrays because narrow/pattern may pass nil Val). Each FLOP
-	// then loads one B element (ColIdx plus the layout's value width) and
-	// stores one tuple. This is partition-invariant: band splitting re-runs
+	// the index arrays because narrow/pattern may pass nil Val; the generic
+	// layout is charged as float64). Each FLOP then loads one B element
+	// (ColIdx plus the layout's value width) and stores one tuple. This is partition-invariant: band splitting re-runs
 	// the same loads, so any physical re-fetch of B between bands shows up
 	// in measured time (and thus GB/s), not in counted bytes.
 	inBytes := int64(matrix.BytesPerTuple)
@@ -597,23 +581,27 @@ func (e *engine) planWhole() {
 	e.expandPlan()
 }
 
-// planGroups cuts the bins into contiguous groups whose expanded tuples — the
-// per-bin flops expandPlan counted over the whole product, at the layout's
-// tuple bytes — fit MemoryBudgetBytes, leaving their bin boundaries in
-// ws.groupStart. A bin over the budget by itself runs alone (with any empty
-// bins after it). With no budget, or a budget the whole product fits, there
+// planGroups cuts the bins into contiguous groups of at most maxKey32Bins
+// bins whose expanded tuples — the per-bin flops expandPlan counted over the
+// whole product, at the run's tuple bytes — fit MemoryBudgetBytes, leaving
+// their bin boundaries in ws.groupStart. A bin over the budget by itself runs
+// alone (with any empty bins after it, up to the bin cap). With at most
+// maxKey32Bins bins and no budget, or a budget the whole product fits, there
 // is exactly one group, and the whole product's plan is its plan.
 func (e *engine) planGroups() {
 	bs := e.ws.binStart
 	gs := append(e.ws.groupStart[:0], 0)
-	budget := e.opt.MemoryBudgetBytes / e.tupleBytes // in tuples
-	if e.opt.MemoryBudgetBytes <= 0 || e.flops <= budget {
+	budget := int64(math.MaxInt64) // in tuples
+	if e.opt.MemoryBudgetBytes > 0 {
+		budget = e.opt.MemoryBudgetBytes / e.tupleBytes
+	}
+	if e.flops <= budget && e.nbins <= maxKey32Bins {
 		e.maxGroupFlops = e.flops
 	} else {
 		var cur, maxf int64
 		for bin := 0; bin < e.nbins; bin++ {
 			f := bs[bin+1] - bs[bin]
-			if f > 0 && cur > 0 && cur+f > budget {
+			if bin-gs[len(gs)-1] == maxKey32Bins || f > 0 && cur > 0 && cur+f > budget {
 				gs, maxf, cur = append(gs, bin), max(maxf, cur), 0
 			}
 			cur += f
@@ -715,7 +703,7 @@ type binGeometry struct {
 // rowsPerBin is rounded up to a power of two so the expand hot loop derives
 // bin and local row with shift/mask instead of an integer division
 // per flop; nbins is recomputed so bins still exactly tile the rows. The flop
-// rule always uses the wide 16-byte tuple cost; only the dense cut below reads
+// rule always uses the 16-byte COO tuple cost; only the dense cut below reads
 // the run's own, runTupleBytes.
 //
 // An auto key the LSD sorts in more than two passes (radix.Passes at the mean
@@ -735,13 +723,12 @@ type binGeometry struct {
 // rmat_skew goes from 256 bins of 5+13 bits (a 2 MiB accumulator) to 1 024 of
 // 3+13 (512 KiB); the pattern layout, whose accumulator is a bitmap, keeps 256.
 //
-// Last, rowShift is cut to keyBits − colBits, the largest local row the
-// layout's key holds: 32 for the key32 layouts, which makes their key fit
-// whatever the rules above chose — past the 2 048-bin cap and past an
-// explicit NBins if it has to (ER 2^20·d2 runs 256 bins of 12+20 bits, not
-// the flop rule's 64 of 14+20), up to maxKey32Bins — and 64 for the wide
-// one, where it never cuts. Bytes never depend on the geometry.
-func planBinGeometry(rows int32, flops int64, colBits, keyBits uint, runTupleBytes int64, opt Options) binGeometry {
+// Last, rowShift is cut to 32 − colBits, the largest local row a 32-bit key
+// holds, which makes the key fit whatever the rules above chose — past the
+// 2 048-bin cap and past an explicit NBins if it has to (ER 2^20·d2 runs 256
+// bins of 12+20 bits, not the flop rule's 64 of 14+20); past maxKey32Bins
+// bins, planGroups cuts them into groups. Bytes never depend on the geometry.
+func planBinGeometry(rows int32, flops int64, colBits uint, runTupleBytes int64, opt Options) binGeometry {
 	// The auto value is capped at 2048: the paper uses 1K-2K bins in
 	// practice (Section V-A) because each thread also keeps one local bin
 	// per global bin, and nbins*LocalBinBytes must stay within the cache for
@@ -771,7 +758,7 @@ func planBinGeometry(rows int32, flops int64, colBits, keyBits uint, runTupleByt
 			}
 		}
 	}
-	valBytes := runTupleBytes - int64(keyBits/8) // an accumulator slot: the tuple less its key
+	valBytes := runTupleBytes - 4 // an accumulator slot: the tuple less its key
 	if opt.NBins <= 0 && denseFold(int64(perBin(shift)), uint(shift)+colBits, valBytes, l2) {
 		for ; shift > 0 && binsAt(shift-1) <= maxBins; shift-- {
 			if slots := int64(1) << (uint(shift) + colBits); slots*valBytes+slots/8+int64(perBin(shift))*runTupleBytes <= l2 {
@@ -779,7 +766,7 @@ func planBinGeometry(rows int32, flops int64, colBits, keyBits uint, runTupleByt
 			}
 		}
 	}
-	shift = min(shift, int(keyBits-colBits))
+	shift = min(shift, int(32-colBits))
 	return binGeometry{nbins: int(binsAt(shift)), rowShift: uint(shift)}
 }
 
@@ -788,16 +775,7 @@ func planBinGeometry(rows int32, flops int64, colBits, keyBits uint, runTupleByt
 func (e *engine) planBins() {
 	// Section III-D key squeezing: the in-bin local row id needs rowShift
 	// bits, so the packed key fits a uint32 whenever rowShift + colBits ≤ 32.
-	e.key32 = e.layout != LayoutWide
-	keyBits := uint(64)
-	if e.key32 {
-		keyBits = 32
-	}
-	e.tupleBytes = e.layout.TupleBytes()
-	if !e.key32 {
-		e.tupleBytes = e.wideBytes
-	}
-	g := planBinGeometry(e.a.NumRows, e.flops, e.colBits, keyBits, e.tupleBytes, e.opt)
+	g := planBinGeometry(e.a.NumRows, e.flops, e.colBits, e.tupleBytes, e.opt)
 	e.nbins = g.nbins
 	e.rowShift = g.rowShift
 	e.rowMask = uint32(int64(1)<<g.rowShift - 1)
@@ -805,7 +783,7 @@ func (e *engine) planBins() {
 }
 
 // flushAlign is the flush granularity in tuples: 16 four-byte keys are one
-// 64-byte cache line, 16 eight-byte values two, 16 wide pairs four.
+// 64-byte cache line, 16 eight-byte values two.
 const flushAlign = 16
 
 // LocalBinTuples is the local-bin capacity a LocalBinBytes request gets at
@@ -847,7 +825,7 @@ func flushSpan(bin int32, lens []int32, cursors []int64, capT int32) (src, dst, 
 // each worker after its last flush. Otherwise copy(), plus a prefetch of the
 // bin's next destination while the local bin refills (no-op on purego and
 // non-amd64 builds). Same bytes either way. nt is only ever set for a T that
-// holds no pointers: the NT copy writes no GC barriers (pairs.flat).
+// holds no pointers: the NT copy writes no GC barriers (generic.flat).
 func flushPlane[T any](dst, src []T, nt bool) {
 	if len(src) == 0 {
 		return
@@ -863,24 +841,14 @@ func flushPlane[T any](dst, src []T, nt bool) {
 	}
 }
 
-// maxKey32Bins caps the 32-bit cut's bins, which follow the shape
-// (rows·2^colBits/2^32), not the work, and so does every per-bin array: the
-// local arena is threads × bins × LocalBinBytes. 4 096 is the most measured
-// to beat the wide layout (ER 2^22·d2: 498 ms against 613); shapes that need
-// more run wide in the flop rule's bins (a 2·10^7 square would need 156 250).
+// maxKey32Bins caps the bins of one group. The 32-bit cut's bins follow the
+// shape (rows·2^colBits/2^32), not the work — a 2·10^7 square needs 156 250 —
+// and so would every per-worker per-bin array: the local arena is threads ×
+// bins × LocalBinBytes. A group's are sized by its own bins, so a shape past
+// the cap runs in groups of at most 4 096 bins (planGroups), the fan-out of
+// one radix partitioning pass that still streams (Polychroniou and Ross,
+// SIGMOD 2014).
 const maxKey32Bins = 4096
-
-// MultiplyLayout reports the tuple layout Multiply runs for a product of an A
-// with rows rows and a B with bCols columns: LayoutSqueezed when the packed
-// key fits 32 bits in at most maxKey32Bins bins, LayoutWide otherwise.
-// MultiplyNarrow and MultiplyPattern run the wide layout on the same shapes.
-func MultiplyLayout(rows, bCols int32) Layout {
-	shift := 32 - colBitsFor(bCols)
-	if (int64(max(rows, 0))+1<<shift-1)>>shift > maxKey32Bins {
-		return LayoutWide
-	}
-	return LayoutSqueezed
-}
 
 // colBitsFor is the packed-key width of a column id for a B with bCols
 // columns: the bits of the largest id, bCols-1 (at least 1 bit). A
@@ -899,55 +867,60 @@ func colBitsFor(bCols int32) uint {
 // for bin b land at binStart[b] + Σ_{t'<t} count(t', b). Expand then needs no
 // atomic cursors, flushes are plain copies into pre-reserved ranges, and the
 // tuple order in every bin is the sequential column order at any thread
-// count (contention-free, deterministic expand).
+// count (contention-free, deterministic expand). The per-worker arrays
+// (ws.perThread, ws.cursors) are sized and indexed by the group's own bins,
+// bin − binLo.
 func (e *engine) expandPlan() {
-	nbins := e.nbins
+	gb := e.binHi - e.binLo
 	threads := e.opt.Threads
-	binFlops := matrix.GrowInt64Zero(&e.ws.binFlops, nbins)
+	binFlops := matrix.GrowInt64Zero(&e.ws.binFlops, e.nbins)
+	group := binFlops[e.binLo:e.binHi]
 	e.ws.colBounds = par.BalancedBoundariesInto(
 		e.colFlops, threads, matrix.Grow(&e.ws.colBounds, threads+1))
 	var pt []int64
 	if threads == 1 {
-		e.countBins(0, len(e.colLo), binFlops)
+		e.countBins(0, len(e.colLo), group)
 	} else {
-		pt = matrix.GrowInt64Zero(&e.ws.perThread, threads*nbins)
+		pt = matrix.GrowInt64Zero(&e.ws.perThread, threads*gb)
 		bounds := e.ws.colBounds
 		par.ParallelRun(threads, func(t int) {
-			e.countBins(bounds[t], bounds[t+1], pt[t*nbins:(t+1)*nbins])
+			e.countBins(bounds[t], bounds[t+1], pt[t*gb:(t+1)*gb])
 		})
 		for t := 0; t < threads; t++ {
-			local := pt[t*nbins : (t+1)*nbins]
+			local := pt[t*gb : (t+1)*gb]
 			for bin, c := range local {
-				binFlops[bin] += c
+				group[bin] += c
 			}
 		}
 	}
-	par.PrefixSum(binFlops, matrix.Grow(&e.ws.binStart, nbins+1))
+	par.PrefixSum(binFlops, matrix.Grow(&e.ws.binStart, e.nbins+1))
 	// Exclusive per-thread write offsets, computed in place over pt (the
 	// counts are consumed as they are replaced). ws.cursors is scratch here;
 	// with one thread it is reset below to binStart and used directly as the
 	// single worker's cursor array.
-	cursors := matrix.Grow(&e.ws.cursors, nbins)
-	copy(cursors, e.ws.binStart[:nbins])
+	cursors := matrix.Grow(&e.ws.cursors, gb)
+	copy(cursors, e.ws.binStart[e.binLo:e.binHi])
 	for t := 0; t < threads && pt != nil; t++ {
-		local := pt[t*nbins : (t+1)*nbins]
+		local := pt[t*gb : (t+1)*gb]
 		for bin, c := range local {
 			local[bin] = cursors[bin]
 			cursors[bin] += c
 		}
 	}
-	copy(cursors, e.ws.binStart[:nbins])
+	copy(cursors, e.ws.binStart[e.binLo:e.binHi])
 }
 
+// countBins adds the flops of columns [lo, hi) of the running group to
+// binFlops, indexed by the group's bins.
 func (e *engine) countBins(lo, hi int, binFlops []int64) {
-	a, shift := e.a, e.rowShift
+	a, shift, binLo := e.a, e.rowShift, uint32(e.binLo)
 	for j := lo; j < hi; j++ {
 		bRow := e.rowHi[j] - e.rowLo[j]
 		if bRow == 0 {
 			continue
 		}
 		for p := e.colLo[j]; p < e.colHi[j]; p++ {
-			binFlops[uint32(a.RowIdx[p])>>shift] += bRow
+			binFlops[uint32(a.RowIdx[p])>>shift-binLo] += bRow
 		}
 	}
 }
@@ -962,10 +935,10 @@ func (e *engine) countBins(lo, hi int, binFlops []int64) {
 // count.
 func (e *engine) expand() {
 	threads := e.opt.Threads
-	nbins := e.nbins
-	localTuples := int64(threads) * int64(nbins) * int64(e.localCap)
+	gb := e.binHi - e.binLo
+	localTuples := int64(threads) * int64(gb) * int64(e.localCap)
 	e.lay.growLocals(e, localTuples)
-	lens := matrix.Grow(&e.ws.localLens, threads*nbins)
+	lens := matrix.Grow(&e.ws.localLens, threads*gb)
 	// Every local bin starts filling at its cursor's phase (flushSpan).
 	// expandPlan left the lone worker's cursors in ws.cursors and the
 	// workers' rows of exclusive offsets in ws.perThread.
@@ -973,7 +946,7 @@ func (e *engine) expand() {
 	if threads > 1 {
 		cursors = e.ws.perThread
 	}
-	for i, c := range cursors[:threads*nbins] {
+	for i, c := range cursors[:threads*gb] {
 		lens[i] = flushPhase(c)
 	}
 	// Flush with non-temporal stores only when this group's tuple arena
@@ -983,7 +956,7 @@ func (e *engine) expand() {
 	// rmat_skew product, 18 against 19 on er_lowcf's 50 MB). On smaller
 	// arenas the two are a wash and the lines stay cached for the sort's
 	// read-back, so those keep copy().
-	e.ntFlush = simd.HasNT && e.ws.binStart[nbins]*e.tupleBytes >= ntMinArenaBytes
+	e.ntFlush = simd.HasNT && e.ws.binStart[e.nbins]*e.tupleBytes >= ntMinArenaBytes
 	if threads == 1 {
 		e.lay.expandRange(e, 0, cursors)
 		e.fenceFlushes()
@@ -993,7 +966,7 @@ func (e *engine) expand() {
 			// expand worker latches the abort and its siblings bail at
 			// their next sub-phase poll instead of finishing their ranges.
 			defer e.containWorker(t)
-			e.lay.expandRange(e, t, cursors[t*nbins:(t+1)*nbins])
+			e.lay.expandRange(e, t, cursors[t*gb:(t+1)*gb])
 			// NT flush stores are weakly ordered: fence before the join so
 			// the sort phase (any worker) sees every tuple.
 			e.fenceFlushes()
@@ -1066,7 +1039,7 @@ func (e *engine) forEachBin(site faultinject.Site, do func(e *engine, worker, bi
 // fresh — carved from the workspace's pooled output arrays when the
 // workspace is shared — and a later group extends it, keeping what the groups
 // before it wrote. Value storage is the layout's call: Multiply's float64
-// layouts back c.Val, narrow and MultiplyWide fill a typed out plane their
+// layout backs c.Val, narrow and generic fill a typed out plane their
 // entry point returns beside a structural c, and pattern leaves the result
 // structural (nil Val).
 func (e *engine) growResult(c *matrix.CSR, nnzc int64) *matrix.CSR {

@@ -242,15 +242,24 @@ func TestStatsBytesModel(t *testing.T) {
 		t.Errorf("cf = %v, want >= 1", st.CF)
 	}
 
-	// The wide layout must report the paper's original 16-byte model.
-	_, stw, err := multiplyWide(a.ToCSC(), b, Options{})
+	// The generic layout reports a 4-byte key plus its own value type.
+	_, stg, err := multiplyGeneric(a.ToCSC(), b, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stw.Layout != LayoutWide || stw.TupleBytes != WideTupleBytes {
-		t.Fatalf("wide: layout = %v tupleBytes = %d", stw.Layout, stw.TupleBytes)
+	if stg.Layout != LayoutGeneric || stg.TupleBytes != SqueezedTupleBytes {
+		t.Fatalf("generic over float64: layout = %v tupleBytes = %d", stg.Layout, stg.TupleBytes)
 	}
-	if stw.FusedBytes != matrix.BytesPerTuple*stw.Flops {
-		t.Errorf("wide FusedBytes = %d, want %d", stw.FusedBytes, matrix.BytesPerTuple*stw.Flops)
+	if stg.FusedBytes != stg.TupleBytes*stg.Flops {
+		t.Errorf("generic FusedBytes = %d, want %d", stg.FusedBytes, stg.TupleBytes*stg.Flops)
+	}
+	ab, bb := make([]bool, a.NNZ()), make([]bool, b.NNZ())
+	or := func(x, y bool) bool { return x || y }
+	_, _, stb, err := MultiplyGeneric(a.ToCSC(), ab, b, bb, Algebra[bool]{Times: elementwise(or), Plus: or}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stb.Layout != LayoutGeneric || stb.TupleBytes != 5 || stb.FusedBytes != 5*stb.Flops {
+		t.Fatalf("generic over bool: layout = %v tupleBytes = %d FusedBytes = %d", stb.Layout, stb.TupleBytes, stb.FusedBytes)
 	}
 }

@@ -13,12 +13,10 @@ import "pbspgemm/internal/matrix"
 // workspace memory and are invalidated by the next call that uses the same
 // workspace; Clone the CSR to keep it.
 type Workspace struct {
-	// tupleKeys is the expanded-tuple key plane of every key32 layout
-	// (squeezed, narrow, pattern) for one bin group — with its value plane
-	// (the kv pools below) the flops-sized allocation the unbudgeted
-	// single-shot algorithm makes per call. The wide layout's 16-byte tuples
-	// live in its own pool (wide). A run grows only the buffers of the layout
-	// it picked.
+	// tupleKeys is the expanded-tuple key plane of every layout for one bin
+	// group — with its value plane (the pools below) the flops-sized
+	// allocation the unbudgeted single-shot algorithm makes per call. A run
+	// grows only the value planes of the layout it picked.
 	tupleKeys []uint32
 
 	// Plan and phase scratch.
@@ -39,30 +37,30 @@ type Workspace struct {
 	binOutStart []int64
 	rowCounts   []int64
 
-	// Propagation-blocking local bins, flattened threads × nbins × capTuples,
-	// per layout.
+	// Propagation-blocking local bins, flattened threads × the running
+	// group's bins × capTuples, per layout.
 	localKeys []uint32
 	localLens []int32
 
 	// Sort-phase scratch, flattened threads × the running group's largest
 	// sorted segment (engine.scratchStride), per layout; each worker's slice
 	// is private, so the stable scatter sorts never contend. scratchKeys is
-	// the pattern layout's key plane, scratchWords the kv layouts' two
+	// the pattern layout's key plane, scratchWords the other layouts' two
 	// key|index planes per worker, accBits the dense fold's occupancy bitmaps
 	// (threads × 1<<keyBits bits, all-zero between bins). Value planes live
-	// in the kv pools (kv.scratchVals, kv.accVals).
+	// in the layouts' pools (planes.scratchVals, planes.accVals).
 	scratchKeys  []uint32
 	scratchWords []uint64
 	accBits      []uint64
 
 	// kvF64 pools the float64 value planes of the squeezed (12 B) layout;
 	// kvNarrow holds a *kv[V] for the narrow (8 B) layout's most recent
-	// value type V (float32 or int32), wide a *pairs[V] with every plane of
-	// the wide (16 B) layout for its most recent V — reuse hits while V is
-	// stable.
+	// value type V (float32 or int32), generic a *generic[V] with the value
+	// planes of the generic layout for its most recent V — reuse hits while
+	// V is stable.
 	kvF64    kv[float64]
 	kvNarrow any
-	wide     widePool
+	generic  genericPool
 
 	// Pooled result storage (used only for shared workspaces).
 	out       matrix.CSR
@@ -106,7 +104,7 @@ func NewWorkspace() *Workspace { return &Workspace{} }
 func (ws *Workspace) Reset() { *ws = Workspace{} }
 
 // TupleCapBytes reports the current capacity of the pooled expanded-tuple
-// buffers in bytes, summed over both layouts' pools: MemoryBudgetBytes
+// buffers in bytes, summed over every layout's pools: MemoryBudgetBytes
 // bounds each run's active pool, but a workspace reused across layouts
 // (semiring products mixed with float64 ones) holds both, and this
 // reports the memory actually resident.
@@ -115,8 +113,8 @@ func (ws *Workspace) TupleCapBytes() int64 {
 	if n, ok := ws.kvNarrow.(interface{ tupleCapBytes() int64 }); ok {
 		total += n.tupleCapBytes()
 	}
-	if ws.wide != nil {
-		total += ws.wide.tupleCapBytes()
+	if ws.generic != nil {
+		total += ws.generic.tupleCapBytes()
 	}
 	return total
 }
@@ -138,7 +136,7 @@ func (ws *Workspace) DetachOutput(c *matrix.CSR) *matrix.CSR {
 		c = &out
 	}
 	ws.out, ws.outRowPtr, ws.outColIdx, ws.PatternVals = matrix.CSR{}, nil, nil, nil
-	for _, l := range []any{&ws.kvF64, ws.kvNarrow, ws.wide} {
+	for _, l := range []any{&ws.kvF64, ws.kvNarrow, ws.generic} {
 		if l, ok := l.(interface{ detachOut() }); ok {
 			l.detachOut()
 		}

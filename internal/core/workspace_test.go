@@ -68,7 +68,7 @@ func TestBudgetBoundsTupleBuffer(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The largest bin's tuples are the floor the one-bin minimum imposes.
-	g := planBinGeometry(acsc.NumRows, flops, colBitsFor(b.NumCols), 32, SqueezedTupleBytes, opt.withDefaults())
+	g := planBinGeometry(acsc.NumRows, flops, colBitsFor(b.NumCols), SqueezedTupleBytes, opt.withDefaults())
 	binFlops := make([]int64, g.nbins)
 	for j := int32(0); j < acsc.NumCols; j++ {
 		for p := acsc.ColPtr[j]; p < acsc.ColPtr[j+1]; p++ {

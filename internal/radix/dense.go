@@ -81,3 +81,36 @@ func FoldDensePattern(keys []uint32, occ []uint64, rows []int64, colBits uint) i
 	Tally(keys[:out], rows, colBits)
 	return out
 }
+
+// FoldDenseBy is FoldDense for any value type and ⊕: a slot's first value is
+// assigned and each later one folded in as plus(acc, v), in arrival order —
+// SortFoldBy's chain, so the two agree bit for bit whatever plus is. acc's
+// slots are left zero again, so it pins nothing between bins.
+func FoldDenseBy[V any](keys []uint32, vals, acc []V, occ []uint64, rows []int64, colBits uint, plus func(a, b V) V) int {
+	vals = vals[:len(keys)]
+	for i, k := range keys {
+		if w, b := k>>6, uint64(1)<<(k&63); occ[w]&b == 0 {
+			occ[w] |= b
+			acc[k] = vals[i]
+		} else {
+			acc[k] = plus(acc[k], vals[i])
+		}
+	}
+	var zero V
+	out := 0
+	for wi, word := range occ {
+		if word == 0 {
+			continue
+		}
+		occ[wi] = 0
+		base := uint32(wi) << 6
+		for ; word != 0; word &= word - 1 {
+			k := base | uint32(bits.TrailingZeros64(word))
+			keys[out], vals[out] = k, acc[k]
+			acc[k] = zero
+			out++
+		}
+	}
+	Tally(keys[:out], rows, colBits)
+	return out
+}

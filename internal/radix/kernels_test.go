@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -206,10 +207,11 @@ func TestKernelsMatchOracle(t *testing.T) {
 			}
 		}
 	})
-	// The wide layout's kernel, over an 8-byte value and over one that is not.
-	t.Run("pairs-float64", func(t *testing.T) {
+	// The kernels through a caller's ⊕, over an 8-byte value and over one
+	// that is not.
+	t.Run("by-float64", func(t *testing.T) {
 		nz := math.Copysign(0, -1)
-		testPairs(t, func(r *rand.Rand, key uint64) float64 {
+		testBy(t, func(r *rand.Rand, key uint32) float64 {
 			if key%3 == 0 {
 				return nz // whole groups of −0: the fold must keep the sign
 			}
@@ -217,67 +219,80 @@ func TestKernelsMatchOracle(t *testing.T) {
 		}, func(a, b float64) float64 { return a + b },
 			func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) })
 	})
-	t.Run("pairs-24-byte-element", func(t *testing.T) {
-		testPairs(t, func(r *rand.Rand, _ uint64) [3]float32 {
+	t.Run("by-12-byte-element", func(t *testing.T) {
+		testBy(t, func(r *rand.Rand, _ uint32) [3]float32 {
 			return [3]float32{r.Float32(), float32(r.NormFloat64()), 1}
 		}, func(a, b [3]float32) [3]float32 { return [3]float32{a[0] + b[0], max(a[1], b[1]), a[2] + b[2]} },
 			func(a, b [3]float32) bool { return a == b })
 	})
 }
 
-// testPairs holds SortPairs, with the fold in its last pass, and, where the
-// key space allows one, FoldDensePairs' direct-address accumulator (left
-// all-zero) to a stdlib stable sort and a left-to-right fold (same compares
-// values bit for bit): key widths from 1 to 62 bits, empty, one-tuple and
-// all-equal segments, segments past 2^16.
-func testPairs[V any](t *testing.T, val func(r *rand.Rand, key uint64) V, plus func(a, b V) V, same func(a, b V) bool) {
+// testBy holds SortFoldBy and, where the key space allows one, FoldDenseBy's
+// direct-address accumulator (left all-zero) to a stdlib stable sort and a
+// left-to-right fold through plus (same compares values bit for bit): key
+// widths from 1 to 32 bits, empty, one-tuple and all-equal segments, segments
+// past 2^16, and their row tallies.
+func testBy[V any](t *testing.T, val func(r *rand.Rand, key uint32) V, plus func(a, b V) V, same func(a, b V) bool) {
 	r := rand.New(rand.NewSource(19))
-	for _, keyBits := range []int{1, 20, 33, 44, 62} {
+	for _, keyBits := range []int{1, 12, 20, 32} {
 		for _, n := range []int{0, 1, 2, 33, 1000, 70000} {
 			for _, kr := range []uint64{1, 7, 1 << min(keyBits, 10), 1 << keyBits} {
 				kr = min(kr, 1<<keyBits)
 				top := uint64(1)<<keyBits - kr // keys sit at the top of the key space
-				ps := make([]Pair[V], n)
-				for i := range ps {
-					k := top + r.Uint64()%kr
-					ps[i] = Pair[V]{Key: k, Val: val(r, k)}
+				keys, vals := make([]uint32, n), make([]V, n)
+				for i := range keys {
+					keys[i] = uint32(top + r.Uint64()%kr)
+					vals[i] = val(r, keys[i])
 				}
 				what := fmt.Sprintf("keyBits=%d n=%d range=%d", keyBits, n, kr)
-				sorted := append([]Pair[V](nil), ps...)
-				sort.SliceStable(sorted, func(a, b int) bool { return sorted[a].Key < sorted[b].Key })
-				var folded []Pair[V]
-				for _, p := range sorted {
-					if m := len(folded); m > 0 && folded[m-1].Key == p.Key {
-						folded[m-1].Val = plus(folded[m-1].Val, p.Val)
+				idx := make([]int, n)
+				for i := range idx {
+					idx[i] = i
+				}
+				sort.SliceStable(idx, func(a, b int) bool { return keys[idx[a]] < keys[idx[b]] })
+				var wantK []uint32
+				var wantV []V
+				for _, i := range idx {
+					if m := len(wantK); m > 0 && wantK[m-1] == keys[i] {
+						wantV[m-1] = plus(wantV[m-1], vals[i])
 						continue
 					}
-					folded = append(folded, p)
+					wantK, wantV = append(wantK, keys[i]), append(wantV, vals[i])
 				}
-				check := func(route string, got, want []Pair[V]) {
+				colBits := uint(max(keyBits-3, 0))
+				check := func(route string, gotK []uint32, gotV []V, rows []int64) {
 					t.Helper()
-					if len(got) != len(want) {
-						t.Fatalf("%s: %s left %d tuples, want %d", what, route, len(got), len(want))
+					if len(gotK) != len(wantK) {
+						t.Fatalf("%s: %s left %d tuples, want %d", what, route, len(gotK), len(wantK))
 					}
-					for i := range want {
-						if got[i].Key != want[i].Key || !same(got[i].Val, want[i].Val) {
-							t.Fatalf("%s: %s[%d] = %+v, want %+v", what, route, i, got[i], want[i])
+					wantRows := make([]int64, len(rows))
+					for i := range wantK {
+						if gotK[i] != wantK[i] || !same(gotV[i], wantV[i]) {
+							t.Fatalf("%s: %s[%d] = (%#x, %v), want (%#x, %v)", what, route, i, gotK[i], gotV[i], wantK[i], wantV[i])
 						}
+						wantRows[wantK[i]>>colBits]++
+					}
+					if !slices.Equal(rows, wantRows) {
+						t.Fatalf("%s: %s tallied rows %v, want %v", what, route, rows, wantRows)
 					}
 				}
-				aux := make([]Pair[V], n)
-				got := append([]Pair[V](nil), ps...)
-				check("SortPairs", got[:SortPairs(got, aux, keyBits, plus)], folded)
+				k, v := slices.Clone(keys), slices.Clone(vals)
+				rows := make([]int64, 1<<(uint(keyBits)-colBits))
+				m := SortFoldBy(k, v, make([]uint64, n), make([]uint64, n), make([]V, n), keyBits, rows, colBits, plus)
+				check("SortFoldBy", k[:m], v[:m], rows)
 
-				if keyBits > 20 {
+				if keyBits > denseTestBits {
 					continue // no direct-address accumulator for a key space this wide
 				}
 				acc, occ := make([]V, 1<<keyBits), make([]uint64, (1<<keyBits+63)/64)
-				got = append(got[:0], ps...)
-				check("FoldDensePairs", got[:FoldDensePairs(got, acc, occ, plus)], folded)
+				k, v = slices.Clone(keys), slices.Clone(vals)
+				clear(rows)
+				m = FoldDenseBy(k, v, acc, occ, rows, colBits, plus)
+				check("FoldDenseBy", k[:m], v[:m], rows)
 				var zero V
 				for i := range acc {
 					if !same(acc[i], zero) || occ[i/64] != 0 {
-						t.Fatalf("%s: FoldDensePairs left slot %d dirty", what, i)
+						t.Fatalf("%s: FoldDenseBy left slot %d dirty", what, i)
 					}
 				}
 			}
@@ -348,19 +363,13 @@ func TestKernelsDoNotAllocate(t *testing.T) {
 	w0, w1, tmp, aux := make([]uint64, n), make([]uint64, n), make([]float64, n), make([]uint32, n)
 	acc, occ := make([]float64, 1<<keyBits), make([]uint64, 1<<keyBits/64)
 	rows := make([]int64, 1<<4)
-	ps, pw, paux := make([]Pair[float64], n), make([]Pair[float64], n), make([]Pair[float64], n)
-	for i := range ps {
-		ps[i] = Pair[float64]{Key: uint64(keys[i]) << 30, Val: vals[i]}
-	}
 	plus := func(a, b float64) float64 { return a + b }
 	if allocs := testing.AllocsPerRun(10, func() {
-		copy(pw, ps)
-		SortPairs(pw, paux, keyBits+30, plus)
-		copy(pw, ps)
-		for i := range pw {
-			pw[i].Key >>= 30
-		}
-		FoldDensePairs(pw, acc, occ, plus)
+		copy(k, keys)
+		copy(v, vals)
+		SortFoldBy(k, v, w0, w1, tmp, keyBits, rows, 10, plus)
+		copy(k, keys)
+		FoldDenseBy(k, v, acc, occ, rows, 10, plus)
 		copy(k, keys)
 		copy(v, vals)
 		SortFold(k, v, w0, w1, tmp, keyBits, rows, 10)
@@ -375,13 +384,13 @@ func TestKernelsDoNotAllocate(t *testing.T) {
 	}
 }
 
-// TestStartsAnyTableCount: starts converts one to six tables (SortPairs hands
+// TestStartsAnyTableCount: starts converts one to four tables (the plan hands
 // it an odd count as often as an even one) into exclusive prefix sums, and
 // touches no table past the slice it is given.
 func TestStartsAnyTableCount(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
-	for n := 1; n <= maxPairPasses; n++ {
-		var hs, want [maxPairPasses + 1][1 << maxDigitBits]uint32
+	for n := 1; n <= maxPasses; n++ {
+		var hs, want [maxPasses + 1][1 << maxDigitBits]uint32
 		for i := range hs {
 			for d := range hs[i] {
 				hs[i][d] = uint32(r.Intn(100))
@@ -464,8 +473,9 @@ func BenchmarkSortFoldHypersparse(b *testing.B) {
 }
 
 // BenchmarkKernels times the kernels on one L2-sized bin of 64 Ki tuples: the
-// LSDs (key32 and wide) at er_lowcf's 26-bit keys and at rmat_skew's 18, the
-// dense fold at 18 (its key space is 4 slots per tuple there).
+// LSDs (typed, through a ⊕ function value, and key-only) at er_lowcf's 26-bit
+// keys and at rmat_skew's 18, the dense folds at 18 (its key space is 4 slots
+// per tuple there).
 func BenchmarkKernels(b *testing.B) {
 	const n = 1 << 16
 	r := rand.New(rand.NewSource(1))
@@ -484,16 +494,13 @@ func BenchmarkKernels(b *testing.B) {
 				SortFold(k, v, w0, w1, tmp, keyBits, nil, 0)
 			}
 		})
-		ps, pw, paux := make([]Pair[float64], n), make([]Pair[float64], n), make([]Pair[float64], n)
-		for i := range ps {
-			ps[i] = Pair[float64]{Key: uint64(keys[i]), Val: vals[i]}
-		}
 		plus := func(a, b float64) float64 { return a + b }
-		b.Run(fmt.Sprintf("SortPairs/bits%d", keyBits), func(b *testing.B) {
-			b.SetBytes(n * 16)
+		b.Run(fmt.Sprintf("SortFoldBy/bits%d", keyBits), func(b *testing.B) {
+			b.SetBytes(n * 12)
 			for i := 0; i < b.N; i++ {
-				copy(pw, ps)
-				SortPairs(pw, paux, keyBits, plus)
+				copy(k, keys)
+				copy(v, vals)
+				SortFoldBy(k, v, w0, w1, tmp, keyBits, nil, 0, plus)
 			}
 		})
 		b.Run(fmt.Sprintf("SortFoldPattern/bits%d", keyBits), func(b *testing.B) {
@@ -513,6 +520,14 @@ func BenchmarkKernels(b *testing.B) {
 				copy(k, keys)
 				copy(v, vals)
 				FoldDense(k, v, acc, occ, nil, 0)
+			}
+		})
+		b.Run(fmt.Sprintf("FoldDenseBy/bits%d", keyBits), func(b *testing.B) {
+			b.SetBytes(n * 12)
+			for i := 0; i < b.N; i++ {
+				copy(k, keys)
+				copy(v, vals)
+				FoldDenseBy(k, v, acc, occ, nil, 0, plus)
 			}
 		})
 		b.Run(fmt.Sprintf("FoldDensePattern/bits%d", keyBits), func(b *testing.B) {

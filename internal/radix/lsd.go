@@ -71,8 +71,9 @@ func lsdPlan(n, keyBits int) (passes, digit int) {
 	return passes, (keyBits + passes - 1) / passes
 }
 
-// Passes is the number of scatter passes SortFold, SortFoldPattern and
-// SortPairs plan for n tuples of keyBits-bit keys; internal/core sizes bins by it.
+// Passes is the number of scatter passes SortFold, SortFoldBy and
+// SortFoldPattern plan for n tuples of keyBits-bit keys; internal/core sizes
+// bins by it.
 func Passes(n, keyBits int) int {
 	passes, _ := lsdPlan(n, keyBits)
 	return passes
@@ -148,7 +149,7 @@ func starts(hs [][1 << maxDigitBits]uint32, digit int) {
 // The LSD passes are leaves, each a frame of its own: scatterIndexed is
 // SortFold's first pass (key<<32|index words), scatterWords each later one
 // (shift ≥ 32 counts from the word's bit 0), scatterKeys each pass of
-// SortFoldPattern, and pairs.go's scatterPairs each of SortPairs'. Inlined into
+// SortFoldPattern. Inlined into
 // the sort's frame (32 KiB of histograms) the loop's key and digit were stored
 // to the stack and reloaded every tuple (go tool objdump at PR 24); here the
 // loop state stays in registers, and the plan, stability and output bytes are
@@ -255,50 +256,16 @@ func SortFold[V Numeric](keys []uint32, vals []V, w0, w1 []uint64, tmp []V, keyB
 		Tally(keys, rows, colBits)
 		return n
 	}
-	if uint64(n) > maxSegment {
-		panic(ErrSegmentTooLarge)
-	}
-	var cur, alt []uint64
-	if n <= shortSegment {
-		// key<<32|index words sort stably as plain integers.
-		cur = w0[:n]
-		var diff uint32
-		for i, k := range keys {
-			diff |= k ^ keys[0]
-			cur[i] = uint64(k)<<32 | uint64(i)
+	cur := sortWords(keys, w0, w1, keyBits)
+	if cur == nil {
+		// Every key equal: arrival order is the sorted order.
+		v := vals[0]
+		for _, x := range vals[1:] {
+			v += x
 		}
-		checkKeyBits(diff, keyBits)
-		insertionSort(cur)
-	} else {
-		passes, digit := lsdPlan(n, keyBits)
-		var hist histograms
-		diff := hist.count(keys, passes, digit, keyBits)
-		if diff == 0 {
-			// Every key equal: arrival order is the sorted order.
-			v := vals[0]
-			for _, x := range vals[1:] {
-				v += x
-			}
-			vals[0] = v
-			Tally(keys[:1], rows, colBits)
-			return 1
-		}
-		mask := uint32(1)<<digit - 1
-		starts(hist[:passes], digit)
-		for p := 0; p < passes; p++ {
-			shift := uint(p*digit) & 31
-			if diff>>shift&mask == 0 {
-				continue // all tuples agree on this digit
-			}
-			h := &hist[p]
-			if cur == nil {
-				cur, alt = w0[:n], w1[:n]
-				scatterIndexed(keys, cur, h, shift, mask)
-				continue
-			}
-			scatterWords(cur, alt, h, shift+32, mask)
-			cur, alt = alt, cur
-		}
+		vals[0] = v
+		Tally(keys[:1], rows, colBits)
+		return 1
 	}
 	// By now the value plane has left the private caches (two to four
 	// planes of tuples have streamed through since expand wrote it); fetching
@@ -334,6 +301,94 @@ func SortFold[V Numeric](keys []uint32, vals []V, w0, w1 []uint64, tmp []V, keyB
 	copy(vals, tmp[:out])
 	Tally(keys[:out], rows, colBits)
 	return out
+}
+
+// SortFoldBy is SortFold for any value type and ⊕: the same passes, and a
+// fold of each equal-key group through plus — the first value assigned, each
+// later one folded in as plus(acc, v), in arrival order.
+func SortFoldBy[V any](keys []uint32, vals []V, w0, w1 []uint64, tmp []V, keyBits int, rows []int64, colBits uint, plus func(a, b V) V) int {
+	n := len(keys)
+	vals = vals[:n]
+	if n < 2 {
+		Tally(keys, rows, colBits)
+		return n
+	}
+	cur := sortWords(keys, w0, w1, keyBits)
+	if cur == nil { // every key equal: arrival order is the sorted order
+		v := vals[0]
+		for _, x := range vals[1:] {
+			v = plus(v, x)
+		}
+		vals[0] = v
+		Tally(keys[:1], rows, colBits)
+		return 1
+	}
+	simd.PrefetchSlice(vals)
+	tmp = tmp[:n]
+	out := 0
+	pk, acc := uint32(cur[0]>>32), vals[uint32(cur[0])]
+	for _, w := range cur[1:] {
+		k, v := uint32(w>>32), vals[uint32(w)]
+		if k == pk {
+			acc = plus(acc, v)
+			continue
+		}
+		keys[out], tmp[out] = pk, acc
+		out++
+		pk, acc = k, v
+	}
+	keys[out], tmp[out] = pk, acc
+	out++
+	copy(vals, tmp[:out])
+	Tally(keys[:out], rows, colBits)
+	return out
+}
+
+// sortWords stably sorts the key<<32|index words of keys (at least two) by the
+// low keyBits bits of the key, in w0 and w1, and returns the plane that holds
+// them sorted — or nil when every key is equal, so arrival order is the
+// sorted order.
+func sortWords(keys []uint32, w0, w1 []uint64, keyBits int) []uint64 {
+	n := len(keys)
+	if uint64(n) > maxSegment {
+		panic(ErrSegmentTooLarge)
+	}
+	if n <= shortSegment {
+		// key<<32|index words sort stably as plain integers.
+		cur := w0[:n]
+		var diff uint32
+		for i, k := range keys {
+			diff |= k ^ keys[0]
+			cur[i] = uint64(k)<<32 | uint64(i)
+		}
+		checkKeyBits(diff, keyBits)
+		insertionSort(cur)
+		return cur
+	}
+	passes, digit := lsdPlan(n, keyBits)
+	var hist histograms
+	diff := hist.count(keys, passes, digit, keyBits)
+	if diff == 0 {
+		return nil
+	}
+	mask := uint32(1)<<digit - 1
+	starts(hist[:passes], digit)
+	var cur, alt []uint64
+	for p := 0; p < passes; p++ {
+		shift := uint(p*digit) & 31
+		if diff>>shift&mask == 0 {
+			continue // all tuples agree on this digit
+		}
+		h := &hist[p]
+		if cur == nil {
+			cur, alt = w0[:n], w1[:n]
+			scatterIndexed(keys, cur, h, shift, mask)
+			continue
+		}
+		scatterWords(cur, alt, h, shift+32, mask)
+		cur, alt = alt, cur
+	}
+	return cur
 }
 
 // SortFoldPattern is SortFold for the key-only pattern layout: the passes

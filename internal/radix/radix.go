@@ -2,8 +2,8 @@
 // global bin of expanded tuples (the paper's Section III-D, "sort and merge
 // each bin in cache"). Keys are packed (localRow<<colBits | col) pairs.
 //
-// The key32 layouts (squeezed, narrow, pattern — a uint32 key plane beside an
-// optional value plane) are served by two flat kernels, chosen per bin by the
+// Every layout of internal/core is a key32 layout — a uint32 key plane beside
+// an optional value plane — served by two flat kernels, chosen per bin by the
 // caller from the bin's tuple count and its packed key width:
 //
 //   - FoldDense / FoldDensePattern (dense.go), for a bin whose key space is
@@ -19,16 +19,12 @@
 // value assigned, each later one added — which is exactly what a two-pointer
 // compress does over a stably sorted bin. So dense and sparse bins produce
 // the same bytes, special values (−0.0, NaN, ±Inf) and int32 wrap-around
-// included.
+// included. FoldDenseBy and SortFoldBy are the same two kernels over any
+// value type, folding through the caller's ⊕ where these add: the same
+// chain, so the same bytes, whatever ⊕ is.
 //
-// The wide layout's 16-byte Pair[V] (a 64-bit key, for products whose
-// localRow and col do not fit 32 bits together, and any value type, for
-// products over a custom semiring) has one stable sort of its own, SortPairs
-// (pairs.go): the same fixed-pass LSD plan over whole elements, folding
-// through the caller's ⊕ as its last pass stores, and FoldDensePairs,
-// FoldDense through that ⊕, for the bins whose key space is small enough to
-// address — the same chain, so the same bytes. SortPairsInPlace beside them is the unstable in-place sort of
-// the callers that have no scratch plane (ESC baseline, format conversion).
+// SortPairsInPlace (pairs.go) is no layout's: it is the unstable in-place
+// sort of COO entries with 64-bit keys that format conversion runs.
 package radix
 
 // insertionCutoff is the sub-slice size below which SortPairsInPlace switches
@@ -36,7 +32,7 @@ package radix
 const insertionCutoff = 32
 
 // GrowUint32 returns (*buf)[:n], reallocating only when capacity is short;
-// contents are unspecified. Counterpart of GrowPairs for the key32 planes.
+// contents are unspecified.
 func GrowUint32(buf *[]uint32, n int64) []uint32 {
 	if int64(cap(*buf)) < n {
 		*buf = make([]uint32, n)

@@ -18,17 +18,18 @@ import (
 // the caller's functions. A stock pair gets its typed entry into core: (+, ×)
 // over float64 core.Multiply's 12-byte squeezed layout, over float32 and int32
 // the 8-byte narrow layout, and (∨, ∧) over all-true operands the 4-byte
-// pattern (key-only) layout — the dispatch rule the README documents. Each
-// packs its keys into 32 bits (core adds bins until they fit), and on shapes
-// that would need more than core's bin cap for it runs the wide layout over
-// the same arithmetic instead (core.MultiplyLayout). The row kernel gets its
-// own typed loop for float64 (+, ×), chunk loops for the other stock float64
-// pairs, and a Boolean product over all-true operands no values at all. A
-// plain mask never reaches a typed layout, nor a product Options.Rows gives
-// the row kernel (multiplyOpts hands those over first); every other call with
-// no typed entry (a custom or modified semiring, stored false booleans) runs
-// the same pipeline on the wide layout through its own ⊗ and ⊕
-// (multiplyGeneric in multiply.go). A complement mask is none of these
+// pattern (key-only) layout — the dispatch rule the README documents. The
+// other stock float64 pairs (MinPlus, MaxTimes, PlusMax) get typed chunk
+// loops for ⊗, which the row kernel runs and so does the generic layout, and
+// the row kernel chunk loops for ⊕ too; a Boolean product over all-true
+// operands needs no values at all. A plain mask never reaches a typed
+// layout, nor a product Options.Rows gives the row kernel (multiplyOpts hands
+// those over first); every other call with no typed entry (those three, a
+// custom or modified semiring, stored false booleans) runs the same pipeline
+// on the generic layout through its ⊗ chunk op and its own ⊕
+// (multiplyGeneric in multiply.go). Every layout packs its keys into 32 bits:
+// core adds bins until they fit, and runs a shape that needs more than its
+// bin cap in groups of bins. A complement mask is none of these
 // routes: the product runs as an unmasked one would, and then M's positions
 // are dropped from it.
 
@@ -38,8 +39,7 @@ type Plan struct {
 	// FastPath is true when the call ran a typed entry point of core.
 	FastPath bool
 	// Layout is the tuple layout the fast path executed (pattern, narrow or
-	// squeezed; wide on the shapes core.MultiplyLayout names); meaningful
-	// only when FastPath.
+	// squeezed); meaningful only when FastPath.
 	Layout core.Layout
 	// Reason says what ran instead and why, when !FastPath.
 	Reason string
@@ -47,8 +47,8 @@ type Plan struct {
 	// product Options.Rows sent there.
 	Rows bool
 	// Stats is the call's own copy of the phase statistics whenever
-	// internal/core's pipeline ran the product — a fast path or the wide
-	// layout over a custom semiring; nil for the row kernel.
+	// internal/core's pipeline ran the product — a fast path or the generic
+	// layout; nil for the row kernel.
 	Stats *core.Stats
 }
 
@@ -107,7 +107,7 @@ type typedRun[T any] func(a *CSCg[T], b *CSRg[T], opt core.Options) (*CSRg[T], *
 // stock is the op table's entry for a stock pair (⊕, ⊗).
 type stock struct {
 	run         any  // the pair's typedRun, nil for none
-	times, fold any  // the row kernel's chunk loops (baseline.Ops), nil where sr's own function runs
+	times, fold any  // chunk loops (baseline.Ops; times the generic layout's too), nil where sr's own function runs
 	arith       bool // float64 (+, ×): the row kernel's own typed loop
 	pattern     bool // (∨, ∧): structural, so run only over all-true operands
 }
@@ -130,7 +130,7 @@ func codeOf(f any) uintptr { return reflect.ValueOf(f).Pointer() }
 // route is a call's one lookup of the op table: every decision it makes by
 // its semiring.
 type route[T any] struct {
-	run typedRun[T] // the typed entry into core; nil: the wide layout, for the reason why
+	run typedRun[T] // the typed entry into core; nil: the generic layout, for the reason why
 	why string
 	// valueBytes is what a value of the row kernel's accumulator takes: nothing
 	// for a Boolean product over all-true operands, which only needs its pattern.
@@ -156,6 +156,21 @@ func routeOf[T any](sr Semiring[T], a, b []T) route[T] {
 	return r
 }
 
+// times is sr's ⊗ as a chunk operation, dst[q] = x ⊗ y[q]: the table's chunk
+// loop for the stock float64 pairs that have one, sr.Times called per element
+// otherwise.
+func (r route[T]) times(sr Semiring[T]) func(dst []T, x T, y []T) {
+	if r.stock.times != nil {
+		return r.stock.times.(func([]T, T, []T))
+	}
+	times := sr.Times
+	return func(dst []T, x T, y []T) {
+		for q, yq := range y[:len(dst)] {
+			dst[q] = times(x, yq)
+		}
+	}
+}
+
 // rowOps lowers sr to the row kernel's chunk operations: the kernel's own
 // typed loop for float64 (+, ×), the table's chunk loops for the other stock
 // float64 pairs, and sr's own functions, called per element, for the rest.
@@ -164,15 +179,11 @@ func (r route[T]) rowOps(sr Semiring[T]) baseline.Ops[T] {
 	case s.arith:
 		return baseline.Ops[T]{Arith: true}
 	case s.times != nil:
-		return baseline.Ops[T]{Times: s.times.(func([]T, T, []T)), Fold: s.fold.(func([]T, []int32, []T, []byte))}
+		return baseline.Ops[T]{Times: r.times(sr), Fold: s.fold.(func([]T, []int32, []T, []byte))}
 	}
-	times, plus := sr.Times, sr.Plus
+	plus := sr.Plus
 	return baseline.Ops[T]{
-		Times: func(dst []T, x T, y []T) {
-			for q, yq := range y[:len(dst)] {
-				dst[q] = times(x, yq)
-			}
-		},
+		Times: r.times(sr),
 		Fold: func(acc []T, at []int32, x []T, seen []byte) {
 			for q, s := range seen {
 				if v := x[q]; s == 0 {

@@ -11,8 +11,8 @@ import (
 )
 
 // opaque returns sr with both functions wrapped in closures, which the op
-// table cannot see through: the wide layout through ⊗ and ⊕, the oracle the
-// typed pipelines are checked against.
+// table cannot see through: the generic layout through ⊗ and ⊕, the oracle
+// the typed pipelines are checked against.
 func opaque[T any](sr Semiring[T]) Semiring[T] {
 	plus, times := sr.Plus, sr.Times
 	sr.Plus = func(a, b T) T { return plus(a, b) }
@@ -242,7 +242,7 @@ func TestMaskedAndBooleanShareAWorkspace(t *testing.T) {
 }
 
 // FuzzFastPathVsGeneric holds the typed dispatches to two oracles on random
-// shapes — the same semiring with its functions wrapped (the wide layout
+// shapes — the same semiring with its functions wrapped (the generic layout
 // through ⊗ and ⊕) and referenceOver, which shares no code with either: structure for
 // Boolean, exact values for float32 (integer-valued inputs), across budgeted
 // and pooled variants.

@@ -32,7 +32,7 @@ type Options struct {
 	Mask *matrix.CSR
 	// Complement flips the mask (C⟨¬M⟩): keep positions NOT stored in Mask.
 	// Ignored when Mask is nil. The product runs as an unmasked one would —
-	// the typed layout, the wide one or the row kernel — and then M's
+	// a typed layout, the generic one or the row kernel — and then M's
 	// positions are dropped from it (matrix.DropMasked).
 	Complement bool
 	// Cancel, if non-nil, is polled as core.Options.Cancel is: at phase
@@ -75,7 +75,7 @@ func (opt Options) setPlan(p Plan, st *core.Stats) {
 
 // MultiplyOpts computes C = A ⊗ B over the semiring sr with PB-SpGEMM:
 // internal/core's pipeline under the typed tuple layout the semiring and
-// element type allow (fastpath.go), the wide layout with sr's ⊗ and ⊕
+// element type allow (fastpath.go), the generic layout with sr's ⊗ and ⊕
 // otherwise — or with the row kernel, under a plain mask and wherever
 // opt.Rows picks it. A complement mask drops M's positions from that
 // product. Panics — the semiring's callbacks run arbitrary user
@@ -123,7 +123,7 @@ func multiplyOpts[T any](sr Semiring[T], a *CSCg[T], b *CSRg[T], opt Options) (*
 		opt.setPlan(Plan{FastPath: true, Layout: st.Layout}, st)
 		return c, nil
 	}
-	c, st, err := multiplyGeneric(sr, a, b, opt)
+	c, st, err := multiplyGeneric(sr, r, a, b, opt)
 	opt.setPlan(Plan{Reason: r.why}, st)
 	return c, err
 }
@@ -194,13 +194,13 @@ func checkShapes[T any](rows, inner int32, b *CSRg[T], mask *matrix.CSR) error {
 }
 
 // multiplyGeneric runs any semiring through internal/core's pipeline on the
-// wide layout: sr.Times forms each tuple in the parallel propagation-blocked
-// expand, and a stable sort and sr.Plus fold each bin in arrival order. With
-// the fold order defined, a product is the same at every thread count and
-// budget whatever sr.Plus is: ascending k.
-func multiplyGeneric[T any](sr Semiring[T], a *CSCg[T], b *CSRg[T], opt Options) (*CSRg[T], *core.Stats, error) {
-	alg := core.Algebra[T]{Times: core.Elementwise(sr.Times), Plus: sr.Plus}
-	c, vals, st, err := core.MultiplyWide(cscHeader(a, nil), a.Val, csrHeader(b, nil), b.Val, alg, opt.coreOptions())
+// generic layout: r's chunk ⊗ (the row kernel's) forms the tuples' values in
+// the parallel propagation-blocked expand, and a stable sort and sr.Plus fold
+// each bin in arrival order. With the fold order defined, a product is the
+// same at every thread count and budget whatever sr.Plus is: ascending k.
+func multiplyGeneric[T any](sr Semiring[T], r route[T], a *CSCg[T], b *CSRg[T], opt Options) (*CSRg[T], *core.Stats, error) {
+	alg := core.Algebra[T]{Times: r.times(sr), Plus: sr.Plus}
+	c, vals, st, err := core.MultiplyGeneric(cscHeader(a, nil), a.Val, csrHeader(b, nil), b.Val, alg, opt.coreOptions())
 	if err != nil {
 		return nil, nil, err
 	}

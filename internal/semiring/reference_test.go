@@ -80,7 +80,7 @@ func storesFalse[T any](v []T) bool {
 
 // overTable multiplies a·b over sr through MultiplyOpts — unmasked and under a
 // complement mask, at 1, 2 and 7 threads, unbudgeted and under budgets of a
-// third and a ninth of its wide tuples, on fresh buffers and on ws — and holds
+// third and a ninth of its 16-byte tuples, on fresh buffers and on ws — and holds
 // every product to referenceOver. Every one of these runs internal/core's
 // pipeline, the complement-masked ones too (the mask is dropped from the
 // product afterwards), so every one must report the Stats of the unmasked
@@ -117,7 +117,7 @@ func overTable[T any](t *testing.T, sr Semiring[T], a, b, mask *matrix.CSR, lift
 						p.Stats.NNZC != nnzc {
 						t.Fatalf("%s: plan %+v with stats %+v", what, p, p.Stats)
 					}
-					if p.FastPath != typed || (p.Stats.Layout == core.LayoutWide) == typed {
+					if p.FastPath != typed || (p.Stats.Layout == core.LayoutGeneric) == typed {
 						t.Fatalf("%s: plan %+v ran the %v layout, want typed %v", what, p, p.Stats.Layout, typed)
 					}
 				}
@@ -128,9 +128,9 @@ func overTable[T any](t *testing.T, sr Semiring[T], a, b, mask *matrix.CSR, lift
 
 // TestEverySemiringMatchesReference is the table: the seven stock semirings
 // (and the four fast-path ones once more with their functions wrapped, through the
-// wide layout) on integer-valued inputs, where every fold is exact; then the
+// generic layout) on integer-valued inputs, where every fold is exact; then the
 // float64 ones on inputs of mixed magnitude, where the result shows the order
-// of the fold — defined since the wide layout sorts stably: ascending k, at
+// of the fold — defined since every layout sorts stably: ascending k, at
 // every thread count and budget, pooled or not.
 func TestEverySemiringMatchesReference(t *testing.T) {
 	a, b, mask := intCSR(gen.ER(160, 6, 41)), intCSR(gen.ER(160, 6, 42)), gen.ER(160, 40, 43)
@@ -163,4 +163,45 @@ func TestEverySemiringMatchesReference(t *testing.T) {
 	overTable(t, MinPlus(), a, b, mask, id, sameBits, ws)
 	overTable(t, MaxTimes(), a, b, mask, id, sameBits, ws)
 	overTable(t, PlusMax(), a, b, mask, id, sameBits, ws)
+}
+
+// TestPastBinCapRunsGroups: A (2^22 + 1 rows × 64) times B (64 × 2^22), 400
+// entries each, needs 4 097 bins for a 32-bit key, one past core's cap, so
+// MinPlus and a semiring whose ⊕ neither commutes nor associates run the
+// generic layout in at least two bin groups — at one and two threads,
+// unbudgeted and under a 1 KiB budget — and equal referenceOver bit for bit.
+func TestPastBinCapRunsGroups(t *testing.T) {
+	const rows, inner, cols = 1<<22 + 1, 64, 1 << 22
+	r := gen.NewRNG(41)
+	ao := &matrix.COO{NumRows: rows, NumCols: inner}
+	bo := &matrix.COO{NumRows: inner, NumCols: cols}
+	for range 400 {
+		ao.Row, ao.Col = append(ao.Row, r.Intn(rows)), append(ao.Col, r.Intn(inner))
+		ao.Val = append(ao.Val, float64(1+r.Intn(3)))
+		bo.Row, bo.Col = append(bo.Row, r.Intn(inner)), append(bo.Col, r.Intn(cols))
+		bo.Val = append(bo.Val, float64(1+r.Intn(3)))
+	}
+	id := func(v float64) float64 { return v }
+	ar, br := FromCSR(ao.ToCSR(), id), FromCSR(bo.ToCSR(), id)
+	ac := ar.ToCSC()
+	custom := Semiring[float64]{Name: "custom", Plus: func(x, y float64) float64 { return 0.75*x + y },
+		Times: func(x, y float64) float64 { return x - 0.5*y }}
+	for _, sr := range []Semiring[float64]{MinPlus(), custom} {
+		want := referenceOver(sr, ar, br, nil, false)
+		for _, budget := range []int64{0, 1 << 10} {
+			for _, threads := range []int{1, 2} {
+				what := fmt.Sprintf("%s budget=%d threads=%d", sr.Name, budget, threads)
+				var p Plan
+				got, err := MultiplyOpts(sr, ac, br, Options{Threads: threads, MemoryBudgetBytes: budget, Plan: &p})
+				if err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+				if p.FastPath || p.Stats == nil || p.Stats.Layout != core.LayoutGeneric ||
+					p.Stats.NBins != 4097 || p.Stats.NGroups < 2 {
+					t.Fatalf("%s: plan %+v with stats %+v, want the generic layout in 4097 bins, ≥ 2 groups", what, p, p.Stats)
+				}
+				sameAsReference(t, what, got, want, sameBits)
+			}
+		}
+	}
 }

@@ -6,8 +6,8 @@
 // expand-sort-compress with propagation blocking, and there is one of it:
 // internal/core's. This package builds and sorts no tuple of its own — it
 // picks the tuple layout a product runs on (a typed one for the stock
-// arithmetic and Boolean operations; the wide layout with the semiring's own
-// Times in expand and Plus in the fold for everything else, multiply.go) — or
+// arithmetic and Boolean operations; the generic layout with the semiring's
+// own Times in expand and Plus in the fold for everything else, multiply.go) — or
 // hands the product, with A put back in rows, to the one kernel that is not a
 // tuple pipeline: internal/baseline's row kernel, which every plain mask runs
 // and Options.Rows may pick for any other product. Every decision a call

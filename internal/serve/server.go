@@ -313,7 +313,8 @@ func (sp *productSpec) key() string {
 
 // engineOptions are the per-call overrides shared by planning and every
 // execution path; with the mask among them Engine.Plan prices a plain mask=
-// request as the mask-shaped row kernel it runs, not as an expansion.
+// request as the mask-shaped row kernel it runs, not as an expansion, and
+// with the algorithm a pinned one as that kernel, not as Auto's pick.
 func (sp *productSpec) engineOptions() []pbspgemm.Option {
 	mask := pbspgemm.WithMask(sp.mask) // nil: unmasked
 	if sp.req.Complement {
@@ -322,6 +323,7 @@ func (sp *productSpec) engineOptions() []pbspgemm.Option {
 	return []pbspgemm.Option{
 		pbspgemm.WithThreads(sp.req.Threads),
 		pbspgemm.WithMemoryBudget(sp.req.MemoryBudgetBytes),
+		pbspgemm.WithAlgorithm(sp.algorithm),
 		mask,
 	}
 }
@@ -617,7 +619,7 @@ func (s *Server) runProduct(ctx context.Context, sp *productSpec) (*Product, err
 		}
 		return productOf(res.C, "PB-SpGEMM(sharded "+res.Grid.String()+")", res.Flops, res.Elapsed), nil
 	case sp.semiring == "arithmetic" && (sp.mask == nil || sp.req.Complement):
-		res, err := s.eng.Multiply(ctx, sp.a, sp.b, append(opts, pbspgemm.WithAlgorithm(sp.algorithm), pbspgemm.WithPlan(sp.plan))...)
+		res, err := s.eng.Multiply(ctx, sp.a, sp.b, append(opts, pbspgemm.WithPlan(sp.plan))...)
 		if err != nil {
 			return nil, err
 		}
@@ -658,7 +660,7 @@ func (s *Server) runProduct(ctx context.Context, sp *productSpec) (*Product, err
 // overOptions are an unmasked semiring request's options: the per-call
 // overrides, its algorithm, and a plan that says which kernel ran.
 func (sp *productSpec) overOptions(p *pbspgemm.SemiringPlan) []pbspgemm.Option {
-	return append(sp.engineOptions(), pbspgemm.WithAlgorithm(sp.algorithm), pbspgemm.WithSemiringPlan(p))
+	return append(sp.engineOptions(), pbspgemm.WithSemiringPlan(p))
 }
 
 // overName names the kernel a semiring product ran, with its algebra.
@@ -708,9 +710,9 @@ func boolCSR(g *pbspgemm.Matrix[bool]) *pbspgemm.CSR {
 
 // --- plan (dry run) ---
 
-// planResponse is the POST /plan reply: the Auto planner's decision and the
-// admission verdict the same request would receive right now, without
-// running anything.
+// planResponse is the POST /plan reply: the planner's decision (Auto's pick,
+// or the kernel the request pins) and the admission verdict the same request
+// would receive right now, without running anything.
 type planResponse struct {
 	Chosen                  string  `json:"chosen"`
 	Flops                   int64   `json:"flops"`

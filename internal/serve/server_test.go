@@ -376,6 +376,36 @@ func TestServerShedsOverCeiling(t *testing.T) {
 	}
 }
 
+// TestPlanPricesPinnedAlgorithm: /plan prices the kernel a request pins. On
+// ER 1024·d128 (cf ≈ 16) Auto picks SPA, whose footprint is about the output;
+// "algorithm":"pb" must be priced as PB's expansion, 12 bytes a flop, or
+// admission lets it in against a footprint a tenth of what it allocates.
+func TestPlanPricesPinnedAlgorithm(t *testing.T) {
+	s := newTestServer(t, nil)
+	a, b := pbspgemm.NewER(1024, 128, 5), pbspgemm.NewER(1024, 128, 6)
+	ida, idb := uploadText(t, s, a), uploadText(t, s, b)
+	plan := func(algorithm string) planResponse {
+		t.Helper()
+		rec := do(s, httptest.NewRequest("POST", "/plan",
+			strings.NewReader(fmt.Sprintf(`{"a":%q,"b":%q,"algorithm":%q}`, ida, idb, algorithm))))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("plan %s: %d %s", algorithm, rec.Code, rec.Body)
+		}
+		var pr planResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &pr); err != nil {
+			t.Fatal(err)
+		}
+		return pr
+	}
+	auto, pb := plan("auto"), plan("pb")
+	if auto.Chosen != pbspgemm.SPA.String() {
+		t.Fatalf("auto chose %s, want SPA on this cf ≈ 16 product", auto.Chosen)
+	}
+	if pb.Chosen != pbspgemm.PB.String() || pb.PredictedFootprintBytes < pb.Flops*12 {
+		t.Fatalf("pb planned %s with %d bytes, want PB with at least %d", pb.Chosen, pb.PredictedFootprintBytes, pb.Flops*12)
+	}
+}
+
 // TestServerAdmitsMaskedUnderExpansionCeiling: admission prices a plain mask=
 // request as the mask-shaped row kernel it runs, so a ceiling that sheds the
 // unmasked product — and would have shed the masked one on flops × tupleBytes

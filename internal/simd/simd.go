@@ -2,10 +2,10 @@
 // expand (key-compute + scatter into a local bin), written over raw pointers
 // so bounds checks amortize and the compiler sees straight-line ILP, and the
 // cache-control primitives every layout's flush uses. (The sort/fold kernels
-// are plain safe Go in internal/radix: an unsafe unroll bought the key32 ones
-// under 10 %, and the wide layout's expand multiplies through a semiring's
-// function value, which leaves nothing to batch.) The package is the single
-// dispatch point for hardware-specific code:
+// are plain safe Go in internal/radix: an unsafe unroll bought them under
+// 10 %. The generic layout's expand forms its keys with ExpandK and its
+// values through a semiring's ⊗, which leaves nothing to batch.) The package
+// is the single dispatch point for hardware-specific code:
 //
 //   - Default build (no tags): unsafe-batched pure Go; GOAMD64=v3 lets the
 //     compiler pick BMI/AVX forms of the shift/mask arithmetic.

@@ -34,7 +34,7 @@ func keyWidthPair() (a, b *CSR) {
 // one, so a one-bin request is raised to two. Every entry point runs its key32
 // layout at two bins either way: the float64 product equals Reference, the
 // pattern product has its structure, the narrow product its exact integer
-// sums, and the Auto planner assumes the squeezed layout.
+// sums, and so does an Auto call, whichever kernel it picks.
 func TestKeyWidthBoundary32And33(t *testing.T) {
 	a, b := keyWidthPair()
 	want := Reference(a, b)
@@ -84,18 +84,18 @@ func TestKeyWidthBoundary32And33(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%d bits: Auto: %v", tc.keyBits, err)
 		}
-		if !EqualWithin(res.C, want, 0) || res.Plan.OuterLayout != LayoutSqueezed {
-			t.Fatalf("%d bits: Auto (%v) equal to Reference: %v; planned layout %v, want squeezed",
-				tc.keyBits, res.Algorithm, EqualWithin(res.C, want, 0), res.Plan.OuterLayout)
+		if !EqualWithin(res.C, want, 0) || res.Algorithm == PB && res.PB.Layout != LayoutSqueezed {
+			t.Fatalf("%d bits: Auto (%v) equal to Reference: %v, stats %+v",
+				tc.keyBits, res.Algorithm, EqualWithin(res.C, want, 0), res.PB)
 		}
 	}
 }
 
-// TestPastBinCapPlansWide: a product whose 32-bit key would need 4 097 bins —
+// TestPastBinCapRunsGroups: a product whose 32-bit key needs 4 097 bins —
 // 2^22 + 1 rows against 2^22 columns, bins of at most 2^10 rows — is past
-// core's bin cap, so the planner sizes its footprint at the wide layout's
-// 16 B a tuple and PB runs that layout; one row fewer plans squeezed.
-func TestPastBinCapPlansWide(t *testing.T) {
+// core's bin cap, so PB runs the squeezed layout in two bin groups, and one
+// row fewer in one; the planner prices both at 12 B a tuple.
+func TestPastBinCapRunsGroups(t *testing.T) {
 	r := gen.NewRNG(41)
 	product := func(rows int32) (a, b *CSR) {
 		ao := &matrix.COO{NumRows: rows, NumCols: 64}
@@ -113,25 +113,26 @@ func TestPastBinCapPlansWide(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		rows   int32
-		layout TupleLayout
-	}{{1 << 22, LayoutSqueezed}, {1<<22 + 1, LayoutWide}} {
+		rows         int32
+		bins, groups int
+	}{{1 << 22, 4096, 1}, {1<<22 + 1, 4097, 2}} {
 		a, b := product(tc.rows)
 		want := Reference(a, b)
-		plan, err := eng.Plan(context.Background(), a, b)
+		plan, err := eng.Plan(context.Background(), a, b, WithAlgorithm(PB))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if plan.OuterLayout != tc.layout {
-			t.Fatalf("%d rows: planned %v, want %v", tc.rows, plan.OuterLayout, tc.layout)
+		if out := (int64(tc.rows)+1)*8 + plan.EstNNZC*12; plan.Chosen != PB || plan.PredictedFootprintBytes != plan.Flops*12+out {
+			t.Fatalf("%d rows: planned %v with %d bytes, want PB with %d", tc.rows, plan.Chosen,
+				plan.PredictedFootprintBytes, plan.Flops*12+out)
 		}
 		res, err := eng.Multiply(context.Background(), a, b, WithAlgorithm(PB))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.PB.Layout != tc.layout || !EqualWithin(res.C, want, 0) {
-			t.Fatalf("%d rows: PB ran %v (want %v), equal to Reference: %v",
-				tc.rows, res.PB.Layout, tc.layout, EqualWithin(res.C, want, 0))
+		if st := res.PB; st.Layout != LayoutSqueezed || st.NBins != tc.bins || st.NGroups != tc.groups || !EqualWithin(res.C, want, 0) {
+			t.Fatalf("%d rows: PB ran %v in %d bins, %d groups (want squeezed in %d, %d), equal to Reference: %v",
+				tc.rows, st.Layout, st.NBins, st.NGroups, tc.bins, tc.groups, EqualWithin(res.C, want, 0))
 		}
 	}
 }

@@ -6,10 +6,10 @@ import (
 )
 
 // intValued rewrites a matrix's values to small integers so every summation
-// order is exact in float64: the masked path (generic semiring engine, wide
-// uint64 keys) and the float64 core path (squeezed keys, fused pipeline)
-// fold duplicates in different orders, and integer values let the two be
-// held to exact equality.
+// order is exact in float64: the masked path (the row kernel) and the
+// float64 core path (squeezed keys, fused pipeline) fold duplicates in
+// different orders, and integer values let the two be held to exact
+// equality.
 func intValued(m *CSR) *CSR {
 	out := m.Clone()
 	for i := range out.Val {

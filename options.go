@@ -45,6 +45,7 @@ var errNilMask = fmt.Errorf("%w: MultiplyMasked requires a non-nil mask", ErrInv
 type config struct {
 	ctx        context.Context
 	algorithm  Algorithm
+	pinned     bool // WithAlgorithm named algorithm: Engine.Plan prices it, not Auto's pick
 	threads    int
 	nbins      int
 	localBin   int
@@ -104,7 +105,7 @@ func WithAlgorithm(a Algorithm) Option {
 		if a < PB || a > Auto {
 			return &OptionError{Option: "WithAlgorithm", Value: int64(a)}
 		}
-		c.algorithm = a
+		c.algorithm, c.pinned = a, true
 		return nil
 	}
 }
@@ -122,8 +123,8 @@ func WithThreads(n int) Option {
 
 // WithNBins overrides the global bin count of the float64 PB kernel;
 // 0 auto-sizes from flop and the L2 budget (Algorithm 3). Either way the
-// kernel raises it until the packed key fits 32 bits, to at most 4 096 bins
-// (a shape that needs more runs 16-byte tuples in the auto bins). Semiring
+// kernel raises it until the packed key fits 32 bits, past 4 096 bins in
+// groups of at most that many. Semiring
 // and plain-masked multiplications always auto-size their bins and ignore
 // this option (like WithLocalBinBytes and WithL2CacheBytes).
 func WithNBins(n int) Option {
@@ -195,9 +196,9 @@ func WithMask(m *CSR) Option {
 // WithSemiringPlan asks MultiplyOver / EngineMultiplyOver to report how the
 // call executed into *p: whether a typed fast path ran (Boolean → 4-byte
 // pattern layout, float32/int32 arithmetic → 8-byte narrow, float64
-// arithmetic → the 12-byte squeezed pipeline; the 16-byte wide one on shapes
-// core.MultiplyLayout names) or what ran instead and why (the
-// wide layout through the semiring's own ⊗ and ⊕, or the row kernel), with
+// arithmetic → the 12-byte squeezed pipeline) or what ran instead and why
+// (the generic layout through the semiring's own ⊗ and ⊕, or the row
+// kernel), with
 // the pipeline's per-phase statistics in p.Stats. Pass nil to clear an earlier
 // option.
 func WithSemiringPlan(p *SemiringPlan) Option {

@@ -39,7 +39,7 @@ func ownedOf[T comparable](m *Matrix[T], mark T, f func(T) float64) owned {
 
 // TestEngineProductsAreCallerOwned: every product an engine
 // returns is the caller's — Engine.Multiply's, one from each typed fast path of
-// EngineMultiplyOver (float64, float32, int32, Boolean pattern), the wide
+// EngineMultiplyOver (float64, float32, int32, Boolean pattern), the generic
 // layout's (a caller-assembled semiring) and MultiplyOver's, a fresh engine's —
 // though the pool hands its output arrays over instead of copying them. A goroutine overwrites each product
 // while the same engine runs every route again: under -race any write or read
@@ -78,7 +78,7 @@ func TestEngineProductsAreCallerOwned(t *testing.T) {
 		{"float32", overRoute(e, Arithmetic32(), MatrixOf(a, f32), MatrixOf(b, f32), true, -1, func(v float32) float64 { return float64(v) })},
 		{"int32", overRoute(e, ArithmeticInt32(), MatrixOf(a, i32), MatrixOf(b, i32), true, -1, func(v int32) float64 { return float64(v) })},
 		{"Boolean", overRoute(e, Boolean(), MatrixOf(a, one), MatrixOf(b, one), true, false, func(bool) float64 { return 1 })},
-		{"wide", overRoute(e, custom, MatrixOf(a, id), MatrixOf(b, id), false, -1, id)},
+		{"generic", overRoute(e, custom, MatrixOf(a, id), MatrixOf(b, id), false, -1, id)},
 		{"MultiplyOver", func() (owned, error) {
 			c, err := MultiplyOver(Arithmetic(), MatrixOf(a, id).ToCSC(), MatrixOf(b, id), WithAlgorithm(PB), WithThreads(2))
 			if err != nil {
@@ -120,7 +120,7 @@ func TestEngineProductsAreCallerOwned(t *testing.T) {
 }
 
 // overRoute is a route through EngineMultiplyOver over sr, on a typed fast
-// path when fast is set and on the wide layout when not.
+// path when fast is set and on the generic layout when not.
 func overRoute[T comparable](e *Engine, sr Semiring[T], a, b *Matrix[T], fast bool, mark T, f func(T) float64) func() (owned, error) {
 	ac := a.ToCSC()
 	return func() (owned, error) {

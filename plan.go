@@ -18,8 +18,12 @@ import (
 // cost model (internal/roofline/cost.go) predicts for each of the two kernels
 // Auto chooses between, PB-SpGEMM and the one-pass SPA. It is reported on
 // Result.Plan so callers can audit — or log and refit — the planner's reasoning.
+// Engine.Plan makes one for any algorithm: a pinned one is not chosen, only
+// priced.
 type Plan struct {
-	// Chosen is the kernel the planner selected and ran: PB or SPA.
+	// Chosen is the kernel the call runs: under Auto the one the planner
+	// selected, PB or SPA; from Engine.Plan under a WithAlgorithm pin, the
+	// pinned kernel.
 	Chosen Algorithm
 	// Flops is the symbolic multiplication count of the product.
 	Flops int64
@@ -34,13 +38,6 @@ type Plan struct {
 	// put the crossover between the families at cf ≈ 4; this tree's fitted
 	// model does not decide on cf at all (see roofline.SPACostNS).
 	CF float64
-	// OuterLayout is the tuple layout PB runs on float64: LayoutSqueezed
-	// (12 B a tuple, OuterLayout.TupleBytes()) when the bin geometry packs
-	// the keys into 32 bits within its bin cap, LayoutWide (16 B) on shapes
-	// past it (core.MultiplyLayout). It sizes the footprint. The typed entry
-	// points (Boolean/float32/int32 semirings) run LayoutPattern (4 B) and
-	// LayoutNarrow (8 B), or LayoutWide on the same shapes.
-	OuterLayout TupleLayout
 	// PredictedOuterGFLOPS, PredictedColumnGFLOPS are Flops over the time the
 	// cost model predicts for PB and for SPA, on the machine its constants
 	// were fitted on — the numbers the decision compares (the larger wins,
@@ -49,7 +46,7 @@ type Plan struct {
 	// PredictedFootprintBytes estimates the call's peak transient allocation
 	// before any of it happens — the signal an admission controller needs to
 	// shed or queue load ahead of OOM. The model: the chosen family's working
-	// set (PB expands Flops tuples at OuterLayout.TupleBytes() each, capped
+	// set (PB expands Flops tuples of the squeezed layout, 12 bytes each, capped
 	// by WithMemoryBudget: a budgeted run cuts its bins into groups whose
 	// tuples fit, and holds besides them only the output and arrays the size
 	// of A; column kernels accumulate roughly the output once more)
@@ -66,23 +63,28 @@ type Plan struct {
 // multiplication itself.
 const plannerSampleFlops = 256 << 10
 
-// planFor runs the Auto planner: symbolic flop pass, nnz(C) estimate, then
-// model, for a product whose row-kernel accumulator takes valueBytes per value
-// (8 for float64, 0 for a Boolean pattern). a and b may be index-only headers.
+// planFor runs the planner: symbolic flop pass, nnz(C) estimate, then model
+// with the kernel pinned to pin (Auto: the cheaper of PB and SPA), for a
+// product whose row-kernel accumulator takes valueBytes per value (8 for
+// float64, 0 for a Boolean pattern). a and b may be index-only headers.
 // scratch pools the estimator's marker (the caller passes the checked-out
 // workspace's slot, keeping steady-state planned calls allocation-free).
-func planFor(cfg *config, a, b *CSR, scratch *[]int32, valueBytes int64) *Plan {
+func planFor(cfg *config, a, b *CSR, scratch *[]int32, valueBytes int64, pin Algorithm) *Plan {
 	p := &Plan{NNZA: int64(len(a.ColIdx)), NNZB: int64(len(b.ColIdx)), Flops: matrix.FlopsCSR(a, b)}
 	p.EstNNZC, p.Sampled = matrix.EstimateProductNNZ(a, b, p.Flops, plannerSampleFlops, scratch)
-	p.model(cfg, a.NumRows, b.NumCols, false, valueBytes)
+	p.model(cfg, a.NumRows, b.NumCols, pin, valueBytes)
 	return p
 }
 
 // model fills in what the planner derives from p's counts (Flops, EstNNZC,
-// NNZA, NNZB) for a rows×cols product: tuple layout, predicted time per
-// kernel, the faster one as Chosen (PB when pinned) and the footprint.
-func (p *Plan) model(cfg *config, rows, cols int32, pinPB bool, valueBytes int64) {
-	p.Chosen, p.OuterLayout = PB, core.MultiplyLayout(rows, cols)
+// NNZA, NNZB) for a rows×cols product: predicted time per kernel, the kernel
+// as Chosen — pin, or under Auto the faster of PB and SPA — and its
+// footprint.
+func (p *Plan) model(cfg *config, rows, cols int32, pin Algorithm, valueBytes int64) {
+	p.Chosen = pin
+	if pin == Auto {
+		p.Chosen = PB
+	}
 	if p.Flops == 0 {
 		// Empty product: nothing to move, any kernel finishes immediately.
 		p.PredictedFootprintBytes = p.footprint(int64(rows), cfg.budget)
@@ -95,7 +97,7 @@ func (p *Plan) model(cfg *config, rows, cols int32, pinPB bool, valueBytes int64
 	p.PredictedOuterGFLOPS = float64(p.Flops) / pbNS
 	p.PredictedColumnGFLOPS = float64(p.Flops) / spaNS
 	// A memory budget is met by bin groups, which only PB has.
-	if spaNS < pbNS && cfg.budget == 0 && !pinPB {
+	if spaNS < pbNS && cfg.budget == 0 && pin == Auto {
 		p.Chosen = SPA
 	}
 	p.PredictedFootprintBytes = p.footprint(int64(rows), cfg.budget)
@@ -108,7 +110,7 @@ func (p *Plan) footprint(rows, budget int64) int64 {
 	out := (rows+1)*8 + p.EstNNZC*12
 	var work int64
 	if p.Chosen == PB {
-		work = p.Flops * p.OuterLayout.TupleBytes()
+		work = p.Flops * core.SqueezedTupleBytes
 		if budget > 0 && budget < work {
 			work = budget
 		}
@@ -235,7 +237,7 @@ func (e *Engine) PlanBlocksFrom(root *Plan, a, b *CSR, g Grid, opts ...Option) (
 					share := float64(root.EstNNZC) * float64(p.Flops) / float64(root.Flops)
 					p.EstNNZC = min(int64(math.Ceil(share)), p.Flops, int64(ba.NumRows)*int64(bb.NumCols))
 				}
-				p.model(&cfg, ba.NumRows, bb.NumCols, true, 8)
+				p.model(&cfg, ba.NumRows, bb.NumCols, PB, 8)
 				gp.MaxFootprintBytes = max(gp.MaxFootprintBytes, p.PredictedFootprintBytes)
 				gp.Blocks = append(gp.Blocks, BlockPlan{I: i, J: j, K: k, A: ba, B: bb, Plan: p})
 			}
@@ -275,11 +277,13 @@ func cutGrid(colBands []*CSR, off []int32) [][]*CSR {
 	return out
 }
 
-// Plan runs the Auto planner's pre-execution analysis — symbolic flop pass,
+// Plan runs the planner's pre-execution analysis — symbolic flop pass,
 // nnz(C) estimate, per-kernel cost prediction, footprint model — without
 // multiplying. Serving layers use it for admission control: the returned
 // Plan's PredictedFootprintBytes says what a subsequent Multiply would cost
-// in transient memory, and Chosen which kernel Auto would run. The call does
+// in transient memory, and Chosen which kernel it would run: the one a
+// WithAlgorithm option names (per call, or as the engine's default), priced
+// as that kernel, and Auto's pick when no option names one. The call does
 // not touch the engine's metrics (nothing was dispatched); ctx is observed
 // before the symbolic pass, like Auto's own pre-planning check.
 func (e *Engine) Plan(ctx context.Context, a, b *CSR, opts ...Option) (*Plan, error) {
@@ -301,8 +305,12 @@ func (e *Engine) Plan(ctx context.Context, a, b *CSR, opts ...Option) (*Plan, er
 	if cfg.rowMasked() {
 		return maskedRowsPlan(&cfg, a, b), nil
 	}
+	pin := Auto
+	if cfg.pinned {
+		pin = cfg.algorithm
+	}
 	ws := e.pool.Get().(*workspace)
-	p := planFor(&cfg, a, b, &ws.PlanScratch, 8)
+	p := planFor(&cfg, a, b, &ws.PlanScratch, 8, pin)
 	e.pool.Put(ws)
 	return p, nil
 }

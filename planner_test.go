@@ -156,11 +156,11 @@ func TestAutoPlanFields(t *testing.T) {
 	if p.PredictedOuterGFLOPS <= 0 || p.PredictedColumnGFLOPS <= 0 {
 		t.Fatalf("plan model outputs not populated: %+v", p)
 	}
-	// This fixture's geometry squeezes (small square ER), so the planner
-	// must have modeled the outer family at 12 bytes per tuple — and the
-	// executed PB run must report the same layout on its stats.
-	if p.OuterLayout != LayoutSqueezed || p.OuterLayout.TupleBytes() != 12 {
-		t.Fatalf("plan layout %v (%d B), want squeezed/12", p.OuterLayout, p.OuterLayout.TupleBytes())
+	// PB runs the squeezed layout, so the planner prices its tuples at 12
+	// bytes — and the executed PB run must report that layout on its stats.
+	if out := (int64(a.NumRows)+1)*8 + p.EstNNZC*12; p.Chosen != PB || p.PredictedFootprintBytes != p.Flops*12+out {
+		t.Fatalf("plan chose %v with a %d-byte footprint, want PB at 12 B a tuple (%d)",
+			p.Chosen, p.PredictedFootprintBytes, p.Flops*12+out)
 	}
 	if res.PB == nil || res.PB.Layout != LayoutSqueezed || res.PB.TupleBytes != 12 {
 		t.Fatalf("executed PB stats do not report the squeezed layout: %+v", res.PB)
@@ -169,6 +169,45 @@ func TestAutoPlanFields(t *testing.T) {
 	// the fuse phase on its stats.
 	if res.PB.Fuse <= 0 || res.PB.FusedBytes <= 0 {
 		t.Fatalf("executed PB stats do not report the fused phase: %+v", res.PB)
+	}
+}
+
+// TestPlanHonorsWithAlgorithm: Engine.Plan prices the kernel a WithAlgorithm
+// option names. On ER 1024·d128 (cf ≈ 16) Auto picks SPA, whose footprint is
+// about the output; pinned to PB the plan is PB's, whose expansion is 12
+// bytes a flop, and pinned to SPA it is SPA's. With no option naming one it
+// is Auto's pick.
+func TestPlanHonorsWithAlgorithm(t *testing.T) {
+	eng := plannerEngine(t)
+	a, b := NewER(1024, 128, 5), NewER(1024, 128, 6)
+	ctx := context.Background()
+	auto, err := eng.Plan(ctx, a, b, WithAlgorithm(Auto))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if unnamed, err := eng.Plan(ctx, a, b); err != nil || *unnamed != *auto {
+		t.Fatalf("a plan naming no algorithm is %+v (%v), want Auto's %+v", unnamed, err, auto)
+	}
+	pb, err := eng.Plan(ctx, a, b, WithAlgorithm(PB))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spa, err := eng.Plan(ctx, a, b, WithAlgorithm(SPA))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if auto.Chosen != SPA || spa.Chosen != SPA || spa.PredictedFootprintBytes != auto.PredictedFootprintBytes {
+		t.Fatalf("Auto planned %v (%d B), SPA %v (%d B); want SPA for both, alike",
+			auto.Chosen, auto.PredictedFootprintBytes, spa.Chosen, spa.PredictedFootprintBytes)
+	}
+	if pb.Chosen != PB || pb.PredictedFootprintBytes < pb.Flops*12 {
+		t.Fatalf("PB planned %v with a %d-byte footprint, want PB with at least %d", pb.Chosen,
+			pb.PredictedFootprintBytes, pb.Flops*12)
+	}
+	// An engine whose default is PB plans PB without a per-call option.
+	def := plannerEngine(t, WithAlgorithm(PB))
+	if p, err := def.Plan(ctx, a, b); err != nil || p.Chosen != PB || p.PredictedFootprintBytes != pb.PredictedFootprintBytes {
+		t.Fatalf("PB-default engine planned %+v (%v), want the pinned PB plan", p, err)
 	}
 }
 

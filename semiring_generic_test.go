@@ -12,7 +12,7 @@ import (
 	"pbspgemm/internal/par"
 )
 
-// A custom semiring runs internal/core's pipeline on the wide layout, so it
+// A custom semiring runs internal/core's pipeline on the generic layout, so it
 // inherits the pipeline's containment and cancellation, pinned here from the
 // public surface.
 

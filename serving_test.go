@@ -11,7 +11,7 @@ import (
 
 // TestEngineConcurrentMixedLayoutLoad drives one shared Engine the way the
 // serving layer does: many goroutines issuing products over different value
-// types and tuple layouts at once — float64 arithmetic (12/16-byte tuples),
+// types and tuple layouts at once — float64 arithmetic (12-byte tuples),
 // boolean structure (4-byte pattern), float32 (8-byte narrow), min-plus
 // generic, and masked products — while some requests are canceled mid-flight.
 // Every completed product must match its single-threaded reference, every
@@ -37,7 +37,7 @@ func TestEngineConcurrentMixedLayoutLoad(t *testing.T) {
 
 	// One workload per layout family; index selects which one a goroutine runs.
 	workloads := []func(ctx context.Context) error{
-		func(ctx context.Context) error { // wide/squeezed float64 tuples
+		func(ctx context.Context) error { // squeezed float64 tuples
 			c, err := eng.Multiply(ctx, a, b)
 			if err != nil {
 				return err

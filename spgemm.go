@@ -130,18 +130,18 @@ func Algorithms() []Algorithm { return []Algorithm{PB, Heap, Hash, HashVec} }
 type PhaseStats = core.Stats
 
 // TupleLayout identifies the expanded-tuple representation of a PB-SpGEMM
-// run (PhaseStats.Layout). A float64 product runs the Section III-D squeezed
-// 12-byte layout (uint32 key + float64 value in parallel arrays): bins keep
-// local row ids small enough that localRowBits + colBits ≤ 32, and the engine
-// adds bins where it must, up to 4 096. The 16-byte wide layout (the paper's
-// COO tuples) serves semirings without a typed kernel and the shapes that
-// would need more bins (rows·cols past about 2^44). Plan.OuterLayout reports
-// which one a product runs.
+// run (PhaseStats.Layout). Every run packs the Section III-D squeezed 32-bit
+// key (a uint32 key plane beside the layout's value plane): bins keep local
+// row ids small enough that localRowBits + colBits ≤ 32, and the engine adds
+// bins where it must — in groups of at most 4 096 bins past that many. A
+// float64 product runs the 12-byte squeezed layout; semirings without a
+// typed kernel run the generic one.
 type TupleLayout = core.Layout
 
 const (
-	// LayoutWide is the 16-byte key+value tuple layout.
-	LayoutWide = core.LayoutWide
+	// LayoutGeneric is the 32-bit key beside a semiring's own value type,
+	// 4 + sizeof(T) bytes a tuple, multiplied and folded through its ⊗ and ⊕.
+	LayoutGeneric = core.LayoutGeneric
 	// LayoutSqueezed is the 12-byte u32-key parallel-array layout.
 	LayoutSqueezed = core.LayoutSqueezed
 	// LayoutNarrow is the 8-byte u32-key + 32-bit-value layout of the typed
