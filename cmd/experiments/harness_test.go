@@ -291,11 +291,11 @@ func TestBenchCasesCarryDRAMRegimes(t *testing.T) {
 	}
 }
 
-// TestBenchCasesCarryHypersparse: er-hypersparse is a product whose
-// flop-rule geometry packs keys past 32 bits, and which Multiply still runs
-// squeezed, in more bins; single-threaded and pooled like the other
+// TestBenchCasesCarryHypersparseWide: er-hypersparse is a product whose
+// flop-rule geometry packs keys wider than 32 bits, and which Multiply still
+// runs squeezed, in more bins; single-threaded and pooled like the other
 // phase-stat regimes.
-func TestBenchCasesCarryHypersparse(t *testing.T) {
+func TestBenchCasesCarryHypersparseWide(t *testing.T) {
 	byName := map[string]benchCase{}
 	for _, c := range benchCases() {
 		byName[c.name] = c

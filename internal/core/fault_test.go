@@ -72,7 +72,7 @@ func TestCancellationLatencyMidPhase(t *testing.T) {
 		run  func(opt Options) error
 	}
 	layouts := []layoutCase{
-		{"generic", func(opt Options) error {
+		{"wide", func(opt Options) error {
 			_, _, err := multiplyGeneric(acsc, b, opt)
 			return err
 		}},
@@ -159,9 +159,9 @@ func TestWorkspaceReuseAfterCancel(t *testing.T) {
 		mul    multiplyFunc
 		budget int64
 	}{
-		{"generic", multiplyGeneric, 0},
+		{"wide", multiplyGeneric, 0},
 		{"squeezed", Multiply, 0},
-		{"generic-budgeted", multiplyGeneric, 1 << 20},
+		{"wide-budgeted", multiplyGeneric, 1 << 20},
 		{"squeezed-budgeted", Multiply, 1 << 20},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

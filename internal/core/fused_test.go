@@ -75,7 +75,7 @@ func TestFusedMatchesUnfusedBitIdentical(t *testing.T) {
 		for _, budget := range []int64{0, 64 << 10} {
 			for _, l := range float64Layouts {
 				for _, threads := range []int{1, 2, 8} {
-					name := fmt.Sprintf("%s/%v/budget=%d/threads=%d", in.name, l.layout, budget, threads)
+					name := fmt.Sprintf("%s/%s/budget=%d/threads=%d", in.name, l.name, budget, threads)
 					t.Run(name, func(t *testing.T) {
 						opt := Options{Threads: threads, MemoryBudgetBytes: budget}
 						got, st, err := l.mul(acsc, in.b, opt)
@@ -169,8 +169,8 @@ func TestFusedSteadyStateAllocs(t *testing.T) {
 	}{
 		{"fused-squeezed", LayoutSqueezed, Multiply, 0},
 		{"fused-squeezed-budgeted", LayoutSqueezed, Multiply, 32 << 10},
-		{"fused-generic", LayoutGeneric, multiplyGeneric, 0},
-		{"fused-generic-budgeted", LayoutGeneric, multiplyGeneric, 32 << 10},
+		{"fused-wide", LayoutGeneric, multiplyGeneric, 0},
+		{"fused-wide-budgeted", LayoutGeneric, multiplyGeneric, 32 << 10},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ws := NewWorkspace()

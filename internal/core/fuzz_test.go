@@ -37,12 +37,13 @@ func fuzzMatrices(data []byte) (*matrix.CSC, *matrix.CSR, bool) {
 	return cooA.ToCSR().ToCSC(), cooB.ToCSR(), true
 }
 
-// FuzzSqueezedVsReference drives random shapes through both float64 tuple
-// layouts — Multiply, and MultiplyGeneric over (+, ×) — and holds each to
+// FuzzSqueezedVsWide drives random shapes through both float64 tuple layouts
+// — Multiply, and MultiplyGeneric over (+, ×), the second float64 layout
+// since it replaced the wide one (whence the name) — and holds each to
 // matrix.ReferenceMultiply. Values are small integers (see fuzzMatrices), so
 // every summation is exact. Budgeted, multi-thread and pooled variants ride
 // along.
-func FuzzSqueezedVsReference(f *testing.F) {
+func FuzzSqueezedVsWide(f *testing.F) {
 	f.Add([]byte{4, 4, 4, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3, 4})
 	f.Add([]byte{24, 24, 24, 9, 9, 9, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
 	f.Add([]byte{16, 1, 16, 255, 255, 255, 0, 0, 0, 128, 64, 32, 7, 6, 5})

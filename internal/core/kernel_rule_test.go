@@ -105,20 +105,21 @@ func key32Runners(a *matrix.CSC, b *matrix.CSR) []layoutRunner {
 
 // foldRunners is every layout a fold can run on: the key32 ones plus the
 // generic layout through MultiplyGeneric — over float64 (+, ×), and over a
-// value that is not 8 bytes.
+// value that is not 8 bytes — under the ids "wide" and "wide-f32" (see
+// float64Layouts).
 func foldRunners(a *matrix.CSC, b *matrix.CSR) []layoutRunner {
 	av, bv := narrowPlanes[float32](a, b)
 	alg := Algebra[float32]{
 		Times: elementwise(func(x, y float32) float32 { return x * y }),
 		Plus:  func(x, y float32) float32 { return x + y },
 	}
-	return append(key32Runners(a, b), layoutRunner{"generic", func(opt Options) (product, error) {
+	return append(key32Runners(a, b), layoutRunner{"wide", func(opt Options) (product, error) {
 		c, _, err := multiplyGeneric(a, b, opt)
 		if err != nil {
 			return product{}, err
 		}
 		return product{cloneStructure(c), valueBits(c.Val)}, nil
-	}}, layoutRunner{"generic-f32", func(opt Options) (product, error) {
+	}}, layoutRunner{"wide-f32", func(opt Options) (product, error) {
 		c, vals, st, err := MultiplyGeneric(a, av, b, bv, alg, opt)
 		if err != nil {
 			return product{}, err

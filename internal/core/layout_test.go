@@ -67,10 +67,16 @@ func multiplyGeneric(a *matrix.CSC, b *matrix.CSR, opt Options) (*matrix.CSR, *S
 type multiplyFunc func(*matrix.CSC, *matrix.CSR, Options) (*matrix.CSR, *Stats, error)
 
 // float64Layouts are the two float64 products, by the layout each runs.
+//
+// Test ids name the generic layout's float64 (+, ×) cases "wide", here and in
+// the other case tables: they are the cases the wide layout (16-byte pairs on
+// 64-bit keys, since removed) ran before the generic layout replaced it, and
+// they keep their ids.
 var float64Layouts = []struct {
+	name   string
 	layout Layout
 	mul    multiplyFunc
-}{{LayoutSqueezed, Multiply}, {LayoutGeneric, multiplyGeneric}}
+}{{"squeezed", LayoutSqueezed, Multiply}, {"wide", LayoutGeneric, multiplyGeneric}}
 
 // expandSnapshot drives the engine through planning and expand only, on the
 // float64 product of the given layout (squeezed or generic), returning a copy
@@ -179,11 +185,11 @@ func TestMultiplyBitIdenticalAcrossThreads(t *testing.T) {
 	}
 }
 
-// TestSqueezedVsGenericEquivalent: the typed float64 layout and the generic
-// one over (+, ×) — the batched kernel and + against function values —
-// produce the same canonical CSR bit for bit, real values included: both fold
-// equal keys in ascending k.
-func TestSqueezedVsGenericEquivalent(t *testing.T) {
+// TestSqueezedVsWideEquivalent: the typed float64 layout and the generic one
+// over (+, ×) — the batched kernel and + against function values — produce
+// the same canonical CSR bit for bit, real values included: both fold equal
+// keys in ascending k.
+func TestSqueezedVsWideEquivalent(t *testing.T) {
 	for _, in := range []struct {
 		name string
 		a, b *matrix.CSR
@@ -445,44 +451,51 @@ func TestBinGeometryTwoPassTrim(t *testing.T) {
 		nbins     int
 		rowShift  uint
 		keyPasses int
+		wide      bool // plan 16-byte tuples: the generic layout over a 12-byte value
 	}{
 		// er_lowcf (ER 2^16·d8): the flop rule's 64 bins of 10+16 = 26 bits.
-		{"er_lowcf", 1 << 16, 1 << 22, 16, Options{}, 1024, 6, 2},
+		{"er_lowcf", 1 << 16, 1 << 22, 16, Options{}, 1024, 6, 2, false},
 		// A shard_grid row band: 2 bins of 10+15 bits under the flop rule.
-		{"shard-band", 2048, 131072, 15, Options{}, 16, 7, 2},
+		{"shard-band", 2048, 131072, 15, Options{}, 16, 7, 2, false},
 		// ER 2^13·d8, the bench's er-lowcf regimes: 8 bins of 10+13 bits.
-		{"er-2^13", 1 << 13, 1 << 19, 13, Options{}, 16, 9, 2},
+		{"er-2^13", 1 << 13, 1 << 19, 13, Options{}, 16, 9, 2, false},
 		// 23 column bits leave no row bit for a 22-bit key, and the flop
-		// rule's 10 + 23 bits lose one row bit to the 32-bit key.
-		{"colbits-23", 1 << 16, 1 << 22, 23, Options{}, 128, 9, 3},
+		// rule's 10 + 23 bits lose one row bit to the 32-bit key — on 12-byte
+		// tuples and on 16-byte ones, whose flop rule gives 64 bins of 10+23.
+		{"colbits-23", 1 << 16, 1 << 22, 23, Options{}, 128, 9, 3, false},
+		{"colbits-23-wide", 1 << 16, 1 << 22, 23, Options{}, 128, 9, 3, true},
 		// Already two passes: ER 2^12·d8 (10+12) and R-MAT 2^13·16 (5+13),
 		// whose dense bins the dense cut then shortens to 3+13
 		// (TestBinGeometryDenseCut).
-		{"er-2^12", 1 << 12, 1 << 18, 12, Options{}, 4, 10, 2},
-		{"rmat-2^13", 1 << 13, 19 << 20, 13, Options{}, 1024, 3, 2},
+		{"er-2^12", 1 << 12, 1 << 18, 12, Options{}, 4, 10, 2, false},
+		{"rmat-2^13", 1 << 13, 19 << 20, 13, Options{}, 1024, 3, 2, false},
 		// The cap: 1 024 bins need L2CacheBytes/LocalBinBytes ≥ 1 024.
-		{"local-bin-cap", 1 << 16, 1 << 22, 16, Options{LocalBinBytes: 2048}, 64, 10, 3},
-		{"l2-cap", 1 << 16, 1 << 22, 16, Options{L2CacheBytes: 512 << 10}, 128, 9, 3},
-		{"l2-2MiB", 1 << 16, 1 << 22, 16, Options{L2CacheBytes: 2 << 20}, 1024, 6, 2},
-		{"explicit-nbins", 1 << 16, 1 << 22, 16, Options{NBins: 64}, 64, 10, 3},
+		{"local-bin-cap", 1 << 16, 1 << 22, 16, Options{LocalBinBytes: 2048}, 64, 10, 3, false},
+		{"l2-cap", 1 << 16, 1 << 22, 16, Options{L2CacheBytes: 512 << 10}, 128, 9, 3, false},
+		{"l2-2MiB", 1 << 16, 1 << 22, 16, Options{L2CacheBytes: 2 << 20}, 1024, 6, 2, false},
+		{"explicit-nbins", 1 << 16, 1 << 22, 16, Options{NBins: 64}, 64, 10, 3, false},
 		// An explicit NBins too small for a 32-bit key is raised to fit it.
-		{"explicit-nbins-raised", 1 << 13, 1 << 10, 20, Options{NBins: 1}, 2, 12, 4},
+		{"explicit-nbins-raised", 1 << 13, 1 << 10, 20, Options{NBins: 1}, 2, 12, 4, false},
 		// Past the auto cap: a few hundred tuples over 2^22 rows and 22-bit
 		// columns need 4 096 bins of 2^10 rows, and one row more 4 097 — run
 		// in two groups (planGroups).
-		{"past-cap", 1 << 22, 300, 22, Options{}, 4096, 10, 4},
-		{"past-max-bins", 1<<22 + 1, 300, 22, Options{}, 4097, 10, 4},
+		{"past-cap", 1 << 22, 300, 22, Options{}, 4096, 10, 4, false},
+		{"past-max-bins", 1<<22 + 1, 300, 22, Options{}, 4097, 10, 4, false},
 		// A budget past L2 leaves er_lowcf's geometry alone; one under it
 		// feeds the flop rule (128 bins of 9+16 bits), which the trim still
 		// cuts to 22 bits, under the cap of L2CacheBytes, not the budget.
-		{"budget-32MiB", 1 << 16, 1 << 22, 16, Options{MemoryBudgetBytes: 32 << 20}, 1024, 6, 2},
-		{"budget-16MiB", 1 << 16, 1 << 22, 16, Options{MemoryBudgetBytes: 16 << 20}, 1024, 6, 2},
-		{"budget-512KiB", 1 << 16, 1 << 22, 16, Options{MemoryBudgetBytes: 512 << 10}, 1024, 6, 2},
+		{"budget-32MiB", 1 << 16, 1 << 22, 16, Options{MemoryBudgetBytes: 32 << 20}, 1024, 6, 2, false},
+		{"budget-16MiB", 1 << 16, 1 << 22, 16, Options{MemoryBudgetBytes: 16 << 20}, 1024, 6, 2, false},
+		{"budget-512KiB", 1 << 16, 1 << 22, 16, Options{MemoryBudgetBytes: 512 << 10}, 1024, 6, 2, false},
 		// A hypersparse product: one bin of 5 000 tuples on 12+12 bits stays.
-		{"hypersparse", 1 << 12, 5000, 12, Options{}, 1, 12, 3},
+		{"hypersparse", 1 << 12, 5000, 12, Options{}, 1, 12, 3, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			g := planBinGeometry(tc.rows, tc.flops, tc.colBits, SqueezedTupleBytes, tc.opt.withDefaults())
+			tb := int64(SqueezedTupleBytes)
+			if tc.wide {
+				tb = 16
+			}
+			g := planBinGeometry(tc.rows, tc.flops, tc.colBits, tb, tc.opt.withDefaults())
 			if g.nbins != tc.nbins || g.rowShift != tc.rowShift {
 				t.Fatalf("got %d bins, rowShift %d; want %d, %d", g.nbins, g.rowShift, tc.nbins, tc.rowShift)
 			}
@@ -502,8 +515,9 @@ func TestBinGeometryTwoPassTrim(t *testing.T) {
 // rows, 19 Mflop, 13 column bits) gets 1 024 bins of 3+13 bits on its
 // squeezed layout, where the flop rule gave 256 of 5+13 (a 2 MiB
 // accumulator); the pattern layout, whose accumulator is the bitmap, keeps
-// 256, and so does a generic layout of 1-byte values; er_lowcf's sparse bins and
-// an explicit NBins keep theirs.
+// 256, and so does a generic layout of 1-byte values, while one of 12-byte
+// values (16-byte tuples) cuts to 1 024 too; er_lowcf's sparse bins and an
+// explicit NBins keep theirs.
 func TestBinGeometryDenseCut(t *testing.T) {
 	const rows, flops, colBits = 1 << 13, 19 << 20, 13
 	for _, tc := range []struct {
@@ -520,6 +534,7 @@ func TestBinGeometryDenseCut(t *testing.T) {
 		{"rmat_skew-narrow", rows, flops, colBits, NarrowTupleBytes, Options{}, 512, 4},
 		{"rmat_skew-pattern", rows, flops, colBits, PatternTupleBytes, Options{}, 256, 5},
 		{"rmat_skew-generic-bool", rows, flops, colBits, 5, Options{}, 256, 5},
+		{"rmat_skew-wide", rows, flops, colBits, 16, Options{}, 1024, 3},
 		{"rmat_skew-l2-2MiB", rows, flops, colBits, SqueezedTupleBytes, Options{L2CacheBytes: 2 << 20}, 512, 4},
 		{"er_lowcf", 1 << 16, 1 << 22, 16, SqueezedTupleBytes, Options{}, 1024, 6},
 		{"explicit-nbins", rows, flops, colBits, SqueezedTupleBytes, Options{NBins: 256}, 256, 5},
@@ -643,8 +658,8 @@ func TestLayoutSteadyStateAllocs(t *testing.T) {
 	}{
 		{"squeezed", LayoutSqueezed, Multiply, 0},
 		{"squeezed-budgeted", LayoutSqueezed, Multiply, 32 << 10},
-		{"generic", LayoutGeneric, multiplyGeneric, 0},
-		{"generic-budgeted", LayoutGeneric, multiplyGeneric, 32 << 10},
+		{"wide", LayoutGeneric, multiplyGeneric, 0},
+		{"wide-budgeted", LayoutGeneric, multiplyGeneric, 32 << 10},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ws := NewWorkspace()
@@ -665,7 +680,7 @@ func TestLayoutSteadyStateAllocs(t *testing.T) {
 		})
 	}
 	// The same layout behind its own entry point, over (min, +).
-	t.Run("generic-minplus-budgeted", func(t *testing.T) {
+	t.Run("wide-minplus-budgeted", func(t *testing.T) {
 		ws := NewWorkspace()
 		opt := Options{Threads: 1, Workspace: ws, MemoryBudgetBytes: 32 << 10}
 		alg := Algebra[float64]{

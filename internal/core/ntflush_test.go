@@ -50,8 +50,8 @@ func layoutCases(t *testing.T) []layoutCase {
 		}
 	}
 	return []layoutCase{
-		{"generic/ER", generic(acsc, b)},
-		{"generic/RMAT", generic(askewcsc, bskew)},
+		{"wide/ER", generic(acsc, b)},
+		{"wide/RMAT", generic(askewcsc, bskew)},
 		{"squeezed/ER", squeezed(acsc, b)},
 		{"squeezed/RMAT", squeezed(askewcsc, bskew)},
 		{"pattern/ER", func(t *testing.T, opt Options) *matrix.CSR {

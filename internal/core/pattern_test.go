@@ -56,11 +56,12 @@ func intValued(m *matrix.CSR) *matrix.CSR {
 	return m
 }
 
-// TestPatternMatchesReferenceStructure is the pattern layout's row of the
+// TestPatternMatchesWideStructure is the pattern layout's row of the
 // equivalence matrix: across Threads∈{1,2,8} × budgeted/unbudgeted ×
 // pooled/fresh, MultiplyPattern produces exactly the sparsity structure of
-// matrix.ReferenceMultiply, with no value plane allocated.
-func TestPatternMatchesReferenceStructure(t *testing.T) {
+// matrix.ReferenceMultiply (the wide layout's, before that layout went), with
+// no value plane allocated.
+func TestPatternMatchesWideStructure(t *testing.T) {
 	inputs := []struct {
 		name string
 		a, b *matrix.CSR
@@ -100,11 +101,12 @@ func TestPatternMatchesReferenceStructure(t *testing.T) {
 	}
 }
 
-// TestNarrowMatchesReferenceValues is the narrow (8 B) layout's equivalence
-// row: with integer-valued inputs (exact in every width), float32 and int32
-// products are bit-identical to matrix.ReferenceMultiply's float64 sums
-// across Threads∈{1,2,8} × budgeted/unbudgeted.
-func TestNarrowMatchesReferenceValues(t *testing.T) {
+// TestNarrowMatchesWideValues is the narrow (8 B) layout's equivalence row:
+// with integer-valued inputs (exact in every width), float32 and int32
+// products are bit-identical to the float64 sums of matrix.ReferenceMultiply
+// (the wide layout's, before that layout went) across Threads∈{1,2,8} ×
+// budgeted/unbudgeted.
+func TestNarrowMatchesWideValues(t *testing.T) {
 	a := intValued(gen.ER(1024, 8, 25))
 	b := intValued(gen.ER(1024, 8, 26))
 	acsc := a.ToCSC()
@@ -288,11 +290,12 @@ func FuzzPatternVsFloat64(f *testing.F) {
 	})
 }
 
-// FuzzNarrowVsExactSums pins the narrow layout, float32 and int32, against
-// the exact sums of matrix.ReferenceMultiply: fuzzMatrices emits small
-// integer values, so every fold order and every width is exact and equality
-// is bit-level.
-func FuzzNarrowVsExactSums(f *testing.F) {
+// FuzzNarrowVsWide pins the narrow layout, float32 and int32, against the
+// exact sums of matrix.ReferenceMultiply, which stand where the wide float64
+// layout's sums did before that layout went: fuzzMatrices emits small integer
+// values, so every fold order and every width is exact and equality is
+// bit-level.
+func FuzzNarrowVsWide(f *testing.F) {
 	f.Add([]byte{4, 4, 4, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3, 4})
 	f.Add([]byte{24, 24, 24, 9, 9, 9, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
 	f.Add([]byte{16, 1, 16, 255, 255, 255, 0, 0, 0, 128, 64, 32, 7, 6, 5})

@@ -207,9 +207,9 @@ func TestKernelsMatchOracle(t *testing.T) {
 			}
 		}
 	})
-	// The kernels through a caller's ⊕, over an 8-byte value and over one
-	// that is not.
-	t.Run("by-float64", func(t *testing.T) {
+	// The kernels through a caller's ⊕ on (key, value) pairs, over an 8-byte
+	// value and over one that is not: 20 bytes, 24 a pair with its key.
+	t.Run("pairs-float64", func(t *testing.T) {
 		nz := math.Copysign(0, -1)
 		testBy(t, func(r *rand.Rand, key uint32) float64 {
 			if key%3 == 0 {
@@ -219,11 +219,12 @@ func TestKernelsMatchOracle(t *testing.T) {
 		}, func(a, b float64) float64 { return a + b },
 			func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) })
 	})
-	t.Run("by-12-byte-element", func(t *testing.T) {
-		testBy(t, func(r *rand.Rand, _ uint32) [3]float32 {
-			return [3]float32{r.Float32(), float32(r.NormFloat64()), 1}
-		}, func(a, b [3]float32) [3]float32 { return [3]float32{a[0] + b[0], max(a[1], b[1]), a[2] + b[2]} },
-			func(a, b [3]float32) bool { return a == b })
+	t.Run("pairs-24-byte-element", func(t *testing.T) {
+		testBy(t, func(r *rand.Rand, _ uint32) [5]float32 {
+			return [5]float32{r.Float32(), float32(r.NormFloat64()), 1, -r.Float32(), float32(r.Intn(8))}
+		}, func(a, b [5]float32) [5]float32 {
+			return [5]float32{a[0] + b[0], max(a[1], b[1]), a[2] + b[2], min(a[3], b[3]), a[4]*0.5 + b[4]}
+		}, func(a, b [5]float32) bool { return a == b })
 	})
 }
 
