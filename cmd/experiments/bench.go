@@ -582,7 +582,7 @@ func runBenchCase(cfg *config, c benchCase) (benchRegime, error) {
 			_, st, err := core.MultiplyPattern(acsc, b, opt)
 			return st, err
 		case "f32":
-			_, _, st, err := core.MultiplyNarrow(acsc, af32, b, bf32, opt)
+			_, _, st, err := core.MultiplyGeneric(acsc, af32, b, bf32, core.Algebra[float32]{}, opt)
 			return st, err
 		default:
 			_, st, err := core.Multiply(acsc, b, opt)

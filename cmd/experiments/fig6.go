@@ -46,7 +46,7 @@ func runFig6a(cfg *config) {
 			var err error
 			switch lay {
 			case core.LayoutNarrow:
-				_, _, st, err = core.MultiplyNarrow(a, af32, b, bf32, opt)
+				_, _, st, err = core.MultiplyGeneric(a, af32, b, bf32, core.Algebra[float32]{}, opt)
 			case core.LayoutPattern:
 				_, st, err = core.MultiplyPattern(a, b, opt)
 			default:

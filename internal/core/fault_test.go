@@ -81,7 +81,7 @@ func TestCancellationLatencyMidPhase(t *testing.T) {
 			return err
 		}},
 		{"narrow", func(opt Options) error {
-			_, _, _, err := MultiplyNarrow(acsc, aval32, b, bval32, opt)
+			_, _, _, err := multiplyNarrow(acsc, aval32, b, bval32, opt)
 			return err
 		}},
 		{"pattern", func(opt Options) error {

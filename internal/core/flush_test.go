@@ -126,9 +126,9 @@ func TestLocalBinsSizedForCapacity(t *testing.T) {
 			t.Fatal(err)
 		}
 		capT := int(LocalBinTuples(lbb, st.TupleBytes))
-		if want := 3 * st.NBins * capT; len(ws.localKeys) != want || len(ws.kvF64.localVals) != want {
+		if want := 3 * st.NBins * capT; len(ws.localKeys) != want || len(ws.f64.localVals) != want {
 			t.Fatalf("LocalBinBytes=%d: local planes hold %d keys / %d values, want %d",
-				lbb, len(ws.localKeys), len(ws.kvF64.localVals), want)
+				lbb, len(ws.localKeys), len(ws.f64.localVals), want)
 		}
 	}
 }
@@ -153,9 +153,9 @@ func TestTuplePlanesLineAligned(t *testing.T) {
 		t.Fatal(err)
 	}
 	aligned("squeezed key", unsafe.Pointer(&ws.tupleKeys[0]))
-	aligned("squeezed value", unsafe.Pointer(&ws.kvF64.tupleVals[0]))
-	if _, _, err := multiplyGeneric(acsc, a, Options{Workspace: ws}); err != nil {
+	aligned("squeezed value", unsafe.Pointer(&ws.f64.tupleVals[0]))
+	if _, _, _, err := multiplyNarrow(acsc, make([]float32, len(acsc.Val)), a, make([]float32, len(a.Val)), Options{Workspace: ws}); err != nil {
 		t.Fatal(err)
 	}
-	aligned("generic value", unsafe.Pointer(&genericOf[float64](ws).tupleVals[0]))
+	aligned("narrow value", unsafe.Pointer(&valuesOf[float32](ws).tupleVals[0]))
 }

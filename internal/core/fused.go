@@ -20,8 +20,9 @@ import (
 //     each output written once, no sort. An auto geometry's dense bins are
 //     cut until the accumulator, its bitmap and the bin fit L2
 //     (planBinGeometry).
-//   - Every other bin runs radix.SortFold, a fixed-pass LSD radix over
-//     key|index words that gathers each value once in the sweep that folds.
+//   - Every other bin runs radix.SortFoldBy, a fixed-pass LSD radix over
+//     key|index words that gathers each value once in the sweep that folds
+//     (through a typed add for (+, ×)).
 //
 // The generic layout (any value type and ⊕) takes the same rule to the same
 // two kernels with the caller's ⊕ in place of +: radix.FoldDenseBy and
@@ -90,7 +91,7 @@ func (e *engine) keyBits() uint { return e.rowShift + e.colBits }
 // tuple. The accumulator is touched only at the tuples' own slots, so the
 // bitmap walk is the one per-slot cost, for every value width: on a bin of
 // rmat_skew's 16-bit keys FoldDense took 4.7 / 6.7 / 14.0 / 18.3 ns a tuple
-// against SortFold's 9.0 / 9.9 / 19.4 / 15.5 at 1 / 4 / 8 / 16 words a tuple
+// against the typed sort's 9.0 / 9.9 / 19.4 / 15.5 at 1 / 4 / 8 / 16 words a tuple
 // (FoldDensePattern against SortFoldPattern alike). Cold: at most
 // denseSlotsPerTuple slots a tuple and an accumulator of at most
 // denseCacheFactor budgets, from the fuse of rmat_skew's product at the flop

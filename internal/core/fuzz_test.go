@@ -37,10 +37,10 @@ func fuzzMatrices(data []byte) (*matrix.CSC, *matrix.CSR, bool) {
 	return cooA.ToCSR().ToCSC(), cooB.ToCSR(), true
 }
 
-// FuzzSqueezedVsWide drives random shapes through both float64 tuple layouts
-// — Multiply, and MultiplyGeneric over (+, ×), the second float64 layout
-// since it replaced the wide one (whence the name) — and holds each to
-// matrix.ReferenceMultiply. Values are small integers (see fuzzMatrices), so
+// FuzzSqueezedVsWide drives random shapes through both bindings of the
+// float64 value layout — Multiply's typed (+, ×), and MultiplyGeneric over
+// (+, ×) as function values, which runs what the wide layout did (whence the
+// name) — and holds each to matrix.ReferenceMultiply. Values are small integers (see fuzzMatrices), so
 // every summation is exact. Budgeted, multi-thread and pooled variants ride
 // along.
 func FuzzSqueezedVsWide(f *testing.F) {

@@ -9,6 +9,7 @@ import (
 
 	"pbspgemm/internal/gen"
 	"pbspgemm/internal/matrix"
+	"pbspgemm/internal/radix"
 )
 
 // forceKernel pins the per-bin rule for one test: every fused bin folds
@@ -37,7 +38,7 @@ func cloneStructure(c *matrix.CSR) *matrix.CSR {
 		RowPtr: append([]int64(nil), c.RowPtr...), ColIdx: append([]int32(nil), c.ColIdx...)}
 }
 
-func valueBits[V Value](vals []V) []uint64 {
+func valueBits[V radix.Numeric](vals []V) []uint64 {
 	out := make([]uint64, len(vals))
 	for i, v := range vals {
 		switch f := float64(v); {
@@ -68,10 +69,10 @@ type layoutRunner struct {
 	run  func(opt Options) (product, error)
 }
 
-func narrowRunner[V Value32](name string, a *matrix.CSC, b *matrix.CSR) layoutRunner {
+func narrowRunner[V narrowValue](name string, a *matrix.CSC, b *matrix.CSR) layoutRunner {
 	av, bv := narrowPlanes[V](a, b)
 	return layoutRunner{name, func(opt Options) (product, error) {
-		c, vals, _, err := MultiplyNarrow(a, av, b, bv, opt)
+		c, vals, _, err := multiplyNarrow(a, av, b, bv, opt)
 		if err != nil {
 			return product{}, err
 		}
@@ -150,17 +151,10 @@ func scratchAtRest(ws *Workspace) bool {
 			return false
 		}
 	}
-	switch l := ws.generic.(type) {
-	case *generic[float64]:
-		if !allPlusZero(l.accVals[:cap(l.accVals)]) {
-			return false
-		}
-	case *generic[float32]:
-		if !allPlusZero(l.accVals[:cap(l.accVals)]) {
-			return false
-		}
+	if l, ok := ws.vals.(*values[float32]); ok && !allPlusZero(l.accVals[:cap(l.accVals)]) {
+		return false
 	}
-	return allPlusZero(ws.kvF64.accVals[:cap(ws.kvF64.accVals)])
+	return allPlusZero(ws.f64.accVals[:cap(ws.f64.accVals)])
 }
 
 func allPlusZero[V float32 | float64](vals []V) bool {
@@ -280,7 +274,7 @@ func TestDenseScratchSurvivesCancel(t *testing.T) {
 
 // TestSpecialValuesThroughTheFold pins −0.0, NaN and ±Inf through both
 // kernels on the squeezed, narrow and generic layouts (the generic one over
-// float64 and over float32: generic[V] has no value type of its own), unbudgeted and
+// float64 and over float32: its function binding takes any value type), unbudgeted and
 // under groupBudgets: every run is bit-identical to the unbudgeted
 // single-thread one under the per-bin rule, and that one agrees with
 // matrix.ReferenceMultiply — bit for bit (the finite values are small

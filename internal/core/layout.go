@@ -11,46 +11,39 @@ import (
 	"pbspgemm/internal/simd"
 )
 
-// This file is the value-width-generic layout layer. The paper's traffic
-// argument — SpGEMM is bandwidth-bound, so bytes-per-tuple is the lever —
-// does not stop at the 12-byte squeezed layout: a Boolean/structural product
-// never reads its values (4-byte key-only tuples), and float32/int32
-// workloads need only half the value plane (8-byte key32+val32 tuples). Each
-// tuple layout is a layoutOps implementation; the engine holds exactly one
-// per run (e.lay) and every phase dispatches element accesses through it
-// while all control flow — bin geometry, bin groups, the fuse phase's
-// schedule — stays layout-independent, which is what makes the four layouts
-// bit-identical in structure. Every one packs its keys into 32 bits, in a
-// key plane the Workspace shares between them.
+// This file is the layout layer. The paper's traffic argument — SpGEMM is
+// bandwidth-bound, so bytes-per-tuple is the lever — does not stop at the
+// 12-byte squeezed layout: a Boolean/structural product never reads its
+// values (4-byte key-only tuples), and float32/int32 workloads need only half
+// the value plane (8-byte tuples). Every layout packs its keys into 32 bits,
+// in a key plane the Workspace shares, and layouts differ only in the value
+// plane beside it. Each is a layoutOps implementation; the engine holds
+// exactly one per run (e.lay) and every phase dispatches element accesses
+// through it while all control flow — bin geometry, bin groups, the fuse
+// phase's schedule — stays layout-independent, which is what makes the
+// layouts bit-identical in structure.
 //
-// The three implementations:
+// The two implementations:
 //
-//   - kv[V]: the typed split layouts — kv[float64] is the 12-byte squeezed
-//     layout, kv[float32]/kv[int32] the 8-byte narrow one — which multiply
-//     with internal/simd's batched kernel and fold with +.
-//   - generic[V]: the key plane beside a plane of any V, 4 + sizeof(V) bytes
-//     a tuple, multiplied and folded through the caller's ⊗ and ⊕:
-//     MultiplyGeneric runs a semiring's that has no typed entry. It and kv
-//     share their value planes' code (planes[V]); each keeps its own expand
-//     walk and fold, as a typed loop behind a call per chunk or per tuple
-//     costs the typed layouts 3–4 % of expand or more.
+//   - values[V]: the key plane beside a plane of any V, 4 + sizeof(V) bytes
+//     a tuple, with one expand walk and one bin fold. Its ⊗ and its two bin
+//     folds are bound once per call (binding): a zero Algebra over float64,
+//     float32 or int32 is (+, ×) on the typed kernels — simd.ExpandKV,
+//     radix.FoldDense, and radix.SortFoldBy with a typed add — and runs as
+//     the squeezed (12-byte) or narrow (8-byte) layout; any other Algebra
+//     forms keys with simd.ExpandK beside its Times and folds through its
+//     Plus (radix.FoldDenseBy, radix.SortFoldBy) as the generic layout. A
+//     typed chunk is one call to the bound ExpandKV instance, whose loop
+//     inlines into it, and a bin is one call to a fold: binding per call
+//     adds no call to the tuple loops.
 //   - patternOps: bare []uint32 keys, 4 bytes per tuple; the fold is
-//     deduplication and the result CSR carries no Val array.
+//     deduplication and the result CSR carries no Val array. Its walk stays
+//     its own, as simd.ExpandK inlines into it.
 //
 // patternOps is zero-size: storing it in the e.lay interface allocates
-// nothing (the runtime's zerobase). kv and generic values are reached by
-// pointer (&ws.kvF64, or the pooled *kv[V] / *generic[V] in ws.kvNarrow /
-// ws.generic), so rebinding e.lay per call is allocation-free too.
-
-// Value is the set of element types a value-carrying tuple layout can move:
-// the float64 of the 12-byte squeezed layout plus the 4-byte types of the
-// 8-byte narrow layout. It matches radix.Numeric, the fused fold's
-// constraint.
-type Value interface{ ~float32 | ~float64 | ~int32 }
-
-// Value32 is the 4-byte subset of Value — the value plane of the 8-byte
-// narrow layout (MultiplyNarrow).
-type Value32 interface{ ~float32 | ~int32 }
+// nothing (the runtime's zerobase). A values is reached by pointer (&ws.f64,
+// or the pooled *values[V] in ws.vals), so rebinding e.lay per call is
+// allocation-free too.
 
 // layoutOps is the per-layout half of the pipeline: every method is one
 // phase's element accesses over one layout's storage, called with the engine
@@ -80,12 +73,11 @@ type layoutOps interface {
 	// the result CSR at dstOff.
 	unpackBin(e *engine, c *matrix.CSR, srcOff, dstOff, n int64)
 	// growOut sizes the result's value storage to nnzc (resultPlane): the
-	// layout's out plane (growResult makes it c.Val for Multiply's float64
-	// layouts), nothing for pattern.
+	// layout's out plane, nothing for pattern.
 	growOut(e *engine, c *matrix.CSR, nnzc int64)
 }
 
-// growVals is the grow-only sizing helper of the generic planes, the
+// growVals is the grow-only sizing helper of the value planes, the
 // counterpart of matrix.Grow: existing contents survive a reslice and
 // a reallocation starts zeroed, so a plane that is all-zero between uses (the
 // dense fold's accumulator) stays so.
@@ -95,18 +87,6 @@ func growVals[V any](buf *[]V, n int64) []V {
 	}
 	*buf = (*buf)[:n]
 	return *buf
-}
-
-// kvOf returns the workspace's pooled narrow layout state for value type V,
-// creating it on first use. The slot holds one V at a time: alternating
-// value types across calls on one workspace reallocates, a stable one reuses.
-func kvOf[V Value32](ws *Workspace) *kv[V] {
-	if l, ok := ws.kvNarrow.(*kv[V]); ok {
-		return l
-	}
-	l := &kv[V]{}
-	ws.kvNarrow = l
-	return l
 }
 
 // binRows is the slice of e.tally a bin's fold tallies into, indexed by
@@ -128,8 +108,8 @@ func MultiplyPattern(a *matrix.CSC, b *matrix.CSR, opt Options) (*matrix.CSR, *S
 	return e.runContained()
 }
 
-// checkPlanes rejects out-of-band value planes (MultiplyNarrow, MultiplyGeneric)
-// shorter than the index arrays they run parallel to.
+// checkPlanes rejects value planes shorter than the index arrays they run
+// parallel to.
 func checkPlanes(a *matrix.CSC, na int, b *matrix.CSR, nb int) error {
 	if na < len(a.RowIdx) || nb < len(b.ColIdx) {
 		return fmt.Errorf("core: value planes shorter than their index arrays (%d < %d or %d < %d): %w",
@@ -138,80 +118,198 @@ func checkPlanes(a *matrix.CSC, na int, b *matrix.CSR, nb int) error {
 	return nil
 }
 
-// MultiplyNarrow computes C = A*B over 4-byte values (float32 or int32) with
-// the 8-byte key32+val32 tuple layout. The inputs are the structural CSC/CSR
-// (whose float64 Val arrays are never read and may be nil) plus parallel
-// value planes indexed like a.RowIdx and b.ColIdx; the result is the
-// structural CSR (nil Val) plus its value plane, aliasing workspace memory
-// when opt.Workspace is set.
-func MultiplyNarrow[V Value32](a *matrix.CSC, aVal []V, b *matrix.CSR, bVal []V, opt Options) (*matrix.CSR, []V, *Stats, error) {
-	opt = opt.withDefaults()
-	if err := checkPlanes(a, len(aVal), b, len(bVal)); err != nil {
-		return nil, nil, nil, err
-	}
-	e, err := newEngine(a, b, opt, LayoutNarrow)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	l := kvOf[V](e.ws)
-	l.aVal, l.bVal = aVal, bVal
-	e.lay = l
-	c, st, err := e.runContained()
-	vals := l.out
-	l.aVal, l.bVal, l.out = nil, nil, nil
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return c, vals, st, nil
+// Algebra is what a value-layout run multiplies over. Times forms the values
+// of one chunk of expanded tuples, dst[j] = a ⊗ b[j] (len(b) ≥ len(dst); the
+// keys are already in place): one indirect call per chunk — per tuple it
+// costs expand as much again as the walk itself. Plus folds the values of
+// equal keys, left to right in arrival order (a stable sort keeps that
+// order, so the fold is defined even where Plus does not commute or
+// associate exactly). Both run on worker goroutines; a panic in either is
+// contained like any worker panic.
+//
+// The zero Algebra is (+, ×) over float64, float32 or int32, run on the
+// typed kernels; it has no meaning over any other value type.
+type Algebra[V any] struct {
+	Times func(dst []V, a V, b []V)
+	Plus  func(a, b V) V
 }
 
-// ---------------------------------------------------------------------------
-// planes[V]: the value-plane half of the kv and generic layouts.
+// binding is what a value layout multiplies and folds with, set once per call
+// by MultiplyGeneric: a typed (+, ×) binding below for a zero Algebra, else
+// the caller's Algebra with no typed kernels.
+type binding[V any] struct {
+	Algebra[V]
+	// layout is what the run reports: squeezed or narrow for a typed binding,
+	// generic for a function one.
+	layout Layout
+	// The typed kernels, nil in a function binding: expandKV forms a chunk's
+	// keys and values in one pass where ExpandK and Times take two, and
+	// foldDense folds a dense bin with + where FoldDenseBy calls Plus. A
+	// sorted bin folds through Plus in either binding (radix.SortFoldBy): a
+	// typed Plus is an add, and the sort's passes, not the fold, are its cost.
+	expandKV  func(dk []uint32, dv []V, localRow uint32, cols []int32, bv []V, a V)
+	foldDense func(keys []uint32, vals, acc []V, occ []uint64, rows []int64, colBits uint) int
+}
 
-// planes holds one value type's planes of a layout with values. Keys are
-// shared across all key32 layouts and live in the Workspace; these are only
-// the V-typed halves, pooled grow-only.
-type planes[V any] struct {
+// The typed (+, ×) bindings. They are concrete instances, so binding one
+// copies static function values and allocates nothing.
+var (
+	plusTimesF64 = binding[float64]{Algebra: Algebra[float64]{Plus: add[float64]}, layout: LayoutSqueezed,
+		expandKV: simd.ExpandKV[float64], foldDense: radix.FoldDense[float64]}
+	plusTimesF32 = binding[float32]{Algebra: Algebra[float32]{Plus: add[float32]}, layout: LayoutNarrow,
+		expandKV: simd.ExpandKV[float32], foldDense: radix.FoldDense[float32]}
+	plusTimesI32 = binding[int32]{Algebra: Algebra[int32]{Plus: add[int32]}, layout: LayoutNarrow,
+		expandKV: simd.ExpandKV[int32], foldDense: radix.FoldDense[int32]}
+)
+
+// add is the typed bindings' ⊕.
+func add[V radix.Numeric](a, b V) V { return a + b }
+
+// bindingOf is alg's binding over V: the typed (+, ×) one for a zero Algebra,
+// a function binding for any other.
+func bindingOf[V any](alg Algebra[V]) (binding[V], error) {
+	if alg.Times != nil || alg.Plus != nil {
+		return binding[V]{Algebra: alg, layout: LayoutGeneric}, nil
+	}
+	for _, typed := range [...]any{&plusTimesF64, &plusTimesF32, &plusTimesI32} {
+		if b, ok := typed.(*binding[V]); ok {
+			return *b, nil
+		}
+	}
+	return binding[V]{}, fmt.Errorf("core: the zero Algebra is (+, ×) over float64, float32 or int32, not %T", *new(V))
+}
+
+// values is the value layout's planes of one V, pooled grow-only beside the
+// Workspace's shared key planes, and the call's binding.
+type values[V any] struct {
 	tupleVals   []V
 	localVals   []V
 	outVal      []V
 	scratchVals []V
 	accVals     []V // dense-fold accumulators, all-zero between bins
 
-	// Per-call bindings: the input value planes (parallel to a.RowIdx /
-	// b.ColIdx) and the result's value destination. Cleared after each run so
-	// a pooled workspace doesn't pin caller memory.
-	aVal, bVal []V
-	out        []V
+	// Per-call: the input value planes (parallel to a.RowIdx / b.ColIdx), the
+	// result's value destination and the binding, none of which a pooled
+	// workspace may pin: unbind clears the inputs and the binding, and
+	// MultiplyGeneric the destination once it has read it.
+	aVal, bVal, out []V
+	binding[V]
+
+	// flat: V holds no pointers, so the non-temporal flush — a raw byte copy,
+	// no GC write barriers, bytewise at its unaligned ends — may move its values.
+	flat bool
 }
+
+// valuePool is what the Workspace asks of its pooled *values[V], whatever V
+// is.
+type valuePool interface {
+	// unbind drops the per-call references a pooled workspace must not pin.
+	// The result plane stays: the entry point reads it after the run.
+	unbind()
+	tupleCapBytes() int64
+	detachOut()
+}
+
+func (l *values[V]) unbind() { l.aVal, l.bVal, l.binding = nil, nil, binding[V]{} }
 
 // tupleCapBytes reports the value plane's pooled capacity; Workspace
 // .TupleCapBytes adds it to the shared key arena's.
-func (l *planes[V]) tupleCapBytes() int64 {
+func (l *values[V]) tupleCapBytes() int64 {
 	var v V
 	return int64(cap(l.tupleVals)) * int64(unsafe.Sizeof(v))
 }
 
 // detachOut forgets the pooled result plane (Workspace.DetachOutput).
-func (l *planes[V]) detachOut() { l.outVal = nil }
+func (l *values[V]) detachOut() { l.outVal = nil }
 
-func (l *planes[V]) growTuples(e *engine, n int64) {
+// valuesOf returns the workspace's pooled value layout for V: the float64
+// slot, which Multiply and every float64 semiring share, or the slot of the
+// most recent other V, created on first use — alternating two other value
+// types reallocates, a stable one reuses.
+func valuesOf[V any](ws *Workspace) *values[V] {
+	if l, ok := any(&ws.f64).(*values[V]); ok {
+		l.flat = true // a float64 holds no pointer
+		return l
+	}
+	if l, ok := ws.vals.(*values[V]); ok {
+		return l
+	}
+	l := &values[V]{flat: pointerFree(reflect.TypeFor[V]())}
+	ws.vals = l
+	return l
+}
+
+// pointerFree reports whether no value of type t holds a pointer the garbage
+// collector traces.
+func pointerFree(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Array:
+		return t.Len() == 0 || pointerFree(t.Elem())
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if !pointerFree(t.Field(i).Type) {
+				return false
+			}
+		}
+		return true
+	}
+	return reflect.Bool <= t.Kind() && t.Kind() <= reflect.Complex128
+}
+
+// MultiplyGeneric computes C = A ⊗ B over alg for any value type, on the
+// value layout: the pipeline of Multiply — 32-bit keys in bins cut by the
+// same rules, parallel propagation-blocked expand, fused sort and fold, bin
+// groups, sub-phase cancellation, worker-panic containment — with alg's ⊗
+// and ⊕ bound once for the call. Its tuples are 4 + sizeof(V) bytes. A zero
+// alg runs (+, ×) on the typed kernels (float64, float32 and int32 only;
+// Multiply is its float64 instance), any other alg.Times where Multiply
+// multiplies and alg.Plus where it adds. The inputs are the structural
+// CSC/CSR (Val never read, may be nil) plus value planes parallel to
+// a.RowIdx and b.ColIdx, and the result is the structural CSR plus its value
+// plane, aliasing workspace memory when opt.Workspace is set.
+func MultiplyGeneric[V any](a *matrix.CSC, aVal []V, b *matrix.CSR, bVal []V, alg Algebra[V], opt Options) (*matrix.CSR, []V, *Stats, error) {
+	opt = opt.withDefaults()
+	if err := checkPlanes(a, len(aVal), b, len(bVal)); err != nil {
+		return nil, nil, nil, err
+	}
+	bind, err := bindingOf(alg)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	e, err := newEngine(a, b, opt, bind.layout)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	l := valuesOf[V](e.ws)
+	l.aVal, l.bVal, l.binding = aVal, bVal, bind
+	e.lay = l
+	e.tupleBytes = 4 + int64(unsafe.Sizeof(*new(V)))
+	c, st, err := e.runContained()
+	vals := l.out
+	l.out = nil
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return c, vals, st, nil
+}
+
+func (l *values[V]) growTuples(e *engine, n int64) {
 	radix.GrowUint32(&e.ws.tupleKeys, n)
 	growVals(&l.tupleVals, n)
 }
 
-func (l *planes[V]) growLocals(e *engine, n int64) {
+func (l *values[V]) growLocals(e *engine, n int64) {
 	radix.GrowUint32(&e.ws.localKeys, n)
 	growVals(&l.localVals, n)
 }
 
-func (l *planes[V]) growScratch(e *engine, total, accSlots int64) {
+func (l *values[V]) growScratch(e *engine, total, accSlots int64) {
 	growVals(&e.ws.scratchWords, 2*total)
 	growVals(&l.scratchVals, total)
 	growVals(&l.accVals, int64(e.opt.Threads)*accSlots)
 }
 
-func (l *planes[V]) unpackBin(e *engine, c *matrix.CSR, srcOff, dstOff, n int64) {
+func (l *values[V]) unpackBin(e *engine, c *matrix.CSR, srcOff, dstOff, n int64) {
 	keys, vals := e.ws.tupleKeys, l.tupleVals
 	cm := uint32(uint64(1)<<e.colBits - 1)
 	out := l.out
@@ -221,7 +319,7 @@ func (l *planes[V]) unpackBin(e *engine, c *matrix.CSR, srcOff, dstOff, n int64)
 	}
 }
 
-func (l *planes[V]) growOut(e *engine, c *matrix.CSR, nnzc int64) {
+func (l *values[V]) growOut(e *engine, c *matrix.CSR, nnzc int64) {
 	l.out = resultPlane(e, l.out, &l.outVal, nnzc)
 }
 
@@ -249,20 +347,15 @@ func flushLocalKV[V any](bin int32, bufK []uint32, bufV []V, lens []int32,
 	flushPlane(vals[dst:], bufV[src:src+n], nt)
 }
 
-// ---------------------------------------------------------------------------
-// kv[V]: the typed layouts (squeezed f64, narrow f32/i32).
-
-// kv is the typed layouts' planes: expand multiplies with the batched
-// kernel and the fold adds.
-type kv[V Value] struct{ planes[V] }
-
 // expandRange is one worker's share of expand: the group's columns
 // [colBounds[t], colBounds[t+1]), propagation-blocked — the 4-byte key
 // and the V value go into split local bins, each flushed with two bulk copies
 // into the worker's exclusive range. cursors is the worker's private per-bin
 // write-position array, pre-seeded with its exclusive offsets; it, the local
 // bins and their fill counts are indexed by the group's bins, bin − binLo.
-func (l *kv[V]) expandRange(e *engine, t int, cursors []int64) {
+// A chunk's keys and values come from the typed expandKV in one pass, or
+// from simd.ExpandK and then Times: the same chunks and flushes either way.
+func (l *values[V]) expandRange(e *engine, t int, cursors []int64) {
 	a, b := e.a, e.b
 	capT := e.localCap
 	shift, mask, colBits, binLo := e.rowShift, e.rowMask, e.colBits, uint32(e.binLo)
@@ -272,8 +365,8 @@ func (l *kv[V]) expandRange(e *engine, t int, cursors []int64) {
 	bufV := l.localVals[int64(t)*stride : int64(t+1)*stride]
 	lens := e.ws.localLens[t*gb : (t+1)*gb]
 	keys, vals := e.ws.tupleKeys, l.tupleVals
-	aVal, bVal := l.aVal, l.bVal
-	nt := e.ntFlush
+	aVal, bVal, expandKV := l.aVal, l.bVal, l.expandKV
+	nt := e.ntFlush && l.flat
 
 	var sincePoll int64
 	for j := e.ws.colBounds[t]; j < e.ws.colBounds[t+1]; j++ {
@@ -316,182 +409,13 @@ func (l *kv[V]) expandRange(e *engine, t int, cursors []int64) {
 				if room := int64(capT - ln); take > room {
 					take = room
 				}
-				dk := bufK[base+int64(ln) : base+int64(ln)+take]
-				dv := bufV[base+int64(ln) : base+int64(ln)+take]
-				simd.ExpandKV(dk, dv, localRow, b.ColIdx[q:q+take], bVal[q:q+take], av)
-				ln += int32(take)
-				q += take
-			}
-			lens[bin] = ln
-		}
-	}
-	for bin := int32(0); bin < int32(gb); bin++ {
-		flushLocalKV(bin, bufK, bufV, lens, keys, vals, cursors, capT, nt)
-	}
-}
-
-func (l *kv[V]) fuseBin(e *engine, worker, bin int) int64 {
-	lo, hi := e.ws.binStart[bin], e.ws.binStart[bin+1]
-	keys, vals, rows := e.ws.tupleKeys[lo:hi], l.tupleVals[lo:hi], e.binRows(bin)
-	n := hi - lo
-	if e.denseBin(n) {
-		slots := int64(1) << e.keyBits()
-		acc := l.accVals[int64(worker)*slots:][:slots]
-		return int64(radix.FoldDense(keys, vals, acc, e.accBitsFor(worker, slots), rows, e.colBits))
-	}
-	w0, w1 := e.scratchWordsFor(worker, n)
-	return int64(radix.SortFold(keys, vals, w0, w1, l.scratchVals[int64(worker)*e.scratchStride:][:n],
-		int(e.keyBits()), rows, e.colBits))
-}
-
-// ---------------------------------------------------------------------------
-// generic[V]: the key plane beside a plane of any V, through ⊗ and ⊕.
-
-// Algebra is what a generic run multiplies over. Times forms the values of
-// one chunk of expanded tuples, dst[j] = a ⊗ b[j] (len(b) ≥ len(dst); the
-// keys are already in place): one indirect call per chunk — per tuple it
-// costs expand as much again as the walk itself. Plus folds the values of
-// equal keys, left to right in arrival order (a stable sort keeps that
-// order, so the fold is defined even where Plus does not commute or
-// associate exactly). Both run on worker goroutines; a panic in either is
-// contained like any worker panic.
-type Algebra[V any] struct {
-	Times func(dst []V, a V, b []V)
-	Plus  func(a, b V) V
-}
-
-// generic is the generic layout's planes plus the run's algebra.
-type generic[V any] struct {
-	planes[V]
-	alg Algebra[V]
-	// flat: V holds no pointers, so the non-temporal flush — a raw byte copy,
-	// no GC write barriers, bytewise at its unaligned ends — may move its values.
-	flat bool
-}
-
-// genericPool is what the Workspace asks of its pooled *generic[V], whatever
-// V is.
-type genericPool interface {
-	// unbind drops the per-call references a pooled workspace must not pin.
-	// The result plane stays: the entry point reads it after the run.
-	unbind()
-	tupleCapBytes() int64
-}
-
-func (l *generic[V]) unbind() { l.aVal, l.bVal, l.alg = nil, nil, Algebra[V]{} }
-
-// genericOf returns the workspace's pooled generic layout state for value
-// type V, creating it on first use. The slot holds one V at a time, like
-// kvNarrow.
-func genericOf[V any](ws *Workspace) *generic[V] {
-	if l, ok := ws.generic.(*generic[V]); ok {
-		return l
-	}
-	l := &generic[V]{flat: pointerFree(reflect.TypeFor[V]())}
-	ws.generic = l
-	return l
-}
-
-// pointerFree reports whether no value of type t holds a pointer the garbage
-// collector traces.
-func pointerFree(t reflect.Type) bool {
-	switch t.Kind() {
-	case reflect.Array:
-		return t.Len() == 0 || pointerFree(t.Elem())
-	case reflect.Struct:
-		for i := 0; i < t.NumField(); i++ {
-			if !pointerFree(t.Field(i).Type) {
-				return false
-			}
-		}
-		return true
-	}
-	return reflect.Bool <= t.Kind() && t.Kind() <= reflect.Complex128
-}
-
-// MultiplyGeneric computes C = A ⊗ B over alg for any value type, with the
-// generic layout: the pipeline of Multiply — 32-bit keys in bins cut by the
-// same rules, parallel propagation-blocked expand, fused sort and fold, bin
-// groups, sub-phase cancellation, worker-panic containment — with alg.Times where
-// Multiply multiplies and alg.Plus where it adds. Its tuples are 4 +
-// sizeof(V) bytes. Like MultiplyNarrow the inputs are the structural CSC/CSR
-// (Val never read, may be nil) plus value planes parallel to a.RowIdx and
-// b.ColIdx, and the result is the structural CSR plus its value plane,
-// aliasing workspace memory when opt.Workspace is set.
-func MultiplyGeneric[V any](a *matrix.CSC, aVal []V, b *matrix.CSR, bVal []V, alg Algebra[V], opt Options) (*matrix.CSR, []V, *Stats, error) {
-	opt = opt.withDefaults()
-	if err := checkPlanes(a, len(aVal), b, len(bVal)); err != nil {
-		return nil, nil, nil, err
-	}
-	e, err := newEngine(a, b, opt, LayoutGeneric)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	l := genericOf[V](e.ws)
-	l.aVal, l.bVal, l.alg = aVal, bVal, alg
-	e.lay = l
-	e.tupleBytes = 4 + int64(unsafe.Sizeof(*new(V)))
-	c, st, err := e.runContained()
-	vals := l.out
-	l.out = nil
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return c, vals, st, nil
-}
-
-// expandRange is kv.expandRange with the keys formed by simd.ExpandK and the
-// values by alg.Times, a call per chunk: the same columns, chunks and flush
-// schedule, so the same tuples in the same order.
-func (l *generic[V]) expandRange(e *engine, t int, cursors []int64) {
-	a, b := e.a, e.b
-	capT := e.localCap
-	shift, mask, colBits, binLo := e.rowShift, e.rowMask, e.colBits, uint32(e.binLo)
-	gb := e.binHi - e.binLo
-	stride := int64(gb) * int64(capT)
-	bufK := e.ws.localKeys[int64(t)*stride : int64(t+1)*stride]
-	bufV := l.localVals[int64(t)*stride : int64(t+1)*stride]
-	lens := e.ws.localLens[t*gb : (t+1)*gb]
-	keys, vals := e.ws.tupleKeys, l.tupleVals
-	aVal, bVal, times := l.aVal, l.bVal, l.alg.Times
-	nt := e.ntFlush && l.flat
-
-	var sincePoll int64
-	for j := e.ws.colBounds[t]; j < e.ws.colBounds[t+1]; j++ {
-		bLo, bHi, pLo, pHi := e.rowLo[j], e.rowHi[j], e.colLo[j], e.colHi[j]
-		if bLo == bHi {
-			continue
-		}
-		if faultinject.Enabled {
-			faultinject.Fire(faultinject.SiteExpandColumn, t)
-		}
-		if sincePoll >= cancelPollTuples {
-			sincePoll = 0
-			if e.pollCancel() {
-				return
-			}
-		}
-		sincePoll += int64(bHi-bLo) * (pHi - pLo)
-		for p := pLo; p < pHi; p++ {
-			r := uint32(a.RowIdx[p])
-			av := aVal[p]
-			bin := int32(r>>shift - binLo)
-			localRow := (r & mask) << colBits
-			base := int64(bin) * int64(capT)
-			ln := lens[bin]
-			for q := bLo; q < bHi; {
-				if ln == capT {
-					lens[bin] = ln
-					flushLocalKV(bin, bufK, bufV, lens, keys, vals, cursors, capT, nt)
-					ln = 0
-				}
-				take := bHi - q
-				if room := int64(capT - ln); take > room {
-					take = room
-				}
 				at := base + int64(ln)
-				simd.ExpandK(bufK[at:at+take], localRow, b.ColIdx[q:q+take])
-				times(bufV[at:at+take], av, bVal[q:q+take])
+				dk, dv, cols, bv := bufK[at:at+take], bufV[at:at+take], b.ColIdx[q:q+take], bVal[q:q+take]
+				if expandKV != nil {
+					expandKV(dk, dv, localRow, cols, bv, av)
+				} else {
+					l.expandBy(dk, dv, localRow, cols, bv, av)
+				}
 				ln += int32(take)
 				q += take
 			}
@@ -503,19 +427,32 @@ func (l *generic[V]) expandRange(e *engine, t int, cursors []int64) {
 	}
 }
 
-// fuseBin is kv.fuseBin through alg.Plus.
-func (l *generic[V]) fuseBin(e *engine, worker, bin int) int64 {
+// expandBy is a function binding's chunk: keys by simd.ExpandK, values by
+// Times. It is a call of its own: inlined into expandRange, ExpandK's loop
+// reloaded its counter and operands from the stack every tuple (+15–20 %
+// expand on MinPlus), the walk's other values holding the registers.
+func (l *values[V]) expandBy(dk []uint32, dv []V, localRow uint32, cols []int32, bv []V, av V) {
+	simd.ExpandK(dk, localRow, cols)
+	l.Times(dv, av, bv)
+}
+
+// fuseBin folds bin with the binding's kernels: the dense fold (typed or
+// through Plus) or the sort (through Plus), picked per bin by denseBin.
+func (l *values[V]) fuseBin(e *engine, worker, bin int) int64 {
 	lo, hi := e.ws.binStart[bin], e.ws.binStart[bin+1]
 	keys, vals, rows := e.ws.tupleKeys[lo:hi], l.tupleVals[lo:hi], e.binRows(bin)
 	n := hi - lo
 	if e.denseBin(n) {
 		slots := int64(1) << e.keyBits()
-		acc := l.accVals[int64(worker)*slots:][:slots]
-		return int64(radix.FoldDenseBy(keys, vals, acc, e.accBitsFor(worker, slots), rows, e.colBits, l.alg.Plus))
+		acc, occ := l.accVals[int64(worker)*slots:][:slots], e.accBitsFor(worker, slots)
+		if l.foldDense != nil {
+			return int64(l.foldDense(keys, vals, acc, occ, rows, e.colBits))
+		}
+		return int64(radix.FoldDenseBy(keys, vals, acc, occ, rows, e.colBits, l.Plus))
 	}
 	w0, w1 := e.scratchWordsFor(worker, n)
-	return int64(radix.SortFoldBy(keys, vals, w0, w1, l.scratchVals[int64(worker)*e.scratchStride:][:n],
-		int(e.keyBits()), rows, e.colBits, l.alg.Plus))
+	tmp := l.scratchVals[int64(worker)*e.scratchStride:][:n]
+	return int64(radix.SortFoldBy(keys, vals, w0, w1, tmp, int(e.keyBits()), rows, e.colBits, l.Plus))
 }
 
 // ---------------------------------------------------------------------------
@@ -555,7 +492,7 @@ func (patternOps) expandRange(e *engine, t int, cursors []int64) {
 		if bLo == bHi {
 			continue
 		}
-		// Per-column cancellation poll, as in kv.expandRange.
+		// Per-column cancellation poll, as in values.expandRange.
 		if faultinject.Enabled {
 			faultinject.Fire(faultinject.SiteExpandColumn, t)
 		}
@@ -572,7 +509,7 @@ func (patternOps) expandRange(e *engine, t int, cursors []int64) {
 			localRow := (r & mask) << colBits
 			base := int64(bin) * int64(capT)
 			ln := lb.lens[bin]
-			// Chunked like kv.expandRange: flush boundaries match the
+			// Chunked like values.expandRange: flush boundaries match the
 			// per-element loop exactly.
 			for q := bLo; q < bHi; {
 				if ln == capT {

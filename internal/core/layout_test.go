@@ -63,6 +63,15 @@ func multiplyGeneric(a *matrix.CSC, b *matrix.CSR, opt Options) (*matrix.CSR, *S
 	return c, st, nil
 }
 
+// narrowValue is the value types of the 8-byte narrow layout.
+type narrowValue interface{ float32 | int32 }
+
+// multiplyNarrow is the narrow product: MultiplyGeneric over the zero
+// Algebra, (+, ×) on the typed kernels.
+func multiplyNarrow[V narrowValue](a *matrix.CSC, av []V, b *matrix.CSR, bv []V, opt Options) (*matrix.CSR, []V, *Stats, error) {
+	return MultiplyGeneric(a, av, b, bv, Algebra[V]{}, opt)
+}
+
 // multiplyFunc is the signature Multiply and multiplyGeneric share.
 type multiplyFunc func(*matrix.CSC, *matrix.CSR, Options) (*matrix.CSR, *Stats, error)
 
@@ -90,15 +99,14 @@ func expandSnapshot(t *testing.T, a *matrix.CSC, b *matrix.CSR, opt Options, lay
 	if err != nil {
 		t.Fatal(err)
 	}
-	vals := &ws.kvF64.planes
+	alg := Algebra[float64]{}
 	if layout == LayoutGeneric {
-		l := genericOf[float64](ws)
-		l.alg, vals = plusTimes, &l.planes
-		e.lay, e.tupleBytes = l, SqueezedTupleBytes
-	} else {
-		e.lay = &ws.kvF64
+		alg = plusTimes
 	}
+	vals := valuesOf[float64](ws)
+	vals.binding, _ = bindingOf(alg)
 	vals.aVal, vals.bVal = a.Val, b.Val
+	e.lay, e.tupleBytes = vals, SqueezedTupleBytes
 	e.symbolic()
 	e.planBins()
 	e.planWhole()
@@ -307,12 +315,9 @@ func binCapProduct(rows int32) (*matrix.CSR, *matrix.CSR) {
 // localArenaBytes is the size of ws's propagation-blocking local bins, over
 // every layout the tests below run.
 func localArenaBytes(ws *Workspace) int64 {
-	n := int64(len(ws.localKeys))*4 + int64(len(ws.kvF64.localVals))*8
-	if l, ok := ws.kvNarrow.(*kv[int32]); ok {
+	n := int64(len(ws.localKeys))*4 + int64(len(ws.f64.localVals))*8
+	if l, ok := ws.vals.(*values[int32]); ok {
 		n += int64(len(l.localVals)) * 4
-	}
-	if l, ok := ws.generic.(*generic[float64]); ok {
-		n += int64(len(l.localVals)) * 8
 	}
 	return n
 }
@@ -352,7 +357,7 @@ func TestKey32PastBinCap(t *testing.T) {
 // entry runs its own key32 layout in groups of at most 4 096 bins, with at
 // most that many bins' worth of local bins a thread — at one and two threads,
 // single-shot and under a budget. Multiply equals Reference bit for bit,
-// MultiplyNarrow its exact int32 sums, MultiplyPattern its support, and
+// the narrow product its exact int32 sums, MultiplyPattern its support, and
 // MultiplyGeneric over (min, +) and over a (⊕, ⊗) that neither associates
 // nor commutes the ascending-k fold through them.
 func TestKey32PastMaxBinsRunsGroups(t *testing.T) {
@@ -396,17 +401,17 @@ func TestKey32PastMaxBinsRunsGroups(t *testing.T) {
 				t.Fatalf("budget=%d threads=%d: Multiply differs from Reference", budget, threads)
 			}
 			opt.Workspace = NewWorkspace()
-			c, vals, st, err := MultiplyNarrow(acsc, aI, b, bI, opt)
+			c, vals, st, err := multiplyNarrow(acsc, aI, b, bI, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			check("MultiplyNarrow", LayoutNarrow, st)
+			check("narrow", LayoutNarrow, st)
 			if !csrSameStructure(want, c) {
-				t.Fatalf("budget=%d threads=%d: MultiplyNarrow's support differs from Reference's", budget, threads)
+				t.Fatalf("budget=%d threads=%d: the narrow product's support differs from Reference's", budget, threads)
 			}
 			for i, v := range want.Val {
 				if vals[i] != int32(v) {
-					t.Fatalf("budget=%d threads=%d: MultiplyNarrow value %d = %d, want %v", budget, threads, i, vals[i], v)
+					t.Fatalf("budget=%d threads=%d: narrow value %d = %d, want %v", budget, threads, i, vals[i], v)
 				}
 			}
 			opt.Workspace = NewWorkspace()
@@ -644,9 +649,10 @@ func TestPowerOfTwoBinGeometry(t *testing.T) {
 	}
 }
 
-// TestLayoutSteadyStateAllocs is the float64 layouts' alloc regression gate:
-// repeated Multiply and MultiplyGeneric through a pooled workspace at
-// Threads=1 perform zero heap allocations — single-shot and budgeted.
+// TestLayoutSteadyStateAllocs is the value layout's alloc regression gate:
+// repeated Multiply and MultiplyGeneric, under every binding, through a
+// pooled workspace at Threads=1 perform zero heap allocations — single-shot
+// and budgeted.
 func TestLayoutSteadyStateAllocs(t *testing.T) {
 	a := gen.ER(400, 6, 1).ToCSC()
 	b := gen.ER(400, 6, 2)
@@ -679,23 +685,57 @@ func TestLayoutSteadyStateAllocs(t *testing.T) {
 			}
 		})
 	}
-	// The same layout behind its own entry point, over (min, +).
-	t.Run("wide-minplus-budgeted", func(t *testing.T) {
-		ws := NewWorkspace()
-		opt := Options{Threads: 1, Workspace: ws, MemoryBudgetBytes: 32 << 10}
-		alg := Algebra[float64]{
-			Times: elementwise(func(x, y float64) float64 { return x + y }),
-			Plus:  func(x, y float64) float64 { return min(x, y) },
-		}
-		allocs := testing.AllocsPerRun(10, func() {
-			if _, _, _, err := MultiplyGeneric(a, a.Val, b, b.Val, alg, opt); err != nil {
+	// Every other binding of the value layout behind MultiplyGeneric: (min, +)
+	// over float64, typed (+, ×) over float32 and int32, and a function
+	// binding over a value that is no number.
+	af, bf := narrowPlanes[float32](a, b)
+	ai, bi := narrowPlanes[int32](a, b)
+	ab, bb := make([]bool, len(af)), make([]bool, len(bf))
+	or := func(x, y bool) bool { return x || y }
+	orAnd := Algebra[bool]{Times: elementwise(func(x, y bool) bool { return x && y }), Plus: or}
+	minPlus := Algebra[float64]{
+		Times: elementwise(func(x, y float64) float64 { return x + y }),
+		Plus:  func(x, y float64) float64 { return min(x, y) },
+	}
+	for _, tc := range []struct {
+		name   string
+		layout Layout
+		run    func(opt Options) (*Stats, error)
+	}{
+		{"wide-minplus", LayoutGeneric, func(opt Options) (*Stats, error) {
+			_, _, st, err := MultiplyGeneric(a, a.Val, b, b.Val, minPlus, opt)
+			return st, err
+		}},
+		{"narrow-f32", LayoutNarrow, func(opt Options) (*Stats, error) {
+			_, _, st, err := multiplyNarrow(a, af, b, bf, opt)
+			return st, err
+		}},
+		{"narrow-i32", LayoutNarrow, func(opt Options) (*Stats, error) {
+			_, _, st, err := multiplyNarrow(a, ai, b, bi, opt)
+			return st, err
+		}},
+		{"generic-bool", LayoutGeneric, func(opt Options) (*Stats, error) {
+			_, _, st, err := MultiplyGeneric(a, ab, b, bb, orAnd, opt)
+			return st, err
+		}},
+	} {
+		t.Run(tc.name+"-budgeted", func(t *testing.T) {
+			opt := Options{Threads: 1, Workspace: NewWorkspace(), MemoryBudgetBytes: 32 << 10}
+			if st, err := tc.run(opt); err != nil {
 				t.Fatal(err)
+			} else if st.Layout != tc.layout {
+				t.Fatalf("layout = %v, want %v", st.Layout, tc.layout)
+			}
+			allocs := testing.AllocsPerRun(10, func() {
+				if _, err := tc.run(opt); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("steady-state %s allocated %.1f times per call, want 0", tc.name, allocs)
 			}
 		})
-		if allocs != 0 {
-			t.Fatalf("steady-state MultiplyGeneric allocated %.1f times per call, want 0", allocs)
-		}
-	})
+	}
 }
 
 // TestSplitSortMatchesReference: a run with oversized bins (tiny L2 budget,

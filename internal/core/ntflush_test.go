@@ -62,7 +62,7 @@ func layoutCases(t *testing.T) []layoutCase {
 			return c
 		}},
 		{"narrow-f32/ER", func(t *testing.T, opt Options) *matrix.CSR {
-			c, vals, _, err := MultiplyNarrow(acsc, af32, b, bf32, opt)
+			c, vals, _, err := multiplyNarrow(acsc, af32, b, bf32, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -209,7 +209,7 @@ func TestNTFlushNeverMovesPointerValues(t *testing.T) {
 			}
 		}
 	}
-	if genericOf[*float64](ws).flat || !genericOf[float64](NewWorkspace()).flat {
+	if valuesOf[*float64](ws).flat || !valuesOf[float64](NewWorkspace()).flat {
 		t.Fatal("flat must be false for *float64 and true for float64")
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"pbspgemm/internal/gen"
@@ -32,9 +33,9 @@ func csrSameStructure(a, b *matrix.CSR) bool {
 }
 
 // narrowPlanes extracts the float64 value planes of an (A, B) pair as []V for
-// driving MultiplyNarrow. Generators emit values in [0, 1); tests that need
+// driving the narrow product. Generators emit values in [0, 1); tests that need
 // exact cross-width equality pass integer-valued inputs instead.
-func narrowPlanes[V Value32](a *matrix.CSC, b *matrix.CSR) (av, bv []V) {
+func narrowPlanes[V narrowValue](a *matrix.CSC, b *matrix.CSR) (av, bv []V) {
 	av = make([]V, len(a.Val))
 	for i, v := range a.Val {
 		av[i] = V(v)
@@ -117,7 +118,7 @@ func TestNarrowMatchesWideValues(t *testing.T) {
 	for _, budget := range []int64{0, 64 << 10} {
 		for _, threads := range []int{1, 2, 8} {
 			opt := Options{Threads: threads, MemoryBudgetBytes: budget, Workspace: ws}
-			got, vals, st, err := MultiplyNarrow(acsc, af32, b, bf32, opt)
+			got, vals, st, err := multiplyNarrow(acsc, af32, b, bf32, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -135,7 +136,7 @@ func TestNarrowMatchesWideValues(t *testing.T) {
 					t.Fatalf("threads=%d budget=%d: float32 value[%d] = %v, want %v", threads, budget, i, v, want.Val[i])
 				}
 			}
-			goti, ivals, _, err := MultiplyNarrow(acsc, ai32, b, bi32, opt)
+			goti, ivals, _, err := multiplyNarrow(acsc, ai32, b, bi32, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -173,11 +174,11 @@ func TestPatternNarrowSteadyStateAllocs(t *testing.T) {
 		if allocs != 0 {
 			t.Fatalf("pattern budget=%d: %.1f allocs per steady-state call, want 0", budget, allocs)
 		}
-		if _, _, _, err := MultiplyNarrow(acsc, af, b, bf, opt); err != nil {
+		if _, _, _, err := multiplyNarrow(acsc, af, b, bf, opt); err != nil {
 			t.Fatal(err)
 		}
 		allocs = testing.AllocsPerRun(10, func() {
-			if _, _, _, err := MultiplyNarrow(acsc, af, b, bf, opt); err != nil {
+			if _, _, _, err := multiplyNarrow(acsc, af, b, bf, opt); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -212,7 +213,7 @@ func TestKey32EntryPointErrors(t *testing.T) {
 			err, stp.NBins, err == nil && csrSameStructure(want, pc))
 	}
 	av, bv := narrowPlanes[float32](aw, bw)
-	nc, nVal, stn, err := MultiplyNarrow(aw, av, bw, bv, Options{})
+	nc, nVal, stn, err := multiplyNarrow(aw, av, bw, bv, Options{})
 	if err != nil || stn.NBins != 16 || !csrSameStructure(want, nc) {
 		t.Fatalf("narrow on 30-bit columns: err %v, %d bins, same structure as Reference: %v",
 			err, stn.NBins, err == nil && csrSameStructure(want, nc))
@@ -227,10 +228,10 @@ func TestKey32EntryPointErrors(t *testing.T) {
 	small := gen.ER(64, 4, 6)
 	scsc := small.ToCSC()
 	sv, _ := narrowPlanes[float32](scsc, small)
-	if _, _, _, err := MultiplyNarrow(scsc, sv[:1], small, sv, Options{}); !errors.Is(err, matrix.ErrShape) {
+	if _, _, _, err := multiplyNarrow(scsc, sv[:1], small, sv, Options{}); !errors.Is(err, matrix.ErrShape) {
 		t.Fatalf("short aVal: err = %v, want ErrShape", err)
 	}
-	if _, _, _, err := MultiplyNarrow(scsc, sv, small, sv[:1], Options{}); !errors.Is(err, matrix.ErrShape) {
+	if _, _, _, err := multiplyNarrow(scsc, sv, small, sv[:1], Options{}); !errors.Is(err, matrix.ErrShape) {
 		t.Fatalf("short bVal: err = %v, want ErrShape", err)
 	}
 
@@ -239,10 +240,10 @@ func TestKey32EntryPointErrors(t *testing.T) {
 	opt := Options{Workspace: ws, Threads: 1}
 	si, _ := narrowPlanes[int32](scsc, small)
 	for rep := 0; rep < 3; rep++ {
-		if _, _, _, err := MultiplyNarrow(scsc, sv, small, sv, opt); err != nil {
+		if _, _, _, err := multiplyNarrow(scsc, sv, small, sv, opt); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, _, err := MultiplyNarrow(scsc, si, small, si, opt); err != nil {
+		if _, _, _, err := multiplyNarrow(scsc, si, small, si, opt); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -294,8 +295,13 @@ func FuzzPatternVsFloat64(f *testing.F) {
 // exact sums of matrix.ReferenceMultiply, which stand where the wide float64
 // layout's sums did before that layout went: fuzzMatrices emits small integer
 // values, so every fold order and every width is exact and equality is
-// bit-level.
+// bit-level. The int32 product's typed binding is held to the value layout's
+// function binding of the same (+, ×) too, structure and values.
 func FuzzNarrowVsWide(f *testing.F) {
+	addMul := Algebra[int32]{
+		Times: elementwise(func(x, y int32) int32 { return x * y }),
+		Plus:  func(x, y int32) int32 { return x + y },
+	}
 	f.Add([]byte{4, 4, 4, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3, 4})
 	f.Add([]byte{24, 24, 24, 9, 9, 9, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
 	f.Add([]byte{16, 1, 16, 255, 255, 255, 0, 0, 0, 128, 64, 32, 7, 6, 5})
@@ -316,7 +322,7 @@ func FuzzNarrowVsWide(f *testing.F) {
 			{MemoryBudgetBytes: 256},
 			{MemoryBudgetBytes: 16, Threads: 2},
 		} {
-			got, vals, st, err := MultiplyNarrow(a, av, b, bv, opt)
+			got, vals, st, err := multiplyNarrow(a, av, b, bv, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -334,7 +340,7 @@ func FuzzNarrowVsWide(f *testing.F) {
 					t.Fatalf("narrow value[%d] = %v, want %v (opt %+v)", i, v, want.Val[i], opt)
 				}
 			}
-			goti, ivals, _, err := MultiplyNarrow(a, ai, b, bi, opt)
+			goti, ivals, _, err := multiplyNarrow(a, ai, b, bi, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -345,6 +351,15 @@ func FuzzNarrowVsWide(f *testing.F) {
 				if v != int32(want.Val[i]) {
 					t.Fatalf("int32 value[%d] = %d, want %v (opt %+v)", i, v, want.Val[i], opt)
 				}
+			}
+			fopt := opt
+			fopt.Workspace = nil // the typed product above may alias ws
+			gotf, fvals, stf, err := MultiplyGeneric(a, ai, b, bi, addMul, fopt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stf.Layout != LayoutGeneric || !csrSameStructure(goti, gotf) || !slices.Equal(ivals, fvals) {
+				t.Fatalf("int32 through function values (%v, opt %+v) differs from the typed binding", stf.Layout, opt)
 			}
 		}
 	})

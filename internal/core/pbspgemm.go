@@ -21,9 +21,9 @@
 //     bin by bin under a dynamic schedule. Bins keep local row ids small
 //     enough that the key fits 4 bytes on every run (planBinGeometry adds
 //     bins until it does), and the two steps run fused, as one of
-//     internal/radix's two kernels (fused.go): typed + for the typed entries,
-//     the caller's ⊕ for MultiplyGeneric, which serves any value type and
-//     any (⊕, ⊗).
+//     internal/radix's two kernels (fused.go): typed + for (+, ×) over
+//     float64, float32 and int32, the caller's ⊕ for any other value type
+//     and (⊕, ⊗) MultiplyGeneric serves.
 //  4. Assemble: bins cover disjoint, ordered row ranges, so concatenating
 //     the folded bins is already canonical CSR order.
 //
@@ -86,14 +86,16 @@ const (
 	LayoutAuto Layout = iota
 	// LayoutGeneric is the key plane beside a plane of any value type V,
 	// 4 + sizeof(V) bytes a tuple, multiplied and folded through the
-	// caller's ⊗ and ⊕: MultiplyGeneric runs it, for semirings with no typed
-	// entry.
+	// caller's ⊗ and ⊕: MultiplyGeneric over a non-zero Algebra, for
+	// semirings with no typed kernels.
 	LayoutGeneric
 	// LayoutSqueezed is the 12-byte SoA layout: []uint32 keys + []float64
-	// values. The Multiply entry runs it (MultiplyLayout).
+	// values, multiplied and folded by the typed kernels: Multiply, and
+	// MultiplyGeneric over a zero Algebra[float64].
 	LayoutSqueezed
 	// LayoutNarrow is the 8-byte SoA layout: []uint32 keys + a 4-byte value
-	// plane (float32 or int32). The MultiplyNarrow entry runs it.
+	// plane (float32 or int32), multiplied and folded by the typed kernels:
+	// MultiplyGeneric over a zero Algebra[float32] or Algebra[int32].
 	LayoutNarrow
 	// LayoutPattern is the 4-byte key-only layout of structural products:
 	// tuples are bare []uint32 keys, folding is deduplication, and the result
@@ -222,10 +224,10 @@ type Stats struct {
 	CF      float64
 
 	// Layout is the expanded-tuple layout the run used: LayoutSqueezed
-	// (12 bytes, float64 values; Multiply), LayoutNarrow (8 bytes,
-	// float32/int32 values; MultiplyNarrow), LayoutPattern (4 bytes, keys
-	// only; MultiplyPattern) or LayoutGeneric (4 + sizeof(V) bytes;
-	// MultiplyGeneric).
+	// (12 bytes, float64 values, typed kernels), LayoutNarrow (8 bytes,
+	// float32/int32 values, typed kernels), LayoutPattern (4 bytes, keys
+	// only; MultiplyPattern) or LayoutGeneric (4 + sizeof(V) bytes, the
+	// caller's ⊗ and ⊕).
 	Layout Layout
 	// TupleBytes is the per-tuple byte cost of the run (12, 8, 4, or
 	// 4 + sizeof(V)) — the b entering the traffic model below.
@@ -308,13 +310,12 @@ type engine struct {
 	rowShift      uint   // bin = row>>rowShift (shift/mask replaces division; rows per bin = 1<<rowShift)
 	rowMask       uint32 // localRow = row&rowMask
 	colBits       uint
-	layout        Layout     // the entry point's tuple layout
-	lay           layoutOps  // per-layout element accesses (layout.go)
-	f64Out        *[]float64 // Multiply's out plane (the squeezed layout's), else nil
-	tupleBytes    int64      // per-tuple cost of the run: a 4-byte key plus the layout's value
-	localCap      int32      // tuples per thread-private local bin
-	ntFlush       bool       // stream bin flushes with non-temporal stores (per group)
-	scratchStride int64      // per-worker stride into the sort scratch planes
+	layout        Layout    // the entry point's tuple layout
+	lay           layoutOps // per-layout element accesses (layout.go)
+	tupleBytes    int64     // per-tuple cost of the run: a 4-byte key plus the layout's value
+	localCap      int32     // tuples per thread-private local bin
+	ntFlush       bool      // stream bin flushes with non-temporal stores (per group)
+	scratchStride int64     // per-worker stride into the sort scratch planes
 
 	// What forEachBin's bin bodies read, as they capture nothing.
 	tally  []int64     // row counts the fuse phase tallies into
@@ -337,17 +338,15 @@ type engine struct {
 // layouts the outer product streams naturally (Algorithm 2 takes exactly
 // these). The returned stats are always non-nil. When opt.Workspace is set,
 // the returned CSR and Stats alias workspace memory (Clone the CSR to keep
-// it past the next call). It runs the squeezed layout.
+// it past the next call). It is MultiplyGeneric's float64 (+, ×) instance:
+// the squeezed layout, with the values in the result's Val.
 func Multiply(a *matrix.CSC, b *matrix.CSR, opt Options) (*matrix.CSR, *Stats, error) {
-	opt = opt.withDefaults()
-	e, err := newEngine(a, b, opt, LayoutSqueezed)
+	c, vals, st, err := MultiplyGeneric(a, a.Val, b, b.Val, Algebra[float64]{}, opt)
 	if err != nil {
 		return nil, nil, err
 	}
-	l := &e.ws.kvF64
-	l.aVal, l.bVal = a.Val, b.Val
-	e.lay, e.f64Out = l, &l.out
-	return e.runContained()
+	c.Val = vals
+	return c, st, nil
 }
 
 // newEngine validates the shapes and binds the workspace-resident engine for
@@ -394,11 +393,11 @@ func (e *engine) finish(c *matrix.CSR, err error) (*matrix.CSR, *Stats, error) {
 // dropRefs clears what would let a pooled workspace pin the caller's inputs
 // (and a semiring's closures) between runs.
 func (e *engine) dropRefs() {
-	e.a, e.b, e.st, e.lay, e.f64Out, e.tally, e.result = nil, nil, nil, nil, nil, nil, nil
+	e.a, e.b, e.st, e.lay, e.tally, e.result = nil, nil, nil, nil, nil, nil
 	e.colLo, e.colHi, e.rowLo, e.rowHi = nil, nil, nil, nil
-	e.ws.kvF64.aVal, e.ws.kvF64.bVal = nil, nil
-	if e.ws.generic != nil {
-		e.ws.generic.unbind()
+	e.ws.f64.unbind()
+	if e.ws.vals != nil {
+		e.ws.vals.unbind()
 	}
 }
 
@@ -454,24 +453,20 @@ func (e *engine) run() (*matrix.CSR, error) {
 	// ExpandBytes counts the loads and stores the expand loop executes —
 	// STREAM's own methodology, so pct_of_stream compares like with like.
 	// Each stored nonzero of A is loaded once and held across its inner
-	// loop (the float64 layouts stream index+value at the 16-byte COO cost,
-	// narrow reads 4-byte values and pattern only the indices; sized from
-	// the index arrays because narrow/pattern may pass nil Val; the generic
-	// layout is charged as float64). Each FLOP then loads one B element
-	// (ColIdx plus the layout's value width) and stores one tuple. This is partition-invariant: band splitting re-runs
-	// the same loads, so any physical re-fetch of B between bands shows up
-	// in measured time (and thus GB/s), not in counted bytes.
-	inBytes := int64(matrix.BytesPerTuple)
-	bRead := int64(12) // ColIdx (4 B) + float64 value (8 B)
-	switch e.layout {
-	case LayoutNarrow:
-		inBytes = NarrowTupleBytes
-		bRead = 8 // ColIdx + float32 value
-	case LayoutPattern:
-		inBytes = PatternTupleBytes
-		bRead = 4 // ColIdx only
+	// loop: its 4-byte index and a value of the run's width (none for
+	// pattern; sized from the index arrays, as the value planes may be out
+	// of band or absent), except that 8-byte values are charged the paper's
+	// 16-byte COO entry, the cost bench's pct_of_stream floors were set
+	// against. Each FLOP then loads
+	// one B element (ColIdx plus the value width) and stores one tuple: a
+	// tuple's bytes each way. This is partition-invariant: band splitting
+	// re-runs the same loads, so any physical re-fetch of B between bands
+	// shows up in measured time (and thus GB/s), not in counted bytes.
+	inBytes := e.tupleBytes
+	if e.tupleBytes == SqueezedTupleBytes {
+		inBytes = matrix.BytesPerTuple
 	}
-	e.st.ExpandBytes = inBytes*int64(len(e.a.RowIdx)) + (bRead+e.tupleBytes)*e.flops
+	e.st.ExpandBytes = inBytes*int64(len(e.a.RowIdx)) + 2*e.tupleBytes*e.flops
 	e.st.FusedBytes = e.tupleBytes * e.flops
 	if e.st.NNZC > 0 {
 		e.st.CF = float64(e.st.Flops) / float64(e.st.NNZC)
@@ -825,7 +820,7 @@ func flushSpan(bin int32, lens []int32, cursors []int64, capT int32) (src, dst, 
 // each worker after its last flush. Otherwise copy(), plus a prefetch of the
 // bin's next destination while the local bin refills (no-op on purego and
 // non-amd64 builds). Same bytes either way. nt is only ever set for a T that
-// holds no pointers: the NT copy writes no GC barriers (generic.flat).
+// holds no pointers: the NT copy writes no GC barriers (values.flat).
 func flushPlane[T any](dst, src []T, nt bool) {
 	if len(src) == 0 {
 		return
@@ -1038,10 +1033,10 @@ func (e *engine) forEachBin(site faultinject.Site, do func(e *engine, worker, bi
 // growResult sizes the output for nnzc entries. A run's first group gets it
 // fresh — carved from the workspace's pooled output arrays when the
 // workspace is shared — and a later group extends it, keeping what the groups
-// before it wrote. Value storage is the layout's call: Multiply's float64
-// layout backs c.Val, narrow and generic fill a typed out plane their
-// entry point returns beside a structural c, and pattern leaves the result
-// structural (nil Val).
+// before it wrote. Value storage is the layout's call: the value layout
+// fills a typed out plane its entry point returns beside a structural c
+// (Multiply then makes it c.Val), and pattern leaves the result structural
+// (nil Val).
 func (e *engine) growResult(c *matrix.CSR, nnzc int64) *matrix.CSR {
 	if c == nil {
 		rows, cols := e.a.NumRows, e.b.NumCols
@@ -1054,11 +1049,6 @@ func (e *engine) growResult(c *matrix.CSR, nnzc int64) *matrix.CSR {
 	}
 	c.ColIdx = resultPlane(e, c.ColIdx, &e.ws.outColIdx, nnzc)
 	e.lay.growOut(e, c, nnzc)
-	if e.f64Out != nil {
-		// Multiply's float64 layouts: the out plane IS the result's Val, so
-		// unpack writes one destination and the public float64 contract holds.
-		c.Val = *e.f64Out
-	}
 	return c
 }
 

@@ -263,3 +263,56 @@ func TestStatsBytesModel(t *testing.T) {
 		t.Fatalf("generic over bool: layout = %v tupleBytes = %d FusedBytes = %d", stb.Layout, stb.TupleBytes, stb.FusedBytes)
 	}
 }
+
+// TestExpandBytesByValueWidth: expand is charged by the run's value width,
+// whichever binding multiplies — A's entries at a 4-byte index plus a value,
+// then a B entry and a tuple each way per flop — so a generic run over int32
+// costs what the narrow one does and one over bool 5 bytes a tuple, while
+// 8-byte values keep the squeezed layout's 16-byte COO charge for A.
+func TestExpandBytesByValueWidth(t *testing.T) {
+	a, b := gen.ER(256, 4, 5), gen.ER(256, 4, 6)
+	acsc := a.ToCSC()
+	nnzA := int64(len(acsc.RowIdx))
+	ai, bi := narrowPlanes[int32](acsc, b)
+	addI := func(x, y int32) int32 { return x + y }
+	mulI := func(x, y int32) int32 { return x * y }
+	ab, bb := make([]bool, len(ai)), make([]bool, len(bi))
+	or := func(x, y bool) bool { return x || y }
+	for _, tc := range []struct {
+		name         string
+		run          func() (*Stats, error)
+		layout       Layout
+		inBytes, tup int64
+	}{
+		{"generic-int32", func() (*Stats, error) {
+			_, _, st, err := MultiplyGeneric(acsc, ai, b, bi, Algebra[int32]{Times: elementwise(mulI), Plus: addI}, Options{})
+			return st, err
+		}, LayoutGeneric, 8, 8},
+		{"narrow-int32", func() (*Stats, error) {
+			_, _, st, err := multiplyNarrow(acsc, ai, b, bi, Options{})
+			return st, err
+		}, LayoutNarrow, 8, 8},
+		{"generic-bool", func() (*Stats, error) {
+			_, _, st, err := MultiplyGeneric(acsc, ab, b, bb, Algebra[bool]{Times: elementwise(or), Plus: or}, Options{})
+			return st, err
+		}, LayoutGeneric, 5, 5},
+		{"generic-float64", func() (*Stats, error) {
+			_, st, err := multiplyGeneric(acsc, b, Options{})
+			return st, err
+		}, LayoutGeneric, matrix.BytesPerTuple, SqueezedTupleBytes},
+		{"pattern", func() (*Stats, error) {
+			_, st, err := MultiplyPattern(acsc, b, Options{})
+			return st, err
+		}, LayoutPattern, PatternTupleBytes, PatternTupleBytes},
+	} {
+		st, err := tc.run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := tc.inBytes*nnzA + 2*tc.tup*st.Flops
+		if st.Layout != tc.layout || st.TupleBytes != tc.tup || st.ExpandBytes != want {
+			t.Errorf("%s: %v, %d-byte tuples, ExpandBytes %d; want %v, %d, %d",
+				tc.name, st.Layout, st.TupleBytes, st.ExpandBytes, tc.layout, tc.tup, want)
+		}
+	}
+}

@@ -48,19 +48,20 @@ type Workspace struct {
 	// the pattern layout's key plane, scratchWords the other layouts' two
 	// key|index planes per worker, accBits the dense fold's occupancy bitmaps
 	// (threads × 1<<keyBits bits, all-zero between bins). Value planes live
-	// in the layouts' pools (planes.scratchVals, planes.accVals).
+	// in the value layout's pools (values.scratchVals, values.accVals).
 	scratchKeys  []uint32
 	scratchWords []uint64
 	accBits      []uint64
 
-	// kvF64 pools the float64 value planes of the squeezed (12 B) layout;
-	// kvNarrow holds a *kv[V] for the narrow (8 B) layout's most recent
-	// value type V (float32 or int32), generic a *generic[V] with the value
-	// planes of the generic layout for its most recent V — reuse hits while
-	// V is stable.
-	kvF64    kv[float64]
-	kvNarrow any
-	generic  genericPool
+	// f64 pools the float64 value planes of the value layout, which Multiply
+	// and every float64 semiring share; vals holds a *values[V] for the most
+	// recent other value type V — reuse hits while V is stable. The one slot
+	// is a trade: a workspace that alternates two other value types (float32
+	// (+, ×) with a Boolean semiring over stored falses, say) reallocates
+	// their value planes on every call, where a slot per type would pool
+	// both.
+	f64  values[float64]
+	vals valuePool
 
 	// Pooled result storage (used only for shared workspaces).
 	out       matrix.CSR
@@ -104,17 +105,15 @@ func NewWorkspace() *Workspace { return &Workspace{} }
 func (ws *Workspace) Reset() { *ws = Workspace{} }
 
 // TupleCapBytes reports the current capacity of the pooled expanded-tuple
-// buffers in bytes, summed over every layout's pools: MemoryBudgetBytes
-// bounds each run's active pool, but a workspace reused across layouts
-// (semiring products mixed with float64 ones) holds both, and this
-// reports the memory actually resident.
+// buffers in bytes, summed over every value type's pools: MemoryBudgetBytes
+// bounds each run's active pool, but a workspace reused across value types
+// (float32 products mixed with float64 ones) holds both, and this reports the
+// memory actually resident. Every float64 product shares one value plane,
+// whatever it multiplies over.
 func (ws *Workspace) TupleCapBytes() int64 {
-	total := int64(cap(ws.tupleKeys))*4 + ws.kvF64.tupleCapBytes()
-	if n, ok := ws.kvNarrow.(interface{ tupleCapBytes() int64 }); ok {
-		total += n.tupleCapBytes()
-	}
-	if ws.generic != nil {
-		total += ws.generic.tupleCapBytes()
+	total := int64(cap(ws.tupleKeys))*4 + ws.f64.tupleCapBytes()
+	if ws.vals != nil {
+		total += ws.vals.tupleCapBytes()
 	}
 	return total
 }
@@ -136,10 +135,9 @@ func (ws *Workspace) DetachOutput(c *matrix.CSR) *matrix.CSR {
 		c = &out
 	}
 	ws.out, ws.outRowPtr, ws.outColIdx, ws.PatternVals = matrix.CSR{}, nil, nil, nil
-	for _, l := range []any{&ws.kvF64, ws.kvNarrow, ws.generic} {
-		if l, ok := l.(interface{ detachOut() }); ok {
-			l.detachOut()
-		}
+	ws.f64.detachOut()
+	if ws.vals != nil {
+		ws.vals.detachOut()
 	}
 	return c
 }

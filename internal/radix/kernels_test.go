@@ -122,6 +122,9 @@ func allZero[T comparable](s []T) bool {
 	return true
 }
 
+// add is (+, ×)'s ⊕, the typed binding's plus.
+func add[V Numeric](a, b V) V { return a + b }
+
 // denseTestBits caps the key widths the dense kernel is run at (its
 // accumulator is 1<<keyBits slots).
 const denseTestBits = 20
@@ -140,11 +143,11 @@ func testKernelsKV[V Numeric](t *testing.T, val func(r *rand.Rand) V) {
 		wantK, wantV := refSortFold(keys, vals)
 		k, v := append([]uint32(nil), keys...), append([]V(nil), vals...)
 		rows := make([]int64, nrows)
-		n := SortFold(k, v, w0, w1, tmp, s.keyBits, rows, colBits)
-		checkKV(t, s.name+" SortFold", k[:n], v[:n], rows, wantK, wantV, colBits)
+		n := SortFoldBy(k, v, w0, w1, tmp, s.keyBits, rows, colBits, add[V])
+		checkKV(t, s.name+" SortFoldBy", k[:n], v[:n], rows, wantK, wantV, colBits)
 		// rows == nil must skip the tally, not crash.
 		k, v = append(k[:0], keys...), append(v[:0], vals...)
-		if m := SortFold(k, v, w0, w1, tmp, s.keyBits, nil, colBits); m != n {
+		if m := SortFoldBy(k, v, w0, w1, tmp, s.keyBits, nil, colBits, add[V]); m != n {
 			t.Fatalf("%s: nil rows changed the count: %d vs %d", s.name, m, n)
 		}
 		if s.keyBits > denseTestBits {
@@ -306,8 +309,8 @@ func testBy[V any](t *testing.T, val func(r *rand.Rand, key uint32) V, plus func
 func TestNegativeZeroGroupKeepsSign(t *testing.T) {
 	nz := math.Copysign(0, -1)
 	keys, vals := []uint32{3, 3, 3}, []float64{nz, nz, nz}
-	if n := SortFold(keys, vals, make([]uint64, 3), make([]uint64, 3), make([]float64, 3), 2, nil, 0); n != 1 || !math.Signbit(vals[0]) {
-		t.Fatalf("SortFold folded −0.0 group to %v (n=%d)", vals[0], n)
+	if n := SortFoldBy(keys, vals, make([]uint64, 3), make([]uint64, 3), make([]float64, 3), 2, nil, 0, add[float64]); n != 1 || !math.Signbit(vals[0]) {
+		t.Fatalf("SortFoldBy folded −0.0 group to %v (n=%d)", vals[0], n)
 	}
 	keys, vals = []uint32{3, 1, 3}, []float64{nz, 1, nz}
 	if n := FoldDense(keys, vals, make([]float64, 4), make([]uint64, 1), nil, 0); n != 2 || !math.Signbit(vals[1]) {
@@ -331,7 +334,7 @@ func mustPanic(t *testing.T, what string, f func()) (v any) {
 func TestPreconditionsAreChecked(t *testing.T) {
 	keys, vals := []uint32{1, 2, 1 << 10}, []float64{1, 2, 3}
 	w0, w1, tmp := make([]uint64, 16), make([]uint64, 16), make([]float64, 16)
-	mustPanic(t, "SortFold with a key ≥ 2^keyBits", func() { SortFold(keys, vals, w0, w1, tmp, 10, nil, 0) })
+	mustPanic(t, "SortFoldBy with a key ≥ 2^keyBits", func() { SortFoldBy(keys, vals, w0, w1, tmp, 10, nil, 0, add[float64]) })
 	mustPanic(t, "SortFoldPattern with a key ≥ 2^keyBits", func() { SortFoldPattern(keys, make([]uint32, 3), 10, nil, 0) })
 	mustPanic(t, "FoldDense with a key ≥ len(acc)", func() { FoldDense(keys, vals, make([]float64, 1<<10), make([]uint64, 1<<4), nil, 0) })
 	mustPanic(t, "FoldDensePattern with a key past occ", func() { FoldDensePattern(keys, make([]uint64, 1<<4), nil, 0) })
@@ -345,9 +348,9 @@ func TestPreconditionsAreChecked(t *testing.T) {
 		t.Fatalf("CheckSegment(9) at limit 8: %v, want ErrSegmentTooLarge", err)
 	}
 	long := make([]uint32, 9)
-	v := mustPanic(t, "SortFold past maxSegment", func() { SortFold(long, make([]float64, 9), w0, w1, tmp, 10, nil, 0) })
+	v := mustPanic(t, "SortFoldBy past maxSegment", func() { SortFoldBy(long, make([]float64, 9), w0, w1, tmp, 10, nil, 0, add[float64]) })
 	if err, ok := v.(error); !ok || !errors.Is(err, ErrSegmentTooLarge) {
-		t.Fatalf("SortFold past maxSegment panicked with %v, want ErrSegmentTooLarge", v)
+		t.Fatalf("SortFoldBy past maxSegment panicked with %v, want ErrSegmentTooLarge", v)
 	}
 }
 
@@ -373,8 +376,6 @@ func TestKernelsDoNotAllocate(t *testing.T) {
 		FoldDenseBy(k, v, acc, occ, rows, 10, plus)
 		copy(k, keys)
 		copy(v, vals)
-		SortFold(k, v, w0, w1, tmp, keyBits, rows, 10)
-		copy(k, keys)
 		FoldDense(k, v, acc, occ, rows, 10)
 		copy(k, keys)
 		SortFoldPattern(k, aux, keyBits, rows, 10)
@@ -427,7 +428,7 @@ func TestGrowUint32(t *testing.T) {
 	}
 }
 
-// BenchmarkSortFoldHypersparse times SortFold on er_lowcf's bins (ER 2^16·d8),
+// BenchmarkSortFoldHypersparse times SortFoldBy over (+, ×) on er_lowcf's bins (ER 2^16·d8),
 // in ns per tuple, at both geometries the engine has given them: 64 Ki tuples
 // of 26-bit keys (10 row bits over 16 column bits, three passes) under the
 // flop rule alone, and 4 Ki tuples of 22-bit keys (6 over 16, two passes)
@@ -466,7 +467,7 @@ func BenchmarkSortFoldHypersparse(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				copy(k, keys)
 				copy(v, vals)
-				SortFold(k, v, w0, w1, tmp, keyBits, rows, colBits)
+				SortFoldBy(k, v, w0, w1, tmp, keyBits, rows, colBits, add[float64])
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/tuple")
 		})
@@ -474,7 +475,7 @@ func BenchmarkSortFoldHypersparse(b *testing.B) {
 }
 
 // BenchmarkKernels times the kernels on one L2-sized bin of 64 Ki tuples: the
-// LSDs (typed, through a ⊕ function value, and key-only) at er_lowcf's 26-bit
+// LSDs (through (+, ×)'s typed add, and key-only) at er_lowcf's 26-bit
 // keys and at rmat_skew's 18, the dense folds at 18 (its key space is 4 slots
 // per tuple there).
 func BenchmarkKernels(b *testing.B) {
@@ -487,21 +488,12 @@ func BenchmarkKernels(b *testing.B) {
 		}
 		k, v := make([]uint32, n), make([]float64, n)
 		w0, w1, tmp, aux := make([]uint64, n), make([]uint64, n), make([]float64, n), make([]uint32, n)
-		b.Run(fmt.Sprintf("SortFold/bits%d", keyBits), func(b *testing.B) {
-			b.SetBytes(n * 12)
-			for i := 0; i < b.N; i++ {
-				copy(k, keys)
-				copy(v, vals)
-				SortFold(k, v, w0, w1, tmp, keyBits, nil, 0)
-			}
-		})
-		plus := func(a, b float64) float64 { return a + b }
 		b.Run(fmt.Sprintf("SortFoldBy/bits%d", keyBits), func(b *testing.B) {
 			b.SetBytes(n * 12)
 			for i := 0; i < b.N; i++ {
 				copy(k, keys)
 				copy(v, vals)
-				SortFoldBy(k, v, w0, w1, tmp, keyBits, nil, 0, plus)
+				SortFoldBy(k, v, w0, w1, tmp, keyBits, nil, 0, add[float64])
 			}
 		})
 		b.Run(fmt.Sprintf("SortFoldPattern/bits%d", keyBits), func(b *testing.B) {
@@ -528,7 +520,7 @@ func BenchmarkKernels(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				copy(k, keys)
 				copy(v, vals)
-				FoldDenseBy(k, v, acc, occ, nil, 0, plus)
+				FoldDenseBy(k, v, acc, occ, nil, 0, add[float64])
 			}
 		})
 		b.Run(fmt.Sprintf("FoldDensePattern/bits%d", keyBits), func(b *testing.B) {

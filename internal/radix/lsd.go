@@ -37,9 +37,6 @@ const (
 	// at most maxDigitBits wide) that lets the compiler drop the bounds check
 	// from the histogram and scatter inner loops.
 	bucketMask = 1<<maxDigitBits - 1
-	// gatherBlock is how many values the final sweep gathers ahead of its
-	// fold (2 KiB of float64: a corner of L1).
-	gatherBlock = 256
 )
 
 // histograms holds one counter (then cursor) table per planned pass.
@@ -54,8 +51,8 @@ var maxSegment = uint64(math.MaxUint32)
 var ErrSegmentTooLarge = errors.New("radix: segment too long for a 32-bit source index")
 
 // CheckSegment returns ErrSegmentTooLarge when a segment of n tuples is too
-// long for SortFold. Callers size their scratch from n anyway and check
-// there; SortFold itself panics on a violation rather than wrap an index.
+// long for SortFoldBy. Callers size their scratch from n anyway and check
+// there; SortFoldBy itself panics on a violation rather than wrap an index.
 func CheckSegment(n int64) error {
 	if uint64(n) > maxSegment {
 		return fmt.Errorf("%w: %d", ErrSegmentTooLarge, n)
@@ -71,8 +68,8 @@ func lsdPlan(n, keyBits int) (passes, digit int) {
 	return passes, (keyBits + passes - 1) / passes
 }
 
-// Passes is the number of scatter passes SortFold, SortFoldBy and
-// SortFoldPattern plan for n tuples of keyBits-bit keys; internal/core sizes
+// Passes is the number of scatter passes SortFoldBy and SortFoldPattern
+// plan for n tuples of keyBits-bit keys; internal/core sizes
 // bins by it.
 func Passes(n, keyBits int) int {
 	passes, _ := lsdPlan(n, keyBits)
@@ -147,7 +144,7 @@ func starts(hs [][1 << maxDigitBits]uint32, digit int) {
 }
 
 // The LSD passes are leaves, each a frame of its own: scatterIndexed is
-// SortFold's first pass (key<<32|index words), scatterWords each later one
+// SortFoldBy's first pass (key<<32|index words), scatterWords each later one
 // (shift ≥ 32 counts from the word's bit 0), scatterKeys each pass of
 // SortFoldPattern. Inlined into
 // the sort's frame (32 KiB of histograms) the loop's key and digit were stored
@@ -222,7 +219,7 @@ func Tally(keys []uint32, rows []int64, colBits uint) {
 	}
 }
 
-// shortSegment is the longest segment SortFold and SortFoldPattern sort by
+// shortSegment is the longest segment SortFoldBy and SortFoldPattern sort by
 // insertion: LSD's 32 KiB of histograms cost it more than the sort (the
 // near-empty bins of a hypersparse product's 32-bit keys, internal/core).
 const shortSegment = 32
@@ -237,75 +234,21 @@ func insertionSort[K uint32 | uint64](s []K) {
 	}
 }
 
-// SortFold stably sorts keys/vals by the low keyBits bits of the key — all
-// keys must agree on the bits above — and folds equal keys (first value
-// assigned, later ones added in arrival order), leaving the folded tuples in
-// the prefix of keys/vals and tallying rows[key>>colBits] for each (rows ==
-// nil skips the tally). w0, w1 and tmp are scratch planes of at least
-// len(keys); their contents are clobbered. Returns the folded count.
+// SortFoldBy stably sorts keys/vals by the low keyBits bits of the key — all
+// keys must agree on the bits above — and folds each equal-key group through
+// plus: the first value assigned, each later one folded in as plus(acc, v),
+// in arrival order. It leaves the folded tuples in the prefix of keys/vals
+// and tallies rows[key>>colBits] for each (rows == nil skips the tally). w0,
+// w1 and tmp are scratch planes of at least len(keys); their contents are
+// clobbered. Returns the folded count. (+, ×) runs it with a typed add: a
+// typed twin that gathered values a block ahead of its fold was no faster on
+// the benchmark products, end to end.
 //
 // Measured and lost, not to be retried: a row-first fold of a cf ≈ 1 bin (a
 // stable pass on the local row, then an in-L1 merge of each row's ascending
 // runs). On 64 Ki tuples of 26-bit keys in 8-tuple runs it took 29.4–30.9 ns
 // a tuple branchy against 12.4–12.9 here, 23.5–24.1 branchless against
 // 14.9–15.8, 31–44 on 4-tuple runs. Two-pass bins (internal/core) won instead.
-func SortFold[V Numeric](keys []uint32, vals []V, w0, w1 []uint64, tmp []V, keyBits int, rows []int64, colBits uint) int {
-	n := len(keys)
-	vals = vals[:n]
-	if n < 2 {
-		Tally(keys, rows, colBits)
-		return n
-	}
-	cur := sortWords(keys, w0, w1, keyBits)
-	if cur == nil {
-		// Every key equal: arrival order is the sorted order.
-		v := vals[0]
-		for _, x := range vals[1:] {
-			v += x
-		}
-		vals[0] = v
-		Tally(keys[:1], rows, colBits)
-		return 1
-	}
-	// By now the value plane has left the private caches (two to four
-	// planes of tuples have streamed through since expand wrote it); fetching
-	// it back as one sequential stream is cheaper than the gather's misses.
-	simd.PrefetchSlice(vals)
-	tmp = tmp[:n]
-	// The gather is decoupled from the fold, a block at a time: a loop of
-	// independent loads keeps many of the value plane's cache misses in
-	// flight, which the fold's add chain and its equal-key branch would
-	// serialize.
-	var block [gatherBlock]V
-	out := 0
-	pk, acc := uint32(cur[0]>>32), vals[uint32(cur[0])]
-	for rest := cur[1:]; len(rest) > 0; {
-		ws := rest[:min(len(rest), gatherBlock)]
-		rest = rest[len(ws):]
-		for i, w := range ws {
-			block[i] = vals[uint32(w)]
-		}
-		for i, w := range ws {
-			k := uint32(w >> 32)
-			if k == pk {
-				acc += block[i]
-				continue
-			}
-			keys[out], tmp[out] = pk, acc
-			out++
-			pk, acc = k, block[i]
-		}
-	}
-	keys[out], tmp[out] = pk, acc
-	out++
-	copy(vals, tmp[:out])
-	Tally(keys[:out], rows, colBits)
-	return out
-}
-
-// SortFoldBy is SortFold for any value type and ⊕: the same passes, and a
-// fold of each equal-key group through plus — the first value assigned, each
-// later one folded in as plus(acc, v), in arrival order.
 func SortFoldBy[V any](keys []uint32, vals []V, w0, w1 []uint64, tmp []V, keyBits int, rows []int64, colBits uint, plus func(a, b V) V) int {
 	n := len(keys)
 	vals = vals[:n]
@@ -323,6 +266,9 @@ func SortFoldBy[V any](keys []uint32, vals []V, w0, w1 []uint64, tmp []V, keyBit
 		Tally(keys[:1], rows, colBits)
 		return 1
 	}
+	// By now the value plane has left the private caches (two to four
+	// planes of tuples have streamed through since expand wrote it); fetching
+	// it back as one sequential stream is cheaper than the gather's misses.
 	simd.PrefetchSlice(vals)
 	tmp = tmp[:n]
 	out := 0
@@ -391,7 +337,7 @@ func sortWords(keys []uint32, w0, w1 []uint64, keyBits int) []uint64 {
 	return cur
 }
 
-// SortFoldPattern is SortFold for the key-only pattern layout: the passes
+// SortFoldPattern is SortFoldBy for the key-only pattern layout: the passes
 // move bare 4-byte keys between keys and aux (at least len(keys) long,
 // clobbered) and the fold is deduplication.
 func SortFoldPattern(keys, aux []uint32, keyBits int, rows []int64, colBits uint) int {

@@ -11,17 +11,19 @@
 //     one value slot per key plus an occupancy bitmap — folds the tuples in
 //     arrival order and is then walked in key order. It is the radix sort
 //     whose one digit is the whole key, with the merge fused into it.
-//   - SortFold / SortFoldPattern (lsd.go), for every other bin: a fixed-pass
-//     stable LSD radix that sorts key<<32|index words and gathers each value
-//     once, in the final sweep that also folds equal neighbours.
+//   - SortFoldBy / SortFoldPattern (lsd.go), for every other bin: a
+//     fixed-pass stable LSD radix that sorts key<<32|index words and gathers
+//     each value once, in the final sweep that also folds equal neighbours.
 //
 // Both fold an equal-key group as one chain in arrival order — the first
-// value assigned, each later one added — which is exactly what a two-pointer
-// compress does over a stably sorted bin. So dense and sparse bins produce
-// the same bytes, special values (−0.0, NaN, ±Inf) and int32 wrap-around
-// included. FoldDenseBy and SortFoldBy are the same two kernels over any
-// value type, folding through the caller's ⊕ where these add: the same
-// chain, so the same bytes, whatever ⊕ is.
+// value assigned, each later one folded in — which is exactly what a
+// two-pointer compress does over a stably sorted bin. So dense and sparse
+// bins produce the same bytes, special values (−0.0, NaN, ±Inf) and int32
+// wrap-around included. FoldDense folds with a typed +, FoldDenseBy and
+// SortFoldBy through the caller's ⊕, over any value type: the same chain, so
+// the same bytes, whatever ⊕ is. internal/core's one value layout binds its
+// folds once per call: FoldDense and SortFoldBy with a typed add for (+, ×)
+// over float64, float32 and int32, the By pair for any other semiring.
 //
 // SortPairsInPlace (pairs.go) is no layout's: it is the unstable in-place
 // sort of COO entries with 64-bit keys that format conversion runs.

@@ -15,31 +15,31 @@ import (
 // its operations are, not who constructed it, so one assembled from stock
 // functions runs as the stock one does and a stock one whose Plus or Times a
 // caller replaced — with a closure of the same operation too — runs through
-// the caller's functions. A stock pair gets its typed entry into core: (+, ×)
-// over float64 core.Multiply's 12-byte squeezed layout, over float32 and int32
-// the 8-byte narrow layout, and (∨, ∧) over all-true operands the 4-byte
-// pattern (key-only) layout — the dispatch rule the README documents. The
-// other stock float64 pairs (MinPlus, MaxTimes, PlusMax) get typed chunk
-// loops for ⊗, which the row kernel runs and so does the generic layout, and
-// the row kernel chunk loops for ⊕ too; a Boolean product over all-true
-// operands needs no values at all. A plain mask never reaches a typed
-// layout, nor a product Options.Rows gives the row kernel (multiplyOpts hands
-// those over first); every other call with no typed entry (those three, a
-// custom or modified semiring, stored false booleans) runs the same pipeline
-// on the generic layout through its ⊗ chunk op and its own ⊕
-// (multiplyGeneric in multiply.go). Every layout packs its keys into 32 bits:
-// core adds bins until they fit, and runs a shape that needs more than its
-// bin cap in groups of bins. A complement mask is none of these
-// routes: the product runs as an unmasked one would, and then M's positions
-// are dropped from it.
+// the caller's functions. internal/core's pipeline has one value layout,
+// whose ⊗ and bin folds a call binds once (core.MultiplyGeneric): (+, ×)
+// over float64, float32 and int32 binds its typed kernels — the 12-byte
+// squeezed layout for float64, the 8-byte narrow one for the others — and
+// every other pair binds its ⊗ as a chunk operation and its own ⊕ as the
+// generic layout; (∨, ∧) over all-true operands runs the 4-byte pattern
+// (key-only) layout instead, as it needs no values at all. That is the
+// dispatch rule the README documents. The other stock float64 pairs
+// (MinPlus, MaxTimes, PlusMax) get typed chunk loops for ⊗, which the row
+// kernel runs and so does the generic layout, and the row kernel chunk loops
+// for ⊕ too. A plain mask never reaches the pipeline, nor a product
+// Options.Rows gives the row kernel (multiplyOpts hands those over first).
+// Every layout packs its keys into 32 bits: core adds bins until they fit,
+// and runs a shape that needs more than its bin cap in groups of bins. A
+// complement mask is none of these routes: the product runs as an unmasked
+// one would, and then M's positions are dropped from it.
 
 // Plan reports how MultiplyOpts executed a call: whether a typed fast path
 // ran and under which tuple layout. Request it via Options.Plan.
 type Plan struct {
-	// FastPath is true when the call ran a typed entry point of core.
+	// FastPath is true when the call ran typed kernels of core: (+, ×)'s on
+	// the squeezed or narrow layout, or the pattern layout.
 	FastPath bool
-	// Layout is the tuple layout the fast path executed (pattern, narrow or
-	// squeezed); meaningful only when FastPath.
+	// Layout is the tuple layout internal/core's pipeline ran (pattern,
+	// narrow, squeezed or generic); LayoutAuto for the row kernel.
 	Layout core.Layout
 	// Reason says what ran instead and why, when !FastPath.
 	Reason string
@@ -47,8 +47,7 @@ type Plan struct {
 	// product Options.Rows sent there.
 	Rows bool
 	// Stats is the call's own copy of the phase statistics whenever
-	// internal/core's pipeline ran the product — a fast path or the generic
-	// layout; nil for the row kernel.
+	// internal/core's pipeline ran the product; nil for the row kernel.
 	Stats *core.Stats
 }
 
@@ -58,7 +57,7 @@ func Flops[T any](a *CSCg[T], b *CSRg[T]) int64 { return matrix.PairFlops(a.ColP
 
 // cscHeader wraps a generic column matrix's index arrays as a float64 CSC
 // without copying; val may be nil for the entry points that carry values out
-// of band (narrow) or not at all (pattern).
+// of band (the value layout) or not at all (pattern).
 func cscHeader[T any](a *CSCg[T], val []float64) *matrix.CSC {
 	return &matrix.CSC{NumRows: a.NumRows, NumCols: a.NumCols,
 		ColPtr: a.ColPtr, RowIdx: a.RowIdx, Val: val}
@@ -101,12 +100,9 @@ func allTrue(vals []bool) bool {
 	return true
 }
 
-// typedRun is a stock pair's typed entry into core.
-type typedRun[T any] func(a *CSCg[T], b *CSRg[T], opt core.Options) (*CSRg[T], *core.Stats, error)
-
 // stock is the op table's entry for a stock pair (⊕, ⊗).
 type stock struct {
-	run         any  // the pair's typedRun, nil for none
+	plusTimes   bool // (+, ×) over float64, float32 or int32: core's typed binding
 	times, fold any  // chunk loops (baseline.Ops; times the generic layout's too), nil where sr's own function runs
 	arith       bool // float64 (+, ×): the row kernel's own typed loop
 	pattern     bool // (∨, ∧): structural, so run only over all-true operands
@@ -114,10 +110,10 @@ type stock struct {
 
 // table holds the stock pairs by the code of their (⊕, ⊗).
 var table = map[[2]uintptr]stock{
-	pair(addF64, mulF64): {run: typedRun[float64](runF64), arith: true},
-	pair(addF32, mulF32): {run: typedRun[float32](runNarrow[float32])},
-	pair(addI32, mulI32): {run: typedRun[int32](runNarrow[int32])},
-	pair(or, and):        {run: typedRun[bool](runPattern), pattern: true},
+	pair(addF64, mulF64): {plusTimes: true, arith: true},
+	pair(addF32, mulF32): {plusTimes: true},
+	pair(addI32, mulI32): {plusTimes: true},
+	pair(or, and):        {pattern: true},
 	pair(minF64, addF64): {times: timesAdd, fold: foldMin},
 	pair(maxF64, mulF64): {times: timesMul, fold: foldMax},
 	pair(addF64, maxF64): {times: timesMax, fold: foldAdd},
@@ -130,7 +126,8 @@ func codeOf(f any) uintptr { return reflect.ValueOf(f).Pointer() }
 // route is a call's one lookup of the op table: every decision it makes by
 // its semiring.
 type route[T any] struct {
-	run typedRun[T] // the typed entry into core; nil: the generic layout, for the reason why
+	// why says why no typed kernels run the product, which then runs the
+	// generic layout; "" when they do.
 	why string
 	// valueBytes is what a value of the row kernel's accumulator takes: nothing
 	// for a Boolean product over all-true operands, which only needs its pattern.
@@ -142,18 +139,45 @@ type route[T any] struct {
 // decide whether a Boolean product is structural.
 func routeOf[T any](sr Semiring[T], a, b []T) route[T] {
 	s := table[pair(sr.Plus, sr.Times)]
-	r := route[T]{why: "no typed kernel for semiring " + sr.Name, valueBytes: int64(unsafe.Sizeof(*new(T))), stock: s}
-	if s.run != nil {
-		r.run, r.why = s.run.(typedRun[T]), ""
-	}
-	if s.pattern {
-		if allTrue(any(a).([]bool)) && allTrue(any(b).([]bool)) {
-			r.valueBytes = 0
-		} else {
-			r.run, r.why = nil, "stored false values: pattern layout is structural"
-		}
+	r := route[T]{valueBytes: int64(unsafe.Sizeof(*new(T))), stock: s}
+	switch {
+	case s.pattern && allTrue(any(a).([]bool)) && allTrue(any(b).([]bool)):
+		r.valueBytes = 0
+	case s.pattern:
+		r.why = "stored false values: pattern layout is structural"
+	case !s.plusTimes:
+		r.why = "no typed kernel for semiring " + sr.Name
 	}
 	return r
+}
+
+// structural reports a Boolean product over all-true operands, which needs
+// only its pattern. A zero value width alone does not say so: an element type
+// may take no bytes.
+func (r route[T]) structural() bool { return r.stock.pattern && r.why == "" }
+
+// multiply runs the product on internal/core's pipeline: the pattern layout
+// for a structural Boolean product, else the value layout with (+, ×)'s
+// typed binding (a zero core.Algebra) where r has one, and through its chunk
+// ⊗ and sr.Plus where not. With the fold order defined, a product is the
+// same at every thread count and budget whatever sr.Plus is: ascending k.
+func (r route[T]) multiply(sr Semiring[T], a *CSCg[T], b *CSRg[T], opt core.Options) (*CSRg[T], *core.Stats, error) {
+	if r.structural() {
+		m, st, err := core.MultiplyPattern(cscHeader(a, nil), csrHeader(b, nil), opt)
+		if err != nil {
+			return nil, nil, err
+		}
+		return csrg(m, any(trueVals(opt.Workspace, len(m.ColIdx))).([]T)), st, nil
+	}
+	var alg core.Algebra[T]
+	if r.why != "" {
+		alg = core.Algebra[T]{Times: r.times(sr), Plus: sr.Plus}
+	}
+	m, vals, st, err := core.MultiplyGeneric(cscHeader(a, nil), a.Val, csrHeader(b, nil), b.Val, alg, opt)
+	if err != nil {
+		return nil, nil, err
+	}
+	return csrg(m, vals), st, nil
 }
 
 // times is sr's ⊗ as a chunk operation, dst[q] = x ⊗ y[q]: the table's chunk
@@ -193,33 +217,6 @@ func (r route[T]) rowOps(sr Semiring[T]) baseline.Ops[T] {
 				}
 			}
 		}}
-}
-
-func runF64(a *CSCg[float64], b *CSRg[float64], opt core.Options) (*CSRg[float64], *core.Stats, error) {
-	m, st, err := core.Multiply(cscHeader(a, a.Val), csrHeader(b, b.Val), opt)
-	if err != nil {
-		return nil, nil, err
-	}
-	return csrg(m, m.Val), st, nil
-}
-
-func runNarrow[V core.Value32](a *CSCg[V], b *CSRg[V], opt core.Options) (*CSRg[V], *core.Stats, error) {
-	m, vals, st, err := core.MultiplyNarrow(cscHeader(a, nil), a.Val, csrHeader(b, nil), b.Val, opt)
-	if err != nil {
-		return nil, nil, err
-	}
-	return csrg(m, vals), st, nil
-}
-
-// runPattern computes the structural product: (∨, ∧) exactly when every stored
-// value is true. Stored false entries (structural zeros) must fold through ∨
-// and ∧ themselves.
-func runPattern(a *CSCg[bool], b *CSRg[bool], opt core.Options) (*CSRg[bool], *core.Stats, error) {
-	m, st, err := core.MultiplyPattern(cscHeader(a, nil), csrHeader(b, nil), opt)
-	if err != nil {
-		return nil, nil, err
-	}
-	return csrg(m, trueVals(opt.Workspace, len(m.ColIdx))), st, nil
 }
 
 // The stock float64 operations as the row kernel's chunk loops: each does

@@ -241,6 +241,68 @@ func TestMaskedAndBooleanShareAWorkspace(t *testing.T) {
 	}
 }
 
+// TestFloat64ProductsShareOneValuePlane: a float64 product grows the
+// workspace's one float64 value plane whatever it multiplies over — core's
+// typed (+, ×) and MinPlus's ⊗ and ⊕ alike — so a workspace alternating the
+// two holds no more tuple memory than the larger of them alone.
+func TestFloat64ProductsShareOneValuePlane(t *testing.T) {
+	m := gen.ER(1024, 8, 36)
+	mcsc := m.ToCSC()
+	id := func(v float64) float64 { return v }
+	a, b := FromCSR(m, id).ToCSC(), FromCSR(m, id)
+	arith := func(ws *core.Workspace) {
+		if _, _, err := core.Multiply(mcsc, m, core.Options{Threads: 1, Workspace: ws}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	minPlus := func(ws *core.Workspace) {
+		var p Plan
+		if _, err := MultiplyOpts(MinPlus(), a, b, Options{Threads: 1, Workspace: ws, Plan: &p}); err != nil {
+			t.Fatal(err)
+		}
+		if p.Stats == nil || p.Stats.Layout != core.LayoutGeneric {
+			t.Fatalf("MinPlus ran %+v, want the generic layout", p)
+		}
+	}
+	var alone int64
+	for _, run := range []func(*core.Workspace){arith, minPlus} {
+		ws := core.NewWorkspace()
+		run(ws)
+		alone = max(alone, ws.TupleCapBytes())
+	}
+	ws := core.NewWorkspace()
+	for range 2 {
+		arith(ws)
+		minPlus(ws)
+	}
+	if got := ws.TupleCapBytes(); got > alone {
+		t.Fatalf("alternating the two holds %d bytes of tuples, the larger alone %d", got, alone)
+	}
+}
+
+// TestZeroSizeElementIsNotStructural: an element type that takes no bytes
+// is not a Boolean pattern product. Both kernels fold it through its own ⊕
+// and ⊗; the row kernel used to take a zero value width for the pattern
+// route and panicked converting its all-true plane to []T.
+func TestZeroSizeElementIsNotStructural(t *testing.T) {
+	m := gen.ER(64, 4, 37)
+	unit := func(float64) struct{} { return struct{}{} }
+	first := func(a, _ struct{}) struct{} { return a }
+	sr := Semiring[struct{}]{Name: "unit", Plus: first, Times: first}
+	a, b := FromCSR(m, unit).ToCSC(), FromCSR(m, unit)
+	rows := func(*matrix.CSR, *matrix.CSR, int64) bool { return true }
+	for _, opt := range []Options{{}, {Rows: rows}} {
+		c, err := MultiplyOpts(sr, a, b, opt)
+		if err != nil {
+			t.Fatalf("rows=%v: %v", opt.Rows != nil, err)
+		}
+		want := ReferenceOver(sr, FromCSR(m, unit), b, nil, false)
+		if !sameStructureG(c, want) || len(c.Val) != len(c.ColIdx) {
+			t.Fatalf("rows=%v: structure differs from referenceOver's", opt.Rows != nil)
+		}
+	}
+}
+
 // FuzzFastPathVsGeneric holds the typed dispatches to two oracles on random
 // shapes — the same semiring with its functions wrapped (the generic layout
 // through ⊗ and ⊕) and referenceOver, which shares no code with either: structure for

@@ -115,17 +115,12 @@ func multiplyOpts[T any](sr Semiring[T], a *CSCg[T], b *CSRg[T], opt Options) (*
 			return rs.multiply(sr, ar, b, opt, r)
 		}
 	}
-	if r.why == "" {
-		c, st, err := r.run(a, b, opt.coreOptions())
-		if err != nil {
-			return nil, err
-		}
-		opt.setPlan(Plan{FastPath: true, Layout: st.Layout}, st)
-		return c, nil
+	c, st, err := r.multiply(sr, a, b, opt.coreOptions())
+	if err != nil {
+		return nil, err
 	}
-	c, st, err := multiplyGeneric(sr, r, a, b, opt)
-	opt.setPlan(Plan{Reason: r.why}, st)
-	return c, err
+	opt.setPlan(Plan{FastPath: r.why == "", Layout: st.Layout, Reason: r.why}, st)
+	return c, nil
 }
 
 // rowState is the row kernel's pooled state, hung off core.Workspace.Aux per
@@ -165,7 +160,7 @@ func (rs *rowState[T]) multiply(sr Semiring[T], ar, b *CSRg[T], opt Options, r r
 		reason = "plain mask: row-wise masked accumulator"
 	}
 	opt.setPlan(Plan{Rows: true, Reason: reason}, nil)
-	ops, pattern := baseline.Ops[T]{}, opt.Mask == nil && r.valueBytes == 0
+	ops, pattern := baseline.Ops[T]{}, opt.Mask == nil && r.structural()
 	if !pattern {
 		ops = r.rowOps(sr)
 	}
@@ -191,18 +186,4 @@ func checkShapes[T any](rows, inner int32, b *CSRg[T], mask *matrix.CSR) error {
 			mask.NumRows, mask.NumCols, rows, b.NumCols, matrix.ErrShape)
 	}
 	return nil
-}
-
-// multiplyGeneric runs any semiring through internal/core's pipeline on the
-// generic layout: r's chunk ⊗ (the row kernel's) forms the tuples' values in
-// the parallel propagation-blocked expand, and a stable sort and sr.Plus fold
-// each bin in arrival order. With the fold order defined, a product is the
-// same at every thread count and budget whatever sr.Plus is: ascending k.
-func multiplyGeneric[T any](sr Semiring[T], r route[T], a *CSCg[T], b *CSRg[T], opt Options) (*CSRg[T], *core.Stats, error) {
-	alg := core.Algebra[T]{Times: r.times(sr), Plus: sr.Plus}
-	c, vals, st, err := core.MultiplyGeneric(cscHeader(a, nil), a.Val, csrHeader(b, nil), b.Val, alg, opt.coreOptions())
-	if err != nil {
-		return nil, nil, err
-	}
-	return csrg(c, vals), st, nil
 }

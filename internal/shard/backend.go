@@ -46,8 +46,14 @@ func NewEnginePool(name string, eng *pbspgemm.Engine, workers int, opts ...pbspg
 		name: name,
 		eng:  eng,
 		sem:  make(chan struct{}, workers),
-		opts: append(append([]pbspgemm.Option{}, opts...), pbspgemm.WithAlgorithm(pbspgemm.PB)),
+		opts: pinned(opts),
 	}
+}
+
+// pinned is opts with the algorithm pinned to PB, the kernel every block
+// runs.
+func pinned(opts []pbspgemm.Option) []pbspgemm.Option {
+	return append(append([]pbspgemm.Option{}, opts...), pbspgemm.WithAlgorithm(pbspgemm.PB))
 }
 
 // Name implements Backend.

@@ -205,7 +205,9 @@ func (c *Coordinator) partition(ctx context.Context, a, b *pbspgemm.CSR) (*pbspg
 			Blocks: []pbspgemm.BlockPlan{{A: a, B: b, Plan: &pbspgemm.Plan{Flops: pbspgemm.Flops(a, b)}}},
 		}, nil
 	}
-	root, err := c.cfg.Local.Plan(ctx, a, b, c.cfg.Options...)
+	// The root plan prices the kernel every block runs: the grid is cut at
+	// PB's footprint, not at that of whatever Auto would pick for the whole.
+	root, err := c.cfg.Local.Plan(ctx, a, b, pinned(c.cfg.Options)...)
 	if err != nil {
 		return nil, err
 	}
@@ -316,7 +318,7 @@ func (c *Coordinator) runBlock(ctx context.Context, blk *pbspgemm.BlockPlan, sta
 // localFallback recomputes blk on the local engine, under FallbackBudgetBytes
 // when configured.
 func (c *Coordinator) localFallback(ctx context.Context, blk *pbspgemm.BlockPlan) (*pbspgemm.CSR, error) {
-	opts := append(append([]pbspgemm.Option{}, c.cfg.Options...), pbspgemm.WithAlgorithm(pbspgemm.PB))
+	opts := pinned(c.cfg.Options)
 	if c.cfg.FallbackBudgetBytes > 0 {
 		opts = append(opts, pbspgemm.WithMemoryBudget(c.cfg.FallbackBudgetBytes))
 	}

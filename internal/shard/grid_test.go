@@ -89,16 +89,38 @@ func TestPartitionCutsOnce(t *testing.T) {
 			t.Fatalf("grid %v, heaviest block %d B: want row bands only, all under 256 KiB", gp.Grid, gp.MaxFootprintBytes)
 		}
 	})
-	t.Run("skewed pair regrows once", func(t *testing.T) {
-		// R-MAT columns are as skewed as its rows, so the first of two equal-width
-		// column bands holds far more than half of the product: the cut's own
-		// counts put it over the ceiling and the grid is cut again, wider.
+	t.Run("skewed pair priced at PB cuts once", func(t *testing.T) {
+		// The root plan prices PB, the kernel every block runs. At a third of
+		// that price the first cut, 4×1×1, already fits: priced at SPA's
+		// smaller footprint it was cut too narrow and regrown.
 		ra, rb := pbspgemm.NewRMAT(10, 8, 5), pbspgemm.NewRMAT(10, 8, 6)
-		root, err := eng.Plan(context.Background(), ra, rb)
+		root, err := eng.Plan(context.Background(), ra, rb, pbspgemm.WithAlgorithm(pbspgemm.PB))
 		if err != nil {
 			t.Fatalf("Plan: %v", err)
 		}
 		c, _ := New(Config{Local: eng, MaxBlockBytes: root.PredictedFootprintBytes / 3, MaxGridDim: 4})
+		cuts := countCuts(c)
+		gp, err := c.partition(context.Background(), ra, rb)
+		if err != nil {
+			t.Fatalf("partition: %v", err)
+		}
+		if *cuts != 1 || gp.MaxFootprintBytes > c.cfg.MaxBlockBytes {
+			t.Fatalf("grid %v after %d cuts, heaviest block %d B of %d: want the first cut to fit",
+				gp.Grid, *cuts, gp.MaxFootprintBytes, c.cfg.MaxBlockBytes)
+		}
+	})
+	t.Run("skewed pair regrows once", func(t *testing.T) {
+		// R-MAT columns are as skewed as its rows, so the first of two equal-width
+		// column bands holds far more than half of the product: the cut's own
+		// counts put it over the ceiling and the grid is cut again, wider. The
+		// ceiling is a sixth of the whole at PB's price, the one the
+		// coordinator's root plan names: the 4×2 cut regrows to 4×3.
+		ra, rb := pbspgemm.NewRMAT(10, 8, 5), pbspgemm.NewRMAT(10, 8, 6)
+		root, err := eng.Plan(context.Background(), ra, rb, pbspgemm.WithAlgorithm(pbspgemm.PB))
+		if err != nil {
+			t.Fatalf("Plan: %v", err)
+		}
+		c, _ := New(Config{Local: eng, MaxBlockBytes: root.PredictedFootprintBytes / 6, MaxGridDim: 4})
 		cuts := countCuts(c)
 		gp, err := c.partition(context.Background(), ra, rb)
 		if err != nil {

@@ -65,7 +65,7 @@ func TestKeyWidthBoundary32And33(t *testing.T) {
 		if err != nil || pst.NBins != 2 {
 			t.Fatalf("%d bits: pattern ran %d bins, err %v", tc.keyBits, pst.NBins, err)
 		}
-		nc, nVal, nst, err := core.MultiplyNarrow(aCSC, aVal, b, bVal, opt)
+		nc, nVal, nst, err := core.MultiplyGeneric(aCSC, aVal, b, bVal, core.Algebra[float32]{}, opt)
 		if err != nil || nst.NBins != 2 {
 			t.Fatalf("%d bits: narrow ran %d bins, err %v", tc.keyBits, nst.NBins, err)
 		}
