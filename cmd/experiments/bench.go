@@ -122,6 +122,8 @@ const (
 	gatePatternRegime  = "rmat-highcf-pattern"
 	gateShallowRegime  = "rmat-highcf-budgeted-fused"
 	gateBudgetedRegime = "rmat-highcf-budgeted-deep-fused"
+	gateERSingleRegime = "er-hypersparse-single"
+	gateERBudgetRegime = "er-hypersparse-budgeted"
 	gateUnmaskedRegime = "rmat-unmasked"
 	gateMaskedRegime   = "rmat-masked"
 	gateMinPlusRegime  = "rmat-highcf-minplus-pb"
@@ -149,8 +151,8 @@ const maskedGateFactor = 0.5
 
 // budgetGateFactor and shallowBudgetGateFactor bound what a memory budget may
 // cost: the budgeted regime's ns/op over the single-shot product's, same
-// input, one thread. A budget cuts the single-shot bins into groups, so each
-// group pays a plan and re-reads the rows of B its entries reach, and the
+// input, one thread. A budget cuts the single-shot bins into groups, so A is
+// cut once, each group re-reads the rows of B its entries reach, and the
 // output grows once or twice; every bin still folds once. Column panels, whose
 // bins each folded their gathered runs again, measured 1.44 and 2.07 in
 // BENCH_PR28.json.
@@ -258,6 +260,9 @@ func benchCases() []benchCase {
 		// gates' regimes.
 		{gateShallowRegime, "RMAT", 10, 32, 1, 2, 1, 16 << 20, "", false},
 		{gateBudgetedRegime, "RMAT", 10, 32, 1, 2, 1, 4 << 20, "", false},
+		// Hypersparse ER (cf ≈ 1), single-shot and in 64 groups: a gate's pair.
+		{gateERSingleRegime, "ER", 18, 4, 1, 2, 1, 0, "", false},
+		{gateERBudgetRegime, "ER", 18, 4, 1, 2, 1, 1 << 20, "", false},
 		// Sparser ER (cf ≈ 1) and a denser one, auto layout, default threads.
 		{"er-sparse", "ER", 14, 4, 1, 2, 0, 0, "", false},
 		{"er-dense", "ER", 12, 16, 1, 2, 0, 0, "", false},
@@ -394,7 +399,7 @@ func fillPctStream(r *benchRegime, report *benchReport) {
 // 4-byte pattern layout must beat the 12-byte squeezed float64 pipeline on
 // the same input by at least 10% (the Boolean-regime acceptance bar), a
 // shallow and a deep memory budget at most shallowBudgetGateFactor and
-// budgetGateFactor × the single-shot product,
+// budgetGateFactor × the single-shot product (hypersparse ER at 1 MiB too),
 // the masked product at most maskedGateFactor × the unmasked one, MinPlus on
 // PB at most minPlusGateFactor × the squeezed float64 product, and every
 // single-threaded pooled regime (all layouts, single-shot and budgeted; not the two through internal/semiring: the masked product is
@@ -414,10 +419,10 @@ func gateBench(report *benchReport) {
 	}
 	fused := byName[gateFusedRegime]
 	pattern, budgeted, shallow := byName[gatePatternRegime], byName[gateBudgetedRegime], byName[gateShallowRegime]
-	unmasked, masked := byName[gateUnmaskedRegime], byName[gateMaskedRegime]
+	unmasked, masked, erSingle, erBudget := byName[gateUnmaskedRegime], byName[gateMaskedRegime], byName[gateERSingleRegime], byName[gateERBudgetRegime]
 	minplus, autoMinPlus := byName[gateMinPlusRegime], byName[gateAutoMinPlus]
 	if fused == nil || pattern == nil || budgeted == nil || shallow == nil || unmasked == nil || masked == nil ||
-		minplus == nil || autoMinPlus == nil {
+		minplus == nil || autoMinPlus == nil || erSingle == nil || erBudget == nil {
 		fmt.Fprintln(os.Stderr, "bench gate: acceptance regimes missing from the run")
 		os.Exit(1)
 	}
@@ -427,6 +432,7 @@ func gateBench(report *benchReport) {
 	failed := ratioGate("pattern vs squeezed", pattern, fused, 0.90)
 	failed = ratioGate("shallow budget vs single-shot", shallow, fused, shallowBudgetGateFactor) || failed
 	failed = ratioGate("deep budget vs single-shot", budgeted, fused, budgetGateFactor) || failed
+	failed = ratioGate("hypersparse budget vs single-shot", erBudget, erSingle, budgetGateFactor) || failed
 	failed = ratioGate("masked vs unmasked", masked, unmasked, maskedGateFactor) || failed
 	failed = ratioGate("minplus on PB vs fused float64", minplus, fused, minPlusGateFactor) || failed
 	failed = ratioGate("minplus under Auto vs fused float64", autoMinPlus, fused, autoMinPlusGateFactor) || failed

@@ -236,6 +236,15 @@ func TestBenchBudgetGateAndMT(t *testing.T) {
 			t.Fatal("a budgeted gate regime must differ from the single-shot one only in name and budget")
 		}
 	}
+	es, okES := byName[gateERSingleRegime]
+	eb, okEB := byName[gateERBudgetRegime]
+	if !okES || !okEB || es.kind != "ER" || es.scale != 18 || es.ef != 4 || es.threadsCap != 1 || es.budget != 0 || eb.budget != 1<<20 {
+		t.Fatalf("hypersparse budget pair incomplete: single-shot=%v %+v budgeted=%v %+v", okES, es, okEB, eb)
+	}
+	eb.name, eb.budget = es.name, es.budget
+	if eb != es {
+		t.Fatal("the hypersparse budgeted regime must differ from its single-shot twin only in name and budget")
+	}
 	if budgetGateFactor != 1.3 || shallowBudgetGateFactor != 1.15 {
 		t.Fatalf("budget gate factors %v and %v, want 1.3 and 1.15", budgetGateFactor, shallowBudgetGateFactor)
 	}

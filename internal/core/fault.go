@@ -23,15 +23,12 @@ import (
 // run on it starts from a pristine (fully reset) state, so partial phase
 // state can never corrupt a later multiplication.
 //
-// Cancellation: Options.Cancel used to be polled only at phase boundaries,
-// so a request deadline could stall behind an entire multi-second phase.
-// The long loops now poll at sub-phase granularity — per ~cancelPollTuples
-// expanded tuples in expand, per bin in fuse and assemble — through
-// pollCancel: a raised stop flag (set by
-// whichever worker's poll first observed the cancellation, or by a panic)
-// costs the others one atomic load to notice. The checks stay off the
-// batched inner loops (a poll covers ~64Ki tuples of work), which is what
-// keeps the bench gate's ≤1% overhead budget.
+// Cancellation: so that a deadline never waits out a whole phase, the long
+// loops poll through pollCancel — every ~cancelPollTuples tuples in expand
+// and entries in the cut of A (cutA), per bin in fuse and assemble. A raised
+// stop flag (set by the first poll to see the cancellation, or by a panic)
+// costs the others one atomic load. The polls stay off the batched inner
+// loops, which keeps the bench gate's ≤1% overhead budget.
 
 // cancelPollTuples is the expand phase's cancellation granularity: a worker
 // re-polls Options.Cancel after at most this many expanded tuples. With one

@@ -61,33 +61,40 @@ func TestExpandPollsSubPhase(t *testing.T) {
 // and thread count: the multiply must return the wrapped hook error promptly
 // (bounded by the poll granularity, asserted with a generous wall-clock
 // ceiling), keep the errors.Is chain to context.DeadlineExceeded intact, and
-// leave no worker goroutines behind.
+// leave no worker goroutines behind. Under a budget the third poll falls in
+// the cut of A, before any group expands, so the cut must poll too.
 func TestCancellationLatencyMidPhase(t *testing.T) {
 	acsc, b := cancelInputs(t)
 	aval32 := make([]float32, len(acsc.RowIdx))
 	bval32 := make([]float32, len(b.ColIdx))
 
 	type layoutCase struct {
-		name string
-		run  func(opt Options) error
+		name  string
+		run   func(opt Options) error
+		phase string // the phase the cancellation must land in, if fixed
 	}
 	layouts := []layoutCase{
 		{"wide", func(opt Options) error {
 			_, _, err := multiplyGeneric(acsc, b, opt)
 			return err
-		}},
+		}, ""},
 		{"squeezed", func(opt Options) error {
 			_, _, err := Multiply(acsc, b, opt)
 			return err
-		}},
+		}, ""},
 		{"narrow", func(opt Options) error {
 			_, _, _, err := multiplyNarrow(acsc, aval32, b, bval32, opt)
 			return err
-		}},
+		}, ""},
 		{"pattern", func(opt Options) error {
 			_, _, err := MultiplyPattern(acsc, b, opt)
 			return err
-		}},
+		}, ""},
+		{"squeezed-budgeted", func(opt Options) error {
+			opt.MemoryBudgetBytes = 1 << 20
+			_, _, err := Multiply(acsc, b, opt)
+			return err
+		}, "plan"},
 	}
 	for _, lc := range layouts {
 		for _, threads := range []int{1, 2, 8} {
@@ -112,8 +119,8 @@ func TestCancellationLatencyMidPhase(t *testing.T) {
 				if !errors.Is(err, context.DeadlineExceeded) {
 					t.Fatalf("errors.Is(err, DeadlineExceeded) = false; err = %v", err)
 				}
-				if !strings.Contains(err.Error(), "canceled in") {
-					t.Errorf("error not phase-annotated: %v", err)
+				if !strings.Contains(err.Error(), "canceled in "+lc.phase) {
+					t.Errorf("error not annotated with the %q phase: %v", lc.phase, err)
 				}
 				if at := firedAt.Load(); at != 0 {
 					if lat := time.Duration(returned - at); lat > 5*time.Second {

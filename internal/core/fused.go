@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"pbspgemm/internal/faultinject"
+	"pbspgemm/internal/matrix"
 	"pbspgemm/internal/radix"
 )
 
@@ -65,7 +66,7 @@ func (e *engine) runSortPhase() {
 	}
 	e.scratchStride = maxSeg
 	e.lay.growScratch(e, int64(threads)*maxSeg, accSlots)
-	growVals(&e.ws.accBits, int64(threads)*((accSlots+63)/64))
+	matrix.Grow(&e.ws.accBits, threads*int((accSlots+63)/64))
 	e.forEachBin(faultinject.SiteSortTask, fuseWholeBin)
 	if threads > 1 {
 		e.st.SortOwned += int64(e.binHi - e.binLo) // += : a budgeted run's groups add up to its bins

@@ -55,9 +55,11 @@ type layoutOps interface {
 	growTuples(e *engine, n int64)
 	// growLocals sizes the flattened threads×nbins×capT local bins.
 	growLocals(e *engine, n int64)
+	// cut cuts A, values included, for bin groups (cutA): the walks read the cut.
+	cut(e *engine)
 	// expandRange is one worker's outer-product expansion with propagation
 	// blocking over the running group's columns [colBounds[t], colBounds[t+1])
-	// (engine.colLo).
+	// (engine.cols).
 	expandRange(e *engine, t int, cursors []int64)
 	// growScratch sizes the layout's per-worker sort-phase scratch: total
 	// tuples (threads × engine.scratchStride) of sort planes plus, when the
@@ -75,18 +77,6 @@ type layoutOps interface {
 	// growOut sizes the result's value storage to nnzc (resultPlane): the
 	// layout's out plane, nothing for pattern.
 	growOut(e *engine, c *matrix.CSR, nnzc int64)
-}
-
-// growVals is the grow-only sizing helper of the value planes, the
-// counterpart of matrix.Grow: existing contents survive a reslice and
-// a reallocation starts zeroed, so a plane that is all-zero between uses (the
-// dense fold's accumulator) stays so.
-func growVals[V any](buf *[]V, n int64) []V {
-	if int64(cap(*buf)) < n {
-		*buf = make([]V, n)
-	}
-	*buf = (*buf)[:n]
-	return *buf
 }
 
 // binRows is the slice of e.tally a bin's fold tallies into, indexed by
@@ -187,9 +177,11 @@ type values[V any] struct {
 	outVal      []V
 	scratchVals []V
 	accVals     []V // dense-fold accumulators, all-zero between bins
+	aCut        []V // A's values, cut group-major (cutA)
 
-	// Per-call: the input value planes (parallel to a.RowIdx / b.ColIdx), the
-	// result's value destination and the binding, none of which a pooled
+	// Per-call: the value planes of A (the input's, parallel to a.RowIdx, or
+	// its cut) and B (parallel to b.ColIdx), the result's value destination
+	// and the binding, none of which a pooled
 	// workspace may pin: unbind clears the inputs and the binding, and
 	// MultiplyGeneric the destination once it has read it.
 	aVal, bVal, out []V
@@ -293,20 +285,22 @@ func MultiplyGeneric[V any](a *matrix.CSC, aVal []V, b *matrix.CSR, bVal []V, al
 	return c, vals, st, nil
 }
 
+func (l *values[V]) cut(e *engine) { l.aVal = cutA(e, l.aVal, &l.aCut) }
+
 func (l *values[V]) growTuples(e *engine, n int64) {
 	radix.GrowUint32(&e.ws.tupleKeys, n)
-	growVals(&l.tupleVals, n)
+	matrix.Grow(&l.tupleVals, int(n))
 }
 
 func (l *values[V]) growLocals(e *engine, n int64) {
 	radix.GrowUint32(&e.ws.localKeys, n)
-	growVals(&l.localVals, n)
+	matrix.Grow(&l.localVals, int(n))
 }
 
 func (l *values[V]) growScratch(e *engine, total, accSlots int64) {
-	growVals(&e.ws.scratchWords, 2*total)
-	growVals(&l.scratchVals, total)
-	growVals(&l.accVals, int64(e.opt.Threads)*accSlots)
+	matrix.Grow(&e.ws.scratchWords, int(2*total))
+	matrix.Grow(&l.scratchVals, int(total))
+	matrix.Grow(&l.accVals, e.opt.Threads*int(accSlots))
 }
 
 func (l *values[V]) unpackBin(e *engine, c *matrix.CSR, srcOff, dstOff, n int64) {
@@ -356,7 +350,7 @@ func flushLocalKV[V any](bin int32, bufK []uint32, bufV []V, lens []int32,
 // A chunk's keys and values come from the typed expandKV in one pass, or
 // from simd.ExpandK and then Times: the same chunks and flushes either way.
 func (l *values[V]) expandRange(e *engine, t int, cursors []int64) {
-	a, b := e.a, e.b
+	b, cols, ptr, rows := e.b, e.cols, e.ptr, e.rows
 	capT := e.localCap
 	shift, mask, colBits, binLo := e.rowShift, e.rowMask, e.colBits, uint32(e.binLo)
 	gb := e.binHi - e.binLo
@@ -370,7 +364,7 @@ func (l *values[V]) expandRange(e *engine, t int, cursors []int64) {
 
 	var sincePoll int64
 	for j := e.ws.colBounds[t]; j < e.ws.colBounds[t+1]; j++ {
-		bLo, bHi, pLo, pHi := e.rowLo[j], e.rowHi[j], e.colLo[j], e.colHi[j]
+		bLo, bHi, pLo, pHi := b.RowPtr[cols[j]], b.RowPtr[cols[j]+1], ptr[j], ptr[j+1]
 		if bLo == bHi {
 			continue
 		}
@@ -388,7 +382,7 @@ func (l *values[V]) expandRange(e *engine, t int, cursors []int64) {
 		}
 		sincePoll += int64(bHi-bLo) * (pHi - pLo)
 		for p := pLo; p < pHi; p++ {
-			r := uint32(a.RowIdx[p])
+			r := uint32(rows[p])
 			av := aVal[p]
 			bin := int32(r>>shift - binLo)
 			localRow := (r & mask) << colBits
@@ -460,13 +454,14 @@ func (l *values[V]) fuseBin(e *engine, worker, bin int) int64 {
 
 type patternOps struct{}
 
+func (patternOps) cut(e *engine)                 { cutA[struct{}](e, nil, nil) }
 func (patternOps) growTuples(e *engine, n int64) { radix.GrowUint32(&e.ws.tupleKeys, n) }
 func (patternOps) growLocals(e *engine, n int64) { radix.GrowUint32(&e.ws.localKeys, n) }
 
 // expandRange is the key-only expansion: same walk, no value multiply — the
 // tuple IS its packed key, and a flush moves one plane.
 func (patternOps) expandRange(e *engine, t int, cursors []int64) {
-	a, b := e.a, e.b
+	b, cols, ptr, rows := e.b, e.cols, e.ptr, e.rows
 	capT := e.localCap
 	shift, mask, colBits := e.rowShift, e.rowMask, e.colBits
 	gb := e.binHi - e.binLo
@@ -488,7 +483,7 @@ func (patternOps) expandRange(e *engine, t int, cursors []int64) {
 
 	var sincePoll int64
 	for j := e.ws.colBounds[t]; j < e.ws.colBounds[t+1]; j++ {
-		bLo, bHi, pLo, pHi := e.rowLo[j], e.rowHi[j], e.colLo[j], e.colHi[j]
+		bLo, bHi, pLo, pHi := b.RowPtr[cols[j]], b.RowPtr[cols[j]+1], ptr[j], ptr[j+1]
 		if bLo == bHi {
 			continue
 		}
@@ -504,7 +499,7 @@ func (patternOps) expandRange(e *engine, t int, cursors []int64) {
 		}
 		sincePoll += int64(bHi-bLo) * (pHi - pLo)
 		for p := pLo; p < pHi; p++ {
-			r := uint32(a.RowIdx[p])
+			r := uint32(rows[p])
 			bin := int32(r>>shift - lb.binLo)
 			localRow := (r & mask) << colBits
 			base := int64(bin) * int64(capT)

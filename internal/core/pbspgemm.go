@@ -36,9 +36,10 @@
 //   - Options.MemoryBudgetBytes cuts the bins — row ranges of C — into
 //     contiguous groups whose expanded tuples fit the budget (and a shape
 //     whose 32-bit key needs more than maxKey32Bins bins is cut into groups
-//     of at most that many), and runs the four phases once per group:
-//     expand takes only the entries of A whose row falls in the group, and
-//     the group's bins fold and assemble into the output's next rows. Every bin still folds all its tuples once, so
+//     of at most that many), and runs the four phases once per group: A is
+//     cut once, group by group, so a group's expand reads only its own
+//     entries of A, and the group's bins fold and assemble into the output's
+//     next rows. Every bin still folds all its tuples once, so
 //     a budgeted product is the unbudgeted one, bit for bit. This serves
 //     products whose flops×16 expansion exceeds RAM, as ESC bounds its memory
 //     by batching output rows (Dalton, Olson and Bell, ACM TOMS 2015).
@@ -103,20 +104,17 @@ const (
 	LayoutPattern
 )
 
+// layoutTable is each Layout's name and, where fixed, its tuple bytes.
+var layoutTable = [...]struct {
+	name  string
+	bytes int64
+}{{"auto", 0}, {"generic", 0}, {"squeezed", SqueezedTupleBytes}, {"narrow", NarrowTupleBytes}, {"pattern", PatternTupleBytes}}
+
 func (l Layout) String() string {
-	switch l {
-	case LayoutAuto:
-		return "auto"
-	case LayoutGeneric:
-		return "generic"
-	case LayoutSqueezed:
-		return "squeezed"
-	case LayoutNarrow:
-		return "narrow"
-	case LayoutPattern:
-		return "pattern"
+	if l < 0 || int(l) >= len(layoutTable) {
+		return fmt.Sprintf("Layout(%d)", int8(l))
 	}
-	return fmt.Sprintf("Layout(%d)", int8(l))
+	return layoutTable[l].name
 }
 
 // Per-tuple byte costs of the layouts — the b of the paper's traffic model
@@ -136,15 +134,10 @@ const (
 // for LayoutAuto, which is no layout, and for LayoutGeneric, whose tuples are
 // 4 + sizeof(V) bytes: Stats.TupleBytes reports a run's).
 func (l Layout) TupleBytes() int64 {
-	switch l {
-	case LayoutSqueezed:
-		return SqueezedTupleBytes
-	case LayoutNarrow:
-		return NarrowTupleBytes
-	case LayoutPattern:
-		return PatternTupleBytes
+	if l < 0 || int(l) >= len(layoutTable) {
+		return 0
 	}
-	return 0
+	return layoutTable[l].bytes
 }
 
 // tupleBytes is the per-tuple cost the flop rule of the bin count uses: the
@@ -188,7 +181,8 @@ type Options struct {
 	Workspace *Workspace
 	// Cancel, if non-nil, is polled at phase boundaries and inside the long
 	// phase loops: per column chunk in expand (every ~cancelPollTuples
-	// expanded tuples), per task in the fuse phase, per bin in assemble. A
+	// expanded tuples) and in the cut of A for bin groups (as many entries),
+	// per task in the fuse phase, per bin in assemble. A
 	// non-nil return aborts the multiplication with that
 	// error; workers drain to the next poll before the join, so no goroutines
 	// leak. The public API wires context.Context.Err here.
@@ -297,13 +291,12 @@ type engine struct {
 	ngroups       int
 	group         int // the group running; its bins are [binLo, binHi)
 	binLo, binHi  int
-	// The columns the running group expands, j = 0, 1, …: its entries
-	// [colLo[j], colHi[j]) of a column of A, the row [rowLo[j], rowHi[j]) of B
-	// they meet, and their colFlops[j]. With one group these are views of A's
-	// ColPtr, B's RowPtr and the symbolic flops, a j per column; with more,
-	// of the group's spans (splitColumns) — only the columns its rows reach.
-	colLo, colHi  []int64
-	rowLo, rowHi  []int64
+	// The running group's A, doubly compressed: its j-th column is column
+	// cols[j] of A (row cols[j] of B), entries rows[ptr[j]:ptr[j+1]] with the
+	// layout's values beside them, colFlops[j] flops. One group walks A in
+	// place (identity cols over ColPtr, RowIdx); several, cutA's cut.
+	cols, rows    []int32
+	ptr           []int64
 	colFlops      []int64
 	outLen        int64  // output entries the groups before this one assembled
 	flopsDone     int64  // flops of the groups expanded so far, this one included
@@ -393,8 +386,7 @@ func (e *engine) finish(c *matrix.CSR, err error) (*matrix.CSR, *Stats, error) {
 // dropRefs clears what would let a pooled workspace pin the caller's inputs
 // (and a semiring's closures) between runs.
 func (e *engine) dropRefs() {
-	e.a, e.b, e.st, e.lay, e.tally, e.result = nil, nil, nil, nil, nil, nil
-	e.colLo, e.colHi, e.rowLo, e.rowHi = nil, nil, nil, nil
+	e.a, e.b, e.st, e.lay, e.tally, e.result, e.ptr, e.rows = nil, nil, nil, nil, nil, nil, nil, nil
 	e.ws.f64.unbind()
 	if e.ws.vals != nil {
 		e.ws.vals.unbind()
@@ -478,15 +470,17 @@ func (e *engine) run() (*matrix.CSR, error) {
 // runGroups is the paper's algorithm, run once per bin group: plan, expand,
 // fold the group's bins with row tallies, and unpack them into the output's
 // next entries. With one group — no budget, or one the product fits — it is
-// the single-shot run, over all of A's columns whole. The row pointers are one
-// prefix sum over the tallies once every group is in.
+// the single-shot run over A in place; with several, each walks its slice of
+// A's cut (cutA). The row pointers are one prefix sum over the tallies once
+// every group is in.
 func (e *engine) runGroups() (*matrix.CSR, error) {
 	t0 := time.Now()
 	e.planWhole()
 	e.planGroups()
 	e.st.NGroups = e.ngroups
 	if e.ngroups > 1 {
-		if err := e.splitColumns(); err != nil {
+		e.lay.cut(e)
+		if err := e.canceled(); err != nil {
 			return nil, err
 		}
 	}
@@ -510,7 +504,7 @@ func (e *engine) runGroups() (*matrix.CSR, error) {
 		t0 = time.Now()
 		e.phase = "expand"
 		e.expand()
-		e.flopsDone += e.ws.binStart[e.nbins]
+		e.flopsDone += e.ws.binStart[e.binHi]
 		e.st.Expand += time.Since(t0)
 		if err := e.canceled(); err != nil {
 			return nil, err
@@ -570,10 +564,14 @@ func (e *engine) symbolic() {
 // bin. It is a single-shot run's plan, and the per-bin counts planGroups cuts.
 func (e *engine) planWhole() {
 	k := int(e.a.NumCols)
-	e.colLo, e.colHi, e.rowLo, e.rowHi = e.a.ColPtr[:k], e.a.ColPtr[1:], e.b.RowPtr[:k], e.b.RowPtr[1:]
-	e.colFlops = e.ws.colFlops
+	if len(e.ws.ident) < k { // grow-only: 0, 1, 2, …
+		for i := range matrix.Grow(&e.ws.ident, k) {
+			e.ws.ident[i] = int32(i)
+		}
+	}
+	e.cols, e.ptr, e.rows, e.colFlops = e.ws.ident[:k], e.a.ColPtr, e.a.RowIdx, e.ws.colFlops
 	e.binLo, e.binHi = 0, e.nbins
-	e.expandPlan()
+	e.expandPlan(matrix.GrowInt64Zero(&e.ws.binFlops, e.nbins))
 }
 
 // planGroups cuts the bins into contiguous groups of at most maxKey32Bins
@@ -584,7 +582,6 @@ func (e *engine) planWhole() {
 // maxKey32Bins bins and no budget, or a budget the whole product fits, there
 // is exactly one group, and the whole product's plan is its plan.
 func (e *engine) planGroups() {
-	bs := e.ws.binStart
 	gs := append(e.ws.groupStart[:0], 0)
 	budget := int64(math.MaxInt64) // in tuples
 	if e.opt.MemoryBudgetBytes > 0 {
@@ -594,12 +591,12 @@ func (e *engine) planGroups() {
 		e.maxGroupFlops = e.flops
 	} else {
 		var cur, maxf int64
-		for bin := 0; bin < e.nbins; bin++ {
-			f := bs[bin+1] - bs[bin]
+		group := matrix.Grow(&e.ws.binGroup, e.nbins) // each bin's, for cutA
+		for bin, f := range e.ws.binFlops {
 			if bin-gs[len(gs)-1] == maxKey32Bins || f > 0 && cur > 0 && cur+f > budget {
 				gs, maxf, cur = append(gs, bin), max(maxf, cur), 0
 			}
-			cur += f
+			cur, group[bin] = cur+f, int32(len(gs)-1)
 		}
 		e.maxGroupFlops = max(maxf, cur)
 	}
@@ -607,81 +604,85 @@ func (e *engine) planGroups() {
 	e.ngroups = len(e.ws.groupStart) - 1
 }
 
-// splitColumns cuts each column of A whose row of B is not empty into spans,
-// one per group its rows reach, and lays the spans out group by group in
-// ws.spans — four planes: colLo, colHi, rowLo, rowHi — with the groups'
-// boundaries in ws.spanStart. A's rows ascend in every column (CSC.Validate;
-// every conversion the entry points make keeps them so), so a column's
-// entries in one group are contiguous, a group's spans come in ascending
-// column order, and a group expands its columns in the order the single-shot
-// run does; the spans total at most nnz(A). A column whose rows do not ascend
-// across groups is an error.
-func (e *engine) splitColumns() error {
-	a, b, ws, gs := e.a, e.b, e.ws, e.ws.groupStart
-	group := matrix.Grow(&ws.binGroup, e.nbins)
-	for g := range e.ngroups {
-		for bin := gs[g]; bin < gs[g+1]; bin++ {
-			group[bin] = int32(g)
-		}
-	}
-	starts := matrix.GrowInt64Zero(&ws.spanStart, e.ngroups+1)
-	var n int64
-	// Pass 0 counts each group's spans into starts[g+1]; pass 1 writes them,
-	// with starts[g] as group g's cursor.
-	for pass := 0; pass < 2; pass++ {
+// cutA cuts A once for a run of several groups, doubly compressed (Buluç and
+// Gilbert, IPDPS 2008): a stable counting pass over the entries whose row of
+// B is not empty, keyed by their bin's group, lays out each group's rows
+// (ws.cutRows) and, given aVal, values (returned, in pool) in column order,
+// and lists each column once a group with its first entry (ws.cutCols,
+// ws.cutPtr), so every bin gets its tuples in the single-shot order.
+func cutA[V any](e *engine, aVal []V, pool *[]V) []V {
+	a, b, ws, ng, group, shift := e.a, e.b, e.ws, e.ngroups, e.ws.binGroup, e.rowShift
+	cur := matrix.Grow(&ws.cutGroups, ng+1)
+	clear(cur)
+	var rows, list []int32
+	var ptr []int64
+	var vals []V
+	// Pass 0 counts each group's entries and columns; pass 1 writes them back to
+	// front from its end, leaving the cursors on its start, a column's offset on its first.
+	for pass, step := range []int64{1, -1} {
 		if pass == 1 {
-			for g := range e.ngroups {
-				starts[g+1] += starts[g]
+			var n cutCursor
+			for g, c := range cur[:ng] {
+				n.ent, n.col = n.ent+c.ent, n.col+c.col
+				cur[g] = cutCursor{ent: n.ent, col: n.col} // the group's end
 			}
-			n = starts[e.ngroups]
-			growVals(&ws.spans, 4*n)
+			cur[ng] = n
+			rows, list = matrix.Grow(&ws.cutRows, int(n.ent)), matrix.Grow(&ws.cutCols, int(n.col))
+			if ptr = matrix.Grow(&ws.cutPtr, int(n.col)+1); aVal != nil {
+				vals = matrix.Grow(pool, int(n.ent))
+			}
+			ptr[n.col] = n.ent
 		}
-		for i := range int(a.NumCols) {
+		var sincePoll int64
+		for i := a.NumCols - 1; i >= 0; i-- {
 			if b.RowPtr[i] == b.RowPtr[i+1] {
 				continue
 			}
-			prev := int32(-1)
-			for p, end := a.ColPtr[i], a.ColPtr[i+1]; p < end; {
-				g := group[uint32(a.RowIdx[p])>>e.rowShift]
-				if g < prev {
-					return fmt.Errorf("core: column %d of A is not sorted by row", i)
+			lo, hi := a.ColPtr[i], a.ColPtr[i+1]
+			for p, col := hi-1, int64(i)+1; p >= lo; p-- {
+				r := a.RowIdx[p]
+				c := &cur[group[uint32(r)>>shift]]
+				j := c.col
+				if c.last != col { // a conditional move: few groups make it a coin toss
+					j += step
 				}
-				q := p + 1
-				for q < end && group[uint32(a.RowIdx[q])>>e.rowShift] == g {
-					q++
+				if c.col, c.last, c.ent = j, col, c.ent+step; pass == 1 {
+					list[j], ptr[j], rows[c.ent] = i, c.ent, r
+					if vals != nil {
+						vals[c.ent] = aVal[p]
+					}
 				}
-				if pass == 0 {
-					starts[g+1]++
-				} else {
-					r := starts[g]
-					starts[g]++
-					ws.spans[r], ws.spans[n+r], ws.spans[2*n+r], ws.spans[3*n+r] = p, q, b.RowPtr[i], b.RowPtr[i+1]
+			}
+			if sincePoll += hi - lo; sincePoll >= cancelPollTuples {
+				sincePoll = 0
+				if e.pollCancel() {
+					return nil
 				}
-				p, prev = q, g
 			}
 		}
 	}
-	// Each cursor ended on the next group's start; rotate them back.
-	copy(starts[1:], starts[:e.ngroups])
-	starts[0] = 0
-	return nil
+	return vals
 }
 
+// cutCursor is a group's count, then cursor, then start in cutA: entries,
+// columns, and 1 + the last column it took an entry from.
+type cutCursor struct{ ent, col, last int64 }
+
 // planGroup lays out the running group of a run with several: its bins, its
-// columns (splitColumns' spans), their flops, and from those expandPlan's
-// offsets and thread boundaries, balanced on the group's own flops.
+// slice of the cut (cutA) and expandPlan's offsets and thread boundaries,
+// balanced on the group's column flops (one thread balances nothing).
 func (e *engine) planGroup() {
-	ws := e.ws
-	e.binLo, e.binHi = ws.groupStart[e.group], ws.groupStart[e.group+1]
-	s, t := ws.spanStart[e.group], ws.spanStart[e.group+1]
-	n := int64(len(ws.spans) / 4)
-	e.colLo, e.colHi = ws.spans[s:t], ws.spans[n+s:n+t]
-	e.rowLo, e.rowHi = ws.spans[2*n+s:2*n+t], ws.spans[3*n+s:3*n+t]
-	e.colFlops = ws.colFlops[:t-s] // a group has a span a column at most
-	for j := range e.colFlops {
-		e.colFlops[j] = (e.colHi[j] - e.colLo[j]) * (e.rowHi[j] - e.rowLo[j])
+	ws, g := e.ws, e.group
+	e.binLo, e.binHi = ws.groupStart[g], ws.groupStart[g+1]
+	lo, hi := ws.cutGroups[g].col, ws.cutGroups[g+1].col
+	e.cols, e.ptr, e.rows = ws.cutCols[lo:hi], ws.cutPtr[lo:hi+1], ws.cutRows
+	e.colFlops = ws.colFlops[:hi-lo] // a group lists a column once at most
+	if e.opt.Threads > 1 {
+		for j, i := range e.cols {
+			e.colFlops[j] = (e.ptr[j+1] - e.ptr[j]) * e.b.RowNNZ(i)
+		}
 	}
-	e.expandPlan()
+	e.expandPlan(nil)
 }
 
 // binGeometry is the bin shape planBinGeometry derives: nbins bins of
@@ -853,42 +854,39 @@ func colBitsFor(bCols int32) uint {
 	return uint(max(bits.Len32(uint32(max(bCols, 1)-1)), 1))
 }
 
-// expandPlan computes per-bin flop counts for the running group's columns
-// (engine.colLo) with one pass over their entries of A, leaving the exclusive
-// prefix in ws.binStart and flop-balanced thread boundaries over
-// engine.colFlops in ws.colBounds. The per-thread × per-bin
-// counts are exact — each worker's expand range is fixed by colBounds — so
-// they are converted in place into exclusive write offsets: thread t's tuples
+// expandPlan lays out the running group's expand: thread boundaries balanced
+// over engine.colFlops in ws.colBounds, and the exclusive prefix of its bins'
+// flops (ws.binFlops, which the whole product's plan counts into sum) in
+// ws.binStart. With several threads each worker counts its own columns, and
+// these counts are exact — each worker's expand range is fixed by colBounds —
+// so they are converted in place into exclusive write offsets: thread t's tuples
 // for bin b land at binStart[b] + Σ_{t'<t} count(t', b). Expand then needs no
 // atomic cursors, flushes are plain copies into pre-reserved ranges, and the
 // tuple order in every bin is the sequential column order at any thread
 // count (contention-free, deterministic expand). The per-worker arrays
 // (ws.perThread, ws.cursors) are sized and indexed by the group's own bins,
 // bin − binLo.
-func (e *engine) expandPlan() {
+func (e *engine) expandPlan(sum []int64) {
 	gb := e.binHi - e.binLo
 	threads := e.opt.Threads
-	binFlops := matrix.GrowInt64Zero(&e.ws.binFlops, e.nbins)
-	group := binFlops[e.binLo:e.binHi]
 	e.ws.colBounds = par.BalancedBoundariesInto(
 		e.colFlops, threads, matrix.Grow(&e.ws.colBounds, threads+1))
 	var pt []int64
-	if threads == 1 {
-		e.countBins(0, len(e.colLo), group)
-	} else {
+	if threads == 1 && sum != nil {
+		e.countBins(0, len(e.cols), sum)
+	} else if threads > 1 {
 		pt = matrix.GrowInt64Zero(&e.ws.perThread, threads*gb)
 		bounds := e.ws.colBounds
 		par.ParallelRun(threads, func(t int) {
 			e.countBins(bounds[t], bounds[t+1], pt[t*gb:(t+1)*gb])
 		})
-		for t := 0; t < threads; t++ {
-			local := pt[t*gb : (t+1)*gb]
-			for bin, c := range local {
-				group[bin] += c
+		for t := 0; t < threads && sum != nil; t++ {
+			for bin, c := range pt[t*gb : (t+1)*gb] {
+				sum[bin] += c
 			}
 		}
 	}
-	par.PrefixSum(binFlops, matrix.Grow(&e.ws.binStart, e.nbins+1))
+	par.PrefixSum(e.ws.binFlops[e.binLo:e.binHi], matrix.Grow(&e.ws.binStart, e.nbins+1)[e.binLo:e.binHi+1])
 	// Exclusive per-thread write offsets, computed in place over pt (the
 	// counts are consumed as they are replaced). ws.cursors is scratch here;
 	// with one thread it is reset below to binStart and used directly as the
@@ -908,14 +906,14 @@ func (e *engine) expandPlan() {
 // countBins adds the flops of columns [lo, hi) of the running group to
 // binFlops, indexed by the group's bins.
 func (e *engine) countBins(lo, hi int, binFlops []int64) {
-	a, shift, binLo := e.a, e.rowShift, uint32(e.binLo)
+	b, cols, ptr, rows, shift, binLo := e.b, e.cols, e.ptr, e.rows, e.rowShift, uint32(e.binLo)
 	for j := lo; j < hi; j++ {
-		bRow := e.rowHi[j] - e.rowLo[j]
+		bRow := b.RowNNZ(cols[j])
 		if bRow == 0 {
 			continue
 		}
-		for p := e.colLo[j]; p < e.colHi[j]; p++ {
-			binFlops[uint32(a.RowIdx[p])>>shift-binLo] += bRow
+		for p := ptr[j]; p < ptr[j+1]; p++ {
+			binFlops[uint32(rows[p])>>shift-binLo] += bRow
 		}
 	}
 }
@@ -951,7 +949,7 @@ func (e *engine) expand() {
 	// rmat_skew product, 18 against 19 on er_lowcf's 50 MB). On smaller
 	// arenas the two are a wash and the lines stay cached for the sort's
 	// read-back, so those keep copy().
-	e.ntFlush = simd.HasNT && e.ws.binStart[e.nbins]*e.tupleBytes >= ntMinArenaBytes
+	e.ntFlush = simd.HasNT && e.ws.binStart[e.binHi]*e.tupleBytes >= ntMinArenaBytes
 	if threads == 1 {
 		e.lay.expandRange(e, 0, cursors)
 		e.fenceFlushes()

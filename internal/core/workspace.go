@@ -28,14 +28,17 @@ type Workspace struct {
 	perThread   []int64
 	binStart    []int64
 	groupStart  []int   // bin group boundaries, ngroups+1
-	binGroup    []int32 // the group of each bin (splitColumns)
-	spanStart   []int64 // a budgeted run's spans of group g are [spanStart[g], spanStart[g+1])
-	spans       []int64 // their four planes (splitColumns)
+	binGroup    []int32 // the group of each bin (planGroups)
+	ident       []int32 // 0, 1, 2, …: a one-group run's column list
 	colBounds   []int   // thread boundaries over A's columns
 	cursors     []int64
 	binOut      []int64
 	binOutStart []int64
 	rowCounts   []int64
+	cutRows     []int32 // A cut for bin groups (cutA): rows, columns, offsets, starts
+	cutCols     []int32
+	cutPtr      []int64
+	cutGroups   []cutCursor
 
 	// Propagation-blocking local bins, flattened threads × the running
 	// group's bins × capTuples, per layout.

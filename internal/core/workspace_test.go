@@ -81,18 +81,54 @@ func TestBudgetBoundsTupleBuffer(t *testing.T) {
 	}
 }
 
-// TestBudgetedRejectsUnsortedColumns: bin groups take each column's entries
-// of A by ascending row, so a budgeted run of a CSC whose column rows do not
-// ascend returns an error instead of a product missing entries. The CSCs the
-// entry points convert always ascend.
-func TestBudgetedRejectsUnsortedColumns(t *testing.T) {
-	a := &matrix.CSC{NumRows: 8, NumCols: 2, ColPtr: []int64{0, 2, 3}, RowIdx: []int32{6, 1, 3}, Val: []float64{1, 2, 3}}
-	b := (&matrix.COO{NumRows: 2, NumCols: 8, Row: []int32{0, 0, 1}, Col: []int32{0, 3, 5}, Val: []float64{1, 1, 1}}).ToCSR()
-	if _, _, err := Multiply(a, b, Options{}); err != nil {
-		t.Fatalf("unbudgeted: %v", err)
+// TestUnsortedColumnsSameBytesUnderBudgets: a CSC whose columns' rows do not
+// all ascend gives the bytes of its sorted twin on every layout — Multiply,
+// MultiplyPattern and MultiplyGeneric over typed and function bindings — in
+// one group, in a few and in one bin a group, at one and two threads. The cut
+// of A keeps each column's entries in stored order, and a key's products
+// still arrive in ascending k.
+func TestUnsortedColumnsSameBytesUnderBudgets(t *testing.T) {
+	a, b := gen.ER(600, 6, 31), gen.ER(600, 6, 32)
+	sorted := a.ToCSC()
+	unsorted := &matrix.CSC{NumRows: sorted.NumRows, NumCols: sorted.NumCols, ColPtr: sorted.ColPtr,
+		RowIdx: slices.Clone(sorted.RowIdx), Val: slices.Clone(sorted.Val)}
+	for j := int32(0); j < unsorted.NumCols; j += 2 {
+		lo, hi := unsorted.ColPtr[j], unsorted.ColPtr[j+1]
+		slices.Reverse(unsorted.RowIdx[lo:hi])
+		slices.Reverse(unsorted.Val[lo:hi])
 	}
-	if _, _, err := Multiply(a, b, Options{MemoryBudgetBytes: 1}); err == nil {
-		t.Fatal("a budgeted run over an unsorted column returned no error")
+	fullBytes := matrix.Flops(sorted, b) * tupleBytes
+	for _, tc := range []struct {
+		budget               int64
+		minGroups, maxGroups int
+	}{{0, 1, 1}, {fullBytes / 4, 2, 16}, {1, 300, 600}} {
+		_, st, err := Multiply(unsorted, b, Options{MemoryBudgetBytes: tc.budget})
+		if err != nil {
+			t.Fatalf("budget=%d: %v", tc.budget, err)
+		}
+		if st.NGroups < tc.minGroups || st.NGroups > tc.maxGroups {
+			t.Fatalf("budget=%d: %d groups of %d bins, want %d–%d", tc.budget, st.NGroups, st.NBins, tc.minGroups, tc.maxGroups)
+		}
+	}
+	wants := foldRunners(sorted, b)
+	for i, lr := range foldRunners(unsorted, b) {
+		t.Run(lr.name, func(t *testing.T) {
+			want, err := wants[i].run(Options{Threads: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, budget := range []int64{0, fullBytes / 4, 1} {
+				for _, threads := range []int{1, 2} {
+					got, err := lr.run(Options{Threads: threads, MemoryBudgetBytes: budget})
+					if err != nil {
+						t.Fatalf("budget=%d threads=%d: %v", budget, threads, err)
+					}
+					if !got.same(want) {
+						t.Fatalf("budget=%d threads=%d: differs from the sorted CSC's product", budget, threads)
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -198,5 +234,72 @@ func TestBudgetedEmptyAndEdgeShapes(t *testing.T) {
 	}
 	if c.NNZ() != 1 || c.Val[0] != 4 {
 		t.Fatalf("1x1 square wrong: %v", c.Val)
+	}
+	// The cut of A at its edges, on every layout: each shape's single-shot
+	// bytes (FoldReference's for the squeezed layout) hold under budgets of a
+	// few groups and of one bin a group, at one and two threads.
+	r := gen.NewRNG(48)
+	random := func(rows, cols int32, n int, rowOf, colOf func() int32) *matrix.COO {
+		m := &matrix.COO{NumRows: rows, NumCols: cols}
+		for range n {
+			m.Row, m.Col, m.Val = append(m.Row, rowOf()), append(m.Col, colOf()), append(m.Val, float64(1+r.Intn(5))/4)
+		}
+		return m
+	}
+	in := func(n int32) func() int32 { return func() int32 { return r.Intn(n) } }
+	from := func(lo, n int32) func() int32 { return func() int32 { return lo + r.Intn(n) } }
+	// A column reaching every group: column 0 of A holds every row.
+	everyRow := random(256, 32, 600, in(256), in(32))
+	for i := range int32(256) {
+		everyRow.Row, everyRow.Col, everyRow.Val = append(everyRow.Row, i), append(everyRow.Col, 0), append(everyRow.Val, 0.5)
+	}
+	// A single-entry group: rows 100–199 of A hold one entry.
+	single := random(200, 20, 300, in(100), in(20))
+	single.Row, single.Col, single.Val = append(single.Row, 150), append(single.Col, 5), append(single.Val, 3)
+	bigA, bigB := binCapProduct(1<<22 + 1)
+	for _, tc := range []struct {
+		name    string
+		a, b    *matrix.CSR
+		nbins   int
+		budgets []int64 // nil: a quarter of the product's tuples, and 1
+	}{
+		// A group no column reaches: 8 192 one-row bins in two groups of
+		// 4 096, and no entry of A in the second group's rows.
+		{"unreached-group", random(8192, 64, 400, in(4096), in(64)).ToCSR(), random(64, 64, 400, in(64), in(64)).ToCSR(), 8192, nil},
+		{"column-in-every-group", everyRow.ToCSR(), random(32, 40, 200, in(32), in(40)).ToCSR(), 0, nil},
+		// Columns 0–9 of A are empty, and rows 10–19 of B, which A's
+		// columns 10–19 meet.
+		{"empty-columns-and-rows", random(300, 40, 900, in(300), from(10, 30)).ToCSR(), random(40, 50, 400, from(20, 20), in(50)).ToCSR(), 0, nil},
+		{"single-entry-group", single.ToCSR(), random(20, 30, 120, in(20), in(30)).ToCSR(), 0, nil},
+		// The 4 097-bin product, past maxKey32Bins, under a budget.
+		{"4097-bins", bigA, bigB, 0, []int64{1 << 10}},
+	} {
+		acsc, ref := tc.a.ToCSC(), FoldReference(tc.a, tc.b)
+		budgets := tc.budgets
+		if budgets == nil {
+			budgets = []int64{matrix.Flops(acsc, tc.b) * tupleBytes / 4, 1}
+		}
+		for _, lr := range foldRunners(acsc, tc.b) {
+			t.Run(tc.name+"/"+lr.name, func(t *testing.T) {
+				want, err := lr.run(Options{Threads: 1, NBins: tc.nbins})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if lr.name == "squeezed" && !want.same(product{ref, valueBits(ref.Val)}) {
+					t.Fatal("single-shot product differs from FoldReference")
+				}
+				for _, budget := range budgets {
+					for _, threads := range []int{1, 2} {
+						got, err := lr.run(Options{Threads: threads, NBins: tc.nbins, MemoryBudgetBytes: budget})
+						if err != nil {
+							t.Fatalf("budget=%d threads=%d: %v", budget, threads, err)
+						}
+						if !got.same(want) {
+							t.Fatalf("budget=%d threads=%d: differs from the single-shot product", budget, threads)
+						}
+					}
+				}
+			})
+		}
 	}
 }
