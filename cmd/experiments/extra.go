@@ -75,8 +75,8 @@ func tallSkinny(n, k int32, f int, seed uint64) *pbspgemm.CSR {
 // runAblations quantifies the design choices of PB-SpGEMM:
 // propagation blocking itself (nbins=1 == unblocked outer ESC), local bins
 // (1-tuple bins == direct global writes) and the cache budget that sizes bins.
-// Section V-D's
-// partitioned PB is the shard coordinator's row bands (internal/shard).
+// Section V-D's partitioned PB is a memory budget's bin groups: an in-process
+// shard product is one budgeted PB call; only configured backends get row bands.
 func runAblations(cfg *config) {
 	scale := 14
 	if cfg.full {

@@ -46,14 +46,19 @@ func NewEnginePool(name string, eng *pbspgemm.Engine, workers int, opts ...pbspg
 		name: name,
 		eng:  eng,
 		sem:  make(chan struct{}, workers),
-		opts: pinned(opts),
+		opts: pinned(opts, 0),
 	}
 }
 
-// pinned is opts with the algorithm pinned to PB, the kernel every block
-// runs.
-func pinned(opts []pbspgemm.Option) []pbspgemm.Option {
-	return append(append([]pbspgemm.Option{}, opts...), pbspgemm.WithAlgorithm(pbspgemm.PB))
+// pinned is a copy of opts with the algorithm pinned to PB, the kernel every
+// block runs, under a memory budget when budget > 0 (WithMemoryBudget rejects
+// a negative one).
+func pinned(opts []pbspgemm.Option, budget int64) []pbspgemm.Option {
+	opts = append(append([]pbspgemm.Option{}, opts...), pbspgemm.WithAlgorithm(pbspgemm.PB))
+	if budget > 0 {
+		return append(opts, pbspgemm.WithMemoryBudget(budget))
+	}
+	return opts
 }
 
 // Name implements Backend.

@@ -168,3 +168,41 @@ func TestChaosFaultSeedsConverge(t *testing.T) {
 		sameCSR(t, ref.C, res.C)
 	}
 }
+
+// TestChaosInProcessFallbackKeepsBound fails every dispatch to the in-process
+// pool, backend 0: the one block falls to the local fallback, which keeps the
+// pool's bound — MaxBlockBytes when FallbackBudgetBytes is unset, the smaller
+// of the two when both are set — and returns the direct PB product's bytes.
+func TestChaosInProcessFallbackKeepsBound(t *testing.T) {
+	ctx := context.Background()
+	eng := newEngine(t)
+	a, b := pbspgemm.NewER(1024, 8, 21), pbspgemm.NewER(1024, 8, 22)
+	direct, err := eng.Multiply(ctx, a, b, pbspgemm.WithAlgorithm(pbspgemm.PB))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ maxBlock, fallback, want int64 }{
+		{64 << 10, 0, 64 << 10},
+		{64 << 10, 16 << 10, 16 << 10},
+		{64 << 10, 1 << 20, 64 << 10},
+		{0, 16 << 10, 16 << 10},
+		{-1, 0, 0},
+	} {
+		faultinject.Arm(faultinject.Plan{
+			Site: faultinject.SiteBlockRPC, Hit: 1, Every: 1, Worker: 0, Mode: faultinject.ModeError})
+		c, err := New(Config{Local: eng, MaxBlockBytes: tc.maxBlock, FallbackBudgetBytes: tc.fallback,
+			HedgeDelay: -1, RetryBaseDelay: time.Millisecond, RetryMaxDelay: time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := c.Multiply(ctx, a, b)
+		faultinject.Disarm()
+		if err != nil || res.Blocks != 1 || res.Fallbacks != 1 {
+			t.Fatalf("%+v: %+v (%v), want one block that fell back", tc, res, err)
+		}
+		sameCSR(t, direct.C, res.C)
+		if got := c.cfg.FallbackBudgetBytes; got != tc.want {
+			t.Fatalf("%+v: the fallback runs under %d bytes", tc, got)
+		}
+	}
+}

@@ -63,9 +63,11 @@ func New(cfg Config) (*Coordinator, error) {
 	if c.jitter == 0 {
 		c.jitter = 0x9e3779b97f4a7c15
 	}
-	c.backends = cfg.Backends
-	if len(c.backends) == 0 {
-		c.backends = []Backend{NewEnginePool("local", cfg.Local, 1, cfg.Options...)}
+	if c.backends = cfg.Backends; len(c.backends) == 0 { // MaxBlockBytes budgets the block and its fallback
+		if m, f := cfg.MaxBlockBytes, cfg.FallbackBudgetBytes; m > 0 && (f <= 0 || m < f) {
+			c.cfg.FallbackBudgetBytes = m
+		}
+		c.backends = []Backend{NewEnginePool("local", cfg.Local, 1, pinned(cfg.Options, cfg.MaxBlockBytes)...)}
 	}
 	c.breakers = make([]*breaker, len(c.backends))
 	for i := range c.breakers {
@@ -100,16 +102,16 @@ func (c *Coordinator) Status() Status {
 	return s
 }
 
-// Multiply computes C = A·B sharded over the backends. While the grid keeps
-// the inner dimension whole — always, unless rows and columns are both at
-// MaxGridDim or their extent — the result is bit-identical to a single-node
-// Engine.Multiply with the PB kernel, float values included. An inner split
-// (Result.Grid.Inner > 1) regroups the float additions in its k-reduce, so
-// bit-identity then needs exact sums (integer-valued matrices); the result
-// stays deterministic for a given grid. Re-dispatch (retry, hedge, fallback)
-// can never change the bytes. On failure the error is typed (*BlockError,
-// *ReduceError, or the ctx error) and no C is returned — never a partial
-// product.
+// Multiply computes C = A·B sharded over the backends, or with none
+// configured as one budgeted in-process block. While the grid keeps the inner
+// dimension whole — always, unless rows and columns are both at MaxGridDim or
+// their extent — the result is bit-identical to a single-node Engine.Multiply
+// with the PB kernel, float values included. An inner split (Inner > 1)
+// regroups the float additions in its k-reduce, so bit-identity then needs
+// exact sums (integer-valued matrices); the result stays deterministic for a
+// given grid. Re-dispatch (retry, hedge, fallback) can never change the
+// bytes. On failure the error is typed (*BlockError, *ReduceError, or the ctx
+// error) and no C is returned — never a partial product.
 func (c *Coordinator) Multiply(ctx context.Context, a, b *pbspgemm.CSR) (*Result, error) {
 	start := c.now()
 	gp, err := c.partition(ctx, a, b)
@@ -183,17 +185,15 @@ type productStats struct {
 	retries, hedges, fallbacks atomic.Int64
 }
 
-// partition cuts the grid once: one plan of the whole product gives the block
-// count (see grid). Only when the cut's own counts predict a block over
-// MaxBlockBytes (skewed inputs) is the count raised as if every block were
-// that heavy and the cut, by then cheap, redone. A grid that cannot grow is
-// returned as it is: peers may shed its oversized blocks, and the retry
-// ladder absorbs that.
+// partition is one unplanned 1×1×1 block on the inputs when splitting is off
+// or the product runs in process. Otherwise it cuts the grid once: one plan
+// of the whole product gives the block count (see grid). Only when the cut's
+// own counts predict a block over MaxBlockBytes (skewed inputs) is the count
+// raised as if every block were that heavy and the cut, by then cheap,
+// redone. A grid that cannot grow is returned as it is: peers may shed its
+// oversized blocks, and the retry ladder absorbs that.
 func (c *Coordinator) partition(ctx context.Context, a, b *pbspgemm.CSR) (*pbspgemm.GridPlan, error) {
-	if c.cfg.MaxBlockBytes <= 0 {
-		// Splitting is off: the product is one 1×1×1 block on the whole
-		// inputs. No planning pass — this keeps the sharded path within a
-		// few percent of a direct Engine.Multiply for single-node setups.
+	if c.cfg.MaxBlockBytes <= 0 || len(c.cfg.Backends) == 0 {
 		if a.NumCols != b.NumRows {
 			return nil, fmt.Errorf("shard: inner dimensions disagree (%dx%d)·(%dx%d): %w",
 				a.NumRows, a.NumCols, b.NumRows, b.NumCols, matrix.ErrShape)
@@ -207,7 +207,7 @@ func (c *Coordinator) partition(ctx context.Context, a, b *pbspgemm.CSR) (*pbspg
 	}
 	// The root plan prices the kernel every block runs: the grid is cut at
 	// PB's footprint, not at that of whatever Auto would pick for the whole.
-	root, err := c.cfg.Local.Plan(ctx, a, b, pinned(c.cfg.Options)...)
+	root, err := c.cfg.Local.Plan(ctx, a, b, pinned(c.cfg.Options, 0)...)
 	if err != nil {
 		return nil, err
 	}
@@ -318,11 +318,7 @@ func (c *Coordinator) runBlock(ctx context.Context, blk *pbspgemm.BlockPlan, sta
 // localFallback recomputes blk on the local engine, under FallbackBudgetBytes
 // when configured.
 func (c *Coordinator) localFallback(ctx context.Context, blk *pbspgemm.BlockPlan) (*pbspgemm.CSR, error) {
-	opts := pinned(c.cfg.Options)
-	if c.cfg.FallbackBudgetBytes > 0 {
-		opts = append(opts, pbspgemm.WithMemoryBudget(c.cfg.FallbackBudgetBytes))
-	}
-	res, err := c.cfg.Local.Multiply(ctx, blk.A, blk.B, opts...)
+	res, err := c.cfg.Local.Multiply(ctx, blk.A, blk.B, pinned(c.cfg.Options, c.cfg.FallbackBudgetBytes)...)
 	if err != nil {
 		return nil, err
 	}

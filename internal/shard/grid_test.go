@@ -63,6 +63,7 @@ func TestGridPolicy(t *testing.T) {
 
 func TestPartitionCutsOnce(t *testing.T) {
 	eng := newEngine(t)
+	pool := []Backend{NewEnginePool("local", eng, 1)} // configured backends keep the grid
 	a, b := pbspgemm.NewER(2048, 8, 3), pbspgemm.NewER(2048, 8, 4)
 	t.Run("splitting off aliases the inputs", func(t *testing.T) {
 		c, _ := New(Config{Local: eng, MaxBlockBytes: -1})
@@ -76,7 +77,7 @@ func TestPartitionCutsOnce(t *testing.T) {
 		}
 	})
 	t.Run("uniform pair", func(t *testing.T) {
-		c, _ := New(Config{Local: eng, MaxBlockBytes: 256 << 10})
+		c, _ := New(Config{Local: eng, Backends: pool, MaxBlockBytes: 256 << 10})
 		cuts := countCuts(c)
 		gp, err := c.partition(context.Background(), a, b)
 		if err != nil {
@@ -98,7 +99,7 @@ func TestPartitionCutsOnce(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Plan: %v", err)
 		}
-		c, _ := New(Config{Local: eng, MaxBlockBytes: root.PredictedFootprintBytes / 3, MaxGridDim: 4})
+		c, _ := New(Config{Local: eng, Backends: pool, MaxBlockBytes: root.PredictedFootprintBytes / 3, MaxGridDim: 4})
 		cuts := countCuts(c)
 		gp, err := c.partition(context.Background(), ra, rb)
 		if err != nil {
@@ -120,7 +121,7 @@ func TestPartitionCutsOnce(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Plan: %v", err)
 		}
-		c, _ := New(Config{Local: eng, MaxBlockBytes: root.PredictedFootprintBytes / 6, MaxGridDim: 4})
+		c, _ := New(Config{Local: eng, Backends: pool, MaxBlockBytes: root.PredictedFootprintBytes / 6, MaxGridDim: 4})
 		cuts := countCuts(c)
 		gp, err := c.partition(context.Background(), ra, rb)
 		if err != nil {
@@ -131,6 +132,53 @@ func TestPartitionCutsOnce(t *testing.T) {
 				gp.Grid, *cuts, gp.MaxFootprintBytes, c.cfg.MaxBlockBytes)
 		}
 	})
+}
+
+// TestInProcessProductIsOneBudgetedBlock: with no configured Backends the
+// product is one uncut block that the in-process pool runs under a PB memory
+// budget of MaxBlockBytes, bit-identical to direct PB and to the row bands an
+// explicit pool runs. MaxBlockBytes 0 and -1 run unbudgeted: a negative
+// value never reaches WithMemoryBudget, where it is an OptionError.
+func TestInProcessProductIsOneBudgetedBlock(t *testing.T) {
+	ctx := context.Background()
+	eng := newEngine(t)
+	a, b := pbspgemm.NewER(1024, 8, 21), pbspgemm.NewER(1024, 8, 22)
+	direct, err := eng.Multiply(ctx, a, b, pbspgemm.WithAlgorithm(pbspgemm.PB))
+	if err != nil {
+		t.Fatalf("direct multiply: %v", err)
+	}
+	one := pbspgemm.Grid{Rows: 1, Cols: 1, Inner: 1}
+	for _, maxBlock := range []int64{128 << 10, 0, -1} {
+		c, err := New(Config{Local: eng, MaxBlockBytes: maxBlock, HedgeDelay: -1})
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		cuts := countCuts(c)
+		gp, err := c.partition(ctx, a, b)
+		if err != nil || *cuts != 0 || gp.Grid != one || len(gp.Blocks) != 1 {
+			t.Fatalf("MaxBlockBytes %d: grid %v of %d blocks after %d cuts (%v), want one uncut block",
+				maxBlock, gp.Grid, len(gp.Blocks), *cuts, err)
+		}
+		res, err := c.Multiply(ctx, a, b)
+		if err != nil || res.Grid != one || res.Blocks != 1 || res.Retries+res.Fallbacks != 0 {
+			t.Fatalf("MaxBlockBytes %d: %+v (%v), want one block on a healthy ladder", maxBlock, res, err)
+		}
+		sameCSR(t, direct.C, res.C)
+		// The pool's own options cut the bins into groups under a budget only.
+		run, err := eng.Multiply(ctx, a, b, c.backends[0].(*EnginePool).opts...)
+		if err != nil || (run.PB.NGroups > 1) != (maxBlock > 0) {
+			t.Fatalf("MaxBlockBytes %d: the pool's options run %d bin groups (%v)", maxBlock, run.PB.NGroups, err)
+		}
+	}
+	c, err := New(Config{Local: eng, Backends: []Backend{NewEnginePool("local", eng, 1)}, MaxBlockBytes: 128 << 10, HedgeDelay: -1})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	res, err := c.Multiply(ctx, a, b)
+	if err != nil || res.Grid.Rows < 2 || res.Grid.Cols != 1 || res.Grid.Inner != 1 {
+		t.Fatalf("explicit pool: grid %v (%v), want row bands only", res.Grid, err)
+	}
+	sameCSR(t, direct.C, res.C)
 }
 
 // TestFallbackFromViewsMatchesBackend: the row bands a block holds are views
@@ -226,7 +274,8 @@ func TestConcurrentCoordinatorsLeaveInputsAlone(t *testing.T) {
 	errs := make([]error, len(results))
 	for i := range results {
 		// Two grids: row views only, and row views of column-cut copies.
-		c, err := New(Config{Local: eng, MaxBlockBytes: 32 << 10, MaxGridDim: 2 + 14*(i%2)})
+		c, err := New(Config{Local: eng, Backends: []Backend{NewEnginePool("local", eng, 1)},
+			MaxBlockBytes: 32 << 10, MaxGridDim: 2 + 14*(i%2)})
 		if err != nil {
 			t.Fatalf("New: %v", err)
 		}

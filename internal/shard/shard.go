@@ -1,15 +1,18 @@
 // Package shard is the multi-node unit of scale-out for pbspgemm: a block
 // partitioner plus a resilient coordinator that fans C(i,j) =
-// Σ_k A(i,k)·B(k,j) block multiplies out over a set of Backends (an
-// in-process Engine pool, remote pbspgemmd peers) and stitches the results.
+// Σ_k A(i,k)·B(k,j) block multiplies out over a set of Backends (in-process
+// Engine pools, remote pbspgemmd peers) and stitches the results.
 //
-// The grid is cut once, the way PB-SpGEMM bins C: by row range, so that every
-// block folds alone. One plan of the whole product gives the block count; the
-// blocks go to A's rows first (a row band is a view of A and needs no
-// reduce), then to B's columns, and to the inner dimension — whose partial
-// products need an EWiseAdd reduce that regroups float sums — only when both
-// are at Config.MaxGridDim or their extent. Peers deduplicate uploads by
-// content, so a B left whole travels once per peer whatever the grid.
+// With no configured Backends a product is one 1×1×1 block in process, and
+// MaxBlockBytes is its PB memory budget: PB's bin groups are the row bands
+// without the copies, so C is direct PB's bytes. Configured Backends get a
+// grid cut once, the way PB-SpGEMM bins C: by row range, so that every block
+// folds alone. One plan of the whole product gives the block count; the blocks
+// go to A's rows first (a row band is a view of A and needs no reduce), then
+// to B's columns, and to the inner dimension — whose partial products need an
+// EWiseAdd reduce that regroups float sums — only when both are at
+// Config.MaxGridDim or their extent. Peers deduplicate uploads by content, so
+// a B left whole travels once per peer whatever the grid.
 //
 // Robustness is the headline, not an afterthought. Failures across process
 // boundaries are the common case, so every block walks a failure ladder
@@ -31,10 +34,7 @@
 // same deterministic PB kernel (pinned algorithm, bit-identical across
 // thread counts and memory budgets: a budget cuts the bins into groups and
 // every bin still folds once), so re-executing a block locally — or on a
-// hedge — can never change the bytes of C. Each block's Plan comes
-// from the cut's own counts (Engine.PlanBlocksFrom), and one predicted over
-// MaxBlockBytes grows the grid before anything is dispatched, so blocks pass
-// the target node's admission control instead of bouncing off it with 429s.
+// hedge — can never change the bytes of C.
 package shard
 
 import (
@@ -52,20 +52,20 @@ type Config struct {
 	// terminal local fallback. Required.
 	Local *pbspgemm.Engine
 
-	// Backends execute block multiplies. Empty defaults to a single
-	// in-process pool over Local (NewEnginePool).
+	// Backends execute block multiplies. Empty runs every product as one
+	// block on a pool over Local (NewEnginePool), under MaxBlockBytes.
 	Backends []Backend
 
-	// MaxBlockBytes is the per-block predicted-footprint ceiling (so blocks
-	// pass the target's admission control): the whole product's predicted
-	// footprint plus an eighth, over MaxBlockBytes, is the block count; the
-	// grid grows past it only while a block's own Plan still predicts more,
-	// bounded by MaxGridDim. <= 0 disables splitting: the product is one
-	// 1×1×1 block on the inputs themselves, unplanned.
+	// MaxBlockBytes is the product's PB memory budget with no Backends; with
+	// them, the per-block predicted-footprint ceiling (so blocks pass the
+	// target's admission control): the whole product's predicted footprint
+	// plus an eighth, over MaxBlockBytes, is the block count, grown only while
+	// a block's own Plan still predicts more, bounded by MaxGridDim. <= 0
+	// disables both: one unbudgeted 1×1×1 block on the inputs, unplanned.
 	MaxBlockBytes int64
-	// MaxGridDim bounds each grid dimension; blocks go to rows, then columns,
-	// then inner, each once the one before is at MaxGridDim or its extent.
-	// Default 16.
+	// MaxGridDim bounds each dimension of a Backends grid; blocks go to rows,
+	// then columns, then inner, each once the one before is at MaxGridDim or
+	// its extent. Default 16.
 	MaxGridDim int
 
 	// BlockTimeout is the per-block attempt deadline (primary + hedge
@@ -95,8 +95,8 @@ type Config struct {
 
 	// FallbackBudgetBytes is the MemoryBudgetBytes of the terminal local
 	// fallback — bin groups bound the working set of a block that may have
-	// been sized for a bigger peer. 0 runs unbudgeted (bit-identical either
-	// way). Default 0.
+	// been sized for a bigger peer; with no Backends, MaxBlockBytes bounds it
+	// too. 0 runs unbudgeted (bit-identical either way). Default 0.
 	FallbackBudgetBytes int64
 
 	// Seed seeds the coordinator's jitter RNG; 0 selects a fixed default,

@@ -133,6 +133,7 @@ func TestShardedBitIdenticalAcrossGrids(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			c, err := New(Config{
 				Local:         eng,
+				Backends:      []Backend{NewEnginePool("local", eng, 1)},
 				MaxBlockBytes: tc.maxBlockBytes,
 				MaxGridDim:    tc.maxGridDim,
 				HedgeDelay:    -1,
@@ -163,7 +164,7 @@ func TestShardedBitIdenticalAcrossGrids(t *testing.T) {
 
 func TestPartitionRespectsMaxBlockBytes(t *testing.T) {
 	eng := newEngine(t)
-	c, err := New(Config{Local: eng, MaxBlockBytes: 32 << 10, MaxGridDim: 8})
+	c, err := New(Config{Local: eng, Backends: []Backend{NewEnginePool("local", eng, 1)}, MaxBlockBytes: 32 << 10, MaxGridDim: 8})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
