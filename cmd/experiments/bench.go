@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"slices"
@@ -37,10 +38,9 @@ import (
 // choosing between PB and the row kernel — through EngineMultiplyOver.
 
 // benchSchema versions the JSON so trajectory tooling can tell reports apart;
-// bump it whenever a field or a gated regime is added or dropped (v14: the
-// wide regimes are gone with the wide layout, and the MinPlus product on PB
-// is rmat-highcf-minplus-pb, gated against rmat-highcf-fused).
-const benchSchema = "pbspgemm-bench/v14"
+// bump it whenever a field or a gated regime is added or dropped (v15: the
+// er-serve-spa/-pb pair, and allocs_per_op is the fewest of any one rep).
+const benchSchema = "pbspgemm-bench/v15"
 
 type benchPhase struct {
 	Millis    float64 `json:"ms"`
@@ -56,7 +56,7 @@ type benchRegime struct {
 	SeedA       uint64     `json:"seed_a"`
 	SeedB       uint64     `json:"seed_b"`
 	Layout      string     `json:"layout"`
-	Mode        string     `json:"mode,omitempty"` // "" (float64) | pattern | f32 | masked | minplus | minplus-auto | bool-auto | bool-pb
+	Mode        string     `json:"mode,omitempty"` // "" (float64) | pattern | f32 | spa | masked | minplus | minplus-auto | bool-auto | bool-pb
 	Kernel      string     `json:"kernel"`         // Stats.Kernel: the build's kernel set
 	CancelHook  bool       `json:"cancel_hook,omitempty"`
 	BudgetBytes int64      `json:"budget_bytes,omitempty"`
@@ -100,7 +100,7 @@ type benchCase struct {
 	seedB      uint64
 	threadsCap int    // 0: cfg/default threads, 1: pin single-threaded
 	budget     int64  // MemoryBudgetBytes; >0 cuts the bins into groups
-	mode       string // "" core.Multiply | "pattern" 4 B key-only | "f32" 8 B narrow | "masked" row kernel, mask = A | "minplus" semiring.MinPlus, generic | "minplus-auto", "bool-auto", "bool-pb" through EngineMultiplyOver
+	mode       string // "" core.Multiply | "pattern" 4 B key-only | "f32" 8 B narrow | "spa" row kernel | "masked" its mask = A | "minplus" semiring.MinPlus, generic | "minplus-auto", "bool-auto", "bool-pb" through EngineMultiplyOver
 	cancelHook bool   // install a no-op Cancel hook: every sub-phase poll calls it
 }
 
@@ -126,6 +126,8 @@ const (
 	gateERBudgetRegime = "er-hypersparse-budgeted"
 	gateUnmaskedRegime = "rmat-unmasked"
 	gateMaskedRegime   = "rmat-masked"
+	gateServeSPARegime = "er-serve-spa"
+	gateServePBRegime  = "er-serve-pb"
 	gateMinPlusRegime  = "rmat-highcf-minplus-pb"
 	gateAutoMinPlus    = "rmat-highcf-minplus"
 	boolAutoRegime     = "rmat-dram-bool-auto"
@@ -148,6 +150,11 @@ const autoMinPlusGateFactor = 1.5
 // the unmasked PB product of the same inputs run right before it: expanding
 // everything and filtering after the fold measured 8.35, the row kernel 0.35.
 const maskedGateFactor = 0.5
+
+// serveSPAGateFactor holds the row kernel, Auto's pick on serve_mix's cold
+// product (ER 2^12·d8 squared, cf ≈ 1), to PB's time there: 0.87–0.92
+// measured, about 0.95 before its bitmap emission lost the branch per bit.
+const serveSPAGateFactor = 1.0
 
 // budgetGateFactor and shallowBudgetGateFactor bound what a memory budget may
 // cost: the budgeted regime's ns/op over the single-shot product's, same
@@ -255,6 +262,10 @@ func benchCases() []benchCase {
 		// masked form (baseline.SPA with a mask): the masked gate's pair.
 		{gateUnmaskedRegime, "RMAT", 12, 16, 1, 1, 1, 0, "", false},
 		{gateMaskedRegime, "RMAT", 12, 16, 1, 1, 1, 0, "masked", false},
+		// BENCHMARK.json's serve_mix cold product, ER 2^12·d8 squared (cf ≈ 1),
+		// on the row kernel (baseline.SPA) and on PB: a gate's pair, SPA ≤ PB.
+		{gateServeSPARegime, "ER", 12, 8, 1, 2, 1, 0, "spa", false},
+		{gateServePBRegime, "ER", 12, 8, 1, 2, 1, 0, "", false},
 		// The same high-cf input under a memory budget, at a shallow budget
 		// (~3 bin groups) and a deep one (~9); both are budget-overhead
 		// gates' regimes.
@@ -337,7 +348,7 @@ func runBench(cfg *config) {
 	}
 	runShardBench(cfg, &report)
 	if cfg.jsonOut != "" {
-		writeBenchReport(cfg.jsonOut, &report)
+		writeJSON(cfg.jsonOut, &report)
 	}
 	if cfg.baseline != "" {
 		diffBaseline(cfg.baseline, &report)
@@ -401,11 +412,10 @@ func fillPctStream(r *benchRegime, report *benchReport) {
 // shallow and a deep memory budget at most shallowBudgetGateFactor and
 // budgetGateFactor × the single-shot product (hypersparse ER at 1 MiB too),
 // the masked product at most maskedGateFactor × the unmasked one, MinPlus on
-// PB at most minPlusGateFactor × the squeezed float64 product, and every
-// single-threaded pooled regime (all layouts, single-shot and budgeted; not the two through internal/semiring: the masked product is
-// freshly allocated for the caller, and a MultiplyOpts call returns fresh
-// matrix headers and its own copy of the phase statistics) must run
-// allocation-free in steady state.
+// PB at most minPlusGateFactor × the squeezed float64 product, the row kernel
+// at most serveSPAGateFactor × PB on serve_mix's cold product, and every
+// single-threaded pooled regime (allocGateFails) must run allocation-free in
+// steady state.
 func gateBench(report *benchReport) {
 	// The overhead gate certifies the production binary; a tagged build
 	// carries live injection hooks and measures the wrong thing.
@@ -421,8 +431,9 @@ func gateBench(report *benchReport) {
 	pattern, budgeted, shallow := byName[gatePatternRegime], byName[gateBudgetedRegime], byName[gateShallowRegime]
 	unmasked, masked, erSingle, erBudget := byName[gateUnmaskedRegime], byName[gateMaskedRegime], byName[gateERSingleRegime], byName[gateERBudgetRegime]
 	minplus, autoMinPlus := byName[gateMinPlusRegime], byName[gateAutoMinPlus]
+	serveSPA, servePB := byName[gateServeSPARegime], byName[gateServePBRegime]
 	if fused == nil || pattern == nil || budgeted == nil || shallow == nil || unmasked == nil || masked == nil ||
-		minplus == nil || autoMinPlus == nil || erSingle == nil || erBudget == nil {
+		minplus == nil || autoMinPlus == nil || erSingle == nil || erBudget == nil || serveSPA == nil || servePB == nil {
 		fmt.Fprintln(os.Stderr, "bench gate: acceptance regimes missing from the run")
 		os.Exit(1)
 	}
@@ -436,6 +447,7 @@ func gateBench(report *benchReport) {
 	failed = ratioGate("masked vs unmasked", masked, unmasked, maskedGateFactor) || failed
 	failed = ratioGate("minplus on PB vs fused float64", minplus, fused, minPlusGateFactor) || failed
 	failed = ratioGate("minplus under Auto vs fused float64", autoMinPlus, fused, autoMinPlusGateFactor) || failed
+	failed = ratioGate("row kernel vs PB on the serve product", serveSPA, servePB, serveSPAGateFactor) || failed
 	if auto, pb := byName[boolAutoRegime], byName[boolPBRegime]; auto != nil && pb != nil {
 		fmt.Printf("bench: Boolean R-MAT 13/16 under Auto (%s) %d ns/op against PB %d ns/op (%.2f×), not gated\n",
 			auto.Kernel, auto.NsPerOp, pb.NsPerOp, float64(auto.NsPerOp)/float64(pb.NsPerOp))
@@ -503,21 +515,9 @@ func gateBench(report *benchReport) {
 	if gateShardBench(report) {
 		failed = true
 	}
-	// Exempt, none of their allocations a plane:
-	//   - rmat-highcf-minplus-pb: per call MultiplyOpts builds the A and B
-	//     index headers core.MultiplyGeneric binds into the pooled engine (2),
-	//     the fallback reason string (1), the result header (1) and Plan.Stats'
-	//     own copy (1). Pooling them would make the headers, Plan.Stats and the
-	//     result alias the workspace — small objects against a public contract.
-	//   - the products through the public EngineMultiplyOver (minplus-auto,
-	//     bool-auto, bool-pb): the product is the caller's (its arrays and
-	//     header; the pipeline's is cloned out), with the planner's closure, the
-	//     chunk closures, the index headers and the semiring plan around it.
-	// rmat-masked is not: the row kernel pools everything in its workspace,
-	// the product included, as every regime here does.
 	for _, r := range report.Regimes {
-		if r.Threads == 1 && r.AllocsPerOp != 0 && !strings.HasPrefix(r.Mode, "minplus") && !strings.HasPrefix(r.Mode, "bool-") {
-			fmt.Fprintf(os.Stderr, "bench gate: %s allocated %.1f/op, want 0\n", r.Name, r.AllocsPerOp)
+		if allocGateFails(&r) {
+			fmt.Fprintf(os.Stderr, "bench gate: %s allocated %.0f/op, want 0\n", r.Name, r.AllocsPerOp)
 			failed = true
 		}
 	}
@@ -525,6 +525,26 @@ func gateBench(report *benchReport) {
 		os.Exit(1)
 	}
 	fmt.Println("bench gate: all single-threaded pooled regimes at 0 allocs/op")
+}
+
+// allocGateFails reports a single-threaded pooled regime that allocated in
+// every rep (AllocsPerOp is the fewest of any one): a runtime allocation that
+// lands in one rep's window is not the engine's, and one the engine makes per
+// call lands in all of them. Exempt, none of their allocations a plane:
+//   - rmat-highcf-minplus-pb: per call MultiplyOpts builds the A and B
+//     index headers core.MultiplyGeneric binds into the pooled engine (2),
+//     the fallback reason string (1), the result header (1) and Plan.Stats'
+//     own copy (1). Pooling them would make the headers, Plan.Stats and the
+//     result alias the workspace — small objects against a public contract.
+//   - the products through the public EngineMultiplyOver (minplus-auto,
+//     bool-auto, bool-pb): the product is the caller's (its arrays and
+//     header; the pipeline's is cloned out), with the planner's closure, the
+//     chunk closures, the index headers and the semiring plan around it.
+//
+// The row kernel's regimes (spa, masked) are not: it pools everything in its
+// workspace, the product included, as every other regime here does.
+func allocGateFails(r *benchRegime) bool {
+	return r.Threads == 1 && r.AllocsPerOp != 0 && !strings.HasPrefix(r.Mode, "minplus") && !strings.HasPrefix(r.Mode, "bool-")
 }
 
 // ratioGate holds num's ns/op to at most factor × den's, returning true on failure.
@@ -559,6 +579,11 @@ func runBenchCase(cfg *config, c benchCase) (benchRegime, error) {
 	truth := func(float64) bool { return true }
 	abool, bbool := pbspgemm.MatrixOf(a, truth).ToCSC(), pbspgemm.MatrixOf(b, truth)
 	rows := baseline.NewWorkspace()
+	var mask *matrix.CSR // the row kernel's regimes: "spa", "masked" under A
+	if c.mode == "masked" {
+		mask = a
+	}
+	rowsKernel := c.mode + "-rows"
 	eng, err := pbspgemm.NewEngine(pbspgemm.WithThreads(threads))
 	if err != nil {
 		return benchRegime{}, err
@@ -567,12 +592,12 @@ func runBenchCase(cfg *config, c benchCase) (benchRegime, error) {
 	var st core.Stats
 	run := func() (*core.Stats, error) {
 		switch c.mode {
-		case "masked":
-			_, bs, err := baseline.SPA(a, b, baseline.Options{Threads: threads, Workspace: rows, Mask: a})
+		case "spa", "masked":
+			_, bs, err := baseline.SPA(a, b, baseline.Options{Threads: threads, Workspace: rows, Mask: mask})
 			if err != nil {
 				return nil, err
 			}
-			st = core.Stats{Total: bs.Total, Flops: bs.Flops, NNZC: bs.NNZC, CF: bs.CF, Kernel: "masked-rows"}
+			st = core.Stats{Total: bs.Total, Flops: bs.Flops, NNZC: bs.NNZC, CF: bs.CF, Kernel: rowsKernel}
 			return &st, nil
 		case "minplus-auto":
 			return over(eng, pbspgemm.Auto, pbspgemm.MinPlus(), ac, br, &st)
@@ -612,21 +637,9 @@ func runBenchCase(cfg *config, c benchCase) (benchRegime, error) {
 	if c.mode == "masked" {
 		reps *= 3 // a third of the unmasked op: the same window for its best-of
 	}
-	var best *core.Stats
-	var mallocs uint64
-	for r := 0; r < reps; r++ {
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		st, err := run()
-		runtime.ReadMemStats(&m1)
-		if err != nil {
-			return benchRegime{}, err
-		}
-		mallocs += m1.Mallocs - m0.Mallocs
-		if best == nil || st.Total < best.Total {
-			s := *st
-			best = &s
-		}
+	best, fewest, err := measureReps(reps, run)
+	if err != nil {
+		return benchRegime{}, err
 	}
 
 	return benchRegime{
@@ -648,14 +661,33 @@ func runBenchCase(cfg *config, c benchCase) (benchRegime, error) {
 		TupleBytes:  tb,
 		NsPerOp:     best.Total.Nanoseconds(),
 		GFLOPS:      best.GFLOPS(),
-		// ReadMemStats itself allocates a little on some Go versions; the
-		// engine's contribution is what trends matter for, and on the
-		// single-threaded pooled regimes it is exactly zero.
-		AllocsPerOp: float64(mallocs) / float64(reps),
+		AllocsPerOp: float64(fewest),
 		Expand:      benchPhase{Millis: ms64(best.Expand), GBs: best.ExpandGBs()},
 		Fuse:        benchPhase{Millis: ms64(best.Fuse), GBs: best.FuseGBs()},
 		Assemble:    benchPhase{Millis: ms64(best.Assemble)},
 	}, nil
+}
+
+// measureReps runs reps calls of run and returns the fastest one's stats and
+// the fewest mallocs any one call made.
+func measureReps(reps int, run func() (*core.Stats, error)) (*core.Stats, uint64, error) {
+	var best *core.Stats
+	fewest := uint64(math.MaxUint64)
+	for r := 0; r < reps; r++ {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		st, err := run()
+		runtime.ReadMemStats(&m1)
+		if err != nil {
+			return nil, 0, err
+		}
+		fewest = min(fewest, m1.Mallocs-m0.Mallocs)
+		if best == nil || st.Total < best.Total {
+			s := *st
+			best = &s
+		}
+	}
+	return best, fewest, nil
 }
 
 // over runs a semiring product as a caller gets it, under alg, and reports it
@@ -680,16 +712,15 @@ func over[T any](eng *pbspgemm.Engine, alg pbspgemm.Algorithm, sr pbspgemm.Semir
 
 func ms64(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
 
-func writeBenchReport(path string, report *benchReport) {
-	data, err := json.MarshalIndent(report, "", "  ")
+// writeJSON writes v to path as indented JSON, exiting on failure.
+func writeJSON(path string, v any) {
+	data, err := json.MarshalIndent(v, "", "  ")
+	if err == nil {
+		err = os.WriteFile(path, append(data, '\n'), 0o644)
+	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "bench: encode report: %v\n", err)
+		fmt.Fprintf(os.Stderr, "write %s: %v\n", path, err)
 		os.Exit(1)
 	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "bench: write %s: %v\n", path, err)
-		os.Exit(1)
-	}
-	fmt.Printf("wrote %s (%d regimes)\n", path, len(report.Regimes))
+	fmt.Printf("wrote %s\n", path)
 }

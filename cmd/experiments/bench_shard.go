@@ -65,10 +65,7 @@ func runShardBench(cfg *config, report *benchReport) {
 		os.Exit(1)
 	}
 
-	reps := cfg.reps
-	if reps < 1 {
-		reps = 1
-	}
+	reps := max(cfg.reps, 1)
 	ctx := context.Background()
 	runDirect := func() (int64, string, int, error) {
 		res, err := eng.Multiply(ctx, a, b, pbspgemm.WithAlgorithm(pbspgemm.PB))

@@ -30,20 +30,8 @@ func runTallSkinny(cfg *config) {
 		"k", "cf", "PB", "Heap", "Hash", "HashVec")
 	for _, k := range []int32{4, 16, 64, 256, 1024} {
 		f := tallSkinny(n, k, 32, cfg.seed+uint64(k))
-		row := []any{int(k)}
-		var cf float64
-		var gflops []float64
-		for _, alg := range kernelAlgos() {
-			res := bestRun(cfg, a, f, pbspgemm.WithAlgorithm(alg))
-			if alg == pbspgemm.PB {
-				cf = res.CF
-			}
-			gflops = append(gflops, res.GFLOPS())
-		}
-		row = append(row, cf)
-		for _, g := range gflops {
-			row = append(row, g)
-		}
+		pb, row := lineup(cfg, a, f, []any{int(k), 0.0})
+		row[1] = pb.CF
 		tb.AddRow(row...)
 	}
 	tb.Render(os.Stdout)

@@ -49,16 +49,8 @@ func runFig12(cfg *config) {
 			"threads", "PB", "Heap", "Hash", "HashVec", "PB speedup")
 		var pb1 float64
 		for _, t := range threadSteps() {
-			row := []any{t}
-			var pbG float64
-			for _, alg := range kernelAlgos() {
-				res := bestRun(cfg, in.m, in.m, pbspgemm.WithAlgorithm(alg), pbspgemm.WithThreads(t))
-				g := res.GFLOPS()
-				row = append(row, g)
-				if alg == pbspgemm.PB {
-					pbG = g
-				}
-			}
+			pb, row := lineup(cfg, in.m, in.m, []any{t}, pbspgemm.WithThreads(t))
+			pbG := pb.GFLOPS()
 			if pb1 == 0 {
 				pb1 = pbG
 			}

@@ -57,20 +57,8 @@ func perfSweep(cfg *config, kind matrixKind, profile machineProfile) {
 		for _, ef := range efs {
 			a := kind.generate(scale, ef, cfg.seed)
 			b := kind.generate(scale, ef, cfg.seed+1)
-			row := []any{scale, ef}
-			var pbRes *pbspgemm.Result
-			var gflops []float64
-			for _, alg := range kernelAlgos() {
-				res := bestRun(cfg, a, b, pbspgemm.WithAlgorithm(alg))
-				if alg == pbspgemm.PB {
-					pbRes = res
-				}
-				gflops = append(gflops, res.GFLOPS())
-			}
-			row = append(row, pbRes.CF)
-			for _, g := range gflops {
-				row = append(row, g)
-			}
+			pbRes, row := lineup(cfg, a, b, []any{scale, ef, 0.0})
+			row[2] = pbRes.CF
 			hostModel := pbspgemm.PredictGFLOPS(beta, a.NNZ(), b.NNZ(), pbRes.Flops, pbRes.C.NNZ())
 			paperModel := pbspgemm.PredictGFLOPS(profile.betaGBs, a.NNZ(), b.NNZ(), pbRes.Flops, pbRes.C.NNZ())
 			row = append(row, hostModel, paperModel)
@@ -129,14 +117,10 @@ func runFig11(cfg *config) {
 	var entries []entry
 	for _, s := range gen.Catalog() {
 		m := loadOrGenerate(cfg, s, scaleDiv)
-		e := entry{name: s.Name}
-		for i, alg := range kernelAlgos() {
-			res := bestRun(cfg, m, m, pbspgemm.WithAlgorithm(alg))
-			e.g[i] = res.GFLOPS()
-			if alg == pbspgemm.PB {
-				e.cf = res.CF
-				e.bw = res.PB.OverallGBs()
-			}
+		pb, g := lineup(cfg, m, m, nil)
+		e := entry{name: s.Name, cf: pb.CF, bw: pb.PB.OverallGBs()}
+		for i := range e.g {
+			e.g[i] = g[i].(float64)
 		}
 		entries = append(entries, e)
 	}

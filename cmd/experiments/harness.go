@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"pbspgemm"
-	"pbspgemm/internal/stream"
 )
 
 // betaGBs returns the bandwidth for model outputs: the -beta override or a
@@ -73,8 +72,20 @@ func pickThreads(cfg *config, override int) int {
 // ms formats a duration in milliseconds.
 func ms(d time.Duration) string { return fmt.Sprintf("%.2f", float64(d.Microseconds())/1000) }
 
-// kernelAlgos is the four-algorithm lineup of the paper's figures.
-func kernelAlgos() []pbspgemm.Algorithm { return pbspgemm.Algorithms() }
+// lineup runs a·b under each of the paper's four algorithms (PB, Heap, Hash,
+// HashVec: pbspgemm.Algorithms) through bestRun, and returns PB's result and
+// the row of their GFLOPS, in that order, after the cells of lead.
+func lineup(cfg *config, a, b *pbspgemm.CSR, lead []any, opts ...pbspgemm.Option) (*pbspgemm.Result, []any) {
+	var pb *pbspgemm.Result
+	for _, alg := range pbspgemm.Algorithms() {
+		res := bestRun(cfg, a, b, append(opts, pbspgemm.WithAlgorithm(alg))...)
+		if alg == pbspgemm.PB {
+			pb = res
+		}
+		lead = append(lead, res.GFLOPS())
+	}
+	return pb, lead
+}
 
 // machineProfile describes an evaluation machine for prediction re-scaling
 // (Fig. 8 / Fig. 10 run on POWER9; we rescale Roofline predictions to its
@@ -88,9 +99,3 @@ var (
 	skylakeProfile = machineProfile{"Intel Skylake 8160 (1 socket, paper)", 50}
 	power9Profile  = machineProfile{"IBM POWER9 (1 socket, paper)", 125} // half of 250 GB/s dual
 )
-
-// streamTable runs STREAM at the given thread count and returns best GB/s per
-// kernel in canonical order.
-func streamTable(n, threads, reps int) []stream.Result {
-	return stream.Run(stream.Options{N: n, Threads: threads, Reps: reps})
-}

@@ -145,6 +145,13 @@ func TestBenchCaseProducesValidRegime(t *testing.T) {
 	} else if r.Layout != "narrow" || r.TupleBytes != 8 || r.Mode != "f32" {
 		t.Fatalf("f32 regime: layout=%s bytes=%d mode=%s", r.Layout, r.TupleBytes, r.Mode)
 	}
+	// The row kernel runs on a pooled baseline workspace and reports its own kernel.
+	c.name, c.mode = "er-test-spa", "spa"
+	if r, err = runBenchCase(cfg, c); err != nil {
+		t.Fatal(err)
+	} else if r.Kernel != "spa-rows" || r.Mode != "spa" || r.Flops <= 0 || r.NNZC <= 0 {
+		t.Fatalf("spa regime: %+v", r)
+	}
 	// MinPlus on PB runs the generic layout (a 4-byte key beside its float64)
 	// and reports the pipeline's stats.
 	c.name, c.mode = "er-test-minplus", "minplus"
@@ -353,6 +360,56 @@ func TestBenchCasesCarryFuseGateRegimes(t *testing.T) {
 		c := byName[name]
 		if c.kind != "RMAT" || c.scale != 13 || c.ef != 16 || c.seedA != c.seedB {
 			t.Fatalf("%s is not the rmat_skew product: %+v", name, c)
+		}
+	}
+}
+
+// TestBenchCasesCarryServePair: the serve gate's two regimes run serve_mix's
+// cold product, ER 2^12·d8, single-threaded, and differ only in name and mode.
+func TestBenchCasesCarryServePair(t *testing.T) {
+	byName := map[string]benchCase{}
+	for _, c := range benchCases() {
+		byName[c.name] = c
+	}
+	spa, okS := byName[gateServeSPARegime]
+	pb, okP := byName[gateServePBRegime]
+	if !okS || !okP || spa.mode != "spa" || pb.mode != "" || pb.kind != "ER" || pb.scale != 12 || pb.ef != 8 || pb.threadsCap != 1 {
+		t.Fatalf("serve pair missing or not ER 2^12·d8 on the row kernel and PB at one thread: %+v, %+v", spa, pb)
+	}
+	spa.name, spa.mode = pb.name, pb.mode
+	if spa != pb {
+		t.Fatal("the serve pair must differ only in name and mode")
+	}
+}
+
+// allocSink keeps a measured call's allocation on the heap.
+var allocSink []byte
+
+// TestAllocGateReadsEveryRep: the 0-allocs gate reads the fewest mallocs of
+// any one rep, so an allocation in one rep's window alone passes it, and a
+// call that allocates once every time still fails it.
+func TestAllocGateReadsEveryRep(t *testing.T) {
+	var st core.Stats
+	for _, tc := range []struct {
+		name  string
+		alloc func(rep int) bool
+		fails bool
+	}{
+		{"none", func(int) bool { return false }, false},
+		{"first rep only", func(rep int) bool { return rep == 0 }, false},
+		{"once per call", func(int) bool { return true }, true},
+	} {
+		rep := 0
+		_, fewest, err := measureReps(5, func() (*core.Stats, error) {
+			if tc.alloc(rep) {
+				allocSink = make([]byte, 64)
+			}
+			rep++
+			return &st, nil
+		})
+		r := benchRegime{Name: tc.name, Threads: 1, AllocsPerOp: float64(fewest)}
+		if err != nil || allocGateFails(&r) != tc.fails {
+			t.Errorf("%s: %.0f allocs/op, gate fails %v, want %v (%v)", tc.name, r.AllocsPerOp, allocGateFails(&r), tc.fails, err)
 		}
 	}
 }

@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math"
 	"os"
@@ -258,16 +257,7 @@ func runPlanner(cfg *config) {
 	}
 
 	if cfg.jsonOut != "" {
-		buf, err := json.MarshalIndent(&report, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "marshal report: %v\n", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(cfg.jsonOut, append(buf, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "write %s: %v\n", cfg.jsonOut, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", cfg.jsonOut)
+		writeJSON(cfg.jsonOut, &report)
 	}
 	if cfg.gate && report.MaxRegret > plannerGateRegret {
 		fmt.Fprintf(os.Stderr, "planner gate: regret %.2f exceeds %.2f\n", report.MaxRegret, plannerGateRegret)

@@ -11,6 +11,7 @@ import (
 	"pbspgemm/internal/mmio"
 	"pbspgemm/internal/numa"
 	"pbspgemm/internal/par"
+	"pbspgemm/internal/stream"
 )
 
 // runTable5 reproduces Table V: STREAM Copy/Scale/Add/Triad. The paper
@@ -23,15 +24,12 @@ func runTable5(cfg *config) {
 		n = 1 << 25
 	}
 	threads := par.DefaultThreads(cfg.threads)
-	half := threads / 2
-	if half < 1 {
-		half = 1
-	}
+	half := max(threads/2, 1)
 
 	tb := metrics.NewTable("Table V — STREAM bandwidth (GB/s, best of reps)",
 		"configuration", "Copy", "Scale", "Add", "Triad")
 	addRow := func(name string, t int) {
-		res := streamTable(n, t, cfg.reps)
+		res := stream.Run(stream.Options{N: n, Threads: t, Reps: cfg.reps})
 		tb.AddRow(name, res[0].BestGBs, res[1].BestGBs, res[2].BestGBs, res[3].BestGBs)
 	}
 	addRow(fmt.Sprintf("host, %d threads", threads), threads)

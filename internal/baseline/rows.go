@@ -58,9 +58,8 @@ func SPA(a, b *matrix.CSR, opt Options) (*matrix.CSR, *Stats, error) {
 // Without one, a dense value plane over B's columns (none for a structural
 // product) and an occupancy mark chosen per row from the row itself: a row of
 // at least cols(B)/8 products marks its columns with plain byte stores and is
-// emitted 8 columns per load, a sparser one sets bits of a bitmap and is
-// emitted by walking it (or, with fewer products than bitmap words, only the
-// words its products reached). The bitmap's read-modify-write is a
+// emitted 8 columns per load, a sparser one sets bits of a bitmap, decoded
+// without a branch per bit (emitWords). The bitmap's read-modify-write is a
 // store-to-load chain wherever consecutive products share a 64-column word —
 // about eight of them do at 128 of 1 024 columns per B row — and a byte store
 // starts none: er_highcf_auto's op went 50.6 → 35.1 ms (medians of ten pairs).
@@ -69,10 +68,10 @@ func SPA(a, b *matrix.CSR, opt Options) (*matrix.CSR, *Stats, error) {
 // 4.7 ms, ER 2¹⁶·d8 85 → 106 ms); at about one product per word (ER 4 096·d64)
 // bytes neither gain nor lose (120 → 119 ms), as there is no chain there.
 //
-// Rows are staged in the worker's pooled planes and copied, in parallel, into
-// an exactly sized CSR once every count is known. Cancel is polled every
-// pollRows rows, the column-row fault site fires per row, and a panic — ⊕ and ⊗
-// run caller code on worker goroutines — comes back as a *par.PanicError.
+// Rows are staged in the worker's pooled planes, which become the product
+// once every count is known (output). Cancel is polled every pollRows rows,
+// the column-row fault site fires per row, and a panic — ⊕ and ⊗ run caller
+// code on worker goroutines — comes back as a *par.PanicError.
 func Rows[V any](a, b *matrix.CSR, aVal, bVal []V, ops Ops[V], opt Options) (*matrix.CSR, []V, *Stats, error) {
 	return rows(a, b, aVal, bVal, ops, opt, nil)
 }
@@ -178,12 +177,7 @@ func (p *rowPool[V]) run(opt Options, out *[]V) (*matrix.CSR, []V, *Stats, error
 
 	c := ws.newOutput(k.a.NumRows, k.b.NumCols, out != nil)
 	st.NNZC = par.PrefixSum(ws.rowNNZ, c.RowPtr)
-	val := k.output(c, st.NNZC, out)
-	if threads == 1 {
-		sc[0].place(c, val, 0)
-	} else {
-		par.ParallelRun(threads, func(t int) { sc[t].place(c, val, bounds[t]) })
-	}
+	val := k.output(c, sc, bounds, out)
 	st.Numeric = time.Since(start)
 	st.Total = st.Numeric
 	if st.NNZC > 0 {
@@ -192,17 +186,28 @@ func (p *rowPool[V]) run(opt Options, out *[]V) (*matrix.CSR, []V, *Stats, error
 	return c, val, st, poll(opt.Cancel)
 }
 
-// output sizes c's column indices and returns its values: pooled in *out, if
-// given, else fresh (none for a structural product).
-func (k *rowKernel[V]) output(c *matrix.CSR, nnz int64, out *[]V) []V {
-	if out != nil {
-		c.ColIdx = matrix.Grow(&k.ws.outColIdx, int(nnz))
-		return matrix.Grow(out, int(nnz))
+// output gives c its column indices and returns its values: pooled in *out,
+// if given, else fresh (none for a structural product). One worker's staging
+// planes are the product, copied into the pool or cloned (matrix.Refill): a
+// clone is not zeroed first, as make's plane was before the copy overwrote it
+// (0.4 ms of SPA's ~4.2 on ER 2¹²·d8). More workers' rows are copied, in
+// parallel, into planes of exactly nnz(C).
+func (k *rowKernel[V]) output(c *matrix.CSR, sc []rowScratch[V], bounds []int, out *[]V) []V {
+	cols, nnz, val := &k.ws.outColIdx, int(c.RowPtr[c.NumRows]), []V(nil)
+	if out == nil {
+		cols, out = new([]int32), new([]V) // fresh planes
 	}
-	if c.ColIdx = make([]int32, nnz); k.values() {
-		return make([]V, nnz)
+	if len(sc) == 1 {
+		if c.ColIdx = matrix.Refill(cols, sc[0].stageCol); k.values() {
+			val = matrix.Refill(out, sc[0].stageVal)
+		}
+		return val
 	}
-	return nil
+	if c.ColIdx = matrix.Grow(cols, nnz); k.values() {
+		val = matrix.Grow(out, nnz)
+	}
+	par.ParallelRun(len(sc), func(t int) { sc[t].place(c, val, bounds[t]) })
+	return val
 }
 
 func (k *rowKernel[V]) values() bool { return k.ops.Arith || k.ops.Times != nil }
@@ -248,7 +253,7 @@ func (k *rowKernel[V]) span(sc *rowScratch[V], t, lo, hi int) {
 			faultinject.Fire(faultinject.SiteColumnRow, t)
 		}
 		n0, most := len(outCol), int(min(ws.rowFlops[i], int64(cols)))
-		outCol = slices.Grow(outCol, most)[:n0+most]
+		outCol = slices.Grow(outCol, most+emitSlack)[:n0+most+emitSlack]
 		var dst []V
 		if values {
 			outVal = slices.Grow(outVal, most)[:n0+most]
@@ -376,10 +381,7 @@ func emitMarks(mark []byte, col []int32) int {
 func (k *rowKernel[V]) emitBits(sc *rowScratch[V], i int, col []int32) int {
 	a, b, occ, top, n := k.a, k.b, sc.occ, sc.top, 0
 	if k.ws.rowFlops[i] >= int64(len(occ)) {
-		for wi := range occ {
-			n = emitWord(occ, wi, col, n)
-		}
-		return n
+		return emitWords(occ, 0, len(occ), col, 0)
 	}
 	for _, kk := range a.ColIdx[a.RowPtr[i]:a.RowPtr[i+1]] {
 		for _, j := range b.ColIdx[b.RowPtr[kk]:b.RowPtr[kk+1]] {
@@ -389,19 +391,36 @@ func (k *rowKernel[V]) emitBits(sc *rowScratch[V], i int, col []int32) int {
 	for ti, tw := range top {
 		top[ti] = 0
 		for ; tw != 0; tw &= tw - 1 {
-			n = emitWord(occ, ti<<6|bits.TrailingZeros64(tw), col, n)
+			wi := ti<<6 | bits.TrailingZeros64(tw)
+			n = emitWords(occ, wi, wi+1, col, n)
 		}
 	}
 	return n
 }
 
-// emitWord writes the columns of bitmap word wi to col from n, clearing it.
-func emitWord(occ []uint64, wi int, col []int32, n int) int {
-	word := occ[wi]
-	occ[wi] = 0
-	for base := int32(wi) << 6; word != 0; word &= word - 1 {
-		col[n] = base | int32(bits.TrailingZeros64(word))
-		n++
+// emitSlack is the room past a row's last column emitWords may write into.
+const emitSlack = 4
+
+// emitWords writes the columns of bitmap words [lo, hi) to col from n,
+// clearing them, and returns n plus their count. Four slots are written
+// whatever a word holds, the unused ones into col's emitSlack, and only bits
+// past four loop (Langdale and Lemire's branch-free bitset decoding): a loop
+// per set bit mispredicted its exit on most words, ~40 % of SPA's time on
+// ER 2¹²·d8. The four stores are unrolled: as a loop they cost a quarter more.
+func emitWords(occ []uint64, lo, hi int, col []int32, n int) int {
+	for wi := lo; wi < hi; wi++ {
+		word, base, next := occ[wi], int32(wi)<<6, n+bits.OnesCount64(occ[wi])
+		occ[wi] = 0
+		d := (*[emitSlack]int32)(col[n:])
+		d[0], word = base|int32(bits.TrailingZeros64(word)), word&(word-1)
+		d[1], word = base|int32(bits.TrailingZeros64(word)), word&(word-1)
+		d[2], word = base|int32(bits.TrailingZeros64(word)), word&(word-1)
+		d[3], word = base|int32(bits.TrailingZeros64(word)), word&(word-1)
+		for q := n + emitSlack; word != 0; word &= word - 1 {
+			col[q] = base | int32(bits.TrailingZeros64(word))
+			q++
+		}
+		n = next
 	}
 	return n
 }

@@ -16,6 +16,17 @@ func Grow[E any](buf *[]E, n int) []E {
 	return *buf
 }
 
+// Refill returns a copy of src in *buf: in its storage when it holds src,
+// else in a clone of exactly len(src), which, unlike Grow's make, is not
+// zeroed before the copy overwrites it.
+func Refill[E any](buf *[]E, src []E) []E {
+	if cap(*buf) < len(src) {
+		*buf = nil // append clones src
+	}
+	*buf = append((*buf)[:0], src...)
+	return *buf
+}
+
 // GrowInt64Zero is Grow with the returned slice zeroed.
 func GrowInt64Zero(buf *[]int64, n int) []int64 {
 	s := Grow(buf, n)

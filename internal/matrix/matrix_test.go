@@ -361,17 +361,17 @@ func TestEstimateProductNNZSampleIsBoundedByWork(t *testing.T) {
 	}
 	a, b := aco.ToCSR(), bco.ToCSR()
 	flop := FlopsCSR(a, b)
-	if est, sampled := EstimateProductNNZ(a, b, flop, budget, nil); !sampled || est != flop {
-		t.Fatalf("estimate %d (sampled %v) of a %d-flop product: the sample left its 64-row stride", est, sampled, flop)
+	if est, visited := EstimateProductNNZ(a, b, flop, budget, nil); visited != 64*d*d || est != flop {
+		t.Fatalf("estimate %d (%d products visited) of a %d-flop product: the sample left its 64-row stride", est, visited, flop)
 	}
 	// Within the budget, and below minSampleRows rows, the count is exact.
 	exact := ProductNNZ(a, b)
-	if est, sampled := EstimateProductNNZ(a, b, flop, flop, nil); sampled || est != exact {
-		t.Fatalf("in-budget estimate %d (sampled %v), want the exact %d", est, sampled, exact)
+	if est, visited := EstimateProductNNZ(a, b, flop, flop, nil); visited != flop || est != exact {
+		t.Fatalf("in-budget estimate %d (%d of %d products visited), want the exact %d", est, visited, flop, exact)
 	}
 	few := RowBand(a, 0, minSampleRows-1)
-	if est, sampled := EstimateProductNNZ(few, b, FlopsCSR(few, b), 1, nil); sampled || est != ProductNNZ(few, b) {
-		t.Fatalf("%d-row estimate %d (sampled %v), want exact", few.NumRows, est, sampled)
+	if est, visited := EstimateProductNNZ(few, b, FlopsCSR(few, b), 1, nil); visited != FlopsCSR(few, b) || est != ProductNNZ(few, b) {
+		t.Fatalf("%d-row estimate %d (%d products visited), want exact", few.NumRows, est, visited)
 	}
 }
 

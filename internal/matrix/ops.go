@@ -87,13 +87,14 @@ const minSampleRows = 32
 // a deterministic strided sample of A's rows scaled by the flop ratio. The
 // sample is bounded by work, not by rows: the stride is the one at which rows
 // of average cost visit about sampleBudget products, and never leaves fewer
-// than minSampleRows rows (a product of fewer rows is counted exactly).
-// sampled reports which path ran. flop must be FlopsCSR(a, b). scratch, if
-// non-nil, pools the O(cols(B)) marker across calls (grow-only); pass nil
-// for a transient one.
-func EstimateProductNNZ(a, b *CSR, flop, sampleBudget int64, scratch *[]int32) (nnzC int64, sampled bool) {
+// than minSampleRows rows (a product of fewer rows is counted exactly); past
+// them, the sample stops before the product that would exceed sampleBudget.
+// visited is the number of products the pass looked at: flop when the count
+// is exact. flop must be FlopsCSR(a, b). scratch, if non-nil, pools the
+// O(cols(B)) marker across calls (grow-only); pass nil for a transient one.
+func EstimateProductNNZ(a, b *CSR, flop, sampleBudget int64, scratch *[]int32) (nnzC, visited int64) {
 	if flop == 0 {
-		return 0, false
+		return 0, 0
 	}
 	var transient []int32
 	if scratch == nil {
@@ -109,9 +110,13 @@ func EstimateProductNNZ(a, b *CSR, flop, sampleBudget int64, scratch *[]int32) (
 		stride = max(1, rows/max(minSampleRows, int(int64(rows)*sampleBudget/flop)))
 	}
 	var sampleFlops, sampleNNZ int64
-	for i := 0; i < rows; i += stride {
+sample:
+	for i, taken := 0, 0; i < rows; i, taken = i+stride, taken+1 {
 		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
 			bcols := b.ColIdx[b.RowPtr[a.ColIdx[p]]:b.RowPtr[a.ColIdx[p]+1]]
+			if taken >= minSampleRows && sampleFlops+int64(len(bcols)) > sampleBudget {
+				break sample
+			}
 			sampleFlops += int64(len(bcols))
 			for _, j := range bcols {
 				// A conditional move, not a branch: first touches are a coin toss
@@ -125,22 +130,15 @@ func EstimateProductNNZ(a, b *CSR, flop, sampleBudget int64, scratch *[]int32) (
 			}
 		}
 	}
-	if stride == 1 {
-		return sampleNNZ, false
+	if sampleFlops == flop {
+		return sampleNNZ, flop
 	}
 	if sampleFlops == 0 {
 		// The sample hit only empty rows; assume no compression (cf = 1),
 		// the conservative choice that favors the PB default.
-		return flop, true
+		return flop, 0
 	}
-	est := int64(float64(sampleNNZ) * float64(flop) / float64(sampleFlops))
-	if est < 1 {
-		est = 1
-	}
-	if est > flop {
-		est = flop
-	}
-	return est, true
+	return min(max(int64(float64(sampleNNZ)*float64(flop)/float64(sampleFlops)), 1), flop), sampleFlops
 }
 
 // ReferenceMultiply computes C = A*B, the oracle every kernel, layout, budget

@@ -16,10 +16,7 @@ func MeasureLatencyNs(bytes int64, seed uint64) float64 {
 	if bytes <= 0 {
 		bytes = 256 << 20
 	}
-	n := int(bytes / 8)
-	if n < 1024 {
-		n = 1024
-	}
+	n := max(int(bytes/8), 1024)
 	next := make([]int64, n)
 	// Sattolo's algorithm builds a single random cycle covering all slots,
 	// guaranteeing the chase visits every element with no short cycles.

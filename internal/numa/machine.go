@@ -69,13 +69,5 @@ func discover(fsys fs.FS) *Machine {
 	return m
 }
 
-var (
-	defaultOnce sync.Once
-	defaultM    *Machine
-)
-
 // Default returns the host machine, discovered once per process.
-func Default() *Machine {
-	defaultOnce.Do(func() { defaultM = Discover() })
-	return defaultM
-}
+var Default = sync.OnceValue(Discover)

@@ -116,19 +116,13 @@ func ForEachDynamic(n, threads int, fn func(worker, i int)) {
 // flop/threads multiplications (the paper's static schedule stays balanced
 // because ER columns are uniform; for RMAT the weights make it balanced too).
 func BalancedBoundaries(weights []int64, parts int) []int {
-	if parts < 1 {
-		parts = 1
-	}
-	return BalancedBoundariesInto(weights, parts, make([]int, parts+1))
+	return BalancedBoundariesInto(weights, parts, make([]int, max(parts, 1)+1))
 }
 
 // BalancedBoundariesInto is BalancedBoundaries writing into a caller-provided
 // slice b of length parts+1 (allocation-free for pooled callers). It returns b.
 func BalancedBoundariesInto(weights []int64, parts int, b []int) []int {
-	n := len(weights)
-	if parts < 1 {
-		parts = 1
-	}
+	n, parts := len(weights), max(parts, 1)
 	b[0] = 0
 	b[parts] = n
 	var total int64
@@ -136,9 +130,7 @@ func BalancedBoundariesInto(weights []int64, parts int, b []int) []int {
 		total += w
 	}
 	if n == 0 || parts == 1 {
-		for i := 1; i < parts; i++ {
-			b[i] = 0
-		}
+		clear(b[1:parts])
 		return b
 	}
 	target := total / int64(parts)
@@ -188,9 +180,7 @@ func PrefixSumParallel(counts, out []int64, threads int) int64 {
 	if threads <= 1 || n < prefixSumParallelCutoff {
 		return PrefixSum(counts, out)
 	}
-	if threads > n {
-		threads = n
-	}
+	threads = min(threads, n)
 	sums := make([]int64, threads)
 	ForRanges(n, threads, func(w, lo, hi int) {
 		var s int64

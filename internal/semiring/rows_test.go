@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync/atomic"
 	"testing"
 
 	"pbspgemm/internal/core"
@@ -98,19 +99,20 @@ func FuzzMaskedRowsVsReference(f *testing.F) {
 
 // TestMaskedRowsPollsAtEmptyMaskRows: the poll schedule counts every row, so
 // an already-cancelled call fails even when the rows that carry the polls
-// (every 64th, row 0 first) have empty mask rows.
+// (every 64th, row 0 first) have empty mask rows. One worker: a second would
+// poll at row 1, whose mask row is not empty.
 func TestMaskedRowsPollsAtEmptyMaskRows(t *testing.T) {
 	id := &CSRg[float64]{NumRows: 2, NumCols: 2, RowPtr: []int64{0, 1, 2}, ColIdx: []int32{0, 1}, Val: []float64{1, 1}}
 	mask := &matrix.CSR{NumRows: 2, NumCols: 2, RowPtr: []int64{0, 0, 1}, ColIdx: []int32{1}, Val: []float64{1}}
 	stop := errors.New("stop")
-	polls := 0
+	var polls atomic.Int64 // every row-kernel worker polls
 	cancel := func() error {
-		if polls++; polls > 1 { // the first poll is the call's own, at entry
+		if polls.Add(1) > 1 { // the first poll is the call's own, at entry
 			return stop
 		}
 		return nil
 	}
-	if _, err := MultiplyOpts(Arithmetic(), id.ToCSC(), id, Options{Mask: mask, Cancel: cancel}); !errors.Is(err, stop) {
+	if _, err := MultiplyOpts(Arithmetic(), id.ToCSC(), id, Options{Mask: mask, Cancel: cancel, Threads: 1}); !errors.Is(err, stop) {
 		t.Fatalf("got %v, want the Cancel error", err)
 	}
 }

@@ -40,8 +40,10 @@ func ownedOf[T comparable](m *Matrix[T], mark T, f func(T) float64) owned {
 // TestEngineProductsAreCallerOwned: every product an engine
 // returns is the caller's — Engine.Multiply's, one from each typed fast path of
 // EngineMultiplyOver (float64, float32, int32, Boolean pattern), the generic
-// layout's (a caller-assembled semiring) and MultiplyOver's, a fresh engine's —
-// though the pool hands its output arrays over instead of copying them. A goroutine overwrites each product
+// layout's (a caller-assembled semiring) and MultiplyOver's, a fresh engine's,
+// and the row kernel's at one worker, plain and masked, which clones its
+// staging planes — though the pool hands its output arrays over instead of
+// copying them. A goroutine overwrites each product
 // while the same engine runs every route again: under -race any write or read
 // the engine still makes to a handed-over array is reported, the later
 // products must equal Reference, and the overwritten one must keep the writes.
@@ -59,6 +61,8 @@ func TestEngineProductsAreCallerOwned(t *testing.T) {
 	f32 := func(v float64) float32 { return float32(v) }
 	i32 := func(v float64) int32 { return int32(v) }
 	one := func(float64) bool { return true }
+	mask := NewER(300, 6, 3)
+	maskedWant := maskCSR(want, mask, false)
 	boolWant := want.Clone()
 	for i := range boolWant.Val {
 		boolWant.Val[i] = 1
@@ -73,6 +77,20 @@ func TestEngineProductsAreCallerOwned(t *testing.T) {
 				return owned{}, err
 			}
 			return ownedOf(Float64Matrix(res.C), -1, id), nil
+		}},
+		{"SPA", func() (owned, error) {
+			res, err := e.Multiply(ctx, a, b, WithAlgorithm(SPA), WithThreads(1))
+			if err != nil {
+				return owned{}, err
+			}
+			return ownedOf(Float64Matrix(res.C), -1, id), nil
+		}},
+		{"masked", func() (owned, error) {
+			c, err := e.MultiplyMasked(ctx, a, b, mask, WithThreads(1))
+			if err != nil {
+				return owned{}, err
+			}
+			return ownedOf(Float64Matrix(c), -1, id), nil
 		}},
 		{"float64", overRoute(e, Arithmetic(), MatrixOf(a, id), MatrixOf(b, id), true, -1, id)},
 		{"float32", overRoute(e, Arithmetic32(), MatrixOf(a, f32), MatrixOf(b, f32), true, -1, func(v float32) float64 { return float64(v) })},
@@ -90,8 +108,11 @@ func TestEngineProductsAreCallerOwned(t *testing.T) {
 	check := func(name string, got owned) {
 		t.Helper()
 		w := want
-		if name == "Boolean" {
+		switch name {
+		case "Boolean":
 			w = boolWant
+		case "masked":
+			w = maskedWant
 		}
 		if !EqualWithin(w, got.c, 0) {
 			t.Fatalf("%s: product differs from Reference", name)

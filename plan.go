@@ -57,11 +57,13 @@ type Plan struct {
 	PredictedFootprintBytes int64
 }
 
-// plannerSampleFlops is the work the nnz(C) estimate may cost: products up to
-// 256 Kflop are counted exactly, larger ones are estimated from a row sample
-// of about that many products, so planning stays a few percent of the
-// multiplication itself.
-const plannerSampleFlops = 256 << 10
+// plannerExactFlops and plannerSampleFlops bound the nnz(C) estimate's work:
+// products up to plannerExactFlops are counted exactly, larger ones from a row
+// sample of an eighth of their products, at most plannerSampleFlops. A count
+// costs about what the row kernel takes to multiply (2-vCPU Xeon): exact,
+// Engine.Plan took 1.0–1.3 ms on ER 2¹²·d8 squared (256 Kflop; SPA ~4.2 ms)
+// and 4.6–5.0 ms on ER 2¹⁶·d2; at an eighth, 0.17–0.21 and 0.98–1.0 ms.
+const plannerExactFlops, plannerSampleFlops = 32 << 10, 256 << 10
 
 // planFor runs the planner: symbolic flop pass, nnz(C) estimate, then model
 // with the kernel pinned to pin (Auto: the cheaper of PB and SPA), for a
@@ -71,10 +73,15 @@ const plannerSampleFlops = 256 << 10
 // workspace's slot, keeping steady-state planned calls allocation-free).
 func planFor(cfg *config, a, b *CSR, scratch *[]int32, valueBytes int64, pin Algorithm) *Plan {
 	p := &Plan{NNZA: int64(len(a.ColIdx)), NNZB: int64(len(b.ColIdx)), Flops: matrix.FlopsCSR(a, b)}
-	p.EstNNZC, p.Sampled = matrix.EstimateProductNNZ(a, b, p.Flops, plannerSampleFlops, scratch)
+	var visited int64
+	p.EstNNZC, visited = matrix.EstimateProductNNZ(a, b, p.Flops, sampleFlops(p.Flops), scratch)
+	p.Sampled = visited < p.Flops
 	p.model(cfg, a.NumRows, b.NumCols, pin, valueBytes)
 	return p
 }
+
+// sampleFlops is the nnz(C) estimate's budget for a product of flops.
+func sampleFlops(flops int64) int64 { return max(plannerExactFlops, min(flops/8, plannerSampleFlops)) }
 
 // model fills in what the planner derives from p's counts (Flops, EstNNZC,
 // NNZA, NNZB) for a rows×cols product: predicted time per kernel, the kernel

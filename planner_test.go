@@ -5,6 +5,8 @@ import (
 	"errors"
 	"runtime"
 	"testing"
+
+	"pbspgemm/internal/matrix"
 )
 
 // plannerEngine returns an engine with opts as its defaults. The planner
@@ -49,7 +51,7 @@ func TestFirstPlanMeasuresNothing(t *testing.T) {
 // lowCFFixture is on PB's side of the fitted crossover: a hypersparse ER pair
 // with cf ≈ 1 whose B (1.5 MB) is past the 1 MiB cache budget, so the row kernel
 // would miss on a row of B for a third of A's entries — costlier than PB's sort
-// (roofline.SPACostNS). Its 256 Kflop are the most the planner counts exactly.
+// (roofline.SPACostNS). Its 256 Kflop are planned from a sample of an eighth.
 func lowCFFixture() (*CSR, *CSR) {
 	return NewER(1<<16, 2, 1), NewER(1<<16, 2, 2)
 }
@@ -146,13 +148,6 @@ func TestAutoPlanFields(t *testing.T) {
 	if p.NNZA != a.NNZ() || p.NNZB != b.NNZ() {
 		t.Fatal("plan input sizes wrong")
 	}
-	// This fixture is small enough for the exact symbolic pass.
-	if p.Sampled {
-		t.Fatal("small fixture should use the exact nnz(C) pass")
-	}
-	if p.EstNNZC != res.C.NNZ() {
-		t.Fatalf("exact plan nnzC %d, product has %d", p.EstNNZC, res.C.NNZ())
-	}
 	if p.PredictedOuterGFLOPS <= 0 || p.PredictedColumnGFLOPS <= 0 {
 		t.Fatalf("plan model outputs not populated: %+v", p)
 	}
@@ -169,6 +164,42 @@ func TestAutoPlanFields(t *testing.T) {
 	// the fuse phase on its stats.
 	if res.PB.Fuse <= 0 || res.PB.FusedBytes <= 0 {
 		t.Fatalf("executed PB stats do not report the fused phase: %+v", res.PB)
+	}
+	// lowCFFixture's 256 Kflop are sampled; ER 2¹²·d2's 16 are counted.
+	if res, err = eng.Multiply(context.Background(), NewER(1<<12, 2, 1), NewER(1<<12, 2, 2), WithAlgorithm(Auto)); err != nil {
+		t.Fatal(err)
+	}
+	p = res.Plan
+	// This fixture is small enough for the exact symbolic pass.
+	if p.Sampled {
+		t.Fatal("small fixture should use the exact nnz(C) pass")
+	}
+	if p.EstNNZC != res.C.NNZ() {
+		t.Fatalf("exact plan nnzC %d, product has %d", p.EstNNZC, res.C.NNZ())
+	}
+}
+
+// TestPlanSamplesAShareOfTheProduct: the planner's nnz(C) estimate visits at
+// most max(32 Ki, flops/8) products, and counts a product of at most 32 Ki
+// flops exactly (ER 2¹³·d2 is 32 Ki flops on the nose).
+func TestPlanSamplesAShareOfTheProduct(t *testing.T) {
+	eng := plannerEngine(t)
+	for _, tc := range []struct {
+		n int32
+		d int
+	}{{1 << 12, 2}, {1 << 13, 2}, {1 << 13, 4}, {1 << 12, 8}, {1 << 16, 2}, {1 << 14, 16}} {
+		a, b := NewER(tc.n, tc.d, 1), NewER(tc.n, tc.d, 2)
+		flops := Flops(a, b)
+		if _, visited := matrix.EstimateProductNNZ(a, b, flops, sampleFlops(flops), nil); visited > max(32<<10, flops/8) {
+			t.Errorf("ER %d·d%d: the estimate visited %d of %d products, want at most max(32 Ki, flops/8)", tc.n, tc.d, visited, flops)
+		}
+		p, err := eng.Plan(context.Background(), a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if exact := flops <= 32<<10; p.Sampled == exact || exact && p.EstNNZC != matrix.ProductNNZ(a, b) {
+			t.Errorf("ER %d·d%d, %d flops: sampled %v, estimate %d of %d", tc.n, tc.d, flops, p.Sampled, p.EstNNZC, matrix.ProductNNZ(a, b))
+		}
 	}
 }
 
