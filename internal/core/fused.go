@@ -10,41 +10,29 @@ import (
 
 // This file is the fused sort→fold phase: the paper's sort and compress
 // phases (Sections III-D and III-E) run as one pass per bin while the bin is
-// in cache, tallying row counts for assemble as it goes.
+// in cache, writing C's column ids and values and tallying its row counts.
 //
-// denseBin picks one of two flat kernels of internal/radix per bin, from its
-// tuple count, its packed key width rowShift+colBits and the cache budget:
+// denseBin picks one of two kernels of internal/radix per bin, from its tuple
+// count, its key width rowShift+colBits and the cache budget: dense bins (few
+// key slots a tuple, or few bitmap words a tuple over an L2-resident key
+// space) fold through a pooled per-worker direct-address accumulator
+// (radix.FoldDense, or FoldDenseBy through ⊕): each tuple read once, no
+// sort. Every other bin runs radix.SortFoldBy, a fixed-pass LSD radix over
+// key|index words that gathers each value once in the sweep that folds.
 //
-//   - Dense bins (few key slots a tuple, or few bitmap words a tuple over an
-//     L2-resident key space) fold through a pooled per-worker
-//     direct-address accumulator, radix.FoldDense: each tuple read once,
-//     each output written once, no sort. An auto geometry's dense bins are
-//     cut until the accumulator, its bitmap and the bin fit L2
-//     (planBinGeometry).
-//   - Every other bin runs radix.SortFoldBy, a fixed-pass LSD radix over
-//     key|index words that gathers each value once in the sweep that folds
-//     (through a typed add for (+, ×)).
-//
-// The generic layout (any value type and ⊕) takes the same rule to the same
-// two kernels with the caller's ⊕ in place of +: radix.FoldDenseBy and
-// radix.SortFoldBy.
-//
-// All tally the bin's per-row output counts as they finish, so assemble has
-// exact offsets the moment the phase ends. All are bit-identical to each
-// other, and to a scalar fold in ascending k: a stable sort leaves equal keys
-// in arrival (expand) order, which is ascending k, and every fold is the
+// All tally the bin's row counts as they finish, and all are bit-identical
+// to each other and to a scalar fold in ascending k: a stable sort leaves
+// equal keys in arrival (expand) order, ascending k, and every fold is the
 // chain "first value assigned, later ones added" over that order
 // (TestFusedMatchesUnfusedBitIdentical, TestBothKernelsSameBytes,
-// TestSpecialValuesThroughTheFold). A budgeted run folds each bin once too,
-// in the group that holds it, so its bytes are the unbudgeted run's.
+// TestSpecialValuesThroughTheFold). A budgeted run folds each bin once too.
 //
-// Bins fold whole, one per iteration of forEachBin's dynamic parallel-for, as
-// Algorithm 2 sorts and compresses them. The phase takes at least the largest
-// bin's fold: 3.2 % of the tuples on R-MAT 2^16·d8 squared and 4.0 % on
-// 2^17·d4, so splitting a bin could only pay above some 25–30 threads.
+// Bins fold whole, one per iteration of forEachBin. The phase takes at least
+// the largest bin's fold (3.2 % of the tuples on R-MAT 2^16·d8 squared, 4.0 %
+// on 2^17·d4), so splitting a bin could only pay above some 25–30 threads.
 
-// runSortPhase sorts, folds and tallies every bin of the running group,
-// filling ws.binOut and e.tally (forEachBin schedules them).
+// runSortPhase sorts, folds and tallies every bin of the running group
+// (forEachBin schedules them).
 func (e *engine) runSortPhase() {
 	threads := e.opt.Threads
 	bs := e.ws.binStart
@@ -64,23 +52,33 @@ func (e *engine) runSortPhase() {
 		e.latchAbort(fmt.Errorf("core: a bin of the %s layout: %w", e.layout, err))
 		return
 	}
-	e.scratchStride = maxSeg
+	e.scratchStride, e.folded, e.compactEnd = maxSeg, 0, e.binLo
 	e.lay.growScratch(e, int64(threads)*maxSeg, accSlots)
 	matrix.Grow(&e.ws.accBits, threads*int((accSlots+63)/64))
-	e.forEachBin(faultinject.SiteSortTask, fuseWholeBin)
+	e.forEachBin(faultinject.SiteSortTask, e.binLo, fuseWholeBin)
 	if threads > 1 {
 		e.st.SortOwned += int64(e.binHi - e.binLo) // += : a budgeted run's groups add up to its bins
 	}
 }
 
 // fuseWholeBin folds one bin with the layout's fused kernel, which also
-// tallies its row counts while the folded keys are hot. The folded prefix lands
-// at the bin's own binStart offset.
+// tallies its row counts while the folded keys are hot. At one thread bins
+// fold in ascending order, each landing right after the one before, at
+// e.folded (never past its own start), while the group could still fill its
+// tuple planes (arenaFits, with every tuple left to fold kept): that keeps the
+// writes within 1/32 of the planes behind the reads, in cache, and leaves C at
+// their head. Past that, and at more threads, a bin lands at its binStart.
 func fuseWholeBin(e *engine, worker, bin int) {
 	if faultinject.Enabled {
 		faultinject.Fire(faultinject.SiteFoldBin, worker)
 	}
-	e.ws.binOut[bin] = e.lay.fuseBin(e, worker, bin)
+	bs := e.ws.binStart
+	if e.opt.Threads == 1 && arenaFits(cap(e.ws.tupleKeys), bs[e.binHi]-bs[bin]+e.folded) {
+		e.folded += e.lay.fuseBin(e, worker, bin, e.folded)
+		e.compactEnd = bin + 1
+		return
+	}
+	e.ws.binOut[bin] = e.lay.fuseBin(e, worker, bin, bs[bin])
 }
 
 // keyBits is the packed key width of the run's geometry, at most 32.

@@ -11,17 +11,13 @@ import (
 	"pbspgemm/internal/simd"
 )
 
-// This file is the layout layer. The paper's traffic argument — SpGEMM is
-// bandwidth-bound, so bytes-per-tuple is the lever — does not stop at the
-// 12-byte squeezed layout: a Boolean/structural product never reads its
-// values (4-byte key-only tuples), and float32/int32 workloads need only half
-// the value plane (8-byte tuples). Every layout packs its keys into 32 bits,
-// in a key plane the Workspace shares, and layouts differ only in the value
-// plane beside it. Each is a layoutOps implementation; the engine holds
-// exactly one per run (e.lay) and every phase dispatches element accesses
-// through it while all control flow — bin geometry, bin groups, the fuse
-// phase's schedule — stays layout-independent, which is what makes the
-// layouts bit-identical in structure.
+// This file is the layout layer. SpGEMM is bandwidth-bound, so bytes a tuple
+// are the lever: a structural product needs no values (4-byte tuples) and
+// float32/int32 half a value plane (8 bytes). Every layout packs its keys
+// into a 32-bit plane the Workspace shares and differs only in the value
+// plane beside it. Each is a layoutOps; every phase dispatches element
+// accesses through the run's one (e.lay), while all control flow stays
+// layout-independent, which keeps the layouts bit-identical in structure.
 //
 // The two implementations:
 //
@@ -40,10 +36,8 @@ import (
 //     deduplication and the result CSR carries no Val array. Its walk stays
 //     its own, as simd.ExpandK inlines into it.
 //
-// patternOps is zero-size: storing it in the e.lay interface allocates
-// nothing (the runtime's zerobase). A values is reached by pointer (&ws.f64,
-// or the pooled *values[V] in ws.vals), so rebinding e.lay per call is
-// allocation-free too.
+// patternOps is zero-size and a values is reached by pointer (&ws.f64 or
+// ws.vals), so binding e.lay per call allocates nothing.
 
 // layoutOps is the per-layout half of the pipeline: every method is one
 // phase's element accesses over one layout's storage, called with the engine
@@ -66,17 +60,19 @@ type layoutOps interface {
 	// group has dense bins, accSlots (1<<keyBits) accumulator slots a worker.
 	growScratch(e *engine, total, accSlots int64)
 	// fuseBin sorts and folds bin (its tuples lie at ws.binStart[bin:bin+2])
-	// on the given worker's scratch, leaving the sorted, folded prefix in
-	// place and returning its length, and tallies the folded rows into
-	// e.tally. Rows of a bin are touched by no other bin, so the shared slice
-	// needs no synchronization.
-	fuseBin(e *engine, worker, bin int) int64
-	// unpackBin writes the n folded tuples at srcOff of the tuple planes into
-	// the result CSR at dstOff.
-	unpackBin(e *engine, c *matrix.CSR, srcOff, dstOff, n int64)
-	// growOut sizes the result's value storage to nnzc (resultPlane): the
-	// layout's out plane, nothing for pattern.
-	growOut(e *engine, c *matrix.CSR, nnzc int64)
+	// on the given worker's scratch, writes the folded tuples — column ids and
+	// values — to the tuple planes at dst (at most the bin's start), returns
+	// their count, and tallies their rows into e.tally. Rows of a bin are
+	// touched by no other bin, so the shared slice needs no synchronization.
+	fuseBin(e *engine, worker, bin int, dst int64) int64
+	// growOut sizes the result's value plane to nnzc (resultPlane), copyOut
+	// copies n values at srcOff of the tuple plane to it at dstOff, and
+	// handOver makes the tuple plane's first n values it, if arenaFits.
+	// dropArena forgets the tuple planes a detached result took over.
+	growOut(e *engine, nnzc int64)
+	copyOut(e *engine, srcOff, dstOff, n int64)
+	handOver(e *engine, n int64) bool
+	dropArena(ws *Workspace)
 }
 
 // binRows is the slice of e.tally a bin's fold tallies into, indexed by
@@ -138,7 +134,7 @@ type binding[V any] struct {
 	// sorted bin folds through Plus in either binding (radix.SortFoldBy): a
 	// typed Plus is an add, and the sort's passes, not the fold, are its cost.
 	expandKV  func(dk []uint32, dv []V, localRow uint32, cols []int32, bv []V, a V)
-	foldDense func(keys []uint32, vals, acc []V, occ []uint64, rows []int64, colBits uint) int
+	foldDense func(keys []uint32, vals []V, dk []uint32, dv, acc []V, occ []uint64, rows []int64, colBits uint) int
 }
 
 // The typed (+, ×) bindings. They are concrete instances, so binding one
@@ -303,19 +299,21 @@ func (l *values[V]) growScratch(e *engine, total, accSlots int64) {
 	matrix.Grow(&l.accVals, e.opt.Threads*int(accSlots))
 }
 
-func (l *values[V]) unpackBin(e *engine, c *matrix.CSR, srcOff, dstOff, n int64) {
-	keys, vals := e.ws.tupleKeys, l.tupleVals
-	cm := uint32(uint64(1)<<e.colBits - 1)
-	out := l.out
-	for j := int64(0); j < n; j++ {
-		c.ColIdx[dstOff+j] = int32(keys[srcOff+j] & cm)
-		out[dstOff+j] = vals[srcOff+j]
-	}
+func (l *values[V]) growOut(e *engine, nnzc int64) { l.out = resultPlane(e, l.out, &l.outVal, nnzc) }
+
+func (l *values[V]) copyOut(e *engine, srcOff, dstOff, n int64) {
+	copy(l.out[dstOff:dstOff+n], l.tupleVals[srcOff:srcOff+n])
 }
 
-func (l *values[V]) growOut(e *engine, c *matrix.CSR, nnzc int64) {
-	l.out = resultPlane(e, l.out, &l.outVal, nnzc)
+func (l *values[V]) handOver(e *engine, n int64) bool {
+	if !arenaFits(cap(l.tupleVals), n) {
+		return false
+	}
+	l.out = l.tupleVals[:n:n]
+	return true
 }
+
+func (l *values[V]) dropArena(ws *Workspace) { ws.tupleKeys, l.tupleVals = nil, nil }
 
 // scratchWordsFor returns worker w's two private planes of key|index words.
 func (e *engine) scratchWordsFor(w int, n int64) (w0, w1 []uint64) {
@@ -432,21 +430,22 @@ func (l *values[V]) expandBy(dk []uint32, dv []V, localRow uint32, cols []int32,
 
 // fuseBin folds bin with the binding's kernels: the dense fold (typed or
 // through Plus) or the sort (through Plus), picked per bin by denseBin.
-func (l *values[V]) fuseBin(e *engine, worker, bin int) int64 {
+func (l *values[V]) fuseBin(e *engine, worker, bin int, dst int64) int64 {
 	lo, hi := e.ws.binStart[bin], e.ws.binStart[bin+1]
 	keys, vals, rows := e.ws.tupleKeys[lo:hi], l.tupleVals[lo:hi], e.binRows(bin)
+	dk, dv := e.ws.tupleKeys[dst:hi], l.tupleVals[dst:hi]
 	n := hi - lo
 	if e.denseBin(n) {
 		slots := int64(1) << e.keyBits()
 		acc, occ := l.accVals[int64(worker)*slots:][:slots], e.accBitsFor(worker, slots)
 		if l.foldDense != nil {
-			return int64(l.foldDense(keys, vals, acc, occ, rows, e.colBits))
+			return int64(l.foldDense(keys, vals, dk, dv, acc, occ, rows, e.colBits))
 		}
-		return int64(radix.FoldDenseBy(keys, vals, acc, occ, rows, e.colBits, l.Plus))
+		return int64(radix.FoldDenseBy(keys, vals, dk, dv, acc, occ, rows, e.colBits, l.Plus))
 	}
 	w0, w1 := e.scratchWordsFor(worker, n)
 	tmp := l.scratchVals[int64(worker)*e.scratchStride:][:n]
-	return int64(radix.SortFoldBy(keys, vals, w0, w1, tmp, int(e.keyBits()), rows, e.colBits, l.Plus))
+	return int64(radix.SortFoldBy(keys, vals, dk, dv, w0, w1, tmp, int(e.keyBits()), rows, e.colBits, l.Plus))
 }
 
 // ---------------------------------------------------------------------------
@@ -559,24 +558,19 @@ func (patternOps) growScratch(e *engine, total, _ int64) {
 }
 
 // fuseBin: the fold is deduplication, so dense bins need only the bitmap.
-func (patternOps) fuseBin(e *engine, worker, bin int) int64 {
+func (patternOps) fuseBin(e *engine, worker, bin int, dst int64) int64 {
 	lo, hi := e.ws.binStart[bin], e.ws.binStart[bin+1]
-	keys, rows := e.ws.tupleKeys[lo:hi], e.binRows(bin)
+	keys, dk, rows := e.ws.tupleKeys[lo:hi], e.ws.tupleKeys[dst:hi], e.binRows(bin)
 	if e.denseBin(hi - lo) {
-		return int64(radix.FoldDensePattern(keys, e.accBitsFor(worker, int64(1)<<e.keyBits()), rows, e.colBits))
+		return int64(radix.FoldDensePattern(keys, e.accBitsFor(worker, int64(1)<<e.keyBits()), dk, rows, e.colBits))
 	}
-	return int64(radix.SortFoldPattern(keys, e.ws.scratchKeys[int64(worker)*e.scratchStride:][:hi-lo],
+	return int64(radix.SortFoldPattern(keys, e.ws.scratchKeys[int64(worker)*e.scratchStride:][:hi-lo], dk,
 		int(e.keyBits()), rows, e.colBits))
 }
 
-func (patternOps) unpackBin(e *engine, c *matrix.CSR, srcOff, dstOff, n int64) {
-	keys := e.ws.tupleKeys
-	cm := uint32(uint64(1)<<e.colBits - 1)
-	for j := int64(0); j < n; j++ {
-		c.ColIdx[dstOff+j] = int32(keys[srcOff+j] & cm)
-	}
-}
-
-func (patternOps) growOut(e *engine, c *matrix.CSR, nnzc int64) {
-	// Pattern results are structural: c.Val stays nil by design.
-}
+// Pattern results are structural: c.Val stays nil by design, so the result
+// has no value plane to size, fill or take over.
+func (patternOps) growOut(*engine, int64)               {}
+func (patternOps) copyOut(*engine, int64, int64, int64) {}
+func (patternOps) handOver(*engine, int64) bool         { return true }
+func (patternOps) dropArena(ws *Workspace)              { ws.tupleKeys = nil }

@@ -18,31 +18,24 @@
 //     64-byte lines to a line-aligned destination.
 //  3. Sort and compress (Sections III-D, III-E): each global bin is sorted
 //     on its packed keys localRow<<colBits|colid and equal keys are summed,
-//     bin by bin under a dynamic schedule. Bins keep local row ids small
-//     enough that the key fits 4 bytes on every run (planBinGeometry adds
-//     bins until it does), and the two steps run fused, as one of
-//     internal/radix's two kernels (fused.go): typed + for (+, ×) over
-//     float64, float32 and int32, the caller's ⊕ for any other value type
-//     and (⊕, ⊗) MultiplyGeneric serves.
-//  4. Assemble: bins cover disjoint, ordered row ranges, so concatenating
-//     the folded bins is already canonical CSR order.
+//     bin by bin, fused as one of internal/radix's two kernels (fused.go):
+//     typed + for (+, ×) over float64, float32 and int32, the caller's ⊕
+//     otherwise. Bins keep local rows small enough that the key fits 4 bytes
+//     (planBinGeometry). The fold writes C while the bin is hot: column ids
+//     and values, at one thread right after the bin before it.
+//  4. Assemble: bins cover disjoint, ordered row ranges, so the folded bins
+//     in bin order are canonical CSR. At one thread a one-group product's
+//     tuple planes are C (handed over) or one copy away; at more, each bin
+//     is copied to its offset.
 //
-// Two execution-engine extensions go beyond the paper's single-shot design:
-//
-//   - A Workspace pools the tuple buffer, local bins and all plan arrays
-//     across calls (grow-only), so repeated multiplications run with zero
-//     steady-state heap allocations instead of re-allocating the
-//     flops×16-byte expansion every call.
-//   - Options.MemoryBudgetBytes cuts the bins — row ranges of C — into
-//     contiguous groups whose expanded tuples fit the budget (and a shape
-//     whose 32-bit key needs more than maxKey32Bins bins is cut into groups
-//     of at most that many), and runs the four phases once per group: A is
-//     cut once, group by group, so a group's expand reads only its own
-//     entries of A, and the group's bins fold and assemble into the output's
-//     next rows. Every bin still folds all its tuples once, so
-//     a budgeted product is the unbudgeted one, bit for bit. This serves
-//     products whose flops×16 expansion exceeds RAM, as ESC bounds its memory
-//     by batching output rows (Dalton, Olson and Bell, ACM TOMS 2015).
+// Beyond the paper's single-shot design, a Workspace pools every buffer
+// across calls (grow-only: zero steady-state allocations), and
+// Options.MemoryBudgetBytes cuts the bins — row ranges of C — into contiguous
+// groups whose tuples fit the budget (as does a key past maxKey32Bins bins),
+// each running the phases on its own cut of A and assembling into C's next
+// rows. Every bin still folds once, so the bytes are the single-shot run's:
+// ESC bounds its memory by batching rows alike (Dalton, Olson and Bell, ACM
+// TOMS 2015).
 package core
 
 import (
@@ -182,7 +175,7 @@ type Options struct {
 	// Cancel, if non-nil, is polled at phase boundaries and inside the long
 	// phase loops: per column chunk in expand (every ~cancelPollTuples
 	// expanded tuples) and in the cut of A for bin groups (as many entries),
-	// per task in the fuse phase, per bin in assemble. A
+	// per task in the fuse phase, per bin in a multi-threaded assemble. A
 	// non-nil return aborts the multiplication with that
 	// error; workers drain to the next poll before the join, so no goroutines
 	// leak. The public API wires context.Context.Err here.
@@ -201,7 +194,9 @@ func (o Options) withDefaults() Options {
 }
 
 // Stats records per-phase timings and the paper's per-phase traffic model
-// (Table III), from which sustained bandwidth per phase is derived.
+// (Table III), from which sustained bandwidth per phase is derived. Assemble
+// is what follows the fold: the copy of folded tuples into C (none when C is
+// the tuple planes), the output's growth and the row pointers' prefix sum.
 type Stats struct {
 	Symbolic, Expand, Assemble time.Duration
 	// Fuse is the fused sort+fold phase: the paper's sort and compress
@@ -299,6 +294,8 @@ type engine struct {
 	ptr           []int64
 	colFlops      []int64
 	outLen        int64  // output entries the groups before this one assembled
+	folded        int64  // folded tuples of bins [binLo, compactEnd), at the tuple planes' head
+	compactEnd    int    // the first bin of the group the fold left in place (fuseWholeBin)
 	flopsDone     int64  // flops of the groups expanded so far, this one included
 	rowShift      uint   // bin = row>>rowShift (shift/mask replaces division; rows per bin = 1<<rowShift)
 	rowMask       uint32 // localRow = row&rowMask
@@ -363,6 +360,7 @@ func newEngine(a *matrix.CSC, b *matrix.CSR, opt Options, layout Layout) (*engin
 	}
 	e := &ws.eng
 	*e = engine{a: a, b: b, opt: opt, ws: ws, shared: shared, layout: layout, tupleBytes: layout.TupleBytes()}
+	ws.handed = nil
 	if shared {
 		ws.stats = Stats{}
 		e.st = &ws.stats
@@ -442,18 +440,11 @@ func (e *engine) run() (*matrix.CSR, error) {
 	// Count nnz(C) from the row pointers, not c.NNZ(): pattern results carry
 	// no Val array, which NNZ() measures.
 	e.st.NNZC = c.RowPtr[c.NumRows]
-	// ExpandBytes counts the loads and stores the expand loop executes —
-	// STREAM's own methodology, so pct_of_stream compares like with like.
-	// Each stored nonzero of A is loaded once and held across its inner
-	// loop: its 4-byte index and a value of the run's width (none for
-	// pattern; sized from the index arrays, as the value planes may be out
-	// of band or absent), except that 8-byte values are charged the paper's
-	// 16-byte COO entry, the cost bench's pct_of_stream floors were set
-	// against. Each FLOP then loads
-	// one B element (ColIdx plus the value width) and stores one tuple: a
-	// tuple's bytes each way. This is partition-invariant: band splitting
-	// re-runs the same loads, so any physical re-fetch of B between bands
-	// shows up in measured time (and thus GB/s), not in counted bytes.
+	// ExpandBytes counts the loads and stores the expand loop executes, as
+	// STREAM does: each stored nonzero of A once (its index and value; 8-byte
+	// values at the paper's 16-byte COO entry, which bench's pct_of_stream
+	// floors were set against), and per flop one B element in and one tuple
+	// out, a tuple's bytes each way. A re-fetch of B shows in time, not bytes.
 	inBytes := e.tupleBytes
 	if e.tupleBytes == SqueezedTupleBytes {
 		inBytes = matrix.BytesPerTuple
@@ -693,37 +684,27 @@ type binGeometry struct {
 }
 
 // planBinGeometry derives the bin geometry (Algorithm 3 line 6) from the
-// product's flop count, so each bin fits the L2 budget during sorting — or
-// a memory budget, where that is smaller: the one place a budget moves the
-// bins, so that a budget under L2 still leaves bins to cut into groups.
-// rowsPerBin is rounded up to a power of two so the expand hot loop derives
-// bin and local row with shift/mask instead of an integer division
-// per flop; nbins is recomputed so bins still exactly tile the rows. The flop
-// rule always uses the 16-byte COO tuple cost; only the dense cut below reads
-// the run's own, runTupleBytes.
+// flop count, so each bin fits the L2 budget during sorting — or a smaller
+// memory budget, so that it still leaves bins to cut into groups. Rows per
+// bin are a power of two (expand derives bin and local row by shift and
+// mask), and the flop rule charges the 16-byte COO tuple; only the dense cut
+// reads the run's own, runTupleBytes.
 //
 // An auto key the LSD sorts in more than two passes (radix.Passes at the mean
-// bin) then gets the largest rowShift at which it is two passes (22 bits), if
-// that leaves at most min(2048, L2CacheBytes/LocalBinBytes) bins, so expand's
-// local bins stay L2-resident (Fig. 5), of radix.FullDigitTuples each; else
-// the flop rule stands. It is Section V-A's in-cache bin made exact for the
-// sort that runs: er_lowcf (ER 2^16·d8) goes from 64 bins of 26-bit keys
-// (three passes over ~2.3 MB, past a 2 MiB L2) to 1 024 of 22, fuse 60–62 →
-// 43–46 ms for 3 ms more expand (`experiments fig6b`).
+// bin) then gets the largest rowShift at which it is two, if that leaves at
+// most min(2048, L2CacheBytes/LocalBinBytes) bins of radix.FullDigitTuples
+// each (expand's local bins stay L2-resident, Fig. 5): er_lowcf goes from 64
+// bins of 26-bit keys to 1 024 of 22, fuse 60–62 → 43–46 ms for 3 ms more
+// expand (`experiments fig6b`). An auto geometry whose mean bin folds dense
+// (denseFold) then gets shorter bins, under the same cap, until accumulator,
+// bitmap and tuples fit L2CacheBytes, as Patwary et al. block B's columns:
+// rmat_skew goes from 256 bins of 5+13 bits to 1 024 of 3+13; the pattern
+// layout, whose accumulator is a bitmap, keeps 256.
 //
-// An auto geometry whose mean bin folds dense (denseFold) then gets shorter
-// bins, under the same cap, until the fold's working set — accumulator (the
-// layout's value bytes a key), bitmap and the bin's tuples — fits
-// L2CacheBytes, as Patwary et al. block B's columns for their dense
-// accumulator; a cut halves slots and tuples alike, so the bin stays dense.
-// rmat_skew goes from 256 bins of 5+13 bits (a 2 MiB accumulator) to 1 024 of
-// 3+13 (512 KiB); the pattern layout, whose accumulator is a bitmap, keeps 256.
-//
-// Last, rowShift is cut to 32 − colBits, the largest local row a 32-bit key
-// holds, which makes the key fit whatever the rules above chose — past the
-// 2 048-bin cap and past an explicit NBins if it has to (ER 2^20·d2 runs 256
-// bins of 12+20 bits, not the flop rule's 64 of 14+20); past maxKey32Bins
-// bins, planGroups cuts them into groups. Bytes never depend on the geometry.
+// Last, rowShift is cut to 32 − colBits, so the key fits whatever the rules
+// above chose — past the 2 048-bin cap and an explicit NBins if it has to (ER
+// 2^20·d2 runs 256 bins of 12+20 bits); past maxKey32Bins bins, planGroups
+// cuts them into groups. Bytes never depend on the geometry.
 func planBinGeometry(rows int32, flops int64, colBits uint, runTupleBytes int64, opt Options) binGeometry {
 	// The auto value is capped at 2048: the paper uses 1K-2K bins in
 	// practice (Section V-A) because each thread also keeps one local bin
@@ -857,15 +838,11 @@ func colBitsFor(bCols int32) uint {
 // expandPlan lays out the running group's expand: thread boundaries balanced
 // over engine.colFlops in ws.colBounds, and the exclusive prefix of its bins'
 // flops (ws.binFlops, which the whole product's plan counts into sum) in
-// ws.binStart. With several threads each worker counts its own columns, and
-// these counts are exact — each worker's expand range is fixed by colBounds —
-// so they are converted in place into exclusive write offsets: thread t's tuples
-// for bin b land at binStart[b] + Σ_{t'<t} count(t', b). Expand then needs no
-// atomic cursors, flushes are plain copies into pre-reserved ranges, and the
-// tuple order in every bin is the sequential column order at any thread
-// count (contention-free, deterministic expand). The per-worker arrays
-// (ws.perThread, ws.cursors) are sized and indexed by the group's own bins,
-// bin − binLo.
+// ws.binStart. With several threads each worker counts its own columns
+// exactly, and the counts become exclusive write offsets in place: thread t
+// writes bin b at binStart[b] + Σ_{t'<t} count(t', b). Flushes are then plain
+// copies with no atomics, in the sequential order at any thread count. The
+// per-worker arrays (ws.perThread, ws.cursors) are indexed by bin − binLo.
 func (e *engine) expandPlan(sum []int64) {
 	gb := e.binHi - e.binLo
 	threads := e.opt.Threads
@@ -980,20 +957,30 @@ func (e *engine) fenceFlushes() {
 // variable (not const) so tests can force the NT path on small inputs.
 var ntMinArenaBytes int64 = 32 << 20
 
-// assemble unpacks the running group's folded bins (each bin's prefix starts
-// at its ws.binStart offset) into the result's next entries, growing it by
-// the group's nnz — allocating it on a run's first group. Bins hold disjoint
-// ascending row ranges and each bin is sorted, so folded tuples are already
-// in global CSR order, and the groups come in row order too; the row
-// pointers wait for the last group (runGroups). ws.binOut must be populated.
+// assemble moves the running group's folded tuples (column ids and values)
+// into the result's next entries: bins hold disjoint ascending row ranges, so
+// they are in CSR order, and the row pointers wait for the last group
+// (runGroups). The bins the fold compacted (fuseWholeBin) sit at the head of
+// the tuple planes: when that is every bin of a one-group run, the planes are
+// handed over as the result (arenaFits), else the head is one copy. Each bin
+// folded in place is copied from its binStart offset (ws.binOut).
 func (e *engine) assemble(c *matrix.CSR) *matrix.CSR {
-	lo, hi := e.binLo, e.binHi
-	nnz := par.PrefixSum(e.ws.binOut[lo:hi], matrix.Grow(&e.ws.binOutStart, e.nbins+1)[lo:hi+1])
+	lo, hi, head := e.compactEnd, e.binHi, e.folded
+	nnz := head + par.PrefixSum(e.ws.binOut[lo:hi], matrix.Grow(&e.ws.binOutStart, e.nbins+1)[lo:hi+1])
+	if lo == hi && e.ngroups == 1 && arenaFits(cap(e.ws.tupleKeys), nnz) && e.lay.handOver(e, nnz) {
+		c, e.ws.handed, e.outLen = e.newResult(), e.lay, nnz
+		c.ColIdx = colIdx(e.ws.tupleKeys[:nnz])
+		return c
+	}
 	c = e.growResult(c, e.outLen+nnz)
-	e.result = c
-	e.forEachBin(faultinject.SiteAssembleBin, func(e *engine, _, bin int) {
-		ws := e.ws
-		e.lay.unpackBin(e, e.result, ws.binStart[bin], e.outLen+ws.binOutStart[bin], ws.binOut[bin])
+	if e.result = c; head > 0 {
+		if faultinject.Enabled {
+			faultinject.Fire(faultinject.SiteAssembleBin, 0)
+		}
+		e.copyOut(0, e.outLen, head)
+	}
+	e.forEachBin(faultinject.SiteAssembleBin, lo, func(e *engine, _, bin int) {
+		e.copyOut(e.ws.binStart[bin], e.outLen+e.folded+e.ws.binOutStart[bin], e.ws.binOut[bin])
 	})
 	// An aborted assemble leaves a partial c; the caller's post-phase
 	// canceled() check discards it.
@@ -1001,14 +988,29 @@ func (e *engine) assemble(c *matrix.CSR) *matrix.CSR {
 	return c
 }
 
-// forEachBin runs do on every bin of the running group, polling cancellation
+// copyOut copies n folded tuples at srcOff of the tuple planes to C at dstOff.
+func (e *engine) copyOut(srcOff, dstOff, n int64) {
+	copy(e.result.ColIdx[dstOff:dstOff+n], colIdx(e.ws.tupleKeys[srcOff:srcOff+n]))
+	e.lay.copyOut(e, srcOff, dstOff, n)
+}
+
+// colIdx views folded keys, masked to column ids by the fold, as ColIdx.
+func colIdx(k []uint32) []int32 {
+	return unsafe.Slice((*int32)(unsafe.Pointer(unsafe.SliceData(k))), len(k))
+}
+
+// arenaFits reports whether n entries fill a tuple plane of the given capacity
+// but for 1/32: a product handed it pins at most 1/32 more than a copy would.
+func arenaFits(capacity int, n int64) bool { return int64(capacity)-n <= int64(capacity)/32 }
+
+// forEachBin runs do on the running group's bins from lo, polling cancellation
 // and firing site before each: in bin order on the calling goroutine at
 // Threads == 1 (no scheduler, no allocation), else one bin per iteration of a
 // dynamic parallel-for whose workers are contained (fault.go). do reads its
 // state from the engine: a closure that captured it would escape to the heap.
-func (e *engine) forEachBin(site faultinject.Site, do func(e *engine, worker, bin int)) {
+func (e *engine) forEachBin(site faultinject.Site, lo int, do func(e *engine, worker, bin int)) {
 	if e.opt.Threads == 1 {
-		for bin := e.binLo; bin < e.binHi && !e.pollCancel(); bin++ {
+		for bin := lo; bin < e.binHi && !e.pollCancel(); bin++ {
 			if faultinject.Enabled {
 				faultinject.Fire(site, 0)
 			}
@@ -1016,7 +1018,7 @@ func (e *engine) forEachBin(site faultinject.Site, do func(e *engine, worker, bi
 		}
 		return
 	}
-	par.ForEachDynamic(e.binHi-e.binLo, e.opt.Threads, func(worker, i int) {
+	par.ForEachDynamic(e.binHi-lo, e.opt.Threads, func(worker, i int) {
 		defer e.containWorker(worker)
 		if e.pollCancel() {
 			return
@@ -1024,7 +1026,7 @@ func (e *engine) forEachBin(site faultinject.Site, do func(e *engine, worker, bi
 		if faultinject.Enabled {
 			faultinject.Fire(site, worker)
 		}
-		do(e, worker, e.binLo+i)
+		do(e, worker, lo+i)
 	})
 }
 
@@ -1037,17 +1039,22 @@ func (e *engine) forEachBin(site faultinject.Site, do func(e *engine, worker, bi
 // (nil Val).
 func (e *engine) growResult(c *matrix.CSR, nnzc int64) *matrix.CSR {
 	if c == nil {
-		rows, cols := e.a.NumRows, e.b.NumCols
-		if e.shared {
-			e.ws.out = matrix.CSR{NumRows: rows, NumCols: cols, RowPtr: matrix.GrowInt64Zero(&e.ws.outRowPtr, int(rows)+1)}
-			c = &e.ws.out
-		} else {
-			c = &matrix.CSR{NumRows: rows, NumCols: cols, RowPtr: make([]int64, int(rows)+1)}
-		}
+		c = e.newResult()
 	}
 	c.ColIdx = resultPlane(e, c.ColIdx, &e.ws.outColIdx, nnzc)
-	e.lay.growOut(e, c, nnzc)
+	e.lay.growOut(e, nnzc)
 	return c
+}
+
+// newResult is the result's header and zeroed row counts: pooled on a shared
+// workspace, fresh otherwise.
+func (e *engine) newResult() *matrix.CSR {
+	rows, cols := e.a.NumRows, e.b.NumCols
+	if !e.shared {
+		return &matrix.CSR{NumRows: rows, NumCols: cols, RowPtr: make([]int64, int(rows)+1)}
+	}
+	e.ws.out = matrix.CSR{NumRows: rows, NumCols: cols, RowPtr: matrix.GrowInt64Zero(&e.ws.outRowPtr, int(rows)+1)}
+	return &e.ws.out
 }
 
 // resultPlane sizes one plane of the result to n entries: fresh for a run's

@@ -10,8 +10,9 @@ import "pbspgemm/internal/matrix"
 //
 // A Workspace must not be shared by concurrent Multiply calls. When a call
 // runs with Options.Workspace set, the returned CSR and Stats alias
-// workspace memory and are invalidated by the next call that uses the same
-// workspace; Clone the CSR to keep it.
+// workspace memory — a one-thread product's ColIdx and values may be the
+// tuple planes themselves — and are invalidated by the next call that uses
+// the same workspace; Clone the CSR or DetachOutput it to keep it.
 type Workspace struct {
 	// tupleKeys is the expanded-tuple key plane of every layout for one bin
 	// group — with its value plane (the pools below) the flops-sized
@@ -82,6 +83,10 @@ type Workspace struct {
 	// off the per-call heap (closures in the parallel paths capture &eng).
 	eng engine
 
+	// handed is the layout whose tuple planes the last result took over
+	// (assemble), which DetachOutput then forgets; nil if it took none.
+	handed layoutOps
+
 	// poisoned marks a workspace whose last run panicked mid-phase: its
 	// pooled planes may hold partially-written state. newEngine fully resets
 	// a poisoned workspace before the next run, so reuse is safe; pool owners
@@ -125,10 +130,11 @@ func (ws *Workspace) TupleCapBytes() int64 {
 // is this workspace's pooled result — the header Multiply returns on a shared
 // workspace, or any header over its RowPtr, as a typed entry point's product
 // is — every pooled output plane (RowPtr, ColIdx, each layout's value plane,
-// PatternVals) is forgotten, so the next run allocates fresh output storage
-// instead of overwriting them: the bytes a Clone would allocate, without the
-// copy and without a second resident C. The returned header (c, or a copy of
-// the workspace's own) then owns the arrays. Any other c is returned unchanged.
+// PatternVals) is forgotten, and so are the tuple planes when the result is
+// them, so the next run allocates fresh storage instead of overwriting them:
+// the bytes a Clone would allocate, without the copy and without a second
+// resident C. The returned header (c, or a copy of the workspace's own) then
+// owns the arrays. Any other c is returned unchanged.
 func (ws *Workspace) DetachOutput(c *matrix.CSR) *matrix.CSR {
 	if len(c.RowPtr) == 0 || len(ws.out.RowPtr) == 0 || &c.RowPtr[0] != &ws.out.RowPtr[0] {
 		return c
@@ -138,6 +144,10 @@ func (ws *Workspace) DetachOutput(c *matrix.CSR) *matrix.CSR {
 		c = &out
 	}
 	ws.out, ws.outRowPtr, ws.outColIdx, ws.PatternVals = matrix.CSR{}, nil, nil, nil
+	if ws.handed != nil {
+		ws.handed.dropArena(ws)
+		ws.handed = nil
+	}
 	ws.f64.detachOut()
 	if ws.vals != nil {
 		ws.vals.detachOut()

@@ -25,7 +25,8 @@ const (
 	// SiteFoldBin fires once per bin folded whole (the fused sort and fold of
 	// one bin), right before its kernel runs.
 	SiteFoldBin
-	// SiteAssembleBin fires once per bin unpacked into the output CSR.
+	// SiteAssembleBin fires once per copy of folded tuples into the output
+	// CSR: a group's compacted head, and each bin its fold left in place.
 	SiteAssembleBin
 	// SiteGrow fires before the engine grows its tuple arenas — the place a
 	// real allocation failure would surface.

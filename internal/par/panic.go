@@ -83,15 +83,23 @@ func (g *guard) run(worker int, fn func()) {
 	fn()
 }
 
+// capture latches the abort first: a sibling polling stop() while the stack
+// is captured would otherwise drain the rest of a cheap range.
 func (g *guard) capture(worker int, v any) {
+	g.aborted.Store(true)
+	if latched != nil {
+		latched()
+	}
 	pe := AsPanicError(v, worker, "")
 	g.mu.Lock()
 	if g.first == nil {
 		g.first = pe
 	}
 	g.mu.Unlock()
-	g.aborted.Store(true)
 }
+
+// latched, when set, runs once the abort is observable: a test's ordering point.
+var latched func()
 
 // stop reports whether a sibling has panicked; scheduling loops poll it so an
 // aborted call drains promptly instead of finishing the remaining work.

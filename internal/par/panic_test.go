@@ -51,25 +51,34 @@ func TestForRangesPanicTyped(t *testing.T) {
 }
 
 func TestForEachDynamicPanicStopsSiblings(t *testing.T) {
-	const n = 1 << 16
+	const n, threads = 1 << 16, 4
 	var executed atomic.Int64
+	// Indices past the panicking one wait until the abort is latched, so the
+	// test orders the panic before them instead of hoping a sleep does.
+	stopped := make(chan struct{})
+	latched = func() { close(stopped) }
+	defer func() { latched = nil }()
 	pe := catchPanic(t, func() {
-		ForEachDynamic(n, 4, func(worker, i int) {
+		ForEachDynamic(n, threads, func(worker, i int) {
 			if i == 3 {
 				panic("early")
 			}
-			executed.Add(1)
-			if i < 64 {
-				time.Sleep(time.Microsecond) // give the panic time to land
+			if i > 3 {
+				select {
+				case <-stopped:
+				case <-time.After(10 * time.Second):
+					t.Error("the abort was never latched")
+				}
 			}
+			executed.Add(1)
 		})
 	})
 	if pe == nil {
 		t.Fatal("worker panic was swallowed")
 	}
-	// Siblings observe the stop flag at the next index claim, so the vast
-	// majority of the n indices must never run.
-	if got := executed.Load(); got > n/2 {
+	// Siblings observe the stop flag at the next index claim: past the three
+	// indices before the panic, each sibling runs at most the one it held.
+	if got := executed.Load(); got > 3+threads-1 {
 		t.Errorf("%d of %d indices ran after a panic; siblings did not stop", got, n)
 	}
 }

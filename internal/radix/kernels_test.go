@@ -92,7 +92,7 @@ func shapes() []shape {
 }
 
 // checkKV runs one kernel result against the oracle, bit for bit, together
-// with its row tally.
+// with its row tally: the kernels emit the keys' column ids.
 func checkKV[V Numeric](t *testing.T, what string, gotK []uint32, gotV []V, rows []int64, wantK []uint32, wantV []V, colBits uint) {
 	t.Helper()
 	if len(gotK) != len(wantK) {
@@ -100,7 +100,7 @@ func checkKV[V Numeric](t *testing.T, what string, gotK []uint32, gotV []V, rows
 	}
 	wantRows := make([]int64, len(rows))
 	for i := range wantK {
-		if gotK[i] != wantK[i] || valBits(gotV[i]) != valBits(wantV[i]) {
+		if gotK[i] != colOf(wantK[i], colBits) || valBits(gotV[i]) != valBits(wantV[i]) {
 			t.Fatalf("%s: tuple %d = (%#x, %v), want (%#x, %v)", what, i, gotK[i], gotV[i], wantK[i], wantV[i])
 		}
 		wantRows[wantK[i]>>colBits]++
@@ -110,6 +110,17 @@ func checkKV[V Numeric](t *testing.T, what string, gotK []uint32, gotV []V, rows
 			t.Fatalf("%s: rows[%d] = %d, want %d", what, i, rows[i], wantRows[i])
 		}
 	}
+}
+
+// colOf is a packed key's column id.
+func colOf(k uint32, colBits uint) uint32 { return k & uint32(uint64(1)<<colBits-1) }
+
+// atLead lays src out at lead in a fresh plane of lead+len(src): a kernel
+// reads it there and writes its prefix, the engine's one-thread compaction.
+func atLead[T any](src []T, lead int) []T {
+	p := make([]T, lead+len(src))
+	copy(p[lead:], src)
+	return p
 }
 
 func allZero[T comparable](s []T) bool {
@@ -141,25 +152,28 @@ func testKernelsKV[V Numeric](t *testing.T, val func(r *rand.Rand) V) {
 		nrows := 1 << (uint(s.keyBits) - colBits)
 		w0, w1, tmp := make([]uint64, s.n), make([]uint64, s.n), make([]V, s.n)
 		wantK, wantV := refSortFold(keys, vals)
-		k, v := append([]uint32(nil), keys...), append([]V(nil), vals...)
-		rows := make([]int64, nrows)
-		n := SortFoldBy(k, v, w0, w1, tmp, s.keyBits, rows, colBits, add[V])
-		checkKV(t, s.name+" SortFoldBy", k[:n], v[:n], rows, wantK, wantV, colBits)
-		// rows == nil must skip the tally, not crash.
-		k, v = append(k[:0], keys...), append(v[:0], vals...)
-		if m := SortFoldBy(k, v, w0, w1, tmp, s.keyBits, nil, colBits, add[V]); m != n {
-			t.Fatalf("%s: nil rows changed the count: %d vs %d", s.name, m, n)
-		}
-		if s.keyBits > denseTestBits {
-			continue
-		}
-		acc, occ := make([]V, 1<<s.keyBits), make([]uint64, (1<<s.keyBits+63)/64)
-		k, v = append(k[:0], keys...), append(v[:0], vals...)
-		rows = make([]int64, nrows)
-		n = FoldDense(k, v, acc, occ, rows, colBits)
-		checkKV(t, s.name+" FoldDense", k[:n], v[:n], rows, wantK, wantV, colBits)
-		if !allZero(acc) || !allZero(occ) {
-			t.Fatalf("%s: FoldDense left its accumulator or bitmap dirty", s.name)
+		for _, lead := range []int{0, s.n/2 + 1} {
+			what := fmt.Sprintf("%s lead %d", s.name, lead)
+			k, v := atLead(keys, lead), atLead(vals, lead)
+			rows := make([]int64, nrows)
+			n := SortFoldBy(k[lead:], v[lead:], k, v, w0, w1, tmp, s.keyBits, rows, colBits, add[V])
+			checkKV(t, what+" SortFoldBy", k[:n], v[:n], rows, wantK, wantV, colBits)
+			// rows == nil must skip the tally, not crash.
+			k, v = atLead(keys, lead), atLead(vals, lead)
+			if m := SortFoldBy(k[lead:], v[lead:], k, v, w0, w1, tmp, s.keyBits, nil, colBits, add[V]); m != n {
+				t.Fatalf("%s: nil rows changed the count: %d vs %d", what, m, n)
+			}
+			if s.keyBits > denseTestBits {
+				continue
+			}
+			acc, occ := make([]V, 1<<s.keyBits), make([]uint64, (1<<s.keyBits+63)/64)
+			k, v = atLead(keys, lead), atLead(vals, lead)
+			rows = make([]int64, nrows)
+			n = FoldDense(k[lead:], v[lead:], k, v, acc, occ, rows, colBits)
+			checkKV(t, what+" FoldDense", k[:n], v[:n], rows, wantK, wantV, colBits)
+			if !allZero(acc) || !allZero(occ) {
+				t.Fatalf("%s: FoldDense left its accumulator or bitmap dirty", what)
+			}
 		}
 	}
 }
@@ -193,20 +207,23 @@ func TestKernelsMatchOracle(t *testing.T) {
 			unit := make([]int32, s.n) // the oracle's value plane; never compared
 			aux := make([]uint32, s.n)
 			wantK, _ := refSortFold(keys, unit)
-			k := append([]uint32(nil), keys...)
-			rows := make([]int64, nrows)
-			n := SortFoldPattern(k, aux, s.keyBits, rows, colBits)
-			checkKV(t, s.name+" SortFoldPattern", k[:n], unit[:n], rows, wantK, unit[:len(wantK)], colBits)
-			if s.keyBits > denseTestBits {
-				continue
-			}
-			occ := make([]uint64, (1<<s.keyBits+63)/64)
-			k = append(k[:0], keys...)
-			rows = make([]int64, nrows)
-			n = FoldDensePattern(k, occ, rows, colBits)
-			checkKV(t, s.name+" FoldDensePattern", k[:n], unit[:n], rows, wantK, unit[:len(wantK)], colBits)
-			if !allZero(occ) {
-				t.Fatalf("%s: FoldDensePattern left its bitmap dirty", s.name)
+			for _, lead := range []int{0, s.n/2 + 1} {
+				what := fmt.Sprintf("%s lead %d", s.name, lead)
+				k := atLead(keys, lead)
+				rows := make([]int64, nrows)
+				n := SortFoldPattern(k[lead:], aux, k, s.keyBits, rows, colBits)
+				checkKV(t, what+" SortFoldPattern", k[:n], unit[:n], rows, wantK, unit[:len(wantK)], colBits)
+				if s.keyBits > denseTestBits {
+					continue
+				}
+				occ := make([]uint64, (1<<s.keyBits+63)/64)
+				k = atLead(keys, lead)
+				rows = make([]int64, nrows)
+				n = FoldDensePattern(k[lead:], occ, k, rows, colBits)
+				checkKV(t, what+" FoldDensePattern", k[:n], unit[:n], rows, wantK, unit[:len(wantK)], colBits)
+				if !allZero(occ) {
+					t.Fatalf("%s: FoldDensePattern left its bitmap dirty", what)
+				}
 			}
 		}
 	})
@@ -271,7 +288,7 @@ func testBy[V any](t *testing.T, val func(r *rand.Rand, key uint32) V, plus func
 					}
 					wantRows := make([]int64, len(rows))
 					for i := range wantK {
-						if gotK[i] != wantK[i] || !same(gotV[i], wantV[i]) {
+						if gotK[i] != colOf(wantK[i], colBits) || !same(gotV[i], wantV[i]) {
 							t.Fatalf("%s: %s[%d] = (%#x, %v), want (%#x, %v)", what, route, i, gotK[i], gotV[i], wantK[i], wantV[i])
 						}
 						wantRows[wantK[i]>>colBits]++
@@ -280,9 +297,10 @@ func testBy[V any](t *testing.T, val func(r *rand.Rand, key uint32) V, plus func
 						t.Fatalf("%s: %s tallied rows %v, want %v", what, route, rows, wantRows)
 					}
 				}
-				k, v := slices.Clone(keys), slices.Clone(vals)
+				lead := n / 3
+				k, v := atLead(keys, lead), atLead(vals, lead)
 				rows := make([]int64, 1<<(uint(keyBits)-colBits))
-				m := SortFoldBy(k, v, make([]uint64, n), make([]uint64, n), make([]V, n), keyBits, rows, colBits, plus)
+				m := SortFoldBy(k[lead:], v[lead:], k, v, make([]uint64, n), make([]uint64, n), make([]V, n), keyBits, rows, colBits, plus)
 				check("SortFoldBy", k[:m], v[:m], rows)
 
 				if keyBits > denseTestBits {
@@ -291,7 +309,7 @@ func testBy[V any](t *testing.T, val func(r *rand.Rand, key uint32) V, plus func
 				acc, occ := make([]V, 1<<keyBits), make([]uint64, (1<<keyBits+63)/64)
 				k, v = slices.Clone(keys), slices.Clone(vals)
 				clear(rows)
-				m = FoldDenseBy(k, v, acc, occ, rows, colBits, plus)
+				m = FoldDenseBy(k, v, k, v, acc, occ, rows, colBits, plus)
 				check("FoldDenseBy", k[:m], v[:m], rows)
 				var zero V
 				for i := range acc {
@@ -309,11 +327,11 @@ func testBy[V any](t *testing.T, val func(r *rand.Rand, key uint32) V, plus func
 func TestNegativeZeroGroupKeepsSign(t *testing.T) {
 	nz := math.Copysign(0, -1)
 	keys, vals := []uint32{3, 3, 3}, []float64{nz, nz, nz}
-	if n := SortFoldBy(keys, vals, make([]uint64, 3), make([]uint64, 3), make([]float64, 3), 2, nil, 0, add[float64]); n != 1 || !math.Signbit(vals[0]) {
+	if n := SortFoldBy(keys, vals, keys, vals, make([]uint64, 3), make([]uint64, 3), make([]float64, 3), 2, nil, 0, add[float64]); n != 1 || !math.Signbit(vals[0]) {
 		t.Fatalf("SortFoldBy folded −0.0 group to %v (n=%d)", vals[0], n)
 	}
 	keys, vals = []uint32{3, 1, 3}, []float64{nz, 1, nz}
-	if n := FoldDense(keys, vals, make([]float64, 4), make([]uint64, 1), nil, 0); n != 2 || !math.Signbit(vals[1]) {
+	if n := FoldDense(keys, vals, keys, vals, make([]float64, 4), make([]uint64, 1), nil, 0); n != 2 || !math.Signbit(vals[1]) {
 		t.Fatalf("FoldDense folded −0.0 group to %v (n=%d)", vals[1], n)
 	}
 }
@@ -334,10 +352,10 @@ func mustPanic(t *testing.T, what string, f func()) (v any) {
 func TestPreconditionsAreChecked(t *testing.T) {
 	keys, vals := []uint32{1, 2, 1 << 10}, []float64{1, 2, 3}
 	w0, w1, tmp := make([]uint64, 16), make([]uint64, 16), make([]float64, 16)
-	mustPanic(t, "SortFoldBy with a key ≥ 2^keyBits", func() { SortFoldBy(keys, vals, w0, w1, tmp, 10, nil, 0, add[float64]) })
-	mustPanic(t, "SortFoldPattern with a key ≥ 2^keyBits", func() { SortFoldPattern(keys, make([]uint32, 3), 10, nil, 0) })
-	mustPanic(t, "FoldDense with a key ≥ len(acc)", func() { FoldDense(keys, vals, make([]float64, 1<<10), make([]uint64, 1<<4), nil, 0) })
-	mustPanic(t, "FoldDensePattern with a key past occ", func() { FoldDensePattern(keys, make([]uint64, 1<<4), nil, 0) })
+	mustPanic(t, "SortFoldBy with a key ≥ 2^keyBits", func() { SortFoldBy(keys, vals, keys, vals, w0, w1, tmp, 10, nil, 0, add[float64]) })
+	mustPanic(t, "SortFoldPattern with a key ≥ 2^keyBits", func() { SortFoldPattern(keys, make([]uint32, 3), keys, 10, nil, 0) })
+	mustPanic(t, "FoldDense with a key ≥ len(acc)", func() { FoldDense(keys, vals, keys, vals, make([]float64, 1<<10), make([]uint64, 1<<4), nil, 0) })
+	mustPanic(t, "FoldDensePattern with a key past occ", func() { FoldDensePattern(keys, make([]uint64, 1<<4), keys, nil, 0) })
 
 	defer func(old uint64) { maxSegment = old }(maxSegment)
 	maxSegment = 8
@@ -348,7 +366,9 @@ func TestPreconditionsAreChecked(t *testing.T) {
 		t.Fatalf("CheckSegment(9) at limit 8: %v, want ErrSegmentTooLarge", err)
 	}
 	long := make([]uint32, 9)
-	v := mustPanic(t, "SortFoldBy past maxSegment", func() { SortFoldBy(long, make([]float64, 9), w0, w1, tmp, 10, nil, 0, add[float64]) })
+	v := mustPanic(t, "SortFoldBy past maxSegment", func() {
+		SortFoldBy(long, make([]float64, 9), long, make([]float64, 9), w0, w1, tmp, 10, nil, 0, add[float64])
+	})
 	if err, ok := v.(error); !ok || !errors.Is(err, ErrSegmentTooLarge) {
 		t.Fatalf("SortFoldBy past maxSegment panicked with %v, want ErrSegmentTooLarge", v)
 	}
@@ -371,16 +391,16 @@ func TestKernelsDoNotAllocate(t *testing.T) {
 	if allocs := testing.AllocsPerRun(10, func() {
 		copy(k, keys)
 		copy(v, vals)
-		SortFoldBy(k, v, w0, w1, tmp, keyBits, rows, 10, plus)
+		SortFoldBy(k, v, k, v, w0, w1, tmp, keyBits, rows, 10, plus)
 		copy(k, keys)
-		FoldDenseBy(k, v, acc, occ, rows, 10, plus)
+		FoldDenseBy(k, v, k, v, acc, occ, rows, 10, plus)
 		copy(k, keys)
 		copy(v, vals)
-		FoldDense(k, v, acc, occ, rows, 10)
+		FoldDense(k, v, k, v, acc, occ, rows, 10)
 		copy(k, keys)
-		SortFoldPattern(k, aux, keyBits, rows, 10)
+		SortFoldPattern(k, aux, k, keyBits, rows, 10)
 		copy(k, keys)
-		FoldDensePattern(k, occ, rows, 10)
+		FoldDensePattern(k, occ, k, rows, 10)
 	}); allocs != 0 {
 		t.Fatalf("kernels allocated %.1f times per round, want 0", allocs)
 	}
@@ -467,7 +487,7 @@ func BenchmarkSortFoldHypersparse(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				copy(k, keys)
 				copy(v, vals)
-				SortFoldBy(k, v, w0, w1, tmp, keyBits, rows, colBits, add[float64])
+				SortFoldBy(k, v, k, v, w0, w1, tmp, keyBits, rows, colBits, add[float64])
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/tuple")
 		})
@@ -493,14 +513,14 @@ func BenchmarkKernels(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				copy(k, keys)
 				copy(v, vals)
-				SortFoldBy(k, v, w0, w1, tmp, keyBits, nil, 0, add[float64])
+				SortFoldBy(k, v, k, v, w0, w1, tmp, keyBits, nil, 0, add[float64])
 			}
 		})
 		b.Run(fmt.Sprintf("SortFoldPattern/bits%d", keyBits), func(b *testing.B) {
 			b.SetBytes(n * 4)
 			for i := 0; i < b.N; i++ {
 				copy(k, keys)
-				SortFoldPattern(k, aux, keyBits, nil, 0)
+				SortFoldPattern(k, aux, k, keyBits, nil, 0)
 			}
 		})
 		if keyBits > denseTestBits {
@@ -512,7 +532,7 @@ func BenchmarkKernels(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				copy(k, keys)
 				copy(v, vals)
-				FoldDense(k, v, acc, occ, nil, 0)
+				FoldDense(k, v, k, v, acc, occ, nil, 0)
 			}
 		})
 		b.Run(fmt.Sprintf("FoldDenseBy/bits%d", keyBits), func(b *testing.B) {
@@ -520,14 +540,14 @@ func BenchmarkKernels(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				copy(k, keys)
 				copy(v, vals)
-				FoldDenseBy(k, v, acc, occ, nil, 0, add[float64])
+				FoldDenseBy(k, v, k, v, acc, occ, nil, 0, add[float64])
 			}
 		})
 		b.Run(fmt.Sprintf("FoldDensePattern/bits%d", keyBits), func(b *testing.B) {
 			b.SetBytes(n * 4)
 			for i := 0; i < b.N; i++ {
 				copy(k, keys)
-				FoldDensePattern(k, occ, nil, 0)
+				FoldDensePattern(k, occ, k, nil, 0)
 			}
 		})
 	}

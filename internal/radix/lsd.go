@@ -10,18 +10,12 @@ import (
 )
 
 // The sparse-bin kernel: a fixed-pass stable LSD radix over the packed
-// 32-bit key. The digit plan is fixed before any tuple moves (lsdPlan), one
-// sweep over the key plane fills the histograms of every digit at once, and
-// a digit on which all tuples agree is skipped outright. The first scatter
-// reads the key plane and writes key<<32|index words; later passes move
-// those 8-byte words between the two scratch planes; the value plane stays
-// where expand left it until one final sweep gathers vals[index] — once —
-// in sorted order. Every tuple is touched a fixed number of times: no
-// recursion, no per-bucket dispatch, no insertion leaves.
-//
-// LSD passes are stable, so equal keys reach the final sweep in arrival
-// order and the fold there is the same left-to-right chain (first value
-// assigned, later ones added) as FoldDense: both produce identical bytes.
+// 32-bit key. The digit plan is fixed up front (lsdPlan), one sweep fills
+// every digit's histogram, and a digit all tuples agree on is skipped. The
+// first scatter writes key<<32|index words, later passes move those words
+// between two scratch planes, and the value plane stays where expand left it
+// until the final sweep gathers each value once, in sorted order and — the
+// passes being stable — in arrival order among equal keys: FoldDense's chain.
 
 const (
 	// maxDigitBits caps a digit at 2048 buckets: two passes cover a 22-bit
@@ -146,15 +140,13 @@ func starts(hs [][1 << maxDigitBits]uint32, digit int) {
 // The LSD passes are leaves, each a frame of its own: scatterIndexed is
 // SortFoldBy's first pass (key<<32|index words), scatterWords each later one
 // (shift ≥ 32 counts from the word's bit 0), scatterKeys each pass of
-// SortFoldPattern. Inlined into
-// the sort's frame (32 KiB of histograms) the loop's key and digit were stored
-// to the stack and reloaded every tuple (go tool objdump at PR 24); here the
-// loop state stays in registers, and the plan, stability and output bytes are
-// unchanged. Prototyped at PR 25 and lost, not to be retried: the fold sweep
-// as a leaf (+10 % fuse), a two-stream scatter (6.0 ns a tuple against 3.6),
-// write-combining line buffers per bucket (8.2 against 4.8), 13-bit digits
-// (5.8 ns a pass against 3.4 at 9 bits), a split count table (−8 % of the
-// count, a sliver of the sort).
+// SortFoldPattern. Inlined into the sort's frame (32 KiB of histograms) the
+// loop's key and digit were reloaded from the stack every tuple (go tool
+// objdump at PR 24). Prototyped at PR 25 and lost, not to be retried: the
+// fold sweep as a leaf (+10 % fuse), a two-stream scatter (6.0 ns a tuple
+// against 3.6), write-combining line buffers per bucket (8.2 against 4.8),
+// 13-bit digits (5.8 ns a pass against 3.4 at 9 bits), a split count table
+// (−8 % of the count, a sliver of the sort).
 
 //go:noinline
 func scatterIndexed(keys []uint32, dst []uint64, h *[1 << maxDigitBits]uint32, shift uint, mask uint32) {
@@ -219,6 +211,19 @@ func Tally(keys []uint32, rows []int64, colBits uint) {
 	}
 }
 
+// emit is every fold's last step: it tallies the folded keys (Tally), then
+// writes them to the prefix of dst masked to their column ids, and returns
+// their count. keys is dst's prefix or lies after it in the same plane.
+func emit(dst, keys []uint32, rows []int64, colBits uint) int {
+	Tally(keys, rows, colBits)
+	cm := uint32(uint64(1)<<colBits - 1)
+	dst = dst[:len(keys)]
+	for i, k := range keys {
+		dst[i] = k & cm
+	}
+	return len(keys)
+}
+
 // shortSegment is the longest segment SortFoldBy and SortFoldPattern sort by
 // insertion: LSD's 32 KiB of histograms cost it more than the sort (the
 // near-empty bins of a hypersparse product's 32-bit keys, internal/core).
@@ -237,24 +242,26 @@ func insertionSort[K uint32 | uint64](s []K) {
 // SortFoldBy stably sorts keys/vals by the low keyBits bits of the key — all
 // keys must agree on the bits above — and folds each equal-key group through
 // plus: the first value assigned, each later one folded in as plus(acc, v),
-// in arrival order. It leaves the folded tuples in the prefix of keys/vals
-// and tallies rows[key>>colBits] for each (rows == nil skips the tally). w0,
-// w1 and tmp are scratch planes of at least len(keys); their contents are
-// clobbered. Returns the folded count. (+, ×) runs it with a typed add: a
-// typed twin that gathered values a block ahead of its fold was no faster on
-// the benchmark products, end to end.
+// in arrival order. It writes the folded tuples to the prefix of dk/dv as
+// column ids and values (emit), and the folded count is returned. dk/dv may
+// be keys/vals or start before them in the same planes: the sweep writes no
+// key it has not read, and the values go out in one copy at its end. w0, w1
+// and tmp are scratch planes of at least len(keys); their contents are
+// clobbered. (+, ×) runs it with a typed add: a typed twin that gathered
+// values a block ahead of its fold was no faster on the benchmark products,
+// end to end.
 //
 // Measured and lost, not to be retried: a row-first fold of a cf ≈ 1 bin (a
 // stable pass on the local row, then an in-L1 merge of each row's ascending
 // runs). On 64 Ki tuples of 26-bit keys in 8-tuple runs it took 29.4–30.9 ns
 // a tuple branchy against 12.4–12.9 here, 23.5–24.1 branchless against
 // 14.9–15.8, 31–44 on 4-tuple runs. Two-pass bins (internal/core) won instead.
-func SortFoldBy[V any](keys []uint32, vals []V, w0, w1 []uint64, tmp []V, keyBits int, rows []int64, colBits uint, plus func(a, b V) V) int {
+func SortFoldBy[V any](keys []uint32, vals []V, dk []uint32, dv []V, w0, w1 []uint64, tmp []V, keyBits int, rows []int64, colBits uint, plus func(a, b V) V) int {
 	n := len(keys)
 	vals = vals[:n]
 	if n < 2 {
-		Tally(keys, rows, colBits)
-		return n
+		copy(dv, vals)
+		return emit(dk, keys, rows, colBits)
 	}
 	cur := sortWords(keys, w0, w1, keyBits)
 	if cur == nil { // every key equal: arrival order is the sorted order
@@ -262,9 +269,8 @@ func SortFoldBy[V any](keys []uint32, vals []V, w0, w1 []uint64, tmp []V, keyBit
 		for _, x := range vals[1:] {
 			v = plus(v, x)
 		}
-		vals[0] = v
-		Tally(keys[:1], rows, colBits)
-		return 1
+		dv[0] = v
+		return emit(dk, keys[:1], rows, colBits)
 	}
 	// By now the value plane has left the private caches (two to four
 	// planes of tuples have streamed through since expand wrote it); fetching
@@ -279,15 +285,14 @@ func SortFoldBy[V any](keys []uint32, vals []V, w0, w1 []uint64, tmp []V, keyBit
 			acc = plus(acc, v)
 			continue
 		}
-		keys[out], tmp[out] = pk, acc
+		dk[out], tmp[out] = pk, acc
 		out++
 		pk, acc = k, v
 	}
-	keys[out], tmp[out] = pk, acc
+	dk[out], tmp[out] = pk, acc
 	out++
-	copy(vals, tmp[:out])
-	Tally(keys[:out], rows, colBits)
-	return out
+	copy(dv, tmp[:out])
+	return emit(dk, dk[:out], rows, colBits)
 }
 
 // sortWords stably sorts the key<<32|index words of keys (at least two) by the
@@ -339,12 +344,11 @@ func sortWords(keys []uint32, w0, w1 []uint64, keyBits int) []uint64 {
 
 // SortFoldPattern is SortFoldBy for the key-only pattern layout: the passes
 // move bare 4-byte keys between keys and aux (at least len(keys) long,
-// clobbered) and the fold is deduplication.
-func SortFoldPattern(keys, aux []uint32, keyBits int, rows []int64, colBits uint) int {
+// clobbered) and the fold is deduplication, into the prefix of dk.
+func SortFoldPattern(keys, aux, dk []uint32, keyBits int, rows []int64, colBits uint) int {
 	n := len(keys)
 	if n < 2 {
-		Tally(keys, rows, colBits)
-		return n
+		return emit(dk, keys, rows, colBits)
 	}
 	cur, alt := keys, aux[:n]
 	if n <= shortSegment {
@@ -359,8 +363,7 @@ func SortFoldPattern(keys, aux []uint32, keyBits int, rows []int64, colBits uint
 		var hist histograms
 		diff := hist.count(keys, passes, digit, keyBits)
 		if diff == 0 { // every key equal: one survives
-			Tally(keys[:1], rows, colBits)
-			return 1
+			return emit(dk, keys[:1], rows, colBits)
 		}
 		mask := uint32(1)<<digit - 1
 		starts(hist[:passes], digit)
@@ -373,19 +376,18 @@ func SortFoldPattern(keys, aux []uint32, keyBits int, rows []int64, colBits uint
 			cur, alt = alt, cur
 		}
 	}
-	// Dedup into the prefix of keys; in place when cur is keys (the write
-	// position never passes the read position).
+	// Dedup into the prefix of dk; where cur is keys, dk starts at or before
+	// it, so the write position never passes the read position.
 	out := 0
 	pk := cur[0]
 	for _, k := range cur[1:] {
 		if k == pk {
 			continue
 		}
-		keys[out] = pk
+		dk[out] = pk
 		out++
 		pk = k
 	}
-	keys[out] = pk
-	Tally(keys[:out+1], rows, colBits)
-	return out + 1
+	dk[out] = pk
+	return emit(dk, dk[:out+1], rows, colBits)
 }

@@ -3,6 +3,7 @@ package pbspgemm
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"testing"
 )
 
@@ -47,9 +48,17 @@ func ownedOf[T comparable](m *Matrix[T], mark T, f func(T) float64) owned {
 // while the same engine runs every route again: under -race any write or read
 // the engine still makes to a handed-over array is reported, the later
 // products must equal Reference, and the overwritten one must keep the writes.
+// The "arena" routes run a cf = 1 product at one thread, the largest of all,
+// so that its tuple planes are grown for it: the product is those planes.
 func TestEngineProductsAreCallerOwned(t *testing.T) {
 	a, b := intValued(NewER(300, 6, 1)), intValued(NewER(300, 6, 2))
 	want := Reference(a, b)
+	pa, pb := permutation(20000, 3), permutation(20000, 4)
+	permWant := Reference(pa, pb)
+	permBool := permWant.Clone()
+	for i := range permBool.Val {
+		permBool.Val[i] = 1
+	}
 	ctx := context.Background()
 	e, err := NewEngine(WithAlgorithm(PB), WithThreads(2))
 	if err != nil {
@@ -97,6 +106,15 @@ func TestEngineProductsAreCallerOwned(t *testing.T) {
 		{"int32", overRoute(e, ArithmeticInt32(), MatrixOf(a, i32), MatrixOf(b, i32), true, -1, func(v int32) float64 { return float64(v) })},
 		{"Boolean", overRoute(e, Boolean(), MatrixOf(a, one), MatrixOf(b, one), true, false, func(bool) float64 { return 1 })},
 		{"generic", overRoute(e, custom, MatrixOf(a, id), MatrixOf(b, id), false, -1, id)},
+		{"arena Engine.Multiply", func() (owned, error) {
+			res, err := e.Multiply(ctx, pa, pb, WithThreads(1))
+			if err != nil {
+				return owned{}, err
+			}
+			return ownedOf(Float64Matrix(res.C), -1, id), nil
+		}},
+		{"arena float32", overRoute(e, Arithmetic32(), MatrixOf(pa, f32), MatrixOf(pb, f32), true, -1, func(v float32) float64 { return float64(v) }, WithThreads(1))},
+		{"arena Boolean", overRoute(e, Boolean(), MatrixOf(pa, one), MatrixOf(pb, one), true, false, func(bool) float64 { return 1 }, WithThreads(1))},
 		{"MultiplyOver", func() (owned, error) {
 			c, err := MultiplyOver(Arithmetic(), MatrixOf(a, id).ToCSC(), MatrixOf(b, id), WithAlgorithm(PB), WithThreads(2))
 			if err != nil {
@@ -113,6 +131,10 @@ func TestEngineProductsAreCallerOwned(t *testing.T) {
 			w = boolWant
 		case "masked":
 			w = maskedWant
+		case "arena Engine.Multiply", "arena float32":
+			w = permWant
+		case "arena Boolean":
+			w = permBool
 		}
 		if !EqualWithin(w, got.c, 0) {
 			t.Fatalf("%s: product differs from Reference", name)
@@ -142,11 +164,11 @@ func TestEngineProductsAreCallerOwned(t *testing.T) {
 
 // overRoute is a route through EngineMultiplyOver over sr, on a typed fast
 // path when fast is set and on the generic layout when not.
-func overRoute[T comparable](e *Engine, sr Semiring[T], a, b *Matrix[T], fast bool, mark T, f func(T) float64) func() (owned, error) {
+func overRoute[T comparable](e *Engine, sr Semiring[T], a, b *Matrix[T], fast bool, mark T, f func(T) float64, opts ...Option) func() (owned, error) {
 	ac := a.ToCSC()
 	return func() (owned, error) {
 		var plan SemiringPlan
-		c, err := EngineMultiplyOver(e, context.Background(), sr, ac, b, WithSemiringPlan(&plan))
+		c, err := EngineMultiplyOver(e, context.Background(), sr, ac, b, append(opts, WithSemiringPlan(&plan))...)
 		if err != nil {
 			return owned{}, err
 		}
@@ -155,4 +177,15 @@ func overRoute[T comparable](e *Engine, sr Semiring[T], a, b *Matrix[T], fast bo
 		}
 		return ownedOf(c, mark, f), nil
 	}
+}
+
+// permutation is an n×n permutation matrix with values 1–5: the product of
+// two has cf = 1.
+func permutation(n int, seed int64) *CSR {
+	perm := rand.New(rand.NewSource(seed)).Perm(n)
+	m := &CSR{NumRows: int32(n), NumCols: int32(n), RowPtr: make([]int64, n+1), ColIdx: make([]int32, n), Val: make([]float64, n)}
+	for i, j := range perm {
+		m.RowPtr[i+1], m.ColIdx[i], m.Val[i] = int64(i+1), int32(j), float64(i%5+1)
+	}
+	return m
 }
