@@ -1,11 +1,11 @@
 package main
 
-// The shard regimes of the bench trajectory: the 2D block-sharded
+// The shard regimes of the bench trajectory: the row-band sharded
 // coordinator (internal/shard) measured against a direct Engine call on the
 // same input. The 1×1×1 regime is the coordination-overhead acceptance bar —
 // a degenerate grid adds only the coordinator's bookkeeping around one
 // dispatch, so -gate holds it within shardGateMargin of the direct call. The
-// split-grid regime carries the plan/cut/dispatch/stitch cost of a real
+// split-grid regime carries the cut/dispatch/stitch cost of a real
 // multi-block product, and -gate holds it within shardGridGateRatio of direct.
 
 import (
@@ -57,8 +57,8 @@ func runShardBench(cfg *config, report *benchReport) {
 		fmt.Fprintf(os.Stderr, "bench shard: %v\n", err)
 		os.Exit(1)
 	}
-	// An explicit pool (with none, a product is one budgeted PB call) and blocks
-	// well under the product's footprint: plan, cut, dispatch and stitch are timed.
+	// An explicit pool (with none, a product is one budgeted PB call): eight row
+	// bands, each a PB call under a 1 MiB budget; cut, dispatch and stitch are timed.
 	grid, err := shard.New(shard.Config{Local: eng, Backends: []shard.Backend{shard.NewEnginePool("local", eng, 1)}, MaxBlockBytes: 1 << 20})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "bench shard: %v\n", err)
@@ -143,8 +143,8 @@ func measureInterleaved(threads, reps int, names []string, runs []func() (int64,
 const shardGateMargin = time.Millisecond
 
 // shardGridGateRatio is what a split grid may cost over the direct call: the
-// block products themselves run near direct speed, so what is left — one plan,
-// one cut, dispatch, per-block set-up and the stitch — must stay under it.
+// block products themselves run near direct speed, so what is left — one cut,
+// dispatch, per-block set-up and the stitch — must stay under it.
 const shardGridGateRatio = 2.0
 
 // gateShardBench holds the 1×1×1 coordinator within shardGateMargin of the

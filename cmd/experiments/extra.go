@@ -64,7 +64,8 @@ func tallSkinny(n, k int32, f int, seed uint64) *pbspgemm.CSR {
 // propagation blocking itself (nbins=1 == unblocked outer ESC), local bins
 // (1-tuple bins == direct global writes) and the cache budget that sizes bins.
 // Section V-D's partitioned PB is a memory budget's bin groups: an in-process
-// shard product is one budgeted PB call; only configured backends get row bands.
+// shard product is one budgeted PB call, and configured backends get row bands
+// of A, each one budgeted PB call over the whole B.
 func runAblations(cfg *config) {
 	scale := 14
 	if cfg.full {

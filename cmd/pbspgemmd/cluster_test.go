@@ -42,9 +42,8 @@ func TestClusterSIGKILLBitIdentical(t *testing.T) {
 	peer1 := startPeer(t, bin)
 	peer2 := startPeer(t, bin)
 
-	// Integer-valued factors: the sharded inner split regroups the float
-	// additions of the k-reduce, so bit-identity to the single-node fold
-	// needs exact-value inputs (the repo-wide convention for these tests).
+	// Integer-valued factors; row bands land on the single-node fold's bytes
+	// on real values too.
 	a := pbspgemm.NewER(384, 6, 101)
 	b := pbspgemm.NewER(384, 6, 102)
 	for i := range a.Val {

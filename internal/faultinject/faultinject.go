@@ -43,10 +43,6 @@ const (
 	// multiply attempt to a backend (local pool or remote peer). ModeError
 	// injects a retryable dispatch failure, ModeSleep a straggling backend.
 	SiteBlockRPC
-	// SiteReduce fires once per C(i,j) block as the coordinator reduces its
-	// partial products over k — a local failure after all remote work
-	// succeeded, probing the never-partial guarantee.
-	SiteReduce
 	// SiteColumnRow fires once per output row folded by a worker of the
 	// one-pass SPA kernel (internal/baseline).
 	SiteColumnRow
@@ -73,8 +69,6 @@ func (s Site) String() string {
 		return "peer-dial"
 	case SiteBlockRPC:
 		return "block-rpc"
-	case SiteReduce:
-		return "reduce"
 	case SiteColumnRow:
 		return "column-row"
 	default:

@@ -17,37 +17,6 @@ func RowBand(m *CSR, r0, r1 int32) *CSR {
 	return out
 }
 
-// ColBands cuts m into the column bands [off[j],off[j+1]) with band-local
-// column indices (entry (r,c) becomes (r, c-off[j]) of band j) in one forward
-// pass: rows of a canonical CSR are sorted, so a band cursor per row replaces
-// a search per row per band, and every band is canonical too. A single band
-// returns m itself (no copy).
-func ColBands(m *CSR, off []int32) []*CSR {
-	if len(off) == 2 {
-		return []*CSR{m}
-	}
-	bands := make([]*CSR, len(off)-1)
-	for j := range bands {
-		// An even share plus a quarter; append grows the bands skew makes heavier.
-		bands[j] = NewCSR(m.NumRows, off[j+1]-off[j], m.NNZ()/int64(len(bands))*5/4)
-		bands[j].ColIdx, bands[j].Val = bands[j].ColIdx[:0], bands[j].Val[:0]
-	}
-	for r := int32(0); r < m.NumRows; r++ {
-		j := 0
-		for p := m.RowPtr[r]; p < m.RowPtr[r+1]; p++ {
-			c := m.ColIdx[p]
-			for c >= off[j+1] {
-				j++
-			}
-			bands[j].ColIdx, bands[j].Val = append(bands[j].ColIdx, c-off[j]), append(bands[j].Val, m.Val[p])
-		}
-		for _, bd := range bands {
-			bd.RowPtr[r+1] = int64(len(bd.ColIdx))
-		}
-	}
-	return bands
-}
-
 // SplitPoints partitions [0,n) into parts near-equal contiguous ranges and
 // returns the parts+1 boundary offsets. parts is clamped to [1, max(1,n)],
 // so no range is ever empty while n > 0.

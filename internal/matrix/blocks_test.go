@@ -2,7 +2,6 @@ package matrix
 
 import (
 	"slices"
-	"sort"
 	"testing"
 )
 
@@ -25,22 +24,13 @@ func testCSR(t *testing.T, rows, cols int32, dense [][]float64) *CSR {
 	return m
 }
 
-// window is rows [r0,r1) × cols [c0,c1) of m through the two cuts the shard
-// planner makes: the middle one of three column bands, then a row band of it.
-func window(m *CSR, r0, r1, c0, c1 int32) *CSR {
-	return RowBand(ColBands(m, []int32{0, c0, c1, m.NumCols})[1], r0, r1)
-}
-
-// blockRef is the per-block extraction ColBands and RowBand replaced: each
-// row's column span found by binary search, everything copied.
-func blockRef(m *CSR, r0, r1, c0, c1 int32) *CSR {
-	out := &CSR{NumRows: r1 - r0, NumCols: c1 - c0, RowPtr: make([]int64, r1-r0+1)}
+// blockRef is the row-band extraction RowBand replaced: every entry of rows
+// [r0,r1) copied.
+func blockRef(m *CSR, r0, r1 int32) *CSR {
+	out := &CSR{NumRows: r1 - r0, NumCols: m.NumCols, RowPtr: make([]int64, r1-r0+1)}
 	for r := r0; r < r1; r++ {
-		row := m.ColIdx[m.RowPtr[r]:m.RowPtr[r+1]]
-		s := sort.Search(len(row), func(i int) bool { return row[i] >= c0 })
-		e := sort.Search(len(row), func(i int) bool { return row[i] >= c1 })
-		for q := m.RowPtr[r] + int64(s); q < m.RowPtr[r]+int64(e); q++ {
-			out.ColIdx = append(out.ColIdx, m.ColIdx[q]-c0)
+		for q := m.RowPtr[r]; q < m.RowPtr[r+1]; q++ {
+			out.ColIdx = append(out.ColIdx, m.ColIdx[q])
 			out.Val = append(out.Val, m.Val[q])
 		}
 		out.RowPtr[r-r0+1] = int64(len(out.ColIdx))
@@ -58,30 +48,26 @@ func TestBlockExtraction(t *testing.T) {
 	m := testCSR(t, 4, 4, dense)
 	for r0 := int32(0); r0 <= 4; r0++ {
 		for r1 := r0; r1 <= 4; r1++ {
-			for c0 := int32(0); c0 <= 4; c0++ {
-				for c1 := c0; c1 <= 4; c1++ {
-					blk := window(m, r0, r1, c0, c1)
-					if blk.NumRows != r1-r0 || blk.NumCols != c1-c0 {
-						t.Fatalf("block [%d,%d)x[%d,%d): shape %dx%d", r0, r1, c0, c1, blk.NumRows, blk.NumCols)
-					}
-					if err := blk.Validate(); err != nil {
-						t.Fatalf("block [%d,%d)x[%d,%d) invalid: %v", r0, r1, c0, c1, err)
-					}
-					for i := int32(0); i < blk.NumRows; i++ {
-						got := map[int32]float64{}
-						for p := blk.RowPtr[i]; p < blk.RowPtr[i+1]; p++ {
-							got[blk.ColIdx[p]] = blk.Val[p]
+			blk := RowBand(m, r0, r1)
+			if blk.NumRows != r1-r0 || blk.NumCols != 4 {
+				t.Fatalf("band [%d,%d): shape %dx%d", r0, r1, blk.NumRows, blk.NumCols)
+			}
+			if err := blk.Validate(); err != nil {
+				t.Fatalf("band [%d,%d) invalid: %v", r0, r1, err)
+			}
+			for i := int32(0); i < blk.NumRows; i++ {
+				got := map[int32]float64{}
+				for p := blk.RowPtr[i]; p < blk.RowPtr[i+1]; p++ {
+					got[blk.ColIdx[p]] = blk.Val[p]
+				}
+				for j := int32(0); j < blk.NumCols; j++ {
+					want := dense[r0+i][j]
+					if want == 0 {
+						if _, ok := got[j]; ok {
+							t.Fatalf("band [%d,%d) row %d has spurious col %d", r0, r1, i, j)
 						}
-						for j := int32(0); j < blk.NumCols; j++ {
-							want := dense[r0+i][c0+j]
-							if want == 0 {
-								if _, ok := got[j]; ok {
-									t.Fatalf("block [%d,%d)x[%d,%d) row %d has spurious col %d", r0, r1, c0, c1, i, j)
-								}
-							} else if got[j] != want {
-								t.Fatalf("block [%d,%d)x[%d,%d) entry (%d,%d) = %v, want %v", r0, r1, c0, c1, i, j, got[j], want)
-							}
-						}
+					} else if got[j] != want {
+						t.Fatalf("band [%d,%d) entry (%d,%d) = %v, want %v", r0, r1, i, j, got[j], want)
 					}
 				}
 			}
@@ -91,14 +77,13 @@ func TestBlockExtraction(t *testing.T) {
 
 func TestBlockFullWindowAliases(t *testing.T) {
 	m := testCSR(t, 2, 2, [][]float64{{1, 0}, {0, 2}})
-	if RowBand(m, 0, 2) != m || ColBands(m, []int32{0, 2})[0] != m {
-		t.Fatal("a full-range row band or a single column band should be the matrix itself")
+	if RowBand(m, 0, 2) != m {
+		t.Fatal("a full-range row band should be the matrix itself")
 	}
 }
 
-// TestCutsMatchBlockRef holds the forward-pass column cut and the row views
-// to the binary-search extraction they replaced, on grids whose boundaries
-// fall in empty rows, in bands no entry reaches, in a zero-width band and
+// TestCutsMatchBlockRef holds the row views to the copying extraction they
+// replaced, on cuts whose boundaries fall in empty rows, in an empty band and
 // inside a run of equal-length rows.
 func TestCutsMatchBlockRef(t *testing.T) {
 	banded := &COO{NumRows: 40, NumCols: 40}
@@ -112,20 +97,14 @@ func TestCutsMatchBlockRef(t *testing.T) {
 	for name, m := range map[string]*CSR{"banded": banded.ToCSR(), "sparse": sparse,
 		"wide": randomCOO(9, 5, 300, 400).ToCSR(), "empty": NewCSR(6, 6, 0)} {
 		for _, rowOff := range [][]int32{{0, m.NumRows}, SplitPoints(m.NumRows, 3), {0, 1, 1, m.NumRows}} {
-			for _, colOff := range [][]int32{{0, m.NumCols}, SplitPoints(m.NumCols, 4), {0, 2, 2, m.NumCols - 1, m.NumCols}} {
-				bands := ColBands(m, colOff)
-				for j, band := range bands {
-					for i := 0; i+1 < len(rowOff); i++ {
-						got := RowBand(band, rowOff[i], rowOff[i+1])
-						want := blockRef(m, rowOff[i], rowOff[i+1], colOff[j], colOff[j+1])
-						if err := got.Validate(); err != nil {
-							t.Fatalf("%s rows %v cols %v block (%d,%d): %v", name, rowOff, colOff, i, j, err)
-						}
-						if got.NumRows != want.NumRows || got.NumCols != want.NumCols ||
-							!slices.Equal(got.RowPtr, want.RowPtr) || !slices.Equal(got.ColIdx, want.ColIdx) || !slices.Equal(got.Val, want.Val) {
-							t.Fatalf("%s rows %v cols %v block (%d,%d) differs from the reference extraction", name, rowOff, colOff, i, j)
-						}
-					}
+			for i := 0; i+1 < len(rowOff); i++ {
+				got, want := RowBand(m, rowOff[i], rowOff[i+1]), blockRef(m, rowOff[i], rowOff[i+1])
+				if err := got.Validate(); err != nil {
+					t.Fatalf("%s rows %v band %d: %v", name, rowOff, i, err)
+				}
+				if got.NumRows != want.NumRows || got.NumCols != want.NumCols ||
+					!slices.Equal(got.RowPtr, want.RowPtr) || !slices.Equal(got.ColIdx, want.ColIdx) || !slices.Equal(got.Val, want.Val) {
+					t.Fatalf("%s rows %v band %d differs from the reference extraction", name, rowOff, i)
 				}
 			}
 		}

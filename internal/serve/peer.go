@@ -107,10 +107,12 @@ func (p *PeerClient) Probe(ctx context.Context) error {
 }
 
 // Multiply implements shard.Backend: upload both factors (deduplicated),
-// then POST /multiply with the PB kernel and the binary result framing. A
-// 404 — the peer evicted or restarted since the upload — invalidates the
-// cached ids and retries once with fresh uploads.
-func (p *PeerClient) Multiply(ctx context.Context, a, b *pbspgemm.CSR) (*pbspgemm.CSR, error) {
+// then POST /multiply with the PB kernel, budget as the request's
+// memory_budget_bytes (when > 0) and the binary result framing. A budgeted
+// request is never sharded again on the peer (see Server.shardable). A 404 —
+// the peer evicted or restarted since the upload — invalidates the cached ids
+// and retries once with fresh uploads.
+func (p *PeerClient) Multiply(ctx context.Context, a, b *pbspgemm.CSR, budget int64) (*pbspgemm.CSR, error) {
 	if faultinject.Enabled {
 		if err := faultinject.FireErr(faultinject.SitePeerDial, -1); err != nil {
 			return nil, &RemoteError{Peer: p.base, Err: err}
@@ -125,7 +127,7 @@ func (p *PeerClient) Multiply(ctx context.Context, a, b *pbspgemm.CSR) (*pbspgem
 		if err != nil {
 			return nil, err
 		}
-		c, err := p.multiply(ctx, ida, idb)
+		c, err := p.multiply(ctx, ida, idb, max(budget, 0))
 		var re *RemoteError
 		if err != nil && attempt == 0 && errors.As(err, &re) && re.Status == http.StatusNotFound {
 			// The peer forgot the factors (eviction, restart): drop our view
@@ -210,8 +212,8 @@ func (p *PeerClient) upload(ctx context.Context, m *pbspgemm.CSR) (string, error
 }
 
 // multiply POSTs the product request and decodes the binary result.
-func (p *PeerClient) multiply(ctx context.Context, ida, idb string) (*pbspgemm.CSR, error) {
-	body, err := json.Marshal(multiplyRequest{A: ida, B: idb, Algorithm: "pb", Output: "binary"})
+func (p *PeerClient) multiply(ctx context.Context, ida, idb string, budget int64) (*pbspgemm.CSR, error) {
+	body, err := json.Marshal(multiplyRequest{A: ida, B: idb, Algorithm: "pb", Output: "binary", MemoryBudgetBytes: budget})
 	if err != nil {
 		return nil, err
 	}

@@ -677,7 +677,9 @@ func overName(p *pbspgemm.SemiringPlan, semiring string) string {
 // algorithm (the coordinator pins PB — other kernels fold duplicates in a
 // different order and would break cross-backend bit-identity), and the
 // request carries no per-call overrides (threads and memory budget are
-// engine-local knobs the remote peers would not see).
+// engine-local knobs). Every block a coordinator sends carries its memory
+// budget when it has one, so a block that reaches a peer with peers of its
+// own runs there and is not sharded again.
 func (s *Server) shardable(sp *productSpec) bool {
 	return s.coord != nil &&
 		sp.semiring == "arithmetic" && sp.mask == nil &&

@@ -5,8 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -16,9 +18,7 @@ import (
 	"pbspgemm/internal/shard"
 )
 
-// intMatrix is an ER matrix with integer values: sums and products are
-// exact in float64, so the k-split reduce of the sharded path lands on the
-// same bytes as the single-node fold (see internal/shard).
+// intMatrix is an ER matrix with small integer values.
 func intMatrix(n int32, d int, seed uint64) *pbspgemm.CSR {
 	m := pbspgemm.NewER(n, d, seed)
 	for i := range m.Val {
@@ -234,7 +234,7 @@ func TestPeerClientMultiplyBitIdentical(t *testing.T) {
 	pc := NewPeerClient(hs.URL, nil)
 	a := intMatrix(48, 4, 5)
 	b := intMatrix(48, 4, 6)
-	got, err := pc.Multiply(context.Background(), a, b)
+	got, err := pc.Multiply(context.Background(), a, b, 0)
 	if err != nil {
 		t.Fatalf("peer multiply: %v", err)
 	}
@@ -268,7 +268,7 @@ func TestPeerClientUploadDedup(t *testing.T) {
 	a := intMatrix(32, 3, 7)
 	b := intMatrix(32, 3, 8)
 	for i := 0; i < 3; i++ {
-		if _, err := pc.Multiply(context.Background(), a, b); err != nil {
+		if _, err := pc.Multiply(context.Background(), a, b, 0); err != nil {
 			t.Fatalf("multiply #%d: %v", i, err)
 		}
 	}
@@ -323,12 +323,98 @@ func TestPeerClientForgetsCutBlocks(t *testing.T) {
 	}
 }
 
+// TestPeerClientSendsBlockBudget: every block request a coordinator sends to
+// a peer carries MaxBlockBytes as its memory_budget_bytes, so the peer's bin
+// groups bound the block's working set.
+func TestPeerClientSendsBlockBudget(t *testing.T) {
+	const budget = 16 << 10
+	s := newTestServer(t, nil)
+	var mu sync.Mutex
+	var budgets []int64
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost && r.URL.Path == "/multiply" {
+			body, err := io.ReadAll(r.Body)
+			var req multiplyRequest
+			if err != nil || json.Unmarshal(body, &req) != nil {
+				t.Errorf("unreadable multiply request %q (%v)", body, err)
+			}
+			mu.Lock()
+			budgets = append(budgets, req.MemoryBudgetBytes)
+			mu.Unlock()
+			r.Body = io.NopCloser(bytes.NewReader(body))
+		}
+		s.ServeHTTP(w, r)
+	}))
+	defer hs.Close()
+	eng, _ := pbspgemm.NewEngine()
+	coord, err := shard.New(shard.Config{Local: eng, Backends: []shard.Backend{NewPeerClient(hs.URL, nil)},
+		MaxBlockBytes: budget, HedgeDelay: -1})
+	if err != nil {
+		t.Fatalf("shard.New: %v", err)
+	}
+	res, err := coord.Multiply(context.Background(), intMatrix(256, 4, 21), intMatrix(256, 4, 22))
+	if err != nil || res.Fallbacks != 0 {
+		t.Fatalf("sharded product: %d fallbacks (%v)", res.Fallbacks, err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(budgets) != res.Blocks {
+		t.Fatalf("%d multiply requests for %d blocks", len(budgets), res.Blocks)
+	}
+	for i, got := range budgets {
+		if got != budget {
+			t.Fatalf("request %d carries memory_budget_bytes %d, want %d", i, got, budget)
+		}
+	}
+}
+
+// TestBudgetedBlockNeverReshards: a peer that has peers of its own runs a
+// budgeted block itself — shardable refuses a request with a memory budget —
+// while an unbudgeted product sent to it is sharded again.
+func TestBudgetedBlockNeverReshards(t *testing.T) {
+	_, leafHS := newPeerServer(t)
+	mid := newTestServer(t, func(c *Config) {
+		c.Peers = []string{leafHS.URL}
+		c.ShardBlockBytes = 16 << 10
+	})
+	midHS := httptest.NewServer(mid)
+	defer midHS.Close()
+	pc := NewPeerClient(midHS.URL, nil)
+	eng, _ := pbspgemm.NewEngine()
+	// A fresh pair per request: a cached product would run no coordinator.
+	for i, tc := range []struct {
+		budget   int64
+		products int64
+	}{{16 << 10, 0}, {0, 1}} {
+		a, b := intMatrix(128, 4, uint64(23+2*i)), intMatrix(128, 4, uint64(24+2*i))
+		ref, err := eng.Multiply(context.Background(), a, b, pbspgemm.WithAlgorithm(pbspgemm.PB))
+		if err != nil {
+			t.Fatalf("reference: %v", err)
+		}
+		got, err := pc.Multiply(context.Background(), a, b, tc.budget)
+		if err != nil {
+			t.Fatalf("budget %d: %v", tc.budget, err)
+		}
+		if got.NNZ() != ref.C.NNZ() {
+			t.Fatalf("budget %d: nnz %d, want %d", tc.budget, got.NNZ(), ref.C.NNZ())
+		}
+		for i := range ref.C.Val {
+			if got.Val[i] != ref.C.Val[i] || got.ColIdx[i] != ref.C.ColIdx[i] {
+				t.Fatalf("budget %d: entry %d differs", tc.budget, i)
+			}
+		}
+		if m := mid.Metrics(); m.Shard == nil || m.Shard.Products != tc.products {
+			t.Fatalf("budget %d: the middle peer's coordinator ran %+v, want %d products", tc.budget, m.Shard, tc.products)
+		}
+	}
+}
+
 func TestPeerClientReuploadsAfterEviction(t *testing.T) {
 	peer, hs := newPeerServer(t)
 	pc := NewPeerClient(hs.URL, nil)
 	a := intMatrix(32, 3, 9)
 	b := intMatrix(32, 3, 10)
-	if _, err := pc.Multiply(context.Background(), a, b); err != nil {
+	if _, err := pc.Multiply(context.Background(), a, b, 0); err != nil {
 		t.Fatalf("first multiply: %v", err)
 	}
 	// Simulate a peer restart: its registry forgets everything, so the
@@ -336,7 +422,7 @@ func TestPeerClientReuploadsAfterEviction(t *testing.T) {
 	for _, info := range peer.Registry().List() {
 		peer.Registry().Delete(info.ID)
 	}
-	if _, err := pc.Multiply(context.Background(), a, b); err != nil {
+	if _, err := pc.Multiply(context.Background(), a, b, 0); err != nil {
 		t.Fatalf("multiply after eviction: %v (client should re-upload on 404)", err)
 	}
 }
@@ -367,7 +453,7 @@ func TestPeerClientClassifiesStatuses(t *testing.T) {
 			}))
 			defer hs.Close()
 			pc := NewPeerClient(hs.URL, nil)
-			_, err := pc.Multiply(context.Background(), intMatrix(8, 2, 11), intMatrix(8, 2, 12))
+			_, err := pc.Multiply(context.Background(), intMatrix(8, 2, 11), intMatrix(8, 2, 12), 0)
 			var re *RemoteError
 			if !errors.As(err, &re) {
 				t.Fatalf("error = %v, want *RemoteError", err)
@@ -390,7 +476,7 @@ func TestPeerClientTransportErrorRetryable(t *testing.T) {
 	url := hs.URL
 	hs.Close() // connection refused from now on
 	pc := NewPeerClient(url, nil)
-	_, err := pc.Multiply(context.Background(), intMatrix(8, 2, 13), intMatrix(8, 2, 14))
+	_, err := pc.Multiply(context.Background(), intMatrix(8, 2, 13), intMatrix(8, 2, 14), 0)
 	var re *RemoteError
 	if !errors.As(err, &re) {
 		t.Fatalf("error = %v, want *RemoteError", err)

@@ -17,9 +17,10 @@ import (
 type Backend interface {
 	// Name identifies the backend in metrics, breaker state and errors.
 	Name() string
-	// Multiply computes a·b with the coordinator's pinned PB kernel.
+	// Multiply computes a·b with the coordinator's pinned PB kernel, under a
+	// PB memory budget of budget bytes when budget > 0 (Config.MaxBlockBytes).
 	// The result must be caller-owned.
-	Multiply(ctx context.Context, a, b *pbspgemm.CSR) (*pbspgemm.CSR, error)
+	Multiply(ctx context.Context, a, b *pbspgemm.CSR, budget int64) (*pbspgemm.CSR, error)
 	// Probe is the cheap health check a half-open breaker runs before
 	// trusting the backend with a real block (a peer GETs /healthz).
 	Probe(ctx context.Context) error
@@ -37,7 +38,8 @@ type EnginePool struct {
 
 // NewEnginePool wraps eng as a Backend running at most workers concurrent
 // block multiplies (workers < 1 means 1). opts apply per block; the
-// algorithm is pinned to PB for cross-backend bit-identity.
+// algorithm is pinned to PB for cross-backend bit-identity, and each call's
+// budget is its WithMemoryBudget.
 func NewEnginePool(name string, eng *pbspgemm.Engine, workers int, opts ...pbspgemm.Option) *EnginePool {
 	if workers < 1 {
 		workers = 1
@@ -46,7 +48,7 @@ func NewEnginePool(name string, eng *pbspgemm.Engine, workers int, opts ...pbspg
 		name: name,
 		eng:  eng,
 		sem:  make(chan struct{}, workers),
-		opts: pinned(opts, 0),
+		opts: opts,
 	}
 }
 
@@ -65,14 +67,14 @@ func pinned(opts []pbspgemm.Option, budget int64) []pbspgemm.Option {
 func (p *EnginePool) Name() string { return p.name }
 
 // Multiply implements Backend.
-func (p *EnginePool) Multiply(ctx context.Context, a, b *pbspgemm.CSR) (*pbspgemm.CSR, error) {
+func (p *EnginePool) Multiply(ctx context.Context, a, b *pbspgemm.CSR, budget int64) (*pbspgemm.CSR, error) {
 	select {
 	case p.sem <- struct{}{}:
 		defer func() { <-p.sem }()
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
-	res, err := p.eng.Multiply(ctx, a, b, p.opts...)
+	res, err := p.eng.Multiply(ctx, a, b, pinned(p.opts, budget)...)
 	if err != nil {
 		return nil, err
 	}

@@ -8,7 +8,6 @@ package shard
 
 import (
 	"context"
-	"errors"
 	"testing"
 	"time"
 
@@ -24,7 +23,6 @@ func chaosCoordinator(t *testing.T, eng *pbspgemm.Engine, hedge time.Duration) *
 		Local:          eng,
 		Backends:       []Backend{NewEnginePool("p0", eng, 2), NewEnginePool("p1", eng, 2)},
 		MaxBlockBytes:  16 << 10,
-		MaxGridDim:     2,
 		HedgeDelay:     hedge,
 		MaxAttempts:    3,
 		RetryBaseDelay: time.Millisecond,
@@ -117,34 +115,6 @@ func TestChaosSlowBackendHedges(t *testing.T) {
 	}
 }
 
-// TestChaosReduceFailureIsTypedNeverPartial injects a failure into the
-// C(i,j) reduce — after every remote block already succeeded. The product
-// must return a typed *ReduceError naming the block and no C at all.
-func TestChaosReduceFailureIsTypedNeverPartial(t *testing.T) {
-	eng := newEngine(t)
-	a := intER(128, 4, 35)
-	b := intER(128, 4, 36)
-	faultinject.Arm(faultinject.Plan{
-		Site: faultinject.SiteReduce, Hit: 1, Worker: -1, Mode: faultinject.ModeError})
-	t.Cleanup(faultinject.Disarm)
-	c := chaosCoordinator(t, eng, -1)
-	res, err := c.Multiply(context.Background(), a, b)
-	if err == nil {
-		t.Fatalf("Multiply succeeded despite injected reduce failure (res=%+v)", res)
-	}
-	var re *ReduceError
-	if !errors.As(err, &re) {
-		t.Fatalf("error = %T %v, want *ReduceError", err, err)
-	}
-	var fault faultinject.Fault
-	if !errors.As(err, &fault) || fault.Site != faultinject.SiteReduce {
-		t.Fatalf("ReduceError does not carry the injected fault: %v", err)
-	}
-	if res != nil {
-		t.Fatal("a failed product must not return a partial result")
-	}
-}
-
 // TestChaosFaultSeedsConverge sweeps single-shot error injections across
 // the first N occurrences of the dispatch site: wherever the fault lands,
 // the ladder converges to the same bytes.
@@ -171,8 +141,8 @@ func TestChaosFaultSeedsConverge(t *testing.T) {
 
 // TestChaosInProcessFallbackKeepsBound fails every dispatch to the in-process
 // pool, backend 0: the one block falls to the local fallback, which keeps the
-// pool's bound — MaxBlockBytes when FallbackBudgetBytes is unset, the smaller
-// of the two when both are set — and returns the direct PB product's bytes.
+// pool's bound — MaxBlockBytes, unbudgeted at 0 and -1 — and returns the
+// direct PB product's bytes.
 func TestChaosInProcessFallbackKeepsBound(t *testing.T) {
 	ctx := context.Background()
 	eng := newEngine(t)
@@ -181,16 +151,10 @@ func TestChaosInProcessFallbackKeepsBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tc := range []struct{ maxBlock, fallback, want int64 }{
-		{64 << 10, 0, 64 << 10},
-		{64 << 10, 16 << 10, 16 << 10},
-		{64 << 10, 1 << 20, 64 << 10},
-		{0, 16 << 10, 16 << 10},
-		{-1, 0, 0},
-	} {
+	for _, maxBlock := range []int64{64 << 10, 16 << 10, 0, -1} {
 		faultinject.Arm(faultinject.Plan{
 			Site: faultinject.SiteBlockRPC, Hit: 1, Every: 1, Worker: 0, Mode: faultinject.ModeError})
-		c, err := New(Config{Local: eng, MaxBlockBytes: tc.maxBlock, FallbackBudgetBytes: tc.fallback,
+		c, err := New(Config{Local: eng, MaxBlockBytes: maxBlock,
 			HedgeDelay: -1, RetryBaseDelay: time.Millisecond, RetryMaxDelay: time.Millisecond})
 		if err != nil {
 			t.Fatal(err)
@@ -198,11 +162,15 @@ func TestChaosInProcessFallbackKeepsBound(t *testing.T) {
 		res, err := c.Multiply(ctx, a, b)
 		faultinject.Disarm()
 		if err != nil || res.Blocks != 1 || res.Fallbacks != 1 {
-			t.Fatalf("%+v: %+v (%v), want one block that fell back", tc, res, err)
+			t.Fatalf("MaxBlockBytes %d: %+v (%v), want one block that fell back", maxBlock, res, err)
 		}
 		sameCSR(t, direct.C, res.C)
-		if got := c.cfg.FallbackBudgetBytes; got != tc.want {
-			t.Fatalf("%+v: the fallback runs under %d bytes", tc, got)
+		gp, err := c.partition(a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if run, err := c.localFallback(ctx, &gp.Blocks[0]); err != nil || (run.PB.NGroups > 1) != (maxBlock > 0) {
+			t.Fatalf("MaxBlockBytes %d: the fallback runs %d bin groups (%v)", maxBlock, run.PB.NGroups, err)
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -19,16 +18,21 @@ import (
 // the hedge delay switches from Config.HedgeDelay to the observed p99.
 const hedgeMinSamples = 8
 
-// Coordinator fans 2D block-sharded products out over its backends and
-// reduces the partials — see the package comment for the failure ladder.
-// Safe for concurrent use.
+// bandsPerBackend is how many row bands each configured backend's share of a
+// product is cut into: more bands than backends let a hedge or a retry move a
+// small share of the product and even out what the flop balance misses, and a
+// smaller band more often fits its budget in one bin group. Eight read faster
+// than four on the bench's split-grid regime (ER 2¹³·d8 at 1 MiB).
+const bandsPerBackend = 8
+
+// Coordinator fans row-banded products out over its backends and stitches
+// the bands — see the package comment for the failure ladder. Safe for
+// concurrent use.
 type Coordinator struct {
 	cfg      Config
 	backends []Backend
 	breakers []*breaker
 	now      func() time.Time
-	// planBlocks is Local.PlanBlocksFrom; tests wrap it to count the cuts.
-	planBlocks func(root *pbspgemm.Plan, a, b *pbspgemm.CSR, g pbspgemm.Grid, opts ...pbspgemm.Option) (*pbspgemm.GridPlan, error)
 
 	rr uint64 // round-robin cursor over backends
 
@@ -56,18 +60,13 @@ func New(cfg Config) (*Coordinator, error) {
 		cfg: cfg,
 		now: time.Now,
 		lat: make([]float64, 0, 64),
-
-		planBlocks: cfg.Local.PlanBlocksFrom,
 	}
 	c.jitter = cfg.Seed
 	if c.jitter == 0 {
 		c.jitter = 0x9e3779b97f4a7c15
 	}
-	if c.backends = cfg.Backends; len(c.backends) == 0 { // MaxBlockBytes budgets the block and its fallback
-		if m, f := cfg.MaxBlockBytes, cfg.FallbackBudgetBytes; m > 0 && (f <= 0 || m < f) {
-			c.cfg.FallbackBudgetBytes = m
-		}
-		c.backends = []Backend{NewEnginePool("local", cfg.Local, 1, pinned(cfg.Options, cfg.MaxBlockBytes)...)}
+	if c.backends = cfg.Backends; len(c.backends) == 0 {
+		c.backends = []Backend{NewEnginePool("local", cfg.Local, 1, cfg.Options...)}
 	}
 	c.breakers = make([]*breaker, len(c.backends))
 	for i := range c.breakers {
@@ -103,22 +102,18 @@ func (c *Coordinator) Status() Status {
 }
 
 // Multiply computes C = A·B sharded over the backends, or with none
-// configured as one budgeted in-process block. While the grid keeps the inner
-// dimension whole — always, unless rows and columns are both at MaxGridDim or
-// their extent — the result is bit-identical to a single-node Engine.Multiply
-// with the PB kernel, float values included. An inner split (Inner > 1)
-// regroups the float additions in its k-reduce, so bit-identity then needs
-// exact sums (integer-valued matrices); the result stays deterministic for a
-// given grid. Re-dispatch (retry, hedge, fallback) can never change the
-// bytes. On failure the error is typed (*BlockError, *ReduceError, or the ctx
-// error) and no C is returned — never a partial product.
+// configured as one budgeted in-process block. The result is bit-identical to
+// a single-node Engine.Multiply with the PB kernel, float values included, and
+// re-dispatch (retry, hedge, fallback) can never change the bytes. On failure
+// the error is typed (*BlockError or the ctx error) and no C is returned —
+// never a partial product.
 func (c *Coordinator) Multiply(ctx context.Context, a, b *pbspgemm.CSR) (*Result, error) {
 	start := c.now()
-	gp, err := c.partition(ctx, a, b)
+	gp, err := c.partition(a, b)
 	if err != nil {
 		return nil, err
 	}
-	defer c.forget(gp, a, b)
+	defer c.forget(gp, a)
 	c.products.Add(1)
 	c.blocks.Add(int64(len(gp.Blocks)))
 
@@ -168,11 +163,7 @@ func (c *Coordinator) Multiply(ctx context.Context, a, b *pbspgemm.CSR) (*Result
 		return nil, firstErr
 	}
 
-	cblocks, err := c.reduce(gp, partials)
-	if err != nil {
-		return nil, err
-	}
-	res.C = assemble(gp, cblocks)
+	res.C = assemble(gp, partials)
 	res.Retries = stats.retries.Load()
 	res.Hedges = stats.hedges.Load()
 	res.Fallbacks = stats.fallbacks.Load()
@@ -185,73 +176,40 @@ type productStats struct {
 	retries, hedges, fallbacks atomic.Int64
 }
 
-// partition is one unplanned 1×1×1 block on the inputs when splitting is off
-// or the product runs in process. Otherwise it cuts the grid once: one plan
-// of the whole product gives the block count (see grid). Only when the cut's
-// own counts predict a block over MaxBlockBytes (skewed inputs) is the count
-// raised as if every block were that heavy and the cut, by then cheap,
-// redone. A grid that cannot grow is returned as it is: peers may shed its
-// oversized blocks, and the retry ladder absorbs that.
-func (c *Coordinator) partition(ctx context.Context, a, b *pbspgemm.CSR) (*pbspgemm.GridPlan, error) {
+// partition is one unplanned block on the inputs with no configured Backends
+// or with MaxBlockBytes <= 0. Otherwise it cuts A into bandsPerBackend
+// flop-balanced row bands per backend, views of A that each multiply the
+// whole B: no plan of the product, only its flop count, decides the cut.
+func (c *Coordinator) partition(a, b *pbspgemm.CSR) (*pbspgemm.GridPlan, error) {
+	if a.NumCols != b.NumRows {
+		return nil, fmt.Errorf("shard: inner dimensions disagree (%dx%d)·(%dx%d): %w",
+			a.NumRows, a.NumCols, b.NumRows, b.NumCols, matrix.ErrShape)
+	}
+	root := &pbspgemm.Plan{Flops: pbspgemm.Flops(a, b)}
 	if c.cfg.MaxBlockBytes <= 0 || len(c.cfg.Backends) == 0 {
-		if a.NumCols != b.NumRows {
-			return nil, fmt.Errorf("shard: inner dimensions disagree (%dx%d)·(%dx%d): %w",
-				a.NumRows, a.NumCols, b.NumRows, b.NumCols, matrix.ErrShape)
-		}
 		return &pbspgemm.GridPlan{
 			Grid:       pbspgemm.Grid{Rows: 1, Cols: 1, Inner: 1},
-			RowOffsets: []int32{0, a.NumRows}, ColOffsets: []int32{0, b.NumCols}, InnerOffsets: []int32{0, a.NumCols},
-			A: [][]*pbspgemm.CSR{{a}}, B: [][]*pbspgemm.CSR{{b}},
-			Blocks: []pbspgemm.BlockPlan{{A: a, B: b, Plan: &pbspgemm.Plan{Flops: pbspgemm.Flops(a, b)}}},
+			RowOffsets: []int32{0, a.NumRows},
+			Blocks:     []pbspgemm.BlockPlan{{A: a, B: b, Plan: root}},
 		}, nil
 	}
-	// The root plan prices the kernel every block runs: the grid is cut at
-	// PB's footprint, not at that of whatever Auto would pick for the whole.
-	root, err := c.cfg.Local.Plan(ctx, a, b, pinned(c.cfg.Options, 0)...)
-	if err != nil {
-		return nil, err
-	}
-	g := c.grid(root.PredictedFootprintBytes, a, b)
-	for {
-		gp, err := c.planBlocks(root, a, b, g, c.cfg.Options...)
-		if err != nil || gp.MaxFootprintBytes <= c.cfg.MaxBlockBytes {
-			return gp, err
-		}
-		ng := c.grid(int64(g.Blocks())*gp.MaxFootprintBytes, a, b)
-		if ng == g {
-			return gp, nil
-		}
-		g = ng
-	}
-}
-
-// grid counts the blocks that bytes, plus an eighth for the imbalance flop-cut
-// row bands leave, make at MaxBlockBytes apiece, and spends them on A's rows
-// first — a row band is a view, walks only its own rows and needs no reduce —
-// then on B's columns, and on the inner dimension only when both are at
-// MaxGridDim or their extent.
-func (c *Coordinator) grid(bytes int64, a, b *pbspgemm.CSR) pbspgemm.Grid {
-	n := max(1, (bytes+bytes/8+c.cfg.MaxBlockBytes-1)/c.cfg.MaxBlockBytes)
-	dim := func(extent int32) int {
-		d := min(n, int64(c.cfg.MaxGridDim), int64(max(extent, 1)))
-		n = (n + d - 1) / d
-		return int(d)
-	}
-	return pbspgemm.Grid{Rows: dim(a.NumRows), Cols: dim(b.NumCols), Inner: dim(a.NumCols)} // calls run left to right
+	g := pbspgemm.Grid{Rows: len(c.cfg.Backends) * bandsPerBackend, Cols: 1, Inner: 1}
+	return c.cfg.Local.PlanBlocksFrom(root, a, b, g, c.cfg.Options...)
 }
 
 // forgetter is implemented by backends that remember the matrices they were
 // sent (a PeerClient's upload ids).
 type forgetter interface{ Forget(ms []*pbspgemm.CSR) }
 
-// forget has such backends drop the blocks this product cut; an input handed
-// over whole stays known: it is what the next product repeats.
-func (c *Coordinator) forget(gp *pbspgemm.GridPlan, a, b *pbspgemm.CSR) {
+// forget has such backends drop the row bands this product cut; B, and an A
+// handed over whole, stay known: they are what the next product repeats.
+func (c *Coordinator) forget(gp *pbspgemm.GridPlan, a *pbspgemm.CSR) {
 	var cut []*pbspgemm.CSR
 	for _, blk := range gp.Blocks {
-		cut = append(cut, blk.A, blk.B)
+		if blk.A != a {
+			cut = append(cut, blk.A)
+		}
 	}
-	cut = slices.DeleteFunc(cut, func(m *pbspgemm.CSR) bool { return m == a || m == b })
 	for _, be := range c.backends {
 		if f, ok := be.(forgetter); ok {
 			f.Forget(cut)
@@ -261,8 +219,8 @@ func (c *Coordinator) forget(gp *pbspgemm.GridPlan, a, b *pbspgemm.CSR) {
 
 // runBlock walks one block down the failure ladder: pick a live backend,
 // attempt (hedged), classify, back off, retry — and when attempts are
-// exhausted or no backend is live, recompute on the local engine (under
-// FallbackBudgetBytes when set). Returns the block's C or a typed *BlockError.
+// exhausted or no backend is live, recompute on the local engine. Returns the
+// block's C or a typed *BlockError.
 func (c *Coordinator) runBlock(ctx context.Context, blk *pbspgemm.BlockPlan, stats *productStats) (*pbspgemm.CSR, error) {
 	var lastErr error
 	attempts := 0
@@ -295,12 +253,12 @@ func (c *Coordinator) runBlock(ctx context.Context, blk *pbspgemm.BlockPlan, sta
 			return nil, err
 		}
 	}
-	// Terminal rung: the local engine, under FallbackBudgetBytes when set.
-	// Bit-identical to what any backend would have produced (same pinned
-	// kernel, deterministic across threads and budgets).
+	// Terminal rung: the local engine. Bit-identical to what any backend
+	// would have produced (same pinned kernel, deterministic across threads
+	// and budgets).
 	c.fallbacks.Add(1)
 	stats.fallbacks.Add(1)
-	p, err := c.localFallback(ctx, blk)
+	res, err := c.localFallback(ctx, blk)
 	if err != nil {
 		if ctx.Err() != nil {
 			return nil, ctx.Err()
@@ -310,19 +268,15 @@ func (c *Coordinator) runBlock(ctx context.Context, blk *pbspgemm.BlockPlan, sta
 		} else {
 			lastErr = fmt.Errorf("%v (after backend error: %w)", err, lastErr)
 		}
-		return nil, &BlockError{I: blk.I, J: blk.J, K: blk.K, Attempts: attempts, Err: lastErr}
-	}
-	return p, nil
-}
-
-// localFallback recomputes blk on the local engine, under FallbackBudgetBytes
-// when configured.
-func (c *Coordinator) localFallback(ctx context.Context, blk *pbspgemm.BlockPlan) (*pbspgemm.CSR, error) {
-	res, err := c.cfg.Local.Multiply(ctx, blk.A, blk.B, pinned(c.cfg.Options, c.cfg.FallbackBudgetBytes)...)
-	if err != nil {
-		return nil, err
+		return nil, &BlockError{I: blk.I, Attempts: attempts, Err: lastErr}
 	}
 	return res.C, nil
+}
+
+// localFallback recomputes blk on the local engine under MaxBlockBytes, the
+// budget every backend ran it under.
+func (c *Coordinator) localFallback(ctx context.Context, blk *pbspgemm.BlockPlan) (*pbspgemm.Result, error) {
+	return c.cfg.Local.Multiply(ctx, blk.A, blk.B, pinned(c.cfg.Options, c.cfg.MaxBlockBytes)...)
 }
 
 // pick returns the index of the next live backend after the round-robin
@@ -442,7 +396,7 @@ func (c *Coordinator) attempt(ctx context.Context, bi int, blk *pbspgemm.BlockPl
 			}
 		}
 		t0 := c.now()
-		p, err = c.backends[bi].Multiply(ctx, blk.A, blk.B)
+		p, err = c.backends[bi].Multiply(ctx, blk.A, blk.B, c.cfg.MaxBlockBytes)
 		if err == nil {
 			c.observe(c.now().Sub(t0))
 		}
@@ -542,76 +496,26 @@ func (c *Coordinator) rand() uint64 {
 	return x
 }
 
-// reduce combines each C(i,j)'s partial products over k in ascending order
-// with EWiseAdd — the same left-to-right direction as the single-node fold.
-// Blocks are laid out k-fastest in GridPlan.Blocks, so the partials of
-// C(i,j) are the contiguous run starting at (i·Cols+j)·Inner.
-func (c *Coordinator) reduce(gp *pbspgemm.GridPlan, partials []*pbspgemm.CSR) ([][]*pbspgemm.CSR, error) {
-	g := gp.Grid
-	out := make([][]*pbspgemm.CSR, g.Rows)
-	for i := 0; i < g.Rows; i++ {
-		out[i] = make([]*pbspgemm.CSR, g.Cols)
-		for j := 0; j < g.Cols; j++ {
-			if faultinject.Enabled {
-				if err := faultinject.FireErr(faultinject.SiteReduce, i*g.Cols+j); err != nil {
-					return nil, &ReduceError{I: i, J: j, Err: err}
-				}
-			}
-			base := (i*g.Cols + j) * g.Inner
-			acc := partials[base]
-			for k := 1; k < g.Inner; k++ {
-				sum, err := pbspgemm.EWiseAdd(pbspgemm.Arithmetic(),
-					pbspgemm.Float64Matrix(acc), pbspgemm.Float64Matrix(partials[base+k]))
-				if err != nil {
-					return nil, &ReduceError{I: i, J: j, Err: err}
-				}
-				acc = pbspgemm.Float64CSR(sum)
-			}
-			out[i][j] = acc
-		}
-	}
-	return out, nil
-}
-
-// assemble stitches the grid of C(i,j) blocks into the full canonical CSR.
-// Without a column split each row band's arrays are copied whole; with one,
-// column blocks are ascending index ranges, so concatenating each local
-// row's segments left to right lands sorted.
-func assemble(gp *pbspgemm.GridPlan, cblocks [][]*pbspgemm.CSR) *pbspgemm.CSR {
-	g := gp.Grid
-	if g.Rows == 1 && g.Cols == 1 {
-		return cblocks[0][0]
+// assemble stitches the row bands' products into the full canonical CSR: each
+// band's arrays are copied whole, its RowPtr shifted by the entries before it.
+func assemble(gp *pbspgemm.GridPlan, bands []*pbspgemm.CSR) *pbspgemm.CSR {
+	if len(bands) == 1 {
+		return bands[0]
 	}
 	var nnz int64
-	for i := range cblocks {
-		for _, blk := range cblocks[i] {
-			nnz += blk.NNZ()
-		}
+	for _, band := range bands {
+		nnz += band.NNZ()
 	}
-	out := matrix.NewCSR(gp.RowOffsets[g.Rows], gp.ColOffsets[g.Cols], nnz)
+	out := matrix.NewCSR(gp.RowOffsets[len(bands)], bands[0].NumCols, nnz)
 	var p int64
-	for i := range cblocks {
-		r0 := gp.RowOffsets[i]
-		if g.Cols == 1 {
-			blk := cblocks[i][0]
-			for lr, q := range blk.RowPtr {
-				out.RowPtr[int(r0)+lr] = p + q
-			}
-			copy(out.ColIdx[p:], blk.ColIdx)
-			copy(out.Val[p:], blk.Val)
-			p += blk.NNZ()
-			continue
+	for i, band := range bands {
+		r0 := int(gp.RowOffsets[i])
+		for lr, q := range band.RowPtr {
+			out.RowPtr[r0+lr] = p + q
 		}
-		for lr := int32(0); lr < gp.RowOffsets[i+1]-r0; lr++ {
-			for j, blk := range cblocks[i] {
-				lo, hi := blk.RowPtr[lr], blk.RowPtr[lr+1]
-				for q, col := range blk.ColIdx[lo:hi] {
-					out.ColIdx[p+int64(q)] = col + gp.ColOffsets[j]
-				}
-				p += int64(copy(out.Val[p:], blk.Val[lo:hi]))
-			}
-			out.RowPtr[r0+lr+1] = p
-		}
+		copy(out.ColIdx[p:], band.ColIdx)
+		copy(out.Val[p:], band.Val)
+		p += band.NNZ()
 	}
 	return out
 }

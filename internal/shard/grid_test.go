@@ -11,127 +11,63 @@ import (
 	"pbspgemm"
 )
 
-// countCuts wraps c's PlanBlocksFrom so a test can count how often partition cut.
-func countCuts(c *Coordinator) *int {
-	n, real := new(int), c.planBlocks
-	c.planBlocks = func(root *pbspgemm.Plan, a, b *pbspgemm.CSR, g pbspgemm.Grid, opts ...pbspgemm.Option) (*pbspgemm.GridPlan, error) {
-		*n++
-		return real(root, a, b, g, opts...)
-	}
-	return n
-}
-
-// shape is an empty rows×cols matrix: the grid policy reads extents only.
-func shape(rows, cols int32) *pbspgemm.CSR {
-	return &pbspgemm.CSR{NumRows: rows, NumCols: cols, RowPtr: make([]int64, rows+1)}
-}
-
-// TestGridPolicy is the rule partition sizes a grid by: the blocks that the
-// predicted bytes (plus the 1/8 margin) make at MaxBlockBytes apiece go to
-// rows, to columns once rows are at MaxGridDim or the row count, and to the
-// inner dimension only after both.
-func TestGridPolicy(t *testing.T) {
-	for _, tc := range []struct {
-		name             string
-		bytes, blockSize int64
-		maxDim           int
-		m, k, n          int32 // A is m×k, B is k×n
-		want             pbspgemm.Grid
-	}{
-		{"fits one block with the margin", 800, 1000, 16, 100, 100, 100, pbspgemm.Grid{Rows: 1, Cols: 1, Inner: 1}},
-		{"margin rounds up", 900, 1000, 16, 100, 100, 100, pbspgemm.Grid{Rows: 2, Cols: 1, Inner: 1}},
-		{"rows first, no power of two", 5000, 1000, 16, 100, 100, 100, pbspgemm.Grid{Rows: 6, Cols: 1, Inner: 1}},
-		{"columns once rows hit MaxGridDim", 40000, 1000, 16, 100, 100, 100, pbspgemm.Grid{Rows: 16, Cols: 3, Inner: 1}},
-		{"columns once rows hit the row count", 5000, 1000, 16, 3, 100, 100, pbspgemm.Grid{Rows: 3, Cols: 2, Inner: 1}},
-		{"inner only after both", 5000, 1000, 2, 100, 100, 100, pbspgemm.Grid{Rows: 2, Cols: 2, Inner: 2}},
-		{"one-row A goes to columns", 5000, 1000, 16, 1, 100, 100, pbspgemm.Grid{Rows: 1, Cols: 6, Inner: 1}},
-		{"one-column B skips to inner", 40000, 1000, 16, 100, 100, 1, pbspgemm.Grid{Rows: 16, Cols: 1, Inner: 3}},
-		{"row times column has only inner", 5000, 1000, 16, 1, 100, 1, pbspgemm.Grid{Rows: 1, Cols: 1, Inner: 6}},
-		{"MaxGridDim 1 never splits", 5000, 1000, 1, 100, 100, 100, pbspgemm.Grid{Rows: 1, Cols: 1, Inner: 1}},
-		{"MaxBlockBytes 1 saturates MaxGridDim", 5000, 1, 16, 100, 100, 100, pbspgemm.Grid{Rows: 16, Cols: 16, Inner: 16}},
-		{"MaxBlockBytes 1 saturates the extents", 5000, 1, 16, 3, 5, 2, pbspgemm.Grid{Rows: 3, Cols: 2, Inner: 5}},
-	} {
-		c, err := New(Config{Local: newEngine(t), MaxBlockBytes: tc.blockSize, MaxGridDim: tc.maxDim})
-		if err != nil {
-			t.Fatalf("New: %v", err)
-		}
-		if got := c.grid(tc.bytes, shape(tc.m, tc.k), shape(tc.k, tc.n)); got != tc.want {
-			t.Errorf("%s: grid %v, want %v", tc.name, got, tc.want)
-		}
-	}
-}
-
+// TestPartitionCutsOnce: partition hands the inputs over whole when splitting
+// is off, and otherwise cuts A once, into bandsPerBackend views per backend
+// over the whole B, whatever the budget.
 func TestPartitionCutsOnce(t *testing.T) {
 	eng := newEngine(t)
-	pool := []Backend{NewEnginePool("local", eng, 1)} // configured backends keep the grid
 	a, b := pbspgemm.NewER(2048, 8, 3), pbspgemm.NewER(2048, 8, 4)
 	t.Run("splitting off aliases the inputs", func(t *testing.T) {
-		c, _ := New(Config{Local: eng, MaxBlockBytes: -1})
-		cuts := countCuts(c)
-		gp, err := c.partition(context.Background(), a, b)
-		if err != nil {
-			t.Fatalf("partition: %v", err)
-		}
-		if *cuts != 0 || gp.Grid.Blocks() != 1 || gp.Blocks[0].A != a || gp.Blocks[0].B != b {
-			t.Fatalf("grid %v after %d cuts: want the inputs themselves as one block, uncut", gp.Grid, *cuts)
+		for _, backends := range [][]Backend{nil, {NewEnginePool("local", eng, 1)}} {
+			c, _ := New(Config{Local: eng, Backends: backends, MaxBlockBytes: -1})
+			gp, err := c.partition(a, b)
+			if err != nil {
+				t.Fatalf("partition: %v", err)
+			}
+			if gp.Grid.Blocks() != 1 || gp.Blocks[0].A != a || gp.Blocks[0].B != b {
+				t.Fatalf("%d backends: grid %v, want the inputs themselves as one block", len(backends), gp.Grid)
+			}
 		}
 	})
 	t.Run("uniform pair", func(t *testing.T) {
-		c, _ := New(Config{Local: eng, Backends: pool, MaxBlockBytes: 256 << 10})
-		cuts := countCuts(c)
-		gp, err := c.partition(context.Background(), a, b)
-		if err != nil {
-			t.Fatalf("partition: %v", err)
-		}
-		if *cuts != 1 {
-			t.Fatalf("partition called PlanBlocks %d times on a uniform pair, want 1", *cuts)
-		}
-		if gp.Grid.Rows < 2 || gp.Grid.Cols != 1 || gp.Grid.Inner != 1 || gp.MaxFootprintBytes > 256<<10 {
-			t.Fatalf("grid %v, heaviest block %d B: want row bands only, all under 256 KiB", gp.Grid, gp.MaxFootprintBytes)
-		}
-	})
-	t.Run("skewed pair priced at PB cuts once", func(t *testing.T) {
-		// The root plan prices PB, the kernel every block runs. At a third of
-		// that price the first cut, 4×1×1, already fits: priced at SPA's
-		// smaller footprint it was cut too narrow and regrown.
-		ra, rb := pbspgemm.NewRMAT(10, 8, 5), pbspgemm.NewRMAT(10, 8, 6)
-		root, err := eng.Plan(context.Background(), ra, rb, pbspgemm.WithAlgorithm(pbspgemm.PB))
-		if err != nil {
-			t.Fatalf("Plan: %v", err)
-		}
-		c, _ := New(Config{Local: eng, Backends: pool, MaxBlockBytes: root.PredictedFootprintBytes / 3, MaxGridDim: 4})
-		cuts := countCuts(c)
-		gp, err := c.partition(context.Background(), ra, rb)
-		if err != nil {
-			t.Fatalf("partition: %v", err)
-		}
-		if *cuts != 1 || gp.MaxFootprintBytes > c.cfg.MaxBlockBytes {
-			t.Fatalf("grid %v after %d cuts, heaviest block %d B of %d: want the first cut to fit",
-				gp.Grid, *cuts, gp.MaxFootprintBytes, c.cfg.MaxBlockBytes)
+		// The band count follows the backends, not the budget: eight bands a
+		// backend, views of A over the whole B.
+		for _, n := range []int{1, 2} {
+			var pools []Backend
+			for range n {
+				pools = append(pools, NewEnginePool("local", eng, 1))
+			}
+			for _, maxBlock := range []int64{256 << 10, 1} {
+				c, _ := New(Config{Local: eng, Backends: pools, MaxBlockBytes: maxBlock})
+				gp, err := c.partition(a, b)
+				if err != nil {
+					t.Fatalf("partition: %v", err)
+				}
+				if want := (pbspgemm.Grid{Rows: n * bandsPerBackend, Cols: 1, Inner: 1}); gp.Grid != want {
+					t.Fatalf("%d backends, MaxBlockBytes %d: grid %v, want %v", n, maxBlock, gp.Grid, want)
+				}
+				for _, blk := range gp.Blocks {
+					if blk.B != b || &blk.A.ColIdx[0] != &a.ColIdx[a.RowPtr[gp.RowOffsets[blk.I]]] {
+						t.Fatalf("%d backends: band %d is not a view of A over the whole B", n, blk.I)
+					}
+				}
+			}
 		}
 	})
-	t.Run("skewed pair regrows once", func(t *testing.T) {
-		// R-MAT columns are as skewed as its rows, so the first of two equal-width
-		// column bands holds far more than half of the product: the cut's own
-		// counts put it over the ceiling and the grid is cut again, wider. The
-		// ceiling is a sixth of the whole at PB's price, the one the
-		// coordinator's root plan names: the 4×2 cut regrows to 4×3.
-		ra, rb := pbspgemm.NewRMAT(10, 8, 5), pbspgemm.NewRMAT(10, 8, 6)
-		root, err := eng.Plan(context.Background(), ra, rb, pbspgemm.WithAlgorithm(pbspgemm.PB))
-		if err != nil {
-			t.Fatalf("Plan: %v", err)
-		}
-		c, _ := New(Config{Local: eng, Backends: pool, MaxBlockBytes: root.PredictedFootprintBytes / 6, MaxGridDim: 4})
-		cuts := countCuts(c)
-		gp, err := c.partition(context.Background(), ra, rb)
-		if err != nil {
-			t.Fatalf("partition: %v", err)
-		}
-		if *cuts != 2 || gp.MaxFootprintBytes > c.cfg.MaxBlockBytes || gp.Grid.Rows != 4 || gp.Grid.Cols < 2 || gp.Grid.Inner != 1 {
-			t.Fatalf("grid %v after %d cuts, heaviest block %d B of %d: want 4 row bands, columns split by one regrow, inner whole",
-				gp.Grid, *cuts, gp.MaxFootprintBytes, c.cfg.MaxBlockBytes)
-		}
-	})
+}
+
+// budgetRecorder is a Backend that notes the budget of every call.
+type budgetRecorder struct {
+	Backend
+	mu      sync.Mutex
+	budgets []int64
+}
+
+func (r *budgetRecorder) Multiply(ctx context.Context, a, b *pbspgemm.CSR, budget int64) (*pbspgemm.CSR, error) {
+	r.mu.Lock()
+	r.budgets = append(r.budgets, budget)
+	r.mu.Unlock()
+	return r.Backend.Multiply(ctx, a, b, budget)
 }
 
 // TestInProcessProductIsOneBudgetedBlock: with no configured Backends the
@@ -153,19 +89,23 @@ func TestInProcessProductIsOneBudgetedBlock(t *testing.T) {
 		if err != nil {
 			t.Fatalf("New: %v", err)
 		}
-		cuts := countCuts(c)
-		gp, err := c.partition(ctx, a, b)
-		if err != nil || *cuts != 0 || gp.Grid != one || len(gp.Blocks) != 1 {
-			t.Fatalf("MaxBlockBytes %d: grid %v of %d blocks after %d cuts (%v), want one uncut block",
-				maxBlock, gp.Grid, len(gp.Blocks), *cuts, err)
+		gp, err := c.partition(a, b)
+		if err != nil || gp.Grid != one || len(gp.Blocks) != 1 || gp.Blocks[0].A != a {
+			t.Fatalf("MaxBlockBytes %d: grid %v of %d blocks (%v), want one uncut block", maxBlock, gp.Grid, len(gp.Blocks), err)
 		}
+		pool := c.backends[0].(*EnginePool)
+		rec := &budgetRecorder{Backend: pool}
+		c.backends[0] = rec
 		res, err := c.Multiply(ctx, a, b)
 		if err != nil || res.Grid != one || res.Blocks != 1 || res.Retries+res.Fallbacks != 0 {
 			t.Fatalf("MaxBlockBytes %d: %+v (%v), want one block on a healthy ladder", maxBlock, res, err)
 		}
 		sameCSR(t, direct.C, res.C)
-		// The pool's own options cut the bins into groups under a budget only.
-		run, err := eng.Multiply(ctx, a, b, c.backends[0].(*EnginePool).opts...)
+		if len(rec.budgets) != 1 || rec.budgets[0] != maxBlock {
+			t.Fatalf("MaxBlockBytes %d: the pool was called with budgets %v", maxBlock, rec.budgets)
+		}
+		// The pool's options cut the bins into groups under a budget only.
+		run, err := eng.Multiply(ctx, a, b, pinned(pool.opts, maxBlock)...)
 		if err != nil || (run.PB.NGroups > 1) != (maxBlock > 0) {
 			t.Fatalf("MaxBlockBytes %d: the pool's options run %d bin groups (%v)", maxBlock, run.PB.NGroups, err)
 		}
@@ -206,10 +146,10 @@ func TestFallbackFromViewsMatchesBackend(t *testing.T) {
 	sameCSR(t, got[1].C, got[0].C)
 }
 
-// TestBudgetedFallbackBitIdentical: a fallback under a FallbackBudgetBytes
-// that cuts the product's bins into groups returns the direct PB product's
-// bytes on real values, on a 1×1 grid and on row bands alike — a budget
-// changes which bins expand together, never a bin's fold.
+// TestBudgetedFallbackBitIdentical: a fallback under a MaxBlockBytes that
+// cuts each band's bins into groups returns the direct PB product's bytes on
+// real values, on one block and on row bands alike — a budget changes which
+// bins expand together, never a bin's fold.
 func TestBudgetedFallbackBitIdentical(t *testing.T) {
 	const budget = 16 << 10
 	ctx := context.Background()
@@ -220,28 +160,37 @@ func TestBudgetedFallbackBitIdentical(t *testing.T) {
 		t.Fatalf("direct multiply: %v", err)
 	}
 	want := checksum(direct.C)
-	local, err := eng.Multiply(ctx, a, b, pbspgemm.WithAlgorithm(pbspgemm.PB), pbspgemm.WithMemoryBudget(budget))
-	if err != nil || local.PB.NGroups < 2 {
-		t.Fatalf("budgeted multiply: %d groups (%v), want ≥ 2", local.PB.NGroups, err)
-	}
 	down := &stubBackend{name: "down", eng: eng, fn: func(int, context.Context) error {
 		return &permanentError{msg: "bad request"}
 	}}
-	for _, maxBlock := range []int64{0, 128 << 10} {
-		c, err := New(Config{Local: eng, Backends: []Backend{down}, MaxBlockBytes: maxBlock,
-			FallbackBudgetBytes: budget, HedgeDelay: -1})
+	for _, backends := range [][]Backend{nil, {down}} {
+		c, err := New(Config{Local: eng, Backends: backends, MaxBlockBytes: budget, HedgeDelay: -1})
 		if err != nil {
 			t.Fatalf("New: %v", err)
+		}
+		if backends == nil {
+			c.backends[0] = down // the in-process pool fails too
 		}
 		res, err := c.Multiply(ctx, a, b)
 		if err != nil {
 			t.Fatalf("Multiply: %v", err)
 		}
-		if res.Fallbacks != int64(res.Blocks) || res.Grid.Inner != 1 {
+		wantRows := 1
+		if backends != nil {
+			wantRows = bandsPerBackend
+		}
+		if res.Fallbacks != int64(res.Blocks) || res.Grid.Rows != wantRows {
 			t.Fatalf("grid %v: %d of %d blocks fell back", res.Grid, res.Fallbacks, res.Blocks)
 		}
 		if got := checksum(res.C); got != want {
 			t.Fatalf("grid %v: budgeted fallback hashes %x, the direct product %x", res.Grid, got, want)
+		}
+		gp, err := c.partition(a, b)
+		if err != nil {
+			t.Fatalf("partition: %v", err)
+		}
+		if run, err := c.localFallback(ctx, &gp.Blocks[0]); err != nil || run.PB.NGroups < 2 {
+			t.Fatalf("grid %v: the fallback runs %d bin groups (%v), want ≥ 2", res.Grid, run.PB.NGroups, err)
 		}
 	}
 }
@@ -273,9 +222,12 @@ func TestConcurrentCoordinatorsLeaveInputsAlone(t *testing.T) {
 	results := make([]*Result, 4)
 	errs := make([]error, len(results))
 	for i := range results {
-		// Two grids: row views only, and row views of column-cut copies.
-		c, err := New(Config{Local: eng, Backends: []Backend{NewEnginePool("local", eng, 1)},
-			MaxBlockBytes: 32 << 10, MaxGridDim: 2 + 14*(i%2)})
+		// Four and eight row bands: one pool, then two.
+		backends := []Backend{NewEnginePool("local", eng, 1)}
+		if i%2 == 1 {
+			backends = append(backends, NewEnginePool("other", eng, 1))
+		}
+		c, err := New(Config{Local: eng, Backends: backends, MaxBlockBytes: 32 << 10})
 		if err != nil {
 			t.Fatalf("New: %v", err)
 		}
@@ -290,9 +242,7 @@ func TestConcurrentCoordinatorsLeaveInputsAlone(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatalf("Multiply %d: %v", i, errs[i])
 		}
-		if res.Grid.Inner == 1 {
-			sameCSR(t, ref.C, res.C)
-		}
+		sameCSR(t, ref.C, res.C)
 	}
 	if checksum(a) != sumA || checksum(b) != sumB {
 		t.Fatal("a sharded product wrote through a block into its inputs")

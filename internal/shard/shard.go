@@ -1,18 +1,18 @@
-// Package shard is the multi-node unit of scale-out for pbspgemm: a block
-// partitioner plus a resilient coordinator that fans C(i,j) =
-// Σ_k A(i,k)·B(k,j) block multiplies out over a set of Backends (in-process
-// Engine pools, remote pbspgemmd peers) and stitches the results.
+// Package shard is the multi-node unit of scale-out for pbspgemm: a row-band
+// partitioner plus a resilient coordinator that fans the block multiplies
+// C(i) = A(i)·B out over a set of Backends (in-process Engine pools, remote
+// pbspgemmd peers) and stitches the results.
 //
-// With no configured Backends a product is one 1×1×1 block in process, and
-// MaxBlockBytes is its PB memory budget: PB's bin groups are the row bands
-// without the copies, so C is direct PB's bytes. Configured Backends get a
-// grid cut once, the way PB-SpGEMM bins C: by row range, so that every block
-// folds alone. One plan of the whole product gives the block count; the blocks
-// go to A's rows first (a row band is a view of A and needs no reduce), then
-// to B's columns, and to the inner dimension — whose partial products need an
-// EWiseAdd reduce that regroups float sums — only when both are at
-// Config.MaxGridDim or their extent. Peers deduplicate uploads by content, so
-// a B left whole travels once per peer whatever the grid.
+// C is cut the way PB-SpGEMM bins it: by row range, so that every block folds
+// alone and no partial products meet again. With no configured Backends a
+// product is one block in process: PB's bin groups are the row bands without
+// the copies. Configured Backends get eight flop-balanced row bands of A per
+// backend (bandsPerBackend) — more bands than backends, so a hedge or a retry
+// moves a small share of the product — and every band multiplies the whole B.
+// MaxBlockBytes is every block's PB memory budget, wherever it runs, and C is
+// direct PB's bytes, float values included. Peers deduplicate uploads by
+// content, so B travels once per peer; a B too big for one peer is that
+// peer's admission control to refuse.
 //
 // Robustness is the headline, not an afterthought. Failures across process
 // boundaries are the common case, so every block walks a failure ladder
@@ -28,7 +28,7 @@
 //     consecutive failures and /healthz probes) that routes around dark
 //     peers without wasting attempts on them;
 //  4. the terminal rung: any block whose retries and hedges are exhausted
-//     is recomputed on the local Engine, under FallbackBudgetBytes when set.
+//     is recomputed on the local Engine, under MaxBlockBytes.
 //
 // The fallback is bit-identical by construction: every backend runs the
 // same deterministic PB kernel (pinned algorithm, bit-identical across
@@ -48,25 +48,19 @@ import (
 // Config sizes a Coordinator. Local is required; zero fields select the
 // documented defaults.
 type Config struct {
-	// Local is the engine used for planning/partitioning and for the
-	// terminal local fallback. Required.
+	// Local is the engine used for partitioning and for the terminal local
+	// fallback. Required.
 	Local *pbspgemm.Engine
 
 	// Backends execute block multiplies. Empty runs every product as one
-	// block on a pool over Local (NewEnginePool), under MaxBlockBytes.
+	// block on a pool over Local (NewEnginePool).
 	Backends []Backend
 
-	// MaxBlockBytes is the product's PB memory budget with no Backends; with
-	// them, the per-block predicted-footprint ceiling (so blocks pass the
-	// target's admission control): the whole product's predicted footprint
-	// plus an eighth, over MaxBlockBytes, is the block count, grown only while
-	// a block's own Plan still predicts more, bounded by MaxGridDim. <= 0
-	// disables both: one unbudgeted 1×1×1 block on the inputs, unplanned.
+	// MaxBlockBytes is the PB memory budget of every block, wherever it runs:
+	// the in-process pool, a peer (as its request's memory_budget_bytes) and
+	// the local fallback. With Backends, a value > 0 also turns the row bands
+	// on. <= 0 runs one unbudgeted block on the inputs.
 	MaxBlockBytes int64
-	// MaxGridDim bounds each dimension of a Backends grid; blocks go to rows,
-	// then columns, then inner, each once the one before is at MaxGridDim or
-	// its extent. Default 16.
-	MaxGridDim int
 
 	// BlockTimeout is the per-block attempt deadline (primary + hedge
 	// together). Default 60s.
@@ -93,18 +87,12 @@ type Config struct {
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
 
-	// FallbackBudgetBytes is the MemoryBudgetBytes of the terminal local
-	// fallback — bin groups bound the working set of a block that may have
-	// been sized for a bigger peer; with no Backends, MaxBlockBytes bounds it
-	// too. 0 runs unbudgeted (bit-identical either way). Default 0.
-	FallbackBudgetBytes int64
-
 	// Seed seeds the coordinator's jitter RNG; 0 selects a fixed default,
 	// keeping chaos runs replayable.
 	Seed uint64
 
 	// Options are per-block engine options applied to local execution and
-	// planning (threads, bins...). The algorithm is always pinned to PB —
+	// partitioning (threads, bins...). The algorithm is always pinned to PB —
 	// column kernels fold duplicates in a different order, and cross-backend
 	// bit-identity requires one fold order everywhere.
 	Options []pbspgemm.Option
@@ -112,7 +100,6 @@ type Config struct {
 
 // Defaults for the Config fields.
 const (
-	DefaultMaxGridDim       = 16
 	DefaultBlockTimeout     = 60 * time.Second
 	DefaultMaxAttempts      = 3
 	DefaultRetryBaseDelay   = 25 * time.Millisecond
@@ -124,9 +111,6 @@ const (
 
 // withDefaults fills zero fields with the documented defaults.
 func (c Config) withDefaults() Config {
-	if c.MaxGridDim == 0 {
-		c.MaxGridDim = DefaultMaxGridDim
-	}
 	if c.BlockTimeout == 0 {
 		c.BlockTimeout = DefaultBlockTimeout
 	}
@@ -155,7 +139,7 @@ func (c Config) withDefaults() Config {
 type Result struct {
 	C    *pbspgemm.CSR
 	Grid pbspgemm.Grid
-	// Blocks is the number of block multiplies the grid induced; Retries,
+	// Blocks is the number of row bands the product ran as; Retries,
 	// Hedges and Fallbacks count this product's walk down the failure
 	// ladder (all zero on a healthy fleet).
 	Blocks    int
@@ -167,34 +151,20 @@ type Result struct {
 	Elapsed time.Duration
 }
 
-// BlockError is the typed terminal error of one block: every rung of the
+// BlockError is the typed terminal error of one row band: every rung of the
 // failure ladder was exhausted, including the local fallback. The product
 // that contained it returned no C at all.
 type BlockError struct {
-	I, J, K  int
+	I        int
 	Attempts int
 	Err      error
 }
 
 func (e *BlockError) Error() string {
-	return fmt.Sprintf("shard: block (%d,%d,%d) failed after %d attempts and local fallback: %v",
-		e.I, e.J, e.K, e.Attempts, e.Err)
+	return fmt.Sprintf("shard: row band %d failed after %d attempts and local fallback: %v", e.I, e.Attempts, e.Err)
 }
 
 func (e *BlockError) Unwrap() error { return e.Err }
-
-// ReduceError is the typed error of a failed C(i,j) reduce — remote work
-// succeeded but the local combine did not; the product returned no C.
-type ReduceError struct {
-	I, J int
-	Err  error
-}
-
-func (e *ReduceError) Error() string {
-	return fmt.Sprintf("shard: reduce of block C(%d,%d) failed: %v", e.I, e.J, e.Err)
-}
-
-func (e *ReduceError) Unwrap() error { return e.Err }
 
 // retryabler is implemented by backend errors that know whether a retry can
 // help (serve.RemoteError does); retryAfterer by ones carrying a

@@ -13,9 +13,7 @@ import (
 )
 
 // intER is an ER matrix with the random float values replaced by small
-// integers: integer products and sums are exact in float64, so a k-split
-// reduce regrouping the additions still lands on the same bytes as the
-// single-node fold — the bit-identity tests below need that.
+// integers, which the failure-ladder tests below multiply.
 func intER(n int32, d int, seed uint64) *pbspgemm.CSR {
 	m := pbspgemm.NewER(n, d, seed)
 	for i := range m.Val {
@@ -70,7 +68,7 @@ type stubBackend struct {
 
 func (s *stubBackend) Name() string { return s.name }
 
-func (s *stubBackend) Multiply(ctx context.Context, a, b *pbspgemm.CSR) (*pbspgemm.CSR, error) {
+func (s *stubBackend) Multiply(ctx context.Context, a, b *pbspgemm.CSR, budget int64) (*pbspgemm.CSR, error) {
 	s.mu.Lock()
 	s.calls++
 	call := s.calls
@@ -81,7 +79,7 @@ func (s *stubBackend) Multiply(ctx context.Context, a, b *pbspgemm.CSR) (*pbspge
 			return nil, err
 		}
 	}
-	res, err := s.eng.Multiply(ctx, a, b, pbspgemm.WithAlgorithm(pbspgemm.PB))
+	res, err := s.eng.Multiply(ctx, a, b, pinned(nil, budget)...)
 	if err != nil {
 		return nil, err
 	}
@@ -102,9 +100,10 @@ type permanentError struct{ msg string }
 func (e *permanentError) Error() string   { return e.msg }
 func (e *permanentError) Retryable() bool { return false }
 
-// TestShardedBitIdenticalAcrossGrids: integer-valued products are the direct
-// PB product's bytes on every grid, and real-valued ones whenever the inner
-// dimension is whole — only the k-reduce of an inner split regroups float sums.
+// TestShardedBitIdenticalAcrossGrids: every configured-backend product is row
+// bands over a whole B and the direct PB product's bytes, real values
+// included — among them the shapes that once split the inner dimension
+// (MaxBlockBytes 1, a one-column B) and, across several backends, B's columns.
 func TestShardedBitIdenticalAcrossGrids(t *testing.T) {
 	eng := newEngine(t)
 	direct := func(a, b *pbspgemm.CSR) *pbspgemm.CSR {
@@ -116,73 +115,46 @@ func TestShardedBitIdenticalAcrossGrids(t *testing.T) {
 	}
 	a, b := intER(200, 6, 1), intER(200, 6, 2)
 	ra, rb := pbspgemm.NewER(200, 6, 1), pbspgemm.NewER(200, 6, 2)
-	ref, realRef := direct(a, b), direct(ra, rb)
+	col := &pbspgemm.CSR{NumRows: 200, NumCols: 1, RowPtr: make([]int64, 201), ColIdx: make([]int32, 200), Val: rb.Val[:200]}
+	for r := range col.NumRows {
+		col.RowPtr[r+1] = int64(r + 1)
+	}
 
 	for _, tc := range []struct {
 		name          string
 		maxBlockBytes int64
-		maxGridDim    int
-		inner         int
+		backends      int
+		a, b          *pbspgemm.CSR
 	}{
-		{"1x1x1 fast path", 0, 0, 1},
-		{"split grid small blocks", 1, 2, 2},
-		{"split grid medium blocks", 64 << 10, 4, 1},
-		{"row bands", 16 << 10, 0, 1},
-		{"rows and columns", 16 << 10, 4, 1},
+		{"1x1x1 fast path", 0, 1, ra, rb},
+		{"split grid small blocks", 1, 1, ra, rb},
+		{"split grid medium blocks", 64 << 10, 2, ra, rb},
+		{"row bands", 16 << 10, 1, ra, rb},
+		{"rows and columns", 16 << 10, 3, ra, rb},
+		{"integer values", 16 << 10, 2, a, b},
+		{"one-column B", 1, 2, ra, col},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			c, err := New(Config{
-				Local:         eng,
-				Backends:      []Backend{NewEnginePool("local", eng, 1)},
-				MaxBlockBytes: tc.maxBlockBytes,
-				MaxGridDim:    tc.maxGridDim,
-				HedgeDelay:    -1,
-			})
+			var pools []Backend
+			for range tc.backends {
+				pools = append(pools, NewEnginePool("local", eng, 1))
+			}
+			c, err := New(Config{Local: eng, Backends: pools, MaxBlockBytes: tc.maxBlockBytes, HedgeDelay: -1})
 			if err != nil {
 				t.Fatalf("New: %v", err)
 			}
-			res, err := c.Multiply(context.Background(), a, b)
+			res, err := c.Multiply(context.Background(), tc.a, tc.b)
 			if err != nil {
 				t.Fatalf("sharded multiply: %v", err)
 			}
 			if tc.maxBlockBytes > 0 && res.Grid.Blocks() == 1 {
 				t.Fatalf("grid did not split: %v", res.Grid)
 			}
-			if res.Grid.Inner != tc.inner {
-				t.Fatalf("grid %v, want inner %d", res.Grid, tc.inner)
+			if res.Grid.Cols != 1 || res.Grid.Inner != 1 {
+				t.Fatalf("grid %v, want row bands only", res.Grid)
 			}
-			sameCSR(t, ref, res.C)
-			if res, err = c.Multiply(context.Background(), ra, rb); err != nil {
-				t.Fatalf("sharded multiply, real values: %v", err)
-			}
-			if res.Grid.Inner == 1 {
-				sameCSR(t, realRef, res.C)
-			}
+			sameCSR(t, direct(tc.a, tc.b), res.C)
 		})
-	}
-}
-
-func TestPartitionRespectsMaxBlockBytes(t *testing.T) {
-	eng := newEngine(t)
-	c, err := New(Config{Local: eng, Backends: []Backend{NewEnginePool("local", eng, 1)}, MaxBlockBytes: 32 << 10, MaxGridDim: 8})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	a := intER(512, 8, 3)
-	b := intER(512, 8, 4)
-	gp, err := c.partition(context.Background(), a, b)
-	if err != nil {
-		t.Fatalf("partition: %v", err)
-	}
-	if gp.Grid.Blocks() == 1 {
-		t.Fatalf("expected a split grid, got %v", gp.Grid)
-	}
-	if gp.MaxFootprintBytes > 32<<10 {
-		// The grid may cap out at MaxGridDim without fitting; only fail when
-		// growth stopped early.
-		if gp.Grid.Rows < 8 && gp.Grid.Cols < 8 && gp.Grid.Inner < 8 {
-			t.Fatalf("grid %v stopped growing at footprint %d > budget", gp.Grid, gp.MaxFootprintBytes)
-		}
 	}
 }
 
@@ -472,7 +444,6 @@ func TestNoGoroutineLeaks(t *testing.T) {
 		Local:          eng,
 		Backends:       []Backend{flaky, NewEnginePool("pool", eng, 2)},
 		MaxBlockBytes:  8 << 10,
-		MaxGridDim:     2,
 		HedgeDelay:     5 * time.Millisecond,
 		RetryBaseDelay: time.Millisecond,
 		RetryMaxDelay:  2 * time.Millisecond,

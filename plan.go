@@ -142,11 +142,11 @@ func maskedRowsPlan(cfg *config, a, b *CSR) *Plan {
 	return p
 }
 
-// Grid is a 2D block partition geometry for sharded products: A's rows are
-// split into Rows bands, B's columns into Cols bands, and the shared inner
-// dimension into Inner bands, so C(i,j) = Σ_k A(i,k)·B(k,j) decomposes into
-// Rows×Cols×Inner independent block multiplies plus a per-(i,j) EWiseAdd
-// reduce over k.
+// Grid is the block geometry of a sharded product: A's rows are split into
+// Rows bands, and C(i) = A(i)·B is one block multiply per band. Cols and
+// Inner, the column and inner-dimension splits of B, are always 1: PB-SpGEMM
+// partitions C by row ranges so that every bin folds alone, and so does the
+// shard coordinator.
 type Grid struct {
 	Rows, Cols, Inner int
 }
@@ -158,41 +158,31 @@ func (g Grid) String() string {
 	return fmt.Sprintf("%dx%dx%d", g.Rows, g.Cols, g.Inner)
 }
 
-// BlockPlan is one block multiply A(i,k)·B(k,j) of a GridPlan. Plan comes from
-// the cut's counts, not from a pass over the block: Flops is exact, EstNNZC is
+// BlockPlan is one block multiply A(i)·B of a GridPlan. Plan comes from the
+// cut's counts, not from a pass over the block: Flops is exact, EstNNZC is
 // the whole product's estimate apportioned by flop share (capped by Flops and
 // the block's cells), the kernel is pinned to PB, which every shard backend
 // runs. Its PredictedFootprintBytes is approximately what a target node's
 // admission control will see for this block.
 type BlockPlan struct {
-	I, J, K int
-	// A, B alias GridPlan.A[I][K] and GridPlan.B[K][J].
+	// I is the row band; A is rows [RowOffsets[I],RowOffsets[I+1]) of the
+	// whole A, a view; B is the whole B.
+	I    int
 	A, B *CSR
 	Plan *Plan
 }
 
-// GridPlan is the result of Engine.PlanBlocksFrom: the input blocks, the
-// boundary offsets that place each block back into the full product, and a
-// per-block Plan. Blocks are read-only and alias the inputs: a row band is a
-// view (ColIdx and Val are sub-slices of the matrix it was cut from), only a
-// column split copies, and a dimension left whole hands over the input itself.
+// GridPlan is the result of Engine.PlanBlocksFrom: one BlockPlan per row band
+// of A, in row order, and the offsets that place each band's product back
+// into C. Blocks are read-only and alias the inputs: a row band is a view
+// (ColIdx and Val are sub-slices of A), and B is handed over itself.
 type GridPlan struct {
 	Grid Grid
-	// RowOffsets (len Rows+1), ColOffsets (len Cols+1) and InnerOffsets
-	// (len Inner+1) are the split boundaries over A's rows, B's columns and
-	// the inner dimension: row bands of near-equal flops, the others of
-	// near-equal width.
-	RowOffsets, ColOffsets, InnerOffsets []int32
-	// A[i][k] is rows [RowOffsets[i],RowOffsets[i+1]) × inner band k of A;
-	// B[k][j] is inner band k × cols [ColOffsets[j],ColOffsets[j+1]) of B.
-	A [][]*CSR
-	B [][]*CSR
-	// Blocks holds one entry per (i,j,k), k fastest then j then i — so a
-	// sequential scan meets each C(i,j)'s partial products in ascending k,
-	// the reduce order that matches the single-node fold.
-	Blocks []BlockPlan
-	// MaxFootprintBytes is the largest per-block PredictedFootprintBytes —
-	// the number a partitioner compares against the target admission ceiling.
+	// RowOffsets (len Rows+1) are the band boundaries over A's rows, of
+	// near-equal flops.
+	RowOffsets []int32
+	Blocks     []BlockPlan
+	// MaxFootprintBytes is the largest per-block PredictedFootprintBytes.
 	MaxFootprintBytes int64
 }
 
@@ -205,16 +195,13 @@ func (e *Engine) PlanBlocks(ctx context.Context, a, b *CSR, g Grid, opts ...Opti
 	return e.PlanBlocksFrom(root, a, b, g, opts...)
 }
 
-// PlanBlocksFrom partitions C = A·B on grid g and plans every block multiply
-// without running or passing over any of them: root, the caller's Engine.Plan
-// of this product under the same options, supplies the nnz(C) estimate; each
-// matrix is cut once (column bands in one forward pass, row bands as views of
-// those) and each block's Plan follows from the cut's counts — see BlockPlan.
-// Grid dimensions are clamped to the matrix extents and a row too heavy to
-// balance merges bands, so gp.Grid may be smaller than g and no band is
-// empty. Coordinators size a grid by gp.MaxFootprintBytes so that every block
-// passes admission control wherever it runs, and cut again from the same root
-// when it does not.
+// PlanBlocksFrom cuts A into g.Rows row bands of near-equal flops and plans
+// every block multiply without running or passing over any of them: root,
+// the caller's Plan of this product under the same options, supplies the flop
+// count and the nnz(C) estimate, and each block's Plan follows from the cut's
+// counts — see BlockPlan. The row count is clamped to A's and a row too heavy
+// to balance merges bands, so gp.Grid may be smaller than g and no band is
+// empty. A grid with Cols or Inner other than 1 is an *OptionError.
 func (e *Engine) PlanBlocksFrom(root *Plan, a, b *CSR, g Grid, opts ...Option) (*GridPlan, error) {
 	cfg, err := resolve(e.defaults, opts)
 	if err != nil {
@@ -223,32 +210,22 @@ func (e *Engine) PlanBlocksFrom(root *Plan, a, b *CSR, g Grid, opts ...Option) (
 	if a.NumCols != b.NumRows {
 		return nil, shapeError(a, b)
 	}
-	if g.Rows < 1 || g.Cols < 1 || g.Inner < 1 {
+	if g.Rows < 1 || g.Cols != 1 || g.Inner != 1 {
 		return nil, &OptionError{Option: "PlanBlocks(Grid)", Value: int64(g.Rows * g.Cols * g.Inner)}
 	}
-	gp := &GridPlan{
-		RowOffsets:   rowBands(a, b, root.Flops, g.Rows),
-		ColOffsets:   matrix.SplitPoints(b.NumCols, g.Cols),
-		InnerOffsets: matrix.SplitPoints(a.NumCols, g.Inner),
-	}
-	gp.Grid = Grid{Rows: len(gp.RowOffsets) - 1, Cols: len(gp.ColOffsets) - 1, Inner: len(gp.InnerOffsets) - 1}
-	gp.A = cutGrid(matrix.ColBands(a, gp.InnerOffsets), gp.RowOffsets)
-	gp.B = cutGrid(matrix.ColBands(b, gp.ColOffsets), gp.InnerOffsets)
-	gp.Blocks = make([]BlockPlan, 0, gp.Grid.Blocks())
-	for i := 0; i < gp.Grid.Rows; i++ {
-		for j := 0; j < gp.Grid.Cols; j++ {
-			for k := 0; k < gp.Grid.Inner; k++ {
-				ba, bb := gp.A[i][k], gp.B[k][j]
-				p := &Plan{NNZA: ba.NNZ(), NNZB: bb.NNZ(), Flops: matrix.FlopsCSR(ba, bb), Sampled: root.Sampled}
-				if p.Flops > 0 {
-					share := float64(root.EstNNZC) * float64(p.Flops) / float64(root.Flops)
-					p.EstNNZC = min(int64(math.Ceil(share)), p.Flops, int64(ba.NumRows)*int64(bb.NumCols))
-				}
-				p.model(&cfg, ba.NumRows, bb.NumCols, PB, 8)
-				gp.MaxFootprintBytes = max(gp.MaxFootprintBytes, p.PredictedFootprintBytes)
-				gp.Blocks = append(gp.Blocks, BlockPlan{I: i, J: j, K: k, A: ba, B: bb, Plan: p})
-			}
+	gp := &GridPlan{RowOffsets: rowBands(a, b, root.Flops, g.Rows)}
+	gp.Grid = Grid{Rows: len(gp.RowOffsets) - 1, Cols: 1, Inner: 1}
+	gp.Blocks = make([]BlockPlan, gp.Grid.Rows)
+	for i := range gp.Blocks {
+		ba := matrix.RowBand(a, gp.RowOffsets[i], gp.RowOffsets[i+1])
+		p := &Plan{NNZA: ba.NNZ(), NNZB: b.NNZ(), Flops: matrix.FlopsCSR(ba, b), Sampled: root.Sampled}
+		if p.Flops > 0 {
+			share := float64(root.EstNNZC) * float64(p.Flops) / float64(root.Flops)
+			p.EstNNZC = min(int64(math.Ceil(share)), p.Flops, int64(ba.NumRows)*int64(b.NumCols))
 		}
+		p.model(&cfg, ba.NumRows, b.NumCols, PB, 8)
+		gp.MaxFootprintBytes = max(gp.MaxFootprintBytes, p.PredictedFootprintBytes)
+		gp.Blocks[i] = BlockPlan{I: i, A: ba, B: b, Plan: p}
 	}
 	return gp, nil
 }
@@ -269,19 +246,6 @@ func rowBands(a, b *CSR, flops int64, parts int) []int32 {
 		}
 	}
 	return off
-}
-
-// cutGrid returns the row bands off of every column band, as views indexed
-// [row band][column band].
-func cutGrid(colBands []*CSR, off []int32) [][]*CSR {
-	out := make([][]*CSR, len(off)-1)
-	for r := range out {
-		out[r] = make([]*CSR, len(colBands))
-		for c, band := range colBands {
-			out[r][c] = matrix.RowBand(band, off[r], off[r+1])
-		}
-	}
-	return out
 }
 
 // Plan runs the planner's pre-execution analysis — symbolic flop pass,

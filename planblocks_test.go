@@ -2,20 +2,22 @@ package pbspgemm
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"pbspgemm/internal/matrix"
 )
 
 // TestPlanBlocksCutsViewsAndCountsExactly pins what makes one cut cheap and
-// its plans trustworthy: A's row bands share A's entry arrays, a column split
-// copies, every block's Flops is the symbolic count of that block and the
-// blocks add up to the whole product's.
+// its plans trustworthy: A's row bands share A's entry arrays, B is handed
+// over whole, every block's Flops is the symbolic count of that block and the
+// blocks add up to the whole product's. A grid that cuts B's columns or the
+// inner dimension is an OptionError.
 func TestPlanBlocksCutsViewsAndCountsExactly(t *testing.T) {
 	eng := plannerEngine(t)
 	a, b := NewRMAT(10, 8, 1), NewRMAT(10, 8, 2)
 	want := Flops(a, b)
-	for _, g := range []Grid{{1, 1, 1}, {5, 1, 1}, {3, 4, 1}, {2, 3, 4}, {1, 1, 7}} {
+	for _, g := range []Grid{{1, 1, 1}, {5, 1, 1}} {
 		gp, err := eng.PlanBlocks(context.Background(), a, b, g)
 		if err != nil {
 			t.Fatalf("PlanBlocks(%v): %v", g, err)
@@ -23,36 +25,34 @@ func TestPlanBlocksCutsViewsAndCountsExactly(t *testing.T) {
 		if gp.Grid != g || len(gp.Blocks) != g.Blocks() {
 			t.Fatalf("PlanBlocks(%v) cut %v into %d blocks", g, gp.Grid, len(gp.Blocks))
 		}
-		for i, band := range gp.A {
-			if lo := a.RowPtr[gp.RowOffsets[i]]; g.Inner == 1 && band[0].NNZ() > 0 && &band[0].ColIdx[0] != &a.ColIdx[lo] {
-				t.Fatalf("grid %v: row band %d of A is a copy, want a view", g, i)
-			}
-		}
-		if g.Cols == 1 && g.Inner == 1 && gp.B[0][0] != b {
-			t.Fatalf("grid %v: B is left whole but was not handed over as it is", g)
-		}
 		var sum, maxFoot int64
-		for _, blk := range gp.Blocks {
-			if blk.A != gp.A[blk.I][blk.K] || blk.B != gp.B[blk.K][blk.J] {
-				t.Fatalf("grid %v: block (%d,%d,%d) does not hold its bands", g, blk.I, blk.J, blk.K)
+		for i, blk := range gp.Blocks {
+			if lo := a.RowPtr[gp.RowOffsets[i]]; blk.I != i || blk.A.NNZ() > 0 && &blk.A.ColIdx[0] != &a.ColIdx[lo] {
+				t.Fatalf("grid %v: row band %d of A is block %d or a copy, want a view", g, i, blk.I)
+			}
+			if blk.B != b {
+				t.Fatalf("grid %v: B was not handed over as it is", g)
 			}
 			if err := blk.A.Validate(); err != nil {
-				t.Fatalf("grid %v: A(%d,%d): %v", g, blk.I, blk.K, err)
-			}
-			if err := blk.B.Validate(); err != nil {
-				t.Fatalf("grid %v: B(%d,%d): %v", g, blk.K, blk.J, err)
+				t.Fatalf("grid %v: A(%d): %v", g, i, err)
 			}
 			p := blk.Plan
 			if exact := Flops(blk.A, blk.B); p.Flops != exact {
-				t.Fatalf("grid %v: block (%d,%d,%d) plans %d flops, has %d", g, blk.I, blk.J, blk.K, p.Flops, exact)
+				t.Fatalf("grid %v: block %d plans %d flops, has %d", g, i, p.Flops, exact)
 			}
 			if p.Chosen != PB || p.EstNNZC > p.Flops || p.EstNNZC > int64(blk.A.NumRows)*int64(blk.B.NumCols) || (p.Flops > 0) != (p.EstNNZC > 0) {
-				t.Fatalf("grid %v: block (%d,%d,%d) plan %+v", g, blk.I, blk.J, blk.K, p)
+				t.Fatalf("grid %v: block %d plan %+v", g, i, p)
 			}
 			sum, maxFoot = sum+p.Flops, max(maxFoot, p.PredictedFootprintBytes)
 		}
 		if sum != want || maxFoot != gp.MaxFootprintBytes {
 			t.Fatalf("grid %v: blocks hold %d flops of %d, heaviest %d B (reported %d)", g, sum, want, maxFoot, gp.MaxFootprintBytes)
+		}
+	}
+	for _, g := range []Grid{{0, 1, 1}, {3, 4, 1}, {2, 3, 4}, {1, 1, 7}} {
+		var oe *OptionError
+		if _, err := eng.PlanBlocks(context.Background(), a, b, g); !errors.As(err, &oe) {
+			t.Fatalf("PlanBlocks(%v): %v, want an *OptionError", g, err)
 		}
 	}
 }
