@@ -57,9 +57,10 @@ func runShardBench(cfg *config, report *benchReport) {
 		fmt.Fprintf(os.Stderr, "bench shard: %v\n", err)
 		os.Exit(1)
 	}
-	// An explicit pool (with none, a product is one budgeted PB call): eight row
-	// bands, each a PB call under a 1 MiB budget; cut, dispatch and stitch are timed.
-	grid, err := shard.New(shard.Config{Local: eng, Backends: []shard.Backend{shard.NewEnginePool("local", eng, 1)}, MaxBlockBytes: 1 << 20})
+	// Two explicit pools (with none, a product is one budgeted PB call): one row
+	// band each, a PB call under a 1 MiB budget; cut, dispatch and stitch are timed.
+	pools := []shard.Backend{shard.NewEnginePool("local", eng, 1), shard.NewEnginePool("other", eng, 1)}
+	grid, err := shard.New(shard.Config{Local: eng, Backends: pools, MaxBlockBytes: 1 << 20})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "bench shard: %v\n", err)
 		os.Exit(1)

@@ -56,8 +56,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, ready fun
 		queueWait = fs.Duration("queue-wait", serve.DefaultMaxQueueWait, "max time one request waits for admission")
 		timeout   = fs.Duration("request-timeout", serve.DefaultRequestTimeout, "per-request deadline, propagated to kernel cancellation polls")
 		degraded  = fs.String("degraded-budget", "0", "memory budget for the degraded retry when a full run is shed on footprint (0 disables)")
-		peers     = fs.String("peers", "", "comma-separated base URLs of peer pbspgemmd nodes; non-empty fans shardable products out as row bands of A over the peers and a local pool")
-		shardBlk  = fs.String("shard-block", "0", "PB memory budget of every block of the sharded path, sent to peers as memory_budget_bytes; > 0 cuts eight row bands per backend (0 = one unbudgeted block per product)")
+		peers     = fs.String("peers", "", "comma-separated base URLs of peer pbspgemmd nodes; non-empty fans shardable products out as one row band of A per peer and one for a local pool")
+		shardBlk  = fs.String("shard-block", "0", "PB memory budget of every block of the sharded path, sent to peers as memory_budget_bytes (0 = unbudgeted)")
 		shardWkrs = fs.Int("shard-workers", 1, "max sharded blocks running on the local engine at once")
 	)
 	if err := fs.Parse(args); err != nil {

@@ -68,15 +68,15 @@ type Config struct {
 	// Peers lists base URLs of other pbspgemmd nodes (e.g.
 	// "http://host:8080"). Non-empty enables the sharded execution path:
 	// unmasked arithmetic products with the auto or pb algorithm and no
-	// per-request overrides are cut into row bands of A and fanned out over
-	// the peers (plus a local worker pool), with the shard coordinator's
+	// per-request overrides are cut into one row band of A per peer (plus one
+	// for a local worker pool) and fanned out, with the shard coordinator's
 	// full failure ladder behind them. Empty (the default) serves every
 	// product on the local Engine.
 	Peers []string
 	// ShardBlockBytes is the PB memory budget of every block of the sharded
 	// path (shard.Config.MaxBlockBytes), wherever the block runs: a peer gets
-	// it as its request's memory_budget_bytes. > 0 cuts eight row bands per
-	// backend; <= 0 runs sharded products as one unbudgeted block. Default 0.
+	// it as its request's memory_budget_bytes. <= 0 runs every block
+	// unbudgeted. Default 0.
 	ShardBlockBytes int64
 	// ShardLocalWorkers bounds how many sharded blocks may run on the local
 	// engine concurrently. Default 1.

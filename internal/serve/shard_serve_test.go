@@ -294,7 +294,8 @@ func TestPeerClientForgetsCutBlocks(t *testing.T) {
 	defer hs.Close()
 	pc := NewPeerClient(hs.URL, nil)
 	eng, _ := pbspgemm.NewEngine()
-	coord, err := shard.New(shard.Config{Local: eng, Backends: []shard.Backend{pc}, MaxBlockBytes: 16 << 10, HedgeDelay: -1})
+	// Two backends on one client: two row bands, both on the peer.
+	coord, err := shard.New(shard.Config{Local: eng, Backends: []shard.Backend{pc, pc}, MaxBlockBytes: 16 << 10, HedgeDelay: -1})
 	if err != nil {
 		t.Fatalf("shard.New: %v", err)
 	}

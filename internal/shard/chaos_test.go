@@ -165,7 +165,7 @@ func TestChaosInProcessFallbackKeepsBound(t *testing.T) {
 			t.Fatalf("MaxBlockBytes %d: %+v (%v), want one block that fell back", maxBlock, res, err)
 		}
 		sameCSR(t, direct.C, res.C)
-		gp, err := c.partition(a, b)
+		gp, err := partitionOf(c, a, b)
 		if err != nil {
 			t.Fatal(err)
 		}

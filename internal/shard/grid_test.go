@@ -11,39 +11,45 @@ import (
 	"pbspgemm"
 )
 
-// TestPartitionCutsOnce: partition hands the inputs over whole when splitting
-// is off, and otherwise cuts A once, into bandsPerBackend views per backend
+// partitionOf is partition on a root carrying a·b's flop count, as Multiply
+// hands it over.
+func partitionOf(c *Coordinator, a, b *pbspgemm.CSR) (*pbspgemm.GridPlan, error) {
+	return c.partition(&pbspgemm.Plan{Flops: pbspgemm.Flops(a, b)}, a, b)
+}
+
+// TestPartitionCutsOnce: partition hands the inputs over whole with no
+// configured backends, and otherwise cuts A once, into one view per backend
 // over the whole B, whatever the budget.
 func TestPartitionCutsOnce(t *testing.T) {
 	eng := newEngine(t)
 	a, b := pbspgemm.NewER(2048, 8, 3), pbspgemm.NewER(2048, 8, 4)
 	t.Run("splitting off aliases the inputs", func(t *testing.T) {
-		for _, backends := range [][]Backend{nil, {NewEnginePool("local", eng, 1)}} {
-			c, _ := New(Config{Local: eng, Backends: backends, MaxBlockBytes: -1})
-			gp, err := c.partition(a, b)
+		for _, maxBlock := range []int64{256 << 10, 0, -1} {
+			c, _ := New(Config{Local: eng, MaxBlockBytes: maxBlock})
+			gp, err := partitionOf(c, a, b)
 			if err != nil {
 				t.Fatalf("partition: %v", err)
 			}
 			if gp.Grid.Blocks() != 1 || gp.Blocks[0].A != a || gp.Blocks[0].B != b {
-				t.Fatalf("%d backends: grid %v, want the inputs themselves as one block", len(backends), gp.Grid)
+				t.Fatalf("MaxBlockBytes %d: grid %v, want the inputs themselves as one block", maxBlock, gp.Grid)
 			}
 		}
 	})
 	t.Run("uniform pair", func(t *testing.T) {
-		// The band count follows the backends, not the budget: eight bands a
-		// backend, views of A over the whole B.
-		for _, n := range []int{1, 2} {
+		// The band count follows the backends, not the budget: one band a
+		// backend, views of A over the whole B; one backend takes A whole.
+		for _, n := range []int{1, 2, 3} {
 			var pools []Backend
 			for range n {
 				pools = append(pools, NewEnginePool("local", eng, 1))
 			}
-			for _, maxBlock := range []int64{256 << 10, 1} {
+			for _, maxBlock := range []int64{256 << 10, 1, 0, -1} {
 				c, _ := New(Config{Local: eng, Backends: pools, MaxBlockBytes: maxBlock})
-				gp, err := c.partition(a, b)
+				gp, err := partitionOf(c, a, b)
 				if err != nil {
 					t.Fatalf("partition: %v", err)
 				}
-				if want := (pbspgemm.Grid{Rows: n * bandsPerBackend, Cols: 1, Inner: 1}); gp.Grid != want {
+				if want := (pbspgemm.Grid{Rows: n, Cols: 1, Inner: 1}); gp.Grid != want {
 					t.Fatalf("%d backends, MaxBlockBytes %d: grid %v, want %v", n, maxBlock, gp.Grid, want)
 				}
 				for _, blk := range gp.Blocks {
@@ -72,8 +78,8 @@ func (r *budgetRecorder) Multiply(ctx context.Context, a, b *pbspgemm.CSR, budge
 
 // TestInProcessProductIsOneBudgetedBlock: with no configured Backends the
 // product is one uncut block that the in-process pool runs under a PB memory
-// budget of MaxBlockBytes, bit-identical to direct PB and to the row bands an
-// explicit pool runs. MaxBlockBytes 0 and -1 run unbudgeted: a negative
+// budget of MaxBlockBytes, bit-identical to direct PB and to the row bands two
+// explicit pools run. MaxBlockBytes 0 and -1 run unbudgeted: a negative
 // value never reaches WithMemoryBudget, where it is an OptionError.
 func TestInProcessProductIsOneBudgetedBlock(t *testing.T) {
 	ctx := context.Background()
@@ -89,7 +95,7 @@ func TestInProcessProductIsOneBudgetedBlock(t *testing.T) {
 		if err != nil {
 			t.Fatalf("New: %v", err)
 		}
-		gp, err := c.partition(a, b)
+		gp, err := partitionOf(c, a, b)
 		if err != nil || gp.Grid != one || len(gp.Blocks) != 1 || gp.Blocks[0].A != a {
 			t.Fatalf("MaxBlockBytes %d: grid %v of %d blocks (%v), want one uncut block", maxBlock, gp.Grid, len(gp.Blocks), err)
 		}
@@ -110,13 +116,14 @@ func TestInProcessProductIsOneBudgetedBlock(t *testing.T) {
 			t.Fatalf("MaxBlockBytes %d: the pool's options run %d bin groups (%v)", maxBlock, run.PB.NGroups, err)
 		}
 	}
-	c, err := New(Config{Local: eng, Backends: []Backend{NewEnginePool("local", eng, 1)}, MaxBlockBytes: 128 << 10, HedgeDelay: -1})
+	c, err := New(Config{Local: eng, Backends: []Backend{NewEnginePool("local", eng, 1), NewEnginePool("other", eng, 1)},
+		MaxBlockBytes: 128 << 10, HedgeDelay: -1})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
 	res, err := c.Multiply(ctx, a, b)
 	if err != nil || res.Grid.Rows < 2 || res.Grid.Cols != 1 || res.Grid.Inner != 1 {
-		t.Fatalf("explicit pool: grid %v (%v), want row bands only", res.Grid, err)
+		t.Fatalf("explicit pools: grid %v (%v), want row bands only", res.Grid, err)
 	}
 	sameCSR(t, direct.C, res.C)
 }
@@ -131,7 +138,7 @@ func TestFallbackFromViewsMatchesBackend(t *testing.T) {
 		return &permanentError{msg: "bad request"}
 	}}
 	var got [2]*Result
-	for i, backends := range [][]Backend{{down}, nil} {
+	for i, backends := range [][]Backend{{down, down}, nil} {
 		c, err := New(Config{Local: eng, Backends: backends, MaxBlockBytes: 128 << 10, HedgeDelay: -1})
 		if err != nil {
 			t.Fatalf("New: %v", err)
@@ -163,7 +170,7 @@ func TestBudgetedFallbackBitIdentical(t *testing.T) {
 	down := &stubBackend{name: "down", eng: eng, fn: func(int, context.Context) error {
 		return &permanentError{msg: "bad request"}
 	}}
-	for _, backends := range [][]Backend{nil, {down}} {
+	for _, backends := range [][]Backend{nil, {down, down}} {
 		c, err := New(Config{Local: eng, Backends: backends, MaxBlockBytes: budget, HedgeDelay: -1})
 		if err != nil {
 			t.Fatalf("New: %v", err)
@@ -175,17 +182,13 @@ func TestBudgetedFallbackBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Multiply: %v", err)
 		}
-		wantRows := 1
-		if backends != nil {
-			wantRows = bandsPerBackend
-		}
-		if res.Fallbacks != int64(res.Blocks) || res.Grid.Rows != wantRows {
+		if res.Fallbacks != int64(res.Blocks) || res.Grid.Rows != max(len(backends), 1) {
 			t.Fatalf("grid %v: %d of %d blocks fell back", res.Grid, res.Fallbacks, res.Blocks)
 		}
 		if got := checksum(res.C); got != want {
 			t.Fatalf("grid %v: budgeted fallback hashes %x, the direct product %x", res.Grid, got, want)
 		}
-		gp, err := c.partition(a, b)
+		gp, err := partitionOf(c, a, b)
 		if err != nil {
 			t.Fatalf("partition: %v", err)
 		}
@@ -222,10 +225,10 @@ func TestConcurrentCoordinatorsLeaveInputsAlone(t *testing.T) {
 	results := make([]*Result, 4)
 	errs := make([]error, len(results))
 	for i := range results {
-		// Four and eight row bands: one pool, then two.
-		backends := []Backend{NewEnginePool("local", eng, 1)}
+		// Two and three row bands: two pools, then three.
+		backends := []Backend{NewEnginePool("local", eng, 1), NewEnginePool("other", eng, 1)}
 		if i%2 == 1 {
-			backends = append(backends, NewEnginePool("other", eng, 1))
+			backends = append(backends, NewEnginePool("third", eng, 1))
 		}
 		c, err := New(Config{Local: eng, Backends: backends, MaxBlockBytes: 32 << 10})
 		if err != nil {

@@ -6,13 +6,11 @@
 // C is cut the way PB-SpGEMM bins it: by row range, so that every block folds
 // alone and no partial products meet again. With no configured Backends a
 // product is one block in process: PB's bin groups are the row bands without
-// the copies. Configured Backends get eight flop-balanced row bands of A per
-// backend (bandsPerBackend) — more bands than backends, so a hedge or a retry
-// moves a small share of the product — and every band multiplies the whole B.
-// MaxBlockBytes is every block's PB memory budget, wherever it runs, and C is
-// direct PB's bytes, float values included. Peers deduplicate uploads by
-// content, so B travels once per peer; a B too big for one peer is that
-// peer's admission control to refuse.
+// the copies. Configured Backends get one flop-balanced row band of A each,
+// and every band multiplies the whole B. MaxBlockBytes is every block's PB
+// memory budget, wherever it runs, and C is direct PB's bytes, float values
+// included. Peers deduplicate uploads by content, so B travels once per peer;
+// a B too big for one peer is that peer's admission control to refuse.
 //
 // Robustness is the headline, not an afterthought. Failures across process
 // boundaries are the common case, so every block walks a failure ladder
@@ -52,14 +50,13 @@ type Config struct {
 	// fallback. Required.
 	Local *pbspgemm.Engine
 
-	// Backends execute block multiplies. Empty runs every product as one
-	// block on a pool over Local (NewEnginePool).
+	// Backends execute block multiplies, one row band of A each. Empty runs
+	// every product as one block on a pool over Local (NewEnginePool).
 	Backends []Backend
 
 	// MaxBlockBytes is the PB memory budget of every block, wherever it runs:
 	// the in-process pool, a peer (as its request's memory_budget_bytes) and
-	// the local fallback. With Backends, a value > 0 also turns the row bands
-	// on. <= 0 runs one unbudgeted block on the inputs.
+	// the local fallback. <= 0 runs unbudgeted.
 	MaxBlockBytes int64
 
 	// BlockTimeout is the per-block attempt deadline (primary + hedge

@@ -100,10 +100,11 @@ type permanentError struct{ msg string }
 func (e *permanentError) Error() string   { return e.msg }
 func (e *permanentError) Retryable() bool { return false }
 
-// TestShardedBitIdenticalAcrossGrids: every configured-backend product is row
-// bands over a whole B and the direct PB product's bytes, real values
-// included — among them the shapes that once split the inner dimension
-// (MaxBlockBytes 1, a one-column B) and, across several backends, B's columns.
+// TestShardedBitIdenticalAcrossGrids: every configured-backend product is one
+// row band a backend over a whole B, budgeted or not, and the direct PB
+// product's bytes, real values included — among them the shapes that once
+// split the inner dimension (MaxBlockBytes 1, a one-column B) and, across
+// several backends, B's columns.
 func TestShardedBitIdenticalAcrossGrids(t *testing.T) {
 	eng := newEngine(t)
 	direct := func(a, b *pbspgemm.CSR) *pbspgemm.CSR {
@@ -127,9 +128,10 @@ func TestShardedBitIdenticalAcrossGrids(t *testing.T) {
 		a, b          *pbspgemm.CSR
 	}{
 		{"1x1x1 fast path", 0, 1, ra, rb},
-		{"split grid small blocks", 1, 1, ra, rb},
+		{"unbudgeted row bands", 0, 2, ra, rb},
+		{"split grid small blocks", 1, 2, ra, rb},
 		{"split grid medium blocks", 64 << 10, 2, ra, rb},
-		{"row bands", 16 << 10, 1, ra, rb},
+		{"row bands", 16 << 10, 3, ra, rb},
 		{"rows and columns", 16 << 10, 3, ra, rb},
 		{"integer values", 16 << 10, 2, a, b},
 		{"one-column B", 1, 2, ra, col},
@@ -147,11 +149,8 @@ func TestShardedBitIdenticalAcrossGrids(t *testing.T) {
 			if err != nil {
 				t.Fatalf("sharded multiply: %v", err)
 			}
-			if tc.maxBlockBytes > 0 && res.Grid.Blocks() == 1 {
-				t.Fatalf("grid did not split: %v", res.Grid)
-			}
-			if res.Grid.Cols != 1 || res.Grid.Inner != 1 {
-				t.Fatalf("grid %v, want row bands only", res.Grid)
+			if want := (pbspgemm.Grid{Rows: tc.backends, Cols: 1, Inner: 1}); res.Grid != want {
+				t.Fatalf("grid %v, want %v: one row band a backend", res.Grid, want)
 			}
 			sameCSR(t, direct(tc.a, tc.b), res.C)
 		})
@@ -260,7 +259,8 @@ func TestHedgeWinsOverStraggler(t *testing.T) {
 	}}
 	fast := &stubBackend{name: "fast", eng: eng}
 	// The round-robin cursor starts at 0, so the first pick lands on index
-	// 1: put the straggler there and the hedge re-dispatch finds "fast".
+	// 1: put the straggler there and the hedge re-dispatch finds "fast",
+	// which also runs the other row band.
 	c, err := New(Config{
 		Local:      eng,
 		Backends:   []Backend{fast, slow},
@@ -277,8 +277,8 @@ func TestHedgeWinsOverStraggler(t *testing.T) {
 	if res.Hedges != 1 {
 		t.Fatalf("Hedges = %d, want 1", res.Hedges)
 	}
-	if slow.callCount() != 1 || fast.callCount() != 1 {
-		t.Fatalf("calls slow=%d fast=%d, want 1/1", slow.callCount(), fast.callCount())
+	if slow.callCount() != 1 || fast.callCount() != 2 {
+		t.Fatalf("calls slow=%d fast=%d, want 1/2", slow.callCount(), fast.callCount())
 	}
 	ref, _ := eng.Multiply(context.Background(), a, b, pbspgemm.WithAlgorithm(pbspgemm.PB))
 	sameCSR(t, ref.C, res.C)

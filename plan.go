@@ -158,12 +158,11 @@ func (g Grid) String() string {
 	return fmt.Sprintf("%dx%dx%d", g.Rows, g.Cols, g.Inner)
 }
 
-// BlockPlan is one block multiply A(i)·B of a GridPlan. Plan comes from the
-// cut's counts, not from a pass over the block: Flops is exact, EstNNZC is
-// the whole product's estimate apportioned by flop share (capped by Flops and
-// the block's cells), the kernel is pinned to PB, which every shard backend
-// runs. Its PredictedFootprintBytes is approximately what a target node's
-// admission control will see for this block.
+// BlockPlan is one block multiply A(i)·B of a GridPlan. Plan holds the cut's
+// counts, not a pass over the block: the inputs' sizes, the exact Flops, and
+// EstNNZC, the whole product's estimate apportioned by flop share (capped by
+// Flops and the block's cells), with Chosen PB, the kernel every shard backend
+// runs. It prices nothing: a node that runs the block plans it there.
 type BlockPlan struct {
 	// I is the row band; A is rows [RowOffsets[I],RowOffsets[I+1]) of the
 	// whole A, a view; B is the whole B.
@@ -182,8 +181,6 @@ type GridPlan struct {
 	// near-equal flops.
 	RowOffsets []int32
 	Blocks     []BlockPlan
-	// MaxFootprintBytes is the largest per-block PredictedFootprintBytes.
-	MaxFootprintBytes int64
 }
 
 // PlanBlocks is PlanBlocksFrom on a fresh Engine.Plan of the whole product.
@@ -197,14 +194,13 @@ func (e *Engine) PlanBlocks(ctx context.Context, a, b *CSR, g Grid, opts ...Opti
 
 // PlanBlocksFrom cuts A into g.Rows row bands of near-equal flops and plans
 // every block multiply without running or passing over any of them: root,
-// the caller's Plan of this product under the same options, supplies the flop
-// count and the nnz(C) estimate, and each block's Plan follows from the cut's
-// counts — see BlockPlan. The row count is clamped to A's and a row too heavy
-// to balance merges bands, so gp.Grid may be smaller than g and no band is
-// empty. A grid with Cols or Inner other than 1 is an *OptionError.
+// the caller's Plan of this product, supplies the flop count and the nnz(C)
+// estimate, and each block's Plan follows from the cut's counts — see
+// BlockPlan. The row count is clamped to A's and a row too heavy to balance
+// merges bands, so gp.Grid may be smaller than g and no band is empty. A grid
+// with Cols or Inner other than 1 is an *OptionError.
 func (e *Engine) PlanBlocksFrom(root *Plan, a, b *CSR, g Grid, opts ...Option) (*GridPlan, error) {
-	cfg, err := resolve(e.defaults, opts)
-	if err != nil {
+	if _, err := resolve(e.defaults, opts); err != nil {
 		return nil, err
 	}
 	if a.NumCols != b.NumRows {
@@ -213,39 +209,48 @@ func (e *Engine) PlanBlocksFrom(root *Plan, a, b *CSR, g Grid, opts ...Option) (
 	if g.Rows < 1 || g.Cols != 1 || g.Inner != 1 {
 		return nil, &OptionError{Option: "PlanBlocks(Grid)", Value: int64(g.Rows * g.Cols * g.Inner)}
 	}
-	gp := &GridPlan{RowOffsets: rowBands(a, b, root.Flops, g.Rows)}
+	gp := &GridPlan{}
+	var flops []int64
+	gp.RowOffsets, flops = rowBands(a, b, root.Flops, g.Rows)
 	gp.Grid = Grid{Rows: len(gp.RowOffsets) - 1, Cols: 1, Inner: 1}
 	gp.Blocks = make([]BlockPlan, gp.Grid.Rows)
 	for i := range gp.Blocks {
 		ba := matrix.RowBand(a, gp.RowOffsets[i], gp.RowOffsets[i+1])
-		p := &Plan{NNZA: ba.NNZ(), NNZB: b.NNZ(), Flops: matrix.FlopsCSR(ba, b), Sampled: root.Sampled}
+		p := &Plan{Chosen: PB, NNZA: ba.NNZ(), NNZB: b.NNZ(), Flops: flops[i], Sampled: root.Sampled}
 		if p.Flops > 0 {
 			share := float64(root.EstNNZC) * float64(p.Flops) / float64(root.Flops)
 			p.EstNNZC = min(int64(math.Ceil(share)), p.Flops, int64(ba.NumRows)*int64(b.NumCols))
 		}
-		p.model(&cfg, ba.NumRows, b.NumCols, PB, 8)
-		gp.MaxFootprintBytes = max(gp.MaxFootprintBytes, p.PredictedFootprintBytes)
 		gp.Blocks[i] = BlockPlan{I: i, A: ba, B: b, Plan: p}
 	}
 	return gp, nil
 }
 
 // rowBands cuts A's rows into at most parts bands of near-equal flops (of
-// equal row counts when there are none): a power-law A would otherwise leave
-// one band holding the product.
-func rowBands(a, b *CSR, flops int64, parts int) []int32 {
+// equal row counts when there are none) — a power-law A would otherwise leave
+// one band holding the product — and returns each band's flops with the
+// offsets.
+func rowBands(a, b *CSR, flops int64, parts int) ([]int32, []int64) {
 	if flops == 0 || parts == 1 {
-		return matrix.SplitPoints(a.NumRows, parts)
+		off := matrix.SplitPoints(a.NumRows, parts)
+		bf := make([]int64, len(off)-1)
+		bf[0] = flops
+		return off, bf
 	}
 	w := make([]int64, a.NumRows)
 	baseline.RowFlopsRange(a, b, w, 0, len(w))
 	off := make([]int32, 1, parts+1)
+	var bf []int64
 	for _, x := range par.BalancedBoundaries(w, parts)[1:] {
-		if int32(x) > off[len(off)-1] {
-			off = append(off, int32(x))
+		if r := int32(x); r > off[len(off)-1] {
+			var f int64
+			for _, v := range w[off[len(off)-1]:r] {
+				f += v
+			}
+			off, bf = append(off, r), append(bf, f)
 		}
 	}
-	return off
+	return off, bf
 }
 
 // Plan runs the planner's pre-execution analysis — symbolic flop pass,

@@ -25,7 +25,7 @@ func TestPlanBlocksCutsViewsAndCountsExactly(t *testing.T) {
 		if gp.Grid != g || len(gp.Blocks) != g.Blocks() {
 			t.Fatalf("PlanBlocks(%v) cut %v into %d blocks", g, gp.Grid, len(gp.Blocks))
 		}
-		var sum, maxFoot int64
+		var sum int64
 		for i, blk := range gp.Blocks {
 			if lo := a.RowPtr[gp.RowOffsets[i]]; blk.I != i || blk.A.NNZ() > 0 && &blk.A.ColIdx[0] != &a.ColIdx[lo] {
 				t.Fatalf("grid %v: row band %d of A is block %d or a copy, want a view", g, i, blk.I)
@@ -43,10 +43,10 @@ func TestPlanBlocksCutsViewsAndCountsExactly(t *testing.T) {
 			if p.Chosen != PB || p.EstNNZC > p.Flops || p.EstNNZC > int64(blk.A.NumRows)*int64(blk.B.NumCols) || (p.Flops > 0) != (p.EstNNZC > 0) {
 				t.Fatalf("grid %v: block %d plan %+v", g, i, p)
 			}
-			sum, maxFoot = sum+p.Flops, max(maxFoot, p.PredictedFootprintBytes)
+			sum += p.Flops
 		}
-		if sum != want || maxFoot != gp.MaxFootprintBytes {
-			t.Fatalf("grid %v: blocks hold %d flops of %d, heaviest %d B (reported %d)", g, sum, want, maxFoot, gp.MaxFootprintBytes)
+		if sum != want {
+			t.Fatalf("grid %v: blocks hold %d flops of %d", g, sum, want)
 		}
 	}
 	for _, g := range []Grid{{0, 1, 1}, {3, 4, 1}, {2, 3, 4}, {1, 1, 7}} {
@@ -98,6 +98,9 @@ func TestPlanBlocksMergesBandsOfOneHeavyRow(t *testing.T) {
 	for i := 0; i < gp.Grid.Rows; i++ {
 		if gp.RowOffsets[i] >= gp.RowOffsets[i+1] {
 			t.Fatalf("row offsets %v hold an empty band", gp.RowOffsets)
+		}
+		if p, exact := gp.Blocks[i].Plan.Flops, Flops(gp.Blocks[i].A, gp.Blocks[i].B); p != exact {
+			t.Fatalf("merged band %d plans %d flops, has %d", i, p, exact)
 		}
 	}
 	if gp.Grid.Rows >= 4 || len(gp.Blocks) != gp.Grid.Rows {
